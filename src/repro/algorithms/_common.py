@@ -31,9 +31,11 @@ def resolve_mode(variants: dict, variant: str, mode: str):
 
 def gather(result: EngineResult, n: int, dtype=np.int64) -> np.ndarray:
     """Turn ``result.data`` (global id -> value) into a dense array."""
+    data = result.data
     out = np.empty(n, dtype=dtype)
-    for vid, val in result.data.items():
-        out[vid] = val
+    out[np.fromiter(data.keys(), np.int64, len(data))] = np.fromiter(
+        data.values(), dtype, len(data)
+    )
     return out
 
 

@@ -53,7 +53,7 @@ class BFSBasic(VertexProgram):
         v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.level)
 
 
 class BFSBasicBulk(BulkVertexProgram):
@@ -89,7 +89,7 @@ class BFSBasicBulk(BulkVertexProgram):
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.level)
 
 
 class BFSPropagation(VertexProgram):
@@ -115,7 +115,7 @@ class BFSPropagation(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.level)
 
 
 _VARIANTS = {

@@ -71,7 +71,7 @@ class KCore(VertexProgram):
         v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.core[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.core)
 
 
 def run_kcore(graph: Graph, **engine_kwargs):

@@ -53,7 +53,7 @@ class LabelPropagation(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.label)
 
 
 def run_lpa(graph: Graph, rounds: int = 10, **engine_kwargs):

@@ -85,7 +85,7 @@ class LubyMIS(VertexProgram):
             # else: stay undecided; remain active for the next propose
 
     def finalize(self) -> dict:
-        return {int(g): int(self.state[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.state)
 
 
 def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):

@@ -88,10 +88,7 @@ class _PageRankBase(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {
-            int(g): float(self.rank[i])
-            for i, g in enumerate(self.worker.local_ids)
-        }
+        return self.vertex_results(self.rank)
 
 
 class PageRankBasic(_PageRankBase):
@@ -191,10 +188,7 @@ class _PageRankBulkBase(BulkVertexProgram):
             worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {
-            int(g): float(self.rank[i])
-            for i, g in enumerate(self.worker.local_ids)
-        }
+        return self.vertex_results(self.rank)
 
 
 class PageRankBasicBulk(_PageRankBulkBase):

@@ -75,7 +75,7 @@ class PointerJumpingBasic(VertexProgram):
                 self.req.send_message(gp, v.id)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.D)
 
 
 class PointerJumpingReqResp(VertexProgram):
@@ -109,7 +109,7 @@ class PointerJumpingReqResp(VertexProgram):
             self.rr.add_request(v, gp)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.D)
 
 
 def run_pointer_jumping(graph: Graph, variant: str = "basic", **engine_kwargs):

@@ -86,7 +86,7 @@ class _SCCBase(VertexProgram):
         return True
 
     def finalize(self) -> dict:
-        return {int(g): int(self.scc[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.scc)
 
 
 class SCCBasic(_SCCBase):

@@ -69,7 +69,7 @@ class SSSPBasic(VertexProgram):
         v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.dist)
 
 
 class SSSPBasicBulk(BulkVertexProgram):
@@ -108,7 +108,7 @@ class SSSPBasicBulk(BulkVertexProgram):
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.dist)
 
 
 class SSSPPropagation(VertexProgram):
@@ -131,7 +131,7 @@ class SSSPPropagation(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.dist)
 
 
 _VARIANTS = {

@@ -168,7 +168,7 @@ class _SVBase(VertexProgram):
                 self._apply_updates(v)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.D)
 
 
 def make_sv_program(use_reqresp: bool = False, use_scatter: bool = False):

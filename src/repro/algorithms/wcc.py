@@ -65,7 +65,7 @@ class WCCBasic(VertexProgram):
         v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.label)
 
 
 class WCCBasicBulk(BulkVertexProgram):
@@ -101,7 +101,7 @@ class WCCBasicBulk(BulkVertexProgram):
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.label)
 
 
 class WCCPropagation(VertexProgram):
@@ -122,7 +122,7 @@ class WCCPropagation(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.label)
 
 
 _VARIANTS = {

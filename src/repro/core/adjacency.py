@@ -82,8 +82,18 @@ def _slice_rows(
     weights: np.ndarray | None,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(degrees, gathered indices, gathered weights) of ``rows`` in a
-    global CSR."""
+    """(degrees, indices, weights) of ``rows`` in a global CSR.
+
+    One contiguous run of rows (``range``/``degree`` partitions, every
+    rebalancer output) owns one stretch of the edge arrays and gets
+    *slices* of them: over an mmap store, read-only views of the page
+    cache.  Any other row set (``hash`` partitions) is gathered.
+    """
+    if rows.size and np.all(rows[1:] - rows[:-1] == 1):
+        a, b = int(rows[0]), int(rows[-1]) + 1
+        lo, hi = int(indptr[a]), int(indptr[b])
+        deg = np.diff(indptr[a : b + 1])
+        return deg, indices[lo:hi], None if weights is None else weights[lo:hi]
     deg = indptr[rows + 1] - indptr[rows]
     pos = expand_ranges(indptr[rows], deg)
     return deg, indices[pos], None if weights is None else weights[pos]

@@ -3,7 +3,7 @@
 Wire format per peer and round: an ``int32`` destination array followed by
 a value array (the payload length plus the fixed codec sizes recover the
 count, so no explicit header is needed).  The receiver groups messages by
-destination vertex with one argsort — this is the "message iterator"
+destination vertex with one stable sort — this is the "message iterator"
 the paper credits for DirectMessage being faster than Pregel+'s nested
 vectors.
 """
@@ -16,6 +16,7 @@ from repro.core.channels._records import RecordChannel
 from repro.core.worker import Worker
 from repro.core.vertex import Vertex
 from repro.runtime.serialization import Codec, INT32, INT64
+from repro.util import stable_order
 
 __all__ = ["DirectMessage"]
 
@@ -84,10 +85,10 @@ class DirectMessage(RecordChannel):
         out = []
         for w, gids_w, (vals_w,) in ctx.route(gids, vals):
             local = ctx.localize(w, gids_w)
-            order = np.argsort(local, kind="stable")
             num_local = ctx.new_locals[w].size
+            order, local_sorted = stable_order(local, num_local)
             indptr = np.zeros(num_local + 1, dtype=np.int64)
-            counts = np.bincount(local[order], minlength=num_local)
+            counts = np.bincount(local_sorted, minlength=num_local)
             np.cumsum(counts, out=indptr[1:])
             out.append({"recv_indptr": indptr, "recv_vals": vals_w[order]})
         return out
@@ -112,8 +113,7 @@ class DirectMessage(RecordChannel):
         dst = np.concatenate(all_dst).astype(np.int64)
         vals = np.concatenate(all_val)
         local = worker._local_index[dst]
-        order = np.argsort(local, kind="stable")
-        local_sorted = local[order]
+        order, local_sorted = stable_order(local, worker.num_local)
         self._recv_vals = vals[order]
         counts = np.bincount(local_sorted, minlength=worker.num_local)
         self._recv_indptr[0] = 0

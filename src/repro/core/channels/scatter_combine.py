@@ -23,9 +23,16 @@ from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.runtime.serialization import INT32
-from repro.util import group_starts
+from repro.util import group_starts, stable_order
 
 __all__ = ["ScatterCombine"]
+
+
+def _flat(scalars: list[int], chunks: list[np.ndarray]) -> np.ndarray:
+    parts = ([np.asarray(scalars, dtype=np.int64)] if scalars else []) + chunks
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 class ScatterCombine(Channel):
@@ -67,7 +74,6 @@ class ScatterCombine(Channel):
         # static dispatch structure (built lazily)
         self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
         self._seg_starts: np.ndarray | None = None  # segment starts (per unique dst)
-        self._edge_dst_sorted: np.ndarray = np.empty(0, dtype=np.int64)
         self._uniq_dst_wire: list[np.ndarray] = []  # per peer: int32 dst ids
         self._uniq_positions: list[np.ndarray] = []  # per peer: positions in uniq order
 
@@ -98,22 +104,28 @@ class ScatterCombine(Channel):
 
     def _collected_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All registered edges so far, scalar appends first then bulk
-        chunks, as two flat int64 arrays."""
-        src = np.concatenate(
-            [np.asarray(self._edge_src, dtype=np.int64)] + self._edge_src_chunks
+        chunks, as two flat int64 arrays.  A single registered chunk is
+        handed back as is, not copied: chunks are never written to, and
+        may be read-only views of the graph store."""
+        return (
+            _flat(self._edge_src, self._edge_src_chunks),
+            _flat(self._edge_dst, self._edge_dst_chunks),
         )
-        dst = np.concatenate(
-            [np.asarray(self._edge_dst, dtype=np.int64)] + self._edge_dst_chunks
-        )
-        return src, dst
 
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
         src, dst = self._collected_edges()
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
+        num_vertices = self.worker.graph.num_vertices
+        # a negative id would wrap through owner[...] to the wrong worker
+        for what, ids, bound in (
+            ("destination", dst, num_vertices),
+            ("local sender index", src, self.worker.num_local),
+        ):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                bad = ids[(ids < 0) | (ids >= bound)][0]
+                raise ValueError(f"{self!r}: edge {what} {bad} outside [0, {bound})")
+        order, dst_sorted = stable_order(dst, num_vertices)
         self._seg_edge_src = src[order]
-        self._edge_dst_sorted = dst_sorted  # kept for the D2 hash ablation
         uniq_dst, starts = group_starts(dst_sorted)
         self._seg_starts = starts
 
@@ -252,13 +264,20 @@ class ScatterCombine(Channel):
         edge.  Because the edges are iterated in sorted-destination order,
         dict insertion order equals the sorted-unique order the linear
         scan produces, so results are identical; only the cost differs."""
-        assert self._seg_edge_src is not None
+        assert self._seg_edge_src is not None and self._seg_starts is not None
         fn = self.combiner.fn
         values = self._values
+        # per-edge destinations in sorted order, rebuilt on demand from
+        # the wire ids: the linear scan never needs them, so _build does
+        # not retain an int64 per edge for this ablation
+        uniq_dst = np.empty(self._seg_starts.size, dtype=np.int64)
+        for pos, wire in zip(self._uniq_positions, self._uniq_dst_wire):
+            uniq_dst[pos] = wire
+        edge_dst = np.repeat(
+            uniq_dst, np.diff(self._seg_starts, append=self._seg_edge_src.size)
+        )
         table: dict = {}
-        for dst, src in zip(
-            self._edge_dst_sorted.tolist(), self._seg_edge_src.tolist()
-        ):
+        for dst, src in zip(edge_dst.tolist(), self._seg_edge_src.tolist()):
             val = values[src]
             if dst in table:
                 table[dst] = fn(table[dst], val)

@@ -120,6 +120,13 @@ class VertexProgram:
         global vertex ids or named aggregates."""
         return {}
 
+    def vertex_results(self, values: np.ndarray) -> dict:
+        """``{global id: values[local index]}`` over this worker's
+        vertices, in local order — the usual :meth:`finalize` body.  Keys
+        and values are plain Python ``int``/``float``/``bool`` as
+        ``ndarray.tolist()`` converts them."""
+        return dict(zip(self.worker.local_ids.tolist(), values.tolist()))
+
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:
         """This worker's per-program state, for checkpointing.

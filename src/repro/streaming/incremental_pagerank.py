@@ -227,9 +227,7 @@ class PageRankIncrementalBulk(BulkVertexProgram):
         # workers alike (history baseline for clean rows, recomputed
         # values where this worker was dirty at the final step)
         final = self.new_hist[self.iterations + 1]
-        return {
-            int(g): float(final[i]) for i, g in enumerate(self.worker.local_ids)
-        }
+        return self.vertex_results(final)
 
 
 class PageRankStream(StreamAlgorithm):

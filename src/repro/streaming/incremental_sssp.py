@@ -83,7 +83,7 @@ class SSSPIncrementalBulk(BulkVertexProgram):
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.dist)
 
 
 def invalidated_by_deletions(

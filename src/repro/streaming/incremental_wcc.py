@@ -71,7 +71,7 @@ class WCCIncrementalBulk(BulkVertexProgram):
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.vertex_results(self.label)
 
 
 def still_connected(graph: Graph, u: int, v: int, cap: int) -> bool:

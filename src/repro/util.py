@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_ranges", "group_starts"]
+__all__ = ["expand_ranges", "group_starts", "stable_order"]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -41,3 +41,33 @@ def group_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
     return sorted_keys[starts], starts
+
+
+def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(np.argsort(keys, kind="stable"), keys[that])`` for integer keys
+    in ``[0, bound)``, several times faster.
+
+    Each key is packed with its position, ``(key << shift) | position``;
+    the packed values are unique, so one unstable in-place ``np.sort``
+    orders equal keys by position, which is the stable permutation.
+    Raises ``ValueError`` (there is no fallback) when key and position do
+    not fit 63 bits together or a key lies outside ``[0, bound)``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64), keys.copy()
+    shift = (n - 1).bit_length()
+    if int(bound).bit_length() + shift > 63:
+        raise ValueError(
+            f"cannot pack keys below {bound} with {n} positions into 63 bits"
+        )
+    lo, hi = int(keys.min()), int(keys.max())
+    if lo < 0 or hi >= bound:
+        raise ValueError(f"key {lo if lo < 0 else hi} outside [0, {bound})")
+    packed = keys << shift
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed

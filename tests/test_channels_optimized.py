@@ -165,6 +165,209 @@ class TestScatterCombine:
 
         assert results["scatter"] == results["basic"]
 
+    def test_hash_ablation_matches_linear_scan(self):
+        """The D2 ablation rebuilds its per-edge destinations on demand
+        from the routing tables; with exact (integer) arithmetic its
+        values, their order on the wire and the traffic must equal the
+        linear scan's."""
+
+        def scatter(use_hash):
+            class P(VertexProgram):
+                def __init__(self, worker):
+                    super().__init__(worker)
+                    self.msg = ScatterCombine(worker, SUM_I64, use_hash=use_hash)
+                    self.got = {}
+
+                def compute(self, v):
+                    if self.step_num == 1 and v.out_degree:
+                        self.msg.add_edges(v, v.edges)
+                    if self.step_num > 1:
+                        self.got[v.id] = int(self.msg.get_message(v))
+                    if self.step_num < 4:
+                        self.msg.set_message(v, v.id * self.step_num + 1)
+                    else:
+                        v.vote_to_halt()
+
+                def finalize(self):
+                    return self.got
+
+            res = run(rmat(7, edge_factor=5, seed=4), P, workers=3)
+            return res.data, res.metrics.total_net_bytes, res.metrics.total_messages
+
+        hashed, scanned = scatter(True), scatter(False)
+        assert hashed == scanned and len(hashed[0]) > 64
+
+
+class TestScatterCombineBuild:
+    """The one-off routing build: independent of how the edges arrived,
+    reproducible from a snapshot, and loud about ids it cannot route."""
+
+    @staticmethod
+    def _worker(workers=2):
+        class Idle(VertexProgram):
+            def compute(self, v):
+                v.vote_to_halt()
+
+        g = rmat(6, edge_factor=4, seed=5)
+        return ChannelEngine(g, Idle, num_workers=workers).workers[0]
+
+    @staticmethod
+    def _edges(worker):
+        adj = worker.local_adjacency()
+        src = np.repeat(np.arange(worker.num_local, dtype=np.int64), adj.degrees)
+        return src, np.asarray(adj.indices)
+
+    @staticmethod
+    def _tables(ch):
+        ch._build()
+        return (
+            ch._seg_edge_src.tolist(),
+            ch._seg_starts.tolist(),
+            [w.tolist() for w in ch._uniq_dst_wire],
+            [p.tolist() for p in ch._uniq_positions],
+        )
+
+    def _register(self, worker, how):
+        src, dst = self._edges(worker)
+        ch = ScatterCombine(worker, SUM_F64)
+        v = worker._vertex
+        if how == "scalar":
+            for s_, d_ in zip(src.tolist(), dst.tolist()):
+                ch.add_edge(v._bind(s_), d_)
+        elif how == "per-vertex":
+            for i in range(worker.num_local):
+                ch.add_edges(v._bind(i), dst[src == i])
+        elif how == "one-chunk":
+            ch.add_edges_bulk(src, dst)
+        elif how == "three-chunks":
+            for part in np.array_split(np.arange(src.size), 3):
+                ch.add_edges_bulk(src[part], dst[part])
+        elif how == "scalar-then-chunk":
+            half = src.size // 2
+            for s_, d_ in zip(src[:half].tolist(), dst[:half].tolist()):
+                ch.add_edge(v._bind(s_), d_)
+            ch.add_edges_bulk(src[half:], dst[half:])
+        return ch
+
+    def test_tables_match_a_stable_argsort_reference(self):
+        worker = self._worker()
+        src, dst = self._edges(worker)
+        order = np.argsort(dst, kind="stable")
+        uniq, starts = np.unique(dst[order], return_index=True)
+        seg_src, seg_starts, wire, positions = self._tables(
+            self._register(worker, "one-chunk")
+        )
+        assert seg_src == src[order].tolist()
+        assert seg_starts == starts.tolist()
+        owners = worker.owner[uniq]
+        for peer in range(worker.num_workers):
+            assert wire[peer] == uniq[owners == peer].tolist()
+            assert positions[peer] == np.flatnonzero(owners == peer).tolist()
+
+    @pytest.mark.parametrize(
+        "how", ["scalar", "per-vertex", "three-chunks", "scalar-then-chunk"]
+    )
+    def test_tables_do_not_depend_on_the_registration_path(self, how):
+        worker = self._worker()
+        assert self._tables(self._register(worker, how)) == self._tables(
+            self._register(worker, "one-chunk")
+        )
+
+    def test_single_chunk_is_aliased_and_never_written(self):
+        worker = self._worker()
+        src, dst = self._edges(worker)
+        src.setflags(write=False)
+        dst.setflags(write=False)  # a store view is read-only too
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(src, dst)
+        got_src, got_dst = ch._collected_edges()
+        assert got_src is src and got_dst is dst
+        self._tables(ch)  # the build only reads them
+
+    def test_snapshot_restore_rebuilds_the_same_tables(self):
+        worker = self._worker()
+        ch = self._register(worker, "scalar-then-chunk")
+        expected = self._tables(ch)
+        restored = ScatterCombine(worker, SUM_F64)
+        restored.restore(ch.snapshot())
+        assert not restored._built
+        assert self._tables(restored) == expected
+
+    def test_no_edges_builds_empty_tables(self):
+        ch = ScatterCombine(self._worker(), SUM_F64)
+        seg_src, seg_starts, wire, _ = self._tables(ch)
+        assert seg_src == [] and seg_starts == [] and all(w == [] for w in wire)
+
+    def test_snapshot_taken_before_supersteps_is_unchanged_after(self):
+        """The snapshot aliases the registered chunk; nothing the channel
+        does in later supersteps may write through that alias."""
+        from repro.algorithms.pagerank import PageRankScatterBulk
+        from repro.graph.partition import range_partition
+
+        taken = {}
+
+        class Snapshotting(PageRankScatterBulk):
+            iterations = 3
+
+            def compute_bulk(self, active):
+                super().compute_bulk(active)
+                if self.step_num == 1:  # edges registered, nothing built yet
+                    snap = self.msg.snapshot()
+                    copy = {k: snap[k].copy() for k in ("edge_src", "edge_dst")}
+                    taken[self.worker.worker_id] = (self.msg, snap, copy)
+
+        g = rmat(7, edge_factor=6, seed=9)
+        result = ChannelEngine(
+            g, Snapshotting, num_workers=2, partition=range_partition(g.num_vertices, 2)
+        ).run()
+        assert result.supersteps >= 4 and sorted(taken) == [0, 1]
+        for channel, snap, copy in taken.values():
+            assert copy["edge_dst"].size
+            after = channel.snapshot()
+            for key in ("edge_src", "edge_dst"):
+                np.testing.assert_array_equal(snap[key], copy[key])
+                np.testing.assert_array_equal(after[key], copy[key])
+
+    @pytest.mark.parametrize(
+        "src, dst, what, bad",
+        [
+            ([0, 1], [3, -1], "destination", -1),
+            ([0, 1], [3, 64], "destination", 64),
+            ([0, -3], [3, 4], "local sender index", -3),
+            ([0, 10**6], [3, 4], "local sender index", 10**6),
+        ],
+        ids=["dst-negative", "dst-too-large", "src-negative", "src-too-large"],
+    )
+    def test_out_of_range_ids_fail_at_build_by_name(self, src, dst, what, bad):
+        """Regression: a negative destination used to wrap through
+        ``owner[...]`` and be routed to the wrong worker; one past the end
+        died with a bare IndexError deep in ``_build``."""
+        worker = self._worker()
+        assert worker.graph.num_vertices == 64
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(np.array(src), np.array(dst))
+        with pytest.raises(ValueError) as err:
+            ch._build()
+        msg = str(err.value)
+        assert "ScatterCombine" in msg and what in msg and f" {bad} " in msg
+        bound = 64 if what == "destination" else worker.num_local
+        assert f"[0, {bound})" in msg
+        assert not ch._built
+
+    def test_out_of_range_scalar_edge_fails_on_first_serialize(self):
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.msg = ScatterCombine(worker, SUM_F64)
+
+            def compute(self, v):
+                self.msg.add_edge(v, -1)
+                self.msg.set_message(v, 1.0)
+
+        engine = ChannelEngine(line_graph(4), P, num_workers=2)
+        with pytest.raises(ValueError, match=r"destination -1 outside \[0, 4\)"):
+            engine.run(max_supersteps=3)  # bounded: P itself never halts
+
 
 class TestRequestRespond:
     def _program(self):

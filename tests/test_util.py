@@ -1,9 +1,10 @@
 """Unit tests for the NumPy helpers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import expand_ranges, group_starts
+from repro.util import expand_ranges, group_starts, stable_order
 
 
 class TestExpandRanges:
@@ -62,3 +63,55 @@ class TestGroupStarts:
         exp_uniq, exp_starts = np.unique(keys, return_index=True)
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
+
+
+class TestStableOrder:
+    @staticmethod
+    def check(keys, bound):
+        keys = np.asarray(keys, dtype=np.int64)
+        order, sorted_keys = stable_order(keys, bound)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == np.int64 and sorted_keys.dtype == np.int64
+        assert order.tolist() == expected.tolist()
+        assert sorted_keys.tolist() == keys[expected].tolist()
+
+    @pytest.mark.parametrize(
+        "keys, bound",
+        [
+            ([], 0),
+            ([5], 6),
+            ([3, 3, 3, 3, 3], 4),
+            ([2**31 - 1, 0, 2**31 - 1, 7], 2**31),
+        ],
+        ids=["empty", "singleton", "all-equal", "bound-2^31"],
+    )
+    def test_fixed_cases(self, keys, bound):
+        self.check(keys, bound)
+
+    @given(st.lists(st.integers(min_value=0, max_value=4), max_size=200))
+    def test_heavy_duplicates_match_stable_argsort(self, values):
+        self.check(values, 5)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=80))
+    def test_wide_keys_match_stable_argsort(self, values):
+        self.check(values, 2**31)
+
+    def test_does_not_modify_input(self):
+        keys = np.array([4, 1, 4, 0], dtype=np.int64)
+        stable_order(keys, 5)
+        assert keys.tolist() == [4, 1, 4, 0]
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError, match=r"key -2 outside \[0, 10\)"):
+            stable_order(np.array([3, -2, 5]), 10)
+
+    def test_key_at_bound_raises(self):
+        with pytest.raises(ValueError, match=r"key 10 outside \[0, 10\)"):
+            stable_order(np.array([3, 10, 5]), 10)
+
+    def test_unpackable_width_raises_instead_of_falling_back(self):
+        # 62 key bits + 2 position bits do not fit a signed 64-bit word
+        with pytest.raises(ValueError, match="63 bits"):
+            stable_order(np.array([1, 2, 3]), 2**61)
+        # one element needs no position bits, so the same bound fits
+        self.check([2**61 - 1], 2**61)

@@ -12,8 +12,11 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.algorithms._common import gather
+from repro.core.adjacency import build_local_csr
 from repro.graph import rmat
 from repro.graph.graph import Graph
+from repro.graph.partition import hash_partition, range_partition
 from helpers import line_graph
 
 
@@ -128,6 +131,69 @@ class TestLocalAdjacency:
             engine.workers[0].local_adjacency("sideways")
 
 
+class TestContiguousRunsAreViews:
+    """A contiguous run of local ids (range/degree partitions, rebalancer
+    output) gets slices of the global CSR; anything else is gathered.
+    Both must describe the same adjacency."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    def test_slice_path_equals_gather_path(self, direction, directed, weighted):
+        g = rmat(7, edge_factor=5, seed=21, directed=directed, weighted=weighted)
+        run = np.arange(30, 90)
+        # one extra far-away row breaks contiguity, forcing the gather
+        # path; its first len(run) rows are the rows of `run`
+        sliced = build_local_csr(g, run, direction)
+        gathered = build_local_csr(g, np.append(run, 120), direction)
+        n, e = run.size, sliced.num_edges
+        assert e > 0
+        np.testing.assert_array_equal(sliced.indptr, gathered.indptr[: n + 1])
+        np.testing.assert_array_equal(sliced.degrees, gathered.degrees[:n])
+        np.testing.assert_array_equal(sliced.indices, gathered.indices[:e])
+        assert sliced.indices.dtype == gathered.indices.dtype == np.int64
+        if weighted:
+            np.testing.assert_array_equal(sliced.weights, gathered.weights[:e])
+        else:
+            assert sliced.weights is None and gathered.weights is None
+        rows = np.array([0, 7, 8, n - 1])
+        np.testing.assert_array_equal(sliced.gather(rows), gathered.gather(rows))
+
+    def test_out_adjacency_of_a_range_partition_aliases_the_graph(self):
+        g = rmat(7, edge_factor=5, seed=21, directed=True, weighted=True)
+        engine = ChannelEngine(
+            g, _idle_program(), num_workers=3, partition=range_partition(g.num_vertices, 3)
+        )
+        for w in engine.workers:
+            adj = w.local_adjacency()
+            assert np.shares_memory(adj.indices, g.indices)
+            assert np.shares_memory(adj.weights, g.weights)
+            for i, v in enumerate(w.local_ids.tolist()):
+                np.testing.assert_array_equal(adj.row(i), g.neighbors(v))
+
+    def test_hash_partition_is_gathered_not_aliased(self):
+        g = rmat(7, edge_factor=5, seed=21, directed=True)
+        engine = ChannelEngine(
+            g, _idle_program(), num_workers=3, partition=hash_partition(g.num_vertices, 3)
+        )
+        for w in engine.workers:
+            assert not np.shares_memory(w.local_adjacency().indices, g.indices)
+
+    def test_single_vertex_and_empty_runs(self):
+        g = rmat(6, edge_factor=4, seed=22, directed=True)
+        one = build_local_csr(g, np.array([5]))
+        np.testing.assert_array_equal(one.row(0), g.neighbors(5))
+        assert one.indptr.tolist() == [0, g.out_degree(5)]
+        empty = build_local_csr(g, np.empty(0, dtype=np.int64))
+        assert empty.num_edges == 0 and empty.indptr.tolist() == [0]
+
+    def test_unsorted_ids_are_not_mistaken_for_a_run(self):
+        g = rmat(6, edge_factor=4, seed=22, directed=True)
+        adj = build_local_csr(g, np.array([3, 2, 1, 0]))
+        for i, v in enumerate([3, 2, 1, 0]):
+            np.testing.assert_array_equal(adj.row(i), g.neighbors(v))
+
+
 def _idle_program():
     class Idle(VertexProgram):
         def compute(self, v):
@@ -209,3 +275,61 @@ class TestEngineResultErgonomics:
         assert empty.total_messages is None
         assert empty.simulated_time is None
         assert empty.supersteps is None
+
+
+class TestVertexResults:
+    """``VertexProgram.vertex_results`` is the one finalize body: same
+    keys, value types and order as the per-vertex comprehension it
+    replaced."""
+
+    @pytest.fixture()
+    def program(self):
+        engine = ChannelEngine(
+            line_graph(7), _idle_program(), num_workers=2, partition=hash_partition(7, 2)
+        )
+        return engine.workers[1].program
+
+    @pytest.mark.parametrize(
+        "values, cast",
+        [
+            (np.array([5, -1, 2**40], dtype=np.int64), int),
+            (np.array([1, -2, 3], dtype=np.int8), int),
+            (np.array([0.1, np.inf, -0.0], dtype=np.float64), float),
+            (np.array([True, False, True]), bool),
+        ],
+        ids=["int64", "int8", "float64-inf", "bool"],
+    )
+    def test_matches_the_old_comprehension(self, program, values, cast):
+        local_ids = program.worker.local_ids
+        values = np.resize(values, local_ids.size)
+        expected = {int(g): cast(values[i]) for i, g in enumerate(local_ids)}
+        got = program.vertex_results(values)
+        assert got == expected
+        assert list(got) == list(expected)  # insertion order: local order
+        assert all(type(k) is int for k in got)
+        assert all(type(v) is cast for v in got.values())
+        # bit-identical floats (== would let -0.0 pass as 0.0)
+        if cast is float:
+            assert [v.hex() for v in got.values()] == [
+                v.hex() for v in expected.values()
+            ]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([4, 0, -7, 2**40, 1, 1, 9], dtype=np.int64),
+            np.array([0.5, np.inf, 3.0, -0.0, 1e-300, 2.0, 7.0]),
+            np.array([True, False, False, True, True, False, True]),
+        ],
+        ids=["int64", "float64-inf", "bool"],
+    )
+    def test_gather_round_trips(self, values):
+        engine = ChannelEngine(
+            line_graph(7), _idle_program(), num_workers=3, partition=hash_partition(7, 3)
+        )
+        data = {}
+        for w in engine.workers:
+            data.update(w.program.vertex_results(values[w.local_ids]))
+        dense = gather(EngineResult(data=data), 7, dtype=values.dtype)
+        assert dense.dtype == values.dtype
+        assert dense.tobytes() == values.tobytes()
