@@ -20,11 +20,9 @@ never regress.  The artifact kind — ``parallel``, ``bulk``,
   1-CPU baseline or a 1-CPU smoke measures protocol overhead, and
   comparing those against multi-core numbers would gate merges on
   noise.  (The bulk / recovery / streaming artifacts don't record the
-  flag, so their walls are never ratio-gated.)
-* **The transport's reason to exist** (parallel artifact only).  When
-  the fresh artifact has ``speedup_valid: true``, at least one bulk
-  workload at 2 workers must show ``speedup_shm_vs_pipe >=
-  --min-shm-speedup`` (default 1.5).
+  flag, so their walls are never ratio-gated.)  The parallel
+  artifact's ``speedup_shm_vs_pipe`` is reported, never gated: the two
+  transports are byte movers under one protocol and each wins somewhere.
 * A fresh artifact flagged ``dirty_tree`` fails outright: its numbers
   are not traceable to any commit.  With ``REPRO_BENCH_REQUIRE_CLEAN=1``
   (CI sets it) a dirty *baseline* fails too — the committed artifact
@@ -177,7 +175,6 @@ def check(
     fresh: dict,
     baseline: dict,
     tolerance: float = 1.5,
-    min_shm_speedup: float = 1.5,
     kind: str | None = None,
     require_clean: bool | None = None,
 ) -> list[str]:
@@ -273,20 +270,6 @@ def check(
                     f"(baseline {b}s, fresh {f}s, tolerance {tolerance}x)"
                 )
 
-    # -- shm must beat pipe somewhere real (parallel artifact only) ----------
-    if kind == "parallel" and fresh.get("speedup_valid"):
-        two_worker = [r for r in fresh["rows"] if r.get("workers") == 2]
-        best = max(
-            (r.get("speedup_shm_vs_pipe", 0.0) for r in two_worker),
-            default=0.0,
-        )
-        if two_worker and best < min_shm_speedup:
-            failures.append(
-                f"shm never beat pipe by {min_shm_speedup}x at 2 workers "
-                f"(best speedup_shm_vs_pipe = {best}) — the ring transport "
-                "is not earning its keep on this machine"
-            )
-
     return failures
 
 
@@ -313,13 +296,6 @@ def main(argv=None) -> int:
         help="max allowed fresh/baseline wall-time ratio (default 1.5; "
         "only enforced when both artifacts have speedup_valid)",
     )
-    parser.add_argument(
-        "--min-shm-speedup",
-        type=float,
-        default=1.5,
-        help="required speedup_shm_vs_pipe on >=1 workload at 2 workers "
-        "when the fresh run had real cores (default 1.5; parallel only)",
-    )
     args = parser.parse_args(argv)
 
     fresh = json.loads(args.fresh.read_text())
@@ -330,9 +306,7 @@ def main(argv=None) -> int:
         else REPO_ROOT / f"BENCH_{kind}.json"
     )
     baseline = json.loads(baseline_path.read_text())
-    failures = check(
-        fresh, baseline, args.tolerance, args.min_shm_speedup, kind=kind
-    )
+    failures = check(fresh, baseline, args.tolerance, kind=kind)
     if failures:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)

@@ -110,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=["shm", "pipe"],
         default=None,
-        help="process-executor frame data plane: shared-memory ring "
-        "buffers (shm, the default) or OS pipes (pipe, the portable "
-        "fallback); results are bit-identical either way",
+        help="process-executor byte mover for frames: shared-memory ring "
+        "buffers (shm, the default) or OS pipes (pipe); same protocol, "
+        "results are bit-identical either way",
     )
     run.add_argument(
         "--partition",
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=["shm", "pipe"],
         default=None,
-        help="process-executor frame data plane (see `run --transport`)",
+        help="process-executor byte mover for frames (see `run --transport`)",
     )
     stream.add_argument(
         "--iterations", type=int, default=10, help="PageRank iterations"

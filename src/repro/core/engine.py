@@ -165,13 +165,13 @@ class ChannelEngine:
         of ``engine.workers`` behaves as after a simulated run.  Off by
         default — result data always comes back regardless.
     transport:
-        Process executor only: the frame data plane.  ``"shm"`` (the
-        default) exchanges codec frames worker-to-worker through
-        per-pair shared-memory ring buffers, with barrier votes batched
-        into the ring headers and compute overlapped with exchange;
-        ``"pipe"`` is the portable OS-pipe fallback.  Both produce
-        bit-identical results; ``None`` means the pool's transport (or
-        ``"shm"`` when the engine creates the pool).
+        Process executor only: the byte mover for codec frames.
+        ``"shm"`` (the default) streams them worker-to-worker through
+        per-pair shared-memory ring buffers, ``"pipe"`` sends each
+        round's buffer over per-pair OS pipes.  Both run under the same
+        batched ``superstep`` protocol and produce bit-identical
+        results; ``None`` means the pool's transport (or ``"shm"`` when
+        the engine creates the pool).
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the run emits
         structured span events (run, superstep, per-worker phase,
@@ -253,15 +253,11 @@ class ChannelEngine:
                     f"pool has {pool.num_workers} workers, engine wants "
                     f"{num_workers}"
                 )
-            if transport is not None:
-                # a single-worker pool normalizes any request to "pipe",
-                # so compare against the same normalization
-                effective = transport if num_workers > 1 else "pipe"
-                if pool.transport != effective:
-                    raise ValueError(
-                        f"pool uses transport={pool.transport!r}, engine "
-                        f"wants {transport!r}"
-                    )
+            if transport is not None and pool.transport != transport:
+                raise ValueError(
+                    f"pool uses transport={pool.transport!r}, engine "
+                    f"wants {transport!r}"
+                )
         self.transport = (
             transport
             if transport is not None

@@ -295,9 +295,7 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
                 for w in failed:
                     worker = engine.workers[w]
                     t0 = time.perf_counter()
-                    for cid, channel in enumerate(worker.channels):
-                        if group_active[cid]:
-                            channel.serialize()
+                    worker.serialize_round(group_active)
                     # serialize can be the bulk of replay compute (the
                     # Propagation fixpoint runs here), so time it like
                     # the main loop does
@@ -331,10 +329,9 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
                             recv_bytes[w] += n
                     worker.buffers.inbox = inbox
                     t0 = time.perf_counter()
-                    routed = worker.route_inbox()
-                    for cid, channel in enumerate(worker.channels):
-                        if group_active[cid]:
-                            channel.deserialize(routed.get(cid, []))
+                    # the recorded group_active is the round structure;
+                    # the replaying worker's own again() votes are moot
+                    worker.deserialize_round(group_active)
                     scratch.record_compute(w, time.perf_counter() - t0)
                 scratch.record_exchange(send_bytes, recv_bytes)
             scratch.end_superstep()

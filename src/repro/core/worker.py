@@ -198,6 +198,41 @@ class Worker:
         self.buffers.clear_inbox()
         return routed
 
+    # -- the exchange round (Fig. 4), written once ------------------------------
+    # Every driver — the simulator's lock-step loop, a worker process's
+    # autonomous superstep, confined-recovery replay — runs a round as
+    # serialize_round, move the buffers, deserialize_round.  Nothing else
+    # calls a channel's serialize/deserialize/again.
+    def serialize_round(self, group_active: list[bool], flush=None) -> None:
+        """First half of a round: every active channel writes its frames
+        into the per-peer buffers.  ``flush()``, when given, runs after
+        each channel so a transport can start moving that channel's bytes
+        while the next one is still serializing."""
+        for cid, channel in enumerate(self.channels):
+            if group_active[cid]:
+                channel.serialize()
+                if flush is not None:
+                    flush()
+
+    def deserialize_round(self, group_active: list[bool]) -> list[bool]:
+        """Second half of a round: route the inbox, hand every active
+        channel its payloads, and return each channel's ``again()`` vote.
+        A frame no active channel consumes — an inactive channel's id, or
+        one no channel is registered under — is a protocol error."""
+        routed = self.route_inbox()
+        next_active = [False] * len(self.channels)
+        for cid, channel in enumerate(self.channels):
+            if group_active[cid]:
+                channel.deserialize(routed.pop(cid, []))
+                next_active[cid] = bool(channel.again())
+        if routed:
+            cid, payloads = next(iter(routed.items()))
+            raise RuntimeError(
+                f"worker {self.worker_id} received a frame for channel {cid} "
+                f"from worker {payloads[0][0]}, but no active channel consumes it"
+            )
+        return next_active
+
     # -- metrics ---------------------------------------------------------------
     def count_net_messages(self, n: int, channel_id: int | None = None) -> None:
         if n:

@@ -29,9 +29,6 @@ class WorkerBuffers:
         self.out: list[BufferWriter] = [BufferWriter() for _ in range(num_workers)]
         self.inbox: list[bytes] = [b""] * num_workers
 
-    def writer(self, peer: int) -> BufferWriter:
-        return self.out[peer]
-
     def out_nbytes(self) -> tuple[int, int]:
         """(network bytes, local bytes) currently queued for sending."""
         net = 0

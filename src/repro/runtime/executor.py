@@ -17,7 +17,11 @@ backend implements:
 ``compute_phase`` / ``exchange_phase``
     One superstep's vertex compute and channel exchange rounds.  The
     exchange phase maintains the sender-side frame log when confined
-    recovery is armed.
+    recovery is armed.  Every driver runs a round through the same two
+    halves, :meth:`Worker.serialize_round` and
+    :meth:`Worker.deserialize_round`: the simulator in lock-step here,
+    a worker process on its own inside one ``superstep`` command (where
+    these two primitives only collect what the children report).
 ``capture_state_blobs``
     Per-worker serialized state in the checkpoint capture format
     (:func:`repro.runtime.checkpoint.capture_worker_state`).
@@ -32,8 +36,7 @@ streaming feature composes with every backend by construction — the
 fault-tolerant superstep choreography cannot drift between them.
 
 Two implementations exist: :class:`SimBackend` here (the in-process
-simulated cluster, lifted verbatim out of the old
-``ChannelEngine._run``) and
+simulated cluster) and
 :class:`~repro.runtime.parallel.backend.ProcessBackend` (one OS process
 per worker over a persistent :class:`~repro.runtime.parallel.pool.WorkerPool`).
 Both produce bit-identical result data, per-channel traffic, and
@@ -348,31 +351,24 @@ class SimBackend(ExecutorBackend):
             [] if engine.frame_log is not None else None
         )
 
+        track = self._live_step is not None
         while any(group_active):
             # serialize
-            wrote = False
-            track = self._live_step is not None
             for worker in engine.workers:
                 before = metrics.current_messages if track else 0
                 t0 = time.perf_counter()
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.serialize()
+                worker.serialize_round(group_active)
                 seconds = time.perf_counter() - t0
                 metrics.record_compute(worker.worker_id, seconds)
                 metrics.record_phase(worker.worker_id, "serialize", seconds)
-                net, local = worker.buffers.out_nbytes()
-                wrote = wrote or net > 0 or local > 0
                 if track:
+                    net, local = worker.buffers.out_nbytes()
                     st = self._live_step
                     st["net"][worker.worker_id] += int(net)
                     st["local"][worker.worker_id] += int(local)
                     st["messages"][worker.worker_id] += (
                         metrics.current_messages - before
                     )
-
-            if not wrote and not any(group_active):  # pragma: no cover
-                break
 
             if step_log is not None:
                 # sender-side frame log for confined recovery: every
@@ -400,21 +396,14 @@ class SimBackend(ExecutorBackend):
             for w in range(engine.num_workers):
                 metrics.record_phase(w, "exchange", swap_seconds)
 
-            # deserialize + decide on another round
+            # deserialize + decide on another round: a channel group stays
+            # active while any worker's instance of it asks for more
             next_active = [False] * engine.num_channels
             for worker in engine.workers:
                 before = metrics.current_messages if track else 0
                 t0 = time.perf_counter()
-                routed = worker.route_inbox()
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.deserialize(routed.get(cid, []))
-                        if channel.again():
-                            next_active[cid] = True
-                    elif cid in routed:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"data arrived for inactive channel {cid}"
-                        )
+                votes = worker.deserialize_round(group_active)
+                next_active = [a or b for a, b in zip(next_active, votes)]
                 seconds = time.perf_counter() - t0
                 metrics.record_compute(worker.worker_id, seconds)
                 metrics.record_phase(worker.worker_id, "serialize", seconds)

@@ -10,11 +10,11 @@ while reproducing the simulated superstep / exchange-round loop exactly:
 * all per-superstep traffic crosses process boundaries as the *same wire
   bytes* the channels serialize in the simulator — frames travel peer to
   peer through per-pair shared-memory ring buffers (``transport="shm"``,
-  the default: barrier votes batch into the ring headers and one
-  control-pipe round trip drives a whole superstep) or over OS pipes
-  (``transport="pipe"``, the portable fallback), and the parent only
-  collects byte counts — so the byte/message accounting is bit-identical
-  to a simulated run (:mod:`repro.runtime.parallel.worker_proc`);
+  the default) or over OS pipes (``transport="pipe"``), under one
+  protocol either way: barrier votes on a shared vote board, one
+  control-pipe round trip per superstep — and the parent only collects
+  byte counts, so the byte/message accounting is bit-identical to a
+  simulated run (:mod:`repro.runtime.parallel.worker_proc`);
 * worker processes are **persistent**: a :class:`WorkerPool` spawns them
   once and reconfigures them for new engines (new graph views, remapped
   partitions, next-epoch programs) through control messages, so

@@ -9,19 +9,18 @@ worker processes drawn from a persistent
   exported once per engine configuration into
   ``multiprocessing.shared_memory`` and attached read-only by every
   worker (no per-worker graph copies);
-* **barrier protocol** — one duplex control pipe per worker carries
-  ``begin`` / ``compute`` / ``exchange`` commands and their replies; the
-  shared drive loop in :meth:`ExecutorBackend.run` is the barrier (no
-  worker starts a phase before every worker finished the previous one);
+* **barrier protocol** — one duplex control pipe per worker carries one
+  ``superstep`` broadcast and one consolidated reply per superstep;
+  barrier votes go through the pool's shared vote board, and the
+  children run compute and every exchange round on their own (see
+  ARCHITECTURE.md §9);
 * **peer-to-peer frames** — per-superstep channel frames travel directly
   between worker processes as the exact wire bytes the codec layer
   produced: over per-pair shared-memory ring buffers on
-  ``transport="shm"`` pools (the default — barrier votes batch into the
-  ring headers and the parent drives a whole superstep with one
-  broadcast + one consolidated reply per worker, see ARCHITECTURE.md
-  §9), or over dedicated pipes on ``transport="pipe"`` pools; either
-  way the parent receives only byte counts and feeds them to the same
-  :meth:`MetricsCollector.record_exchange` the simulator uses;
+  ``transport="shm"`` pools (the default), or over dedicated pipes on
+  ``transport="pipe"`` pools — the transport is only the byte mover;
+  either way the parent receives only byte counts and feeds them to the
+  same :meth:`MetricsCollector.record_exchange` the simulator uses;
 * **fault tolerance for real** — checkpoints are captured worker-side
   and shipped to the parent as checkpoint-codec wire bytes; an injected
   failure kills the worker's OS process outright (the parent observes
@@ -80,7 +79,6 @@ class ProcessBackend(ExecutorBackend):
             if pool is not None
             else WorkerPool(engine.num_workers, transport=engine.transport)
         )
-        self._seq = 0  # current superstep's ring-vote sequence (shm only)
 
     # -- template entry: poison the pool on any escaping error ---------------
     def run(self, **kwargs):
@@ -126,91 +124,32 @@ class ProcessBackend(ExecutorBackend):
                     channel.initialize()
 
     def barrier_vote(self) -> int:
+        # one broadcast starts the whole superstep; the children vote on
+        # the pool's vote board and proceed autonomously (or go back to
+        # the command loop when the global total is 0)
         pool = self.pool
-        if pool.transport == "shm":
-            # one broadcast starts the whole superstep; the children vote
-            # through their ring-header slots and proceed autonomously
-            # (or go back to the command loop when the global total is 0)
-            self._seq = pool.next_seq()
-            pool.broadcast(
-                {
-                    "cmd": "superstep",
-                    "seq": self._seq,
-                    "log_frames": self.engine.frame_log is not None,
-                }
-            )
-            return sum(
-                pool.read_vote(w, self._seq) for w in range(pool.num_workers)
-            )
-        pool.broadcast({"cmd": "begin"})
-        return sum(int(reply["active"]) for reply in pool.gather("superstep begin"))
+        seq = pool.next_seq()
+        pool.broadcast(
+            {
+                "cmd": "superstep",
+                "seq": seq,
+                "log_frames": self.engine.frame_log is not None,
+            }
+        )
+        return sum(pool.read_vote(w, seq) for w in range(pool.num_workers))
 
     def compute_phase(self) -> None:
-        if self.pool.transport == "shm":
-            return  # already running inside the children's superstep
-        # vertex compute, genuinely parallel across processes
-        self.pool.broadcast({"cmd": "compute"})
-        for w, reply in enumerate(self.pool.gather("compute")):
-            self._merge(w, reply)
+        """Nothing to drive: compute is already running inside the
+        children's ``superstep`` command."""
 
     def exchange_phase(self) -> None:
-        if self.pool.transport == "shm":
-            return self._exchange_phase_shm()
-        engine = self.engine
-        metrics = engine.metrics
-        pool = self.pool
-        n = engine.num_workers
-        log_frames = engine.frame_log is not None
-        step_log: list[tuple[list[bool], list[list[bytes]]]] = []
-
-        group_active = [True] * engine.num_channels
-        round_num = 0
-        while any(group_active):
-            pool.broadcast(
-                {
-                    "cmd": "exchange",
-                    "group_active": group_active,
-                    "round": round_num,
-                    "log_frames": log_frames,
-                }
-            )
-            sent = np.zeros((n, n), dtype=np.int64)
-            next_active = [False] * engine.num_channels
-            frames: list[list[bytes]] = []
-            for w, reply in enumerate(pool.gather("exchange")):
-                self._merge(w, reply)
-                sent[w] = reply["sent"]
-                for cid, flag in enumerate(reply["next_active"]):
-                    if flag:
-                        next_active[cid] = True
-                if log_frames:
-                    frames.append(reply["frames"])
-            if log_frames:
-                # sender-side frame log, identical to the simulator's:
-                # the raw cross-worker buffers of this round, pre-exchange
-                step_log.append((list(group_active), frames))
-                metrics.record_log_bytes(
-                    sum(len(buf) for row in frames for buf in row)
-                )
-            local_bytes = int(np.trace(sent))
-            send_bytes = sent.sum(axis=1) - np.diag(sent)
-            recv_bytes = sent.sum(axis=0) - np.diag(sent)
-            metrics.record_exchange(send_bytes, recv_bytes, local_bytes=local_bytes)
-            group_active = next_active
-            round_num += 1
-
-        if log_frames:
-            engine.frame_log.append_step(engine.step_num, step_log)
-
-    def _exchange_phase_shm(self) -> None:
         """Collect the consolidated superstep replies and replay the
-        per-round accounting the children performed off-pipe, producing
-        byte-for-byte the same metrics and frame-log entries as the
-        round-by-round pipe protocol (and the simulator)."""
+        per-round accounting the children performed on their own,
+        producing byte-for-byte the same metrics and frame-log entries
+        as the simulator's lock-step rounds."""
         engine = self.engine
         metrics = engine.metrics
         pool = self.pool
-        n = engine.num_workers
         log_frames = engine.frame_log is not None
         step_log: list[tuple[list[bool], list[list[bytes]]]] = []
 
@@ -226,28 +165,26 @@ class ProcessBackend(ExecutorBackend):
 
         group_active = [True] * engine.num_channels
         for r in range(num_rounds.pop()):
-            sent = np.zeros((n, n), dtype=np.int64)
-            next_active = [False] * engine.num_channels
-            frames: list[list[bytes]] = []
-            for w, reply in enumerate(replies):
-                rnd = reply["rounds"][r]
-                sent[w] = rnd["sent"]
-                for cid, flag in enumerate(rnd["next_active"]):
-                    if flag:
-                        next_active[cid] = True
-                if log_frames:
-                    frames.append([bytes(b) for b in rnd["frames"]])
+            rounds = [reply["rounds"][r] for reply in replies]
             if log_frames:
-                step_log.append((list(group_active), frames))
+                # sender-side frame log, identical to the simulator's: the
+                # raw cross-worker buffers of this round, pre-exchange
+                frames = [[bytes(buf) for buf in rnd["frames"]] for rnd in rounds]
+                step_log.append((group_active, frames))
                 metrics.record_log_bytes(
                     sum(len(buf) for row in frames for buf in row)
                 )
-            local_bytes = int(np.trace(sent))
-            send_bytes = sent.sum(axis=1) - np.diag(sent)
-            recv_bytes = sent.sum(axis=0) - np.diag(sent)
-            metrics.record_exchange(send_bytes, recv_bytes, local_bytes=local_bytes)
+            sent = np.array([rnd["sent"] for rnd in rounds], dtype=np.int64)
+            metrics.record_exchange(
+                sent.sum(axis=1) - np.diag(sent),
+                sent.sum(axis=0) - np.diag(sent),
+                local_bytes=int(np.trace(sent)),
+            )
             # the same OR-merge every child applied in-stream
-            group_active = next_active
+            group_active = [
+                any(rnd["next_active"][cid] for rnd in rounds)
+                for cid in range(engine.num_channels)
+            ]
 
         if log_frames:
             engine.frame_log.append_step(engine.step_num, step_log)
@@ -341,7 +278,9 @@ class ProcessBackend(ExecutorBackend):
         for w, reply in enumerate(pool.gather("finalize")):
             data.update(reply["data"])
             if sync:
-                self._restore_worker(w, reply["state"])
+                # checkpoint capture format: post-run introspection of
+                # ``engine.workers`` sees what actually ran in the child
+                load_worker_state(engine.workers[w], reply["state"])
         return data
 
     def shutdown(self) -> None:
@@ -363,9 +302,3 @@ class ProcessBackend(ExecutorBackend):
             metrics.count_channel_bytes(label, net, local=False)
             metrics.count_channel_bytes(label, local, local=True)
             metrics.count_channel_messages(label, msgs)
-
-    def _restore_worker(self, w: int, state: dict) -> None:
-        """Load a child's end-of-run state into the parent's worker ``w``
-        (checkpoint capture format), so post-run introspection of
-        ``engine.workers`` sees what actually ran."""
-        load_worker_state(self.engine.workers[w], state)

@@ -49,6 +49,7 @@ from repro.runtime.parallel.shm import (
     DEFAULT_RING_CAPACITY,
     RingBuffer,
     SharedArrayExport,
+    VoteBoard,
 )
 from repro.runtime.parallel.worker_proc import worker_main
 
@@ -72,7 +73,9 @@ class _PoolState:
     callback (which must not reference the pool itself, or it would keep
     it alive forever)."""
 
-    __slots__ = ("procs", "control", "frame_send", "frame_recv", "rings", "export")
+    __slots__ = (
+        "procs", "control", "frame_send", "frame_recv", "rings", "board", "export"
+    )
 
     def __init__(self) -> None:
         self.procs: list = []
@@ -83,9 +86,11 @@ class _PoolState:
         self.frame_send: list[dict] = []
         self.frame_recv: list[dict] = []
         # shm transport: (src, dst) -> RingBuffer, parent-owned (the
-        # parent reads barrier votes from the header slots and unlinks
-        # the segments at shutdown; respawned replacements re-attach)
+        # parent unlinks the segments at shutdown; respawned replacements
+        # re-attach)
         self.rings: dict = {}
+        # the barrier-vote board, one row per worker (both transports)
+        self.board: VoteBoard | None = None
         self.export: SharedArrayExport | None = None
 
 
@@ -117,9 +122,10 @@ def _shutdown_state(state: _PoolState) -> None:
             conn.close()
         except Exception:
             pass
-    for ring in state.rings.values():
+    for segment in (*state.rings.values(), state.board):
         try:
-            ring.close(unlink=True)
+            if segment is not None:
+                segment.close(unlink=True)
         except Exception:
             pass
     if state.export is not None:
@@ -132,6 +138,7 @@ def _shutdown_state(state: _PoolState) -> None:
     state.frame_send = []
     state.frame_recv = []
     state.rings = {}
+    state.board = None
     state.export = None
 
 
@@ -144,16 +151,18 @@ class WorkerPool:
     every worker process ever started — the streaming tests assert it
     stays at ``num_workers`` across a whole multi-epoch run.
 
-    ``transport`` picks the frame data plane: ``"shm"`` (the default)
-    moves codec frames worker-to-worker through per-pair shared-memory
-    ring buffers with barrier votes batched into the ring headers;
-    ``"pipe"`` is the portable fallback over OS pipes with per-peer
-    sender threads.  Both are driven by
-    :class:`~repro.runtime.parallel.backend.ProcessBackend` to
-    bit-identical results.  A single-worker pool has no peers to
-    exchange with, so it always uses the pipe protocol.
-    ``ring_capacity`` sizes each ring's data area in bytes (frames
-    larger than a ring stream through it in chunks).
+    ``transport`` picks the byte mover for codec frames: ``"shm"`` (the
+    default) streams them worker-to-worker through per-pair
+    shared-memory ring buffers, ``"pipe"`` sends each round's buffer
+    over per-pair OS pipes with a sender thread.  The protocol above
+    them is one and the same —
+    :class:`~repro.runtime.parallel.backend.ProcessBackend` drives both
+    with the batched ``superstep`` command, barrier votes go through the
+    pool's :class:`~repro.runtime.parallel.shm.VoteBoard`, and results
+    are bit-identical.  A single-worker pool has no peers, hence no
+    rings or pipes, and runs the same protocol.  ``ring_capacity`` sizes
+    each ring's data area in bytes (frames larger than a ring stream
+    through it in chunks).
     """
 
     def __init__(
@@ -170,11 +179,9 @@ class WorkerPool:
                 f"transport must be 'shm' or 'pipe', got {transport!r}"
             )
         self.num_workers = num_workers
-        #: the effective transport ("shm" degenerates to "pipe" at n=1:
-        #: there is no peer traffic for rings to carry)
-        self.transport = transport if num_workers > 1 else "pipe"
+        self.transport = transport
         self.ring_capacity = int(ring_capacity)
-        self._seq = 0  # superstep sequence for ring-slot barrier votes
+        self._seq = 0  # superstep sequence for the vote board
         self._ctx = ctx if ctx is not None else _mp_context()
         self._state = _PoolState()
         self._finalizer: weakref.finalize | None = None
@@ -291,28 +298,25 @@ class WorkerPool:
         self._cfg = cfg
         self._child_cfg = child_cfg
 
+        # pool-lifetime, like the frame links below: sequence numbers keep
+        # rising across reconfigurations, so the board is never reset
+        state.board = VoteBoard.create(n)
         state.frame_send = [{} for _ in range(n)]
         state.frame_recv = [{} for _ in range(n)]
-        if self.transport == "shm":
-            # one SPSC ring per ordered worker pair; parent-owned so the
-            # segments outlive any individual worker process (a respawned
-            # replacement re-attaches by spec and adopts the cursors)
-            for src in range(n):
-                for dst in range(n):
-                    if src != dst:
-                        state.rings[(src, dst)] = RingBuffer.create(
-                            self.ring_capacity
-                        )
-        else:
-            # frame pipes: one simplex pipe per ordered worker pair; the
-            # parent retains both ends of every pipe for respawn support
-            for src in range(n):
-                for dst in range(n):
-                    if src == dst:
-                        continue
-                    r, s = ctx.Pipe(duplex=False)
-                    state.frame_send[src][dst] = s
-                    state.frame_recv[dst][src] = r
+        pairs = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+        for src, dst in pairs:
+            if self.transport == "shm":
+                # one SPSC ring per ordered worker pair; parent-owned so
+                # the segments outlive any individual worker process (a
+                # respawned replacement re-attaches by spec and adopts
+                # the cursors)
+                state.rings[(src, dst)] = RingBuffer.create(self.ring_capacity)
+            else:
+                # one simplex pipe per ordered worker pair; the parent
+                # retains both ends of every pipe for respawn support
+                r, s = ctx.Pipe(duplex=False)
+                state.frame_send[src][dst] = s
+                state.frame_recv[dst][src] = r
 
         # arm the cleanup before anything starts: a failure partway
         # through the spawn loop must still release the processes already
@@ -329,18 +333,24 @@ class WorkerPool:
         counts = {self._ready(w, "startup") for w in range(n)}
         self._set_num_channels(counts)
 
-    def _ring_args(self, w: int) -> dict | None:
-        """Ring-buffer specs for worker ``w`` (``None`` on pipe pools):
-        the rings it produces into and the rings it consumes from."""
-        if self.transport != "shm":
-            return None
-        rings = self._state.rings
-        n = self.num_workers
+    def _links(self, w: int) -> dict:
+        """What worker ``w`` attaches for the pool's whole life: the vote
+        board, and per peer the ring it produces into / consumes from
+        (shm) or its ends of the frame pipes (pipe)."""
+        state = self._state
+        if self.transport == "shm":
+            peers = [p for p in range(self.num_workers) if p != w]
+            out = {dst: state.rings[(w, dst)].spec for dst in peers}
+            inn = {src: state.rings[(src, w)].spec for src in peers}
+        else:
+            out, inn = state.frame_send[w], state.frame_recv[w]
         return {
-            "num_workers": n,
+            "transport": self.transport,
+            "num_workers": self.num_workers,
             "unregister": self._ctx.get_start_method() != "fork",
-            "out": {dst: rings[(w, dst)].spec for dst in range(n) if dst != w},
-            "in": {src: rings[(src, w)].spec for src in range(n) if src != w},
+            "board": state.board.spec,
+            "out": out,
+            "in": inn,
         }
 
     def _start_process(self, w: int, spawn_cfg: dict) -> None:
@@ -348,14 +358,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(
-                w,
-                spawn_cfg,
-                child_conn,
-                state.frame_send[w],
-                state.frame_recv[w],
-                self._ring_args(w),
-            ),
+            args=(w, spawn_cfg, child_conn, self._links(w)),
             daemon=True,
             name=f"repro-worker-{w}",
         )
@@ -495,23 +498,23 @@ class WorkerPool:
     def gather(self, phase: str) -> list[dict]:
         return [self.reply(w, phase) for w in range(self.num_workers)]
 
-    # -- shm-transport barrier plane ----------------------------------------
+    # -- barrier plane -------------------------------------------------------
     def next_seq(self) -> int:
-        """A fresh superstep sequence number for the ring-slot barrier
-        votes.  Pool-owned and strictly monotonic across runs, rollback
-        rewinds, reconfigurations, and respawns — the slots live in the
-        ring segments, so a stale vote can never satisfy a newer wait."""
+        """A fresh superstep sequence number for the vote board.
+        Pool-owned and strictly monotonic across runs, rollback rewinds,
+        reconfigurations, and respawns — the board lives as long as the
+        pool, so a stale vote can never satisfy a newer wait."""
         self._seq += 1
         return self._seq
 
     def read_vote(self, w: int, seq: int) -> int:
-        """Worker ``w``'s barrier vote for superstep ``seq``, read from
-        the header slot of one of its outbound rings.  Supervised: a
-        worker dying before it votes raises :class:`WorkerProcessError`
-        (with its scavenged traceback) instead of hanging."""
+        """Worker ``w``'s barrier vote for superstep ``seq``, read off
+        the vote board.  Supervised: a worker dying before it votes
+        raises :class:`WorkerProcessError` (with its scavenged traceback)
+        instead of hanging."""
         state = self._state
-        ring = state.rings[(w, (w + 1) % self.num_workers)]
-        return ring.read_slot(
+        return state.board.read(
+            w,
             seq,
             check=lambda: check_liveness(
                 state.procs, "superstep vote", state.control

@@ -81,7 +81,7 @@ def check_liveness(procs, phase: str, conns=None) -> None:
     """Raise :class:`WorkerProcessError` if any worker process is dead
     (scavenging its buffered traceback when ``conns`` is given).  This is
     the supervision predicate shared by :func:`recv_supervised`'s poll
-    loop and the shm transport's blocking ring waits."""
+    loop and the parent's blocking vote-board reads."""
     for w, proc in enumerate(procs):
         if not proc.is_alive():
             raise _death_error(

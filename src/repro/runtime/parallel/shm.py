@@ -1,6 +1,6 @@
-"""Shared-memory primitives: read-only array export and SPSC ring buffers.
+"""Shared-memory primitives: array export, SPSC ring buffers, the vote board.
 
-Two independent facilities live here:
+Three independent facilities live here:
 
 * **Array export** (:class:`SharedArrayExport` / :func:`attach_array`) —
   the parent exports each array once (one copy into a fresh segment);
@@ -13,8 +13,11 @@ Two independent facilities live here:
   single-consumer byte FIFOs over a ``SharedMemory`` segment, the data
   plane of the process backend's ``transport="shm"`` mode.  Codec frame
   bytes flow worker-to-worker through these rings instead of through OS
-  pipes; a small fixed *slot* in each ring's header carries the batched
-  barrier votes (see ARCHITECTURE.md §9).
+  pipes (see ARCHITECTURE.md §9).
+
+* **Vote board** (:class:`VoteBoard`) — one ``(seq, value)`` row per
+  worker in a single pool-owned segment: the barrier votes of every
+  process run, on either transport.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "attach_array",
     "RingBuffer",
     "RingTimeout",
+    "VoteBoard",
+    "idle_wait",
     "untrack_segment",
     "DEFAULT_RING_CAPACITY",
 ]
@@ -52,15 +57,7 @@ class SharedArrayExport:
         self._segments: list[shared_memory.SharedMemory] = []
 
     def share(self, arr: np.ndarray) -> dict:
-        arr = np.ascontiguousarray(arr)
-        # zero-size segments are rejected by the OS; keep 1 byte and let
-        # the spec's shape reconstruct the empty view
-        seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-        self._segments.append(seg)
-        if arr.nbytes:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-            view[...] = arr
-        return _spec(seg.name, arr)
+        return self.share_writable(arr)[0]
 
     def share_writable(self, arr: np.ndarray) -> tuple[dict, np.ndarray]:
         """Like :meth:`share`, but also return the parent's live view of
@@ -68,6 +65,8 @@ class SharedArrayExport:
         place later (children attach the same buffer and observe the
         update — used for ownership migration at quiescent barriers)."""
         arr = np.ascontiguousarray(arr)
+        # zero-size segments are rejected by the OS; keep 1 byte and let
+        # the spec's shape reconstruct the empty view
         seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
         self._segments.append(seg)
         view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
@@ -84,12 +83,6 @@ class SharedArrayExport:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._segments = []
-
-    def __enter__(self) -> "SharedArrayExport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def attach_array(
@@ -143,9 +136,7 @@ DEFAULT_RING_CAPACITY = 1 << 20
 # separate cache lines so the two processes never write the same line
 _OFF_HEAD = 0  # consumer cursor (monotonic, u64) — written by the reader
 _OFF_TAIL = 64  # producer cursor (monotonic, u64) — written by the writer
-_OFF_SLOT_SEQ = 128  # seqlock for the vote slot — written by the writer
-_OFF_SLOT_VAL = 136  # vote slot payload (u64) — written by the writer
-_HEADER_SIZE = 192
+_HEADER_SIZE = 128
 
 _U64 = struct.Struct("<Q")
 
@@ -156,11 +147,59 @@ _MAX_SLEEP = 0.002
 
 
 class RingTimeout(RuntimeError):
-    """A blocking ring operation exceeded its deadline (e.g. the peer
+    """A blocking shared-memory wait exceeded its deadline (e.g. the peer
     process died and will never produce/consume another byte)."""
 
 
-class RingBuffer:
+def idle_wait(spins: int, check=None, deadline: float | None = None, stuck=None) -> None:
+    """The ``spins``-th consecutive unproductive pass of a blocking wait:
+    spin through the first ``_SPIN`` passes, after that sleep with a
+    linear backoff, run the liveness ``check`` (it may raise to abort the
+    wait) and raise :class:`RingTimeout` with ``stuck()`` as its message
+    once ``deadline`` (a ``perf_counter`` reading) has passed.  Every
+    blocking wait on shared memory — ring reads and writes, vote-board
+    reads, the frame transport's pump — idles through here."""
+    if spins <= _SPIN:
+        return
+    time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
+    if check is not None:
+        check()
+    if deadline is not None and time.perf_counter() > deadline:
+        raise RingTimeout(stuck())
+
+
+def _deadline(timeout: float | None) -> float | None:
+    return None if timeout is None else time.perf_counter() + timeout
+
+
+class _Segment:
+    """A mapped shared-memory segment: created (and later unlinked) by
+    the pool, attached by name everywhere else."""
+
+    __slots__ = ("_seg", "_buf")
+
+    def __init__(self, seg: shared_memory.SharedMemory) -> None:
+        self._seg = seg
+        self._buf = seg.buf
+
+    @staticmethod
+    def _open(name: str, unregister: bool) -> shared_memory.SharedMemory:
+        seg = shared_memory.SharedMemory(name=name)
+        if unregister:
+            untrack_segment(seg)
+        return seg
+
+    def close(self, unlink: bool = False) -> None:
+        try:
+            self._buf = None
+            self._seg.close()
+            if unlink:
+                self._seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+
+
+class RingBuffer(_Segment):
     """A single-producer/single-consumer byte FIFO in shared memory.
 
     The ring is a plain byte stream: ``write_some``/``read_some`` are the
@@ -173,10 +212,8 @@ class RingBuffer:
 
     Cursors are monotonic u64s (data offset = cursor mod capacity), so
     "empty" (head == tail) and "exactly full" (tail - head == capacity)
-    are distinct without a wasted byte.  Exactly one process may write
-    (tail, slot) and exactly one may advance head; any number may *read*
-    the slot — the parent observes barrier votes through it without
-    consuming stream bytes.
+    are distinct without a wasted byte.  Exactly one process may advance
+    tail and exactly one may advance head.
 
     Blocking waits take an optional ``check`` callable, invoked
     periodically once the wait starts sleeping; it may raise to abort the
@@ -186,11 +223,10 @@ class RingBuffer:
     :class:`RingTimeout` is raised.
     """
 
-    __slots__ = ("_seg", "_buf", "capacity", "spec")
+    __slots__ = ("capacity", "spec")
 
     def __init__(self, seg: shared_memory.SharedMemory, capacity: int) -> None:
-        self._seg = seg
-        self._buf = seg.buf
+        super().__init__(seg)
         self.capacity = int(capacity)
         self.spec = {"name": seg.name, "capacity": int(capacity)}
 
@@ -205,19 +241,7 @@ class RingBuffer:
 
     @classmethod
     def attach(cls, spec: dict, unregister: bool = False) -> "RingBuffer":
-        seg = shared_memory.SharedMemory(name=spec["name"])
-        if unregister:
-            untrack_segment(seg)
-        return cls(seg, spec["capacity"])
-
-    def close(self, unlink: bool = False) -> None:
-        try:
-            self._buf = None
-            self._seg.close()
-            if unlink:
-                self._seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        return cls(cls._open(spec["name"], unregister), spec["capacity"])
 
     # -- cursor access ---------------------------------------------------------
     def _load(self, off: int) -> int:
@@ -273,43 +297,14 @@ class RingBuffer:
         self._store(_OFF_HEAD, head + n)
         return out
 
-    # -- the vote slot ----------------------------------------------------------
-    def write_slot(self, seq: int, value: int) -> None:
-        """Publish ``value`` under sequence number ``seq`` (writer only).
-        Readers spinning on ``seq`` see the payload fully written first."""
-        self._store(_OFF_SLOT_VAL, value)
-        self._store(_OFF_SLOT_SEQ, seq)
-
-    def peek_slot(self) -> tuple[int, int]:
-        """(seq, value) currently published — non-blocking, non-consuming."""
-        seq = self._load(_OFF_SLOT_SEQ)
-        return seq, self._load(_OFF_SLOT_VAL)
-
-    def read_slot(self, seq: int, check=None, timeout: float | None = None) -> int:
-        """Block until the slot reaches sequence ``seq``; returns its value."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        spins = 0
-        while True:
-            have, value = self.peek_slot()
-            if have >= seq:
-                return value
-            spins += 1
-            if spins > _SPIN:
-                time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
-                if check is not None:
-                    check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"vote slot never reached seq {seq} (stuck at {have})"
-                    )
-
     # -- blocking helpers ---------------------------------------------------------
     def write_all(self, data, check=None, timeout: float | None = None) -> None:
         """Write all of ``data``, spinning/backing off while the ring is
         full.  Frames larger than the ring stream through in chunks."""
         data = memoryview(data)
         off = 0
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        deadline = _deadline(timeout)
+        stuck = lambda: f"ring full for {timeout}s ({len(data) - off} bytes unsent)"
         spins = 0
         while off < len(data):
             n = self.write_some(data[off:])
@@ -318,14 +313,7 @@ class RingBuffer:
                 spins = 0
                 continue
             spins += 1
-            if spins > _SPIN:
-                time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
-                if check is not None:
-                    check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"ring full for {timeout}s ({len(data) - off} bytes unsent)"
-                    )
+            idle_wait(spins, check, deadline, stuck)
 
     def read_exact(self, n: int, check=None, timeout: float | None = None) -> bytes:
         """Read exactly ``n`` bytes, blocking until the writer provides
@@ -333,7 +321,8 @@ class RingBuffer:
         notices the writer died mid-frame instead of hanging."""
         parts: list[bytes] = []
         got = 0
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        deadline = _deadline(timeout)
+        stuck = lambda: f"writer stalled: got {got} of {n} expected bytes"
         spins = 0
         while got < n:
             chunk = self.read_some(n - got)
@@ -343,14 +332,7 @@ class RingBuffer:
                 spins = 0
                 continue
             spins += 1
-            if spins > _SPIN:
-                time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
-                if check is not None:
-                    check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"writer stalled: got {got} of {n} expected bytes"
-                    )
+            idle_wait(spins, check, deadline, stuck)
         return b"".join(parts)
 
     # -- framed messages (length-prefixed), used by tests and small payloads -------
@@ -364,3 +346,64 @@ class RingBuffer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingBuffer({self.spec['name']}, cap={self.capacity}, pending={self.pending})"
+
+
+# ---------------------------------------------------------------------------
+# the vote board (barrier votes, both transports)
+# ---------------------------------------------------------------------------
+
+#: bytes per worker row — one cache line, so no two workers write the same
+_ROW = 64
+
+
+class VoteBoard(_Segment):
+    """One ``(seq, value)`` row per worker in a single shared segment.
+
+    Every superstep each worker publishes its active-vertex count under
+    the parent-issued sequence number; the parent and every peer read all
+    rows and so compute the same global total without a message crossing
+    any pipe.  Exactly one process writes a row (its worker), any number
+    read it.  The value is stored before the sequence number, so a reader
+    that sees ``seq`` sees its value; sequence numbers are pool-monotonic
+    (:meth:`WorkerPool.next_seq`), so a stale row never satisfies a newer
+    wait.  The pool owns the segment for its whole life: a respawned
+    replacement adopts the board just by attaching.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, seg: shared_memory.SharedMemory, num_workers: int) -> None:
+        super().__init__(seg)
+        self.spec = {"name": seg.name, "num_workers": int(num_workers)}
+
+    @classmethod
+    def create(cls, num_workers: int) -> "VoteBoard":
+        seg = shared_memory.SharedMemory(create=True, size=_ROW * num_workers)
+        seg.buf[: _ROW * num_workers] = bytes(_ROW * num_workers)
+        return cls(seg, num_workers)
+
+    @classmethod
+    def attach(cls, spec: dict, unregister: bool = False) -> "VoteBoard":
+        return cls(cls._open(spec["name"], unregister), spec["num_workers"])
+
+    def write(self, w: int, seq: int, value: int) -> None:
+        """Publish worker ``w``'s ``value`` under ``seq`` (``w`` only)."""
+        _U64.pack_into(self._buf, w * _ROW + 8, value)
+        _U64.pack_into(self._buf, w * _ROW, seq)
+
+    def peek(self, w: int) -> tuple[int, int]:
+        """Worker ``w``'s current ``(seq, value)`` — non-blocking."""
+        seq = _U64.unpack_from(self._buf, w * _ROW)[0]
+        return seq, _U64.unpack_from(self._buf, w * _ROW + 8)[0]
+
+    def read(self, w: int, seq: int, check=None, timeout: float | None = None) -> int:
+        """Block until worker ``w``'s row reaches ``seq``; returns its value."""
+        deadline = _deadline(timeout)
+        stuck = lambda: f"worker {w}'s vote never reached seq {seq} (stuck at {have})"
+        spins = 0
+        while True:
+            have, value = self.peek(w)
+            if have >= seq:
+                return value
+            spins += 1
+            idle_wait(spins, check, deadline, stuck)

@@ -3,45 +3,36 @@
 Each child owns one :class:`~repro.core.worker.Worker` — built against
 the shared-memory graph and partition — plus the program instance its
 factory constructs, exactly as the simulated engine builds them.  The
-child is *persistent*: it serves barrier-protocol commands from the
-parent for as long as its :class:`~repro.runtime.parallel.pool.WorkerPool`
-lives, across many ``engine.run()`` calls and streaming epochs.
+child is *persistent*: it serves control commands from the parent for as
+long as its :class:`~repro.runtime.parallel.pool.WorkerPool` lives,
+across many ``engine.run()`` calls and streaming epochs.  ``serve`` is a
+dispatch over one ``_cmd_<name>`` method per command:
 
-Run-loop commands (one superstep = ``begin`` / ``compute`` / ``exchange``\\*):
-
-``begin``
-    ``program.before_superstep()`` + ``worker.begin_superstep()``;
-    replies with the active-set size so the parent can decide
-    termination globally.
-``compute``
-    Bump ``step_num`` and run the program on the stored active set.
-``exchange``
-    One exchange round: serialize the active channel groups, swap the
-    raw frame buffers peer-to-peer over the data pipes, deserialize, and
-    report which channel groups want another round.  The *same bytes*
-    the simulator's :class:`~repro.runtime.buffers.BufferExchange` would
-    move now cross real process boundaries; the parent gets only their
-    lengths, for cost-model accounting — plus the raw outgoing buffers
-    themselves when ``log_frames`` is set, feeding the parent's
-    sender-side :class:`~repro.core.recovery.FrameLog` for confined
-    recovery.
-``superstep`` (``transport="shm"`` pools only)
-    The batched alternative to the three commands above: the child runs
-    the *whole* superstep autonomously — barrier vote through the ring
-    header slots, compute, every exchange round with frames flowing
-    worker-to-worker through shared-memory ring buffers
-    (:class:`~repro.runtime.parallel.shm.RingBuffer`), and round
-    continuation merged from in-stream votes — then sends one
-    consolidated reply carrying the per-round byte counts, frame logs,
-    and phase timings.  A superstep costs O(peers) control-pipe
-    messages instead of O(rounds × workers); see ARCHITECTURE.md §9.
+``superstep``
+    The only run-loop command, on both transports.  The child runs the
+    *whole* superstep autonomously: publish its active-vertex count on
+    the pool's vote board and read every peer's (all processes compute
+    the same global total; 0 ends the run without a reply), compute,
+    then every exchange round — :meth:`Worker.serialize_round`, the
+    transport moves the per-peer buffers, :meth:`Worker.deserialize_round`,
+    the transport merges every worker's another-round votes — and sends
+    one consolidated reply carrying per-round byte counts, phase timings
+    and, when ``log_frames`` is set, the raw outgoing buffers for the
+    parent's sender-side :class:`~repro.core.recovery.FrameLog`.  A
+    superstep costs one control-pipe message each way per worker; the
+    *same bytes* the simulator's
+    :class:`~repro.runtime.buffers.BufferExchange` would move cross real
+    process boundaries.  See ARCHITECTURE.md §9.
+``start_run``
+    ``channel.initialize()`` on every channel, mirroring what the
+    simulated engine does at the top of each ``run()``.  The superstep
+    counter deliberately keeps running across same-engine runs — the
+    simulator's ``step_num`` does too — and is reset only by
+    ``configure`` (new engine) or ``restore`` (recovery rewind).
 ``finalize``
     Ship ``program.finalize()`` — and, when state sync is requested, the
     full per-worker state in the checkpoint layer's capture format —
     back to the parent through the tagged-binary codec.
-
-Lifecycle commands (how a pool outlives any single engine):
-
 ``configure``
     Tear the current worker down and rebuild it for a *new* engine
     configuration: attach the new shared-memory graph segments, apply
@@ -50,12 +41,6 @@ Lifecycle commands (how a pool outlives any single engine):
     :class:`~repro.core.program.ProgramSpec`).  This is the delta/remap
     message that replaces respawning — streaming epochs reuse the same
     OS processes for the whole run.
-``start_run``
-    ``channel.initialize()`` on every channel, mirroring what the
-    simulated engine does at the top of each ``run()``.  The superstep
-    counter deliberately keeps running across same-engine runs — the
-    simulator's ``step_num`` does too — and is reset only by
-    ``configure`` (new engine) or ``restore`` (recovery rewind).
 ``capture`` / ``restore``
     Checkpointing across the process boundary: ``capture`` replies with
     this worker's state as checkpoint-codec wire bytes
@@ -69,18 +54,18 @@ Lifecycle commands (how a pool outlives any single engine):
     state blob that rode along.  Unlike ``configure`` this keeps the
     graph attachments, ``step_num``, and the live telemetry writer —
     same engine, same run, new vertex placement.
-``die``
-    ``os._exit`` immediately — deterministic failure injection through
-    the *real* worker-death path (the parent observes a dead process,
-    not a polite error reply).
-``stop``
-    Exit the serve loop.
+``die`` / ``stop``
+    ``die`` is ``os._exit`` at once — deterministic failure injection
+    through the *real* worker-death path (the parent observes a dead
+    process, not a polite error reply); ``stop`` leaves the serve loop.
 
-Channel/worker code runs **unmodified**: the child's
-:class:`_WorkerHost` quacks like the engine (graph, owner, metrics,
-``step_num``) and its :class:`_ChildCounters` absorbs the byte/message
-accounting calls, which the child flushes to the parent with every
-reply.
+A *transport* is only the byte mover under that one protocol:
+:class:`_RingTransport` (``"shm"``) and :class:`_PipeTransport`
+(``"pipe"``) implement the same six methods.  Channel/worker code runs
+**unmodified**: the child's :class:`_WorkerHost` quacks like the engine
+(graph, owner, metrics, ``step_num``) and its :class:`_ChildCounters`
+absorbs the byte/message accounting calls, which the child flushes to
+the parent with every reply.
 """
 
 from __future__ import annotations
@@ -107,14 +92,11 @@ from repro.runtime.checkpoint import (
     load_worker_state,
 )
 from repro.runtime.parallel.protocol import recv_msg, send_msg
-from repro.runtime.parallel.shm import RingBuffer, attach_array
+from repro.runtime.parallel.shm import RingBuffer, VoteBoard, attach_array, idle_wait
 
 __all__ = ["worker_main"]
 
 _U64 = struct.Struct("<Q")
-
-#: pump-loop spin budget before backing off to sleeps
-_SPIN = 200
 
 
 class _ChildCounters:
@@ -159,45 +141,125 @@ class _WorkerHost:
         self.step_num = 0
 
 
-def _exchange_frames(
-    worker_id: int,
-    num_workers: int,
-    out_bufs: list[bytes],
-    send_conns: dict,
-    recv_conns: dict,
-) -> list[bytes]:
-    """Swap this round's raw buffers with every peer, pairwise.
+class _Transport:
+    """What the two byte movers share: the round's context and the merge
+    of another-round votes.  A transport carries one exchange round at a
+    time for the child's ``superstep`` command:
 
-    A dedicated sender thread pushes all outgoing buffers while the main
-    thread drains the incoming pipes, so no send can wait on a receive —
-    every pipe is drained independently of this worker's own send
-    progress, which rules out the circular-wait deadlock of a naive
-    send-then-receive loop once a buffer outgrows the OS pipe capacity.
+    ``begin_round(out_writers, nchan, log_frames)``
+        Start a round over the worker's per-peer outgoing writers.
+    ``publish()``
+        Called after *each* channel's ``serialize``: the overlap hook.
+    ``finish_round() -> inbox``
+        Ship whatever is still unsent and return what every peer sent.
+    ``exchange_votes(next_active) -> group_active``
+        Swap per-channel another-round votes with every peer; all workers
+        merge them identically (OR across all workers, their own
+        included), so they agree on the next round without the parent.
+    ``round_sent()`` / ``round_frames()``
+        The round's per-peer byte counts, and its raw cross-worker
+        buffers (``b""`` on the diagonal) for the sender-side frame log.
     """
-    inbox = [b""] * num_workers
-    inbox[worker_id] = out_bufs[worker_id]  # self-delivery never hits a pipe
-    if num_workers == 1:
+
+    def __init__(self, worker_id: int, num_workers: int) -> None:
+        self.worker_id = worker_id
+        self.num_workers = num_workers
+        self.writers: list = []
+        self.nchan = 0
+        self.log_frames = False
+
+    def begin_round(self, out_writers: list, nchan: int, log_frames: bool) -> None:
+        self.writers = out_writers
+        self.nchan = nchan
+        self.log_frames = log_frames
+
+    @staticmethod
+    def _merge(next_active: list[bool], records: list[bytes]) -> list[bool]:
+        merged = list(next_active)
+        for record in records:
+            for cid, flag in enumerate(record):
+                if flag:
+                    merged[cid] = True
+        return merged
+
+    def close(self) -> None:
+        pass
+
+
+class _PipeTransport(_Transport):
+    """The child side of ``transport="pipe"``: one simplex OS pipe per
+    ordered worker pair, carrying per round one whole-buffer message and
+    then one votes message (``num_channels`` raw bytes).  Nothing crosses
+    before ``finish_round`` — a pipe moves a round's buffer in one piece,
+    so ``publish`` has nothing to do."""
+
+    def __init__(self, worker_id: int, num_workers: int, send_conns: dict,
+                 recv_conns: dict) -> None:
+        super().__init__(worker_id, num_workers)
+        self.send_conns = send_conns
+        self.recv_conns = recv_conns
+        self._out: list[bytes] = []
+
+    def publish(self) -> None:
+        pass
+
+    def finish_round(self) -> list[bytes]:
+        """Swap this round's raw buffers with every peer, pairwise.
+
+        A dedicated sender thread pushes all outgoing buffers while the
+        main thread drains the incoming pipes, so no send can wait on a
+        receive — every pipe is drained independently of this worker's
+        own send progress, which rules out the circular-wait deadlock of
+        a naive send-then-receive loop once a buffer outgrows the OS pipe
+        capacity.
+        """
+        out = self._out = []
+        for writer in self.writers:
+            out.append(writer.getvalue())
+            writer.clear()
+        inbox = [b""] * self.num_workers
+        inbox[self.worker_id] = out[self.worker_id]  # self-delivery never hits a pipe
+        if not self.send_conns:
+            return inbox
+
+        failure: list[BaseException] = []
+
+        def _send_all() -> None:
+            try:
+                for peer, conn in self.send_conns.items():
+                    conn.send_bytes(out[peer])
+            except BaseException as exc:  # pragma: no cover - peer death race
+                failure.append(exc)
+
+        sender = threading.Thread(target=_send_all, daemon=True)
+        sender.start()
+        for peer, conn in self.recv_conns.items():
+            inbox[peer] = conn.recv_bytes()
+        sender.join()
+        if failure:  # pragma: no cover - peer death race
+            raise failure[0]
         return inbox
 
-    failure: list[BaseException] = []
+    def exchange_votes(self, next_active: list[bool]) -> list[bool]:
+        # a votes message is a few bytes.  A send can only wait on a pipe
+        # still full of this round's buffer, which the peer's
+        # finish_round drains without needing anything from us — so
+        # sending all before receiving any cannot wedge
+        record = bytes(next_active)
+        for conn in self.send_conns.values():
+            conn.send_bytes(record)
+        return self._merge(
+            next_active, [conn.recv_bytes() for conn in self.recv_conns.values()]
+        )
 
-    def _send_all() -> None:
-        try:
-            for peer in range(num_workers):
-                if peer != worker_id:
-                    send_conns[peer].send_bytes(out_bufs[peer])
-        except BaseException as exc:  # pragma: no cover - peer death race
-            failure.append(exc)
+    def round_sent(self) -> np.ndarray:
+        return np.array([len(buf) for buf in self._out], dtype=np.int64)
 
-    sender = threading.Thread(target=_send_all, daemon=True)
-    sender.start()
-    for peer in range(num_workers):
-        if peer != worker_id:
-            inbox[peer] = recv_conns[peer].recv_bytes()
-    sender.join()
-    if failure:  # pragma: no cover - peer death race
-        raise failure[0]
-    return inbox
+    def round_frames(self) -> list[bytes]:
+        return [
+            b"" if peer == self.worker_id else buf
+            for peer, buf in enumerate(self._out)
+        ]
 
 
 class _RingPeer:
@@ -220,10 +282,11 @@ class _RingPeer:
         self.logged: list[bytes] = []  # this round's outbound chunks (frame log)
 
 
-class _RingTransport:
+class _RingTransport(_Transport):
     """The child side of ``transport="shm"``: one outbound SPSC ring per
     peer (this worker produces) and one inbound ring per peer (this
     worker consumes), pumped from the main thread — no sender threads.
+    A single-worker pool simply has no rings.
 
     Wire format, per exchange round and directed pair: a sequence of
     ``[u64 length > 0][payload]`` chunks (one per channel flush, so a
@@ -231,15 +294,7 @@ class _RingTransport:
     serializing), a ``u64 0`` end-of-round marker, then — after the
     consumer finished deserializing — one *votes record* of
     ``num_channels`` raw bytes (this worker's per-channel
-    another-round votes).  Every worker merges the votes identically
-    (OR across all workers, its own included), so all children agree on
-    the next round's active channel groups without asking the parent.
-
-    Barrier votes ride the rings too: each superstep, the worker
-    publishes its active-vertex count into every outbound ring's header
-    slot under the parent-issued sequence number, then reads every
-    peer's slot — again, all processes independently compute the same
-    global total (the parent reads one slot per worker for its copy).
+    another-round votes).
 
     Everything here is single-threaded and non-blocking at the
     primitive level: :meth:`pump` moves whatever bytes fit right now,
@@ -249,31 +304,17 @@ class _RingTransport:
     ring.  Waits carry no liveness checks — a peer dying mid-frame
     leaves this worker spinning, and the *parent's* supervision (which
     polls every PID while gathering replies) surfaces the death and
-    tears the pool down, exactly as on the pipe path.
+    tears the pool down, exactly as with pipes.
     """
 
     def __init__(self, worker_id: int, num_workers: int,
                  out_rings: dict[int, RingBuffer], in_rings: dict[int, RingBuffer]):
-        self.worker_id = worker_id
-        self.num_workers = num_workers
+        super().__init__(worker_id, num_workers)
         self.peers = {
-            peer: _RingPeer(out_rings[peer], in_rings[peer])
-            for peer in range(num_workers)
-            if peer != worker_id
+            peer: _RingPeer(out_rings[peer], in_rings[peer]) for peer in out_rings
         }
-        self.nchan = 0
-        self.log_frames = False
         self._self_parts: list[bytes] = []
         self._self_sent = 0
-
-    # -- barrier votes ------------------------------------------------------
-    def vote_and_total(self, seq: int, my_active: int) -> int:
-        for p in self.peers.values():
-            p.out_ring.write_slot(seq, my_active)
-        total = my_active
-        for p in self.peers.values():
-            total += p.in_ring.read_slot(seq)
-        return total
 
     # -- the pump -----------------------------------------------------------
     def _parse(self, p: _RingPeer) -> None:
@@ -333,13 +374,11 @@ class _RingTransport:
                 spins = 0
                 continue
             spins += 1
-            if spins > _SPIN:
-                time.sleep(min(0.002, 5e-5 * (spins - _SPIN)))
+            idle_wait(spins)
 
     # -- round lifecycle ------------------------------------------------------
-    def begin_round(self, nchan: int, log_frames: bool) -> None:
-        self.nchan = nchan
-        self.log_frames = log_frames
+    def begin_round(self, out_writers: list, nchan: int, log_frames: bool) -> None:
+        super().begin_round(out_writers, nchan, log_frames)
         self._self_parts = []
         self._self_sent = 0
         for p in self.peers.values():
@@ -352,13 +391,11 @@ class _RingTransport:
             # (they queue behind the previous round's votes record)
             self._parse(p)
 
-    def publish(self, out_writers) -> None:
+    def publish(self) -> None:
         """Queue whatever the channels appended to the per-peer writers
-        since the last call, then pump once — this is the overlap hook,
-        called after *each* channel's ``serialize`` so its frames hit the
-        rings while later channels are still computing theirs."""
-        for peer in range(self.num_workers):
-            writer = out_writers[peer]
+        since the last call, then pump once — so a channel's frames hit
+        the rings while later channels are still computing theirs."""
+        for peer, writer in enumerate(self.writers):
             if not writer.nbytes:
                 continue
             data = writer.getvalue()
@@ -393,9 +430,7 @@ class _RingTransport:
         return inbox
 
     def exchange_votes(self, next_active: list[bool]) -> list[bool]:
-        """Swap this round's another-round votes with every peer and
-        return the merged (global OR) channel-group activity."""
-        record = bytes(bytearray(1 if f else 0 for f in next_active))
+        record = bytes(next_active)
         for p in self.peers.values():
             p.pending.append(memoryview(record))
         self._pump_until(
@@ -404,12 +439,7 @@ class _RingTransport:
                 for p in self.peers.values()
             )
         )
-        merged = list(next_active)
-        for p in self.peers.values():
-            for cid in range(self.nchan):
-                if p.votes[cid]:
-                    merged[cid] = True
-        return merged
+        return self._merge(next_active, [p.votes for p in self.peers.values()])
 
     # -- per-round accounting for the consolidated reply ----------------------
     def round_sent(self) -> np.ndarray:
@@ -435,28 +465,27 @@ class _WorkerProcess:
     """One child's whole runtime: shared-memory attachments, the Worker,
     and the command dispatch loop."""
 
-    def __init__(
-        self, worker_id: int, conn, send_conns: dict, recv_conns: dict, rings=None
-    ):
+    def __init__(self, worker_id: int, conn, links: dict) -> None:
         self.worker_id = worker_id
         self.conn = conn
-        self.send_conns = send_conns
-        self.recv_conns = recv_conns
         self.segments: list = []
         self.worker: Worker | None = None
         self.host: _WorkerHost | None = None
         self.factory = None  # current program factory (for remap rebuilds)
-        self.active = np.empty(0, dtype=np.int64)
         self.live = None
         self.live_writer = None
-        self.transport: _RingTransport | None = None
-        if rings is not None:
-            unreg = rings["unregister"]
-            self.transport = _RingTransport(
+        unreg = links["unregister"]
+        self.board = VoteBoard.attach(links["board"], unreg)
+        if links["transport"] == "shm":
+            self.transport: _Transport = _RingTransport(
                 worker_id,
-                rings["num_workers"],
-                {int(p): RingBuffer.attach(s, unreg) for p, s in rings["out"].items()},
-                {int(p): RingBuffer.attach(s, unreg) for p, s in rings["in"].items()},
+                links["num_workers"],
+                {int(p): RingBuffer.attach(s, unreg) for p, s in links["out"].items()},
+                {int(p): RingBuffer.attach(s, unreg) for p, s in links["in"].items()},
+            )
+        else:
+            self.transport = _PipeTransport(
+                worker_id, links["num_workers"], links["out"], links["in"]
             )
 
     # -- (re)configuration ---------------------------------------------------
@@ -469,7 +498,6 @@ class _WorkerProcess:
         # graph -> shm views) before trying to unmap them
         self.worker = None
         self.host = None
-        self.active = np.empty(0, dtype=np.int64)
 
         segments: list = []
         unreg = cfg["unregister_shm"]
@@ -545,319 +573,185 @@ class _WorkerProcess:
         return len(worker.channels)
 
     def close(self) -> None:
-        if self.live is not None:
-            try:
-                self.live.close()
-            except Exception:  # pragma: no cover
-                pass
-        if self.transport is not None:
-            try:
-                self.transport.close()
-            except Exception:  # pragma: no cover
-                pass
-        for seg in self.segments:
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover
-                pass
+        for resource in (self.live, self.transport, self.board, *self.segments):
+            if resource is not None:
+                try:
+                    resource.close()
+                except Exception:  # pragma: no cover
+                    pass
 
     # -- the serve loop ------------------------------------------------------
     def serve(self) -> None:
-        worker_id = self.worker_id
-        conn = self.conn
-
+        """Dispatch control commands until ``stop``; a handler's return
+        value, when there is one, is the reply."""
         while True:
-            msg = recv_msg(conn)
+            msg = recv_msg(self.conn)
             cmd = msg["cmd"]
-            worker = self.worker
-            host = self.host
-            counters = host.metrics
-            num_workers = host.num_workers
-
-            if cmd == "begin":
-                worker.program.before_superstep()
-                self.active = worker.begin_superstep()
-                send_msg(conn, {"active": int(self.active.size)})
-
-            elif cmd == "compute":
-                host.step_num += 1
-                t0 = time.perf_counter()
-                worker.run_compute(self.active)
-                seconds = time.perf_counter() - t0
-                if self.live_writer is not None:
-                    # messages are read *before* the reply's counters.flush;
-                    # byte/round contributions follow per exchange round
-                    self.live_writer.add(
-                        superstep=1,
-                        active=int(self.active.size),
-                        messages=counters.messages,
-                        compute=seconds,
-                    )
-                    self.live_writer.publish()
-                send_msg(
-                    conn,
-                    {
-                        "seconds": seconds,
-                        "phases": {"compute": seconds},
-                        "counters": counters.flush(),
-                    },
-                )
-
-            elif cmd == "exchange":
-                group_active = msg["group_active"]
-                t0 = time.perf_counter()
-                if msg["round"] == 0:
-                    for channel in worker.channels:
-                        channel.reset_round()
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.serialize()
-                out_bufs = []
-                for peer in range(num_workers):
-                    writer = worker.buffers.out[peer]
-                    out_bufs.append(writer.getvalue())
-                    writer.clear()
-                seconds = time.perf_counter() - t0
-
-                t_wire = time.perf_counter()
-                inbox = _exchange_frames(
-                    worker_id, num_workers, out_bufs, self.send_conns, self.recv_conns
-                )
-                wire_seconds = time.perf_counter() - t_wire
-                worker.buffers.inbox = inbox
-
-                t0 = time.perf_counter()
-                routed = worker.route_inbox()
-                next_active = [False] * len(worker.channels)
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.deserialize(routed.get(cid, []))
-                        if channel.again():
-                            next_active[cid] = True
-                    elif cid in routed:  # pragma: no cover - defensive
-                        raise RuntimeError(f"data arrived for inactive channel {cid}")
-                seconds += time.perf_counter() - t0
-
-                if self.live_writer is not None:
-                    self.live_writer.add(
-                        rounds=1,
-                        net_bytes=sum(
-                            len(b)
-                            for peer, b in enumerate(out_bufs)
-                            if peer != worker_id
-                        ),
-                        local_bytes=len(out_bufs[worker_id]),
-                        messages=counters.messages,
-                        serialize=seconds,
-                        exchange=wire_seconds,
-                    )
-                    self.live_writer.publish()
-                reply = {
-                    "sent": np.array([len(b) for b in out_bufs], dtype=np.int64),
-                    "next_active": next_active,
-                    "seconds": seconds,
-                    "phases": {"serialize": seconds, "exchange": wire_seconds},
-                    "counters": counters.flush(),
-                }
-                if msg["log_frames"]:
-                    # sender-side frame log (confined recovery): the raw
-                    # cross-worker buffers, exactly as the simulator logs
-                    # them (self-delivery stays local, hence b"")
-                    reply["frames"] = [
-                        b"" if peer == worker_id else out_bufs[peer]
-                        for peer in range(num_workers)
-                    ]
-                send_msg(conn, reply)
-
-            elif cmd == "superstep":
-                # transport="shm": the whole superstep runs autonomously —
-                # barrier votes through the ring slots, frames through the
-                # rings, channel-group continuation merged identically by
-                # every worker — and the parent gets ONE consolidated
-                # reply (or none at all when the global vote was 0)
-                transport = self.transport
-                worker.program.before_superstep()
-                self.active = worker.begin_superstep()
-                my_active = int(self.active.size)
-                t_vote = time.perf_counter()
-                total = transport.vote_and_total(msg["seq"], my_active)
-                vote_s = time.perf_counter() - t_vote
-                if total == 0:
-                    continue  # the parent reads the same votes; run over
-
-                log_frames = msg["log_frames"]
-                host.step_num += 1
-                t0 = time.perf_counter()
-                worker.run_compute(self.active)
-                compute_s = time.perf_counter() - t0
-
-                nchan = len(worker.channels)
-                for channel in worker.channels:
-                    channel.reset_round()
-                group_active = [True] * nchan
-                rounds: list[dict] = []
-                codec_s = 0.0  # serialize + deserialize (matches sim/pipe
-                #                accounting: this is what record_compute sees)
-                wire_s = 0.0  # ring pumping: pure transport
-
-                while any(group_active):
-                    transport.begin_round(nchan, log_frames)
-                    for cid, channel in enumerate(worker.channels):
-                        if group_active[cid]:
-                            t0 = time.perf_counter()
-                            channel.serialize()
-                            t1 = time.perf_counter()
-                            codec_s += t1 - t0
-                            # overlap: this channel's frames start crossing
-                            # while the next channel is still serializing
-                            transport.publish(worker.buffers.out)
-                            wire_s += time.perf_counter() - t1
-                    t0 = time.perf_counter()
-                    worker.buffers.inbox = transport.finish_round()
-                    t1 = time.perf_counter()
-                    wire_s += t1 - t0
-
-                    routed = worker.route_inbox()
-                    next_active = [False] * nchan
-                    for cid, channel in enumerate(worker.channels):
-                        if group_active[cid]:
-                            channel.deserialize(routed.get(cid, []))
-                            if channel.again():
-                                next_active[cid] = True
-                        elif cid in routed:  # pragma: no cover - defensive
-                            raise RuntimeError(
-                                f"data arrived for inactive channel {cid}"
-                            )
-                    t0 = time.perf_counter()
-                    codec_s += t0 - t1
-
-                    group_active = transport.exchange_votes(next_active)
-                    wire_s += time.perf_counter() - t0
-
-                    record = {
-                        "sent": transport.round_sent(),
-                        "next_active": next_active,
-                    }
-                    if log_frames:
-                        record["frames"] = transport.round_frames()
-                    rounds.append(record)
-
-                if self.live_writer is not None:
-                    step_net = step_local = 0
-                    for record in rounds:
-                        sent = record["sent"]
-                        step_net += int(sent.sum() - sent[worker_id])
-                        step_local += int(sent[worker_id])
-                    self.live_writer.add(
-                        superstep=1,
-                        active=my_active,
-                        rounds=len(rounds),
-                        net_bytes=step_net,
-                        local_bytes=step_local,
-                        messages=counters.messages,
-                        barrier=vote_s,
-                        compute=compute_s,
-                        serialize=codec_s,
-                        exchange=wire_s,
-                    )
-                    self.live_writer.publish()
-                send_msg(
-                    conn,
-                    {
-                        "active": my_active,
-                        "rounds": rounds,
-                        "seconds": compute_s + codec_s,
-                        "phases": {
-                            "compute": compute_s,
-                            "serialize": codec_s,
-                            "exchange": wire_s,
-                        },
-                        "counters": counters.flush(),
-                    },
-                )
-
-            elif cmd == "start_run":
-                for channel in worker.channels:
-                    channel.initialize()
-                send_msg(conn, {"ok": True})
-
-            elif cmd == "capture":
-                blob = encode_state(capture_worker_state(worker))
-                if self.live_writer is not None:
-                    # checkpoint boundary: rollback recovery rewinds the
-                    # live counters to exactly this point
-                    self.live_writer.mark()
-                send_msg(conn, {"blob": blob})
-
-            elif cmd == "restore":
-                load_worker_state(worker, decode_state(msg["blob"]))
-                host.step_num = msg["step_num"]
-                if self.live_writer is not None:
-                    self.live_writer.rewind()
-                send_msg(conn, {"ok": True})
-
-            elif cmd == "remap":
-                # adaptive rebalancing: the parent rewrote the shared
-                # ownership array in place before sending this; rebuild
-                # the Worker against it (same graph attachments, same
-                # program factory) and load this worker's remapped state.
-                # step_num and the live writer deliberately survive —
-                # same engine, same run, new vertex placement
-                new_worker = Worker(
-                    host, worker_id, np.flatnonzero(host.owner == worker_id)
-                )
-                new_worker.program = self.factory(new_worker)
-                for channel in new_worker.channels:
-                    channel.initialize()
-                load_worker_state(new_worker, decode_state(msg["blob"]))
-                self.worker = new_worker
-                self.active = np.empty(0, dtype=np.int64)
-                send_msg(conn, {"ok": True})
-
-            elif cmd == "configure":
-                factory = pickle.loads(msg["factory"])
-                num_channels = self.build(msg["cfg"], factory)
-                send_msg(conn, {"ready": True, "num_channels": num_channels})
-
-            elif cmd == "finalize":
-                reply = {"data": worker.program.finalize()}
-                if msg["sync"]:
-                    # same capture format as runtime.checkpoint snapshots
-                    reply["state"] = capture_worker_state(worker)
-                send_msg(conn, reply)
-
-            elif cmd == "die":
-                # failure injection: die the way a crashed worker dies —
-                # no reply, no cleanup, just a dead process for the
-                # parent's supervision to notice
-                os._exit(msg["code"])
-
-            elif cmd == "stop":
+            if cmd == "stop":
                 return
-
-            else:  # pragma: no cover - protocol bug guard
+            handler = getattr(self, f"_cmd_{cmd}", None)
+            if handler is None:
                 raise RuntimeError(f"unknown command {cmd!r}")
+            reply = handler(msg)
+            if reply is not None:
+                send_msg(self.conn, reply)
+
+    def _cmd_superstep(self, msg: dict) -> dict | None:
+        worker = self.worker
+        host = self.host
+        transport = self.transport
+        clock = time.perf_counter
+
+        worker.program.before_superstep()
+        active = worker.begin_superstep()
+        my_active = int(active.size)
+        t0 = clock()
+        self.board.write(self.worker_id, msg["seq"], my_active)
+        total = sum(
+            self.board.read(w, msg["seq"]) for w in range(host.num_workers)
+        )
+        vote_s = clock() - t0
+        if total == 0:
+            return None  # the parent reads the same votes; run over
+
+        host.step_num += 1
+        t0 = clock()
+        worker.run_compute(active)
+        compute_s = clock() - t0
+
+        log_frames = msg["log_frames"]
+        nchan = len(worker.channels)
+        for channel in worker.channels:
+            channel.reset_round()
+        group_active = [True] * nchan
+        rounds: list[dict] = []
+        wire_s = 0.0  # inside the transport: pure byte moving
+
+        def moving(move, *args):
+            nonlocal wire_s
+            t = clock()
+            out = move(*args)
+            wire_s += clock() - t
+            return out
+
+        t_exchange = clock()
+        while any(group_active):
+            transport.begin_round(worker.buffers.out, nchan, log_frames)
+            # overlap: each channel's frames start crossing while the next
+            # channel is still serializing
+            worker.serialize_round(
+                group_active, flush=lambda: moving(transport.publish)
+            )
+            worker.buffers.inbox = moving(transport.finish_round)
+            next_active = worker.deserialize_round(group_active)
+            group_active = moving(transport.exchange_votes, next_active)
+            record = {"sent": transport.round_sent(), "next_active": next_active}
+            if log_frames:
+                record["frames"] = transport.round_frames()
+            rounds.append(record)
+        # serialize + deserialize: what the simulator charges as compute
+        codec_s = clock() - t_exchange - wire_s
+
+        counters = host.metrics
+        if self.live_writer is not None:
+            step_net = step_local = 0
+            for record in rounds:
+                sent = record["sent"]
+                step_net += int(sent.sum() - sent[self.worker_id])
+                step_local += int(sent[self.worker_id])
+            # messages are read *before* the reply's counters.flush
+            self.live_writer.add(
+                superstep=1,
+                active=my_active,
+                rounds=len(rounds),
+                net_bytes=step_net,
+                local_bytes=step_local,
+                messages=counters.messages,
+                barrier=vote_s,
+                compute=compute_s,
+                serialize=codec_s,
+                exchange=wire_s,
+            )
+            self.live_writer.publish()
+        return {
+            "active": my_active,
+            "rounds": rounds,
+            "seconds": compute_s + codec_s,
+            "phases": {
+                "compute": compute_s,
+                "serialize": codec_s,
+                "exchange": wire_s,
+            },
+            "counters": counters.flush(),
+        }
+
+    def _cmd_start_run(self, msg: dict) -> dict:
+        for channel in self.worker.channels:
+            channel.initialize()
+        return {"ok": True}
+
+    def _cmd_capture(self, msg: dict) -> dict:
+        blob = encode_state(capture_worker_state(self.worker))
+        if self.live_writer is not None:
+            # checkpoint boundary: rollback recovery rewinds the live
+            # counters to exactly this point
+            self.live_writer.mark()
+        return {"blob": blob}
+
+    def _cmd_restore(self, msg: dict) -> dict:
+        load_worker_state(self.worker, decode_state(msg["blob"]))
+        self.host.step_num = msg["step_num"]
+        if self.live_writer is not None:
+            self.live_writer.rewind()
+        return {"ok": True}
+
+    def _cmd_remap(self, msg: dict) -> dict:
+        # adaptive rebalancing: the parent rewrote the shared ownership
+        # array in place before sending this; rebuild the Worker against
+        # it (same graph attachments, same program factory) and load this
+        # worker's remapped state.  step_num and the live writer
+        # deliberately survive — same engine, same run, new placement
+        host = self.host
+        worker = Worker(
+            host, self.worker_id, np.flatnonzero(host.owner == self.worker_id)
+        )
+        worker.program = self.factory(worker)
+        for channel in worker.channels:
+            channel.initialize()
+        load_worker_state(worker, decode_state(msg["blob"]))
+        self.worker = worker
+        return {"ok": True}
+
+    def _cmd_configure(self, msg: dict) -> dict:
+        num_channels = self.build(msg["cfg"], pickle.loads(msg["factory"]))
+        return {"ready": True, "num_channels": num_channels}
+
+    def _cmd_finalize(self, msg: dict) -> dict:
+        reply = {"data": self.worker.program.finalize()}
+        if msg["sync"]:
+            # same capture format as runtime.checkpoint snapshots
+            reply["state"] = capture_worker_state(self.worker)
+        return reply
+
+    def _cmd_die(self, msg: dict) -> None:
+        # failure injection: die the way a crashed worker dies — no reply,
+        # no cleanup, just a dead process for the parent's supervision
+        os._exit(msg["code"])
 
 
-def worker_main(
-    worker_id: int,
-    cfg: dict,
-    conn,
-    send_conns: dict,
-    recv_conns: dict,
-    rings: dict | None = None,
-) -> None:
+def worker_main(worker_id: int, cfg: dict, conn, links: dict) -> None:
     """Child-process entry point; never raises (errors go to the parent).
 
     ``cfg`` is the spawn-time configuration (shared-array specs plus the
     first run's ``program_factory``, which rides through the process
     start machinery — under ``fork`` it never crosses a pipe, so
     closures and locally defined classes work).  Later configurations
-    arrive as ``configure`` commands instead.  ``rings`` (shm transport
-    only) carries the per-peer ring-buffer specs — pool-lifetime, so a
-    respawned replacement re-attaches the same segments.
+    arrive as ``configure`` commands instead.  ``links`` is what outlives
+    any configuration — the vote-board spec and this worker's per-peer
+    frame links (ring specs or pipe ends, per ``links["transport"]``) —
+    all pool-lifetime, so a respawned replacement attaches the same ones.
     """
-    proc = _WorkerProcess(worker_id, conn, send_conns, recv_conns, rings)
+    proc = _WorkerProcess(worker_id, conn, links)
     try:
         num_channels = proc.build(cfg, cfg["program_factory"])
         send_msg(conn, {"ready": True, "num_channels": num_channels})

@@ -87,6 +87,17 @@ def test_process_recovery_parity(name, mode, workers):
     """An injected worker-process death + recovery on the process backend
     reproduces both the failure-free baseline and the sim backend's
     fault-tolerance accounting, bit for bit."""
+    _check_recovery_parity(name, mode, workers)
+
+
+def test_confined_recovery_parity_on_pipes():
+    """The matrix above runs the default transport.  The sender-side frame
+    log has one source on either one — the transport's ``round_frames``
+    — so one confined cell pins the pipe mover's logged frames too."""
+    _check_recovery_parity("wcc", "confined", 2, transport="pipe")
+
+
+def _check_recovery_parity(name, mode, workers, **process_kw):
     runner, fail_at = WORKLOADS[name]
     base = _baseline(name, workers)
     assert base[-1].supersteps >= fail_at, "failure must actually fire"
@@ -97,7 +108,7 @@ def test_process_recovery_parity(name, mode, workers):
         recovery=mode,
     )
     sim = runner(**kw)
-    proc = runner(executor="process", **kw)
+    proc = runner(executor="process", **process_kw, **kw)
 
     _assert_identical(base, proc)
     _assert_identical(sim, proc)

@@ -109,6 +109,22 @@ def test_sssp_parity(weighted_graph, workers, partitioner, transport):
     )
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_single_worker_parity(directed_graph, transport):
+    """One worker has no peers — zero rings, zero pipes — and still runs
+    the one ``superstep`` protocol, on the transport that was asked for."""
+    pr = dict(variant="scatter", iterations=8, mode="bulk", num_workers=1)
+    _assert_identical(
+        run_pagerank(directed_graph, **pr),
+        run_pagerank(directed_graph, executor="process", transport=transport, **pr),
+    )
+    wcc = dict(mode="bulk", num_workers=1)
+    _assert_identical(
+        run_wcc(directed_graph, **wcc),
+        run_wcc(directed_graph, executor="process", transport=transport, **wcc),
+    )
+
+
 class TestOtherChannels:
     """Channels outside the main matrix also survive the process hop."""
 
@@ -135,6 +151,39 @@ class TestOtherChannels:
             run_pagerank(directed_graph, **kw),
             run_pagerank(directed_graph, executor="process", **kw),
         )
+
+
+    @pytest.mark.parametrize("program", ["reqresp", "prop"])
+    def test_multi_round_programs_agree_round_for_round(
+        self, directed_graph, tmp_path, program
+    ):
+        # RequestRespond (ask, answer) and Propagation (rounds to a
+        # fixpoint) keep a superstep's exchange going past round one; the
+        # lock-step driver and both autonomous ones must take the same
+        # rounds per superstep and move the same bytes in each
+        from repro.graph import random_tree
+        from repro.obs import TraceRecorder, load_trace
+
+        def run(name, **kw):
+            path = tmp_path / f"{name}.jsonl"
+            with TraceRecorder(path) as rec:
+                kw.update(num_workers=4, trace=rec)
+                if program == "reqresp":
+                    tree = random_tree(400, seed=7)
+                    _, res = run_pointer_jumping(tree, variant="reqresp", **kw)
+                else:
+                    _, res = run_wcc(directed_graph, variant="prop", **kw)
+            per_round = [
+                (e["attrs"]["round"], e["attrs"]["net_bytes"], e["attrs"]["local_bytes"])
+                for e in load_trace(path)
+                if e["span"] == "round"
+            ]
+            return [rec.rounds for rec in res.metrics.records], per_round
+
+        rounds, per_round = sim = run("sim")
+        assert max(rounds) > 1 and len(per_round) == sum(rounds)
+        for transport in TRANSPORTS:
+            assert run(transport, executor="process", transport=transport) == sim
 
 
 class TestEngineIntegration:
@@ -197,6 +246,28 @@ class TestEngineIntegration:
                 )
         finally:
             pool.shutdown()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_pool_transport_is_the_one_asked_for(
+        self, directed_graph, workers, transport
+    ):
+        # no worker count silently swaps the transport: what the engine
+        # reports (trace header, `repro run --json`) is what ran
+        from repro.algorithms.wcc import WCCBasicBulk
+
+        engine = ChannelEngine(
+            directed_graph,
+            WCCBasicBulk,
+            num_workers=workers,
+            executor="process",
+            transport=transport,
+        )
+        try:
+            engine.run()
+            assert engine.transport == engine.backend.pool.transport == transport
+        finally:
+            engine.close()
 
     def test_second_run_is_noop_like_sim(self, directed_graph):
         # the persistent pool keeps worker state alive between runs, so a
@@ -428,6 +499,21 @@ class TestCrashHandling:
         finally:
             pool.shutdown()
         assert all(not p.is_alive() for p in pool._state.procs)
+
+    def test_unknown_command_names_itself(self, directed_graph):
+        # a control message the child has no handler for is a protocol
+        # bug; it must come back as an error naming the command, not hang
+        engine = ChannelEngine(
+            directed_graph, _RaiseAtSuperstep2, num_workers=2, executor="process"
+        )
+        engine.backend.begin_run(fault_tolerant=False)
+        pool = engine.backend.pool
+        try:
+            pool.send(1, {"cmd": "exchange"})
+            with pytest.raises(WorkerProcessError, match="unknown command 'exchange'"):
+                pool.reply(1, "a retired command")
+        finally:
+            pool.shutdown()
 
     def test_crash_poisons_the_pool(self, directed_graph):
         engine = ChannelEngine(

@@ -1,8 +1,9 @@
-"""RingBuffer unit coverage: the SPSC shared-memory FIFO under the
-process backend's ``transport="shm"`` data plane.
+"""RingBuffer and VoteBoard unit coverage: the SPSC shared-memory FIFO
+under the process backend's ``transport="shm"`` data plane, and the
+barrier-vote board every process run uses.
 
 Everything here runs the ring through its visible contract — cursors,
-wraparound, exactly-full, chunked oversized frames, the vote slot — plus
+wraparound, exactly-full, chunked oversized frames — plus
 the two conditions that only show up under real concurrency: sustained
 producer/consumer stress with random frame sizes across process
 boundaries, and a writer dying mid-frame (the reader must be abortable,
@@ -22,6 +23,7 @@ from repro.runtime.parallel.shm import (
     DEFAULT_RING_CAPACITY,
     RingBuffer,
     RingTimeout,
+    VoteBoard,
 )
 
 
@@ -112,27 +114,35 @@ class TestOversizedFrames:
             ring.read_exact(1, timeout=0.05)
 
 
-class TestVoteSlot:
-    def test_write_read_peek(self, ring):
-        ring.write_slot(1, 42)
-        assert ring.peek_slot() == (1, 42)
-        assert ring.read_slot(1) == 42
+@pytest.fixture
+def board():
+    b = VoteBoard.create(3)
+    yield b
+    b.close(unlink=True)
 
-    def test_read_slot_waits_for_seq(self, ring):
-        ring.write_slot(1, 7)
+
+class TestVoteBoard:
+    """The barrier-vote plane of every process run: one ``(seq, value)``
+    row per worker in one pool-owned segment."""
+
+    def test_write_read_peek(self, board):
+        board.write(1, 1, 42)
+        assert board.peek(1) == (1, 42)
+        assert board.read(1, 1) == 42
+        # rows are per worker: the neighbours never saw that vote
+        assert board.peek(0) == board.peek(2) == (0, 0)
+
+    def test_stale_seq_never_satisfies_a_newer_wait(self, board):
+        board.write(0, 1, 7)
         # seq 2 not published yet: must not return the stale value
-        with pytest.raises(RingTimeout):
-            ring.read_slot(2, timeout=0.05)
-        ring.write_slot(2, 9)
-        assert ring.read_slot(2) == 9
+        with pytest.raises(RingTimeout, match="worker 0.*seq 2.*stuck at 1"):
+            board.read(0, 2, timeout=0.05)
+        board.write(0, 2, 9)
+        assert board.read(0, 2) == 9
+        # an older wait is satisfied by the newer row (seqs only rise)
+        assert board.read(0, 1) == 9
 
-    def test_slot_independent_of_stream(self, ring):
-        ring.send(b"data")
-        ring.write_slot(5, 11)
-        assert ring.recv() == b"data"
-        assert ring.read_slot(5) == 11
-
-    def test_check_callback_can_abort(self, ring):
+    def test_check_callback_can_abort(self, board):
         class Dead(RuntimeError):
             pass
 
@@ -140,7 +150,19 @@ class TestVoteSlot:
             raise Dead("peer died")
 
         with pytest.raises(Dead):
-            ring.read_slot(1, check=check)
+            board.read(2, 1, check=check)
+
+    def test_attacher_adopts_the_board(self, board):
+        # what a respawned worker does: attach by spec, see every peer's
+        # standing vote, and publish its own for all other attachers
+        board.write(0, 4, 10)
+        other = VoteBoard.attach(board.spec)
+        try:
+            assert other.read(0, 4) == 10
+            other.write(1, 4, 5)
+            assert board.read(1, 4) == 5
+        finally:
+            other.close()
 
 
 def _producer_main(spec, seed, count):

@@ -64,6 +64,107 @@ class TestFrameLayer:
         assert got == expected
 
 
+class TestExchangeRound:
+    """``Worker.serialize_round`` / ``deserialize_round``: the two halves
+    every superstep driver runs a round through."""
+
+    class _Echo(Channel):
+        """Sends one tagged byte string to every peer; keeps what arrives
+        and asks for ``rounds_wanted`` rounds in total."""
+
+        rounds_wanted = 1
+
+        def serialize(self):
+            for peer in range(self.num_workers):
+                self.emit(peer, b"from %d" % self.worker.worker_id)
+
+        def deserialize(self, payloads):
+            self.round += 1
+            self.got = sorted((src, bytes(p)) for src, p in payloads)
+
+        def again(self):
+            return self.round < self.rounds_wanted
+
+    def _engine(self, channels=1):
+        echo = self._Echo
+
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.chans = [echo(worker) for _ in range(channels)]
+
+            def compute(self, v):
+                v.vote_to_halt()
+
+        return ChannelEngine(line_graph(6), P, num_workers=2)
+
+    @staticmethod
+    def _swap(engine):
+        for dst in engine.workers:
+            dst.buffers.inbox = [
+                src.buffers.out[dst.worker_id].getvalue() for src in engine.workers
+            ]
+        for worker in engine.workers:
+            for writer in worker.buffers.out:
+                writer.clear()
+
+    def test_round_trip_and_votes(self):
+        engine = self._engine(channels=2)
+        w0, w1 = engine.workers
+        w0.channels[1].rounds_wanted = 2  # one instance's vote is enough
+        flushed = []
+        for worker in engine.workers:
+            worker.serialize_round([True, True], flush=lambda: flushed.append(1))
+        assert len(flushed) == 4  # once per active channel per worker
+        self._swap(engine)
+        assert w0.deserialize_round([True, True]) == [False, True]
+        assert w1.deserialize_round([True, True]) == [False, False]
+        assert w1.channels[0].got == [(0, b"from 0"), (1, b"from 1")]
+
+    def test_inactive_channels_neither_write_nor_vote(self):
+        engine = self._engine(channels=2)
+        for worker in engine.workers:
+            worker.serialize_round([False, True])
+        self._swap(engine)
+        w0 = engine.workers[0]
+        assert w0.deserialize_round([False, True]) == [False, False]
+        assert w0.channels[0].round == 0 and w0.channels[1].round == 1
+
+    def test_frame_for_an_inactive_channel_is_an_error(self):
+        engine = self._engine(channels=2)
+        w0, w1 = engine.workers
+        w1.serialize_round([True, True])
+        self._swap(engine)
+        with pytest.raises(RuntimeError, match=r"worker 0 .* channel 0 from worker 1"):
+            w0.deserialize_round([False, True])
+
+    def test_frame_for_an_unregistered_channel_is_an_error(self):
+        # Worker.emit takes any id; a frame nobody is registered to
+        # consume used to be counted as traffic and silently dropped
+        engine = self._engine()
+        w0, w1 = engine.workers
+        w1.emit(7, 0, b"stray")
+        self._swap(engine)
+        with pytest.raises(RuntimeError, match=r"channel 7 from worker 1"):
+            w0.deserialize_round([True])
+
+    def test_stray_frame_fails_the_run(self):
+        class Stray(self._Echo):
+            def serialize(self):
+                self.worker.emit(self.channel_id + 1, 0, b"stray")
+
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.chan = Stray(worker)
+
+            def compute(self, v):
+                v.vote_to_halt()
+
+        with pytest.raises(RuntimeError, match="no active channel consumes it"):
+            ChannelEngine(line_graph(6), P, num_workers=2).run()
+
+
 class TestOwnership:
     def test_local_index_and_owner(self):
         g = line_graph(6)
