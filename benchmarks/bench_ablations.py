@@ -4,7 +4,7 @@ These isolate *single* mechanisms the paper's channels rely on, holding
 everything else fixed:
 
 * **D1 — positional vs id-echo responses** (RequestRespond.echo_ids)
-* **D2 — sorted linear-scan vs hash combining** (ScatterCombine.use_hash)
+* **D2 — sorted linear-scan vs hash combining** (HashScatterCombine, below)
 * **D3 — per-channel message types** (exercised by Table IV S-V/SCC/MSF)
 * **D4 — propagation vs partition quality**
 * **D5 — cost-model sensitivity** (orderings stable under other networks)
@@ -18,7 +18,7 @@ from repro.algorithms.pointer_jumping import PointerJumpingReqResp
 from repro.algorithms.wcc import run_wcc
 from repro.algorithms.sv import run_sv
 from repro.bench.datasets import load_dataset
-from repro.core import ChannelEngine
+from repro.core import ChannelEngine, Combiner, ScatterCombine, SUM_F64
 from repro.graph.partition import hash_partition, metis_like_partition
 from repro.pregel_algorithms.sv import run_sv_pregel
 from repro.runtime.costmodel import NetworkModel
@@ -73,19 +73,54 @@ def test_ablation_respond_format_saves_bytes():
 
 
 # -- D2: combine strategy ----------------------------------------------------
-@pytest.mark.parametrize("use_hash", [False, True], ids=["linear-scan", "hash"])
-def test_ablation_scan_vs_hash(benchmark, use_hash):
+class _HashReduce(Combiner):
+    """The general-case combining a basic message channel performs — one
+    table lookup and one scalar combine per edge — in place of the single
+    ``ufunc.reduceat`` over ScatterCombine's pre-sorted segments (Fig. 5)."""
+
+    def reduceat(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        keys = np.repeat(
+            np.arange(starts.size), np.diff(starts, append=values.size)
+        )
+        fn = self.fn
+        table: dict = {}
+        for key, val in zip(keys.tolist(), values):
+            table[key] = fn(table[key], val) if key in table else val
+        # segments are visited in order, so insertion order is segment order
+        return np.fromiter(table.values(), dtype=self.codec.dtype, count=len(table))
+
+
+class HashScatterCombine(ScatterCombine):
+    """D2 ablation: ScatterCombine whose per-destination combine is a hash
+    table instead of the linear scan.  Wire bytes, record order and traffic
+    equal ScatterCombine's; values equal it exactly for integer combiners
+    (a float sum is folded in another order, so it may differ in the last
+    ulp — tests/test_channels_optimized.py checks the integer case)."""
+
+    def __init__(self, worker, combiner: Combiner) -> None:
+        super().__init__(
+            worker,
+            _HashReduce(
+                combiner.fn, combiner.identity, combiner.codec, combiner.ufunc, combiner.name
+            ),
+        )
+
+
+@pytest.mark.parametrize(
+    "channel", [ScatterCombine, HashScatterCombine], ids=["linear-scan", "hash"]
+)
+def test_ablation_scan_vs_hash(benchmark, channel):
     graph = load_dataset("wikipedia")
 
     class PR(PageRankScatter):
         iterations = 10
 
         def __init__(self, worker):
-            super().__init__(worker)
-            self.msg.use_hash = use_hash
+            super(PageRankScatter, self).__init__(worker)  # every channel but msg
+            self.msg = channel(worker, SUM_F64)
 
     res = _run(graph, PR, benchmark)
-    benchmark.extra_info["use_hash"] = use_hash
+    benchmark.extra_info["channel"] = channel.__name__
     assert res.supersteps == 11
 
 

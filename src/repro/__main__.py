@@ -123,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "indptr array — the right default for skewed on-disk graphs",
     )
     run.add_argument(
-        "--partitioned",
-        action="store_true",
-        help="deprecated alias for --partition metis",
-    )
-    run.add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
@@ -477,14 +472,6 @@ def _cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot open {args.graph!r}: {exc}", file=sys.stderr)
             return 2
-    if args.partitioned and args.partition not in ("hash", "metis"):
-        print(
-            "--partitioned (deprecated) conflicts with --partition; "
-            "drop --partitioned and keep --partition",
-            file=sys.stderr,
-        )
-        return 2
-    partition = "metis" if args.partitioned else args.partition
     # backend/fault-tolerance option validation lives in the engine, the
     # single source of truth — the CLI only translates the ValueError
     if args.rebalance == "epoch":
@@ -514,11 +501,11 @@ def _cmd_run(args) -> int:
         kwargs["rebalance_every"] = args.rebalance_every
     if args.transport is not None:
         kwargs["transport"] = args.transport
-    if partition == "metis":
+    if args.partition == "metis":
         kwargs["partition"] = metis_like_partition(graph, args.workers, seed=0)
-    elif partition == "range":
+    elif args.partition == "range":
         kwargs["partition"] = range_partition(graph.num_vertices, args.workers)
-    elif partition == "degree":
+    elif args.partition == "degree":
         kwargs["partition"] = degree_range_partition(graph, args.workers)
     if args.checkpoint_every is not None:
         kwargs["checkpoint_every"] = args.checkpoint_every
@@ -541,6 +528,9 @@ def _cmd_run(args) -> int:
         kwargs["live"] = live
     try:
         out = runner(graph, **kwargs)
+    except ValueError as exc:  # options only the built engine can check
+        print(f"bad run options: {exc}", file=sys.stderr)
+        return 2
     finally:
         if server is not None:
             server.stop()
@@ -557,7 +547,7 @@ def _cmd_run(args) -> int:
         "vertices": graph.num_vertices,
         "edges": graph.num_input_edges,
         "workers": args.workers,
-        "partition": partition,
+        "partition": args.partition,
         "executor": args.executor,
         **m.summary(),
     }

@@ -1,0 +1,102 @@
+"""The static edge set: structure a program registers once.
+
+``ScatterCombine``, ``MirroredScatter`` and ``Propagation`` dispatch along
+edges the program registers up front.  :class:`StaticEdges` is that edge
+set, and its rules (ARCHITECTURE.md §2) hold for every channel that has
+one: edges stay in **call order** whatever mix of scalar, per-vertex and
+bulk calls delivered them; ids are **checked at build, by name** (a
+negative id would otherwise wrap through ``owner[...]`` to a wrong
+answer); registered chunks are **never written, so never copied** — one
+bulk chunk, possibly a read-only view of an mmap store, *is* the edge set.
+The columns' keys are the snapshot keys, so the checkpoint and migration
+format of an edge set is decided here too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.channels._records import RecordBuffer
+from repro.core.vertex import Vertex
+
+__all__ = ["ScatterEdges", "StaticEdges"]
+
+
+class StaticEdges:
+    """Mixin for a :class:`~repro.core.channel.Channel` with a static edge
+    set.  Registration clears ``_built``; the channel sets it once it has
+    derived its dispatch structure from :meth:`_checked_edges`."""
+
+    #: snapshot key -> dtype: local sender index, global destination id, ...
+    _EDGE_COLUMNS = {"edge_src": np.int64, "edge_dst": np.int64}
+
+    def _init_edges(self) -> None:
+        self._edges = RecordBuffer(*self._EDGE_COLUMNS.values())
+        self._built = False
+
+    # Registration is the channel's own add_edge / add_edges API writing
+    # straight into ``_edges`` (no call layer on a per-vertex path) and
+    # clearing ``_built``.
+    def _checked_edges(self) -> tuple[np.ndarray, ...]:
+        """Every registered edge, one flat array per column, ids verified."""
+        columns = self._edges.flat()
+        for what, ids, bound in (
+            ("destination", columns[1], self.worker.graph.num_vertices),
+            ("local sender index", columns[0], self.worker.num_local),
+        ):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                bad = ids[(ids < 0) | (ids >= bound)][0]
+                raise ValueError(f"{self!r}: edge {what} {bad} outside [0, {bound})")
+        return columns
+
+    # -- checkpointing (the edge set's keys of the channel's snapshot) ---------
+    def _edges_snapshot(self) -> dict:
+        return dict(zip(self._EDGE_COLUMNS, self._edges.flat()))
+
+    def _edges_restore(self, state: dict) -> None:
+        # the channel's _build() re-derives its structure from the same columns
+        self._init_edges()
+        self._edges.add_chunk(*(state[key].copy() for key in self._EDGE_COLUMNS))
+
+    def _edges_migrate(self, states: list[dict], ctx) -> list[dict]:
+        # globalize each sender through its old worker's local ids, route
+        # every row by the sender's new owner, re-localize
+        keys = list(self._EDGE_COLUMNS)[1:]
+        src_g = np.concatenate(
+            [ctx.old_locals[w][s["edge_src"]] for w, s in enumerate(states)]
+        )
+        rest = [np.concatenate([s[key] for s in states]) for key in keys]
+        return [
+            {"edge_src": ctx.localize(w, gids), **dict(zip(keys, columns))}
+            for w, gids, columns in ctx.route(src_g, *rest)
+        ]
+
+
+class ScatterEdges(StaticEdges):
+    """The registration API of the channels that scatter one value per
+    vertex along unweighted static edges."""
+
+    def add_edge(self, v: Vertex, dst: int) -> None:
+        """Register a static edge from ``v`` to global vertex ``dst``."""
+        srcs, dsts = self._edges.rows
+        srcs.append(v.local)
+        dsts.append(dst)
+        self._built = False
+
+    def add_edges(self, v: Vertex, dsts: np.ndarray) -> None:
+        """Register all of ``v``'s static out-edges at once."""
+        src, dst = self._edges.rows
+        src.extend([v.local] * len(dsts))
+        dst.extend(np.asarray(dsts).tolist())
+        self._built = False
+
+    def add_edges_bulk(self, local_src: np.ndarray, dsts: np.ndarray) -> None:
+        """Register many edges in one call: ``local_src[i]`` (a *local*
+        sender index) scatters to global vertex ``dsts[i]``.  The bulk
+        analogue of calling :meth:`add_edges` over a whole frontier."""
+        local_src = np.asarray(local_src, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        if local_src.shape != dsts.shape:
+            raise ValueError("local_src and dsts must have equal length")
+        self._edges.add_chunk(local_src, dsts)
+        self._built = False

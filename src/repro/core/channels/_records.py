@@ -1,28 +1,108 @@
-"""Shared send side of the record channels.
+"""The record wire format and the send half built on it.
 
-``DirectMessage`` and ``CombinedMessage`` have identical wire output —
-per peer and round, an ``int32`` destination array followed by a value
-array — and differ only in how the receiver consumes it.  This base
-class owns the whole send path so the two cannot drift: scalar appends,
-vectorized array sends, peer routing, and serialization.
+A *record payload* is what every data channel puts on the wire for one
+peer and round: an ``int32`` id array followed by a value array of the
+same length (payload length and the two fixed item sizes recover the
+count, so there is no header).  It is written here once —
+:func:`encode_records` / :func:`decode_records` — next to the one per-peer
+"emit, count what leaves this worker" loop (:func:`emit_payloads`;
+:func:`emit_records` for whole record payloads).
 
-Drain order per peer: all scalar :meth:`send_message` records first (in
-call order), then array :meth:`send_messages` chunks (in call order).
-Programs that use only one of the two surfaces — every in-tree program —
-therefore see exactly their call order on the wire; mixing both in one
-superstep serializes the scalar records ahead of the array ones.
+``DirectMessage`` and ``CombinedMessage`` also share their whole send
+path, :class:`RecordChannel`: scalar appends, array sends and peer
+routing, records leaving for each peer in call order
+(:class:`RecordBuffer`).  They differ only in how the receiver consumes
+them.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.channel import Channel
 from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32
-from repro.util import group_starts
 
-__all__ = ["RecordChannel"]
+
+def encode_records(ids: np.ndarray, values: np.ndarray, codec: Codec) -> bytes:
+    """One record payload: ``[int32 ids][values]``."""
+    return INT32.encode_array(ids) + codec.encode_array(values)
+
+
+def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.ndarray]:
+    """``(int64 ids, values)`` of a payload written by :func:`encode_records`."""
+    count = len(payload) // (INT32.itemsize + codec.itemsize)
+    split = count * INT32.itemsize
+    return (
+        INT32.decode_array(payload[:split]).astype(np.int64),
+        codec.decode_array(payload[split:], count),
+    )
+
+
+def emit_payloads(channel: Channel, payloads: Iterable[tuple[int, bytes, int]]) -> None:
+    """The per-peer send loop: emit every ``(peer, payload, messages)``
+    that carries a message, and account those that cross the network."""
+    me = channel.worker.worker_id
+    net_msgs = 0
+    for peer, payload, count in payloads:
+        if count:
+            channel.emit(peer, payload)
+            if peer != me:
+                net_msgs += count
+    channel.count_net_messages(net_msgs)
+
+
+def emit_records(
+    channel: Channel, records: Iterable[tuple[int, np.ndarray, np.ndarray]]
+) -> None:
+    """:func:`emit_payloads` over one record payload per ``(peer, ids,
+    values)``."""
+    emit_payloads(
+        channel,
+        (
+            (peer, encode_records(ids, values, channel.value_codec), len(ids))
+            for peer, ids, values in records
+        ),
+    )
+
+
+class RecordBuffer:
+    """Parallel columns that grow by scalar rows and by array chunks and
+    read back flat, in call order."""
+
+    __slots__ = ("dtypes", "rows", "chunks")
+
+    def __init__(self, *dtypes) -> None:
+        self.dtypes = dtypes
+        self.clear()
+
+    def clear(self) -> None:
+        #: scalar appends since the last chunk, one list per column
+        self.rows: tuple[list, ...] = tuple([] for _ in self.dtypes)
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+
+    def add_chunk(self, *columns: np.ndarray) -> None:
+        self._flush_rows()
+        self.chunks.append(columns)
+
+    def _flush_rows(self) -> None:
+        if self.rows[0]:
+            rows, self.rows = self.rows, tuple([] for _ in self.dtypes)
+            self.chunks.append(
+                tuple(np.asarray(r, dtype=d) for r, d in zip(rows, self.dtypes))
+            )
+
+    def flat(self) -> tuple[np.ndarray, ...]:
+        """One array per column.  Several chunks are merged once and kept
+        merged; a single chunk is handed back as is, not copied."""
+        self._flush_rows()
+        if len(self.chunks) > 1:
+            self.chunks = [tuple(np.concatenate(col) for col in zip(*self.chunks))]
+        if not self.chunks:
+            return tuple(np.empty(0, dtype=d) for d in self.dtypes)
+        return self.chunks[0]
 
 
 class RecordChannel(Channel):
@@ -31,77 +111,34 @@ class RecordChannel(Channel):
     def __init__(self, worker: Worker, value_codec: Codec) -> None:
         super().__init__(worker)
         self.value_codec = value_codec
-        m = worker.num_workers
-        self._pending_dst: list[list[int]] = [[] for _ in range(m)]
-        self._pending_val: list[list] = [[] for _ in range(m)]
-        # array sends accumulate whole chunks (no per-element Python work)
-        self._chunk_dst: list[list[np.ndarray]] = [[] for _ in range(m)]
-        self._chunk_val: list[list[np.ndarray]] = [[] for _ in range(m)]
+        self._out = [
+            RecordBuffer(np.int64, value_codec.dtype) for _ in range(worker.num_workers)
+        ]
 
     # -- sending (during compute) -----------------------------------------
     def send_message(self, dst: int, value) -> None:
-        peer = self.worker.owner_of(dst)
-        self._pending_dst[peer].append(dst)
-        self._pending_val[peer].append(value)
+        dsts, values = self._out[self.worker.owner_of(dst)].rows
+        dsts.append(dst)
+        values.append(value)
 
     def send_messages(self, dsts: np.ndarray, values: np.ndarray) -> None:
         """Vectorized send of many ``(dst, value)`` records, preserving
         their order within each destination worker (so a bulk program's
-        wire bytes match the scalar loop it replaces record-for-record;
-        see the module docstring for the order when mixed with
-        :meth:`send_message`)."""
+        wire bytes match the scalar loop it replaces record-for-record)."""
         dsts = np.asarray(dsts, dtype=np.int64)
         values = np.asarray(values, dtype=self.value_codec.dtype)
-        if dsts.size == 0:
-            return
         owners = self.worker.owner[dsts]
-        order = np.argsort(owners, kind="stable")
-        peers, starts = group_starts(owners[order])
-        bounds = np.append(starts, order.size)
-        for k, peer in enumerate(peers.tolist()):
-            sel = order[bounds[k] : bounds[k + 1]]
-            self._chunk_dst[peer].append(dsts[sel])
-            self._chunk_val[peer].append(values[sel])
+        for peer in range(self.num_workers):
+            sel = owners == peer
+            if sel.any():
+                self._out[peer].add_chunk(dsts[sel], values[sel])
 
-    #: backwards-compatible alias for the vectorized send
-    send_message_bulk = send_messages
-
-    def _drain_pending(self, peer: int) -> tuple[np.ndarray, np.ndarray]:
-        """All pending (dst, value) records for ``peer``: scalar appends
-        first, then array chunks, each in call order."""
-        dst_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        if self._pending_dst[peer]:
-            dst_parts.append(np.asarray(self._pending_dst[peer], dtype=np.int64))
-            val_parts.append(
-                np.asarray(self._pending_val[peer], dtype=self.value_codec.dtype)
-            )
-        dst_parts += self._chunk_dst[peer]
-        val_parts += self._chunk_val[peer]
-        self._pending_dst[peer] = []
-        self._pending_val[peer] = []
-        self._chunk_dst[peer] = []
-        self._chunk_val[peer] = []
-        if not dst_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=self.value_codec.dtype)
-        if len(dst_parts) == 1:
-            return dst_parts[0], val_parts[0]
-        return np.concatenate(dst_parts), np.concatenate(val_parts)
+    def _drain(self, peer: int) -> tuple[int, np.ndarray, np.ndarray]:
+        records = self._out[peer].flat()
+        self._out[peer].clear()
+        return (peer, *records)
 
     # -- round protocol ----------------------------------------------------
     def serialize(self) -> None:
-        if self.round != 0:
-            return
-        net_msgs = 0
-        for peer in range(self.num_workers):
-            dsts, vals = self._drain_pending(peer)
-            if dsts.size == 0:
-                continue
-            payload = (
-                INT32.encode_array(dsts)
-                + self.value_codec.encode_array(vals)
-            )
-            self.emit(peer, payload)
-            if peer != self.worker.worker_id:
-                net_msgs += int(dsts.size)
-        self.count_net_messages(net_msgs)
+        if self.round == 0:
+            emit_records(self, map(self._drain, range(self.num_workers)))

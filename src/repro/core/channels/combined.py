@@ -11,21 +11,20 @@ so the receiver never materializes per-vertex message lists.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.channels._inbox import CombinedInbox
 from repro.core.channels._records import RecordChannel
 from repro.core.combiner import Combiner
-from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.runtime.serialization import INT32
 
 __all__ = ["CombinedMessage"]
 
 
-class CombinedMessage(RecordChannel):
+class CombinedMessage(CombinedInbox, RecordChannel):
     """Combine all messages for one receiver into a single value.
 
-    The send path (scalar and vectorized) lives in :class:`RecordChannel`.
+    Send half: :class:`RecordChannel`.  Receive half, and the whole
+    checkpoint state: :class:`CombinedInbox` (``get_message[s]``,
+    ``has_message``, fold-and-wake).
 
     Parameters
     ----------
@@ -36,61 +35,9 @@ class CombinedMessage(RecordChannel):
     """
 
     def __init__(self, worker: Worker, combiner: Combiner) -> None:
-        super().__init__(worker, combiner.codec)
-        self.combiner = combiner
-        self._slots = np.full(
-            worker.num_local, combiner.identity, dtype=combiner.codec.dtype
-        )
-        self._has_msg = np.zeros(worker.num_local, dtype=bool)
+        RecordChannel.__init__(self, worker, combiner.codec)
+        self._init_inbox(combiner)
 
-    # -- receiving -----------------------------------------------------------
-    def get_message(self, v: Vertex):
-        """Combined value of all messages delivered to ``v`` (the
-        combiner's identity if none arrived)."""
-        return self._slots[v.local]
-
-    def get_messages(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, has_msg)`` views over all local vertices: the
-        combined inbox per local index and the mask of receivers.  Treat
-        as read-only; rewritten by the next exchange."""
-        return self._slots, self._has_msg
-
-    def has_message(self, v: Vertex) -> bool:
-        return bool(self._has_msg[v.local])
-
-    # -- checkpointing -------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {"slots": self._slots.copy(), "has_msg": self._has_msg.copy()}
-
-    def restore(self, state: dict) -> None:
-        self._slots[...] = state["slots"]
-        self._has_msg[...] = state["has_msg"]
-
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # pure per-vertex inbox: combined slots and flags follow their
-        # vertices to the new owners
-        slots = ctx.remap_vertex_arrays([s["slots"] for s in states])
-        has_msg = ctx.remap_vertex_arrays([s["has_msg"] for s in states])
-        return [
-            {"slots": slots[w], "has_msg": has_msg[w]}
-            for w in range(ctx.num_workers)
-        ]
-
-    # -- round protocol (serialize inherited from RecordChannel) ------------
-    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
-        self.round += 1
-        worker = self.worker
-        self._slots[:] = self.combiner.identity
-        self._has_msg[:] = False
-        if not payloads:
-            return
-        itemsize = INT32.itemsize + self.value_codec.itemsize
-        for _src, payload in payloads:
-            count = len(payload) // itemsize
-            dst = INT32.decode_array(payload[: count * INT32.itemsize]).astype(np.int64)
-            vals = self.value_codec.decode_array(payload[count * INT32.itemsize :], count)
-            local = worker._local_index[dst]
-            self.combiner.accumulate_at(self._slots, local, vals)
-            self._has_msg[local] = True
-        received = np.flatnonzero(self._has_msg)
-        worker.activate_local_bulk(received)
+    snapshot = CombinedInbox._inbox_snapshot
+    restore = CombinedInbox._inbox_restore
+    migrate_states = CombinedInbox._inbox_migrate

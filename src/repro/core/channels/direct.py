@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels._records import RecordChannel
+from repro.core.channels._records import RecordChannel, decode_records
 from repro.core.worker import Worker
 from repro.core.vertex import Vertex
-from repro.runtime.serialization import Codec, INT32, INT64
-from repro.util import stable_order
+from repro.runtime.serialization import Codec, INT64
+from repro.util import csr_group
 
 __all__ = ["DirectMessage"]
 
@@ -72,9 +72,9 @@ class DirectMessage(RecordChannel):
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
         # expand each CSR inbox to (global vertex, value) rows, route by
-        # the new owner, regroup per receiver; every vertex's inbox lived
-        # on exactly one old worker, so its per-vertex value order (the
-        # only order get_iterator exposes) is preserved bit-identically
+        # the new owner, regroup per receiver (one stable sort); every
+        # vertex's inbox lived on exactly one old worker, so its per-vertex
+        # value order (the only order get_iterator exposes) is preserved
         gids = np.concatenate(
             [
                 np.repeat(ctx.old_locals[w], np.diff(s["recv_indptr"]))
@@ -84,12 +84,7 @@ class DirectMessage(RecordChannel):
         vals = np.concatenate([s["recv_vals"] for s in states])
         out = []
         for w, gids_w, (vals_w,) in ctx.route(gids, vals):
-            local = ctx.localize(w, gids_w)
-            num_local = ctx.new_locals[w].size
-            order, local_sorted = stable_order(local, num_local)
-            indptr = np.zeros(num_local + 1, dtype=np.int64)
-            counts = np.bincount(local_sorted, minlength=num_local)
-            np.cumsum(counts, out=indptr[1:])
+            indptr, order = csr_group(ctx.localize(w, gids_w), ctx.new_locals[w].size)
             out.append({"recv_indptr": indptr, "recv_vals": vals_w[order]})
         return out
 
@@ -97,25 +92,13 @@ class DirectMessage(RecordChannel):
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
         worker = self.worker
-        itemsize = INT32.itemsize + self.value_codec.itemsize
-        all_dst: list[np.ndarray] = []
-        all_val: list[np.ndarray] = []
-        for _src, payload in payloads:
-            count = len(payload) // itemsize
-            all_dst.append(INT32.decode_array(payload[: count * INT32.itemsize]))
-            all_val.append(
-                self.value_codec.decode_array(payload[count * INT32.itemsize :], count)
-            )
-        if not all_dst:
+        if not payloads:
             self._recv_indptr[:] = 0
             self._recv_vals = self._recv_vals[:0]
             return
-        dst = np.concatenate(all_dst).astype(np.int64)
-        vals = np.concatenate(all_val)
-        local = worker._local_index[dst]
-        order, local_sorted = stable_order(local, worker.num_local)
-        self._recv_vals = vals[order]
-        counts = np.bincount(local_sorted, minlength=worker.num_local)
-        self._recv_indptr[0] = 0
-        np.cumsum(counts, out=self._recv_indptr[1:])
-        worker.activate_local_bulk(np.unique(local_sorted))
+        dst, vals = zip(*(decode_records(p, self.value_codec) for _src, p in payloads))
+        self._recv_indptr, order = csr_group(
+            worker._local_index[np.concatenate(dst)], worker.num_local
+        )
+        self._recv_vals = np.concatenate(vals)[order]
+        worker.activate_local_bulk(np.flatnonzero(np.diff(self._recv_indptr)))

@@ -28,17 +28,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.channel import Channel
+from repro.core.channels._edges import ScatterEdges
+from repro.core.channels._inbox import CombinedInbox
+from repro.core.channels._records import decode_records, emit_payloads, encode_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.runtime.serialization import INT32
+from repro.runtime.serialization import Codec, INT32
 from repro.util import group_starts
 
 __all__ = ["MirroredScatter"]
 
 
-class MirroredScatter(Channel):
+def _counted_block(payload: memoryview, off: int, codec: Codec) -> tuple:
+    """``(ids, values, end offset)`` of the record block at ``off`` that is
+    prefixed by its int32 record count."""
+    end = off + INT32.itemsize
+    end += INT32.decode_one(payload, off) * (INT32.itemsize + codec.itemsize)
+    return (*decode_records(payload[off + INT32.itemsize : end], codec), end)
+
+
+class MirroredScatter(ScatterEdges, CombinedInbox, Channel):
     """Scatter with sender-side mirroring above a degree threshold.
+
+    Same static edge set (:class:`ScatterEdges`) and combined inbox
+    (:class:`CombinedInbox`) as :class:`ScatterCombine`; its own are the
+    three-block payload and the receive-side expansion tables.
 
     Parameters
     ----------
@@ -53,120 +68,53 @@ class MirroredScatter(Channel):
     """
 
     def __init__(self, worker: Worker, combiner: Combiner, threshold: int = 16) -> None:
-        super().__init__(worker)
-        self.combiner = combiner
-        self.value_codec = combiner.codec
+        Channel.__init__(self, worker)
+        self._init_inbox(combiner)
+        self._init_edges()
         self.threshold = threshold
-        # edge collection (scalar appends + bulk array chunks)
-        self._edge_src: list[int] = []
-        self._edge_dst: list[int] = []
-        self._edge_src_chunks: list[np.ndarray] = []
-        self._edge_dst_chunks: list[np.ndarray] = []
-        self._built = False
-        # per-superstep state
-        self._values = np.full(
-            worker.num_local, combiner.identity, dtype=combiner.codec.dtype
-        )
+        # per-superstep state: the value each vertex scatters, identity until set
+        self._values = self._slots.copy()
         self._dirty = False
-        # receive side
-        self._slots = np.full(
-            worker.num_local, combiner.identity, dtype=combiner.codec.dtype
-        )
-        self._has_msg = np.zeros(worker.num_local, dtype=bool)
-        # plain (non-mirrored) dispatch: per peer (sender local idx, dst id)
-        self._plain_src: list[np.ndarray] = []
-        self._plain_dst_wire: list[np.ndarray] = []
-        # mirrored dispatch: per peer, sender local indices whose value is
-        # shipped once and expanded remotely
-        self._mirror_src: list[np.ndarray] = []
-        self._mirror_src_wire: list[np.ndarray] = []
+        # static dispatch structure (built lazily), one row per peer: plain
+        # (non-mirrored) edges — sender local indices sorted by destination,
+        # segment start and int32 id of each unique one; mirrored senders,
+        # whose value is shipped once and expanded remotely — local indices
+        # and int32 ids; expansion-table rows to ship — (sender id, its dsts)
+        self._dispatch: list[tuple[np.ndarray, ...]] = []
         # expansion tables on the receiving side: (src vertex id -> local
         # neighbor indices); exchanged once during the first serialize
         self._expansion: dict[int, np.ndarray] = {}
-        self._mirror_setup_out: list[tuple[np.ndarray, np.ndarray] | None] = []
         self._setup_sent = False
 
     # -- setup ------------------------------------------------------------
-    def add_edge(self, v: Vertex, dst: int) -> None:
-        self._edge_src.append(v.local)
-        self._edge_dst.append(dst)
-        self._built = False
-
-    def add_edges(self, v: Vertex, dsts: np.ndarray) -> None:
-        self._edge_src.extend([v.local] * len(dsts))
-        self._edge_dst.extend(np.asarray(dsts).tolist())
-        self._built = False
-
-    def add_edges_bulk(self, local_src: np.ndarray, dsts: np.ndarray) -> None:
-        """Register many edges at once (``local_src[i]`` -> ``dsts[i]``)."""
-        local_src = np.asarray(local_src, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if local_src.shape != dsts.shape:
-            raise ValueError("local_src and dsts must have equal length")
-        self._edge_src_chunks.append(local_src)
-        self._edge_dst_chunks.append(dsts)
-        self._built = False
-
-    def _collected_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        src = np.concatenate(
-            [np.asarray(self._edge_src, dtype=np.int64)] + self._edge_src_chunks
-        )
-        dst = np.concatenate(
-            [np.asarray(self._edge_dst, dtype=np.int64)] + self._edge_dst_chunks
-        )
-        return src, dst
-
     def _build(self) -> None:
-        src, dst = self._collected_edges()
-        owner = self.worker.owner[dst] if dst.size else dst.copy()
-        m = self.num_workers
-        self._plain_src = []
-        self._plain_dst_wire = []
-        self._mirror_src = []
-        self._mirror_src_wire = []
-        self._mirror_setup_out = []
+        src, dst = self._checked_edges()
+        owner = self.worker.owner[dst]
         local_ids = self.worker.local_ids
-        for peer in range(m):
+        self._dispatch = []
+        for peer in range(self.num_workers):
             sel = owner == peer
-            psrc, pdst = src[sel], dst[sel]
-            # count this sender's edges into `peer`
-            if psrc.size:
-                order = np.argsort(psrc, kind="stable")
-                psrc, pdst = psrc[order], pdst[order]
-                uniq_src, starts = group_starts(psrc)
-                counts = np.diff(np.append(starts, psrc.size))
-                heavy = counts >= self.threshold
-            else:
-                uniq_src = psrc[:0]
-                starts = psrc[:0]
-                counts = psrc[:0]
-                heavy = np.zeros(0, dtype=bool)
-
-            heavy_senders = uniq_src[heavy]
-            heavy_mask_per_edge = np.isin(psrc, heavy_senders)
-            # plain records: (unique dst per worker) among light edges
-            lsrc, ldst = psrc[~heavy_mask_per_edge], pdst[~heavy_mask_per_edge]
-            order = np.argsort(ldst, kind="stable")
-            ldst_sorted = ldst[order]
-            lsrc_sorted = lsrc[order]
-            self._plain_src.append(lsrc_sorted)
-            self._plain_dst_wire.append(ldst_sorted.astype(np.int32))
-            # mirrored senders
-            self._mirror_src.append(heavy_senders)
-            self._mirror_src_wire.append(local_ids[heavy_senders].astype(np.int32))
-            # expansion table rows to ship: (sender id, its dsts on peer)
-            if heavy_senders.size:
-                ids = []
-                dsts = []
-                for s in heavy_senders:
-                    sel2 = psrc == s
-                    ids.append(np.full(int(sel2.sum()), local_ids[s], dtype=np.int64))
-                    dsts.append(pdst[sel2])
-                self._mirror_setup_out.append(
-                    (np.concatenate(ids), np.concatenate(dsts))
+            order = np.argsort(src[sel], kind="stable")
+            psrc, pdst = src[sel][order], dst[sel][order]
+            # a sender with >= threshold edges into `peer` is mirrored there
+            uniq_src, starts = group_starts(psrc)
+            heavy_senders = uniq_src[
+                np.diff(starts, append=psrc.size) >= self.threshold
+            ]
+            heavy = np.isin(psrc, heavy_senders)
+            order = np.argsort(pdst[~heavy], kind="stable")
+            uniq_dst, starts = group_starts(pdst[~heavy][order])
+            self._dispatch.append(
+                (
+                    psrc[~heavy][order],
+                    starts,
+                    uniq_dst.astype(np.int32),
+                    heavy_senders,
+                    local_ids[heavy_senders].astype(np.int32),
+                    local_ids[psrc[heavy]],
+                    pdst[heavy],
                 )
-            else:
-                self._mirror_setup_out.append(None)
+            )
         self._built = True
 
     # -- per-superstep API ---------------------------------------------------
@@ -181,26 +129,14 @@ class MirroredScatter(Channel):
         self._values[local_idx] = values
         self._dirty = True
 
-    def get_message(self, v: Vertex):
-        return self._slots[v.local]
-
-    def get_messages(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, has_msg)`` read-only views over all local vertices."""
-        return self._slots, self._has_msg
-
-    def has_message(self, v: Vertex) -> bool:
-        return bool(self._has_msg[v.local])
-
-    # -- checkpointing -------------------------------------------------------
+    # -- checkpointing (no migrate_states: the expansion tables are keyed by
+    # receiver-local indices that a migration would have to re-exchange) ----
     def snapshot(self) -> dict:
-        src, dst = self._collected_edges()
         return {
-            "edge_src": src,
-            "edge_dst": dst,
+            **self._edges_snapshot(),
             "values": self._values.copy(),
             "dirty": self._dirty,
-            "slots": self._slots.copy(),
-            "has_msg": self._has_msg.copy(),
+            **self._inbox_snapshot(),
             # receive-side expansion tables cannot be re-derived: their
             # setup frames are only ever shipped once (first superstep)
             "expansion": {int(k): v.copy() for k, v in self._expansion.items()},
@@ -208,117 +144,57 @@ class MirroredScatter(Channel):
         }
 
     def restore(self, state: dict) -> None:
-        self._edge_src, self._edge_dst = [], []
-        self._edge_src_chunks = [state["edge_src"].copy()]
-        self._edge_dst_chunks = [state["edge_dst"].copy()]
-        self._built = False
+        self._edges_restore(state)
         self._values[...] = state["values"]
         self._dirty = state["dirty"]
-        self._slots[...] = state["slots"]
-        self._has_msg[...] = state["has_msg"]
+        self._inbox_restore(state)
         self._expansion = {int(k): v for k, v in state["expansion"].items()}
         self._setup_sent = state["setup_sent"]
 
-    # -- round protocol -----------------------------------------------------
+    # -- round protocol (deserialize is CombinedInbox's, over _receive) --------
+    # Payload: [n][setup records] [n][plain records] [mirrored records], each
+    # block in the record format; the two counted blocks may be empty.
     def serialize(self) -> None:
         if self.round != 0 or not self._dirty:
             return
         if not self._built:
             self._build()
         self._dirty = False
-        net_msgs = 0
-        me = self.worker.worker_id
-        for peer in range(self.num_workers):
-            setup = self._mirror_setup_out[peer]
-            send_setup = setup is not None and not self._setup_sent
-            lsrc = self._plain_src[peer]
-            msrc = self._mirror_src[peer]
-            if not (send_setup or lsrc.size or msrc.size):
-                continue
-
-            chunks: list[bytes] = []
-            # setup section (first superstep only): the expansion tables
-            if send_setup:
-                ids, dsts = setup
-                chunks.append(INT32.encode_one(int(ids.size)))
-                chunks.append(ids.astype(np.int32).tobytes())
-                chunks.append(dsts.astype(np.int32).tobytes())
-                if peer != me:
-                    net_msgs += int(ids.size)
-            else:
-                chunks.append(INT32.encode_one(0))
-
-            # plain section: per-unique-dst combined records
-            if lsrc.size:
-                dst_sorted = self._plain_dst_wire[peer]
-                uniq_dst, starts = group_starts(dst_sorted.astype(np.int64))
-                per_edge = self._values[lsrc]
-                combined = self.combiner.reduceat(per_edge, starts)
-                chunks.append(INT32.encode_one(int(uniq_dst.size)))
-                chunks.append(uniq_dst.astype(np.int32).tobytes())
-                chunks.append(self.value_codec.encode_array(combined))
-                if peer != me:
-                    net_msgs += int(uniq_dst.size)
-            else:
-                chunks.append(INT32.encode_one(0))
-
-            # mirrored section: one value per heavy sender
-            if msrc.size:
-                chunks.append(self._mirror_src_wire[peer].tobytes())
-                chunks.append(self.value_codec.encode_array(self._values[msrc]))
-                if peer != me:
-                    net_msgs += int(msrc.size)
-
-            self.emit(peer, b"".join(chunks))
+        emit_payloads(self, map(self._payload, range(self.num_workers)))
         self._setup_sent = True
-        self.count_net_messages(net_msgs)
 
-    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
-        self.round += 1
-        worker = self.worker
-        comb = self.combiner
-        self._slots[:] = comb.identity
-        self._has_msg[:] = False
-        for _src, payload in payloads:
-            off = 0
-            # setup section (only present in the first superstep's frames)
-            n_setup = int(INT32.decode_one(payload, off))
-            off += INT32.itemsize
-            if n_setup:
-                ids = INT32.decode_array(payload[off : off + 4 * n_setup]).astype(np.int64)
-                off += 4 * n_setup
-                dsts = INT32.decode_array(payload[off : off + 4 * n_setup]).astype(np.int64)
-                off += 4 * n_setup
-                local = worker._local_index[dsts]
-                order = np.argsort(ids, kind="stable")
-                uniq, starts = group_starts(ids[order])
-                bounds = np.append(starts, ids.size)
-                sorted_local = local[order]
-                for k, sid in enumerate(uniq.tolist()):
-                    self._expansion[sid] = sorted_local[bounds[k] : bounds[k + 1]]
-            # plain section
-            n_plain = int(INT32.decode_one(payload, off))
-            off += INT32.itemsize
-            if n_plain:
-                dst = INT32.decode_array(payload[off : off + 4 * n_plain]).astype(np.int64)
-                off += 4 * n_plain
-                vals = self.value_codec.decode_array(payload[off:], n_plain)
-                off += n_plain * self.value_codec.itemsize
-                local = worker._local_index[dst]
-                comb.accumulate_at(self._slots, local, vals)
-                self._has_msg[local] = True
-            # mirrored section: the remainder of the payload
-            remaining = len(payload) - off
-            if remaining:
-                rec = INT32.itemsize + self.value_codec.itemsize
-                count = remaining // rec
-                sids = INT32.decode_array(payload[off : off + 4 * count]).astype(np.int64)
-                off += 4 * count
-                vals = self.value_codec.decode_array(payload[off:], count)
-                for sid, val in zip(sids.tolist(), vals):
-                    local = self._expansion[sid]
-                    comb.accumulate_at(
-                        self._slots, local, np.full(local.size, val, dtype=vals.dtype)
-                    )
-                    self._has_msg[local] = True
-        worker.activate_local_bulk(np.flatnonzero(self._has_msg))
+    def _payload(self, peer: int) -> tuple[int, bytes, int]:
+        codec = self.value_codec
+        lsrc, starts, uniq_dst, msrc, msrc_wire, ids, dsts = self._dispatch[peer]
+        if self._setup_sent:  # the setup block is only sent in the first superstep
+            ids = dsts = ids[:0]
+        payload = b"".join(
+            (
+                INT32.encode_one(ids.size),
+                encode_records(ids, dsts, INT32),
+                # plain block: per-unique-dst combined records
+                INT32.encode_one(uniq_dst.size),
+                encode_records(
+                    uniq_dst, self.combiner.reduceat(self._values[lsrc], starts), codec
+                ),
+                # mirrored block: one value per heavy sender
+                encode_records(msrc_wire, self._values[msrc], codec),
+            )
+        )
+        return peer, payload, ids.size + uniq_dst.size + msrc.size
+
+    def _receive(self, payload: memoryview) -> None:
+        local_index = self.worker._local_index
+        ids, dsts, off = _counted_block(payload, 0, INT32)
+        if ids.size:
+            order = np.argsort(ids, kind="stable")
+            uniq, starts = group_starts(ids[order])
+            tables = np.split(local_index[dsts][order], starts[1:])
+            self._expansion.update(zip(uniq.tolist(), tables))
+        dst, vals, off = _counted_block(payload, off, self.value_codec)
+        self._fold(local_index[dst], vals)
+        # every mirrored record is expanded through its sender's table
+        sids, vals = decode_records(payload[off:], self.value_codec)
+        for sid, val in zip(sids.tolist(), vals):
+            local = self._expansion[sid]
+            self._fold(local, np.full(local.size, val, dtype=vals.dtype))

@@ -23,17 +23,21 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
+from repro.core.channels._edges import StaticEdges
+from repro.core.channels._records import decode_records, emit_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.runtime.serialization import INT32
-from repro.util import expand_ranges, group_starts
+from repro.util import csr_group, expand_ranges, group_starts
 
 __all__ = ["Propagation"]
 
 
-class Propagation(Channel):
+class Propagation(StaticEdges, Channel):
     """Propagate values to a global fixpoint within one superstep.
+
+    Its edges are a :class:`StaticEdges` set with one more column, the
+    weight ``edge_fn`` sees.
 
     Parameters
     ----------
@@ -47,6 +51,8 @@ class Propagation(Channel):
         contributions``.  Default propagates the source value unchanged.
     """
 
+    _EDGE_COLUMNS = {**StaticEdges._EDGE_COLUMNS, "edge_w": np.float64}
+
     def __init__(
         self,
         worker: Worker,
@@ -54,7 +60,8 @@ class Propagation(Channel):
         edge_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         max_local_hops: int | None = None,
     ) -> None:
-        super().__init__(worker)
+        Channel.__init__(self, worker)
+        self._init_edges()
         if combiner.ufunc is None:
             raise ValueError("Propagation requires a combiner with a NumPy ufunc")
         if max_local_hops is not None and max_local_hops < 1:
@@ -71,12 +78,7 @@ class Propagation(Channel):
         n = worker.num_local
         self._values = np.full(n, combiner.identity, dtype=combiner.codec.dtype)
         self._dirty: list[int] = []
-        # adjacency under construction
-        self._src: list[int] = []
-        self._dst: list[int] = []
-        self._w: list[float] = []
-        self._built = False
-        # finalized local CSR
+        # local CSR, built lazily from the edge set
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         self._edst_global = np.empty(0, dtype=np.int64)
         self._edst_local = np.empty(0, dtype=np.int64)  # -1 when remote
@@ -90,19 +92,16 @@ class Propagation(Channel):
     # -- setup ------------------------------------------------------------
     def add_edge(self, v: Vertex, dst: int, weight: float = 1.0) -> None:
         """Register a propagation edge ``v -> dst``."""
-        self._src.append(v.local)
-        self._dst.append(dst)
-        self._w.append(weight)
-        self._built = False
+        self.add_edges(v, (dst,), (weight,))
 
     def add_edges(self, v: Vertex, dsts: np.ndarray, weights: np.ndarray | None = None) -> None:
-        k = len(dsts)
-        self._src.extend([v.local] * k)
-        self._dst.extend(np.asarray(dsts).tolist())
+        src, dst, w = self._edges.rows
+        src.extend([v.local] * len(dsts))
+        dst.extend(np.asarray(dsts).tolist())
         if weights is None:
-            self._w.extend([1.0] * k)
+            w.extend([1.0] * len(dsts))
         else:
-            self._w.extend(np.asarray(weights, dtype=np.float64).tolist())
+            w.extend(np.asarray(weights, dtype=np.float64).tolist())
         self._built = False
 
     def set_value(self, v: Vertex, value) -> None:
@@ -127,8 +126,7 @@ class Propagation(Channel):
         Min-Label SCC) re-run propagation on a shrinking subgraph each
         iteration, which needs the channel to be re-seedable.
         """
-        self._src, self._dst, self._w = [], [], []
-        self._built = False
+        self._init_edges()
         self._values[:] = self.combiner.identity
         self._dirty = []
         self._pending_np = []
@@ -137,9 +135,7 @@ class Propagation(Channel):
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
         return {
-            "edge_src": np.asarray(self._src, dtype=np.int64),
-            "edge_dst": np.asarray(self._dst, dtype=np.int64),
-            "edge_w": np.asarray(self._w, dtype=np.float64),
+            **self._edges_snapshot(),
             "values": self._values.copy(),
             "dirty": list(self._dirty),
             "pending": [(d.copy(), v.copy()) for d, v in self._pending_np],
@@ -147,12 +143,7 @@ class Propagation(Channel):
         }
 
     def restore(self, state: dict) -> None:
-        # the local CSR is rebuilt lazily by _build(), deterministic
-        # given the same flat edge arrays
-        self._src = state["edge_src"].tolist()
-        self._dst = state["edge_dst"].tolist()
-        self._w = state["edge_w"].tolist()
-        self._built = False
+        self._edges_restore(state)
         self._values[...] = state["values"]
         self._dirty = list(state["dirty"])
         self._pending_np = [(d, v) for d, v in state["pending"]]
@@ -170,53 +161,31 @@ class Propagation(Channel):
                     "state; migration is only defined at a quiescent "
                     "superstep boundary"
                 )
-        values = ctx.remap_vertex_arrays([s["values"] for s in states])
-        src_g = np.concatenate(
-            [ctx.old_locals[w][s["edge_src"]] for w, s in enumerate(states)]
-        )
-        dst_g = np.concatenate([s["edge_dst"] for s in states])
-        weight = np.concatenate([s["edge_w"] for s in states])
-        out = []
-        for w, gids, (dsts, ws) in ctx.route(src_g, dst_g, weight):
-            out.append(
-                {
-                    "edge_src": ctx.localize(w, gids),
-                    "edge_dst": dsts,
-                    "edge_w": ws,
-                    "values": values[w],
-                    "dirty": [],
-                    "pending": [],
-                    "deferred": [],
-                }
-            )
-        return out
+        edges = self._edges_migrate(states, ctx)
+        values = ctx.remap_keys(states, ("values",))
+        return [
+            {**edges[w], **values[w], "dirty": [], "pending": [], "deferred": []}
+            for w in range(ctx.num_workers)
+        ]
 
     # -- structure -----------------------------------------------------------
     def _build(self) -> None:
-        n = self.worker.num_local
-        src = np.asarray(self._src, dtype=np.int64)
-        dst = np.asarray(self._dst, dtype=np.int64)
-        w = np.asarray(self._w, dtype=np.float64)
-        order = np.argsort(src, kind="stable")
-        src, dst, w = src[order], dst[order], w[order]
-        counts = np.bincount(src, minlength=n)
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
+        src, dst, w = self._checked_edges()
+        self._indptr, order = csr_group(src, self.worker.num_local)
+        dst = dst[order]
         self._edst_global = dst
-        self._eowner = self.worker.owner[dst] if dst.size else dst.copy()
+        self._eowner = self.worker.owner[dst]
         local = np.full(dst.size, -1, dtype=np.int64)
         mine = self._eowner == self.worker.worker_id
         if mine.any():
             local[mine] = self.worker._local_index[dst[mine]]
         self._edst_local = local
-        self._eweight = w
+        self._eweight = w[order]
         self._built = True
 
     # -- the local fixpoint (vectorized frontier relaxation) -------------------
     def _local_fixpoint(self, frontier: np.ndarray) -> None:
         values = self._values
-        combiner = self.combiner
-        ufunc = combiner.ufunc
         indptr = self._indptr
         hops = 0
         while frontier.size:
@@ -245,38 +214,24 @@ class Propagation(Channel):
             lmask = ~remote
             if not lmask.any():
                 return
-            tgt = tgt_local[lmask]
-            c = contrib[lmask]
-            order = np.argsort(tgt, kind="stable")
-            tgt_sorted, c_sorted = tgt[order], c[order]
-            uniq_tgt, starts = group_starts(tgt_sorted)
-            folded = ufunc.reduceat(c_sorted, starts)
-            new = ufunc(values[uniq_tgt], folded)
-            changed = new != values[uniq_tgt]
-            upd = uniq_tgt[changed]
-            values[upd] = new[changed]
-            frontier = upd
-            if upd.size:
-                self.worker.activate_local_bulk(upd)
+            frontier = self._apply(*self._fold_by_key(tgt_local[lmask], contrib[lmask]))
+            if frontier.size:
+                self.worker.activate_local_bulk(frontier)
 
-    def _pending_per_peer(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Combine flat pending (dst, value) pairs per unique destination
-        and split by owning worker; returns None when nothing is pending."""
-        if not self._pending_np:
-            return None
-        dst = np.concatenate([d for d, _ in self._pending_np])
-        val = np.concatenate([v for _, v in self._pending_np])
-        self._pending_np = []
-        order = np.argsort(dst, kind="stable")
-        dst, val = dst[order], val[order]
-        uniq, starts = group_starts(dst)
-        folded = self.combiner.ufunc.reduceat(val, starts)
-        owners = self.worker.owner[uniq]
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for peer in range(self.num_workers):
-            sel = owners == peer
-            out.append((uniq[sel], folded[sel]))
-        return out
+    def _apply(self, local: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+        """Fold ``contrib[i]`` into the value of (distinct) ``local[i]``;
+        returns the local indices whose value changed."""
+        old = self._values[local]
+        new = self.combiner.ufunc(old, contrib)
+        changed = new != old
+        self._values[local[changed]] = new[changed]
+        return local[changed]
+
+    def _fold_by_key(self, keys: np.ndarray, vals: np.ndarray):
+        """``(unique keys, combined value per key)``."""
+        order = np.argsort(keys, kind="stable")
+        uniq, starts = group_starts(keys[order])
+        return uniq, self.combiner.ufunc.reduceat(vals[order], starts)
 
     # -- round protocol -----------------------------------------------------
     def serialize(self) -> None:
@@ -287,36 +242,30 @@ class Propagation(Channel):
                 frontier = np.unique(np.asarray(self._dirty, dtype=np.int64))
                 self._dirty = []
                 self._local_fixpoint(frontier)
-        pending = self._pending_per_peer()
-        if pending is None:
+        if not self._pending_np:
             return
-        net_msgs = 0
-        for peer, (dst, val) in enumerate(pending):
-            if dst.size == 0:
-                continue
-            payload = dst.astype(np.int32).tobytes() + self.value_codec.encode_array(val)
-            self.emit(peer, payload)
-            if peer != self.worker.worker_id:
-                net_msgs += int(dst.size)
-        self.count_net_messages(net_msgs)
+        # pending remote contributions, combined per unique destination
+        uniq, folded = self._fold_by_key(
+            np.concatenate([d for d, _ in self._pending_np]),
+            np.concatenate([v for _, v in self._pending_np]),
+        )
+        self._pending_np = []
+        owners = self.worker.owner[uniq]
+        emit_records(
+            self,
+            (
+                (peer, uniq[owners == peer], folded[owners == peer])
+                for peer in range(self.num_workers)
+            ),
+        )
 
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
         worker = self.worker
-        itemsize = INT32.itemsize + self.value_codec.itemsize
         changed_all: list[np.ndarray] = []
         for _src, payload in payloads:
-            count = len(payload) // itemsize
-            dst = INT32.decode_array(payload[: count * INT32.itemsize]).astype(np.int64)
-            vals = self.value_codec.decode_array(payload[count * INT32.itemsize :], count)
-            local = worker._local_index[dst]
-            old = self._values[local]
-            new = self.combiner.ufunc(old, vals)
-            chg = new != old
-            if chg.any():
-                upd = local[chg]
-                self._values[upd] = new[chg]
-                changed_all.append(upd)
+            dst, vals = decode_records(payload, self.value_codec)
+            changed_all.append(self._apply(worker._local_index[dst], vals))
         if self._deferred:
             changed_all.extend(self._deferred)
             self._deferred = []

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
+from repro.core.channels._records import emit_payloads
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32, INT64
@@ -103,14 +104,14 @@ class RequestRespond(Channel):
             "asked": [a.copy() for a in self._asked],
         }
 
-    def restore(self, state: dict) -> None:
-        keys = state["resp_keys"].copy()
-        vals = state["resp_vals"].copy()
-        self._resp_keys = keys
-        self._resp_vals = vals
-        # same construction as _deserialize_responses, so lookups behave
-        # identically (struct-codec values come back as tuples either way)
+    def _set_responses(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        self._resp_keys, self._resp_vals = keys, vals
+        # one bulk pass builds the lookup; per-vertex reads are O(1) (and
+        # struct-codec values come back as tuples, received or restored)
         self._resp_map = dict(zip(keys.tolist(), vals.tolist()))
+
+    def restore(self, state: dict) -> None:
+        self._set_responses(state["resp_keys"].copy(), state["resp_vals"].copy())
         self._asked = [a.copy() for a in state["asked"]]
         self._requests = []
         self._requesters = []
@@ -142,24 +143,17 @@ class RequestRespond(Channel):
             self._serialize_responses()
 
     def _serialize_requests(self) -> None:
-        worker = self.worker
-        m = self.num_workers
-        if self._requests:
-            uniq = np.unique(np.asarray(self._requests, dtype=np.int64))
-            self._requests = []
-            owners = worker.owner[uniq]
-            net_msgs = 0
-            for peer in range(m):
-                mine = uniq[owners == peer]
-                self._asked[peer] = mine
-                if mine.size:
-                    self.emit(peer, mine.astype(np.int32).tobytes())
-                    if peer != worker.worker_id:
-                        net_msgs += int(mine.size)
-            self.count_net_messages(net_msgs)
-        else:
-            for peer in range(m):
-                self._asked[peer] = self._asked[peer][:0]
+        uniq = np.unique(np.asarray(self._requests, dtype=np.int64))
+        self._requests = []
+        owners = self.worker.owner[uniq]
+        self._asked = [uniq[owners == peer] for peer in range(self.num_workers)]
+        emit_payloads(
+            self,
+            (
+                (peer, INT32.encode_array(mine), mine.size)
+                for peer, mine in enumerate(self._asked)
+            ),
+        )
 
     def _serialize_responses(self) -> None:
         net_msgs = 0
@@ -228,21 +222,14 @@ class RequestRespond(Channel):
             keys.append(asked)
             vals.append(self.value_codec.decode_array(payload, asked.size))
         if keys:
-            k = np.concatenate(keys)
-            x = np.concatenate(vals)
-            self._resp_keys = k
-            self._resp_vals = x
-            # one bulk pass builds the lookup; per-vertex reads are O(1)
-            self._resp_map = dict(zip(k.tolist(), x.tolist()))
+            self._set_responses(np.concatenate(keys), np.concatenate(vals))
             # wake the vertices that asked — their answer is here
             if self._requesters:
                 worker.activate_local_bulk(
                     np.unique(np.asarray(self._requesters, dtype=np.int64))
                 )
         else:
-            self._resp_keys = self._resp_keys[:0]
-            self._resp_vals = self._resp_vals[:0]
-            self._resp_map = {}
+            self._set_responses(self._resp_keys[:0], self._resp_vals[:0])
         self._requesters = []
 
     def again(self) -> bool:

@@ -19,24 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.channel import Channel
+from repro.core.channels._edges import ScatterEdges
+from repro.core.channels._inbox import CombinedInbox
+from repro.core.channels._records import emit_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.runtime.serialization import INT32
 from repro.util import group_starts, stable_order
 
 __all__ = ["ScatterCombine"]
 
 
-def _flat(scalars: list[int], chunks: list[np.ndarray]) -> np.ndarray:
-    parts = ([np.asarray(scalars, dtype=np.int64)] if scalars else []) + chunks
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-class ScatterCombine(Channel):
+class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
     """Scatter one value per vertex along static edges, combine per receiver.
+
+    Static structure: :class:`ScatterEdges` (``add_edge[s][_bulk]``);
+    receive half: :class:`CombinedInbox` (``get_message[s]``,
+    ``has_message``); the send half is this class.
 
     Parameters
     ----------
@@ -47,30 +46,14 @@ class ScatterCombine(Channel):
         a NumPy ufunc; all built-ins do).
     """
 
-    def __init__(self, worker: Worker, combiner: Combiner, use_hash: bool = False) -> None:
-        super().__init__(worker)
-        self.combiner = combiner
-        self.value_codec = combiner.codec
-        #: ablation switch (D2 in DESIGN.md): combine per destination with
-        #: a hash map instead of the pre-sorted linear scan of Fig. 5
-        self.use_hash = use_hash
-        # edge collection phase (scalar appends + bulk array chunks)
-        self._edge_src: list[int] = []
-        self._edge_dst: list[int] = []
-        self._edge_src_chunks: list[np.ndarray] = []
-        self._edge_dst_chunks: list[np.ndarray] = []
-        self._built = False
-        # per-superstep state
-        self._values = np.full(
-            worker.num_local, combiner.identity, dtype=combiner.codec.dtype
-        )
+    def __init__(self, worker: Worker, combiner: Combiner) -> None:
+        Channel.__init__(self, worker)
+        self._init_inbox(combiner)
+        self._init_edges()
+        # per-superstep state: the value each vertex scatters, identity until set
+        self._values = self._slots.copy()
         self._sent_mask = np.zeros(worker.num_local, dtype=bool)
         self._dirty = False
-        # receive side
-        self._slots = np.full(
-            worker.num_local, combiner.identity, dtype=combiner.codec.dtype
-        )
-        self._has_msg = np.zeros(worker.num_local, dtype=bool)
         # static dispatch structure (built lazily)
         self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
         self._seg_starts: np.ndarray | None = None  # segment starts (per unique dst)
@@ -78,64 +61,20 @@ class ScatterCombine(Channel):
         self._uniq_positions: list[np.ndarray] = []  # per peer: positions in uniq order
 
     # -- setup (usually superstep 1) ----------------------------------------
-    def add_edge(self, v: Vertex, dst: int) -> None:
-        """Register a static edge from ``v`` to global vertex ``dst``."""
-        self._edge_src.append(v.local)
-        self._edge_dst.append(dst)
-        self._built = False
-
-    def add_edges(self, v: Vertex, dsts: np.ndarray) -> None:
-        """Register all of ``v``'s static out-edges at once."""
-        self._edge_src.extend([v.local] * len(dsts))
-        self._edge_dst.extend(np.asarray(dsts).tolist())
-        self._built = False
-
-    def add_edges_bulk(self, local_src: np.ndarray, dsts: np.ndarray) -> None:
-        """Register many edges in one call: ``local_src[i]`` (a *local*
-        sender index) scatters to global vertex ``dsts[i]``.  The bulk
-        analogue of calling :meth:`add_edges` over a whole frontier."""
-        local_src = np.asarray(local_src, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if local_src.shape != dsts.shape:
-            raise ValueError("local_src and dsts must have equal length")
-        self._edge_src_chunks.append(local_src)
-        self._edge_dst_chunks.append(dsts)
-        self._built = False
-
-    def _collected_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All registered edges so far, scalar appends first then bulk
-        chunks, as two flat int64 arrays.  A single registered chunk is
-        handed back as is, not copied: chunks are never written to, and
-        may be read-only views of the graph store."""
-        return (
-            _flat(self._edge_src, self._edge_src_chunks),
-            _flat(self._edge_dst, self._edge_dst_chunks),
-        )
-
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
-        src, dst = self._collected_edges()
-        num_vertices = self.worker.graph.num_vertices
-        # a negative id would wrap through owner[...] to the wrong worker
-        for what, ids, bound in (
-            ("destination", dst, num_vertices),
-            ("local sender index", src, self.worker.num_local),
-        ):
-            if ids.size and (ids.min() < 0 or ids.max() >= bound):
-                bad = ids[(ids < 0) | (ids >= bound)][0]
-                raise ValueError(f"{self!r}: edge {what} {bad} outside [0, {bound})")
-        order, dst_sorted = stable_order(dst, num_vertices)
+        src, dst = self._checked_edges()
+        order, dst_sorted = stable_order(dst, self.worker.graph.num_vertices)
         self._seg_edge_src = src[order]
         uniq_dst, starts = group_starts(dst_sorted)
         self._seg_starts = starts
-
         owners = self.worker.owner[uniq_dst]
-        self._uniq_dst_wire = []
-        self._uniq_positions = []
-        for peer in range(self.num_workers):
-            pos = np.flatnonzero(owners == peer)
-            self._uniq_positions.append(pos)
-            self._uniq_dst_wire.append(uniq_dst[pos].astype(np.int32))
+        self._uniq_positions = [
+            np.flatnonzero(owners == peer) for peer in range(self.num_workers)
+        ]
+        self._uniq_dst_wire = [
+            uniq_dst[pos].astype(np.int32) for pos in self._uniq_positions
+        ]
         self._built = True
 
     # -- per-superstep API ---------------------------------------------------
@@ -157,77 +96,37 @@ class ScatterCombine(Channel):
         self._sent_mask[local_idx] = True
         self._dirty = True
 
-    def get_message(self, v: Vertex):
-        """Combined value of everything scattered to ``v`` last superstep."""
-        return self._slots[v.local]
-
-    def get_messages(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, has_msg)`` views over all local vertices — the
-        combined value per local index plus a mask of who received
-        anything.  Treat both as read-only; they are rewritten on the next
-        exchange."""
-        return self._slots, self._has_msg
-
-    def has_message(self, v: Vertex) -> bool:
-        return bool(self._has_msg[v.local])
-
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
-        src, dst = self._collected_edges()
         return {
-            "edge_src": src,
-            "edge_dst": dst,
+            **self._edges_snapshot(),
             "values": self._values.copy(),
             "sent_mask": self._sent_mask.copy(),
             "dirty": self._dirty,
-            "slots": self._slots.copy(),
-            "has_msg": self._has_msg.copy(),
+            **self._inbox_snapshot(),
         }
 
     def restore(self, state: dict) -> None:
-        # the static dispatch structure is rebuilt lazily by _build(),
-        # which is deterministic given the same flat edge arrays
-        self._edge_src, self._edge_dst = [], []
-        self._edge_src_chunks = [state["edge_src"].copy()]
-        self._edge_dst_chunks = [state["edge_dst"].copy()]
-        self._built = False
+        self._edges_restore(state)
         self._values[...] = state["values"]
         self._sent_mask[...] = state["sent_mask"]
         self._dirty = state["dirty"]
-        self._slots[...] = state["slots"]
-        self._has_msg[...] = state["has_msg"]
+        self._inbox_restore(state)
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # per-vertex halves follow their vertices; the static edge sets
-        # are globalized through each old worker's local ids, routed by
-        # the new owner of the *sender*, and re-localized — _build() then
-        # re-derives the dispatch structure deterministically
-        values = ctx.remap_vertex_arrays([s["values"] for s in states])
-        sent = ctx.remap_vertex_arrays([s["sent_mask"] for s in states])
-        slots = ctx.remap_vertex_arrays([s["slots"] for s in states])
-        has_msg = ctx.remap_vertex_arrays([s["has_msg"] for s in states])
-        src_g = np.concatenate(
-            [ctx.old_locals[w][s["edge_src"]] for w, s in enumerate(states)]
-        )
-        dst_g = np.concatenate([s["edge_dst"] for s in states])
-        out = []
-        for w, gids, (dsts,) in ctx.route(src_g, dst_g):
-            out.append(
-                {
-                    "edge_src": ctx.localize(w, gids),
-                    "edge_dst": dsts,
-                    "values": values[w],
-                    "sent_mask": sent[w],
-                    # serialize round 0 always runs and clears _dirty, so
-                    # at a superstep boundary no worker is mid-scatter
-                    "dirty": any(s["dirty"] for s in states),
-                    "slots": slots[w],
-                    "has_msg": has_msg[w],
-                }
-            )
-        return out
+        # per-vertex halves follow their vertices, the edge set follows
+        # its senders — _build() then re-derives the dispatch structure
+        edges = self._edges_migrate(states, ctx)
+        sending = ctx.remap_keys(states, ("values", "sent_mask"))
+        inbox = self._inbox_migrate(states, ctx)
+        # (serialize round 0 clears _dirty: nobody is mid-scatter at a boundary)
+        dirty = any(s["dirty"] for s in states)
+        return [
+            {**edges[w], **sending[w], "dirty": dirty, **inbox[w]}
+            for w in range(ctx.num_workers)
+        ]
 
-    # -- round protocol -----------------------------------------------------
+    # -- round protocol (deserialize is CombinedInbox's) ----------------------
     def serialize(self) -> None:
         if self.round != 0 or not self._dirty:
             return
@@ -238,68 +137,14 @@ class ScatterCombine(Channel):
         self._sent_mask[:] = False
         if self._seg_edge_src.size == 0:
             return
-        if self.use_hash:
-            combined = self._hash_combine()
-        else:
-            # Fig. 5: one linear pass over the pre-sorted edges produces
-            # the combined message value for every unique destination.
-            per_edge = self._values[self._seg_edge_src]
-            combined = self.combiner.reduceat(per_edge, self._seg_starts)
-        net_msgs = 0
-        for peer in range(self.num_workers):
-            pos = self._uniq_positions[peer]
-            if pos.size == 0:
-                continue
-            payload = self._uniq_dst_wire[peer].tobytes() + self.value_codec.encode_array(
-                combined[pos]
-            )
-            self.emit(peer, payload)
-            if peer != self.worker.worker_id:
-                net_msgs += int(pos.size)
-        self.count_net_messages(net_msgs)
-
-    def _hash_combine(self) -> np.ndarray:
-        """D2 ablation: the general-case per-message hash combining that a
-        basic message channel performs — one lookup and one combine per
-        edge.  Because the edges are iterated in sorted-destination order,
-        dict insertion order equals the sorted-unique order the linear
-        scan produces, so results are identical; only the cost differs."""
-        assert self._seg_edge_src is not None and self._seg_starts is not None
-        fn = self.combiner.fn
-        values = self._values
-        # per-edge destinations in sorted order, rebuilt on demand from
-        # the wire ids: the linear scan never needs them, so _build does
-        # not retain an int64 per edge for this ablation
-        uniq_dst = np.empty(self._seg_starts.size, dtype=np.int64)
-        for pos, wire in zip(self._uniq_positions, self._uniq_dst_wire):
-            uniq_dst[pos] = wire
-        edge_dst = np.repeat(
-            uniq_dst, np.diff(self._seg_starts, append=self._seg_edge_src.size)
+        # Fig. 5: one linear pass over the pre-sorted edges produces
+        # the combined message value for every unique destination.
+        per_edge = self._values[self._seg_edge_src]
+        combined = self.combiner.reduceat(per_edge, self._seg_starts)
+        emit_records(
+            self,
+            (
+                (peer, self._uniq_dst_wire[peer], combined[pos])
+                for peer, pos in enumerate(self._uniq_positions)
+            ),
         )
-        table: dict = {}
-        for dst, src in zip(edge_dst.tolist(), self._seg_edge_src.tolist()):
-            val = values[src]
-            if dst in table:
-                table[dst] = fn(table[dst], val)
-            else:
-                table[dst] = val
-        return np.fromiter(
-            table.values(), dtype=self.value_codec.dtype, count=len(table)
-        )
-
-    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
-        self.round += 1
-        worker = self.worker
-        self._slots[:] = self.combiner.identity
-        self._has_msg[:] = False
-        if not payloads:
-            return
-        itemsize = INT32.itemsize + self.value_codec.itemsize
-        for _src, payload in payloads:
-            count = len(payload) // itemsize
-            dst = INT32.decode_array(payload[: count * INT32.itemsize]).astype(np.int64)
-            vals = self.value_codec.decode_array(payload[count * INT32.itemsize :], count)
-            local = worker._local_index[dst]
-            self.combiner.accumulate_at(self._slots, local, vals)
-            self._has_msg[local] = True
-        worker.activate_local_bulk(np.flatnonzero(self._has_msg))

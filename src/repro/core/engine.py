@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.channel import Channel
 from repro.core.recovery import FailureSchedule, FrameLog
 from repro.core.worker import Worker
 from repro.graph.graph import Graph
@@ -336,6 +337,14 @@ class ChannelEngine:
                 "programs must construct the same channels on every worker"
             )
         self.num_channels = nchan.pop()
+        if rebalance == "superstep":
+            # fail here, not supersteps later when the first migration fires
+            for channel in self.workers[0].channels:
+                if type(channel).migrate_states is Channel.migrate_states:
+                    raise ValueError(
+                        f"rebalance='superstep' needs channels that can migrate; "
+                        f"{type(channel).__name__} does not implement migrate_states()"
+                    )
 
     # -- option validation (single source of truth; the CLI calls this too) --
     @staticmethod

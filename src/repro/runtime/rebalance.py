@@ -297,10 +297,6 @@ class MigrationContext:
             np.flatnonzero(self.new_owner == w) for w in range(self.num_workers)
         ]
 
-    @classmethod
-    def from_owners(cls, old_owner, new_owner, num_workers) -> "MigrationContext":
-        return cls(old_owner, new_owner, num_workers)
-
     # -- per-vertex arrays ---------------------------------------------------
     def gather(self, arrays: list[np.ndarray]) -> np.ndarray:
         """Stitch per-old-worker local arrays into one global array."""
@@ -316,6 +312,16 @@ class MigrationContext:
 
     def remap_vertex_arrays(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
         return self.scatter(self.gather(arrays))
+
+    def remap_keys(self, states: list[dict], keys) -> list[dict]:
+        """Per new worker, ``{key: remapped per-vertex array}`` for the
+        per-vertex arrays stored under ``keys`` in every old worker's
+        state dict."""
+        cols = [self.remap_vertex_arrays([s[key] for s in states]) for key in keys]
+        return [
+            {key: col[w] for key, col in zip(keys, cols)}
+            for w in range(self.num_workers)
+        ]
 
     # -- row-keyed payloads (edges, message inboxes) -------------------------
     def route(self, gids: np.ndarray, *payloads: np.ndarray):
@@ -368,10 +374,9 @@ def remap_worker_states(states: list[dict], ctx: MigrationContext, channels) -> 
             for w in range(num):
                 out[w]["program"][key] = vals[w]
 
-    for key in ("halted", "woken"):
-        remapped = ctx.remap_vertex_arrays([s["flags"][key] for s in states])
-        for w in range(num):
-            out[w]["flags"][key] = remapped[w]
+    flags = ctx.remap_keys([s["flags"] for s in states], ("halted", "woken"))
+    for w in range(num):
+        out[w]["flags"] = flags[w]
 
     for cid, channel in enumerate(channels):
         migrated = channel.migrate_states([s["channels"][cid] for s in states], ctx)

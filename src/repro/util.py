@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_ranges", "group_starts", "stable_order"]
+__all__ = ["csr_group", "expand_ranges", "group_starts", "stable_order"]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -71,3 +71,13 @@ def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     order = packed & ((1 << shift) - 1)
     packed >>= shift
     return order, packed
+
+
+def csr_group(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by integer key in ``[0, bound)``, CSR style: returns
+    ``(indptr, order)`` such that the rows with key ``k`` are
+    ``order[indptr[k]:indptr[k + 1]]``, in their original order."""
+    order, sorted_keys = stable_order(keys, bound)
+    indptr = np.zeros(bound + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sorted_keys, minlength=bound), out=indptr[1:])
+    return indptr, order

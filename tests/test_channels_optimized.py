@@ -1,6 +1,9 @@
 """Unit tests for the optimized channels: ScatterCombine, RequestRespond,
 Propagation (Table II)."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core import (
     CombinedMessage,
     MIN_F64,
     MIN_I64,
+    MirroredScatter,
     Propagation,
     RequestRespond,
     ScatterCombine,
@@ -166,16 +170,23 @@ class TestScatterCombine:
         assert results["scatter"] == results["basic"]
 
     def test_hash_ablation_matches_linear_scan(self):
-        """The D2 ablation rebuilds its per-edge destinations on demand
-        from the routing tables; with exact (integer) arithmetic its
-        values, their order on the wire and the traffic must equal the
-        linear scan's."""
+        """The D2 ablation (a ScatterCombine subclass that lives with its
+        one caller, benchmarks/bench_ablations.py) combines per edge
+        through a hash table; with exact (integer) arithmetic its values,
+        their order on the wire and the traffic must equal the linear
+        scan's."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_ablations",
+            Path(__file__).resolve().parent.parent / "benchmarks" / "bench_ablations.py",
+        )
+        bench_ablations = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_ablations)
 
-        def scatter(use_hash):
+        def scatter(channel):
             class P(VertexProgram):
                 def __init__(self, worker):
                     super().__init__(worker)
-                    self.msg = ScatterCombine(worker, SUM_I64, use_hash=use_hash)
+                    self.msg = channel(worker, SUM_I64)
                     self.got = {}
 
                 def compute(self, v):
@@ -194,8 +205,21 @@ class TestScatterCombine:
             res = run(rmat(7, edge_factor=5, seed=4), P, workers=3)
             return res.data, res.metrics.total_net_bytes, res.metrics.total_messages
 
-        hashed, scanned = scatter(True), scatter(False)
+        hashed = scatter(bench_ablations.HashScatterCombine)
+        scanned = scatter(ScatterCombine)
         assert hashed == scanned and len(hashed[0]) > 64
+
+
+#: every channel that owns a static edge set
+STATIC_EDGE_CHANNELS = pytest.mark.parametrize(
+    "channel",
+    [
+        lambda w: ScatterCombine(w, SUM_F64),
+        lambda w: MirroredScatter(w, SUM_F64),
+        lambda w: Propagation(w, MIN_F64),
+    ],
+    ids=["ScatterCombine", "MirroredScatter", "Propagation"],
+)
 
 
 class TestScatterCombineBuild:
@@ -280,7 +304,7 @@ class TestScatterCombineBuild:
         dst.setflags(write=False)  # a store view is read-only too
         ch = ScatterCombine(worker, SUM_F64)
         ch.add_edges_bulk(src, dst)
-        got_src, got_dst = ch._collected_edges()
+        got_src, got_dst = ch._edges.flat()
         assert got_src is src and got_dst is dst
         self._tables(ch)  # the build only reads them
 
@@ -328,6 +352,7 @@ class TestScatterCombineBuild:
                 np.testing.assert_array_equal(snap[key], copy[key])
                 np.testing.assert_array_equal(after[key], copy[key])
 
+    @STATIC_EDGE_CHANNELS
     @pytest.mark.parametrize(
         "src, dst, what, bad",
         [
@@ -338,31 +363,41 @@ class TestScatterCombineBuild:
         ],
         ids=["dst-negative", "dst-too-large", "src-negative", "src-too-large"],
     )
-    def test_out_of_range_ids_fail_at_build_by_name(self, src, dst, what, bad):
-        """Regression: a negative destination used to wrap through
-        ``owner[...]`` and be routed to the wrong worker; one past the end
-        died with a bare IndexError deep in ``_build``."""
+    def test_out_of_range_ids_fail_at_build_by_name(
+        self, request, channel, src, dst, what, bad
+    ):
+        """Regression, on every channel with a static edge set: a negative
+        id used to wrap through ``owner[...]`` / ``_local_index[...]`` and
+        run silently to a wrong answer; one past the end died with a bare
+        IndexError deep in ``_build``."""
         worker = self._worker()
         assert worker.graph.num_vertices == 64
-        ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(np.array(src), np.array(dst))
+        ch = channel(worker)
+        v = worker._vertex
+        for v.local, d in zip(src, dst):  # the one surface all three share
+            ch.add_edge(v, d)
         with pytest.raises(ValueError) as err:
             ch._build()
         msg = str(err.value)
-        assert "ScatterCombine" in msg and what in msg and f" {bad} " in msg
+        name = request.node.callspec.id.split("-")[-1]
+        assert name in msg and what in msg and f" {bad} " in msg
         bound = 64 if what == "destination" else worker.num_local
         assert f"[0, {bound})" in msg
         assert not ch._built
 
-    def test_out_of_range_scalar_edge_fails_on_first_serialize(self):
+    @STATIC_EDGE_CHANNELS
+    def test_out_of_range_scalar_edge_fails_on_first_serialize(self, channel):
         class P(VertexProgram):
             def __init__(self, worker):
                 super().__init__(worker)
-                self.msg = ScatterCombine(worker, SUM_F64)
+                self.msg = channel(worker)
 
             def compute(self, v):
                 self.msg.add_edge(v, -1)
-                self.msg.set_message(v, 1.0)
+                if isinstance(self.msg, Propagation):
+                    self.msg.set_value(v, 1.0)
+                else:
+                    self.msg.set_message(v, 1.0)
 
         engine = ChannelEngine(line_graph(4), P, num_workers=2)
         with pytest.raises(ValueError, match=r"destination -1 outside \[0, 4\)"):

@@ -106,7 +106,7 @@ class TestDirectMessage:
             def compute(self, v):
                 if self.step_num == 1:
                     if v.id == 0:
-                        self.msg.send_message_bulk(
+                        self.msg.send_messages(
                             np.array([1, 2, 1]), np.array([5, 6, 7])
                         )
                 else:

@@ -114,7 +114,7 @@ class TestCLI:
 
     def test_run_partitioned(self, capsys):
         rc = cli_main(
-            ["run", "wcc", "--dataset", "facebook", "--variant", "prop", "--partitioned"]
+            ["run", "wcc", "--dataset", "facebook", "--variant", "prop", "--partition", "metis"]
         )
         assert rc == 0
 

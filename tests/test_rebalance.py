@@ -356,6 +356,29 @@ def test_migration_records_trace_instants_and_summary():
     assert summary["rebalanced_arcs"] == m.rebalanced_arcs
 
 
+def test_unmigratable_channel_is_rejected_at_engine_build():
+    """A channel that inherits the raising ``Channel.migrate_states``
+    (MirroredScatter) used to fail only when the first migration fired,
+    supersteps into the run; the armed engine now refuses to build."""
+    graph, _ = WORKLOADS["pr-scatter"]
+    with pytest.raises(ValueError, match="MirroredScatter does not implement migrate"):
+        run_pagerank(graph, variant="mirror", num_workers=2, rebalance="superstep")
+    # unarmed, the same program runs
+    assert run_pagerank(graph, variant="mirror", num_workers=2, iterations=2)[-1].supersteps
+
+
+def test_cli_rejects_unmigratable_channel_as_bad_options(capsys):
+    from repro.__main__ import main as cli_main
+
+    rc = cli_main(
+        ["run", "pagerank", "--dataset", "wikipedia", "--variant", "mirror",
+         "--rebalance", "superstep"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad run options" in err and "MirroredScatter" in err
+
+
 # ---------------------------------------------------------------------------
 # epoch trigger over a mutation stream
 # ---------------------------------------------------------------------------

@@ -332,22 +332,15 @@ class TestCLIRecovery:
         assert out["messages"] == base["messages"]
         assert out["net_bytes"] == base["net_bytes"]
 
-    def test_cli_partitioned_alias_conflicts_with_partition(self, capsys):
+    def test_cli_partitioned_alias_is_rejected(self, capsys):
+        """The deprecated ``--partitioned`` alias is gone; ``--partition
+        metis`` is the one spelling."""
         from repro.__main__ import main as cli_main
 
-        rc = cli_main(
-            [
-                "run",
-                "wcc",
-                "--dataset",
-                "facebook",
-                "--partitioned",
-                "--partition",
-                "range",
-            ]
-        )
-        assert rc == 2
-        assert "conflicts" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "wcc", "--dataset", "facebook", "--partitioned"])
+        assert exc.value.code == 2
+        assert "--partitioned" in capsys.readouterr().err
 
     def test_cli_partition_choices(self, capsys):
         import json
