@@ -21,14 +21,16 @@ def main():
     print(f"input: {graph}\n")
     print(f"{'program':28s} {'sim time':>9s} {'net MB':>8s} {'supersteps':>10s}")
 
+    # the comparison is between per-vertex programs, like Table VI: pin the
+    # listings (run_sv's default is the several-times-faster columnar port)
     rows = []
     labels_ref = None
     for name, run in [
         ("pregel+ (reqresp)", lambda: run_sv_pregel(graph, mode="reqresp", num_workers=8)),
-        ("channel (basic)", lambda: run_sv(graph, variant="basic", num_workers=8)),
-        ("channel (request-respond)", lambda: run_sv(graph, variant="reqresp", num_workers=8)),
-        ("channel (scatter-combine)", lambda: run_sv(graph, variant="scatter", num_workers=8)),
-        ("channel (both)", lambda: run_sv(graph, variant="both", num_workers=8)),
+        ("channel (basic)", lambda: run_sv(graph, variant="basic", mode="scalar", num_workers=8)),
+        ("channel (request-respond)", lambda: run_sv(graph, variant="reqresp", mode="scalar", num_workers=8)),
+        ("channel (scatter-combine)", lambda: run_sv(graph, variant="scatter", mode="scalar", num_workers=8)),
+        ("channel (both)", lambda: run_sv(graph, variant="both", mode="scalar", num_workers=8)),
     ]:
         labels, result = run()
         if labels_ref is None:

@@ -16,6 +16,7 @@ from repro.algorithms.pointer_jumping import (
     run_pointer_jumping,
     PointerJumpingBasic,
     PointerJumpingReqResp,
+    PointerJumpingReqRespBulk,
 )
 from repro.algorithms.wcc import run_wcc, WCCBasic, WCCBasicBulk, WCCPropagation
 from repro.algorithms.sssp import run_sssp, SSSPBasic, SSSPBasicBulk, SSSPPropagation
@@ -37,6 +38,7 @@ __all__ = [
     "run_pointer_jumping",
     "PointerJumpingBasic",
     "PointerJumpingReqResp",
+    "PointerJumpingReqRespBulk",
     "run_wcc",
     "WCCBasic",
     "WCCBasicBulk",

@@ -8,7 +8,8 @@ produce).
 * ``PointerJumpingBasic`` — request/reply with two ``DirectMessage``
   channels: one jump costs two supersteps (ask, answer).
 * ``PointerJumpingReqResp`` — the ``RequestRespond`` channel: dedup'd
-  requests, positional responses, one superstep per jump.
+  requests, positional responses, one superstep per jump;
+  ``PointerJumpingReqRespBulk`` is its columnar port (``mode="bulk"``).
 
 Wire sizes match the paper's setup: parent pointers travel as ``int32``
 ("the smallest one is just an int").
@@ -18,12 +19,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
-from repro.core import ChannelEngine, DirectMessage, RequestRespond, Vertex, VertexProgram
+from repro.algorithms._common import gather, resolve_mode
+from repro.core import (
+    BulkVertexProgram,
+    ChannelEngine,
+    DirectMessage,
+    RequestRespond,
+    Vertex,
+    VertexProgram,
+)
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
 
-__all__ = ["PointerJumpingBasic", "PointerJumpingReqResp", "run_pointer_jumping"]
+__all__ = [
+    "PointerJumpingBasic",
+    "PointerJumpingReqResp",
+    "PointerJumpingReqRespBulk",
+    "run_pointer_jumping",
+]
 
 
 def _init_parent(v: Vertex) -> int:
@@ -112,14 +125,42 @@ class PointerJumpingReqResp(VertexProgram):
         return self.vertex_results(self.D)
 
 
-def run_pointer_jumping(graph: Graph, variant: str = "basic", **engine_kwargs):
+class PointerJumpingReqRespBulk(BulkVertexProgram, PointerJumpingReqResp):
+    """Bulk port of :class:`PointerJumpingReqResp`: every unfinished
+    vertex jumps in one pass over the active set."""
+
+    def compute_bulk(self, active: np.ndarray) -> None:
+        worker = self.worker
+        if self.step_num == 1:
+            adj = worker.local_adjacency("out")
+            # the parent is the first out-edge; a vertex without one is a root
+            p = worker.local_ids[active]
+            gp = p.copy()
+            has_parent = adj.degrees[active] > 0
+            gp[has_parent] = adj.indices[adj.indptr[active[has_parent]]]
+        else:
+            p = self.D[active]
+            gp = self.rr.get_responds(p)
+        self.D[active] = gp
+        done = gp == p
+        worker.halt_bulk(active[done])
+        self.rr.add_requests(active[~done], gp[~done])
+
+
+_VARIANTS = {
+    "basic": {"scalar": PointerJumpingBasic},
+    "reqresp": {"scalar": PointerJumpingReqResp, "bulk": PointerJumpingReqRespBulk},
+}
+
+
+def run_pointer_jumping(
+    graph: Graph, variant: str = "basic", mode: str = "scalar", **engine_kwargs
+):
     """Run pointer jumping; returns ``(roots, EngineResult)``.
 
-    ``variant`` is ``"basic"`` or ``"reqresp"``.
+    ``variant`` is ``"basic"`` or ``"reqresp"``; ``mode="bulk"`` selects
+    the columnar compute path (``"reqresp"`` only).
     """
-    program = {
-        "basic": PointerJumpingBasic,
-        "reqresp": PointerJumpingReqResp,
-    }[variant]
+    program = resolve_mode(_VARIANTS, variant, mode)
     result = ChannelEngine(graph, program, **engine_kwargs).run()
     return gather(result, graph.num_vertices), result

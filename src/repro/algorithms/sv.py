@@ -23,15 +23,21 @@ root update         CombinedMessage(MIN)        (already optimal)
 ``make_sv_program(use_reqresp, use_scatter)`` yields the four Table VI
 variants.  A round costs 4 supersteps with the request/reply emulation
 and 3 with the RequestRespond channel.
+
+Each variant exists twice: the per-vertex listing (``mode="scalar"``, the
+paper's program text) and its columnar port (``mode="bulk"``), which runs
+every phase over the whole active set and is bit-identical to it in
+results, traffic and checkpoint bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, resolve_mode
 from repro.core import (
     Aggregator,
+    BulkVertexProgram,
     ChannelEngine,
     CombinedMessage,
     DirectMessage,
@@ -44,14 +50,23 @@ from repro.core import (
 )
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
+from repro.util import expand_ranges
 
 __all__ = ["make_sv_program", "run_sv", "SV_VARIANTS"]
 
-SV_VARIANTS = ("basic", "reqresp", "scatter", "both")
+#: variant -> (use_reqresp, use_scatter)
+_FLAGS = {
+    "basic": (False, False),
+    "reqresp": (True, False),
+    "scatter": (False, True),
+    "both": (True, True),
+}
+SV_VARIANTS = tuple(_FLAGS)
 
 
-class _SVBase(VertexProgram):
-    """Shared S-V logic; channel choices come from class flags."""
+class _SVChannels(VertexProgram):
+    """What the scalar and bulk programs share: channels chosen by class
+    flags, state arrays, the phase cycle."""
 
     use_reqresp = False
     use_scatter = False
@@ -86,6 +101,13 @@ class _SVBase(VertexProgram):
 
     def _phase(self) -> int:
         return (self.step_num - 1) % self.cycle + 1
+
+    def finalize(self) -> dict:
+        return self.vertex_results(self.D)
+
+
+class _SVBase(_SVChannels):
+    """The per-vertex listing."""
 
     # -- per-phase actions -----------------------------------------------------
     def _start_round(self, v: Vertex) -> None:
@@ -167,28 +189,108 @@ class _SVBase(VertexProgram):
             else:
                 self._apply_updates(v)
 
-    def finalize(self) -> dict:
-        return self.vertex_results(self.D)
+
+class _SVBulk(BulkVertexProgram, _SVChannels):
+    """Columnar port of :class:`_SVBase`: each phase over the whole active
+    set, records in the order the per-vertex loop emits them."""
+
+    def _start_round(self, active: np.ndarray) -> None:
+        """Phase 1: ask for the grandparent, broadcast D to neighbors."""
+        adj = self.worker.local_adjacency("out")
+        if self.step_num == 1:
+            self.D[active] = self.worker.local_ids[active]
+            if self.use_scatter:
+                src = np.repeat(np.arange(self.num_local, dtype=np.int64), adj.degrees)
+                self.bcast.add_edges_bulk(src, adj.indices)
+        elif self.agg.result() == 0:
+            self.worker.halt_bulk(active)
+            return
+        d = self.D[active]
+        if self.use_reqresp:
+            self.rr.add_requests(active, d)
+        else:
+            self.req.send_messages(d, self.worker.local_ids[active])
+        if self.use_scatter:
+            self.bcast.set_messages(active, d)
+        else:
+            self.bcast.send_messages(
+                adj.gather(active), np.repeat(d, adj.degrees[active])
+            )
+
+    def _answer_and_gather(self, active: np.ndarray) -> None:
+        """Phase 2 (basic only): answer pointer requests, store the
+        neighborhood minimum."""
+        indptr, requesters = self.req.get_messages()
+        counts = np.diff(indptr)[active]
+        self.reply.send_messages(
+            requesters[expand_ranges(indptr[active], counts)],
+            np.repeat(self.D[active], counts),
+        )
+        self.tmin[active] = self.bcast.get_messages()[0][active]
+
+    def _merge_or_jump(self, active: np.ndarray, gp: np.ndarray, t: np.ndarray) -> None:
+        """The branch of the Palgol listing: tree merging vs jumping."""
+        d = self.D[active]
+        at_root = gp == d
+        # parent is a root: propose the neighborhood minimum to it
+        propose = at_root & (t < d)
+        self.upd.send_messages(d[propose], t[propose])
+        # pointer jumping (path halving)
+        jump = active[~at_root]
+        self.D[jump] = gp[~at_root]
+        self.changed[jump] = 1
+
+    def _apply_updates(self, active: np.ndarray) -> None:
+        """Last phase: roots adopt the minimum proposal; count changes."""
+        delta = self.changed[active].astype(np.int64)
+        self.changed[active] = 0
+        m = self.upd.get_messages()[0][active]
+        adopt = m < self.D[active]
+        self.D[active[adopt]] = m[adopt]
+        self.agg.add_bulk(delta + adopt)
+
+    def compute_bulk(self, active: np.ndarray) -> None:
+        phase = self._phase()
+        if phase == 1:
+            self._start_round(active)
+        elif phase == self.cycle:
+            self._apply_updates(active)
+        elif self.use_reqresp:
+            gp = self.rr.get_responds(self.D[active])
+            self._merge_or_jump(active, gp, self.bcast.get_messages()[0][active])
+        elif phase == 2:
+            self._answer_and_gather(active)
+        else:
+            indptr, replies = self.reply.get_messages()
+            self._merge_or_jump(active, replies[indptr[active]], self.tmin[active])
 
 
-def make_sv_program(use_reqresp: bool = False, use_scatter: bool = False):
-    """Build the S-V program class for one of the four channel combos."""
+def make_sv_program(use_reqresp: bool = False, use_scatter: bool = False, base=_SVBase):
+    """Build the S-V program class for one of the four channel combos
+    (``base`` is the per-vertex :class:`_SVBase` or the columnar
+    :class:`_SVBulk`)."""
     name = f"SV_{'rr' if use_reqresp else 'msg'}_{'sc' if use_scatter else 'cm'}"
-    return type(name, (_SVBase,), {"use_reqresp": use_reqresp, "use_scatter": use_scatter})
+    return type(name, (base,), {"use_reqresp": use_reqresp, "use_scatter": use_scatter})
 
 
-def run_sv(graph: Graph, variant: str = "basic", **engine_kwargs):
+_VARIANTS = {
+    variant: {
+        "scalar": make_sv_program(*flags),
+        "bulk": make_sv_program(*flags, base=_SVBulk),
+    }
+    for variant, flags in _FLAGS.items()
+}
+
+
+def run_sv(graph: Graph, variant: str = "basic", mode: str = "bulk", **engine_kwargs):
     """Run S-V connected components; returns ``(labels, EngineResult)``.
 
     ``labels[v]`` is the minimum vertex id of v's component.  ``variant``
-    is one of ``basic`` / ``reqresp`` / ``scatter`` / ``both``.
+    is one of ``basic`` / ``reqresp`` / ``scatter`` / ``both``; ``mode``
+    selects the columnar port (``"bulk"``, the default: it is bit-identical
+    to the listing in results and traffic) or the paper's per-vertex
+    listing (``"scalar"``).
     """
-    flags = {
-        "basic": (False, False),
-        "reqresp": (True, False),
-        "scatter": (False, True),
-        "both": (True, True),
-    }[variant]
-    program = make_sv_program(*flags)
+    program = resolve_mode(_VARIANTS, variant, mode)
     result = ChannelEngine(graph, program, **engine_kwargs).run()
     return gather(result, graph.num_vertices), result

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels._records import RecordBuffer
+from repro.core.channels._records import RecordBuffer, check_ids
 from repro.core.vertex import Vertex
 
 __all__ = ["ScatterEdges", "StaticEdges"]
@@ -40,13 +40,8 @@ class StaticEdges:
     def _checked_edges(self) -> tuple[np.ndarray, ...]:
         """Every registered edge, one flat array per column, ids verified."""
         columns = self._edges.flat()
-        for what, ids, bound in (
-            ("destination", columns[1], self.worker.graph.num_vertices),
-            ("local sender index", columns[0], self.worker.num_local),
-        ):
-            if ids.size and (ids.min() < 0 or ids.max() >= bound):
-                bad = ids[(ids < 0) | (ids >= bound)][0]
-                raise ValueError(f"{self!r}: edge {what} {bad} outside [0, {bound})")
+        check_ids(self, "edge destination", columns[1], self.worker.graph.num_vertices)
+        check_ids(self, "edge local sender index", columns[0], self.worker.num_local)
         return columns
 
     # -- checkpointing (the edge set's keys of the channel's snapshot) ---------

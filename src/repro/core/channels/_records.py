@@ -41,6 +41,16 @@ def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.nd
     )
 
 
+def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
+    """Raise a ``ValueError`` naming the channel and the first of ``ids``
+    outside ``[0, bound)``.  Ids index dense arrays (``owner[...]``,
+    ``_local_index[...]``), where a negative one would wrap around to a
+    wrong answer instead of failing."""
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        bad = ids[(ids < 0) | (ids >= bound)][0]
+        raise ValueError(f"{channel!r}: {what} {bad} outside [0, {bound})")
+
+
 def emit_payloads(channel: Channel, payloads: Iterable[tuple[int, bytes, int]]) -> None:
     """The per-peer send loop: emit every ``(peer, payload, messages)``
     that carries a message, and account those that cross the network."""

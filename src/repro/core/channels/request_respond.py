@@ -1,8 +1,9 @@
 """``RequestRespond``: two-round request/response conversations (Fig. 6).
 
 A vertex asks for an attribute of any other vertex with ``add_request``;
-the answer is available via ``get_respond`` in the next superstep.  Two
-optimizations over naive messaging, both from the paper:
+the answer is available via ``get_respond`` in the next superstep
+(``add_requests`` / ``get_responds`` are the array forms bulk programs
+use).  Two optimizations over naive messaging, both from the paper:
 
 * **per-worker request dedup** — duplicate requests for the same
   destination collapse into one wire record, so a high-degree responder
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
-from repro.core.channels._records import emit_payloads
+from repro.core.channels._records import RecordBuffer, check_ids, emit_payloads
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32, INT64
@@ -64,8 +65,10 @@ class RequestRespond(Channel):
         #: responses instead of positional bare values
         self.echo_ids = echo_ids
         self._vertex = Vertex(worker)  # responder-side handle
-        self._requests: list[int] = []
-        self._requesters: list[int] = []
+        #: this superstep's (requester local index, requested id) rows
+        self._pending = RecordBuffer(np.int64, np.int64)
+        # who to wake when the answers arrive
+        self._requesters = np.empty(0, dtype=np.int64)
         # round-0 bookkeeping: what we asked each peer for (sorted unique)
         self._asked: list[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in range(worker.num_workers)
@@ -77,24 +80,63 @@ class RequestRespond(Channel):
         # results readable next superstep
         self._resp_keys = np.empty(0, dtype=np.int64)
         self._resp_vals = np.empty(0, dtype=codec.dtype)
-        self._resp_map: dict = {}
+        self._resp_map: dict | None = None  # scalar lookup, built on first use
 
     # -- requesting (during compute) ------------------------------------
     def add_request(self, v: Vertex, dst: int) -> None:
         """Request the attribute of global vertex ``dst`` on behalf of ``v``."""
-        self._requests.append(dst)
-        self._requesters.append(v.local)
+        requesters, dsts = self._pending.rows
+        requesters.append(v.local)
+        dsts.append(dst)
+
+    def add_requests(self, local_idx: np.ndarray, dsts: np.ndarray) -> None:
+        """Array form of :meth:`add_request`: local vertex ``local_idx[i]``
+        requests the attribute of global vertex ``dsts[i]``."""
+        local_idx = np.asarray(local_idx, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        if local_idx.shape != dsts.shape:
+            raise ValueError("local_idx and dsts must have equal length")
+        self._pending.add_chunk(local_idx, dsts)
 
     # -- reading (next superstep) -------------------------------------------
     def get_respond(self, dst: int):
         """The responder's value for ``dst`` (requested last superstep)."""
         try:
-            return self._resp_map[dst]
+            return self._lookup()[dst]
         except KeyError:
-            raise KeyError(f"vertex {dst} was not requested last superstep") from None
+            raise self._not_requested(dst) from None
+
+    def get_responds(self, dsts: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`get_respond`: the responders' values for
+        ``dsts``, each of which must have been requested last superstep."""
+        dsts = np.asarray(dsts, dtype=np.int64)
+        keys = self._resp_keys
+        if keys.size == 0:
+            if dsts.size:
+                raise self._not_requested(int(dsts[0]))
+            return self._resp_vals[:0]
+        pos = np.searchsorted(keys, dsts)
+        np.minimum(pos, keys.size - 1, out=pos)
+        missing = keys[pos] != dsts
+        if missing.any():
+            raise self._not_requested(int(dsts[missing][0]))
+        return self._resp_vals[pos]
 
     def has_respond(self, dst: int) -> bool:
-        return dst in self._resp_map
+        return dst in self._lookup()
+
+    def _lookup(self) -> dict:
+        if self._resp_map is None:
+            # one bulk pass builds the lookup; per-vertex reads are O(1) (and
+            # struct-codec values come back as tuples, received or restored)
+            self._resp_map = dict(
+                zip(self._resp_keys.tolist(), self._resp_vals.tolist())
+            )
+        return self._resp_map
+
+    @staticmethod
+    def _not_requested(dst: int) -> KeyError:
+        return KeyError(f"vertex {dst} was not requested last superstep")
 
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -105,16 +147,15 @@ class RequestRespond(Channel):
         }
 
     def _set_responses(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """``keys`` sorted and unique, ``vals`` aligned with them."""
         self._resp_keys, self._resp_vals = keys, vals
-        # one bulk pass builds the lookup; per-vertex reads are O(1) (and
-        # struct-codec values come back as tuples, received or restored)
-        self._resp_map = dict(zip(keys.tolist(), vals.tolist()))
+        self._resp_map = None
 
     def restore(self, state: dict) -> None:
         self._set_responses(state["resp_keys"].copy(), state["resp_vals"].copy())
         self._asked = [a.copy() for a in state["asked"]]
-        self._requests = []
-        self._requesters = []
+        self._pending.clear()
+        self._requesters = self._requesters[:0]
         self._responses_out = [None] * self.num_workers
         self._echo_ids_out = [None] * self.num_workers
         self._have_responses = False
@@ -143,8 +184,14 @@ class RequestRespond(Channel):
             self._serialize_responses()
 
     def _serialize_requests(self) -> None:
-        uniq = np.unique(np.asarray(self._requests, dtype=np.int64))
-        self._requests = []
+        self._requesters, dsts = self._pending.flat()
+        self._pending.clear()
+        n = self.worker.graph.num_vertices
+        check_ids(self, "request id", dsts, n)
+        # dedup: mark what was asked for, read the marks back in id order
+        mark = np.zeros(n, dtype=bool)
+        mark[dsts] = True
+        uniq = np.flatnonzero(mark)
         owners = self.worker.owner[uniq]
         self._asked = [uniq[owners == peer] for peer in range(self.num_workers)]
         emit_payloads(
@@ -222,15 +269,15 @@ class RequestRespond(Channel):
             keys.append(asked)
             vals.append(self.value_codec.decode_array(payload, asked.size))
         if keys:
-            self._set_responses(np.concatenate(keys), np.concatenate(vals))
+            keys, vals = np.concatenate(keys), np.concatenate(vals)
+            # each peer's ids are sorted; one stable sort merges the runs
+            order = np.argsort(keys, kind="stable")
+            self._set_responses(keys[order], vals[order])
             # wake the vertices that asked — their answer is here
-            if self._requesters:
-                worker.activate_local_bulk(
-                    np.unique(np.asarray(self._requesters, dtype=np.int64))
-                )
+            worker.activate_local_bulk(self._requesters)
         else:
             self._set_responses(self._resp_keys[:0], self._resp_vals[:0])
-        self._requesters = []
+        self._requesters = self._requesters[:0]
 
     def again(self) -> bool:
         if self.round == 1:

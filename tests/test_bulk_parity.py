@@ -8,19 +8,25 @@ For every ported algorithm we assert, on a seeded random graph and across
   bulk ports are written to preserve the scalar path's FP operation
   order, see ARCHITECTURE.md);
 * identical per-channel traffic (net/local bytes and message counts from
-  ``metrics.channel_breakdown()``), plus superstep/round totals.
+  ``metrics.channel_breakdown()``), plus superstep/round totals and
+  checkpoint bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
+from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import SV_VARIANTS, run_sv
 from repro.algorithms.wcc import run_wcc
-from repro.graph import rmat
+from repro.core import BulkVertexProgram, ChannelEngine, RequestRespond
+from repro.graph import chain, random_tree, rmat
+from repro.runtime.serialization import INT32
 
 WORKERS = [1, 2, 8]
 
@@ -35,6 +41,11 @@ def weighted_graph():
     return rmat(9, edge_factor=4, seed=32, directed=False, weighted=True)
 
 
+@pytest.fixture(scope="module")
+def undirected_graph():
+    return rmat(8, edge_factor=2, seed=34, directed=False)
+
+
 def _assert_parity(scalar_out, bulk_out):
     (data_s, res_s), (data_b, res_b) = scalar_out, bulk_out
     np.testing.assert_array_equal(data_s, data_b)
@@ -46,6 +57,8 @@ def _assert_parity(scalar_out, bulk_out):
     assert ms.total_net_bytes == mb.total_net_bytes
     assert ms.total_local_bytes == mb.total_local_bytes
     assert ms.total_messages == mb.total_messages
+    assert ms.num_checkpoints == mb.num_checkpoints
+    assert ms.checkpoint_bytes == mb.checkpoint_bytes
 
 
 @pytest.mark.parametrize("variant", ["basic", "scatter", "mirror"])
@@ -80,6 +93,125 @@ def test_sssp_parity(weighted_graph, workers):
         run_sssp(weighted_graph, source=3, mode="scalar", num_workers=workers),
         run_sssp(weighted_graph, source=3, mode="bulk", num_workers=workers),
     )
+
+
+@pytest.mark.parametrize("variant", SV_VARIANTS)
+@pytest.mark.parametrize("workers", WORKERS)
+def test_sv_parity(undirected_graph, variant, workers):
+    kw = dict(variant=variant, num_workers=workers, checkpoint_every=2)
+    scalar = run_sv(undirected_graph, mode="scalar", **kw)
+    assert scalar[1].metrics.checkpoint_bytes > 0
+    _assert_parity(scalar, run_sv(undirected_graph, mode="bulk", **kw))
+
+
+@pytest.mark.parametrize("forest", [chain(150), random_tree(300, seed=7)], ids=["chain", "tree"])
+@pytest.mark.parametrize("workers", WORKERS)
+def test_pointer_jumping_parity(forest, workers):
+    kw = dict(variant="reqresp", num_workers=workers, checkpoint_every=2)
+    _assert_parity(
+        run_pointer_jumping(forest, mode="scalar", **kw),
+        run_pointer_jumping(forest, mode="bulk", **kw),
+    )
+
+
+@pytest.mark.parametrize("recovery", ["rollback", "confined"])
+def test_bulk_sv_recovers_to_its_clean_run(undirected_graph, recovery):
+    kw = dict(variant="both", mode="bulk", num_workers=4, checkpoint_every=2)
+    labels, clean = run_sv(undirected_graph, **kw)
+    labels_f, failed = run_sv(undirected_graph, failures=[(1, 5)], recovery=recovery, **kw)
+    mc, mf = clean.metrics, failed.metrics
+    assert mf.num_failures == 1 and mf.recovery_bytes > 0
+    np.testing.assert_array_equal(labels, labels_f)
+    assert clean.data == failed.data
+    assert mc.supersteps == mf.supersteps
+    assert mc.channel_breakdown() == mf.channel_breakdown()
+    assert mc.total_net_bytes == mf.total_net_bytes
+    assert mc.total_messages == mf.total_messages
+
+
+class _RequestProbe(BulkVertexProgram):
+    """Superstep 1 asks for ``wants`` (rows of requester id, requested
+    id), superstep 2 reads every answer back; ``api`` picks the entry
+    points: ``"scalar"``, ``"array"``, or ``"mixed"`` (alternate rows)."""
+
+    wants = np.empty((0, 2), dtype=np.int64)
+    api = "array"
+
+    def __init__(self, worker):
+        super().__init__(worker)
+        self.rr = RequestRespond(
+            worker,
+            respond_fn=lambda v: v.id * 3 + 1,
+            codec=INT32,
+            respond_fn_bulk=lambda idx: worker.local_ids[idx] * 3 + 1,
+        )
+        mine = self.wants[worker.owner[self.wants[:, 0]] == worker.worker_id]
+        self.requesters = worker._local_index[mine[:, 0]]
+        self.dsts = mine[:, 1]
+        as_array = np.ones(len(mine), dtype=bool)
+        if self.api == "scalar":
+            as_array[:] = False
+        elif self.api == "mixed":
+            as_array[1::2] = False
+        self.as_array = as_array
+        self.got = np.full(len(mine), -1, dtype=np.int64)
+
+    def compute_bulk(self, active):
+        rr, a = self.rr, self.as_array
+        v = self.worker._vertex
+        if self.step_num == 1:
+            rr.add_requests(self.requesters[a], self.dsts[a])
+            for i, dst in zip(self.requesters[~a], self.dsts[~a]):
+                rr.add_request(v._bind(int(i)), int(dst))
+        else:
+            self.got[a] = rr.get_responds(self.dsts[a])
+            self.got[~a] = [rr.get_respond(int(dst)) for dst in self.dsts[~a]]
+        self.worker.halt_bulk(active)
+
+    def finalize(self):
+        return {f"worker{self.worker.worker_id}": self.got.tolist()}
+
+
+@st.composite
+def _request_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    # drawn from a small id range: duplicates and self-requests are common
+    wants = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    return n, draw(st.integers(min_value=1, max_value=5)), wants
+
+
+@settings(max_examples=40, deadline=None)
+@given(_request_cases())
+def test_request_respond_array_api_matches_scalar(case):
+    n, workers, wants = case
+    wants = np.array(wants, dtype=np.int64).reshape(-1, 2)
+
+    def run(api):
+        program = type("Probe", (_RequestProbe,), {"wants": wants, "api": api})
+        engine = ChannelEngine(chain(n), program, num_workers=workers)
+        return engine, engine.run()
+
+    (scalar_engine, scalar), (array_engine, array), (_, mixed) = map(
+        run, ("scalar", "array", "mixed")
+    )
+    owners = array_engine.owner[wants[:, 0]]
+    assert array.data == {
+        f"worker{w}": (wants[owners == w, 1] * 3 + 1).tolist() for w in range(workers)
+    }
+    for other in (scalar, mixed):
+        assert other.data == array.data
+        assert other.metrics.channel_breakdown() == array.metrics.channel_breakdown()
+        assert other.metrics.total_rounds == array.metrics.total_rounds
+    # the {id: value} lookup exists only for scalar reads
+    assert all(w.program.rr._resp_map is None for w in array_engine.workers)
+    assert any(w.program.rr._resp_map for w in scalar_engine.workers) == bool(len(wants))
+
+
+def test_bulk_run_never_builds_the_response_dict():
+    engine = ChannelEngine(random_tree(300, seed=7), PointerJumpingReqRespBulk, num_workers=2)
+    assert engine.run().supersteps > 2
+    assert all(w.program.rr._resp_map is None for w in engine.workers)
 
 
 class TestBulkCorrectness:

@@ -462,6 +462,56 @@ class TestRequestRespond:
         res = run(line_graph(2), P)
         assert res.data.get(0)
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    @pytest.mark.parametrize("entry", ["add_request", "add_requests"])
+    def test_out_of_range_request_fails_by_name(self, entry, bad):
+        """A negative id used to wrap through ``owner[-1]`` and answer with
+        the last vertex's value; an id >= V was a bare IndexError."""
+
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.rr = RequestRespond(worker, respond_fn=lambda v: v.id)
+
+            def compute(self, v):
+                if entry == "add_request":
+                    self.rr.add_request(v, bad)
+                else:
+                    self.rr.add_requests(np.array([v.local]), np.array([bad]))
+
+        with pytest.raises(
+            ValueError, match=rf"RequestRespond\(.*\): request id {bad} outside \[0, 8\)"
+        ):
+            run(line_graph(8), P)
+
+    def test_get_responds_names_the_first_unrequested_id(self):
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.rr = RequestRespond(worker, respond_fn=lambda v: v.id + 10)
+                self.got = {}
+
+            def compute(self, v):
+                if self.step_num == 1:
+                    if v.id == 0:
+                        self.rr.add_requests(np.array([v.local] * 3), np.array([2, 5, 2]))
+                    else:
+                        v.vote_to_halt()
+                else:
+                    self.got[0] = self.rr.get_responds(np.array([5, 2, 2])).tolist()
+                    with pytest.raises(KeyError, match="vertex 3 was not requested"):
+                        self.rr.get_responds(np.array([2, 3, 7]))
+                    v.vote_to_halt()
+
+            def finalize(self):
+                return self.got
+
+        assert run(line_graph(8), P).data == {0: [15, 12, 12]}
+        empty = RequestRespond(ChannelEngine(line_graph(2), P).workers[0], lambda v: 0)
+        assert empty.get_responds(np.array([], dtype=np.int64)).size == 0
+        with pytest.raises(KeyError, match="vertex 1 was not requested"):
+            empty.get_responds(np.array([1]))
+
     def test_request_dedup_on_wire(self):
         """N requesters of the same destination put ONE id on the wire."""
         hub = star(9, center=0)

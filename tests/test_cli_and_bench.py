@@ -64,6 +64,17 @@ class TestRunner:
             assert scalar_cell in CELLS
             assert bulk_cell in CELLS
 
+    def test_sv_and_pj_ports_are_registered_beside_pinned_scalar_cells(self):
+        for variant in ("basic", "reqresp", "scatter", "both"):
+            assert ("sv", f"channel-{variant}-bulk") in CELLS
+        assert ("pj", "channel-reqresp-bulk") in CELLS
+        # the Table VI cells (pinned to the per-vertex listing) and the
+        # ports report the same counters
+        counters = ("message_mb", "messages", "supersteps", "rounds")
+        scalar = run_cell("sv", "channel-both", "facebook", num_workers=4)
+        bulk = run_cell("sv", "channel-both-bulk", "facebook", num_workers=4)
+        assert [scalar[k] for k in counters] == [bulk[k] for k in counters]
+
     def test_run_cell_row_schema(self):
         row = run_cell("wcc", "channel-prop", "facebook", num_workers=4)
         for key in (
@@ -125,6 +136,24 @@ class TestCLI:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["vertices"] == 6
+
+    @pytest.mark.parametrize(
+        "cell", [("sv", "both", "facebook"), ("pj", "reqresp", "tree")], ids=["sv", "pj"]
+    )
+    def test_mode_bulk_matches_mode_scalar(self, cell, capsys):
+        algo, variant, dataset = cell
+        rows = {}
+        for mode in ("scalar", "bulk"):
+            argv = ["run", algo, "--dataset", dataset, "--variant", variant]
+            assert cli_main(argv + ["--workers", "4", "--mode", mode, "--json"]) == 0
+            rows[mode] = json.loads(capsys.readouterr().out)
+        for key in ("supersteps", "rounds", "net_bytes", "local_bytes", "messages"):
+            assert rows["bulk"][key] == rows["scalar"][key], key
+
+    def test_mode_bulk_without_a_port_exits_2(self, capsys):
+        rc = cli_main(["run", "msf", "--dataset", "usa-road", "--mode", "bulk"])
+        assert rc == 2
+        assert "no bulk port" in capsys.readouterr().err
 
     def test_bad_variant(self, capsys):
         rc = cli_main(["run", "msf", "--dataset", "usa-road", "--variant", "prop"])

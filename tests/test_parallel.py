@@ -22,6 +22,7 @@ import pytest
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import run_pointer_jumping
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import Channel, ChannelEngine, ScatterCombine, SUM_F64, VertexProgram
 from repro.graph import rmat
@@ -106,6 +107,17 @@ def test_sssp_parity(weighted_graph, workers, partitioner, transport):
     _assert_identical(
         run_sssp(weighted_graph, **kw),
         run_sssp(weighted_graph, executor="process", transport=transport, **kw),
+    )
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_sv_both_parity(weighted_graph, transport):
+    """The paper's flagship composition — RequestRespond, ScatterCombine,
+    CombinedMessage and Aggregator in one program, two rounds a superstep."""
+    kw = dict(variant="both", mode="bulk", num_workers=2)
+    _assert_identical(
+        run_sv(weighted_graph, **kw),
+        run_sv(weighted_graph, executor="process", transport=transport, **kw),
     )
 
 
