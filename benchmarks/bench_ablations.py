@@ -78,7 +78,7 @@ class _HashReduce(Combiner):
     table lookup and one scalar combine per edge — in place of the single
     ``ufunc.reduceat`` over ScatterCombine's pre-sorted segments (Fig. 5)."""
 
-    def reduceat(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    def reduceat(self, values: np.ndarray, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
         keys = np.repeat(
             np.arange(starts.size), np.diff(starts, append=values.size)
         )
@@ -87,7 +87,8 @@ class _HashReduce(Combiner):
         for key, val in zip(keys.tolist(), values):
             table[key] = fn(table[key], val) if key in table else val
         # segments are visited in order, so insertion order is segment order
-        return np.fromiter(table.values(), dtype=self.codec.dtype, count=len(table))
+        out[:] = np.fromiter(table.values(), dtype=self.codec.dtype, count=len(table))
+        return out
 
 
 class HashScatterCombine(ScatterCombine):

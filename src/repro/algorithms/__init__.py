@@ -3,67 +3,52 @@
 
 Every module exposes program classes and a ``run_*`` helper returning
 ``(values, EngineResult)`` where ``values`` is a dense per-vertex array.
+
+The names below resolve on first use (PEP 562), so running one algorithm
+imports one module, not all twelve.
 """
 
-from repro.algorithms.pagerank import (
-    run_pagerank,
-    PageRankBasic,
-    PageRankScatter,
-    PageRankBasicBulk,
-    PageRankScatterBulk,
-)
-from repro.algorithms.pointer_jumping import (
-    run_pointer_jumping,
-    PointerJumpingBasic,
-    PointerJumpingReqResp,
-    PointerJumpingReqRespBulk,
-)
-from repro.algorithms.wcc import run_wcc, WCCBasic, WCCBasicBulk, WCCPropagation
-from repro.algorithms.sssp import run_sssp, SSSPBasic, SSSPBasicBulk, SSSPPropagation
-from repro.algorithms.sv import run_sv, make_sv_program
-from repro.algorithms.scc import run_scc, SCCBasic, SCCPropagation
-from repro.algorithms.msf import run_msf, MSFBasic
-from repro.algorithms.bfs import run_bfs, BFSBasic, BFSBasicBulk, BFSPropagation
-from repro.algorithms.triangles import run_triangles, TriangleCounting
-from repro.algorithms.kcore import run_kcore, KCore
-from repro.algorithms.mis import run_mis, LubyMIS
-from repro.algorithms.lpa import run_lpa, LabelPropagation
+import importlib
 
-__all__ = [
-    "run_pagerank",
-    "PageRankBasic",
-    "PageRankScatter",
-    "PageRankBasicBulk",
-    "PageRankScatterBulk",
-    "run_pointer_jumping",
-    "PointerJumpingBasic",
-    "PointerJumpingReqResp",
-    "PointerJumpingReqRespBulk",
-    "run_wcc",
-    "WCCBasic",
-    "WCCBasicBulk",
-    "WCCPropagation",
-    "run_sssp",
-    "SSSPBasic",
-    "SSSPBasicBulk",
-    "SSSPPropagation",
-    "run_sv",
-    "make_sv_program",
-    "run_scc",
-    "SCCBasic",
-    "SCCPropagation",
-    "run_msf",
-    "MSFBasic",
-    "run_bfs",
-    "BFSBasic",
-    "BFSBasicBulk",
-    "BFSPropagation",
-    "run_triangles",
-    "TriangleCounting",
-    "run_kcore",
-    "KCore",
-    "run_mis",
-    "LubyMIS",
-    "run_lpa",
-    "LabelPropagation",
-]
+#: module -> the names it contributes to this package
+_EXPORTS = {
+    "pagerank": (
+        "run_pagerank",
+        "PageRankBasic",
+        "PageRankScatter",
+        "PageRankBasicBulk",
+        "PageRankScatterBulk",
+    ),
+    "pointer_jumping": (
+        "run_pointer_jumping",
+        "PointerJumpingBasic",
+        "PointerJumpingReqResp",
+        "PointerJumpingReqRespBulk",
+    ),
+    "wcc": ("run_wcc", "WCCBasic", "WCCBasicBulk", "WCCPropagation"),
+    "sssp": ("run_sssp", "SSSPBasic", "SSSPBasicBulk", "SSSPPropagation"),
+    "sv": ("run_sv", "make_sv_program"),
+    "scc": ("run_scc", "SCCBasic", "SCCPropagation"),
+    "msf": ("run_msf", "MSFBasic"),
+    "bfs": ("run_bfs", "BFSBasic", "BFSBasicBulk", "BFSPropagation"),
+    "triangles": ("run_triangles", "TriangleCounting"),
+    "kcore": ("run_kcore", "KCore"),
+    "mis": ("run_mis", "LubyMIS"),
+    "lpa": ("run_lpa", "LabelPropagation"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # next lookup is a plain attribute
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

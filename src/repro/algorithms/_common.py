@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import EngineResult
+from repro.core.program import VertexResults
 
 __all__ = ["gather", "run_engine", "resolve_mode"]
 
@@ -33,9 +34,12 @@ def gather(result: EngineResult, n: int, dtype=np.int64) -> np.ndarray:
     """Turn ``result.data`` (global id -> value) into a dense array."""
     data = result.data
     out = np.empty(n, dtype=dtype)
-    out[np.fromiter(data.keys(), np.int64, len(data))] = np.fromiter(
-        data.values(), dtype, len(data)
-    )
+    if isinstance(data, VertexResults):
+        out[data.ids] = data.array
+    else:
+        out[np.fromiter(data.keys(), np.int64, len(data))] = np.fromiter(
+            data.values(), dtype, len(data)
+        )
     return out
 
 

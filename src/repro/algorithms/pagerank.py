@@ -165,23 +165,28 @@ class _PageRankBulkBase(BulkVertexProgram):
         worker = self.worker
         adj = worker.local_adjacency()
         n = self.num_vertices
+        # every vertex active (all of PageRank but a seeded or streaming
+        # run): whole-array slices and the adjacency's static degree split
+        # give what indexing by ``active`` would, element for element
+        everyone = active.size == self.num_local
+        rows = slice(None) if everyone else active
         if self.step_num == 1:
             self._setup_bulk(adj)
-            self.rank[active] = 1.0 / n
+            self.rank[rows] = 1.0 / n
         else:
             # s: rank mass collected from dead ends, redistributed uniformly
             s = self.agg.result() / n
             incoming = self._incoming_bulk()
-            self.rank[active] = (1.0 - DAMPING) / n + DAMPING * (
-                incoming[active] + s
-            )
+            self.rank[rows] = (1.0 - DAMPING) / n + DAMPING * (incoming[rows] + s)
         if self.step_num <= self.iterations:
-            deg = adj.degrees[active]
-            has_out = deg > 0
-            senders = active[has_out]
+            if everyone:
+                senders, degrees, dead = adj.degree_split
+            else:
+                deg = adj.degrees[active]
+                has_out = deg > 0
+                senders, degrees, dead = active[has_out], deg[has_out], active[~has_out]
             if senders.size:
-                self._outgoing_bulk(adj, senders, self.rank[senders] / deg[has_out])
-            dead = active[~has_out]
+                self._outgoing_bulk(adj, senders, self.rank[senders] / degrees)
             if dead.size:
                 self.agg.add_bulk(self.rank[dead])
         else:

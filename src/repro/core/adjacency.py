@@ -22,6 +22,7 @@ On undirected graphs all three directions coincide with ``"out"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,16 @@ class LocalCSR:
     @property
     def num_edges(self) -> int:
         return int(self.indices.size)
+
+    @cached_property
+    def degree_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows with edges, their degrees, rows without)``, ascending —
+        what a program whose every vertex is active would otherwise
+        recompute from ``degrees`` each superstep.  Static like the
+        adjacency itself, so it lives (and dies, on migration) with it."""
+        has_edges = self.degrees > 0
+        rows = np.flatnonzero(has_edges)
+        return rows, self.degrees[rows], np.flatnonzero(~has_edges)
 
     def row(self, local_idx: int) -> np.ndarray:
         """Destinations of one local vertex (a view)."""

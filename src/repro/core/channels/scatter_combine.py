@@ -25,9 +25,29 @@ from repro.core.channels._records import emit_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.util import group_starts, stable_order
+from repro.util import group_by_key
 
 __all__ = ["ScatterCombine"]
+
+#: edges one step of the per-superstep scan gathers: the scratch they land
+#: in is reused, so the scan allocates no per-edge temporary
+_BLOCK_EDGES = 1 << 20
+
+
+def _scan_blocks(starts: np.ndarray, num_edges: int) -> list[tuple[int, int, int, int]]:
+    """Cut the segments beginning at ``starts`` into consecutive blocks
+    ``(first segment, end segment, first edge, end edge)`` of whole
+    segments holding at most ``_BLOCK_EDGES`` edges; a longer segment is a
+    block of its own."""
+    bounds = np.append(starts, num_edges)
+    blocks = []
+    seg = 0
+    while seg < starts.size:
+        end = int(np.searchsorted(bounds, bounds[seg] + _BLOCK_EDGES, side="right")) - 1
+        end = max(end, seg + 1)
+        blocks.append((seg, end, int(bounds[seg]), int(bounds[end])))
+        seg = end
+    return blocks
 
 
 class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
@@ -57,6 +77,8 @@ class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
         # static dispatch structure (built lazily)
         self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
         self._seg_starts: np.ndarray | None = None  # segment starts (per unique dst)
+        self._blocks: list[tuple[int, int, int, int]] = []  # the scan's steps
+        self._scratch: np.ndarray | None = None  # one block of per-edge values
         self._uniq_dst_wire: list[np.ndarray] = []  # per peer: int32 dst ids
         self._uniq_positions: list[np.ndarray] = []  # per peer: positions in uniq order
 
@@ -64,10 +86,15 @@ class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
         src, dst = self._checked_edges()
-        order, dst_sorted = stable_order(dst, self.worker.graph.num_vertices)
-        self._seg_edge_src = src[order]
-        uniq_dst, starts = group_starts(dst_sorted)
+        uniq_dst, starts, self._seg_edge_src = group_by_key(
+            dst, src, self.worker.graph.num_vertices, self.worker.num_local
+        )
         self._seg_starts = starts
+        self._blocks = _scan_blocks(starts, src.size)
+        self._scratch = np.empty(
+            max((hi - lo for _, _, lo, hi in self._blocks), default=0),
+            dtype=self._values.dtype,
+        )
         owners = self.worker.owner[uniq_dst]
         self._uniq_positions = [
             np.flatnonzero(owners == peer) for peer in range(self.num_workers)
@@ -138,9 +165,22 @@ class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
         if self._seg_edge_src.size == 0:
             return
         # Fig. 5: one linear pass over the pre-sorted edges produces
-        # the combined message value for every unique destination.
-        per_edge = self._values[self._seg_edge_src]
-        combined = self.combiner.reduceat(per_edge, self._seg_starts)
+        # the combined message value for every unique destination.  A
+        # segment never spans two blocks, so the blocks change no bit.
+        # mode="clip" only skips the bounds check _checked_edges did at
+        # build (with an ``out``, "raise" gathers into a copy first).
+        starts = self._seg_starts
+        combined = np.empty(starts.size, dtype=self._values.dtype)
+        for seg_lo, seg_hi, lo, hi in self._blocks:
+            per_edge = np.take(
+                self._values,
+                self._seg_edge_src[lo:hi],
+                out=self._scratch[: hi - lo],
+                mode="clip",
+            )
+            self.combiner.reduceat(
+                per_edge, starts[seg_lo:seg_hi] - lo, out=combined[seg_lo:seg_hi]
+            )
         emit_records(
             self,
             (

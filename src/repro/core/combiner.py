@@ -74,16 +74,20 @@ class Combiner:
             acc = self.fn(acc, v)
         return acc
 
-    def reduceat(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    def reduceat(
+        self, values: np.ndarray, starts: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Segmented reduction: combine ``values[starts[i]:starts[i+1]]``
-        for each i (the scatter-combine linear scan of Fig. 5)."""
+        for each i (the scatter-combine linear scan of Fig. 5), into
+        ``out`` when given."""
         if self.ufunc is not None:
-            return self.ufunc.reduceat(values, starts)
-        out = []
+            return self.ufunc.reduceat(values, starts, out=out)
+        if out is None:
+            out = np.empty(len(starts), dtype=self.codec.dtype)
         bounds = list(starts) + [len(values)]
         for i in range(len(starts)):
-            out.append(self.combine_array(values[bounds[i] : bounds[i + 1]]))
-        return np.asarray(out, dtype=self.codec.dtype)
+            out[i] = self.combine_array(values[bounds[i] : bounds[i + 1]])
+        return out
 
     def accumulate_at(self, target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
         """``target[index[i]] = fn(target[index[i]], values[i])`` — bulk

@@ -23,6 +23,7 @@ network time are accumulated into the run's
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,7 +77,10 @@ class EngineResult:
     ``result.metrics`` or handle ``None`` explicitly.
     """
 
-    data: dict = field(default_factory=dict)
+    #: the merged ``finalize`` outputs: a ``dict``, or — when every worker
+    #: returned ``vertex_results`` — a :class:`VertexResults`, which reads
+    #: as that dict and keeps the arrays for callers that want them
+    data: Mapping = field(default_factory=dict)
     metrics: MetricsCollector | None = None
     #: alerts the live monitor raised during the run (``None`` when the
     #: engine had no ``live=`` telemetry segment; see ARCHITECTURE.md §11)

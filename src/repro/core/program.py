@@ -23,6 +23,7 @@ Two compute paths exist (see ARCHITECTURE.md for when to use which):
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +35,75 @@ if TYPE_CHECKING:  # pragma: no cover
 #: state value types the generic ``state_dict`` captures besides arrays
 _SCALAR_STATE = (bool, int, float, str, bytes, np.bool_, np.integer, np.floating)
 
-__all__ = ["VertexProgram", "BulkVertexProgram", "ProgramSpec"]
+__all__ = ["VertexProgram", "BulkVertexProgram", "ProgramSpec", "VertexResults"]
+
+
+class VertexResults(Mapping):
+    """Read-only ``{global vertex id: value}`` kept as the two parallel
+    arrays it came from.
+
+    Results stay arrays from ``finalize`` to the caller: workers' parts
+    are concatenated (:meth:`merged`), a process worker ships the two
+    arrays, and :func:`repro.algorithms._common.gather` scatters
+    ``array`` by ``ids``.  Read as a mapping, it builds — once, on first
+    use — the ``dict`` the arrays stand for: keys and values plain Python
+    ``int``/``float``/``bool`` as ``ndarray.tolist()`` converts them, in
+    array order, a later duplicate id replacing an earlier one.
+    """
+
+    __slots__ = ("ids", "array", "_dict")
+
+    def __init__(self, ids: np.ndarray, array: np.ndarray) -> None:
+        self.ids = ids
+        self.array = array
+        self._dict: dict | None = None
+
+    @staticmethod
+    def merged(parts: Iterable[Mapping]) -> Mapping:
+        """The workers' ``finalize`` outputs as one mapping, later parts
+        replacing earlier ones key by key: still arrays (copies, detached
+        from program state) when every part is, else a plain ``dict``."""
+        parts = list(parts)
+        if (
+            parts
+            and all(isinstance(part, VertexResults) for part in parts)
+            and len({part.array.dtype for part in parts}) == 1
+        ):
+            return VertexResults(
+                np.concatenate([part.ids for part in parts]),
+                np.concatenate([part.array for part in parts]),
+            )
+        data: dict = {}
+        for part in parts:
+            data.update(part.items())
+        return data
+
+    def _mapping(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.ids.tolist(), self.array.tolist()))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self._mapping())
+
+    # the dict's own views: the Mapping mixins would index once per element
+    def keys(self):
+        return self._mapping().keys()
+
+    def values(self):
+        return self._mapping().values()
+
+    def items(self):
+        return self._mapping().items()
+
+    def __repr__(self) -> str:
+        return f"VertexResults({self._mapping()!r})"
 
 
 class ProgramSpec:
@@ -114,18 +183,18 @@ class VertexProgram:
         ``self.worker.activate_local_bulk``.
         """
 
-    def finalize(self) -> dict:
+    def finalize(self) -> Mapping:
         """Called once after termination; return this worker's outputs
-        (merged across workers into :class:`EngineResult.data`).  Keys are
-        global vertex ids or named aggregates."""
+        (merged across workers into :class:`EngineResult.data`, see
+        :meth:`VertexResults.merged`).  Keys are global vertex ids or
+        named aggregates."""
         return {}
 
-    def vertex_results(self, values: np.ndarray) -> dict:
+    def vertex_results(self, values: np.ndarray) -> VertexResults:
         """``{global id: values[local index]}`` over this worker's
-        vertices, in local order — the usual :meth:`finalize` body.  Keys
-        and values are plain Python ``int``/``float``/``bool`` as
-        ``ndarray.tolist()`` converts them."""
-        return dict(zip(self.worker.local_ids.tolist(), values.tolist()))
+        vertices, in local order — the usual :meth:`finalize` body.  The
+        mapping holds ``values`` itself, not a copy."""
+        return VertexResults(self.worker.local_ids, values)
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:

@@ -47,10 +47,12 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.program import VertexResults
 from repro.core.recovery import (
     FailureSchedule,
     FrameLog,
@@ -188,10 +190,9 @@ class ExecutorBackend:
             )
 
         metrics.end_run()
-        result = EngineResult(metrics=metrics)
+        result = EngineResult(data=self.collect_results(), metrics=metrics)
         if engine.monitor is not None:
             result.live_alerts = list(engine.monitor.alerts)
-        result.data.update(self.collect_results())
         return result
 
     # -- shared fault-tolerance choreography --------------------------------
@@ -263,7 +264,7 @@ class ExecutorBackend:
     def recover(self, doomed: list[int], mode: str) -> None:
         raise NotImplementedError
 
-    def collect_results(self) -> dict:
+    def collect_results(self) -> Mapping:
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -468,8 +469,7 @@ class SimBackend(ExecutorBackend):
             for writer in self._live_writers:
                 writer.mark()
 
-    def collect_results(self) -> dict:
-        data: dict = {}
-        for worker in self.engine.workers:
-            data.update(worker.program.finalize())
-        return data
+    def collect_results(self) -> Mapping:
+        return VertexResults.merged(
+            worker.program.finalize() for worker in self.engine.workers
+        )

@@ -43,10 +43,12 @@ model: ``simulated_time`` is still modeled from byte counts, while
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.program import VertexResults
 from repro.core.recovery import confined_recovery, rollback_recovery
 from repro.runtime.checkpoint import (
     capture_worker_state,
@@ -269,19 +271,21 @@ class ProcessBackend(ExecutorBackend):
                 )
             pool.gather("rollback restore")
 
-    def collect_results(self) -> dict:
+    def collect_results(self) -> Mapping:
         engine = self.engine
         pool = self.pool
         sync = engine.sync_state
         pool.broadcast({"cmd": "finalize", "sync": sync})
-        data: dict = {}
+        parts = []
         for w, reply in enumerate(pool.gather("finalize")):
-            data.update(reply["data"])
+            part = reply["data"]
+            # a child sends VertexResults as its (ids, array) pair
+            parts.append(VertexResults(*part) if isinstance(part, tuple) else part)
             if sync:
                 # checkpoint capture format: post-run introspection of
                 # ``engine.workers`` sees what actually ran in the child
                 load_worker_state(engine.workers[w], reply["state"])
-        return data
+        return VertexResults.merged(parts)
 
     def shutdown(self) -> None:
         if self.owns_pool:

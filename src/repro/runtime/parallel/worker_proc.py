@@ -82,6 +82,7 @@ from collections import deque
 import numpy as np
 
 
+from repro.core.program import VertexResults
 from repro.core.worker import Worker
 from repro.graph.graph import Graph
 from repro.graph.store import attach_store
@@ -727,7 +728,11 @@ class _WorkerProcess:
         return {"ready": True, "num_channels": num_channels}
 
     def _cmd_finalize(self, msg: dict) -> dict:
-        reply = {"data": self.worker.program.finalize()}
+        data = self.worker.program.finalize()
+        if isinstance(data, VertexResults):
+            # two codec arrays, never one tagged value per element
+            data = (data.ids, data.array)
+        reply = {"data": data}
         if msg["sync"]:
             # same capture format as runtime.checkpoint snapshots
             reply["state"] = capture_worker_state(self.worker)

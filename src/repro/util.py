@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csr_group", "expand_ranges", "group_starts", "stable_order"]
+__all__ = ["csr_group", "expand_ranges", "group_by_key", "group_starts", "stable_order"]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -71,6 +71,44 @@ def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     order = packed & ((1 << shift) - 1)
     packed >>= shift
     return order, packed
+
+
+def group_by_key(
+    keys: np.ndarray, values: np.ndarray, key_bound: int, value_bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ``values`` by ``keys``, stably: returns ``(unique keys
+    ascending, start of each group, values in stable key order)``, i.e.
+    ``group_starts(keys[o])`` and ``values[o]`` for ``o = argsort(keys,
+    kind="stable")``.  The caller has checked ``keys`` against ``[0,
+    key_bound)`` and ``values`` against ``[0, value_bound)``.
+
+    When ``values`` is non-decreasing (the rows of a CSR, numbered) and
+    both bounds fit a 32-bit word, the order comes from one in-place sort
+    of the pairs packed as ``(key << 32) | value``: the sorted buffer's
+    high words are the keys, and the buffer itself, masked to its low
+    words, is the grouped values — no permutation is built or applied.
+    Within a key the stable order keeps ``values`` non-decreasing, which
+    is the order of the sorted pairs, and equal pairs are interchangeable.
+    Any other input goes through :func:`stable_order`.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if (
+        key_bound <= 1 << 31
+        and value_bound <= 1 << 32
+        and np.all(values[1:] >= values[:-1])
+    ):
+        # explicitly little-endian, so the odd 32-bit words are the keys
+        packed = np.empty(keys.size, dtype="<i8")
+        np.left_shift(keys, 32, out=packed)
+        packed |= values
+        packed.sort()
+        uniq, starts = group_starts(packed.view("<u4")[1::2])
+        packed &= 0xFFFFFFFF
+        return uniq.astype(np.int64), starts, packed
+    order, sorted_keys = stable_order(keys, key_bound)
+    uniq, starts = group_starts(sorted_keys)
+    return uniq, starts, values[order]
 
 
 def csr_group(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

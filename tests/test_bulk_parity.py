@@ -71,6 +71,21 @@ def test_pagerank_parity(directed_graph, variant, workers):
     )
 
 
+def test_pagerank_parity_under_partial_activity(directed_graph):
+    """A third of the vertices start active and some are never woken, so
+    every superstep runs the lines indexed by ``active`` — the ones
+    ``test_pagerank_parity`` (everyone active: whole-array assignment,
+    the adjacency's cached degree split) never reaches.  The basic variant
+    only: scatter's scalar setup registers edges per active vertex and its
+    bulk setup all at once, which differ under a seed set."""
+    seeds = np.arange(0, directed_graph.num_vertices, 3)
+    kw = dict(variant="basic", iterations=6, num_workers=2, initial_active=seeds)
+    _assert_parity(
+        run_pagerank(directed_graph, mode="scalar", **kw),
+        run_pagerank(directed_graph, mode="bulk", **kw),
+    )
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 def test_wcc_parity(directed_graph, workers):
     _assert_parity(

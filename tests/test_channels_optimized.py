@@ -3,13 +3,17 @@ Propagation (Table II)."""
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.util
 from repro.core import (
     ChannelEngine,
     CombinedMessage,
+    MAX_I32,
     MIN_F64,
     MIN_I64,
     MirroredScatter,
@@ -20,6 +24,8 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.core.channels import scatter_combine
+from repro.core.channels._records import encode_records
 from repro.graph import rmat, star
 from repro.runtime.serialization import INT32, INT64
 from helpers import line_graph, two_triangles
@@ -384,6 +390,170 @@ class TestScatterCombineBuild:
         bound = 64 if what == "destination" else worker.num_local
         assert f"[0, {bound})" in msg
         assert not ch._built
+
+    @pytest.mark.parametrize(
+        "src, dst, what, bad",
+        [
+            ([1, 0], [-1, 3], "destination", -1),
+            ([1, 0], [64, 3], "destination", 64),
+            ([1, -3, 0], [3, 4, 5], "local sender index", -3),
+            ([10**6, 0], [3, 4], "local sender index", 10**6),
+        ],
+        ids=["dst-negative", "dst-too-large", "src-negative", "src-too-large"],
+    )
+    def test_out_of_range_ids_fail_by_name_on_unsorted_senders_too(
+        self, src, dst, what, bad
+    ):
+        """The same four cases registered with descending senders, the
+        order that builds through ``stable_order``: the check comes before
+        either sort."""
+        worker = self._worker()
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(np.array(src), np.array(dst))
+        with pytest.raises(ValueError) as err:
+            ch._build()
+        msg = str(err.value)
+        bound = 64 if what == "destination" else worker.num_local
+        assert "ScatterCombine" in msg and what in msg
+        assert f" {bad} outside [0, {bound})" in msg and not ch._built
+
+    # -- the two sorts behind the build ----------------------------------------
+    @staticmethod
+    def _reference_tables(worker, src, dst):
+        """The tables as a stable argsort by destination gives them."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        order = np.argsort(dst, kind="stable")
+        uniq, starts = np.unique(dst[order], return_index=True)
+        owners = worker.owner[uniq]
+        peers = range(worker.num_workers)
+        return (
+            src[order].tolist(),
+            starts.tolist(),
+            [uniq[owners == peer].tolist() for peer in peers],
+            [np.flatnonzero(owners == peer).tolist() for peer in peers],
+        )
+
+    @pytest.fixture(scope="class")
+    def shared_worker(self):
+        return self._worker()
+
+    @pytest.fixture()
+    def stable_order_calls(self, monkeypatch):
+        calls = []
+
+        def spy(keys, bound):
+            calls.append(len(keys))
+            return spy.real(keys, bound)
+
+        spy.real = repro.util.stable_order
+        monkeypatch.setattr(repro.util, "stable_order", spy)
+        return calls
+
+    #: edges as (sender, destination) pairs of the 64-vertex, 2-worker
+    #: fixture; senders are taken modulo the worker's vertex count
+    EDGES = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=80)
+
+    @given(edges=EDGES)
+    def test_sorted_senders_build_the_stable_argsort_tables(self, shared_worker, edges):
+        """Non-decreasing senders, duplicate ``(sender, destination)`` pairs
+        included, build through the packed pair; the tables are the stable
+        sort's element for element."""
+        worker = shared_worker
+        edges = [(s_ % worker.num_local, d_) for s_, d_ in edges]
+        edges.sort(key=lambda e: e[0])
+        src, dst = [e[0] for e in edges], [e[1] for e in edges]
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        with mock.patch.object(
+            repro.util, "stable_order", side_effect=AssertionError("built an order")
+        ):
+            tables = self._tables(ch)
+        assert tables == self._reference_tables(worker, src, dst)
+
+    @given(edges=EDGES)
+    def test_any_registration_order_builds_the_stable_argsort_tables(
+        self, shared_worker, edges
+    ):
+        worker = shared_worker
+        src = [s_ % worker.num_local for s_, _ in edges]
+        dst = [d_ for _, d_ in edges]
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        assert self._tables(ch) == self._reference_tables(worker, src, dst)
+
+    def test_shuffled_registration_takes_the_stable_order_build(self, stable_order_calls):
+        worker = self._worker()
+        src, dst = self._edges(worker)
+        shuffle = np.random.default_rng(3).permutation(src.size)
+        assert (np.diff(src[shuffle]) < 0).any()
+        ch = ScatterCombine(worker, SUM_F64)
+        ch.add_edges_bulk(src[shuffle], dst[shuffle])
+        assert self._tables(ch) == self._reference_tables(worker, src[shuffle], dst[shuffle])
+        assert stable_order_calls == [src.size]
+        # the CSR order of the same edges does not
+        self._tables(self._register(worker, "one-chunk"))
+        assert stable_order_calls == [src.size]
+
+    # -- the per-superstep scan ----------------------------------------------------
+    @staticmethod
+    def _scan(worker, combiner, src, dst, values):
+        """One ``serialize`` of a fresh channel: per peer, the payload it
+        emitted and the payload a whole-array ``reduceat`` over the same
+        tables encodes to."""
+        ch = ScatterCombine(worker, combiner)
+        ch.add_edges_bulk(np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+        ch.set_messages(np.arange(worker.num_local), values)
+        sent = {}
+        with mock.patch.multiple(
+            worker,
+            emit=lambda _channel, peer, payload: sent.update({peer: payload}),
+            count_net_messages=lambda n, _channel: None,  # no superstep is open
+        ):
+            ch.serialize()
+        expected = {}
+        if ch._seg_edge_src.size:
+            whole = combiner.ufunc.reduceat(ch._values[ch._seg_edge_src], ch._seg_starts)
+            for peer, pos in enumerate(ch._uniq_positions):
+                if pos.size:
+                    expected[peer] = encode_records(
+                        ch._uniq_dst_wire[peer], whole[pos], combiner.codec
+                    )
+        return ch, sent, expected
+
+    @pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64, MAX_I32], ids=repr)
+    @given(edges=EDGES, seed=st.integers(0, 2**16))
+    # a hub whose segment is longer than a block, then short segments
+    @example(edges=[(i, 7) for i in range(11)] + [(0, 8), (1, 9)], seed=1)
+    # blocks that end exactly on the last segment's end
+    @example(edges=[(0, 3), (1, 3), (2, 5), (3, 5)], seed=2)
+    @example(edges=[(i, d_) for d_ in (3, 5) for i in range(4)], seed=3)
+    @example(edges=[], seed=4)
+    @example(edges=[(5, 63)], seed=5)
+    def test_blocked_scan_equals_the_whole_array_reduceat(
+        self, shared_worker, combiner, edges, seed
+    ):
+        """With 4-edge blocks every shape of block occurs on small inputs:
+        the bytes on the wire are those of one ``reduceat`` over all edges
+        (a float sum included: a segment is never split)."""
+        worker = shared_worker
+        rng = np.random.default_rng(seed)
+        if combiner is SUM_F64:
+            values = rng.standard_normal(worker.num_local) * 10.0 ** rng.integers(-8, 8)
+        else:
+            values = rng.integers(-1000, 1000, worker.num_local)
+        src = [s_ % worker.num_local for s_, _ in edges]
+        dst = [d_ for _, d_ in edges]
+        with mock.patch.object(scatter_combine, "_BLOCK_EDGES", 4):
+            ch, sent, expected = self._scan(worker, combiner, src, dst, values)
+        assert sent == expected
+        # blocks tile the segments, whole, and the scratch holds the longest
+        bounds = ch._seg_starts.tolist() + [len(edges)]
+        cuts = [block[0] for block in ch._blocks] + [ch._seg_starts.size]
+        assert cuts[0] == 0 and [block[1] for block in ch._blocks] == cuts[1:]
+        for seg_lo, seg_hi, lo, hi in ch._blocks:
+            assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
+            assert hi - lo <= 4 or seg_hi == seg_lo + 1
+            assert hi - lo <= ch._scratch.size
 
     @STATIC_EDGE_CHANNELS
     def test_out_of_range_scalar_edge_fails_on_first_serialize(self, channel):

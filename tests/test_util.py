@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import expand_ranges, group_starts, stable_order
+import repro.util
+from repro.util import expand_ranges, group_by_key, group_starts, stable_order
 
 
 class TestExpandRanges:
@@ -115,3 +116,67 @@ class TestStableOrder:
             stable_order(np.array([1, 2, 3]), 2**61)
         # one element needs no position bits, so the same bound fits
         self.check([2**61 - 1], 2**61)
+
+
+class TestGroupByKey:
+    """``group_by_key`` is ``argsort(keys, kind="stable")`` applied to the
+    values and cut into groups, whichever of its two routes ran."""
+
+    @staticmethod
+    def check(keys, values, key_bound, value_bound):
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        exp_uniq, exp_starts = np.unique(keys[order], return_index=True)
+        uniq, starts, grouped = group_by_key(keys, values, key_bound, value_bound)
+        assert uniq.dtype == starts.dtype == grouped.dtype == np.int64
+        assert uniq.tolist() == exp_uniq.tolist()
+        assert starts.tolist() == exp_starts.tolist()
+        assert grouped.tolist() == values[order].tolist()
+
+    @pytest.fixture()
+    def routes(self, monkeypatch):
+        """Calls that reached the ``stable_order`` route."""
+        calls = []
+
+        def spy(keys, bound):
+            calls.append(bound)
+            return stable_order(keys, bound)
+
+        monkeypatch.setattr(repro.util, "stable_order", spy)
+        return calls
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=120
+        ).map(lambda pairs: sorted(pairs, key=lambda p: p[1]))
+    )
+    def test_non_decreasing_values_with_duplicate_pairs(self, pairs):
+        keys = [k for k, _ in pairs]
+        values = [v for _, v in pairs]
+        self.check(keys, values, 7, 10)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=120))
+    def test_any_order_of_values(self, pairs):
+        self.check([k for k, _ in pairs], [v for _, v in pairs], 7, 10)
+
+    def test_sorted_values_never_build_a_permutation(self, routes):
+        self.check([5, 1, 5, 1, 0], [0, 0, 2, 2, 9], 6, 10)
+        self.check([], [], 6, 10)
+        self.check([2**31 - 1, 0, 2**31 - 1], [0, 1, 2**32 - 1], 2**31, 2**32)
+        assert routes == []
+
+    def test_unsorted_values_take_the_stable_order_route(self, routes):
+        self.check([5, 1, 5, 1, 0], [3, 0, 2, 2, 9], 6, 10)
+        assert routes == [6]
+
+    def test_bounds_wider_than_a_word_take_the_stable_order_route(self, routes):
+        self.check([2**31, 0, 7], [0, 1, 2], 2**31 + 1, 10)
+        self.check([4, 0, 7], [0, 1, 2**32], 8, 2**32 + 1)
+        assert routes == [2**31 + 1, 8]
+
+    def test_does_not_modify_inputs(self):
+        keys = np.array([4, 1, 4, 0], dtype=np.int64)
+        values = np.array([0, 1, 1, 3], dtype=np.int64)
+        group_by_key(keys, values, 5, 4)
+        assert keys.tolist() == [4, 1, 4, 0] and values.tolist() == [0, 1, 1, 3]

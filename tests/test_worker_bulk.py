@@ -125,6 +125,27 @@ class TestLocalAdjacency:
         assert w.local_adjacency("both") is w.local_adjacency("both")
         assert w.local_adjacency() is not w.local_adjacency("both")
 
+    def test_degree_split_is_the_per_superstep_split_of_all_rows(self, graph):
+        """What PageRank computed from ``degrees[active]`` every superstep,
+        cached on the adjacency (so a migration, which rebuilds workers and
+        their adjacency, cannot leave it stale) and off the program (so it
+        never enters a checkpoint)."""
+        from repro.algorithms.pagerank import PageRankScatterBulk
+
+        engine = ChannelEngine(graph, PageRankScatterBulk, num_workers=2)
+        for w in engine.workers:
+            adj = w.local_adjacency()
+            active = np.arange(w.num_local)
+            deg = adj.degrees[active]
+            senders, degrees, dead = adj.degree_split
+            np.testing.assert_array_equal(senders, active[deg > 0])
+            np.testing.assert_array_equal(degrees, deg[deg > 0])
+            np.testing.assert_array_equal(dead, active[~(deg > 0)])
+            assert adj.degree_split[0] is senders  # computed once
+        engine.run()
+        for w in engine.workers:
+            assert set(w.program.state_dict()) == {"rank"}
+
     def test_bad_direction_rejected(self, graph):
         engine = ChannelEngine(graph, _idle_program(), num_workers=2)
         with pytest.raises(ValueError, match="direction"):
