@@ -149,10 +149,6 @@ class _PageRankBulkBase(BulkVertexProgram):
         self.agg = Aggregator(worker, SUM_F64)
         self.rank = np.zeros(worker.num_local)
 
-    # subclasses: one-time channel setup over the local adjacency
-    def _setup_bulk(self, adj) -> None:
-        pass
-
     # subclasses: full-length combined-inbox array (indexed by local idx)
     def _incoming_bulk(self) -> np.ndarray:
         raise NotImplementedError
@@ -171,7 +167,6 @@ class _PageRankBulkBase(BulkVertexProgram):
         everyone = active.size == self.num_local
         rows = slice(None) if everyone else active
         if self.step_num == 1:
-            self._setup_bulk(adj)
             self.rank[rows] = 1.0 / n
         else:
             # s: rank mass collected from dead ends, redistributed uniformly
@@ -217,10 +212,7 @@ class PageRankScatterBulk(_PageRankBulkBase):
     def __init__(self, worker):
         super().__init__(worker)
         self.msg = ScatterCombine(worker, SUM_F64)
-
-    def _setup_bulk(self, adj) -> None:
-        src = np.repeat(np.arange(self.num_local, dtype=np.int64), adj.degrees)
-        self.msg.add_edges_bulk(src, adj.indices)
+        self.msg.add_adjacency("out")
 
     def _incoming_bulk(self) -> np.ndarray:
         return self.msg.get_messages()[0]
@@ -237,6 +229,7 @@ class PageRankMirroredBulk(PageRankScatterBulk):
     def __init__(self, worker):
         _PageRankBulkBase.__init__(self, worker)
         self.msg = MirroredScatter(worker, SUM_F64, threshold=self.mirror_threshold)
+        self.msg.add_adjacency("out")
 
 
 _VARIANTS = {
@@ -257,7 +250,19 @@ def run_pagerank(
 
     ``variant`` is ``"basic"``, ``"scatter"``, or ``"mirror"``;
     ``mode`` selects the per-vertex (``"scalar"``) or whole-active-set
-    (``"bulk"``) compute path — both produce identical ranks and traffic.
+    (``"bulk"``) compute path — both produce identical ranks and traffic
+    whenever every vertex is active in superstep 1 (every plain run).
+
+    Under a seeded first superstep (``initial_active=``) the ``scatter``
+    and ``mirror`` variants differ by mode: the scalar listing registers
+    the static out-edges of the vertices active in superstep 1 only, so a
+    vertex first woken later scatters along no edge and its share is
+    dropped; the bulk programs register the whole local adjacency
+    (``add_adjacency``: all rows, whoever is active), and a static channel
+    sends along every registered edge once any vertex of the worker set a
+    message (the combiner's identity for a vertex that set none), so a
+    worker's first scatter wakes everything its rows point at.  ``basic``
+    has no static edge set and agrees in both modes.
     """
     base = resolve_mode(_VARIANTS, variant, mode)
     program = type(base.__name__, (base,), {"iterations": iterations})

@@ -27,7 +27,10 @@ and 3 with the RequestRespond channel.
 Each variant exists twice: the per-vertex listing (``mode="scalar"``, the
 paper's program text) and its columnar port (``mode="bulk"``), which runs
 every phase over the whole active set and is bit-identical to it in
-results, traffic and checkpoint bytes.
+results and traffic.  With ``use_scatter`` the port names its local
+adjacency as the ``ScatterCombine``'s edge set where the listing registers
+``v.edges`` per vertex, so its checkpoints hold a direction instead of two
+edge columns; every other snapshot key is equal.
 """
 
 from __future__ import annotations
@@ -194,14 +197,15 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
     """Columnar port of :class:`_SVBase`: each phase over the whole active
     set, records in the order the per-vertex loop emits them."""
 
+    def __init__(self, worker):
+        super().__init__(worker)
+        if self.use_scatter:
+            self.bcast.add_adjacency("out")
+
     def _start_round(self, active: np.ndarray) -> None:
         """Phase 1: ask for the grandparent, broadcast D to neighbors."""
-        adj = self.worker.local_adjacency("out")
         if self.step_num == 1:
             self.D[active] = self.worker.local_ids[active]
-            if self.use_scatter:
-                src = np.repeat(np.arange(self.num_local, dtype=np.int64), adj.degrees)
-                self.bcast.add_edges_bulk(src, adj.indices)
         elif self.agg.result() == 0:
             self.worker.halt_bulk(active)
             return
@@ -213,6 +217,7 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
         if self.use_scatter:
             self.bcast.set_messages(active, d)
         else:
+            adj = self.worker.local_adjacency("out")
             self.bcast.send_messages(
                 adj.gather(active), np.repeat(d, adj.degrees[active])
             )
@@ -290,6 +295,13 @@ def run_sv(graph: Graph, variant: str = "basic", mode: str = "bulk", **engine_kw
     selects the columnar port (``"bulk"``, the default: it is bit-identical
     to the listing in results and traffic) or the paper's per-vertex
     listing (``"scalar"``).
+
+    The modes can differ only under a seeded first superstep
+    (``initial_active=``) with ``scatter`` / ``both``: the listing
+    registers ``v.edges`` for the vertices active in superstep 1, the port
+    the whole local adjacency (``add_adjacency``: all rows, whoever is
+    active), so a vertex first woken later broadcasts to its neighbors in
+    bulk mode and to nobody in scalar mode.
     """
     program = resolve_mode(_VARIANTS, variant, mode)
     result = ChannelEngine(graph, program, **engine_kwargs).run()

@@ -10,6 +10,13 @@ answer); registered chunks are **never written, so never copied** — one
 bulk chunk, possibly a read-only view of an mmap store, *is* the edge set.
 The columns' keys are the snapshot keys, so the checkpoint and migration
 format of an edge set is decided here too.
+
+:class:`ScatterEdges` has a second registration *form* beside the
+per-edge one: :meth:`~ScatterEdges.add_adjacency` names the worker's own
+``local_adjacency(direction)`` as the edge set.  Nothing is copied out of
+the graph then — the sender column exists only while ``_build`` runs, a
+snapshot holds the direction, and a restored or migrated channel reads
+its edges from the adjacency of the worker it finds itself on.
 """
 
 from __future__ import annotations
@@ -69,7 +76,91 @@ class StaticEdges:
 
 class ScatterEdges(StaticEdges):
     """The registration API of the channels that scatter one value per
-    vertex along unweighted static edges."""
+    vertex along unweighted static edges: per edge (``add_edge[s][_bulk]``,
+    kept as columns) or by naming the local adjacency
+    (:meth:`add_adjacency`, kept as a direction).  One channel takes one
+    form."""
+
+    #: snapshot key of the adjacency form: the direction, in place of columns
+    _ADJACENCY_KEY = "edge_adjacency"
+
+    #: the direction :meth:`add_adjacency` named; ``None``: per-edge form
+    _adjacency: str | None = None
+
+    def add_adjacency(self, direction: str = "out") -> None:
+        """Register **all rows** of ``worker.local_adjacency(direction)``,
+        whoever is active: local vertex ``i`` scatters to every entry of
+        row ``i``, in CSR order.
+
+        The tables built from it equal those of ``add_edges_bulk(repeat(
+        arange(num_local), adj.degrees), adj.indices)``, but the channel
+        keeps the direction, not the edges: the adjacency is read when the
+        dispatch structure is built, a snapshot holds one short string, and
+        after a restore or a migration the edge set is the adjacency of
+        the worker the channel then belongs to.  Declare it where the
+        channel is constructed, so that a worker with nothing to do in
+        superstep 1 snapshots and migrates like its peers.
+
+        A per-vertex listing that calls ``add_edges(v, v.edges)`` in its
+        first superstep registers only the vertices active then; the two
+        agree exactly when every vertex is."""
+        if self._adjacency not in (None, direction):
+            raise ValueError(
+                f"{self!r}: add_adjacency({direction!r}) after "
+                f"add_adjacency({self._adjacency!r})"
+            )
+        self._adjacency = direction
+        self._built = False
+        self._by_adjacency()  # raises when edges were registered one by one before
+
+    def _by_adjacency(self) -> bool:
+        """Whether the edge set is a named adjacency (else per-edge
+        columns); registrations of both forms are an error."""
+        if self._adjacency is None:
+            return False
+        if self._edges.chunks or self._edges.rows[0]:
+            raise ValueError(
+                f"{self!r}: add_adjacency() and per-edge registration "
+                "(add_edge / add_edges / add_edges_bulk) on one channel"
+            )
+        return True
+
+    def _checked_edges(self) -> tuple[np.ndarray, ...]:
+        if not self._by_adjacency():
+            return super()._checked_edges()
+        worker = self.worker
+        adj = worker.local_adjacency(self._adjacency)
+        check_ids(self, "edge destination", adj.indices, worker.graph.num_vertices)
+        # the sender column lives for one _build; 4 bytes per edge is what
+        # group_by_key's packed pairs hold of it anyway
+        senders = np.repeat(np.arange(worker.num_local, dtype=np.uint32), adj.degrees)
+        return senders, adj.indices
+
+    def _edges_snapshot(self) -> dict:
+        if self._by_adjacency():
+            return {self._ADJACENCY_KEY: self._adjacency}
+        return super()._edges_snapshot()
+
+    def _edges_restore(self, state: dict) -> None:
+        self._adjacency = state.get(self._ADJACENCY_KEY)
+        if self._adjacency is None:
+            super()._edges_restore(state)
+        else:  # _build() reads the adjacency of the worker restored into
+            self._init_edges()
+
+    def _edges_migrate(self, states: list[dict], ctx) -> list[dict]:
+        named = {s.get(self._ADJACENCY_KEY) for s in states}
+        if named == {None}:
+            return super()._edges_migrate(states, ctx)
+        if len(named) > 1:
+            raise ValueError(
+                f"{self!r}: workers registered different edge sets "
+                f"({sorted(map(str, named))}); an adjacency registration "
+                "must be declared on every worker"
+            )
+        # every new owner reads its own rows: nothing to route
+        direction = named.pop()
+        return [{self._ADJACENCY_KEY: direction} for _ in range(ctx.num_workers)]
 
     def add_edge(self, v: Vertex, dst: int) -> None:
         """Register a static edge from ``v`` to global vertex ``dst``."""

@@ -95,7 +95,10 @@ class MirroredScatter(ScatterEdges, CombinedInbox, Channel):
         for peer in range(self.num_workers):
             sel = owner == peer
             order = np.argsort(src[sel], kind="stable")
-            psrc, pdst = src[sel][order], dst[sel][order]
+            # (int64 whatever width the column arrived in: these index
+            # _values every superstep, and a narrower index is widened per call)
+            psrc = src[sel][order].astype(np.int64, copy=False)
+            pdst = dst[sel][order]
             # a sender with >= threshold edges into `peer` is mirrored there
             uniq_src, starts = group_starts(psrc)
             heavy_senders = uniq_src[

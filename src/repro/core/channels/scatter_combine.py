@@ -30,8 +30,9 @@ from repro.util import group_by_key
 __all__ = ["ScatterCombine"]
 
 #: edges one step of the per-superstep scan gathers: the scratch they land
-#: in is reused, so the scan allocates no per-edge temporary
-_BLOCK_EDGES = 1 << 20
+#: in is reused, so the scan allocates no per-edge temporary (0.5 MB of
+#: float64; a scan in 1 Mi-edge steps measured no faster)
+_BLOCK_EDGES = 1 << 16
 
 
 def _scan_blocks(starts: np.ndarray, num_edges: int) -> list[tuple[int, int, int, int]]:
@@ -53,7 +54,8 @@ def _scan_blocks(starts: np.ndarray, num_edges: int) -> list[tuple[int, int, int
 class ScatterCombine(ScatterEdges, CombinedInbox, Channel):
     """Scatter one value per vertex along static edges, combine per receiver.
 
-    Static structure: :class:`ScatterEdges` (``add_edge[s][_bulk]``);
+    Static structure: :class:`ScatterEdges` (``add_edge[s][_bulk]`` or
+    ``add_adjacency``);
     receive half: :class:`CombinedInbox` (``get_message[s]``,
     ``has_message``); the send half is this class.
 

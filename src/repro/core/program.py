@@ -271,11 +271,11 @@ class BulkVertexProgram(VertexProgram):
     local indices of the active set.  Implementations operate on
     program-owned NumPy state arrays and the channels' array APIs
     (``set_messages``, ``send_messages``, ``get_messages``,
-    ``add_edges_bulk``, ``Aggregator.add_bulk``), plus the worker's
-    vectorized control surface (``halt_bulk``, ``activate_local_bulk``,
-    ``local_adjacency``).  ARCHITECTURE.md documents the porting recipe
-    and the FP-ordering rules that keep bulk output bit-identical to the
-    scalar original.
+    ``add_edges_bulk`` / ``add_adjacency``, ``Aggregator.add_bulk``), plus
+    the worker's vectorized control surface (``halt_bulk``,
+    ``activate_local_bulk``, ``local_adjacency``).  ARCHITECTURE.md
+    documents the porting recipe and the FP-ordering rules that keep bulk
+    output bit-identical to the scalar original.
     """
 
     is_bulk = True

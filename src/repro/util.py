@@ -90,9 +90,14 @@ def group_by_key(
     Within a key the stable order keeps ``values`` non-decreasing, which
     is the order of the sorted pairs, and equal pairs are interchangeable.
     Any other input goes through :func:`stable_order`.
+
+    ``values`` may be a narrower integer column (a ``uint32`` row numbering
+    is folded into the pairs as it is, never widened to a full-length
+    ``int64`` first); the grouped values are ``int64`` on either route,
+    the index width ``np.take`` wants.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(values)
     if (
         key_bound <= 1 << 31
         and value_bound <= 1 << 32
@@ -108,7 +113,7 @@ def group_by_key(
         return uniq.astype(np.int64), starts, packed
     order, sorted_keys = stable_order(keys, key_bound)
     uniq, starts = group_starts(sorted_keys)
-    return uniq, starts, values[order]
+    return uniq, starts, values[order].astype(np.int64, copy=False)
 
 
 def csr_group(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,10 @@ For every ported algorithm we assert, on a seeded random graph and across
   order, see ARCHITECTURE.md);
 * identical per-channel traffic (net/local bytes and message counts from
   ``metrics.channel_breakdown()``), plus superstep/round totals and
-  checkpoint bytes.
+  checkpoint bytes — except that a bulk port which names its adjacency as
+  a scatter channel's edge set (``add_adjacency``) checkpoints a direction
+  where the listing checkpoints two edge columns: there, every *other*
+  snapshot key is byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import pagerank as pagerank_module, sv as sv_module
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
@@ -25,7 +29,9 @@ from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import SV_VARIANTS, run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import BulkVertexProgram, ChannelEngine, RequestRespond
-from repro.graph import chain, random_tree, rmat
+from repro.graph import Graph, chain, random_tree, rmat
+from repro.graph.partition import range_partition
+from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
 
 WORKERS = [1, 2, 8]
@@ -46,7 +52,46 @@ def undirected_graph():
     return rmat(8, edge_factor=2, seed=34, directed=False)
 
 
-def _assert_parity(scalar_out, bulk_out):
+@pytest.fixture
+def engines(monkeypatch):
+    """Every engine ``run_pagerank`` / ``run_sv`` builds during the test,
+    in order (an engine keeps its latest checkpoint)."""
+    built = []
+
+    class Recorded(ChannelEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(pagerank_module, "ChannelEngine", Recorded)
+    monkeypatch.setattr(sv_module, "ChannelEngine", Recorded)
+    return built
+
+
+def _assert_same_checkpoint_but_for_the_edges(scalar_engine, bulk_engine):
+    """The last checkpoints of the two runs, worker by worker: the bulk
+    one names an adjacency, the scalar one lists the edges, and nothing
+    else differs by a byte."""
+    scalar, bulk = scalar_engine.checkpoint, bulk_engine.checkpoint
+    assert scalar.superstep == bulk.superstep
+    named = 0
+    for blob_s, blob_b in zip(scalar.blobs, bulk.blobs, strict=True):
+        state_s, state_b = decode_state(blob_s), decode_state(blob_b)
+        for chan_s, chan_b in zip(state_s["channels"], state_b["channels"], strict=True):
+            if "edge_adjacency" in chan_b:
+                named += 1
+                assert {"edge_src", "edge_dst"} <= set(chan_s)
+                assert not {"edge_src", "edge_dst"} & set(chan_b)
+            for chan in (chan_s, chan_b):
+                for key in [k for k in chan if k.startswith("edge_")]:
+                    del chan[key]
+        assert encode_state(state_s) == encode_state(state_b)
+    assert named == len(bulk.blobs)  # one scatter channel on every worker
+
+
+def _assert_parity(scalar_out, bulk_out, by_adjacency=None):
+    """``by_adjacency``: the ``(scalar, bulk)`` engines of a program whose
+    bulk port registers its scatter edges with ``add_adjacency``."""
     (data_s, res_s), (data_b, res_b) = scalar_out, bulk_out
     np.testing.assert_array_equal(data_s, data_b)
     assert res_s.data == res_b.data
@@ -58,16 +103,22 @@ def _assert_parity(scalar_out, bulk_out):
     assert ms.total_local_bytes == mb.total_local_bytes
     assert ms.total_messages == mb.total_messages
     assert ms.num_checkpoints == mb.num_checkpoints
-    assert ms.checkpoint_bytes == mb.checkpoint_bytes
+    if by_adjacency is None:
+        assert ms.checkpoint_bytes == mb.checkpoint_bytes
+    else:
+        _assert_same_checkpoint_but_for_the_edges(*by_adjacency)
 
 
 @pytest.mark.parametrize("variant", ["basic", "scatter", "mirror"])
 @pytest.mark.parametrize("workers", WORKERS)
-def test_pagerank_parity(directed_graph, variant, workers):
-    kw = dict(variant=variant, iterations=8, num_workers=workers)
+def test_pagerank_parity(directed_graph, variant, workers, engines):
+    kw = dict(variant=variant, iterations=8, num_workers=workers, checkpoint_every=3)
+    scalar = run_pagerank(directed_graph, mode="scalar", **kw)
+    assert scalar[1].metrics.checkpoint_bytes > 0
     _assert_parity(
-        run_pagerank(directed_graph, mode="scalar", **kw),
+        scalar,
         run_pagerank(directed_graph, mode="bulk", **kw),
+        by_adjacency=engines if variant != "basic" else None,
     )
 
 
@@ -77,13 +128,40 @@ def test_pagerank_parity_under_partial_activity(directed_graph):
     ``test_pagerank_parity`` (everyone active: whole-array assignment,
     the adjacency's cached degree split) never reaches.  The basic variant
     only: scatter's scalar setup registers edges per active vertex and its
-    bulk setup all at once, which differ under a seed set."""
+    bulk setup the whole adjacency, which differ under a seed set (see
+    ``test_static_scatter_under_a_seeded_first_superstep``)."""
     seeds = np.arange(0, directed_graph.num_vertices, 3)
     kw = dict(variant="basic", iterations=6, num_workers=2, initial_active=seeds)
     _assert_parity(
         run_pagerank(directed_graph, mode="scalar", **kw),
         run_pagerank(directed_graph, mode="bulk", **kw),
     )
+
+
+@pytest.mark.parametrize("variant", ["scatter", "mirror"])
+def test_static_scatter_under_a_seeded_first_superstep(variant):
+    """Where the modes differ, as ``run_pagerank`` documents it: the path
+    0 -> 1 -> ... -> 5 on workers {0, 1, 2} and {3, 4, 5}, seeded at vertex
+    0.  The listing registers ``v.edges`` of the vertices active in
+    superstep 1 — vertex 0 alone — so vertex 1 is woken, scatters along no
+    edge, and the rest never run.  The bulk port registers every row of
+    the adjacency, whoever is active, and a static channel sends along all
+    its edges once any local vertex set a message: worker 0 reaches
+    vertices 1-3 in superstep 1, worker 1 the rest in superstep 2."""
+    path = Graph.from_edges(6, [(i, i + 1) for i in range(5)], directed=True)
+    kw = dict(
+        variant=variant,
+        iterations=4,
+        num_workers=2,
+        partition=range_partition(6, 2),
+        initial_active=np.array([0]),
+    )
+    ranks, result = run_pagerank(path, mode="scalar", **kw)
+    assert [r.active_vertices for r in result.metrics.records] == [1, 2, 2, 2, 2]
+    assert (ranks[:2] > 0).all() and (ranks[2:] == 0).all()
+    ranks, result = run_pagerank(path, mode="bulk", **kw)
+    assert [r.active_vertices for r in result.metrics.records] == [1, 4, 6, 6, 6]
+    assert (ranks > 0).all()
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -112,11 +190,15 @@ def test_sssp_parity(weighted_graph, workers):
 
 @pytest.mark.parametrize("variant", SV_VARIANTS)
 @pytest.mark.parametrize("workers", WORKERS)
-def test_sv_parity(undirected_graph, variant, workers):
+def test_sv_parity(undirected_graph, variant, workers, engines):
     kw = dict(variant=variant, num_workers=workers, checkpoint_every=2)
     scalar = run_sv(undirected_graph, mode="scalar", **kw)
     assert scalar[1].metrics.checkpoint_bytes > 0
-    _assert_parity(scalar, run_sv(undirected_graph, mode="bulk", **kw))
+    _assert_parity(
+        scalar,
+        run_sv(undirected_graph, mode="bulk", **kw),
+        by_adjacency=engines if variant in ("scatter", "both") else None,
+    )
 
 
 @pytest.mark.parametrize("forest", [chain(150), random_tree(300, seed=7)], ids=["chain", "tree"])

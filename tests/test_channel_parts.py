@@ -263,3 +263,47 @@ def test_snapshot_keys_and_dtypes_are_pinned(cls):
     assert list(got.items()) == list(SNAPSHOT_FORMAT[cls].items())
     if "edge_dst" in snap:
         assert snap["edge_dst"].tolist() == [5, 6, 7]
+
+
+#: the same table for an edge set registered with ``add_adjacency``: the
+#: direction under one key where the two columns were, the rest unchanged
+ADJACENCY_SNAPSHOT_FORMAT = {
+    ScatterCombine: {
+        "edge_adjacency": str,
+        "values": "float64",
+        "sent_mask": "bool",
+        "dirty": bool,
+        "slots": "float64",
+        "has_msg": "bool",
+    },
+    MirroredScatter: {
+        "edge_adjacency": str,
+        "values": "float64",
+        "dirty": bool,
+        "slots": "float64",
+        "has_msg": "bool",
+        "expansion": dict,
+        "setup_sent": bool,
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(ADJACENCY_SNAPSHOT_FORMAT), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("built", [False, True], ids=["registered", "built"])
+def test_adjacency_snapshot_keys_are_pinned(cls, built):
+    class Idle(VertexProgram):
+        def compute(self, v):
+            v.vote_to_halt()
+
+    worker = ChannelEngine(GRAPH, Idle, num_workers=2).workers[0]
+    channel = _BUILD[cls](worker)
+    channel.add_adjacency("in")
+    if built:
+        channel._build()
+    snap = channel.snapshot()
+    got = {
+        key: str(val.dtype) if isinstance(val, np.ndarray) else type(val)
+        for key, val in snap.items()
+    }
+    assert list(got.items()) == list(ADJACENCY_SNAPSHOT_FORMAT[cls].items())
+    assert snap["edge_adjacency"] == "in"

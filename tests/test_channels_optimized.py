@@ -1,6 +1,7 @@
 """Unit tests for the optimized channels: ScatterCombine, RequestRespond,
 Propagation (Table II)."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,10 @@ from repro.core import (
 )
 from repro.core.channels import scatter_combine
 from repro.core.channels._records import encode_records
-from repro.graph import rmat, star
+from repro.graph import Graph, rmat, star
+from repro.graph.partition import hash_partition, range_partition
+from repro.runtime.checkpoint import decode_state, encode_state
+from repro.runtime.rebalance import MigrationContext
 from repro.runtime.serialization import INT32, INT64
 from helpers import line_graph, two_triangles
 
@@ -216,6 +220,11 @@ class TestScatterCombine:
         assert hashed == scanned and len(hashed[0]) > 64
 
 
+class _Idle(VertexProgram):
+    def compute(self, v):
+        v.vote_to_halt()
+
+
 #: every channel that owns a static edge set
 STATIC_EDGE_CHANNELS = pytest.mark.parametrize(
     "channel",
@@ -234,12 +243,8 @@ class TestScatterCombineBuild:
 
     @staticmethod
     def _worker(workers=2):
-        class Idle(VertexProgram):
-            def compute(self, v):
-                v.vote_to_halt()
-
         g = rmat(6, edge_factor=4, seed=5)
-        return ChannelEngine(g, Idle, num_workers=workers).workers[0]
+        return ChannelEngine(g, _Idle, num_workers=workers).workers[0]
 
     @staticmethod
     def _edges(worker):
@@ -328,10 +333,14 @@ class TestScatterCombineBuild:
         seg_src, seg_starts, wire, _ = self._tables(ch)
         assert seg_src == [] and seg_starts == [] and all(w == [] for w in wire)
 
-    def test_snapshot_taken_before_supersteps_is_unchanged_after(self):
-        """The snapshot aliases the registered chunk; nothing the channel
-        does in later supersteps may write through that alias."""
-        from repro.algorithms.pagerank import PageRankScatterBulk
+    @staticmethod
+    def _run_snapshotting(register):
+        """Three PageRank iterations on two range-partitioned workers (whose
+        adjacency is a view of the graph's own arrays), with ``register``
+        declaring each scatter channel's edge set at construction; per
+        worker ``(channel, its snapshot before anything was built, a
+        private copy of the adjacency's destination column)``."""
+        from repro.algorithms.pagerank import PageRankScatterBulk, _PageRankBulkBase
         from repro.graph.partition import range_partition
 
         taken = {}
@@ -339,24 +348,52 @@ class TestScatterCombineBuild:
         class Snapshotting(PageRankScatterBulk):
             iterations = 3
 
+            def __init__(self, worker):
+                _PageRankBulkBase.__init__(self, worker)
+                self.msg = ScatterCombine(worker, SUM_F64)
+                register(self.msg, worker.local_adjacency())
+
             def compute_bulk(self, active):
-                super().compute_bulk(active)
-                if self.step_num == 1:  # edges registered, nothing built yet
+                if self.step_num == 1:
                     snap = self.msg.snapshot()
-                    copy = {k: snap[k].copy() for k in ("edge_src", "edge_dst")}
-                    taken[self.worker.worker_id] = (self.msg, snap, copy)
+                    indices = self.worker.local_adjacency().indices.copy()
+                    taken[self.worker.worker_id] = (self.msg, snap, indices)
+                super().compute_bulk(active)
 
         g = rmat(7, edge_factor=6, seed=9)
         result = ChannelEngine(
             g, Snapshotting, num_workers=2, partition=range_partition(g.num_vertices, 2)
         ).run()
         assert result.supersteps >= 4 and sorted(taken) == [0, 1]
-        for channel, snap, copy in taken.values():
-            assert copy["edge_dst"].size
-            after = channel.snapshot()
-            for key in ("edge_src", "edge_dst"):
-                np.testing.assert_array_equal(snap[key], copy[key])
-                np.testing.assert_array_equal(after[key], copy[key])
+        assert all(indices.size for _, _, indices in taken.values())
+        return taken.values()
+
+    def test_snapshot_taken_before_supersteps_is_unchanged_after(self):
+        """The snapshot aliases the registered chunk; nothing the channel
+        does in later supersteps may write through that alias."""
+
+        def explicit(channel, adj):
+            src = np.repeat(np.arange(adj.degrees.size, dtype=np.int64), adj.degrees)
+            channel.add_edges_bulk(src, adj.indices)
+
+        for channel, snap, indices in self._run_snapshotting(explicit):
+            indptr = channel.worker.local_adjacency().indptr
+            senders = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+            for state in (snap, channel.snapshot()):
+                np.testing.assert_array_equal(state["edge_src"], senders)
+                np.testing.assert_array_equal(state["edge_dst"], indices)
+
+    def test_adjacency_named_before_supersteps_is_unchanged_after(self):
+        """The twin for ``add_adjacency``: the snapshot holds the direction
+        before and after, and the adjacency the builds read — a view of the
+        graph — was never written."""
+        for channel, snap, indices in self._run_snapshotting(
+            lambda channel, adj: channel.add_adjacency("out")
+        ):
+            assert channel._built
+            assert snap["edge_adjacency"] == channel.snapshot()["edge_adjacency"] == "out"
+            assert not {"edge_src", "edge_dst"} & set(snap)
+            np.testing.assert_array_equal(channel.worker.local_adjacency().indices, indices)
 
     @STATIC_EDGE_CHANNELS
     @pytest.mark.parametrize(
@@ -572,6 +609,162 @@ class TestScatterCombineBuild:
         engine = ChannelEngine(line_graph(4), P, num_workers=2)
         with pytest.raises(ValueError, match=r"destination -1 outside \[0, 4\)"):
             engine.run(max_supersteps=3)  # bounded: P itself never halts
+
+
+@st.composite
+def _small_graphs(draw):
+    """Up to 24 vertices, loops and parallel edges allowed; many vertices
+    have no edge, and 8 workers leave some with no vertex."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    return Graph.from_edges(n, edges, directed=draw(st.booleans()))
+
+
+#: the two channels that inherit ``ScatterEdges``
+SCATTER_EDGE_CHANNELS = pytest.mark.parametrize(
+    "channel",
+    [lambda w: ScatterCombine(w, SUM_F64), lambda w: MirroredScatter(w, SUM_F64, threshold=3)],
+    ids=["ScatterCombine", "MirroredScatter"],
+)
+
+
+class TestAdjacencyRegistration:
+    """``add_adjacency``: the edge set is a direction, and what it builds
+    is what the per-edge registration of the same rows builds."""
+
+    _tables = staticmethod(TestScatterCombineBuild._tables)
+
+    @staticmethod
+    def _explicit(worker, direction, make=lambda w: ScatterCombine(w, SUM_F64)):
+        adj = worker.local_adjacency(direction)
+        ch = make(worker)
+        ch.add_edges_bulk(np.repeat(np.arange(worker.num_local), adj.degrees), adj.indices)
+        return ch
+
+    @staticmethod
+    def _named(worker, direction, make=lambda w: ScatterCombine(w, SUM_F64)):
+        ch = make(worker)
+        ch.add_adjacency(direction)
+        return ch
+
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("partition", [range_partition, hash_partition])
+    @settings(max_examples=20, deadline=None)
+    @given(graph=_small_graphs())
+    def test_tables_equal_the_per_edge_registration(
+        self, direction, workers, partition, graph
+    ):
+        engine = ChannelEngine(
+            graph, _Idle, num_workers=workers, partition=partition(graph.num_vertices, workers)
+        )
+        for worker in engine.workers:
+            expected = self._tables(self._explicit(worker, direction))
+            named = self._named(worker, direction)
+            assert self._tables(named) == expected
+            assert named._seg_edge_src.dtype == np.int64
+            # ... and again from its snapshot, through the checkpoint codec
+            restored = ScatterCombine(worker, SUM_F64)
+            restored.restore(decode_state(encode_state(named.snapshot())))
+            assert not restored._built and not restored._edges.chunks
+            assert self._tables(restored) == expected
+
+    @pytest.mark.parametrize("direction", ["out", "both"])
+    def test_mirrored_dispatch_equals_the_per_edge_registration(self, direction):
+        make = lambda w: MirroredScatter(w, SUM_F64, threshold=3)  # noqa: E731
+        g = rmat(6, edge_factor=4, seed=5)
+        for worker in ChannelEngine(g, _Idle, num_workers=2).workers:
+            explicit = self._explicit(worker, direction, make)
+            named = self._named(worker, direction, make)
+            explicit._build()
+            named._build()
+            assert any(heavy.size for *_, heavy, _, _, _ in named._dispatch)
+            for row_e, row_n in zip(explicit._dispatch, named._dispatch, strict=True):
+                assert [t.tolist() for t in row_e] == [t.tolist() for t in row_n]
+                assert row_n[0].dtype == np.int64  # indexes _values every superstep
+
+    @SCATTER_EDGE_CHANNELS
+    def test_snapshot_size_does_not_depend_on_the_edge_count(self, channel):
+        sizes, edges = [], []
+        for edge_factor in (1, 12):
+            g = rmat(6, edge_factor=edge_factor, seed=5)
+            owner = range_partition(g.num_vertices, 2)
+            worker = ChannelEngine(g, _Idle, num_workers=2, partition=owner).workers[0]
+            ch = self._named(worker, "out", channel)
+            ch._build()
+            sizes.append(len(encode_state(ch.snapshot())))
+            edges.append(worker.local_adjacency().num_edges)
+        assert edges[1] > 4 * edges[0] > 0
+        assert sizes[0] == sizes[1]
+
+    @SCATTER_EDGE_CHANNELS
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_destination_fails_at_build_by_name(self, request, channel, bad):
+        """A store whose ``indices`` hold an id the graph does not have:
+        the adjacency is checked like any registered column."""
+        worker = TestScatterCombineBuild._worker()
+        adj = worker.local_adjacency()
+        indices = adj.indices.copy()
+        indices[indices.size // 2] = bad
+        worker._local_adj["out"] = dataclasses.replace(adj, indices=indices)
+        ch = self._named(worker, "out", channel)
+        with pytest.raises(ValueError) as err:
+            ch._build()
+        msg = str(err.value)
+        assert request.node.callspec.id.split("-")[-1] in msg
+        assert f"edge destination {bad} outside [0, 64)" in msg and not ch._built
+
+    @SCATTER_EDGE_CHANNELS
+    def test_both_forms_on_one_channel_raise_by_name(self, request, channel):
+        worker = TestScatterCombineBuild._worker()
+        name = request.node.callspec.id
+        pattern = rf"{name}\(id=\d+, worker=0\): add_adjacency\(\) and per-edge registration"
+        v = worker._vertex._bind(0)
+        # per-edge first: the adjacency call itself refuses
+        for register in (
+            lambda ch: ch.add_edge(v, 5),
+            lambda ch: ch.add_edges(v, np.array([5, 6])),
+            lambda ch: ch.add_edges_bulk(np.array([0]), np.array([5])),
+        ):
+            ch = channel(worker)
+            register(ch)
+            with pytest.raises(ValueError, match=pattern):
+                ch.add_adjacency()
+            # adjacency first: the per-vertex calls stay check-free, the
+            # build and the snapshot refuse
+            ch = self._named(worker, "out", channel)
+            register(ch)
+            for use in (ch._build, ch.snapshot):
+                with pytest.raises(ValueError, match=pattern):
+                    use()
+            assert not ch._built
+
+    def test_one_direction_per_channel(self):
+        ch = self._named(TestScatterCombineBuild._worker(), "out")
+        ch.add_adjacency("out")  # naming it again is not a second edge set
+        with pytest.raises(ValueError, match=r"ScatterCombine\(.*add_adjacency\('in'\) after"):
+            ch.add_adjacency("in")
+        with pytest.raises(ValueError, match="direction must be"):
+            self._named(TestScatterCombineBuild._worker(), "sideways")._build()
+
+    def test_migration_hands_every_new_worker_the_direction(self):
+        workers = ChannelEngine(rmat(6, edge_factor=4, seed=5), _Idle, num_workers=2).workers
+        named = [self._named(w, "both") for w in workers]
+        for ch in named:
+            ch.set_messages(np.arange(ch.worker.num_local), 1.0 + ch.worker.local_ids)
+        owner = workers[0].owner
+        ctx = MigrationContext(owner, 1 - owner, 2)  # the two workers swap
+        migrated = named[0].migrate_states([ch.snapshot() for ch in named], ctx)
+        for w, state in enumerate(migrated):
+            assert list(state)[0] == "edge_adjacency" and state["edge_adjacency"] == "both"
+            assert not {"edge_src", "edge_dst"} & set(state)
+            np.testing.assert_array_equal(state["values"], 1.0 + workers[1 - w].local_ids)
+        # a worker that registered per edge among workers that named an
+        # adjacency has no defined edge set to migrate
+        states = [named[0].snapshot(), self._explicit(workers[1], "both").snapshot()]
+        with pytest.raises(ValueError, match="ScatterCombine.*different edge sets"):
+            named[0].migrate_states(states, ctx)
 
 
 class TestRequestRespond:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import ChannelEngine
 from repro.graph import rmat
@@ -40,6 +41,7 @@ WORKERS = [2, 8]
 
 _DIRECTED = rmat(7, edge_factor=4, seed=5, directed=True)
 _WEIGHTED = rmat(7, edge_factor=4, seed=6, directed=True, weighted=True)
+_UNDIRECTED = rmat(7, edge_factor=3, seed=6, directed=False)
 
 #: the acceptance workloads; failure supersteps sit off the
 #: checkpoint_every=2 grid so recovery always replays work
@@ -52,6 +54,9 @@ WORKLOADS = {
     ),
     "wcc": (lambda **kw: run_wcc(_DIRECTED, variant="basic", mode="bulk", **kw), 3),
     "sssp": (lambda **kw: run_sssp(_WEIGHTED, variant="basic", mode="bulk", **kw), 2),
+    # bulk S-V: ScatterCombine (edges named by adjacency, like pr-scatter's)
+    # composed with RequestRespond, two exchange rounds a superstep
+    "sv-both": (lambda **kw: run_sv(_UNDIRECTED, variant="both", **kw), 5),
 }
 
 
@@ -97,13 +102,30 @@ def test_confined_recovery_parity_on_pipes():
     _check_recovery_parity("wcc", "confined", 2, transport="pipe")
 
 
-def _check_recovery_parity(name, mode, workers, **process_kw):
-    runner, fail_at = WORKLOADS[name]
+@pytest.mark.parametrize("transport", ["shm", "pipe"])
+@pytest.mark.parametrize("mode", ["rollback", "confined"])
+@pytest.mark.parametrize("name", ["pr-scatter", "sv-both"])
+def test_recovery_from_a_snapshot_that_names_an_adjacency(name, mode, transport):
+    """Worker 1's process dies at superstep 2, before the first periodic
+    checkpoint: its replacement (every worker, on rollback) is restored
+    from the superstep-0 snapshot, whose scatter channel is one direction
+    string no worker had built from yet — on either byte mover, with
+    checkpoint and recovery bytes equal to the simulator's."""
+    _check_recovery_parity(
+        name, mode, 2, fail_at=2, checkpoint_every=3, transport=transport
+    )
+
+
+def _check_recovery_parity(
+    name, mode, workers, fail_at=None, checkpoint_every=2, **process_kw
+):
+    runner, default_fail_at = WORKLOADS[name]
+    fail_at = fail_at or default_fail_at
     base = _baseline(name, workers)
     assert base[-1].supersteps >= fail_at, "failure must actually fire"
     kw = dict(
         num_workers=workers,
-        checkpoint_every=2,
+        checkpoint_every=checkpoint_every,
         failures=[(1, fail_at)],
         recovery=mode,
     )

@@ -326,6 +326,28 @@ class TestEngineIntegration:
         assert proc.metrics.num_checkpoints == sim.metrics.num_checkpoints
         assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
 
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, **kw: run_pagerank(g, variant="scatter", mode="bulk", iterations=5, **kw),
+            lambda g, **kw: run_sv(g, variant="both", mode="bulk", **kw),
+        ],
+        ids=["pr-scatter", "sv-both"],
+    )
+    def test_adjacency_checkpoints_count_like_sim(self, directed_graph, run, transport):
+        # the bulk scatter programs snapshot a named adjacency, not edge
+        # columns: the same few bytes on every backend and byte mover
+        kw = dict(num_workers=2, checkpoint_every=2)
+        _, sim = run(directed_graph, **kw)
+        _, proc = run(directed_graph, executor="process", transport=transport, **kw)
+        assert proc.data == sim.data
+        assert proc.metrics.num_checkpoints == sim.metrics.num_checkpoints > 1
+        assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
+        # two int64 columns alone would be 16 bytes an edge, per checkpoint
+        per_checkpoint = sim.metrics.checkpoint_bytes / sim.metrics.num_checkpoints
+        assert per_checkpoint < 16 * directed_graph.num_edges
+
     def test_max_supersteps_guard(self):
         from helpers import line_graph
 

@@ -7,7 +7,9 @@ Pins the tentpole claims of :mod:`repro.runtime.rebalance`:
   all-zero timings) never migrate, and the greedy balancer's output is
   its own fixed point;
 * migration correctness — the parity matrix {PageRank-scatter, WCC,
-  SSSP} × {sim, process×{shm,pipe}} × {2, 8} workers: a fired
+  SSSP, bulk S-V scatter} × {sim, process×{shm,pipe}} × {2, 8} workers
+  (the scatter programs register their edges by adjacency, so a
+  migration hands each new owner a direction, not edge rows): a fired
   superstep-trigger migration reproduces the rebalance-off run's data
   (bit-identical for MIN-combiner workloads, allclose for PageRank,
   whose aggregator regroups float partials), and every backend produces
@@ -32,6 +34,7 @@ import pytest
 
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.graph import rmat
 from repro.graph.graph import Graph
@@ -49,6 +52,7 @@ WORKERS = [2, 8]
 
 _DIRECTED = rmat(7, edge_factor=8, seed=5, directed=True)
 _WEIGHTED = rmat(7, edge_factor=8, seed=6, directed=True, weighted=True)
+_UNDIRECTED = rmat(7, edge_factor=4, seed=7, directed=False)
 
 WORKLOADS = {
     "pr-scatter": (
@@ -59,6 +63,8 @@ WORKLOADS = {
     ),
     "wcc": (_DIRECTED, lambda g, **kw: run_wcc(g, variant="basic", mode="bulk", **kw)),
     "sssp": (_WEIGHTED, lambda g, **kw: run_sssp(g, variant="basic", mode="bulk", **kw)),
+    # bulk S-V over a ScatterCombine that names its adjacency
+    "sv-scatter": (_UNDIRECTED, lambda g, **kw: run_sv(g, variant="scatter", **kw)),
 }
 
 #: a migration regroups the dangling-mass aggregator's per-worker float
@@ -365,6 +371,23 @@ def test_unmigratable_channel_is_rejected_at_engine_build():
         run_pagerank(graph, variant="mirror", num_workers=2, rebalance="superstep")
     # unarmed, the same program runs
     assert run_pagerank(graph, variant="mirror", num_workers=2, iterations=2)[-1].supersteps
+
+
+def test_sv_over_request_respond_refuses_to_migrate_mid_run():
+    """S-V ``both`` is not in the matrix: ``RequestRespond`` keeps its
+    response cache until the next superstep that asks, so after superstep
+    1 of S-V it is never empty at a boundary, and its ``migrate_states``
+    refuses (by name) rather than guess who asked for what."""
+    with pytest.raises(RuntimeError, match="RequestRespond on worker 0 holds cached"):
+        run_sv(
+            _UNDIRECTED,
+            variant="both",
+            num_workers=2,
+            partition=planted_skew(_UNDIRECTED.num_vertices, 2),
+            rebalance="superstep",
+            rebalance_every=2,
+            rebalance_policy=_test_policy(2),
+        )
 
 
 def test_cli_rejects_unmigratable_channel_as_bad_options(capsys):

@@ -4,7 +4,7 @@ The contract under test: a run with an injected worker failure and
 either recovery mode yields ``result.data`` and total message/byte
 counters **bit-identical** to the failure-free run — for every
 algorithm with a bulk port (PageRank basic/scatter/mirror, WCC, BFS,
-SSSP), for scalar-only multi-phase SCC, and for Propagation-channel
+SSSP, S-V scatter/both), for scalar-only multi-phase SCC, and for Propagation-channel
 variants — across 2 and 8 workers.
 """
 
@@ -17,6 +17,7 @@ from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import run_pointer_jumping
 from repro.algorithms.scc import run_scc
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import ChannelEngine, FailureSchedule
 from repro.graph import random_tree, rmat
@@ -64,6 +65,11 @@ WORKLOADS = {
         lambda **kw: run_sssp(_DIRECTED, variant="basic", mode="bulk", **kw),
         2,
     ),
+    # bulk S-V: the scatter channel snapshots a named adjacency (as the
+    # two bulk pr-scatter / pr-mirror programs above do), alone and
+    # composed with RequestRespond
+    "sv-scatter-bulk": (lambda **kw: run_sv(_UNDIRECTED, variant="scatter", **kw), 5),
+    "sv-both-bulk": (lambda **kw: run_sv(_UNDIRECTED, variant="both", **kw), 5),
     # scalar-only: the multi-phase SCC and MSF state machines, and the
     # RequestRespond conversation channel ...
     "scc-basic": (lambda **kw: run_scc(_DIRECTED, variant="basic", **kw), 5),

@@ -1,5 +1,7 @@
 """Unit tests for the NumPy helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -174,6 +176,34 @@ class TestGroupByKey:
         self.check([2**31, 0, 7], [0, 1, 2], 2**31 + 1, 10)
         self.check([4, 0, 7], [0, 1, 2**32], 8, 2**32 + 1)
         assert routes == [2**31 + 1, 8]
+
+    @pytest.mark.parametrize("sort_values", [True, False], ids=["packed", "stable-order"])
+    def test_uint32_values_group_like_int64_ones(self, routes, sort_values):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 50, 400)
+        values = rng.integers(0, 2**32, 400, dtype=np.uint32)
+        if sort_values:
+            values.sort()
+        wide = group_by_key(keys, values.astype(np.int64), 50, 2**32)
+        narrow = group_by_key(keys, values, 50, 2**32)
+        assert len(routes) == (0 if sort_values else 2)
+        for got, expected in zip(narrow, wide, strict=True):
+            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+    def test_uint32_values_are_never_widened_to_a_full_column(self):
+        """The packed route holds one 8-byte word per pair (plus byte
+        masks); a widened copy of the values would be 8 more."""
+        n = 1 << 16
+        rng = np.random.default_rng(6)
+        keys = rng.integers(0, 1000, n)
+        values = np.sort(rng.integers(0, 500, n)).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            group_by_key(keys, values, 1000, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n
 
     def test_does_not_modify_inputs(self):
         keys = np.array([4, 1, 4, 0], dtype=np.int64)
