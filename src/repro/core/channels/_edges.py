@@ -79,7 +79,9 @@ class ScatterEdges(StaticEdges):
     vertex along unweighted static edges: per edge (``add_edge[s][_bulk]``,
     kept as columns) or by naming the local adjacency
     (:meth:`add_adjacency`, kept as a direction).  One channel takes one
-    form."""
+    form.  Either clears ``_announced`` with ``_built``: the peers have not
+    seen the pattern of the edge set as it now is
+    (:class:`~repro.core.channels._pattern.StaticPattern`)."""
 
     #: snapshot key of the adjacency form: the direction, in place of columns
     _ADJACENCY_KEY = "edge_adjacency"
@@ -110,7 +112,7 @@ class ScatterEdges(StaticEdges):
                 f"add_adjacency({self._adjacency!r})"
             )
         self._adjacency = direction
-        self._built = False
+        self._built = self._announced = False
         self._by_adjacency()  # raises when edges were registered one by one before
 
     def _by_adjacency(self) -> bool:
@@ -167,14 +169,14 @@ class ScatterEdges(StaticEdges):
         srcs, dsts = self._edges.rows
         srcs.append(v.local)
         dsts.append(dst)
-        self._built = False
+        self._built = self._announced = False
 
     def add_edges(self, v: Vertex, dsts: np.ndarray) -> None:
         """Register all of ``v``'s static out-edges at once."""
         src, dst = self._edges.rows
         src.extend([v.local] * len(dsts))
         dst.extend(np.asarray(dsts).tolist())
-        self._built = False
+        self._built = self._announced = False
 
     def add_edges_bulk(self, local_src: np.ndarray, dsts: np.ndarray) -> None:
         """Register many edges in one call: ``local_src[i]`` (a *local*
@@ -185,4 +187,4 @@ class ScatterEdges(StaticEdges):
         if local_src.shape != dsts.shape:
             raise ValueError("local_src and dsts must have equal length")
         self._edges.add_chunk(local_src, dsts)
-        self._built = False
+        self._built = self._announced = False

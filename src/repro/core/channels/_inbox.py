@@ -1,7 +1,9 @@
 """The combined inbox: the receive half of every combining channel.
 
 ``CombinedMessage``, ``ScatterCombine`` and ``MirroredScatter`` differ on
-the wire, but their receivers keep the same thing: one slot per local
+the wire (records for the first, pattern payloads for the static two —
+:mod:`~repro.core.channels._pattern`), but their receivers keep the same
+thing: one slot per local
 vertex holding the combiner's fold of what arrived, and a mask of who
 received anything.  :class:`CombinedInbox` is that half — slots, read API,
 the receive (reset to identity, fold each payload in arrival order, wake
@@ -54,13 +56,13 @@ class CombinedInbox:
         self._has_msg[:] = False
         if not payloads:
             return
-        for _src, payload in payloads:
-            self._receive(payload)
+        for src, payload in payloads:
+            self._receive(src, payload)
         self.worker.activate_local_bulk(np.flatnonzero(self._has_msg))
 
-    def _receive(self, payload: memoryview) -> None:
-        """Fold one peer's payload into the slots; the default payload is
-        one block of ``(destination id, value)`` records."""
+    def _receive(self, src: int, payload: memoryview) -> None:
+        """Fold worker ``src``'s payload into the slots; the default
+        payload is one block of ``(destination id, value)`` records."""
         ids, values = decode_records(payload, self.value_codec)
         self._fold(self.worker._local_index[ids], values)
 

@@ -8,6 +8,12 @@ count, so there is no header).  It is written here once —
 "emit, count what leaves this worker" loop (:func:`emit_payloads`;
 :func:`emit_records` for whole record payloads).
 
+A *pattern payload* is what the static channels send instead
+(:func:`encode_pattern` / :func:`decode_pattern`; the state on both ends
+of it is :mod:`~repro.core.channels._pattern`): the ids cross the wire
+once, as int32 words behind a tag that counts them, and every later
+payload is the tag, zero, and the values.
+
 ``DirectMessage`` and ``CombinedMessage`` also share their whole send
 path, :class:`RecordChannel`: scalar appends, array sends and peer
 routing, records leaving for each peer in call order
@@ -40,10 +46,36 @@ def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.nd
     unaligned values leaves its fast path and runs some 20x slower."""
     count = len(payload) // (INT32.itemsize + codec.itemsize)
     split = count * INT32.itemsize
-    values = codec.decode_array(payload[split:], count)
-    if not values.flags.aligned:
-        values = values.copy()
+    values = _aligned(codec.decode_array(payload[split:], count))
     return INT32.decode_array(payload[:split]).astype(np.int64), values
+
+
+def _aligned(values: np.ndarray) -> np.ndarray:
+    return values if values.flags.aligned else values.copy()
+
+
+def encode_pattern(words: np.ndarray | None, values: np.ndarray, codec: Codec) -> bytes:
+    """One pattern payload: ``[int32 tag][tag int32 words][values]``.  The
+    tag says how many words announcing the pattern precede the values;
+    ``words=None`` is the values-only payload, tag 0."""
+    if words is None:
+        return INT32.encode_one(0) + codec.encode_array(values)
+    return b"".join(
+        (INT32.encode_one(words.size), INT32.encode_array(words), codec.encode_array(values))
+    )
+
+
+def decode_pattern(
+    payload: memoryview, codec: Codec
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(int32 words or None, values)`` of a payload written by
+    :func:`encode_pattern`; lengths alone would not tell the two kinds
+    apart (``n`` records of 12 bytes are also ``1.5 n`` values of 8).  The
+    values are aligned, by :func:`decode_records`' rule."""
+    tag = INT32.decode_one(payload)
+    split = (1 + tag) * INT32.itemsize
+    values = _aligned(codec.decode_array(payload[split:]))
+    return (INT32.decode_array(payload[INT32.itemsize : split]) if tag else None), values
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:

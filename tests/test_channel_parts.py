@@ -209,6 +209,8 @@ SNAPSHOT_FORMAT = {
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
+        "announced": bool,
+        "patterns": dict,
     },
     RequestRespond: {"resp_keys": "int64", "resp_vals": "int64", "asked": list},
     Propagation: {
@@ -227,8 +229,8 @@ SNAPSHOT_FORMAT = {
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
-        "expansion": dict,
-        "setup_sent": bool,
+        "announced": bool,
+        "patterns": dict,
     },
 }
 
@@ -275,6 +277,8 @@ ADJACENCY_SNAPSHOT_FORMAT = {
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
+        "announced": bool,
+        "patterns": dict,
     },
     MirroredScatter: {
         "edge_adjacency": str,
@@ -282,8 +286,8 @@ ADJACENCY_SNAPSHOT_FORMAT = {
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
-        "expansion": dict,
-        "setup_sent": bool,
+        "announced": bool,
+        "patterns": dict,
     },
 }
 

@@ -254,12 +254,16 @@ class TestScatterCombineBuild:
 
     @staticmethod
     def _tables(ch):
+        """Of a channel that has not announced: sorted senders, segment
+        starts, and per peer the ids it will announce and the positions of
+        its values in destination order (a slice or an index array)."""
         ch._build()
+        positions = np.arange(ch._seg_starts.size)
         return (
             ch._seg_edge_src.tolist(),
             ch._seg_starts.tolist(),
-            [w.tolist() for w in ch._uniq_dst_wire],
-            [p.tolist() for p in ch._uniq_positions],
+            [w.tolist() for w in ch._words],
+            [positions[sel].tolist() for sel in ch._peer_select],
         )
 
     def _register(self, worker, how):
@@ -550,10 +554,13 @@ class TestScatterCombineBuild:
         expected = {}
         if ch._seg_edge_src.size:
             whole = combiner.ufunc.reduceat(ch._values[ch._seg_edge_src], ch._seg_starts)
-            for peer, pos in enumerate(ch._uniq_positions):
-                if pos.size:
-                    expected[peer] = encode_records(
-                        ch._uniq_dst_wire[peer], whole[pos], combiner.codec
+            uniq = np.unique(np.asarray(dst, dtype=np.int64))
+            owners = worker.owner[uniq]
+            for peer in range(worker.num_workers):
+                pos = np.flatnonzero(owners == peer)
+                if pos.size:  # a first scatter: the count, the ids, the values
+                    expected[peer] = np.int32(pos.size).tobytes() + encode_records(
+                        uniq[pos].astype(np.int32), whole[pos], combiner.codec
                     )
         return ch, sent, expected
 
@@ -679,10 +686,13 @@ class TestAdjacencyRegistration:
             named = self._named(worker, direction, make)
             explicit._build()
             named._build()
-            assert any(heavy.size for *_, heavy, _, _, _ in named._dispatch)
+            assert any(mirrored.size for _, _, mirrored, _ in named._dispatch)
             for row_e, row_n in zip(explicit._dispatch, named._dispatch, strict=True):
-                assert [t.tolist() for t in row_e] == [t.tolist() for t in row_n]
+                assert [np.asarray(t).tolist() for t in row_e] == [
+                    np.asarray(t).tolist() for t in row_n
+                ]
                 assert row_n[0].dtype == np.int64  # indexes _values every superstep
+            assert [w.tolist() for w in explicit._words] == [w.tolist() for w in named._words]
 
     @SCATTER_EDGE_CHANNELS
     def test_snapshot_size_does_not_depend_on_the_edge_count(self, channel):

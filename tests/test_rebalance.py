@@ -146,6 +146,16 @@ class TestRebalancePolicy:
         assert policy.propose(skew, g.indptr, matrix) is None  # cooling down
         assert policy.propose(skew, g.indptr, matrix) is not None
 
+    def test_measured_skew_fires_at_the_default_threshold(self):
+        """The measured-phase-time path, gates as shipped: worker 0 at 2x
+        the mean over 4 supersteps migrates, 1.1x does not."""
+        g = _DIRECTED
+        skew = planted_skew(g.num_vertices, 4)
+        plan = RebalancePolicy(num_workers=4).propose(skew, g.indptr, skew_matrix(4))
+        assert plan is not None and plan.scores.max() >= 1.2
+        mild = np.tile([1.1, 1.0, 1.0, 0.9], (4, 1))
+        assert RebalancePolicy(num_workers=4).propose(skew, g.indptr, mild) is None
+
     def test_balanced_timings_never_fire(self):
         """Observed-skew gate: all-equal worker timings stay put even on a
         structurally imbalanced partition."""
@@ -422,10 +432,12 @@ def _run_epochs(graph, batches, workers, partition, **kw):
 
 class _ArcWorkPolicy(RebalancePolicy):
     """Scores workers by the arcs they own instead of by measured seconds,
-    one row per observed superstep.  Four worker processes sharing a
-    smaller box's cores make wall-clock phase times track the scheduler,
-    not the planted skew; every other gate of the policy (superstep
-    count, threshold, gain, cooldown) still runs on the real run."""
+    one row per observed superstep.  On a shared box wall-clock phase
+    times of a 256-vertex graph track the scheduler, not the planted skew
+    (four worker processes on two cores, or one busy neighbour of the
+    simulator); every other gate of the policy (superstep count,
+    threshold, gain, cooldown) still runs on the real run.  The measured
+    path keeps ``TestRebalancePolicy``'s synthetic matrices."""
 
     def propose(self, owner, indptr, matrix):
         arcs = np.bincount(
@@ -438,12 +450,10 @@ class _ArcWorkPolicy(RebalancePolicy):
 def test_epoch_trigger_fires_within_two_epochs(executor):
     """Planted skew over a 3-epoch stream migrates at an epoch boundary no
     later than epoch 2, with per-epoch data identical to rebalance-off.
-    The sim cell judges measured phase times; the process cell judges
-    owned arcs (see :class:`_ArcWorkPolicy`)."""
+    Both cells judge owned arcs (see :class:`_ArcWorkPolicy`)."""
     workers = 4
     skew = planted_skew(_EPOCH_GRAPH.num_vertices, workers)
     batches = synthesize_stream(_EPOCH_GRAPH, 3, 64, 16, seed=7)
-    policy_cls = RebalancePolicy if executor == "sim" else _ArcWorkPolicy
 
     off = _run_epochs(_EPOCH_GRAPH, batches, workers, skew, executor=executor)
     reb = _run_epochs(
@@ -453,7 +463,7 @@ def test_epoch_trigger_fires_within_two_epochs(executor):
         skew,
         executor=executor,
         rebalance="epoch",
-        rebalance_policy=policy_cls(num_workers=workers, min_supersteps=2),
+        rebalance_policy=_ArcWorkPolicy(num_workers=workers, min_supersteps=2),
     )
     fired = [
         e.epoch for e in reb.history if e.result.metrics.num_rebalances > 0

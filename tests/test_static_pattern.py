@@ -1,0 +1,411 @@
+"""The static pattern wire (``core/channels/_pattern.py``): ids cross once.
+
+``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
+the first scatter after a registration and send ``[values]`` after.  The
+format they replaced — ids beside the values in every scatter — lives on
+here, as :class:`IdsEveryRound`, the oracle of the property below: any
+graph, partition, worker count, combiner, scatter schedule, checkpoint
+cadence, failure, migration and second registration must deliver, bit for
+bit, what the oracle delivers, in exactly the bytes of the closed form.
+"""
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import (
+    ChannelEngine,
+    MIN_I64,
+    MirroredScatter,
+    ScatterCombine,
+    SUM_F64,
+    VertexProgram,
+)
+from repro.core.channels._inbox import CombinedInbox
+from repro.core.channels._records import emit_records, encode_pattern
+from repro.graph import rmat
+from repro.graph.graph import Graph
+from repro.graph.partition import hash_partition, range_partition
+from repro.runtime.checkpoint import decode_state, encode_state
+from repro.runtime.rebalance import OwnershipPlan, RebalancePolicy
+
+STEPS = 7  # supersteps of the test program; the last one only reads
+THRESHOLD = 3  # MirroredScatter: edges into one peer that make a sender heavy
+
+
+class IdsEveryRound(ScatterCombine):
+    """``ScatterCombine`` on the wire format it had before: one record
+    payload ``[int32 ids][values]`` per peer in every scatter, decoded and
+    looked up again by every receive."""
+
+    def _build(self):
+        self._announced = False  # so every build leaves the ids in _words
+        super()._build()
+
+    def _scatter(self, payloads):
+        emit_records(self, ((peer, self._words[peer], values) for peer, values, _ in payloads))
+
+    _receive = CombinedInbox._receive
+
+
+def make_program(channel, scatter_steps, register_again_at, exact):
+    """Every vertex registers its out-edges in superstep 1 (and its
+    in-neighbours as well in ``register_again_at``), scatters a value in
+    each of ``scatter_steps`` and records what it reads in every
+    superstep, in per-vertex arrays a migration carries along."""
+
+    class P(VertexProgram):
+        def __init__(self, worker):
+            super().__init__(worker)
+            self.msg = channel(worker)
+            self.got = np.zeros((worker.num_local, STEPS), dtype=self.msg.value_codec.dtype)
+            self.had = np.zeros((worker.num_local, STEPS), dtype=bool)
+
+        def compute(self, v):
+            step = self.step_num
+            self.got[v.local, step - 1] = self.msg.get_message(v)
+            self.had[v.local, step - 1] = self.msg.has_message(v)
+            if step == 1:
+                self.msg.add_edges(v, v.edges)
+            if step == register_again_at:
+                self.msg.add_edges(v, self.worker.graph.in_neighbors(v.id))
+            if step in scatter_steps:
+                rng = np.random.default_rng([step, v.id])
+                # eighths sum exactly in any order; normals pin the order
+                value = rng.integers(-64, 64) / 8 if exact else rng.standard_normal()
+                self.msg.set_message(v, value)
+            if step == STEPS:
+                v.vote_to_halt()
+
+        def finalize(self):
+            ids = self.worker.local_ids.tolist()
+            return {i: (g.tobytes(), h.tobytes()) for i, g, h in zip(ids, self.got, self.had)}
+
+    return P
+
+
+class MoveOnce(RebalancePolicy):
+    """Migrates to ``target`` the first time the engine asks."""
+
+    target = None
+
+    def propose(self, owner, indptr, matrix):
+        if self.target is None or np.array_equal(owner, self.target):
+            return None
+        target, self.target = self.target, None
+        return OwnershipPlan(
+            new_owner=target, moves=(), moved_vertices=int((owner != target).sum()),
+            moved_arcs=0, max_load_before=1, max_load_after=1, gain_ratio=1.0,
+            scores=np.ones(self.num_workers), est_win_seconds=0.0, migrate_seconds=0.0,
+        )  # fmt: skip
+
+
+def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again_at):
+    """``(net, local)`` bytes of the channel: per scatter, sender and peer
+    with ``n`` values to send, a 4-byte tag and ``n * itemsize`` — and, in
+    the sender's first scatter after a registration or a migration, the
+    4-byte words of the pattern.  ``owners[step]`` is the partition in
+    force during ``step``."""
+    out_src, out_dst = graph.edge_array()
+    total = {True: 0, False: 0}  # keyed by "crosses the network"
+    announced = set()
+    for step in range(1, STEPS + 1):
+        owner = owners[step]
+        if step == register_again_at or not np.array_equal(owner, owners[step - 1]):
+            announced.clear()
+        if step not in scatter_steps:
+            continue
+        src, dst = out_src, out_dst
+        if register_again_at is not None and step >= register_again_at:
+            src, dst = np.concatenate((out_src, out_dst)), np.concatenate((out_dst, out_src))
+        for w in np.unique(owner[src]).tolist():
+            for p in np.unique(owner[dst[owner[src] == w]]).tolist():
+                here = (owner[src] == w) & (owner[dst] == p)
+                words = np.unique(dst[here]).size  # one id per unique destination
+                values = words
+                if mirrored:
+                    senders, degree = np.unique(src[here], return_counts=True)
+                    heavy = np.isin(src[here], senders[degree >= THRESHOLD])
+                    plain = np.unique(dst[here][~heavy]).size
+                    values = plain + int((degree >= THRESHOLD).sum())
+                    # two counts, plain ids, a degree per heavy sender, its neighbours
+                    words = 2 + values + int(heavy.sum())
+                total[w != p] += 4 + values * itemsize + (0 if w in announced else 4 * words)
+            announced.add(w)
+    return total[True], total[False]
+
+
+def run(graph, channel, workers, partition, scatter_steps, register_again_at, exact, **kw):
+    engine = ChannelEngine(
+        graph,
+        make_program(channel, scatter_steps, register_again_at, exact),
+        num_workers=workers,
+        partition=partition,
+        **kw,
+    )
+    with warnings.catch_warnings():
+        # a failure that never fired is a broken example
+        warnings.simplefilter("error", RuntimeWarning)
+        result = engine.run()
+    assert result.supersteps == STEPS
+    return result
+
+
+@st.composite
+def cases(draw, workers, mirrored, recovery):
+    n = draw(st.integers(2, 20))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=50))
+    partition = st.sampled_from(["range", "hash", "any"])
+    drawn = {
+        "range": lambda: range_partition(n, workers),
+        "hash": lambda: hash_partition(n, workers),
+        "any": lambda: np.array(
+            draw(st.lists(st.integers(0, workers - 1), min_size=n, max_size=n)), dtype=np.int64
+        ),
+    }
+    owner = drawn[draw(partition)]()
+    fail = None
+    if recovery is not None:
+        populated = np.unique(owner).tolist()  # a worker with no vertex has nothing to lose
+        fail = (draw(st.sampled_from(populated)), draw(st.integers(1, STEPS - 1)))
+    migrate_at = None  # MirroredScatter has no migrate_states; one worker has nowhere to go
+    if not mirrored and workers > 1:
+        migrate_at = draw(st.none() | st.integers(1, STEPS - 1))
+    return dict(
+        graph=Graph.from_edges(n, edges, directed=True),
+        owner=owner,
+        combiner=draw(st.sampled_from([SUM_F64, MIN_I64])),
+        scatter_steps=draw(st.frozensets(st.integers(1, STEPS - 1), min_size=2)),
+        register_again_at=draw(st.none() | st.integers(2, STEPS - 1)),
+        checkpoint_every=draw(st.none() | st.integers(1, 3)),
+        fail=fail,
+        migrate_at=migrate_at,
+        target=drawn[draw(partition)](),
+    )
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["ScatterCombine", "MirroredScatter"])
+@pytest.mark.parametrize(
+    "workers, recovery",
+    # (the only worker's loss is total: no failure cell at 1 worker)
+    [(1, None)] + [(w, r) for w in (2, 8) for r in (None, "rollback", "confined")],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
+    workers, mirrored, recovery, data
+):
+    case = data.draw(cases(workers, mirrored, recovery))
+    graph, combiner = case["graph"], case["combiner"]
+    schedule = (case["scatter_steps"], case["register_again_at"], mirrored)
+
+    def migration():
+        if case["migrate_at"] is None:
+            return {}
+        policy = MoveOnce(num_workers=workers)
+        policy.target = case["target"]
+        return dict(
+            rebalance="superstep", rebalance_every=case["migrate_at"], rebalance_policy=policy
+        )
+
+    if mirrored:
+        subject = lambda w: MirroredScatter(w, combiner, threshold=THRESHOLD)  # noqa: E731
+    else:
+        subject = lambda w: ScatterCombine(w, combiner)  # noqa: E731
+    got = run(
+        graph, subject, workers, case["owner"], *schedule,
+        checkpoint_every=case["checkpoint_every"],
+        failures=[case["fail"]] if case["fail"] else None,
+        recovery=recovery or "rollback",
+        **migration(),
+    )  # fmt: skip
+    # the oracle takes the same migration (a float sum groups by sender
+    # worker) and no failure: recovery must leave no trace
+    oracle = run(
+        graph, lambda w: IdsEveryRound(w, combiner), workers, case["owner"], *schedule,
+        **migration(),
+    )  # fmt: skip
+    assert got.data == oracle.data
+    assert got.metrics.num_failures == (case["fail"] is not None)
+    if not mirrored:  # one message per unique destination, id or no id
+        assert got.metrics.total_messages == oracle.metrics.total_messages
+
+    migrated = got.metrics.num_rebalances
+    assert migrated == oracle.metrics.num_rebalances <= 1
+    fired_at = case["migrate_at"] if migrated else STEPS
+    owners = [case["owner"] if step <= fired_at else case["target"] for step in range(STEPS + 1)]
+    net, local = closed_form(
+        graph, mirrored, combiner.codec.itemsize, owners,
+        case["scatter_steps"], case["register_again_at"],
+    )  # fmt: skip
+    (counted,) = got.metrics.channel_breakdown().values() or [{"net_bytes": 0, "local_bytes": 0}]
+    assert (counted["net_bytes"], counted["local_bytes"]) == (net, local)
+
+
+# -- sim == process x {shm, pipe}: bytes and data, both static channels -----------
+
+_GRAPH = rmat(6, edge_factor=4, seed=2)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [lambda w: ScatterCombine(w, SUM_F64), lambda w: MirroredScatter(w, SUM_F64, threshold=3)],
+    ids=["ScatterCombine", "MirroredScatter"],
+)
+def test_process_backends_count_the_simulator_bytes(channel):
+    """Two announcements (superstep 1, and after the registration of
+    superstep 3) and a failure between them, on every backend."""
+    kw = dict(checkpoint_every=2, failures=[(1, 4)], recovery="confined")
+    schedule = ({1, 2, 3, 5, 6}, 3, True)
+    owner = hash_partition(_GRAPH.num_vertices, 3)
+    sim = run(_GRAPH, channel, 3, owner, *schedule, **kw)
+    clean = run(_GRAPH, channel, 3, owner, *schedule)
+    assert sim.data == clean.data
+    assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
+    for transport in ("shm", "pipe"):
+        proc = run(
+            _GRAPH, channel, 3, owner, *schedule, executor="process", transport=transport, **kw
+        )
+        assert proc.data == sim.data
+        assert proc.metrics.channel_breakdown() == sim.metrics.channel_breakdown()
+        assert proc.metrics.total_net_bytes == sim.metrics.total_net_bytes
+        assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
+
+
+# -- who announces, and when --------------------------------------------------------
+
+
+def _announcements(**run_kw):
+    """Sender worker of every announcing scatter of one ScatterCombine run
+    over ``_GRAPH`` on 3 workers (each of which has destinations on all
+    three), in order."""
+    senders = []
+    real_scatter = ScatterCombine._scatter
+
+    def scatter(self, payloads):
+        if self._words is not None:
+            assert all(w.size for w in self._words)
+            senders.append(self.worker.worker_id)
+        real_scatter(self, payloads)
+
+    with mock.patch.object(ScatterCombine, "_scatter", scatter):
+        run(
+            _GRAPH, lambda w: ScatterCombine(w, SUM_F64), 3,
+            range_partition(_GRAPH.num_vertices, 3), exact=True, **run_kw,
+        )  # fmt: skip
+    return senders
+
+
+def test_one_announcement_per_sender():
+    assert _announcements(scatter_steps={1, 2, 4, 6}, register_again_at=None) == [0, 1, 2]
+
+
+def test_a_second_registration_re_announces_exactly_once():
+    senders = _announcements(scatter_steps={1, 2, 4, 6}, register_again_at=3)
+    assert senders == [0, 1, 2] * 2
+
+
+def test_a_migration_re_announces_exactly_once():
+    policy = MoveOnce(num_workers=3)
+    policy.target = hash_partition(_GRAPH.num_vertices, 3)
+    senders = _announcements(
+        scatter_steps={1, 2, 4, 6}, register_again_at=None,
+        rebalance="superstep", rebalance_every=2, rebalance_policy=policy,
+    )  # fmt: skip
+    assert senders == [0, 1, 2] * 2
+
+
+def test_a_restore_does_not_re_announce():
+    """Rollback to the checkpoint of superstep 2 re-executes superstep 3
+    with the flag and the patterns the snapshot held."""
+    senders = _announcements(
+        scatter_steps={1, 2, 3, 4, 6}, register_again_at=None,
+        checkpoint_every=2, failures=[(1, 3)], recovery="rollback",
+    )  # fmt: skip
+    assert senders == [0, 1, 2]
+
+
+# -- what each end keeps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [ScatterCombine, MirroredScatter])
+def test_wire_ids_are_freed_and_patterns_snapshot_in_four_bytes(cls):
+    make = (lambda w: cls(w, SUM_F64)) if cls is ScatterCombine else (
+        lambda w: cls(w, SUM_F64, threshold=THRESHOLD)
+    )
+    engine = ChannelEngine(
+        _GRAPH, make_program(make, {1, 2}, None, True), num_workers=2,
+        partition=hash_partition(_GRAPH.num_vertices, 2),
+    )  # fmt: skip
+    engine.run()
+    for worker in engine.workers:
+        channel = worker.program.msg
+        assert channel._announced and channel._words is None
+        assert sorted(channel._patterns) == [0, 1]
+        assert all(p[0].dtype == np.intp for p in channel._patterns.values())
+        state = decode_state(encode_state(channel.snapshot()))
+        assert state["announced"] is True
+        for src, (local, repeats) in state["patterns"].items():
+            assert local.dtype == np.int32
+            assert (repeats is None) == (channel._patterns[src][1] is None)
+            assert repeats is None or repeats.dtype == np.int32
+        assert any(r is not None for _, r in state["patterns"].values()) == (
+            cls is MirroredScatter
+        )
+        # a restored channel rebuilds its dispatch without the wire ids
+        restored = make(worker)
+        restored.restore(state)
+        restored._build()
+        assert restored._announced and restored._words is None
+        for src, (local, repeats) in channel._patterns.items():
+            np.testing.assert_array_equal(restored._patterns[src][0], local)
+            assert restored._patterns[src][0].dtype == np.intp
+
+
+# -- protocol errors: raised by name, once per announcement ----------------------------
+
+
+class _Idle(VertexProgram):
+    def compute(self, v):
+        v.vote_to_halt()
+
+
+@pytest.fixture()
+def receiver():
+    """Worker 1 of a 2-worker range partition of 8 vertices (it owns 4..7)."""
+    graph = Graph.from_edges(8, [(0, 4)], directed=True)
+    worker = ChannelEngine(
+        graph, _Idle, num_workers=2, partition=range_partition(8, 2)
+    ).workers[1]
+    return ScatterCombine(worker, SUM_F64)
+
+
+def _payload(ids, values):
+    words = None if ids is None else np.asarray(ids, dtype=np.int32)
+    return memoryview(encode_pattern(words, np.asarray(values, dtype=np.float64), SUM_F64.codec))
+
+
+def test_values_from_a_source_that_never_announced(receiver):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*2 values from worker 0.*no pattern"):
+        receiver.deserialize([(0, _payload(None, [1.0, 2.0]))])
+
+
+def test_value_count_differs_from_the_pattern(receiver):
+    receiver.deserialize([(0, _payload([4, 6], [1.0, 2.0]))])
+    assert receiver.get_messages()[0].tolist() == [1.0, 0.0, 2.0, 0.0]
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*3 values from worker 0.*takes 2"):
+        receiver.deserialize([(0, _payload(None, [1.0, 2.0, 3.0]))])
+
+
+def test_announced_id_the_receiver_does_not_own(receiver):
+    """``_local_index`` is -1 there: the value used to fold, silently,
+    into the receiver's last slot."""
+    with pytest.raises(RuntimeError, match=r"worker 0 announced id 3, which worker 1 does not own"):
+        receiver.deserialize([(0, _payload([4, 3], [1.0, 2.0]))])
+    assert 0 not in receiver._patterns
+    with pytest.raises(ValueError, match=r"worker 0's announced id 8 outside \[0, 8\)"):
+        receiver.deserialize([(0, _payload([8], [1.0]))])
