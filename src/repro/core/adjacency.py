@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.store import GraphStore
 from repro.util import expand_ranges
 
 __all__ = ["LocalCSR", "build_local_csr"]
@@ -88,26 +89,34 @@ class LocalCSR:
 
 
 def _slice_rows(
+    store: GraphStore,
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray | None,
     rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(degrees, indices, weights) of ``rows`` in a global CSR.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(local indptr, degrees, indices, weights) of ``rows`` in a global CSR.
 
     One contiguous run of rows (``range``/``degree`` partitions, every
     rebalancer output) owns one stretch of the edge arrays and gets
     *slices* of them: over an mmap store, read-only views of the page
-    cache.  Any other row set (``hash`` partitions) is gathered.
+    cache.  Any other row set (``hash`` partitions) is gathered, and what
+    was read of ``store`` to gather it is released.
     """
     if rows.size and np.all(rows[1:] - rows[:-1] == 1):
         a, b = int(rows[0]), int(rows[-1]) + 1
         lo, hi = int(indptr[a]), int(indptr[b])
-        deg = np.diff(indptr[a : b + 1])
-        return deg, indices[lo:hi], None if weights is None else weights[lo:hi]
+        local = indptr[a : b + 1] - lo
+        return local, np.diff(local), indices[lo:hi], None if weights is None else weights[lo:hi]
     deg = indptr[rows + 1] - indptr[rows]
+    local = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=local[1:])
     pos = expand_ranges(indptr[rows], deg)
-    return deg, indices[pos], None if weights is None else weights[pos]
+    idx, w = indices[pos], None if weights is None else weights[pos]
+    store.release(indices)
+    if weights is not None:
+        store.release(weights)
+    return local, deg, idx, w
 
 
 def build_local_csr(graph: Graph, local_ids: np.ndarray, direction: str = "out") -> LocalCSR:
@@ -117,38 +126,31 @@ def build_local_csr(graph: Graph, local_ids: np.ndarray, direction: str = "out")
     if not graph.directed:
         direction = "out"  # all directions coincide on undirected graphs
 
-    if direction in ("in", "both"):
+    if direction != "in":
+        out = _slice_rows(graph.store, graph.indptr, graph.indices, graph.weights, local_ids)
+    if direction != "out":
         graph._ensure_reverse()
-
-    if direction == "in":
-        deg, idx, w = _slice_rows(
-            graph._rev_indptr, graph._rev_indices, graph._rev_weights, local_ids
+        rev = _slice_rows(
+            graph.store, graph._rev_indptr, graph._rev_indices, graph._rev_weights, local_ids
         )
-    elif direction == "out":
-        deg, idx, w = _slice_rows(graph.indptr, graph.indices, graph.weights, local_ids)
-    else:  # both: out-edges then in-edges per row
-        deg_o, idx_o, w_o = _slice_rows(
-            graph.indptr, graph.indices, graph.weights, local_ids
-        )
-        deg_i, idx_i, w_i = _slice_rows(
-            graph._rev_indptr, graph._rev_indices, graph._rev_weights, local_ids
-        )
-        deg = deg_o + deg_i
-        indptr = np.zeros(local_ids.size + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        idx = np.empty(int(deg.sum()), dtype=np.int64)
-        out_pos = expand_ranges(indptr[:-1], deg_o)
-        in_pos = expand_ranges(indptr[:-1] + deg_o, deg_i)
-        idx[out_pos] = idx_o
-        idx[in_pos] = idx_i
-        if w_o is not None:
-            w = np.empty(idx.size)
-            w[out_pos] = w_o
-            w[in_pos] = w_i
-        else:
-            w = None
+    if direction != "both":
+        indptr, deg, idx, w = out if direction == "out" else rev
         return LocalCSR(indptr=indptr, indices=idx, weights=w, degrees=deg)
 
-    indptr = np.zeros(local_ids.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    return LocalCSR(indptr=indptr, indices=idx, weights=w, degrees=deg)
+    # both: out-edges then in-edges per row
+    (indptr_o, deg_o, idx_o, w_o), (indptr_i, deg_i, idx_i, w_i) = out, rev
+    indptr = indptr_o + indptr_i
+    idx = np.empty(int(indptr[-1]), dtype=np.int64)
+    out_pos = expand_ranges(indptr[:-1], deg_o)
+    in_pos = expand_ranges(indptr[:-1] + deg_o, deg_i)
+    idx[out_pos] = idx_o
+    idx[in_pos] = idx_i
+    graph.store.release(idx_o)  # a contiguous run's rows were store views till here
+    if w_o is not None:
+        w = np.empty(idx.size)
+        w[out_pos] = w_o
+        w[in_pos] = w_i
+        graph.store.release(w_o)
+    else:
+        w = None
+    return LocalCSR(indptr=indptr, indices=idx, weights=w, degrees=deg_o + deg_i)

@@ -13,20 +13,29 @@ format of an edge set is decided here too.
 
 :class:`ScatterEdges` has a second registration *form* beside the
 per-edge one: :meth:`~ScatterEdges.add_adjacency` names the worker's own
-``local_adjacency(direction)`` as the edge set.  Nothing is copied out of
-the graph then — the sender column exists only while ``_build`` runs, a
-snapshot holds the direction, and a restored or migrated channel reads
-its edges from the adjacency of the worker it finds itself on.
+``local_adjacency(direction)`` as the edge set.  Nothing of the graph is
+kept then — ``_build`` streams the rows through in blocks
+(:meth:`~ScatterEdges._edge_blocks`: senders numbered per block, a mapped
+store's pages handed back block by block), a snapshot holds the
+direction, and a restored or migrated channel reads its edges from the
+adjacency of the worker it finds itself on.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.channels._records import RecordBuffer, check_ids
 from repro.core.vertex import Vertex
+from repro.util import cut_blocks
 
 __all__ = ["ScatterEdges", "StaticEdges"]
+
+#: edges in one block of an adjacency's rows: all a build holds of the graph
+#: at a time (2 MiB of destinations, 1 MiB of sender numbers)
+_BLOCK_EDGES = 1 << 18
 
 
 class StaticEdges:
@@ -127,16 +136,30 @@ class ScatterEdges(StaticEdges):
             )
         return True
 
-    def _checked_edges(self) -> tuple[np.ndarray, ...]:
+    def _edge_blocks(self) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """The edge set as ``(number of edges, blocks)``: consecutive
+        ``(local sender index, destination)`` column pairs in registration
+        order, ids verified by name as each block is produced.  A block is
+        the consumer's until it asks for the next one: it copies what it
+        keeps (:func:`~repro.util.group_by_key` packs it), and the
+        adjacency form then hands the block's pages back to the store.
+        The per-edge form is its one flat chunk."""
         if not self._by_adjacency():
-            return super()._checked_edges()
-        worker = self.worker
-        adj = worker.local_adjacency(self._adjacency)
-        check_ids(self, "edge destination", adj.indices, worker.graph.num_vertices)
-        # the sender column lives for one _build; 4 bytes per edge is what
-        # group_by_key's packed pairs hold of it anyway
-        senders = np.repeat(np.arange(worker.num_local, dtype=np.uint32), adj.degrees)
-        return senders, adj.indices
+            columns = super()._checked_edges()
+            return columns[0].size, iter((columns,))
+        adj = self.worker.local_adjacency(self._adjacency)
+        return adj.num_edges, self._adjacency_blocks(adj)
+
+    def _adjacency_blocks(self, adj) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # whole rows, numbered per block: the sender column never exists at
+        # full length, and what is resident of a mapped store is one block
+        graph = self.worker.graph
+        for row, row_end, lo, hi in cut_blocks(adj.indptr, _BLOCK_EDGES):
+            dsts = adj.indices[lo:hi]
+            check_ids(self, "edge destination", dsts, graph.num_vertices)
+            degrees = adj.degrees[row:row_end]
+            yield np.repeat(np.arange(row, row_end, dtype=np.uint32), degrees), dsts
+            graph.store.release(dsts)
 
     def _edges_snapshot(self) -> dict:
         if self._by_adjacency():

@@ -78,16 +78,22 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
 
     # -- setup ------------------------------------------------------------
     def _build(self) -> None:
-        src, dst = self._checked_edges()
+        # the per-peer sorts below want whole columns: copy the blocks out
+        # (senders as int64 — they index _values every superstep, and a
+        # narrower index is widened per call)
+        num_edges, blocks = self._edge_blocks()
+        src, dst = np.empty((2, num_edges), dtype=np.int64)
+        end = 0
+        for block_src, block_dst in blocks:
+            start, end = end, end + block_src.size
+            src[start:end], dst[start:end] = block_src, block_dst
         owner = self.worker.owner[dst]
         self._dispatch = []
         self._words = None if self._announced else []
         for peer in range(self.num_workers):
             sel = owner == peer
             order = np.argsort(src[sel], kind="stable")
-            # (int64 whatever width the column arrived in: these index
-            # _values every superstep, and a narrower index is widened per call)
-            psrc = src[sel][order].astype(np.int64, copy=False)
+            psrc = src[sel][order]
             pdst = dst[sel][order]
             # a sender with >= threshold edges into `peer` is mirrored there
             uniq_src, starts = group_starts(psrc)

@@ -29,7 +29,7 @@ from repro.core.channels._pattern import StaticPattern
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.util import group_by_key
+from repro.util import cut_blocks, group_by_key
 
 __all__ = ["ScatterCombine"]
 
@@ -37,22 +37,6 @@ __all__ = ["ScatterCombine"]
 #: in is reused, so the scan allocates no per-edge temporary (0.5 MB of
 #: float64; a scan in 1 Mi-edge steps measured no faster)
 _BLOCK_EDGES = 1 << 16
-
-
-def _scan_blocks(starts: np.ndarray, num_edges: int) -> list[tuple[int, int, int, int]]:
-    """Cut the segments beginning at ``starts`` into consecutive blocks
-    ``(first segment, end segment, first edge, end edge)`` of whole
-    segments holding at most ``_BLOCK_EDGES`` edges; a longer segment is a
-    block of its own."""
-    bounds = np.append(starts, num_edges)
-    blocks = []
-    seg = 0
-    while seg < starts.size:
-        end = int(np.searchsorted(bounds, bounds[seg] + _BLOCK_EDGES, side="right")) - 1
-        end = max(end, seg + 1)
-        blocks.append((seg, end, int(bounds[seg]), int(bounds[end])))
-        seg = end
-    return blocks
 
 
 class ScatterCombine(ScatterEdges, StaticPattern, Channel):
@@ -93,12 +77,15 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     # -- setup (usually superstep 1) ----------------------------------------
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
-        src, dst = self._checked_edges()
+        num_edges, blocks = self._edge_blocks()
         uniq_dst, starts, self._seg_edge_src = group_by_key(
-            dst, src, self.worker.graph.num_vertices, self.worker.num_local
+            ((dst, src) for src, dst in blocks),
+            num_edges,
+            self.worker.graph.num_vertices,
+            self.worker.num_local,
         )
         self._seg_starts = starts
-        self._blocks = _scan_blocks(starts, src.size)
+        self._blocks = cut_blocks(np.append(starts, num_edges), _BLOCK_EDGES)
         self._scratch = np.empty(
             max((hi - lo for _, _, lo, hi in self._blocks), default=0),
             dtype=self._values.dtype,
@@ -179,7 +166,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         # Fig. 5: one linear pass over the pre-sorted edges produces
         # the combined message value for every unique destination.  A
         # segment never spans two blocks, so the blocks change no bit.
-        # mode="clip" only skips the bounds check _checked_edges did at
+        # mode="clip" only skips the bounds check _edge_blocks did at
         # build (with an ``out``, "raise" gathers into a copy first).
         starts = self._seg_starts
         combined = np.empty(starts.size, dtype=self._values.dtype)

@@ -30,6 +30,7 @@ object takes it duck-typed.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -101,8 +102,16 @@ class GraphStore:
     def footprint(self) -> dict[str, int]:
         """``{"resident_bytes", "on_disk_bytes"}`` — what the arrays cost
         in this process's heap vs on disk.  mmap pages are demand-loaded
-        and evictable, so they count as on-disk, not resident."""
+        and handed back by :meth:`release`, so they count as on-disk, not
+        resident."""
         return {"resident_bytes": self.nbytes, "on_disk_bytes": 0}
+
+    def release(self, view: np.ndarray) -> None:
+        """A reader that has copied what it needs of ``view`` (one of
+        :meth:`arrays`, or a contiguous slice of one) says so: a mapped
+        store hands the pages back to the kernel, every other store does
+        nothing.  Only residency depends on it — a released page reads the
+        same the next time it is touched."""
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -223,6 +232,7 @@ class MmapStore(GraphStore):
             # (engine kernels, partitioners, exports) assumes int64
             if self._widened is None:
                 self._widened = np.ascontiguousarray(idx, dtype=np.int64)
+                self.release(idx)
             out["indices"] = self._widened
         return out
 
@@ -237,6 +247,28 @@ class MmapStore(GraphStore):
         # widened copy of narrow indices (when one was made) is resident
         resident = self._widened.nbytes if self._widened is not None else 0
         return {"resident_bytes": int(resident), "on_disk_bytes": int(on_disk)}
+
+    def release(self, view: np.ndarray) -> None:
+        """Advise away the whole pages inside ``view`` (``MADV_DONTNEED``;
+        they re-fault from the page cache).  A no-op where the platform
+        has no ``madvise``, and for a ``view`` that is not a contiguous
+        part of a mapped array — a heap copy, the widened indices."""
+        if not (hasattr(mmap, "MADV_DONTNEED") and view.flags.c_contiguous):
+            return
+        first = view.__array_interface__["data"][0]
+        for base in self._arrays.values():
+            mapped = getattr(base, "_mmap", None)  # np.memmap's own handle
+            lo = first - base.__array_interface__["data"][0]
+            if mapped is None or not 0 <= lo <= base.nbytes - view.nbytes:
+                continue
+            # madvise counts from the start of the map, a page boundary
+            # that np.memmap put this far in front of the array's data
+            lo += base.offset % mmap.ALLOCATIONGRANULARITY
+            start = -(-lo // mmap.PAGESIZE) * mmap.PAGESIZE
+            length = (lo + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE - start
+            if length > 0:
+                mapped.madvise(mmap.MADV_DONTNEED, start, length)
+            return
 
     def close(self) -> None:
         # drop the mmap views so the underlying maps can be unmapped; the

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-__all__ = ["csr_group", "expand_ranges", "group_by_key", "group_starts", "stable_order"]
+__all__ = [
+    "csr_group",
+    "cut_blocks",
+    "expand_ranges",
+    "group_by_key",
+    "group_starts",
+    "stable_order",
+]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -43,6 +52,21 @@ def group_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sorted_keys[starts], starts
 
 
+def cut_blocks(bounds: np.ndarray, block: int) -> list[tuple[int, int, int, int]]:
+    """Cut the segments ``bounds[i]:bounds[i + 1]`` (the rows of an
+    ``indptr``) into consecutive blocks ``(first segment, end segment,
+    first element, end element)`` of whole segments holding at most
+    ``block`` elements; a longer segment is a block of its own."""
+    blocks = []
+    seg = 0
+    while seg < bounds.size - 1:
+        end = int(np.searchsorted(bounds, bounds[seg] + block, side="right")) - 1
+        end = max(end, seg + 1)
+        blocks.append((seg, end, int(bounds[seg]), int(bounds[end])))
+        seg = end
+    return blocks
+
+
 def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """``(np.argsort(keys, kind="stable"), keys[that])`` for integer keys
     in ``[0, bound)``, several times faster.
@@ -74,46 +98,65 @@ def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def group_by_key(
-    keys: np.ndarray, values: np.ndarray, key_bound: int, value_bound: int
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    num_pairs: int,
+    key_bound: int,
+    value_bound: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group ``values`` by ``keys``, stably: returns ``(unique keys
-    ascending, start of each group, values in stable key order)``, i.e.
-    ``group_starts(keys[o])`` and ``values[o]`` for ``o = argsort(keys,
-    kind="stable")``.  The caller has checked ``keys`` against ``[0,
-    key_bound)`` and ``values`` against ``[0, value_bound)``.
+    """Group values by keys, stably: for the ``num_pairs`` pairs that
+    ``blocks`` delivers as consecutive ``(keys, values)`` arrays, returns
+    ``(unique keys ascending, start of each group, values in stable key
+    order)``, i.e. ``group_starts(keys[o])`` and ``values[o]`` for ``o =
+    argsort(keys, kind="stable")``.  The caller has checked the keys
+    against ``[0, key_bound)`` and the values against ``[0, value_bound)``.
 
-    When ``values`` is non-decreasing (the rows of a CSR, numbered) and
-    both bounds fit a 32-bit word, the order comes from one in-place sort
-    of the pairs packed as ``(key << 32) | value``: the sorted buffer's
-    high words are the keys, and the buffer itself, masked to its low
-    words, is the grouped values — no permutation is built or applied.
-    Within a key the stable order keeps ``values`` non-decreasing, which
-    is the order of the sorted pairs, and equal pairs are interchangeable.
-    Any other input goes through :func:`stable_order`.
+    Each block is read once, while it is packed as ``(key << 32) | value``
+    into its slice of the one buffer this function allocates, and is not
+    needed afterwards (the producer may hand its memory back).  When the
+    values are non-decreasing throughout (the rows of a CSR, numbered),
+    one in-place sort of that buffer is the order: the sorted buffer's high
+    words are the keys, and the buffer itself, masked to its low words, is
+    the grouped values — no permutation is built or applied.  Within a key
+    the stable order keeps the values non-decreasing, which is the order
+    of the sorted pairs, and equal pairs are interchangeable.  Any other
+    input, and bounds too wide for a 32-bit word each, go through
+    :func:`stable_order`.
 
     ``values`` may be a narrower integer column (a ``uint32`` row numbering
-    is folded into the pairs as it is, never widened to a full-length
-    ``int64`` first); the grouped values are ``int64`` on either route,
-    the index width ``np.take`` wants.
+    is folded into the pairs as it is); the grouped values are ``int64`` on
+    either route, the index width ``np.take`` wants.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values)
-    if (
-        key_bound <= 1 << 31
-        and value_bound <= 1 << 32
-        and np.all(values[1:] >= values[:-1])
-    ):
-        # explicitly little-endian, so the odd 32-bit words are the keys
-        packed = np.empty(keys.size, dtype="<i8")
-        np.left_shift(keys, 32, out=packed)
-        packed |= values
-        packed.sort()
-        uniq, starts = group_starts(packed.view("<u4")[1::2])
-        packed &= 0xFFFFFFFF
-        return uniq.astype(np.int64), starts, packed
+    packable = key_bound <= 1 << 31 and value_bound <= 1 << 32
+    # explicitly little-endian, so the odd 32-bit words of a pair are its key
+    keys = np.empty(num_pairs, dtype="<i8")
+    values = None if packable else np.empty(num_pairs, dtype=np.int64)
+    ordered, last, end = True, 0, 0
+    for block_keys, block_values in blocks:
+        start, end = end, end + len(block_keys)
+        if packable:
+            np.left_shift(block_keys, 32, out=keys[start:end], dtype=np.int64)
+            keys[start:end] |= block_values
+        else:
+            keys[start:end] = block_keys
+            values[start:end] = block_values
+        if ordered and start < end:
+            ordered = bool(
+                last <= block_values[0] and np.all(block_values[1:] >= block_values[:-1])
+            )
+            last = block_values[-1]
+    if end != num_pairs:
+        raise ValueError(f"blocks held {end} pairs, not the {num_pairs} announced")
+    if packable and ordered:
+        keys.sort()
+        uniq, starts = group_starts(keys.view("<u4")[1::2])
+        keys &= 0xFFFFFFFF
+        return uniq.astype(np.int64), starts, keys
+    if packable:
+        values = keys & 0xFFFFFFFF
+        keys >>= 32
     order, sorted_keys = stable_order(keys, key_bound)
     uniq, starts = group_starts(sorted_keys)
-    return uniq, starts, values[order].astype(np.int64, copy=False)
+    return uniq, starts, values[order]
 
 
 def csr_group(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,11 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
-from repro.core.channels import scatter_combine
+from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import encode_records
 from repro.graph import Graph, rmat, star
 from repro.graph.partition import hash_partition, range_partition
+from repro.graph.store import MmapStore
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.rebalance import MigrationContext
 from repro.runtime.serialization import INT32, INT64
@@ -628,6 +629,12 @@ def _small_graphs(draw):
     return Graph.from_edges(n, edges, directed=draw(st.booleans()))
 
 
+def _arbitrary_partition(num_vertices, workers):
+    """Neither contiguous nor the hash formula; may leave workers empty."""
+    rng = np.random.default_rng(31 * num_vertices + workers)
+    return rng.integers(0, workers, num_vertices)
+
+
 #: the two channels that inherit ``ScatterEdges``
 SCATTER_EDGE_CHANNELS = pytest.mark.parametrize(
     "channel",
@@ -655,37 +662,67 @@ class TestAdjacencyRegistration:
         ch.add_adjacency(direction)
         return ch
 
-    @pytest.mark.parametrize("direction", ["out", "in", "both"])
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("partition", [range_partition, hash_partition])
-    @settings(max_examples=20, deadline=None)
-    @given(graph=_small_graphs())
-    def test_tables_equal_the_per_edge_registration(
-        self, direction, workers, partition, graph
-    ):
+    def _check_tables(self, graph, direction, workers, partition, block):
+        """On every worker, the tables streamed from the adjacency in
+        ``block``-edge blocks are those of the per-edge registration."""
         engine = ChannelEngine(
             graph, _Idle, num_workers=workers, partition=partition(graph.num_vertices, workers)
         )
         for worker in engine.workers:
             expected = self._tables(self._explicit(worker, direction))
-            named = self._named(worker, direction)
-            assert self._tables(named) == expected
-            assert named._seg_edge_src.dtype == np.int64
-            # ... and again from its snapshot, through the checkpoint codec
-            restored = ScatterCombine(worker, SUM_F64)
-            restored.restore(decode_state(encode_state(named.snapshot())))
-            assert not restored._built and not restored._edges.chunks
-            assert self._tables(restored) == expected
+            with mock.patch.object(_edges, "_BLOCK_EDGES", block):
+                named = self._named(worker, direction)
+                assert self._tables(named) == expected
+                assert named._seg_edge_src.dtype == np.int64
+                # ... and again from its snapshot, through the checkpoint codec
+                restored = ScatterCombine(worker, SUM_F64)
+                restored.restore(decode_state(encode_state(named.snapshot())))
+                assert not restored._built and not restored._edges.chunks
+                assert self._tables(restored) == expected
 
+    @pytest.mark.parametrize("block", [1, 3, 1 << 18])
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "partition", [range_partition, hash_partition, _arbitrary_partition]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(graph=_small_graphs())
+    # no edge at all; one row longer than a block among rows without edges
+    @example(graph=Graph.from_edges(3, [], directed=True))
+    @example(graph=Graph.from_edges(9, [(4, d) for d in (0, 8, 8, 2, 5)], directed=True))
+    def test_tables_equal_the_per_edge_registration(
+        self, block, direction, workers, partition, graph
+    ):
+        self._check_tables(graph, direction, workers, partition, block)
+
+    @pytest.mark.parametrize("mutation", ["drop", "reorder"])
+    def test_a_dropped_or_reordered_block_fails_the_table_property(self, mutation):
+        """The property above is not vacuous: an iterator that loses a
+        block, or yields two in the wrong order, does not pass it."""
+        graph = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3), (3, 0)], directed=True)
+        real = ScatterCombine._adjacency_blocks
+
+        def mutated(ch, adj):
+            blocks = list(real(ch, adj))
+            return iter(blocks[1:] if mutation == "drop" else blocks[::-1])
+
+        self._check_tables(graph, "out", 1, range_partition, 1)
+        with mock.patch.object(ScatterCombine, "_adjacency_blocks", mutated):
+            with pytest.raises((AssertionError, ValueError)):
+                self._check_tables(graph, "out", 1, range_partition, 1)
+
+    @pytest.mark.parametrize("block", [3, 1 << 18])
     @pytest.mark.parametrize("direction", ["out", "both"])
-    def test_mirrored_dispatch_equals_the_per_edge_registration(self, direction):
+    def test_mirrored_dispatch_equals_the_per_edge_registration(self, direction, block):
         make = lambda w: MirroredScatter(w, SUM_F64, threshold=3)  # noqa: E731
         g = rmat(6, edge_factor=4, seed=5)
         for worker in ChannelEngine(g, _Idle, num_workers=2).workers:
             explicit = self._explicit(worker, direction, make)
             named = self._named(worker, direction, make)
             explicit._build()
-            named._build()
+            with mock.patch.object(_edges, "_BLOCK_EDGES", block):
+                named._build()
             assert any(mirrored.size for _, _, mirrored, _ in named._dispatch)
             for row_e, row_n in zip(explicit._dispatch, named._dispatch, strict=True):
                 assert [np.asarray(t).tolist() for t in row_e] == [
@@ -724,6 +761,40 @@ class TestAdjacencyRegistration:
         msg = str(err.value)
         assert request.node.callspec.id.split("-")[-1] in msg
         assert f"edge destination {bad} outside [0, 64)" in msg and not ch._built
+
+    @SCATTER_EDGE_CHANNELS
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_bad_id_in_a_later_block_fails_like_one_in_the_first(
+        self, request, tmp_path, channel, bad
+    ):
+        """A mapped store whose last block holds an id the graph does not
+        have: the blocks before it were packed and released, and still
+        nothing is built, announced or sent."""
+        g = rmat(6, edge_factor=4, seed=5)
+        MmapStore.save(g, tmp_path)
+        raw = np.load(tmp_path / "indices.npy", mmap_mode="r+")
+        raw[-1] = bad
+        raw.flush()
+        del raw
+        graph = Graph.from_store(MmapStore.open(tmp_path))
+        engine = ChannelEngine(graph, _Idle, num_workers=1)
+        worker = engine.workers[0]
+        ch = self._named(worker, "out", channel)
+        ch.set_messages(np.arange(worker.num_local), np.ones(worker.num_local))
+        released = []
+        with (
+            mock.patch.object(_edges, "_BLOCK_EDGES", 16),
+            mock.patch.object(graph.store, "release", released.append),
+            mock.patch.object(worker, "emit") as emit,
+            pytest.raises(ValueError) as err,
+        ):
+            ch.serialize()
+        assert len(released) >= 3  # the bad id was not in an early block
+        assert sum(view.size for view in released) < g.num_edges
+        name = request.node.callspec.id.split("-")[-1]
+        assert f"{name}(id=0, worker=0): edge destination {bad} outside [0, 64)" in str(err.value)
+        assert not ch._built and not ch._announced and ch._dirty
+        emit.assert_not_called()
 
     @SCATTER_EDGE_CHANNELS
     def test_both_forms_on_one_channel_raise_by_name(self, request, channel):

@@ -11,6 +11,10 @@ in a worker process.  This file pins that contract from every side:
   traffic, and counters over memory and mmap stores on the simulated
   and process backends (both transports), i.e. attach-by-path is
   indistinguishable from copy-into-shm;
+* release — a mapped store hands back the pages a reader has copied
+  (whole pages only, observable in the resident set), every other store
+  ignores the call, and no run can tell: scatter / mirror PageRank through
+  a failure and a restore, sim == process on every counter;
 * composition — DeltaGraph / EpochEngine run over an mmap base without
   ever writing to it (overlay appends only; the store files stay
   byte-identical);
@@ -22,6 +26,9 @@ in a worker process.  This file pins that contract from every side:
 from __future__ import annotations
 
 import json
+import mmap
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.wcc import run_wcc
 from repro.bench.datasets import DATASETS, EXTRA_DATASETS, load_dataset
+from repro.core.channels import _edges
 from repro.graph import rmat
 from repro.graph.generators import erdos_renyi_to_disk, rmat_to_disk
 from repro.graph.graph import Graph
@@ -47,6 +55,7 @@ from repro.graph.partition import degree_range_partition, range_partition
 from repro.graph.store import (
     MemoryStore,
     MmapStore,
+    SharedMemoryStore,
     build_mmap_store,
     is_mmap_store,
 )
@@ -133,6 +142,107 @@ class TestStoreKinds:
         MmapStore.save(g, tmp_path / "empty")
         back = Graph.from_store(MmapStore.open(tmp_path / "empty"))
         assert back.weighted and back.num_vertices == 4 and back.num_edges == 0
+
+
+# ---------------------------------------------------------------------------
+# release: a reader that has copied what it needs hands the pages back
+# ---------------------------------------------------------------------------
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
+
+
+class _AdviceSpy:
+    """Stands in for an ``np.memmap``'s ``_mmap``: records ``madvise``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def madvise(self, option, start, length):
+        self.calls.append((option, start, length))
+
+
+needs_madvise = pytest.mark.skipif(
+    not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise(MADV_DONTNEED) here"
+)
+
+
+class TestRelease:
+    @staticmethod
+    def _store(path, num_arcs=5000):
+        indptr = np.array([0, num_arcs, num_arcs], dtype=np.int64)
+        g = Graph.from_csr(2, indptr, np.arange(num_arcs, dtype=np.int64) % 2)
+        return MmapStore.save(g, path)
+
+    @staticmethod
+    def _spy_on(store, name="indices"):
+        """(spy, byte position of ``name``'s first element in its map)."""
+        base = store._arrays[name]
+        base._mmap = spy = _AdviceSpy()  # the array keeps the real map alive
+        return spy, base.offset % mmap.ALLOCATIONGRANULARITY
+
+    @needs_madvise
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_released_pages_leave_the_resident_set_and_read_back_equal(self, tmp_path):
+        store = self._store(tmp_path, num_arcs=1 << 21)  # 16 MiB of indices
+        indices = store.arrays()["indices"]
+        checksum = int(indices.sum())  # touches every page
+        touched = _resident_bytes()
+        store.release(indices)
+        assert touched - _resident_bytes() >= indices.nbytes // 2
+        assert int(indices.sum()) == checksum == 1 << 20
+        np.testing.assert_array_equal(indices[:4], [0, 1, 0, 1])
+
+    @needs_madvise
+    def test_an_unaligned_view_releases_only_the_whole_pages_inside_it(self, tmp_path):
+        store = self._store(tmp_path)
+        spy, head = self._spy_on(store)
+        assert head % mmap.PAGESIZE  # the .npy header: no element starts a page
+        indices, page = store.arrays()["indices"], mmap.PAGESIZE
+        per_page = page // 8
+        view = indices[3 : 3 + 3 * per_page]  # three pages' worth, straddling four
+        store.release(view)
+        [(option, start, length)] = spy.calls
+        assert option == mmap.MADV_DONTNEED
+        assert start % page == 0 and length == 2 * page
+        lo = head + 3 * 8
+        assert lo <= start < lo + page and start + length <= lo + view.nbytes
+        # nothing when no whole page fits, or the view is not one stretch of bytes
+        store.release(indices[3 : 3 + per_page])
+        store.release(indices[:0])
+        store.release(indices[::2])
+        assert len(spy.calls) == 1
+        # the whole array: everything but the partial pages at its two ends
+        store.release(indices)
+        assert spy.calls[1][1] == page
+        assert spy.calls[1][2] == (head + indices.nbytes) // page * page - page
+
+    @needs_madvise
+    def test_heap_arrays_other_stores_and_a_closed_store_release_nothing(self, tmp_path):
+        store = self._store(tmp_path)
+        spies = [self._spy_on(store, name)[0] for name in ("indptr", "indices")]
+        indices = store.arrays()["indices"]
+        store.release(np.asarray(indices).copy())
+        store.release(np.arange(10))
+        heap = np.arange(10, dtype=np.int64)
+        MemoryStore(2, True, np.array([0, 5, 10]), heap).release(heap)
+        SharedMemoryStore(2, True, {"indices": heap}, []).release(heap)
+        store.close()
+        store.release(indices)
+        assert [spy.calls for spy in spies] == [[], []]
+        assert indices[1] == 1  # the caller's view outlives the closed store
+
+    @needs_madvise
+    def test_widening_releases_the_narrow_pages_it_copied(self, tmp_path):
+        g = rmat(11, edge_factor=8, seed=2)
+        store = MmapStore.save(g, tmp_path, index_dtype="uint32")
+        spy, _ = self._spy_on(store)
+        widened = store.arrays()["indices"]
+        assert len(spy.calls) == 1 and spy.calls[0][2] >= g.num_edges * 4 - 2 * mmap.PAGESIZE
+        store.arrays()
+        store.release(widened)  # a heap copy: nothing more to hand back
+        assert len(spy.calls) == 1
+        np.testing.assert_array_equal(widened, g.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +470,61 @@ class TestAlgorithmParity:
             mapped, num_workers=2, executor="process", transport=transport
         )
         _assert_identical_runs(sim, proc)
+
+
+@pytest.fixture(scope="module")
+def released_runs(tmp_path_factory):
+    """Scatter and mirror PageRank over one mapped store, degree-range
+    partitioned (each worker's rows are views of the map): the failure-free
+    run per variant, and how often it released a block of the store."""
+    store_dir = tmp_path_factory.mktemp("released") / "g"
+    MmapStore.save(rmat(9, edge_factor=6, seed=17), store_dir)
+    graph = load_graph(store_dir)
+    owner = degree_range_partition(graph, 2)
+
+    def run(variant, **kw):
+        return run_pagerank(
+            graph, variant=variant, iterations=6, mode="bulk", num_workers=2,
+            partition=owner, **kw,
+        )  # fmt: skip
+
+    def counting(variant, **kw):
+        """(the run's outcome, release calls it made) in this process,
+        with blocks small enough that every build streams several."""
+        real = graph.store.release
+        with (
+            mock.patch.object(_edges, "_BLOCK_EDGES", 64),
+            mock.patch.object(graph.store, "release", side_effect=real) as release,
+        ):
+            return run(variant, **kw), release.call_count
+
+    return run, counting, {v: counting(v) for v in ("scatter", "mirror")}
+
+
+@pytest.mark.parametrize("recovery", ["rollback", "confined"])
+@pytest.mark.parametrize("variant", ["scatter", "mirror"])
+class TestReleasedStoreParity:
+    """Handing pages back changes no bit anywhere: sim == process x
+    {shm, pipe} on data, per-channel breakdown, net and checkpoint bytes,
+    through a failure whose restore rebuilds from rows released before."""
+
+    def test_recovery_rereads_released_rows_on_every_backend(
+        self, released_runs, variant, recovery
+    ):
+        run, counting, baselines = released_runs
+        base, base_releases = baselines[variant]
+        assert base_releases >= 2 * 3  # two builds of several blocks each
+        ft = dict(checkpoint_every=2, failures=[(1, 3)], recovery=recovery)
+        sim, releases = counting(variant, **ft)
+        assert releases > base_releases  # the restored channel streamed them again
+        _assert_identical_runs(base, sim)
+        for transport in ("shm", "pipe"):
+            proc = run(variant, executor="process", transport=transport, **ft)
+            _assert_identical_runs(sim, proc)
+            sm, pm = sim[-1].metrics, proc[-1].metrics
+            assert pm.num_failures == sm.num_failures == 1
+            assert pm.checkpoint_bytes == sm.checkpoint_bytes > 0
+            assert pm.recovery_bytes == sm.recovery_bytes > 0
 
 
 # ---------------------------------------------------------------------------

@@ -122,15 +122,18 @@ class TestStableOrder:
 
 class TestGroupByKey:
     """``group_by_key`` is ``argsort(keys, kind="stable")`` applied to the
-    values and cut into groups, whichever of its two routes ran."""
+    values and cut into groups, whichever of its two routes ran and in
+    however many blocks the pairs arrived."""
 
     @staticmethod
-    def check(keys, values, key_bound, value_bound):
+    def check(keys, values, key_bound, value_bound, cuts=()):
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         order = np.argsort(keys, kind="stable")
         exp_uniq, exp_starts = np.unique(keys[order], return_index=True)
-        uniq, starts, grouped = group_by_key(keys, values, key_bound, value_bound)
+        cuts = sorted(min(cut, keys.size) for cut in cuts)
+        blocks = zip(np.split(keys, cuts), np.split(values, cuts), strict=True)
+        uniq, starts, grouped = group_by_key(blocks, keys.size, key_bound, value_bound)
         assert uniq.dtype == starts.dtype == grouped.dtype == np.int64
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
@@ -148,19 +151,36 @@ class TestGroupByKey:
         monkeypatch.setattr(repro.util, "stable_order", spy)
         return calls
 
+    #: where the pairs are cut into blocks (empty blocks included)
+    CUTS = st.lists(st.integers(0, 120), max_size=6)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=120
-        ).map(lambda pairs: sorted(pairs, key=lambda p: p[1]))
+        ).map(lambda pairs: sorted(pairs, key=lambda p: p[1])),
+        CUTS,
     )
-    def test_non_decreasing_values_with_duplicate_pairs(self, pairs):
+    def test_non_decreasing_values_with_duplicate_pairs(self, pairs, cuts):
         keys = [k for k, _ in pairs]
         values = [v for _, v in pairs]
-        self.check(keys, values, 7, 10)
+        self.check(keys, values, 7, 10, cuts)
 
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=120))
-    def test_any_order_of_values(self, pairs):
-        self.check([k for k, _ in pairs], [v for _, v in pairs], 7, 10)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=120), CUTS)
+    def test_any_order_of_values(self, pairs, cuts):
+        self.check([k for k, _ in pairs], [v for _, v in pairs], 7, 10, cuts)
+
+    def test_a_descent_across_two_sorted_blocks_takes_the_stable_order_route(self, routes):
+        self.check([1, 1, 0, 0], [4, 5, 2, 3], 2, 6, cuts=[2])
+        assert routes == [2]
+
+    def test_no_block_at_all_is_the_empty_grouping(self):
+        for bounds in ((6, 10), (2**31 + 1, 10)):
+            uniq, starts, grouped = group_by_key(iter(()), 0, *bounds)
+            assert uniq.size == starts.size == grouped.size == 0
+
+    def test_blocks_short_of_the_announced_count_raise(self):
+        with pytest.raises(ValueError, match="3 pairs, not the 4 announced"):
+            group_by_key([(np.array([1, 0, 1]), np.array([0, 1, 2]))], 4, 2, 3)
 
     def test_sorted_values_never_build_a_permutation(self, routes):
         self.check([5, 1, 5, 1, 0], [0, 0, 2, 2, 9], 6, 10)
@@ -173,7 +193,7 @@ class TestGroupByKey:
         assert routes == [6]
 
     def test_bounds_wider_than_a_word_take_the_stable_order_route(self, routes):
-        self.check([2**31, 0, 7], [0, 1, 2], 2**31 + 1, 10)
+        self.check([2**31, 0, 7], [0, 1, 2], 2**31 + 1, 10, cuts=[1])
         self.check([4, 0, 7], [0, 1, 2**32], 8, 2**32 + 1)
         assert routes == [2**31 + 1, 8]
 
@@ -184,8 +204,8 @@ class TestGroupByKey:
         values = rng.integers(0, 2**32, 400, dtype=np.uint32)
         if sort_values:
             values.sort()
-        wide = group_by_key(keys, values.astype(np.int64), 50, 2**32)
-        narrow = group_by_key(keys, values, 50, 2**32)
+        wide = group_by_key([(keys, values.astype(np.int64))], 400, 50, 2**32)
+        narrow = group_by_key([(keys, values)], 400, 50, 2**32)
         assert len(routes) == (0 if sort_values else 2)
         for got, expected in zip(narrow, wide, strict=True):
             assert got.dtype == np.int64 and got.tolist() == expected.tolist()
@@ -199,7 +219,7 @@ class TestGroupByKey:
         values = np.sort(rng.integers(0, 500, n)).astype(np.uint32)
         tracemalloc.start()
         try:
-            group_by_key(keys, values, 1000, 500)
+            group_by_key([(keys, values)], n, 1000, 500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,5 +228,5 @@ class TestGroupByKey:
     def test_does_not_modify_inputs(self):
         keys = np.array([4, 1, 4, 0], dtype=np.int64)
         values = np.array([0, 1, 1, 3], dtype=np.int64)
-        group_by_key(keys, values, 5, 4)
+        group_by_key([(keys, values)], 4, 5, 4)
         assert keys.tolist() == [4, 1, 4, 0] and values.tolist() == [0, 1, 1, 3]

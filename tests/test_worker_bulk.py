@@ -1,6 +1,8 @@
 """The bulk compute path's core machinery: dispatch, vectorized
 halt/activate, local CSR adjacency views, and EngineResult ergonomics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,26 @@ class TestContiguousRunsAreViews:
         )
         for w in engine.workers:
             assert not np.shares_memory(w.local_adjacency().indices, g.indices)
+
+    def test_only_a_copying_build_hands_the_store_arrays_back(self):
+        """Gathered rows are copies: the build releases what it read of
+        the store (``GraphStore.release``; the reverse CSR is heap, and
+        offered all the same).  Sliced rows stay views, unreleased, until
+        ``"both"`` interleaves them into a copy."""
+        g = rmat(7, edge_factor=5, seed=21, directed=True, weighted=True)
+        run = np.arange(30, 90)
+
+        def released(rows, direction):
+            with mock.patch.object(g.store, "release") as release:
+                build_local_csr(g, rows, direction)
+            return [call.args[0] for call in release.call_args_list]
+
+        assert released(run, "out") == []
+        gathered = released(np.append(run, 120), "out")
+        assert [a is b for a, b in zip(gathered, (g.indices, g.weights), strict=True)] == [True] * 2
+        both = released(run, "both")
+        assert len(both) == 2 and all(np.shares_memory(*pair) for pair in zip(both, gathered))
+        assert both[0].size == g.indptr[90] - g.indptr[30] < g.indices.size
 
     def test_single_vertex_and_empty_runs(self):
         g = rmat(6, edge_factor=4, seed=22, directed=True)
