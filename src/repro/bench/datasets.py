@@ -53,11 +53,11 @@ DATASETS: dict[str, tuple[Callable[[], Graph], str]] = {
 }
 
 #: workloads that are not Table III rows (kept out of ``DATASETS`` so the
-#: table inventory stays the paper's): the scalar-vs-bulk speedup
-#: benchmark's 100k-vertex graph (BENCH_bulk.json) and the streaming
-#: benchmark's graphs (BENCH_streaming.json) — a 10k-vertex weighted road
-#: grid whose slow frontier growth favors locality, plus a power-law
-#: contrast where the dirty region explodes
+#: table inventory stays the paper's): a 100k-vertex graph large enough
+#: for the scalar-vs-bulk gap to show (``repro run --mode``), and two
+#: streaming graphs (``repro stream``) — a 10k-vertex weighted road grid
+#: whose slow frontier growth favors locality, plus a power-law contrast
+#: where the dirty region explodes
 EXTRA_DATASETS: dict[str, tuple[Callable[[], Graph], str]] = {
     "bulk-100k": (
         lambda: erdos_renyi(100_000, 8.0, seed=108, directed=True),

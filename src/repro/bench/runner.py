@@ -9,9 +9,7 @@ network bytes.
 
 from __future__ import annotations
 
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,38 +34,7 @@ from repro.pregel_algorithms import (
     run_wcc_pregel,
 )
 
-__all__ = ["run_cell", "CELLS", "BULK_PAIRS", "bulk_speedup_rows", "git_describe"]
-
-
-def git_describe() -> str:
-    """Identify the code that produced a benchmark artifact (commit hash,
-    with ``-dirty`` when the tree has local edits); ``"unknown"`` outside
-    a git checkout.  Runs git in this file's directory, not the process
-    CWD — and only trusts the result if the discovered repository really
-    contains this package (an installed copy inside some unrelated repo's
-    tree must not inherit that repo's hash)."""
-    here = Path(__file__).resolve().parent
-
-    def _git(*argv: str):
-        return subprocess.run(
-            ["git", *argv],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=here,
-        )
-
-    try:
-        top = _git("rev-parse", "--show-toplevel")
-        if top.returncode != 0:
-            return "unknown"
-        root = Path(top.stdout.strip()).resolve()
-        if root != here and root not in here.parents:
-            return "unknown"
-        out = _git("describe", "--always", "--dirty")
-    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+__all__ = ["run_cell", "CELLS"]
 
 #: (algorithm, program) -> runner(graph, **kw) returning (..., EngineResult)
 CELLS = {
@@ -148,27 +115,6 @@ CELLS = {
     ),
 }
 
-#: (row name, scalar cell, bulk cell, extra kwargs) pairs measured by the
-#: scalar-vs-bulk speedup benchmark (BENCH_bulk.json)
-BULK_PAIRS = [
-    ("pr-basic", ("pr", "channel-basic"), ("pr", "channel-basic-bulk"), {"iterations": 5}),
-    (
-        "pr-scatter",
-        ("pr", "channel-scatter"),
-        ("pr", "channel-scatter-bulk"),
-        {"iterations": 5},
-    ),
-    (
-        "pr-mirror",
-        ("pr", "channel-mirror"),
-        ("pr", "channel-mirror-bulk"),
-        {"iterations": 5},
-    ),
-    ("wcc", ("wcc", "channel-basic"), ("wcc", "channel-basic-bulk"), {}),
-    ("bfs", ("bfs", "channel-basic"), ("bfs", "channel-basic-bulk"), {}),
-    ("sssp", ("sssp", "channel-basic"), ("sssp", "channel-basic-bulk"), {}),
-]
-
 _partition_cache: dict[tuple[str, int], np.ndarray] = {}
 
 
@@ -204,39 +150,3 @@ def run_cell(
         "rounds": m.total_rounds,
         "wall_s": round(wall, 3),
     }
-
-
-def bulk_speedup_rows(
-    dataset: str = "bulk-100k", num_workers: int = 8, pairs=None, seed: int = 0
-) -> list[dict]:
-    """Run every scalar/bulk program pair on ``dataset`` and report the
-    wall-time speedup of the columnar path, plus the traffic equality the
-    parity tests enforce (same supersteps, same messages, same bytes).
-
-    ``seed`` fixes the hash partition used by every run, so a rerun with
-    the same arguments measures the exact same work distribution.
-    """
-    from repro.graph.partition import hash_partition
-
-    graph = load_dataset(dataset)
-    partition = hash_partition(graph.num_vertices, num_workers, seed=seed)
-    rows = []
-    for name, scalar_cell, bulk_cell, extra in pairs or BULK_PAIRS:
-        extra = dict(extra, partition=partition)
-        scalar = run_cell(*scalar_cell, dataset, num_workers=num_workers, **extra)
-        bulk = run_cell(*bulk_cell, dataset, num_workers=num_workers, **extra)
-        rows.append(
-            {
-                "algorithm": name,
-                "dataset": dataset,
-                "scalar_wall_s": scalar["wall_s"],
-                "bulk_wall_s": bulk["wall_s"],
-                "speedup": round(scalar["wall_s"] / max(bulk["wall_s"], 1e-9), 2),
-                "supersteps": scalar["supersteps"],
-                "traffic_identical": all(
-                    scalar[k] == bulk[k]
-                    for k in ("supersteps", "messages", "message_mb", "rounds")
-                ),
-            }
-        )
-    return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import EXECUTORS, ChannelEngine, EngineResult
+from repro.core.engine import ChannelEngine, EngineResult
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition
 from repro.runtime.costmodel import NetworkModel, DEFAULT_NETWORK
@@ -92,11 +92,6 @@ class EpochEngine:
         :class:`~repro.runtime.parallel.pool.WorkerPool`).  Per-epoch
         data, traffic, and byte/message totals are bit-identical to
         ``"sim"``.
-    pool_reuse:
-        Process executor only.  ``True`` (default) amortizes one pool
-        across all epochs; ``False`` spawns a fresh pool per epoch — the
-        honest respawn-per-epoch baseline the pool-amortization benchmark
-        compares against.
     transport:
         Process executor only: the worker-to-worker frame data plane,
         ``"shm"`` (default) or ``"pipe"`` — see
@@ -138,7 +133,6 @@ class EpochEngine:
         network: NetworkModel = DEFAULT_NETWORK,
         partition_seed: int = 0,
         executor: str = "sim",
-        pool_reuse: bool = True,
         transport: str | None = None,
         trace=None,
         live=None,
@@ -148,8 +142,6 @@ class EpochEngine:
     ) -> None:
         if refresh not in REFRESH_MODES:
             raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         ChannelEngine.validate_options(
             executor=executor,
             transport=transport,
@@ -164,7 +156,6 @@ class EpochEngine:
         self.network = network
         self.partition_seed = partition_seed
         self.executor = executor
-        self.pool_reuse = bool(pool_reuse)
         self.pool = None  # created lazily for executor="process"
         self.trace = trace
         self.live = live
@@ -319,19 +310,16 @@ class EpochEngine:
     def _executor_kwargs(self) -> dict:
         """Per-epoch engine kwargs for the chosen execution backend.
 
-        For ``"process"``, epochs share one persistent worker pool (or,
-        with ``pool_reuse=False``, tear the previous epoch's pool down
-        and spawn a fresh one — the respawn-per-epoch baseline).
-        ``sync_state=True`` because :meth:`StreamAlgorithm.collect` reads
-        next-epoch warm state off ``engine.workers`` after the run.
+        For ``"process"``, epochs share one persistent worker pool,
+        created on the first epoch.  ``sync_state=True`` because
+        :meth:`StreamAlgorithm.collect` reads next-epoch warm state off
+        ``engine.workers`` after the run.
         """
         if self.executor != "process":
             return {}
         from repro.runtime.parallel.pool import WorkerPool
 
-        if self.pool is None or not self.pool_reuse:
-            if self.pool is not None:
-                self.pool.shutdown()
+        if self.pool is None:
             self.pool = WorkerPool(
                 self.num_workers,
                 transport=self.transport if self.transport is not None else "shm",

@@ -54,15 +54,8 @@ class TestDatasets:
 class TestRunner:
     def test_cells_cover_all_table_programs(self):
         algos = {a for a, _ in CELLS}
-        # bfs joined the registry with the scalar-vs-bulk speedup bench
+        # bfs has no paper-table cell; `repro run bfs` resolves through its cells
         assert algos == {"pr", "pj", "wcc", "sv", "scc", "msf", "sssp", "bfs"}
-
-    def test_every_bulk_pair_names_registered_cells(self):
-        from repro.bench.runner import BULK_PAIRS
-
-        for _name, scalar_cell, bulk_cell, _extra in BULK_PAIRS:
-            assert scalar_cell in CELLS
-            assert bulk_cell in CELLS
 
     def test_sv_and_pj_ports_are_registered_beside_pinned_scalar_cells(self):
         for variant in ("basic", "reqresp", "scatter", "both"):

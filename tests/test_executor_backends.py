@@ -248,27 +248,6 @@ def test_epoch_summary_counters_match_collector(executor):
         engine.close()
 
 
-def test_pool_reuse_disabled_respawns_per_epoch():
-    graph, make = STREAM_CASES["wcc"]
-    batches = synthesize_stream(
-        graph, num_epochs=2, insertions_per_epoch=20, deletions_per_epoch=10, seed=2
-    )
-    engine = EpochEngine(
-        graph, make(), num_workers=2, executor="process", pool_reuse=False
-    )
-    try:
-        engine.bootstrap()
-        spawned = [engine.pool.spawn_count]
-        for batch in batches:
-            engine.run_epoch(batch)
-            spawned.append(engine.pool.spawn_count)
-        # a fresh pool per epoch: the live pool always shows exactly one
-        # spawn generation, and each epoch paid it again
-        assert spawned == [2, 2, 2]
-    finally:
-        engine.close()
-
-
 # ---------------------------------------------------------------------------
 # pool lifecycle
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ def force_plan(owner: np.ndarray, indptr: np.ndarray, num_workers: int):
 
 
 def balanced_partition(graph, num_workers: int) -> np.ndarray:
-    """The balancer's own fixed point for ``graph`` (see the bench)."""
+    """The balancer's own fixed point for ``graph``: the no-false-fire
+    control (hash and degree-range partitions of small RMAT graphs carry
+    genuine residual imbalance, so firing there is correct)."""
     skew = planted_skew(graph.num_vertices, num_workers)
     plan = force_plan(skew, graph.indptr, num_workers)
     return np.asarray(plan.new_owner, dtype=np.int64) if plan is not None else skew
@@ -127,7 +129,7 @@ class TestRebalancePolicy:
 
     def test_plan_output_is_a_fixed_point(self):
         """Re-proposing on a plan's own ownership finds nothing to move —
-        the hysteresis anchor the no-false-fire bench rows rely on."""
+        the hysteresis anchor the no-false-fire tests rely on."""
         g = _DIRECTED
         for workers in WORKERS:
             skew = planted_skew(g.num_vertices, workers)
@@ -274,8 +276,9 @@ def _test_policy(workers: int) -> RebalancePolicy:
     fire superstep a pure function of cadence + structure — that is what
     lets these tests demand bit-identity across backends (with the
     default 1.2 threshold the firing step can drift with wall-clock
-    noise; that path is exercised by bench_rebalance and the epoch test
-    below, which assert firing, not bit-equal fire steps)."""
+    noise; that path is exercised by
+    ``test_measured_skew_fires_at_the_default_threshold`` and the epoch
+    tests below, which assert firing, not bit-equal fire steps)."""
     return RebalancePolicy(
         num_workers=workers, min_supersteps=2, skew_threshold=0.0
     )

@@ -133,6 +133,43 @@ def test_recovered_run_is_bit_identical(name, mode, workers):
     _assert_identical(base, recovered)
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_checkpoint_only_run_is_bit_identical(name):
+    """Periodic checkpoints with no failure: one snapshot at superstep 0
+    and one every ``checkpoint_every`` supersteps, nothing recovered, and
+    the run is the failure-free run."""
+    runner, _ = WORKLOADS[name]
+    base = _baseline(name, 2)
+    out = runner(num_workers=2, checkpoint_every=2)
+    m = out[-1].metrics
+    assert m.num_failures == 0
+    assert m.num_checkpoints == 1 + base[-1].supersteps // 2
+    assert m.checkpoint_bytes > 0
+    assert m.recovery_bytes == 0
+    _assert_identical(base, out)
+
+
+@pytest.mark.parametrize("mode", ["rollback", "confined"])
+@pytest.mark.parametrize("fail_at", range(1, 8))
+@pytest.mark.parametrize("name", ["pr-scatter-bulk", "sv-both-bulk"])
+def test_failure_at_any_superstep_recovers(name, fail_at, mode):
+    """Sweep the failure point: on and off the checkpoint grid, first
+    superstep to last (pr-scatter-bulk runs 7), both modes match."""
+    runner, _ = WORKLOADS[name]
+    base = _baseline(name, 2)
+    assert base[-1].supersteps >= fail_at, "failure must actually fire"
+    out = runner(
+        num_workers=2,
+        checkpoint_every=2,
+        failures=[(1, fail_at)],
+        recovery=mode,
+    )
+    m = out[-1].metrics
+    assert m.num_failures == 1
+    assert m.recovery_bytes > 0
+    _assert_identical(base, out)
+
+
 class TestFailureModesAndEdges:
     def test_failure_without_periodic_checkpoints(self):
         """Only the superstep-0 checkpoint exists: recovery rolls all the

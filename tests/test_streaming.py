@@ -249,6 +249,42 @@ class TestParityMatrix:
                 np.array([ei.data[v] for v in ids]), cold[np.array(ids)]
             )
 
+    @pytest.mark.parametrize("name", sorted(STREAM_ALGORITHMS))
+    @pytest.mark.parametrize("frac", [0.0001, 0.001, 0.01, 0.1])
+    def test_every_delta_size_matches_full_refresh(self, name, frac):
+        # batch sizes from one edge to a tenth of the graph, half inserts
+        # and half deletes: small ones stay incremental, large ones
+        # degrade toward full — every epoch is the full refresh either way
+        factory, graph = _algo_and_graph(name)
+        k = max(1, round(frac * graph.num_input_edges))
+        batches = synthesize_stream(graph, 3, k - k // 2, k // 2, seed=7)
+        partition = hash_partition(graph.num_vertices, 4, seed=2)
+        inc, full = (
+            EpochEngine(
+                graph, factory(), num_workers=4, refresh=mode,
+                partition=partition,
+            )
+            for mode in ("incremental", "full")
+        )
+        for batch in batches:
+            assert inc.run_epoch(batch).data == full.run_epoch(batch).data
+
+    @pytest.mark.parametrize("name", sorted(STREAM_ALGORITHMS))
+    def test_one_edge_delta_moves_fewer_bytes_than_full(self, name):
+        factory, graph = _algo_and_graph(name)
+        batches = synthesize_stream(graph, 3, 1, 0, seed=8)
+        inc, full = (
+            EpochEngine(graph, factory(), num_workers=4, refresh=mode)
+            for mode in ("incremental", "full")
+        )
+        for batch in batches:
+            ei, ef = inc.run_epoch(batch), full.run_epoch(batch)
+            assert ei.data == ef.data
+            assert (
+                ei.result.metrics.total_net_bytes
+                < ef.result.metrics.total_net_bytes
+            )
+
     def test_pagerank_worker_idle_at_final_step(self):
         # regression: worker 0 owns only clean sender vertices whose last
         # scheduled participation is step T (sending shares into the
