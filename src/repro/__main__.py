@@ -32,12 +32,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from repro.bench.datasets import DATASETS, EXTRA_DATASETS, load_dataset, table3_rows
 from repro.bench.runner import CELLS
-from repro.core.engine import ChannelEngine
+from repro.core.config import (
+    EXECUTORS,
+    REBALANCE_MODES,
+    RECOVERY_MODES,
+    TRANSPORTS,
+    RunConfig,
+)
 from repro.graph.io import load_graph
 from repro.graph.partition import (
     degree_range_partition,
@@ -75,9 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one algorithm and print metrics")
-    run.add_argument("algorithm", choices=sorted(VARIANTS))
-    src = run.add_mutually_exclusive_group(required=True)
+    # what `run` and `stream` share: the graph source, the RunConfig
+    # fields both take (dest = field name; an absent flag leaves the
+    # field to RunConfig's own default) and the observation flags
+    common = argparse.ArgumentParser(add_help=False)
+    src = common.add_mutually_exclusive_group(required=True)
     src.add_argument(
         "--dataset",
         choices=sorted(DATASETS) + sorted(EXTRA_DATASETS),
@@ -87,32 +96,89 @@ def _build_parser() -> argparse.ArgumentParser:
         "--graph",
         help="graph file or mmap store directory (edge list, .npz, or a "
         "directory written by `repro generate` / load_edgelist_chunked; "
-        "stores are attached in place, nothing is loaded into RAM)",
+        "stores are attached in place, nothing is loaded into RAM, and a "
+        "stream's delta overlay composes over any of them)",
     )
+    common.add_argument("--workers", dest="num_workers", type=int, default=argparse.SUPPRESS)
+    common.add_argument(
+        "--executor",
+        choices=EXECUTORS,
+        default=argparse.SUPPRESS,
+        help="execution backend: in-process simulation (sim, the default) "
+        "or one OS process per worker over shared memory (process; a "
+        "stream's epochs share one persistent pool); results and traffic "
+        "totals are bit-identical",
+    )
+    common.add_argument(
+        "--transport",
+        choices=TRANSPORTS,
+        default=argparse.SUPPRESS,
+        help="process-executor byte mover for frames: shared-memory ring "
+        "buffers (shm, the default) or OS pipes (pipe); same protocol, "
+        "results are bit-identical either way",
+    )
+    common.add_argument(
+        "--rebalance",
+        choices=REBALANCE_MODES,
+        default=argparse.SUPPRESS,
+        help="adaptive load rebalancing (ARCHITECTURE.md §13): `superstep` "
+        "pauses at a barrier every --rebalance-every supersteps and "
+        "migrates vertex ranges off straggling workers when the policy's "
+        "estimated win clears its hysteresis gates; `epoch` (stream only) "
+        "re-partitions between epochs from the previous epoch's phase "
+        "times; results stay bit-identical",
+    )
+    common.add_argument(
+        "--rebalance-every",
+        type=int,
+        default=argparse.SUPPRESS,
+        metavar="N",
+        help="supersteps between rebalance checks (with --rebalance "
+        "superstep)",
+    )
+    common.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="write a structured JSON-lines trace (span events: [stream > "
+        "epoch >] run, superstep, per-worker phase, exchange round, "
+        "checkpoint, failure, recovery, rebalance); inspect with "
+        "`repro report FILE`",
+    )
+    common.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="serve live per-worker metrics at "
+        "http://127.0.0.1:PORT/metrics (Prometheus text format) while "
+        "the run is in flight (a stream's segment rolls over per epoch); "
+        "0 picks a free port",
+    )
+    common.add_argument(
+        "--live-name",
+        default=None,
+        metavar="NAME",
+        help="publish live metrics into a shared-memory segment with "
+        "this name so `repro top NAME` can watch the run (implied "
+        "random name when only --metrics-port is given)",
+    )
+    common.add_argument(
+        "--json",
+        action="store_true",
+        help="machine-readable output (a stream prints one row per epoch)",
+    )
+
+    run = sub.add_parser(
+        "run", parents=[common], help="run one algorithm and print metrics"
+    )
+    run.add_argument("algorithm", choices=sorted(VARIANTS))
     run.add_argument("--variant", default="basic")
     run.add_argument(
         "--mode",
         choices=["scalar", "bulk"],
         default="scalar",
         help="compute path: per-vertex (scalar) or columnar (bulk)",
-    )
-    run.add_argument("--workers", type=int, default=8)
-    run.add_argument(
-        "--executor",
-        choices=["sim", "process"],
-        default="sim",
-        help="execution backend: in-process simulation (sim) or one OS "
-        "process per worker over shared memory (process); results and "
-        "traffic totals are bit-identical, and checkpointing/failure "
-        "injection work on both",
-    )
-    run.add_argument(
-        "--transport",
-        choices=["shm", "pipe"],
-        default=None,
-        help="process-executor byte mover for frames: shared-memory ring "
-        "buffers (shm, the default) or OS pipes (pipe); same protocol, "
-        "results are bit-identical either way",
     )
     run.add_argument(
         "--partition",
@@ -125,84 +191,31 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint-every",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="K",
         help="take a fault-tolerance checkpoint every K supersteps",
     )
     run.add_argument(
         "--fail",
+        dest="failures",
         action="append",
-        default=[],
+        default=argparse.SUPPRESS,
         metavar="W:S",
         help="kill worker W at the end of superstep S (repeatable)",
     )
     run.add_argument(
         "--recovery",
-        choices=["rollback", "confined"],
-        default="rollback",
+        choices=RECOVERY_MODES,
+        default=argparse.SUPPRESS,
         help="recovery mode used when --fail triggers",
     )
-    run.add_argument(
-        "--rebalance",
-        choices=["off", "epoch", "superstep"],
-        default="off",
-        help="adaptive load rebalancing (ARCHITECTURE.md §13): "
-        "`superstep` pauses at a barrier every --rebalance-every "
-        "supersteps and migrates vertex ranges off straggling workers "
-        "when the policy's estimated win clears its hysteresis gates "
-        "(`epoch` only applies to `stream`); results stay bit-identical",
-    )
-    run.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=16,
-        metavar="N",
-        help="supersteps between rebalance checks (with --rebalance "
-        "superstep)",
-    )
-    run.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a structured JSON-lines run trace (span events: run, "
-        "superstep, per-worker phase, exchange round, checkpoint, "
-        "failure, recovery, rebalance); inspect with `repro report FILE`",
-    )
-    run.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live per-worker metrics at "
-        "http://127.0.0.1:PORT/metrics (Prometheus text format) while "
-        "the run is in flight; 0 picks a free port",
-    )
-    run.add_argument(
-        "--live-name",
-        default=None,
-        metavar="NAME",
-        help="publish live metrics into a shared-memory segment with "
-        "this name so `repro top NAME` can watch the run (implied "
-        "random name when only --metrics-port is given)",
-    )
-    run.add_argument("--json", action="store_true", help="machine-readable output")
 
     stream = sub.add_parser(
         "stream",
+        parents=[common],
         help="apply an update stream epoch by epoch, refreshing results",
     )
     stream.add_argument("algorithm", choices=["pagerank", "wcc", "sssp"])
-    ssrc = stream.add_mutually_exclusive_group(required=True)
-    ssrc.add_argument(
-        "--dataset",
-        choices=sorted(DATASETS) + sorted(EXTRA_DATASETS),
-        help="built-in starting graph",
-    )
-    ssrc.add_argument(
-        "--graph",
-        help="starting graph: edge-list file, .npz, or mmap store "
-        "directory (the delta overlay composes over any store)",
-    )
     stream.add_argument(
         "--updates",
         required=True,
@@ -222,21 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="incremental",
         help="per-epoch refresh policy",
     )
-    stream.add_argument("--workers", type=int, default=8)
-    stream.add_argument(
-        "--executor",
-        choices=["sim", "process"],
-        default="sim",
-        help="execution backend for every epoch's refresh run; process "
-        "epochs share one persistent worker pool (processes spawn once, "
-        "then receive each epoch's graph/program as control messages)",
-    )
-    stream.add_argument(
-        "--transport",
-        choices=["shm", "pipe"],
-        default=None,
-        help="process-executor byte mover for frames (see `run --transport`)",
-    )
     stream.add_argument(
         "--iterations", type=int, default=10, help="PageRank iterations"
     )
@@ -247,45 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="overlay/base ratio that triggers delta-graph compaction",
     )
-    stream.add_argument(
-        "--rebalance",
-        choices=["off", "epoch", "superstep"],
-        default="off",
-        help="adaptive load rebalancing: `epoch` re-partitions between "
-        "epochs from the previous epoch's phase times; `superstep` "
-        "migrates live state at superstep barriers inside each epoch; "
-        "the improved partition carries forward either way",
-    )
-    stream.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=16,
-        metavar="N",
-        help="supersteps between rebalance checks (with --rebalance "
-        "superstep)",
-    )
-    stream.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a structured JSON-lines trace (stream > epoch > run "
-        "span hierarchy); inspect with `repro report FILE`",
-    )
-    stream.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live per-worker metrics over HTTP while epochs run "
-        "(see `run --metrics-port`); the segment rolls over per epoch",
-    )
-    stream.add_argument(
-        "--live-name",
-        default=None,
-        metavar="NAME",
-        help="named live-metrics segment for `repro top NAME`",
-    )
-    stream.add_argument("--json", action="store_true", help="one JSON row per epoch")
 
     report = sub.add_parser(
         "report",
@@ -396,7 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _start_live(args):
+def _run_config(args) -> RunConfig:
+    """The command's :class:`RunConfig`: the flags given, RunConfig's own
+    defaults for the rest.  Raises ``ValueError`` on a bad combination —
+    before any graph is loaded or partitioned."""
+    return RunConfig(
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    )
+
+
+def _load_graph(args):
+    """The ``--dataset`` / ``--graph`` source, or ``None`` after printing
+    why the file cannot be opened."""
+    if args.dataset:
+        return load_dataset(args.dataset)
+    try:
+        return load_graph(args.graph)
+    except (OSError, ValueError) as exc:
+        print(f"cannot open {args.graph!r}: {exc}", file=sys.stderr)
+        return None
+
+
+def _start_live(args, num_workers: int):
     """Bring the live telemetry plane up for a `run`/`stream` invocation.
 
     Returns ``(live, server, error_code)`` — ``error_code`` is not None
@@ -409,7 +389,7 @@ def _start_live(args):
     from repro.obs import LiveMetrics, MetricsHTTPServer
 
     try:
-        live = LiveMetrics.create(args.workers, name=args.live_name)
+        live = LiveMetrics.create(num_workers, name=args.live_name)
     except FileExistsError:
         print(
             f"live segment {args.live_name!r} already exists "
@@ -463,71 +443,35 @@ def _cmd_run(args) -> int:
             return 2
         program += "-bulk"
     runner = CELLS[(algo, program)]
-
-    if args.dataset:
-        graph = load_dataset(args.dataset)
-    else:
-        try:
-            graph = load_graph(args.graph)
-        except (OSError, ValueError) as exc:
-            print(f"cannot open {args.graph!r}: {exc}", file=sys.stderr)
-            return 2
-    # backend/fault-tolerance option validation lives in the engine, the
-    # single source of truth — the CLI only translates the ValueError
-    if args.rebalance == "epoch":
-        print(
-            "--rebalance epoch needs epoch boundaries; use `repro stream` "
-            "(or --rebalance superstep here)",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        schedule = ChannelEngine.validate_options(
-            executor=args.executor,
-            checkpoint_every=args.checkpoint_every,
-            failures=args.fail or None,
-            recovery=args.recovery,
-            num_workers=args.workers,
-            transport=args.transport,
-            rebalance=args.rebalance,
-            rebalance_every=args.rebalance_every,
-        )
+        config = _run_config(args)
     except ValueError as exc:
         print(f"bad run options: {exc}", file=sys.stderr)
         return 2
-    kwargs = {"num_workers": args.workers, "executor": args.executor}
-    if args.rebalance != "off":
-        kwargs["rebalance"] = args.rebalance
-        kwargs["rebalance_every"] = args.rebalance_every
-    if args.transport is not None:
-        kwargs["transport"] = args.transport
+    graph = _load_graph(args)
+    if graph is None:
+        return 2
+    workers = config.num_workers
+    partition = None
     if args.partition == "metis":
-        kwargs["partition"] = metis_like_partition(graph, args.workers, seed=0)
+        partition = metis_like_partition(graph, workers, seed=0)
     elif args.partition == "range":
-        kwargs["partition"] = range_partition(graph.num_vertices, args.workers)
+        partition = range_partition(graph.num_vertices, workers)
     elif args.partition == "degree":
-        kwargs["partition"] = degree_range_partition(graph, args.workers)
-    if args.checkpoint_every is not None:
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if schedule is not None:
-        kwargs["failures"] = schedule
-        kwargs["recovery"] = args.recovery
+        partition = degree_range_partition(graph, workers)
 
     recorder = None
     if args.trace is not None:
         from repro.obs import TraceRecorder
 
         recorder = TraceRecorder(args.trace)
-        kwargs["trace"] = recorder
-    live, server, code = _start_live(args)
+    live, server, code = _start_live(args, workers)
     if code is not None:
         if recorder is not None:
             recorder.close()
         return code
-    if live is not None:
-        kwargs["live"] = live
     try:
-        out = runner(graph, **kwargs)
+        out = runner(graph, partition=partition, trace=recorder, live=live, **vars(config))
     except ValueError as exc:  # options only the built engine can check
         print(f"bad run options: {exc}", file=sys.stderr)
         return 2
@@ -546,13 +490,13 @@ def _cmd_run(args) -> int:
         "graph": args.dataset or args.graph,
         "vertices": graph.num_vertices,
         "edges": graph.num_input_edges,
-        "workers": args.workers,
+        "workers": workers,
         "partition": args.partition,
-        "executor": args.executor,
+        "executor": config.executor,
         **m.summary(),
     }
-    if args.executor == "process":
-        row["transport"] = args.transport if args.transport is not None else "shm"
+    if config.transport is not None:
+        row["transport"] = config.transport
     if result.live_alerts is not None:
         row["live_alerts"] = len(result.live_alerts)
     if args.json:
@@ -577,14 +521,14 @@ def _cmd_stream(args) -> int:
     if args.compact_threshold <= 0:
         print("--compact-threshold must be positive", file=sys.stderr)
         return 2
-    if args.dataset:
-        graph = load_dataset(args.dataset)
-    else:
-        try:
-            graph = load_graph(args.graph)
-        except (OSError, ValueError) as exc:
-            print(f"cannot open {args.graph!r}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        config = _run_config(args)
+    except ValueError as exc:
+        print(f"bad run options: {exc}", file=sys.stderr)
+        return 2
+    graph = _load_graph(args)
+    if graph is None:
+        return 2
     try:
         batches = load_update_stream(args.updates, epoch_size=args.epoch_size)
     except (OSError, ValueError) as exc:
@@ -605,42 +549,32 @@ def _cmd_stream(args) -> int:
         from repro.obs import TraceRecorder
 
         recorder = TraceRecorder(args.trace)
-    live, server, code = _start_live(args)
+    live, server, code = _start_live(args, config.num_workers)
     if code is not None:
         if recorder is not None:
             recorder.close()
         return code
+    engine = None
     try:
+        # the options are validated already: what can fail from here on
+        # is applying the stream
         engine = EpochEngine(
             graph,
             algo,
-            num_workers=args.workers,
             refresh=args.refresh,
             compact_threshold=args.compact_threshold,
-            executor=args.executor,
-            transport=args.transport,
             trace=recorder,
             live=live,
-            rebalance=args.rebalance,
-            rebalance_every=args.rebalance_every,
+            **vars(config),
         )
-    except ValueError as exc:
-        if server is not None:
-            server.stop()
-        if live is not None:
-            live.close(unlink=True)
-        if recorder is not None:
-            recorder.close()
-        print(f"bad stream options: {exc}", file=sys.stderr)
-        return 2
-    try:
         engine.bootstrap()
         epochs = engine.run(batches)
     except ValueError as exc:
         print(f"stream application failed: {exc}", file=sys.stderr)
         return 1
     finally:
-        engine.close()
+        if engine is not None:
+            engine.close()
         if server is not None:
             server.stop()
         if live is not None:

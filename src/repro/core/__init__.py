@@ -4,6 +4,8 @@ Public surface:
 
 * :class:`~repro.core.engine.ChannelEngine` — runs a vertex program over a
   partitioned graph with per-superstep channel exchange rounds (Fig. 4).
+* :class:`~repro.core.config.RunConfig` — a run's value options, declared
+  and validated once.
 * :class:`~repro.core.worker.Worker` / :class:`~repro.core.vertex.Vertex` —
   the per-worker execution context and the per-vertex handle.
 * :class:`~repro.core.program.VertexProgram` — user programs subclass this,
@@ -32,6 +34,7 @@ from repro.core.vertex import Vertex
 from repro.core.channel import Channel
 from repro.core.program import VertexProgram, BulkVertexProgram, ProgramSpec
 from repro.core.worker import Worker
+from repro.core.config import RunConfig
 from repro.core.engine import ChannelEngine, EngineResult
 from repro.core.recovery import FailureSchedule, FrameLog
 from repro.core.channels.direct import DirectMessage
@@ -63,6 +66,7 @@ __all__ = [
     "Worker",
     "ChannelEngine",
     "EngineResult",
+    "RunConfig",
     "FailureSchedule",
     "FrameLog",
     "DirectMessage",

@@ -30,30 +30,15 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
-from repro.core.recovery import FailureSchedule, FrameLog
+from repro.core.config import RunConfig
+from repro.core.recovery import FrameLog
 from repro.core.worker import Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
-from repro.runtime.costmodel import NetworkModel, DEFAULT_NETWORK
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.rebalance import REBALANCE_MODES, RebalancePolicy
+from repro.runtime.rebalance import RebalancePolicy
 
 __all__ = ["ChannelEngine", "EngineResult"]
-
-#: recognised ``recovery`` modes (see :mod:`repro.core.recovery`)
-RECOVERY_MODES = ("rollback", "confined")
-
-#: recognised execution backends
-EXECUTORS = ("sim", "process")
-
-#: recognised process-backend frame transports (see
-#: :class:`~repro.runtime.parallel.pool.WorkerPool`)
-TRANSPORTS = ("shm", "pipe")
-
-#: recognised adaptive-rebalancing triggers (re-exported from
-#: :mod:`repro.runtime.rebalance`); "epoch" is acted on by the streaming
-#: :class:`~repro.streaming.epoch.EpochEngine` between epochs, while
-#: "superstep" migrates inside a run at the superstep barrier
 
 #: engine configuration generations, for worker-pool reuse: a pool knows
 #: which engine's configuration its worker processes currently hold and
@@ -127,56 +112,24 @@ class ChannelEngine:
     program_factory:
         Callable ``(worker) -> VertexProgram``; typically the program class
         itself.
-    num_workers:
-        Number of simulated workers (the paper used an 8-node cluster).
     partition:
         Optional vertex->worker array; defaults to hash partitioning, the
         Pregel default ("vertices are randomly assigned to workers").
-    network:
-        Cost model for the simulated interconnect.
-    checkpoint_every:
-        Take a checkpoint every ``k`` supersteps (plus one before the
-        first superstep).  ``None`` disables periodic checkpoints; an
-        initial checkpoint is still taken whenever ``failures`` is set.
-    failures:
-        A :class:`~repro.core.recovery.FailureSchedule` (or anything its
-        constructor accepts, e.g. ``[(3, 7)]`` or ``["3:7"]``): worker 3
-        dies at the end of superstep 7.
-    recovery:
-        ``"rollback"`` (all workers reload the latest checkpoint and
-        re-execute) or ``"confined"`` (only the failed worker reloads;
-        survivors' logged frames feed its replay).  Defaults can be
-        overridden per :meth:`run` call.
     initial_active:
         Global vertex ids active in superstep 1 (``None`` = all vertices,
         the Pregel default).  The streaming layer seeds refresh runs from
         the delta-affected region this way; programs may wake more
         vertices via ``before_superstep`` / message arrival as usual.
-    executor:
-        ``"sim"`` (default) runs every worker sequentially in-process
-        with modeled parallelism; ``"process"`` runs each worker as a
-        real OS process over shared memory and pipes
-        (:mod:`repro.runtime.parallel`) with bit-identical data,
-        per-channel traffic, and byte/message totals.  Both backends
-        support checkpointing, failure injection, and both recovery
-        modes; on the process backend an injected failure really kills
-        the worker's OS process and recovery restores a respawned
-        replacement through the checkpoint wire format.
-    sync_state:
-        Process executor only: when ``True``, each worker ships its
-        end-of-run state (program state dict, halt/wake flags, channel
-        ``snapshot()`` s) back through the checkpoint codec and the
-        engine loads it into its own workers, so post-run introspection
-        of ``engine.workers`` behaves as after a simulated run.  Off by
-        default — result data always comes back regardless.
-    transport:
-        Process executor only: the byte mover for codec frames.
-        ``"shm"`` (the default) streams them worker-to-worker through
-        per-pair shared-memory ring buffers, ``"pipe"`` sends each
-        round's buffer over per-pair OS pipes.  Both run under the same
-        batched ``superstep`` protocol and produce bit-identical
-        results; ``None`` means the pool's transport (or ``"shm"`` when
-        the engine creates the pool).
+    pool:
+        Process executor only: an existing
+        :class:`~repro.runtime.parallel.pool.WorkerPool` (with this run's
+        worker count and transport) to run on instead of an engine-owned
+        one.  The pool's persistent worker processes are *reconfigured*
+        for this engine (delta/remap control messages), never respawned —
+        this is how the streaming
+        :class:`~repro.streaming.epoch.EpochEngine` amortizes process
+        startup across epochs.  The caller keeps ownership: the engine
+        never shuts an externally provided pool down.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the run emits
         structured span events (run, superstep, per-worker phase,
@@ -194,91 +147,57 @@ class ChannelEngine:
         ``EngineResult.live_alerts``.  Both executors publish the same
         slot schema; see ARCHITECTURE.md §11.  The caller owns the
         segment (the engine never closes or unlinks it).
-    pool:
-        Process executor only: an existing
-        :class:`~repro.runtime.parallel.pool.WorkerPool` to run on
-        instead of an engine-owned one.  The pool's persistent worker
-        processes are *reconfigured* for this engine (delta/remap
-        control messages), never respawned — this is how the streaming
-        :class:`~repro.streaming.epoch.EpochEngine` amortizes process
-        startup across epochs.  The caller keeps ownership: the engine
-        never shuts an externally provided pool down.
-    rebalance:
-        Adaptive load rebalancing (:mod:`repro.runtime.rebalance`,
-        ARCHITECTURE.md §13).  ``"superstep"`` consults the policy every
-        ``rebalance_every`` supersteps at the barrier and, when it fires,
-        migrates vertex ownership (and all per-vertex state, through the
-        checkpoint capture format) mid-run — on both executors, with
-        identical migration sequences.  ``"epoch"`` is the between-epochs
-        trigger acted on by the streaming layer; inside a single engine
-        run it does nothing.  ``"off"`` (default) disables rebalancing.
-    rebalance_every:
-        Superstep cadence of the ``"superstep"`` trigger.
     rebalance_policy:
         Optional pre-built :class:`~repro.runtime.rebalance.RebalancePolicy`
-        (to tune thresholds or share hysteresis state); one with default
-        thresholds is created when ``rebalance`` is armed without it.
+        for ``rebalance="superstep"`` (to tune thresholds or share
+        hysteresis state); one with default thresholds is created when
+        the trigger is armed without it.
+    **options:
+        The run's value options, validated into :attr:`config`: the
+        fields of :class:`~repro.core.config.RunConfig`, see its field
+        docs.  ``rebalance="epoch"`` is refused: it acts between
+        streaming epochs, which a single engine run does not have.
     """
 
     def __init__(
         self,
         graph: Graph,
         program_factory: Callable[[Worker], object],
-        num_workers: int = 8,
+        *,
         partition: np.ndarray | None = None,
-        network: NetworkModel = DEFAULT_NETWORK,
-        checkpoint_every: int | None = None,
-        failures=None,
-        recovery: str = "rollback",
         initial_active: np.ndarray | None = None,
-        executor: str = "sim",
-        sync_state: bool = False,
-        transport: str | None = None,
         pool=None,
         trace=None,
         live=None,
-        rebalance: str = "off",
-        rebalance_every: int = 16,
         rebalance_policy: RebalancePolicy | None = None,
+        **options,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        self.validate_options(
-            executor=executor,
-            recovery=recovery,
-            transport=transport,
-            rebalance=rebalance,
-            rebalance_every=rebalance_every,
-        )
+        self.config = config = RunConfig(**options)
+        num_workers = config.num_workers
+        if config.rebalance == "epoch":
+            raise ValueError(
+                "rebalance='epoch' acts between streaming epochs; use "
+                "EpochEngine (`repro stream`), or rebalance='superstep'"
+            )
         if pool is not None:
-            if executor != "process":
+            if config.executor != "process":
                 raise ValueError("pool= only applies to executor='process'")
             if pool.num_workers != num_workers:
                 raise ValueError(
                     f"pool has {pool.num_workers} workers, engine wants "
                     f"{num_workers}"
                 )
-            if transport is not None and pool.transport != transport:
+            if pool.transport != config.transport:
                 raise ValueError(
                     f"pool uses transport={pool.transport!r}, engine "
-                    f"wants {transport!r}"
+                    f"wants {config.transport!r}"
                 )
-        self.transport = (
-            transport
-            if transport is not None
-            else (pool.transport if pool is not None else "shm")
-        )
-        self.executor = executor
-        self.sync_state = bool(sync_state)
         self.pool = pool
         self.generation = next(_GENERATIONS)
         self._backend = None
         self.graph = graph
         self.num_workers = num_workers
         self.program_factory = program_factory
-        self.checkpoint_every = checkpoint_every
-        self.failures = FailureSchedule.coerce(failures)
-        self.recovery = recovery
         self.checkpoint = None  # latest Snapshot, when fault tolerance is on
         self.frame_log: FrameLog | None = None
         if partition is None:
@@ -289,12 +208,12 @@ class ChannelEngine:
         if partition.size and (partition.min() < 0 or partition.max() >= num_workers):
             raise ValueError("partition assigns vertices to unknown workers")
         self.owner = partition
-        self.metrics = MetricsCollector(num_workers=num_workers, network=network)
+        self.metrics = MetricsCollector(num_workers=num_workers, network=config.network)
         if trace is not None:
             self.metrics.trace = trace
-            attrs = {"executor": executor}
-            if executor == "process":
-                attrs["transport"] = self.transport
+            attrs = {"executor": config.executor}
+            if config.executor == "process":
+                attrs["transport"] = config.transport
             self.metrics.trace_attrs = attrs
         self.live = live
         self.monitor = None
@@ -307,14 +226,11 @@ class ChannelEngine:
             from repro.obs.live import LiveMonitor
 
             self.monitor = LiveMonitor(live, self.metrics)
-        #: adaptive rebalancing (ARCHITECTURE.md §13): "superstep" arms
-        #: the backend's in-run migration trigger; "epoch" is carried for
-        #: the streaming layer (no in-run effect); "off" disables both
-        self.rebalance = rebalance
-        self.rebalance_every = int(rebalance_every)
-        self.rebalancer = rebalance_policy
-        if rebalance != "off" and self.rebalancer is None:
-            self.rebalancer = RebalancePolicy(num_workers=num_workers)
+        #: the in-run migration trigger (ARCHITECTURE.md §13): armed, with
+        #: a policy, exactly when rebalance="superstep"
+        self.rebalancer = None
+        if config.rebalance == "superstep":
+            self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=num_workers)
         self.step_num = 0
 
         self.workers: list[Worker] = []
@@ -341,7 +257,7 @@ class ChannelEngine:
                 "programs must construct the same channels on every worker"
             )
         self.num_channels = nchan.pop()
-        if rebalance == "superstep":
+        if self.rebalancer is not None:
             # fail here, not supersteps later when the first migration fires
             for channel in self.workers[0].channels:
                 if type(channel).migrate_states is Channel.migrate_states:
@@ -350,64 +266,13 @@ class ChannelEngine:
                         f"{type(channel).__name__} does not implement migrate_states()"
                     )
 
-    # -- option validation (single source of truth; the CLI calls this too) --
-    @staticmethod
-    def validate_options(
-        *,
-        executor: str = "sim",
-        checkpoint_every: int | None = None,
-        failures=None,
-        recovery: str = "rollback",
-        num_workers: int | None = None,
-        transport: str | None = None,
-        rebalance: str = "off",
-        rebalance_every: int | None = None,
-    ) -> FailureSchedule | None:
-        """Validate a backend/fault-tolerance option combination in one
-        place, coercing ``failures`` into a
-        :class:`~repro.core.recovery.FailureSchedule` on the way.
-
-        Every feature composes with every backend, so what's checked is
-        each option's own domain: a known executor, a known recovery
-        mode, a positive checkpoint interval, and a failure schedule that
-        names only existing workers (when ``num_workers`` is given) and
-        leaves at least one survivor.  Raises ``ValueError`` with a
-        user-facing message; used by the engine itself and by the CLI,
-        so the two can never disagree.
-        """
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if transport is not None:
-            if transport not in TRANSPORTS:
-                raise ValueError(
-                    f"transport must be one of {TRANSPORTS}, got {transport!r}"
-                )
-            if executor != "process":
-                raise ValueError("transport= only applies to executor='process'")
-        if recovery not in RECOVERY_MODES:
-            raise ValueError(
-                f"recovery must be one of {RECOVERY_MODES}, got {recovery!r}"
-            )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if rebalance not in REBALANCE_MODES:
-            raise ValueError(
-                f"rebalance must be one of {REBALANCE_MODES}, got {rebalance!r}"
-            )
-        if rebalance_every is not None and rebalance_every < 1:
-            raise ValueError("rebalance_every must be >= 1")
-        schedule = FailureSchedule.coerce(failures)
-        if schedule is not None and num_workers is not None:
-            schedule.validate(num_workers)
-        return schedule
-
     # -- backend resolution --------------------------------------------------
     @property
     def backend(self):
         """This engine's :class:`~repro.runtime.executor.ExecutorBackend`
         (created on first use, then reused across :meth:`run` calls)."""
         if self._backend is None:
-            if self.executor == "process":
+            if self.config.executor == "process":
                 from repro.runtime.parallel.backend import ProcessBackend
 
                 self._backend = ProcessBackend(self, pool=self.pool)
@@ -418,36 +283,9 @@ class ChannelEngine:
         return self._backend
 
     # -- main loop ---------------------------------------------------------
-    def run(
-        self,
-        max_supersteps: int = 100_000,
-        checkpoint_every: int | None = None,
-        failures=None,
-        recovery: str | None = None,
-    ) -> EngineResult:
-        """Run to termination; the fault-tolerance arguments override the
-        constructor's defaults for this run (see the class docstring)."""
-        if checkpoint_every is None:
-            checkpoint_every = self.checkpoint_every
-        failures = failures if failures is not None else self.failures
-        recovery = recovery if recovery is not None else self.recovery
-        failures = self.validate_options(
-            executor=self.executor,
-            checkpoint_every=checkpoint_every,
-            failures=failures,
-            recovery=recovery,
-            num_workers=self.num_workers,
-        )
-        if failures is not None:
-            # pop() consumes events; work on a per-run copy so the same
-            # schedule can drive several runs (e.g. rollback vs confined)
-            failures = failures.copy()
-        return self.backend.run(
-            max_supersteps=max_supersteps,
-            checkpoint_every=checkpoint_every,
-            failures=failures,
-            recovery=recovery,
-        )
+    def run(self, max_supersteps: int = 100_000) -> EngineResult:
+        """Run to termination under :attr:`config`."""
+        return self.backend.run(max_supersteps=max_supersteps)
 
     def close(self) -> None:
         """Release backend resources now.

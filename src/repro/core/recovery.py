@@ -93,19 +93,9 @@ class FailureSchedule:
                 step.append(worker)
 
     @classmethod
-    def from_specs(cls, specs: Iterable[str], num_workers: int) -> "FailureSchedule":
-        """Parse CLI ``"W:S"`` specs and validate them against the worker
-        count in one step (shared by ``repro run --fail`` and the
-        recovery benchmark); raises ``ValueError`` with a user-facing
-        message on any bad spec."""
-        schedule = cls(specs)
-        schedule.validate(num_workers)
-        return schedule
-
-    @classmethod
     def coerce(cls, spec) -> "FailureSchedule | None":
         """Accept ``None``, a schedule, or any iterable the constructor
-        takes (what the engine and CLI pass through)."""
+        takes (what :class:`~repro.core.config.RunConfig` is given)."""
         if spec is None or isinstance(spec, cls):
             return spec
         return cls(spec)

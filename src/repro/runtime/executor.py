@@ -53,12 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.program import VertexResults
-from repro.core.recovery import (
-    FailureSchedule,
-    FrameLog,
-    confined_recovery,
-    rollback_recovery,
-)
+from repro.core.recovery import FrameLog, confined_recovery, rollback_recovery
 from repro.runtime.buffers import BufferExchange
 from repro.runtime.checkpoint import (
     SNAPSHOT_VERSION,
@@ -95,24 +90,23 @@ class ExecutorBackend:
         self.engine = engine
 
     # -- the drive loop (shared across backends) ---------------------------
-    def run(
-        self,
-        max_supersteps: int = 100_000,
-        checkpoint_every: int | None = None,
-        failures: FailureSchedule | None = None,
-        recovery: str = "rollback",
-    ) -> "EngineResult":
-        """Run to termination.  Arguments arrive validated and coerced by
-        :meth:`ChannelEngine.run` (the single validation point)."""
+    def run(self, max_supersteps: int = 100_000) -> "EngineResult":
+        """Run to termination under the engine's validated
+        :class:`~repro.core.config.RunConfig`."""
         from repro.core.engine import EngineResult
 
         engine = self.engine
+        config = engine.config
         metrics = engine.metrics
+        # pop() consumes events; each run pops from its own copy, so one
+        # engine (and one schedule) can drive several runs
+        failures = config.failures.copy() if config.failures is not None else None
+        checkpoint_every = config.checkpoint_every
         fault_tolerant = checkpoint_every is not None or bool(failures)
 
         engine.frame_log = (
             FrameLog(engine.num_workers)
-            if bool(failures) and recovery == "confined"
+            if bool(failures) and config.recovery == "confined"
             else None
         )
 
@@ -157,9 +151,8 @@ class ExecutorBackend:
             # what any checkpoint taken below must capture)
             migrated = False
             if (
-                engine.rebalance == "superstep"
-                and engine.rebalancer is not None
-                and engine.step_num % engine.rebalance_every == 0
+                engine.rebalancer is not None
+                and engine.step_num % config.rebalance_every == 0
             ):
                 migrated = self.maybe_rebalance()
 
@@ -176,7 +169,7 @@ class ExecutorBackend:
                 doomed = failures.pop(engine.step_num) if failures else []
                 if doomed:
                     metrics.record_failure(len(doomed))
-                    self.recover(doomed, recovery)
+                    self.recover(doomed, config.recovery)
 
         if failures and failures.pending():
             # warn, don't raise: the results are still valid (nothing was

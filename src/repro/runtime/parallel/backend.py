@@ -50,12 +50,7 @@ import numpy as np
 
 from repro.core.program import VertexResults
 from repro.core.recovery import confined_recovery, rollback_recovery
-from repro.runtime.checkpoint import (
-    capture_worker_state,
-    decode_state,
-    encode_state,
-    load_worker_state,
-)
+from repro.runtime.checkpoint import capture_worker_state, decode_state, encode_state
 from repro.runtime.executor import ExecutorBackend
 from repro.runtime.rebalance import MigrationContext, remap_worker_states
 from repro.runtime.parallel.pool import WorkerPool
@@ -79,7 +74,7 @@ class ProcessBackend(ExecutorBackend):
         self.pool = (
             pool
             if pool is not None
-            else WorkerPool(engine.num_workers, transport=engine.transport)
+            else WorkerPool(engine.num_workers, transport=engine.config.transport)
         )
 
     # -- template entry: poison the pool on any escaping error ---------------
@@ -272,19 +267,13 @@ class ProcessBackend(ExecutorBackend):
             pool.gather("rollback restore")
 
     def collect_results(self) -> Mapping:
-        engine = self.engine
         pool = self.pool
-        sync = engine.sync_state
-        pool.broadcast({"cmd": "finalize", "sync": sync})
+        pool.broadcast({"cmd": "finalize"})
         parts = []
-        for w, reply in enumerate(pool.gather("finalize")):
+        for reply in pool.gather("finalize"):
             part = reply["data"]
             # a child sends VertexResults as its (ids, array) pair
             parts.append(VertexResults(*part) if isinstance(part, tuple) else part)
-            if sync:
-                # checkpoint capture format: post-run introspection of
-                # ``engine.workers`` sees what actually ran in the child
-                load_worker_state(engine.workers[w], reply["state"])
         return VertexResults.merged(parts)
 
     def shutdown(self) -> None:

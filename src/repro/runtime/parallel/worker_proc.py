@@ -30,9 +30,8 @@ dispatch over one ``_cmd_<name>`` method per command:
     simulator's ``step_num`` does too — and is reset only by
     ``configure`` (new engine) or ``restore`` (recovery rewind).
 ``finalize``
-    Ship ``program.finalize()`` — and, when state sync is requested, the
-    full per-worker state in the checkpoint layer's capture format —
-    back to the parent through the tagged-binary codec.
+    Ship ``program.finalize()`` back to the parent through the
+    tagged-binary codec.
 ``configure``
     Tear the current worker down and rebuild it for a *new* engine
     configuration: attach the new shared-memory graph segments, apply
@@ -732,11 +731,7 @@ class _WorkerProcess:
         if isinstance(data, VertexResults):
             # two codec arrays, never one tagged value per element
             data = (data.ids, data.array)
-        reply = {"data": data}
-        if msg["sync"]:
-            # same capture format as runtime.checkpoint snapshots
-            reply["state"] = capture_worker_state(self.worker)
-        return reply
+        return {"data": data}
 
     def _cmd_die(self, msg: dict) -> None:
         # failure injection: die the way a crashed worker dies — no reply,

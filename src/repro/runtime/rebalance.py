@@ -43,8 +43,6 @@ __all__ = [
     "remap_worker_states",
 ]
 
-REBALANCE_MODES = ("off", "epoch", "superstep")
-
 #: phases that measure per-worker *work* (exchange time is shared/maxed
 #: by construction, barrier time measures waiting, not load)
 WORK_PHASES = ("compute", "serialize")

@@ -21,14 +21,15 @@ incremental path *did*, never how close it got.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.config import RunConfig
 from repro.core.engine import ChannelEngine, EngineResult
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition
-from repro.runtime.costmodel import NetworkModel, DEFAULT_NETWORK
+from repro.runtime.checkpoint import decode_state, load_worker_state
 from repro.runtime.rebalance import RebalancePolicy, phase_matrix
 from repro.streaming.batch import MutationBatch
 from repro.streaming.delta import DeltaGraph
@@ -83,19 +84,8 @@ class EpochEngine:
         extended deterministically when batches add vertices.
     compact_threshold:
         Overlay-to-base ratio beyond which the delta graph compacts.
-    executor:
-        ``"sim"`` (default) or ``"process"``.  With ``"process"`` every
-        epoch runs on real worker processes drawn from **one persistent
-        pool**: the processes are spawned exactly once, then receive each
-        epoch's new graph view, remapped ownership, seed set, and refresh
-        program as control messages (see
-        :class:`~repro.runtime.parallel.pool.WorkerPool`).  Per-epoch
-        data, traffic, and byte/message totals are bit-identical to
-        ``"sim"``.
-    transport:
-        Process executor only: the worker-to-worker frame data plane,
-        ``"shm"`` (default) or ``"pipe"`` — see
-        :class:`~repro.core.engine.ChannelEngine`.
+    partition_seed:
+        Seed of the default hash partition and of its extensions.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the stream
         emits one ``stream`` root span with one ``epoch`` span per
@@ -107,68 +97,65 @@ class EpochEngine:
         header epoch advances and the per-worker slots restart from zero
         (each epoch gets a fresh collector too, so live/collector parity
         holds within every epoch).  The caller owns the segment.
-    rebalance:
-        ``"off"`` (default), ``"epoch"``, or ``"superstep"``.  With
-        ``"epoch"`` a :class:`~repro.runtime.rebalance.RebalancePolicy`
-        inspects the previous epoch's per-worker phase times before each
-        new engine is built and may hand it a rebalanced ownership
-        array; with ``"superstep"`` the policy instead rides inside each
-        epoch's engine, pausing at superstep barriers to migrate live
-        state (see ARCHITECTURE.md §13).  Either way the improved
-        partition carries forward to all later epochs.
-    rebalance_every / rebalance_policy:
-        Superstep-mode check cadence and an optional pre-configured
-        policy (one instance is shared across epochs so its cooldown
-        spans the stream).
+    rebalance_policy:
+        Optional pre-configured
+        :class:`~repro.runtime.rebalance.RebalancePolicy`; one instance
+        serves every epoch, so its cooldown spans the stream.
+    **options:
+        The value options of :class:`~repro.core.config.RunConfig` (see
+        its field docs), validated into :attr:`config` and handed to
+        every epoch's engine.  Two of them act across epochs here:
+        ``executor="process"`` runs every epoch on **one persistent
+        pool**, spawned once and then handed each epoch's graph view,
+        ownership, seeds and program as control messages; and
+        ``rebalance="epoch"`` re-partitions between epochs from the
+        previous epoch's phase times (``"superstep"`` migrates inside
+        each epoch's engine; either way the improved partition carries
+        forward, see ARCHITECTURE.md §13).  The fault-tolerance options
+        (``checkpoint_every``, ``failures``, ``recovery``) are refused.
     """
 
     def __init__(
         self,
         graph: Graph,
         algorithm: StreamAlgorithm,
-        num_workers: int = 8,
+        *,
         refresh: str = "incremental",
         partition: np.ndarray | None = None,
         compact_threshold: float = 0.25,
-        network: NetworkModel = DEFAULT_NETWORK,
         partition_seed: int = 0,
-        executor: str = "sim",
-        transport: str | None = None,
         trace=None,
         live=None,
-        rebalance: str = "off",
-        rebalance_every: int = 16,
         rebalance_policy: RebalancePolicy | None = None,
+        **options,
     ) -> None:
         if refresh not in REFRESH_MODES:
             raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
-        ChannelEngine.validate_options(
-            executor=executor,
-            transport=transport,
-            rebalance=rebalance,
-            rebalance_every=rebalance_every,
+        self.config = config = RunConfig(**options)
+        if (config.checkpoint_every, config.failures, config.recovery) != (None, None, "rollback"):
+            raise ValueError(
+                "EpochEngine takes no fault-tolerance options "
+                "(checkpoint_every, failures, recovery)"
+            )
+        # every epoch's engine gets the same options; the epoch trigger
+        # is acted on here, between engines, never inside one
+        self._engine_config = (
+            replace(config, rebalance="off") if config.rebalance == "epoch" else config
         )
-        self.transport = transport
+        self.num_workers = config.num_workers
         self.delta = DeltaGraph(graph, compact_threshold=compact_threshold)
         self.algorithm = algorithm
-        self.num_workers = num_workers
         self.refresh = refresh
-        self.network = network
         self.partition_seed = partition_seed
-        self.executor = executor
-        self.pool = None  # created lazily for executor="process"
+        self.pool = None  # created on the first epoch for executor="process"
         self.trace = trace
         self.live = live
-        # one policy instance across epochs so the cooldown spans the
-        # whole stream (migrations settle instead of thrashing)
-        self.rebalance = rebalance
-        self.rebalance_every = int(rebalance_every)
-        self.rebalancer = rebalance_policy
-        if rebalance != "off" and self.rebalancer is None:
-            self.rebalancer = RebalancePolicy(num_workers=num_workers)
+        self.rebalancer = None
+        if config.rebalance != "off":
+            self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=self.num_workers)
         self._stream_span: int | None = None
         if partition is None:
-            partition = hash_partition(graph.num_vertices, num_workers, seed=partition_seed)
+            partition = hash_partition(graph.num_vertices, self.num_workers, seed=partition_seed)
         self.owner = np.asarray(partition, dtype=np.int64)
         if self.owner.shape != (graph.num_vertices,):
             raise ValueError("partition must assign every vertex")
@@ -219,7 +206,7 @@ class EpochEngine:
 
         plan = self.algorithm.plan(old_graph, new_graph, stats, self.state, refresh)
         reb_plan = None
-        if self.rebalance == "epoch" and self.rebalancer is not None and self.history:
+        if self.config.rebalance == "epoch" and self.history:
             # between epochs no worker holds state (warm state lives in
             # ``self.state`` and is re-seeded through the plan), so an
             # epoch-boundary migration is just a new ownership array for
@@ -239,7 +226,7 @@ class EpochEngine:
                 self._stream_span = self.trace.begin(
                     "stream",
                     workers=self.num_workers,
-                    executor=self.executor,
+                    executor=self.config.executor,
                     algorithm=type(self.algorithm).__name__,
                 )
             epoch_span = self.trace.begin(
@@ -256,21 +243,20 @@ class EpochEngine:
             # slots restart from zero when each worker's writer is rebuilt
             # for the new engine (sim) / reconfigured child (process)
             self.live.roll_epoch(self.epoch_num + 1)
+        if self.config.executor == "process" and self.pool is None:
+            from repro.runtime.parallel.pool import WorkerPool
+
+            self.pool = WorkerPool(self.num_workers, transport=self.config.transport)
         engine = ChannelEngine(
             new_graph,
             plan.program_factory,
-            num_workers=self.num_workers,
             partition=self.owner,
-            network=self.network,
             initial_active=plan.seeds,
+            pool=self.pool,
             trace=self.trace,
             live=self.live,
-            rebalance=self.rebalance if self.rebalance == "superstep" else "off",
-            rebalance_every=self.rebalance_every,
-            rebalance_policy=(
-                self.rebalancer if self.rebalance == "superstep" else None
-            ),
-            **self._executor_kwargs(),
+            rebalance_policy=self.rebalancer,
+            **vars(self._engine_config),
         )
         if epoch_span is not None:
             engine.metrics.trace_parent = epoch_span
@@ -284,6 +270,11 @@ class EpochEngine:
         self.epoch_num += 1
         engine.metrics.record_stream_epoch(self.epoch_num, plan.affected, plan.mode)
         result = engine.run()
+        if self.pool is not None:
+            # collect() may read warm state off engine.workers, which on
+            # the process executor ran in the children: capture it back
+            for worker, blob in zip(engine.workers, engine.backend.capture_state_blobs()):
+                load_worker_state(worker, decode_state(blob))
         if engine.owner is not self.owner:
             # a superstep-triggered migration rebound the engine's owner
             # array; adopt it so later epochs keep the improved partition
@@ -306,25 +297,6 @@ class EpochEngine:
         )
         self.history.append(epoch_result)
         return epoch_result
-
-    def _executor_kwargs(self) -> dict:
-        """Per-epoch engine kwargs for the chosen execution backend.
-
-        For ``"process"``, epochs share one persistent worker pool,
-        created on the first epoch.  ``sync_state=True`` because
-        :meth:`StreamAlgorithm.collect` reads next-epoch warm state off
-        ``engine.workers`` after the run.
-        """
-        if self.executor != "process":
-            return {}
-        from repro.runtime.parallel.pool import WorkerPool
-
-        if self.pool is None:
-            self.pool = WorkerPool(
-                self.num_workers,
-                transport=self.transport if self.transport is not None else "shm",
-            )
-        return {"executor": "process", "pool": self.pool, "sync_state": True}
 
     def close(self) -> None:
         """Shut the worker pool down (no-op for the sim executor; also

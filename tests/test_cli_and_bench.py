@@ -238,16 +238,6 @@ class TestStreamCLI:
         assert out["executor"] == "process"
         assert out["failures"] == 1 and out["checkpoint_bytes"] > 0
 
-    def test_run_rejects_bad_fail_spec_via_engine_validation(self, capsys):
-        rc = cli_main(
-            [
-                "run", "wcc", "--dataset", "facebook", "--workers", "2",
-                "--fail", "7:3",
-            ]
-        )
-        assert rc == 2
-        assert "bad run options" in capsys.readouterr().err
-
     def test_stream_bad_compact_threshold(self, stream_file, capsys):
         gpath, upath = stream_file
         rc = cli_main(

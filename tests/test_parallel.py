@@ -207,40 +207,33 @@ class TestEngineIntegration:
             run_wcc(directed_graph, executor="process", **kw),
         )
 
-    def test_sync_state_restores_parent_workers(self, directed_graph):
-        kw = dict(variant="scatter", iterations=5, mode="bulk", num_workers=4)
-        _, res_sim = run_pagerank(directed_graph, **kw)
+    def test_process_epochs_load_captured_state_into_parent_workers(
+        self, directed_graph
+    ):
+        # StreamAlgorithm.collect may read warm state off engine.workers;
+        # on the process executor that state ran in the children, and the
+        # EpochEngine brings it back through a checkpoint capture
+        from repro.streaming import EpochEngine, PageRankStream
 
-        from repro.algorithms.pagerank import PageRankScatterBulk
+        seen = []
 
-        class PR(PageRankScatterBulk):
-            iterations = 5
+        class Recording(PageRankStream):
+            def collect(self, engine, result):
+                merged = {}
+                for worker in engine.workers:
+                    merged.update(worker.program.finalize())
+                halted = all(w.halted.all() for w in engine.workers)
+                seen.append((merged == result.data, halted))
+                return super().collect(engine, result)
 
-        engine = ChannelEngine(
-            directed_graph, PR, num_workers=4, executor="process", sync_state=True
+        stream = EpochEngine(
+            directed_graph, Recording(iterations=5), num_workers=4, executor="process"
         )
-        res = engine.run()
-        assert res.data == res_sim.data
-        # parent-side program state now reflects the run that happened in
-        # the worker processes
-        merged = {}
-        for worker in engine.workers:
-            merged.update(worker.program.finalize())
-        assert merged == res.data
-        assert all(w.halted.all() for w in engine.workers)
-
-    def test_unknown_executor_rejected(self, directed_graph):
-        with pytest.raises(ValueError, match="executor"):
-            ChannelEngine(directed_graph, object, executor="threads")
-
-    def test_bad_transport_options_rejected(self, directed_graph):
-        with pytest.raises(ValueError, match="transport"):
-            ChannelEngine(
-                directed_graph, object, executor="process", transport="tcp"
-            )
-        # transport is a process-executor knob; sim has no frame plane
-        with pytest.raises(ValueError, match="transport"):
-            ChannelEngine(directed_graph, object, transport="shm")
+        try:
+            stream.bootstrap()
+        finally:
+            stream.close()
+        assert seen == [(True, True)]
 
     def test_pool_transport_mismatch_rejected(self, directed_graph):
         from repro.runtime.parallel import WorkerPool
@@ -277,7 +270,7 @@ class TestEngineIntegration:
         )
         try:
             engine.run()
-            assert engine.transport == engine.backend.pool.transport == transport
+            assert engine.config.transport == engine.backend.pool.transport == transport
         finally:
             engine.close()
 

@@ -312,21 +312,12 @@ class TestFailureSchedule:
 
 class TestEngineConfig:
     def test_bad_recovery_mode(self):
-        engine = ChannelEngine(line_graph(4), _Prog, num_workers=2)
         with pytest.raises(ValueError, match="recovery"):
-            engine.run(recovery="optimistic")
+            ChannelEngine(line_graph(4), _Prog, num_workers=2, recovery="optimistic")
 
     def test_bad_checkpoint_interval(self):
-        engine = ChannelEngine(line_graph(4), _Prog, num_workers=2)
         with pytest.raises(ValueError, match="checkpoint_every"):
-            engine.run(checkpoint_every=0)
-
-    def test_run_overrides_constructor_config(self):
-        engine = ChannelEngine(
-            line_graph(4), _Prog, num_workers=2, checkpoint_every=1
-        )
-        result = engine.run(checkpoint_every=5)
-        assert result.metrics.num_checkpoints == 1  # superstep-0 only
+            ChannelEngine(line_graph(4), _Prog, num_workers=2, checkpoint_every=0)
 
     def test_plain_runs_report_no_ft_keys(self):
         result = ChannelEngine(line_graph(4), _Prog, num_workers=2).run()
@@ -334,9 +325,9 @@ class TestEngineConfig:
 
     def test_unfired_failure_warns(self):
         """A scheduled failure past termination must not pass silently."""
-        engine = ChannelEngine(line_graph(4), _Prog, num_workers=2)
+        engine = ChannelEngine(line_graph(4), _Prog, num_workers=2, failures=[(1, 50)])
         with pytest.warns(RuntimeWarning, match="never fired"):
-            result = engine.run(failures=[(1, 50)])
+            result = engine.run()
         assert result.metrics.num_failures == 0
 
 
