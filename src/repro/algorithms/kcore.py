@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
-from repro.core import ChannelEngine, DirectMessage, Vertex, VertexProgram
+from repro.algorithms._common import gather, run_engine
+from repro.core import DirectMessage, Vertex, VertexProgram
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32, pair_codec
 
@@ -78,5 +78,5 @@ def run_kcore(graph: Graph, **engine_kwargs):
     """Compute coreness; returns ``(core_numbers, EngineResult)``."""
     if graph.directed:
         raise ValueError("k-core expects an undirected graph")
-    result = ChannelEngine(graph, KCore, **engine_kwargs).run()
+    result = run_engine(graph, KCore, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -15,8 +15,8 @@ from collections import Counter
 
 import numpy as np
 
-from repro.algorithms._common import gather
-from repro.core import ChannelEngine, DirectMessage, Vertex, VertexProgram
+from repro.algorithms._common import gather, run_engine
+from repro.core import DirectMessage, Vertex, VertexProgram
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
 
@@ -59,5 +59,5 @@ class LabelPropagation(VertexProgram):
 def run_lpa(graph: Graph, rounds: int = 10, **engine_kwargs):
     """Run synchronous LPA; returns ``(labels, EngineResult)``."""
     program = type("LabelPropagation", (LabelPropagation,), {"rounds": rounds})
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
-    ChannelEngine,
     CombinedMessage,
     MAX_I32,
     MIN_I64,
@@ -94,6 +93,6 @@ def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):
     if graph.directed:
         raise ValueError("MIS expects an undirected graph")
     program = type("LubyMIS", (LubyMIS,), {"seed": seed})
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     states = gather(result, graph.num_vertices)
     return states == IN_SET, result

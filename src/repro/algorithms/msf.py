@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms._common import run_engine
 from repro.core import (
     Aggregator,
-    ChannelEngine,
     DirectMessage,
     SUM_I64,
     Vertex,
@@ -263,7 +263,7 @@ def run_msf(graph: Graph, **engine_kwargs):
     """
     if graph.directed:
         raise ValueError("MSF needs an undirected graph")
-    result = ChannelEngine(graph, MSFBasic, **engine_kwargs).run()
+    result = run_engine(graph, MSFBasic, **engine_kwargs)
     forest: list[tuple] = []
     weight = 0.0
     for key, val in result.data.items():

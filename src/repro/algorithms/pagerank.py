@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode
+from repro.algorithms._common import gather, resolve_mode, run_engine
 from repro.core import (
     Aggregator,
     BulkVertexProgram,
-    ChannelEngine,
     CombinedMessage,
     MirroredScatter,
     ScatterCombine,
@@ -272,5 +271,5 @@ def run_pagerank(
     """
     base = resolve_mode(_VARIANTS, variant, mode)
     program = type(base.__name__, (base,), {"iterations": iterations})
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

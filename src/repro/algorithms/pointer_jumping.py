@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode
+from repro.algorithms._common import gather, resolve_mode, run_engine
 from repro.core import (
     BulkVertexProgram,
-    ChannelEngine,
     DirectMessage,
     RequestRespond,
     Vertex,
@@ -162,5 +161,5 @@ def run_pointer_jumping(
     the columnar compute path (``"reqresp"`` only).
     """
     program = resolve_mode(_VARIANTS, variant, mode)
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

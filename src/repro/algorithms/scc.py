@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     Aggregator,
-    ChannelEngine,
     CombinedMessage,
     MIN_I32,
     Propagation,
@@ -228,5 +227,5 @@ def run_scc(graph: Graph, variant: str = "basic", **engine_kwargs):
     if not graph.directed:
         raise ValueError("SCC needs a directed graph")
     program = {"basic": SCCBasic, "prop": SCCPropagation}[variant]
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

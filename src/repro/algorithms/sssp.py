@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode
+from repro.algorithms._common import gather, resolve_mode, run_engine
 from repro.core import (
     BulkVertexProgram,
-    ChannelEngine,
     CombinedMessage,
     MIN_F64,
     Propagation,
@@ -158,5 +157,5 @@ def run_sssp(
     ``mode="bulk"`` selects the columnar compute path (``"basic"`` only).
     """
     program = make_sssp_program(variant, source, mode)
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode
+from repro.algorithms._common import gather, resolve_mode, run_engine
 from repro.core import (
     Aggregator,
     BulkVertexProgram,
-    ChannelEngine,
     CombinedMessage,
     DirectMessage,
     MIN_I32,
@@ -304,5 +303,5 @@ def run_sv(graph: Graph, variant: str = "basic", mode: str = "bulk", **engine_kw
     bulk mode and to nobody in scalar mode.
     """
     program = resolve_mode(_VARIANTS, variant, mode)
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms._common import run_engine
 from repro.core import (
     Aggregator,
-    ChannelEngine,
     DirectMessage,
     SUM_I64,
     Vertex,
@@ -75,7 +75,7 @@ def run_triangles(graph: Graph, **engine_kwargs):
     """Count triangles; returns ``(count, EngineResult)``."""
     if graph.directed:
         raise ValueError("triangle counting expects an undirected graph")
-    result = ChannelEngine(graph, TriangleCounting, **engine_kwargs).run()
+    result = run_engine(graph, TriangleCounting, **engine_kwargs)
     counts = {v for k, v in result.data.items() if str(k).startswith("triangles_")}
     assert len(counts) == 1, "aggregator must broadcast one global count"
     return counts.pop(), result

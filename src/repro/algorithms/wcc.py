@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode
+from repro.algorithms._common import gather, resolve_mode, run_engine
 from repro.core import (
     BulkVertexProgram,
-    ChannelEngine,
     CombinedMessage,
     MIN_I64,
     Propagation,
@@ -139,5 +138,5 @@ def run_wcc(graph: Graph, variant: str = "basic", mode: str = "scalar", **engine
     columnar compute path (``"basic"`` only).
     """
     program = resolve_mode(_VARIANTS, variant, mode)
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

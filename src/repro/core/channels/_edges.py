@@ -187,6 +187,25 @@ class ScatterEdges(StaticEdges):
         direction = named.pop()
         return [{self._ADJACENCY_KEY: direction} for _ in range(ctx.num_workers)]
 
+    def _scatter_migrate(
+        self, states: list[dict], ctx, vertex_keys: tuple[str, ...]
+    ) -> list[dict]:
+        """``migrate_states`` of a scatter channel: the per-vertex
+        ``vertex_keys`` follow their vertices, the edge set its senders,
+        and every sender announces again
+        (:meth:`~repro.core.channels._pattern.StaticPattern._pattern_migrate`)
+        — ``_build()`` then re-derives the dispatch structure under the new
+        ownership."""
+        edges = self._edges_migrate(states, ctx)
+        sending = ctx.remap_keys(states, vertex_keys)
+        inbox = self._pattern_migrate(states, ctx)
+        # (serialize round 0 clears _dirty: nobody is mid-scatter at a boundary)
+        dirty = any(s["dirty"] for s in states)
+        return [
+            {**edges[w], **sending[w], "dirty": dirty, **inbox[w]}
+            for w in range(ctx.num_workers)
+        ]
+
     def add_edge(self, v: Vertex, dst: int) -> None:
         """Register a static edge from ``v`` to global vertex ``dst``."""
         srcs, dsts = self._edges.rows

@@ -1,4 +1,5 @@
-"""The static pattern: a wire that remembers who receives what.
+"""The static pattern: a wire that remembers who receives what, and what
+they last received.
 
 ``ScatterCombine`` and ``MirroredScatter`` exist because their messaging
 pattern never changes, so the destination ids need to cross the wire only
@@ -10,17 +11,28 @@ through the local indices it kept from the announcement (no id decode, no
 ``_local_index`` gather per round).  The payload itself is
 ``_records.encode_pattern`` / ``decode_pattern``.
 
+After the announcement both ends also keep the last values that crossed
+between them, per peer.  A later scatter compares each value with the kept
+one bit for bit and sends a peer the *delta* — the ``k`` changed positions
+and their values — exactly when that is smaller than the ``n`` values
+whole: ``k·(4 + itemsize) < n·itemsize``; otherwise the *dense* values.
+The form is a function of the values alone, so every backend sends the
+same bytes.  The receiver patches its kept values and folds all ``n`` of
+them, as it folds a dense payload: the inbox does not depend on the form,
+and a peer whose values did not change still gets its 4-byte tag.
+
 Both ends' memory is checkpoint state, so that a recovered run leaves the
 byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
 
 * **registration** (``add_edge[s][_bulk]``, ``add_adjacency``) clears
-  ``_announced``: the next scatter announces the new edge set;
-* **restore** loads the flag and the patterns the snapshot held; the
-  ``_build`` that follows a restore re-derives the dispatch structure and
-  announces nothing a peer already knows (confined replay reads logged
-  frames that are values only);
-* **migration** hands every new owner ``announced=False`` and no
-  patterns: ownership moved, every sender announces once more.
+  ``_announced``: the next scatter announces the new edge set, and the
+  values it sends replace what either end kept;
+* **restore** loads the flag, the patterns and the kept values the
+  snapshot held; the ``_build`` that follows a restore re-derives the
+  dispatch structure and announces nothing a peer already knows
+  (confined replay reads logged frames that are dense or delta);
+* **migration** hands every new owner ``announced=False``, no patterns
+  and no kept values: ownership moved, every sender announces once more.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from repro.core.channels._records import (
     encode_pattern,
 )
 from repro.core.combiner import Combiner
+from repro.runtime.serialization import INT32
 
 __all__ = ["StaticPattern"]
 
@@ -48,6 +61,18 @@ Pattern = tuple[np.ndarray, "np.ndarray | None"]
 
 def _as(pattern: Pattern, dtype) -> Pattern:
     return tuple(None if part is None else part.astype(dtype) for part in pattern)
+
+
+def _changed(kept: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """The positions at which ``values`` differ from ``kept`` when the
+    delta that sends them is the smaller payload, else ``None``.  Values
+    compare by bit pattern, so ``-0.0`` differs from ``0.0`` and a NaN
+    equals itself."""
+    width = f"u{values.itemsize}"
+    differs = values.view(width) != kept.view(width)
+    if np.count_nonzero(differs) * (INT32.itemsize + values.itemsize) < values.nbytes:
+        return np.flatnonzero(differs)
+    return None
 
 
 class StaticPattern(CombinedInbox):
@@ -66,43 +91,84 @@ class StaticPattern(CombinedInbox):
         # live from _build to the announcement)
         self._announced = False
         self._words: list[np.ndarray] | None = None
-        # receive half: source worker -> pattern
+        # the values that last crossed, once announced: per peer on the
+        # send half (replaced by an announcement, which reaches every
+        # peer, and overwritten in place by every later scatter)
+        self._sent: dict[int, np.ndarray] = {}
+        # receive half: source worker -> pattern, and the values it last
+        # sent (patched in place by a delta)
         self._patterns: dict[int, Pattern] = {}
+        self._received: dict[int, np.ndarray] = {}
 
     # -- sending ---------------------------------------------------------------
     def _scatter(self, payloads: Iterable[tuple[int, np.ndarray, int]]) -> None:
-        """Emit ``values`` to every ``(peer, values, messages)``, behind
-        the peer's words when the pattern is not announced yet."""
-        codec = self.value_codec
-        words = self._words if self._words is not None else [None] * self.num_workers
+        """Emit ``values`` to every ``(peer, values, messages)``: behind
+        the peer's words when the pattern is not announced yet, else in
+        the smaller of the dense and the delta form."""
         emit_payloads(
             self,
-            (
-                (peer, encode_pattern(words[peer], values, codec), messages)
-                for peer, values, messages in payloads
-            ),
+            ((peer, self._encode(peer, values), messages) for peer, values, messages in payloads),
         )
         self._announced = True
         self._words = None
 
+    def _encode(self, peer: int, values: np.ndarray) -> bytes:
+        """``peer``'s payload of ``values``, which it keeps to compare the
+        next scatter's with."""
+        if self._words is not None:
+            self._sent[peer] = values.copy()
+            return encode_pattern(values, self.value_codec, words=self._words[peer])
+        kept = self._sent[peer]
+        positions = _changed(kept, values)
+        kept[...] = values
+        return encode_pattern(values, self.value_codec, positions=positions)
+
     # -- receiving (deserialize is CombinedInbox's) -------------------------------
     def _receive(self, src: int, payload: memoryview) -> None:
-        words, values = decode_pattern(payload, self.value_codec)
+        try:
+            words, positions, values = decode_pattern(payload, self.value_codec)
+        except ValueError as exc:
+            raise RuntimeError(f"{self!r}: worker {src} sent {exc}") from None
         if words is not None:
             self._patterns[src] = self._learn(src, words)
         elif src not in self._patterns:
+            what = "values" if positions is None else "changed values"
             raise RuntimeError(
-                f"{self!r}: {values.size} values from worker {src}, "
+                f"{self!r}: {values.size} {what} from worker {src}, "
                 "which has announced no pattern"
             )
         local, repeats = self._patterns[src]
         expected = local.size if repeats is None else repeats.size
-        if values.size != expected:
+        if positions is None:
+            if values.size != expected:
+                raise RuntimeError(
+                    f"{self!r}: {values.size} values from worker {src}, "
+                    f"whose pattern takes {expected}"
+                )
+            if words is not None:  # a new pattern: new kept values
+                self._received[src] = np.empty_like(values)
+            kept = self._received[src]
+            kept[...] = values
+        else:
+            self._check_positions(src, positions, expected)
+            kept = self._received[src]
+            kept[positions] = values
+        self._fold(local, kept if repeats is None else np.repeat(kept, repeats))
+
+    def _check_positions(self, src: int, positions: np.ndarray, size: int) -> None:
+        """A delta's positions must ascend strictly inside the pattern:
+        anything else would patch the wrong value, silently."""
+        if (np.diff(positions) <= 0).any():
             raise RuntimeError(
-                f"{self!r}: {values.size} values from worker {src}, "
-                f"whose pattern takes {expected}"
+                f"{self!r}: worker {src} sent delta positions that do not "
+                "strictly ascend"
             )
-        self._fold(local, values if repeats is None else np.repeat(values, repeats))
+        if positions.size and (positions[0] < 0 or positions[-1] >= size):
+            bad = positions[0] if positions[0] < 0 else positions[-1]
+            raise RuntimeError(
+                f"{self!r}: worker {src} sent delta position {bad} outside "
+                f"its pattern of {size}"
+            )
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         """The pattern ``words`` announce; by default they are the
@@ -130,15 +196,21 @@ class StaticPattern(CombinedInbox):
             "announced": self._announced,
             # local indices fit 4 bytes, as the ids they were announced by did
             "patterns": {src: _as(p, np.int32) for src, p in self._patterns.items()},
+            # the kept values: one per pattern value on each end (those a
+            # registration left behind are not state: they never cross again)
+            "sent": {peer: v.copy() for peer, v in self._sent.items()} if self._announced else {},
+            "received": {src: v.copy() for src, v in self._received.items()},
         }
 
     def _pattern_restore(self, state: dict) -> None:
         self._inbox_restore(state)
         self._announced = state["announced"]
         self._patterns = {src: _as(p, np.intp) for src, p in state["patterns"].items()}
+        self._sent = {peer: v.copy() for peer, v in state["sent"].items()}
+        self._received = {src: v.copy() for src, v in state["received"].items()}
 
     def _pattern_migrate(self, states: list[dict], ctx) -> list[dict]:
         return [
-            {**inbox, "announced": False, "patterns": {}}
+            {**inbox, "announced": False, "patterns": {}, "sent": {}, "received": {}}
             for inbox in self._inbox_migrate(states, ctx)
         ]

@@ -10,9 +10,12 @@ count, so there is no header).  It is written here once —
 
 A *pattern payload* is what the static channels send instead
 (:func:`encode_pattern` / :func:`decode_pattern`; the state on both ends
-of it is :mod:`~repro.core.channels._pattern`): the ids cross the wire
-once, as int32 words behind a tag that counts them, and every later
-payload is the tag, zero, and the values.
+of it, and the rule that picks a form, is
+:mod:`~repro.core.channels._pattern`).  Its first int32, the tag, tells
+three forms apart: an *announcement* ``[#words][words][values]`` carries
+the ids once, as int32 words; a *dense* payload ``[0][values]`` the values
+alone; a *delta* ``[-(k+1)][k positions][k values]`` only the values that
+changed since the last payload, at strictly ascending positions.
 
 ``DirectMessage`` and ``CombinedMessage`` also share their whole send
 path, :class:`RecordChannel`: scalar appends, array sends and peer
@@ -54,28 +57,43 @@ def _aligned(values: np.ndarray) -> np.ndarray:
     return values if values.flags.aligned else values.copy()
 
 
-def encode_pattern(words: np.ndarray | None, values: np.ndarray, codec: Codec) -> bytes:
-    """One pattern payload: ``[int32 tag][tag int32 words][values]``.  The
-    tag says how many words announcing the pattern precede the values;
-    ``words=None`` is the values-only payload, tag 0."""
-    if words is None:
-        return INT32.encode_one(0) + codec.encode_array(values)
-    return b"".join(
-        (INT32.encode_one(words.size), INT32.encode_array(words), codec.encode_array(values))
-    )
+def encode_pattern(
+    values: np.ndarray,
+    codec: Codec,
+    *,
+    words: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
+) -> bytes:
+    """One pattern payload: the announcement of ``words`` followed by
+    ``values``, the delta that sends ``values[positions]`` (ascending
+    positions), or — neither given — the dense ``values``."""
+    if words is not None:
+        head = (INT32.encode_one(words.size), INT32.encode_array(words))
+    elif positions is not None:
+        head = (INT32.encode_one(-positions.size - 1), INT32.encode_array(positions))
+        values = values[positions]
+    else:
+        head = (INT32.encode_one(0),)
+    return b"".join((*head, codec.encode_array(values)))
 
 
 def decode_pattern(
     payload: memoryview, codec: Codec
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """``(int32 words or None, values)`` of a payload written by
-    :func:`encode_pattern`; lengths alone would not tell the two kinds
-    apart (``n`` records of 12 bytes are also ``1.5 n`` values of 8).  The
-    values are aligned, by :func:`decode_records`' rule."""
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """``(words, positions, values)`` of a payload written by
+    :func:`encode_pattern`, at most one of the first two not ``None``
+    (lengths alone would not tell the forms apart: ``n`` records of 12
+    bytes are also ``1.5 n`` values of 8).  The values are aligned, by
+    :func:`decode_records`' rule.  A payload whose length disagrees with
+    its tag raises a ``ValueError``."""
     tag = INT32.decode_one(payload)
-    split = (1 + tag) * INT32.itemsize
+    count = tag if tag >= 0 else -tag - 1
+    split = (1 + count) * INT32.itemsize
+    if tag < 0 and len(payload) != split + count * codec.itemsize:
+        raise ValueError(f"a delta of {count} values in {len(payload)} bytes")
+    head = INT32.decode_array(payload[INT32.itemsize : split]) if tag else None
     values = _aligned(codec.decode_array(payload[split:]))
-    return (INT32.decode_array(payload[INT32.itemsize : split]) if tag else None), values
+    return (head, None, values) if tag >= 0 else (None, head, values)
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:

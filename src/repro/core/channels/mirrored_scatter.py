@@ -142,7 +142,7 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
         self._values[local_idx] = values
         self._dirty = True
 
-    # -- checkpointing (no migrate_states) -----------------------------------
+    # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
         return {
             **self._edges_snapshot(),
@@ -158,6 +158,10 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
         self._values[...] = state["values"]
         self._dirty = state["dirty"]
         self._pattern_restore(state)
+
+    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
+        # the mirror tables are re-derived by _build() like the rest
+        return self._scatter_migrate(states, ctx, ("values",))
 
     # -- round protocol (deserialize is CombinedInbox's, over pattern payloads) --
     # Values per peer: one per unique plain destination, then one per

@@ -140,17 +140,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._pattern_restore(state)
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # per-vertex halves follow their vertices, the edge set follows
-        # its senders — _build() then re-derives the dispatch structure
-        edges = self._edges_migrate(states, ctx)
-        sending = ctx.remap_keys(states, ("values", "sent_mask"))
-        inbox = self._pattern_migrate(states, ctx)
-        # (serialize round 0 clears _dirty: nobody is mid-scatter at a boundary)
-        dirty = any(s["dirty"] for s in states)
-        return [
-            {**edges[w], **sending[w], "dirty": dirty, **inbox[w]}
-            for w in range(ctx.num_workers)
-        ]
+        return self._scatter_migrate(states, ctx, ("values", "sent_mask"))
 
     # -- round protocol (deserialize is CombinedInbox's, over pattern payloads) --
     def serialize(self) -> None:

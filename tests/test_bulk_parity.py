@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import pagerank as pagerank_module, sv as sv_module
+from repro.algorithms import _common
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
@@ -54,8 +54,8 @@ def undirected_graph():
 
 @pytest.fixture
 def engines(monkeypatch):
-    """Every engine ``run_pagerank`` / ``run_sv`` builds during the test,
-    in order (an engine keeps its latest checkpoint)."""
+    """Every engine the ``run_*`` helpers build during the test, in order
+    (an engine keeps its latest checkpoint)."""
     built = []
 
     class Recorded(ChannelEngine):
@@ -63,8 +63,7 @@ def engines(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(pagerank_module, "ChannelEngine", Recorded)
-    monkeypatch.setattr(sv_module, "ChannelEngine", Recorded)
+    monkeypatch.setattr(_common, "ChannelEngine", Recorded)
     return built
 
 

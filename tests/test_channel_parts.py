@@ -211,6 +211,8 @@ SNAPSHOT_FORMAT = {
         "has_msg": "bool",
         "announced": bool,
         "patterns": dict,
+        "sent": dict,
+        "received": dict,
     },
     RequestRespond: {"resp_keys": "int64", "resp_vals": "int64", "asked": list},
     Propagation: {
@@ -231,6 +233,8 @@ SNAPSHOT_FORMAT = {
         "has_msg": "bool",
         "announced": bool,
         "patterns": dict,
+        "sent": dict,
+        "received": dict,
     },
 }
 
@@ -279,6 +283,8 @@ ADJACENCY_SNAPSHOT_FORMAT = {
         "has_msg": "bool",
         "announced": bool,
         "patterns": dict,
+        "sent": dict,
+        "received": dict,
     },
     MirroredScatter: {
         "edge_adjacency": str,
@@ -288,6 +294,8 @@ ADJACENCY_SNAPSHOT_FORMAT = {
         "has_msg": "bool",
         "announced": bool,
         "patterns": dict,
+        "sent": dict,
+        "received": dict,
     },
 }
 

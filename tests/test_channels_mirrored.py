@@ -15,7 +15,10 @@ from repro.graph import rmat, star
 from helpers import line_graph
 
 
-def make_program(channel_cls, rounds=3, **channel_kwargs):
+def make_program(channel_cls, rounds=3, vary=False, **channel_kwargs):
+    """Every vertex scatters ``id + 1`` — plus the superstep, when the
+    values ``vary`` from one scatter to the next."""
+
     class P(VertexProgram):
         def __init__(self, worker):
             super().__init__(worker)
@@ -23,13 +26,14 @@ def make_program(channel_cls, rounds=3, **channel_kwargs):
             self.got = {}
 
         def compute(self, v):
+            value = float(v.id + 1 + (self.step_num if vary else 0))
             if self.step_num == 1:
                 if v.out_degree:
                     self.msg.add_edges(v, v.edges)
-                self.msg.set_message(v, float(v.id + 1))
+                self.msg.set_message(v, value)
             elif self.step_num <= rounds:
                 self.got.setdefault(v.id, []).append(float(self.msg.get_message(v)))
-                self.msg.set_message(v, float(v.id + 1))
+                self.msg.set_message(v, value)
             else:
                 self.got.setdefault(v.id, []).append(float(self.msg.get_message(v)))
                 v.vote_to_halt()
@@ -69,11 +73,11 @@ class TestCorrectness:
 
 
 class TestWireBehaviour:
-    def _steady_state_bytes(self, channel_cls, graph, part, rounds=6, **kw):
+    def _steady_state_bytes(self, channel_cls, graph, part, rounds=6, vary=True, **kw):
         """Bytes of the *last* superstep that carried data (setup paid
         off by then)."""
         res = ChannelEngine(
-            graph, make_program(channel_cls, rounds=rounds, **kw),
+            graph, make_program(channel_cls, rounds=rounds, vary=vary, **kw),
             num_workers=2, partition=part,
         ).run()
         data_steps = [r for r in res.metrics.records if r.net_bytes > 0]
@@ -88,6 +92,18 @@ class TestWireBehaviour:
         mirrored = self._steady_state_bytes(MirroredScatter, g, part, threshold=4)
         plain = self._steady_state_bytes(ScatterCombine, g, part)
         assert mirrored < plain / 5
+
+    def test_unchanged_values_cost_their_tags(self):
+        """Once the values stop changing, either channel sends each peer
+        the 4-byte tag of an empty delta: the same bytes, mirrored or not."""
+        g = star(40, center=0)
+        part = np.zeros(40, dtype=np.int64)
+        part[1:] = 1
+        mirrored = self._steady_state_bytes(MirroredScatter, g, part, vary=False, threshold=4)
+        plain = self._steady_state_bytes(ScatterCombine, g, part, vary=False)
+        varying = self._steady_state_bytes(MirroredScatter, g, part, threshold=4)
+        # one mirrored value each way no longer crosses
+        assert mirrored == plain == varying - 2 * 8
 
     def test_high_threshold_degenerates_to_scatter(self):
         g = rmat(6, edge_factor=4, seed=1)

@@ -6,8 +6,9 @@ Pins the tentpole claims of :mod:`repro.runtime.rebalance`:
   threshold, min gain), degenerate inputs (no supersteps, one worker,
   all-zero timings) never migrate, and the greedy balancer's output is
   its own fixed point;
-* migration correctness — the parity matrix {PageRank-scatter, WCC,
-  SSSP, bulk S-V scatter} × {sim, process×{shm,pipe}} × {2, 8} workers
+* migration correctness — the parity matrix {PageRank-scatter,
+  PageRank-mirror, WCC, SSSP, bulk S-V scatter} × {sim,
+  process×{shm,pipe}} × {2, 8} workers
   (the scatter programs register their edges by adjacency, so a
   migration hands each new owner a direction, not edge rows): a fired
   superstep-trigger migration reproduces the rebalance-off run's data
@@ -36,6 +37,7 @@ from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
+from repro.core import MirroredScatter
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_quality
@@ -61,6 +63,13 @@ WORKLOADS = {
             g, variant="scatter", iterations=8, mode="bulk", **kw
         ),
     ),
+    # MirroredScatter: the mirror tables are re-derived under the new owners
+    "pr-mirror": (
+        _DIRECTED,
+        lambda g, **kw: run_pagerank(
+            g, variant="mirror", iterations=8, mode="bulk", **kw
+        ),
+    ),
     "wcc": (_DIRECTED, lambda g, **kw: run_wcc(g, variant="basic", mode="bulk", **kw)),
     "sssp": (_WEIGHTED, lambda g, **kw: run_sssp(g, variant="basic", mode="bulk", **kw)),
     # bulk S-V over a ScatterCombine that names its adjacency
@@ -69,7 +78,7 @@ WORKLOADS = {
 
 #: a migration regroups the dangling-mass aggregator's per-worker float
 #: partials, so PageRank matches to rounding, not bit-for-bit
-FLOAT_TOLERANT = {"pr-scatter"}
+FLOAT_TOLERANT = {"pr-scatter", "pr-mirror"}
 
 
 def planted_skew(num_vertices: int, num_workers: int) -> np.ndarray:
@@ -375,10 +384,12 @@ def test_migration_records_trace_instants_and_summary():
     assert summary["rebalanced_arcs"] == m.rebalanced_arcs
 
 
-def test_unmigratable_channel_is_rejected_at_engine_build():
-    """A channel that inherits the raising ``Channel.migrate_states``
-    (MirroredScatter) used to fail only when the first migration fired,
-    supersteps into the run; the armed engine now refuses to build."""
+def test_unmigratable_channel_is_rejected_at_engine_build(monkeypatch):
+    """A channel that inherits the raising ``Channel.migrate_states`` used
+    to fail only when the first migration fired, supersteps into the run;
+    the armed engine refuses to build.  Every built-in channel migrates, so
+    MirroredScatter is stripped of its ``migrate_states`` here."""
+    monkeypatch.delattr(MirroredScatter, "migrate_states")
     graph, _ = WORKLOADS["pr-scatter"]
     with pytest.raises(ValueError, match="MirroredScatter does not implement migrate"):
         run_pagerank(graph, variant="mirror", num_workers=2, rebalance="superstep")
@@ -403,8 +414,10 @@ def test_sv_over_request_respond_refuses_to_migrate_mid_run():
         )
 
 
-def test_cli_rejects_unmigratable_channel_as_bad_options(capsys):
+def test_cli_rejects_unmigratable_channel_as_bad_options(capsys, monkeypatch):
     from repro.__main__ import main as cli_main
+
+    monkeypatch.delattr(MirroredScatter, "migrate_states")
 
     rc = cli_main(
         ["run", "pagerank", "--dataset", "wikipedia", "--variant", "mirror",

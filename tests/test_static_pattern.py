@@ -1,14 +1,18 @@
-"""The static pattern wire (``core/channels/_pattern.py``): ids cross once.
+"""The static pattern wire (``core/channels/_pattern.py``): ids cross once,
+unchanged values not at all.
 
 ``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
-the first scatter after a registration and send ``[values]`` after.  The
+the first scatter after a registration; after it they send each peer the
+smaller of ``[values]`` and ``[changed positions][their values]``.  The
 format they replaced — ids beside the values in every scatter — lives on
 here, as :class:`IdsEveryRound`, the oracle of the property below: any
-graph, partition, worker count, combiner, scatter schedule, checkpoint
-cadence, failure, migration and second registration must deliver, bit for
-bit, what the oracle delivers, in exactly the bytes of the closed form.
+graph, partition, worker count, combiner, scatter and value-change
+schedule, checkpoint cadence, failure, migration and second registration
+must deliver, bit for bit, what the oracle delivers, in exactly the bytes
+of the closed form.
 """
 
+import contextlib
 import warnings
 from unittest import mock
 
@@ -24,7 +28,11 @@ from repro.core import (
     SUM_F64,
     VertexProgram,
 )
+from repro.algorithms.pagerank import run_pagerank
+from repro.algorithms.sv import run_sv
+from repro.core.channels import _pattern
 from repro.core.channels._inbox import CombinedInbox
+from repro.core.channels._pattern import StaticPattern
 from repro.core.channels._records import emit_records, encode_pattern
 from repro.graph import rmat
 from repro.graph.graph import Graph
@@ -51,11 +59,31 @@ class IdsEveryRound(ScatterCombine):
     _receive = CombinedInbox._receive
 
 
-def make_program(channel, scatter_steps, register_again_at, exact):
+def scattered(vertex, step, scatter_steps, exact, changes, specials):
+    """The value ``vertex`` scatters in ``step``: drawn afresh in its first
+    scatter step and in each later one in which it is among the share
+    ``changes.get(step, 1)`` of the vertices whose value changes, and kept
+    in between.  With ``specials`` half the draws are ``0.0``, ``-0.0`` or
+    a NaN, which only a bit-for-bit comparison tells apart correctly."""
+    steps = sorted(s for s in scatter_steps if s <= step)
+    drawn = steps[0]
+    for s in steps[1:]:
+        if np.random.default_rng([s, vertex, 1]).random() < changes.get(s, 1.0):
+            drawn = s
+    rng = np.random.default_rng([drawn, vertex])
+    if specials and rng.random() < 0.5:
+        return rng.choice([0.0, -0.0, np.nan])
+    # eighths sum exactly in any order; normals pin the order
+    return rng.integers(-64, 64) / 8 if exact else rng.standard_normal()
+
+
+def make_program(channel, scatter_steps, register_again_at, exact, changes=None, specials=False):
     """Every vertex registers its out-edges in superstep 1 (and its
     in-neighbours as well in ``register_again_at``), scatters a value in
-    each of ``scatter_steps`` and records what it reads in every
-    superstep, in per-vertex arrays a migration carries along."""
+    each of ``scatter_steps`` (:func:`scattered`) and records what it
+    reads in every superstep, in per-vertex arrays a migration carries
+    along."""
+    changes = changes or {}
 
     class P(VertexProgram):
         def __init__(self, worker):
@@ -73,9 +101,7 @@ def make_program(channel, scatter_steps, register_again_at, exact):
             if step == register_again_at:
                 self.msg.add_edges(v, self.worker.graph.in_neighbors(v.id))
             if step in scatter_steps:
-                rng = np.random.default_rng([step, v.id])
-                # eighths sum exactly in any order; normals pin the order
-                value = rng.integers(-64, 64) / 8 if exact else rng.standard_normal()
+                value = scattered(v.id, step, scatter_steps, exact, changes, specials)
                 self.msg.set_message(v, value)
             if step == STEPS:
                 v.vote_to_halt()
@@ -103,19 +129,25 @@ class MoveOnce(RebalancePolicy):
         )  # fmt: skip
 
 
-def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again_at):
+def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again_at, sent):
     """``(net, local)`` bytes of the channel: per scatter, sender and peer
-    with ``n`` values to send, a 4-byte tag and ``n * itemsize`` — and, in
-    the sender's first scatter after a registration or a migration, the
-    4-byte words of the pattern.  ``owners[step]`` is the partition in
-    force during ``step``."""
+    with ``n`` values to send, a 4-byte tag and the smaller of the dense
+    ``n * itemsize`` and the delta ``k * (4 + itemsize)``, where ``k``
+    values differ, bit for bit, from those the sender sent that peer last
+    — but, in the sender's first scatter after a registration or a
+    migration, the 4-byte words of the pattern and all ``n`` values.
+    ``owners[step]`` is the partition in force during ``step``;
+    ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
     out_src, out_dst = graph.edge_array()
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     announced = set()
+    last = {}  # (sender, peer) -> the values it sent last
+    bits = f"u{itemsize}"
     for step in range(1, STEPS + 1):
         owner = owners[step]
         if step == register_again_at or not np.array_equal(owner, owners[step - 1]):
             announced.clear()
+            last.clear()
         if step not in scatter_steps:
             continue
         src, dst = out_src, out_dst
@@ -133,19 +165,43 @@ def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again
                     values = plain + int((degree >= THRESHOLD).sum())
                     # two counts, plain ids, a degree per heavy sender, its neighbours
                     words = 2 + values + int(heavy.sum())
-                total[w != p] += 4 + values * itemsize + (0 if w in announced else 4 * words)
+                got = sent[step, w][p]
+                assert got.size == values
+                if w in announced:
+                    changed = np.count_nonzero(got.view(bits) != last[w, p].view(bits))
+                    body = min(values * itemsize, changed * (4 + itemsize))
+                else:
+                    body = 4 * words + values * itemsize
+                last[w, p] = got
+                total[w != p] += 4 + body
             announced.add(w)
     return total[True], total[False]
 
 
-def run(graph, channel, workers, partition, scatter_steps, register_again_at, exact, **kw):
-    engine = ChannelEngine(
-        graph,
-        make_program(channel, scatter_steps, register_again_at, exact),
-        num_workers=workers,
-        partition=partition,
-        **kw,
-    )
+@contextlib.contextmanager
+def recording_scatters():
+    """Record, per ``(superstep, sender worker)``, the values every
+    ``StaticPattern`` scatter hands each peer (a superstep that rollback
+    or replay runs again scatters the same values again)."""
+    sent = {}
+    real_scatter = StaticPattern._scatter
+
+    def scatter(self, payloads):
+        payloads = list(payloads)
+        key = (self.worker.step_num, self.worker.worker_id)
+        sent[key] = {peer: values.copy() for peer, values, _ in payloads}
+        real_scatter(self, payloads)
+
+    with mock.patch.object(StaticPattern, "_scatter", scatter):
+        yield sent
+
+
+def run(
+    graph, channel, workers, partition, scatter_steps, register_again_at, exact,
+    changes=None, specials=False, **kw,
+):  # fmt: skip
+    program = make_program(channel, scatter_steps, register_again_at, exact, changes, specials)
+    engine = ChannelEngine(graph, program, num_workers=workers, partition=partition, **kw)
     with warnings.catch_warnings():
         # a failure that never fired is a broken example
         warnings.simplefilter("error", RuntimeWarning)
@@ -172,13 +228,20 @@ def cases(draw, workers, mirrored, recovery):
     if recovery is not None:
         populated = np.unique(owner).tolist()  # a worker with no vertex has nothing to lose
         fail = (draw(st.sampled_from(populated)), draw(st.integers(1, STEPS - 1)))
-    migrate_at = None  # MirroredScatter has no migrate_states; one worker has nowhere to go
-    if not mirrored and workers > 1:
+    migrate_at = None  # one worker has nowhere to go
+    if workers > 1:
         migrate_at = draw(st.none() | st.integers(1, STEPS - 1))
+    combiner = draw(st.sampled_from([SUM_F64, MIN_I64]))
+    # per step, the share of vertices whose value changes: none, all, and
+    # around the crossover of the two forms (2/3 of 8-byte values)
+    share = st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 0.75, 1.0])
     return dict(
         graph=Graph.from_edges(n, edges, directed=True),
         owner=owner,
-        combiner=draw(st.sampled_from([SUM_F64, MIN_I64])),
+        combiner=combiner,
+        changes={step: draw(share) for step in range(1, STEPS)},
+        # (an integer slot cannot hold a NaN)
+        specials=combiner is SUM_F64 and draw(st.booleans()),
         scatter_steps=draw(st.frozensets(st.integers(1, STEPS - 1), min_size=2)),
         register_again_at=draw(st.none() | st.integers(2, STEPS - 1)),
         checkpoint_every=draw(st.none() | st.integers(1, 3)),
@@ -202,6 +265,7 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
     case = data.draw(cases(workers, mirrored, recovery))
     graph, combiner = case["graph"], case["combiner"]
     schedule = (case["scatter_steps"], case["register_again_at"], mirrored)
+    values = dict(changes=case["changes"], specials=case["specials"])
 
     def migration():
         if case["migrate_at"] is None:
@@ -216,18 +280,19 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
         subject = lambda w: MirroredScatter(w, combiner, threshold=THRESHOLD)  # noqa: E731
     else:
         subject = lambda w: ScatterCombine(w, combiner)  # noqa: E731
-    got = run(
-        graph, subject, workers, case["owner"], *schedule,
-        checkpoint_every=case["checkpoint_every"],
-        failures=[case["fail"]] if case["fail"] else None,
-        recovery=recovery or "rollback",
-        **migration(),
-    )  # fmt: skip
+    with recording_scatters() as sent:
+        got = run(
+            graph, subject, workers, case["owner"], *schedule, **values,
+            checkpoint_every=case["checkpoint_every"],
+            failures=[case["fail"]] if case["fail"] else None,
+            recovery=recovery or "rollback",
+            **migration(),
+        )  # fmt: skip
     # the oracle takes the same migration (a float sum groups by sender
     # worker) and no failure: recovery must leave no trace
     oracle = run(
         graph, lambda w: IdsEveryRound(w, combiner), workers, case["owner"], *schedule,
-        **migration(),
+        **values, **migration(),
     )  # fmt: skip
     assert got.data == oracle.data
     assert got.metrics.num_failures == (case["fail"] is not None)
@@ -240,7 +305,7 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
     owners = [case["owner"] if step <= fired_at else case["target"] for step in range(STEPS + 1)]
     net, local = closed_form(
         graph, mirrored, combiner.codec.itemsize, owners,
-        case["scatter_steps"], case["register_again_at"],
+        case["scatter_steps"], case["register_again_at"], sent,
     )  # fmt: skip
     (counted,) = got.metrics.channel_breakdown().values() or [{"net_bytes": 0, "local_bytes": 0}]
     assert (counted["net_bytes"], counted["local_bytes"]) == (net, local)
@@ -256,24 +321,86 @@ _GRAPH = rmat(6, edge_factor=4, seed=2)
     [lambda w: ScatterCombine(w, SUM_F64), lambda w: MirroredScatter(w, SUM_F64, threshold=3)],
     ids=["ScatterCombine", "MirroredScatter"],
 )
-def test_process_backends_count_the_simulator_bytes(channel):
+@pytest.mark.parametrize("recovery", ["confined", "rollback"])
+@pytest.mark.parametrize("register_again_at", [3, 4, 5])
+def test_process_backends_count_the_simulator_bytes(channel, recovery, register_again_at):
     """Two announcements (superstep 1, and after the registration of
-    superstep 3) and a failure between them, on every backend."""
-    kw = dict(checkpoint_every=2, failures=[(1, 4)], recovery="confined")
-    schedule = ({1, 2, 3, 5, 6}, 3, True)
+    ``register_again_at``) and a failure in superstep 5 that recovers from
+    the checkpoint of superstep 3 and replays supersteps 4 and 5, on every
+    backend.  The checkpoint holds a re-announced pattern (registration at
+    3), or predates the registration, whose re-announcement the replay
+    runs before a delta scatter (4) or after one (5)."""
+    kw = dict(checkpoint_every=3, failures=[(1, 5)], recovery=recovery)
+    schedule = ({1, 2, 3, 4, 5, 6}, register_again_at, True)
+    few = {2: 0.1, 3: 0.1, 4: 0.1, 5: 0.1, 6: 0.1}
     owner = hash_partition(_GRAPH.num_vertices, 3)
-    sim = run(_GRAPH, channel, 3, owner, *schedule, **kw)
-    clean = run(_GRAPH, channel, 3, owner, *schedule)
+    sim = run(_GRAPH, channel, 3, owner, *schedule, changes=few, **kw)
+    clean = run(_GRAPH, channel, 3, owner, *schedule, changes=few)
     assert sim.data == clean.data
     assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
+    dense = run(_GRAPH, channel, 3, owner, *schedule)  # every value changes
+    assert sim.metrics.total_net_bytes < dense.metrics.total_net_bytes
     for transport in ("shm", "pipe"):
         proc = run(
-            _GRAPH, channel, 3, owner, *schedule, executor="process", transport=transport, **kw
-        )
+            _GRAPH, channel, 3, owner, *schedule, changes=few,
+            executor="process", transport=transport, **kw,
+        )  # fmt: skip
         assert proc.data == sim.data
         assert proc.metrics.channel_breakdown() == sim.metrics.channel_breakdown()
         assert proc.metrics.total_net_bytes == sim.metrics.total_net_bytes
         assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
+
+
+# -- the two workloads the rule was written for ---------------------------------------
+
+
+def _dense_wire():
+    """The wire before the delta form: every payload after an announcement
+    is the dense values."""
+    return mock.patch.object(_pattern, "_changed", lambda kept, values: None)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_sv_sends_fewer_bytes_for_the_same_run(workers):
+    """S-V ``both`` broadcasts labels that mostly stopped changing: the
+    delta form leaves labels and every logical counter where the dense
+    wire has them, in fewer bytes."""
+    graph = rmat(9, edge_factor=4, seed=7, directed=False)
+    owner = hash_partition(graph.num_vertices, workers)
+    labels, delta = run_sv(graph, variant="both", num_workers=workers, partition=owner)
+    with _dense_wire():
+        dense_labels, dense = run_sv(graph, variant="both", num_workers=workers, partition=owner)
+    np.testing.assert_array_equal(labels, dense_labels)
+    a, b = delta.metrics, dense.metrics
+    assert (a.supersteps, a.total_rounds, a.total_messages) == (
+        b.supersteps, b.total_rounds, b.total_messages,
+    )  # fmt: skip
+    assert a.total_net_bytes + a.total_local_bytes < b.total_net_bytes + b.total_local_bytes
+    if workers > 1:
+        assert a.total_net_bytes < b.total_net_bytes
+
+
+def test_pagerank_keeps_the_dense_wire():
+    """Every PageRank share changes in every scatter, so every payload
+    after the announcement is dense: the channel's bytes are ``iterations``
+    scatters of a tag and ``n`` values per sender and peer, plus the ``n``
+    announced ids."""
+    graph = rmat(8, edge_factor=4, seed=3, directed=True)
+    workers, iterations = 3, 6
+    owner = hash_partition(graph.num_vertices, workers)
+    _, result = run_pagerank(
+        graph, variant="scatter", mode="bulk", iterations=iterations,
+        num_workers=workers, partition=owner,
+    )  # fmt: skip
+    src, dst = graph.edge_array()
+    total = {True: 0, False: 0}  # keyed by "crosses the network"
+    for w in range(workers):
+        for p in range(workers):
+            n = np.unique(dst[(owner[src] == w) & (owner[dst] == p)]).size
+            if n:
+                total[w != p] += iterations * (4 + n * 8) + 4 * n
+    counted = result.metrics.channel_breakdown()["1:ScatterCombine"]
+    assert (counted["net_bytes"], counted["local_bytes"]) == (total[True], total[False])
 
 
 # -- who announces, and when --------------------------------------------------------
@@ -384,14 +511,61 @@ def receiver():
     return ScatterCombine(worker, SUM_F64)
 
 
-def _payload(ids, values):
-    words = None if ids is None else np.asarray(ids, dtype=np.int32)
-    return memoryview(encode_pattern(words, np.asarray(values, dtype=np.float64), SUM_F64.codec))
+def _payload(ids, values, positions=None):
+    """An announcement of ``ids``, the delta of ``values[positions]``, or
+    (neither given) the dense ``values``."""
+    return memoryview(
+        encode_pattern(
+            np.asarray(values, dtype=np.float64), SUM_F64.codec,
+            words=None if ids is None else np.asarray(ids, dtype=np.int32),
+            positions=None if positions is None else np.asarray(positions, dtype=np.int32),
+        )
+    )  # fmt: skip
+
+
+def test_a_delta_patches_the_kept_values_and_folds_them_all(receiver):
+    receiver.deserialize([(0, _payload([4, 6], [1.0, 2.0]))])
+    receiver.deserialize([(0, _payload(None, [0.0, 5.0], positions=[1]))])
+    assert receiver.get_messages()[0].tolist() == [1.0, 0.0, 5.0, 0.0]
+    # no change: a bare tag, and both destinations still receive
+    receiver.deserialize([(0, _payload(None, [], positions=[]))])
+    slots, has_msg = receiver.get_messages()
+    assert (slots.tolist(), has_msg.tolist()) == ([1.0, 0.0, 5.0, 0.0], [True, False, True, False])
+    state = decode_state(encode_state(receiver.snapshot()))
+    assert state["received"][0].tolist() == [1.0, 5.0]
 
 
 def test_values_from_a_source_that_never_announced(receiver):
     with pytest.raises(RuntimeError, match=r"ScatterCombine.*2 values from worker 0.*no pattern"):
         receiver.deserialize([(0, _payload(None, [1.0, 2.0]))])
+
+
+def test_delta_from_a_source_that_never_announced(receiver):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*1 changed values from worker 0.*no pattern"):
+        receiver.deserialize([(0, _payload(None, [1.0, 2.0], positions=[1]))])
+
+
+def test_delta_position_outside_the_pattern(receiver):
+    receiver.deserialize([(0, _payload([4, 6], [1.0, 2.0]))])
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position 2 outside .* of 2"):
+        receiver.deserialize([(0, _payload(None, [1.0, 2.0, 3.0], positions=[0, 2]))])
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position -1 outside"):
+        receiver.deserialize([(0, _payload(None, [1.0, 2.0], positions=[-1]))])
+
+
+def test_delta_positions_that_do_not_ascend(receiver):
+    receiver.deserialize([(0, _payload([4, 5, 6], [1.0, 2.0, 3.0]))])
+    for positions in ([1, 0], [1, 1]):
+        with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*not strictly ascend"):
+            receiver.deserialize([(0, _payload(None, [1.0, 2.0], positions=positions))])
+
+
+def test_delta_count_differs_from_the_payload_length(receiver):
+    receiver.deserialize([(0, _payload([4, 6], [1.0, 2.0]))])
+    delta = bytes(_payload(None, [1.0, 2.0], positions=[0, 1]))
+    for wrong in (delta[:-8], delta + bytes(8), delta[:-1]):
+        with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent a delta of 2 values"):
+            receiver.deserialize([(0, memoryview(wrong))])
 
 
 def test_value_count_differs_from_the_pattern(receiver):
