@@ -1,16 +1,17 @@
 """The channel engine: the superstep loop of Fig. 4.
 
-The engine creates one :class:`~repro.core.worker.Worker` per partition
-block, instantiates the user's :class:`~repro.core.program.VertexProgram`
-on each, and then hands the run to a pluggable
+The engine partitions the graph and hands the run to a pluggable
 :class:`~repro.runtime.executor.ExecutorBackend` that alternates vertex
 compute with channel exchange rounds until every vertex has voted to halt
 and no channel requests another round.
 
 Two backends exist (see ARCHITECTURE.md §8): ``"sim"`` runs every worker
-sequentially in-process with modeled parallelism, ``"process"`` runs each
-worker as a real OS process from a persistent
-:class:`~repro.runtime.parallel.pool.WorkerPool`.  Every feature —
+sequentially in-process with modeled parallelism — the engine builds one
+:class:`~repro.core.worker.Worker` per partition block, each running the
+user's :class:`~repro.core.program.VertexProgram` — and ``"process"`` runs
+each worker as a real OS process from a persistent
+:class:`~repro.runtime.parallel.pool.WorkerPool`, holding no per-vertex
+state in the parent at all.  Every feature —
 checkpointing, failure injection, both recovery modes, bulk compute,
 streaming epochs — composes with every backend, with bit-identical
 result data, per-channel traffic, and byte/message totals.
@@ -111,7 +112,9 @@ class ChannelEngine:
         The input :class:`~repro.graph.graph.Graph`.
     program_factory:
         Callable ``(worker) -> VertexProgram``; typically the program class
-        itself.
+        itself.  On ``executor="process"`` the worker processes call it;
+        this process calls it only when it needs a worker of its own
+        (confined recovery, migration).
     partition:
         Optional vertex->worker array; defaults to hash partitioning, the
         Pregel default ("vertices are randomly assigned to workers").
@@ -233,13 +236,6 @@ class ChannelEngine:
             self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=num_workers)
         self.step_num = 0
 
-        self.workers: list[Worker] = []
-        for w in range(num_workers):
-            local_ids = np.flatnonzero(partition == w)
-            self.workers.append(Worker(self, w, local_ids))
-        for worker in self.workers:
-            worker.program = program_factory(worker)
-
         self.initial_active: np.ndarray | None = None
         if initial_active is not None:
             seeds = np.asarray(initial_active, dtype=np.int64)
@@ -248,18 +244,23 @@ class ChannelEngine:
             ):
                 raise ValueError("initial_active contains out-of-range vertex ids")
             self.initial_active = seeds.copy()  # worker processes re-seed from this
-            for worker in self.workers:
-                worker.seed_active(seeds)
 
-        nchan = {len(w.channels) for w in self.workers}
-        if len(nchan) != 1:
-            raise RuntimeError(
-                "programs must construct the same channels on every worker"
-            )
-        self.num_channels = nchan.pop()
+        #: one worker per partition block on sim; none on the process
+        #: executor, whose workers (and channel check) live in the children
+        self.workers: list[Worker] = []
+        if config.executor == "sim":
+            self.workers = [
+                Worker.build(self, w, program_factory, seeds=self.initial_active)
+                for w in range(num_workers)
+            ]
+            if len({len(w.channels) for w in self.workers}) != 1:
+                raise RuntimeError(
+                    "programs must construct the same channels on every worker"
+                )
         if self.rebalancer is not None:
             # fail here, not supersteps later when the first migration fires
-            for channel in self.workers[0].channels:
+            probe = self.workers[0] if self.workers else Worker.build(self, 0, program_factory)
+            for channel in probe.channels:
                 if type(channel).migrate_states is Channel.migrate_states:
                     raise ValueError(
                         f"rebalance='superstep' needs channels that can migrate; "
@@ -301,22 +302,3 @@ class ChannelEngine:
         """
         if self._backend is not None:
             self._backend.shutdown()
-
-    def rebuild_worker(self, w: int) -> None:
-        """Replace worker ``w`` with a fresh instance (simulating a
-        replacement node): new Worker, new program, channels rebuilt by
-        the program's constructor.  The caller loads checkpointed state
-        into it afterwards (:func:`repro.runtime.checkpoint.restore_worker`)."""
-        local_ids = np.flatnonzero(self.owner == w)
-        worker = Worker(self, w, local_ids)
-        worker.program = self.program_factory(worker)
-        if len(worker.channels) != self.num_channels:
-            raise RuntimeError(
-                "rebuilt worker constructed a different channel set"
-            )  # pragma: no cover - factory determinism guard
-        # the documented lifecycle promises initialize() before any
-        # serialize/deserialize; the replacement's channels get it too
-        # (restore_worker then overwrites whatever state it set up)
-        for channel in worker.channels:
-            channel.initialize()
-        self.workers[w] = worker

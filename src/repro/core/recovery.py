@@ -13,8 +13,9 @@ with deterministic failure injection so recovery is a benchmarkable
   buffer, kept since the last checkpoint.  Only maintained in confined
   mode; its size is the price confined recovery pays during normal
   operation (accounted as ``log_bytes``).
-* :func:`rollback_recovery` — all workers reload the latest checkpoint
-  and the whole cluster re-executes from there (Pregel's default).
+* :func:`rollback_recovery` — the engine rewinds to the latest
+  checkpoint and the whole cluster re-executes from there (Pregel's
+  default).  This is the books; every backend reloads its own workers.
 * :func:`confined_recovery` — only the failed workers reload; they then
   re-execute the lost supersteps locally, reading the frames survivors
   logged for them, while survivors keep their current state.  Replayed
@@ -22,18 +23,17 @@ with deterministic failure injection so recovery is a benchmarkable
   self-delivery and frames between simultaneously failed workers), so
   recovered runs are bit-identical to failure-free ones.
 
-Both procedures leave the engine's metric totals exactly where a
-failure-free run would: rollback restores the collector to its
-checkpoint-time snapshot before re-execution re-appends, and confined
-replay runs against a scratch collector.  The *cost* of recovery is
-charged to the separate ``recovery_bytes``/``recovery_time`` counters.
+Both leave the engine's metric totals exactly where a failure-free run
+would: rollback restores the collector to its checkpoint-time snapshot
+before re-execution re-appends, and confined replay runs against a
+scratch collector.  The *cost* of recovery is charged to the separate
+``recovery_bytes``/``recovery_time`` counters.
 
-Both procedures operate on the engine's in-process workers and run under
-**every** execution backend: the simulator calls them directly, while
-the process backend first kills/respawns the real worker OS process,
-then runs the same procedure on its parent-side mirror workers and ships
-the recovered state to the replacement through the checkpoint wire
-format (see :mod:`repro.runtime.parallel.backend`).
+Both run under **every** execution backend, from checkpoint blobs and
+the parent-side frame log alone.  Confined replay builds the failed
+workers itself and returns them: the simulator keeps them, the process
+backend ships their state to the respawned replacements and drops them
+(see :mod:`repro.runtime.parallel.backend`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.runtime.checkpoint import Snapshot, restore_worker
+from repro.core.worker import Worker
+from repro.runtime.checkpoint import Snapshot, decode_state, load_worker_state
 from repro.runtime.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -207,10 +208,10 @@ class FrameLog:
 
 # -- recovery procedures -----------------------------------------------------
 
-def rollback_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
-    """Pregel-style full rollback: rebuild the dead workers, reload the
-    latest checkpoint on *every* worker, and rewind the engine so the
-    main loop re-executes from the checkpointed superstep."""
+def rollback_recovery(engine: "ChannelEngine") -> None:
+    """Pregel-style full rollback, the books: rewind the superstep, the
+    metrics records and the frame log to the latest checkpoint, and
+    charge the recovery.  The caller reloads *every* worker from it."""
     snapshot: Snapshot = engine.checkpoint
     metrics = engine.metrics
 
@@ -220,10 +221,6 @@ def rollback_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
     kept = len(snapshot.metrics_state["records"])
     recompute_time = sum(r.simulated_time for r in metrics.records[kept:])
 
-    for w in failed:
-        engine.rebuild_worker(w)
-    for w in range(engine.num_workers):
-        restore_worker(engine, snapshot, w)
     engine.step_num = snapshot.superstep
     metrics.restore(snapshot.metrics_state)
     if engine.frame_log is not None:
@@ -234,16 +231,19 @@ def rollback_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
     metrics.record_recovery(snapshot.nbytes, reload_time + recompute_time)
 
 
-def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
+def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, Worker]:
     """Confined recovery: only the failed workers reload the checkpoint
     and re-execute the lost supersteps, fed by the survivors' frame logs.
 
-    Survivors are untouched: their frames destined to them during replay
-    are discarded (they already processed the originals), while frames
-    the replaying workers send each other and themselves flow normally.
-    Replay runs against a scratch metrics collector so the engine's
-    totals stay exactly those of a failure-free run; the replay's modeled
-    cost is charged to the recovery counters instead.
+    The failed workers are built fresh here from the checkpoint and
+    returned by worker id, caught up to the engine's superstep; the
+    caller installs them or ships their state.  Survivors are untouched:
+    their frames destined to them during replay are discarded (they
+    already processed the originals), while frames the replaying workers
+    send each other and themselves flow normally.  Replay runs against a
+    scratch metrics collector so the engine's totals stay exactly those
+    of a failure-free run; the replay's modeled cost is charged to the
+    recovery counters instead.
     """
     snapshot: Snapshot = engine.checkpoint
     target_step = engine.step_num
@@ -251,9 +251,10 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
     num_workers = engine.num_workers
     failed_set = set(failed)
 
+    workers: dict[int, Worker] = {}
     for w in failed:
-        engine.rebuild_worker(w)
-        restore_worker(engine, snapshot, w)
+        workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
+        load_worker_state(workers[w], decode_state(snapshot.blobs[w]))
     reload_bytes = sum(snapshot.worker_nbytes[w] for w in failed)
     largest = max((snapshot.worker_nbytes[w] for w in failed), default=0)
     reload_time = metrics.network.latency + largest / metrics.network.bandwidth
@@ -267,12 +268,11 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
             # mirror the main loop's step_num choreography exactly:
             # before_superstep/begin_superstep observe the previous step
             engine.step_num = s - 1
-            for w in failed:
-                engine.workers[w].program.before_superstep()
-            actives = {w: engine.workers[w].begin_superstep() for w in failed}
+            for worker in workers.values():
+                worker.program.before_superstep()
+            actives = {w: worker.begin_superstep() for w, worker in workers.items()}
             engine.step_num = s
-            for w in failed:
-                worker = engine.workers[w]
+            for w, worker in workers.items():
                 t0 = time.perf_counter()
                 worker.run_compute(actives[w])
                 scratch.record_compute(w, time.perf_counter() - t0)
@@ -282,8 +282,7 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
             for round_idx, (group_active, frames) in enumerate(
                 engine.frame_log.rounds(s)
             ):
-                for w in failed:
-                    worker = engine.workers[w]
+                for w, worker in workers.items():
                     t0 = time.perf_counter()
                     worker.serialize_round(group_active)
                     # serialize can be the bulk of replay compute (the
@@ -293,8 +292,8 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
                 # capture every replaying worker's output before clearing,
                 # so simultaneously failed workers can read each other's
                 outs: dict[int, list[bytes]] = {}
-                for w in failed:
-                    buffers = engine.workers[w].buffers
+                for w, worker in workers.items():
+                    buffers = worker.buffers
                     outs[w] = [buffers.out[p].getvalue() for p in range(num_workers)]
                     for p in range(num_workers):
                         buffers.out[p].clear()
@@ -302,8 +301,7 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
 
                 send_bytes = np.zeros(num_workers, dtype=np.int64)
                 recv_bytes = np.zeros(num_workers, dtype=np.int64)
-                for w in failed:
-                    worker = engine.workers[w]
+                for w, worker in workers.items():
                     inbox = [b""] * num_workers
                     for src in range(num_workers):
                         if src == w:
@@ -332,3 +330,4 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> None:
     metrics.record_recovery(
         reload_bytes + replay_net_bytes, reload_time + scratch.simulated_time
     )
+    return workers

@@ -65,8 +65,24 @@ class Worker:
         self.buffers = WorkerBuffers(worker_id, self.num_workers)
         self.channels: list["Channel"] = []
         self._vertex = Vertex(self)
-        self.program = None  # set by the engine after construction
+        self.program = None  # bound by build()
         self._local_adj: dict[str, LocalCSR] = {}
+
+    @classmethod
+    def build(cls, host, worker_id: int, factory, *, seeds=None, initialize=False) -> "Worker":
+        """The one place a worker is made: the vertices ``host.owner``
+        assigns it, the program ``factory`` constructs (which registers
+        the channels), ``seeds`` (global ids) as the first active set when
+        given, and ``initialize()`` on every channel when asked — a
+        replacement does that at once, before its state is loaded."""
+        worker = cls(host, worker_id, np.flatnonzero(host.owner == worker_id))
+        worker.program = factory(worker)
+        if seeds is not None:
+            worker.seed_active(np.asarray(seeds, dtype=np.int64))
+        if initialize:
+            for channel in worker.channels:
+                channel.initialize()
+        return worker
 
     # -- registration -------------------------------------------------------
     def register_channel(self, channel: "Channel") -> int:
@@ -111,8 +127,7 @@ class Worker:
 
     def seed_active(self, seeds: np.ndarray) -> None:
         """Restrict the first superstep's active set to the owned subset
-        of ``seeds`` (global ids).  Called by the engine before the run
-        starts; everything else begins halted."""
+        of ``seeds`` (global ids); everything else begins halted."""
         self.halted[:] = True
         local = self._local_index[seeds]
         self.halted[local[local >= 0]] = False

@@ -296,7 +296,6 @@ class LiveSlotWriter:
         self.worker_id = int(worker_id)
         self.counters = dict.fromkeys(LIVE_COUNTERS, 0)
         self.gauges = dict.fromkeys(LIVE_GAUGES, 0.0)
-        self._mark: tuple[dict, dict] | None = None
         self._seq = _SEQ.unpack_from(live._buf, self._off)[0]
         if self._seq % 2:  # predecessor died mid-publish; make slot readable
             self._seq += 1
@@ -349,21 +348,15 @@ class LiveSlotWriter:
         self._seq += 2
         _SEQ.pack_into(buf, off, self._seq)
 
-    # -- checkpoint/recovery support -------------------------------------
+    # -- recovery support ---------------------------------------------------
 
-    def mark(self) -> None:
-        """Remember the current counters (called at checkpoint capture)."""
-        self._mark = (dict(self.counters), dict(self.gauges))
-
-    def rewind(self) -> None:
-        """Roll counters back to the last :meth:`mark` (rollback recovery
-        replays from the checkpoint, and so does the live plane)."""
-        if self._mark is None:
-            self.counters = dict.fromkeys(LIVE_COUNTERS, 0)
-            self.gauges = dict.fromkeys(LIVE_GAUGES, 0.0)
-        else:
-            self.counters = dict(self._mark[0])
-            self.gauges = dict(self._mark[1])
+    def rewind(self, row: dict) -> None:
+        """Continue from an earlier reading of this slot (a
+        :meth:`LiveMetrics.snapshot` row) and publish it: rollback
+        recovery rewinds to the reading taken at the checkpoint, and a
+        respawned replacement resumes from its predecessor's last one."""
+        self.counters = {k: int(row[k]) for k in LIVE_COUNTERS}
+        self.gauges = {k: float(row[k]) for k in LIVE_GAUGES}
         self.publish()
 
 

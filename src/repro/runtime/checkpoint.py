@@ -204,9 +204,9 @@ class Snapshot:
 def capture_worker_state(worker) -> dict:
     """One worker's complete restartable state at a superstep boundary:
     program state dict, halt/wake flags, and every channel's
-    ``snapshot()``.  This is *the* capture format — checkpoints, the
-    process backend's state sync, and cross-process recovery all ship
-    exactly this dict through :func:`encode_state`."""
+    ``snapshot()``.  This is *the* capture format — checkpoints,
+    migration, cross-process recovery and the streaming warm state all
+    ship exactly this dict through :func:`encode_state`."""
     return {
         "program": worker.program.state_dict(),
         "flags": worker.snapshot_flags(),
@@ -230,7 +230,8 @@ def load_worker_state(worker, state: dict) -> None:
 
 
 def capture_snapshot(engine: "ChannelEngine") -> Snapshot:
-    """Checkpoint every worker of ``engine`` at the current boundary."""
+    """Checkpoint every in-process worker of ``engine`` (a sim engine)
+    at the current boundary."""
     blobs = [encode_state(capture_worker_state(w)) for w in engine.workers]
     return Snapshot(
         version=SNAPSHOT_VERSION,
@@ -241,11 +242,13 @@ def capture_snapshot(engine: "ChannelEngine") -> Snapshot:
 
 
 def restore_worker(engine: "ChannelEngine", snapshot: Snapshot, w: int) -> None:
-    """Load worker ``w``'s checkpointed state into ``engine.workers[w]``.
+    """Load worker ``w``'s checkpointed state into ``engine.workers[w]``
+    (a sim engine's in-process worker).
 
     The caller decides whether the target worker is the surviving
-    instance (rollback on a live worker) or a freshly rebuilt replacement
-    (see :meth:`ChannelEngine.rebuild_worker`); either way all state
-    comes from the snapshot bytes, never from the old objects.
+    instance (rollback on a live worker) or a freshly built replacement
+    (:meth:`~repro.core.worker.Worker.build` with ``initialize=True``);
+    either way all state comes from the snapshot bytes, never from the
+    old objects.
     """
     load_worker_state(engine.workers[w], decode_state(snapshot.blobs[w]))

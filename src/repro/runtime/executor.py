@@ -9,8 +9,8 @@ method (:meth:`ExecutorBackend.run`) over a small set of primitives each
 backend implements:
 
 ``begin_run``
-    Bring the execution substrate up (channel initialization; for the
-    process backend also pool spawn/reconfigure).
+    Bring the execution substrate up: channel initialization, and for
+    the process backend pool spawn/reconfigure first.
 ``barrier_vote``
     Resolve every worker's active set for the next superstep and return
     the global active count (0 terminates the run).
@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.program import VertexResults
 from repro.core.recovery import FrameLog, confined_recovery, rollback_recovery
+from repro.core.worker import Worker
 from repro.runtime.buffers import BufferExchange
 from repro.runtime.checkpoint import (
     SNAPSHOT_VERSION,
@@ -61,6 +62,7 @@ from repro.runtime.checkpoint import (
     capture_worker_state,
     encode_state,
     load_worker_state,
+    restore_worker,
 )
 from repro.runtime.rebalance import (
     MigrationContext,
@@ -88,6 +90,8 @@ class ExecutorBackend:
 
     def __init__(self, engine: "ChannelEngine") -> None:
         self.engine = engine
+        #: the live slots as read at the latest checkpoint (live runs only)
+        self.live_marks: list[dict] | None = None
 
     # -- the drive loop (shared across backends) ---------------------------
     def run(self, max_supersteps: int = 100_000) -> "EngineResult":
@@ -111,7 +115,7 @@ class ExecutorBackend:
         )
 
         metrics.start_run()
-        self.begin_run(fault_tolerant)
+        self.begin_run()
 
         if fault_tolerant:
             # superstep-0 checkpoint: recovery is possible before the
@@ -202,8 +206,8 @@ class ExecutorBackend:
         engine.checkpoint = snapshot
         engine.metrics.record_checkpoint(snapshot.worker_nbytes)
         if engine.live is not None:
-            # rollback recovery will rewind live counters to this boundary
-            self.live_mark()
+            # rollback recovery rewinds every live slot to this reading
+            self.live_marks = engine.live.snapshot()
         if engine.frame_log is not None:
             # frames covered by this checkpoint can never be replayed
             engine.frame_log.truncate_before(snapshot.superstep)
@@ -239,7 +243,9 @@ class ExecutorBackend:
         raise NotImplementedError
 
     # -- backend primitives --------------------------------------------------
-    def begin_run(self, fault_tolerant: bool) -> None:
+    def begin_run(self) -> None:
+        """Bring the substrate up for one run: every worker's channels get
+        ``initialize()`` before any superstep, wherever the workers live."""
         raise NotImplementedError
 
     def barrier_vote(self) -> int:
@@ -269,10 +275,6 @@ class ExecutorBackend:
         process backend's children publish their own slots autonomously,
         so its override is this no-op; sim publishes all slots here."""
 
-    def live_mark(self) -> None:
-        """Checkpoint boundary: remember live counters for a later rewind
-        (process children mark inside their ``capture`` command)."""
-
 
 class SimBackend(ExecutorBackend):
     """The in-process simulated cluster: every worker runs sequentially in
@@ -291,7 +293,7 @@ class SimBackend(ExecutorBackend):
         self._live_step: dict | None = None
 
     # -- primitives ----------------------------------------------------------
-    def begin_run(self, fault_tolerant: bool) -> None:
+    def begin_run(self) -> None:
         if self.engine.live is not None and self._live_writers is None:
             # created once per engine, never reset on a re-run: a second
             # run over a halted program adds zero supersteps, and the live
@@ -340,7 +342,8 @@ class SimBackend(ExecutorBackend):
             for channel in worker.channels:
                 channel.reset_round()
 
-        group_active = [True] * engine.num_channels
+        num_channels = len(engine.workers[0].channels)
+        group_active = [True] * num_channels
         step_log: list[tuple[list[bool], list[list[bytes]]]] | None = (
             [] if engine.frame_log is not None else None
         )
@@ -392,7 +395,7 @@ class SimBackend(ExecutorBackend):
 
             # deserialize + decide on another round: a channel group stays
             # active while any worker's instance of it asks for more
-            next_active = [False] * engine.num_channels
+            next_active = [False] * num_channels
             for worker in engine.workers:
                 before = metrics.current_messages if track else 0
                 t0 = time.perf_counter()
@@ -424,19 +427,26 @@ class SimBackend(ExecutorBackend):
         new_states = remap_worker_states(states, ctx, engine.workers[0].channels)
         engine.owner = np.asarray(plan.new_owner, dtype=np.int64)
         for w in range(engine.num_workers):
-            engine.rebuild_worker(w)
+            engine.workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
             load_worker_state(engine.workers[w], new_states[w])
 
     def recover(self, doomed: list[int], mode: str) -> None:
+        engine = self.engine
         if mode == "confined":
-            confined_recovery(self.engine, doomed)
-        else:
-            rollback_recovery(self.engine, doomed)
-            if self._live_writers is not None:
-                # the collector rolled back to the checkpoint; so does the
-                # live plane (re-executed supersteps re-accumulate)
-                for writer in self._live_writers:
-                    writer.rewind()
+            for w, worker in confined_recovery(engine, doomed).items():
+                engine.workers[w] = worker
+            return
+        # the dead workers' replacements are fresh; every worker reloads
+        for w in doomed:
+            engine.workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
+        for w in range(engine.num_workers):
+            restore_worker(engine, engine.checkpoint, w)
+        rollback_recovery(engine)
+        if self._live_writers is not None:
+            # the collector rolled back to the checkpoint; so does the
+            # live plane (re-executed supersteps re-accumulate)
+            for writer, row in zip(self._live_writers, self.live_marks):
+                writer.rewind(row)
 
     # -- live telemetry ------------------------------------------------------
     def publish_live(self) -> None:
@@ -456,11 +466,6 @@ class SimBackend(ExecutorBackend):
             )
             writer.publish()
         self._live_step = None
-
-    def live_mark(self) -> None:
-        if self._live_writers is not None:
-            for writer in self._live_writers:
-                writer.mark()
 
     def collect_results(self) -> Mapping:
         return VertexResults.merged(

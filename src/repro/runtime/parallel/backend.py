@@ -29,7 +29,11 @@ worker processes drawn from a persistent
   recovery modes restore it: rollback pushes the latest checkpoint blob
   to *every* worker, confined replays the lost supersteps from the
   parent's sender-side frame log and ships only the recovered state to
-  the replacement.
+  the replacements.
+
+The parent holds no worker: per-vertex state lives in the children.  It
+builds one only for the moment it needs one — the doomed workers of a
+confined replay, and the channel set a migration re-keys state with.
 
 Because compute, serialization, and byte accounting all run the same
 code on the same inputs, a process run's ``result.data``, per-channel
@@ -50,6 +54,7 @@ import numpy as np
 
 from repro.core.program import VertexResults
 from repro.core.recovery import confined_recovery, rollback_recovery
+from repro.core.worker import Worker
 from repro.runtime.checkpoint import capture_worker_state, decode_state, encode_state
 from repro.runtime.executor import ExecutorBackend
 from repro.runtime.rebalance import MigrationContext, remap_worker_states
@@ -90,12 +95,14 @@ class ProcessBackend(ExecutorBackend):
             raise
 
     # -- primitives ----------------------------------------------------------
-    def begin_run(self, fault_tolerant: bool) -> None:
+    def begin_run(self) -> None:
         engine = self.engine
         pool = self.pool
         # the wall clock is already running: export/spawn/reconfigure are
         # real costs of this backend and belong in wall_time, just as
-        # channel initialization is inside the simulator's window
+        # channel initialization is inside the simulator's window.  The
+        # pool's startup/configure barrier checks that every child built
+        # the same channel set
         pool.ensure(
             {
                 "graph": engine.graph,
@@ -106,19 +113,7 @@ class ProcessBackend(ExecutorBackend):
             },
             engine.generation,
         )
-        if pool.num_channels != engine.num_channels:
-            raise WorkerProcessError(
-                f"worker processes constructed {pool.num_channels} channels, "
-                f"expected {engine.num_channels}"
-            )
         pool.start_run()
-        if fault_tolerant:
-            # keep the parent's mirror workers usable: recovery rebuilds
-            # and restores them (confined replay *runs* on them), and the
-            # documented channel lifecycle promises initialize() first
-            for worker in engine.workers:
-                for channel in worker.channels:
-                    channel.initialize()
 
     def barrier_vote(self) -> int:
         # one broadcast starts the whole superstep; the children vote on
@@ -160,7 +155,8 @@ class ProcessBackend(ExecutorBackend):
                 f"workers disagree on exchange round count: {sorted(num_rounds)}"
             )
 
-        group_active = [True] * engine.num_channels
+        num_channels = pool.num_channels
+        group_active = [True] * num_channels
         for r in range(num_rounds.pop()):
             rounds = [reply["rounds"][r] for reply in replies]
             if log_frames:
@@ -180,7 +176,7 @@ class ProcessBackend(ExecutorBackend):
             # the same OR-merge every child applied in-stream
             group_active = [
                 any(rnd["next_active"][cid] for rnd in rounds)
-                for cid in range(engine.num_channels)
+                for cid in range(num_channels)
             ]
 
         if log_frames:
@@ -203,25 +199,27 @@ class ProcessBackend(ExecutorBackend):
         array in place, then have each child rebuild its Worker against
         the migrated partition and load its remapped state (``remap``
         keeps the graph attachments, ``step_num``, and the live writer).
-        The parent's mirror workers rebuild last, so recovery and
-        confined replay keep operating on the new ownership.
+        The channels' ``migrate_states`` re-key the state, so the parent
+        builds one worker for its channel set, and drops it.
         """
         engine = self.engine
         pool = self.pool
         states = [decode_state(blob) for blob in self.capture_state_blobs()]
         ctx = MigrationContext(engine.owner, plan.new_owner, engine.num_workers)
-        new_states = remap_worker_states(states, ctx, engine.workers[0].channels)
+        channels = Worker.build(engine, 0, engine.program_factory).channels
+        new_states = remap_worker_states(states, ctx, channels)
         pool.update_owner(plan.new_owner)
         engine.owner = np.asarray(plan.new_owner, dtype=np.int64)
         for w in range(engine.num_workers):
             pool.send(w, {"cmd": "remap", "blob": encode_state(new_states[w])})
         pool.gather("rebalance remap")
-        for w in range(engine.num_workers):
-            engine.rebuild_worker(w)
 
     def recover(self, doomed: list[int], mode: str) -> None:
         engine = self.engine
         pool = self.pool
+        # a replacement zero-publishes its live slot: read the dead workers'
+        # last counters first, for confined recovery to resume from
+        live_rows = engine.live.snapshot() if engine.live is not None else None
 
         # the failure is real: each doomed worker's OS process exits hard
         # and its death surfaces through the standard supervision path as
@@ -236,35 +234,26 @@ class ProcessBackend(ExecutorBackend):
                 pass
             pool.respawn(w)
 
-        # 3. the recovery procedures themselves run on the engine's
-        # in-process mirror workers — the same code path as the simulator,
-        # operating purely on checkpoint blobs and the parent-side frame
-        # log — and the recovered state then ships to the children
+        # the recovery books are the simulator's; the state ships to the
+        # children as checkpoint wire bytes
         if mode == "confined":
-            confined_recovery(engine, doomed)
             # only the failed workers' state changed; survivors' live
             # processes keep their current state, exactly per the paper
-            for w in doomed:
-                blob = encode_state(capture_worker_state(engine.workers[w]))
-                pool.send(
-                    w,
-                    {"cmd": "restore", "blob": blob, "step_num": engine.step_num},
-                )
-            for w in doomed:
-                pool.reply(w, "confined restore")
+            restores = {
+                w: (encode_state(capture_worker_state(worker)), engine.step_num)
+                for w, worker in confined_recovery(engine, doomed).items()
+            }
         else:
-            rollback_recovery(engine, doomed)
-            snapshot = engine.checkpoint
-            for w in range(engine.num_workers):
-                pool.send(
-                    w,
-                    {
-                        "cmd": "restore",
-                        "blob": snapshot.blobs[w],
-                        "step_num": snapshot.superstep,
-                    },
-                )
-            pool.gather("rollback restore")
+            rollback_recovery(engine)
+            snapshot, live_rows = engine.checkpoint, self.live_marks
+            restores = {
+                w: (blob, snapshot.superstep) for w, blob in enumerate(snapshot.blobs)
+            }
+        for w, (blob, step_num) in restores.items():
+            live = None if live_rows is None else live_rows[w]
+            pool.send(w, {"cmd": "restore", "blob": blob, "step_num": step_num, "live": live})
+        for w in restores:
+            pool.reply(w, f"{mode} restore")
 
     def collect_results(self) -> Mapping:
         pool = self.pool

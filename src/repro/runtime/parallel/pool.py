@@ -372,7 +372,9 @@ class WorkerPool:
         return int(reply["num_channels"])
 
     def _set_num_channels(self, counts: set[int]) -> None:
-        if len(counts) != 1:  # pragma: no cover - factory determinism guard
+        # the one check that every program built the same channels: the
+        # parent builds no worker of its own to compare against
+        if len(counts) != 1:
             raise WorkerProcessError(
                 f"worker processes constructed differing channel sets: {sorted(counts)}"
             )
@@ -461,9 +463,10 @@ class WorkerPool:
     def respawn(self, w: int) -> None:
         """Start a replacement process for worker ``w`` on the same frame
         pipes (fresh control pipe, current configuration).  The
-        replacement builds its program from the factory and initializes
-        its channels, mirroring ``ChannelEngine.rebuild_worker``; the
-        caller then restores checkpointed state into it."""
+        replacement builds its worker with ``Worker.build(...,
+        initialize=True)``, and its live writer starts the slot from zero;
+        the caller then sends a ``restore`` with the checkpointed state
+        and the slot reading to continue from."""
         try:
             self._state.control[w].close()
         except Exception:  # pragma: no cover

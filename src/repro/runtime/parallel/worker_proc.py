@@ -45,7 +45,8 @@ dispatch over one ``_cmd_<name>`` method per command:
     this worker's state as checkpoint-codec wire bytes
     (:func:`repro.runtime.checkpoint.capture_worker_state`); ``restore``
     loads such a blob (rollback recovery, or priming a respawned
-    replacement after an injected death) and rewinds ``step_num``.
+    replacement after an injected death), rewinds ``step_num``, and
+    continues the live slot from the reading the parent sends along.
 ``remap``
     Adaptive rebalancing at a superstep barrier: the parent has already
     rewritten the shared ownership array in place; rebuild the Worker
@@ -491,8 +492,8 @@ class _WorkerProcess:
     # -- (re)configuration ---------------------------------------------------
     def build(self, cfg: dict, factory) -> int:
         """(Re)build the worker for an engine configuration: attach the
-        shared graph/partition, construct the program, apply seeds.
-        Returns the channel count for the parent's validation barrier."""
+        shared graph/partition, then :meth:`Worker.build`.  Returns the
+        channel count for the pool's startup/configure barrier."""
         old_segments = self.segments
         # drop every reference into the old shared segments (worker ->
         # graph -> shm views) before trying to unmap them
@@ -528,15 +529,11 @@ class _WorkerProcess:
             store=store,
         )
         host = _WorkerHost(graph, owner, cfg["num_workers"])
-        worker = Worker(host, self.worker_id, np.flatnonzero(owner == self.worker_id))
-        worker.program = factory(worker)
-        if cfg["seeds"] is not None:
-            worker.seed_active(np.asarray(cfg["seeds"], dtype=np.int64))
-        if cfg["init_channels"]:
-            # respawned replacements mirror ChannelEngine.rebuild_worker:
-            # initialize now, the parent's restore blob overwrites next
-            for channel in worker.channels:
-                channel.initialize()
+        # a respawned replacement initializes now; the parent's restore
+        # blob overwrites next
+        worker = Worker.build(
+            host, self.worker_id, factory, seeds=cfg["seeds"], initialize=cfg["init_channels"]
+        )
         self.worker, self.host, self.segments = worker, host, segments
         self.factory = factory
 
@@ -691,18 +688,15 @@ class _WorkerProcess:
         return {"ok": True}
 
     def _cmd_capture(self, msg: dict) -> dict:
-        blob = encode_state(capture_worker_state(self.worker))
-        if self.live_writer is not None:
-            # checkpoint boundary: rollback recovery rewinds the live
-            # counters to exactly this point
-            self.live_writer.mark()
-        return {"blob": blob}
+        return {"blob": encode_state(capture_worker_state(self.worker))}
 
     def _cmd_restore(self, msg: dict) -> dict:
         load_worker_state(self.worker, decode_state(msg["blob"]))
         self.host.step_num = msg["step_num"]
-        if self.live_writer is not None:
-            self.live_writer.rewind()
+        if self.live_writer is not None and msg["live"] is not None:
+            # the slot reading the parent took at the checkpoint
+            # (rollback) or just before this worker's death (confined)
+            self.live_writer.rewind(msg["live"])
         return {"ok": True}
 
     def _cmd_remap(self, msg: dict) -> dict:
@@ -711,13 +705,7 @@ class _WorkerProcess:
         # it (same graph attachments, same program factory) and load this
         # worker's remapped state.  step_num and the live writer
         # deliberately survive — same engine, same run, new placement
-        host = self.host
-        worker = Worker(
-            host, self.worker_id, np.flatnonzero(host.owner == self.worker_id)
-        )
-        worker.program = self.factory(worker)
-        for channel in worker.channels:
-            channel.initialize()
+        worker = Worker.build(self.host, self.worker_id, self.factory, initialize=True)
         load_worker_state(worker, decode_state(msg["blob"]))
         self.worker = worker
         return {"ok": True}

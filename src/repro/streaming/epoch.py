@@ -29,7 +29,6 @@ from repro.core.config import RunConfig
 from repro.core.engine import ChannelEngine, EngineResult
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition
-from repro.runtime.checkpoint import decode_state, load_worker_state
 from repro.runtime.rebalance import RebalancePolicy, phase_matrix
 from repro.streaming.batch import MutationBatch
 from repro.streaming.delta import DeltaGraph
@@ -270,11 +269,6 @@ class EpochEngine:
         self.epoch_num += 1
         engine.metrics.record_stream_epoch(self.epoch_num, plan.affected, plan.mode)
         result = engine.run()
-        if self.pool is not None:
-            # collect() may read warm state off engine.workers, which on
-            # the process executor ran in the children: capture it back
-            for worker, blob in zip(engine.workers, engine.backend.capture_state_blobs()):
-                load_worker_state(worker, decode_state(blob))
         if engine.owner is not self.owner:
             # a superstep-triggered migration rebound the engine's owner
             # array; adopt it so later epochs keep the improved partition

@@ -41,6 +41,7 @@ import numpy as np
 from repro.algorithms.pagerank import DAMPING, run_pagerank
 from repro.core import Aggregator, BulkVertexProgram, CombinedMessage, ProgramSpec, SUM_F64
 from repro.graph.graph import Graph
+from repro.runtime.checkpoint import decode_state
 from repro.streaming.delta import ApplyStats
 from repro.streaming.plan import RefreshPlan, StreamAlgorithm, out_neighbor_mask, in_neighbor_mask
 
@@ -268,13 +269,17 @@ class PageRankStream(StreamAlgorithm):
         )
 
     def collect(self, engine, result) -> dict:
+        # the history is program state, not a result: read it off a
+        # capture, which works wherever the workers ran
         n = engine.graph.num_vertices
         hist = np.zeros((self.iterations + 2, n))
         hist_s = None
-        for worker in engine.workers:
-            hist[:, worker.local_ids] = worker.program.new_hist
-            if hist_s is None and worker.num_local > 0:
-                hist_s = worker.program.new_hist_s
+        for w, blob in enumerate(engine.backend.capture_state_blobs()):
+            program = decode_state(blob)["program"]
+            local_ids = np.flatnonzero(engine.owner == w)
+            hist[:, local_ids] = program["new_hist"]
+            if hist_s is None and local_ids.size > 0:
+                hist_s = program["new_hist_s"]
         return {"hist": hist, "hist_s": hist_s}
 
     def cold_run(self, graph: Graph, num_workers: int, partition: np.ndarray):

@@ -63,7 +63,10 @@ class StreamAlgorithm:
         raise NotImplementedError
 
     def collect(self, engine, result) -> dict:
-        """Extract the next epoch's warm state from a finished run."""
+        """Extract the next epoch's warm state from a finished run: its
+        ``result.data``, or worker state beyond it read through
+        ``engine.backend.capture_state_blobs()`` (the workers may live in
+        other processes)."""
         raise NotImplementedError
 
     def cold_run(self, graph: Graph, num_workers: int, partition: np.ndarray):

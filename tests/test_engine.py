@@ -89,6 +89,8 @@ class TestValidation:
             )
 
     def test_rejects_mismatched_channel_counts(self):
+        from repro.runtime.parallel import WorkerProcessError
+
         class Uneven(VertexProgram):
             def __init__(self, worker):
                 super().__init__(worker)
@@ -100,6 +102,12 @@ class TestValidation:
 
         with pytest.raises(RuntimeError, match="same channels"):
             ChannelEngine(line_graph(4), Uneven, num_workers=2)
+        # the process parent builds no workers to compare: the children's
+        # startup barrier refuses, before superstep 1
+        engine = ChannelEngine(line_graph(4), Uneven, num_workers=2, executor="process")
+        with pytest.raises(WorkerProcessError, match="differing channel sets"):
+            engine.run()
+        assert engine.metrics.supersteps == 0
 
 
 class MessageWake(VertexProgram):

@@ -107,26 +107,29 @@ class TestSegment:
         finally:
             live.close(unlink=True)
 
-    def test_mark_and_rewind(self):
+    def test_rewind_to_a_reading(self):
         live = LiveMetrics.create(1)
         try:
             w = live.writer(0)
             w.add(superstep=1, messages=3, compute=0.5)
             w.publish()
-            w.mark()
+            mark = live.snapshot()[0]  # what a checkpoint reads
             w.add(superstep=1, messages=4, compute=0.5)
             w.publish()
             assert live.snapshot()[0]["messages"] == 7
-            w.rewind()  # rollback recovery replays from the checkpoint
+            w.rewind(mark)  # rollback recovery replays from the checkpoint
             r = live.snapshot()[0]
             assert (r["superstep"], r["messages"]) == (1, 3)
             assert r["compute_seconds"] == 0.5
-            # a writer with no mark rewinds to zero
+            # a replacement writer zero-publishes, then resumes from the
+            # reading its predecessor left behind, and keeps counting
+            last = live.snapshot()[0]
             w2 = live.writer(0)
-            w2.add(superstep=2, messages=9)
-            w2.publish()
-            w2.rewind()
             assert live.snapshot()[0]["superstep"] == 0
+            w2.rewind(last)
+            w2.add(superstep=1, messages=2)
+            w2.publish()
+            assert (live.snapshot()[0]["superstep"], live.snapshot()[0]["messages"]) == (2, 5)
         finally:
             live.close(unlink=True)
 
@@ -251,12 +254,12 @@ class TestSeqlock:
 # ---------------------------------------------------------------------------
 # backend parity: sim and process publish identical slots
 # ---------------------------------------------------------------------------
-def _run_with_live(**engine_kwargs):
+def _run_with_live(variant="prop", **engine_kwargs):
     graph = line_graph(16)
     live = LiveMetrics.create(2)
     try:
         _, result = run_wcc(
-            graph, variant="prop", num_workers=2, live=live, **engine_kwargs
+            graph, variant=variant, num_workers=2, live=live, **engine_kwargs
         )
         return live.snapshot(), result.metrics
     finally:
@@ -274,11 +277,25 @@ class TestBackendParity:
             assert r["rounds"] == metrics.total_rounds
             assert r["compute_seconds"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {},
+            # worker 1 dies at superstep 3: rollback rewinds every slot to
+            # the checkpoint's reading, confined leaves the dead worker's
+            # slot where it stood — and its respawned process resumes it
+            dict(variant="basic", checkpoint_every=2, failures=["1:3"]),
+            dict(variant="basic", checkpoint_every=2, failures=["1:3"], recovery="confined"),
+        ],
+        ids=["clean", "rollback", "confined"],
+    )
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_process_rows_bit_identical_to_sim(self, transport):
-        sim_rows, sim_metrics = _run_with_live()
+    def test_process_rows_bit_identical_to_sim(self, transport, run):
+        sim_rows, sim_metrics = _run_with_live(**run)
+        assert sim_metrics.num_failures == len(run.get("failures", []))
+        assert sum(r["net_bytes"] for r in sim_rows) == sim_metrics.total_net_bytes
         proc_rows, proc_metrics = _run_with_live(
-            executor="process", transport=transport
+            executor="process", transport=transport, **run
         )
         # identical schema...
         assert {k for r in proc_rows for k in r} == {k for r in sim_rows for k in r}

@@ -207,23 +207,25 @@ class TestEngineIntegration:
             run_wcc(directed_graph, executor="process", **kw),
         )
 
-    def test_process_epochs_load_captured_state_into_parent_workers(
-        self, directed_graph
-    ):
-        # StreamAlgorithm.collect may read warm state off engine.workers;
-        # on the process executor that state ran in the children, and the
-        # EpochEngine brings it back through a checkpoint capture
+    def test_process_epochs_collect_from_captured_states(self, directed_graph):
+        # StreamAlgorithm.collect reads warm state beyond result.data off a
+        # capture: on the process executor that state lives only in the
+        # children, and the parent holds no workers to read it from
+        from repro.runtime.checkpoint import decode_state
         from repro.streaming import EpochEngine, PageRankStream
 
         seen = []
 
         class Recording(PageRankStream):
             def collect(self, engine, result):
-                merged = {}
-                for worker in engine.workers:
-                    merged.update(worker.program.finalize())
-                halted = all(w.halted.all() for w in engine.workers)
-                seen.append((merged == result.data, halted))
+                merged, halted = {}, True
+                for w, blob in enumerate(engine.backend.capture_state_blobs()):
+                    state = decode_state(blob)
+                    final = state["program"]["new_hist"][self.iterations + 1]
+                    local_ids = np.flatnonzero(engine.owner == w)
+                    merged.update(zip(local_ids.tolist(), final.tolist()))
+                    halted = halted and state["flags"]["halted"].all()
+                seen.append((merged == result.data, halted, engine.workers))
                 return super().collect(engine, result)
 
         stream = EpochEngine(
@@ -233,7 +235,53 @@ class TestEngineIntegration:
             stream.bootstrap()
         finally:
             stream.close()
-        assert seen == [(True, True)]
+        assert seen == [(True, True, [])]
+
+    def test_parent_builds_a_worker_only_when_it_needs_one(self, directed_graph):
+        # per-vertex state lives in the children: the parent runs the
+        # program factory only for the doomed workers of a confined
+        # replay, and for one channel set per migration (plus the armed
+        # rebalancer's check at build) — never for a clean run or a rollback
+        from repro.algorithms.wcc import WCCBasicBulk
+        from repro.runtime.rebalance import RebalancePolicy
+
+        skew = range_partition(directed_graph.num_vertices, 3)
+        cases = [
+            ({}, 0),
+            (dict(checkpoint_every=2, failures=["1:3"]), 0),
+            (dict(checkpoint_every=2, failures=["0:3", "2:3"], recovery="confined"), 2),
+            (
+                dict(
+                    partition=skew,
+                    rebalance="superstep",
+                    rebalance_every=2,
+                    rebalance_policy=RebalancePolicy(
+                        num_workers=3, min_supersteps=2, skew_threshold=0.0
+                    ),
+                ),
+                None,  # one at build, one per migration
+            ),
+        ]
+        clean = None
+        for kw, expected in cases:
+            factory = _CountingFactory(WCCBasicBulk)
+            engine = ChannelEngine(
+                directed_graph, factory, num_workers=3, executor="process", **kw
+            )
+            try:
+                assert engine.workers == []
+                result = engine.run()
+            finally:
+                engine.close()
+            if clean is None:
+                clean = result.data
+            assert result.data == clean
+            if expected is None:
+                assert result.metrics.num_rebalances > 0
+                expected = 1 + result.metrics.num_rebalances
+            else:
+                assert result.metrics.num_failures == len(kw.get("failures", []))
+            assert factory.calls == expected, kw
 
     def test_pool_transport_mismatch_rejected(self, directed_graph):
         from repro.runtime.parallel import WorkerPool
@@ -353,6 +401,22 @@ class TestEngineIntegration:
         )
         with pytest.raises(RuntimeError, match="max_supersteps"):
             engine.run(max_supersteps=3)
+
+
+class _CountingFactory:
+    """A program factory that counts the calls made in the process that
+    created it.  Worker processes call their own copy of it — inherited
+    under fork, unpickled under spawn — so their calls never count."""
+
+    def __init__(self, program_cls):
+        self.program_cls = program_cls
+        self.pid = os.getpid()
+        self.calls = 0
+
+    def __call__(self, worker):
+        if os.getpid() == self.pid:
+            self.calls += 1
+        return self.program_cls(worker)
 
 
 class _DieAtSuperstep2(VertexProgram):
@@ -533,7 +597,7 @@ class TestCrashHandling:
         engine = ChannelEngine(
             directed_graph, _RaiseAtSuperstep2, num_workers=2, executor="process"
         )
-        engine.backend.begin_run(fault_tolerant=False)
+        engine.backend.begin_run()
         pool = engine.backend.pool
         try:
             pool.send(1, {"cmd": "exchange"})

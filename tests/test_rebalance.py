@@ -393,6 +393,18 @@ def test_unmigratable_channel_is_rejected_at_engine_build(monkeypatch):
     graph, _ = WORKLOADS["pr-scatter"]
     with pytest.raises(ValueError, match="MirroredScatter does not implement migrate"):
         run_pagerank(graph, variant="mirror", num_workers=2, rebalance="superstep")
+    # the process parent holds no workers; it builds one to vet the
+    # channels, and refuses before any child spawns
+    spawned = []
+    monkeypatch.setattr(
+        "repro.runtime.parallel.pool.WorkerPool._spawn",
+        lambda pool, cfg: spawned.append(pool),
+    )
+    with pytest.raises(ValueError, match="MirroredScatter does not implement migrate"):
+        run_pagerank(
+            graph, variant="mirror", num_workers=2, rebalance="superstep", executor="process"
+        )
+    assert spawned == []
     # unarmed, the same program runs
     assert run_pagerank(graph, variant="mirror", num_workers=2, iterations=2)[-1].supersteps
 
