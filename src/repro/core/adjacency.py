@@ -17,23 +17,64 @@ Directions:
   ``np.concatenate([neighbors, in_neighbors])`` idiom of scalar WCC.
 
 On undirected graphs all three directions coincide with ``"out"``.
+
+Only the row structure (``indptr``, ``degrees``) is built eagerly.  The
+edge columns are read from the global CSR when first asked for: a channel
+that streams the rows (:meth:`LocalCSR.blocks`) never makes a full-length
+copy of them, and neither does a program that reads only degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.store import GraphStore
-from repro.util import expand_ranges
+from repro.util import cut_blocks, expand_ranges
 
 __all__ = ["LocalCSR", "build_local_csr"]
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """Some rows of one global CSR, in local order: ``rows[i]`` is the
+    global row of local row ``i``.  One contiguous run of rows (``range`` /
+    ``degree`` partitions, every rebalancer output) is read by slicing the
+    edge arrays — over an mmap store, read-only views of the page cache;
+    any other row set (``hash`` partitions) by gathering."""
+
+    __slots__ = ("indptr", "indices", "weights", "rows", "run")
+
+    def __init__(self, indptr, indices, weights, rows: np.ndarray) -> None:
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+        self.rows = rows
+        self.run = bool(rows.size) and bool(np.all(rows[1:] - rows[:-1] == 1))
+
+    def degrees(self, first: int, end: int) -> np.ndarray:
+        """Lengths of local rows ``first:end``."""
+        if self.run:
+            a = int(self.rows[0])
+            return np.diff(self.indptr[a + first : a + end + 1])
+        ids = self.rows[first:end]
+        return self.indptr[ids + 1] - self.indptr[ids]
+
+    def take(self, column: np.ndarray, first: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """``column``'s entries of local rows ``first:end`` in row order (a
+        slice on a run, a gathered copy otherwise), and the span of
+        ``column`` they were read from."""
+        if self.run:
+            a = int(self.rows[0])
+            span = column[int(self.indptr[a + first]) : int(self.indptr[a + end])]
+            return span, span
+        ids = self.rows[first:end]
+        starts = self.indptr[ids]
+        counts = self.indptr[ids + 1] - starts
+        lo, hi = (int(starts.min()), int((starts + counts).max())) if ids.size else (0, 0)
+        return column[expand_ranges(starts, counts)], column[lo:hi]
+
+
 class LocalCSR:
     """Read-only CSR over one worker's local vertices.
 
@@ -42,21 +83,75 @@ class LocalCSR:
     indptr:
         ``(num_local + 1,)`` row pointers.
     indices:
-        Global destination ids, concatenated per local row.
+        Global destination ids, concatenated per local row — read from the
+        graph on first access (a view of it on a contiguous run of rows).
     weights:
-        Optional per-edge weights aligned with ``indices``.
+        Optional per-edge weights aligned with ``indices``, read likewise.
     degrees:
         ``(num_local,)`` row lengths (``np.diff(indptr)``).
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray | None
-    degrees: np.ndarray
+    def __init__(
+        self, store: GraphStore, indptr: np.ndarray, degrees: np.ndarray, parts: list[_Rows]
+    ) -> None:
+        self.indptr = indptr
+        self.degrees = degrees
+        self._store = store
+        # one part, or ("both") the out-rows then the in-rows of every row
+        self._parts = parts
+        #: whether a column read is a view of the graph (else a copy)
+        self._views = len(parts) == 1 and parts[0].run
 
     @property
     def num_edges(self) -> int:
-        return int(self.indices.size)
+        return int(self.indptr[-1])
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self._column("indices")
+
+    @cached_property
+    def weights(self) -> np.ndarray | None:
+        return None if self._parts[0].weights is None else self._column("weights")
+
+    def _column(self, name: str) -> np.ndarray:
+        values, spans = self._read(name, 0, self.indptr.size - 1)
+        if not self._views:  # copied: hand back what was read of the store
+            for span in spans:
+                self._store.release(span)
+        return values
+
+    def _read(self, name: str, first: int, end: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Column ``name`` of local rows ``first:end`` in row order, and the
+        spans of the graph's arrays it was read from."""
+        taken = [part.take(getattr(part, name), first, end) for part in self._parts]
+        if len(taken) == 1:
+            return taken[0][0], [taken[0][1]]
+        # both: per row, the out-entries then the in-entries
+        (out, out_span), (rev, rev_span) = taken
+        deg_out = self._parts[0].degrees(first, end)
+        starts = self.indptr[first:end] - self.indptr[first]
+        values = np.empty(out.size + rev.size, dtype=out.dtype)
+        values[expand_ranges(starts, deg_out)] = out
+        values[expand_ranges(starts + deg_out, self.degrees[first:end] - deg_out)] = rev
+        return values, [out_span, rev_span]
+
+    def blocks(self, max_edges: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The destinations in consecutive whole-row blocks ``(first row,
+        end row, destinations)`` of at most ``max_edges`` edges (a longer
+        row is a block of its own; :func:`~repro.util.cut_blocks`).
+
+        A block is a slice of the graph on a contiguous run of rows and
+        gathered from it otherwise; it is the consumer's until it asks for
+        the next one, and the span of the store the block was read from is
+        then handed back (:meth:`~repro.graph.store.GraphStore.release`).
+        So a consumer that copies what it keeps holds one block of the
+        graph at a time, and nothing of it afterwards."""
+        for first, end, _, _ in cut_blocks(self.indptr, max_edges):
+            dsts, spans = self._read("indices", first, end)
+            yield first, end, dsts
+            for span in spans:
+                self._store.release(span)
 
     @cached_property
     def degree_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,69 +183,25 @@ class LocalCSR:
         return self.weights[self._edge_positions(rows)]
 
 
-def _slice_rows(
-    store: GraphStore,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray | None,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(local indptr, degrees, indices, weights) of ``rows`` in a global CSR.
-
-    One contiguous run of rows (``range``/``degree`` partitions, every
-    rebalancer output) owns one stretch of the edge arrays and gets
-    *slices* of them: over an mmap store, read-only views of the page
-    cache.  Any other row set (``hash`` partitions) is gathered, and what
-    was read of ``store`` to gather it is released.
-    """
-    if rows.size and np.all(rows[1:] - rows[:-1] == 1):
-        a, b = int(rows[0]), int(rows[-1]) + 1
-        lo, hi = int(indptr[a]), int(indptr[b])
-        local = indptr[a : b + 1] - lo
-        return local, np.diff(local), indices[lo:hi], None if weights is None else weights[lo:hi]
-    deg = indptr[rows + 1] - indptr[rows]
-    local = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=local[1:])
-    pos = expand_ranges(indptr[rows], deg)
-    idx, w = indices[pos], None if weights is None else weights[pos]
-    store.release(indices)
-    if weights is not None:
-        store.release(weights)
-    return local, deg, idx, w
-
-
 def build_local_csr(graph: Graph, local_ids: np.ndarray, direction: str = "out") -> LocalCSR:
-    """Build the local adjacency of ``local_ids`` in the given direction."""
+    """The local adjacency of ``local_ids`` in the given direction: its row
+    structure now, its edge columns when first read."""
     if direction not in ("out", "in", "both"):
         raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
     if not graph.directed:
         direction = "out"  # all directions coincide on undirected graphs
 
+    parts = []
     if direction != "in":
-        out = _slice_rows(graph.store, graph.indptr, graph.indices, graph.weights, local_ids)
+        parts.append(_Rows(graph.indptr, graph.indices, graph.weights, local_ids))
     if direction != "out":
         graph._ensure_reverse()
-        rev = _slice_rows(
-            graph.store, graph._rev_indptr, graph._rev_indices, graph._rev_weights, local_ids
+        parts.append(
+            _Rows(graph._rev_indptr, graph._rev_indices, graph._rev_weights, local_ids)
         )
-    if direction != "both":
-        indptr, deg, idx, w = out if direction == "out" else rev
-        return LocalCSR(indptr=indptr, indices=idx, weights=w, degrees=deg)
-
-    # both: out-edges then in-edges per row
-    (indptr_o, deg_o, idx_o, w_o), (indptr_i, deg_i, idx_i, w_i) = out, rev
-    indptr = indptr_o + indptr_i
-    idx = np.empty(int(indptr[-1]), dtype=np.int64)
-    out_pos = expand_ranges(indptr[:-1], deg_o)
-    in_pos = expand_ranges(indptr[:-1] + deg_o, deg_i)
-    idx[out_pos] = idx_o
-    idx[in_pos] = idx_i
-    graph.store.release(idx_o)  # a contiguous run's rows were store views till here
-    if w_o is not None:
-        w = np.empty(idx.size)
-        w[out_pos] = w_o
-        w[in_pos] = w_i
-        graph.store.release(w_o)
-    else:
-        w = None
-    return LocalCSR(indptr=indptr, indices=idx, weights=w, degrees=deg_o + deg_i)
+    degrees = parts[0].degrees(0, local_ids.size)
+    if len(parts) == 2:
+        degrees = degrees + parts[1].degrees(0, local_ids.size)
+    indptr = np.zeros(local_ids.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return LocalCSR(graph.store, indptr, degrees, parts)

@@ -15,8 +15,9 @@ format of an edge set is decided here too.
 per-edge one: :meth:`~ScatterEdges.add_adjacency` names the worker's own
 ``local_adjacency(direction)`` as the edge set.  Nothing of the graph is
 kept then — ``_build`` streams the rows through in blocks
-(:meth:`~ScatterEdges._edge_blocks`: senders numbered per block, a mapped
-store's pages handed back block by block), a snapshot holds the
+(:meth:`~ScatterEdges._edge_blocks`: senders numbered per block, rows
+sliced or gathered a block at a time, a mapped store's pages handed back
+block by block), a snapshot holds the
 direction, and a restored or migrated channel reads its edges from the
 adjacency of the worker it finds itself on.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.core.channels._records import RecordBuffer, check_ids
 from repro.core.vertex import Vertex
-from repro.util import cut_blocks
 
 __all__ = ["ScatterEdges", "StaticEdges"]
 
@@ -104,9 +104,11 @@ class ScatterEdges(StaticEdges):
         row ``i``, in CSR order.
 
         The tables built from it equal those of ``add_edges_bulk(repeat(
-        arange(num_local), adj.degrees), adj.indices)``, but the channel
-        keeps the direction, not the edges: the adjacency is read when the
-        dispatch structure is built, a snapshot holds one short string, and
+        arange(num_local), adj.degrees), adj.gather(arange(num_local)))``,
+        but the channel keeps the direction, not the edges:
+        the adjacency's rows are streamed through when the dispatch
+        structure is built (:meth:`~repro.core.adjacency.LocalCSR.blocks`),
+        a snapshot holds one short string, and
         after a restore or a migration the edge set is the adjacency of
         the worker the channel then belongs to.  Declare it where the
         channel is constructed, so that a worker with nothing to do in
@@ -151,15 +153,14 @@ class ScatterEdges(StaticEdges):
         return adj.num_edges, self._adjacency_blocks(adj)
 
     def _adjacency_blocks(self, adj) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # whole rows, numbered per block: the sender column never exists at
-        # full length, and what is resident of a mapped store is one block
-        graph = self.worker.graph
-        for row, row_end, lo, hi in cut_blocks(adj.indptr, _BLOCK_EDGES):
-            dsts = adj.indices[lo:hi]
-            check_ids(self, "edge destination", dsts, graph.num_vertices)
+        # whole rows, numbered per block: neither the sender column nor a
+        # gathered destination column ever exists at full length, and what
+        # is resident of a mapped store is one block (LocalCSR.blocks)
+        num_vertices = self.worker.graph.num_vertices
+        for row, row_end, dsts in adj.blocks(_BLOCK_EDGES):
+            check_ids(self, "edge destination", dsts, num_vertices)
             degrees = adj.degrees[row:row_end]
             yield np.repeat(np.arange(row, row_end, dtype=np.uint32), degrees), dsts
-            graph.store.release(dsts)
 
     def _edges_snapshot(self) -> dict:
         if self._by_adjacency():

@@ -81,6 +81,7 @@ class RequestRespond(Channel):
         self._resp_keys = np.empty(0, dtype=np.int64)
         self._resp_vals = np.empty(0, dtype=codec.dtype)
         self._resp_map: dict | None = None  # scalar lookup, built on first use
+        self._resp_pos: np.ndarray | None = None  # id -> position, likewise
 
     # -- requesting (during compute) ------------------------------------
     def add_request(self, v: Vertex, dst: int) -> None:
@@ -110,17 +111,17 @@ class RequestRespond(Channel):
         """Array form of :meth:`get_respond`: the responders' values for
         ``dsts``, each of which must have been requested last superstep."""
         dsts = np.asarray(dsts, dtype=np.int64)
-        keys = self._resp_keys
-        if keys.size == 0:
-            if dsts.size:
-                raise self._not_requested(int(dsts[0]))
+        if dsts.size == 0:
             return self._resp_vals[:0]
-        pos = np.searchsorted(keys, dsts)
-        np.minimum(pos, keys.size - 1, out=pos)
-        missing = keys[pos] != dsts
-        if missing.any():
-            raise self._not_requested(int(dsts[missing][0]))
-        return self._resp_vals[pos]
+        at = self._positions()
+        if dsts.min() >= 0 and dsts.max() < at.size:
+            pos = at[dsts]
+            if (pos >= 0).all():
+                return self._resp_vals[pos]
+        # name the first id outside [0, V) or not asked for
+        missing = (dsts < 0) | (dsts >= at.size)
+        missing[~missing] = at[dsts[~missing]] < 0
+        raise self._not_requested(int(dsts[missing.argmax()]))
 
     def has_respond(self, dst: int) -> bool:
         return dst in self._lookup()
@@ -133,6 +134,13 @@ class RequestRespond(Channel):
                 zip(self._resp_keys.tolist(), self._resp_vals.tolist())
             )
         return self._resp_map
+
+    def _positions(self) -> np.ndarray:
+        if self._resp_pos is None:
+            # mark each answered id with its position; -1: not requested
+            self._resp_pos = np.full(self.worker.graph.num_vertices, -1, dtype=np.intp)
+            self._resp_pos[self._resp_keys] = np.arange(self._resp_keys.size)
+        return self._resp_pos
 
     @staticmethod
     def _not_requested(dst: int) -> KeyError:
@@ -149,7 +157,7 @@ class RequestRespond(Channel):
     def _set_responses(self, keys: np.ndarray, vals: np.ndarray) -> None:
         """``keys`` sorted and unique, ``vals`` aligned with them."""
         self._resp_keys, self._resp_vals = keys, vals
-        self._resp_map = None
+        self._resp_map = self._resp_pos = None
 
     def restore(self, state: dict) -> None:
         self._set_responses(state["resp_keys"].copy(), state["resp_vals"].copy())

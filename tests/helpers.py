@@ -1,6 +1,9 @@
-"""Shared test utilities: serial oracles and tiny graph fixtures."""
+"""Shared test utilities: serial oracles, tiny graph fixtures, and the
+resident-set probe of process-backend workers."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -14,6 +17,7 @@ __all__ = [
     "pagerank_oracle",
     "line_graph",
     "two_triangles",
+    "rss_growth",
 ]
 
 
@@ -105,3 +109,40 @@ def two_triangles() -> Graph:
     """Two disjoint triangles: {0,1,2} and {3,4,5}."""
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     return Graph.from_edges(6, edges, directed=False)
+
+
+def rss_growth(workers: int, run) -> dict[int, float]:
+    """Per worker of ``run(live=...)`` on the process backend: peak minus
+    first published ``rss_bytes``.  Each worker publishes it first right
+    after it attaches the store and before any compute, then at every
+    superstep, so this is what the run added (the absolute figure carries
+    fork-inherited parent pages)."""
+    from repro.obs import LiveMetrics
+
+    first: dict[int, float] = {}
+    peak: dict[int, float] = {}
+    done = threading.Event()
+    live = LiveMetrics.create(workers)
+
+    def sample():
+        for row in live.snapshot():
+            if row["rss_bytes"] > 0:
+                first.setdefault(row["worker"], row["rss_bytes"])
+                peak[row["worker"]] = max(peak.get(row["worker"], 0), row["rss_bytes"])
+
+    def poll():
+        while not done.wait(0.02):
+            sample()
+
+    sampler = threading.Thread(target=poll, daemon=True)
+    sampler.start()
+    try:
+        run(live=live)
+    finally:
+        done.set()
+        sampler.join(timeout=5.0)
+        sample()  # the values each worker published last
+        live.close(unlink=True)
+    assert not sampler.is_alive()
+    assert sorted(peak) == list(range(workers))
+    return {w: peak[w] - first[w] for w in peak}

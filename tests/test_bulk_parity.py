@@ -28,9 +28,9 @@ from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_poin
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import SV_VARIANTS, run_sv
 from repro.algorithms.wcc import run_wcc
-from repro.core import BulkVertexProgram, ChannelEngine, RequestRespond
+from repro.core import BulkVertexProgram, ChannelEngine, LocalCSR, RequestRespond
 from repro.graph import Graph, chain, random_tree, rmat
-from repro.graph.partition import range_partition
+from repro.graph.partition import hash_partition, range_partition
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
 
@@ -198,6 +198,36 @@ def test_sv_parity(undirected_graph, variant, workers, engines):
         run_sv(undirected_graph, mode="bulk", **kw),
         by_adjacency=engines if variant in ("scatter", "both") else None,
     )
+
+
+@pytest.fixture
+def column_reads(monkeypatch):
+    """Every ``LocalCSR`` whose ``indices`` were read during the test."""
+    reads = []
+    gather = LocalCSR.indices.func
+    monkeypatch.setattr(LocalCSR, "indices", property(lambda adj: reads.append(adj) or gather(adj)))
+    return reads
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "sv"])
+@pytest.mark.parametrize("workers", WORKERS)
+def test_degree_only_readers_never_gather(
+    directed_graph, undirected_graph, algo, workers, engines, column_reads
+):
+    """Bulk scatter PageRank and bulk S-V ``both`` read only the degrees
+    of their adjacency, and the scatter channel streams its rows: on a
+    hash partition no ``LocalCSR.indices`` is ever materialized, and
+    results and traffic equal the listing's."""
+    if algo == "pagerank":
+        graph, run, kw = directed_graph, run_pagerank, dict(variant="scatter", iterations=8)
+    else:
+        graph, run, kw = undirected_graph, run_sv, dict(variant="both")
+    owner = hash_partition(graph.num_vertices, workers)
+    kw.update(num_workers=workers, partition=owner, checkpoint_every=2)
+    scalar = run(graph, mode="scalar", **kw)
+    bulk = run(graph, mode="bulk", **kw)
+    assert column_reads == []
+    _assert_parity(scalar, bulk, by_adjacency=engines)
 
 
 @pytest.mark.parametrize("forest", [chain(150), random_tree(300, seed=7)], ids=["chain", "tree"])

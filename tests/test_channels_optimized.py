@@ -1,8 +1,8 @@
 """Unit tests for the optimized channels: ScatterCombine, RequestRespond,
 Propagation (Table II)."""
 
-import dataclasses
 import importlib.util
+import mmap
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +25,7 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.core.adjacency import build_local_csr
 from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import encode_records
 from repro.graph import Graph, rmat, star
@@ -696,6 +697,46 @@ class TestAdjacencyRegistration:
     ):
         self._check_tables(graph, direction, workers, partition, block)
 
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise here")
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    @pytest.mark.parametrize("partition", [hash_partition, _arbitrary_partition])
+    def test_streamed_blocks_are_the_eager_gather_and_release_one_span_each(
+        self, tmp_path, partition, direction
+    ):
+        """A scattered row set over a mapped store: the blocks a build
+        streams are the eager gather cut at row bounds, the tables equal,
+        and each block hands back one span of the store — the rows between
+        its first and its last, never the whole array (which the next block
+        would fault in again).  The reverse CSR is heap: offered, never
+        advised."""
+        # every row spans two pages, so every block's span holds a whole one
+        n, degree = 64, 2 * mmap.PAGESIZE // 8
+        src = np.repeat(np.arange(n), degree)
+        dst = np.random.default_rng(3).integers(0, n, src.size)
+        graph = Graph.from_store(MmapStore.save(Graph(n, src, dst), tmp_path))
+        base = graph.store._arrays["indices"]
+        base._mmap = mock.Mock(wraps=base._mmap)  # the madvise spy
+        engine = ChannelEngine(graph, _Idle, num_workers=2, partition=partition(n, 2))
+        for worker in engine.workers:
+            adj = worker.local_adjacency(direction)
+            base._mmap.reset_mock()
+            with mock.patch.object(graph.store, "release", wraps=graph.store.release) as release:
+                blocks = [(a, b, dsts.copy()) for a, b, dsts in adj.blocks(2 * degree)]
+            advised = base._mmap.madvise.call_args_list.copy()
+            assert "indices" not in vars(adj)  # streaming gathered no full column
+            np.testing.assert_array_equal(
+                np.concatenate([dsts for *_, dsts in blocks]), adj.indices
+            )
+            assert [dsts.size for *_, dsts in blocks] == [
+                adj.indptr[b] - adj.indptr[a] for a, b, _ in blocks
+            ]
+            assert release.call_count == len(blocks) * (2 if direction == "both" else 1)
+            assert len(advised) == (0 if direction == "in" else len(blocks))
+            assert all(call.args[2] < base.nbytes // 4 for call in advised)
+            assert self._tables(self._named(worker, direction)) == self._tables(
+                self._explicit(worker, direction)
+            )
+
     @pytest.mark.parametrize("mutation", ["drop", "reorder"])
     def test_a_dropped_or_reordered_block_fails_the_table_property(self, mutation):
         """The property above is not vacuous: an iterator that loses a
@@ -751,10 +792,15 @@ class TestAdjacencyRegistration:
         """A store whose ``indices`` hold an id the graph does not have:
         the adjacency is checked like any registered column."""
         worker = TestScatterCombineBuild._worker()
-        adj = worker.local_adjacency()
-        indices = adj.indices.copy()
-        indices[indices.size // 2] = bad
-        worker._local_adj["out"] = dataclasses.replace(adj, indices=indices)
+        g, adj = worker.graph, worker.local_adjacency()
+        # the first edge of the row holding the worker's middle edge
+        row = np.searchsorted(adj.indptr, adj.num_edges // 2, side="right") - 1
+        indices = g.indices.copy()
+        indices[g.indptr[worker.local_ids[row]]] = bad
+        bad_graph = Graph.from_csr(
+            g.num_vertices, g.indptr, indices, directed=g.directed, validate=False
+        )
+        worker._local_adj["out"] = build_local_csr(bad_graph, worker.local_ids)
         ch = self._named(worker, "out", channel)
         with pytest.raises(ValueError) as err:
             ch._build()
@@ -955,6 +1001,37 @@ class TestRequestRespond:
         assert empty.get_responds(np.array([], dtype=np.int64)).size == 0
         with pytest.raises(KeyError, match="vertex 1 was not requested"):
             empty.get_responds(np.array([1]))
+
+    @pytest.mark.parametrize("bad", [-1, -8, 8, 2**40])
+    def test_get_responds_names_an_id_outside_the_graph(self, bad):
+        """Answers are looked up by position: a negative id must not wrap
+        onto the last vertex's answer (-1 -> 7 was requested), and one
+        >= V must not index past the map.  Either is named like any
+        unrequested id, first in ``dsts`` order."""
+
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.rr = RequestRespond(worker, respond_fn=lambda v: v.id + 10)
+                self.got = {}
+
+            def compute(self, v):
+                if self.step_num == 1:
+                    if v.id == 0:
+                        self.rr.add_requests(np.array([v.local, v.local]), np.array([7, 0]))
+                    else:
+                        v.vote_to_halt()
+                else:
+                    self.got[0] = self.rr.get_responds(np.array([7, 0])).tolist()
+                    for dsts, named in (([7, bad, 3], bad), ([0, 3, bad], 3), ([bad], bad)):
+                        with pytest.raises(KeyError, match=rf"vertex {named} was not requested"):
+                            self.rr.get_responds(np.array(dsts))
+                    v.vote_to_halt()
+
+            def finalize(self):
+                return self.got
+
+        assert run(line_graph(8), P).data == {0: [17, 10]}
 
     def test_request_dedup_on_wire(self):
         """N requesters of the same destination put ONE id on the wire."""

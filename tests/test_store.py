@@ -16,7 +16,8 @@ in a worker process.  This file pins that contract from every side:
   ignores the call, and no run can tell: scatter / mirror PageRank through
   a failure and a restore, sim == process on every counter;
 * bounded memory — process workers over a mapped store grow their
-  resident set by less than the edge list;
+  resident set by less than the edge list, and on a hash partition keep
+  no gathered copy of their rows;
 * composition — DeltaGraph / EpochEngine run over an mmap base without
   ever writing to it (overlay appends only; the store files stay
   byte-identical);
@@ -30,8 +31,8 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import platform
 import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -64,6 +65,7 @@ from repro.graph.store import (
     is_mmap_store,
 )
 from repro.streaming import EpochEngine, WCCStream, synthesize_stream
+from helpers import rss_growth
 
 ALL_DATASETS = sorted(DATASETS) + sorted(EXTRA_DATASETS)
 
@@ -536,50 +538,73 @@ class TestReleasedStoreParity:
 # ---------------------------------------------------------------------------
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="rss_bytes reads /proc")
 def test_process_workers_over_mmap_grow_by_less_than_the_edge_list(tmp_path):
-    """Each worker publishes ``rss_bytes`` first right after it attaches
-    the store and before any compute, then at every superstep; peak minus
-    first is what the run added (the absolute figure carries fork-inherited
-    parent pages).  The owned adjacency slice plus per-superstep message
-    temporaries stay under the full edge list (16 bytes an arc; 0.66 of it
-    on seeds 7-9 with this test run on its own); a worker that copies the CSR
+    """The owned adjacency slice plus per-superstep message temporaries
+    stay under the full edge list (16 bytes an arc; 0.66 of it on seeds
+    7-9 with this test run on its own); a worker that copies the CSR
     indices out of the map reads 1.5.  Do not shrink the graph: below
     scale 16 fixed per-worker costs dominate and the bound stops holding."""
-    from repro.obs import LiveMetrics
-
     workers = 4
     graph = rmat_to_disk(tmp_path / "g", scale=16, edge_factor=20, seed=7)
-    first: dict[int, float] = {}
-    peak: dict[int, float] = {}
-    done = threading.Event()
-    live = LiveMetrics.create(workers)
-
-    def sample():
-        for row in live.snapshot():
-            if row["rss_bytes"] > 0:
-                first.setdefault(row["worker"], row["rss_bytes"])
-                peak[row["worker"]] = max(peak.get(row["worker"], 0), row["rss_bytes"])
-
-    def poll():
-        while not done.wait(0.02):
-            sample()
-
-    sampler = threading.Thread(target=poll, daemon=True)
-    sampler.start()
-    try:
-        run_pagerank(
+    growth = rss_growth(
+        workers,
+        lambda live: run_pagerank(
             graph, variant="scatter", iterations=10, mode="bulk", num_workers=workers,
             partition=degree_range_partition(graph, workers), executor="process",
             live=live,
-        )  # fmt: skip
-    finally:
-        done.set()
-        sampler.join(timeout=5.0)
-        sample()  # the values each worker published last
-        live.close(unlink=True)
-    assert not sampler.is_alive()
-    assert sorted(peak) == list(range(workers))
-    growth = max(peak[w] - first[w] for w in peak)
-    assert growth < graph.num_edges * 16
+        ),
+    )  # fmt: skip
+    assert max(growth.values()) < graph.num_edges * 16
+
+
+#: bulk S-V ``both`` on a hash partition over an mmap store, 2 process
+#: workers; prints each worker's resident growth per local edge
+_SV_GROWTH = """
+import ctypes, json, sys
+# a fixed M_MMAP_THRESHOLD (-3): every array of 128 KiB or more gets its
+# own mapping, here and in the forked workers, and leaves the resident set
+# when freed
+mallopt = ctypes.CDLL(None).mallopt
+mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+if mallopt(-3, 128 * 1024) != 1:
+    sys.exit("mallopt(M_MMAP_THRESHOLD) refused")
+import numpy as np
+from helpers import rss_growth
+from repro.algorithms.sv import run_sv
+from repro.graph.generators import rmat_to_disk
+from repro.graph.partition import hash_partition
+
+graph = rmat_to_disk(sys.argv[1], scale=16, edge_factor=16, seed=7, directed=False)
+owner = hash_partition(graph.num_vertices, 2)
+growth = rss_growth(2, lambda live: run_sv(
+    graph, variant="both", num_workers=2, partition=owner, executor="process", live=live))
+local_edges = np.bincount(owner, weights=np.diff(graph.indptr), minlength=2)
+print(json.dumps([growth[w] / local_edges[w] for w in sorted(growth)]))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm") or platform.libc_ver()[0] != "glibc",
+    reason="rss_bytes reads /proc; the fixed mmap threshold is glibc's mallopt",
+)
+def test_hash_partitioned_sv_over_mmap_keeps_no_copy_of_its_rows(tmp_path):
+    """The scatter channel's build streams a hash-partitioned worker's
+    rows out of the map a block at a time, and no gathered copy of them
+    outlives it: each worker grows by ≈15 bytes a local edge (its 8-byte
+    ``_seg_edge_src`` and per-vertex state); with the gathered
+    ``LocalCSR.indices`` cached, as before, it read ≈23.
+
+    It runs in a fresh interpreter with a fixed malloc mmap threshold: in a
+    long-lived process the forked workers reuse whatever the parent's heap
+    has free, and the same run read anywhere from 3 to 22."""
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _SV_GROWTH, str(tmp_path / "g")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    assert max(json.loads(done.stdout.splitlines()[-1])) < 19
 
 
 # ---------------------------------------------------------------------------
