@@ -13,13 +13,15 @@ through the local indices it kept from the announcement (no id decode, no
 
 After the announcement both ends also keep the last values that crossed
 between them, per peer.  A later scatter compares each value with the kept
-one bit for bit and sends a peer the *delta* — the ``k`` changed positions
-and their values — exactly when that is smaller than the ``n`` values
-whole: ``k·(4 + itemsize) < n·itemsize``; otherwise the *dense* values.
-The form is a function of the values alone, so every backend sends the
-same bytes.  The receiver patches its kept values and folds all ``n`` of
-them, as it folds a dense payload: the inbox does not depend on the form,
-and a peer whose values did not change still gets its 4-byte tag.
+one bit for bit and sends a peer whichever payload is smallest: the
+*dense* ``n`` values, or a *delta* — the ``k`` changed values behind their
+positions, as an int32 list or a bitmap over ``[0, n)``.  The ids of an
+announcement cross the same way, as a list or a bitmap over their range
+(``_records.encode_pattern`` holds the rule and the five forms).  The form
+is a function of the values alone, so every backend sends the same bytes.
+The receiver patches its kept values and folds all ``n`` of them, as it
+folds a dense payload: the inbox does not depend on the form, and a peer
+whose values did not change still gets its 4-byte tag.
 
 Both ends' memory is checkpoint state, so that a recovered run leaves the
 byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
@@ -49,7 +51,6 @@ from repro.core.channels._records import (
     encode_pattern,
 )
 from repro.core.combiner import Combiner
-from repro.runtime.serialization import INT32
 
 __all__ = ["StaticPattern"]
 
@@ -63,16 +64,17 @@ def _as(pattern: Pattern, dtype) -> Pattern:
     return tuple(None if part is None else part.astype(dtype) for part in pattern)
 
 
-def _changed(kept: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """The positions at which ``values`` differ from ``kept`` when the
-    delta that sends them is the smaller payload, else ``None``.  Values
-    compare by bit pattern, so ``-0.0`` differs from ``0.0`` and a NaN
-    equals itself."""
+def _size(pattern: Pattern) -> int:
+    """How many values a source's payloads carry under ``pattern``."""
+    local, repeats = pattern
+    return local.size if repeats is None else repeats.size
+
+
+def _changed(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The mask of ``values`` that differ from ``kept``, by bit pattern:
+    ``-0.0`` differs from ``0.0`` and a NaN equals itself."""
     width = f"u{values.itemsize}"
-    differs = values.view(width) != kept.view(width)
-    if np.count_nonzero(differs) * (INT32.itemsize + values.itemsize) < values.nbytes:
-        return np.flatnonzero(differs)
-    return None
+    return values.view(width) != kept.view(width)
 
 
 class StaticPattern(CombinedInbox):
@@ -82,13 +84,18 @@ class StaticPattern(CombinedInbox):
     The channel's ``_build`` leaves the words each peer must learn in
     ``_words`` when ``_announced`` is false, and its ``serialize`` sends
     through :meth:`_scatter`; a channel whose words are not bare
-    destination ids overrides :meth:`_learn`."""
+    destination ids overrides :meth:`_learn` and clears
+    :attr:`_words_are_ids`."""
+
+    #: whether ``_words`` are the destination id of each value, strictly
+    #: ascending: one id set, which an announcement may send as a bitmap
+    _words_are_ids = True
 
     def _init_pattern(self, combiner: Combiner) -> None:
         self._init_inbox(combiner)
         # send half: whether the peers hold the pattern of the edge set as
-        # registered, and the int32 words per peer that tell them (they
-        # live from _build to the announcement)
+        # registered, and the words per peer that tell them (they live
+        # from _build to the announcement)
         self._announced = False
         self._words: list[np.ndarray] | None = None
         # the values that last crossed, once announced: per peer on the
@@ -104,7 +111,7 @@ class StaticPattern(CombinedInbox):
     def _scatter(self, payloads: Iterable[tuple[int, np.ndarray, int]]) -> None:
         """Emit ``values`` to every ``(peer, values, messages)``: behind
         the peer's words when the pattern is not announced yet, else in
-        the smaller of the dense and the delta form."""
+        the smallest of the dense and the delta forms."""
         emit_payloads(
             self,
             ((peer, self._encode(peer, values), messages) for peer, values, messages in payloads),
@@ -117,28 +124,33 @@ class StaticPattern(CombinedInbox):
         next scatter's with."""
         if self._words is not None:
             self._sent[peer] = values.copy()
-            return encode_pattern(values, self.value_codec, words=self._words[peer])
+            if self._words_are_ids:
+                return encode_pattern(self, values, ids=self._words[peer])
+            return encode_pattern(self, values, words=self._words[peer])
         kept = self._sent[peer]
-        positions = _changed(kept, values)
+        changed = _changed(kept, values)
         kept[...] = values
-        return encode_pattern(values, self.value_codec, positions=positions)
+        return encode_pattern(self, values, changed=changed)
 
     # -- receiving (deserialize is CombinedInbox's) -------------------------------
     def _receive(self, src: int, payload: memoryview) -> None:
+        pattern = self._patterns.get(src)
         try:
-            words, positions, values = decode_pattern(payload, self.value_codec)
+            words, positions, values = decode_pattern(
+                payload, self.value_codec, self.worker._local_index.size,
+                None if pattern is None else _size(pattern),
+            )  # fmt: skip
         except ValueError as exc:
             raise RuntimeError(f"{self!r}: worker {src} sent {exc}") from None
         if words is not None:
-            self._patterns[src] = self._learn(src, words)
-        elif src not in self._patterns:
-            what = "values" if positions is None else "changed values"
+            pattern = self._patterns[src] = self._learn(src, words)
+        elif pattern is None:
             raise RuntimeError(
-                f"{self!r}: {values.size} {what} from worker {src}, "
+                f"{self!r}: {values.size} values from worker {src}, "
                 "which has announced no pattern"
             )
-        local, repeats = self._patterns[src]
-        expected = local.size if repeats is None else repeats.size
+        local, repeats = pattern
+        expected = _size(pattern)
         if positions is None:
             if values.size != expected:
                 raise RuntimeError(

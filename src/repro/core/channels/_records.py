@@ -10,12 +10,29 @@ count, so there is no header).  It is written here once —
 
 A *pattern payload* is what the static channels send instead
 (:func:`encode_pattern` / :func:`decode_pattern`; the state on both ends
-of it, and the rule that picks a form, is
-:mod:`~repro.core.channels._pattern`).  Its first int32, the tag, tells
-three forms apart: an *announcement* ``[#words][words][values]`` carries
-the ids once, as int32 words; a *dense* payload ``[0][values]`` the values
-alone; a *delta* ``[-(k+1)][k positions][k values]`` only the values that
-changed since the last payload, at strictly ascending positions.
+of it is :mod:`~repro.core.channels._pattern`).  Its first int32, the
+tag, tells five forms apart — never the length, which can be equal for
+two of them::
+
+    form              tag          after the tag
+    dense             0            [n values]
+    announce, list    2m + 1       [m int32 words][values]
+    announce, bitmap  2m + 2       [int32 lo][int32 span][bitmap over the span][m values]
+    delta, list       -(2k + 1)    [k int32 positions][k values]
+    delta, bitmap     -(2k + 2)    [bitmap over [0, n)][k values]
+
+An announcement carries the pattern once: its words, or — when they are
+one strictly ascending id set, ``ids`` — whichever of the id list and a
+bitmap over ``[lo, lo + span)`` is smaller.  A dense payload carries the
+``n`` values alone; a delta only the ``k`` that changed since the last
+payload, at strictly ascending positions in ``[0, n)``, as a list or as
+a bitmap.  :func:`encode_pattern` sends the smallest form, ties going to
+the earlier row, so the form is a function of the values alone (after the
+tag, with ``s`` the value size: ``n·s`` dense, ``k·(4 + s)`` and
+``⌈n/8⌉ + k·s`` delta; ``4·m`` and ``8 + ⌈span/8⌉`` for the ids).  The one
+set codec behind both id sets is :func:`set_nbytes` (the rule's prices),
+:func:`as_int32` (a list, refusing what int32 cannot hold) and
+:func:`_bitmap` / :func:`_unbitmap`.
 
 ``DirectMessage`` and ``CombinedMessage`` also share their whole send
 path, :class:`RecordChannel`: scalar appends, array sends and peer
@@ -57,43 +74,165 @@ def _aligned(values: np.ndarray) -> np.ndarray:
     return values if values.flags.aligned else values.copy()
 
 
+_INT32_RANGE = np.iinfo(np.int32)
+#: a bitmap announcement's ``[lo][span]``, between its tag and its bitmap
+_RANGE_NBYTES = 2 * INT32.itemsize
+
+
+def set_nbytes(count: int, span: int) -> tuple[int, int]:
+    """Bytes of a set of ``count`` ids from a range of ``span`` ids: as an
+    int32 list, and as a bitmap of one bit per id of the range."""
+    return count * INT32.itemsize, -(-span // 8)
+
+
+def as_int32(channel: Channel, what: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as int32 words, the wire's one narrowing cast.  A value
+    int32 cannot hold is a ``ValueError`` naming the channel, where
+    ``astype`` would wrap it, silently, into another id."""
+    if values.dtype != np.int32 and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo < _INT32_RANGE.min or hi > _INT32_RANGE.max:
+            bad = lo if lo < _INT32_RANGE.min else hi
+            raise ValueError(f"{channel!r}: {what} {bad} does not fit an int32 word")
+    return values.astype(np.int32, copy=False)
+
+
+def _int32(channel: Channel, what: str, values: np.ndarray) -> bytes:
+    return as_int32(channel, what, values).tobytes()
+
+
+def _bitmap(mask: np.ndarray) -> bytes:
+    return np.packbits(mask, bitorder="little").tobytes()
+
+
+def _unbitmap(data: memoryview, bits: int) -> np.ndarray:
+    """The ``bits`` flags of a bitmap written by :func:`_bitmap`.  A
+    length other than ``⌈bits/8⌉`` bytes, or a bit set past ``bits``,
+    raises a ``ValueError``."""
+    packed = np.frombuffer(data, dtype=np.uint8)
+    if packed.size != -(-bits // 8):
+        raise ValueError(f"a bitmap of {packed.size} bytes for {bits} bits")
+    flags = np.unpackbits(packed, bitorder="little").view(bool)
+    if flags[bits:].any():
+        raise ValueError(f"a bitmap with a bit set past its {bits} bits")
+    return flags[:bits]
+
+
+def _tag(channel: Channel, sign: int, count: int, bitmap: bool) -> bytes:
+    return _int32(channel, "pattern tag", np.array([sign * (2 * count + 1 + bitmap)]))
+
+
+_DENSE = (INT32.encode_one(0),)
+
+
 def encode_pattern(
+    channel: Channel,
     values: np.ndarray,
-    codec: Codec,
     *,
     words: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
+    ids: np.ndarray | None = None,
+    changed: np.ndarray | None = None,
 ) -> bytes:
-    """One pattern payload: the announcement of ``words`` followed by
-    ``values``, the delta that sends ``values[positions]`` (ascending
-    positions), or — neither given — the dense ``values``."""
-    if words is not None:
-        head = (INT32.encode_one(words.size), INT32.encode_array(words))
-    elif positions is not None:
-        head = (INT32.encode_one(-positions.size - 1), INT32.encode_array(positions))
-        values = values[positions]
+    """One pattern payload of ``channel``'s ``values``: the announcement
+    of the int32 ``words``, or of the strictly ascending ``ids``; the
+    delta of the values ``changed`` flags (a mask over ``values``), or the
+    dense values if they are smaller; or — none given — the dense values.
+    Every choice is the smallest form, a tie going to the earlier row of
+    the module's table.  An id, position or count that does not fit an
+    int32 word raises a ``ValueError`` naming ``channel``."""
+    if ids is not None:
+        head = _announce_ids(channel, ids)
+    elif words is not None:
+        head = _announce_words(channel, words)
+    elif changed is not None:
+        head, values = _delta(channel, changed, values)
     else:
-        head = (INT32.encode_one(0),)
-    return b"".join((*head, codec.encode_array(values)))
+        head = _DENSE
+    return b"".join((*head, channel.value_codec.encode_array(values)))
+
+
+def _announce_words(channel: Channel, words: np.ndarray) -> tuple[bytes, ...]:
+    return _tag(channel, 1, words.size, False), _int32(channel, "word", words)
+
+
+def _announce_ids(channel: Channel, ids: np.ndarray) -> tuple[bytes, ...]:
+    ids = as_int32(channel, "id", ids)
+    lo = int(ids[0]) if ids.size else 0
+    span = int(ids[-1]) - lo + 1 if ids.size else 0
+    as_list, as_bitmap = set_nbytes(ids.size, span)
+    if _RANGE_NBYTES + as_bitmap >= as_list:
+        return _announce_words(channel, ids)
+    flags = np.zeros(span, dtype=bool)
+    flags[ids - lo] = True
+    return (
+        _tag(channel, 1, ids.size, True),
+        _int32(channel, "id range", np.array([lo, flags.size])),
+        _bitmap(flags),
+    )
+
+
+def _delta(
+    channel: Channel, changed: np.ndarray, values: np.ndarray
+) -> tuple[tuple[bytes, ...], np.ndarray]:
+    item = channel.value_codec.itemsize
+    k = int(np.count_nonzero(changed))
+    as_list, as_bitmap = set_nbytes(k, changed.size)
+    sizes = [changed.size * item, as_list + k * item, as_bitmap + k * item]
+    form = sizes.index(min(sizes))
+    if form == 0:
+        return _DENSE, values
+    if form == 1:
+        positions = np.flatnonzero(changed)
+        head = (_tag(channel, -1, k, False), _int32(channel, "position", positions))
+    else:
+        head = (_tag(channel, -1, k, True), _bitmap(changed))
+    return head, values[changed]
 
 
 def decode_pattern(
-    payload: memoryview, codec: Codec
+    payload: memoryview, codec: Codec, bound: int, size: int | None
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
     """``(words, positions, values)`` of a payload written by
-    :func:`encode_pattern`, at most one of the first two not ``None``
-    (lengths alone would not tell the forms apart: ``n`` records of 12
-    bytes are also ``1.5 n`` values of 8).  The values are aligned, by
-    :func:`decode_records`' rule.  A payload whose length disagrees with
-    its tag raises a ``ValueError``."""
+    :func:`encode_pattern`, at most one of the first two not ``None``:
+    the words of an announcement (a bitmap's ids, which must lie in
+    ``[0, bound)``), or the positions of a delta's values (a bitmap's over
+    the receiver's pattern of ``size`` values).  List or bitmap, the caller
+    gets the same arrays.  The values are aligned, by
+    :func:`decode_records`' rule.  A payload that disagrees with its tag —
+    in length, range or bit count — or a delta when ``size`` is ``None``
+    (the receiver has no pattern) raises a ``ValueError``."""
     tag = INT32.decode_one(payload)
-    count = tag if tag >= 0 else -tag - 1
-    split = (1 + count) * INT32.itemsize
-    if tag < 0 and len(payload) != split + count * codec.itemsize:
-        raise ValueError(f"a delta of {count} values in {len(payload)} bytes")
-    head = INT32.decode_array(payload[INT32.itemsize : split]) if tag else None
-    values = _aligned(codec.decode_array(payload[split:]))
-    return (head, None, values) if tag >= 0 else (None, head, values)
+    body = payload[INT32.itemsize :]
+    if tag == 0:
+        return None, None, _aligned(codec.decode_array(body))
+    count, bitmap = divmod(abs(tag) - 1, 2)
+    if tag > 0 and not bitmap:  # the values' count is the pattern's business
+        split = count * INT32.itemsize
+        return INT32.decode_array(body[:split]), None, _aligned(codec.decode_array(body[split:]))
+    if tag < 0 and size is None:
+        raise ValueError(f"a delta of {count} values before any announcement")
+    # every other form ends in the tag's count of values
+    split = len(body) - count * codec.itemsize
+    head = _RANGE_NBYTES if tag > 0 else 0  # a bitmap announcement's [lo][span]
+    if split < head or (not bitmap and split != count * INT32.itemsize):
+        what = "an announcement" if tag > 0 else "a delta"
+        raise ValueError(f"{what} of {count} values in {len(payload)} bytes")
+    values = _aligned(codec.decode_array(body[split:]))
+    if not bitmap:
+        return None, INT32.decode_array(body[:split]), values
+    if tag > 0:
+        lo, span = INT32.decode_array(body[:head]).tolist()
+        if lo < 0 or span < 0 or lo + span > bound:
+            raise ValueError(f"a bitmap of ids [{lo}, {lo + span}) outside [0, {bound})")
+    else:
+        lo, span = 0, size
+    flags = _unbitmap(body[head:split], span)
+    found = int(np.count_nonzero(flags))
+    if found != count:
+        raise ValueError(f"a bitmap of {found} set bits for {count} values")
+    if tag > 0:
+        return lo + np.flatnonzero(flags), None, values
+    return None, np.flatnonzero(flags), values
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:

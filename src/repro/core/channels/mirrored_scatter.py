@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import Pattern, StaticPattern
+from repro.core.channels._records import as_int32
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -60,6 +61,10 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
         at least this many edges to that peer (the paper used 16 for
         Pregel+'s ghost mode).
     """
+
+    #: counts, ids and neighbour lists: not one ascending set, so an
+    #: announcement sends them as an int32 list
+    _words_are_ids = False
 
     def __init__(self, worker: Worker, combiner: Combiner, threshold: int = 16) -> None:
         Channel.__init__(self, worker)
@@ -109,16 +114,10 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
             if self._words is not None:
                 # [plain count][mirrored count][plain destination ids]
                 # [neighbor count per mirrored sender][their neighbors, sender by sender]
-                self._words.append(
-                    np.concatenate(
-                        (
-                            [uniq_dst.size, heavy_senders.size],
-                            uniq_dst,
-                            degrees[mirrored],
-                            pdst[heavy],
-                        )
-                    ).astype(np.int32)
+                words = np.concatenate(
+                    ([uniq_dst.size, heavy_senders.size], uniq_dst, degrees[mirrored], pdst[heavy])
                 )
+                self._words.append(as_int32(self, "word", words))
         self._built = True
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import StaticPattern
+from repro.core.channels._records import as_int32
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -100,7 +101,9 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         else:
             self._peer_select = [np.flatnonzero(owners == p) for p in peers]
         if not self._announced:
-            self._words = [uniq_dst[sel].astype(np.int32) for sel in self._peer_select]
+            self._words = [
+                as_int32(self, "destination id", uniq_dst[sel]) for sel in self._peer_select
+            ]
         self._built = True
 
     # -- per-superstep API ---------------------------------------------------

@@ -11,14 +11,24 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.core.worker import Worker
 from repro.graph import rmat
 from helpers import line_graph
 
 
 class TestBreakdown:
-    def test_labels_and_conservation(self):
+    def test_labels_and_conservation(self, monkeypatch):
         """Per-channel net bytes must sum to the run's total net payload
         (frame headers are the only difference)."""
+        frames = []
+        real_emit = Worker.emit
+
+        def emit(self, channel_id, peer, payload):
+            if payload and peer != self.worker_id:
+                frames.append(channel_id)
+            real_emit(self, channel_id, peer, payload)
+
+        monkeypatch.setattr(Worker, "emit", emit)
         g = rmat(7, edge_factor=2, seed=3, directed=False)
         _, res = run_sv(g, variant="both", num_workers=4)
         breakdown = res.metrics.channel_breakdown()
@@ -31,13 +41,12 @@ class TestBreakdown:
             "Aggregator",
         }
         payload_net = sum(v["net_bytes"] for v in breakdown.values())
-        # total includes 8B frame headers per emitted frame: at most one per
-        # channel, round and ordered pair of workers (a share of the total
-        # that grew when the static channels stopped resending ids)
-        headers = res.metrics.total_net_bytes - payload_net
-        assert headers > 0 and headers % 8 == 0
-        assert headers // 8 <= len(breakdown) * res.metrics.total_rounds * 4 * 3
-        assert payload_net > 0.7 * res.metrics.total_net_bytes
+        # the total is the payload plus exactly one 8 B frame header per
+        # emitted cross-worker frame, and there is at most one frame per
+        # channel, round and ordered pair of workers
+        assert payload_net > 0 and frames
+        assert res.metrics.total_net_bytes == payload_net + 8 * len(frames)
+        assert len(frames) <= len(breakdown) * res.metrics.total_rounds * 4 * 3
 
     def test_message_attribution_sums_to_total(self):
         g = rmat(7, edge_factor=2, seed=3, directed=False)

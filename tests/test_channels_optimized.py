@@ -27,7 +27,7 @@ from repro.core import (
 )
 from repro.core.adjacency import build_local_csr
 from repro.core.channels import _edges, scatter_combine
-from repro.core.channels._records import encode_records
+from repro.core.channels._records import decode_pattern
 from repro.graph import Graph, rmat, star
 from repro.graph.partition import hash_partition, range_partition
 from repro.graph.store import MmapStore
@@ -540,16 +540,22 @@ class TestScatterCombineBuild:
     # -- the per-superstep scan ----------------------------------------------------
     @staticmethod
     def _scan(worker, combiner, src, dst, values):
-        """One ``serialize`` of a fresh channel: per peer, the payload it
-        emitted and the payload a whole-array ``reduceat`` over the same
-        tables encodes to."""
+        """One ``serialize`` of a fresh channel: per peer, the ids and the
+        value bytes it announced, and those of a whole-array ``reduceat``
+        over the same tables."""
         ch = ScatterCombine(worker, combiner)
         ch.add_edges_bulk(np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
         ch.set_messages(np.arange(worker.num_local), values)
         sent = {}
+
+        def _announced(payload):
+            bound = worker.graph.num_vertices
+            ids, _, values = decode_pattern(memoryview(payload), combiner.codec, bound, None)
+            return ids.tolist(), values.tobytes()
+
         with mock.patch.multiple(
             worker,
-            emit=lambda _channel, peer, payload: sent.update({peer: payload}),
+            emit=lambda _channel, peer, payload: sent.update({peer: _announced(payload)}),
             count_net_messages=lambda n, _channel: None,  # no superstep is open
         ):
             ch.serialize()
@@ -560,10 +566,8 @@ class TestScatterCombineBuild:
             owners = worker.owner[uniq]
             for peer in range(worker.num_workers):
                 pos = np.flatnonzero(owners == peer)
-                if pos.size:  # a first scatter: the count, the ids, the values
-                    expected[peer] = np.int32(pos.size).tobytes() + encode_records(
-                        uniq[pos].astype(np.int32), whole[pos], combiner.codec
-                    )
+                if pos.size:  # a first scatter: the ids, the values
+                    expected[peer] = (uniq[pos].tolist(), whole[pos].tobytes())
         return ch, sent, expected
 
     @pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64, MAX_I32], ids=repr)

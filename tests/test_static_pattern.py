@@ -2,8 +2,10 @@
 unchanged values not at all.
 
 ``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
-the first scatter after a registration; after it they send each peer the
-smaller of ``[values]`` and ``[changed positions][their values]``.  The
+the first scatter after a registration (``ScatterCombine``'s ids as a list
+or a bitmap, whichever is smaller); after it they send each peer the
+smallest of ``[values]`` and ``[changed positions][their values]``, the
+positions as a list or a bitmap.  The
 format they replaced — ids beside the values in every scatter — lives on
 here, as :class:`IdsEveryRound`, the oracle of the property below: any
 graph, partition, worker count, combiner, scatter and value-change
@@ -13,6 +15,7 @@ of the closed form.
 """
 
 import contextlib
+import math
 import warnings
 from unittest import mock
 
@@ -30,10 +33,11 @@ from repro.core import (
 )
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sv import run_sv
-from repro.core.channels import _pattern
+from repro.core.channels import _pattern, _records
 from repro.core.channels._inbox import CombinedInbox
 from repro.core.channels._pattern import StaticPattern
 from repro.core.channels._records import emit_records, encode_pattern
+from repro.runtime.serialization import INT32
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition, range_partition
@@ -129,13 +133,21 @@ class MoveOnce(RebalancePolicy):
         )  # fmt: skip
 
 
+def announced_ids_nbytes(ids):
+    """An ascending id set on the wire: the smaller of its int32 list and
+    ``[lo][span]`` plus a bitmap over ``[ids[0], ids[-1]]``."""
+    return min(4 * ids.size, 8 + -(-(int(ids[-1]) - int(ids[0]) + 1) // 8))
+
+
 def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again_at, sent):
     """``(net, local)`` bytes of the channel: per scatter, sender and peer
-    with ``n`` values to send, a 4-byte tag and the smaller of the dense
-    ``n * itemsize`` and the delta ``k * (4 + itemsize)``, where ``k``
-    values differ, bit for bit, from those the sender sent that peer last
-    — but, in the sender's first scatter after a registration or a
-    migration, the 4-byte words of the pattern and all ``n`` values.
+    with ``n`` values to send, a 4-byte tag and the smallest of the dense
+    ``n * itemsize``, the list delta ``k * (4 + itemsize)`` and the bitmap
+    delta ``ceil(n / 8) + k * itemsize``, where ``k`` values differ, bit
+    for bit, from those the sender sent that peer last — but, in the
+    sender's first scatter after a registration or a migration, the
+    pattern's words (``ScatterCombine``: its ids, :func:`announced_ids_nbytes`)
+    and all ``n`` values.
     ``owners[step]`` is the partition in force during ``step``;
     ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
     out_src, out_dst = graph.edge_array()
@@ -156,22 +168,24 @@ def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again
         for w in np.unique(owner[src]).tolist():
             for p in np.unique(owner[dst[owner[src] == w]]).tolist():
                 here = (owner[src] == w) & (owner[dst] == p)
-                words = np.unique(dst[here]).size  # one id per unique destination
-                values = words
+                ids = np.unique(dst[here])  # one per unique destination
+                values, words = ids.size, announced_ids_nbytes(ids)
                 if mirrored:
                     senders, degree = np.unique(src[here], return_counts=True)
                     heavy = np.isin(src[here], senders[degree >= THRESHOLD])
                     plain = np.unique(dst[here][~heavy]).size
                     values = plain + int((degree >= THRESHOLD).sum())
                     # two counts, plain ids, a degree per heavy sender, its neighbours
-                    words = 2 + values + int(heavy.sum())
+                    words = 4 * (2 + values + int(heavy.sum()))
                 got = sent[step, w][p]
                 assert got.size == values
                 if w in announced:
-                    changed = np.count_nonzero(got.view(bits) != last[w, p].view(bits))
-                    body = min(values * itemsize, changed * (4 + itemsize))
+                    k = np.count_nonzero(got.view(bits) != last[w, p].view(bits))
+                    body = min(
+                        values * itemsize, k * (4 + itemsize), -(-values // 8) + k * itemsize
+                    )
                 else:
-                    body = 4 * words + values * itemsize
+                    body = words + values * itemsize
                 last[w, p] = got
                 total[w != p] += 4 + body
             announced.add(w)
@@ -233,8 +247,10 @@ def cases(draw, workers, mirrored, recovery):
         migrate_at = draw(st.none() | st.integers(1, STEPS - 1))
     combiner = draw(st.sampled_from([SUM_F64, MIN_I64]))
     # per step, the share of vertices whose value changes: none, all, and
-    # around the crossover of the two forms (2/3 of 8-byte values)
-    share = st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 0.75, 1.0])
+    # around the crossovers of the forms: list and bitmap delta (1/32),
+    # list delta and dense (2/3 of 8-byte values), bitmap delta and dense
+    # (1 - 1/(8 * itemsize))
+    share = st.sampled_from([0.0, 0.03, 0.04, 0.25, 0.5, 2 / 3, 0.75, 0.9, 0.99, 1.0])
     return dict(
         graph=Graph.from_edges(n, edges, directed=True),
         owner=owner,
@@ -316,6 +332,32 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
 _GRAPH = rmat(6, edge_factor=4, seed=2)
 
 
+def _form(tag):
+    if tag == 0:
+        return "dense"
+    kind = "announce" if tag > 0 else "delta"
+    return f"{kind}, {'bitmap' if (abs(tag) - 1) % 2 else 'list'}"
+
+
+@contextlib.contextmanager
+def received_forms():
+    """The set of forms (:func:`_form`) of every pattern payload received."""
+    forms = set()
+    real_decode = _pattern.decode_pattern
+
+    def decode(payload, *args):
+        forms.add(_form(INT32.decode_one(payload)))
+        return real_decode(payload, *args)
+
+    with mock.patch.object(_pattern, "decode_pattern", decode):
+        yield forms
+
+
+#: per superstep, the share of values that changes: a schedule that reaches
+#: every form after the announcement, whichever superstep re-announces
+_EVERY_FORM = {2: 0.0, 3: 0.1, 4: 0.9, 5: 0.02, 6: 1.0}
+
+
 @pytest.mark.parametrize(
     "channel",
     [lambda w: ScatterCombine(w, SUM_F64), lambda w: MirroredScatter(w, SUM_F64, threshold=3)],
@@ -329,20 +371,22 @@ def test_process_backends_count_the_simulator_bytes(channel, recovery, register_
     the checkpoint of superstep 3 and replays supersteps 4 and 5, on every
     backend.  The checkpoint holds a re-announced pattern (registration at
     3), or predates the registration, whose re-announcement the replay
-    runs before a delta scatter (4) or after one (5)."""
+    runs before a delta scatter (4) or after one (5).  Every form crosses
+    the wire, and the replay reads logged frames of each."""
     kw = dict(checkpoint_every=3, failures=[(1, 5)], recovery=recovery)
     schedule = ({1, 2, 3, 4, 5, 6}, register_again_at, True)
-    few = {2: 0.1, 3: 0.1, 4: 0.1, 5: 0.1, 6: 0.1}
     owner = hash_partition(_GRAPH.num_vertices, 3)
-    sim = run(_GRAPH, channel, 3, owner, *schedule, changes=few, **kw)
-    clean = run(_GRAPH, channel, 3, owner, *schedule, changes=few)
+    with received_forms() as forms:
+        sim = run(_GRAPH, channel, 3, owner, *schedule, changes=_EVERY_FORM, **kw)
+    assert forms >= {"delta, list", "delta, bitmap", "dense"}
+    clean = run(_GRAPH, channel, 3, owner, *schedule, changes=_EVERY_FORM)
     assert sim.data == clean.data
     assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
     dense = run(_GRAPH, channel, 3, owner, *schedule)  # every value changes
     assert sim.metrics.total_net_bytes < dense.metrics.total_net_bytes
     for transport in ("shm", "pipe"):
         proc = run(
-            _GRAPH, channel, 3, owner, *schedule, changes=few,
+            _GRAPH, channel, 3, owner, *schedule, changes=_EVERY_FORM,
             executor="process", transport=transport, **kw,
         )  # fmt: skip
         assert proc.data == sim.data
@@ -360,31 +404,42 @@ def _dense_wire():
     return mock.patch.object(_pattern, "_changed", lambda kept, values: None)
 
 
+def _list_wire():
+    """The wire before the bitmap forms: announced ids and delta positions
+    always cross as int32 lists."""
+    return mock.patch.object(_records, "set_nbytes", lambda count, span: (4 * count, math.inf))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_sv_sends_fewer_bytes_for_the_same_run(workers):
-    """S-V ``both`` broadcasts labels that mostly stopped changing: the
-    delta form leaves labels and every logical counter where the dense
-    wire has them, in fewer bytes."""
+    """S-V ``both`` broadcasts labels that mostly stopped changing, to
+    destination ids that fill much of their range.  Each cut of the wire —
+    the delta forms, then the bitmap forms — leaves labels and every
+    logical counter where the wire before it has them, in fewer bytes."""
     graph = rmat(9, edge_factor=4, seed=7, directed=False)
     owner = hash_partition(graph.num_vertices, workers)
-    labels, delta = run_sv(graph, variant="both", num_workers=workers, partition=owner)
-    with _dense_wire():
-        dense_labels, dense = run_sv(graph, variant="both", num_workers=workers, partition=owner)
-    np.testing.assert_array_equal(labels, dense_labels)
-    a, b = delta.metrics, dense.metrics
-    assert (a.supersteps, a.total_rounds, a.total_messages) == (
-        b.supersteps, b.total_rounds, b.total_messages,
-    )  # fmt: skip
-    assert a.total_net_bytes + a.total_local_bytes < b.total_net_bytes + b.total_local_bytes
-    if workers > 1:
-        assert a.total_net_bytes < b.total_net_bytes
+    runs = []
+    for patches in ((_dense_wire(), _list_wire()), (_list_wire(),), ()):
+        with contextlib.ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            runs.append(run_sv(graph, variant="both", num_workers=workers, partition=owner))
+    for (before_labels, before), (labels, after) in zip(runs, runs[1:]):
+        np.testing.assert_array_equal(labels, before_labels)
+        a, b = after.metrics, before.metrics
+        assert (a.supersteps, a.total_rounds, a.total_messages) == (
+            b.supersteps, b.total_rounds, b.total_messages,
+        )  # fmt: skip
+        assert a.total_net_bytes + a.total_local_bytes < b.total_net_bytes + b.total_local_bytes
+        if workers > 1:
+            assert a.total_net_bytes < b.total_net_bytes
 
 
 def test_pagerank_keeps_the_dense_wire():
     """Every PageRank share changes in every scatter, so every payload
     after the announcement is dense: the channel's bytes are ``iterations``
     scatters of a tag and ``n`` values per sender and peer, plus the ``n``
-    announced ids."""
+    announced ids (a list or a bitmap)."""
     graph = rmat(8, edge_factor=4, seed=3, directed=True)
     workers, iterations = 3, 6
     owner = hash_partition(graph.num_vertices, workers)
@@ -396,9 +451,9 @@ def test_pagerank_keeps_the_dense_wire():
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     for w in range(workers):
         for p in range(workers):
-            n = np.unique(dst[(owner[src] == w) & (owner[dst] == p)]).size
-            if n:
-                total[w != p] += iterations * (4 + n * 8) + 4 * n
+            ids = np.unique(dst[(owner[src] == w) & (owner[dst] == p)])
+            if ids.size:
+                total[w != p] += iterations * (4 + ids.size * 8) + announced_ids_nbytes(ids)
     counted = result.metrics.channel_breakdown()["1:ScatterCombine"]
     assert (counted["net_bytes"], counted["local_bytes"]) == (total[True], total[False])
 
@@ -511,16 +566,29 @@ def receiver():
     return ScatterCombine(worker, SUM_F64)
 
 
+def _wire(tag, *parts):
+    """A pattern payload assembled by hand: ``tag``, then each part's bytes."""
+    return memoryview(b"".join([INT32.encode_one(tag), *(np.asarray(p).tobytes() for p in parts)]))
+
+
 def _payload(ids, values, positions=None):
-    """An announcement of ``ids``, the delta of ``values[positions]``, or
-    (neither given) the dense ``values``."""
-    return memoryview(
-        encode_pattern(
-            np.asarray(values, dtype=np.float64), SUM_F64.codec,
-            words=None if ids is None else np.asarray(ids, dtype=np.int32),
-            positions=None if positions is None else np.asarray(positions, dtype=np.int32),
-        )
-    )  # fmt: skip
+    """The list announcement of ``ids`` before ``values``, the list delta
+    of ``values[positions]``, or (neither given) the dense ``values`` — by
+    hand, so that they may be malformed."""
+    values = np.asarray(values, dtype=np.float64)
+    if ids is not None:
+        return _wire(2 * len(ids) + 1, np.asarray(ids, dtype=np.int32), values)
+    if positions is not None:
+        positions = np.asarray(positions, dtype=np.int32)
+        return _wire(-(2 * positions.size + 1), positions, values[positions])
+    return _wire(0, values)
+
+
+def _encoded(channel, values, **form):
+    """What ``encode_pattern`` sends for ``ids=``, ``words=``, ``changed=``
+    or (none given) the dense ``values``."""
+    form = {key: np.asarray(arg) for key, arg in form.items()}
+    return memoryview(encode_pattern(channel, np.asarray(values, dtype=np.float64), **form))
 
 
 def test_a_delta_patches_the_kept_values_and_folds_them_all(receiver):
@@ -535,14 +603,50 @@ def test_a_delta_patches_the_kept_values_and_folds_them_all(receiver):
     assert state["received"][0].tolist() == [1.0, 5.0]
 
 
+def test_bitmap_forms_announce_and_patch_as_the_lists_do(receiver):
+    """Three ids in a range of four: 8 + 1 bytes as a bitmap, 12 as a
+    list; one changed value of three: 1 + 8 bytes, 12 as a list."""
+    announce = _encoded(receiver, [1.0, 2.0, 3.0], ids=[4, 5, 7])
+    assert (_form(INT32.decode_one(announce)), len(announce)) == ("announce, bitmap", 4 + 9 + 24)
+    receiver.deserialize([(0, announce)])
+    assert receiver.get_messages()[0].tolist() == [1.0, 2.0, 0.0, 3.0]
+    delta = _encoded(receiver, [1.0, 9.0, 3.0], changed=[False, True, False])
+    assert (_form(INT32.decode_one(delta)), len(delta)) == ("delta, bitmap", 4 + 1 + 8)
+    receiver.deserialize([(0, delta)])
+    slots, has_msg = receiver.get_messages()
+    assert (slots.tolist(), has_msg.tolist()) == ([1.0, 9.0, 0.0, 3.0], [True, True, False, True])
+    # every value changed: dense, not a bitmap of three set bits
+    dense = _encoded(receiver, [1.0, 2.0, 3.0], changed=[True, True, True])
+    assert (_form(INT32.decode_one(dense)), len(dense)) == ("dense", 4 + 24)
+
+
+def test_a_tie_goes_to_the_earlier_form(receiver):
+    """Equal sizes go to dense before a list, and to a list before a
+    bitmap: the form is a function of the values, ties included."""
+    ties = [
+        # three ids in a range of 32: 12 bytes either way
+        (dict(ids=[0, 9, 31]), 3, "announce, list"),
+        # one change in 32 values: 12 bytes either way (dense: 256)
+        (dict(changed=np.arange(32) == 5), 32, "delta, list"),
+        # 63 changes in 64 values: 8 + 63 * 8 = 64 * 8 bytes
+        (dict(changed=np.arange(64) != 5), 64, "dense"),
+    ]
+    for form, n, expected in ties:
+        assert _form(INT32.decode_one(_encoded(receiver, np.ones(n), **form))) == expected
+
+
 def test_values_from_a_source_that_never_announced(receiver):
     with pytest.raises(RuntimeError, match=r"ScatterCombine.*2 values from worker 0.*no pattern"):
         receiver.deserialize([(0, _payload(None, [1.0, 2.0]))])
 
 
 def test_delta_from_a_source_that_never_announced(receiver):
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*1 changed values from worker 0.*no pattern"):
-        receiver.deserialize([(0, _payload(None, [1.0, 2.0], positions=[1]))])
+    bitmap = _wire(-4, np.uint8([0b10]), np.float64([2.0]))
+    for delta in (_payload(None, [1.0, 2.0], positions=[1]), bitmap):
+        with pytest.raises(
+            RuntimeError, match=r"ScatterCombine.*worker 0 sent a delta of 1 values before any announcement"
+        ):
+            receiver.deserialize([(0, delta)])
 
 
 def test_delta_position_outside_the_pattern(receiver):
@@ -583,3 +687,73 @@ def test_announced_id_the_receiver_does_not_own(receiver):
     assert 0 not in receiver._patterns
     with pytest.raises(ValueError, match=r"worker 0's announced id 8 outside \[0, 8\)"):
         receiver.deserialize([(0, _payload([8], [1.0]))])
+
+
+# -- malformed bitmaps: a RuntimeError naming the channel and the source ---------------
+
+_ONE = np.float64([9.0])
+
+
+def _refuses(receiver, payload, match):
+    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*worker 0 sent {match}"):
+        receiver.deserialize([(0, payload)])
+
+
+def test_bitmap_popcount_disagrees_with_the_tag_or_the_values(receiver):
+    receiver.deserialize([(0, _payload([4, 5, 6], [1.0, 2.0, 3.0]))])
+    # a delta tagged with one value, two bits set
+    _refuses(receiver, _wire(-4, np.uint8([0b011]), _ONE), "a bitmap of 2 set bits for 1 values")
+    # one bit set, as tagged, and two values: the bitmap is not the pattern's
+    _refuses(receiver, _wire(-4, np.uint8([0b010]), _ONE, _ONE), "a bitmap of 9 bytes for 3 bits")
+    # an announcement tagged with two ids, three bits set
+    head = np.int32([4, 3])
+    _refuses(receiver, _wire(6, head, np.uint8([0b111]), _ONE, _ONE), "a bitmap of 3 set bits for 2")
+
+
+def test_bitmap_bit_set_past_its_last(receiver):
+    receiver.deserialize([(0, _payload([4, 5, 6], [1.0, 2.0, 3.0]))])
+    _refuses(receiver, _wire(-4, np.uint8([0b1000]), _ONE), "a bitmap with a bit set past its 3 bits")
+    _refuses(
+        receiver, _wire(4, np.int32([4, 3]), np.uint8([0b1000]), _ONE),
+        "a bitmap with a bit set past its 3 bits",
+    )  # fmt: skip
+
+
+def test_bitmap_announcement_outside_the_graph(receiver):
+    for lo, span in ((6, 4), (-1, 2), (4, -1)):
+        _refuses(
+            receiver, _wire(4, np.int32([lo, span]), np.uint8([0b1]), _ONE),
+            rf"a bitmap of ids \[{lo}, {lo + span}\) outside \[0, 8\)",
+        )  # fmt: skip
+    assert 0 not in receiver._patterns
+
+
+def test_truncated_bitmap(receiver):
+    receiver.deserialize([(0, _payload([4, 5, 6], [1.0, 2.0, 3.0]))])
+    _refuses(receiver, _wire(-4, _ONE), "a bitmap of 0 bytes for 3 bits")
+    _refuses(receiver, _wire(-4, np.uint8([0b10]), _ONE)[:-1], "a bitmap of 0 bytes for 3 bits")
+    _refuses(receiver, _wire(-4, np.uint8([0b10]), _ONE)[:-2], "a delta of 1 values in 11 bytes")
+    _refuses(receiver, _wire(4, np.int32([4, 4]), _ONE), "a bitmap of 0 bytes for 4 bits")
+    _refuses(receiver, _wire(4, np.int32([4])), "an announcement of 1 values in 8 bytes")
+
+
+# -- wire limits: what an int32 word cannot hold is refused, never wrapped -------------
+
+
+@pytest.mark.parametrize(
+    "form, bad",
+    [
+        (dict(ids=[5, 2**31]), "id 2147483648"),
+        # a run of ids whose bitmap is the smaller form
+        (dict(ids=np.arange(2**31 - 64, 2**31 + 64)), "id 2147483711"),
+        (dict(words=[5, 2**31, 7]), "word 2147483648"),
+        (dict(words=[-(2**31) - 1, 0]), "word -2147483649"),
+    ],
+)
+def test_the_encoder_refuses_what_an_int32_word_cannot_hold(receiver, form, bad):
+    """No graph with 2**31 vertices fits a test: the encoder is handed the
+    ids itself (``ScatterCombine._build`` narrows them through the same
+    ``as_int32``)."""
+    values = np.zeros(len(next(iter(form.values()))))
+    with pytest.raises(ValueError, match=rf"ScatterCombine.*: {bad} does not fit an int32 word"):
+        _encoded(receiver, values, **form)
