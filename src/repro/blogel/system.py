@@ -83,7 +83,7 @@ class BlogelEngine:
             for w in range(num_workers)
         ]
         self.buffers = [WorkerBuffers(w, num_workers) for w in range(num_workers)]
-        self._exchange = BufferExchange(self.metrics)
+        self._exchange = BufferExchange()
         self._pending: list[bool] = [True] * num_workers  # has incoming work
 
     def run(self, max_supersteps: int = 100_000) -> EngineResult:
@@ -122,7 +122,7 @@ class BlogelEngine:
                 t0 = time.perf_counter()
                 self._serialize(w, outgoing[w])
                 metrics.record_compute(w, time.perf_counter() - t0)
-            self._exchange.exchange(self.buffers)
+            metrics.record_exchange(self._exchange.exchange(self.buffers))
             for w in range(self.num_workers):
                 t0 = time.perf_counter()
                 incoming[w] = self._deserialize(w)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels._records import decode_records
+from repro.core.channels._records import receive_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 
@@ -63,8 +63,7 @@ class CombinedInbox:
     def _receive(self, src: int, payload: memoryview) -> None:
         """Fold worker ``src``'s payload into the slots; the default
         payload is one block of ``(destination id, value)`` records."""
-        ids, values = decode_records(payload, self.value_codec)
-        self._fold(self.worker._local_index[ids], values)
+        self._fold(*receive_records(self, src, payload))
 
     def _fold(self, local: np.ndarray, values: np.ndarray) -> None:
         self.combiner.accumulate_at(self._slots, local, values)

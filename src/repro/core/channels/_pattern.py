@@ -45,10 +45,10 @@ import numpy as np
 
 from repro.core.channels._inbox import CombinedInbox
 from repro.core.channels._records import (
-    check_ids,
     decode_pattern,
     emit_payloads,
     encode_pattern,
+    local_ids,
 )
 from repro.core.combiner import Combiner
 
@@ -185,21 +185,7 @@ class StaticPattern(CombinedInbox):
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         """The pattern ``words`` announce; by default they are the
         destination id of each value."""
-        return self._owned(src, words), None
-
-    def _owned(self, src: int, ids: np.ndarray) -> np.ndarray:
-        """Local indices of the announced ``ids``, all of which this
-        worker must own (``_local_index`` is -1 elsewhere, which would
-        fold into the last slot)."""
-        index = self.worker._local_index
-        check_ids(self, f"worker {src}'s announced id", ids, index.size)
-        local = index[ids]
-        if local.size and local.min() < 0:
-            raise RuntimeError(
-                f"{self!r}: worker {src} announced id {ids[local < 0][0]}, which "
-                f"worker {self.worker.worker_id} does not own"
-            )
-        return local
+        return local_ids(self, src, words), None
 
     # -- checkpointing (inbox keys, then the wire's) -------------------------------
     def _pattern_snapshot(self) -> dict:

@@ -63,8 +63,11 @@ def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.nd
     On the wire the values start wherever the ids end, which for an odd
     count of 8-byte values is not a multiple of their size; they are
     returned aligned (copied when they are not), because ``ufunc.at`` over
-    unaligned values leaves its fast path and runs some 20x slower."""
-    count = len(payload) // (INT32.itemsize + codec.itemsize)
+    unaligned values leaves its fast path and runs some 20x slower.  A
+    length that is not a whole number of records raises a ``ValueError``."""
+    count, ragged = divmod(len(payload), INT32.itemsize + codec.itemsize)
+    if ragged:
+        raise ValueError(f"a record payload of {len(payload)} bytes, {ragged} past its {count} records")
     split = count * INT32.itemsize
     values = _aligned(codec.decode_array(payload[split:], count))
     return INT32.decode_array(payload[:split]).astype(np.int64), values
@@ -243,6 +246,36 @@ def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         bad = ids[(ids < 0) | (ids >= bound)][0]
         raise ValueError(f"{channel!r}: {what} {bad} outside [0, {bound})")
+
+
+def local_ids(channel: Channel, src: int, ids: np.ndarray) -> np.ndarray:
+    """Local indices of the ``ids`` worker ``src`` sent ``channel``, every
+    one of which this worker must own.  Unchecked, a negative id would wrap
+    to the last vertex, an id past the last raise a bare ``IndexError``,
+    and an id owned elsewhere (``_local_index`` is -1 there) fold into the
+    last slot; each is a ``RuntimeError`` naming the channel and ``src``."""
+    worker = channel.worker
+    index = worker._local_index
+    if ids.size and (ids.min() < 0 or ids.max() >= index.size):
+        bad = ids[(ids < 0) | (ids >= index.size)][0]
+        raise RuntimeError(f"{channel!r}: worker {src} sent id {bad} outside [0, {index.size})")
+    local = index[ids]
+    if local.size and local.min() < 0:
+        raise RuntimeError(
+            f"{channel!r}: worker {src} sent id {ids[local < 0][0]}, which "
+            f"worker {worker.worker_id} does not own"
+        )
+    return local
+
+
+def receive_records(channel: Channel, src: int, payload: memoryview) -> tuple[np.ndarray, np.ndarray]:
+    """``(local indices, values)`` of the record payload worker ``src``
+    sent ``channel``; a malformed one is a ``RuntimeError`` naming both."""
+    try:
+        ids, values = decode_records(payload, channel.value_codec)
+    except ValueError as exc:
+        raise RuntimeError(f"{channel!r}: worker {src} sent {exc}") from None
+    return local_ids(channel, src, ids), values
 
 
 def emit_payloads(channel: Channel, payloads: Iterable[tuple[int, bytes, int]]) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels._records import RecordChannel, decode_records
+from repro.core.channels._records import RecordChannel, receive_records
 from repro.core.worker import Worker
 from repro.core.vertex import Vertex
 from repro.runtime.serialization import Codec, INT64
@@ -96,9 +96,7 @@ class DirectMessage(RecordChannel):
             self._recv_indptr[:] = 0
             self._recv_vals = self._recv_vals[:0]
             return
-        dst, vals = zip(*(decode_records(p, self.value_codec) for _src, p in payloads))
-        self._recv_indptr, order = csr_group(
-            worker._local_index[np.concatenate(dst)], worker.num_local
-        )
+        local, vals = zip(*(receive_records(self, src, p) for src, p in payloads))
+        self._recv_indptr, order = csr_group(np.concatenate(local), worker.num_local)
         self._recv_vals = np.concatenate(vals)[order]
         worker.activate_local_bulk(np.flatnonzero(np.diff(self._recv_indptr)))

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import Pattern, StaticPattern
-from repro.core.channels._records import as_int32
+from repro.core.channels._records import as_int32, local_ids
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -124,7 +124,7 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
         plain, mirrored = words[:2].tolist()
         ids_end = 2 + plain
         tables = ids_end + mirrored
-        local = self._owned(src, np.concatenate((words[2:ids_end], words[tables:])))
+        local = local_ids(self, src, np.concatenate((words[2:ids_end], words[tables:])))
         if not mirrored:
             return local, None
         return local, np.concatenate((np.ones(plain, dtype=np.intp), words[ids_end:tables]))

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.channel import Channel
 from repro.core.channels._edges import StaticEdges
-from repro.core.channels._records import decode_records, emit_records
+from repro.core.channels._records import emit_records, receive_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -261,17 +261,13 @@ class Propagation(StaticEdges, Channel):
 
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
-        worker = self.worker
-        changed_all: list[np.ndarray] = []
-        for _src, payload in payloads:
-            dst, vals = decode_records(payload, self.value_codec)
-            changed_all.append(self._apply(worker._local_index[dst], vals))
+        changed_all = [self._apply(*receive_records(self, src, p)) for src, p in payloads]
         if self._deferred:
             changed_all.extend(self._deferred)
             self._deferred = []
         if changed_all:
             frontier = np.unique(np.concatenate(changed_all))
-            worker.activate_local_bulk(frontier)
+            self.worker.activate_local_bulk(frontier)
             self._local_fixpoint(frontier)
 
     def again(self) -> bool:

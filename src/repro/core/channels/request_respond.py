@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
-from repro.core.channels._records import RecordBuffer, check_ids, emit_payloads
+from repro.core.channels._records import RecordBuffer, check_ids, emit_payloads, local_ids
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32, INT64
@@ -236,10 +236,13 @@ class RequestRespond(Channel):
         self.round += 1
 
     def _deserialize_requests(self, payloads: list[tuple[int, memoryview]]) -> None:
-        worker = self.worker
         for src, payload in payloads:
+            if len(payload) % INT32.itemsize:
+                raise RuntimeError(
+                    f"{self!r}: worker {src} sent {len(payload)} bytes of int32 request ids"
+                )
             ids = INT32.decode_array(payload).astype(np.int64)
-            local = worker._local_index[ids]
+            local = local_ids(self, src, ids)
             if self.respond_fn_bulk is not None:
                 vals = np.asarray(
                     self.respond_fn_bulk(local), dtype=self.value_codec.dtype

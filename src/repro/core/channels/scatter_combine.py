@@ -64,7 +64,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._init_edges()
         # per-superstep state: the value each vertex scatters, identity until set
         self._values = self._slots.copy()
-        self._sent_mask = np.zeros(worker.num_local, dtype=bool)
         self._dirty = False
         # static dispatch structure (built lazily)
         self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
@@ -111,7 +110,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         """Set the value ``v`` scatters to all its registered edges this
         superstep."""
         self._values[v.local] = value
-        self._sent_mask[v.local] = True
         self._dirty = True
 
     # alias matching the paper's prose ("emits an initial message using the
@@ -122,7 +120,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         """Array form of :meth:`set_message`: ``local_idx[i]`` scatters
         ``values[i]`` along its registered edges this superstep."""
         self._values[local_idx] = values
-        self._sent_mask[local_idx] = True
         self._dirty = True
 
     # -- checkpointing -------------------------------------------------------
@@ -130,7 +127,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         return {
             **self._edges_snapshot(),
             "values": self._values.copy(),
-            "sent_mask": self._sent_mask.copy(),
             "dirty": self._dirty,
             **self._pattern_snapshot(),
         }
@@ -138,12 +134,11 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     def restore(self, state: dict) -> None:
         self._edges_restore(state)
         self._values[...] = state["values"]
-        self._sent_mask[...] = state["sent_mask"]
         self._dirty = state["dirty"]
         self._pattern_restore(state)
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        return self._scatter_migrate(states, ctx, ("values", "sent_mask"))
+        return self._scatter_migrate(states, ctx, ("values",))
 
     # -- round protocol (deserialize is CombinedInbox's, over pattern payloads) --
     def serialize(self) -> None:
@@ -153,7 +148,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             self._build()
         assert self._seg_edge_src is not None and self._seg_starts is not None
         self._dirty = False
-        self._sent_mask[:] = False
         if self._seg_edge_src.size == 0:
             return
         # Fig. 5: one linear pass over the pre-sorted edges produces

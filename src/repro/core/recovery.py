@@ -25,9 +25,9 @@ with deterministic failure injection so recovery is a benchmarkable
 
 Both leave the engine's metric totals exactly where a failure-free run
 would: rollback restores the collector to its checkpoint-time snapshot
-before re-execution re-appends, and confined replay runs against a
-scratch collector.  The *cost* of recovery is charged to the separate
-``recovery_bytes``/``recovery_time`` counters.
+before re-execution re-appends, and confined replay accounts its
+workers into a scratch collector.  The *cost* of recovery is charged to
+the separate ``recovery_bytes``/``recovery_time`` counters.
 
 Both run under **every** execution backend, from checkpoint blobs and
 the parent-side frame log alone.  Confined replay builds the failed
@@ -240,16 +240,15 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
     caller installs them or ships their state.  Survivors are untouched:
     their frames destined to them during replay are discarded (they
     already processed the originals), while frames the replaying workers
-    send each other and themselves flow normally.  Replay runs against a
-    scratch metrics collector so the engine's totals stay exactly those
-    of a failure-free run; the replay's modeled cost is charged to the
-    recovery counters instead.
+    send each other and themselves flow normally.  The replaying workers'
+    records drain into a scratch collector, so the engine's totals stay
+    exactly those of a failure-free run; the replay's modeled cost is
+    charged to the recovery counters instead.
     """
     snapshot: Snapshot = engine.checkpoint
     target_step = engine.step_num
     metrics = engine.metrics
     num_workers = engine.num_workers
-    failed_set = set(failed)
 
     workers: dict[int, Worker] = {}
     for w in failed:
@@ -259,12 +258,10 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
     largest = max((snapshot.worker_nbytes[w] for w in failed), default=0)
     reload_time = metrics.network.latency + largest / metrics.network.bandwidth
 
-    replay_net_bytes = 0
-    scratch = MetricsCollector(num_workers=num_workers, network=metrics.network)
-    engine.metrics = scratch
+    replay = MetricsCollector(num_workers=num_workers, network=metrics.network)
     try:
         for s in range(snapshot.superstep + 1, target_step + 1):
-            scratch.start_superstep()
+            replay.start_superstep()
             # mirror the main loop's step_num choreography exactly:
             # before_superstep/begin_superstep observe the previous step
             engine.step_num = s - 1
@@ -275,20 +272,20 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
             for w, worker in workers.items():
                 t0 = time.perf_counter()
                 worker.run_compute(actives[w])
-                scratch.record_compute(w, time.perf_counter() - t0)
+                worker.charge("compute", time.perf_counter() - t0)
                 for channel in worker.channels:
                     channel.reset_round()
 
             for round_idx, (group_active, frames) in enumerate(
                 engine.frame_log.rounds(s)
             ):
-                for w, worker in workers.items():
+                for worker in workers.values():
                     t0 = time.perf_counter()
                     worker.serialize_round(group_active)
                     # serialize can be the bulk of replay compute (the
                     # Propagation fixpoint runs here), so time it like
                     # the main loop does
-                    scratch.record_compute(w, time.perf_counter() - t0)
+                    worker.charge("serialize", time.perf_counter() - t0)
                 # capture every replaying worker's output before clearing,
                 # so simultaneously failed workers can read each other's
                 outs: dict[int, list[bytes]] = {}
@@ -299,35 +296,27 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
                         buffers.out[p].clear()
                     engine.frame_log.relog(s, round_idx, w, outs[w])
 
-                send_bytes = np.zeros(num_workers, dtype=np.int64)
-                recv_bytes = np.zeros(num_workers, dtype=np.int64)
                 for w, worker in workers.items():
-                    inbox = [b""] * num_workers
-                    for src in range(num_workers):
-                        if src == w:
-                            inbox[src] = outs[w][w]
-                        elif src in failed_set:
-                            inbox[src] = outs[src][w]
-                        else:
-                            inbox[src] = frames[src][w]
-                        if src != w and inbox[src]:
-                            n = len(inbox[src])
-                            replay_net_bytes += n
-                            send_bytes[src] += n
-                            recv_bytes[w] += n
+                    inbox = [
+                        outs[src][w] if src in workers else frames[src][w]
+                        for src in range(num_workers)
+                    ]
                     worker.buffers.inbox = inbox
                     t0 = time.perf_counter()
                     # the recorded group_active is the round structure;
                     # the replaying worker's own again() votes are moot
-                    worker.deserialize_round(group_active)
-                    scratch.record_compute(w, time.perf_counter() - t0)
-                scratch.record_exchange(send_bytes, recv_bytes)
-            scratch.end_superstep()
+                    votes = worker.deserialize_round(group_active)
+                    worker.charge("serialize", time.perf_counter() - t0)
+                    # the replay costs what the replaying workers pull in,
+                    # so a round's row is its inbox by source: the cost
+                    # model prices a byte alike at either end
+                    worker.record_round(np.array([len(buf) for buf in inbox]), votes)
+            replay.account({w: worker.books for w, worker in workers.items()})
+            replay.end_superstep()
     finally:
-        engine.metrics = metrics
         engine.step_num = target_step
 
     metrics.record_recovery(
-        reload_bytes + replay_net_bytes, reload_time + scratch.simulated_time
+        reload_bytes + replay.total_net_bytes, reload_time + replay.simulated_time
     )
     return workers

@@ -35,9 +35,9 @@ class Worker:
     backend substitutes a per-process host
     (:class:`repro.runtime.parallel.worker_proc._WorkerHost`).  The
     contract this class and the channels rely on is the attribute set
-    ``graph``, ``owner``, ``num_workers``, ``step_num``, and ``metrics``
-    (with the counting surface ``count_channel_bytes`` /
-    ``count_messages`` / ``count_channel_messages``).
+    ``graph``, ``owner``, ``num_workers`` and ``step_num``.  A worker
+    counts its own superstep into :attr:`books`; the host keeps no
+    counters.
     """
 
     def __init__(
@@ -67,6 +67,7 @@ class Worker:
         self._vertex = Vertex(self)
         self.program = None  # bound by build()
         self._local_adj: dict[str, LocalCSR] = {}
+        self._open_books(0)
 
     @classmethod
     def build(cls, host, worker_id: int, factory, *, seeds=None, initialize=False) -> "Worker":
@@ -143,10 +144,12 @@ class Worker:
         self.woken[...] = state["woken"]
 
     def begin_superstep(self) -> np.ndarray:
-        """Resolve the active set for this superstep and reset wake flags."""
+        """Resolve the active set for this superstep, reset wake flags and
+        open the superstep's :attr:`books`."""
         self.halted &= ~self.woken
         active = np.flatnonzero(~self.halted)
         self.woken[:] = False
+        self._open_books(int(active.size))
         return active
 
     @property
@@ -187,14 +190,15 @@ class Worker:
         writer = self.buffers.out[peer]
         writer.write_bytes(_FRAME.pack(channel_id, len(payload)))
         writer.write_bytes(payload)
-        self.engine.metrics.count_channel_bytes(
-            self._channel_label(channel_id), len(payload), local=peer == self.worker_id
-        )
+        self._traffic(channel_id)[1 if peer == self.worker_id else 0] += len(payload)
 
-    def _channel_label(self, channel_id: int) -> str:
+    def _traffic(self, channel_id: int) -> list[int]:
+        """The channel's ``[net bytes, local bytes, messages]`` in the books."""
         if 0 <= channel_id < len(self.channels):
-            return f"{channel_id}:{type(self.channels[channel_id]).__name__}"
-        return f"{channel_id}:?"  # raw emit outside the registry
+            label = f"{channel_id}:{type(self.channels[channel_id]).__name__}"
+        else:
+            label = f"{channel_id}:?"  # raw emit outside the registry
+        return self.books["channels"].setdefault(label, [0, 0, 0])
 
     def route_inbox(self) -> dict[int, list[tuple[int, memoryview]]]:
         """Split received buffers into per-channel payload lists."""
@@ -248,14 +252,36 @@ class Worker:
             )
         return next_active
 
-    # -- metrics ---------------------------------------------------------------
+    # -- the books: one record of this worker's superstep ----------------------
+    # Written where the work happens, read by one route,
+    # ExecutorBackend.account: on sim straight from the worker, on the
+    # process backend as the child's superstep reply.
+    #   active    vertices active this superstep
+    #   messages  network messages (count_net_messages)
+    #   channels  label -> [net bytes, local bytes, messages]
+    #   rounds    per exchange round: "sent" (int64 bytes to each peer,
+    #             self-delivery at this worker's own index), "next_active"
+    #             (the channels' another-round votes) and, when the frame
+    #             log is on, "frames" (the raw buffers to each peer, b"" to self)
+    #   phases    seconds per phase: barrier, compute, serialize, exchange
+    def _open_books(self, active: int) -> None:
+        self.books = {"active": active, "messages": 0, "channels": {}, "rounds": [], "phases": {}}
+
+    def charge(self, phase: str, seconds: float) -> None:
+        phases = self.books["phases"]
+        phases[phase] = phases.get(phase, 0.0) + seconds
+
+    def record_round(self, sent: np.ndarray, next_active: list[bool], frames=None) -> None:
+        rnd = {"sent": sent, "next_active": next_active}
+        if frames is not None:
+            rnd["frames"] = frames
+        self.books["rounds"].append(rnd)
+
     def count_net_messages(self, n: int, channel_id: int | None = None) -> None:
         if n:
-            self.engine.metrics.count_messages(n)
+            self.books["messages"] += n
             if channel_id is not None:
-                self.engine.metrics.count_channel_messages(
-                    self._channel_label(channel_id), n
-                )
+                self._traffic(channel_id)[2] += n
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Worker({self.worker_id}, |V_local|={self.num_local})"

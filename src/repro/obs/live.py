@@ -13,9 +13,9 @@ per-worker accounting readable *while* a run is in flight:
 - :class:`LiveSlotWriter` is the single-writer side of one slot.  Each
   process-backend worker publishes its own slot wait-free once per
   superstep; :class:`~repro.runtime.executor.SimBackend` publishes all
-  slots from the drive loop with identical semantics, so sim and
-  process segments are schema-identical by construction (mirroring the
-  trace design).
+  slots from its exchange phase.  Both fold the worker's superstep
+  record in through :meth:`LiveSlotWriter.add_record`, so sim and
+  process segments are identical by construction.
 - :class:`LiveMonitor` folds each superstep's per-worker readings into
   :class:`~repro.obs.stats.EwmaBaseline` online, flagging stragglers
   and anomalies *during* the run as "alert" trace instants and
@@ -331,6 +331,26 @@ class LiveSlotWriter:
             if key not in self.gauges:
                 raise ValueError(f"unknown live phase {phase!r}")
             self.gauges[key] += float(seconds)
+
+    def add_record(self, record: dict) -> None:
+        """Fold in and publish one superstep of this slot's worker, from
+        its record (:attr:`Worker.books <repro.core.worker.Worker.books>`):
+        the one route from a worker's books to its slot, on sim and in a
+        worker process alike.  Net and local bytes split as the
+        collector splits them."""
+        me = self.worker_id
+        local = sum(int(rnd["sent"][me]) for rnd in record["rounds"])
+        total = sum(int(rnd["sent"].sum()) for rnd in record["rounds"])
+        self.add(
+            superstep=1,
+            active=record["active"],
+            rounds=len(record["rounds"]),
+            net_bytes=total - local,
+            local_bytes=local,
+            messages=record["messages"],
+            **record["phases"],
+        )
+        self.publish()
 
     def publish(self) -> None:
         """Seqlock write: odd seq -> payload -> even seq."""

@@ -196,7 +196,8 @@ class PregelPlusEngine:
             self.workers.append(_PregelWorker(self, w, np.flatnonzero(self.owner == w)))
         for worker in self.workers:
             worker.program = program_factory(worker)
-        self._exchange = BufferExchange(self.metrics)
+        self._exchange = BufferExchange()
+        self._buffers = [w.buffers for w in self.workers]
 
         # mirror tables for ghost mode
         self.ghost_peers: dict[int, np.ndarray] = {}
@@ -245,7 +246,7 @@ class PregelPlusEngine:
                 t0 = time.perf_counter()
                 self._serialize_round1(worker, has_agg)
                 metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-            self._exchange.exchange([w.buffers for w in self.workers])
+            metrics.record_exchange(self._exchange.exchange(self._buffers))
             for worker in self.workers:
                 t0 = time.perf_counter()
                 if self._deserialize_round1(worker):
@@ -258,7 +259,7 @@ class PregelPlusEngine:
                     t0 = time.perf_counter()
                     self._serialize_round2(worker, has_agg)
                     metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-                self._exchange.exchange([w.buffers for w in self.workers])
+                metrics.record_exchange(self._exchange.exchange(self._buffers))
                 for worker in self.workers:
                     t0 = time.perf_counter()
                     self._deserialize_round2(worker)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.metrics import MetricsCollector
 from repro.runtime.serialization import BufferWriter
 
 __all__ = ["WorkerBuffers", "BufferExchange"]
@@ -29,14 +28,6 @@ class WorkerBuffers:
         self.out: list[BufferWriter] = [BufferWriter() for _ in range(num_workers)]
         self.inbox: list[bytes] = [b""] * num_workers
 
-    def out_nbytes(self) -> tuple[int, int]:
-        """(network bytes, local bytes) currently queued for sending."""
-        net = 0
-        for peer, writer in enumerate(self.out):
-            if peer != self.worker_id:
-                net += writer.nbytes
-        return net, self.out[self.worker_id].nbytes
-
     def clear_inbox(self) -> None:
         self.inbox = [b""] * self.num_workers
 
@@ -45,19 +36,15 @@ class BufferExchange:
     """Performs the pairwise buffer exchange between all workers.
 
     The simulator delivers every outgoing buffer to the matching peer's
-    inbox, records byte totals with the metrics collector (which also
-    charges modeled network time), and resets the writers for the next
-    round.
+    inbox and resets the writers for the next round.  It only moves
+    bytes: what moved is the caller's to account.
     """
 
-    def __init__(self, metrics: MetricsCollector) -> None:
-        self.metrics = metrics
-
-    def exchange(self, buffers: list[WorkerBuffers]) -> None:
+    def exchange(self, buffers: list[WorkerBuffers]) -> np.ndarray:
+        """Swap one round's buffers; returns ``sent[src, dst]``, the bytes
+        each worker sent each peer (self-delivery on the diagonal)."""
         m = len(buffers)
-        send_bytes = np.zeros(m, dtype=np.int64)
-        recv_bytes = np.zeros(m, dtype=np.int64)
-        local_bytes = 0
+        sent = np.zeros((m, m), dtype=np.int64)
 
         for wb in buffers:
             wb.clear_inbox()
@@ -66,13 +53,7 @@ class BufferExchange:
             for dst in range(m):
                 data = wb.out[dst].getvalue()
                 wb.out[dst].clear()
-                if not data:
-                    continue
-                buffers[dst].inbox[src] = data
-                if src == dst:
-                    local_bytes += len(data)
-                else:
-                    send_bytes[src] += len(data)
-                    recv_bytes[dst] += len(data)
-
-        self.metrics.record_exchange(send_bytes, recv_bytes, local_bytes=local_bytes)
+                if data:
+                    buffers[dst].inbox[src] = data
+                    sent[src, dst] = len(data)
+        return sent

@@ -15,13 +15,15 @@ backend implements:
     Resolve every worker's active set for the next superstep and return
     the global active count (0 terminates the run).
 ``compute_phase`` / ``exchange_phase``
-    One superstep's vertex compute and channel exchange rounds.  The
-    exchange phase maintains the sender-side frame log when confined
-    recovery is armed.  Every driver runs a round through the same two
-    halves, :meth:`Worker.serialize_round` and
-    :meth:`Worker.deserialize_round`: the simulator in lock-step here,
-    a worker process on its own inside one ``superstep`` command (where
-    these two primitives only collect what the children report).
+    One superstep's vertex compute and channel exchange rounds.  Every
+    driver runs a round through the same two halves,
+    :meth:`Worker.serialize_round` and :meth:`Worker.deserialize_round`:
+    the simulator in lock-step here, a worker process on its own inside
+    one ``superstep`` command.  Either way each worker counts its
+    superstep into its own record (:attr:`Worker.books`), and the
+    exchange phase ends in :meth:`ExecutorBackend.account`, the one
+    route from the records to the collector, the sender-side frame log
+    and the live slots.
 ``capture_state_blobs``
     Per-worker serialized state in the checkpoint capture format
     (:func:`repro.runtime.checkpoint.capture_worker_state`).
@@ -92,6 +94,9 @@ class ExecutorBackend:
         self.engine = engine
         #: the live slots as read at the latest checkpoint (live runs only)
         self.live_marks: list[dict] | None = None
+        #: the slot writers :meth:`account` publishes through, when the
+        #: workers live in this process (a worker process publishes its own)
+        self.live_writers: list | None = None
 
     # -- the drive loop (shared across backends) ---------------------------
     def run(self, max_supersteps: int = 100_000) -> "EngineResult":
@@ -123,9 +128,7 @@ class ExecutorBackend:
             self.take_checkpoint()
 
         while True:
-            t_barrier = time.perf_counter()
             total_active = self.barrier_vote()
-            barrier_seconds = time.perf_counter() - t_barrier
             if total_active == 0:
                 break
             engine.step_num += 1
@@ -135,21 +138,14 @@ class ExecutorBackend:
                     "the program may not terminate"
                 )
             metrics.start_superstep(total_active)
-            # the vote is a global sync point every worker waits through,
-            # so the whole collection time is charged to each of them
-            for w in range(engine.num_workers):
-                metrics.record_phase(w, "barrier", barrier_seconds)
             self.compute_phase()
             self.exchange_phase()
             metrics.end_superstep()
 
-            # live telemetry boundary: sim publishes all slots here (the
-            # process backend's children already published their own), then
-            # the monitor scores the fresh readings online
-            if engine.live is not None:
-                self.publish_live()
-                if engine.monitor is not None:
-                    engine.monitor.observe(engine.step_num)
+            # the live slots are published (by account, or by the worker
+            # processes); the monitor scores the fresh readings online
+            if engine.monitor is not None:
+                engine.monitor.observe(engine.step_num)
 
             # superstep boundary: rebalance first (a migration changes
             # what any checkpoint taken below must capture)
@@ -191,6 +187,31 @@ class ExecutorBackend:
         if engine.monitor is not None:
             result.live_alerts = list(engine.monitor.alerts)
         return result
+
+    # -- the one set of books -------------------------------------------------
+    def account(self, records: list[dict]) -> None:
+        """Account one superstep from every worker's record
+        (:attr:`Worker.books`, in worker order) into the collector
+        (:meth:`MetricsCollector.account`), the sender-side frame log when
+        confined recovery is armed, and the live slots this process
+        publishes.  Each backend calls it from its ``exchange_phase``."""
+        engine = self.engine
+        engine.metrics.account(dict(enumerate(records)))
+        if engine.frame_log is not None:
+            # per round: the channel groups that ran (all, then the OR of
+            # the previous round's votes) and every raw cross-worker buffer
+            step_log: list[tuple[list[bool], list[list[bytes]]]] = []
+            group_active = None
+            for rounds in zip(*(rec["rounds"] for rec in records)):
+                votes = [rnd["next_active"] for rnd in rounds]
+                frames = [[bytes(buf) for buf in rnd["frames"]] for rnd in rounds]
+                step_log.append((group_active or [True] * len(votes[0]), frames))
+                engine.metrics.record_log_bytes(sum(len(buf) for row in frames for buf in row))
+                group_active = [any(flags) for flags in zip(*votes)]
+            engine.frame_log.append_step(engine.step_num, step_log)
+        if self.live_writers is not None:
+            for writer, rec in zip(self.live_writers, records):
+                writer.add_record(rec)
 
     # -- shared fault-tolerance choreography --------------------------------
     def take_checkpoint(self) -> None:
@@ -269,12 +290,6 @@ class ExecutorBackend:
     def shutdown(self) -> None:
         """Release backend resources (idempotent; a no-op for sim)."""
 
-    # -- live telemetry hooks (ARCHITECTURE.md §11) --------------------------
-    def publish_live(self) -> None:
-        """Refresh the engine's live metrics slots after a superstep.  The
-        process backend's children publish their own slots autonomously,
-        so its override is this no-op; sim publishes all slots here."""
-
 
 class SimBackend(ExecutorBackend):
     """The in-process simulated cluster: every worker runs sequentially in
@@ -287,18 +302,16 @@ class SimBackend(ExecutorBackend):
 
     def __init__(self, engine: "ChannelEngine") -> None:
         super().__init__(engine)
-        self._exchange = BufferExchange(engine.metrics)
+        self._exchange = BufferExchange()
         self._active_sets: list = []
-        self._live_writers: list | None = None
-        self._live_step: dict | None = None
 
     # -- primitives ----------------------------------------------------------
     def begin_run(self) -> None:
-        if self.engine.live is not None and self._live_writers is None:
+        if self.engine.live is not None and self.live_writers is None:
             # created once per engine, never reset on a re-run: a second
             # run over a halted program adds zero supersteps, and the live
             # counters must keep matching the (also untouched) collector
-            self._live_writers = [
+            self.live_writers = [
                 self.engine.live.writer(w) for w in range(self.engine.num_workers)
             ]
         for worker in self.engine.workers:
@@ -306,112 +319,70 @@ class SimBackend(ExecutorBackend):
                 channel.initialize()
 
     def barrier_vote(self) -> int:
+        t0 = time.perf_counter()
+        workers = self.engine.workers
         # phase controllers may wake vertices for the upcoming superstep
-        for worker in self.engine.workers:
+        for worker in workers:
             worker.program.before_superstep()
-        self._active_sets = [w.begin_superstep() for w in self.engine.workers]
+        self._active_sets = [w.begin_superstep() for w in workers]
+        # the vote is a global sync point every worker waits through, so
+        # the whole collection time is charged to each of them
+        seconds = time.perf_counter() - t0
+        for worker in workers:
+            worker.charge("barrier", seconds)
         return sum(a.size for a in self._active_sets)
 
     def compute_phase(self) -> None:
         # vertex compute (parallel across workers -> charge max); each
         # worker dispatches scalar (per-vertex) or bulk (whole-active-set)
         # per its program's is_bulk flag
-        metrics = self.engine.metrics
-        track = self._live_writers is not None
-        if track:
-            n = self.engine.num_workers
-            self._live_step = {"net": [0] * n, "local": [0] * n, "messages": [0] * n}
         for worker, active in zip(self.engine.workers, self._active_sets):
-            before = metrics.current_messages if track else 0
             t0 = time.perf_counter()
             worker.run_compute(active)
-            seconds = time.perf_counter() - t0
-            metrics.record_compute(worker.worker_id, seconds)
-            metrics.record_phase(worker.worker_id, "compute", seconds)
-            if track:
-                # workers run sequentially here, so bracketing the shared
-                # collector's message count attributes exactly
-                self._live_step["messages"][worker.worker_id] += (
-                    metrics.current_messages - before
-                )
+            worker.charge("compute", time.perf_counter() - t0)
 
     def exchange_phase(self) -> None:
         engine = self.engine
-        metrics = engine.metrics
-        for worker in engine.workers:
+        workers = engine.workers
+        n = engine.num_workers
+        for worker in workers:
             for channel in worker.channels:
                 channel.reset_round()
 
-        num_channels = len(engine.workers[0].channels)
-        group_active = [True] * num_channels
-        step_log: list[tuple[list[bool], list[list[bytes]]]] | None = (
-            [] if engine.frame_log is not None else None
-        )
-
-        track = self._live_step is not None
+        group_active = [True] * len(workers[0].channels)
         while any(group_active):
-            # serialize
-            for worker in engine.workers:
-                before = metrics.current_messages if track else 0
+            for worker in workers:
                 t0 = time.perf_counter()
                 worker.serialize_round(group_active)
-                seconds = time.perf_counter() - t0
-                metrics.record_compute(worker.worker_id, seconds)
-                metrics.record_phase(worker.worker_id, "serialize", seconds)
-                if track:
-                    net, local = worker.buffers.out_nbytes()
-                    st = self._live_step
-                    st["net"][worker.worker_id] += int(net)
-                    st["local"][worker.worker_id] += int(local)
-                    st["messages"][worker.worker_id] += (
-                        metrics.current_messages - before
-                    )
+                worker.charge("serialize", time.perf_counter() - t0)
 
-            if step_log is not None:
-                # sender-side frame log for confined recovery: every
-                # cross-worker buffer of this round, captured pre-exchange
-                frames = [
-                    [
-                        b""
-                        if peer == worker.worker_id
-                        else worker.buffers.out[peer].getvalue()
-                        for peer in range(engine.num_workers)
-                    ]
-                    for worker in engine.workers
-                ]
-                step_log.append((list(group_active), frames))
-                metrics.record_log_bytes(
-                    sum(len(buf) for row in frames for buf in row)
-                )
-
-            # pairwise exchange (accounted by the cost model)
+            # pairwise exchange; the swap is one shared memcpy pass here,
+            # like the barrier a global step every worker sits through
             t0 = time.perf_counter()
-            self._exchange.exchange([w.buffers for w in engine.workers])
+            sent = self._exchange.exchange([w.buffers for w in workers])
             swap_seconds = time.perf_counter() - t0
-            # the swap is one shared memcpy pass here; like the barrier,
-            # it's a global step every worker sits through
-            for w in range(engine.num_workers):
-                metrics.record_phase(w, "exchange", swap_seconds)
+            # the frame log's copy of what each worker sent its peers,
+            # read from their inboxes before deserializing clears them
+            frames = [None] * n
+            if engine.frame_log is not None:
+                frames = [
+                    [b"" if p == w else workers[p].buffers.inbox[w] for p in range(n)]
+                    for w in range(n)
+                ]
 
             # deserialize + decide on another round: a channel group stays
             # active while any worker's instance of it asks for more
-            next_active = [False] * num_channels
-            for worker in engine.workers:
-                before = metrics.current_messages if track else 0
+            next_active = [False] * len(group_active)
+            for w, worker in enumerate(workers):
                 t0 = time.perf_counter()
                 votes = worker.deserialize_round(group_active)
+                worker.charge("serialize", time.perf_counter() - t0)
+                worker.charge("exchange", swap_seconds)
+                worker.record_round(sent[w], votes, frames[w])
                 next_active = [a or b for a, b in zip(next_active, votes)]
-                seconds = time.perf_counter() - t0
-                metrics.record_compute(worker.worker_id, seconds)
-                metrics.record_phase(worker.worker_id, "serialize", seconds)
-                if track:
-                    self._live_step["messages"][worker.worker_id] += (
-                        metrics.current_messages - before
-                    )
             group_active = next_active
 
-        if step_log is not None:
-            engine.frame_log.append_step(engine.step_num, step_log)
+        self.account([w.books for w in workers])
 
     def capture_state_blobs(self) -> list[bytes]:
         return [encode_state(capture_worker_state(w)) for w in self.engine.workers]
@@ -442,30 +413,11 @@ class SimBackend(ExecutorBackend):
         for w in range(engine.num_workers):
             restore_worker(engine, engine.checkpoint, w)
         rollback_recovery(engine)
-        if self._live_writers is not None:
+        if self.live_writers is not None:
             # the collector rolled back to the checkpoint; so does the
             # live plane (re-executed supersteps re-accumulate)
-            for writer, row in zip(self._live_writers, self.live_marks):
+            for writer, row in zip(self.live_writers, self.live_marks):
                 writer.rewind(row)
-
-    # -- live telemetry ------------------------------------------------------
-    def publish_live(self) -> None:
-        if self._live_writers is None:
-            return
-        rec = self.engine.metrics.records[-1]
-        step = self._live_step
-        for w, writer in enumerate(self._live_writers):
-            writer.add(
-                superstep=1,
-                active=int(self._active_sets[w].size),
-                rounds=rec.rounds,
-                net_bytes=0 if step is None else step["net"][w],
-                local_bytes=0 if step is None else step["local"][w],
-                messages=0 if step is None else step["messages"][w],
-                **{phase: seconds[w] for phase, seconds in rec.phases.items()},
-            )
-            writer.publish()
-        self._live_step = None
 
     def collect_results(self) -> Mapping:
         return VertexResults.merged(

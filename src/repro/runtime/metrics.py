@@ -168,21 +168,20 @@ class MetricsCollector:
             arr = self._phase_per_worker[phase] = np.zeros(self.num_workers)
         arr[worker_id] += seconds
 
-    def record_exchange(
-        self,
-        send_bytes: np.ndarray,
-        recv_bytes: np.ndarray,
-        local_bytes: int = 0,
-        messages: int = 0,
-    ) -> None:
-        """Account one buffer-exchange round."""
+    def record_exchange(self, sent: np.ndarray) -> None:
+        """Account one buffer-exchange round from its matrix of
+        ``sent[src, dst]`` bytes; the diagonal is self-delivery, local
+        rather than network traffic."""
         cur = self._current
         assert cur is not None
+        own = np.diag(sent)
+        send_bytes = sent.sum(axis=1) - own
+        local_bytes = int(own.sum())
         cur.rounds += 1
-        round_net = int(np.sum(send_bytes))
+        round_net = int(send_bytes.sum())
         cur.net_bytes += round_net
         cur.local_bytes += local_bytes
-        cur.exchange_time += self.network.exchange_time(send_bytes, recv_bytes, messages)
+        cur.exchange_time += self.network.exchange_time(send_bytes, sent.sum(axis=0) - own)
         if self.trace is not None and self._step_span is not None:
             self.trace.instant(
                 "round",
@@ -196,23 +195,32 @@ class MetricsCollector:
         assert self._current is not None
         self._current.messages += n
 
-    @property
-    def current_messages(self) -> int:
-        """Messages counted so far in the in-flight superstep — the live
-        plane's per-worker delta capture point on the sim backend (the
-        sim's workers share this one collector, so per-worker attribution
-        means bracketing each worker's sequential slice of the loop)."""
-        return self._current.messages if self._current is not None else 0
-
-    def count_channel_bytes(self, label: str, nbytes: int, local: bool) -> None:
-        """Attribute payload bytes to a channel (the per-pattern traffic
-        breakdown the paper's analyses reason about)."""
-        entry = self.channel_traffic.setdefault(label, [0, 0, 0])
-        entry[1 if local else 0] += nbytes
-
-    def count_channel_messages(self, label: str, n: int) -> None:
-        entry = self.channel_traffic.setdefault(label, [0, 0, 0])
-        entry[2] += n
+    def account(self, records: dict) -> None:
+        """Fold the in-flight superstep's worker records
+        (:attr:`Worker.books <repro.core.worker.Worker.books>`, by worker
+        id) in: each worker's phase seconds, messages and per-channel
+        traffic (the per-pattern breakdown the paper's analyses reason
+        about), then one :meth:`record_exchange` per round over the rows
+        the workers sent.  The only way a worker's counts reach a
+        collector, on every backend and in confined replay."""
+        for w, rec in records.items():
+            phases = rec["phases"]
+            self.record_compute(w, phases.get("compute", 0.0) + phases.get("serialize", 0.0))
+            for phase, seconds in phases.items():
+                self.record_phase(w, phase, seconds)
+            self.count_messages(rec["messages"])
+            for label, counts in rec["channels"].items():
+                entry = self.channel_traffic.setdefault(label, [0, 0, 0])
+                for i, n in enumerate(counts):
+                    entry[i] += n
+        num_rounds = {len(rec["rounds"]) for rec in records.values()}
+        if len(num_rounds) > 1:  # pragma: no cover - protocol bug guard
+            raise RuntimeError(f"workers disagree on exchange round count: {sorted(num_rounds)}")
+        for r in range(num_rounds.pop() if num_rounds else 0):
+            sent = np.zeros((self.num_workers, self.num_workers), dtype=np.int64)
+            for w, rec in records.items():
+                sent[w] = rec["rounds"][r]["sent"]
+            self.record_exchange(sent)
 
     def channel_breakdown(self) -> dict:
         """{channel label: {"net_bytes", "local_bytes", "messages"}}."""

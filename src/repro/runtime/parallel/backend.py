@@ -19,8 +19,10 @@ worker processes drawn from a persistent
   produced: over per-pair shared-memory ring buffers on
   ``transport="shm"`` pools (the default), or over dedicated pipes on
   ``transport="pipe"`` pools — the transport is only the byte mover;
-  either way the parent receives only byte counts and feeds them to the
-  same :meth:`MetricsCollector.record_exchange` the simulator uses;
+  either way the parent receives only each child's superstep record
+  (byte counts, not bytes) and accounts it through the same
+  :meth:`~repro.runtime.executor.ExecutorBackend.account` the simulator
+  uses;
 * **fault tolerance for real** — checkpoints are captured worker-side
   and shipped to the parent as checkpoint-codec wire bytes; an injected
   failure kills the worker's OS process outright (the parent observes
@@ -135,52 +137,10 @@ class ProcessBackend(ExecutorBackend):
         children's ``superstep`` command."""
 
     def exchange_phase(self) -> None:
-        """Collect the consolidated superstep replies and replay the
-        per-round accounting the children performed on their own,
-        producing byte-for-byte the same metrics and frame-log entries
-        as the simulator's lock-step rounds."""
-        engine = self.engine
-        metrics = engine.metrics
-        pool = self.pool
-        log_frames = engine.frame_log is not None
-        step_log: list[tuple[list[bool], list[list[bytes]]]] = []
-
-        replies = pool.gather("superstep")
-        for w, reply in enumerate(replies):
-            self._merge(w, reply)
-
-        num_rounds = {len(reply["rounds"]) for reply in replies}
-        if len(num_rounds) != 1:  # pragma: no cover - protocol bug guard
-            raise WorkerProcessError(
-                f"workers disagree on exchange round count: {sorted(num_rounds)}"
-            )
-
-        num_channels = pool.num_channels
-        group_active = [True] * num_channels
-        for r in range(num_rounds.pop()):
-            rounds = [reply["rounds"][r] for reply in replies]
-            if log_frames:
-                # sender-side frame log, identical to the simulator's: the
-                # raw cross-worker buffers of this round, pre-exchange
-                frames = [[bytes(buf) for buf in rnd["frames"]] for rnd in rounds]
-                step_log.append((group_active, frames))
-                metrics.record_log_bytes(
-                    sum(len(buf) for row in frames for buf in row)
-                )
-            sent = np.array([rnd["sent"] for rnd in rounds], dtype=np.int64)
-            metrics.record_exchange(
-                sent.sum(axis=1) - np.diag(sent),
-                sent.sum(axis=0) - np.diag(sent),
-                local_bytes=int(np.trace(sent)),
-            )
-            # the same OR-merge every child applied in-stream
-            group_active = [
-                any(rnd["next_active"][cid] for rnd in rounds)
-                for cid in range(num_channels)
-            ]
-
-        if log_frames:
-            engine.frame_log.append_step(engine.step_num, step_log)
+        """Collect the children's superstep records (their
+        :attr:`Worker.books`, one reply each) and account them, as the
+        simulator accounts its workers' records."""
+        self.account(self.pool.gather("superstep"))
 
     def capture_state_blobs(self) -> list[bytes]:
         # snapshots are captured worker-side and cross the control pipes
@@ -268,19 +228,3 @@ class ProcessBackend(ExecutorBackend):
     def shutdown(self) -> None:
         if self.owns_pool:
             self.pool.shutdown()
-
-    # -- helpers -------------------------------------------------------------
-    def _merge(self, worker_id: int, reply: dict) -> None:
-        """Fold one worker's phase reply into the run's metrics, through
-        the same counting surface the channels use in-process."""
-        metrics = self.engine.metrics
-        metrics.record_compute(worker_id, reply["seconds"])
-        for phase, seconds in reply.get("phases", {}).items():
-            metrics.record_phase(worker_id, phase, seconds)
-        counters = reply["counters"]
-        if counters["messages"]:
-            metrics.count_messages(counters["messages"])
-        for label, (net, local, msgs) in counters["channels"].items():
-            metrics.count_channel_bytes(label, net, local=False)
-            metrics.count_channel_bytes(label, local, local=True)
-            metrics.count_channel_messages(label, msgs)

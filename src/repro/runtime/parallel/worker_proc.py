@@ -15,10 +15,13 @@ dispatch over one ``_cmd_<name>`` method per command:
     the same global total; 0 ends the run without a reply), compute,
     then every exchange round — :meth:`Worker.serialize_round`, the
     transport moves the per-peer buffers, :meth:`Worker.deserialize_round`,
-    the transport merges every worker's another-round votes — and sends
-    one consolidated reply carrying per-round byte counts, phase timings
-    and, when ``log_frames`` is set, the raw outgoing buffers for the
-    parent's sender-side :class:`~repro.core.recovery.FrameLog`.  A
+    the transport merges every worker's another-round votes — and replies
+    with the worker's record of the superstep, :attr:`Worker.books`:
+    per-round byte counts and votes, message and per-channel counts,
+    phase timings and, when ``log_frames`` is set, the raw outgoing
+    buffers for the parent's sender-side
+    :class:`~repro.core.recovery.FrameLog`.  The child publishes its live
+    slot from the same record.  A
     superstep costs one control-pipe message each way per worker; the
     *same bytes* the simulator's
     :class:`~repro.runtime.buffers.BufferExchange` would move cross real
@@ -63,9 +66,8 @@ A *transport* is only the byte mover under that one protocol:
 :class:`_RingTransport` (``"shm"``) and :class:`_PipeTransport`
 (``"pipe"``) implement the same six methods.  Channel/worker code runs
 **unmodified**: the child's :class:`_WorkerHost` quacks like the engine
-(graph, owner, metrics, ``step_num``) and its :class:`_ChildCounters`
-absorbs the byte/message accounting calls, which the child flushes to
-the parent with every reply.
+(graph, owner, ``step_num``), and the worker counts its superstep into
+its own books on either side of the process boundary.
 """
 
 from __future__ import annotations
@@ -100,36 +102,6 @@ __all__ = ["worker_main"]
 _U64 = struct.Struct("<Q")
 
 
-class _ChildCounters:
-    """Accumulates the metric calls workers/channels make mid-phase; the
-    child flushes the deltas to the parent with every reply, where they
-    merge into the real :class:`~repro.runtime.metrics.MetricsCollector`."""
-
-    __slots__ = ("messages", "channel_traffic")
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.channel_traffic: dict = {}
-
-    # -- MetricsCollector counting surface (see Worker.emit/count_net_messages)
-    def count_messages(self, n: int) -> None:
-        self.messages += n
-
-    def count_channel_bytes(self, label: str, nbytes: int, local: bool) -> None:
-        entry = self.channel_traffic.setdefault(label, [0, 0, 0])
-        entry[1 if local else 0] += nbytes
-
-    def count_channel_messages(self, label: str, n: int) -> None:
-        entry = self.channel_traffic.setdefault(label, [0, 0, 0])
-        entry[2] += n
-
-    def flush(self) -> dict:
-        out = {"messages": self.messages, "channels": self.channel_traffic}
-        self.messages = 0
-        self.channel_traffic = {}
-        return out
-
-
 class _WorkerHost:
     """Just enough of :class:`~repro.core.engine.ChannelEngine` for a
     :class:`Worker` and its channels to run unchanged in a child."""
@@ -138,7 +110,6 @@ class _WorkerHost:
         self.graph = graph
         self.owner = owner
         self.num_workers = num_workers
-        self.metrics = _ChildCounters()
         self.step_num = 0
 
 
@@ -599,29 +570,27 @@ class _WorkerProcess:
         transport = self.transport
         clock = time.perf_counter
 
-        worker.program.before_superstep()
-        active = worker.begin_superstep()
-        my_active = int(active.size)
         t0 = clock()
-        self.board.write(self.worker_id, msg["seq"], my_active)
+        worker.program.before_superstep()
+        active = worker.begin_superstep()  # opens this superstep's books
+        self.board.write(self.worker_id, msg["seq"], int(active.size))
         total = sum(
             self.board.read(w, msg["seq"]) for w in range(host.num_workers)
         )
-        vote_s = clock() - t0
         if total == 0:
             return None  # the parent reads the same votes; run over
+        worker.charge("barrier", clock() - t0)
 
         host.step_num += 1
         t0 = clock()
         worker.run_compute(active)
-        compute_s = clock() - t0
+        worker.charge("compute", clock() - t0)
 
         log_frames = msg["log_frames"]
         nchan = len(worker.channels)
         for channel in worker.channels:
             channel.reset_round()
         group_active = [True] * nchan
-        rounds: list[dict] = []
         wire_s = 0.0  # inside the transport: pure byte moving
 
         def moving(move, *args):
@@ -642,45 +611,18 @@ class _WorkerProcess:
             worker.buffers.inbox = moving(transport.finish_round)
             next_active = worker.deserialize_round(group_active)
             group_active = moving(transport.exchange_votes, next_active)
-            record = {"sent": transport.round_sent(), "next_active": next_active}
-            if log_frames:
-                record["frames"] = transport.round_frames()
-            rounds.append(record)
-        # serialize + deserialize: what the simulator charges as compute
-        codec_s = clock() - t_exchange - wire_s
-
-        counters = host.metrics
-        if self.live_writer is not None:
-            step_net = step_local = 0
-            for record in rounds:
-                sent = record["sent"]
-                step_net += int(sent.sum() - sent[self.worker_id])
-                step_local += int(sent[self.worker_id])
-            # messages are read *before* the reply's counters.flush
-            self.live_writer.add(
-                superstep=1,
-                active=my_active,
-                rounds=len(rounds),
-                net_bytes=step_net,
-                local_bytes=step_local,
-                messages=counters.messages,
-                barrier=vote_s,
-                compute=compute_s,
-                serialize=codec_s,
-                exchange=wire_s,
+            worker.record_round(
+                transport.round_sent(),
+                next_active,
+                transport.round_frames() if log_frames else None,
             )
-            self.live_writer.publish()
-        return {
-            "active": my_active,
-            "rounds": rounds,
-            "seconds": compute_s + codec_s,
-            "phases": {
-                "compute": compute_s,
-                "serialize": codec_s,
-                "exchange": wire_s,
-            },
-            "counters": counters.flush(),
-        }
+        # serialize + deserialize: what the simulator charges as compute
+        worker.charge("serialize", clock() - t_exchange - wire_s)
+        worker.charge("exchange", wire_s)
+
+        if self.live_writer is not None:
+            self.live_writer.add_record(worker.books)
+        return worker.books
 
     def _cmd_start_run(self, msg: dict) -> dict:
         for channel in self.worker.channels:

@@ -26,10 +26,10 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
-from repro.core.channels._records import decode_records, encode_records
+from repro.core.channels._records import decode_records, encode_pattern, encode_records
 from repro.graph import rmat
 from repro.graph.partition import range_partition
-from repro.runtime.serialization import FLOAT64
+from repro.runtime.serialization import FLOAT64, INT32, INT64
 from helpers import line_graph
 
 GRAPH = rmat(7, edge_factor=6, seed=11)
@@ -205,7 +205,6 @@ SNAPSHOT_FORMAT = {
         "edge_src": "int64",
         "edge_dst": "int64",
         "values": "float64",
-        "sent_mask": "bool",
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
@@ -277,7 +276,6 @@ ADJACENCY_SNAPSHOT_FORMAT = {
     ScatterCombine: {
         "edge_adjacency": str,
         "values": "float64",
-        "sent_mask": "bool",
         "dirty": bool,
         "slots": "float64",
         "has_msg": "bool",
@@ -319,3 +317,74 @@ def test_adjacency_snapshot_keys_are_pinned(cls, built):
     }
     assert list(got.items()) == list(ADJACENCY_SNAPSHOT_FORMAT[cls].items())
     assert snap["edge_adjacency"] == "in"
+
+
+# -- malformed payloads: every receiver names the channel and the source --------
+
+
+def _ones(n, dtype=np.float64):
+    return np.ones(n, dtype=dtype)
+
+
+#: per receiving channel: how it is built, and the payload that sends ``ids``
+RECEIVERS = {
+    CombinedMessage: (
+        lambda w: CombinedMessage(w, SUM_F64),
+        lambda ch, ids: encode_records(ids, _ones(len(ids)), FLOAT64),
+    ),
+    DirectMessage: (
+        DirectMessage,
+        lambda ch, ids: encode_records(ids, _ones(len(ids), np.int64), INT64),
+    ),
+    Propagation: (
+        lambda w: Propagation(w, MIN_I64),
+        lambda ch, ids: encode_records(ids, _ones(len(ids), np.int64), INT64),
+    ),
+    RequestRespond: (
+        lambda w: RequestRespond(w, respond_fn=lambda v: v.id),
+        lambda ch, ids: INT32.encode_array(ids),
+    ),
+    # a list announcement: the words are the ids
+    ScatterCombine: (
+        lambda w: ScatterCombine(w, SUM_F64),
+        lambda ch, ids: encode_pattern(ch, _ones(len(ids)), words=np.asarray(ids)),
+    ),
+}
+
+#: on worker 1 of a 16-vertex range partition, which owns 8..15
+BAD_IDS = {
+    "negative": ([9, -1], r"id -1 outside \[0, 16\)"),
+    "past the last": ([9, 16], r"id 16 outside \[0, 16\)"),
+    "owned elsewhere": ([9, 3], r"id 3, which worker 1 does not own"),
+}
+
+
+def _receiver(cls):
+    class Idle(VertexProgram):
+        def compute(self, v):
+            v.vote_to_halt()
+
+    engine = ChannelEngine(line_graph(16), Idle, num_workers=2, partition=range_partition(16, 2))
+    make, payload = RECEIVERS[cls]
+    return make(engine.workers[1]), payload
+
+
+@pytest.mark.parametrize("bad", list(BAD_IDS))
+@pytest.mark.parametrize("cls", list(RECEIVERS), ids=lambda c: c.__name__)
+def test_a_received_id_the_worker_cannot_index_is_refused(cls, bad):
+    """Received ids index ``_local_index``: unchecked, a negative one wraps
+    to the last vertex, one past the last raises a bare ``IndexError`` and
+    one owned elsewhere (-1 there) folds into the last slot."""
+    channel, payload = _receiver(cls)
+    ids, match = BAD_IDS[bad]
+    with pytest.raises(RuntimeError, match=rf"{cls.__name__}.*worker 0 sent {match}"):
+        channel.deserialize([(0, memoryview(payload(channel, ids)))])
+
+
+@pytest.mark.parametrize("cls", list(RECEIVERS), ids=lambda c: c.__name__)
+def test_a_ragged_payload_is_refused(cls):
+    """One byte short of whole records: the partial record is an error,
+    never dropped silently."""
+    channel, payload = _receiver(cls)
+    with pytest.raises(RuntimeError, match=rf"{cls.__name__}.*worker 0 sent"):
+        channel.deserialize([(0, memoryview(payload(channel, [9, 10])[:-1]))])

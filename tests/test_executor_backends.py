@@ -143,6 +143,37 @@ def _check_recovery_parity(
     assert pm.recovery_bytes > 0 and pm.recovery_time > 0
 
 
+def _per_superstep(result):
+    return [
+        (r.rounds, r.net_bytes, r.local_bytes, r.messages, r.active_vertices)
+        for r in result.metrics.records
+    ]
+
+
+_EXECUTORS = {
+    "process-shm": dict(executor="process", transport="shm"),
+    "process-pipe": dict(executor="process", transport="pipe"),
+}
+
+
+@pytest.mark.parametrize("mode", ["failure-free", "rollback", "confined"])
+@pytest.mark.parametrize("name", ["pr-scatter", "sv-both"])
+def test_every_superstep_record_matches_across_executors(name, mode):
+    """Totals could agree while two supersteps trade bytes: each
+    superstep's record must match across sim, process×shm and
+    process×pipe — and, with a failure recovered, the failure-free run's."""
+    runner, fail_at = WORKLOADS[name]
+    kw = dict(num_workers=2)
+    if mode != "failure-free":
+        kw.update(checkpoint_every=2, failures=[(1, fail_at)], recovery=mode)
+    results = {"sim": runner(**kw)[-1]}
+    results.update((ex, runner(**kw, **extra)[-1]) for ex, extra in _EXECUTORS.items())
+    expected = _per_superstep(_baseline(name, 2)[-1])
+    for executor, result in results.items():
+        assert result.metrics.num_failures == (mode != "failure-free"), executor
+        assert _per_superstep(result) == expected, executor
+
+
 def test_process_simultaneous_failures():
     base = _baseline("wcc", 8)
     for mode in ("rollback", "confined"):

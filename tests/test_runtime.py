@@ -52,15 +52,6 @@ class TestNetworkModel:
 
 
 class TestWorkerBuffers:
-    def test_out_nbytes_splits_net_and_local(self):
-        wb = WorkerBuffers(worker_id=1, num_workers=3)
-        wb.out[0].write_bytes(b"abcd")
-        wb.out[1].write_bytes(b"xy")  # self
-        wb.out[2].write_bytes(b"hello")
-        net, local = wb.out_nbytes()
-        assert net == 9
-        assert local == 2
-
     def test_clear_inbox(self):
         wb = WorkerBuffers(0, 2)
         wb.inbox[1] = b"data"
@@ -76,21 +67,21 @@ class TestBufferExchange:
         return mc
 
     def test_pairwise_delivery(self):
-        mc = self._metrics(3)
         bufs = [WorkerBuffers(i, 3) for i in range(3)]
         bufs[0].out[2].write_bytes(b"from0to2")
         bufs[1].out[0].write_bytes(b"from1to0")
-        BufferExchange(mc).exchange(bufs)
+        sent = BufferExchange().exchange(bufs)
         assert bufs[2].inbox[0] == b"from0to2"
         assert bufs[0].inbox[1] == b"from1to0"
         assert bufs[1].inbox == [b"", b"", b""]
+        assert sent.tolist() == [[0, 0, 8], [8, 0, 0], [0, 0, 0]]
 
     def test_self_delivery_counts_as_local(self):
         mc = self._metrics(2)
         bufs = [WorkerBuffers(i, 2) for i in range(2)]
         bufs[0].out[0].write_bytes(b"selfmsg")
         bufs[0].out[1].write_bytes(b"netmsg!")
-        BufferExchange(mc).exchange(bufs)
+        mc.record_exchange(BufferExchange().exchange(bufs))
         mc.end_superstep()
         rec = mc.records[0]
         assert rec.local_bytes == 7
@@ -98,10 +89,9 @@ class TestBufferExchange:
         assert bufs[0].inbox[0] == b"selfmsg"
 
     def test_writers_cleared_after_exchange(self):
-        mc = self._metrics(2)
         bufs = [WorkerBuffers(i, 2) for i in range(2)]
         bufs[0].out[1].write_bytes(b"x")
-        BufferExchange(mc).exchange(bufs)
+        BufferExchange().exchange(bufs)
         assert bufs[0].out[1].nbytes == 0
 
     def test_bytes_sent_equal_bytes_received(self):
@@ -117,7 +107,7 @@ class TestBufferExchange:
                 data = bytes(rng.integers(0, 256, size=rng.integers(0, 50)).tolist())
                 bufs[i].out[j].write_bytes(data)
                 total += len(data)
-        BufferExchange(mc).exchange(bufs)
+        mc.record_exchange(BufferExchange().exchange(bufs))
         mc.end_superstep()
         received = sum(len(b.inbox[src]) for b in bufs for src in range(4))
         assert received == total == mc.records[0].net_bytes
@@ -131,7 +121,8 @@ class TestMetricsCollector:
         mc.record_compute(0, 0.5)
         mc.record_compute(1, 0.2)
         mc.record_compute(1, 0.1)
-        mc.record_exchange(np.array([4, 0]), np.array([0, 4]), local_bytes=2)
+        # worker 0 sends worker 1 four bytes and itself two
+        mc.record_exchange(np.array([[2, 4], [0, 0]]))
         mc.count_messages(3)
         mc.end_superstep()
         mc.end_run()
@@ -150,11 +141,11 @@ class TestMetricsCollector:
         assert mc.wall_time > 0
 
     def test_totals_sum_over_supersteps(self):
-        mc = MetricsCollector(num_workers=1, network=NetworkModel(latency=0, bandwidth=1e9))
+        mc = MetricsCollector(num_workers=2, network=NetworkModel(latency=0, bandwidth=1e9))
         mc.start_run()
         for k in range(3):
             mc.start_superstep()
-            mc.record_exchange(np.array([k * 10]), np.array([0]))
+            mc.record_exchange(np.array([[0, k * 10], [0, 0]]))
             mc.count_messages(k)
             mc.end_superstep()
         mc.end_run()

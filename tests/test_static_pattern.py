@@ -682,10 +682,10 @@ def test_value_count_differs_from_the_pattern(receiver):
 def test_announced_id_the_receiver_does_not_own(receiver):
     """``_local_index`` is -1 there: the value used to fold, silently,
     into the receiver's last slot."""
-    with pytest.raises(RuntimeError, match=r"worker 0 announced id 3, which worker 1 does not own"):
+    with pytest.raises(RuntimeError, match=r"worker 0 sent id 3, which worker 1 does not own"):
         receiver.deserialize([(0, _payload([4, 3], [1.0, 2.0]))])
     assert 0 not in receiver._patterns
-    with pytest.raises(ValueError, match=r"worker 0's announced id 8 outside \[0, 8\)"):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent id 8 outside \[0, 8\)"):
         receiver.deserialize([(0, _payload([8], [1.0]))])
 
 
