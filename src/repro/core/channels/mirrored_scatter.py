@@ -10,9 +10,9 @@ receiving side expands it through a pre-built mirror adjacency.
 
 This is an extension beyond the paper's three optimized channels (the
 paper's Section VI explicitly lists mirroring as a known technique its
-framework could host).  Interface-wise it is a drop-in replacement for
-:class:`ScatterCombine`: ``add_edges`` once, ``set_message`` per
-superstep, ``get_message`` next superstep.
+framework could host).  It is :class:`ScatterCombine` plus mirrors: the
+edges no mirror covers are that channel's segments, built and scanned as
+there, and each peer's values gain one per sender mirrored there.
 
 Compared to ScatterCombine on the same traffic:
 
@@ -25,30 +25,32 @@ Compared to ScatterCombine on the same traffic:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.core.channel import Channel
-from repro.core.channels._edges import ScatterEdges
-from repro.core.channels._pattern import Pattern, StaticPattern
+from repro.core.channels._pattern import Pattern
 from repro.core.channels._records import as_int32, local_ids
+from repro.core.channels.scatter_combine import ScatterCombine
 from repro.core.combiner import Combiner
-from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.util import group_starts
+from repro.util import stable_order
 
 __all__ = ["MirroredScatter"]
 
 
-class MirroredScatter(ScatterEdges, StaticPattern, Channel):
+class MirroredScatter(ScatterCombine):
     """Scatter with sender-side mirroring above a degree threshold.
 
-    Same static edge set (:class:`ScatterEdges`), combined inbox and wire
-    (:class:`StaticPattern`) as :class:`ScatterCombine`; its own are the
-    words it announces — the plain destinations, then every mirrored
-    sender's neighbor list — and so the pattern a receiver keeps, in which
-    a mirrored sender's one value takes as many slots as it has neighbors
-    there.  With no mirrored sender both are ``ScatterCombine``'s, plus
-    the two counts that open the announcement.
+    A sender with at least ``threshold`` edges into a peer is *mirrored*
+    there: its value crosses once, after the combined values of the
+    *plain* edges (every other one, which are :class:`ScatterCombine`'s
+    segments), and the announcement carries its neighbours there.  The
+    announced words are ``[plain count][mirrored count][plain ids][degree
+    per mirrored sender][their neighbours, sender by sender]``, and so the
+    pattern a receiver keeps (:meth:`_learn`) repeats a mirrored value over
+    its neighbours.  With no mirrored sender both are ``ScatterCombine``'s,
+    plus the two counts that open the announcement.
 
     Parameters
     ----------
@@ -67,58 +69,76 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
     _words_are_ids = False
 
     def __init__(self, worker: Worker, combiner: Combiner, threshold: int = 16) -> None:
-        Channel.__init__(self, worker)
-        self._init_pattern(combiner)
-        self._init_edges()
+        super().__init__(worker, combiner)
         self.threshold = threshold
-        # per-superstep state: the value each vertex scatters, identity until set
-        self._values = self._slots.copy()
-        self._dirty = False
-        # static dispatch structure (built lazily), one row per peer: plain
-        # (non-mirrored) edges — sender local indices sorted by destination
-        # and the segment start of each unique one; mirrored senders, whose
-        # value is shipped once and expanded remotely — local indices; the
-        # number of mirrored edges, which an announcement counts as messages
-        self._dispatch: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
+        # per peer, built with the rest: the senders mirrored there,
+        # ascending, and their edges there, which an announcement counts
+        # as messages
+        self._mirrored: list[tuple[np.ndarray, int]] = []
 
     # -- setup ------------------------------------------------------------
     def _build(self) -> None:
-        # the per-peer sorts below want whole columns: copy the blocks out
-        # (senders as int64 — they index _values every superstep, and a
-        # narrower index is widened per call)
-        num_edges, blocks = self._edge_blocks()
-        src, dst = np.empty((2, num_edges), dtype=np.int64)
-        end = 0
-        for block_src, block_dst in blocks:
-            start, end = end, end + block_src.size
-            src[start:end], dst[start:end] = block_src, block_dst
+        # pass 1 counts each (sender, peer) pair's edges, which decides the
+        # mirrors before pass 2 groups the plain edges: a sender's edges
+        # never straddle two blocks (whole rows, or the one per-edge block)
+        self._num_edges, blocks = self._edge_blocks()
+        peers = self.num_workers
+        counts = np.zeros(self.worker.num_local * peers, dtype=np.int64)
+        for src, dst in blocks:
+            pairs = self._pairs(src, dst)[1]
+            if pairs.size:
+                lo = int(pairs.min())
+                pairs -= lo
+                per_pair = np.bincount(pairs)
+                counts[lo : lo + per_pair.size] += per_pair
+        # (a pair with no edge is no mirror, whatever the threshold)
+        heavy = counts >= max(self.threshold, 1)
+        counts, by_peer = counts.reshape(-1, peers), heavy.reshape(-1, peers)
+        degrees = [counts[by_peer[:, p], p] for p in range(peers)]
+        self._mirrored = [
+            (np.flatnonzero(by_peer[:, p]), int(degree.sum())) for p, degree in enumerate(degrees)
+        ]
+        num_plain = self._num_edges - sum(edges for _, edges in self._mirrored)
+        neighbours = None if self._announced else [[] for _ in range(peers)]
+        _, blocks = self._edge_blocks()
+        self._group(num_plain, self._plain(blocks, heavy, neighbours))
+        if neighbours is not None:
+            for peer, degree in enumerate(degrees):
+                ids = self._words[peer]
+                head = as_int32(self, "word", np.concatenate(([ids.size, degree.size], degree)))
+                self._words[peer] = np.concatenate((head[:2], ids, head[2:], *neighbours[peer]))
+                neighbours[peer] = None  # (copied into the words)
+
+    def _pairs(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's peer, and its ``(sender, peer)`` pair as one index."""
         owner = self.worker.owner[dst]
-        self._dispatch = []
-        self._words = None if self._announced else []
-        for peer in range(self.num_workers):
-            sel = owner == peer
-            order = np.argsort(src[sel], kind="stable")
-            psrc = src[sel][order]
-            pdst = dst[sel][order]
-            # a sender with >= threshold edges into `peer` is mirrored there
-            uniq_src, starts = group_starts(psrc)
-            degrees = np.diff(starts, append=psrc.size)
-            mirrored = degrees >= self.threshold
-            heavy_senders = uniq_src[mirrored]
-            heavy = np.isin(psrc, heavy_senders)
-            order = np.argsort(pdst[~heavy], kind="stable")
-            uniq_dst, starts = group_starts(pdst[~heavy][order])
-            self._dispatch.append(
-                (psrc[~heavy][order], starts, heavy_senders, int(heavy.sum()))
-            )
-            if self._words is not None:
-                # [plain count][mirrored count][plain destination ids]
-                # [neighbor count per mirrored sender][their neighbors, sender by sender]
-                words = np.concatenate(
-                    ([uniq_dst.size, heavy_senders.size], uniq_dst, degrees[mirrored], pdst[heavy])
-                )
-                self._words.append(as_int32(self, "word", words))
-        self._built = True
+        pairs = src.astype(np.int64)
+        pairs *= self.num_workers
+        pairs += owner
+        return owner, pairs
+
+    def _plain(
+        self, blocks, heavy: np.ndarray, neighbours: list[list[np.ndarray]] | None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``blocks`` (:meth:`~ScatterEdges._edge_blocks`) with only their
+        plain edges, for :meth:`~ScatterCombine._group`.  Unless
+        ``neighbours`` is ``None``, each block's mirrored edges go to
+        ``neighbours[peer]`` too, as int32 words: by sender, in
+        registration order.  Later blocks hold later senders, so the
+        chunks follow the ascending senders of ``_mirrored``."""
+        for src, dst in blocks:
+            owner, pairs = self._pairs(src, dst)
+            mirrored = heavy[pairs]
+            del pairs
+            if neighbours is not None and mirrored.any():
+                for peer, chunk in enumerate(neighbours):
+                    edges = mirrored & (owner == peer)
+                    ids, senders = dst[edges], src[edges]
+                    if (senders[1:] < senders[:-1]).any():  # per-edge registration
+                        ids = ids[stable_order(senders, self.worker.num_local)[0]]
+                    chunk.append(as_int32(self, "word", ids))
+            plain = ~mirrored
+            yield src[plain], dst[plain]
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         plain, mirrored = words[:2].tolist()
@@ -129,53 +149,10 @@ class MirroredScatter(ScatterEdges, StaticPattern, Channel):
             return local, None
         return local, np.concatenate((np.ones(plain, dtype=np.intp), words[ids_end:tables]))
 
-    # -- per-superstep API ---------------------------------------------------
-    def set_message(self, v: Vertex, value) -> None:
-        self._values[v.local] = value
-        self._dirty = True
-
-    send_message = set_message
-
-    def set_messages(self, local_idx: np.ndarray, values: np.ndarray) -> None:
-        """Array form of :meth:`set_message` for bulk programs."""
-        self._values[local_idx] = values
-        self._dirty = True
-
-    # -- checkpointing -------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            **self._edges_snapshot(),
-            "values": self._values.copy(),
-            "dirty": self._dirty,
-            # the patterns hold the expansion tables, which cannot be
-            # re-derived: they are only ever shipped in an announcement
-            **self._pattern_snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._edges_restore(state)
-        self._values[...] = state["values"]
-        self._dirty = state["dirty"]
-        self._pattern_restore(state)
-
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # the mirror tables are re-derived by _build() like the rest
-        return self._scatter_migrate(states, ctx, ("values",))
-
-    # -- round protocol (deserialize is CombinedInbox's, over pattern payloads) --
-    # Values per peer: one per unique plain destination, then one per
-    # mirrored sender.
-    def serialize(self) -> None:
-        if self.round != 0 or not self._dirty:
-            return
-        if not self._built:
-            self._build()
-        self._dirty = False
-        self._scatter(map(self._payload, range(self.num_workers)))
-
-    def _payload(self, peer: int) -> tuple[int, np.ndarray, int]:
-        lsrc, starts, msrc, mirrored_edges = self._dispatch[peer]
-        values = np.concatenate(
-            (self.combiner.reduceat(self._values[lsrc], starts), self._values[msrc])
-        )
-        return peer, values, values.size + (0 if self._announced else mirrored_edges)
+    # -- the scan's per-peer hook ---------------------------------------------
+    def _payload(self, peer: int, combined: np.ndarray) -> tuple[int, np.ndarray, int]:
+        # one value per mirrored sender after the plain ones; announced, its
+        # edges count as messages too
+        senders, edges = self._mirrored[peer]
+        values = np.concatenate((combined, self._values[senders]))
+        return peer, values, values.size + (0 if self._announced else edges)

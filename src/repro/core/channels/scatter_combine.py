@@ -66,6 +66,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._values = self._slots.copy()
         self._dirty = False
         # static dispatch structure (built lazily)
+        self._num_edges = 0  # registered edges: none, nothing to scatter
         self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
         self._seg_starts: np.ndarray | None = None  # segment starts (per unique dst)
         self._blocks: list[tuple[int, int, int, int]] = []  # the scan's steps
@@ -77,7 +78,13 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     # -- setup (usually superstep 1) ----------------------------------------
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
-        num_edges, blocks = self._edge_blocks()
+        self._num_edges, blocks = self._edge_blocks()
+        self._group(self._num_edges, blocks)
+
+    def _group(self, num_edges: int, blocks) -> None:
+        """The scan's segments over the ``num_edges`` edges ``blocks``
+        yields (see :meth:`~ScatterEdges._edge_blocks`), and the
+        destination ids each peer is to learn."""
         uniq_dst, starts, self._seg_edge_src = group_by_key(
             ((dst, src) for src, dst in blocks),
             num_edges,
@@ -148,7 +155,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             self._build()
         assert self._seg_edge_src is not None and self._seg_starts is not None
         self._dirty = False
-        if self._seg_edge_src.size == 0:
+        if not self._num_edges:
             return
         # Fig. 5: one linear pass over the pre-sorted edges produces
         # the combined message value for every unique destination.  A
@@ -167,6 +174,11 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             self.combiner.reduceat(
                 per_edge, starts[seg_lo:seg_hi] - lo, out=combined[seg_lo:seg_hi]
             )
-        # one message per unique destination, whether or not its id is sent
         per_peer = (combined[sel] for sel in self._peer_select)
-        self._scatter((peer, values, values.size) for peer, values in enumerate(per_peer))
+        self._scatter(map(self._payload, range(self.num_workers), per_peer))
+
+    def _payload(self, peer: int, combined: np.ndarray) -> tuple[int, np.ndarray, int]:
+        """``(peer, values, messages)`` of one scatter: the combined value
+        of each of ``peer``'s destinations, one message per unique
+        destination, whether or not its id is sent."""
+        return peer, combined, combined.size

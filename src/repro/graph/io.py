@@ -68,46 +68,19 @@ def load_edgelist(path: str | os.PathLike) -> Graph:
     """Read the format written by :func:`save_edgelist`.
 
     Files without the header comment are accepted; vertex count defaults to
-    ``max id + 1`` and the graph is treated as directed.
+    ``max id + 1`` and the graph is treated as directed.  The file is parsed
+    as :func:`load_edgelist_chunked` parses it, in one pass.
     """
-    num_vertices = -1
-    directed = True
-    header_weighted: bool | None = None
-    src: list[int] = []
-    dst: list[int] = []
-    weights: list[float] = []
-    with _open_text(path, "r") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if "vertices" in parts:
-                    num_vertices = int(parts[parts.index("vertices") + 1])
-                if "directed" in parts:
-                    directed = bool(int(parts[parts.index("directed") + 1]))
-                if "weighted" in parts:
-                    header_weighted = bool(int(parts[parts.index("weighted") + 1]))
-                continue
-            parts = line.split()
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-            if len(parts) > 2:
-                weights.append(float(parts[2]))
-    s = np.asarray(src, dtype=np.int64)
-    d = np.asarray(dst, dtype=np.int64)
-    if num_vertices < 0:
+    num_vertices, directed, weighted, header_weighted = _sniff_edgelist(path)
+    none = np.empty(0, dtype=np.int64)
+    src, dst, weights = zip(
+        (none, none, np.empty(0) if weighted else None),
+        *_edgelist_chunks(path, weighted, header_weighted, 1 << 18),
+    )
+    s, d = np.concatenate(src), np.concatenate(dst)
+    if num_vertices is None:
         num_vertices = int(max(s.max(initial=-1), d.max(initial=-1)) + 1)
-    # explicit length/header checks, NOT list truthiness: `if weights`
-    # silently dropped the weights of a zero-edge weighted graph (an empty
-    # list is falsy), turning it unweighted across a save/load round-trip
-    weighted = header_weighted if header_weighted is not None else len(weights) > 0
-    if weighted and len(weights) != len(src):
-        raise ValueError("some edges have weights and some do not")
-    if not weighted and weights:
-        raise ValueError("header says unweighted but edge lines carry weights")
-    w = np.asarray(weights, dtype=np.float64) if weighted else None
+    w = np.concatenate(weights) if weighted else None
     return Graph(num_vertices, s, d, weights=w, directed=directed)
 
 
@@ -283,7 +256,8 @@ def _group_to_batch(group: list, timestamp: int):
 def iter_update_stream(path: str | os.PathLike, epoch_size: int | None = None):
     """Lazily yield ``MutationBatch`` es from an update-stream file.
 
-    The streaming twin of :func:`load_update_stream`: only one batch's
+    The streaming twin of :func:`load_update_stream` (whose ``epoch_size``
+    grouping is this one's): only one batch's
     records are in memory at a time, so arbitrarily long traces replay in
     O(epoch) memory.  Grouping matches the eager loader with one caveat:
     in timestamp mode (``epoch_size=None``) a batch is emitted when its
@@ -332,60 +306,26 @@ def iter_update_stream(path: str | os.PathLike, epoch_size: int | None = None):
             yield _group_to_batch(cur, cur_ts)
 
 
-def load_update_stream(
-    path: str | os.PathLike, epoch_size: int | None = None, lazy: bool = False
-):
-    """Read a timestamped edge-update stream into ``MutationBatch`` es.
+def load_update_stream(path: str | os.PathLike, epoch_size: int | None = None):
+    """Read a timestamped edge-update stream into a list of
+    ``MutationBatch`` es (:func:`iter_update_stream` yields them one at a
+    time).
 
     By default mutations sharing a timestamp form one batch (in first-seen
-    timestamp order).  ``epoch_size`` instead re-chunks the stream into
-    batches of *up to* that many mutations, in file order — how the
-    ``stream`` CLI subcommand turns one long trace into fixed-size
-    epochs.  A chunk is cut early rather than let one batch both insert
-    and delete the same edge (batches are atomic, so that combination is
-    ambiguous); the later mutation simply lands in the next epoch,
-    preserving replay order.
-
-    ``lazy=True`` returns the :func:`iter_update_stream` generator instead
-    of a list — O(epoch) memory for long traces, with that function's
-    contiguous-timestamp requirement.
+    timestamp order), wherever in the file they are.  ``epoch_size``
+    instead re-chunks the stream into batches of *up to* that many
+    mutations, in file order — how the ``stream`` CLI subcommand turns one
+    long trace into fixed-size epochs.  A chunk is cut early rather than
+    let one batch both insert and delete the same edge (batches are
+    atomic, so that combination is ambiguous); the later mutation simply
+    lands in the next epoch, preserving replay order.
     """
-    if lazy:
-        return iter_update_stream(path, epoch_size)
-
-    records = list(_iter_stream_records(path))
-
     if epoch_size is not None:
-        if epoch_size < 1:
-            raise ValueError("epoch_size must be >= 1")
-        groups = []
-        cur: list = []
-        # endpoint-set keys so reversed naming on undirected graphs also
-        # forces a cut (harmless extra cut on directed graphs)
-        seen_ops: dict = {}
-        for rec in records:
-            key = frozenset((rec[2], rec[3]))
-            opposite = "-" if rec[1] == "+" else "+"
-            if len(cur) >= epoch_size or seen_ops.get(key) == opposite:
-                groups.append(cur)
-                cur, seen_ops = [], {}
-            cur.append(rec)
-            seen_ops[key] = rec[1]
-        if cur:
-            groups.append(cur)
-    else:
-        order: list[int] = []
-        by_ts: dict[int, list] = {}
-        for rec in records:
-            if rec[0] not in by_ts:
-                order.append(rec[0])
-            by_ts.setdefault(rec[0], []).append(rec)
-        groups = [by_ts[ts] for ts in order]
-
-    return [
-        _group_to_batch(group, group[0][0] if epoch_size is None else pos)
-        for pos, group in enumerate(groups)
-    ]
+        return list(iter_update_stream(path, epoch_size))
+    by_ts: dict[int, list] = {}
+    for rec in _iter_stream_records(path):
+        by_ts.setdefault(rec[0], []).append(rec)
+    return [_group_to_batch(group, ts) for ts, group in by_ts.items()]
 
 
 def save_npz(graph: Graph, path: str | os.PathLike) -> None:

@@ -209,17 +209,18 @@ def column_reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("algo", ["pagerank", "sv"])
+@pytest.mark.parametrize("algo", ["pagerank", "sv", "mirror"])
 @pytest.mark.parametrize("workers", WORKERS)
 def test_degree_only_readers_never_gather(
     directed_graph, undirected_graph, algo, workers, engines, column_reads
 ):
-    """Bulk scatter PageRank and bulk S-V ``both`` read only the degrees
-    of their adjacency, and the scatter channel streams its rows: on a
-    hash partition no ``LocalCSR.indices`` is ever materialized, and
-    results and traffic equal the listing's."""
-    if algo == "pagerank":
-        graph, run, kw = directed_graph, run_pagerank, dict(variant="scatter", iterations=8)
+    """Bulk scatter and mirror PageRank and bulk S-V ``both`` read only
+    the degrees of their adjacency, and the scatter channel streams its
+    rows: on a hash partition no ``LocalCSR.indices`` is ever
+    materialized, and results and traffic equal the listing's."""
+    if algo in ("pagerank", "mirror"):
+        variant = "scatter" if algo == "pagerank" else "mirror"
+        graph, run, kw = directed_graph, run_pagerank, dict(variant=variant, iterations=8)
     else:
         graph, run, kw = undirected_graph, run_sv, dict(variant="both")
     owner = hash_partition(graph.num_vertices, workers)

@@ -37,7 +37,7 @@ from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
-from repro.core import MirroredScatter
+from repro.core import Channel, MirroredScatter
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_quality
@@ -388,8 +388,8 @@ def test_unmigratable_channel_is_rejected_at_engine_build(monkeypatch):
     """A channel that inherits the raising ``Channel.migrate_states`` used
     to fail only when the first migration fired, supersteps into the run;
     the armed engine refuses to build.  Every built-in channel migrates, so
-    MirroredScatter is stripped of its ``migrate_states`` here."""
-    monkeypatch.delattr(MirroredScatter, "migrate_states")
+    MirroredScatter is handed the raising ``Channel.migrate_states`` here."""
+    monkeypatch.setattr(MirroredScatter, "migrate_states", Channel.migrate_states)
     graph, _ = WORKLOADS["pr-scatter"]
     with pytest.raises(ValueError, match="MirroredScatter does not implement migrate"):
         run_pagerank(graph, variant="mirror", num_workers=2, rebalance="superstep")
@@ -429,7 +429,7 @@ def test_sv_over_request_respond_refuses_to_migrate_mid_run():
 def test_cli_rejects_unmigratable_channel_as_bad_options(capsys, monkeypatch):
     from repro.__main__ import main as cli_main
 
-    monkeypatch.delattr(MirroredScatter, "migrate_states")
+    monkeypatch.setattr(MirroredScatter, "migrate_states", Channel.migrate_states)
 
     rc = cli_main(
         ["run", "pagerank", "--dataset", "wikipedia", "--variant", "mirror",

@@ -673,7 +673,7 @@ class TestLazyUpdateStream:
     @pytest.mark.parametrize("epoch_size", [None, 7])
     def test_lazy_matches_eager(self, tmp_path, epoch_size):
         path = self._stream_file(tmp_path)
-        lazy = load_update_stream(path, epoch_size=epoch_size, lazy=True)
+        lazy = iter_update_stream(path, epoch_size=epoch_size)
         assert not isinstance(lazy, list)  # a generator, not a loaded list
         self._assert_same_batches(
             list(lazy), load_update_stream(path, epoch_size=epoch_size)
