@@ -1,9 +1,11 @@
-"""Ablation benches for the design decisions DESIGN.md calls out (D1–D5).
+"""Ablation benches for the channels' design decisions (ARCHITECTURE.md §2).
 
 These isolate *single* mechanisms the paper's channels rely on, holding
-everything else fixed:
+everything else fixed.  An ablation lives here, with its one caller, and
+never as a switch in the channel library:
 
-* **D1 — positional vs id-echo responses** (RequestRespond.echo_ids)
+* **D1 — positional vs id-echo responses** (a closed form over the
+  positional run's counters: the echo adds 4 bytes per response)
 * **D2 — sorted linear-scan vs hash combining** (HashScatterCombine, below)
 * **D3 — per-channel message types** (exercised by Table IV S-V/SCC/MSF)
 * **D4 — propagation vs partition quality**
@@ -42,34 +44,31 @@ def _run(graph, program_cls, benchmark, **kw):
 
 
 # -- D1: response format --------------------------------------------------
-@pytest.mark.parametrize("echo", [False, True], ids=["positional", "id-echo"])
-def test_ablation_respond_format(benchmark, echo):
-    graph = load_dataset("tree")
+def _respond(metrics) -> tuple[dict, int]:
+    """The PJ run's RequestRespond traffic and the bytes Pregel+-style
+    ``(id, value)`` responses would add to it: one int32 id per response,
+    and requests and responses cross the network in equal numbers, so 4
+    bytes per two of the channel's messages."""
+    channel = metrics.channel_breakdown()["0:RequestRespond"]
+    return channel, 2 * channel["messages"]
 
-    class PJ(PointerJumpingReqResp):
-        def __init__(self, worker):
-            super().__init__(worker)
-            self.rr.echo_ids = echo
 
-    res = _run(graph, PJ, benchmark)
-    benchmark.extra_info["echo_ids"] = echo
+def test_ablation_respond_format(benchmark):
+    res = _run(load_dataset("tree"), PointerJumpingReqResp, benchmark)
+    _, echo = _respond(res.metrics)
+    benchmark.extra_info["echoed_message_mb"] = round((res.metrics.total_net_bytes + echo) / 1e6, 3)
     assert res.supersteps > 2
 
 
 def test_ablation_respond_format_saves_bytes():
     """The paper's constant ~33% respond-size saving, isolated."""
-    graph = load_dataset("tree")
-
-    def bytes_with(echo):
-        class PJ(PointerJumpingReqResp):
-            def __init__(self, worker):
-                super().__init__(worker)
-                self.rr.echo_ids = echo
-
-        return ChannelEngine(graph, PJ, num_workers=8).run().metrics.total_net_bytes
-
-    positional, echoed = bytes_with(False), bytes_with(True)
-    assert positional < echoed
+    engine = ChannelEngine(load_dataset("tree"), PointerJumpingReqResp, num_workers=8)
+    metrics = engine.run().metrics
+    channel, echo = _respond(metrics)
+    echoed = channel["net_bytes"] + echo
+    # what the id-echo wire format measured on this run, total and channel
+    assert (metrics.total_net_bytes + echo, echoed) == (1_391_460, 1_387_044)
+    assert 1 - channel["net_bytes"] / echoed == pytest.approx(1 / 3, abs=1e-3)
 
 
 # -- D2: combine strategy ----------------------------------------------------
@@ -200,39 +199,3 @@ def test_ablation_mirror_channel(cell, program):
     row = cell("pr", program, "webuk", **kwargs)
     assert row["supersteps"] == 31
 
-
-# -- D4b: local fixpoint depth --------------------------------------------------
-@pytest.mark.parametrize("hops", [1, 2, 8, None], ids=lambda h: f"hops-{h}")
-def test_ablation_prop_hop_budget(benchmark, hops):
-    """Interpolate between per-superstep messaging (1 hop per round) and
-    the paper's full block-style convergence (unlimited): the exchange-
-    round count falls as the local fixpoint is allowed to run deeper."""
-    from repro.core import ChannelEngine, MIN_I64, Propagation, VertexProgram
-
-    graph = load_dataset("usa-road")
-
-    class WCCHops(VertexProgram):
-        def __init__(self, worker):
-            super().__init__(worker)
-            self.prop = Propagation(worker, MIN_I64, max_local_hops=hops)
-
-        def compute(self, v):
-            if self.step_num == 1:
-                self.prop.add_edges(v, v.edges)
-                self.prop.set_value(v, v.id)
-            else:
-                v.vote_to_halt()
-
-    res = benchmark.pedantic(
-        lambda: ChannelEngine(graph, WCCHops, num_workers=8).run(),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    benchmark.extra_info.update(
-        {
-            "max_local_hops": hops,
-            "rounds": res.metrics.total_rounds,
-            "message_mb": round(res.metrics.total_net_bytes / 1e6, 3),
-        }
-    )

@@ -2,8 +2,8 @@
 
 A from-scratch Python reproduction of *"Composing Optimization Techniques
 for Vertex-Centric Graph Processing via Communication Channels"*
-(Zhang & Hu, IPDPS 2019).  See README.md for a tour and DESIGN.md for the
-system inventory and experiment index.
+(Zhang & Hu, IPDPS 2019).  See README.md for a tour and ARCHITECTURE.md
+for the system inventory and experiment index.
 
 Top-level re-exports cover the public API a downstream user needs:
 

@@ -45,7 +45,9 @@ class Propagation(StaticEdges, Channel):
         Owning worker.
     combiner:
         Idempotent selection combiner (e.g. ``MIN_I64``); must carry a
-        ufunc — the local fixpoint is fully vectorized.
+        ufunc — the local fixpoint is fully vectorized.  One that is not a
+        selection on a probe of its identity and a few small values
+        (``ufunc(x, x) != x``, as a sum) is refused.
     edge_fn:
         Optional vectorized ``(edge_weights, source_values) ->
         contributions``.  Default propagates the source value unchanged.
@@ -58,23 +60,20 @@ class Propagation(StaticEdges, Channel):
         worker: Worker,
         combiner: Combiner,
         edge_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-        max_local_hops: int | None = None,
     ) -> None:
         Channel.__init__(self, worker)
         self._init_edges()
         if combiner.ufunc is None:
             raise ValueError("Propagation requires a combiner with a NumPy ufunc")
-        if max_local_hops is not None and max_local_hops < 1:
-            raise ValueError("max_local_hops must be >= 1")
+        probe = np.array([combiner.identity, 0, 1, 2, 3], dtype=combiner.codec.dtype)
+        if (combiner.ufunc(probe, probe) != probe).any():
+            raise ValueError(
+                f"Propagation requires a selection combiner (h(a, a) == a); "
+                f"{combiner.name} is not one"
+            )
         self.combiner = combiner
         self.edge_fn = edge_fn
         self.value_codec = combiner.codec
-        #: ablation knob (D4b in DESIGN.md): cap the local fixpoint at this
-        #: many frontier waves per exchange round.  ``1`` degenerates to
-        #: plain per-superstep message passing (local edges still resolve
-        #: immediately, remote ones wait for the next round); ``None`` is
-        #: the paper's full block-style convergence.
-        self.max_local_hops = max_local_hops
         n = worker.num_local
         self._values = np.full(n, combiner.identity, dtype=combiner.codec.dtype)
         self._dirty: list[int] = []
@@ -86,8 +85,6 @@ class Propagation(StaticEdges, Channel):
         self._eweight = np.empty(0, dtype=np.float64)
         # pending remote contributions (flat, combined lazily per peer)
         self._pending_np: list[tuple[np.ndarray, np.ndarray]] = []
-        # frontier waves deferred by the max_local_hops budget
-        self._deferred: list[np.ndarray] = []
 
     # -- setup ------------------------------------------------------------
     def add_edge(self, v: Vertex, dst: int, weight: float = 1.0) -> None:
@@ -95,13 +92,21 @@ class Propagation(StaticEdges, Channel):
         self.add_edges(v, (dst,), (weight,))
 
     def add_edges(self, v: Vertex, dsts: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Register ``v -> dsts[i]`` with weight ``weights[i]`` (1.0 when
+        omitted); a weight list of another length is a ``ValueError``."""
+        dsts = np.asarray(dsts).tolist()
+        if weights is None:
+            weights = [1.0] * len(dsts)
+        else:
+            weights = np.asarray(weights, dtype=np.float64).tolist()
+        if len(weights) != len(dsts):
+            raise ValueError(
+                f"{self!r}: {len(weights)} weights for {len(dsts)} edges of vertex {v.id}"
+            )
         src, dst, w = self._edges.rows
         src.extend([v.local] * len(dsts))
-        dst.extend(np.asarray(dsts).tolist())
-        if weights is None:
-            w.extend([1.0] * len(dsts))
-        else:
-            w.extend(np.asarray(weights, dtype=np.float64).tolist())
+        dst.extend(dsts)
+        w.extend(weights)
         self._built = False
 
     def set_value(self, v: Vertex, value) -> None:
@@ -115,10 +120,6 @@ class Propagation(StaticEdges, Channel):
         i.e. from the next superstep on)."""
         return self._values[v.local]
 
-    def values_snapshot(self) -> np.ndarray:
-        """Copy of this worker's converged value array (finalize helper)."""
-        return self._values.copy()
-
     def reset(self) -> None:
         """Clear edges and values for reuse in a later phase.
 
@@ -130,7 +131,6 @@ class Propagation(StaticEdges, Channel):
         self._values[:] = self.combiner.identity
         self._dirty = []
         self._pending_np = []
-        self._deferred = []
 
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -139,7 +139,6 @@ class Propagation(StaticEdges, Channel):
             "values": self._values.copy(),
             "dirty": list(self._dirty),
             "pending": [(d.copy(), v.copy()) for d, v in self._pending_np],
-            "deferred": [f.copy() for f in self._deferred],
         }
 
     def restore(self, state: dict) -> None:
@@ -147,15 +146,14 @@ class Propagation(StaticEdges, Channel):
         self._values[...] = state["values"]
         self._dirty = list(state["dirty"])
         self._pending_np = [(d, v) for d, v in state["pending"]]
-        self._deferred = list(state["deferred"])
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
         # only quiescent channels migrate: at a superstep boundary the
         # exchange loop has driven propagation to its global fixpoint
-        # (again() was False everywhere), so dirty/pending/deferred are
-        # all empty — anything else means a mid-propagation capture
+        # (again() was False everywhere), so dirty and pending are both
+        # empty — anything else means a mid-propagation capture
         for w, s in enumerate(states):
-            if s["dirty"] or s["pending"] or s["deferred"]:
+            if s["dirty"] or s["pending"]:
                 raise RuntimeError(
                     f"Propagation on worker {w} has in-flight propagation "
                     "state; migration is only defined at a quiescent "
@@ -164,7 +162,7 @@ class Propagation(StaticEdges, Channel):
         edges = self._edges_migrate(states, ctx)
         values = ctx.remap_keys(states, ("values",))
         return [
-            {**edges[w], **values[w], "dirty": [], "pending": [], "deferred": []}
+            {**edges[w], **values[w], "dirty": [], "pending": []}
             for w in range(ctx.num_workers)
         ]
 
@@ -187,14 +185,7 @@ class Propagation(StaticEdges, Channel):
     def _local_fixpoint(self, frontier: np.ndarray) -> None:
         values = self._values
         indptr = self._indptr
-        hops = 0
         while frontier.size:
-            if self.max_local_hops is not None and hops >= self.max_local_hops:
-                # hop budget exhausted: park the remaining frontier until
-                # the next exchange round
-                self._deferred.append(frontier)
-                return
-            hops += 1
             counts = indptr[frontier + 1] - indptr[frontier]
             eidx = expand_ranges(indptr[frontier], counts)
             if eidx.size == 0:
@@ -262,13 +253,10 @@ class Propagation(StaticEdges, Channel):
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
         changed_all = [self._apply(*receive_records(self, src, p)) for src, p in payloads]
-        if self._deferred:
-            changed_all.extend(self._deferred)
-            self._deferred = []
         if changed_all:
             frontier = np.unique(np.concatenate(changed_all))
             self.worker.activate_local_bulk(frontier)
             self._local_fixpoint(frontier)
 
     def again(self) -> bool:
-        return bool(self._pending_np) or bool(self._deferred)
+        return bool(self._pending_np)

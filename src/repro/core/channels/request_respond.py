@@ -55,15 +55,11 @@ class RequestRespond(Channel):
         respond_fn: Callable[[Vertex], object],
         codec: Codec = INT64,
         respond_fn_bulk: Callable[[np.ndarray], np.ndarray] | None = None,
-        echo_ids: bool = False,
     ) -> None:
         super().__init__(worker)
         self.respond_fn = respond_fn
         self.respond_fn_bulk = respond_fn_bulk
         self.value_codec = codec
-        #: ablation switch (D1 in DESIGN.md): ship Pregel+-style (id, value)
-        #: responses instead of positional bare values
-        self.echo_ids = echo_ids
         self._vertex = Vertex(worker)  # responder-side handle
         #: this superstep's (requester local index, requested id) rows
         self._pending = RecordBuffer(np.int64, np.int64)
@@ -75,7 +71,6 @@ class RequestRespond(Channel):
         ]
         # round-1 queued responses, per peer
         self._responses_out: list[np.ndarray | None] = [None] * worker.num_workers
-        self._echo_ids_out: list[np.ndarray | None] = [None] * worker.num_workers
         self._have_responses = False
         # results readable next superstep
         self._resp_keys = np.empty(0, dtype=np.int64)
@@ -165,7 +160,6 @@ class RequestRespond(Channel):
         self._pending.clear()
         self._requesters = self._requesters[:0]
         self._responses_out = [None] * self.num_workers
-        self._echo_ids_out = [None] * self.num_workers
         self._have_responses = False
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:
@@ -211,22 +205,16 @@ class RequestRespond(Channel):
         )
 
     def _serialize_responses(self) -> None:
-        net_msgs = 0
-        for peer, vals in enumerate(self._responses_out):
-            if vals is None or vals.size == 0:
-                continue
-            payload = self.value_codec.encode_array(vals)
-            if self.echo_ids:
-                # D1 ablation: prepend the echoed request ids (receiver
-                # still matches positionally, so results are unchanged —
-                # only the wire size grows, as in Pregel+'s reqresp)
-                payload = self._echo_ids_out[peer].astype(np.int32).tobytes() + payload
-            self.emit(peer, payload)
-            if peer != self.worker.worker_id:
-                net_msgs += int(vals.size)
-            self._responses_out[peer] = None
+        out, self._responses_out = self._responses_out, [None] * self.num_workers
+        emit_payloads(
+            self,
+            (
+                (peer, self.value_codec.encode_array(vals), vals.size)
+                for peer, vals in enumerate(out)
+                if vals is not None
+            ),
+        )
         self._have_responses = False
-        self.count_net_messages(net_msgs)
 
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         if self.round == 0:
@@ -255,8 +243,6 @@ class RequestRespond(Channel):
                     count=local.size,
                 )
             self._responses_out[src] = vals
-            if self.echo_ids:
-                self._echo_ids_out[src] = ids
             self._have_responses = True
 
     def _deserialize_responses(self, payloads: list[tuple[int, memoryview]]) -> None:
@@ -274,9 +260,6 @@ class RequestRespond(Channel):
                     f"worker {worker.worker_id} asked {peer} for {asked.size} "
                     "values but received no response"
                 )
-            if self.echo_ids:
-                # skip the redundant id echo (D1 ablation wire format)
-                payload = payload[asked.size * INT32.itemsize :]
             keys.append(asked)
             vals.append(self.value_codec.decode_array(payload, asked.size))
         if keys:

@@ -128,25 +128,36 @@ def test_decode_records_returns_aligned_values_at_any_payload_offset():
 
 def test_request_respond_values_are_aligned_after_an_odd_response():
     """``RequestRespond`` decodes its own responses; they reach the
-    program through ``np.concatenate``, which realigns them."""
+    program through ``np.concatenate``, which realigns them.  Two channels
+    answer in one round: 3 int32 values ahead put the int64 answers 4
+    bytes past a multiple of 8 in the peer's buffer."""
+    raw_aligned = []
+
+    class Int64Answers(RequestRespond):
+        def _deserialize_responses(self, payloads):
+            raw_aligned.extend(np.frombuffer(p, np.uint8).ctypes.data % 8 == 0 for _, p in payloads)
+            super()._deserialize_responses(payloads)
 
     class Ask(VertexProgram):
         def __init__(self, worker):
             super().__init__(worker)
-            self.rr = RequestRespond(worker, respond_fn=lambda v: 10 * v.id, echo_ids=True)
+            self.rr32 = RequestRespond(worker, respond_fn=lambda v: v.id, codec=INT32)
+            self.rr64 = Int64Answers(worker, respond_fn=lambda v: 10 * v.id)
             self.got = None
 
         def compute(self, v):
             if self.step_num == 1 and v.id < 3:
-                self.rr.add_request(v, 8 + v.id)  # 3 answers of 8 bytes after 3 ids of 4
+                self.rr32.add_request(v, 8 + v.id)  # 3 answers of 4 bytes ...
+                self.rr64.add_request(v, 8 + v.id)  # ... ahead of 3 of 8
             elif self.step_num == 2:
-                self.got = self.rr._resp_vals
+                self.got = self.rr64._resp_vals
             v.vote_to_halt()
 
     engine = ChannelEngine(line_graph(16), Ask, num_workers=2, partition=range_partition(16, 2))
     engine.run()
     got = engine.workers[0].program.got
     assert got.tolist() == [80, 90, 100] and got.flags.aligned
+    assert raw_aligned == [False]
 
 
 def _fold_on_worker_1(how: str, count: int):
@@ -221,7 +232,6 @@ SNAPSHOT_FORMAT = {
         "values": "int64",
         "dirty": list,
         "pending": list,
-        "deferred": list,
     },
     MirroredScatter: {
         "edge_src": "int64",

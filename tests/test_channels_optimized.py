@@ -15,8 +15,11 @@ import repro.util
 from repro.core import (
     ChannelEngine,
     CombinedMessage,
+    MAX_F64,
     MAX_I32,
+    MAX_I64,
     MIN_F64,
+    MIN_I32,
     MIN_I64,
     MirroredScatter,
     Propagation,
@@ -27,6 +30,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.core.adjacency import build_local_csr
+from repro.core.combiner import make_combiner
 from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import decode_pattern
 from repro.graph import Graph, rmat, star
@@ -1212,22 +1216,81 @@ class TestPropagation:
         res = run(g, P, workers=2)
         assert [res.data[i] for i in range(5)] == [0.0, 2.0, 4.0, 6.0, 8.0]
 
-    def test_requires_ufunc_combiner(self):
-        from repro.core.combiner import make_combiner
-        from repro.runtime.serialization import INT64 as I64
-
-        bad = make_combiner(min, 0, I64, ufunc=None)
-
+    @pytest.mark.parametrize(
+        "combiner, match",
+        [
+            (make_combiner(min, 0, INT64, ufunc=None), "ufunc"),
+            # not a selection: a seeded 2-cycle would sum until int64
+            # wraps (to 0) or float64 overflows (to inf)
+            (SUM_I64, "selection combiner.*sum_i64"),
+            (SUM_F64, "selection combiner.*sum_f64"),
+        ],
+        ids=["no-ufunc", "sum_i64", "sum_f64"],
+    )
+    def test_requires_ufunc_combiner(self, combiner, match):
         class P(VertexProgram):
             def __init__(self, worker):
                 super().__init__(worker)
-                self.prop = Propagation(worker, bad)
+                self.prop = Propagation(worker, combiner)
 
             def compute(self, v):
                 v.vote_to_halt()
 
-        with pytest.raises(ValueError, match="ufunc"):
+        with pytest.raises(ValueError, match=match):
             ChannelEngine(line_graph(2), P, num_workers=1)
+
+    @pytest.mark.parametrize("combiner", [MIN_I64, MIN_F64, MAX_I32, MIN_I32, MAX_I64, MAX_F64])
+    def test_selection_combiners_are_accepted(self, combiner):
+        worker = TestScatterCombineBuild._worker()
+        assert Propagation(worker, combiner).combiner is combiner
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {0: [1.0], 1: [7.0, 100.0], 2: [1.0]},  # 4 weights for 4 edges in all
+            {0: [1.0], 1: [7.0], 2: [1.0]},  # one short list
+        ],
+        ids=["shifted", "short"],
+    )
+    def test_add_edges_refuses_a_weight_list_of_another_length(self, weights):
+        """Arcs 0->1, 0->2, 1->3, 2->3: vertex 0 passes one weight for its
+        two edges.  Unchecked, the column shifted onto the next vertex's
+        edges (dist(2) came out 7) or ran short at the build."""
+        graph = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)], directed=True)
+
+        class P(VertexProgram):
+            def __init__(self, worker):
+                super().__init__(worker)
+                self.prop = Propagation(worker, MIN_I64, edge_fn=lambda w, d: d + w)
+
+            def compute(self, v):
+                if self.step_num == 1:
+                    self.prop.add_edges(v, v.edges, weights.get(v.id, []))
+                    if v.id == 0:
+                        self.prop.set_value(v, 0)
+                v.vote_to_halt()
+
+        with pytest.raises(ValueError, match=r"Propagation\(.*1 weights for 2 edges of vertex 0"):
+            run(graph, P, workers=1)
+
+    def test_migration_refuses_in_flight_state(self):
+        """Only a quiescent channel migrates: a seeded but unpropagated
+        value (``dirty``) or a remote contribution not yet sent
+        (``pending``) is refused, naming the worker."""
+        workers = ChannelEngine(rmat(6, edge_factor=4, seed=5), _Idle, num_workers=2).workers
+        chans = [Propagation(w, MIN_I64) for w in workers]
+        owner = workers[0].owner
+        ctx = MigrationContext(owner, 1 - owner, 2)
+        quiescent = [ch.snapshot() for ch in chans]
+        assert len(chans[0].migrate_states(quiescent, ctx)) == 2
+        in_flight = {
+            "dirty": [0],
+            "pending": [(np.array([3], dtype=np.int64), np.array([0], dtype=np.int64))],
+        }
+        for key, value in in_flight.items():
+            states = [quiescent[0], {**quiescent[1], key: value}]
+            with pytest.raises(RuntimeError, match="Propagation on worker 1 has in-flight"):
+                chans[0].migrate_states(states, ctx)
 
     def test_reset_allows_reuse(self):
         class P(VertexProgram):
@@ -1331,51 +1394,3 @@ class TestPropagation:
         r4 = run(g, P, workers=4)
         assert r1.data == r4.data
 
-
-class TestPropagationHopBudget:
-    def _run_wcc(self, g, hops, workers=3):
-        class P(VertexProgram):
-            def __init__(self, worker):
-                super().__init__(worker)
-                self.prop = Propagation(worker, MIN_I64, max_local_hops=hops)
-                self.out = {}
-
-            def compute(self, v):
-                if self.step_num == 1:
-                    self.prop.add_edges(v, v.edges)
-                    self.prop.set_value(v, v.id)
-                else:
-                    self.out[v.id] = int(self.prop.get_value(v))
-                    v.vote_to_halt()
-
-            def finalize(self):
-                return self.out
-
-        return ChannelEngine(g, P, num_workers=workers).run()
-
-    @pytest.mark.parametrize("hops", [1, 2, 5, None])
-    def test_result_independent_of_budget(self, hops):
-        g = rmat(6, edge_factor=2, seed=8, directed=False)
-        ref = self._run_wcc(g, None).data
-        assert self._run_wcc(g, hops).data == ref
-
-    def test_smaller_budget_needs_more_rounds(self):
-        g = line_graph(120)
-        shallow = self._run_wcc(g, 1)
-        deep = self._run_wcc(g, None)
-        assert shallow.metrics.total_rounds > deep.metrics.total_rounds
-        assert shallow.data == deep.data
-
-    def test_invalid_budget_rejected(self):
-        from repro.core import Worker  # noqa: F401
-
-        class P(VertexProgram):
-            def __init__(self, worker):
-                super().__init__(worker)
-                self.prop = Propagation(worker, MIN_I64, max_local_hops=0)
-
-            def compute(self, v):
-                v.vote_to_halt()
-
-        with pytest.raises(ValueError, match="max_local_hops"):
-            ChannelEngine(line_graph(2), P, num_workers=1)
