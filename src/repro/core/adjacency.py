@@ -43,14 +43,19 @@ class _Rows:
     global row of local row ``i``.  One contiguous run of rows (``range`` /
     ``degree`` partitions, every rebalancer output) is read by slicing the
     edge arrays — over an mmap store, read-only views of the page cache;
-    any other row set (``hash`` partitions) by gathering."""
+    any other row set (``hash`` partitions, a peer's senders) is copied:
+    ascending rows that hold a quarter of the entries between their first
+    and last or more by masking that span, others by gathering an index
+    per entry."""
 
-    __slots__ = ("indptr", "indices", "weights", "rows", "run")
+    __slots__ = ("indptr", "indices", "weights", "rows", "run", "ascending")
 
     def __init__(self, indptr, indices, weights, rows: np.ndarray) -> None:
         self.indptr, self.indices, self.weights = indptr, indices, weights
         self.rows = rows
-        self.run = bool(rows.size) and bool(np.all(rows[1:] - rows[:-1] == 1))
+        steps = rows[1:] - rows[:-1]
+        self.run = bool(rows.size) and bool(np.all(steps == 1))
+        self.ascending = bool(np.all(steps > 0))
 
     def degrees(self, first: int, end: int) -> np.ndarray:
         """Lengths of local rows ``first:end``."""
@@ -72,7 +77,15 @@ class _Rows:
         starts = self.indptr[ids]
         counts = self.indptr[ids + 1] - starts
         lo, hi = (int(starts.min()), int((starts + counts).max())) if ids.size else (0, 0)
-        return column[expand_ranges(starts, counts)], column[lo:hi]
+        span = column[lo:hi]
+        if ids.size and self.ascending and 4 * int(counts.sum()) >= hi - lo:
+            # rows that hold a quarter of the span or more: one pass of a
+            # row mask over the span is cheaper than an index per entry
+            a, b = int(ids[0]), int(ids[-1]) + 1
+            picked = np.zeros(b - a, dtype=bool)
+            picked[ids - a] = True
+            return span[np.repeat(picked, np.diff(self.indptr[a : b + 1]))], span
+        return column[expand_ranges(starts, counts)], span
 
 
 class LocalCSR:

@@ -162,6 +162,33 @@ class ScatterEdges(StaticEdges):
             degrees = adj.degrees[row:row_end]
             yield np.repeat(np.arange(row, row_end, dtype=np.uint32), degrees), dsts
 
+    def _whole_rows(self) -> bool:
+        """Whether the edge set is whole rows of a named adjacency in
+        ascending sender order — rows a peer can read from its own graph
+        (``ScatterCombine``'s receiver-side placement).  The adjacency
+        form is; per-edge columns are when each sender's edges are its row
+        of ``local_adjacency("out")``, senders ascending: what a listing
+        registers with ``add_edges(v, v.edges)``, for any set of ``v``."""
+        if self._by_adjacency():
+            return True
+        src, dst = self._edges.flat()  # (checked by _edge_blocks)
+        if (src[1:] < src[:-1]).any():
+            return False
+        adj = self.worker.local_adjacency("out")
+        counts = np.bincount(src, minlength=self.worker.num_local)
+        registered = counts > 0
+        if (counts[registered] != adj.degrees[registered]).any():
+            return False
+        done = 0
+        for senders, dsts in self._adjacency_blocks(adj):
+            rows = registered[senders]
+            if not rows.all():
+                dsts = dsts[rows]
+            if not np.array_equal(dst[done : done + dsts.size], dsts):
+                return False
+            done += dsts.size
+        return True
+
     def _edges_snapshot(self) -> dict:
         if self._by_adjacency():
             return {self._ADJACENCY_KEY: self._adjacency}

@@ -17,11 +17,18 @@ one bit for bit and sends a peer whichever payload is smallest: the
 *dense* ``n`` values, or a *delta* — the ``k`` changed values behind their
 positions, as an int32 list or a bitmap over ``[0, n)``.  The ids of an
 announcement cross the same way, as a list or a bitmap over their range
-(``_records.encode_pattern`` holds the rule and the five forms).  The form
+(``_records.encode_pattern`` holds the rule and the seven forms).  The form
 is a function of the values alone, so every backend sends the same bytes.
 The receiver patches its kept values and folds all ``n`` of them, as it
 folds a dense payload: the inbox does not depend on the form, and a peer
 whose values did not change still gets its 4-byte tag.
+
+A ``ScatterCombine`` peer may instead announce *senders*: the ids of its
+vertices with an edge here, and how many destinations those edges reach.
+Its values are then the senders' own, and the receiver combines them
+along the senders' rows, which it reads from its own graph
+(:meth:`~repro.core.channels.scatter_combine.ScatterCombine._learn_senders`).
+The wire after that announcement is the same dense or delta values.
 
 Both ends' memory is checkpoint state, so that a recovered run leaves the
 byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
@@ -30,9 +37,11 @@ byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
   ``_announced``: the next scatter announces the new edge set, and the
   values it sends replace what either end kept;
 * **restore** loads the flag, the patterns and the kept values the
-  snapshot held; the ``_build`` that follows a restore re-derives the
-  dispatch structure and announces nothing a peer already knows
-  (confined replay reads logged frames that are dense or delta);
+  snapshot held, and derives again the pattern of every source that
+  announced senders, from the announced ids it held; the ``_build`` that
+  follows a restore re-derives the dispatch structure and announces
+  nothing a peer already knows (confined replay reads logged frames that
+  are dense or delta);
 * **migration** hands every new owner ``announced=False``, no patterns
   and no kept values: ownership moved, every sender announces once more.
 """
@@ -55,9 +64,11 @@ from repro.core.combiner import Combiner
 __all__ = ["StaticPattern"]
 
 #: what a receiver keeps per source worker: the local index every folded
-#: value lands on, in wire order, and — when one wire value expands to
-#: several of them — how many consecutive indices each value takes
-Pattern = tuple[np.ndarray, "np.ndarray | None"]
+#: value lands on, and how the values on the wire become the folded ones —
+#: ``None``: one each, in wire order; an array: how many consecutive
+#: indices each value takes; a function of the values (with a ``size``, the
+#: values it takes): their combination along the rows of announced senders
+Pattern = tuple[np.ndarray, object]
 
 
 def _as(pattern: Pattern, dtype) -> Pattern:
@@ -66,8 +77,18 @@ def _as(pattern: Pattern, dtype) -> Pattern:
 
 def _size(pattern: Pattern) -> int:
     """How many values a source's payloads carry under ``pattern``."""
-    local, repeats = pattern
-    return local.size if repeats is None else repeats.size
+    local, expand = pattern
+    return local.size if expand is None else expand.size
+
+
+def _expand(pattern: Pattern, values: np.ndarray) -> np.ndarray:
+    """The values to fold at ``pattern``'s local indices."""
+    expand = pattern[1]
+    if expand is None:
+        return values
+    if isinstance(expand, np.ndarray):
+        return np.repeat(values, expand)
+    return expand(values)
 
 
 def _changed(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -84,12 +105,7 @@ class StaticPattern(CombinedInbox):
     The channel's ``_build`` leaves the words each peer must learn in
     ``_words`` when ``_announced`` is false, and its ``serialize`` sends
     through :meth:`_scatter`; a channel whose words are not bare
-    destination ids overrides :meth:`_learn` and clears
-    :attr:`_words_are_ids`."""
-
-    #: whether ``_words`` are the destination id of each value, strictly
-    #: ascending: one id set, which an announcement may send as a bitmap
-    _words_are_ids = True
+    destination ids overrides :meth:`_announcement` and :meth:`_learn`."""
 
     def _init_pattern(self, combiner: Combiner) -> None:
         self._init_inbox(combiner)
@@ -103,9 +119,12 @@ class StaticPattern(CombinedInbox):
         # peer, and overwritten in place by every later scatter)
         self._sent: dict[int, np.ndarray] = {}
         # receive half: source worker -> pattern, and the values it last
-        # sent (patched in place by a delta)
+        # sent (patched in place by a delta); for a source that announced
+        # senders, the pattern is derived from what it announced: the
+        # sender ids (int32) and the destination count, kept in _senders
         self._patterns: dict[int, Pattern] = {}
         self._received: dict[int, np.ndarray] = {}
+        self._senders: dict[int, tuple[np.ndarray, int]] = {}
 
     # -- sending ---------------------------------------------------------------
     def _scatter(self, payloads: Iterable[tuple[int, np.ndarray, int]]) -> None:
@@ -124,32 +143,41 @@ class StaticPattern(CombinedInbox):
         next scatter's with."""
         if self._words is not None:
             self._sent[peer] = values.copy()
-            if self._words_are_ids:
-                return encode_pattern(self, values, ids=self._words[peer])
-            return encode_pattern(self, values, words=self._words[peer])
+            return encode_pattern(self, values, **self._announcement(peer))
         kept = self._sent[peer]
         changed = _changed(kept, values)
         kept[...] = values
         return encode_pattern(self, values, changed=changed)
 
+    def _announcement(self, peer: int) -> dict:
+        """``encode_pattern``'s announcement arguments for ``peer``: by
+        default ``_words[peer]`` are the destination id of each value,
+        strictly ascending — one id set, which may cross as a bitmap."""
+        return {"ids": self._words[peer]}
+
     # -- receiving (deserialize is CombinedInbox's) -------------------------------
     def _receive(self, src: int, payload: memoryview) -> None:
         pattern = self._patterns.get(src)
         try:
-            words, positions, values = decode_pattern(
+            words, destinations, positions, values = decode_pattern(
                 payload, self.value_codec, self.worker._local_index.size,
                 None if pattern is None else _size(pattern),
             )  # fmt: skip
         except ValueError as exc:
             raise RuntimeError(f"{self!r}: worker {src} sent {exc}") from None
         if words is not None:
-            pattern = self._patterns[src] = self._learn(src, words)
+            if destinations is None:
+                pattern = self._learn(src, words)
+                self._senders.pop(src, None)
+            else:
+                pattern = self._learn_senders(src, words, destinations)
+                self._senders[src] = (words.astype(np.int32), int(destinations))
+            self._patterns[src] = pattern
         elif pattern is None:
             raise RuntimeError(
                 f"{self!r}: {values.size} values from worker {src}, "
                 "which has announced no pattern"
             )
-        local, repeats = pattern
         expected = _size(pattern)
         if positions is None:
             if values.size != expected:
@@ -165,7 +193,7 @@ class StaticPattern(CombinedInbox):
             self._check_positions(src, positions, expected)
             kept = self._received[src]
             kept[positions] = values
-        self._fold(local, kept if repeats is None else np.repeat(kept, repeats))
+        self._fold(pattern[0], _expand(pattern, kept))
 
     def _check_positions(self, src: int, positions: np.ndarray, size: int) -> None:
         """A delta's positions must ascend strictly inside the pattern:
@@ -184,7 +212,9 @@ class StaticPattern(CombinedInbox):
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         """The pattern ``words`` announce; by default they are the
-        destination id of each value."""
+        destination id of each value.  (An announcement of senders is
+        learnt by ``_learn_senders``, which the one channel that sends
+        it, ``ScatterCombine``, defines.)"""
         return local_ids(self, src, words), None
 
     # -- checkpointing (inbox keys, then the wire's) -------------------------------
@@ -192,8 +222,14 @@ class StaticPattern(CombinedInbox):
         return {
             **self._inbox_snapshot(),
             "announced": self._announced,
-            # local indices fit 4 bytes, as the ids they were announced by did
-            "patterns": {src: _as(p, np.int32) for src, p in self._patterns.items()},
+            # local indices fit 4 bytes, as the ids they were announced by
+            # did; a source that announced senders keeps what it announced,
+            # (sender ids, destination count), from which restore derives
+            # its pattern again
+            "patterns": {
+                src: self._senders.get(src) or _as(p, np.int32)
+                for src, p in self._patterns.items()
+            },
             # the kept values: one per pattern value on each end (those a
             # registration left behind are not state: they never cross again)
             "sent": {peer: v.copy() for peer, v in self._sent.items()} if self._announced else {},
@@ -203,7 +239,13 @@ class StaticPattern(CombinedInbox):
     def _pattern_restore(self, state: dict) -> None:
         self._inbox_restore(state)
         self._announced = state["announced"]
-        self._patterns = {src: _as(p, np.intp) for src, p in state["patterns"].items()}
+        self._patterns, self._senders = {}, {}
+        for src, (words, second) in state["patterns"].items():
+            if isinstance(second, (int, np.integer)):  # (sender ids, destinations)
+                self._patterns[src] = self._learn_senders(src, words, second)
+                self._senders[src] = (words, second)
+            else:
+                self._patterns[src] = _as((words, second), np.intp)
         self._sent = {peer: v.copy() for peer, v in state["sent"].items()}
         self._received = {src: v.copy() for src, v in state["received"].items()}
 

@@ -11,19 +11,25 @@ count, so there is no header).  It is written here once —
 A *pattern payload* is what the static channels send instead
 (:func:`encode_pattern` / :func:`decode_pattern`; the state on both ends
 of it is :mod:`~repro.core.channels._pattern`).  Its first int32, the
-tag, tells five forms apart — never the length, which can be equal for
+tag, tells seven forms apart — never the length, which can be equal for
 two of them::
 
-    form              tag          after the tag
-    dense             0            [n values]
-    announce, list    2m + 1       [m int32 words][values]
-    announce, bitmap  2m + 2       [int32 lo][int32 span][bitmap over the span][m values]
-    delta, list       -(2k + 1)    [k int32 positions][k values]
-    delta, bitmap     -(2k + 2)    [bitmap over [0, n)][k values]
+    form                       tag          after the tag
+    dense                      0            [n values]
+    announce, list             4m + 1       [m int32 words][values]
+    announce, bitmap           4m + 2       [int32 lo][int32 span][bitmap over the span][m values]
+    announce senders, list     4m + 3       [int32 d][m int32 ids][m values]
+    announce senders, bitmap   4m + 4       [int32 d][int32 lo][int32 span][bitmap][m values]
+    delta, list                -(2k + 1)    [k int32 positions][k values]
+    delta, bitmap              -(2k + 2)    [bitmap over [0, n)][k values]
 
 An announcement carries the pattern once: its words, or — when they are
 one strictly ascending id set, ``ids`` — whichever of the id list and a
-bitmap over ``[lo, lo + span)`` is smaller.  A dense payload carries the
+bitmap over ``[lo, lo + span)`` is smaller.  The ids are the destination
+of each value, unless the announcement names ``d``, the count of
+destinations: then they are the senders whose own values follow, which
+the receiver combines along their rows into its ``d`` destinations
+(``ScatterCombine``'s receiver-side placement).  A dense payload carries the
 ``n`` values alone; a delta only the ``k`` that changed since the last
 payload, at strictly ascending positions in ``[0, n)``, as a list or as
 a bitmap.  :func:`encode_pattern` sends the smallest form, ties going to
@@ -121,8 +127,14 @@ def _unbitmap(data: memoryview, bits: int) -> np.ndarray:
     return flags[:bits]
 
 
-def _tag(channel: Channel, sign: int, count: int, bitmap: bool) -> bytes:
-    return _int32(channel, "pattern tag", np.array([sign * (2 * count + 1 + bitmap)]))
+#: forms per count on either side of the tag: an announcement's ids or
+#: senders, as a list or a bitmap; a delta's list or bitmap
+_ANNOUNCE_FORMS, _DELTA_FORMS = 4, 2
+
+
+def _tag(channel: Channel, sign: int, count: int, form: int) -> bytes:
+    width = _ANNOUNCE_FORMS if sign > 0 else _DELTA_FORMS
+    return _int32(channel, "pattern tag", np.array([sign * (width * count + 1 + form)]))
 
 
 _DENSE = (INT32.encode_one(0),)
@@ -134,17 +146,19 @@ def encode_pattern(
     *,
     words: np.ndarray | None = None,
     ids: np.ndarray | None = None,
+    destinations: int | None = None,
     changed: np.ndarray | None = None,
 ) -> bytes:
     """One pattern payload of ``channel``'s ``values``: the announcement
-    of the int32 ``words``, or of the strictly ascending ``ids``; the
-    delta of the values ``changed`` flags (a mask over ``values``), or the
-    dense values if they are smaller; or — none given — the dense values.
-    Every choice is the smallest form, a tie going to the earlier row of
-    the module's table.  An id, position or count that does not fit an
-    int32 word raises a ``ValueError`` naming ``channel``."""
+    of the int32 ``words``, or of the strictly ascending ``ids`` — sender
+    ids ahead of ``destinations`` when that is given; the delta of the
+    values ``changed`` flags (a mask over ``values``), or the dense values
+    if they are smaller; or — none given — the dense values.  Every
+    choice is the smallest form, a tie going to the earlier row of the
+    module's table.  An id, position or count that does not fit an int32
+    word raises a ``ValueError`` naming ``channel``."""
     if ids is not None:
-        head = _announce_ids(channel, ids)
+        head = _announce_ids(channel, ids, destinations)
     elif words is not None:
         head = _announce_words(channel, words)
     elif changed is not None:
@@ -155,20 +169,28 @@ def encode_pattern(
 
 
 def _announce_words(channel: Channel, words: np.ndarray) -> tuple[bytes, ...]:
-    return _tag(channel, 1, words.size, False), _int32(channel, "word", words)
+    return _tag(channel, 1, words.size, 0), _int32(channel, "word", words)
 
 
-def _announce_ids(channel: Channel, ids: np.ndarray) -> tuple[bytes, ...]:
+def _announce_ids(
+    channel: Channel, ids: np.ndarray, destinations: int | None
+) -> tuple[bytes, ...]:
     ids = as_int32(channel, "id", ids)
+    # senders: [d] between the tag and the ids
+    d = () if destinations is None else (
+        _int32(channel, "destination count", np.array([destinations])),
+    )  # fmt: skip
+    form = 2 * len(d)
     lo = int(ids[0]) if ids.size else 0
     span = int(ids[-1]) - lo + 1 if ids.size else 0
     as_list, as_bitmap = set_nbytes(ids.size, span)
     if _RANGE_NBYTES + as_bitmap >= as_list:
-        return _announce_words(channel, ids)
+        return _tag(channel, 1, ids.size, form), *d, ids.tobytes()
     flags = np.zeros(span, dtype=bool)
     flags[ids - lo] = True
     return (
-        _tag(channel, 1, ids.size, True),
+        _tag(channel, 1, ids.size, form + 1),
+        *d,
         _int32(channel, "id range", np.array([lo, flags.size])),
         _bitmap(flags),
     )
@@ -186,43 +208,57 @@ def _delta(
         return _DENSE, values
     if form == 1:
         positions = np.flatnonzero(changed)
-        head = (_tag(channel, -1, k, False), _int32(channel, "position", positions))
+        head = (_tag(channel, -1, k, 0), _int32(channel, "position", positions))
     else:
-        head = (_tag(channel, -1, k, True), _bitmap(changed))
+        head = (_tag(channel, -1, k, 1), _bitmap(changed))
     return head, values[changed]
 
 
 def decode_pattern(
     payload: memoryview, codec: Codec, bound: int, size: int | None
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """``(words, positions, values)`` of a payload written by
-    :func:`encode_pattern`, at most one of the first two not ``None``:
-    the words of an announcement (a bitmap's ids, which must lie in
-    ``[0, bound)``), or the positions of a delta's values (a bitmap's over
-    the receiver's pattern of ``size`` values).  List or bitmap, the caller
-    gets the same arrays.  The values are aligned, by
+) -> tuple[np.ndarray | None, int | None, np.ndarray | None, np.ndarray]:
+    """``(words, destinations, positions, values)`` of a payload written
+    by :func:`encode_pattern`, at most one of ``words`` and ``positions``
+    not ``None``: the words of an announcement (a bitmap's ids, which must
+    lie in ``[0, bound)``) and, when it announces senders, its count of
+    destinations; or the positions of a delta's values (a bitmap's over
+    the receiver's pattern of ``size`` values).  List or bitmap, the
+    caller gets the same arrays.  The values are aligned, by
     :func:`decode_records`' rule.  A payload that disagrees with its tag —
     in length, range or bit count — or a delta when ``size`` is ``None``
     (the receiver has no pattern) raises a ``ValueError``."""
     tag = INT32.decode_one(payload)
     body = payload[INT32.itemsize :]
     if tag == 0:
-        return None, None, _aligned(codec.decode_array(body))
-    count, bitmap = divmod(abs(tag) - 1, 2)
+        return None, None, None, _aligned(codec.decode_array(body))
+    if tag > 0:
+        count, form = divmod(tag - 1, _ANNOUNCE_FORMS)
+        bitmap, senders = form % 2, form // 2
+    else:
+        (count, bitmap), senders = divmod(-tag - 1, _DELTA_FORMS), 0
+        if size is None:
+            raise ValueError(f"a delta of {count} values before any announcement")
+    what = "an announcement" if tag > 0 else "a delta"
+    destinations = None
+    if senders:  # [d] ahead of the ids
+        if len(body) < INT32.itemsize:
+            raise ValueError(f"{what} of {count} senders in {len(payload)} bytes")
+        destinations = int(INT32.decode_one(body))
+        body = body[INT32.itemsize :]
     if tag > 0 and not bitmap:  # the values' count is the pattern's business
         split = count * INT32.itemsize
-        return INT32.decode_array(body[:split]), None, _aligned(codec.decode_array(body[split:]))
-    if tag < 0 and size is None:
-        raise ValueError(f"a delta of {count} values before any announcement")
+        if split > len(body):
+            raise ValueError(f"{what} of {count} words in {len(payload)} bytes")
+        words = INT32.decode_array(body[:split])
+        return words, destinations, None, _aligned(codec.decode_array(body[split:]))
     # every other form ends in the tag's count of values
     split = len(body) - count * codec.itemsize
     head = _RANGE_NBYTES if tag > 0 else 0  # a bitmap announcement's [lo][span]
     if split < head or (not bitmap and split != count * INT32.itemsize):
-        what = "an announcement" if tag > 0 else "a delta"
         raise ValueError(f"{what} of {count} values in {len(payload)} bytes")
     values = _aligned(codec.decode_array(body[split:]))
     if not bitmap:
-        return None, INT32.decode_array(body[:split]), values
+        return None, None, INT32.decode_array(body[:split]), values
     if tag > 0:
         lo, span = INT32.decode_array(body[:head]).tolist()
         if lo < 0 or span < 0 or lo + span > bound:
@@ -234,8 +270,8 @@ def decode_pattern(
     if found != count:
         raise ValueError(f"a bitmap of {found} set bits for {count} values")
     if tag > 0:
-        return lo + np.flatnonzero(flags), None, values
-    return None, np.flatnonzero(flags), values
+        return lo + np.flatnonzero(flags), destinations, None, values
+    return None, None, np.flatnonzero(flags), values
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:

@@ -64,10 +64,6 @@ class MirroredScatter(ScatterCombine):
         Pregel+'s ghost mode).
     """
 
-    #: counts, ids and neighbour lists: not one ascending set, so an
-    #: announcement sends them as an int32 list
-    _words_are_ids = False
-
     def __init__(self, worker: Worker, combiner: Combiner, threshold: int = 16) -> None:
         super().__init__(worker, combiner)
         self.threshold = threshold
@@ -139,6 +135,11 @@ class MirroredScatter(ScatterCombine):
                     chunk.append(as_int32(self, "word", ids))
             plain = ~mirrored
             yield src[plain], dst[plain]
+
+    def _announcement(self, peer: int) -> dict:
+        # counts, ids and neighbour lists: not one ascending set, so an
+        # announcement sends them as an int32 list
+        return {"words": self._words[peer]}
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         plain, mirrored = words[:2].tolist()

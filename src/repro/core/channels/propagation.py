@@ -65,8 +65,7 @@ class Propagation(StaticEdges, Channel):
         self._init_edges()
         if combiner.ufunc is None:
             raise ValueError("Propagation requires a combiner with a NumPy ufunc")
-        probe = np.array([combiner.identity, 0, 1, 2, 3], dtype=combiner.codec.dtype)
-        if (combiner.ufunc(probe, probe) != probe).any():
+        if not combiner.is_selection:
             raise ValueError(
                 f"Propagation requires a selection combiner (h(a, a) == a); "
                 f"{combiner.name} is not one"

@@ -17,20 +17,35 @@ its ~1/3 message-size reduction on PageRank is the other saving: the
 pattern is static, so the 4-byte destination id beside every 8-byte value
 crosses the wire once, in the first scatter, and never again
 (:class:`~repro.core.channels._pattern.StaticPattern`).
+
+Where a peer's edges are combined is decided per peer, once, at build.
+One combined value per destination is what the paper sends; when fewer
+of this worker's vertices reach a peer than the destinations they reach
+there, their own values are fewer, and the peer can combine them itself:
+it reads the senders' rows from its own graph and runs the same scan
+over them (Pregel+'s mirroring, Gemini's sparse/dense modes, chosen per
+peer by the data).  That needs rows the receiver can read — the edge set
+is whole rows of a named adjacency, in ascending sender order — and a
+combiner that is not a selection: a minimum over many senders changes
+less often than their own values, so the delta form sends it for fewer
+bytes (S-V's labels crossed in 16.9 % more bytes as senders' values).
+The fold is bit for bit the one of the values the sender would have
+combined; only the bytes move.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.adjacency import build_local_csr
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
-from repro.core.channels._pattern import StaticPattern
+from repro.core.channels._pattern import Pattern, StaticPattern
 from repro.core.channels._records import as_int32
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.util import cut_blocks, group_by_key
+from repro.util import cut_blocks, expand_ranges, group_by_key
 
 __all__ = ["ScatterCombine"]
 
@@ -40,6 +55,40 @@ __all__ = ["ScatterCombine"]
 _BLOCK_EDGES = 1 << 16
 
 
+class _Scan:
+    """Fig. 5's linear pass over edges grouped by destination: per block
+    of whole segments, ``take`` each edge's sender value into a reused
+    scratch and ``reduceat`` the segments, one combined value each.  A
+    segment never spans two blocks, so the blocks change no bit.  The
+    sender scans the edges it combines with one; a receiver that combines
+    a peer's edges scans them with another, and folds the same values.
+
+    ``edge_src`` indexes the ``size`` values a call takes; ``starts`` are
+    the segments' first edges."""
+
+    def __init__(self, combiner: Combiner, edge_src: np.ndarray, starts: np.ndarray, size: int):
+        self.combiner = combiner
+        self.edge_src, self.starts, self.size = edge_src, starts, size
+        self.blocks = cut_blocks(np.append(starts, edge_src.size), _BLOCK_EDGES)
+        self.scratch = np.empty(
+            max((hi - lo for _, _, lo, hi in self.blocks), default=0),
+            dtype=combiner.codec.dtype,
+        )
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        # mode="clip" only skips the bounds check the build did (with an
+        # ``out``, "raise" gathers into a copy first)
+        combined = np.empty(self.starts.size, dtype=values.dtype)
+        for seg_lo, seg_hi, lo, hi in self.blocks:
+            per_edge = np.take(
+                values, self.edge_src[lo:hi], out=self.scratch[: hi - lo], mode="clip"
+            )
+            self.combiner.reduceat(
+                per_edge, self.starts[seg_lo:seg_hi] - lo, out=combined[seg_lo:seg_hi]
+            )
+        return combined
+
+
 class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     """Scatter one value per vertex along static edges, combine per receiver.
 
@@ -47,7 +96,8 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     ``add_adjacency``);
     receive half and wire: :class:`StaticPattern` (``get_message[s]``,
     ``has_message``; ids in the first scatter, values after); the
-    segmented reduction that produces the values is this class.
+    segmented reduction that produces the values, at whichever end of
+    each peer's edges sends fewer of them, is this class.
 
     Parameters
     ----------
@@ -67,50 +117,106 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._dirty = False
         # static dispatch structure (built lazily)
         self._num_edges = 0  # registered edges: none, nothing to scatter
-        self._seg_edge_src: np.ndarray | None = None  # edge -> sender local idx
-        self._seg_starts: np.ndarray | None = None  # segment starts (per unique dst)
-        self._blocks: list[tuple[int, int, int, int]] = []  # the scan's steps
-        self._scratch: np.ndarray | None = None  # one block of per-edge values
-        # per peer: its destinations' positions in uniq order — one slice
-        # when they are one run of it, an index array otherwise
+        self._scan: _Scan | None = None  # over the edges combined here
+        # per peer: its destinations' positions in the scan's output — one
+        # slice when they are one run of it, an index array otherwise
         self._peer_select: list[slice | np.ndarray] = []
+        # per peer that combines this worker's edges itself: the local
+        # senders whose values it gets, and the destinations they reach
+        # there; None where they are combined here
+        self._expanded: list[tuple[np.ndarray, int] | None] = []
 
     # -- setup (usually superstep 1) ----------------------------------------
     def _build(self) -> None:
         """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
         self._num_edges, blocks = self._edge_blocks()
-        self._group(self._num_edges, blocks)
+        self._group(self._num_edges, blocks, self._expandable())
 
-    def _group(self, num_edges: int, blocks) -> None:
+    def _expandable(self) -> bool:
+        """Whether a peer may combine this worker's edges to it: the
+        combiner is no selection, and the edge set is rows the peer can
+        read (:meth:`~ScatterEdges._whole_rows`)."""
+        return (
+            self.num_workers > 1
+            and not self.combiner.is_selection
+            and self._whole_rows()
+        )
+
+    def _group(self, num_edges: int, blocks, expandable: bool = False) -> None:
         """The scan's segments over the ``num_edges`` edges ``blocks``
-        yields (see :meth:`~ScatterEdges._edge_blocks`), and the
-        destination ids each peer is to learn."""
-        uniq_dst, starts, self._seg_edge_src = group_by_key(
+        yields (see :meth:`~ScatterEdges._edge_blocks`), and the ids each
+        peer is to learn.  When ``expandable``, a peer other than this
+        worker that fewer senders than destinations reach gets the
+        senders' values instead (``_expanded``), and its edges leave the
+        scan."""
+        uniq_dst, starts, edge_src = group_by_key(
             ((dst, src) for src, dst in blocks),
             num_edges,
             self.worker.graph.num_vertices,
             self.worker.num_local,
         )
-        self._seg_starts = starts
-        self._blocks = cut_blocks(np.append(starts, num_edges), _BLOCK_EDGES)
-        self._scratch = np.empty(
-            max((hi - lo for _, _, lo, hi in self._blocks), default=0),
-            dtype=self._values.dtype,
-        )
         owners = self.worker.owner[uniq_dst]
-        peers = range(self.num_workers)
+        select = self._select(owners)
+        self._expanded = [None] * self.num_workers
+        if expandable:
+            bounds = np.append(starts, num_edges)
+            self._place(owners, select, bounds, edge_src)
+            keep = np.array([e is None for e in self._expanded])[owners]
+            if not keep.all():  # the segments of the peers that combine them
+                lengths = np.diff(bounds)
+                edge_src = edge_src[np.repeat(keep, lengths)]
+                starts = np.zeros(np.count_nonzero(keep), dtype=starts.dtype)
+                np.cumsum(lengths[keep][:-1], out=starts[1:])
+                uniq_dst, owners = uniq_dst[keep], owners[keep]
+                select = self._select(owners)
+        self._scan = _Scan(self.combiner, edge_src, starts, self.worker.num_local)
+        self._peer_select = select
+        if not self._announced:
+            self._words = [
+                as_int32(self, "destination id", uniq_dst[sel])
+                if expanded is None
+                else as_int32(self, "sender id", self.worker.local_ids[expanded[0]])
+                for sel, expanded in zip(select, self._expanded)
+            ]
+        self._built = True
+
+    def _place(
+        self, owners: np.ndarray, select: list, bounds: np.ndarray, edge_src: np.ndarray
+    ) -> None:
+        """Hand every peer other than this worker that fewer senders than
+        destinations reach its senders' values (``_expanded``)."""
+        for peer, sel in enumerate(select):
+            destinations = owners[sel].size
+            if peer != self.worker.worker_id and destinations:
+                senders = self._reaching(sel, bounds, edge_src)
+                if senders.size < destinations:
+                    self._expanded[peer] = (senders, destinations)
+
+    def _select(self, owners: np.ndarray) -> list[slice | np.ndarray]:
+        """Per peer, the positions of its destinations among the sorted
+        unique ones, whose owners are ``owners``."""
         if (owners[1:] >= owners[:-1]).all():
             # uniq_dst ascends, so under a contiguous partition each peer's
             # destinations are one run of it: a view, no gather per scatter
             bounds = np.searchsorted(owners, range(self.num_workers + 1)).tolist()
-            self._peer_select = [slice(bounds[p], bounds[p + 1]) for p in peers]
-        else:
-            self._peer_select = [np.flatnonzero(owners == p) for p in peers]
-        if not self._announced:
-            self._words = [
-                as_int32(self, "destination id", uniq_dst[sel]) for sel in self._peer_select
-            ]
-        self._built = True
+            return [slice(bounds[p], bounds[p + 1]) for p in range(self.num_workers)]
+        return [np.flatnonzero(owners == p) for p in range(self.num_workers)]
+
+    def _reaching(
+        self, sel: slice | np.ndarray, bounds: np.ndarray, edge_src: np.ndarray
+    ) -> np.ndarray:
+        """The local senders, ascending, of the edges of the segments
+        ``sel`` selects (``bounds``: the segments' edges)."""
+        reached = np.zeros(self.worker.num_local, dtype=bool)
+        if isinstance(sel, slice):
+            reached[edge_src[bounds[sel.start] : bounds[sel.stop]]] = True
+            return np.flatnonzero(reached)
+        lengths = bounds[sel + 1] - bounds[sel]
+        # a block of segments at a time: no index array of all their edges
+        for seg_lo, seg_hi, _, _ in cut_blocks(np.append(0, np.cumsum(lengths)), _BLOCK_EDGES):
+            segs = sel[seg_lo:seg_hi]
+            reached[edge_src[expand_ranges(bounds[segs], lengths[seg_lo:seg_hi])]] = True
+        return np.flatnonzero(reached)
 
     # -- per-superstep API ---------------------------------------------------
     def set_message(self, v: Vertex, value) -> None:
@@ -153,32 +259,78 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             return
         if not self._built:
             self._build()
-        assert self._seg_edge_src is not None and self._seg_starts is not None
+        assert self._scan is not None
         self._dirty = False
         if not self._num_edges:
             return
         # Fig. 5: one linear pass over the pre-sorted edges produces
-        # the combined message value for every unique destination.  A
-        # segment never spans two blocks, so the blocks change no bit.
-        # mode="clip" only skips the bounds check _edge_blocks did at
-        # build (with an ``out``, "raise" gathers into a copy first).
-        starts = self._seg_starts
-        combined = np.empty(starts.size, dtype=self._values.dtype)
-        for seg_lo, seg_hi, lo, hi in self._blocks:
-            per_edge = np.take(
-                self._values,
-                self._seg_edge_src[lo:hi],
-                out=self._scratch[: hi - lo],
-                mode="clip",
-            )
-            self.combiner.reduceat(
-                per_edge, starts[seg_lo:seg_hi] - lo, out=combined[seg_lo:seg_hi]
-            )
+        # the combined message value for every unique destination
+        combined = self._scan(self._values)
         per_peer = (combined[sel] for sel in self._peer_select)
         self._scatter(map(self._payload, range(self.num_workers), per_peer))
 
     def _payload(self, peer: int, combined: np.ndarray) -> tuple[int, np.ndarray, int]:
         """``(peer, values, messages)`` of one scatter: the combined value
-        of each of ``peer``'s destinations, one message per unique
+        of each of ``peer``'s destinations — or, where ``peer`` combines
+        them, its senders' own values — and one message per unique
         destination, whether or not its id is sent."""
-        return peer, combined, combined.size
+        expanded = self._expanded[peer]
+        if expanded is None:
+            return peer, combined, combined.size
+        senders, destinations = expanded
+        return peer, self._values[senders], destinations
+
+    def _announcement(self, peer: int) -> dict:
+        expanded = self._expanded[peer]
+        if expanded is None:
+            return super()._announcement(peer)
+        return {"ids": self._words[peer], "destinations": expanded[1]}
+
+    # -- the receive half of a peer's senders ---------------------------------
+    def _learn_senders(self, src: int, ids: np.ndarray, destinations: int) -> Pattern:
+        """The pattern of worker ``src``'s senders ``ids``: their rows,
+        read from this worker's graph (nothing of them crossed the wire),
+        cut to the destinations here, grouped by destination as ``src``
+        would have grouped them — ascending sender, then row order — and
+        combined by the scan ``src`` would have run.  Ids that are not
+        ``src``'s strictly ascending vertices, or rows that reach other
+        than ``destinations`` vertices here, are a ``RuntimeError`` naming
+        the channel and ``src``."""
+        worker = self.worker
+        ids = np.asarray(ids, dtype=np.int64)
+        self._check_senders(src, ids)
+        adj = build_local_csr(worker.graph, ids, self._adjacency or "out")
+        mine = worker.owner == worker.worker_id
+        here, edges = [], 0
+        for senders, dsts in self._adjacency_blocks(adj):
+            at = np.flatnonzero(mine[dsts])
+            here.append((as_int32(self, "destination id", dsts.take(at)), senders.take(at)))
+            edges += at.size
+        here.reverse()  # popped as packed: a block is freed once grouped
+        uniq, starts, edge_src = group_by_key(
+            (here.pop() for _ in range(len(here))), edges, worker.graph.num_vertices, ids.size
+        )
+        if uniq.size != destinations:
+            raise RuntimeError(
+                f"{self!r}: worker {src} announced {destinations} destinations; "
+                f"the rows of its {ids.size} senders reach {uniq.size} here"
+            )
+        return worker._local_index[uniq], _Scan(self.combiner, edge_src, starts, ids.size)
+
+    def _check_senders(self, src: int, ids: np.ndarray) -> None:
+        bound = self.worker.graph.num_vertices
+        if (ids[1:] <= ids[:-1]).any():
+            raise RuntimeError(
+                f"{self!r}: worker {src} announced senders that do not strictly ascend"
+            )
+        if ids.size and (ids[0] < 0 or ids[-1] >= bound):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise RuntimeError(
+                f"{self!r}: worker {src} announced sender {bad} outside [0, {bound})"
+            )
+        foreign = self.worker.owner[ids] != src
+        if foreign.any():
+            raise RuntimeError(
+                f"{self!r}: worker {src} announced sender {ids[foreign][0]}, "
+                "which it does not own"
+            )

@@ -89,6 +89,17 @@ class Combiner:
             out[i] = self.combine_array(values[bounds[i] : bounds[i + 1]])
         return out
 
+    @property
+    def is_selection(self) -> bool:
+        """Whether the operation selects one of its operands, ``h(x, x) ==
+        x`` (min, max), on a probe of the identity and a few small values;
+        a sum is not one.  ``Propagation`` requires a selection, and
+        ``ScatterCombine`` never combines one at the receiver."""
+        probe = np.array([self.identity, 0, 1, 2, 3], dtype=self.codec.dtype)
+        if self.ufunc is None:
+            return all(self.fn(x, x) == x for x in probe)
+        return bool((self.ufunc(probe, probe) == probe).all())
+
     def accumulate_at(self, target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
         """``target[index[i]] = fn(target[index[i]], values[i])`` — bulk
         receiver-side combining into per-vertex slots."""

@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Worker"]
 
 _FRAME = struct.Struct("<ii")  # channel_id, payload nbytes
+#: the largest payload a frame's int32 length can carry
+_MAX_PAYLOAD = 2**31 - 1
 
 
 class Worker:
@@ -187,6 +189,12 @@ class Worker:
     def emit(self, channel_id: int, peer: int, payload: bytes) -> None:
         if not payload:
             return
+        if len(payload) > _MAX_PAYLOAD:
+            raise ValueError(
+                f"worker {self.worker_id}: a payload of {len(payload)} bytes for channel "
+                f"{channel_id} to worker {peer} does not fit a frame "
+                f"(at most {_MAX_PAYLOAD} bytes)"
+            )
         writer = self.buffers.out[peer]
         writer.write_bytes(_FRAME.pack(channel_id, len(payload)))
         writer.write_bytes(payload)
@@ -201,7 +209,11 @@ class Worker:
         return self.books["channels"].setdefault(label, [0, 0, 0])
 
     def route_inbox(self) -> dict[int, list[tuple[int, memoryview]]]:
-        """Split received buffers into per-channel payload lists."""
+        """Split received buffers into per-channel payload lists.  A
+        buffer that is not whole frames — a tail shorter than a frame
+        header, a length that is negative or runs past the buffer — is a
+        ``RuntimeError`` naming the source worker (and the channel, once
+        its header is read)."""
         routed: dict[int, list[tuple[int, memoryview]]] = {}
         for src, data in enumerate(self.buffers.inbox):
             if not data:
@@ -210,8 +222,18 @@ class Worker:
             offset = 0
             end = len(view)
             while offset < end:
+                if end - offset < _FRAME.size:
+                    raise RuntimeError(
+                        f"worker {self.worker_id}: worker {src} sent {end - offset} bytes "
+                        f"after its last frame, short of a {_FRAME.size}-byte frame header"
+                    )
                 cid, nbytes = _FRAME.unpack_from(view, offset)
                 offset += _FRAME.size
+                if not 0 <= nbytes <= end - offset:
+                    raise RuntimeError(
+                        f"worker {self.worker_id}: worker {src} sent a frame for channel "
+                        f"{cid} of {nbytes} bytes, with {end - offset} left in its buffer"
+                    )
                 routed.setdefault(cid, []).append((src, view[offset : offset + nbytes]))
                 offset += nbytes
         self.buffers.clear_inbox()

@@ -265,10 +265,10 @@ class TestScatterCombineBuild:
         starts, and per peer the ids it will announce and the positions of
         its values in destination order (a slice or an index array)."""
         ch._build()
-        positions = np.arange(ch._seg_starts.size)
+        positions = np.arange(ch._scan.starts.size)
         return (
-            ch._seg_edge_src.tolist(),
-            ch._seg_starts.tolist(),
+            ch._scan.edge_src.tolist(),
+            ch._scan.starts.tolist(),
             [w.tolist() for w in ch._words],
             [positions[sel].tolist() for sel in ch._peer_select],
         )
@@ -555,7 +555,7 @@ class TestScatterCombineBuild:
 
         def _announced(payload):
             bound = worker.graph.num_vertices
-            ids, _, values = decode_pattern(memoryview(payload), combiner.codec, bound, None)
+            ids, _, _, values = decode_pattern(memoryview(payload), combiner.codec, bound, None)
             return ids.tolist(), values.tobytes()
 
         with mock.patch.multiple(
@@ -565,8 +565,8 @@ class TestScatterCombineBuild:
         ):
             ch.serialize()
         expected = {}
-        if ch._seg_edge_src.size:
-            whole = combiner.ufunc.reduceat(ch._values[ch._seg_edge_src], ch._seg_starts)
+        if ch._scan.edge_src.size:
+            whole = combiner.ufunc.reduceat(ch._values[ch._scan.edge_src], ch._scan.starts)
             uniq = np.unique(np.asarray(dst, dtype=np.int64))
             owners = worker.owner[uniq]
             for peer in range(worker.num_workers):
@@ -602,13 +602,13 @@ class TestScatterCombineBuild:
             ch, sent, expected = self._scan(worker, combiner, src, dst, values)
         assert sent == expected
         # blocks tile the segments, whole, and the scratch holds the longest
-        bounds = ch._seg_starts.tolist() + [len(edges)]
-        cuts = [block[0] for block in ch._blocks] + [ch._seg_starts.size]
-        assert cuts[0] == 0 and [block[1] for block in ch._blocks] == cuts[1:]
-        for seg_lo, seg_hi, lo, hi in ch._blocks:
+        bounds = ch._scan.starts.tolist() + [len(edges)]
+        cuts = [block[0] for block in ch._scan.blocks] + [ch._scan.starts.size]
+        assert cuts[0] == 0 and [block[1] for block in ch._scan.blocks] == cuts[1:]
+        for seg_lo, seg_hi, lo, hi in ch._scan.blocks:
             assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
             assert hi - lo <= 4 or seg_hi == seg_lo + 1
-            assert hi - lo <= ch._scratch.size
+            assert hi - lo <= ch._scan.scratch.size
 
     @STATIC_EDGE_CHANNELS
     def test_out_of_range_scalar_edge_fails_on_first_serialize(self, channel):
@@ -653,6 +653,14 @@ SCATTER_EDGE_CHANNELS = pytest.mark.parametrize(
 )
 
 
+def _table_combiner(direction):
+    """A sum where both registration forms hand a peer its senders'
+    values alike; a selection, which never does, for in- and both-rows:
+    per edge they name no adjacency a peer could read them from, so under
+    a sum only ``add_adjacency`` would (``tests/test_scatter_placement.py``)."""
+    return SUM_F64 if direction == "out" else MIN_I64
+
+
 class TestAdjacencyRegistration:
     """``add_adjacency``: the edge set is a direction, and what it builds
     is what the per-edge registration of the same rows builds."""
@@ -660,15 +668,15 @@ class TestAdjacencyRegistration:
     _tables = staticmethod(TestScatterCombineBuild._tables)
 
     @staticmethod
-    def _explicit(worker, direction, make=lambda w: ScatterCombine(w, SUM_F64)):
+    def _explicit(worker, direction, make=None):
         adj = worker.local_adjacency(direction)
-        ch = make(worker)
+        ch = (make or (lambda w: ScatterCombine(w, _table_combiner(direction))))(worker)
         ch.add_edges_bulk(np.repeat(np.arange(worker.num_local), adj.degrees), adj.indices)
         return ch
 
     @staticmethod
-    def _named(worker, direction, make=lambda w: ScatterCombine(w, SUM_F64)):
-        ch = make(worker)
+    def _named(worker, direction, make=None):
+        ch = (make or (lambda w: ScatterCombine(w, _table_combiner(direction))))(worker)
         ch.add_adjacency(direction)
         return ch
 
@@ -683,9 +691,9 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 named = self._named(worker, direction)
                 assert self._tables(named) == expected
-                assert named._seg_edge_src.dtype == np.int64
+                assert named._scan.edge_src.dtype == np.int64
                 # ... and again from its snapshot, through the checkpoint codec
-                restored = ScatterCombine(worker, SUM_F64)
+                restored = ScatterCombine(worker, _table_combiner(direction))
                 restored.restore(decode_state(encode_state(named.snapshot())))
                 assert not restored._built and not restored._edges.chunks
                 assert self._tables(restored) == expected
@@ -789,7 +797,7 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 assert self._mirror_tables(named) == expected
             assert any(senders.size for senders, _ in named._mirrored)
-            assert named._seg_edge_src.dtype == np.int64  # indexes _values every superstep
+            assert named._scan.edge_src.dtype == np.int64  # indexes _values every superstep
 
     @classmethod
     def _mirror_tables(cls, ch):
@@ -800,7 +808,7 @@ class TestAdjacencyRegistration:
     @SCATTER_EDGE_CHANNELS
     def test_build_holds_a_few_bytes_per_local_edge(self, channel):
         """tracemalloc's peak over an adjacency build on a hash partition,
-        per local edge: the 8 B of ``_seg_edge_src`` it keeps, a share of
+        per local edge: the 8 B of ``_scan.edge_src`` it keeps, a share of
         the mirrored words, and one block at a time — never a full-length
         copy of the edges (``MirroredScatter`` peaked at ≈ 55 B when it
         copied the blocks into two columns to sort them per peer).  The

@@ -1,0 +1,359 @@
+"""Where ``ScatterCombine`` combines a peer's edges: at the sender, one
+value per destination, or — where fewer of the sender's vertices than
+destinations reach that peer — at the receiver, which gets the senders'
+own values and combines them along rows it reads from its own graph.
+
+The property: over any graph, partition, worker count, registration form
+and combiner, every receiver's slots are the numpy oracle's fold (each
+sender reduces its edges into each destination in destination order, the
+receiver folds those in source order), and the channel's bytes are the
+closed form that prices the placement rule per peer.
+"""
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.algorithms.pagerank import run_pagerank
+from repro.core import ChannelEngine, MIN_I64, ScatterCombine, SUM_F64, VertexProgram
+from repro.core.channels._records import encode_pattern
+from repro.graph import rmat
+from repro.graph.graph import Graph
+from repro.graph.partition import hash_partition, range_partition
+from repro.runtime.serialization import INT32
+
+from test_bulk_parity import _assert_parity, engines  # noqa: F401 - a fixture
+from test_static_pattern import MoveOnce, announced_ids_nbytes, received_forms
+
+SCATTERS = (1, 2, 3)  # supersteps that scatter; the slots are read one later
+FORMS = ["adjacency-out", "adjacency-in", "rows", "partial"]
+
+
+def value(vertex, step, combiner):
+    """What ``vertex`` scatters in ``step``: a fresh value every time, so
+    every payload after an announcement is dense."""
+    if combiner is SUM_F64:
+        return np.random.default_rng([step, vertex]).standard_normal()
+    return 1000 * step + (vertex * 7919) % 997
+
+
+def registered(graph, form, vertices):
+    """The edges one worker registers, in registration order, for its
+    ``vertices`` (ascending): ``(sender, destination)`` global ids."""
+    if form == "adjacency-in":
+        rows = {v: graph.in_neighbors(v) for v in vertices}
+    elif form == "partial":  # every row but its last edge
+        rows = {v: graph.neighbors(v)[:-1] for v in vertices}
+    else:
+        rows = {v: graph.neighbors(v) for v in vertices}
+    src = np.concatenate([np.full(len(r), v) for v, r in rows.items()] + [[]]).astype(np.int64)
+    dst = np.concatenate([np.asarray(r) for r in rows.values()] + [[]]).astype(np.int64)
+    return src, dst
+
+
+def program(form, combiner):
+    class P(VertexProgram):
+        def __init__(self, worker):
+            super().__init__(worker)
+            self.msg = ScatterCombine(worker, combiner)
+            if form.startswith("adjacency"):
+                self.msg.add_adjacency(form.split("-")[1])
+            self.got = {}
+
+        def compute(self, v):
+            step = self.step_num
+            if step == 1 and not form.startswith("adjacency"):
+                src, dst = registered(self.worker.graph, form, [v.id])
+                self.msg.add_edges(v, dst)
+            if step > 1:
+                self.got[v.id, step] = (self.msg.get_message(v), self.msg.has_message(v))
+            if step in SCATTERS:
+                self.msg.set_message(v, value(v.id, step, combiner))
+            else:
+                v.vote_to_halt()
+
+        def finalize(self):
+            return self.got
+
+    return P
+
+
+def whole_rows(graph, src, dst):
+    """Senders ascending, each one's edges its whole out-row."""
+    return bool((np.diff(src) >= 0).all()) and all(
+        np.array_equal(dst[src == v], graph.neighbors(v)) for v in np.unique(src)
+    )
+
+
+def oracle(graph, owner, form, combiner):
+    """Per ``(vertex, superstep)``: the slot and flag the channel should
+    leave, and the channel's ``(net, local)`` bytes."""
+    workers = int(owner.max()) + 1
+    dtype = combiner.codec.dtype
+    item = combiner.codec.itemsize
+    slots, has = {}, np.zeros(graph.num_vertices, dtype=bool)
+    net = local = 0
+    edges = {w: registered(graph, form, np.flatnonzero(owner == w)) for w in range(workers)}
+    for step in SCATTERS:
+        values = np.array(
+            [value(v, step, combiner) for v in range(graph.num_vertices)], dtype=dtype
+        )
+        slot = np.full(graph.num_vertices, combiner.identity, dtype=dtype)
+        for w in range(workers):  # the receiver folds in source order
+            src, dst = edges[w]
+            order = np.argsort(dst, kind="stable")
+            uniq, starts = np.unique(dst[order], return_index=True)
+            if uniq.size:
+                combined = combiner.ufunc.reduceat(values[src[order]], starts)
+                slot[uniq] = combiner.ufunc(slot[uniq], combined)
+                has[uniq] = True
+            whole = form.startswith("adjacency") or whole_rows(graph, src, dst)
+            for p in np.unique(owner[dst]).tolist():
+                into = owner[dst] == p
+                ids, senders = np.unique(dst[into]), np.unique(src[into])
+                n, words = ids.size, announced_ids_nbytes(ids)
+                if w != p and whole and not combiner.is_selection and senders.size < ids.size:
+                    n, words = senders.size, 4 + announced_ids_nbytes(senders)
+                cost = 4 + n * item + (words if step == SCATTERS[0] else 0)
+                if w == p:
+                    local += cost
+                else:
+                    net += cost
+        for v in range(graph.num_vertices):
+            slots[v, step + 1] = (slot[v], bool(has[v]))
+    return slots, (net, local)
+
+
+@st.composite
+def cases(draw, workers):
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    partition = draw(st.sampled_from(["range", "hash", "any"]))
+    owner = {
+        "range": lambda: range_partition(n, workers),
+        "hash": lambda: hash_partition(n, workers),
+        "any": lambda: np.array(
+            draw(st.lists(st.integers(0, workers - 1), min_size=n, max_size=n)), dtype=np.int64
+        ),
+    }[partition]()
+    return Graph.from_edges(n, edges, directed=True), owner
+
+
+@contextlib.contextmanager
+def learnt():
+    """How many times a receiver derived a peer's senders' pattern."""
+    calls = []
+    real = ScatterCombine._learn_senders
+
+    def spy(self, src, ids, destinations):
+        calls.append((self.worker.step_num, self.worker.worker_id, src))
+        return real(self, src, ids, destinations)
+
+    with mock.patch.object(ScatterCombine, "_learn_senders", spy):
+        yield calls
+
+
+@pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64], ids=repr)
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_slots_are_the_oracle_fold_in_the_closed_form_bytes(workers, form, combiner, data):
+    graph, owner = data.draw(cases(workers))
+    engine = ChannelEngine(graph, program(form, combiner), num_workers=workers, partition=owner)
+    result = engine.run()
+    slots, (net, local) = oracle(graph, owner, form, combiner)
+    got = {key: (slot, bool(flag)) for key, (slot, flag) in result.data.items()}
+    assert {k: (np.asarray(s).tobytes(), f) for k, (s, f) in got.items()} == {
+        k: (np.asarray(s, dtype=combiner.codec.dtype).tobytes(), f) for k, (s, f) in slots.items()
+    }
+    counted = result.metrics.channel_breakdown().get(
+        "0:ScatterCombine", {"net_bytes": 0, "local_bytes": 0}
+    )
+    assert (counted["net_bytes"], counted["local_bytes"]) == (net, local)
+
+
+def _star(leaves=12):
+    """Vertex 0 on worker 0 points at ``leaves`` vertices on worker 1: one
+    sender, many destinations."""
+    n = leaves + 1
+    graph = Graph.from_edges(n, [(0, d) for d in range(1, n)], directed=True)
+    owner = np.ones(n, dtype=np.int64)
+    owner[0] = 0
+    return graph, owner
+
+
+@pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64], ids=repr)
+def test_a_selection_keeps_the_combined_form(combiner):
+    """One sender, twelve destinations: a sum sends the hub's value, a
+    min the twelve combined ones (the bytes the wire had before)."""
+    graph, owner = _star()
+    with received_forms() as forms, learnt() as calls:
+        result = ChannelEngine(
+            graph, program("rows", combiner), num_workers=2, partition=owner
+        ).run()
+    net = result.metrics.channel_breakdown()["0:ScatterCombine"]["net_bytes"]
+    scatters = len(SCATTERS)
+    if combiner is SUM_F64:
+        assert "announce senders, list" in forms and calls == [(1, 1, 0)]
+        assert net == 4 + 4 + 4 + 8 + (scatters - 1) * (4 + 8)
+    else:
+        assert not any(form.startswith("announce senders") for form in forms) and not calls
+        ids = announced_ids_nbytes(np.arange(1, 13))
+        assert net == 4 + ids + 12 * 8 + (scatters - 1) * (4 + 12 * 8)
+    # one logical message per destination, whichever end combines
+    assert result.metrics.total_messages == scatters * 12
+
+
+# -- malformed announcements: a RuntimeError naming the channel and the source ----
+
+
+class _Idle(VertexProgram):
+    def compute(self, v):
+        v.vote_to_halt()
+
+
+@pytest.fixture()
+def receiver():
+    """Worker 1 of a 2-worker range partition of 8 vertices (it owns
+    4..7); worker 0's vertices 0 and 1 reach 4, 5 and 4."""
+    graph = Graph.from_edges(8, [(0, 4), (0, 5), (1, 4), (2, 3)], directed=True)
+    worker = ChannelEngine(graph, _Idle, num_workers=2, partition=range_partition(8, 2)).workers[1]
+    return ScatterCombine(worker, SUM_F64)
+
+
+def _senders(tag_count, destinations, ids, values):
+    """A senders announcement by hand: ``[4m + 3][d][ids][values]``."""
+    parts = [INT32.encode_one(4 * tag_count + 3), INT32.encode_one(destinations)]
+    parts += [np.int32(ids).tobytes(), np.float64(values).tobytes()]
+    return memoryview(b"".join(parts))
+
+
+def test_the_senders_form_round_trips(receiver):
+    """The sum of 0's and 1's values at 4, 0's at 5 — and again after a
+    dense payload, and from a snapshot, derived once more from the store."""
+    payload = encode_pattern(receiver, np.array([1.5, 2.0]), ids=np.array([0, 1]), destinations=2)
+    receiver.deserialize([(0, memoryview(payload))])
+    assert receiver.get_messages()[0].tolist() == [3.5, 1.5, 0.0, 0.0]
+    receiver.deserialize([(0, memoryview(encode_pattern(receiver, np.array([4.0, 8.0]))))])
+    assert receiver.get_messages()[0].tolist() == [12.0, 4.0, 0.0, 0.0]
+    restored = ScatterCombine(receiver.worker, SUM_F64)
+    restored.restore(receiver.snapshot())
+    restored.deserialize([(0, memoryview(encode_pattern(receiver, np.array([1.0, 1.0]))))])
+    assert restored.get_messages()[0].tolist() == [2.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "ids, destinations, values, match",
+    [
+        ([0, 5], 2, [1.0, 2.0], "worker 0 announced sender 5, which it does not own"),
+        ([0, 9], 2, [1.0, 2.0], r"worker 0 announced sender 9 outside \[0, 8\)"),
+        ([1, 0], 2, [1.0, 2.0], "worker 0 announced senders that do not strictly ascend"),
+        ([0, 1], 3, [1.0, 2.0], "worker 0 announced 3 destinations; the rows of its 2 senders reach 2 here"),
+        ([0], 1, [1.0], "worker 0 announced 1 destinations; the rows of its 1 senders reach 2 here"),
+        ([0, 1], 2, [1.0, 2.0, 3.0], "3 values from worker 0, whose pattern takes 2"),
+    ],
+)
+def test_a_malformed_senders_announcement(receiver, ids, destinations, values, match):
+    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*: {match}"):
+        receiver.deserialize([(0, _senders(len(ids), destinations, ids, values))])
+    # a later payload's value count is checked against the senders' too
+    receiver.deserialize([(0, _senders(2, 2, [0, 1], [1.0, 2.0]))])
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*1 values from worker 0.*takes 2"):
+        receiver.deserialize([(0, memoryview(INT32.encode_one(0) + np.float64([1.0]).tobytes()))])
+
+
+def test_a_truncated_senders_announcement(receiver):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 senders"):
+        receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3)))])
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 words"):
+        receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)))])
+
+
+# -- the new form on pr-scatter: every backend, every recovery, a migration ---------
+
+_PR_GRAPH = rmat(8, edge_factor=6, seed=11, directed=True)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_pagerank_listing_equals_port_across_the_senders_form(workers, engines):  # noqa: F811
+    kw = dict(variant="scatter", iterations=6, num_workers=workers, checkpoint_every=2)
+    with received_forms() as forms:
+        scalar = run_pagerank(_PR_GRAPH, mode="scalar", **kw)
+    assert any(form.startswith("announce senders") for form in forms)
+    _assert_parity(scalar, run_pagerank(_PR_GRAPH, mode="bulk", **kw), by_adjacency=engines)
+
+
+@pytest.mark.parametrize("recovery", ["rollback", "confined"])
+@pytest.mark.parametrize("workers", [2, 8])
+def test_backends_and_recoveries_count_the_simulator_bytes(workers, recovery):
+    """A failure in superstep 4 recovers from the checkpoint of superstep
+    2, after the senders' announcement: the restored receivers derive
+    their patterns again from the store."""
+    kw = dict(
+        variant="scatter", mode="bulk", iterations=6, num_workers=workers,
+        checkpoint_every=2, failures=[(1, 4)], recovery=recovery,
+    )  # fmt: skip
+    with learnt() as calls:
+        ranks, sim = run_pagerank(_PR_GRAPH, **kw)
+    assert calls  # the form crossed, and a restore derived it again
+    clean_ranks, clean = run_pagerank(_PR_GRAPH, **{**kw, "failures": None})
+    np.testing.assert_array_equal(ranks, clean_ranks)
+    assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
+    for transport in ("shm", "pipe"):
+        got_ranks, proc = run_pagerank(_PR_GRAPH, executor="process", transport=transport, **kw)
+        np.testing.assert_array_equal(got_ranks, ranks)
+        a, b = proc.metrics, sim.metrics
+        assert a.channel_breakdown() == b.channel_breakdown()
+        assert (a.total_net_bytes, a.total_messages, a.supersteps, a.total_rounds) == (
+            b.total_net_bytes, b.total_messages, b.supersteps, b.total_rounds,
+        )  # fmt: skip
+        assert (a.checkpoint_bytes, a.log_bytes, a.recovery_bytes) == (
+            b.checkpoint_bytes, b.log_bytes, b.recovery_bytes,
+        )  # fmt: skip
+
+
+def test_a_migration_re_announces_once_and_the_receivers_derive_again():
+    """Every sender announces once under each ownership, and every
+    receiver derives each of its peers' senders once under each; the ranks
+    are those of the same migration with every peer's edges combined at
+    the sender."""
+    workers = 3
+    kw = dict(
+        variant="scatter", mode="bulk", iterations=6, num_workers=workers,
+        partition=range_partition(_PR_GRAPH.num_vertices, workers),
+    )  # fmt: skip
+
+    def migrated():
+        policy = MoveOnce(num_workers=workers)
+        policy.target = hash_partition(_PR_GRAPH.num_vertices, workers)
+        return run_pagerank(
+            _PR_GRAPH, rebalance="superstep", rebalance_every=3, rebalance_policy=policy, **kw
+        )
+
+    announcing = []
+    real_scatter = ScatterCombine._scatter
+
+    def scatter(self, payloads):
+        if self._words is not None:
+            announcing.append(self.worker.worker_id)
+        real_scatter(self, payloads)
+
+    with mock.patch.object(ScatterCombine, "_scatter", scatter), learnt() as calls:
+        ranks, result = migrated()
+    assert result.metrics.num_rebalances == 1
+    assert announcing == [0, 1, 2] * 2
+    steps = sorted({step for step, *_ in calls})
+    assert len(steps) == 2
+    for step in steps:
+        pairs = [pair for at, *pair in calls if at == step]
+        assert pairs and len(set(map(tuple, pairs))) == len(pairs)
+    with mock.patch.object(ScatterCombine, "_expandable", lambda self: False):
+        combined_ranks, combined = migrated()
+    np.testing.assert_array_equal(ranks, combined_ranks)
+    assert result.metrics.total_messages == combined.metrics.total_messages
+    assert result.metrics.total_net_bytes < combined.metrics.total_net_bytes

@@ -3,7 +3,8 @@ unchanged values not at all.
 
 ``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
 the first scatter after a registration (``ScatterCombine``'s ids as a list
-or a bitmap, whichever is smaller); after it they send each peer the
+or a bitmap, whichever is smaller, and — to a peer that combines its
+edges itself — sender ids and its senders' values); after it they send each peer the
 smallest of ``[values]`` and ``[changed positions][their values]``, the
 positions as a list or a bitmap.  The
 format they replaced — ids beside the values in every scatter — lives on
@@ -51,7 +52,11 @@ THRESHOLD = 3  # MirroredScatter: edges into one peer that make a sender heavy
 class IdsEveryRound(ScatterCombine):
     """``ScatterCombine`` on the wire format it had before: one record
     payload ``[int32 ids][values]`` per peer in every scatter, decoded and
-    looked up again by every receive."""
+    looked up again by every receive, every peer's values combined at the
+    sender."""
+
+    def _expandable(self):
+        return False
 
     def _build(self):
         self._announced = False  # so every build leaves the ids in _words
@@ -139,7 +144,37 @@ def announced_ids_nbytes(ids):
     return min(4 * ids.size, 8 + -(-(int(ids[-1]) - int(ids[0]) + 1) // 8))
 
 
-def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again_at, sent):
+def whole_rows(graph, owners, register_again_at):
+    """Per superstep and sender worker, whether its registered columns are
+    whole out-rows in ascending sender order, which lets a peer combine
+    them.  Every vertex registers its out-edges in superstep 1 and its
+    in-edges in ``register_again_at``, in vertex order; a migration routes
+    each worker's columns to the senders' new owners in old-worker order
+    (``StaticEdges._edges_migrate``)."""
+    src, dst = graph.edge_array()
+    workers = int(max(o.max() for o in owners)) + 1
+    columns = [(src[owners[1][src] == w], dst[owners[1][src] == w]) for w in range(workers)]
+    whole = {}
+    for step in range(1, STEPS + 1):
+        owner = owners[step]
+        if not np.array_equal(owner, owners[step - 1]):
+            flat = [np.concatenate(c) for c in zip(*columns)]
+            columns = [tuple(c[owner[flat[0]] == w] for c in flat) for w in range(workers)]
+        if step == register_again_at:
+            for w in range(workers):
+                again = [(v, u) for v in np.flatnonzero(owner == w) for u in graph.in_neighbors(v)]
+                s_, d_ = np.array(again, dtype=np.int64).reshape(-1, 2).T
+                columns[w] = tuple(np.concatenate(pair) for pair in zip(columns[w], (s_, d_)))
+        for w, (s_, d_) in enumerate(columns):
+            whole[step, w] = bool((np.diff(s_) >= 0).all()) and all(
+                np.array_equal(d_[s_ == v], graph.neighbors(v)) for v in np.unique(s_)
+            )
+    return whole
+
+
+def closed_form(
+    graph, mirrored, itemsize, owners, scatter_steps, register_again_at, sent, selection=True
+):
     """``(net, local)`` bytes of the channel: per scatter, sender and peer
     with ``n`` values to send, a 4-byte tag and the smallest of the dense
     ``n * itemsize``, the list delta ``k * (4 + itemsize)`` and the bitmap
@@ -147,10 +182,16 @@ def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again
     for bit, from those the sender sent that peer last — but, in the
     sender's first scatter after a registration or a migration, the
     pattern's words (``ScatterCombine``: its ids, :func:`announced_ids_nbytes`)
-    and all ``n`` values.
+    and all ``n`` values.  ``n`` is one value per destination, except
+    where ``ScatterCombine`` with a combiner that is not a ``selection``
+    sends another worker its senders' values: where its columns are
+    :func:`whole_rows` and fewer senders than destinations reach the peer
+    — then ``n`` is the senders, and the words are their ids behind the
+    destination count.
     ``owners[step]`` is the partition in force during ``step``;
     ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
     out_src, out_dst = graph.edge_array()
+    whole = whole_rows(graph, owners, register_again_at)
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     announced = set()
     last = {}  # (sender, peer) -> the values it sent last
@@ -170,6 +211,7 @@ def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again
                 here = (owner[src] == w) & (owner[dst] == p)
                 ids = np.unique(dst[here])  # one per unique destination
                 values, words = ids.size, announced_ids_nbytes(ids)
+                senders = np.unique(src[here])
                 if mirrored:
                     senders, degree = np.unique(src[here], return_counts=True)
                     heavy = np.isin(src[here], senders[degree >= THRESHOLD])
@@ -177,6 +219,8 @@ def closed_form(graph, mirrored, itemsize, owners, scatter_steps, register_again
                     values = plain + int((degree >= THRESHOLD).sum())
                     # two counts, plain ids, a degree per heavy sender, its neighbours
                     words = 4 * (2 + values + int(heavy.sum()))
+                elif not selection and w != p and whole[step, w] and senders.size < ids.size:
+                    values, words = senders.size, 4 + announced_ids_nbytes(senders)
                 got = sent[step, w][p]
                 assert got.size == values
                 if w in announced:
@@ -321,7 +365,7 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
     owners = [case["owner"] if step <= fired_at else case["target"] for step in range(STEPS + 1)]
     net, local = closed_form(
         graph, mirrored, combiner.codec.itemsize, owners,
-        case["scatter_steps"], case["register_again_at"], sent,
+        case["scatter_steps"], case["register_again_at"], sent, combiner.is_selection,
     )  # fmt: skip
     (counted,) = got.metrics.channel_breakdown().values() or [{"net_bytes": 0, "local_bytes": 0}]
     assert (counted["net_bytes"], counted["local_bytes"]) == (net, local)
@@ -335,8 +379,11 @@ _GRAPH = rmat(6, edge_factor=4, seed=2)
 def _form(tag):
     if tag == 0:
         return "dense"
-    kind = "announce" if tag > 0 else "delta"
-    return f"{kind}, {'bitmap' if (abs(tag) - 1) % 2 else 'list'}"
+    if tag < 0:
+        return f"delta, {'bitmap' if (-tag - 1) % 2 else 'list'}"
+    form = (tag - 1) % 4
+    kind = "announce senders" if form >= 2 else "announce"
+    return f"{kind}, {'bitmap' if form % 2 else 'list'}"
 
 
 @contextlib.contextmanager
@@ -439,7 +486,9 @@ def test_pagerank_keeps_the_dense_wire():
     """Every PageRank share changes in every scatter, so every payload
     after the announcement is dense: the channel's bytes are ``iterations``
     scatters of a tag and ``n`` values per sender and peer, plus the ``n``
-    announced ids (a list or a bitmap)."""
+    announced ids (a list or a bitmap) — where ``n`` is the destinations,
+    or, to another worker that fewer senders than destinations reach, the
+    senders, announced behind the 4-byte destination count."""
     graph = rmat(8, edge_factor=4, seed=3, directed=True)
     workers, iterations = 3, 6
     owner = hash_partition(graph.num_vertices, workers)
@@ -451,9 +500,13 @@ def test_pagerank_keeps_the_dense_wire():
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     for w in range(workers):
         for p in range(workers):
-            ids = np.unique(dst[(owner[src] == w) & (owner[dst] == p)])
+            here = (owner[src] == w) & (owner[dst] == p)
+            ids, senders = np.unique(dst[here]), np.unique(src[here])
+            words = announced_ids_nbytes(ids) if ids.size else 0
+            if w != p and senders.size < ids.size:
+                ids, words = senders, 4 + announced_ids_nbytes(senders)
             if ids.size:
-                total[w != p] += iterations * (4 + ids.size * 8) + announced_ids_nbytes(ids)
+                total[w != p] += iterations * (4 + ids.size * 8) + words
     counted = result.metrics.channel_breakdown()["1:ScatterCombine"]
     assert (counted["net_bytes"], counted["local_bytes"]) == (total[True], total[False])
 
@@ -533,9 +586,12 @@ def test_wire_ids_are_freed_and_patterns_snapshot_in_four_bytes(cls):
         assert state["announced"] is True
         for src, (local, repeats) in state["patterns"].items():
             assert local.dtype == np.int32
+            if isinstance(repeats, int):  # announced senders, and their destination count
+                assert cls is ScatterCombine and src in channel._senders
+                continue
             assert (repeats is None) == (channel._patterns[src][1] is None)
             assert repeats is None or repeats.dtype == np.int32
-        assert any(r is not None for _, r in state["patterns"].values()) == (
+        assert any(isinstance(r, np.ndarray) for _, r in state["patterns"].values()) == (
             cls is MirroredScatter
         )
         # a restored channel rebuilds its dispatch without the wire ids
@@ -577,7 +633,7 @@ def _payload(ids, values, positions=None):
     hand, so that they may be malformed."""
     values = np.asarray(values, dtype=np.float64)
     if ids is not None:
-        return _wire(2 * len(ids) + 1, np.asarray(ids, dtype=np.int32), values)
+        return _wire(4 * len(ids) + 1, np.asarray(ids, dtype=np.int32), values)
     if positions is not None:
         positions = np.asarray(positions, dtype=np.int32)
         return _wire(-(2 * positions.size + 1), positions, values[positions])
@@ -707,14 +763,14 @@ def test_bitmap_popcount_disagrees_with_the_tag_or_the_values(receiver):
     _refuses(receiver, _wire(-4, np.uint8([0b010]), _ONE, _ONE), "a bitmap of 9 bytes for 3 bits")
     # an announcement tagged with two ids, three bits set
     head = np.int32([4, 3])
-    _refuses(receiver, _wire(6, head, np.uint8([0b111]), _ONE, _ONE), "a bitmap of 3 set bits for 2")
+    _refuses(receiver, _wire(10, head, np.uint8([0b111]), _ONE, _ONE), "a bitmap of 3 set bits for 2")
 
 
 def test_bitmap_bit_set_past_its_last(receiver):
     receiver.deserialize([(0, _payload([4, 5, 6], [1.0, 2.0, 3.0]))])
     _refuses(receiver, _wire(-4, np.uint8([0b1000]), _ONE), "a bitmap with a bit set past its 3 bits")
     _refuses(
-        receiver, _wire(4, np.int32([4, 3]), np.uint8([0b1000]), _ONE),
+        receiver, _wire(6, np.int32([4, 3]), np.uint8([0b1000]), _ONE),
         "a bitmap with a bit set past its 3 bits",
     )  # fmt: skip
 
@@ -722,7 +778,7 @@ def test_bitmap_bit_set_past_its_last(receiver):
 def test_bitmap_announcement_outside_the_graph(receiver):
     for lo, span in ((6, 4), (-1, 2), (4, -1)):
         _refuses(
-            receiver, _wire(4, np.int32([lo, span]), np.uint8([0b1]), _ONE),
+            receiver, _wire(6, np.int32([lo, span]), np.uint8([0b1]), _ONE),
             rf"a bitmap of ids \[{lo}, {lo + span}\) outside \[0, 8\)",
         )  # fmt: skip
     assert 0 not in receiver._patterns
@@ -733,8 +789,8 @@ def test_truncated_bitmap(receiver):
     _refuses(receiver, _wire(-4, _ONE), "a bitmap of 0 bytes for 3 bits")
     _refuses(receiver, _wire(-4, np.uint8([0b10]), _ONE)[:-1], "a bitmap of 0 bytes for 3 bits")
     _refuses(receiver, _wire(-4, np.uint8([0b10]), _ONE)[:-2], "a delta of 1 values in 11 bytes")
-    _refuses(receiver, _wire(4, np.int32([4, 4]), _ONE), "a bitmap of 0 bytes for 4 bits")
-    _refuses(receiver, _wire(4, np.int32([4])), "an announcement of 1 values in 8 bytes")
+    _refuses(receiver, _wire(6, np.int32([4, 4]), _ONE), "a bitmap of 0 bytes for 4 bits")
+    _refuses(receiver, _wire(6, np.int32([4])), "an announcement of 1 values in 8 bytes")
 
 
 # -- wire limits: what an int32 word cannot hold is refused, never wrapped -------------

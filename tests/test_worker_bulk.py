@@ -15,6 +15,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.algorithms._common import gather
+from repro.core import adjacency
 from repro.core.adjacency import build_local_csr
 from repro.graph import rmat
 from repro.graph.graph import Graph
@@ -181,6 +182,27 @@ class TestContiguousRunsAreViews:
             assert sliced.weights is None and gathered.weights is None
         rows = np.array([0, 7, 8, n - 1])
         np.testing.assert_array_equal(sliced.gather(rows), gathered.gather(rows))
+
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    def test_dense_and_sparse_row_sets_read_their_rows(self, direction):
+        """Ascending rows that hold a quarter of the entries between their
+        first and last or more are read by masking that span; sparser ones,
+        and rows out of order, by an index per entry.  Either way the rows
+        are the graph's."""
+        g = rmat(7, edge_factor=5, seed=21, directed=True, weighted=True)
+        parts = {"out": [g.neighbors], "in": [g.in_neighbors], "both": [g.neighbors, g.in_neighbors]}
+        for rows, indexed in (
+            (np.arange(10, 100, 2), False),
+            (np.array([3, 127]), True),
+            (np.array([90, 10, 11]), True),
+        ):
+            adj = build_local_csr(g, rows, direction)
+            with mock.patch.object(adjacency, "expand_ranges", wraps=adjacency.expand_ranges) as spy:
+                got = adj.indices
+            if direction != "both":  # (which interleaves with one itself)
+                assert spy.called == indexed
+            expected = [part(v) for v in rows.tolist() for part in parts[direction]]
+            np.testing.assert_array_equal(got, np.concatenate(expected))
 
     def test_out_adjacency_of_a_range_partition_aliases_the_graph(self):
         g = rmat(7, edge_factor=5, seed=21, directed=True, weighted=True)

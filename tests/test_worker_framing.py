@@ -1,6 +1,10 @@
 """Worker-level tests: the frame layer that multiplexes channels onto
 shared buffers, ownership bookkeeping, and halting/waking mechanics."""
 
+import re
+import struct
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +35,53 @@ class TestFrameLayer:
         assert [bytes(p) for _, p in routed[0]] == [b"alpha", b"gamma"]
         assert [bytes(p) for _, p in routed[1]] == [b"beta!"]
         assert all(src == 0 for src, _ in routed[0])
+
+    @staticmethod
+    def _route(worker, inbox):
+        """``route_inbox`` over ``inbox`` from worker 0, on a daemon thread
+        that must finish within seconds (a malformed length once looped
+        forever): what it raised, or ``None``."""
+        worker.buffers.inbox[0] = inbox
+        raised = []
+
+        def route():
+            try:
+                worker.route_inbox()
+            except Exception as exc:  # handed to the test thread
+                raised.append(exc)
+
+        thread = threading.Thread(target=route, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "route_inbox did not return"
+        return raised[0] if raised else None
+
+    @pytest.mark.parametrize(
+        "inbox, match",
+        [
+            # a negative length used to step the offset back forever
+            (struct.pack("<ii", 0, -8) + b"x" * 8, "worker 0 sent a frame for channel 0 of -8 bytes"),
+            # a length past the buffer used to route a short payload
+            (struct.pack("<ii", 3, 9) + b"x" * 8, "worker 0 sent a frame for channel 3 of 9 bytes, with 8 left"),
+            # a tail shorter than a header used to raise a bare struct.error
+            (struct.pack("<ii", 1, 1) + b"x" + b"\0" * 5, "worker 0 sent 5 bytes after its last frame"),
+        ],
+        ids=["negative", "past-the-end", "short-tail"],
+    )
+    def test_a_malformed_frame_names_the_source_and_the_channel(self, inbox, match):
+        w1 = make_engine().workers[1]
+        raised = self._route(w1, inbox)
+        assert isinstance(raised, RuntimeError) and re.search(rf"^worker 1: {match}", str(raised))
+
+    def test_a_payload_a_frame_cannot_carry_is_refused_at_emit(self):
+        class Huge:  # a 2 GiB payload, without the 2 GiB
+            def __len__(self):
+                return 2**31
+
+        w0 = make_engine().workers[0]
+        with pytest.raises(ValueError, match=r"worker 0: a payload of 2147483648 bytes for channel 4 to worker 1"):
+            w0.emit(4, 1, Huge())
+        assert w0.buffers.out[1].nbytes == 0
 
     def test_empty_payload_not_framed(self):
         engine = make_engine()
