@@ -8,7 +8,7 @@ combined inbox: the first scatter after a registration *announces* — each
 peer's payload carries the int32 words that describe its pattern, then the
 values; every later scatter sends values only, and the receiver folds them
 through the local indices it kept from the announcement (no id decode, no
-``_local_index`` gather per round).  The payload itself is
+position lookup per round).  The payload itself is
 ``_records.encode_pattern`` / ``decode_pattern``.
 
 After the announcement both ends also keep the last values that crossed
@@ -160,7 +160,7 @@ class StaticPattern(CombinedInbox):
         pattern = self._patterns.get(src)
         try:
             words, destinations, positions, values = decode_pattern(
-                payload, self.value_codec, self.worker._local_index.size,
+                payload, self.value_codec, self.worker.graph.num_vertices,
                 None if pattern is None else _size(pattern),
             )  # fmt: skip
         except ValueError as exc:

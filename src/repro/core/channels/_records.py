@@ -58,9 +58,11 @@ from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32
 
 
-def encode_records(ids: np.ndarray, values: np.ndarray, codec: Codec) -> bytes:
-    """One record payload: ``[int32 ids][values]``."""
-    return INT32.encode_array(ids) + codec.encode_array(values)
+def encode_records(channel: Channel, ids: np.ndarray, values: np.ndarray) -> bytes:
+    """One record payload of ``channel``: ``[int32 ids][values]``.  An id
+    int32 cannot hold is a ``ValueError`` naming ``channel``
+    (:func:`as_int32`)."""
+    return _int32(channel, "record id", ids) + channel.value_codec.encode_array(values)
 
 
 def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +100,7 @@ def as_int32(channel: Channel, what: str, values: np.ndarray) -> np.ndarray:
     """``values`` as int32 words, the wire's one narrowing cast.  A value
     int32 cannot hold is a ``ValueError`` naming the channel, where
     ``astype`` would wrap it, silently, into another id."""
+    values = np.asarray(values)
     if values.dtype != np.int32 and values.size:
         lo, hi = int(values.min()), int(values.max())
         if lo < _INT32_RANGE.min or hi > _INT32_RANGE.max:
@@ -276,8 +279,8 @@ def decode_pattern(
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
     """Raise a ``ValueError`` naming the channel and the first of ``ids``
-    outside ``[0, bound)``.  Ids index dense arrays (``owner[...]``,
-    ``_local_index[...]``), where a negative one would wrap around to a
+    outside ``[0, bound)``.  Ids index dense arrays (``owner[...]``, the
+    host's position table), where a negative one would wrap around to a
     wrong answer instead of failing."""
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         bad = ids[(ids < 0) | (ids >= bound)][0]
@@ -288,14 +291,15 @@ def local_ids(channel: Channel, src: int, ids: np.ndarray) -> np.ndarray:
     """Local indices of the ``ids`` worker ``src`` sent ``channel``, every
     one of which this worker must own.  Unchecked, a negative id would wrap
     to the last vertex, an id past the last raise a bare ``IndexError``,
-    and an id owned elsewhere (``_local_index`` is -1 there) fold into the
-    last slot; each is a ``RuntimeError`` naming the channel and ``src``."""
+    and an id owned elsewhere (:meth:`~repro.core.worker.Worker.local_index`
+    is -1 there) fold into the last slot; each is a ``RuntimeError`` naming
+    the channel and ``src``."""
     worker = channel.worker
-    index = worker._local_index
-    if ids.size and (ids.min() < 0 or ids.max() >= index.size):
-        bad = ids[(ids < 0) | (ids >= index.size)][0]
-        raise RuntimeError(f"{channel!r}: worker {src} sent id {bad} outside [0, {index.size})")
-    local = index[ids]
+    bound = worker.graph.num_vertices
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        bad = ids[(ids < 0) | (ids >= bound)][0]
+        raise RuntimeError(f"{channel!r}: worker {src} sent id {bad} outside [0, {bound})")
+    local = worker.local_index(ids)
     if local.size and local.min() < 0:
         raise RuntimeError(
             f"{channel!r}: worker {src} sent id {ids[local < 0][0]}, which "
@@ -335,7 +339,7 @@ def emit_records(
     emit_payloads(
         channel,
         (
-            (peer, encode_records(ids, values, channel.value_codec), len(ids))
+            (peer, encode_records(channel, ids, values), len(ids))
             for peer, ids, values in records
         ),
     )

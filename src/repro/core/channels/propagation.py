@@ -80,7 +80,6 @@ class Propagation(StaticEdges, Channel):
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         self._edst_global = np.empty(0, dtype=np.int64)
         self._edst_local = np.empty(0, dtype=np.int64)  # -1 when remote
-        self._eowner = np.empty(0, dtype=np.int64)
         self._eweight = np.empty(0, dtype=np.float64)
         # pending remote contributions (flat, combined lazily per peer)
         self._pending_np: list[tuple[np.ndarray, np.ndarray]] = []
@@ -171,12 +170,7 @@ class Propagation(StaticEdges, Channel):
         self._indptr, order = csr_group(src, self.worker.num_local)
         dst = dst[order]
         self._edst_global = dst
-        self._eowner = self.worker.owner[dst]
-        local = np.full(dst.size, -1, dtype=np.int64)
-        mine = self._eowner == self.worker.worker_id
-        if mine.any():
-            local[mine] = self.worker._local_index[dst[mine]]
-        self._edst_local = local
+        self._edst_local = self.worker.local_index(dst)
         self._eweight = w[order]
         self._built = True
 

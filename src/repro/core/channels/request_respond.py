@@ -22,7 +22,13 @@ from typing import Callable
 import numpy as np
 
 from repro.core.channel import Channel
-from repro.core.channels._records import RecordBuffer, check_ids, emit_payloads, local_ids
+from repro.core.channels._records import (
+    RecordBuffer,
+    as_int32,
+    check_ids,
+    emit_payloads,
+    local_ids,
+)
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.runtime.serialization import Codec, INT32, INT64
@@ -188,18 +194,19 @@ class RequestRespond(Channel):
     def _serialize_requests(self) -> None:
         self._requesters, dsts = self._pending.flat()
         self._pending.clear()
-        n = self.worker.graph.num_vertices
-        check_ids(self, "request id", dsts, n)
-        # dedup: mark what was asked for, read the marks back in id order
-        mark = np.zeros(n, dtype=bool)
-        mark[dsts] = True
-        uniq = np.flatnonzero(mark)
+        check_ids(self, "request id", dsts, self.worker.graph.num_vertices)
+        # dedup: mark what was asked for over the span of the ids, read the
+        # marks back in id order
+        lo, hi = (int(dsts.min()), int(dsts.max())) if dsts.size else (0, -1)
+        mark = np.zeros(hi - lo + 1, dtype=bool)
+        mark[dsts - lo] = True
+        uniq = lo + np.flatnonzero(mark)
         owners = self.worker.owner[uniq]
         self._asked = [uniq[owners == peer] for peer in range(self.num_workers)]
         emit_payloads(
             self,
             (
-                (peer, INT32.encode_array(mine), mine.size)
+                (peer, as_int32(self, "request id", mine).tobytes(), mine.size)
                 for peer, mine in enumerate(self._asked)
             ),
         )

@@ -164,7 +164,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             keep = np.array([e is None for e in self._expanded])[owners]
             if not keep.all():  # the segments of the peers that combine them
                 lengths = np.diff(bounds)
-                edge_src = edge_src[np.repeat(keep, lengths)]
+                edge_src = self._drop(edge_src, bounds, select, keep, lengths)
                 starts = np.zeros(np.count_nonzero(keep), dtype=starts.dtype)
                 np.cumsum(lengths[keep][:-1], out=starts[1:])
                 uniq_dst, owners = uniq_dst[keep], owners[keep]
@@ -191,6 +191,30 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
                 senders = self._reaching(sel, bounds, edge_src)
                 if senders.size < destinations:
                     self._expanded[peer] = (senders, destinations)
+
+    def _drop(
+        self,
+        edge_src: np.ndarray,
+        bounds: np.ndarray,
+        select: list,
+        keep: np.ndarray,
+        lengths: np.ndarray,
+    ) -> np.ndarray:
+        """``edge_src`` without the edges of the segments ``keep`` drops.
+        When each peer's segments are one run (``select`` holds slices),
+        the kept runs move down inside ``edge_src``, which then shrinks in
+        place: no mask over the edges and no second edge array."""
+        if not isinstance(select[0], slice):
+            return edge_src[np.repeat(keep, lengths)]
+        end = 0
+        for sel, expanded in zip(select, self._expanded):
+            lo, hi = bounds[sel.start], bounds[sel.stop]
+            if expanded is None and lo < hi:
+                # a forward copy within one array: NumPy moves it as memmove
+                edge_src[end : end + hi - lo] = edge_src[lo:hi]
+                end += hi - lo
+        edge_src.resize(end, refcheck=False)
+        return edge_src
 
     def _select(self, owners: np.ndarray) -> list[slice | np.ndarray]:
         """Per peer, the positions of its destinations among the sorted
@@ -301,21 +325,21 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._check_senders(src, ids)
         adj = build_local_csr(worker.graph, ids, self._adjacency or "out")
         mine = worker.owner == worker.worker_id
-        here, edges = [], 0
-        for senders, dsts in self._adjacency_blocks(adj):
-            at = np.flatnonzero(mine[dsts])
-            here.append((as_int32(self, "destination id", dsts.take(at)), senders.take(at)))
-            edges += at.size
-        here.reverse()  # popped as packed: a block is freed once grouped
+
+        def here():  # a block's arcs into this worker, packed as they come
+            for senders, dsts in self._adjacency_blocks(adj):
+                at = np.flatnonzero(mine[dsts])
+                yield dsts.take(at), senders.take(at)
+
         uniq, starts, edge_src = group_by_key(
-            (here.pop() for _ in range(len(here))), edges, worker.graph.num_vertices, ids.size
+            here(), adj.num_edges, worker.graph.num_vertices, ids.size, exact=False
         )
         if uniq.size != destinations:
             raise RuntimeError(
                 f"{self!r}: worker {src} announced {destinations} destinations; "
                 f"the rows of its {ids.size} senders reach {uniq.size} here"
             )
-        return worker._local_index[uniq], _Scan(self.combiner, edge_src, starts, ids.size)
+        return worker.local_index(uniq), _Scan(self.combiner, edge_src, starts, ids.size)
 
     def _check_senders(self, src: int, ids: np.ndarray) -> None:
         bound = self.worker.graph.num_vertices

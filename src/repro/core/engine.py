@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.channel import Channel
 from repro.core.config import RunConfig
 from repro.core.recovery import FrameLog
-from repro.core.worker import Worker
+from repro.core.worker import OwnerTable, Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
 from repro.runtime.metrics import MetricsCollector
@@ -103,7 +103,7 @@ class EngineResult:
         return self.metrics.phase_totals() if self.metrics is not None else None
 
 
-class ChannelEngine:
+class ChannelEngine(OwnerTable):
     """Runs a channel-based vertex program over a partitioned graph.
 
     Parameters
@@ -198,6 +198,7 @@ class ChannelEngine:
         self.pool = pool
         self.generation = next(_GENERATIONS)
         self._backend = None
+        self.check_vertices(graph.num_vertices)
         self.graph = graph
         self.num_workers = num_workers
         self.program_factory = program_factory

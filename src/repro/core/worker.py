@@ -22,11 +22,53 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.channel import Channel
     from repro.core.engine import ChannelEngine
 
-__all__ = ["Worker"]
+__all__ = ["MAX_VERTICES", "OwnerTable", "Worker"]
 
 _FRAME = struct.Struct("<ii")  # channel_id, payload nbytes
 #: the largest payload a frame's int32 length can carry
 _MAX_PAYLOAD = 2**31 - 1
+#: the most vertices a host places: a position is an int32
+MAX_VERTICES = 2**31
+
+
+class OwnerTable:
+    """The placement a worker's host keeps (the engine on sim, the
+    child's host on the process backend): ``owner``, global vertex id ->
+    worker id, and ``positions``, each vertex's position among its
+    owner's vertices in ascending id order — one ``int32[V]`` table per
+    host, however many workers it holds, built on first use and again
+    whenever ``owner`` is assigned.  :meth:`Worker.local_index` reads it."""
+
+    num_workers: int
+    _positions: np.ndarray | None = None
+
+    @staticmethod
+    def check_vertices(num_vertices: int) -> None:
+        """Refuse a graph whose positions an int32 table cannot hold."""
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(
+                f"a graph of {num_vertices} vertices: a host places at most "
+                f"{MAX_VERTICES} (2**31, int32 positions)"
+            )
+
+    @property
+    def owner(self) -> np.ndarray:
+        return self._owner
+
+    @owner.setter
+    def owner(self, owner: np.ndarray) -> None:
+        self._owner = owner
+        self._positions = None
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self._positions is None:
+            positions = np.empty(self._owner.size, dtype=np.int32)
+            for w in range(self.num_workers):
+                ids = np.flatnonzero(self._owner == w)
+                positions[ids] = np.arange(ids.size, dtype=np.int32)
+            self._positions = positions
+        return self._positions
 
 
 class Worker:
@@ -37,7 +79,8 @@ class Worker:
     backend substitutes a per-process host
     (:class:`repro.runtime.parallel.worker_proc._WorkerHost`).  The
     contract this class and the channels rely on is the attribute set
-    ``graph``, ``owner``, ``num_workers`` and ``step_num``.  A worker
+    ``graph``, ``owner``, ``positions`` (the host is an
+    :class:`OwnerTable`), ``num_workers`` and ``step_num``.  A worker
     counts its own superstep into :attr:`books`; the host keeps no
     counters.
     """
@@ -52,13 +95,10 @@ class Worker:
         self.worker_id = worker_id
         self.graph = engine.graph
         self.owner = engine.owner  # global vertex id -> worker id
+        self._positions = engine.positions  # global id -> position within its owner
         self.num_workers = engine.num_workers
         self.local_ids = np.asarray(local_ids, dtype=np.int64)
         self.num_local = int(self.local_ids.size)
-
-        # global id -> local index (only valid for owned vertices)
-        self._local_index = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        self._local_index[self.local_ids] = np.arange(self.num_local)
 
         # vote-to-halt state
         self.halted = np.zeros(self.num_local, dtype=bool)
@@ -94,9 +134,13 @@ class Worker:
         return cid
 
     # -- vertex bookkeeping ---------------------------------------------------
-    def local_index(self, vid: int) -> int:
-        """Local index of an owned vertex (``-1`` if not owned here)."""
-        return int(self._local_index[vid])
+    def local_index(self, vid):
+        """Local index of an owned vertex, ``-1`` where another worker owns
+        it; ``vid`` is one global id (an ``int`` back) or an array of them
+        (an ``int64`` array back).  An id past the last vertex is an
+        ``IndexError``; a negative one counts from the end, as an index."""
+        local = np.where(self.owner[vid] == self.worker_id, self._positions[vid], np.int64(-1))
+        return int(local) if local.ndim == 0 else local
 
     def owner_of(self, vid: int) -> int:
         if not 0 <= vid < self.graph.num_vertices:
@@ -114,7 +158,7 @@ class Worker:
 
     def activate(self, vid: int) -> None:
         """Wake an owned vertex for the next superstep (message arrival)."""
-        idx = self._local_index[vid]
+        idx = self.local_index(vid)
         if idx < 0:
             raise ValueError(
                 f"vertex {vid} is not owned by worker {self.worker_id}; "
@@ -132,7 +176,7 @@ class Worker:
         """Restrict the first superstep's active set to the owned subset
         of ``seeds`` (global ids); everything else begins halted."""
         self.halted[:] = True
-        local = self._local_index[seeds]
+        local = self.local_index(seeds)
         self.halted[local[local >= 0]] = False
 
     # -- checkpointing ---------------------------------------------------------

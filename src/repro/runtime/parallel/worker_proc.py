@@ -85,7 +85,7 @@ import numpy as np
 
 
 from repro.core.program import VertexResults
-from repro.core.worker import Worker
+from repro.core.worker import OwnerTable, Worker
 from repro.graph.graph import Graph
 from repro.graph.store import attach_store
 from repro.runtime.checkpoint import (
@@ -102,11 +102,12 @@ __all__ = ["worker_main"]
 _U64 = struct.Struct("<Q")
 
 
-class _WorkerHost:
+class _WorkerHost(OwnerTable):
     """Just enough of :class:`~repro.core.engine.ChannelEngine` for a
     :class:`Worker` and its channels to run unchanged in a child."""
 
     def __init__(self, graph: Graph, owner: np.ndarray, num_workers: int) -> None:
+        self.check_vertices(graph.num_vertices)
         self.graph = graph
         self.owner = owner
         self.num_workers = num_workers
@@ -647,6 +648,7 @@ class _WorkerProcess:
         # it (same graph attachments, same program factory) and load this
         # worker's remapped state.  step_num and the live writer
         # deliberately survive — same engine, same run, new placement
+        self.host.owner = self.host.owner  # rewritten in place: new positions
         worker = Worker.build(self.host, self.worker_id, self.factory, initialize=True)
         load_worker_state(worker, decode_state(msg["blob"]))
         self.worker = worker

@@ -102,6 +102,8 @@ def group_by_key(
     num_pairs: int,
     key_bound: int,
     value_bound: int,
+    *,
+    exact: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group values by keys, stably: for the ``num_pairs`` pairs that
     ``blocks`` delivers as consecutive ``(keys, values)`` arrays, returns
@@ -112,7 +114,11 @@ def group_by_key(
 
     Each block is read once, while it is packed as ``(key << 32) | value``
     into its slice of the one buffer this function allocates, and is not
-    needed afterwards (the producer may hand its memory back).  When the
+    needed afterwards (the producer may hand its memory back).  With
+    ``exact=False``, ``num_pairs`` only bounds the count: the buffer is
+    sized by it, filled as a prefix and shrunk in place to the pairs that
+    came (the untouched tail of a large allocation never becomes
+    resident); otherwise a different count is a ``ValueError``.  When the
     values are non-decreasing throughout (the rows of a CSR, numbered),
     one in-place sort of that buffer is the order: the sorted buffer's high
     words are the keys, and the buffer itself, masked to its low words, is
@@ -145,7 +151,12 @@ def group_by_key(
             )
             last = block_values[-1]
     if end != num_pairs:
-        raise ValueError(f"blocks held {end} pairs, not the {num_pairs} announced")
+        if exact:
+            raise ValueError(f"blocks held {end} pairs, not the {num_pairs} announced")
+        # nothing else references the buffers: shrink them where they lie
+        keys.resize(end, refcheck=False)
+        if values is not None:
+            values.resize(end, refcheck=False)
     if packable and ordered:
         keys.sort()
         uniq, starts = group_starts(keys.view("<u4")[1::2])

@@ -273,7 +273,7 @@ class _RequestProbe(BulkVertexProgram):
             respond_fn_bulk=lambda idx: worker.local_ids[idx] * 3 + 1,
         )
         mine = self.wants[worker.owner[self.wants[:, 0]] == worker.worker_id]
-        self.requesters = worker._local_index[mine[:, 0]]
+        self.requesters = worker.local_index(mine[:, 0])
         self.dsts = mine[:, 1]
         as_array = np.ones(len(mine), dtype=bool)
         if self.api == "scalar":

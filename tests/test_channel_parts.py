@@ -9,6 +9,8 @@ their order, array dtypes) is pinned in one table so it cannot move
 silently under a refactor.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ def test_decode_records_returns_aligned_values_at_any_payload_offset():
     otherwise) and equal to what was encoded."""
     ids = np.arange(5, dtype=np.int32) * 3
     values = np.array([0.1, -2.5, np.inf, 1e-300, 7.0])
-    payload = encode_records(ids, values, FLOAT64)
+    payload = encode_records(_receiver(CombinedMessage)[0], ids, values)
     assert len(payload) == 5 * (4 + 8)
     raw_alignment = []
     for offset in (0, 4, 8):
@@ -340,15 +342,15 @@ def _ones(n, dtype=np.float64):
 RECEIVERS = {
     CombinedMessage: (
         lambda w: CombinedMessage(w, SUM_F64),
-        lambda ch, ids: encode_records(ids, _ones(len(ids)), FLOAT64),
+        lambda ch, ids: encode_records(ch, ids, _ones(len(ids))),
     ),
     DirectMessage: (
         DirectMessage,
-        lambda ch, ids: encode_records(ids, _ones(len(ids), np.int64), INT64),
+        lambda ch, ids: encode_records(ch, ids, _ones(len(ids), np.int64)),
     ),
     Propagation: (
         lambda w: Propagation(w, MIN_I64),
-        lambda ch, ids: encode_records(ids, _ones(len(ids), np.int64), INT64),
+        lambda ch, ids: encode_records(ch, ids, _ones(len(ids), np.int64)),
     ),
     RequestRespond: (
         lambda w: RequestRespond(w, respond_fn=lambda v: v.id),
@@ -382,7 +384,7 @@ def _receiver(cls):
 @pytest.mark.parametrize("bad", list(BAD_IDS))
 @pytest.mark.parametrize("cls", list(RECEIVERS), ids=lambda c: c.__name__)
 def test_a_received_id_the_worker_cannot_index_is_refused(cls, bad):
-    """Received ids index ``_local_index``: unchecked, a negative one wraps
+    """Received ids index the position table: unchecked, a negative one wraps
     to the last vertex, one past the last raises a bare ``IndexError`` and
     one owned elsewhere (-1 there) folds into the last slot."""
     channel, payload = _receiver(cls)
@@ -398,3 +400,27 @@ def test_a_ragged_payload_is_refused(cls):
     channel, payload = _receiver(cls)
     with pytest.raises(RuntimeError, match=rf"{cls.__name__}.*worker 0 sent"):
         channel.deserialize([(0, memoryview(payload(channel, [9, 10])[:-1]))])
+
+
+# -- the send: an id int32 cannot hold is refused by name, never wrapped ----------
+
+
+def test_a_record_id_past_int32_is_refused():
+    """``encode_records`` serves ``CombinedMessage``, ``DirectMessage`` and
+    ``Propagation``; a plain int32 cast would send 2**31 as -2**31."""
+    channel, _ = _receiver(CombinedMessage)
+    with pytest.raises(ValueError, match=r"CombinedMessage.*record id 2147483648 does not fit"):
+        encode_records(channel, np.array([9, 2**31]), _ones(2))
+
+
+def test_a_request_id_past_int32_is_refused(monkeypatch):
+    """A request id is checked against the graph first, so reaching the
+    cast takes a graph past 2**31 vertices: a stub one (an engine refuses
+    such a graph at construction), owned wholly by worker 0."""
+    channel, _ = _receiver(RequestRespond)
+    big = 2**31 + 1
+    monkeypatch.setattr(channel.worker, "graph", SimpleNamespace(num_vertices=big))
+    monkeypatch.setattr(channel.worker, "owner", np.broadcast_to(np.int64(0), (big,)))
+    channel.add_requests([0, 1], [9, 2**31])
+    with pytest.raises(ValueError, match=r"RequestRespond.*request id 2147483648 does not fit"):
+        channel.serialize()

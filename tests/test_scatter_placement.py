@@ -11,6 +11,7 @@ closed form that prices the placement rule per peer.
 """
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.pagerank import run_pagerank
 from repro.core import ChannelEngine, MIN_I64, ScatterCombine, SUM_F64, VertexProgram
+from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import encode_pattern
 from repro.graph import rmat
 from repro.graph.graph import Graph
-from repro.graph.partition import hash_partition, range_partition
+from repro.graph.partition import degree_range_partition, hash_partition, range_partition
 from repro.runtime.serialization import INT32
 
 from test_bulk_parity import _assert_parity, engines  # noqa: F401 - a fixture
@@ -357,3 +359,72 @@ def test_a_migration_re_announces_once_and_the_receivers_derive_again():
     np.testing.assert_array_equal(ranks, combined_ranks)
     assert result.metrics.total_messages == combined.metrics.total_messages
     assert result.metrics.total_net_bytes < combined.metrics.total_net_bytes
+
+
+# -- memory pins: each derived edge is held once ----------------------------------
+
+
+def test_the_derivation_holds_one_word_per_kept_pair():
+    """tracemalloc's peak over ``_learn_senders``: the one 8-byte word per
+    kept (destination, sender) pair that ``group_by_key`` sorts and the scan
+    keeps, ``group_starts``' 1-byte mask per pair, and what is fixed or
+    per destination — one ``_edges._BLOCK_EDGES`` block at a time, the
+    scan's per-block buffer.  A list of packed blocks beside the buffer,
+    as before, held 16 B per pair.  Every row here lies on the receiver:
+    the buffer is allocated at the senders' row total and filled as a
+    prefix, and tracemalloc counts an allocation whole even where the
+    unwritten tail never becomes resident."""
+    n, senders, degree, reach = 1 << 15, 1024, 256, 2048
+    ids = np.arange(senders) * 16  # worker 0's, each reaching worker 1 only
+    src = np.repeat(ids, degree)
+    dst = n // 2 + np.random.default_rng(3).integers(0, reach, src.size)
+    graph = Graph(n, src, dst)
+    worker = ChannelEngine(graph, _Idle, num_workers=2, partition=range_partition(n, 2)).workers[1]
+    channel = ScatterCombine(worker, SUM_F64)
+    channel.add_adjacency("out")
+    destinations, block = np.unique(dst).size, 1 << 12
+    with (
+        mock.patch.object(_edges, "_BLOCK_EDGES", block),
+        mock.patch.object(scatter_combine, "_BLOCK_EDGES", block),
+    ):
+        tracemalloc.start()
+        try:
+            local, scan = channel._learn_senders(0, ids, destinations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert scan.edge_src.size == src.size and local.size == destinations
+    assert peak <= 9 * src.size + 64 * (block + destinations)
+
+
+def test_the_senders_drop_under_a_contiguous_partition_copies_no_edges():
+    """After ``group_by_key``, ``_group`` of a worker whose peer combines
+    its edges allocates less than one 8-byte word per edge it keeps: the
+    kept runs move down inside the sorted buffer, which shrinks in place
+    (the mask and second edge array it built before were ≈ 14 B a kept
+    edge)."""
+    graph = rmat(16, edge_factor=16, seed=7)
+    owner = degree_range_partition(graph, 2)
+    worker = ChannelEngine(graph, _Idle, num_workers=2, partition=owner).workers[0]
+    channel = ScatterCombine(worker, SUM_F64)
+    channel.add_adjacency("out")
+    grouped = []
+    real = scatter_combine.group_by_key
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        grouped.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    with mock.patch.object(scatter_combine, "group_by_key", spy):
+        tracemalloc.start()
+        try:
+            channel._build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert channel._expanded[1] is not None
+    kept = channel._scan.edge_src.size
+    assert 0 < kept < worker.local_adjacency("out").num_edges
+    assert peak - grouped[0] < 8 * kept
