@@ -124,9 +124,6 @@ class RequestRespond(Channel):
         missing[~missing] = at[dsts[~missing]] < 0
         raise self._not_requested(int(dsts[missing.argmax()]))
 
-    def has_respond(self, dst: int) -> bool:
-        return dst in self._lookup()
-
     def _lookup(self) -> dict:
         if self._resp_map is None:
             # one bulk pass builds the lookup; per-vertex reads are O(1) (and

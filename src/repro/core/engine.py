@@ -95,13 +95,6 @@ class EngineResult:
         ``None`` when metrics collection was disabled."""
         return self.metrics.simulated_time if self.metrics is not None else None
 
-    @property
-    def phase_times(self) -> dict | None:
-        """Measured critical-path seconds per superstep phase
-        (:meth:`~repro.runtime.metrics.MetricsCollector.phase_totals`);
-        ``None`` when metrics collection was disabled."""
-        return self.metrics.phase_totals() if self.metrics is not None else None
-
 
 class ChannelEngine(OwnerTable):
     """Runs a channel-based vertex program over a partitioned graph.

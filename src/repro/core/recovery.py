@@ -38,7 +38,6 @@ backend ships their state to the respawned replacements and drops them
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -263,33 +262,26 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
         for s in range(snapshot.superstep + 1, target_step + 1):
             replay.start_superstep()
             # mirror the main loop's step_num choreography exactly:
-            # before_superstep/begin_superstep observe the previous step
+            # before_superstep/begin_superstep observe the previous step.
+            # The logged superstep ran: the active counts need no vote
             engine.step_num = s - 1
-            for worker in workers.values():
-                worker.program.before_superstep()
-            actives = {w: worker.begin_superstep() for w, worker in workers.items()}
+            steps = {w: worker.superstep() for w, worker in workers.items()}
+            for step in steps.values():
+                next(step)
             engine.step_num = s
-            for w, worker in workers.items():
-                t0 = time.perf_counter()
-                worker.run_compute(actives[w])
-                worker.charge("compute", time.perf_counter() - t0)
-                for channel in worker.channels:
-                    channel.reset_round()
+            for step in steps.values():
+                next(step)  # compute
 
+            # the logged group_active is the round structure; the
+            # replaying workers' own again() votes are moot
             for round_idx, (group_active, frames) in enumerate(
                 engine.frame_log.rounds(s)
             ):
-                for worker in workers.values():
-                    t0 = time.perf_counter()
-                    worker.serialize_round(group_active)
-                    # serialize can be the bulk of replay compute (the
-                    # Propagation fixpoint runs here), so time it like
-                    # the main loop does
-                    worker.charge("serialize", time.perf_counter() - t0)
                 # capture every replaying worker's output before clearing,
                 # so simultaneously failed workers can read each other's
                 outs: dict[int, list[bytes]] = {}
                 for w, worker in workers.items():
+                    steps[w].send(group_active)  # serialize
                     buffers = worker.buffers
                     outs[w] = [buffers.out[p].getvalue() for p in range(num_workers)]
                     for p in range(num_workers):
@@ -302,15 +294,10 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
                         for src in range(num_workers)
                     ]
                     worker.buffers.inbox = inbox
-                    t0 = time.perf_counter()
-                    # the recorded group_active is the round structure;
-                    # the replaying worker's own again() votes are moot
-                    votes = worker.deserialize_round(group_active)
-                    worker.charge("serialize", time.perf_counter() - t0)
                     # the replay costs what the replaying workers pull in,
                     # so a round's row is its inbox by source: the cost
                     # model prices a byte alike at either end
-                    worker.record_round(np.array([len(buf) for buf in inbox]), votes)
+                    steps[w].send((np.array([len(buf) for buf in inbox]), None))
             replay.account({w: worker.books for w, worker in workers.items()})
             replay.end_superstep()
     finally:

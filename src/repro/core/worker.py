@@ -10,6 +10,7 @@ channel payload is framed as ``[channel_id:int32][nbytes:int32][payload]``.
 from __future__ import annotations
 
 import struct
+import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -157,17 +158,14 @@ class Worker:
         self.halted[local_idx] = True
 
     def activate(self, vid: int) -> None:
-        """Wake an owned vertex for the next superstep (message arrival)."""
-        idx = self.local_index(vid)
-        if idx < 0:
+        """Wake an owned vertex for the next superstep (message arrival).
+        An id outside ``[0, V)`` is an ``IndexError``, as in :meth:`owner_of`."""
+        if self.owner_of(vid) != self.worker_id:
             raise ValueError(
                 f"vertex {vid} is not owned by worker {self.worker_id}; "
                 "activate() only accepts local vertices"
             )
-        self.woken[idx] = True
-
-    def activate_local(self, local_idx: int) -> None:
-        self.woken[local_idx] = True
+        self.woken[self._positions[vid]] = True
 
     def activate_local_bulk(self, local_idx: np.ndarray) -> None:
         self.woken[local_idx] = True
@@ -283,21 +281,62 @@ class Worker:
         self.buffers.clear_inbox()
         return routed
 
-    # -- the exchange round (Fig. 4), written once ------------------------------
-    # Every driver — the simulator's lock-step loop, a worker process's
-    # autonomous superstep, confined-recovery replay — runs a round as
-    # serialize_round, move the buffers, deserialize_round.  Nothing else
-    # calls a channel's serialize/deserialize/again.
-    def serialize_round(self, group_active: list[bool], flush=None) -> None:
+    # -- the superstep (Fig. 4), written once -----------------------------------
+    # Every driver — the simulator's lock-step loop over all workers, a
+    # worker process over its transport, confined-recovery replay over the
+    # frame log — advances this one generator.  Nothing else calls a
+    # channel's serialize/deserialize/again.
+    def superstep(self, flush=None):
+        """One superstep as a generator that yields at its sync points:
+
+        1. the local active count; resume only if the global count is not 0;
+        2. compute done; resume with the first round's ``group_active``;
+        3. buffers written; move them, then resume with the round's
+           ``(sent, frames)`` (as :meth:`record_round` takes them);
+        4. the round's ``again()`` votes; resume with the next round's
+           ``group_active`` while any group is active, else stop resuming.
+
+        It charges compute and serialize; the time inside ``flush`` (see
+        :meth:`serialize_round`) is charged to exchange.  The driver owns
+        the global vote, moving the bytes, the round structure and the
+        clock for barrier and wire."""
+        clock = time.perf_counter
+        self.program.before_superstep()  # a phase controller may wake vertices
+        active = self.begin_superstep()  # opens this superstep's books
+        yield int(active.size)
+        t0 = clock()
+        self.run_compute(active)
+        self.charge("compute", clock() - t0)
+        group_active = yield
+        for channel in self.channels:
+            channel.reset_round()
+        while True:
+            t0 = clock()
+            flushed = self.serialize_round(group_active, flush)
+            self.charge("serialize", clock() - t0 - flushed)
+            self.charge("exchange", flushed)
+            sent, frames = yield
+            t0 = clock()
+            votes = self.deserialize_round(group_active)
+            self.charge("serialize", clock() - t0)
+            self.record_round(sent, votes, frames)
+            group_active = yield votes
+
+    def serialize_round(self, group_active: list[bool], flush=None) -> float:
         """First half of a round: every active channel writes its frames
         into the per-peer buffers.  ``flush()``, when given, runs after
         each channel so a transport can start moving that channel's bytes
-        while the next one is still serializing."""
+        while the next one is still serializing; returns the seconds
+        spent inside it."""
+        flushed = 0.0
         for cid, channel in enumerate(self.channels):
             if group_active[cid]:
                 channel.serialize()
                 if flush is not None:
+                    t0 = time.perf_counter()
                     flush()
+                    flushed += time.perf_counter() - t0
+        return flushed
 
     def deserialize_round(self, group_active: list[bool]) -> list[bool]:
         """Second half of a round: route the inbox, hand every active

@@ -15,11 +15,11 @@ backend implements:
     Resolve every worker's active set for the next superstep and return
     the global active count (0 terminates the run).
 ``compute_phase`` / ``exchange_phase``
-    One superstep's vertex compute and channel exchange rounds.  Every
-    driver runs a round through the same two halves,
-    :meth:`Worker.serialize_round` and :meth:`Worker.deserialize_round`:
-    the simulator in lock-step here, a worker process on its own inside
-    one ``superstep`` command.  Either way each worker counts its
+    One superstep's vertex compute and channel exchange rounds.  The
+    superstep's body is written once, as the generator
+    :meth:`Worker.superstep`; a backend only drives it: the simulator
+    advances every worker's in lock-step here, a worker process its own
+    inside one ``superstep`` command.  Either way each worker counts its
     superstep into its own record (:attr:`Worker.books`), and the
     exchange phase ends in :meth:`ExecutorBackend.account`, the one
     route from the records to the collector, the sender-side frame log
@@ -303,7 +303,7 @@ class SimBackend(ExecutorBackend):
     def __init__(self, engine: "ChannelEngine") -> None:
         super().__init__(engine)
         self._exchange = BufferExchange()
-        self._active_sets: list = []
+        self._steps: list = []  # each worker's Worker.superstep generator
 
     # -- primitives ----------------------------------------------------------
     def begin_run(self) -> None:
@@ -321,40 +321,29 @@ class SimBackend(ExecutorBackend):
     def barrier_vote(self) -> int:
         t0 = time.perf_counter()
         workers = self.engine.workers
-        # phase controllers may wake vertices for the upcoming superstep
-        for worker in workers:
-            worker.program.before_superstep()
-        self._active_sets = [w.begin_superstep() for w in workers]
+        self._steps = [worker.superstep() for worker in workers]
+        total = sum(next(step) for step in self._steps)
         # the vote is a global sync point every worker waits through, so
         # the whole collection time is charged to each of them
         seconds = time.perf_counter() - t0
         for worker in workers:
             worker.charge("barrier", seconds)
-        return sum(a.size for a in self._active_sets)
+        return total
 
     def compute_phase(self) -> None:
-        # vertex compute (parallel across workers -> charge max); each
-        # worker dispatches scalar (per-vertex) or bulk (whole-active-set)
-        # per its program's is_bulk flag
-        for worker, active in zip(self.engine.workers, self._active_sets):
-            t0 = time.perf_counter()
-            worker.run_compute(active)
-            worker.charge("compute", time.perf_counter() - t0)
+        # vertex compute, each worker charging its own (the cost model
+        # takes the max over workers: the parallel makespan)
+        for step in self._steps:
+            next(step)
 
     def exchange_phase(self) -> None:
         engine = self.engine
         workers = engine.workers
         n = engine.num_workers
-        for worker in workers:
-            for channel in worker.channels:
-                channel.reset_round()
-
         group_active = [True] * len(workers[0].channels)
         while any(group_active):
-            for worker in workers:
-                t0 = time.perf_counter()
-                worker.serialize_round(group_active)
-                worker.charge("serialize", time.perf_counter() - t0)
+            for step in self._steps:
+                step.send(group_active)  # serialize
 
             # pairwise exchange; the swap is one shared memcpy pass here,
             # like the barrier a global step every worker sits through
@@ -373,12 +362,9 @@ class SimBackend(ExecutorBackend):
             # deserialize + decide on another round: a channel group stays
             # active while any worker's instance of it asks for more
             next_active = [False] * len(group_active)
-            for w, worker in enumerate(workers):
-                t0 = time.perf_counter()
-                votes = worker.deserialize_round(group_active)
-                worker.charge("serialize", time.perf_counter() - t0)
+            for w, (worker, step) in enumerate(zip(workers, self._steps)):
                 worker.charge("exchange", swap_seconds)
-                worker.record_round(sent[w], votes, frames[w])
+                votes = step.send((sent[w], frames[w]))
                 next_active = [a or b for a, b in zip(next_active, votes)]
             group_active = next_active
 

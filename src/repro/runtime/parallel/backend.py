@@ -11,8 +11,9 @@ worker processes drawn from a persistent
   worker (no per-worker graph copies);
 * **barrier protocol** — one duplex control pipe per worker carries one
   ``superstep`` broadcast and one consolidated reply per superstep;
-  barrier votes go through the pool's shared vote board, and the
-  children run compute and every exchange round on their own (see
+  barrier votes go through the pool's shared vote board, and each child
+  drives its worker's :meth:`~repro.core.worker.Worker.superstep`
+  generator — compute and every exchange round — on its own (see
   ARCHITECTURE.md §9);
 * **peer-to-peer frames** — per-superstep channel frames travel directly
   between worker processes as the exact wire bytes the codec layer

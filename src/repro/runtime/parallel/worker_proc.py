@@ -9,14 +9,15 @@ across many ``engine.run()`` calls and streaming epochs.  ``serve`` is a
 dispatch over one ``_cmd_<name>`` method per command:
 
 ``superstep``
-    The only run-loop command, on both transports.  The child runs the
-    *whole* superstep autonomously: publish its active-vertex count on
-    the pool's vote board and read every peer's (all processes compute
-    the same global total; 0 ends the run without a reply), compute,
-    then every exchange round — :meth:`Worker.serialize_round`, the
-    transport moves the per-peer buffers, :meth:`Worker.deserialize_round`,
-    the transport merges every worker's another-round votes — and replies
-    with the worker's record of the superstep, :attr:`Worker.books`:
+    The only run-loop command, on both transports.  The child drives the
+    *whole* superstep autonomously, advancing its worker's one
+    :meth:`Worker.superstep` generator: publish its active-vertex count
+    on the pool's vote board and read every peer's (all processes
+    compute the same global total; 0 ends the run without a reply),
+    compute, then every exchange round — serialize, the transport moves
+    the per-peer buffers, deserialize, the transport merges every
+    worker's another-round votes — and replies with the worker's record
+    of the superstep, :attr:`Worker.books`:
     per-round byte counts and votes, message and per-channel counts,
     phase timings and, when ``log_frames`` is set, the raw outgoing
     buffers for the parent's sender-side
@@ -572,9 +573,10 @@ class _WorkerProcess:
         clock = time.perf_counter
 
         t0 = clock()
-        worker.program.before_superstep()
-        active = worker.begin_superstep()  # opens this superstep's books
-        self.board.write(self.worker_id, msg["seq"], int(active.size))
+        # overlap: each channel's frames start crossing while the next
+        # channel is still serializing
+        step = worker.superstep(flush=transport.publish)
+        self.board.write(self.worker_id, msg["seq"], next(step))
         total = sum(
             self.board.read(w, msg["seq"]) for w in range(host.num_workers)
         )
@@ -583,43 +585,22 @@ class _WorkerProcess:
         worker.charge("barrier", clock() - t0)
 
         host.step_num += 1
-        t0 = clock()
-        worker.run_compute(active)
-        worker.charge("compute", clock() - t0)
-
+        next(step)  # compute
         log_frames = msg["log_frames"]
         nchan = len(worker.channels)
-        for channel in worker.channels:
-            channel.reset_round()
         group_active = [True] * nchan
-        wire_s = 0.0  # inside the transport: pure byte moving
-
-        def moving(move, *args):
-            nonlocal wire_s
-            t = clock()
-            out = move(*args)
-            wire_s += clock() - t
-            return out
-
-        t_exchange = clock()
         while any(group_active):
             transport.begin_round(worker.buffers.out, nchan, log_frames)
-            # overlap: each channel's frames start crossing while the next
-            # channel is still serializing
-            worker.serialize_round(
-                group_active, flush=lambda: moving(transport.publish)
+            step.send(group_active)  # serialize
+            t0 = clock()
+            worker.buffers.inbox = transport.finish_round()
+            wire_s = clock() - t0
+            votes = step.send(
+                (transport.round_sent(), transport.round_frames() if log_frames else None)
             )
-            worker.buffers.inbox = moving(transport.finish_round)
-            next_active = worker.deserialize_round(group_active)
-            group_active = moving(transport.exchange_votes, next_active)
-            worker.record_round(
-                transport.round_sent(),
-                next_active,
-                transport.round_frames() if log_frames else None,
-            )
-        # serialize + deserialize: what the simulator charges as compute
-        worker.charge("serialize", clock() - t_exchange - wire_s)
-        worker.charge("exchange", wire_s)
+            t0 = clock()
+            group_active = transport.exchange_votes(votes)
+            worker.charge("exchange", wire_s + clock() - t0)
 
         if self.live_writer is not None:
             self.live_writer.add_record(worker.books)

@@ -54,10 +54,6 @@ class ApplyStats:
     def vertex_set_changed(self) -> bool:
         return self.n_new != self.n_old
 
-    @property
-    def num_arcs_changed(self) -> int:
-        return int(self.ins_src.size + self.del_src.size)
-
 
 class DeltaGraph:
     """Mutable logical graph = immutable base CSR + overlay."""

@@ -1,0 +1,195 @@
+"""Source-layout guards: each idea written once, in the one place named.
+
+Each guard is a shell script over ``grep``, run from the repository root
+under the shell flags a CI ``run:`` step gets (``-eo pipefail``); it
+prints what it found and exits non-zero when the source breaks its rule.
+Every tier-1 run checks them, CI's included.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GUARDS = [
+    # one implementation of each idea: the record payload split, the
+    # pattern payload's tag decode and the combined-inbox fold may each be
+    # written in exactly one channel module; the pattern payload (and its
+    # delta form) is written in _records.py and used by _pattern.py alone
+    ("Channel parts are written once", r'''
+for pattern in 'divmod(len(payload)' 'INT32.decode_one(payload' 'accumulate_at('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core/channels)
+  if [ "$(echo "$files" | grep -c .)" -ne 1 ]; then
+    echo "'$pattern' must appear in exactly one file under src/repro/core/channels, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+for pattern in 'encode_pattern(' 'decode_pattern('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src | sort | tr '\n' ' ')
+  if [ "$files" != "src/repro/core/channels/_pattern.py src/repro/core/channels/_records.py " ]; then
+    echo "'$pattern' must appear only in _records.py and _pattern.py under src/repro/core/channels, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+# the id-set codec: one bitmap writer and reader
+for pattern in 'packbits(' 'unpackbits('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core/channels || true)
+  if [ "$files" != "src/repro/core/channels/_records.py" ]; then
+    echo "'$pattern' must appear under src/repro/core/channels only in _records.py, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+'''),
+    # the per-edge sender numbers of a local adjacency are derived in one
+    # place (ScatterEdges._adjacency_blocks, a block at a time) and never
+    # by a program
+    ("Sender column is derived once", r'''
+files=$(grep -rlF --include="*.py" "np.repeat(np.arange" src/repro/algorithms src/repro/core/channels)
+if [ "$files" != "src/repro/core/channels/_edges.py" ]; then
+  echo "'np.repeat(np.arange' must appear only in src/repro/core/channels/_edges.py, found:"
+  echo "$files"
+  exit 1
+fi
+'''),
+    # channels read a local adjacency's rows only through its block
+    # iterator (LocalCSR.blocks): a full-length destination column read
+    # there would be a gathered copy of the rows on a hash partition
+    ("Channels stream adjacency rows", r'''
+files=$(grep -rlF --include="*.py" ".indices" src/repro/core/channels || true)
+if [ -n "$files" ]; then
+  echo "'.indices' must not appear under src/repro/core/channels, found:"
+  echo "$files"
+  exit 1
+fi
+'''),
+    # one blocked scan: the segmented take + reduceat of Fig. 5 is written
+    # once (scatter_combine._Scan), and a receiver that combines a peer's
+    # edges runs that same function, so both ends fold the same bits
+    ("One blocked scan", r'''
+files=$(grep -rlF --include="*.py" "np.take(" src/repro/core/channels || true)
+count=$(grep -rhoF --include="*.py" "np.take(" src/repro/core/channels | wc -l)
+if [ "$files" != "src/repro/core/channels/scatter_combine.py" ] || [ "$count" -ne 1 ]; then
+  echo "'np.take(' must appear exactly once under src/repro/core/channels, in scatter_combine.py; found $count in:"
+  echo "$files"
+  exit 1
+fi
+'''),
+    # handing pages back is the store's business: readers call
+    # GraphStore.release, nobody else advises the kernel
+    ("madvise lives in the store", r'''
+files=$(grep -rlF --include="*.py" "madvise" src)
+if [ "$files" != "src/repro/graph/store.py" ]; then
+  echo "'madvise' must appear only in src/repro/graph/store.py, found:"
+  echo "$files"
+  exit 1
+fi
+'''),
+    # run options are declared and validated once: RunConfig checks the
+    # option domains, and `run` / `stream` share one set of flags
+    ("Run options are declared once", r'''
+files=$(grep -rlE --include="*.py" "not in (EXECUTORS|TRANSPORTS|RECOVERY_MODES|REBALANCE_MODES)" src)
+if [ "$files" != "src/repro/core/config.py" ]; then
+  echo "option-domain checks must appear only in src/repro/core/config.py, found:"
+  echo "$files"
+  exit 1
+fi
+count=$(grep -cF 'add_argument("--workers"' src/repro/__main__.py)
+if [ "$count" -ne 1 ]; then
+  echo "'add_argument(\"--workers\"' must appear exactly once in src/repro/__main__.py, found $count"
+  exit 1
+fi
+'''),
+    # a worker is built in one place, Worker.build: no mirror of a
+    # process child and no second construction site binds a program
+    ("One place binds a program to a worker", r'''
+files=$(grep -rlF --include="*.py" ".program = " src/repro/core src/repro/runtime)
+if [ "$files" != "src/repro/core/worker.py" ]; then
+  echo "'.program = ' must appear only in src/repro/core/worker.py under src/repro/core and src/repro/runtime, found:"
+  echo "$files"
+  exit 1
+fi
+'''),
+    # one set of books: a worker counts its superstep into its own record
+    # (Worker.books), never into an engine's collector, and both backends
+    # account the records through ExecutorBackend.account alone
+    ("Workers count into their own books", r'''
+files=$(grep -rlF --include="*.py" "engine.metrics" src/repro/core/worker.py src/repro/core/channels || true)
+if [ -n "$files" ]; then
+  echo "'engine.metrics' must not appear in src/repro/core/worker.py or src/repro/core/channels, found:"
+  echo "$files"
+  exit 1
+fi
+for pattern in 'current_messages' '_ChildCounters' '_live_step'; do
+  files=$(grep -rlF --include="*.py" "$pattern" src || true)
+  if [ -n "$files" ]; then
+    echo "'$pattern' must not appear under src, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+'''),
+    # one static scatter: MirroredScatter is ScatterCombine plus mirrors,
+    # built by its group_by_key stream and scanned by its blocked scan,
+    # with no per-edge API, round protocol or checkpoint of its own
+    ("One static scatter", r'''
+file=src/repro/core/channels/mirrored_scatter.py
+if grep -nE "def (serialize|snapshot|restore|migrate_states|set_message|set_messages)\(" "$file"; then
+  echo "$file must not define these: ScatterCombine's serve both channels"
+  exit 1
+fi
+if grep -nF -e "argsort(" -e "isin(" "$file"; then
+  echo "$file must not sort or match edges per peer ('argsort(' / 'isin(')"
+  exit 1
+fi
+'''),
+    # ablations live with their one caller, benchmarks/bench_ablations.py:
+    # the channel library keeps no switch that rebuilds a configuration
+    # the paper argues against (D1's id echo, D4b's hop budget)
+    ("No ablation switch in the channel library", r'''
+files=$(grep -rlE --include="*.py" "max_local_hops|echo_ids|_deferred|ablation" src/repro/core || true)
+if [ -n "$files" ]; then
+  echo "'max_local_hops', 'echo_ids', '_deferred' and 'ablation' must not appear under src/repro/core, found:"
+  grep -rnE --include="*.py" "max_local_hops|echo_ids|_deferred|ablation" src/repro/core
+  exit 1
+fi
+'''),
+    # a host keeps one int32 position table (OwnerTable) that every
+    # worker's local_index reads; the paper's baselines under pregel/ and
+    # blogel/ keep their own per-worker index
+    ("No V-sized table per worker", r'''
+if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" src/repro/core src/repro/runtime; then
+  echo "'_local_index' and 'np.full(self.graph.num_vertices' must not appear under src/repro/core or src/repro/runtime"
+  exit 1
+fi
+'''),
+    # one superstep body: Worker.superstep is the Fig. 4 loop, and sim,
+    # a process child and confined replay only drive it; the Pregel+ and
+    # Blogel baselines keep their own loops
+    ("One superstep body", r'''
+for pattern in 'serialize_round(' '.run_compute(' '.begin_superstep(' '.before_superstep()' '.record_round('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core src/repro/runtime || true)
+  if [ "$files" != "src/repro/core/worker.py" ]; then
+    echo "'$pattern' must appear only in src/repro/core/worker.py under src/repro/core and src/repro/runtime, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+'''),
+]
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the guards are bash scripts")
+@pytest.mark.parametrize("script", [script for _, script in GUARDS], ids=[name for name, _ in GUARDS])
+def test_guard(script):
+    done = subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -4,12 +4,14 @@ shared buffers, ownership bookkeeping, and halting/waking mechanics."""
 import re
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ChannelEngine, Channel, VertexProgram
+from repro.core.worker import Worker
 from repro.graph.graph import Graph
 from helpers import line_graph
 
@@ -116,8 +118,9 @@ class TestFrameLayer:
 
 
 class TestExchangeRound:
-    """``Worker.serialize_round`` / ``deserialize_round``: the two halves
-    every superstep driver runs a round through."""
+    """``Worker.superstep``, the generator every superstep driver
+    advances, and ``serialize_round`` / ``deserialize_round``, the two
+    halves of each of its rounds."""
 
     class _Echo(Channel):
         """Sends one tagged byte string to every peer; keeps what arrives
@@ -158,6 +161,64 @@ class TestExchangeRound:
         for worker in engine.workers:
             for writer in worker.buffers.out:
                 writer.clear()
+
+    def _drive(self, engine, steps, group_active):
+        """Run a superstep's rounds over ``steps`` (resumed past compute)
+        the way sim does; returns each round's ``group_active``."""
+        rounds = []
+        while any(group_active):
+            for step in steps:
+                step.send(group_active)
+            sent = [
+                np.array([out.nbytes for out in w.buffers.out], dtype=np.int64)
+                for w in engine.workers
+            ]
+            self._swap(engine)
+            votes = [step.send((sent[w], None)) for w, step in enumerate(steps)]
+            rounds.append(group_active)
+            group_active = [any(flags) for flags in zip(*votes)]
+        return rounds
+
+    def test_a_zero_vote_is_never_resumed(self, monkeypatch):
+        engine = self._engine()
+        computed = []
+        monkeypatch.setattr(Worker, "run_compute", lambda w, active: computed.append(w))
+        for worker in engine.workers:
+            worker.halted[:] = True
+        steps = [worker.superstep() for worker in engine.workers]
+        assert [next(step) for step in steps] == [0, 0]
+        del steps  # the driver drops them at a zero global vote
+        assert computed == []
+        assert [w.books["rounds"] for w in engine.workers] == [[], []]
+
+    def test_rounds_follow_the_drivers_group_active(self):
+        engine = self._engine(channels=2)
+        w0, w1 = engine.workers
+        w0.channels[1].rounds_wanted = 2  # one instance's vote is enough
+        steps = [worker.superstep() for worker in engine.workers]
+        assert [next(step) for step in steps] == [3, 3]
+        for step in steps:
+            next(step)  # compute
+        assert self._drive(engine, steps, [True, True]) == [[True, True], [False, True]]
+        assert [r["next_active"] for r in w0.books["rounds"]] == [[False, True], [False, False]]
+        assert [r["next_active"] for r in w1.books["rounds"]] == [[False, False], [False, False]]
+        assert [c.round for c in w0.channels] == [1, 2]
+        assert [c.round for c in w1.channels] == [1, 2]
+        # the round's sent row is what the worker wrote to each peer
+        assert w0.books["rounds"][1]["sent"].tolist() == [8 + 6, 8 + 6]
+
+    def test_time_inside_flush_is_charged_to_exchange(self):
+        engine = self._engine()
+        steps = [worker.superstep(flush=lambda: time.sleep(0.02)) for worker in engine.workers]
+        for step in steps:
+            next(step)
+        for step in steps:
+            next(step)
+        self._drive(engine, steps, [True])
+        for worker in engine.workers:
+            phases = worker.books["phases"]
+            assert phases["exchange"] >= 0.02
+            assert phases["serialize"] < 0.02
 
     def test_round_trip_and_votes(self):
         engine = self._engine(channels=2)
@@ -260,6 +321,14 @@ class TestHaltWake:
         w.halt(w.local_index(3))
         w.activate(3)
         assert w.local_index(3) in w.begin_superstep().tolist()
+        # -1 must not count from the end (as a numpy index, it is vertex 3)
+        # and 4 must name the range; neither wakes anything
+        w.halt(w.local_index(3))
+        woken, halted = w.woken.copy(), w.halted.copy()
+        for vid in (-1, 4):
+            with pytest.raises(IndexError, match=rf"vertex id {vid} out of range \[0, 4\)"):
+                w.activate(vid)
+        assert (w.woken == woken).all() and (w.halted == halted).all()
 
 
 class TestChannelRegistration:
