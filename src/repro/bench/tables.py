@@ -56,9 +56,9 @@ def table4(num_workers: int = 8) -> list[dict]:
 
 def table5_scatter(num_workers: int = 8) -> list[dict]:
     """Table V (top): the scatter-combine channel on PageRank.  Its
-    ``channel-scatter`` rows compose mirroring per peer (see
-    :data:`TABLE5_SCATTER_NOTE`): fewer bytes than the paper's channel,
-    the same values and messages."""
+    ``channel-scatter`` rows let a peer fold some destinations from their
+    senders' values (see :data:`TABLE5_SCATTER_NOTE`): fewer bytes than
+    the paper's channel, the same values and messages."""
     rows = []
     for dataset in ("wikipedia", "webuk"):
         for program in (
@@ -74,9 +74,9 @@ def table5_scatter(num_workers: int = 8) -> list[dict]:
 
 #: the caption note under Table V (top)
 TABLE5_SCATTER_NOTE = (
-    "channel-scatter composes mirroring per peer: a peer that fewer senders "
-    "than destinations reach gets the senders' values and combines them "
-    "itself (sums only), so its bytes are below the paper's channel"
+    "channel-scatter chooses per destination which end folds it: a peer gets "
+    "the senders' own values of the destinations it folds itself, where that "
+    "sends fewer values (sums only), so its bytes are below the paper's channel"
 )
 
 

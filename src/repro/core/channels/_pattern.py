@@ -23,10 +23,13 @@ The receiver patches its kept values and folds all ``n`` of them, as it
 folds a dense payload: the inbox does not depend on the form, and a peer
 whose values did not change still gets its 4-byte tag.
 
-A ``ScatterCombine`` peer may instead announce *senders*: the ids of its
-vertices with an edge here, and how many destinations those edges reach.
-Its values are then the senders' own, and the receiver combines them
-along the senders' rows, which it reads from its own graph
+A ``ScatterCombine`` peer may instead announce *senders*: the ids of
+some of its vertices with an edge here, the ids of the destinations it
+still combines itself, and how many other destinations the senders' rows
+reach.  Its values are then the combined ones, followed by the senders'
+own, and the receiver folds ``[combined values | scan(sender values)]``:
+the senders' values along their rows, which it reads from its own graph,
+into every vertex of its own those rows reach that is not a combined one
 (:meth:`~repro.core.channels.scatter_combine.ScatterCombine._learn_senders`).
 The wire after that announcement is the same dense or delta values.
 
@@ -38,10 +41,10 @@ byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
   values it sends replace what either end kept;
 * **restore** loads the flag, the patterns and the kept values the
   snapshot held, and derives again the pattern of every source that
-  announced senders, from the announced ids it held; the ``_build`` that
-  follows a restore re-derives the dispatch structure and announces
-  nothing a peer already knows (confined replay reads logged frames that
-  are dense or delta);
+  announced senders, from the sender ids, count and combined ids it
+  held; the ``_build`` that follows a restore re-derives the dispatch
+  structure and announces nothing a peer already knows (confined replay
+  reads logged frames that are dense or delta);
 * **migration** hands every new owner ``announced=False``, no patterns
   and no kept values: ownership moved, every sender announces once more.
 """
@@ -54,6 +57,7 @@ import numpy as np
 
 from repro.core.channels._inbox import CombinedInbox
 from repro.core.channels._records import (
+    check_ascending,
     decode_pattern,
     emit_payloads,
     encode_pattern,
@@ -121,10 +125,11 @@ class StaticPattern(CombinedInbox):
         # receive half: source worker -> pattern, and the values it last
         # sent (patched in place by a delta); for a source that announced
         # senders, the pattern is derived from what it announced: the
-        # sender ids (int32) and the destination count, kept in _senders
+        # sender ids, the destination count and the combined ids (int32
+        # ids), kept in _senders
         self._patterns: dict[int, Pattern] = {}
         self._received: dict[int, np.ndarray] = {}
-        self._senders: dict[int, tuple[np.ndarray, int]] = {}
+        self._senders: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
 
     # -- sending ---------------------------------------------------------------
     def _scatter(self, payloads: Iterable[tuple[int, np.ndarray, int]]) -> None:
@@ -159,20 +164,17 @@ class StaticPattern(CombinedInbox):
     def _receive(self, src: int, payload: memoryview) -> None:
         pattern = self._patterns.get(src)
         try:
-            words, destinations, positions, values = decode_pattern(
+            words, senders, positions, values = decode_pattern(
                 payload, self.value_codec, self.worker.graph.num_vertices,
                 None if pattern is None else _size(pattern),
             )  # fmt: skip
         except ValueError as exc:
             raise RuntimeError(f"{self!r}: worker {src} sent {exc}") from None
         if words is not None:
-            if destinations is None:
+            if senders is None:
                 pattern = self._learn(src, words)
-                self._senders.pop(src, None)
             else:
-                pattern = self._learn_senders(src, words, destinations)
-                self._senders[src] = (words.astype(np.int32), int(destinations))
-            self._patterns[src] = pattern
+                pattern = self._learn_senders(src, words, *senders)
         elif pattern is None:
             raise RuntimeError(
                 f"{self!r}: {values.size} values from worker {src}, "
@@ -185,8 +187,16 @@ class StaticPattern(CombinedInbox):
                     f"{self!r}: {values.size} values from worker {src}, "
                     f"whose pattern takes {expected}"
                 )
-            if words is not None:  # a new pattern: new kept values
+            if words is not None:  # a new pattern, kept once its values fit it
+                self._patterns[src] = pattern
                 self._received[src] = np.empty_like(values)
+                if senders is None:
+                    self._senders.pop(src, None)
+                else:
+                    destinations, combined = senders
+                    self._senders[src] = (
+                        words.astype(np.int32), int(destinations), combined.astype(np.int32)
+                    )
             kept = self._received[src]
             kept[...] = values
         else:
@@ -212,10 +222,13 @@ class StaticPattern(CombinedInbox):
 
     def _learn(self, src: int, words: np.ndarray) -> Pattern:
         """The pattern ``words`` announce; by default they are the
-        destination id of each value.  (An announcement of senders is
-        learnt by ``_learn_senders``, which the one channel that sends
-        it, ``ScatterCombine``, defines.)"""
-        return local_ids(self, src, words), None
+        destination id of each value, strictly ascending: a repeated id
+        would fold two values into one vertex.  (An announcement of
+        senders is learnt by ``_learn_senders``, which the one channel
+        that sends it, ``ScatterCombine``, defines.)"""
+        local = local_ids(self, src, words)
+        check_ascending(self, src, "ids", words)
+        return local, None
 
     # -- checkpointing (inbox keys, then the wire's) -------------------------------
     def _pattern_snapshot(self) -> dict:
@@ -224,8 +237,8 @@ class StaticPattern(CombinedInbox):
             "announced": self._announced,
             # local indices fit 4 bytes, as the ids they were announced by
             # did; a source that announced senders keeps what it announced,
-            # (sender ids, destination count), from which restore derives
-            # its pattern again
+            # (sender ids, destination count, combined ids), from which
+            # restore derives its pattern again
             "patterns": {
                 src: self._senders.get(src) or _as(p, np.int32)
                 for src, p in self._patterns.items()
@@ -240,12 +253,12 @@ class StaticPattern(CombinedInbox):
         self._inbox_restore(state)
         self._announced = state["announced"]
         self._patterns, self._senders = {}, {}
-        for src, (words, second) in state["patterns"].items():
-            if isinstance(second, (int, np.integer)):  # (sender ids, destinations)
-                self._patterns[src] = self._learn_senders(src, words, second)
-                self._senders[src] = (words, second)
+        for src, entry in state["patterns"].items():
+            if len(entry) == 3:  # (sender ids, destinations, combined ids)
+                self._patterns[src] = self._learn_senders(src, *entry)
+                self._senders[src] = tuple(entry)
             else:
-                self._patterns[src] = _as((words, second), np.intp)
+                self._patterns[src] = _as(entry, np.intp)
         self._sent = {peer: v.copy() for peer, v in state["sent"].items()}
         self._received = {src: v.copy() for src, v in state["received"].items()}
 

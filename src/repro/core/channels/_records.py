@@ -18,20 +18,27 @@ two of them::
     dense                      0            [n values]
     announce, list             4m + 1       [m int32 words][values]
     announce, bitmap           4m + 2       [int32 lo][int32 span][bitmap over the span][m values]
-    announce senders, list     4m + 3       [int32 d][m int32 ids][m values]
-    announce senders, bitmap   4m + 4       [int32 d][int32 lo][int32 span][bitmap][m values]
+    announce senders, list     4m + 3       [int32 d][combined set][m int32 ids][c + m values]
+    announce senders, bitmap   4m + 4       [int32 d][combined set][int32 lo][int32 span][bitmap][c + m values]
     delta, list                -(2k + 1)    [k int32 positions][k values]
     delta, bitmap              -(2k + 2)    [bitmap over [0, n)][k values]
+
+    combined set               2c           [c int32 ids]
+    (its first int32 word)     2c + 1       [int32 lo][int32 span][bitmap over the span]
 
 An announcement carries the pattern once: its words, or — when they are
 one strictly ascending id set, ``ids`` — whichever of the id list and a
 bitmap over ``[lo, lo + span)`` is smaller.  The ids are the destination
-of each value, unless the announcement names ``d``, the count of
-destinations: then they are the senders whose own values follow, which
-the receiver combines along their rows into its ``d`` destinations
-(``ScatterCombine``'s receiver-side placement).  A dense payload carries the
-``n`` values alone; a delta only the ``k`` that changed since the last
-payload, at strictly ascending positions in ``[0, n)``, as a list or as
+of each value, unless the announcement names ``d``: then they are the
+``m`` senders whose own values follow the ``c`` values combined at the
+sender, and ``d`` counts the destinations the receiver folds along the
+senders' rows — every one of its vertices those rows reach, except the
+``combined`` ids (``ScatterCombine``'s per-destination choice of the end
+that folds).  The combined ids are a second ascending set, priced and
+written by the same rule, behind one int32 word that holds their count
+and form; an announcement of senders alone has ``c = 0`` and pays that
+word.  A dense payload carries the ``n`` values alone; a delta only the
+``k`` that changed since the last payload, at strictly ascending positions in ``[0, n)``, as a list or as
 a bitmap.  :func:`encode_pattern` sends the smallest form, ties going to
 the earlier row, so the form is a function of the values alone (after the
 tag, with ``s`` the value size: ``n·s`` dense, ``k·(4 + s)`` and
@@ -150,18 +157,20 @@ def encode_pattern(
     words: np.ndarray | None = None,
     ids: np.ndarray | None = None,
     destinations: int | None = None,
+    combined: np.ndarray | None = None,
     changed: np.ndarray | None = None,
 ) -> bytes:
     """One pattern payload of ``channel``'s ``values``: the announcement
     of the int32 ``words``, or of the strictly ascending ``ids`` — sender
-    ids ahead of ``destinations`` when that is given; the delta of the
-    values ``changed`` flags (a mask over ``values``), or the dense values
-    if they are smaller; or — none given — the dense values.  Every
-    choice is the smallest form, a tie going to the earlier row of the
-    module's table.  An id, position or count that does not fit an int32
-    word raises a ``ValueError`` naming ``channel``."""
+    ids, behind ``destinations`` and the strictly ascending ``combined``
+    ids, when ``destinations`` is given; the delta of the values
+    ``changed`` flags (a mask over ``values``), or the dense values if
+    they are smaller; or — none given — the dense values.  Every choice is
+    the smallest form, a tie going to the earlier row of the module's
+    table.  An id, position or count that does not fit an int32 word
+    raises a ``ValueError`` naming ``channel``."""
     if ids is not None:
-        head = _announce_ids(channel, ids, destinations)
+        head = _announce_ids(channel, ids, destinations, combined)
     elif words is not None:
         head = _announce_words(channel, words)
     elif changed is not None:
@@ -175,27 +184,37 @@ def _announce_words(channel: Channel, words: np.ndarray) -> tuple[bytes, ...]:
     return _tag(channel, 1, words.size, 0), _int32(channel, "word", words)
 
 
-def _announce_ids(
-    channel: Channel, ids: np.ndarray, destinations: int | None
-) -> tuple[bytes, ...]:
-    ids = as_int32(channel, "id", ids)
-    # senders: [d] between the tag and the ids
-    d = () if destinations is None else (
-        _int32(channel, "destination count", np.array([destinations])),
-    )  # fmt: skip
-    form = 2 * len(d)
+def _id_set(channel: Channel, what: str, ids: np.ndarray) -> tuple[int, tuple[bytes, ...]]:
+    """``(form, parts)`` of the strictly ascending ``ids`` on the wire:
+    ``0`` and the int32 list, or ``1`` and ``[lo][span][bitmap]`` when
+    that is smaller."""
+    ids = as_int32(channel, what, ids)
     lo = int(ids[0]) if ids.size else 0
     span = int(ids[-1]) - lo + 1 if ids.size else 0
     as_list, as_bitmap = set_nbytes(ids.size, span)
     if _RANGE_NBYTES + as_bitmap >= as_list:
-        return _tag(channel, 1, ids.size, form), *d, ids.tobytes()
+        return 0, (ids.tobytes(),)
     flags = np.zeros(span, dtype=bool)
     flags[ids - lo] = True
+    return 1, (_int32(channel, "id range", np.array([lo, flags.size])), _bitmap(flags))
+
+
+def _announce_ids(
+    channel: Channel, ids: np.ndarray, destinations: int | None, combined: np.ndarray | None
+) -> tuple[bytes, ...]:
+    form, parts = _id_set(channel, "id", ids)
+    if destinations is None:
+        return _tag(channel, 1, ids.size, form), *parts
+    # senders: [d][combined set] between the tag and the ids
+    if combined is None:
+        combined = np.empty(0, dtype=np.int32)
+    combined_form, combined_parts = _id_set(channel, "combined id", combined)
     return (
-        _tag(channel, 1, ids.size, form + 1),
-        *d,
-        _int32(channel, "id range", np.array([lo, flags.size])),
-        _bitmap(flags),
+        _tag(channel, 1, ids.size, 2 + form),
+        _int32(channel, "destination count", np.array([destinations])),
+        _int32(channel, "combined count", np.array([2 * combined.size + combined_form])),
+        *combined_parts,
+        *parts,
     )
 
 
@@ -219,13 +238,13 @@ def _delta(
 
 def decode_pattern(
     payload: memoryview, codec: Codec, bound: int, size: int | None
-) -> tuple[np.ndarray | None, int | None, np.ndarray | None, np.ndarray]:
-    """``(words, destinations, positions, values)`` of a payload written
-    by :func:`encode_pattern`, at most one of ``words`` and ``positions``
+) -> tuple[np.ndarray | None, tuple[int, np.ndarray] | None, np.ndarray | None, np.ndarray]:
+    """``(words, senders, positions, values)`` of a payload written by
+    :func:`encode_pattern`, at most one of ``words`` and ``positions``
     not ``None``: the words of an announcement (a bitmap's ids, which must
-    lie in ``[0, bound)``) and, when it announces senders, its count of
-    destinations; or the positions of a delta's values (a bitmap's over
-    the receiver's pattern of ``size`` values).  List or bitmap, the
+    lie in ``[0, bound)``) and, when it announces senders, ``senders =
+    (d, combined ids)``; or the positions of a delta's values (a bitmap's
+    over the receiver's pattern of ``size`` values).  List or bitmap, the
     caller gets the same arrays.  The values are aligned, by
     :func:`decode_records`' rule.  A payload that disagrees with its tag —
     in length, range or bit count — or a delta when ``size`` is ``None``
@@ -236,45 +255,79 @@ def decode_pattern(
         return None, None, None, _aligned(codec.decode_array(body))
     if tag > 0:
         count, form = divmod(tag - 1, _ANNOUNCE_FORMS)
-        bitmap, senders = form % 2, form // 2
+        bitmap, of_senders = form % 2, form // 2
     else:
-        (count, bitmap), senders = divmod(-tag - 1, _DELTA_FORMS), 0
+        (count, bitmap), of_senders = divmod(-tag - 1, _DELTA_FORMS), 0
         if size is None:
             raise ValueError(f"a delta of {count} values before any announcement")
     what = "an announcement" if tag > 0 else "a delta"
-    destinations = None
-    if senders:  # [d] ahead of the ids
-        if len(body) < INT32.itemsize:
+    values_count, senders = count, None
+    if of_senders:  # [d][combined set] ahead of the ids
+        if len(body) < 2 * INT32.itemsize:
             raise ValueError(f"{what} of {count} senders in {len(payload)} bytes")
-        destinations = int(INT32.decode_one(body))
-        body = body[INT32.itemsize :]
+        destinations, word = INT32.decode_array(body[: 2 * INT32.itemsize]).tolist()
+        combined, body = _combined_set(body[2 * INT32.itemsize :], word, bound, len(payload))
+        senders = destinations, combined
+        values_count += combined.size
     if tag > 0 and not bitmap:  # the values' count is the pattern's business
         split = count * INT32.itemsize
         if split > len(body):
             raise ValueError(f"{what} of {count} words in {len(payload)} bytes")
         words = INT32.decode_array(body[:split])
-        return words, destinations, None, _aligned(codec.decode_array(body[split:]))
-    # every other form ends in the tag's count of values
-    split = len(body) - count * codec.itemsize
+        return words, senders, None, _aligned(codec.decode_array(body[split:]))
+    # every other form ends in its count of values
+    split = len(body) - values_count * codec.itemsize
     head = _RANGE_NBYTES if tag > 0 else 0  # a bitmap announcement's [lo][span]
     if split < head or (not bitmap and split != count * INT32.itemsize):
-        raise ValueError(f"{what} of {count} values in {len(payload)} bytes")
+        raise ValueError(f"{what} of {values_count} values in {len(payload)} bytes")
     values = _aligned(codec.decode_array(body[split:]))
     if not bitmap:
         return None, None, INT32.decode_array(body[:split]), values
     if tag > 0:
-        lo, span = INT32.decode_array(body[:head]).tolist()
-        if lo < 0 or span < 0 or lo + span > bound:
-            raise ValueError(f"a bitmap of ids [{lo}, {lo + span}) outside [0, {bound})")
-    else:
-        lo, span = 0, size
-    flags = _unbitmap(body[head:split], span)
+        lo, span = _id_range(body[:head], bound)
+        return lo + _set_bits(body[head:split], span, count), senders, None, values
+    return None, None, _set_bits(body[:split], size, count), values
+
+
+def _id_range(data: memoryview, bound: int) -> tuple[int, int]:
+    """A bitmap id set's ``[lo][span]``, which must lie in ``[0, bound)``."""
+    lo, span = INT32.decode_array(data).tolist()
+    if lo < 0 or span < 0 or lo + span > bound:
+        raise ValueError(f"a bitmap of ids [{lo}, {lo + span}) outside [0, {bound})")
+    return lo, span
+
+
+def _set_bits(data: memoryview, bits: int, count: int) -> np.ndarray:
+    """The positions of a bitmap's set bits, of which there must be
+    ``count``."""
+    flags = _unbitmap(data, bits)
     found = int(np.count_nonzero(flags))
     if found != count:
         raise ValueError(f"a bitmap of {found} set bits for {count} values")
-    if tag > 0:
-        return lo + np.flatnonzero(flags), destinations, None, values
-    return None, None, np.flatnonzero(flags), values
+    return np.flatnonzero(flags)
+
+
+def _combined_set(
+    body: memoryview, word: int, bound: int, nbytes: int
+) -> tuple[np.ndarray, memoryview]:
+    """``(ids, the rest of body)`` of the combined set at the head of
+    ``body``, whose count and form are ``word`` (``2c`` or ``2c + 1``);
+    ``nbytes``, the payload's length, names it in an error."""
+    if word < 0:
+        raise ValueError(f"a combined set whose count word is {word}")
+    count, bitmap = divmod(word, 2)
+    if not bitmap:
+        end = count * INT32.itemsize
+        if end > len(body):
+            raise ValueError(f"a combined set of {count} ids in {nbytes} bytes")
+        return INT32.decode_array(body[:end]), body[end:]
+    if len(body) < _RANGE_NBYTES:
+        raise ValueError(f"a combined set of {count} ids in {nbytes} bytes")
+    lo, span = _id_range(body[:_RANGE_NBYTES], bound)
+    end = _RANGE_NBYTES + -(-span // 8)
+    if end > len(body):
+        raise ValueError(f"a combined set of {count} ids in {nbytes} bytes")
+    return lo + _set_bits(body[_RANGE_NBYTES:end], span, count), body[end:]
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
@@ -285,6 +338,16 @@ def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         bad = ids[(ids < 0) | (ids >= bound)][0]
         raise ValueError(f"{channel!r}: {what} {bad} outside [0, {bound})")
+
+
+def check_ascending(channel: Channel, src: int, what: str, ids: np.ndarray) -> None:
+    """Raise a ``RuntimeError`` naming the channel and ``src`` unless the
+    ``ids`` worker ``src`` announced strictly ascend: an announced id set
+    names each id once."""
+    if (ids[1:] <= ids[:-1]).any():
+        raise RuntimeError(
+            f"{channel!r}: worker {src} announced {what} that do not strictly ascend"
+        )
 
 
 def local_ids(channel: Channel, src: int, ids: np.ndarray) -> np.ndarray:

@@ -18,19 +18,35 @@ pattern is static, so the 4-byte destination id beside every 8-byte value
 crosses the wire once, in the first scatter, and never again
 (:class:`~repro.core.channels._pattern.StaticPattern`).
 
-Where a peer's edges are combined is decided per peer, once, at build.
-One combined value per destination is what the paper sends; when fewer
-of this worker's vertices reach a peer than the destinations they reach
-there, their own values are fewer, and the peer can combine them itself:
-it reads the senders' rows from its own graph and runs the same scan
-over them (Pregel+'s mirroring, Gemini's sparse/dense modes, chosen per
-peer by the data).  That needs rows the receiver can read — the edge set
-is whole rows of a named adjacency, in ascending sender order — and a
-combiner that is not a selection: a minimum over many senders changes
-less often than their own values, so the delta form sends it for fewer
-bytes (S-V's labels crossed in 16.9 % more bytes as senders' values).
-The fold is bit for bit the one of the values the sender would have
-combined; only the bytes move.
+Which end folds a destination is decided per destination, once, at
+build.  Take the senders and destinations of one (worker, peer) pair as
+a bipartite graph, one edge per (sender, destination) pair.  A
+destination is folded at the sender, which sends its one combined value,
+or — once the own values of *all* its senders cross — at the peer, which
+reads the senders' rows from its own graph and runs the same scan over
+them.  Every edge must be covered by one end, so any vertex cover of that
+graph is a correct split: the paper's covers with every destination,
+Pregel+'s mirroring with every sender, and a mix of the two sends fewer
+values than either (PowerLyra's differentiated low/high in-degree
+processing, chosen per peer by the data as Gemini chooses sparse or
+dense).  The rule, :meth:`ScatterCombine._cover`: order the peer's
+destinations by ascending in-degree from this worker, ties by position;
+price every prefix of that order at the destinations after it, combined
+here, plus the senders that reach it; and let the shortest prefix of the
+lowest price name the senders whose values cross.  The peer folds every
+destination whose senders all cross — the prefix's, and any other — and
+the rest stay in this worker's scan.  Per peer that is never more values
+than the fewer of destinations and senders; where no prefix is cheaper
+than none, it is the paper's form.
+
+That needs rows the receiver can read — the edge set is whole rows of a
+named adjacency, in ascending sender order — and a combiner that is not a
+selection: a minimum over many senders changes less often than their own
+values, so the delta form sends it for fewer bytes (S-V's labels crossed
+in 16.9 % more bytes as senders' values).  Each destination is still
+folded once, over the same senders, in ascending sender order, so the
+fold is bit for bit the one the sender would have run; only the bytes
+move.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ from repro.core.adjacency import build_local_csr
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import Pattern, StaticPattern
-from repro.core.channels._records import as_int32
+from repro.core.channels._records import as_int32, check_ascending, local_ids
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -60,15 +76,19 @@ class _Scan:
     of whole segments, ``take`` each edge's sender value into a reused
     scratch and ``reduceat`` the segments, one combined value each.  A
     segment never spans two blocks, so the blocks change no bit.  The
-    sender scans the edges it combines with one; a receiver that combines
-    a peer's edges scans them with another, and folds the same values.
+    sender scans the edges it combines with one; a receiver that folds
+    destinations along a peer's senders' rows scans them with another, and
+    folds the same values.
 
-    ``edge_src`` indexes the ``size`` values a call takes; ``starts`` are
-    the segments' first edges."""
+    A call takes ``size`` values: the first ``head`` pass through as they
+    are (a receiver's values the sender combined), and ``edge_src``
+    indexes the rest; ``starts`` are the segments' first edges."""
 
-    def __init__(self, combiner: Combiner, edge_src: np.ndarray, starts: np.ndarray, size: int):
+    def __init__(
+        self, combiner: Combiner, edge_src: np.ndarray, starts: np.ndarray, size: int, head: int = 0
+    ):
         self.combiner = combiner
-        self.edge_src, self.starts, self.size = edge_src, starts, size
+        self.edge_src, self.starts, self.size, self.head = edge_src, starts, size, head
         self.blocks = cut_blocks(np.append(starts, edge_src.size), _BLOCK_EDGES)
         self.scratch = np.empty(
             max((hi - lo for _, _, lo, hi in self.blocks), default=0),
@@ -76,15 +96,18 @@ class _Scan:
         )
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        head = self.head
+        combined = np.empty(head + self.starts.size, dtype=values.dtype)
+        combined[:head] = values[:head]
+        senders, folded = values[head:], combined[head:]
         # mode="clip" only skips the bounds check the build did (with an
         # ``out``, "raise" gathers into a copy first)
-        combined = np.empty(self.starts.size, dtype=values.dtype)
         for seg_lo, seg_hi, lo, hi in self.blocks:
             per_edge = np.take(
-                values, self.edge_src[lo:hi], out=self.scratch[: hi - lo], mode="clip"
+                senders, self.edge_src[lo:hi], out=self.scratch[: hi - lo], mode="clip"
             )
             self.combiner.reduceat(
-                per_edge, self.starts[seg_lo:seg_hi] - lo, out=combined[seg_lo:seg_hi]
+                per_edge, self.starts[seg_lo:seg_hi] - lo, out=folded[seg_lo:seg_hi]
             )
         return combined
 
@@ -96,8 +119,8 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     ``add_adjacency``);
     receive half and wire: :class:`StaticPattern` (``get_message[s]``,
     ``has_message``; ids in the first scatter, values after); the
-    segmented reduction that produces the values, at whichever end of
-    each peer's edges sends fewer of them, is this class.
+    segmented reduction that produces the values, and the choice of the
+    end that folds each destination, is this class.
 
     Parameters
     ----------
@@ -118,12 +141,13 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         # static dispatch structure (built lazily)
         self._num_edges = 0  # registered edges: none, nothing to scatter
         self._scan: _Scan | None = None  # over the edges combined here
-        # per peer: its destinations' positions in the scan's output — one
-        # slice when they are one run of it, an index array otherwise
+        # per peer: the positions in the scan's output of the destinations
+        # combined here — one slice when they are one run of it, an index
+        # array otherwise
         self._peer_select: list[slice | np.ndarray] = []
-        # per peer that combines this worker's edges itself: the local
-        # senders whose values it gets, and the destinations they reach
-        # there; None where they are combined here
+        # per peer that folds destinations along this worker's senders'
+        # rows: those senders, whose values it gets after the combined
+        # ones, and its destinations in all; None where all are combined here
         self._expanded: list[tuple[np.ndarray, int] | None] = []
 
     # -- setup (usually superstep 1) ----------------------------------------
@@ -133,9 +157,9 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._group(self._num_edges, blocks, self._expandable())
 
     def _expandable(self) -> bool:
-        """Whether a peer may combine this worker's edges to it: the
-        combiner is no selection, and the edge set is rows the peer can
-        read (:meth:`~ScatterEdges._whole_rows`)."""
+        """Whether a peer may fold destinations along this worker's
+        senders' rows: the combiner is no selection, and the edge set is
+        rows the peer can read (:meth:`~ScatterEdges._whole_rows`)."""
         return (
             self.num_workers > 1
             and not self.combiner.is_selection
@@ -144,11 +168,9 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
 
     def _group(self, num_edges: int, blocks, expandable: bool = False) -> None:
         """The scan's segments over the ``num_edges`` edges ``blocks``
-        yields (see :meth:`~ScatterEdges._edge_blocks`), and the ids each
-        peer is to learn.  When ``expandable``, a peer other than this
-        worker that fewer senders than destinations reach gets the
-        senders' values instead (``_expanded``), and its edges leave the
-        scan."""
+        yields (see :meth:`~ScatterEdges._edge_blocks`), and the words
+        each peer is to learn.  When ``expandable``, the destinations
+        :meth:`_cover` hands a peer leave the scan."""
         uniq_dst, starts, edge_src = group_by_key(
             ((dst, src) for src, dst in blocks),
             num_edges,
@@ -160,59 +182,121 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._expanded = [None] * self.num_workers
         if expandable:
             bounds = np.append(starts, num_edges)
-            self._place(owners, select, bounds, edge_src)
-            keep = np.array([e is None for e in self._expanded])[owners]
-            if not keep.all():  # the segments of the peers that combine them
-                lengths = np.diff(bounds)
-                edge_src = self._drop(edge_src, bounds, select, keep, lengths)
-                starts = np.zeros(np.count_nonzero(keep), dtype=starts.dtype)
-                np.cumsum(lengths[keep][:-1], out=starts[1:])
+            lengths = np.diff(bounds)
+            keep = self._cover(select, bounds, lengths, edge_src)
+            if not keep.all():  # the segments the peers fold
+                edge_src = self._drop(edge_src, bounds, lengths, keep)
+                lengths = lengths[keep]
+                starts = np.zeros(lengths.size, dtype=starts.dtype)
+                np.cumsum(lengths[:-1], out=starts[1:])
                 uniq_dst, owners = uniq_dst[keep], owners[keep]
                 select = self._select(owners)
         self._scan = _Scan(self.combiner, edge_src, starts, self.worker.num_local)
         self._peer_select = select
         if not self._announced:
             self._words = [
-                as_int32(self, "destination id", uniq_dst[sel])
-                if expanded is None
-                else as_int32(self, "sender id", self.worker.local_ids[expanded[0]])
+                self._peer_words(uniq_dst[sel], expanded)
                 for sel, expanded in zip(select, self._expanded)
             ]
         self._built = True
 
-    def _place(
-        self, owners: np.ndarray, select: list, bounds: np.ndarray, edge_src: np.ndarray
-    ) -> None:
-        """Hand every peer other than this worker that fewer senders than
-        destinations reach its senders' values (``_expanded``)."""
-        for peer, sel in enumerate(select):
-            destinations = owners[sel].size
-            if peer != self.worker.worker_id and destinations:
-                senders = self._reaching(sel, bounds, edge_src)
-                if senders.size < destinations:
-                    self._expanded[peer] = (senders, destinations)
+    def _peer_words(self, ids: np.ndarray, expanded: tuple[np.ndarray, int] | None) -> np.ndarray:
+        """What a peer learns: the ids of its destinations combined here,
+        or — where it folds others along senders' rows — ``[their count]
+        [those ids][the senders' ids]``."""
+        if expanded is None:
+            return as_int32(self, "destination id", ids)
+        senders = self.worker.local_ids[expanded[0]]
+        return as_int32(self, "id", np.concatenate(([ids.size], ids, senders)))
 
+    def _cover(
+        self, select: list, bounds: np.ndarray, lengths: np.ndarray, edge_src: np.ndarray
+    ) -> np.ndarray:
+        """Per segment, whether it stays in this worker's scan.  For each
+        peer other than this worker, the shortest prefix of its
+        destinations — by ascending in-degree (``lengths``), then position
+        — that sends the fewest values names the senders whose values
+        cross; the peer folds every destination all of whose senders
+        cross, and gets those senders in ``_expanded``."""
+        keep = np.ones(lengths.size, dtype=bool)
+        # per sender, the rank of the first of the peer's destinations it reaches
+        first = np.empty(self.worker.num_local, dtype=np.int32)
+        for peer, sel in enumerate(select):
+            seg_lengths = lengths[sel]
+            n = seg_lengths.size
+            if peer == self.worker.worker_id or not n:
+                continue
+            # (in the narrowest unsigned type: NumPy sorts 16-bit keys by radix)
+            key = seg_lengths.astype(np.min_scalar_type(seg_lengths.max()))
+            rank = np.empty(n, dtype=np.int32)
+            rank[np.argsort(key, kind="stable")] = np.arange(n, dtype=np.int32)
+            first.fill(n)
+            runs = self._runs(sel, bounds, seg_lengths, edge_src)
+            for seg_lo, seg_hi, senders, blocked, _ in runs:
+                np.minimum.at(first, senders, np.repeat(rank[seg_lo:seg_hi], blocked))
+            # a prefix of k destinations sends the n - k after it and the
+            # senders reaching it: n + gain[k - 1], where gain[j] counts the
+            # senders whose first destination ranks at most j, less j + 1
+            gain = np.bincount(first, minlength=n + 1)[:n]
+            np.cumsum(gain, out=gain)
+            gain -= np.arange(1, n + 1, dtype=np.int32)
+            j = int(np.argmin(gain))
+            if gain[j] >= 0:  # no prefix sends fewer than the n destinations
+                continue
+            crosses = first <= j
+            folded = np.empty(n, dtype=bool)
+            runs = self._runs(sel, bounds, seg_lengths, edge_src)
+            for seg_lo, seg_hi, senders, _, starts in runs:
+                np.logical_and.reduceat(crosses[senders], starts, out=folded[seg_lo:seg_hi])
+            if isinstance(sel, slice):
+                keep[sel][folded] = False
+            else:
+                keep[sel[folded]] = False
+            self._expanded[peer] = (np.flatnonzero(crosses), n)
+        return keep
+
+    @staticmethod
+    def _runs(sel, bounds: np.ndarray, seg_lengths: np.ndarray, edge_src: np.ndarray):
+        """The edges of the segments ``sel`` selects (``seg_lengths``
+        long), a block of whole segments at a time: ``(first, end,
+        senders, lengths, starts)``, with ``first:end`` a range of the
+        selected segments, and their lengths and starts within
+        ``senders`` — a view of ``edge_src`` where ``sel`` is one run of
+        segments, and never an index array of all their edges where it is
+        not."""
+        if isinstance(sel, slice):
+            run = bounds[sel.start : sel.stop + 1]
+            for seg_lo, seg_hi, lo, hi in cut_blocks(run, _BLOCK_EDGES):
+                blocked = seg_lengths[seg_lo:seg_hi]
+                yield seg_lo, seg_hi, edge_src[lo:hi], blocked, run[seg_lo:seg_hi] - lo
+            return
+        offsets = np.append(0, np.cumsum(seg_lengths))
+        # a gathered block costs some 28 B an edge (expand_ranges' two
+        # int64 columns and the gather): a quarter of a scan block
+        for seg_lo, seg_hi, lo, hi in cut_blocks(offsets, _BLOCK_EDGES >> 2):
+            blocked = seg_lengths[seg_lo:seg_hi]
+            edges = expand_ranges(bounds[sel[seg_lo:seg_hi]], blocked)
+            yield seg_lo, seg_hi, edge_src[edges], blocked, offsets[seg_lo:seg_hi] - lo
+
+    @staticmethod
     def _drop(
-        self,
-        edge_src: np.ndarray,
-        bounds: np.ndarray,
-        select: list,
-        keep: np.ndarray,
-        lengths: np.ndarray,
+        edge_src: np.ndarray, bounds: np.ndarray, lengths: np.ndarray, keep: np.ndarray
     ) -> np.ndarray:
         """``edge_src`` without the edges of the segments ``keep`` drops.
-        When each peer's segments are one run (``select`` holds slices),
-        the kept runs move down inside ``edge_src``, which then shrinks in
-        place: no mask over the edges and no second edge array."""
-        if not isinstance(select[0], slice):
-            return edge_src[np.repeat(keep, lengths)]
+        A block of segments at a time, the kept edges move down inside
+        ``edge_src``, which then shrinks where it lies: no mask over all
+        the edges and no second edge array."""
         end = 0
-        for sel, expanded in zip(select, self._expanded):
-            lo, hi = bounds[sel.start], bounds[sel.stop]
-            if expanded is None and lo < hi:
-                # a forward copy within one array: NumPy moves it as memmove
-                edge_src[end : end + hi - lo] = edge_src[lo:hi]
+        for seg_lo, seg_hi, lo, hi in cut_blocks(bounds, _BLOCK_EDGES):
+            kept = keep[seg_lo:seg_hi]
+            if kept.all():
+                if end != lo:  # a forward copy within one array: NumPy moves it as memmove
+                    edge_src[end : end + hi - lo] = edge_src[lo:hi]
                 end += hi - lo
+            elif kept.any():
+                moved = edge_src[lo:hi][np.repeat(kept, lengths[seg_lo:seg_hi])]
+                edge_src[end : end + moved.size] = moved
+                end += moved.size
         edge_src.resize(end, refcheck=False)
         return edge_src
 
@@ -225,22 +309,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             bounds = np.searchsorted(owners, range(self.num_workers + 1)).tolist()
             return [slice(bounds[p], bounds[p + 1]) for p in range(self.num_workers)]
         return [np.flatnonzero(owners == p) for p in range(self.num_workers)]
-
-    def _reaching(
-        self, sel: slice | np.ndarray, bounds: np.ndarray, edge_src: np.ndarray
-    ) -> np.ndarray:
-        """The local senders, ascending, of the edges of the segments
-        ``sel`` selects (``bounds``: the segments' edges)."""
-        reached = np.zeros(self.worker.num_local, dtype=bool)
-        if isinstance(sel, slice):
-            reached[edge_src[bounds[sel.start] : bounds[sel.stop]]] = True
-            return np.flatnonzero(reached)
-        lengths = bounds[sel + 1] - bounds[sel]
-        # a block of segments at a time: no index array of all their edges
-        for seg_lo, seg_hi, _, _ in cut_blocks(np.append(0, np.cumsum(lengths)), _BLOCK_EDGES):
-            segs = sel[seg_lo:seg_hi]
-            reached[edge_src[expand_ranges(bounds[segs], lengths[seg_lo:seg_hi])]] = True
-        return np.flatnonzero(reached)
 
     # -- per-superstep API ---------------------------------------------------
     def set_message(self, v: Vertex, value) -> None:
@@ -295,36 +363,50 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
 
     def _payload(self, peer: int, combined: np.ndarray) -> tuple[int, np.ndarray, int]:
         """``(peer, values, messages)`` of one scatter: the combined value
-        of each of ``peer``'s destinations — or, where ``peer`` combines
-        them, its senders' own values — and one message per unique
-        destination, whether or not its id is sent."""
+        of each of ``peer``'s destinations combined here — followed, where
+        ``peer`` folds others, by its senders' own values — and one message
+        per unique destination, whether or not its id is sent."""
         expanded = self._expanded[peer]
         if expanded is None:
             return peer, combined, combined.size
         senders, destinations = expanded
-        return peer, self._values[senders], destinations
+        return peer, np.concatenate((combined, self._values[senders])), destinations
 
     def _announcement(self, peer: int) -> dict:
         expanded = self._expanded[peer]
         if expanded is None:
             return super()._announcement(peer)
-        return {"ids": self._words[peer], "destinations": expanded[1]}
+        words = self._words[peer]
+        count = int(words[0])  # (_peer_words)
+        return {
+            "ids": words[1 + count :],
+            "destinations": expanded[1] - count,
+            "combined": words[1 : 1 + count],
+        }
 
     # -- the receive half of a peer's senders ---------------------------------
-    def _learn_senders(self, src: int, ids: np.ndarray, destinations: int) -> Pattern:
-        """The pattern of worker ``src``'s senders ``ids``: their rows,
-        read from this worker's graph (nothing of them crossed the wire),
-        cut to the destinations here, grouped by destination as ``src``
-        would have grouped them — ascending sender, then row order — and
-        combined by the scan ``src`` would have run.  Ids that are not
-        ``src``'s strictly ascending vertices, or rows that reach other
-        than ``destinations`` vertices here, are a ``RuntimeError`` naming
-        the channel and ``src``."""
+    def _learn_senders(
+        self, src: int, ids: np.ndarray, destinations: int, combined: np.ndarray | None = None
+    ) -> Pattern:
+        """The pattern of worker ``src``'s ``combined`` ids and senders
+        ``ids``: the combined values fold into their ids, and the senders'
+        values along their rows, read from this worker's graph (nothing of
+        them crossed the wire), cut to the vertices here that are not
+        combined ids, grouped by destination as ``src`` would have grouped
+        them — ascending sender, then row order — and combined by the scan
+        ``src`` would have run.  Ids that are not strictly ascending, senders
+        ``src`` does not own, combined ids this worker does not own, or rows
+        that reach other than ``destinations`` vertices here, are a
+        ``RuntimeError`` naming the channel and ``src``."""
         worker = self.worker
         ids = np.asarray(ids, dtype=np.int64)
+        combined = np.asarray(() if combined is None else combined, dtype=np.int64)
         self._check_senders(src, ids)
+        check_ascending(self, src, "combined ids", combined)
+        head = local_ids(self, src, combined)
         adj = build_local_csr(worker.graph, ids, self._adjacency or "out")
         mine = worker.owner == worker.worker_id
+        mine[combined] = False  # (src folded those)
 
         def here():  # a block's arcs into this worker, packed as they come
             for senders, dsts in self._adjacency_blocks(adj):
@@ -339,14 +421,12 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
                 f"{self!r}: worker {src} announced {destinations} destinations; "
                 f"the rows of its {ids.size} senders reach {uniq.size} here"
             )
-        return worker.local_index(uniq), _Scan(self.combiner, edge_src, starts, ids.size)
+        local = np.concatenate((head, worker.local_index(uniq)))
+        return local, _Scan(self.combiner, edge_src, starts, head.size + ids.size, head.size)
 
     def _check_senders(self, src: int, ids: np.ndarray) -> None:
         bound = self.worker.graph.num_vertices
-        if (ids[1:] <= ids[:-1]).any():
-            raise RuntimeError(
-                f"{self!r}: worker {src} announced senders that do not strictly ascend"
-            )
+        check_ascending(self, src, "senders", ids)
         if ids.size and (ids[0] < 0 or ids[-1] >= bound):
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise RuntimeError(

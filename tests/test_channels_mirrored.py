@@ -1,6 +1,8 @@
 """Unit tests for the MirroredScatter channel (mirroring as a channel —
 the library extension beyond the paper's three optimized channels)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -112,11 +114,17 @@ class TestWireBehaviour:
         g = rmat(6, edge_factor=4, seed=1)
         part = (np.arange(g.num_vertices) % 2).astype(np.int64)
         mirrored = self._steady_state_bytes(MirroredScatter, g, part, threshold=10**9)
+        with mock.patch.object(ScatterCombine, "_expandable", lambda self: False):
+            combined = self._steady_state_bytes(ScatterCombine, g, part)
         plain = self._steady_state_bytes(ScatterCombine, g, part)
         # no mirrored sender: once both have announced, the same tag and
-        # the same values, byte for byte (the announcement itself carries
+        # the same values as ScatterCombine with every destination combined
+        # at the sender, byte for byte (the announcement itself carries
         # MirroredScatter's two 4-byte counts more per payload)
-        assert mirrored == plain
+        assert mirrored == combined
+        # ScatterCombine itself lets the peer fold the destinations whose
+        # senders' values cross for fewer values than the destinations
+        assert plain < combined
 
     def test_setup_cost_paid_once(self):
         g = star(30, center=0)

@@ -40,6 +40,7 @@ from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.rebalance import MigrationContext
 from repro.runtime.serialization import INT32, INT64
 from helpers import line_graph, two_triangles
+from test_static_pattern import split
 
 
 def run(graph, program_cls, workers=2, **kw):
@@ -296,8 +297,19 @@ class TestScatterCombineBuild:
         return ch
 
     def test_tables_match_a_stable_argsort_reference(self):
+        """The edges of the destinations the peer folds
+        (:func:`test_static_pattern.split`) leave the scan, and its words
+        name the destinations combined here and the senders that cross."""
         worker = self._worker()
         src, dst = self._edges(worker)
+        crossing = {}
+        for peer in range(worker.num_workers):
+            into = worker.owner[dst] == peer
+            if peer != worker.worker_id and into.any():
+                combined, crossing[peer] = split(src[into], dst[into])
+                kept = ~into | np.isin(dst, combined)
+                src, dst = src[kept], dst[kept]
+        assert any(senders.size for senders in crossing.values())
         order = np.argsort(dst, kind="stable")
         uniq, starts = np.unique(dst[order], return_index=True)
         seg_src, seg_starts, wire, positions = self._tables(
@@ -307,7 +319,11 @@ class TestScatterCombineBuild:
         assert seg_starts == starts.tolist()
         owners = worker.owner[uniq]
         for peer in range(worker.num_workers):
-            assert wire[peer] == uniq[owners == peer].tolist()
+            ids = uniq[owners == peer].tolist()
+            senders = crossing.get(peer, [])
+            if len(senders):
+                ids = [len(ids), *ids, *worker.local_ids[senders].tolist()]
+            assert wire[peer] == ids
             assert positions[peer] == np.flatnonzero(owners == peer).tolist()
 
     @pytest.mark.parametrize(

@@ -82,6 +82,20 @@ if [ "$files" != "src/repro/core/channels/scatter_combine.py" ] || [ "$count" -n
   exit 1
 fi
 '''),
+    # which end folds each destination is a rule on the data: the channel
+    # takes a worker and a combiner, and its module names no place,
+    # placement or threshold a caller could set
+    ("Placement is a rule on the data", r'''
+file=src/repro/core/channels/scatter_combine.py
+if [ "$(grep -cF 'def __init__(self, worker: Worker, combiner: Combiner) -> None:' "$file")" -ne 1 ]; then
+  echo "$file: ScatterCombine.__init__ must stay (self, worker: Worker, combiner: Combiner)"
+  exit 1
+fi
+if grep -niE "place|threshold" "$file"; then
+  echo "'place' and 'threshold' must not appear in $file"
+  exit 1
+fi
+'''),
     # handing pages back is the store's business: readers call
     # GraphStore.release, nobody else advises the kernel
     ("madvise lives in the store", r'''

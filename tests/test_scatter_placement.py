@@ -1,13 +1,17 @@
-"""Where ``ScatterCombine`` combines a peer's edges: at the sender, one
-value per destination, or — where fewer of the sender's vertices than
-destinations reach that peer — at the receiver, which gets the senders'
-own values and combines them along rows it reads from its own graph.
+"""Which end of a peer's edges ``ScatterCombine`` folds each destination
+at: the sender, which sends one combined value for it, or — once the own
+values of all its senders cross — the receiver, which folds them along
+rows it reads from its own graph.  Per peer the destinations the
+receiver folds are chosen by the data: the shortest prefix of them, by
+ascending in-degree, that sends the fewest values names the senders that
+cross, and every destination they alone reach is folded at the receiver.
 
 The property: over any graph, partition, worker count, registration form
 and combiner, every receiver's slots are the numpy oracle's fold (each
 sender reduces its edges into each destination in destination order, the
 receiver folds those in source order), and the channel's bytes are the
-closed form that prices the placement rule per peer.
+closed form that prices that choice per peer by brute force
+(:func:`test_static_pattern.split_nbytes`).
 """
 
 import contextlib
@@ -28,7 +32,7 @@ from repro.graph.partition import degree_range_partition, hash_partition, range_
 from repro.runtime.serialization import INT32
 
 from test_bulk_parity import _assert_parity, engines  # noqa: F401 - a fixture
-from test_static_pattern import MoveOnce, announced_ids_nbytes, received_forms
+from test_static_pattern import MoveOnce, announced_ids_nbytes, received_forms, split_nbytes
 
 SCATTERS = (1, 2, 3)  # supersteps that scatter; the slots are read one later
 FORMS = ["adjacency-out", "adjacency-in", "rows", "partial"]
@@ -115,10 +119,10 @@ def oracle(graph, owner, form, combiner):
             whole = form.startswith("adjacency") or whole_rows(graph, src, dst)
             for p in np.unique(owner[dst]).tolist():
                 into = owner[dst] == p
-                ids, senders = np.unique(dst[into]), np.unique(src[into])
+                ids = np.unique(dst[into])
                 n, words = ids.size, announced_ids_nbytes(ids)
-                if w != p and whole and not combiner.is_selection and senders.size < ids.size:
-                    n, words = senders.size, 4 + announced_ids_nbytes(senders)
+                if w != p and whole and not combiner.is_selection:
+                    n, words = split_nbytes(src[into], dst[into])
                 cost = 4 + n * item + (words if step == SCATTERS[0] else 0)
                 if w == p:
                     local += cost
@@ -151,9 +155,9 @@ def learnt():
     calls = []
     real = ScatterCombine._learn_senders
 
-    def spy(self, src, ids, destinations):
+    def spy(self, src, *announced):
         calls.append((self.worker.step_num, self.worker.worker_id, src))
-        return real(self, src, ids, destinations)
+        return real(self, src, *announced)
 
     with mock.patch.object(ScatterCombine, "_learn_senders", spy):
         yield calls
@@ -179,6 +183,43 @@ def test_slots_are_the_oracle_fold_in_the_closed_form_bytes(workers, form, combi
     assert (counted["net_bytes"], counted["local_bytes"]) == (net, local)
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_peer_gets_at_most_the_fewer_of_its_destinations_and_senders(workers, data):
+    """Per (worker, peer): the values the channel sends are the brute
+    force's (:func:`split_nbytes`), never more than the fewer of the
+    destinations and the senders there; edges leave the sender's scan only
+    where that sends fewer values than the destinations, and never more of
+    them than the peer's, which the rule before moved whenever fewer
+    senders than destinations reach the peer."""
+    graph, owner = data.draw(cases(workers))
+    engine = ChannelEngine(graph, _Idle, num_workers=workers, partition=owner)
+    src_all, dst_all = graph.edge_array()
+    for worker in engine.workers:
+        w = worker.worker_id
+        channel = ScatterCombine(worker, SUM_F64)
+        channel.add_adjacency("out")
+        # blocks of a few edges: a peer's segments span many of them
+        with mock.patch.object(scatter_combine, "_BLOCK_EDGES", data.draw(st.sampled_from([4, 1 << 16]))):
+            channel._build()
+        lengths = np.diff(np.append(channel._scan.starts, channel._scan.edge_src.size))
+        for p in range(workers):
+            into = (owner[src_all] == w) & (owner[dst_all] == p)
+            if p == w or not into.any():
+                continue
+            src, dst = src_all[into], dst_all[into]
+            destinations, senders = np.unique(dst).size, np.unique(src).size
+            scanned = lengths[channel._peer_select[p]]
+            expanded = channel._expanded[p]
+            values = scanned.size + (0 if expanded is None else expanded[0].size)
+            assert values == split_nbytes(src, dst)[0] <= min(destinations, senders)
+            assert expanded is None or expanded[1] == destinations
+            moved = dst.size - int(scanned.sum())
+            assert (moved > 0) == (values < destinations) == (expanded is not None)
+            assert moved <= dst.size
+
+
 def _star(leaves=12):
     """Vertex 0 on worker 0 points at ``leaves`` vertices on worker 1: one
     sender, many destinations."""
@@ -192,7 +233,8 @@ def _star(leaves=12):
 @pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64], ids=repr)
 def test_a_selection_keeps_the_combined_form(combiner):
     """One sender, twelve destinations: a sum sends the hub's value, a
-    min the twelve combined ones (the bytes the wire had before)."""
+    min the twelve combined ones (the bytes the wire had before).  The
+    sum's bytes are :func:`split_nbytes`' price of the star."""
     graph, owner = _star()
     with received_forms() as forms, learnt() as calls:
         result = ChannelEngine(
@@ -202,7 +244,9 @@ def test_a_selection_keeps_the_combined_form(combiner):
     scatters = len(SCATTERS)
     if combiner is SUM_F64:
         assert "announce senders, list" in forms and calls == [(1, 1, 0)]
-        assert net == 4 + 4 + 4 + 8 + (scatters - 1) * (4 + 8)
+        values, words = split_nbytes(np.zeros(12, dtype=np.int64), np.arange(1, 13))
+        assert (values, words) == (1, 4 + 4 + 4)
+        assert net == 4 + words + values * 8 + (scatters - 1) * (4 + values * 8)
     else:
         assert not any(form.startswith("announce senders") for form in forms) and not calls
         ids = announced_ids_nbytes(np.arange(1, 13))
@@ -228,9 +272,11 @@ def receiver():
     return ScatterCombine(worker, SUM_F64)
 
 
-def _senders(tag_count, destinations, ids, values):
-    """A senders announcement by hand: ``[4m + 3][d][ids][values]``."""
+def _senders(tag_count, destinations, ids, values, combined=()):
+    """A senders announcement by hand, with its combined ids as a list:
+    ``[4m + 3][d][2c][c combined ids][m sender ids][values]``."""
     parts = [INT32.encode_one(4 * tag_count + 3), INT32.encode_one(destinations)]
+    parts += [INT32.encode_one(2 * len(combined)), np.int32(combined).tobytes()]
     parts += [np.int32(ids).tobytes(), np.float64(values).tobytes()]
     return memoryview(b"".join(parts))
 
@@ -247,6 +293,33 @@ def test_the_senders_form_round_trips(receiver):
     restored.restore(receiver.snapshot())
     restored.deserialize([(0, memoryview(encode_pattern(receiver, np.array([1.0, 1.0]))))])
     assert restored.get_messages()[0].tolist() == [2.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "combined, form",
+    [([5], "list"), ([4, 5, 6], "bitmap")],  # 4 bytes as a list; 8 + 1 as a bitmap, not 12
+)
+def test_combined_ids_fold_as_they_are_and_leave_the_derivation(receiver, combined, form):
+    """Worker 0 combines ``combined`` itself: their values come first and
+    fold as they are, and the senders' rows fold into the rest of what
+    they reach here — 4, unless it is combined — also after a snapshot."""
+    folded = sorted({4, 5} - set(combined))
+    sent = np.arange(1.0, len(combined) + 3)  # the combined values, then 0's and 1's
+    payload = encode_pattern(
+        receiver, sent, ids=np.array([0, 1]), destinations=len(folded), combined=np.array(combined)
+    )
+    word = INT32.decode_one(memoryview(payload)[8:])
+    assert word == 2 * len(combined) + (form == "bitmap")
+    expected = np.zeros(4)
+    expected[np.array(combined) - 4] = sent[: len(combined)]
+    expected[np.array(folded, dtype=int) - 4] = sent[-2:].sum()
+    for channel in (receiver, ScatterCombine(receiver.worker, SUM_F64)):
+        if channel is receiver:
+            channel.deserialize([(0, memoryview(payload))])
+        else:
+            channel.restore(receiver.snapshot())
+            channel.deserialize([(0, memoryview(encode_pattern(receiver, sent)))])
+        assert channel.get_messages()[0].tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize(
@@ -269,11 +342,64 @@ def test_a_malformed_senders_announcement(receiver, ids, destinations, values, m
         receiver.deserialize([(0, memoryview(INT32.encode_one(0) + np.float64([1.0]).tobytes()))])
 
 
+@pytest.mark.parametrize(
+    "combined, destinations, values, match",
+    [
+        ([5, 4], 0, [1.0] * 4, "worker 0 announced combined ids that do not strictly ascend"),
+        ([4, 4], 1, [1.0] * 4, "worker 0 announced combined ids that do not strictly ascend"),
+        ([9], 2, [1.0] * 3, r"worker 0 sent id 9 outside \[0, 8\)"),
+        ([-1], 2, [1.0] * 3, r"worker 0 sent id -1 outside \[0, 8\)"),
+        ([3], 2, [1.0] * 3, "worker 0 sent id 3, which worker 1 does not own"),
+        # 5 is combined: the senders' rows reach 4 alone
+        ([5], 2, [1.0] * 3, "worker 0 announced 2 destinations; the rows of its 2 senders reach 1 here"),
+        ([5], 1, [1.0] * 2, "2 values from worker 0, whose pattern takes 3"),
+        ([5], 1, [1.0] * 4, "4 values from worker 0, whose pattern takes 3"),
+    ],
+)
+def test_a_malformed_combined_set(receiver, combined, destinations, values, match):
+    """Senders 0 and 1 with ``combined`` ids: each flaw is refused by name,
+    and nothing of the announcement is kept."""
+    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*: {match}"):
+        receiver.deserialize([(0, _senders(2, destinations, [0, 1], values, combined))])
+    assert 0 not in receiver._patterns and 0 not in receiver._senders
+
+
 def test_a_truncated_senders_announcement(receiver):
     with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 senders"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3)))])
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 words"):
+    # [d] without the combined set's word
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 senders in 8 bytes"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)))])
+    head = INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 words in 12 bytes"):
+        receiver.deserialize([(0, memoryview(head + INT32.encode_one(0)))])
+
+
+@pytest.mark.parametrize(
+    "word, tail, match",
+    [
+        # two combined ids as a list, one of them there
+        (2 * 2, np.int32([4]), "a combined set of 2 ids in 16 bytes"),
+        # a bitmap's [lo][span] cut short, then its bitmap missing
+        (2 * 3 + 1, np.int32([4]), "a combined set of 3 ids in 16 bytes"),
+        (2 * 3 + 1, np.int32([4, 3]), "a combined set of 3 ids in 20 bytes"),
+        (2 * 3 + 1, np.int32([4, 4]), "a combined set of 3 ids in 20 bytes"),
+        # a bitmap over a range outside the graph, or of the wrong count
+        (2 * 3 + 1, (np.int32([6, 4]), np.uint8([0b111])), r"a bitmap of ids \[6, 10\) outside \[0, 8\)"),
+        (2 * 3 + 1, (np.int32([4, 3]), np.uint8([0b011])), "a bitmap of 2 set bits for 3 values"),
+        (2 * 3 + 1, (np.int32([4, 3]), np.uint8([0b1111])), "a bitmap with a bit set past its 3 bits"),
+        (-2, (), "a combined set whose count word is -2"),
+    ],
+)
+def test_a_truncated_or_malformed_combined_set(receiver, word, tail, match):
+    """The combined set's own bytes: never an ``IndexError``, never a
+    wrong slot."""
+    tail = tail if isinstance(tail, tuple) else (tail,)
+    payload = INT32.encode_one(4 * 2 + 3) + INT32.encode_one(1) + INT32.encode_one(word)
+    payload += b"".join(np.asarray(part).tobytes() for part in tail)
+    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*worker 0 sent {match}"):
+        receiver.deserialize([(0, memoryview(payload))])
+    assert 0 not in receiver._patterns
 
 
 # -- the new form on pr-scatter: every backend, every recovery, a migration ---------
@@ -398,11 +524,11 @@ def test_the_derivation_holds_one_word_per_kept_pair():
 
 
 def test_the_senders_drop_under_a_contiguous_partition_copies_no_edges():
-    """After ``group_by_key``, ``_group`` of a worker whose peer combines
-    its edges allocates less than one 8-byte word per edge it keeps: the
-    kept runs move down inside the sorted buffer, which shrinks in place
-    (the mask and second edge array it built before were ≈ 14 B a kept
-    edge)."""
+    """After ``group_by_key``, ``_group`` of a worker whose peer folds
+    some of its destinations allocates less than one 8-byte word per edge
+    it keeps — the choice of those destinations included: a block at a
+    time, the kept edges move down inside the sorted buffer, which shrinks
+    in place (a mask and a second edge array were ≈ 14 B a kept edge)."""
     graph = rmat(16, edge_factor=16, seed=7)
     owner = degree_range_partition(graph, 2)
     worker = ChannelEngine(graph, _Idle, num_workers=2, partition=owner).workers[0]

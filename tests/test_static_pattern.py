@@ -3,10 +3,11 @@ unchanged values not at all.
 
 ``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
 the first scatter after a registration (``ScatterCombine``'s ids as a list
-or a bitmap, whichever is smaller, and — to a peer that combines its
-edges itself — sender ids and its senders' values); after it they send each peer the
-smallest of ``[values]`` and ``[changed positions][their values]``, the
-positions as a list or a bitmap.  The
+or a bitmap, whichever is smaller, and — to a peer that folds some
+destinations along its senders' rows — the ids it still combines, sender
+ids, and the combined values followed by the senders' own); after it
+they send each peer the smallest of ``[values]`` and ``[changed
+positions][their values]``, the positions as a list or a bitmap.  The
 format they replaced — ids beside the values in every scatter — lives on
 here, as :class:`IdsEveryRound`, the oracle of the property below: any
 graph, partition, worker count, combiner, scatter and value-change
@@ -141,7 +142,41 @@ class MoveOnce(RebalancePolicy):
 def announced_ids_nbytes(ids):
     """An ascending id set on the wire: the smaller of its int32 list and
     ``[lo][span]`` plus a bitmap over ``[ids[0], ids[-1]]``."""
+    if not ids.size:
+        return 0
     return min(4 * ids.size, 8 + -(-(int(ids[-1]) - int(ids[0]) + 1) // 8))
+
+
+def split(src, dst):
+    """``(combined, crossing)`` of the edges ``src -> dst`` from one worker
+    into another that may fold destinations along the senders' rows, by
+    brute force: take the destinations by ascending in-degree (edges from
+    ``src``), ties by id, and for every prefix count the destinations after
+    it plus the senders that reach it; the shortest prefix of the fewest
+    values — none when nothing beats the destinations — names the
+    ``crossing`` senders, whose own values cross.  The peer folds every
+    destination whose senders all cross; the sender combines the rest."""
+    ids, degree = np.unique(dst, return_counts=True)
+    by_degree = ids[np.argsort(degree, kind="stable")]
+    fewest, crossing = ids.size, src[:0]
+    for k in range(1, ids.size + 1):
+        senders = np.unique(src[np.isin(dst, by_degree[:k])])
+        if ids.size - k + senders.size < fewest:
+            fewest, crossing = ids.size - k + senders.size, senders
+    return np.unique(dst[~np.isin(src, crossing)]), crossing
+
+
+def split_nbytes(src, dst):
+    """``(values, words)`` of the edges ``src -> dst`` into another worker
+    under :func:`split`: the combined values, then the crossing senders'
+    own; the words are the destination ids — or, where senders cross, the
+    destination count, the combined set's count word, the combined ids and
+    the sender ids."""
+    combined, crossing = split(src, dst)
+    if not crossing.size:
+        return combined.size, announced_ids_nbytes(combined)
+    words = 4 + 4 + announced_ids_nbytes(combined) + announced_ids_nbytes(crossing)
+    return combined.size + crossing.size, words
 
 
 def whole_rows(graph, owners, register_again_at):
@@ -184,10 +219,9 @@ def closed_form(
     pattern's words (``ScatterCombine``: its ids, :func:`announced_ids_nbytes`)
     and all ``n`` values.  ``n`` is one value per destination, except
     where ``ScatterCombine`` with a combiner that is not a ``selection``
-    sends another worker its senders' values: where its columns are
-    :func:`whole_rows` and fewer senders than destinations reach the peer
-    — then ``n`` is the senders, and the words are their ids behind the
-    destination count.
+    may send another worker senders' values — where its columns are
+    :func:`whole_rows` — and then ``n`` and the words are
+    :func:`split_nbytes`'.
     ``owners[step]`` is the partition in force during ``step``;
     ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
     out_src, out_dst = graph.edge_array()
@@ -211,7 +245,6 @@ def closed_form(
                 here = (owner[src] == w) & (owner[dst] == p)
                 ids = np.unique(dst[here])  # one per unique destination
                 values, words = ids.size, announced_ids_nbytes(ids)
-                senders = np.unique(src[here])
                 if mirrored:
                     senders, degree = np.unique(src[here], return_counts=True)
                     heavy = np.isin(src[here], senders[degree >= THRESHOLD])
@@ -219,8 +252,8 @@ def closed_form(
                     values = plain + int((degree >= THRESHOLD).sum())
                     # two counts, plain ids, a degree per heavy sender, its neighbours
                     words = 4 * (2 + values + int(heavy.sum()))
-                elif not selection and w != p and whole[step, w] and senders.size < ids.size:
-                    values, words = senders.size, 4 + announced_ids_nbytes(senders)
+                elif not selection and w != p and whole[step, w]:
+                    values, words = split_nbytes(src[here], dst[here])
                 got = sent[step, w][p]
                 assert got.size == values
                 if w in announced:
@@ -487,8 +520,7 @@ def test_pagerank_keeps_the_dense_wire():
     after the announcement is dense: the channel's bytes are ``iterations``
     scatters of a tag and ``n`` values per sender and peer, plus the ``n``
     announced ids (a list or a bitmap) — where ``n`` is the destinations,
-    or, to another worker that fewer senders than destinations reach, the
-    senders, announced behind the 4-byte destination count."""
+    or, to another worker, :func:`split_nbytes`' values and words."""
     graph = rmat(8, edge_factor=4, seed=3, directed=True)
     workers, iterations = 3, 6
     owner = hash_partition(graph.num_vertices, workers)
@@ -501,12 +533,12 @@ def test_pagerank_keeps_the_dense_wire():
     for w in range(workers):
         for p in range(workers):
             here = (owner[src] == w) & (owner[dst] == p)
-            ids, senders = np.unique(dst[here]), np.unique(src[here])
-            words = announced_ids_nbytes(ids) if ids.size else 0
-            if w != p and senders.size < ids.size:
-                ids, words = senders, 4 + announced_ids_nbytes(senders)
-            if ids.size:
-                total[w != p] += iterations * (4 + ids.size * 8) + words
+            ids = np.unique(dst[here])
+            values, words = ids.size, announced_ids_nbytes(ids)
+            if w != p and values:
+                values, words = split_nbytes(src[here], dst[here])
+            if values:
+                total[w != p] += iterations * (4 + values * 8) + words
     counted = result.metrics.channel_breakdown()["1:ScatterCombine"]
     assert (counted["net_bytes"], counted["local_bytes"]) == (total[True], total[False])
 
@@ -584,14 +616,15 @@ def test_wire_ids_are_freed_and_patterns_snapshot_in_four_bytes(cls):
         assert all(p[0].dtype == np.intp for p in channel._patterns.values())
         state = decode_state(encode_state(channel.snapshot()))
         assert state["announced"] is True
-        for src, (local, repeats) in state["patterns"].items():
+        for src, (local, repeats, *combined) in state["patterns"].items():
             assert local.dtype == np.int32
-            if isinstance(repeats, int):  # announced senders, and their destination count
+            if isinstance(repeats, int):  # announced senders, destination count, combined ids
                 assert cls is ScatterCombine and src in channel._senders
+                assert combined[0].dtype == np.int32
                 continue
             assert (repeats is None) == (channel._patterns[src][1] is None)
             assert repeats is None or repeats.dtype == np.int32
-        assert any(isinstance(r, np.ndarray) for _, r in state["patterns"].values()) == (
+        assert any(isinstance(p[1], np.ndarray) for p in state["patterns"].values()) == (
             cls is MirroredScatter
         )
         # a restored channel rebuilds its dispatch without the wire ids
@@ -743,6 +776,17 @@ def test_announced_id_the_receiver_does_not_own(receiver):
     assert 0 not in receiver._patterns
     with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent id 8 outside \[0, 8\)"):
         receiver.deserialize([(0, _payload([8], [1.0]))])
+
+
+def test_announced_ids_that_do_not_strictly_ascend(receiver):
+    """``[4·2 + 1][4][4][1.0][2.0]`` used to fold 3.0 into vertex 4: an
+    announced id set names each id once, in ascending order."""
+    for ids in ([4, 4], [6, 4]):
+        with pytest.raises(
+            RuntimeError, match=r"ScatterCombine.*worker 0 announced ids that do not strictly ascend"
+        ):
+            receiver.deserialize([(0, _payload(ids, [1.0, 2.0]))])
+        assert 0 not in receiver._patterns
 
 
 # -- malformed bitmaps: a RuntimeError naming the channel and the source ---------------
