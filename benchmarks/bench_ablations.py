@@ -193,8 +193,11 @@ def test_ablation_costmodel_table6_ordering(benchmark, network):
 )
 def test_ablation_mirror_channel(cell, program):
     """Beyond the paper: Pregel+'s ghost mode re-packaged as a channel
-    (`MirroredScatter`), compared against ScatterCombine and the engine-
-    mode original on the same PageRank workload."""
+    (`MirroredScatter`: ScatterCombine's split, with the senders of at
+    least 16 edges into a peer crossing to it), compared against
+    ScatterCombine and the engine-mode original on the same PageRank
+    workload.  The channel's ranks and messages are ScatterCombine's; only
+    the bytes differ."""
     kwargs = {"ghost_threshold": 16} if program == "pregel-ghost" else {}
     row = cell("pr", program, "webuk", **kwargs)
     assert row["supersteps"] == 31

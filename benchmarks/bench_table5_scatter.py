@@ -8,7 +8,10 @@ combines at the sender (12-byte records become 8-byte values once the
 static pattern's ids stop crossing the wire every superstep); against
 this repo's ``channel-basic``, which combines only at the receiver,
 ``channel-scatter`` also sends one value per unique destination instead of
-one record per edge, and that is the large cut.
+one record per edge, and that is the large cut.  The ghost mode as a
+channel, ``MirroredScatter`` (``bench_ablations.py``), is
+``ScatterCombine`` with Pregel+'s rule for the senders whose own values
+cross: its ranks and messages are ``channel-scatter``'s, its bytes differ.
 """
 
 import pytest

@@ -132,14 +132,13 @@ class PageRankScatter(_PageRankBase):
 
 class PageRankMirrored(PageRankScatter):
     """PageRank over the :class:`MirroredScatter` extension channel
-    (mirroring as a channel — sender-side combining above a degree
-    threshold, receiver-side expansion)."""
-
-    mirror_threshold = 16
+    (mirroring as a channel: a vertex with at least the channel's default
+    threshold of edges into a worker sends it its own value, which the
+    worker folds along the vertex's row)."""
 
     def __init__(self, worker):
         _PageRankBase.__init__(self, worker)
-        self.msg = MirroredScatter(worker, SUM_F64, threshold=self.mirror_threshold)
+        self.msg = MirroredScatter(worker, SUM_F64)
 
 
 class _PageRankBulkBase(BulkVertexProgram):
@@ -229,11 +228,9 @@ class PageRankScatterBulk(_PageRankBulkBase):
 class PageRankMirroredBulk(PageRankScatterBulk):
     """Bulk port of :class:`PageRankMirrored`."""
 
-    mirror_threshold = 16
-
     def __init__(self, worker):
         _PageRankBulkBase.__init__(self, worker)
-        self.msg = MirroredScatter(worker, SUM_F64, threshold=self.mirror_threshold)
+        self.msg = MirroredScatter(worker, SUM_F64)
         self.msg.add_adjacency("out")
 
 

@@ -2,8 +2,8 @@
 
 Each ``tableN()`` returns the same rows the paper reports (same programs,
 same datasets, scaled inputs).  ``render_rows`` pretty-prints them;
-``python -m repro.bench.tables`` regenerates everything and is what
-EXPERIMENTS.md records.
+``python -m repro tables [N ...]`` regenerates them, and README.md
+("Tests and benchmarks") lists the benchmarks that assert their shapes.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class Channel:
         Must capture everything a freshly constructed instance needs to
         continue the run bit-identically: in-flight inbox state readable
         next superstep, plus any structure registered by the program
-        (static edge sets, expansion tables) that a replacement worker
+        (static edge sets, learnt patterns) that a replacement worker
         cannot re-derive because registration happened in a past
         superstep.  Per-round scratch (pending sends, request queues) is
         always empty at a boundary and need not be captured.

@@ -1,14 +1,14 @@
 """The static pattern: a wire that remembers who receives what, and what
 they last received.
 
-``ScatterCombine`` and ``MirroredScatter`` exist because their messaging
-pattern never changes, so the destination ids need to cross the wire only
-once.  :class:`StaticPattern` is that wire, both ends of it, on top of the
-combined inbox: the first scatter after a registration *announces* — each
-peer's payload carries the int32 words that describe its pattern, then the
-values; every later scatter sends values only, and the receiver folds them
-through the local indices it kept from the announcement (no id decode, no
-position lookup per round).  The payload itself is
+``ScatterCombine`` (and ``MirroredScatter``, one of its rules) exists
+because its messaging pattern never changes, so the destination ids need
+to cross the wire only once.  :class:`StaticPattern` is that wire, both
+ends of it, on top of the combined inbox: the first scatter after a
+registration *announces* — each peer's payload carries the ids that
+describe its pattern, then the values; every later scatter sends values
+only, and the receiver folds them through the local indices it kept from
+the announcement (no id decode, no position lookup per round).  The payload itself is
 ``_records.encode_pattern`` / ``decode_pattern``.
 
 After the announcement both ends also keep the last values that crossed
@@ -23,13 +23,14 @@ The receiver patches its kept values and folds all ``n`` of them, as it
 folds a dense payload: the inbox does not depend on the form, and a peer
 whose values did not change still gets its 4-byte tag.
 
-A ``ScatterCombine`` peer may instead announce *senders*: the ids of
-some of its vertices with an edge here, the ids of the destinations it
-still combines itself, and how many other destinations the senders' rows
-reach.  Its values are then the combined ones, followed by the senders'
-own, and the receiver folds ``[combined values | scan(sender values)]``:
-the senders' values along their rows, which it reads from its own graph,
-into every vertex of its own those rows reach that is not a combined one
+A peer may instead announce *senders*: the ids of some of its vertices
+with an edge here (``ScatterCombine._crossing`` picks them), the ids of
+the destinations it still combines itself, and how many other
+destinations the senders' rows reach.  Its values are then the combined
+ones, followed by the senders' own, and the receiver folds ``[combined
+values | scan(sender values)]``: the senders' values along their rows,
+which it reads from its own graph, into every vertex of its own those
+rows reach that is not a combined one
 (:meth:`~repro.core.channels.scatter_combine.ScatterCombine._learn_senders`).
 The wire after that announcement is the same dense or delta values.
 
@@ -69,30 +70,22 @@ __all__ = ["StaticPattern"]
 
 #: what a receiver keeps per source worker: the local index every folded
 #: value lands on, and how the values on the wire become the folded ones —
-#: ``None``: one each, in wire order; an array: how many consecutive
-#: indices each value takes; a function of the values (with a ``size``, the
-#: values it takes): their combination along the rows of announced senders
+#: ``None``: one each, in wire order; else a scan, a function of the values
+#: (with a ``size``, the values it takes): their combination along the rows
+#: of announced senders
 Pattern = tuple[np.ndarray, object]
-
-
-def _as(pattern: Pattern, dtype) -> Pattern:
-    return tuple(None if part is None else part.astype(dtype) for part in pattern)
 
 
 def _size(pattern: Pattern) -> int:
     """How many values a source's payloads carry under ``pattern``."""
-    local, expand = pattern
-    return local.size if expand is None else expand.size
+    local, scan = pattern
+    return local.size if scan is None else scan.size
 
 
 def _expand(pattern: Pattern, values: np.ndarray) -> np.ndarray:
     """The values to fold at ``pattern``'s local indices."""
-    expand = pattern[1]
-    if expand is None:
-        return values
-    if isinstance(expand, np.ndarray):
-        return np.repeat(values, expand)
-    return expand(values)
+    scan = pattern[1]
+    return values if scan is None else scan(values)
 
 
 def _changed(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -106,18 +99,18 @@ class StaticPattern(CombinedInbox):
     """Mixin for a :class:`~repro.core.channel.Channel` over a static edge
     set: :class:`CombinedInbox` fed by pattern payloads.
 
-    The channel's ``_build`` leaves the words each peer must learn in
-    ``_words`` when ``_announced`` is false, and its ``serialize`` sends
-    through :meth:`_scatter`; a channel whose words are not bare
-    destination ids overrides :meth:`_announcement` and :meth:`_learn`."""
+    The channel's ``_build`` leaves what each peer must learn in
+    ``_words`` when ``_announced`` is false — ``encode_pattern``'s
+    announcement arguments, per peer — and its ``serialize`` sends through
+    :meth:`_scatter`."""
 
     def _init_pattern(self, combiner: Combiner) -> None:
         self._init_inbox(combiner)
         # send half: whether the peers hold the pattern of the edge set as
-        # registered, and the words per peer that tell them (they live
-        # from _build to the announcement)
+        # registered, and the announcement per peer that tells them (it
+        # lives from _build to the first scatter)
         self._announced = False
-        self._words: list[np.ndarray] | None = None
+        self._words: list[dict] | None = None
         # the values that last crossed, once announced: per peer on the
         # send half (replaced by an announcement, which reaches every
         # peer, and overwritten in place by every later scatter)
@@ -148,33 +141,28 @@ class StaticPattern(CombinedInbox):
         next scatter's with."""
         if self._words is not None:
             self._sent[peer] = values.copy()
-            return encode_pattern(self, values, **self._announcement(peer))
+            return encode_pattern(self, values, **self._words[peer])
         kept = self._sent[peer]
         changed = _changed(kept, values)
         kept[...] = values
         return encode_pattern(self, values, changed=changed)
 
-    def _announcement(self, peer: int) -> dict:
-        """``encode_pattern``'s announcement arguments for ``peer``: by
-        default ``_words[peer]`` are the destination id of each value,
-        strictly ascending — one id set, which may cross as a bitmap."""
-        return {"ids": self._words[peer]}
-
     # -- receiving (deserialize is CombinedInbox's) -------------------------------
     def _receive(self, src: int, payload: memoryview) -> None:
         pattern = self._patterns.get(src)
         try:
-            words, senders, positions, values = decode_pattern(
+            ids, senders, positions, values = decode_pattern(
                 payload, self.value_codec, self.worker.graph.num_vertices,
                 None if pattern is None else _size(pattern),
             )  # fmt: skip
         except ValueError as exc:
             raise RuntimeError(f"{self!r}: worker {src} sent {exc}") from None
-        if words is not None:
-            if senders is None:
-                pattern = self._learn(src, words)
-            else:
-                pattern = self._learn_senders(src, words, *senders)
+        if ids is not None:
+            if senders is None:  # the destination of each value, ascending
+                pattern = local_ids(self, src, ids), None
+                check_ascending(self, src, "ids", ids)
+            else:  # (ScatterCombine's)
+                pattern = self._learn_senders(src, ids, *senders)
         elif pattern is None:
             raise RuntimeError(
                 f"{self!r}: {values.size} values from worker {src}, "
@@ -187,7 +175,7 @@ class StaticPattern(CombinedInbox):
                     f"{self!r}: {values.size} values from worker {src}, "
                     f"whose pattern takes {expected}"
                 )
-            if words is not None:  # a new pattern, kept once its values fit it
+            if ids is not None:  # a new pattern, kept once its values fit it
                 self._patterns[src] = pattern
                 self._received[src] = np.empty_like(values)
                 if senders is None:
@@ -195,7 +183,7 @@ class StaticPattern(CombinedInbox):
                 else:
                     destinations, combined = senders
                     self._senders[src] = (
-                        words.astype(np.int32), int(destinations), combined.astype(np.int32)
+                        ids.astype(np.int32), int(destinations), combined.astype(np.int32)
                     )
             kept = self._received[src]
             kept[...] = values
@@ -220,16 +208,6 @@ class StaticPattern(CombinedInbox):
                 f"its pattern of {size}"
             )
 
-    def _learn(self, src: int, words: np.ndarray) -> Pattern:
-        """The pattern ``words`` announce; by default they are the
-        destination id of each value, strictly ascending: a repeated id
-        would fold two values into one vertex.  (An announcement of
-        senders is learnt by ``_learn_senders``, which the one channel
-        that sends it, ``ScatterCombine``, defines.)"""
-        local = local_ids(self, src, words)
-        check_ascending(self, src, "ids", words)
-        return local, None
-
     # -- checkpointing (inbox keys, then the wire's) -------------------------------
     def _pattern_snapshot(self) -> dict:
         return {
@@ -240,7 +218,7 @@ class StaticPattern(CombinedInbox):
             # (sender ids, destination count, combined ids), from which
             # restore derives its pattern again
             "patterns": {
-                src: self._senders.get(src) or _as(p, np.int32)
+                src: self._senders.get(src) or (p[0].astype(np.int32), None)
                 for src, p in self._patterns.items()
             },
             # the kept values: one per pattern value on each end (those a
@@ -258,7 +236,7 @@ class StaticPattern(CombinedInbox):
                 self._patterns[src] = self._learn_senders(src, *entry)
                 self._senders[src] = tuple(entry)
             else:
-                self._patterns[src] = _as(entry, np.intp)
+                self._patterns[src] = entry[0].astype(np.intp), None
         self._sent = {peer: v.copy() for peer, v in state["sent"].items()}
         self._received = {src: v.copy() for src, v in state["received"].items()}
 

@@ -16,7 +16,7 @@ two of them::
 
     form                       tag          after the tag
     dense                      0            [n values]
-    announce, list             4m + 1       [m int32 words][values]
+    announce, list             4m + 1       [m int32 ids][values]
     announce, bitmap           4m + 2       [int32 lo][int32 span][bitmap over the span][m values]
     announce senders, list     4m + 3       [int32 d][combined set][m int32 ids][c + m values]
     announce senders, bitmap   4m + 4       [int32 d][combined set][int32 lo][int32 span][bitmap][c + m values]
@@ -26,26 +26,27 @@ two of them::
     combined set               2c           [c int32 ids]
     (its first int32 word)     2c + 1       [int32 lo][int32 span][bitmap over the span]
 
-An announcement carries the pattern once: its words, or — when they are
-one strictly ascending id set, ``ids`` — whichever of the id list and a
-bitmap over ``[lo, lo + span)`` is smaller.  The ids are the destination
-of each value, unless the announcement names ``d``: then they are the
-``m`` senders whose own values follow the ``c`` values combined at the
-sender, and ``d`` counts the destinations the receiver folds along the
-senders' rows — every one of its vertices those rows reach, except the
-``combined`` ids (``ScatterCombine``'s per-destination choice of the end
-that folds).  The combined ids are a second ascending set, priced and
-written by the same rule, behind one int32 word that holds their count
-and form; an announcement of senders alone has ``c = 0`` and pays that
-word.  A dense payload carries the ``n`` values alone; a delta only the
-``k`` that changed since the last payload, at strictly ascending positions in ``[0, n)``, as a list or as
-a bitmap.  :func:`encode_pattern` sends the smallest form, ties going to
-the earlier row, so the form is a function of the values alone (after the
-tag, with ``s`` the value size: ``n·s`` dense, ``k·(4 + s)`` and
-``⌈n/8⌉ + k·s`` delta; ``4·m`` and ``8 + ⌈span/8⌉`` for the ids).  The one
-set codec behind both id sets is :func:`set_nbytes` (the rule's prices),
-:func:`as_int32` (a list, refusing what int32 cannot hold) and
-:func:`_bitmap` / :func:`_unbitmap`.
+An announcement carries the pattern once: one strictly ascending id set,
+``ids``, as whichever of the id list and a bitmap over ``[lo, lo +
+span)`` is smaller.  The ids are the destination of each value, unless
+the announcement names ``d``: then they are the ``m`` senders whose own
+values follow the ``c`` values combined at the sender, and ``d`` counts
+the destinations the receiver folds along the senders' rows — every one
+of its vertices those rows reach, except the ``combined`` ids
+(``ScatterCombine``'s per-destination choice of the end that folds).
+The combined ids are a second ascending set, priced and written by the
+same rule, behind one int32 word that holds their count and form; an
+announcement of senders alone has ``c = 0`` and pays that word.  A dense
+payload carries the ``n`` values alone; a delta only the ``k`` that
+changed since the last payload, at strictly ascending positions in ``[0,
+n)``, as a list or as a bitmap.  :func:`encode_pattern` sends the
+smallest form, ties going to the earlier row, so the form is a function
+of the values alone (after the tag, with ``s`` the value size: ``n·s``
+dense, ``k·(4 + s)`` and ``⌈n/8⌉ + k·s`` delta; ``4·m`` and ``8 +
+⌈span/8⌉`` for the ids).  The one set codec behind both id sets is
+:func:`set_nbytes` (the rule's prices), :func:`as_int32` (a list,
+refusing what int32 cannot hold) and :func:`_bitmap` /
+:func:`_unbitmap`.
 
 ``DirectMessage`` and ``CombinedMessage`` also share their whole send
 path, :class:`RecordChannel`: scalar appends, array sends and peer
@@ -154,34 +155,27 @@ def encode_pattern(
     channel: Channel,
     values: np.ndarray,
     *,
-    words: np.ndarray | None = None,
     ids: np.ndarray | None = None,
     destinations: int | None = None,
     combined: np.ndarray | None = None,
     changed: np.ndarray | None = None,
 ) -> bytes:
     """One pattern payload of ``channel``'s ``values``: the announcement
-    of the int32 ``words``, or of the strictly ascending ``ids`` — sender
-    ids, behind ``destinations`` and the strictly ascending ``combined``
-    ids, when ``destinations`` is given; the delta of the values
-    ``changed`` flags (a mask over ``values``), or the dense values if
-    they are smaller; or — none given — the dense values.  Every choice is
+    of the strictly ascending ``ids`` — sender ids, behind ``destinations``
+    and the strictly ascending ``combined`` ids, when ``destinations`` is
+    given; the delta of the values ``changed`` flags (a mask over
+    ``values``), or the dense values if they are smaller; or — none given
+    — the dense values.  Every choice is
     the smallest form, a tie going to the earlier row of the module's
     table.  An id, position or count that does not fit an int32 word
     raises a ``ValueError`` naming ``channel``."""
     if ids is not None:
         head = _announce_ids(channel, ids, destinations, combined)
-    elif words is not None:
-        head = _announce_words(channel, words)
     elif changed is not None:
         head, values = _delta(channel, changed, values)
     else:
         head = _DENSE
     return b"".join((*head, channel.value_codec.encode_array(values)))
-
-
-def _announce_words(channel: Channel, words: np.ndarray) -> tuple[bytes, ...]:
-    return _tag(channel, 1, words.size, 0), _int32(channel, "word", words)
 
 
 def _id_set(channel: Channel, what: str, ids: np.ndarray) -> tuple[int, tuple[bytes, ...]]:
@@ -239,11 +233,11 @@ def _delta(
 def decode_pattern(
     payload: memoryview, codec: Codec, bound: int, size: int | None
 ) -> tuple[np.ndarray | None, tuple[int, np.ndarray] | None, np.ndarray | None, np.ndarray]:
-    """``(words, senders, positions, values)`` of a payload written by
-    :func:`encode_pattern`, at most one of ``words`` and ``positions``
-    not ``None``: the words of an announcement (a bitmap's ids, which must
-    lie in ``[0, bound)``) and, when it announces senders, ``senders =
-    (d, combined ids)``; or the positions of a delta's values (a bitmap's
+    """``(ids, senders, positions, values)`` of a payload written by
+    :func:`encode_pattern`, at most one of ``ids`` and ``positions`` not
+    ``None``: the ids of an announcement (a bitmap's must lie in ``[0,
+    bound)``) and, when it announces senders, ``senders = (d, combined
+    ids)``; or the positions of a delta's values (a bitmap's
     over the receiver's pattern of ``size`` values).  List or bitmap, the
     caller gets the same arrays.  The values are aligned, by
     :func:`decode_records`' rule.  A payload that disagrees with its tag —
@@ -273,8 +267,8 @@ def decode_pattern(
         split = count * INT32.itemsize
         if split > len(body):
             raise ValueError(f"{what} of {count} words in {len(payload)} bytes")
-        words = INT32.decode_array(body[:split])
-        return words, senders, None, _aligned(codec.decode_array(body[split:]))
+        ids = INT32.decode_array(body[:split])
+        return ids, senders, None, _aligned(codec.decode_array(body[split:]))
     # every other form ends in its count of values
     split = len(body) - values_count * codec.itemsize
     head = _RANGE_NBYTES if tag > 0 else 0  # a bitmap announcement's [lo][span]

@@ -29,7 +29,10 @@ graph is a correct split: the paper's covers with every destination,
 Pregel+'s mirroring with every sender, and a mix of the two sends fewer
 values than either (PowerLyra's differentiated low/high in-degree
 processing, chosen per peer by the data as Gemini chooses sparse or
-dense).  The rule, :meth:`ScatterCombine._cover`: order the peer's
+dense).  :meth:`ScatterCombine._cover` runs the split; a rule,
+:meth:`ScatterCombine._crossing`, names the senders that cross
+(``MirroredScatter``'s is Pregel+'s mirroring: the senders with many
+edges into the peer).  This channel's rule: order the peer's
 destinations by ascending in-degree from this worker, ties by position;
 price every prefix of that order at the destinations after it, combined
 here, plus the senders that reach it; and let the shortest prefix of the
@@ -152,28 +155,16 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
 
     # -- setup (usually superstep 1) ----------------------------------------
     def _build(self) -> None:
-        """Pre-sort edges by destination (the one-time cost of Fig. 5)."""
+        """Pre-sort edges by destination (the one-time cost of Fig. 5):
+        the scan's segments over the registered edges (see
+        :meth:`~ScatterEdges._edge_blocks`), less those :meth:`_cover`
+        hands a peer where :meth:`_expandable`, and what each peer is to
+        learn."""
         self._num_edges, blocks = self._edge_blocks()
-        self._group(self._num_edges, blocks, self._expandable())
-
-    def _expandable(self) -> bool:
-        """Whether a peer may fold destinations along this worker's
-        senders' rows: the combiner is no selection, and the edge set is
-        rows the peer can read (:meth:`~ScatterEdges._whole_rows`)."""
-        return (
-            self.num_workers > 1
-            and not self.combiner.is_selection
-            and self._whole_rows()
-        )
-
-    def _group(self, num_edges: int, blocks, expandable: bool = False) -> None:
-        """The scan's segments over the ``num_edges`` edges ``blocks``
-        yields (see :meth:`~ScatterEdges._edge_blocks`), and the words
-        each peer is to learn.  When ``expandable``, the destinations
-        :meth:`_cover` hands a peer leave the scan."""
+        expandable = self._expandable()
         uniq_dst, starts, edge_src = group_by_key(
             ((dst, src) for src, dst in blocks),
-            num_edges,
+            self._num_edges,
             self.worker.graph.num_vertices,
             self.worker.num_local,
         )
@@ -181,7 +172,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         select = self._select(owners)
         self._expanded = [None] * self.num_workers
         if expandable:
-            bounds = np.append(starts, num_edges)
+            bounds = np.append(starts, self._num_edges)
             lengths = np.diff(bounds)
             keep = self._cover(select, bounds, lengths, edge_src)
             if not keep.all():  # the segments the peers fold
@@ -195,55 +186,52 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._peer_select = select
         if not self._announced:
             self._words = [
-                self._peer_words(uniq_dst[sel], expanded)
+                self._peer_announcement(uniq_dst[sel], expanded)
                 for sel, expanded in zip(select, self._expanded)
             ]
         self._built = True
 
-    def _peer_words(self, ids: np.ndarray, expanded: tuple[np.ndarray, int] | None) -> np.ndarray:
-        """What a peer learns: the ids of its destinations combined here,
-        or — where it folds others along senders' rows — ``[their count]
-        [those ids][the senders' ids]``."""
+    def _expandable(self) -> bool:
+        """Whether a peer may fold destinations along this worker's
+        senders' rows: the combiner is no selection, and the edge set is
+        rows the peer can read (:meth:`~ScatterEdges._whole_rows`)."""
+        return (
+            self.num_workers > 1
+            and not self.combiner.is_selection
+            and self._whole_rows()
+        )
+
+    def _peer_announcement(self, ids: np.ndarray, expanded: tuple[np.ndarray, int] | None) -> dict:
+        """``encode_pattern``'s announcement arguments for a peer: the ids
+        of its destinations combined here, or — where it folds others along
+        senders' rows — those senders' ids, how many destinations it folds
+        and the combined ids."""
+        ids = as_int32(self, "destination id", ids)
         if expanded is None:
-            return as_int32(self, "destination id", ids)
-        senders = self.worker.local_ids[expanded[0]]
-        return as_int32(self, "id", np.concatenate(([ids.size], ids, senders)))
+            return {"ids": ids}
+        senders, destinations = expanded
+        return {
+            "ids": as_int32(self, "sender id", self.worker.local_ids[senders]),
+            "destinations": destinations - ids.size,
+            "combined": ids,
+        }
 
     def _cover(
         self, select: list, bounds: np.ndarray, lengths: np.ndarray, edge_src: np.ndarray
     ) -> np.ndarray:
         """Per segment, whether it stays in this worker's scan.  For each
-        peer other than this worker, the shortest prefix of its
-        destinations — by ascending in-degree (``lengths``), then position
-        — that sends the fewest values names the senders whose values
-        cross; the peer folds every destination all of whose senders
-        cross, and gets those senders in ``_expanded``."""
+        peer other than this worker, :meth:`_crossing` names the senders
+        whose values cross; the peer folds every destination all of whose
+        senders cross, and gets those senders in ``_expanded``."""
         keep = np.ones(lengths.size, dtype=bool)
-        # per sender, the rank of the first of the peer's destinations it reaches
-        first = np.empty(self.worker.num_local, dtype=np.int32)
         for peer, sel in enumerate(select):
             seg_lengths = lengths[sel]
             n = seg_lengths.size
             if peer == self.worker.worker_id or not n:
                 continue
-            # (in the narrowest unsigned type: NumPy sorts 16-bit keys by radix)
-            key = seg_lengths.astype(np.min_scalar_type(seg_lengths.max()))
-            rank = np.empty(n, dtype=np.int32)
-            rank[np.argsort(key, kind="stable")] = np.arange(n, dtype=np.int32)
-            first.fill(n)
-            runs = self._runs(sel, bounds, seg_lengths, edge_src)
-            for seg_lo, seg_hi, senders, blocked, _ in runs:
-                np.minimum.at(first, senders, np.repeat(rank[seg_lo:seg_hi], blocked))
-            # a prefix of k destinations sends the n - k after it and the
-            # senders reaching it: n + gain[k - 1], where gain[j] counts the
-            # senders whose first destination ranks at most j, less j + 1
-            gain = np.bincount(first, minlength=n + 1)[:n]
-            np.cumsum(gain, out=gain)
-            gain -= np.arange(1, n + 1, dtype=np.int32)
-            j = int(np.argmin(gain))
-            if gain[j] >= 0:  # no prefix sends fewer than the n destinations
+            crosses = self._crossing(sel, bounds, seg_lengths, edge_src)
+            if crosses is None:
                 continue
-            crosses = first <= j
             folded = np.empty(n, dtype=bool)
             runs = self._runs(sel, bounds, seg_lengths, edge_src)
             for seg_lo, seg_hi, senders, _, starts in runs:
@@ -254,6 +242,35 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
                 keep[sel[folded]] = False
             self._expanded[peer] = (np.flatnonzero(crosses), n)
         return keep
+
+    def _crossing(
+        self, sel, bounds: np.ndarray, seg_lengths: np.ndarray, edge_src: np.ndarray
+    ) -> np.ndarray | None:
+        """The senders whose own values cross to the peer whose
+        destinations ``sel`` selects, as a mask over this worker's
+        vertices, or ``None`` where the peer gets combined values alone:
+        the shortest prefix of its destinations — by ascending in-degree
+        (``seg_lengths``), then position — that sends the fewest values
+        names them."""
+        n = seg_lengths.size
+        # (in the narrowest unsigned type: NumPy sorts 16-bit keys by radix)
+        key = seg_lengths.astype(np.min_scalar_type(seg_lengths.max()))
+        rank = np.empty(n, dtype=np.int32)
+        rank[np.argsort(key, kind="stable")] = np.arange(n, dtype=np.int32)
+        # per sender, the rank of the first of the peer's destinations it reaches
+        first = np.full(self.worker.num_local, n, dtype=np.int32)
+        for seg_lo, seg_hi, senders, blocked, _ in self._runs(sel, bounds, seg_lengths, edge_src):
+            np.minimum.at(first, senders, np.repeat(rank[seg_lo:seg_hi], blocked))
+        # a prefix of k destinations sends the n - k after it and the
+        # senders reaching it: n + gain[k - 1], where gain[j] counts the
+        # senders whose first destination ranks at most j, less j + 1
+        gain = np.bincount(first, minlength=n + 1)[:n]
+        np.cumsum(gain, out=gain)
+        gain -= np.arange(1, n + 1, dtype=np.int32)
+        j = int(np.argmin(gain))
+        if gain[j] >= 0:  # no prefix sends fewer than the n destinations
+            return None
+        return first <= j
 
     @staticmethod
     def _runs(sel, bounds: np.ndarray, seg_lengths: np.ndarray, edge_src: np.ndarray):
@@ -371,18 +388,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             return peer, combined, combined.size
         senders, destinations = expanded
         return peer, np.concatenate((combined, self._values[senders])), destinations
-
-    def _announcement(self, peer: int) -> dict:
-        expanded = self._expanded[peer]
-        if expanded is None:
-            return super()._announcement(peer)
-        words = self._words[peer]
-        count = int(words[0])  # (_peer_words)
-        return {
-            "ids": words[1 + count :],
-            "destinations": expanded[1] - count,
-            "combined": words[1 : 1 + count],
-        }
 
     # -- the receive half of a peer's senders ---------------------------------
     def _learn_senders(

@@ -47,8 +47,8 @@ DELIVERIES = {
         lambda w: ScatterCombine(w, SUM_I64),
         lambda ch, v, value: (ch.add_edges(v, v.edges), ch.set_message(v, value)),
     ),
-    # threshold 3: rmat hubs go through the mirrored section, the rest
-    # through the plain one, so both reach the shared inbox
+    # threshold 3: rmat hubs cross as mirrored senders and fold at the
+    # receiver, the rest combine at the sender, and both reach the inbox
     "mirrored": (
         lambda w: MirroredScatter(w, SUM_I64, threshold=3),
         lambda ch, v, value: (ch.add_edges(v, v.edges), ch.set_message(v, value)),
@@ -356,10 +356,10 @@ RECEIVERS = {
         lambda w: RequestRespond(w, respond_fn=lambda v: v.id),
         lambda ch, ids: INT32.encode_array(ids),
     ),
-    # a list announcement: the words are the ids
+    # an announcement of the ids, which ascend as an announced set does
     ScatterCombine: (
         lambda w: ScatterCombine(w, SUM_F64),
-        lambda ch, ids: encode_pattern(ch, _ones(len(ids)), words=np.asarray(ids)),
+        lambda ch, ids: encode_pattern(ch, _ones(len(ids)), ids=np.sort(ids)),
     ),
 }
 

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.algorithms.pagerank import run_pagerank
 from repro.core import (
     ChannelEngine,
     MirroredScatter,
@@ -14,12 +15,14 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph import rmat, star
+from repro.graph.partition import degree_range_partition, hash_partition
 from helpers import line_graph
 
 
-def make_program(channel_cls, rounds=3, vary=False, **channel_kwargs):
+def make_program(channel_cls, rounds=3, vary=False, real=False, **channel_kwargs):
     """Every vertex scatters ``id + 1`` — plus the superstep, when the
-    values ``vary`` from one scatter to the next."""
+    values ``vary`` from one scatter to the next — or its square root,
+    when the values are ``real``: sums of those depend on their order."""
 
     class P(VertexProgram):
         def __init__(self, worker):
@@ -29,6 +32,8 @@ def make_program(channel_cls, rounds=3, vary=False, **channel_kwargs):
 
         def compute(self, v):
             value = float(v.id + 1 + (self.step_num if vary else 0))
+            if real:
+                value **= 0.5
             if self.step_num == 1:
                 if v.out_degree:
                     self.msg.add_edges(v, v.edges)
@@ -51,14 +56,34 @@ def run(graph, program, workers=3, **kw):
 
 
 class TestCorrectness:
+    @pytest.mark.parametrize("real", [False, True], ids=["integers", "reals"])
     @pytest.mark.parametrize("threshold", [1, 2, 4, 10**6])
-    def test_matches_scatter_combine(self, threshold):
-        """Same combined values as ScatterCombine for every threshold
-        (mirroring only changes the wire, never the semantics)."""
+    def test_matches_scatter_combine(self, threshold, real):
+        """Same combined values as ScatterCombine for every threshold, bit
+        for bit (mirroring only changes the wire, never the semantics)."""
         g = rmat(7, edge_factor=4, seed=3)
-        ref = run(g, make_program(ScatterCombine)).data
-        got = run(g, make_program(MirroredScatter, threshold=threshold)).data
+        ref = run(g, make_program(ScatterCombine, real=real)).data
+        got = run(g, make_program(MirroredScatter, real=real, threshold=threshold)).data
         assert got == ref
+
+    @pytest.mark.parametrize("partition", ["degree", "hash"])
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("mode", ["scalar", "bulk"])
+    def test_pagerank_ranks_equal_scatter_bit_for_bit(self, mode, workers, partition):
+        """Mirroring changes the wire, never the bits: a destination that
+        mirrored and plain senders reach is folded once, over all of them,
+        as ``ScatterCombine`` folds it."""
+        g = rmat(9, edge_factor=8, seed=7)
+        if partition == "degree":
+            owner = degree_range_partition(g, workers)
+        else:
+            owner = hash_partition(g.num_vertices, workers)
+        kw = dict(mode=mode, iterations=6, num_workers=workers, partition=owner)
+        scatter, plain = run_pagerank(g, variant="scatter", **kw)
+        mirror, mirrored = run_pagerank(g, variant="mirror", **kw)
+        assert mirror.tobytes() == scatter.tobytes()
+        assert mirrored.metrics.total_net_bytes != plain.metrics.total_net_bytes  # it mirrored
+        assert mirrored.metrics.total_messages == plain.metrics.total_messages
 
     def test_line_graph(self):
         g = line_graph(5)
@@ -117,10 +142,8 @@ class TestWireBehaviour:
         with mock.patch.object(ScatterCombine, "_expandable", lambda self: False):
             combined = self._steady_state_bytes(ScatterCombine, g, part)
         plain = self._steady_state_bytes(ScatterCombine, g, part)
-        # no mirrored sender: once both have announced, the same tag and
-        # the same values as ScatterCombine with every destination combined
-        # at the sender, byte for byte (the announcement itself carries
-        # MirroredScatter's two 4-byte counts more per payload)
+        # no mirrored sender: the same wire as ScatterCombine with every
+        # destination combined at the sender, byte for byte
         assert mirrored == combined
         # ScatterCombine itself lets the peer fold the destinations whose
         # senders' values cross for fewer values than the destinations
@@ -137,6 +160,10 @@ class TestWireBehaviour:
             partition=part,
         ).run()
         data_steps = [r.net_bytes for r in res.metrics.records if r.net_bytes > 0]
-        # first superstep ships the expansion tables; later ones are tiny
-        assert data_steps[0] > 3 * data_steps[-1]
-        assert len(set(data_steps[1:])) == 1  # steady state is constant
+        # the first superstep announces, in a frame each way (its 8-byte
+        # header, then the 4-byte tag): the hub as a mirrored sender, behind
+        # the destination count and an empty combined set, and its value;
+        # back, the hub's id as the one destination, and its combined value
+        assert data_steps[0] == (8 + 4 + 4 + 4 + 4 + 8) + (8 + 4 + 4 + 8)
+        # later ones send the 4-byte tags of empty deltas alone
+        assert data_steps[1:] == [2 * (8 + 4)] * 4

@@ -263,14 +263,15 @@ class TestScatterCombineBuild:
     @staticmethod
     def _tables(ch):
         """Of a channel that has not announced: sorted senders, segment
-        starts, and per peer the ids it will announce and the positions of
-        its values in destination order (a slice or an index array)."""
+        starts, and per peer what it will announce (``encode_pattern``'s
+        arguments) and the positions of its values in destination order (a
+        slice or an index array)."""
         ch._build()
         positions = np.arange(ch._scan.starts.size)
         return (
             ch._scan.edge_src.tolist(),
             ch._scan.starts.tolist(),
-            [w.tolist() for w in ch._words],
+            [{form: np.asarray(part).tolist() for form, part in w.items()} for w in ch._words],
             [positions[sel].tolist() for sel in ch._peer_select],
         )
 
@@ -302,11 +303,12 @@ class TestScatterCombineBuild:
         name the destinations combined here and the senders that cross."""
         worker = self._worker()
         src, dst = self._edges(worker)
-        crossing = {}
+        crossing, folded = {}, {}
         for peer in range(worker.num_workers):
             into = worker.owner[dst] == peer
             if peer != worker.worker_id and into.any():
                 combined, crossing[peer] = split(src[into], dst[into])
+                folded[peer] = np.unique(dst[into]).size - combined.size
                 kept = ~into | np.isin(dst, combined)
                 src, dst = src[kept], dst[kept]
         assert any(senders.size for senders in crossing.values())
@@ -322,8 +324,10 @@ class TestScatterCombineBuild:
             ids = uniq[owners == peer].tolist()
             senders = crossing.get(peer, [])
             if len(senders):
-                ids = [len(ids), *ids, *worker.local_ids[senders].tolist()]
-            assert wire[peer] == ids
+                senders = worker.local_ids[senders].tolist()
+                assert wire[peer] == {"ids": senders, "destinations": folded[peer], "combined": ids}
+            else:
+                assert wire[peer] == {"ids": ids}
             assert positions[peer] == np.flatnonzero(owners == peer).tolist()
 
     @pytest.mark.parametrize(
@@ -358,7 +362,7 @@ class TestScatterCombineBuild:
     def test_no_edges_builds_empty_tables(self):
         ch = ScatterCombine(self._worker(), SUM_F64)
         seg_src, seg_starts, wire, _ = self._tables(ch)
-        assert seg_src == [] and seg_starts == [] and all(w == [] for w in wire)
+        assert seg_src == [] and seg_starts == [] and all(w == {"ids": []} for w in wire)
 
     @staticmethod
     def _run_snapshotting(register):
@@ -493,7 +497,7 @@ class TestScatterCombineBuild:
         return (
             src[order].tolist(),
             starts.tolist(),
-            [uniq[owners == peer].tolist() for peer in peers],
+            [{"ids": uniq[owners == peer].tolist()} for peer in peers],
             [np.flatnonzero(owners == peer).tolist() for peer in peers],
         )
 
@@ -769,18 +773,19 @@ class TestAdjacencyRegistration:
             assert self._tables(self._named(worker, direction)) == self._tables(
                 self._explicit(worker, direction)
             )
-            # MirroredScatter streams the same blocks twice (count, then
-            # group), releasing each span once per pass
-            mirrored = lambda w: MirroredScatter(w, SUM_F64, threshold=3)  # noqa: E731
+            # MirroredScatter is ScatterCombine's build with another rule:
+            # it streams the same blocks once, releasing each span once
+            combiner = _table_combiner(direction)
+            mirrored = lambda w: MirroredScatter(w, combiner, threshold=3)  # noqa: E731
             named = self._named(worker, direction, mirrored)
             with (
                 mock.patch.object(_edges, "_BLOCK_EDGES", 2 * degree),
                 mock.patch.object(graph.store, "release", wraps=graph.store.release) as release,
             ):
                 tables = self._mirror_tables(named)
-            assert release.call_count == 2 * len(blocks) * (2 if direction == "both" else 1)
+            assert release.call_count == len(blocks) * (2 if direction == "both" else 1)
             assert tables == self._mirror_tables(self._explicit(worker, direction, mirrored))
-            assert any(senders.size for senders, _ in named._mirrored)
+            assert any(e is not None for e in named._expanded) == (direction == "out")
 
     @pytest.mark.parametrize("mutation", ["drop", "reorder"])
     def test_a_dropped_or_reordered_block_fails_the_table_property(self, mutation):
@@ -801,10 +806,11 @@ class TestAdjacencyRegistration:
     @pytest.mark.parametrize("block", [3, 1 << 18])
     @pytest.mark.parametrize("direction", ["out", "both"])
     def test_mirrored_dispatch_equals_the_per_edge_registration(self, direction, block):
-        """``MirroredScatter``'s build is ``ScatterCombine``'s over the plain
-        edges plus the mirrored grouping: both, and the words announced,
-        equal between the two registration forms."""
-        make = lambda w: MirroredScatter(w, SUM_F64, threshold=3)  # noqa: E731
+        """``MirroredScatter``'s build is ``ScatterCombine``'s with its own
+        rule for the senders that cross: the tables, those senders and the
+        announcements equal between the two registration forms (which a
+        selection, on ``both``, keeps in the paper's form)."""
+        make = lambda w: MirroredScatter(w, _table_combiner(direction), threshold=3)  # noqa: E731
         g = rmat(6, edge_factor=4, seed=5)
         for worker in ChannelEngine(g, _Idle, num_workers=2).workers:
             explicit = self._explicit(worker, direction, make)
@@ -812,14 +818,14 @@ class TestAdjacencyRegistration:
             expected = self._mirror_tables(explicit)
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 assert self._mirror_tables(named) == expected
-            assert any(senders.size for senders, _ in named._mirrored)
+            assert any(e is not None for e in named._expanded) == (direction == "out")
             assert named._scan.edge_src.dtype == np.int64  # indexes _values every superstep
 
     @classmethod
     def _mirror_tables(cls, ch):
-        """``_tables`` (with the mirrored words) and, per peer, the mirrored
-        senders and their edge count."""
-        return cls._tables(ch), [(senders.tolist(), edges) for senders, edges in ch._mirrored]
+        """``_tables`` and, per peer that folds along mirrored senders'
+        rows, those senders and its destinations in all."""
+        return cls._tables(ch), [e and (e[0].tolist(), e[1]) for e in ch._expanded]
 
     @SCATTER_EDGE_CHANNELS
     def test_build_holds_a_few_bytes_per_local_edge(self, channel):

@@ -150,13 +150,23 @@ for pattern in 'current_messages' '_ChildCounters' '_live_step'; do
   fi
 done
 '''),
-    # one static scatter: MirroredScatter is ScatterCombine plus mirrors,
-    # built by its group_by_key stream and scanned by its blocked scan,
-    # with no per-edge API, round protocol or checkpoint of its own
+    # one static scatter: MirroredScatter is ScatterCombine with another
+    # rule for the senders that cross (_crossing) — one cover, one
+    # derivation, one wire — with no build, per-edge API, round protocol
+    # or checkpoint of its own; and the wire has no announcement of
+    # channel-specific words
     ("One static scatter", r'''
 file=src/repro/core/channels/mirrored_scatter.py
 if grep -nE "def (serialize|snapshot|restore|migrate_states|set_message|set_messages)\(" "$file"; then
   echo "$file must not define these: ScatterCombine's serve both channels"
+  exit 1
+fi
+if grep -nE "def " "$file" | grep -vE "def (__init__|_crossing)\("; then
+  echo "$file must define __init__ and the rule (_crossing) alone"
+  exit 1
+fi
+if grep -nF -e "_announce_words" -e "words=" src/repro/core/channels/_records.py; then
+  echo "src/repro/core/channels/_records.py must not announce words ('_announce_words' / 'words=')"
   exit 1
 fi
 if grep -nF -e "argsort(" -e "isin(" "$file"; then

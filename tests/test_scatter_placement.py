@@ -23,7 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.pagerank import run_pagerank
-from repro.core import ChannelEngine, MIN_I64, ScatterCombine, SUM_F64, VertexProgram
+from repro.core import (
+    ChannelEngine,
+    MIN_I64,
+    MirroredScatter,
+    ScatterCombine,
+    SUM_F64,
+    VertexProgram,
+)
 from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import encode_pattern
 from repro.graph import rmat
@@ -264,12 +271,19 @@ class _Idle(VertexProgram):
 
 
 @pytest.fixture()
-def receiver():
+def receiver(request):
     """Worker 1 of a 2-worker range partition of 8 vertices (it owns
-    4..7); worker 0's vertices 0 and 1 reach 4, 5 and 4."""
+    4..7); worker 0's vertices 0 and 1 reach 4, 5 and 4.  A
+    ``ScatterCombine``, unless the test names another class."""
     graph = Graph.from_edges(8, [(0, 4), (0, 5), (1, 4), (2, 3)], directed=True)
     worker = ChannelEngine(graph, _Idle, num_workers=2, partition=range_partition(8, 2)).workers[1]
-    return ScatterCombine(worker, SUM_F64)
+    return getattr(request, "param", ScatterCombine)(worker, SUM_F64)
+
+
+#: both classes decode the senders form, and refuse its flaws by name
+BOTH_RECEIVERS = pytest.mark.parametrize(
+    "receiver", [ScatterCombine, MirroredScatter], indirect=True, ids=lambda c: c.__name__
+)
 
 
 def _senders(tag_count, destinations, ids, values, combined=()):
@@ -333,12 +347,14 @@ def test_combined_ids_fold_as_they_are_and_leave_the_derivation(receiver, combin
         ([0, 1], 2, [1.0, 2.0, 3.0], "3 values from worker 0, whose pattern takes 2"),
     ],
 )
+@BOTH_RECEIVERS
 def test_a_malformed_senders_announcement(receiver, ids, destinations, values, match):
-    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*: {match}"):
+    name = type(receiver).__name__
+    with pytest.raises(RuntimeError, match=rf"{name}.*: {match}"):
         receiver.deserialize([(0, _senders(len(ids), destinations, ids, values))])
     # a later payload's value count is checked against the senders' too
     receiver.deserialize([(0, _senders(2, 2, [0, 1], [1.0, 2.0]))])
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*1 values from worker 0.*takes 2"):
+    with pytest.raises(RuntimeError, match=rf"{name}.*1 values from worker 0.*takes 2"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(0) + np.float64([1.0]).tobytes()))])
 
 
@@ -356,22 +372,25 @@ def test_a_malformed_senders_announcement(receiver, ids, destinations, values, m
         ([5], 1, [1.0] * 4, "4 values from worker 0, whose pattern takes 3"),
     ],
 )
+@BOTH_RECEIVERS
 def test_a_malformed_combined_set(receiver, combined, destinations, values, match):
     """Senders 0 and 1 with ``combined`` ids: each flaw is refused by name,
     and nothing of the announcement is kept."""
-    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*: {match}"):
+    with pytest.raises(RuntimeError, match=rf"{type(receiver).__name__}.*: {match}"):
         receiver.deserialize([(0, _senders(2, destinations, [0, 1], values, combined))])
     assert 0 not in receiver._patterns and 0 not in receiver._senders
 
 
+@BOTH_RECEIVERS
 def test_a_truncated_senders_announcement(receiver):
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 senders"):
+    name = type(receiver).__name__
+    with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 senders"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3)))])
     # [d] without the combined set's word
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 senders in 8 bytes"):
+    with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 senders in 8 bytes"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)))])
     head = INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent an announcement of 2 words in 12 bytes"):
+    with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 words in 12 bytes"):
         receiver.deserialize([(0, memoryview(head + INT32.encode_one(0)))])
 
 
@@ -391,13 +410,14 @@ def test_a_truncated_senders_announcement(receiver):
         (-2, (), "a combined set whose count word is -2"),
     ],
 )
+@BOTH_RECEIVERS
 def test_a_truncated_or_malformed_combined_set(receiver, word, tail, match):
     """The combined set's own bytes: never an ``IndexError``, never a
     wrong slot."""
     tail = tail if isinstance(tail, tuple) else (tail,)
     payload = INT32.encode_one(4 * 2 + 3) + INT32.encode_one(1) + INT32.encode_one(word)
     payload += b"".join(np.asarray(part).tobytes() for part in tail)
-    with pytest.raises(RuntimeError, match=rf"ScatterCombine.*worker 0 sent {match}"):
+    with pytest.raises(RuntimeError, match=rf"{type(receiver).__name__}.*worker 0 sent {match}"):
         receiver.deserialize([(0, memoryview(payload))])
     assert 0 not in receiver._patterns
 

@@ -2,10 +2,10 @@
 unchanged values not at all.
 
 ``ScatterCombine`` and ``MirroredScatter`` announce ``[ids][values]`` in
-the first scatter after a registration (``ScatterCombine``'s ids as a list
-or a bitmap, whichever is smaller, and — to a peer that folds some
-destinations along its senders' rows — the ids it still combines, sender
-ids, and the combined values followed by the senders' own); after it
+the first scatter after a registration (the ids as a list or a bitmap,
+whichever is smaller, and — to a peer that folds some destinations along
+its senders' rows — the ids it still combines, sender ids, and the
+combined values followed by the senders' own); after it
 they send each peer the smallest of ``[values]`` and ``[changed
 positions][their values]``, the positions as a list or a bitmap.  The
 format they replaced — ids beside the values in every scatter — lives on
@@ -64,7 +64,9 @@ class IdsEveryRound(ScatterCombine):
         super()._build()
 
     def _scatter(self, payloads):
-        emit_records(self, ((peer, self._words[peer], values) for peer, values, _ in payloads))
+        emit_records(
+            self, ((peer, self._words[peer]["ids"], values) for peer, values, _ in payloads)
+        )
 
     _receive = CombinedInbox._receive
 
@@ -166,13 +168,16 @@ def split(src, dst):
     return np.unique(dst[~np.isin(src, crossing)]), crossing
 
 
-def split_nbytes(src, dst):
+def split_nbytes(src, dst, crossing=None):
     """``(values, words)`` of the edges ``src -> dst`` into another worker
-    under :func:`split`: the combined values, then the crossing senders'
-    own; the words are the destination ids — or, where senders cross, the
-    destination count, the combined set's count word, the combined ids and
-    the sender ids."""
-    combined, crossing = split(src, dst)
+    under :func:`split` — or with the ``crossing`` senders given, and the
+    destinations any other sender reaches combined: the combined values,
+    then the crossing senders' own; the words are the destination ids —
+    or, where senders cross, the destination count, the combined set's
+    count word, the combined ids and the sender ids."""
+    if crossing is None:
+        crossing = split(src, dst)[1]
+    combined = np.unique(dst[~np.isin(src, crossing)])
     if not crossing.size:
         return combined.size, announced_ids_nbytes(combined)
     words = 4 + 4 + announced_ids_nbytes(combined) + announced_ids_nbytes(crossing)
@@ -216,12 +221,13 @@ def closed_form(
     delta ``ceil(n / 8) + k * itemsize``, where ``k`` values differ, bit
     for bit, from those the sender sent that peer last — but, in the
     sender's first scatter after a registration or a migration, the
-    pattern's words (``ScatterCombine``: its ids, :func:`announced_ids_nbytes`)
-    and all ``n`` values.  ``n`` is one value per destination, except
-    where ``ScatterCombine`` with a combiner that is not a ``selection``
-    may send another worker senders' values — where its columns are
-    :func:`whole_rows` — and then ``n`` and the words are
-    :func:`split_nbytes`'.
+    pattern's ids (:func:`announced_ids_nbytes`) and all ``n`` values.
+    ``n`` is one value per destination, except where a combiner that is
+    not a ``selection`` lets the channel send another worker senders'
+    values — where its columns are :func:`whole_rows` — and then ``n`` and
+    the words are :func:`split_nbytes`': over ``ScatterCombine``'s split,
+    or, ``mirrored``, with the senders of at least ``THRESHOLD`` edges
+    into that worker crossing.
     ``owners[step]`` is the partition in force during ``step``;
     ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
     out_src, out_dst = graph.edge_array()
@@ -245,15 +251,12 @@ def closed_form(
                 here = (owner[src] == w) & (owner[dst] == p)
                 ids = np.unique(dst[here])  # one per unique destination
                 values, words = ids.size, announced_ids_nbytes(ids)
-                if mirrored:
-                    senders, degree = np.unique(src[here], return_counts=True)
-                    heavy = np.isin(src[here], senders[degree >= THRESHOLD])
-                    plain = np.unique(dst[here][~heavy]).size
-                    values = plain + int((degree >= THRESHOLD).sum())
-                    # two counts, plain ids, a degree per heavy sender, its neighbours
-                    words = 4 * (2 + values + int(heavy.sum()))
-                elif not selection and w != p and whole[step, w]:
-                    values, words = split_nbytes(src[here], dst[here])
+                if not selection and w != p and whole[step, w]:
+                    crossing = None
+                    if mirrored:
+                        senders, degree = np.unique(src[here], return_counts=True)
+                        crossing = senders[degree >= THRESHOLD]
+                    values, words = split_nbytes(src[here], dst[here], crossing)
                 got = sent[step, w][p]
                 assert got.size == values
                 if w in announced:
@@ -389,8 +392,8 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
     )  # fmt: skip
     assert got.data == oracle.data
     assert got.metrics.num_failures == (case["fail"] is not None)
-    if not mirrored:  # one message per unique destination, id or no id
-        assert got.metrics.total_messages == oracle.metrics.total_messages
+    # one message per unique destination, id or no id, mirrored or not
+    assert got.metrics.total_messages == oracle.metrics.total_messages
 
     migrated = got.metrics.num_rebalances
     assert migrated == oracle.metrics.num_rebalances <= 1
@@ -555,7 +558,7 @@ def _announcements(**run_kw):
 
     def scatter(self, payloads):
         if self._words is not None:
-            assert all(w.size for w in self._words)
+            assert all(w["ids"].size for w in self._words)
             senders.append(self.worker.worker_id)
         real_scatter(self, payloads)
 
@@ -616,17 +619,15 @@ def test_wire_ids_are_freed_and_patterns_snapshot_in_four_bytes(cls):
         assert all(p[0].dtype == np.intp for p in channel._patterns.values())
         state = decode_state(encode_state(channel.snapshot()))
         assert state["announced"] is True
-        for src, (local, repeats, *combined) in state["patterns"].items():
+        for src, (local, second, *combined) in state["patterns"].items():
             assert local.dtype == np.int32
-            if isinstance(repeats, int):  # announced senders, destination count, combined ids
-                assert cls is ScatterCombine and src in channel._senders
+            if isinstance(second, int):  # announced senders, destination count, combined ids
+                assert src in channel._senders
                 assert combined[0].dtype == np.int32
-                continue
-            assert (repeats is None) == (channel._patterns[src][1] is None)
-            assert repeats is None or repeats.dtype == np.int32
-        assert any(isinstance(p[1], np.ndarray) for p in state["patterns"].values()) == (
-            cls is MirroredScatter
-        )
+            else:  # a destination id per value: a pattern has no third kind
+                assert second is None and channel._patterns[src][1] is None
+        # mirrors cross as announced senders, and snapshot as what was announced
+        assert bool(channel._senders) or cls is ScatterCombine
         # a restored channel rebuilds its dispatch without the wire ids
         restored = make(worker)
         restored.restore(state)
@@ -674,8 +675,9 @@ def _payload(ids, values, positions=None):
 
 
 def _encoded(channel, values, **form):
-    """What ``encode_pattern`` sends for ``ids=``, ``words=``, ``changed=``
-    or (none given) the dense ``values``."""
+    """What ``encode_pattern`` sends for ``ids=`` (with ``destinations=``
+    and ``combined=``, senders), ``changed=`` or (none given) the dense
+    ``values``."""
     form = {key: np.asarray(arg) for key, arg in form.items()}
     return memoryview(encode_pattern(channel, np.asarray(values, dtype=np.float64), **form))
 
@@ -846,8 +848,10 @@ def test_truncated_bitmap(receiver):
         (dict(ids=[5, 2**31]), "id 2147483648"),
         # a run of ids whose bitmap is the smaller form
         (dict(ids=np.arange(2**31 - 64, 2**31 + 64)), "id 2147483711"),
-        (dict(words=[5, 2**31, 7]), "word 2147483648"),
-        (dict(words=[-(2**31) - 1, 0]), "word -2147483649"),
+        # an announcement of senders: a sender id, a combined id, the count
+        (dict(ids=[5, 2**31], destinations=1), "id 2147483648"),
+        (dict(ids=[5], destinations=1, combined=[-(2**31) - 1, 0]), "combined id -2147483649"),
+        (dict(ids=[5], destinations=2**31), "destination count 2147483648"),
     ],
 )
 def test_the_encoder_refuses_what_an_int32_word_cannot_hold(receiver, form, bad):
