@@ -42,7 +42,6 @@ from repro.core.config import (
     EXECUTORS,
     REBALANCE_MODES,
     RECOVERY_MODES,
-    TRANSPORTS,
     RunConfig,
 )
 from repro.graph.io import load_graph
@@ -106,16 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="execution backend: in-process simulation (sim, the default) "
         "or one OS process per worker over shared memory (process; a "
-        "stream's epochs share one persistent pool); results and traffic "
-        "totals are bit-identical",
-    )
-    common.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=argparse.SUPPRESS,
-        help="process-executor byte mover for frames: shared-memory ring "
-        "buffers (shm, the default) or OS pipes (pipe); same protocol, "
-        "results are bit-identical either way",
+        "stream's epochs share one persistent pool; frames move through "
+        "shared-memory rings while workers fit the cores, OS pipes beyond); "
+        "results and traffic totals are bit-identical",
     )
     common.add_argument(
         "--rebalance",
@@ -495,8 +487,8 @@ def _cmd_run(args) -> int:
         "executor": config.executor,
         **m.summary(),
     }
-    if config.transport is not None:
-        row["transport"] = config.transport
+    if "transport" in m.trace_attrs:  # the mover the process pool picked
+        row["transport"] = m.trace_attrs["transport"]
     if result.live_alerts is not None:
         row["live_alerts"] = len(result.live_alerts)
     if args.json:

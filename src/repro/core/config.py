@@ -28,14 +28,10 @@ __all__ = [
     "REBALANCE_MODES",
     "RECOVERY_MODES",
     "RunConfig",
-    "TRANSPORTS",
 ]
 
 #: execution backends (ARCHITECTURE.md §8)
 EXECUTORS = ("sim", "process")
-
-#: process-backend byte movers for codec frames (ARCHITECTURE.md §9)
-TRANSPORTS = ("shm", "pipe")
 
 #: recovery modes (:mod:`repro.core.recovery`)
 RECOVERY_MODES = ("rollback", "confined")
@@ -49,11 +45,12 @@ class RunConfig:
     """The value options of one run; construction is validation.
 
     Every field's domain is checked in :meth:`__post_init__`, which
-    raises ``ValueError`` with a user-facing message.  Two fields are
-    normalized on the way: ``transport`` defaults to ``"shm"`` on the
-    process executor, and ``failures`` is coerced into a
+    raises ``ValueError`` with a user-facing message.  ``failures`` is
+    normalized on the way: it is coerced into a
     :class:`~repro.core.recovery.FailureSchedule` checked against
-    ``num_workers``.
+    ``num_workers``.  The process executor's byte mover is not a field:
+    each worker pool derives it from the cores
+    (:func:`~repro.runtime.parallel.pool.frame_mover`).
     """
 
     #: number of workers (the paper used an 8-node cluster)
@@ -65,12 +62,6 @@ class RunConfig:
     #: feature — checkpoints, injected failures, both recovery modes,
     #: rebalancing, streaming — runs on both
     executor: str = "sim"
-    #: process executor only: ``"shm"`` (the default) streams codec
-    #: frames worker-to-worker through per-pair shared-memory rings,
-    #: ``"pipe"`` sends each round's buffer over per-pair OS pipes; the
-    #: same protocol either way, with bit-identical results.  ``None`` on
-    #: the sim executor, which has no frame plane
-    transport: str | None = None
     #: cost model for the simulated interconnect
     network: NetworkModel = DEFAULT_NETWORK
     #: take a checkpoint every ``k`` supersteps (plus one before the
@@ -98,13 +89,6 @@ class RunConfig:
             raise ValueError("need at least one worker")
         if self.executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        if self.transport is None:
-            if self.executor == "process":
-                object.__setattr__(self, "transport", "shm")
-        elif self.transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
-        elif self.executor != "process":
-            raise ValueError("transport= only applies to executor='process'")
         if self.recovery not in RECOVERY_MODES:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_MODES}, got {self.recovery!r}"

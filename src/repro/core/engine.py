@@ -119,7 +119,7 @@ class ChannelEngine(OwnerTable):
     pool:
         Process executor only: an existing
         :class:`~repro.runtime.parallel.pool.WorkerPool` (with this run's
-        worker count and transport) to run on instead of an engine-owned
+        worker count) to run on instead of an engine-owned
         one.  The pool's persistent worker processes are *reconfigured*
         for this engine (delta/remap control messages), never respawned —
         this is how the streaming
@@ -183,11 +183,6 @@ class ChannelEngine(OwnerTable):
                     f"pool has {pool.num_workers} workers, engine wants "
                     f"{num_workers}"
                 )
-            if pool.transport != config.transport:
-                raise ValueError(
-                    f"pool uses transport={pool.transport!r}, engine "
-                    f"wants {config.transport!r}"
-                )
         self.pool = pool
         self.generation = next(_GENERATIONS)
         self._backend = None
@@ -208,10 +203,7 @@ class ChannelEngine(OwnerTable):
         self.metrics = MetricsCollector(num_workers=num_workers, network=config.network)
         if trace is not None:
             self.metrics.trace = trace
-            attrs = {"executor": config.executor}
-            if config.executor == "process":
-                attrs["transport"] = config.transport
-            self.metrics.trace_attrs = attrs
+            self.metrics.trace_attrs = {"executor": config.executor}
         self.live = live
         self.monitor = None
         if live is not None:

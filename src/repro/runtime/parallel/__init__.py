@@ -9,9 +9,10 @@ while reproducing the simulated superstep / exchange-round loop exactly:
   worker process (:mod:`repro.runtime.parallel.shm`);
 * all per-superstep traffic crosses process boundaries as the *same wire
   bytes* the channels serialize in the simulator — frames travel peer to
-  peer through per-pair shared-memory ring buffers (``transport="shm"``,
-  the default) or over OS pipes (``transport="pipe"``), under one
-  protocol either way: barrier votes on a shared vote board, one
+  peer through per-pair shared-memory ring buffers while every worker
+  has a core, or over OS pipes once workers outnumber cores (a rule the
+  pool applies, :func:`~repro.runtime.parallel.pool.frame_mover`), under
+  one protocol either way: barrier votes on a shared vote board, one
   control-pipe round trip per superstep — and the parent only collects
   byte counts, so the byte/message accounting is bit-identical to a
   simulated run (:mod:`repro.runtime.parallel.worker_proc`);

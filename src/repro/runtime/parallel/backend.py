@@ -17,10 +17,11 @@ worker processes drawn from a persistent
   ARCHITECTURE.md §9);
 * **peer-to-peer frames** — per-superstep channel frames travel directly
   between worker processes as the exact wire bytes the codec layer
-  produced: over per-pair shared-memory ring buffers on
-  ``transport="shm"`` pools (the default), or over dedicated pipes on
-  ``transport="pipe"`` pools — the transport is only the byte mover;
-  either way the parent receives only each child's superstep record
+  produced: over per-pair shared-memory ring buffers while every worker
+  has a core, or over dedicated pipes once workers outnumber cores (the
+  pool's :attr:`~repro.runtime.parallel.pool.WorkerPool.transport`, a
+  rule, not an option) — the transport is only the byte mover; either
+  way the parent receives only each child's superstep record
   (byte counts, not bytes) and accounts it through the same
   :meth:`~repro.runtime.executor.ExecutorBackend.account` the simulator
   uses;
@@ -79,11 +80,10 @@ class ProcessBackend(ExecutorBackend):
         super().__init__(engine)
         #: whether this backend owns its pool's lifecycle (it created it)
         self.owns_pool = pool is None
-        self.pool = (
-            pool
-            if pool is not None
-            else WorkerPool(engine.num_workers, transport=engine.config.transport)
-        )
+        self.pool = pool if pool is not None else WorkerPool(engine.num_workers)
+        # the run span, and through it `repro run --json`, names the mover
+        # that ran
+        engine.metrics.trace_attrs["transport"] = self.pool.transport
 
     # -- template entry: poison the pool on any escaping error ---------------
     def run(self, **kwargs):

@@ -29,11 +29,16 @@ The pool is deliberately engine-agnostic: it knows configurations
 (graph + ownership + seeds + program factory), commands, and replies —
 the superstep drive loop lives in
 :class:`~repro.runtime.parallel.backend.ProcessBackend`.
+
+Which byte mover carries the frames is not an option but a rule on the
+cores (:func:`frame_mover`): shared-memory rings while every worker has
+a core of its own, OS pipes once workers outnumber cores.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import weakref
 
@@ -53,11 +58,31 @@ from repro.runtime.parallel.shm import (
 )
 from repro.runtime.parallel.worker_proc import worker_main
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "frame_mover", "usable_cores"]
 
 #: exit code used for injected worker deaths (visible in the
 #: WorkerProcessError message, distinguishable from real crashes)
 INJECTED_EXIT_CODE = 43
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def frame_mover(num_workers: int) -> str:
+    """The byte mover for a pool of ``num_workers``: ``"shm"`` rings while
+    every worker has a core, ``"pipe"`` once workers outnumber cores.
+
+    A ring reader spins before it sleeps, and a spinning reader on a
+    shared core takes the time its producer needs; a pipe read blocks in
+    the kernel instead.  Measured on 2 vCPUs, shm is ahead or tied at 2
+    workers and pipe is ahead at 4 and 8 (ARCHITECTURE.md §9).
+    """
+    return "shm" if num_workers <= usable_cores() else "pipe"
 
 
 def _mp_context():
@@ -151,38 +176,27 @@ class WorkerPool:
     every worker process ever started — the streaming tests assert it
     stays at ``num_workers`` across a whole multi-epoch run.
 
-    ``transport`` picks the byte mover for codec frames: ``"shm"`` (the
-    default) streams them worker-to-worker through per-pair
-    shared-memory ring buffers, ``"pipe"`` sends each round's buffer
-    over per-pair OS pipes with a sender thread.  The protocol above
-    them is one and the same —
+    :attr:`transport` is the byte mover for codec frames, chosen once by
+    :func:`frame_mover`: ``"shm"`` streams them worker-to-worker through
+    per-pair shared-memory ring buffers, ``"pipe"`` sends each round's
+    buffer over per-pair OS pipes with a sender thread.  The protocol
+    above them is one and the same —
     :class:`~repro.runtime.parallel.backend.ProcessBackend` drives both
     with the batched ``superstep`` command, barrier votes go through the
     pool's :class:`~repro.runtime.parallel.shm.VoteBoard`, and results
     are bit-identical.  A single-worker pool has no peers, hence no
-    rings or pipes, and runs the same protocol.  ``ring_capacity`` sizes
-    each ring's data area in bytes (frames larger than a ring stream
+    rings or pipes, and runs the same protocol.  Each ring's data area
+    is ``DEFAULT_RING_CAPACITY`` bytes (frames larger than a ring stream
     through it in chunks).
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        ctx=None,
-        transport: str = "shm",
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe', got {transport!r}"
-            )
         self.num_workers = num_workers
-        self.transport = transport
-        self.ring_capacity = int(ring_capacity)
+        self._transport = frame_mover(num_workers)
         self._seq = 0  # superstep sequence for the vote board
-        self._ctx = ctx if ctx is not None else _mp_context()
+        self._ctx = _mp_context()
         self._state = _PoolState()
         self._finalizer: weakref.finalize | None = None
         self._cfg: dict | None = None  # current configuration (live objects)
@@ -194,6 +208,12 @@ class WorkerPool:
         self.spawn_count = 0  # worker processes ever started (incl. respawns)
         self.broken = False
         self._closed = False
+
+    @property
+    def transport(self) -> str:
+        """The byte mover this pool's frames travel by (``"shm"`` or
+        ``"pipe"``), fixed when the pool was built."""
+        return self._transport
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -310,7 +330,7 @@ class WorkerPool:
                 # the segments outlive any individual worker process (a
                 # respawned replacement re-attaches by spec and adopts
                 # the cursors)
-                state.rings[(src, dst)] = RingBuffer.create(self.ring_capacity)
+                state.rings[(src, dst)] = RingBuffer.create(DEFAULT_RING_CAPACITY)
             else:
                 # one simplex pipe per ordered worker pair; the parent
                 # retains both ends of every pipe for respawn support

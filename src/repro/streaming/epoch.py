@@ -245,7 +245,7 @@ class EpochEngine:
         if self.config.executor == "process" and self.pool is None:
             from repro.runtime.parallel.pool import WorkerPool
 
-            self.pool = WorkerPool(self.num_workers, transport=self.config.transport)
+            self.pool = WorkerPool(self.num_workers)
         engine = ChannelEngine(
             new_graph,
             plan.program_factory,

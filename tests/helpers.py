@@ -1,13 +1,17 @@
-"""Shared test utilities: serial oracles, tiny graph fixtures, and the
-resident-set probe of process-backend workers."""
+"""Shared test utilities: serial oracles, tiny graph fixtures, the
+resident-set probe of process-backend workers, and the seam that picks
+the process backend's frame mover."""
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from repro.graph.graph import Graph
+from repro.runtime.parallel import pool as _pool
 
 __all__ = [
     "nx_components",
@@ -18,7 +22,25 @@ __all__ = [
     "line_graph",
     "two_triangles",
     "rss_growth",
+    "MOVERS",
+    "mover",
 ]
+
+#: the process backend's two frame movers
+MOVERS = ("shm", "pipe")
+
+#: cores the pool's rule must see to pick each mover at any worker count
+_CORES = {"shm": 1 << 16, "pipe": 0}
+
+
+@contextmanager
+def mover(name: str):
+    """Worker pools built inside pick ``name`` as their frame mover, at
+    any worker count: the cores function the rule reads is patched.  The
+    parent ships its choice to the children, which need no patch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pool, "usable_cores", lambda: _CORES[name])
+        yield name
 
 
 def _nx_graph(graph: Graph, directed: bool):

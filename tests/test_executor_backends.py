@@ -22,6 +22,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from helpers import MOVERS, mover
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import run_sv
@@ -96,13 +97,14 @@ def test_process_recovery_parity(name, mode, workers):
 
 
 def test_confined_recovery_parity_on_pipes():
-    """The matrix above runs the default transport.  The sender-side frame
-    log has one source on either one — the transport's ``round_frames``
-    — so one confined cell pins the pipe mover's logged frames too."""
-    _check_recovery_parity("wcc", "confined", 2, transport="pipe")
+    """The matrix above runs the mover the cores pick.  The sender-side
+    frame log has one source on either one — the transport's
+    ``round_frames`` — so one confined cell pins the pipe mover's logged
+    frames at 2 workers too."""
+    with mover("pipe"):
+        _check_recovery_parity("wcc", "confined", 2)
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
 @pytest.mark.parametrize("mode", ["rollback", "confined"])
 @pytest.mark.parametrize("name", ["pr-scatter", "sv-both"])
 def test_recovery_from_a_snapshot_that_names_an_adjacency(name, mode, transport):
@@ -111,14 +113,10 @@ def test_recovery_from_a_snapshot_that_names_an_adjacency(name, mode, transport)
     from the superstep-0 snapshot, whose scatter channel is one direction
     string no worker had built from yet — on either byte mover, with
     checkpoint and recovery bytes equal to the simulator's."""
-    _check_recovery_parity(
-        name, mode, 2, fail_at=2, checkpoint_every=3, transport=transport
-    )
+    _check_recovery_parity(name, mode, 2, fail_at=2, checkpoint_every=3)
 
 
-def _check_recovery_parity(
-    name, mode, workers, fail_at=None, checkpoint_every=2, **process_kw
-):
+def _check_recovery_parity(name, mode, workers, fail_at=None, checkpoint_every=2):
     runner, default_fail_at = WORKLOADS[name]
     fail_at = fail_at or default_fail_at
     base = _baseline(name, workers)
@@ -130,7 +128,7 @@ def _check_recovery_parity(
         recovery=mode,
     )
     sim = runner(**kw)
-    proc = runner(executor="process", **process_kw, **kw)
+    proc = runner(executor="process", **kw)
 
     _assert_identical(base, proc)
     _assert_identical(sim, proc)
@@ -150,12 +148,6 @@ def _per_superstep(result):
     ]
 
 
-_EXECUTORS = {
-    "process-shm": dict(executor="process", transport="shm"),
-    "process-pipe": dict(executor="process", transport="pipe"),
-}
-
-
 @pytest.mark.parametrize("mode", ["failure-free", "rollback", "confined"])
 @pytest.mark.parametrize("name", ["pr-scatter", "sv-both"])
 def test_every_superstep_record_matches_across_executors(name, mode):
@@ -167,7 +159,9 @@ def test_every_superstep_record_matches_across_executors(name, mode):
     if mode != "failure-free":
         kw.update(checkpoint_every=2, failures=[(1, fail_at)], recovery=mode)
     results = {"sim": runner(**kw)[-1]}
-    results.update((ex, runner(**kw, **extra)[-1]) for ex, extra in _EXECUTORS.items())
+    for m in MOVERS:
+        with mover(m):
+            results[f"process-{m}"] = runner(executor="process", **kw)[-1]
     expected = _per_superstep(_baseline(name, 2)[-1])
     for executor, result in results.items():
         assert result.metrics.num_failures == (mode != "failure-free"), executor

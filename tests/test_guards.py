@@ -207,6 +207,25 @@ for pattern in 'serialize_round(' '.run_compute(' '.begin_superstep(' '.before_s
   fi
 done
 '''),
+    # the process backend's frame mover is the pool's rule on the cores
+    # (pool.frame_mover), never an option: no CLI flag, no RunConfig
+    # field, and WorkerPool(num_workers) is the whole signature
+    ("The byte mover is a rule on the cores", r'''
+if grep -nF -e "--transport" src/repro/__main__.py; then
+  echo "'--transport' must not appear in src/repro/__main__.py"
+  exit 1
+fi
+if grep -nE "^ +transport *:" src/repro/core/config.py; then
+  echo "src/repro/core/config.py must not declare a 'transport' field"
+  exit 1
+fi
+signature=$(awk '/^class WorkerPool/ {c = 1} c && /def __init__\(/ {p = 1} p {print} p && /\) *->/ {exit}' src/repro/runtime/parallel/pool.py)
+if [ -z "$signature" ] || echo "$signature" | grep -qE "\b(transport|ctx|ring_capacity)\b"; then
+  echo "WorkerPool.__init__ must take no transport, ctx or ring_capacity, found:"
+  echo "$signature"
+  exit 1
+fi
+'''),
 ]
 
 

@@ -289,13 +289,12 @@ class TestBackendParity:
         ],
         ids=["clean", "rollback", "confined"],
     )
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_process_rows_bit_identical_to_sim(self, transport, run):
         sim_rows, sim_metrics = _run_with_live(**run)
         assert sim_metrics.num_failures == len(run.get("failures", []))
         assert sum(r["net_bytes"] for r in sim_rows) == sim_metrics.total_net_bytes
         proc_rows, proc_metrics = _run_with_live(
-            executor="process", transport=transport, **run
+            executor="process", **run
         )
         # identical schema...
         assert {k for r in proc_rows for k in r} == {k for r in sim_rows for k in r}

@@ -436,13 +436,26 @@ class TestCli:
     def test_report_json_output(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
         cli_main(
-            ["run", "wcc", "--dataset", "tree", "--workers", "2", "--trace", str(trace)]
+            ["run", "wcc", "--dataset", "tree", "--workers", "2", "--trace", str(trace), "--json"]
         )
-        capsys.readouterr()
+        row = json.loads(capsys.readouterr().out)
         assert cli_main(["report", str(trace), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["problems"] == []
         assert payload["runs"][0]["totals"]["supersteps"] > 0
+        # sim has no frame plane: neither artifact names a mover
+        assert "transport" not in row and "transport" not in payload["runs"][0]
+
+    def test_artifacts_name_the_mover_that_ran(self, tmp_path, capsys, transport):
+        # the `--json` row and the report read the pool's mover off the
+        # run span
+        trace = tmp_path / "run.jsonl"
+        argv = ["run", "wcc", "--dataset", "tree", "--workers", "2", "--executor", "process"]
+        assert cli_main([*argv, "--trace", str(trace), "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert cli_main(["report", str(trace), "--json"]) == 0
+        [run] = json.loads(capsys.readouterr().out)["runs"]
+        assert row["transport"] == run["transport"] == transport
 
     def test_report_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

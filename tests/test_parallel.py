@@ -5,11 +5,12 @@ every workload × worker count × partitioner × transport, a process
 run's result data, per-channel traffic (net/local bytes and message
 counts), and superstep/round/byte/message totals are asserted
 **bit-identical** to the simulated run's.  Both frame transports —
-shared-memory ring buffers (``"shm"``, the default) and OS pipes
-(``"pipe"``) — must meet the same bar.  A dying worker process must
-surface as a clean :class:`WorkerProcessError`, never a hang, on either
-transport, including a death while peers sit blocked *inside* a ring
-write.
+shared-memory ring buffers (``"shm"``) and OS pipes (``"pipe"``) — must
+meet the same bar; the pool picks one from the cores, and the
+``transport`` fixture patches the cores it sees to run each.  A dying
+worker process must surface as a clean :class:`WorkerProcessError`,
+never a hang, on either transport, including a death while peers sit
+blocked *inside* a ring write.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import MOVERS, mover
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import run_pointer_jumping
 from repro.algorithms.sssp import run_sssp
@@ -31,7 +33,6 @@ from repro.runtime.parallel import WorkerProcessError
 
 WORKERS = [2, 8]
 PARTITIONERS = ["hash", "range"]
-TRANSPORTS = ["shm", "pipe"]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,6 @@ def _assert_identical(sim_out, proc_out):
     assert ms.total_messages == mp_.total_messages
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_pagerank_scatter_parity(directed_graph, workers, partitioner, transport):
@@ -76,11 +76,10 @@ def test_pagerank_scatter_parity(directed_graph, workers, partitioner, transport
     )
     _assert_identical(
         run_pagerank(directed_graph, **kw),
-        run_pagerank(directed_graph, executor="process", transport=transport, **kw),
+        run_pagerank(directed_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_wcc_parity(directed_graph, workers, partitioner, transport):
@@ -91,11 +90,10 @@ def test_wcc_parity(directed_graph, workers, partitioner, transport):
     )
     _assert_identical(
         run_wcc(directed_graph, **kw),
-        run_wcc(directed_graph, executor="process", transport=transport, **kw),
+        run_wcc(directed_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_sssp_parity(weighted_graph, workers, partitioner, transport):
@@ -106,35 +104,63 @@ def test_sssp_parity(weighted_graph, workers, partitioner, transport):
     )
     _assert_identical(
         run_sssp(weighted_graph, **kw),
-        run_sssp(weighted_graph, executor="process", transport=transport, **kw),
+        run_sssp(weighted_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_sv_both_parity(weighted_graph, transport):
     """The paper's flagship composition — RequestRespond, ScatterCombine,
     CombinedMessage and Aggregator in one program, two rounds a superstep."""
     kw = dict(variant="both", mode="bulk", num_workers=2)
     _assert_identical(
         run_sv(weighted_graph, **kw),
-        run_sv(weighted_graph, executor="process", transport=transport, **kw),
+        run_sv(weighted_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_single_worker_parity(directed_graph, transport):
     """One worker has no peers — zero rings, zero pipes — and still runs
-    the one ``superstep`` protocol, on the transport that was asked for."""
+    the one ``superstep`` protocol, on either transport."""
     pr = dict(variant="scatter", iterations=8, mode="bulk", num_workers=1)
     _assert_identical(
         run_pagerank(directed_graph, **pr),
-        run_pagerank(directed_graph, executor="process", transport=transport, **pr),
+        run_pagerank(directed_graph, executor="process", **pr),
     )
     wcc = dict(mode="bulk", num_workers=1)
     _assert_identical(
         run_wcc(directed_graph, **wcc),
-        run_wcc(directed_graph, executor="process", transport=transport, **wcc),
+        run_wcc(directed_graph, executor="process", **wcc),
     )
+
+
+@pytest.mark.parametrize(
+    "workers, cores, expected",
+    [(2, 4, "shm"), (2, 2, "shm"), (4, 2, "pipe"), (8, 2, "pipe"), (2, 1, "pipe"), (1, 1, "shm")],
+    ids=["fewer-than-cores", "as-many-as-cores", "more-than-cores", "8-on-2", "2-on-1", "one"],
+)
+def test_the_frame_mover_is_a_rule_on_the_cores(monkeypatch, workers, cores, expected):
+    """Rings while every worker has a core, pipes once workers outnumber
+    cores; each pool applies the rule once, when it is built."""
+    from repro.runtime.parallel import WorkerPool, pool as pool_module
+
+    monkeypatch.setattr(pool_module, "usable_cores", lambda: cores)
+    assert pool_module.frame_mover(workers) == expected
+    pool = WorkerPool(workers)  # spawns nothing until a configuration is loaded
+    assert pool.transport == expected
+    monkeypatch.setattr(pool_module, "usable_cores", lambda: 0)
+    assert pool.transport == expected
+    with pytest.raises(AttributeError):
+        pool.transport = "shm"
+
+
+def test_usable_cores_reads_the_affinity_set(monkeypatch):
+    from repro.runtime.parallel.pool import usable_cores
+
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cores() == 3
 
 
 class TestOtherChannels:
@@ -194,8 +220,9 @@ class TestOtherChannels:
 
         rounds, per_round = sim = run("sim")
         assert max(rounds) > 1 and len(per_round) == sum(rounds)
-        for transport in TRANSPORTS:
-            assert run(transport, executor="process", transport=transport) == sim
+        for name in MOVERS:
+            with mover(name):
+                assert run(name, executor="process") == sim
 
 
 class TestEngineIntegration:
@@ -283,44 +310,31 @@ class TestEngineIntegration:
                 assert result.metrics.num_failures == len(kw.get("failures", []))
             assert factory.calls == expected, kw
 
-    def test_pool_transport_mismatch_rejected(self, directed_graph):
-        from repro.runtime.parallel import WorkerPool
-
-        pool = WorkerPool(2, transport="pipe")
-        try:
-            with pytest.raises(ValueError, match="transport"):
-                ChannelEngine(
-                    directed_graph,
-                    object,
-                    num_workers=2,
-                    executor="process",
-                    transport="shm",
-                    pool=pool,
-                )
-        finally:
-            pool.shutdown()
-
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pool_transport_is_the_one_asked_for(
-        self, directed_graph, workers, transport
+    def test_pool_transport_is_the_one_that_ran(
+        self, directed_graph, workers, transport, tmp_path
     ):
-        # no worker count silently swaps the transport: what the engine
-        # reports (trace header, `repro run --json`) is what ran
+        # what the engine reports (the trace's run span, and through it
+        # `repro run --json` / `repro report --json`) is the pool's mover
         from repro.algorithms.wcc import WCCBasicBulk
+        from repro.obs import TraceRecorder, load_trace
 
-        engine = ChannelEngine(
-            directed_graph,
-            WCCBasicBulk,
-            num_workers=workers,
-            executor="process",
-            transport=transport,
-        )
-        try:
-            engine.run()
-            assert engine.config.transport == engine.backend.pool.transport == transport
-        finally:
-            engine.close()
+        path = tmp_path / "run.jsonl"
+        with TraceRecorder(path) as rec:
+            engine = ChannelEngine(
+                directed_graph,
+                WCCBasicBulk,
+                num_workers=workers,
+                executor="process",
+                trace=rec,
+            )
+            try:
+                engine.run()
+                assert engine.backend.pool.transport == transport
+            finally:
+                engine.close()
+        [run] = [e for e in load_trace(path) if e["span"] == "run" and e["ev"] == "B"]
+        assert run["attrs"]["transport"] == transport
 
     def test_second_run_is_noop_like_sim(self, directed_graph):
         # the persistent pool keeps worker state alive between runs, so a
@@ -367,7 +381,6 @@ class TestEngineIntegration:
         assert proc.metrics.num_checkpoints == sim.metrics.num_checkpoints
         assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     @pytest.mark.parametrize(
         "run",
         [
@@ -381,7 +394,7 @@ class TestEngineIntegration:
         # columns: the same few bytes on every backend and byte mover
         kw = dict(num_workers=2, checkpoint_every=2)
         _, sim = run(directed_graph, **kw)
-        _, proc = run(directed_graph, executor="process", transport=transport, **kw)
+        _, proc = run(directed_graph, executor="process", **kw)
         assert proc.data == sim.data
         assert proc.metrics.num_checkpoints == sim.metrics.num_checkpoints > 1
         assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
@@ -506,31 +519,26 @@ class _CrashInRingWrite(_DieInExchange):
 
 
 class TestCrashHandling:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_worker_process_death_surfaces_cleanly(self, directed_graph, transport):
         engine = ChannelEngine(
             directed_graph,
             _DieAtSuperstep2,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match=r"worker process 1 died"):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_child_exception_carries_traceback(self, directed_graph, transport):
         engine = ChannelEngine(
             directed_graph,
             _RaiseAtSuperstep2,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match="deliberate child failure"):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_hard_death_mid_exchange_round_no_hang(self, directed_graph, transport):
         # worker 1 exits inside channel.serialize while its peers block on
         # its frames; supervision must notice the dead process and abort
@@ -540,14 +548,12 @@ class TestCrashHandling:
             _CrashInExchange,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(
             WorkerProcessError, match=r"worker process 1 died \(exit code 7\)"
         ):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_exception_mid_exchange_round_keeps_traceback(
         self, directed_graph, transport
     ):
@@ -559,7 +565,6 @@ class TestCrashHandling:
             _DieInExchange,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match="boom in serialize"):
             engine.run()
@@ -571,24 +576,28 @@ class TestCrashHandling:
         # consumer that will never drain them.  Workers carry no liveness
         # checks — the parent must notice the death on the control pipes,
         # raise, and terminate the blocked children at shutdown.
-        from repro.runtime.parallel import WorkerPool
+        from repro.runtime.parallel import WorkerPool, pool as pool_module
 
-        pool = WorkerPool(4, transport="shm", ring_capacity=1024)
-        engine = ChannelEngine(
-            directed_graph,
-            _CrashInRingWrite,
-            num_workers=4,
-            executor="process",
-            pool=pool,
-        )
-        try:
-            with pytest.raises(
-                WorkerProcessError, match=r"worker process 1 died \(exit code 7\)"
-            ):
-                engine.run()
-            assert pool.broken
-        finally:
-            pool.shutdown()
+        with mover("shm"), pytest.MonkeyPatch.context() as patch:
+            # rings are sized when the pool spawns, at the first run
+            patch.setattr(pool_module, "DEFAULT_RING_CAPACITY", 1024)
+            pool = WorkerPool(4)
+            assert pool.transport == "shm"
+            engine = ChannelEngine(
+                directed_graph,
+                _CrashInRingWrite,
+                num_workers=4,
+                executor="process",
+                pool=pool,
+            )
+            try:
+                with pytest.raises(
+                    WorkerProcessError, match=r"worker process 1 died \(exit code 7\)"
+                ):
+                    engine.run()
+                assert pool.broken
+            finally:
+                pool.shutdown()
         assert all(not p.is_alive() for p in pool._state.procs)
 
     def test_unknown_command_names_itself(self, directed_graph):

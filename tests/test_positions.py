@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.runtime.executor
 import repro.runtime.parallel.backend
+from helpers import MOVERS, mover
 from repro.core import ChannelEngine, CombinedMessage, VertexProgram
 from repro.core.channels._records import local_ids
 from repro.core.combiner import SUM_F64
@@ -178,12 +179,13 @@ def _expected(owner: np.ndarray) -> dict:
     }
 
 
-@pytest.mark.parametrize(
-    "executor", [dict(), dict(executor="process"), dict(executor="process", transport="pipe")],
-    ids=["sim", "shm", "pipe"],
-)
-def test_a_migration_rebuilds_the_table_from_the_new_owner(monkeypatch, executor):
-    engine, result, _ = _migrating_run(monkeypatch, **executor)
+@pytest.mark.parametrize("backend", ["sim", *MOVERS])
+def test_a_migration_rebuilds_the_table_from_the_new_owner(monkeypatch, backend):
+    if backend == "sim":
+        engine, result, _ = _migrating_run(monkeypatch)
+    else:
+        with mover(backend):
+            engine, result, _ = _migrating_run(monkeypatch, executor="process")
     assert dict(result.data) == _expected(engine.owner)
 
 

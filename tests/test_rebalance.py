@@ -33,6 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import MOVERS, mover
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import run_sv
@@ -256,12 +257,10 @@ class TestPlumbing:
 # ---------------------------------------------------------------------------
 # the parity matrix: superstep-trigger migrations across backends
 # ---------------------------------------------------------------------------
-def _run(name, *, workers, partition, executor=None, transport=None, **kw):
+def _run(name, *, workers, partition, executor=None, **kw):
     graph, runner = WORKLOADS[name]
     if executor is not None:
         kw["executor"] = executor
-    if transport is not None:
-        kw["transport"] = transport
     return runner(graph, num_workers=workers, partition=partition.copy(), **kw)
 
 
@@ -320,16 +319,10 @@ def test_superstep_migration_parity(name, workers):
         np.testing.assert_array_equal(sim[0], off[0])
         assert sim[-1].data == off[-1].data
 
-    for transport in ("shm", "pipe"):
+    for m in MOVERS:
         reb_kw["rebalance_policy"] = _test_policy(workers)
-        proc = _run(
-            name,
-            workers=workers,
-            partition=skew,
-            executor="process",
-            transport=transport,
-            **reb_kw,
-        )
+        with mover(m):
+            proc = _run(name, workers=workers, partition=skew, executor="process", **reb_kw)
         _assert_same_run(sim, proc)
 
 

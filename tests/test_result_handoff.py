@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import MOVERS, mover
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import run_sv
@@ -27,12 +28,17 @@ from repro.runtime.parallel.pool import WorkerPool
 
 WORKERS = 2
 
-#: executor keyword sets: the simulator and both process transports
-BACKENDS = {
-    "sim": {},
-    "shm": {"executor": "process", "transport": "shm"},
-    "pipe": {"executor": "process", "transport": "pipe"},
-}
+
+@pytest.fixture(params=["sim", *MOVERS])
+def backend(request):
+    """Executor keywords: the simulator, then the process executor on
+    each frame mover."""
+    if request.param == "sim":
+        yield {}
+    else:
+        with mover(request.param):
+            yield {"executor": "process"}
+
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +54,6 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("backend", list(BACKENDS))
 @pytest.mark.parametrize("algo", list(RUNS))
 def test_data_reads_as_the_per_worker_dict(graph, algo, backend):
     """``result.data`` equals what ``dict.update`` over the workers'
@@ -56,7 +61,7 @@ def test_data_reads_as_the_per_worker_dict(graph, algo, backend):
     worker by worker in local order."""
     run, scalar = RUNS[algo]
     owner = hash_partition(graph.num_vertices, WORKERS)
-    dense, result = run(graph, num_workers=WORKERS, partition=owner, **BACKENDS[backend])
+    dense, result = run(graph, num_workers=WORKERS, partition=owner, **backend)
     expected = {}
     for w in range(WORKERS):
         ids = np.flatnonzero(owner == w)
@@ -107,7 +112,6 @@ class _SharedKey(_NamedKey):
         return {"last": self.worker.worker_id}
 
 
-@pytest.mark.parametrize("backend", list(BACKENDS))
 def test_finalize_returning_a_dict_still_merges(graph, backend):
     n = graph.num_vertices
     owner = hash_partition(n, WORKERS)
@@ -116,7 +120,7 @@ def test_finalize_returning_a_dict_still_merges(graph, backend):
 
     def run(program):
         return ChannelEngine(
-            graph, program, num_workers=WORKERS, partition=owner, **BACKENDS[backend]
+            graph, program, num_workers=WORKERS, partition=owner, **backend
         ).run().data
 
     named = run(_NamedKey)
@@ -126,7 +130,6 @@ def test_finalize_returning_a_dict_still_merges(graph, backend):
     assert run(_SharedKey) == {"last": WORKERS - 1}
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
 def test_process_finalize_reply_is_two_arrays_per_worker(graph, transport, monkeypatch):
     """Nothing per element crosses the control pipe: a child's reply holds
     its ids and its values as two codec arrays."""
@@ -141,10 +144,7 @@ def test_process_finalize_reply_is_two_arrays_per_worker(graph, transport, monke
 
     monkeypatch.setattr(WorkerPool, "gather", spy)
     owner = hash_partition(graph.num_vertices, WORKERS)
-    run_wcc(
-        graph, mode="bulk", num_workers=WORKERS, partition=owner,
-        executor="process", transport=transport,
-    )
+    run_wcc(graph, mode="bulk", num_workers=WORKERS, partition=owner, executor="process")
     assert len(replies) == WORKERS
     for w, reply in enumerate(replies):
         assert set(reply) == {"data"}

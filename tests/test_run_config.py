@@ -35,20 +35,6 @@ INVALID = [
         id="executor",
     ),
     pytest.param(
-        dict(executor="process", transport="tcp"),
-        "transport must be one of",
-        ["--executor", "process", "--transport", "tcp"],
-        "invalid choice",
-        id="transport",
-    ),
-    pytest.param(
-        dict(transport="shm"),
-        "transport= only applies to executor='process'",
-        ["--transport", "shm"],
-        "transport= only applies to executor='process'",
-        id="transport-on-sim",
-    ),
-    pytest.param(
         dict(recovery="optimistic"),
         "recovery must be one of",
         ["--recovery", "optimistic"],
@@ -153,7 +139,6 @@ def test_one_config_round_trips_through_both_engines():
     config = RunConfig(
         num_workers=2,
         executor="process",
-        transport="pipe",
         network=NetworkModel(latency=2e-3),
         rebalance="superstep",
         rebalance_every=4,
@@ -164,9 +149,20 @@ def test_one_config_round_trips_through_both_engines():
     assert EpochEngine(line_graph(4), WCCStream(), **vars(config)).config == config
 
 
-def test_process_executor_defaults_to_shm_and_sim_has_no_transport():
-    assert RunConfig(executor="process").transport == "shm"
-    assert RunConfig().transport is None
+def test_the_byte_mover_is_not_an_option(updates, capsys):
+    """The process executor's frame mover is the worker pool's rule on the
+    cores: no config field, engine keyword or CLI flag takes it."""
+    with pytest.raises(TypeError, match="transport"):
+        RunConfig(executor="process", transport="pipe")
+    with pytest.raises(TypeError, match="transport"):
+        ChannelEngine(line_graph(4), WCCBasicBulk, executor="process", transport="pipe")
+    for argv in (
+        ["run", "wcc", "--dataset", "tree"],
+        ["stream", "wcc", "--dataset", "tree", "--updates", updates],
+    ):
+        code, err = _cli([*argv, "--executor", "process", "--transport", "pipe"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --transport pipe" in err
 
 
 def test_channel_engine_refuses_the_epoch_trigger(capsys):

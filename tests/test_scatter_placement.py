@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import MOVERS, mover
 from repro.algorithms.pagerank import run_pagerank
 from repro.core import (
     ChannelEngine,
@@ -452,8 +453,9 @@ def test_backends_and_recoveries_count_the_simulator_bytes(workers, recovery):
     clean_ranks, clean = run_pagerank(_PR_GRAPH, **{**kw, "failures": None})
     np.testing.assert_array_equal(ranks, clean_ranks)
     assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
-    for transport in ("shm", "pipe"):
-        got_ranks, proc = run_pagerank(_PR_GRAPH, executor="process", transport=transport, **kw)
+    for m in MOVERS:
+        with mover(m):
+            got_ranks, proc = run_pagerank(_PR_GRAPH, executor="process", **kw)
         np.testing.assert_array_equal(got_ranks, ranks)
         a, b = proc.metrics, sim.metrics
         assert a.channel_breakdown() == b.channel_breakdown()

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import MOVERS, mover
 from repro.core import (
     ChannelEngine,
     MIN_I64,
@@ -467,11 +468,12 @@ def test_process_backends_count_the_simulator_bytes(channel, recovery, register_
     assert sim.metrics.channel_breakdown() == clean.metrics.channel_breakdown()
     dense = run(_GRAPH, channel, 3, owner, *schedule)  # every value changes
     assert sim.metrics.total_net_bytes < dense.metrics.total_net_bytes
-    for transport in ("shm", "pipe"):
-        proc = run(
-            _GRAPH, channel, 3, owner, *schedule, changes=_EVERY_FORM,
-            executor="process", transport=transport, **kw,
-        )  # fmt: skip
+    for m in MOVERS:
+        with mover(m):
+            proc = run(
+                _GRAPH, channel, 3, owner, *schedule, changes=_EVERY_FORM,
+                executor="process", **kw,
+            )  # fmt: skip
         assert proc.data == sim.data
         assert proc.metrics.channel_breakdown() == sim.metrics.channel_breakdown()
         assert proc.metrics.total_net_bytes == sim.metrics.total_net_bytes

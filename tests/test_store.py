@@ -65,7 +65,7 @@ from repro.graph.store import (
     is_mmap_store,
 )
 from repro.streaming import EpochEngine, WCCStream, synthesize_stream
-from helpers import rss_growth
+from helpers import MOVERS, mover, rss_growth
 
 ALL_DATASETS = sorted(DATASETS) + sorted(EXTRA_DATASETS)
 
@@ -464,7 +464,6 @@ class TestAlgorithmParity:
             run(mem, num_workers=2), run(mapped, num_workers=2)
         )
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     def test_process_over_mmap_matches_sim(self, algo, transport, weighted_pair):
         """The executor attaches the store by path (no shm copy of the
         graph) and still reproduces the simulated run bit for bit."""
@@ -473,7 +472,7 @@ class TestAlgorithmParity:
         run = _ALGOS[algo]
         sim = run(mem, num_workers=2)
         proc = run(
-            mapped, num_workers=2, executor="process", transport=transport
+            mapped, num_workers=2, executor="process"
         )
         _assert_identical_runs(sim, proc)
 
@@ -524,8 +523,9 @@ class TestReleasedStoreParity:
         sim, releases = counting(variant, **ft)
         assert releases > base_releases  # the restored channel streamed them again
         _assert_identical_runs(base, sim)
-        for transport in ("shm", "pipe"):
-            proc = run(variant, executor="process", transport=transport, **ft)
+        for m in MOVERS:
+            with mover(m):
+                proc = run(variant, executor="process", **ft)
             _assert_identical_runs(sim, proc)
             sm, pm = sim[-1].metrics, proc[-1].metrics
             assert pm.num_failures == sm.num_failures == 1
