@@ -149,20 +149,30 @@ def test_one_config_round_trips_through_both_engines():
     assert EpochEngine(line_graph(4), WCCStream(), **vars(config)).config == config
 
 
-def test_the_byte_mover_is_not_an_option(updates, capsys):
+@pytest.mark.parametrize(
+    "surface",
+    [
+        RunConfig,
+        lambda **kw: ChannelEngine(line_graph(4), WCCBasicBulk, **kw),
+        lambda **kw: EpochEngine(line_graph(4), WCCStream(), **kw),
+    ],
+    ids=["run-config", "channel-engine", "epoch-engine"],
+)
+def test_the_byte_mover_is_not_an_option(surface):
     """The process executor's frame mover is the worker pool's rule on the
     cores: no config field, engine keyword or CLI flag takes it."""
     with pytest.raises(TypeError, match="transport"):
-        RunConfig(executor="process", transport="pipe")
-    with pytest.raises(TypeError, match="transport"):
-        ChannelEngine(line_graph(4), WCCBasicBulk, executor="process", transport="pipe")
-    for argv in (
-        ["run", "wcc", "--dataset", "tree"],
-        ["stream", "wcc", "--dataset", "tree", "--updates", updates],
-    ):
-        code, err = _cli([*argv, "--executor", "process", "--transport", "pipe"], capsys)
-        assert code == 2
-        assert "unrecognized arguments: --transport pipe" in err
+        surface(executor="process", transport="pipe")
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_the_byte_mover_is_not_a_flag(command, updates, capsys):
+    argv = [command, "wcc", "--dataset", "tree"]
+    if command == "stream":
+        argv += ["--updates", updates]
+    code, err = _cli([*argv, "--executor", "process", "--transport", "pipe"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --transport pipe" in err
 
 
 def test_channel_engine_refuses_the_epoch_trigger(capsys):
