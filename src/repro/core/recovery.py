@@ -31,9 +31,9 @@ the separate ``recovery_bytes``/``recovery_time`` counters.
 
 Both run under **every** execution backend, from checkpoint blobs and
 the parent-side frame log alone.  Confined replay builds the failed
-workers itself and returns them: the simulator keeps them, the process
-backend ships their state to the respawned replacements and drops them
-(see :mod:`repro.runtime.parallel.backend`).
+workers itself and returns them; the caller,
+:meth:`~repro.runtime.executor.ExecutorBackend.recover`, ships their
+state to the replacements and drops them, on either backend.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.core.worker import Worker
-from repro.runtime.checkpoint import Snapshot, decode_state, load_worker_state
+from repro.runtime.checkpoint import Snapshot
+from repro.runtime.lifecycle import WorkerLifecycle
 from repro.runtime.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -230,13 +230,16 @@ def rollback_recovery(engine: "ChannelEngine") -> None:
     metrics.record_recovery(snapshot.nbytes, reload_time + recompute_time)
 
 
-def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, Worker]:
+def confined_recovery(
+    engine: "ChannelEngine", failed: list[int]
+) -> dict[int, WorkerLifecycle]:
     """Confined recovery: only the failed workers reload the checkpoint
     and re-execute the lost supersteps, fed by the survivors' frame logs.
 
     The failed workers are built fresh here from the checkpoint and
-    returned by worker id, caught up to the engine's superstep; the
-    caller installs them or ships their state.  Survivors are untouched:
+    returned by worker id, caught up to the engine's superstep, each in
+    the :class:`~repro.runtime.lifecycle.WorkerLifecycle` that captures
+    its state for the caller.  Survivors are untouched:
     their frames destined to them during replay are discarded (they
     already processed the originals), while frames the replaying workers
     send each other and themselves flow normally.  The replaying workers'
@@ -249,10 +252,11 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
     metrics = engine.metrics
     num_workers = engine.num_workers
 
-    workers: dict[int, Worker] = {}
+    lives: dict[int, WorkerLifecycle] = {}
     for w in failed:
-        workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
-        load_worker_state(workers[w], decode_state(snapshot.blobs[w]))
+        lives[w] = WorkerLifecycle(engine, w, engine.program_factory)
+        lives[w].remap(snapshot.blobs[w])
+    workers = {w: life.worker for w, life in lives.items()}
     reload_bytes = sum(snapshot.worker_nbytes[w] for w in failed)
     largest = max((snapshot.worker_nbytes[w] for w in failed), default=0)
     reload_time = metrics.network.latency + largest / metrics.network.bandwidth
@@ -306,4 +310,4 @@ def confined_recovery(engine: "ChannelEngine", failed: list[int]) -> dict[int, W
     metrics.record_recovery(
         reload_bytes + replay.total_net_bytes, reload_time + replay.simulated_time
     )
-    return workers
+    return lives

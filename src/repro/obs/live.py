@@ -394,21 +394,18 @@ class LiveMonitor:
     ``repro top``).
     """
 
-    def __init__(
-        self,
-        live: LiveMetrics,
-        metrics,
-        z_threshold: float = 3.0,
-        straggler_threshold: float = 1.5,
-        min_seconds: float = 1e-3,
-    ):
+    #: a worker's busy time this many standard deviations above its own
+    #: history is an anomaly
+    Z_THRESHOLD = 3.0
+    #: a worker this many times its peers' mean busy time is a straggler
+    STRAGGLER_THRESHOLD = 1.5
+    #: ignore supersteps faster than this — sub-millisecond jitter is
+    #: scheduler noise, not a straggler
+    MIN_SECONDS = 1e-3
+
+    def __init__(self, live: LiveMetrics, metrics):
         self.live = live
         self.metrics = metrics
-        self.z_threshold = float(z_threshold)
-        self.straggler_threshold = float(straggler_threshold)
-        #: ignore supersteps faster than this — sub-millisecond jitter is
-        #: scheduler noise, not a straggler
-        self.min_seconds = float(min_seconds)
         self.baselines = [EwmaBaseline() for _ in range(live.num_workers)]
         self._last = [0.0] * live.num_workers
         self.alerts: list[dict] = []
@@ -425,14 +422,14 @@ class LiveMonitor:
         new = []
         for w, d in enumerate(deltas):
             z = self.baselines[w].update(d)
-            if d < self.min_seconds:
+            if d < self.MIN_SECONDS:
                 continue
-            if z > self.z_threshold:
-                new.append(self._alert("anomaly", w, superstep, z, self.z_threshold))
-            elif n > 1 and mean > 0 and d / mean >= self.straggler_threshold:
+            if z > self.Z_THRESHOLD:
+                new.append(self._alert("anomaly", w, superstep, z, self.Z_THRESHOLD))
+            elif n > 1 and mean > 0 and d / mean >= self.STRAGGLER_THRESHOLD:
                 new.append(
                     self._alert(
-                        "straggler", w, superstep, d / mean, self.straggler_threshold
+                        "straggler", w, superstep, d / mean, self.STRAGGLER_THRESHOLD
                     )
                 )
         return new

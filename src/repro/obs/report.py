@@ -91,9 +91,12 @@ class TraceReport:
         self.problems = validate_trace(events)
         self._begin: dict[int, dict] = {}
         self._end: dict[int, dict] = {}
+        #: B/X/I events by parent span id, in file order
+        self._children: dict = defaultdict(list)
         for ev in events:
             if ev["ev"] in ("B", "X", "I"):
                 self._begin[ev["id"]] = ev
+                self._children[ev.get("parent")].append(ev)
             elif ev["ev"] == "E":
                 self._end[ev["id"]] = ev
         #: run span ids, in file order (a streaming trace has one per epoch)
@@ -113,10 +116,8 @@ class TraceReport:
     def children(self, span_id: int, span: str | None = None) -> list[dict]:
         return [
             ev
-            for ev in self.events
-            if ev["ev"] in ("B", "X", "I")
-            and ev.get("parent") == span_id
-            and (span is None or ev["span"] == span)
+            for ev in self._children.get(span_id, ())
+            if span is None or ev["span"] == span
         ]
 
     def supersteps(self, run_id: int) -> list[dict]:

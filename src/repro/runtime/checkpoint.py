@@ -230,25 +230,25 @@ def load_worker_state(worker, state: dict) -> None:
 
 
 def capture_snapshot(engine: "ChannelEngine") -> Snapshot:
-    """Checkpoint every in-process worker of ``engine`` (a sim engine)
-    at the current boundary."""
-    blobs = [encode_state(capture_worker_state(w)) for w in engine.workers]
+    """Checkpoint every worker of ``engine`` at the current boundary,
+    wherever its workers live."""
     return Snapshot(
         version=SNAPSHOT_VERSION,
         superstep=engine.step_num,
-        blobs=blobs,
+        blobs=engine.backend.capture_state_blobs(),
         metrics_state=engine.metrics.snapshot(),
     )
 
 
 def restore_worker(engine: "ChannelEngine", snapshot: Snapshot, w: int) -> None:
-    """Load worker ``w``'s checkpointed state into ``engine.workers[w]``
-    (a sim engine's in-process worker).
+    """Load worker ``w``'s checkpointed state and rewind the superstep to
+    the snapshot's.
 
     The caller decides whether the target worker is the surviving
-    instance (rollback on a live worker) or a freshly built replacement
-    (:meth:`~repro.core.worker.Worker.build` with ``initialize=True``);
+    instance (rollback on a live worker) or a freshly built replacement;
     either way all state comes from the snapshot bytes, never from the
     old objects.
     """
-    load_worker_state(engine.workers[w], decode_state(snapshot.blobs[w]))
+    engine.backend.call(
+        "restore", {w: {"blob": snapshot.blobs[w], "step_num": snapshot.superstep}}
+    )

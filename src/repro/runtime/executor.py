@@ -4,41 +4,29 @@ The paper's channel engine is *one* abstraction with many possible
 execution strategies; this module makes that literal.
 :class:`ExecutorBackend` owns the superstep drive loop of Fig. 4 —
 barrier votes, compute dispatch, exchange rounds, checkpoint cadence,
-failure injection, recovery dispatch, result collection — as a template
-method (:meth:`ExecutorBackend.run`) over a small set of primitives each
-backend implements:
+failure injection, recovery, migration, result collection — as a
+template method (:meth:`ExecutorBackend.run`).  A backend implements two
+kinds of primitive:
 
-``begin_run``
-    Bring the execution substrate up: channel initialization, and for
-    the process backend pool spawn/reconfigure first.
-``barrier_vote``
-    Resolve every worker's active set for the next superstep and return
-    the global active count (0 terminates the run).
-``compute_phase`` / ``exchange_phase``
-    One superstep's vertex compute and channel exchange rounds.  The
-    superstep's body is written once, as the generator
-    :meth:`Worker.superstep`; a backend only drives it: the simulator
-    advances every worker's in lock-step here, a worker process its own
-    inside one ``superstep`` command.  Either way each worker counts its
-    superstep into its own record (:attr:`Worker.books`), and the
-    exchange phase ends in :meth:`ExecutorBackend.account`, the one
-    route from the records to the collector, the sender-side frame log
-    and the live slots.
-``capture_state_blobs``
-    Per-worker serialized state in the checkpoint capture format
-    (:func:`repro.runtime.checkpoint.capture_worker_state`).
-``recover``
-    React to injected worker deaths with the requested recovery mode.
-``collect_results``
-    Merge per-worker ``finalize()`` outputs after termination.
-
-Because checkpoint cadence, failure timing, frame-log bookkeeping, and
-termination live in the shared template, every fault-tolerance and
-streaming feature composes with every backend by construction — the
-fault-tolerant superstep choreography cannot drift between them.
+the superstep driver, ``barrier_vote`` / ``compute_phase`` / ``exchange_phase``
+    Resolve the global active count (0 terminates the run), then one
+    superstep's compute and exchange rounds.  The body is written once,
+    as the generator :meth:`Worker.superstep`; the simulator advances
+    every worker's in lock-step here, a worker process its own inside one
+    ``superstep`` command.  Each worker counts its superstep into its own
+    record (:attr:`Worker.books`) and publishes its live slot from it;
+    :meth:`ExecutorBackend.account` is the one route from the records to
+    the collector and the sender-side frame log.
+``call`` / ``replace`` / ``place``
+    Run a :class:`~repro.runtime.lifecycle.WorkerLifecycle` operation on
+    chosen workers, put a fresh worker where a dead one was, and rewrite
+    the ownership.  Over these three, ``begin_run``, checkpoint capture,
+    both recovery modes, migration and ``collect_results`` are written
+    once, here: every fault-tolerance and streaming feature composes with
+    every backend by construction, and cannot drift between them.
 
 Two implementations exist: :class:`SimBackend` here (the in-process
-simulated cluster) and
+simulated cluster, one lifecycle per worker) and
 :class:`~repro.runtime.parallel.backend.ProcessBackend` (one OS process
 per worker over a persistent :class:`~repro.runtime.parallel.pool.WorkerPool`).
 Both produce bit-identical result data, per-channel traffic, and
@@ -58,14 +46,8 @@ from repro.core.program import VertexResults
 from repro.core.recovery import FrameLog, confined_recovery, rollback_recovery
 from repro.core.worker import Worker
 from repro.runtime.buffers import BufferExchange
-from repro.runtime.checkpoint import (
-    SNAPSHOT_VERSION,
-    Snapshot,
-    capture_worker_state,
-    encode_state,
-    load_worker_state,
-    restore_worker,
-)
+from repro.runtime.checkpoint import capture_snapshot, decode_state, encode_state
+from repro.runtime.lifecycle import WorkerLifecycle
 from repro.runtime.rebalance import (
     MigrationContext,
     phase_matrix,
@@ -94,9 +76,6 @@ class ExecutorBackend:
         self.engine = engine
         #: the live slots as read at the latest checkpoint (live runs only)
         self.live_marks: list[dict] | None = None
-        #: the slot writers :meth:`account` publishes through, when the
-        #: workers live in this process (a worker process publishes its own)
-        self.live_writers: list | None = None
 
     # -- the drive loop (shared across backends) ---------------------------
     def run(self, max_supersteps: int = 100_000) -> "EngineResult":
@@ -142,8 +121,8 @@ class ExecutorBackend:
             self.exchange_phase()
             metrics.end_superstep()
 
-            # the live slots are published (by account, or by the worker
-            # processes); the monitor scores the fresh readings online
+            # every worker published its live slot after its superstep;
+            # the monitor scores the fresh readings online
             if engine.monitor is not None:
                 engine.monitor.observe(engine.step_num)
 
@@ -192,9 +171,9 @@ class ExecutorBackend:
     def account(self, records: list[dict]) -> None:
         """Account one superstep from every worker's record
         (:attr:`Worker.books`, in worker order) into the collector
-        (:meth:`MetricsCollector.account`), the sender-side frame log when
-        confined recovery is armed, and the live slots this process
-        publishes.  Each backend calls it from its ``exchange_phase``."""
+        (:meth:`MetricsCollector.account`) and, when confined recovery is
+        armed, the sender-side frame log.  Each backend calls it from its
+        ``exchange_phase``; each worker publishes its own live slot."""
         engine = self.engine
         engine.metrics.account(dict(enumerate(records)))
         if engine.frame_log is not None:
@@ -209,22 +188,27 @@ class ExecutorBackend:
                 engine.metrics.record_log_bytes(sum(len(buf) for row in frames for buf in row))
                 group_active = [any(flags) for flags in zip(*votes)]
             engine.frame_log.append_step(engine.step_num, step_log)
-        if self.live_writers is not None:
-            for writer, rec in zip(self.live_writers, records):
-                writer.add_record(rec)
 
-    # -- shared fault-tolerance choreography --------------------------------
+    # -- the worker lifecycle, written once over the primitives --------------
+    def call_all(self, op: str) -> list:
+        """Run lifecycle operation ``op`` on every worker, in worker order."""
+        return self.call(op, dict.fromkeys(range(self.engine.num_workers), {}))
+
+    def begin_run(self) -> None:
+        """Bring the substrate up for one run: every worker's channels get
+        ``initialize()`` before any superstep, wherever the workers live."""
+        self.call_all("start_run")
+
+    def capture_state_blobs(self) -> list[bytes]:
+        """Every worker's state in the checkpoint capture format, as the
+        exact wire bytes either backend writes."""
+        return self.call_all("capture")
+
     def take_checkpoint(self) -> None:
         """Checkpoint every worker at the current superstep boundary and
         make it the engine's recovery point."""
         engine = self.engine
-        snapshot = Snapshot(
-            version=SNAPSHOT_VERSION,
-            superstep=engine.step_num,
-            blobs=self.capture_state_blobs(),
-            metrics_state=engine.metrics.snapshot(),
-        )
-        engine.checkpoint = snapshot
+        snapshot = engine.checkpoint = capture_snapshot(engine)
         engine.metrics.record_checkpoint(snapshot.worker_nbytes)
         if engine.live is not None:
             # rollback recovery rewinds every live slot to this reading
@@ -232,6 +216,37 @@ class ExecutorBackend:
         if engine.frame_log is not None:
             # frames covered by this checkpoint can never be replayed
             engine.frame_log.truncate_before(snapshot.superstep)
+
+    def recover(self, doomed: list[int], mode: str) -> None:
+        """Replace the doomed workers and restore them (confined) or every
+        worker (rollback) from state blobs; the recovery books are
+        :mod:`repro.core.recovery`'s."""
+        engine = self.engine
+        # a replacement zero-publishes its live slot: read the dead workers'
+        # last counters first, for confined recovery to resume from
+        live_rows = engine.live.snapshot() if engine.live is not None else None
+        # one worker at a time, so a process pool's supervision never trips
+        # over a previously injected death while confirming the next respawn
+        for w in doomed:
+            self.replace(w)
+        if mode == "confined":
+            # only the failed workers' state changed; survivors keep theirs
+            restores = {
+                w: (life.capture(), engine.step_num)
+                for w, life in confined_recovery(engine, doomed).items()
+            }
+        else:
+            rollback_recovery(engine)
+            snapshot, live_rows = engine.checkpoint, self.live_marks
+            restores = {w: (blob, snapshot.superstep) for w, blob in enumerate(snapshot.blobs)}
+        self.call(
+            "restore",
+            {
+                w: {"blob": blob, "step_num": step_num,
+                    "live": None if live_rows is None else live_rows[w]}
+                for w, (blob, step_num) in restores.items()
+            },
+        )
 
     # -- shared rebalancing choreography -------------------------------------
     def maybe_rebalance(self) -> bool:
@@ -260,13 +275,42 @@ class ExecutorBackend:
 
     def migrate(self, plan) -> None:
         """Move vertex ownership (and all per-vertex state) per ``plan``
-        at the current quiescent superstep boundary."""
-        raise NotImplementedError
+        at the current quiescent superstep boundary: capture under the old
+        ownership, re-key, rewrite the ownership, and have every worker
+        rebuild under it and load its share.  The channels'
+        ``migrate_states`` re-key the state, so one worker is built for
+        its channel set, and dropped.  The active sets refresh at the next
+        barrier vote from the remapped halted/woken flags."""
+        engine = self.engine
+        states = [decode_state(blob) for blob in self.capture_state_blobs()]
+        ctx = MigrationContext(engine.owner, plan.new_owner, engine.num_workers)
+        channels = Worker.build(engine, 0, engine.program_factory).channels
+        new_states = remap_worker_states(states, ctx, channels)
+        self.place(np.asarray(plan.new_owner, dtype=np.int64))
+        self.call("remap", {w: {"blob": encode_state(state)} for w, state in enumerate(new_states)})
+
+    def collect_results(self) -> Mapping:
+        """Merge every worker's ``finalize()`` output."""
+        return VertexResults.merged(
+            # a worker process ships VertexResults as its (ids, array) pair
+            VertexResults(*part) if isinstance(part, tuple) else part
+            for part in self.call_all("finalize")
+        )
 
     # -- backend primitives --------------------------------------------------
-    def begin_run(self) -> None:
-        """Bring the substrate up for one run: every worker's channels get
-        ``initialize()`` before any superstep, wherever the workers live."""
+    def call(self, op: str, args: Mapping[int, dict]) -> list:
+        """Run :class:`~repro.runtime.lifecycle.WorkerLifecycle` operation
+        ``op`` on each worker ``args`` names, with its keyword arguments;
+        returns the results in that order."""
+        raise NotImplementedError
+
+    def replace(self, w: int) -> None:
+        """Put a fresh worker ``w`` (channels initialized, live slot from
+        zero) where the dead one was; a ``restore`` follows."""
+        raise NotImplementedError
+
+    def place(self, owner: np.ndarray) -> None:
+        """Make ``owner`` the ownership the engine and the workers read."""
         raise NotImplementedError
 
     def barrier_vote(self) -> int:
@@ -276,15 +320,6 @@ class ExecutorBackend:
         raise NotImplementedError
 
     def exchange_phase(self) -> None:
-        raise NotImplementedError
-
-    def capture_state_blobs(self) -> list[bytes]:
-        raise NotImplementedError
-
-    def recover(self, doomed: list[int], mode: str) -> None:
-        raise NotImplementedError
-
-    def collect_results(self) -> Mapping:
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -304,19 +339,31 @@ class SimBackend(ExecutorBackend):
         super().__init__(engine)
         self._exchange = BufferExchange()
         self._steps: list = []  # each worker's Worker.superstep generator
+        # one lifecycle per worker for the engine's life: a second run
+        # over a halted program adds zero supersteps, and the live slots
+        # must keep matching the (also untouched) collector
+        self.lives = [self._life(w, worker) for w, worker in enumerate(engine.workers)]
+
+    def _life(self, w: int, worker: Worker) -> WorkerLifecycle:
+        engine = self.engine
+        writer = engine.live.writer(w) if engine.live is not None else None
+        return WorkerLifecycle(engine, w, engine.program_factory, worker, writer)
 
     # -- primitives ----------------------------------------------------------
-    def begin_run(self) -> None:
-        if self.engine.live is not None and self.live_writers is None:
-            # created once per engine, never reset on a re-run: a second
-            # run over a halted program adds zero supersteps, and the live
-            # counters must keep matching the (also untouched) collector
-            self.live_writers = [
-                self.engine.live.writer(w) for w in range(self.engine.num_workers)
-            ]
-        for worker in self.engine.workers:
-            for channel in worker.channels:
-                channel.initialize()
+    def call(self, op: str, args: Mapping[int, dict]) -> list:
+        results = [getattr(self.lives[w], op)(**kwargs) for w, kwargs in args.items()]
+        for w in args:  # a remap rebuilt the worker
+            self.engine.workers[w] = self.lives[w].worker
+        return results
+
+    def replace(self, w: int) -> None:
+        engine = self.engine
+        worker = Worker.build(engine, w, engine.program_factory, initialize=True)
+        self.lives[w] = self._life(w, worker)
+        engine.workers[w] = worker
+
+    def place(self, owner: np.ndarray) -> None:
+        self.engine.owner = owner
 
     def barrier_vote(self) -> int:
         t0 = time.perf_counter()
@@ -369,43 +416,5 @@ class SimBackend(ExecutorBackend):
             group_active = next_active
 
         self.account([w.books for w in workers])
-
-    def capture_state_blobs(self) -> list[bytes]:
-        return [encode_state(capture_worker_state(w)) for w in self.engine.workers]
-
-    def migrate(self, plan) -> None:
-        # capture under the old ownership, remap, rebuild every worker
-        # under the new one, load.  The active sets refresh at the next
-        # barrier vote from the (remapped) halted/woken flags; the live
-        # writers are per-slot and carry no worker references
-        engine = self.engine
-        states = [capture_worker_state(w) for w in engine.workers]
-        ctx = MigrationContext(engine.owner, plan.new_owner, engine.num_workers)
-        new_states = remap_worker_states(states, ctx, engine.workers[0].channels)
-        engine.owner = np.asarray(plan.new_owner, dtype=np.int64)
-        for w in range(engine.num_workers):
-            engine.workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
-            load_worker_state(engine.workers[w], new_states[w])
-
-    def recover(self, doomed: list[int], mode: str) -> None:
-        engine = self.engine
-        if mode == "confined":
-            for w, worker in confined_recovery(engine, doomed).items():
-                engine.workers[w] = worker
-            return
-        # the dead workers' replacements are fresh; every worker reloads
-        for w in doomed:
-            engine.workers[w] = Worker.build(engine, w, engine.program_factory, initialize=True)
-        for w in range(engine.num_workers):
-            restore_worker(engine, engine.checkpoint, w)
-        rollback_recovery(engine)
-        if self.live_writers is not None:
-            # the collector rolled back to the checkpoint; so does the
-            # live plane (re-executed supersteps re-accumulate)
-            for writer, row in zip(self.live_writers, self.live_marks):
-                writer.rewind(row)
-
-    def collect_results(self) -> Mapping:
-        return VertexResults.merged(
-            worker.program.finalize() for worker in self.engine.workers
-        )
+        for life in self.lives:
+            life.publish()

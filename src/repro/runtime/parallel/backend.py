@@ -25,15 +25,14 @@ worker processes drawn from a persistent
   (byte counts, not bytes) and accounts it through the same
   :meth:`~repro.runtime.executor.ExecutorBackend.account` the simulator
   uses;
-* **fault tolerance for real** — checkpoints are captured worker-side
-  and shipped to the parent as checkpoint-codec wire bytes; an injected
-  failure kills the worker's OS process outright (the parent observes
-  the death through the same supervision that catches genuine crashes),
-  a replacement is respawned onto the surviving frame pipes, and both
-  recovery modes restore it: rollback pushes the latest checkpoint blob
-  to *every* worker, confined replays the lost supersteps from the
-  parent's sender-side frame log and ships only the recovered state to
-  the replacements.
+* **the worker lifecycle** — the three primitives the shared template
+  runs capture, recovery, migration and finalize over: ``call`` sends a
+  lifecycle command to the named children, which run the
+  :class:`~repro.runtime.lifecycle.WorkerLifecycle` method the simulator
+  calls, state crossing as checkpoint-codec bytes; ``replace`` kills the
+  worker's OS process outright (its death surfaces through the
+  supervision that catches genuine crashes) and respawns it onto the
+  surviving frame links; ``place`` rewrites the shared ownership array.
 
 The parent holds no worker: per-vertex state lives in the children.  It
 builds one only for the moment it needs one — the doomed workers of a
@@ -56,12 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.program import VertexResults
-from repro.core.recovery import confined_recovery, rollback_recovery
-from repro.core.worker import Worker
-from repro.runtime.checkpoint import capture_worker_state, decode_state, encode_state
 from repro.runtime.executor import ExecutorBackend
-from repro.runtime.rebalance import MigrationContext, remap_worker_states
 from repro.runtime.parallel.pool import WorkerPool
 from repro.runtime.parallel.protocol import WorkerProcessError
 
@@ -116,7 +110,7 @@ class ProcessBackend(ExecutorBackend):
             },
             engine.generation,
         )
-        pool.start_run()
+        super().begin_run()
 
     def barrier_vote(self) -> int:
         # one broadcast starts the whole superstep; the children vote on
@@ -143,88 +137,30 @@ class ProcessBackend(ExecutorBackend):
         simulator accounts its workers' records."""
         self.account(self.pool.gather("superstep"))
 
-    def capture_state_blobs(self) -> list[bytes]:
-        # snapshots are captured worker-side and cross the control pipes
-        # as the exact checkpoint-codec wire bytes the simulator would
-        # have written, so checkpoint sizes are bit-identical too
-        self.pool.broadcast({"cmd": "capture"})
-        return [bytes(reply["blob"]) for reply in self.pool.gather("checkpoint capture")]
-
-    def migrate(self, plan) -> None:
-        """Migrate vertex ownership across the live worker processes.
-
-        All children are quiescent (blocked on their control pipes at
-        this superstep barrier), so the sequence is race-free: capture
-        every child's state over the control protocol (checkpoint wire
-        format), remap it parent-side, rewrite the *shared* ownership
-        array in place, then have each child rebuild its Worker against
-        the migrated partition and load its remapped state (``remap``
-        keeps the graph attachments, ``step_num``, and the live writer).
-        The channels' ``migrate_states`` re-key the state, so the parent
-        builds one worker for its channel set, and drops it.
-        """
-        engine = self.engine
+    def call(self, op: str, args: Mapping[int, dict]) -> list:
+        # the child's serve runs the lifecycle operation of the same name;
+        # state crosses as the checkpoint-codec bytes sim would write
         pool = self.pool
-        states = [decode_state(blob) for blob in self.capture_state_blobs()]
-        ctx = MigrationContext(engine.owner, plan.new_owner, engine.num_workers)
-        channels = Worker.build(engine, 0, engine.program_factory).channels
-        new_states = remap_worker_states(states, ctx, channels)
-        pool.update_owner(plan.new_owner)
-        engine.owner = np.asarray(plan.new_owner, dtype=np.int64)
-        for w in range(engine.num_workers):
-            pool.send(w, {"cmd": "remap", "blob": encode_state(new_states[w])})
-        pool.gather("rebalance remap")
+        for w, kwargs in args.items():
+            pool.send(w, {"cmd": op, **kwargs})
+        return [pool.reply(w, op)["data"] for w in args]
 
-    def recover(self, doomed: list[int], mode: str) -> None:
-        engine = self.engine
-        pool = self.pool
-        # a replacement zero-publishes its live slot: read the dead workers'
-        # last counters first, for confined recovery to resume from
-        live_rows = engine.live.snapshot() if engine.live is not None else None
+    def replace(self, w: int) -> None:
+        # the failure is real: the worker's OS process exits hard and its
+        # death surfaces through the standard supervision path as a
+        # WorkerProcessError, which recovery absorbs; the replacement then
+        # joins the surviving peers' frame links
+        try:
+            self.pool.kill(w)
+        except WorkerProcessError:
+            pass
+        self.pool.respawn(w)
 
-        # the failure is real: each doomed worker's OS process exits hard
-        # and its death surfaces through the standard supervision path as
-        # a WorkerProcessError, which recovery absorbs; the replacement
-        # then joins the surviving peers' frame pipes.  Kill/respawn one
-        # worker at a time so the pool's supervision never trips over a
-        # *previously* injected death while confirming the next respawn.
-        for w in doomed:
-            try:
-                pool.kill(w)
-            except WorkerProcessError:
-                pass
-            pool.respawn(w)
-
-        # the recovery books are the simulator's; the state ships to the
-        # children as checkpoint wire bytes
-        if mode == "confined":
-            # only the failed workers' state changed; survivors' live
-            # processes keep their current state, exactly per the paper
-            restores = {
-                w: (encode_state(capture_worker_state(worker)), engine.step_num)
-                for w, worker in confined_recovery(engine, doomed).items()
-            }
-        else:
-            rollback_recovery(engine)
-            snapshot, live_rows = engine.checkpoint, self.live_marks
-            restores = {
-                w: (blob, snapshot.superstep) for w, blob in enumerate(snapshot.blobs)
-            }
-        for w, (blob, step_num) in restores.items():
-            live = None if live_rows is None else live_rows[w]
-            pool.send(w, {"cmd": "restore", "blob": blob, "step_num": step_num, "live": live})
-        for w in restores:
-            pool.reply(w, f"{mode} restore")
-
-    def collect_results(self) -> Mapping:
-        pool = self.pool
-        pool.broadcast({"cmd": "finalize"})
-        parts = []
-        for reply in pool.gather("finalize"):
-            part = reply["data"]
-            # a child sends VertexResults as its (ids, array) pair
-            parts.append(VertexResults(*part) if isinstance(part, tuple) else part)
-        return VertexResults.merged(parts)
+    def place(self, owner: np.ndarray) -> None:
+        # the children are quiescent at this barrier: rewrite the shared
+        # ownership array in place; each sees it at its next remap
+        self.pool.update_owner(owner)
+        self.engine.owner = owner
 
     def shutdown(self) -> None:
         if self.owns_pool:

@@ -438,12 +438,6 @@ class WorkerPool:
             if old_export is not None:
                 old_export.close()
 
-    def start_run(self) -> None:
-        """Initialize every worker's channels (the per-run step the
-        simulator performs at the top of ``ChannelEngine.run``)."""
-        self.broadcast({"cmd": "start_run"})
-        self.gather("start_run")
-
     def update_owner(self, new_owner: np.ndarray) -> None:
         """Rewrite the shared ownership array in place (adaptive
         rebalancing).  Children are quiescent — blocked on their control

@@ -5,8 +5,8 @@ the shared-memory graph and partition — plus the program instance its
 factory constructs, exactly as the simulated engine builds them.  The
 child is *persistent*: it serves control commands from the parent for as
 long as its :class:`~repro.runtime.parallel.pool.WorkerPool` lives,
-across many ``engine.run()`` calls and streaming epochs.  ``serve`` is a
-dispatch over one ``_cmd_<name>`` method per command:
+across many ``engine.run()`` calls and streaming epochs.  ``serve``
+dispatches the commands:
 
 ``superstep``
     The only run-loop command, on both transports.  The child drives the
@@ -21,21 +21,19 @@ dispatch over one ``_cmd_<name>`` method per command:
     per-round byte counts and votes, message and per-channel counts,
     phase timings and, when ``log_frames`` is set, the raw outgoing
     buffers for the parent's sender-side
-    :class:`~repro.core.recovery.FrameLog`.  The child publishes its live
-    slot from the same record.  A
-    superstep costs one control-pipe message each way per worker; the
-    *same bytes* the simulator's
-    :class:`~repro.runtime.buffers.BufferExchange` would move cross real
-    process boundaries.  See ARCHITECTURE.md §9.
-``start_run``
-    ``channel.initialize()`` on every channel, mirroring what the
-    simulated engine does at the top of each ``run()``.  The superstep
-    counter deliberately keeps running across same-engine runs — the
-    simulator's ``step_num`` does too — and is reset only by
-    ``configure`` (new engine) or ``restore`` (recovery rewind).
-``finalize``
-    Ship ``program.finalize()`` back to the parent through the
-    tagged-binary codec.
+    :class:`~repro.core.recovery.FrameLog`; the worker's lifecycle
+    publishes its live slot from the same record.  A superstep costs one
+    control-pipe message each way per worker; the *same bytes* the
+    simulator's :class:`~repro.runtime.buffers.BufferExchange` would move
+    cross real process boundaries.  See ARCHITECTURE.md §9.
+``start_run`` / ``capture`` / ``restore`` / ``remap`` / ``finalize``
+    The worker lifecycle: each runs the
+    :class:`~repro.runtime.lifecycle.WorkerLifecycle` method of the same
+    name — the code the simulator calls directly — with the message's
+    fields as keyword arguments, and replies with its result as ``data``
+    (a ``VertexResults`` as its two codec arrays).  The superstep
+    counter keeps running across same-engine runs, as the simulator's
+    does; only ``configure`` and ``restore`` reset it.
 ``configure``
     Tear the current worker down and rebuild it for a *new* engine
     configuration: attach the new shared-memory graph segments, apply
@@ -43,21 +41,8 @@ dispatch over one ``_cmd_<name>`` method per command:
     program from the factory that rode along as pickle bytes (see
     :class:`~repro.core.program.ProgramSpec`).  This is the delta/remap
     message that replaces respawning — streaming epochs reuse the same
-    OS processes for the whole run.
-``capture`` / ``restore``
-    Checkpointing across the process boundary: ``capture`` replies with
-    this worker's state as checkpoint-codec wire bytes
-    (:func:`repro.runtime.checkpoint.capture_worker_state`); ``restore``
-    loads such a blob (rollback recovery, or priming a respawned
-    replacement after an injected death), rewinds ``step_num``, and
-    continues the live slot from the reading the parent sends along.
-``remap``
-    Adaptive rebalancing at a superstep barrier: the parent has already
-    rewritten the shared ownership array in place; rebuild the Worker
-    against it from the stored program factory and load the remapped
-    state blob that rode along.  Unlike ``configure`` this keeps the
-    graph attachments, ``step_num``, and the live telemetry writer —
-    same engine, same run, new vertex placement.
+    OS processes for the whole run.  A ``remap`` keeps the attachments:
+    the parent has rewritten the shared ownership array in place.
 ``die`` / ``stop``
     ``die`` is ``os._exit`` at once — deterministic failure injection
     through the *real* worker-death path (the parent observes a dead
@@ -89,18 +74,16 @@ from repro.core.program import VertexResults
 from repro.core.worker import OwnerTable, Worker
 from repro.graph.graph import Graph
 from repro.graph.store import attach_store
-from repro.runtime.checkpoint import (
-    capture_worker_state,
-    decode_state,
-    encode_state,
-    load_worker_state,
-)
+from repro.runtime.lifecycle import WorkerLifecycle
 from repro.runtime.parallel.protocol import recv_msg, send_msg
 from repro.runtime.parallel.shm import RingBuffer, VoteBoard, attach_array, idle_wait
 
 __all__ = ["worker_main"]
 
 _U64 = struct.Struct("<Q")
+
+#: the commands ``serve`` hands to the worker's lifecycle, one method each
+LIFECYCLE = ("start_run", "capture", "restore", "remap", "finalize")
 
 
 class _WorkerHost(OwnerTable):
@@ -443,11 +426,8 @@ class _WorkerProcess:
         self.worker_id = worker_id
         self.conn = conn
         self.segments: list = []
-        self.worker: Worker | None = None
-        self.host: _WorkerHost | None = None
-        self.factory = None  # current program factory (for remap rebuilds)
-        self.live = None
-        self.live_writer = None
+        self.life: WorkerLifecycle | None = None
+        self.live = None  # the live telemetry segment, when attached
         unreg = links["unregister"]
         self.board = VoteBoard.attach(links["board"], unreg)
         if links["transport"] == "shm":
@@ -470,8 +450,7 @@ class _WorkerProcess:
         old_segments = self.segments
         # drop every reference into the old shared segments (worker ->
         # graph -> shm views) before trying to unmap them
-        self.worker = None
-        self.host = None
+        self.life = None
 
         segments: list = []
         unreg = cfg["unregister_shm"]
@@ -507,8 +486,7 @@ class _WorkerProcess:
         worker = Worker.build(
             host, self.worker_id, factory, seeds=cfg["seeds"], initialize=cfg["init_channels"]
         )
-        self.worker, self.host, self.segments = worker, host, segments
-        self.factory = factory
+        self.segments = segments
 
         # live telemetry plane: (re)attach the engine's segment and start
         # this worker's slot from zero — a reconfigure means a new engine
@@ -519,13 +497,14 @@ class _WorkerProcess:
             except Exception:  # pragma: no cover
                 pass
             self.live = None
-        self.live_writer = None
+        writer = None
         if cfg.get("live") is not None:
             # deferred import: obs.live itself imports from this package
             from repro.obs.live import LiveMetrics
 
             self.live = LiveMetrics.attach(cfg["live"], unregister=unreg)
-            self.live_writer = self.live.writer(self.worker_id)
+            writer = self.live.writer(self.worker_id)
+        self.life = WorkerLifecycle(host, self.worker_id, factory, worker, writer)
 
         if old_segments:
             # the previous generation's mappings: every view should be
@@ -552,13 +531,26 @@ class _WorkerProcess:
 
     # -- the serve loop ------------------------------------------------------
     def serve(self) -> None:
-        """Dispatch control commands until ``stop``; a handler's return
-        value, when there is one, is the reply."""
+        """Dispatch control commands until ``stop``: a lifecycle command
+        to the worker's :class:`WorkerLifecycle`, whose result is the
+        reply's ``data``, any other to its ``_cmd_<name>`` handler, whose
+        return value, when there is one, is the reply."""
         while True:
             msg = recv_msg(self.conn)
-            cmd = msg["cmd"]
+            cmd = msg.pop("cmd")
             if cmd == "stop":
                 return
+            if cmd in LIFECYCLE:
+                if cmd == "remap":
+                    # the parent rewrote the shared ownership array in
+                    # place: drop the host's stale position table
+                    self.life.host.owner = self.life.host.owner
+                value = getattr(self.life, cmd)(**msg)
+                if isinstance(value, VertexResults):
+                    # two codec arrays, never one tagged value per element
+                    value = (value.ids, value.array)
+                send_msg(self.conn, {"data": value})
+                continue
             handler = getattr(self, f"_cmd_{cmd}", None)
             if handler is None:
                 raise RuntimeError(f"unknown command {cmd!r}")
@@ -567,8 +559,9 @@ class _WorkerProcess:
                 send_msg(self.conn, reply)
 
     def _cmd_superstep(self, msg: dict) -> dict | None:
-        worker = self.worker
-        host = self.host
+        life = self.life
+        worker = life.worker
+        host = life.host
         transport = self.transport
         clock = time.perf_counter
 
@@ -602,49 +595,12 @@ class _WorkerProcess:
             group_active = transport.exchange_votes(votes)
             worker.charge("exchange", wire_s + clock() - t0)
 
-        if self.live_writer is not None:
-            self.live_writer.add_record(worker.books)
+        life.publish()
         return worker.books
-
-    def _cmd_start_run(self, msg: dict) -> dict:
-        for channel in self.worker.channels:
-            channel.initialize()
-        return {"ok": True}
-
-    def _cmd_capture(self, msg: dict) -> dict:
-        return {"blob": encode_state(capture_worker_state(self.worker))}
-
-    def _cmd_restore(self, msg: dict) -> dict:
-        load_worker_state(self.worker, decode_state(msg["blob"]))
-        self.host.step_num = msg["step_num"]
-        if self.live_writer is not None and msg["live"] is not None:
-            # the slot reading the parent took at the checkpoint
-            # (rollback) or just before this worker's death (confined)
-            self.live_writer.rewind(msg["live"])
-        return {"ok": True}
-
-    def _cmd_remap(self, msg: dict) -> dict:
-        # adaptive rebalancing: the parent rewrote the shared ownership
-        # array in place before sending this; rebuild the Worker against
-        # it (same graph attachments, same program factory) and load this
-        # worker's remapped state.  step_num and the live writer
-        # deliberately survive — same engine, same run, new placement
-        self.host.owner = self.host.owner  # rewritten in place: new positions
-        worker = Worker.build(self.host, self.worker_id, self.factory, initialize=True)
-        load_worker_state(worker, decode_state(msg["blob"]))
-        self.worker = worker
-        return {"ok": True}
 
     def _cmd_configure(self, msg: dict) -> dict:
         num_channels = self.build(msg["cfg"], pickle.loads(msg["factory"]))
         return {"ready": True, "num_channels": num_channels}
-
-    def _cmd_finalize(self, msg: dict) -> dict:
-        data = self.worker.program.finalize()
-        if isinstance(data, VertexResults):
-            # two codec arrays, never one tagged value per element
-            data = (data.ids, data.array)
-        return {"data": data}
 
     def _cmd_die(self, msg: dict) -> None:
         # failure injection: die the way a crashed worker dies — no reply,

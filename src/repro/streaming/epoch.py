@@ -36,6 +36,9 @@ from repro.streaming.plan import REFRESH_MODES, StreamAlgorithm
 
 __all__ = ["EpochEngine", "EpochResult"]
 
+#: seed of the default hash partition and of its extensions
+PARTITION_SEED = 0
+
 
 @dataclass
 class EpochResult:
@@ -79,12 +82,11 @@ class EpochEngine:
         ``"incremental"`` or ``"full"`` — the default per-epoch policy;
         :meth:`run_epoch` can override it per call.
     partition:
-        Optional initial vertex->worker array (hash partition otherwise);
-        extended deterministically when batches add vertices.
+        Optional initial vertex->worker array (a hash partition seeded
+        with :data:`PARTITION_SEED` otherwise); extended deterministically,
+        with the same seed, when batches add vertices.
     compact_threshold:
         Overlay-to-base ratio beyond which the delta graph compacts.
-    partition_seed:
-        Seed of the default hash partition and of its extensions.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the stream
         emits one ``stream`` root span with one ``epoch`` span per
@@ -122,7 +124,6 @@ class EpochEngine:
         refresh: str = "incremental",
         partition: np.ndarray | None = None,
         compact_threshold: float = 0.25,
-        partition_seed: int = 0,
         trace=None,
         live=None,
         rebalance_policy: RebalancePolicy | None = None,
@@ -145,7 +146,6 @@ class EpochEngine:
         self.delta = DeltaGraph(graph, compact_threshold=compact_threshold)
         self.algorithm = algorithm
         self.refresh = refresh
-        self.partition_seed = partition_seed
         self.pool = None  # created on the first epoch for executor="process"
         self.trace = trace
         self.live = live
@@ -154,7 +154,7 @@ class EpochEngine:
             self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=self.num_workers)
         self._stream_span: int | None = None
         if partition is None:
-            partition = hash_partition(graph.num_vertices, self.num_workers, seed=partition_seed)
+            partition = hash_partition(graph.num_vertices, self.num_workers, seed=PARTITION_SEED)
         self.owner = np.asarray(partition, dtype=np.int64)
         if self.owner.shape != (graph.num_vertices,):
             raise ValueError("partition must assign every vertex")
@@ -199,7 +199,7 @@ class EpochEngine:
                     self.owner,
                     stats.added_vertices,
                     self.num_workers,
-                    seed=self.partition_seed,
+                    seed=PARTITION_SEED,
                 )
         new_graph = self.delta.view()
 

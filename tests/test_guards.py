@@ -226,6 +226,25 @@ if [ -z "$signature" ] || echo "$signature" | grep -qE "\b(transport|ctx|ring_ca
   exit 1
 fi
 '''),
+    # one worker lifecycle: what is done to a worker between supersteps
+    # (start a run, capture, restore, remap, finalize) is written once,
+    # in WorkerLifecycle, which sim calls and a worker process's serve
+    # dispatches to; and each worker publishes its own live slot
+    ("One worker lifecycle", r'''
+for pattern in 'load_worker_state(' 'encode_state(capture_worker_state('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core src/repro/runtime \
+    | grep -vxE "src/repro/runtime/(lifecycle|checkpoint)\.py" || true)
+  if [ -n "$files" ]; then
+    echo "'$pattern' must appear under src/repro/core and src/repro/runtime only in runtime/lifecycle.py and runtime/checkpoint.py, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+if grep -rnF --include="*.py" "live_writers" src; then
+  echo "'live_writers' must not appear under src"
+  exit 1
+fi
+'''),
 ]
 
 

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.wcc import WCCBasic, run_wcc
 from repro.core.engine import ChannelEngine
 from repro.graph import rmat
@@ -288,6 +289,31 @@ class TestEngineTraces:
 # ---------------------------------------------------------------------------
 # streaming epochs
 # ---------------------------------------------------------------------------
+class _CountedEvents(list):
+    """A trace's events that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_report_reads_the_events_a_fixed_number_of_times(tmp_path):
+    """Assembling a report passes over the events as often for 30
+    supersteps as for 3: a span's children are looked up, not scanned."""
+    passes = {}
+    for iterations in (3, 30):
+        path = tmp_path / f"pr{iterations}.jsonl"
+        with TraceRecorder(path) as rec:
+            _, result = run_pagerank(_GRAPH, iterations=iterations, num_workers=2, trace=rec)
+        events = _CountedEvents(load_trace(path))
+        report = TraceReport(events)
+        assert report.as_dict()["runs"][0]["totals"]["supersteps"] == result.supersteps
+        passes[iterations] = events.passes
+    assert passes[3] == passes[30], passes
+
+
 class TestStreamingTraces:
     def test_epochs_nest_under_one_stream_span(self, tmp_path):
         graph = rmat(7, edge_factor=4, seed=9, directed=True)

@@ -19,15 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.runtime.executor
-import repro.runtime.parallel.backend
 from helpers import MOVERS, mover
 from repro.core import ChannelEngine, CombinedMessage, VertexProgram
 from repro.core.channels._records import local_ids
+from repro.core.recovery import confined_recovery
 from repro.core.combiner import SUM_F64
 from repro.core.worker import MAX_VERTICES, OwnerTable
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import degree_range_partition, hash_partition, range_partition
+from repro.obs.live import LIVE_COUNTERS, LiveMetrics
 from repro.runtime.parallel.worker_proc import _WorkerHost
 from repro.runtime.rebalance import RebalancePolicy
 
@@ -139,21 +140,22 @@ class Lookup(VertexProgram):
 def _migrating_run(monkeypatch, **options):
     """A run whose planted skew migrates at superstep 2, with every
     confined replay's workers checked against the ownership of the
-    moment; returns ``(engine, result, replay checks)``."""
+    moment; returns ``(engine, result, replay checks, after)``, where
+    ``after`` holds the state blobs captured once the run is over and
+    the live slots' counters."""
     replays = []
-    for module in (repro.runtime.executor, repro.runtime.parallel.backend):
-        real = module.confined_recovery
+    def spy(engine, doomed):
+        lives = confined_recovery(engine, doomed)
+        replays.extend(
+            lookup_agrees(life.worker) and life.worker.owner is engine.owner
+            for life in lives.values()
+        )
+        return lives
 
-        def spy(engine, doomed, real=real):
-            workers = real(engine, doomed)
-            replays.extend(
-                lookup_agrees(w) and w.owner is engine.owner for w in workers.values()
-            )
-            return workers
-
-        monkeypatch.setattr(module, "confined_recovery", spy)
+    monkeypatch.setattr(repro.runtime.executor, "confined_recovery", spy)
     skew = range_partition(GRAPH.num_vertices, 2)
     skew[: GRAPH.num_vertices // 4] = 0  # worker 0 holds the RMAT hubs and more
+    live = LiveMetrics.create(2)
     engine = ChannelEngine(
         GRAPH,
         Lookup,
@@ -162,15 +164,21 @@ def _migrating_run(monkeypatch, **options):
         rebalance="superstep",
         rebalance_every=2,
         rebalance_policy=RebalancePolicy(num_workers=2, min_supersteps=2, skew_threshold=0.0),
+        live=live,
         **options,
     )
     try:
         result = engine.run()
+        after = {
+            "blobs": engine.backend.capture_state_blobs(),
+            "live": [{k: row[k] for k in LIVE_COUNTERS} for row in live.snapshot()],
+        }
     finally:
         engine.close()
+        live.close(unlink=True)
     assert result.metrics.num_rebalances > 0, "the planted skew must migrate"
     assert not np.array_equal(engine.owner, skew)
-    return engine, result, replays
+    return engine, result, replays, after
 
 
 def _expected(owner: np.ndarray) -> dict:
@@ -182,10 +190,10 @@ def _expected(owner: np.ndarray) -> dict:
 @pytest.mark.parametrize("backend", ["sim", *MOVERS])
 def test_a_migration_rebuilds_the_table_from_the_new_owner(monkeypatch, backend):
     if backend == "sim":
-        engine, result, _ = _migrating_run(monkeypatch)
+        engine, result, _, _ = _migrating_run(monkeypatch)
     else:
         with mover(backend):
-            engine, result, _ = _migrating_run(monkeypatch, executor="process")
+            engine, result, _, _ = _migrating_run(monkeypatch, executor="process")
     assert dict(result.data) == _expected(engine.owner)
 
 
@@ -195,12 +203,35 @@ def test_a_migration_rebuilds_the_table_from_the_new_owner(monkeypatch, backend)
 def test_a_confined_replay_after_a_migration_reads_the_new_table(monkeypatch, executor):
     """The migration forces a checkpoint; worker 1 then dies and replays
     from it, built on the engine after ``owner`` was reassigned."""
-    engine, result, replays = _migrating_run(
+    engine, result, replays, _ = _migrating_run(
         monkeypatch, failures=[(1, 4)], recovery="confined", **executor
     )
     assert result.metrics.num_failures == 1
     assert replays == [True]
     assert dict(result.data) == _expected(engine.owner)
+
+
+def test_a_confined_replay_after_a_migration_agrees_across_backends(monkeypatch):
+    """Sim recovers as the process backend does: after the migration and
+    the replay, every worker's state bytes, the recovery's byte count and
+    the live slots' counters are the same on sim, shm and pipe."""
+    runs = {"sim": _migrating_run(monkeypatch, failures=[(1, 4)], recovery="confined")}
+    for name in MOVERS:
+        with mover(name):
+            runs[name] = _migrating_run(
+                monkeypatch, failures=[(1, 4)], recovery="confined", executor="process"
+            )
+    engine, result, replays, after = runs["sim"]
+    assert result.metrics.recovery_bytes > 0
+    assert after["live"][0]["superstep"] == result.metrics.supersteps
+    for name in MOVERS:
+        other_engine, other, other_replays, other_after = runs[name]
+        assert other_replays == replays == [True], name
+        assert np.array_equal(other_engine.owner, engine.owner), name
+        assert dict(other.data) == dict(result.data), name
+        assert other_after["blobs"] == after["blobs"], name
+        assert other.metrics.recovery_bytes == result.metrics.recovery_bytes, name
+        assert other_after["live"] == after["live"], name
 
 
 # -- the configure-time limit -----------------------------------------------------

@@ -134,15 +134,15 @@ def test_process_finalize_reply_is_two_arrays_per_worker(graph, transport, monke
     """Nothing per element crosses the control pipe: a child's reply holds
     its ids and its values as two codec arrays."""
     replies = []
-    gather = WorkerPool.gather
+    reply = WorkerPool.reply
 
-    def spy(self, phase):
-        out = gather(self, phase)
+    def spy(self, w, phase):
+        out = reply(self, w, phase)
         if phase == "finalize":
-            replies.extend(out)
+            replies.append(out)
         return out
 
-    monkeypatch.setattr(WorkerPool, "gather", spy)
+    monkeypatch.setattr(WorkerPool, "reply", spy)
     owner = hash_partition(graph.num_vertices, WORKERS)
     run_wcc(graph, mode="bulk", num_workers=WORKERS, partition=owner, executor="process")
     assert len(replies) == WORKERS
