@@ -91,7 +91,8 @@ class Aggregator(Channel):
         cast = (lambda v: v) if dtype.names else dtype.type
         self._partial = cast(state["partial"])
         self._contributed = state["contributed"]
-        self._result = cast(state["result"])
+        # None: a subclass's result before its first broadcast
+        self._result = None if state["result"] is None else cast(state["result"])
         self._global = cast(state["global"])
 
     def migrate_states(self, states: list[dict], ctx) -> list[dict]:

@@ -1,431 +1,309 @@
-"""The Pregel+ baseline engine.
+"""The Pregel+ baseline as a message layer on the channel runtime.
 
-One monolithic message layer (everything shares ``message_codec``), an
-optional global combiner, and two special modes from Pregel+:
+Pregel+ gives a program one message type (``message_codec``), at most one
+global combiner, and three modes that exclude one another: ``"basic"``
+point-to-point messages; ``"reqresp"``, whose requests are deduplicated
+per worker in a hash set and whose responses echo ``(id, value)`` pairs
+(the costs the paper's request-respond channel removes); and ``"ghost"``,
+where ``broadcast`` from a vertex of at least ``ghost_threshold``
+out-edges ships one value per (vertex, worker), expanded to its neighbors
+receiver-side through mirror tables.
 
-* ``mode="reqresp"`` — the request-respond paradigm.  Requests are
-  deduplicated per worker, but responses echo ``(id, value)`` pairs, and
-  request bookkeeping goes through per-request hash operations; both are
-  the costs the paper's request-respond channel removes.
-* ``mode="ghost"`` — mirroring.  ``broadcast`` for a vertex whose degree
-  is at least ``ghost_threshold`` ships one value per (vertex, worker)
-  and is expanded to neighbors receiver-side via mirror tables.
+Each section of Pregel+'s per-peer buffer is one channel here, driven by
+:meth:`~repro.core.worker.Worker.superstep` like every other:
+``_Messages`` (``_MSG``), ``_Ghosts`` (``_GHOST``), ``_Requests``
+(``_REQ``, then ``_RESP``) and the library's
+:class:`~repro.core.channels.Aggregator` (``_AGG_UP``, then
+``_AGG_DOWN``).  A frame's ``[channel_id:int32][nbytes:int32]`` is the 8
+bytes of a section's ``[section][nbytes]``, so every payload, byte,
+message, round and superstep is Pregel+'s.  The receive path keeps
+Pregel+'s per-vertex Python lists (or per-message scalar combining), the
+"nested vectors" the paper's DirectMessage iterator improves on.
 
-The per-message receive path materializes per-vertex Python lists (or
-per-message scalar combining) — the "nested vectors" receive structure of
-Pregel+ that the paper's DirectMessage iterator improves on.
+:class:`PregelLayer` is the program every worker runs: it registers the
+channels and hosts the user's :class:`~repro.pregel.program.PregelProgram`.
 """
 
 from __future__ import annotations
 
-import struct
-import time
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.core.engine import EngineResult
+from repro.core.channel import Channel
+from repro.core.channels import Aggregator
+from repro.core.channels._records import decode_records
+from repro.core.combiner import Combiner
+from repro.core.engine import ChannelEngine
+from repro.core.program import BulkVertexProgram
+from repro.core.worker import Worker
 from repro.graph.graph import Graph
-from repro.graph.partition import hash_partition
 from repro.pregel.program import PregelProgram, PregelVertex
-from repro.runtime.buffers import BufferExchange, WorkerBuffers
-from repro.runtime.costmodel import NetworkModel, DEFAULT_NETWORK
-from repro.runtime.metrics import MetricsCollector
-from repro.runtime.serialization import INT32
+from repro.runtime.costmodel import DEFAULT_NETWORK, NetworkModel
+from repro.runtime.serialization import INT32, Codec
 
-__all__ = ["PregelPlusEngine"]
-
-_FRAME = struct.Struct("<ii")
-
-# frame section ids inside the single per-peer buffer
-_MSG, _GHOST, _REQ, _RESP, _AGG_UP, _AGG_DOWN = range(6)
-_MASTER = 0
+__all__ = ["PregelLayer", "PregelPlusEngine"]
 
 
-class _PregelWorker:
-    """Per-worker state of the Pregel+ engine (internal)."""
+def _listed(codec: Codec, values: np.ndarray) -> list:
+    """Decoded values as Pregel+ hands them to a program: Python scalars,
+    or a tuple per record of a structured codec."""
+    return [tuple(v) for v in values] if codec.dtype.names else values.tolist()
 
-    def __init__(self, engine: "PregelPlusEngine", worker_id: int, local_ids: np.ndarray):
-        self.engine = engine
-        self.worker_id = worker_id
-        self.graph = engine.graph
-        self.owner = engine.owner
-        self.num_workers = engine.num_workers
-        self.local_ids = np.asarray(local_ids, dtype=np.int64)
-        self.num_local = int(self.local_ids.size)
-        self._local_index = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        self._local_index[self.local_ids] = np.arange(self.num_local)
-        self.halted = np.zeros(self.num_local, dtype=bool)
-        self.woken = np.zeros(self.num_local, dtype=bool)
-        self.buffers = WorkerBuffers(worker_id, self.num_workers)
-        self._vertex = PregelVertex(self)
-        self.program: PregelProgram | None = None
 
-        m = self.num_workers
-        # outgoing state, reset every superstep
-        self._pending_dst: list[list[int]] = [[] for _ in range(m)]
-        self._pending_val: list[list] = [[] for _ in range(m)]
-        self._ghost_out: list[list] = [[] for _ in range(m)]  # (src_id, value)
-        self._requests: set[int] = set()
-        self._requesters: list[int] = []
-        self._current_local = -1
-        self._agg_partial = None
-        # delivery state read by next superstep's compute
-        self._inbox_lists: dict[int, list] = {}
-        self._inbox_combined: dict[int, object] = {}
-        self._resp: dict[int, object] = {}
-        self.agg_result = None
-        # reqresp responder scratch
-        self._resp_out: list[list] = [[] for _ in range(m)]
+class _Messages(Channel):
+    """``_MSG``: ``[int32 ids][values]`` to each peer, in send order.  The
+    receiver keeps a list of values per vertex, or their fold when the
+    program declares a combiner; :class:`_Ghosts` delivers into the same
+    inbox, after this channel."""
 
-    # -- program-facing API ---------------------------------------------
-    @property
-    def step_num(self) -> int:
-        return self.engine.step_num
+    def __init__(self, worker: Worker, codec: Codec, combiner: Combiner | None) -> None:
+        super().__init__(worker)
+        self.value_codec = codec
+        self.combiner = combiner
+        self._dsts: list[list[int]] = [[] for _ in range(worker.num_workers)]
+        self._vals: list[list] = [[] for _ in range(worker.num_workers)]
+        #: local index -> list of values, or the combined value
+        self.inbox: dict[int, object] = {}
 
-    def halt(self, local_idx: int) -> None:
-        self.halted[local_idx] = True
+    def send(self, dst: int, value) -> None:
+        peer = int(self.worker.owner[dst])
+        self._dsts[peer].append(dst)
+        self._vals[peer].append(value)
 
-    def send_message(self, dst: int, value) -> None:
-        peer = int(self.owner[dst])
-        self._pending_dst[peer].append(dst)
-        self._pending_val[peer].append(value)
-
-    def broadcast(self, vid: int, value) -> None:
-        engine = self.engine
-        if engine.mode == "ghost" and vid in engine.ghost_peers:
-            for peer in engine.ghost_peers[vid]:
-                self._ghost_out[peer].append((vid, value))
+    def deliver(self, local: np.ndarray, values: np.ndarray) -> None:
+        """Pregel+'s receive path: one append, or one combine, per message."""
+        inbox = self.inbox
+        if self.combiner is None:
+            for i, val in zip(local.tolist(), _listed(self.value_codec, values)):
+                inbox.setdefault(i, []).append(val)
         else:
-            for dst in self.graph.neighbors(vid):
-                self.send_message(int(dst), value)
+            fn = self.combiner.fn
+            for i, val in zip(local.tolist(), values.tolist()):
+                inbox[i] = fn(inbox[i], val) if i in inbox else val
+        self.worker.activate_local_bulk(local)
 
-    def add_request(self, dst: int) -> None:
-        if self.engine.mode != "reqresp":
+    def serialize(self) -> None:
+        me = self.worker.worker_id
+        for peer, (dsts, vals) in enumerate(zip(self._dsts, self._vals)):
+            if dsts:
+                self.emit(peer, INT32.encode_array(dsts) + self.value_codec.encode_array(vals))
+                if peer != me:
+                    self.count_net_messages(len(dsts))
+                self._dsts[peer], self._vals[peer] = [], []
+
+    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
+        self.round += 1
+        self.inbox = {}
+        for _src, payload in payloads:
+            ids, values = decode_records(payload, self.value_codec)
+            self.deliver(self.worker.local_index(ids), values)
+
+    def snapshot(self) -> dict:
+        return {"inbox": self.inbox}
+
+    def restore(self, state: dict) -> None:
+        self.inbox = dict(state["inbox"])
+
+
+class _Ghosts(_Messages):
+    """``_GHOST``: ``_MSG``'s wire, one ``(id, value)`` record per
+    (broadcasting vertex, peer) for vertices of at least ``threshold``
+    out-edges; each worker expands a record into ``messages``' inbox for
+    the vertices of its own the sender reaches.  Both tables come from
+    the worker's own rows: its out-rows give the peers each of its hubs
+    reaches, its in-rows the mirror table."""
+
+    def __init__(self, worker: Worker, messages: _Messages, threshold: int) -> None:
+        super().__init__(worker, messages.value_codec, None)
+        self.messages = messages
+        graph, owner = worker.graph, worker.owner
+        degrees = graph.out_degrees
+        hubs = worker.local_ids[degrees[worker.local_ids] >= threshold]
+        self.peers = {vid: np.unique(owner[graph.neighbors(vid)]) for vid in hubs.tolist()}
+        adj = worker.local_adjacency("in")
+        srcs = adj.indices
+        rows = np.repeat(np.arange(worker.num_local), adj.degrees)
+        hub_edge = degrees[srcs] >= threshold
+        srcs, rows = srcs[hub_edge], rows[hub_edge]
+        order = np.argsort(srcs, kind="stable")
+        vids, starts = np.unique(srcs[order], return_index=True)
+        #: hub id -> the local vertices it reaches, once per edge
+        self.mirrors = dict(zip(vids.tolist(), np.split(rows[order], starts[1:])))
+
+    def broadcast(self, vid: int, value) -> bool:
+        """Ship ``value`` from hub ``vid`` to its peers; ``False`` when
+        ``vid`` is no hub, for the caller to message every neighbor."""
+        peers = self.peers.get(vid)
+        if peers is None:
+            return False
+        for peer in peers.tolist():
+            self._dsts[peer].append(vid)
+            self._vals[peer].append(value)
+        return True
+
+    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
+        self.round += 1
+        for _src, payload in payloads:
+            ids, values = decode_records(payload, self.value_codec)
+            for k, vid in enumerate(ids.tolist()):
+                local = self.mirrors[vid]
+                self.messages.deliver(local, np.repeat(values[k : k + 1], local.size))
+
+
+class _Requests(Channel):
+    """``_REQ`` then ``_RESP``: round one ships each worker's requested ids,
+    deduplicated in a hash set, to their owners; round two answers with
+    ``(id, value)`` pairs and wakes the vertices that asked."""
+
+    def __init__(self, worker: Worker, program: PregelProgram) -> None:
+        super().__init__(worker)
+        self.program = program
+        self.value_codec = program.message_codec
+        self._asked: set[int] = set()
+        self._requesters: list[int] = []
+        self._answers: list[list] = [[] for _ in range(worker.num_workers)]
+        #: requested id -> its value, read by the superstep after the request
+        self.responses: dict[int, object] = {}
+
+    def request(self, dst: int, local: int) -> None:
+        self._asked.add(dst)
+        self._requesters.append(local)
+
+    def serialize(self) -> None:
+        me = self.worker.worker_id
+        if self.round == 0:
+            by_peer: dict[int, list[int]] = {}
+            for dst in self._asked:
+                by_peer.setdefault(int(self.worker.owner[dst]), []).append(dst)
+            self._asked = set()
+            for peer, ids in by_peer.items():
+                ids.sort()
+                self.emit(peer, INT32.encode_array(ids))
+                if peer != me:
+                    self.count_net_messages(len(ids))
+            return
+        for peer, pairs in enumerate(self._answers):
+            if pairs:
+                ids = INT32.encode_array([p[0] for p in pairs])
+                self.emit(peer, ids + self.value_codec.encode_array([p[1] for p in pairs]))
+                if peer != me:
+                    self.count_net_messages(len(pairs))
+                self._answers[peer] = []
+
+    def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
+        if self.round == 0:
+            respond = self.program.respond_value
+            for src, payload in payloads:
+                ids = INT32.decode_array(payload).astype(np.int64)
+                local = self.worker.local_index(ids)
+                self._answers[src] += zip(ids.tolist(), map(respond, local.tolist()))
+        else:
+            self.responses = {}
+            for _src, payload in payloads:
+                ids, values = decode_records(payload, self.value_codec)
+                self.responses.update(zip(ids.tolist(), _listed(self.value_codec, values)))
+            if self.responses and self._requesters:
+                self.worker.activate_local_bulk(np.asarray(self._requesters, dtype=np.int64))
+            self._requesters = []
+        self.round += 1
+
+    def again(self) -> bool:
+        return self.round == 1 and any(self._answers)
+
+    def snapshot(self) -> dict:
+        return {"responses": self.responses}
+
+    def restore(self, state: dict) -> None:
+        self.responses = dict(state["responses"])
+
+
+class _Aggregator(Aggregator):
+    """The library's aggregator, whose result is ``None`` until the first
+    broadcast lands: Pregel+'s ``agg_result`` in superstep 1."""
+
+    def __init__(self, worker: Worker, combiner: Combiner) -> None:
+        super().__init__(worker, combiner)
+        self._result = None
+
+
+class PregelLayer(BulkVertexProgram):
+    """What each worker runs: the message layer of one engine's ``mode``
+    as channels, and the user's program (``pregel``), whose ``compute``
+    it calls per active vertex with that vertex's messages."""
+
+    def __init__(
+        self,
+        worker: Worker,
+        program_factory: Callable[[Worker], PregelProgram],
+        mode: str,
+        ghost_threshold: int,
+    ) -> None:
+        super().__init__(worker)
+        self.pregel = program = program_factory(worker)
+        self.messages = _Messages(worker, program.message_codec, program.combiner)
+        self.ghosts = _Ghosts(worker, self.messages, ghost_threshold) if mode == "ghost" else None
+        self.requests = _Requests(worker, program) if mode == "reqresp" else None
+        comb = program.aggregator_combiner
+        self.aggregator = _Aggregator(worker, comb) if comb is not None else None
+        # the program's phase hook, state and results are this worker's
+        self.before_superstep, self.finalize = program.before_superstep, program.finalize
+        self.state_dict, self.load_state_dict = program.state_dict, program.load_state_dict
+        self._vertex = PregelVertex(self)
+
+    def compute_bulk(self, active: np.ndarray) -> None:
+        program, v, inbox = self.pregel, self._vertex, self.messages.inbox
+        if program.combiner is None:
+            for i in active.tolist():
+                program.compute(v._bind(i), inbox.get(i, []))
+        else:
+            for i in active.tolist():
+                program.compute(v._bind(i), inbox.get(i))
+
+    # -- what PregelVertex and PregelProgram call ------------------------------
+    def broadcast(self, vid: int, value) -> None:
+        if self.ghosts is None or not self.ghosts.broadcast(vid, value):
+            for dst in self.worker.graph.neighbors(vid).tolist():
+                self.messages.send(dst, value)
+
+    def request(self, dst: int, local: int) -> None:
+        if self.requests is None:
             raise RuntimeError("request() needs mode='reqresp'")
-        self._requests.add(dst)
-        self._requesters.append(self._current_local)
-
-    def get_resp(self, dst: int):
-        return self._resp[dst]
+        self.requests.request(dst, local)
 
     def aggregate(self, value) -> None:
-        comb = self.program.aggregator_combiner
-        if comb is None:
+        if self.aggregator is None:
             raise RuntimeError("program declares no aggregator_combiner")
-        if self._agg_partial is None:
-            self._agg_partial = comb.identity
-        self._agg_partial = comb.combine(self._agg_partial, value)
+        self.aggregator.add(value)
 
-    # -- superstep bookkeeping ---------------------------------------------
-    def activate_local_bulk(self, local_idx: np.ndarray) -> None:
-        """Wake owned vertices for the upcoming superstep."""
-        self.woken[local_idx] = True
-
-    def begin_superstep(self) -> np.ndarray:
-        self.halted &= ~self.woken
-        active = np.flatnonzero(~self.halted)
-        self.woken[:] = False
-        return active
-
-    def run_compute(self, active: np.ndarray) -> None:
-        program = self.program
-        v = self._vertex
-        combined = program.combiner is not None
-        lists = self._inbox_lists
-        slots = self._inbox_combined
-        self._requesters = []
-        for idx in active:
-            i = int(idx)
-            self._current_local = i
-            msgs = slots.get(i) if combined else lists.get(i, [])
-            program.compute(v._bind(i), msgs)
-
-    def emit(self, section: int, peer: int, payload: bytes) -> None:
-        if not payload:
-            return
-        w = self.buffers.out[peer]
-        w.write_bytes(_FRAME.pack(section, len(payload)))
-        w.write_bytes(payload)
-
-    def route_inbox(self) -> dict[int, list[tuple[int, memoryview]]]:
-        routed: dict[int, list[tuple[int, memoryview]]] = {}
-        for src, data in enumerate(self.buffers.inbox):
-            if not data:
-                continue
-            view = memoryview(data)
-            offset, end = 0, len(view)
-            while offset < end:
-                sec, nbytes = _FRAME.unpack_from(view, offset)
-                offset += _FRAME.size
-                routed.setdefault(sec, []).append((src, view[offset : offset + nbytes]))
-                offset += nbytes
-        self.buffers.clear_inbox()
-        return routed
+    @property
+    def agg_result(self):
+        return None if self.aggregator is None else self.aggregator.result()
 
 
-class PregelPlusEngine:
-    """Drives a :class:`PregelProgram` in basic / reqresp / ghost mode."""
+class PregelPlusEngine(ChannelEngine):
+    """A :class:`ChannelEngine` whose workers run a :class:`PregelProgram`
+    on the Pregel+ message layer of ``mode`` (basic / reqresp / ghost).
+    ``options`` are :class:`ChannelEngine`'s, e.g. ``executor="process"``
+    or ``checkpoint_every=``."""
 
     def __init__(
         self,
         graph: Graph,
-        program_factory: Callable[[_PregelWorker], PregelProgram],
+        program_factory: Callable[[Worker], PregelProgram],
         num_workers: int = 8,
         partition: np.ndarray | None = None,
         network: NetworkModel = DEFAULT_NETWORK,
         mode: str = "basic",
         ghost_threshold: int = 16,
+        **options,
     ) -> None:
         if mode not in ("basic", "reqresp", "ghost"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.graph = graph
-        self.num_workers = num_workers
-        self.mode = mode
-        self.ghost_threshold = ghost_threshold
-        if partition is None:
-            partition = hash_partition(graph.num_vertices, num_workers)
-        self.owner = np.asarray(partition, dtype=np.int64)
-        if self.owner.shape != (graph.num_vertices,):
-            raise ValueError("partition must assign every vertex")
-        self.metrics = MetricsCollector(num_workers=num_workers, network=network)
-        self.step_num = 0
-
-        self.workers: list[_PregelWorker] = []
-        for w in range(num_workers):
-            self.workers.append(_PregelWorker(self, w, np.flatnonzero(self.owner == w)))
-        for worker in self.workers:
-            worker.program = program_factory(worker)
-        self._exchange = BufferExchange()
-        self._buffers = [w.buffers for w in self.workers]
-
-        # mirror tables for ghost mode
-        self.ghost_peers: dict[int, np.ndarray] = {}
-        self.mirror_adj: list[dict[int, np.ndarray]] = [dict() for _ in range(num_workers)]
-        if mode == "ghost":
-            self._build_mirrors()
-
-    def _build_mirrors(self) -> None:
-        degs = self.graph.out_degrees
-        for vid in np.flatnonzero(degs >= self.ghost_threshold):
-            vid = int(vid)
-            nbrs = self.graph.neighbors(vid)
-            owners = self.owner[nbrs]
-            peers = np.unique(owners)
-            self.ghost_peers[vid] = peers
-            for peer in peers:
-                local = self.workers[peer]._local_index[nbrs[owners == peer]]
-                self.mirror_adj[peer][vid] = local
-
-    # -- main loop ---------------------------------------------------------
-    def run(self, max_supersteps: int = 100_000) -> EngineResult:
-        metrics = self.metrics
-        metrics.start_run()
-        has_agg = any(w.program.aggregator_combiner is not None for w in self.workers)
-
-        while True:
-            for worker in self.workers:
-                worker.program.before_superstep()
-            active_sets = [w.begin_superstep() for w in self.workers]
-            total_active = sum(a.size for a in active_sets)
-            if total_active == 0:
-                break
-            self.step_num += 1
-            if self.step_num > max_supersteps:
-                raise RuntimeError(f"exceeded max_supersteps={max_supersteps}")
-            metrics.start_superstep(total_active)
-
-            for worker, active in zip(self.workers, active_sets):
-                t0 = time.perf_counter()
-                worker.run_compute(active)
-                metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-
-            need_second = has_agg
-            # ---- round 1: messages, ghost broadcasts, requests, agg partials
-            for worker in self.workers:
-                t0 = time.perf_counter()
-                self._serialize_round1(worker, has_agg)
-                metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-            metrics.record_exchange(self._exchange.exchange(self._buffers))
-            for worker in self.workers:
-                t0 = time.perf_counter()
-                if self._deserialize_round1(worker):
-                    need_second = True
-                metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-
-            # ---- round 2: responses and the aggregator broadcast
-            if need_second:
-                for worker in self.workers:
-                    t0 = time.perf_counter()
-                    self._serialize_round2(worker, has_agg)
-                    metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-                metrics.record_exchange(self._exchange.exchange(self._buffers))
-                for worker in self.workers:
-                    t0 = time.perf_counter()
-                    self._deserialize_round2(worker)
-                    metrics.record_compute(worker.worker_id, time.perf_counter() - t0)
-            metrics.end_superstep()
-
-        metrics.end_run()
-        result = EngineResult(metrics=metrics)
-        for worker in self.workers:
-            result.data.update(worker.program.finalize())
-        return result
-
-    # -- round 1 --------------------------------------------------------------
-    def _serialize_round1(self, worker: _PregelWorker, has_agg: bool) -> None:
-        program = worker.program
-        codec = program.message_codec
-        me = worker.worker_id
-        net_msgs = 0
-        for peer in range(self.num_workers):
-            dsts = worker._pending_dst[peer]
-            if dsts:
-                payload = INT32.encode_array(dsts) + codec.encode_array(
-                    worker._pending_val[peer]
-                )
-                worker.emit(_MSG, peer, payload)
-                if peer != me:
-                    net_msgs += len(dsts)
-                worker._pending_dst[peer] = []
-                worker._pending_val[peer] = []
-            gout = worker._ghost_out[peer]
-            if gout:
-                ids = INT32.encode_array([g[0] for g in gout])
-                vals = codec.encode_array([g[1] for g in gout])
-                worker.emit(_GHOST, peer, ids + vals)
-                if peer != me:
-                    net_msgs += len(gout)
-                worker._ghost_out[peer] = []
-        if worker._requests:
-            # Pregel+-style: per-request hash dedup, then ship id lists
-            by_peer: dict[int, list[int]] = {}
-            for dst in worker._requests:
-                by_peer.setdefault(int(self.owner[dst]), []).append(dst)
-            worker._requests = set()
-            for peer, ids in by_peer.items():
-                ids.sort()
-                worker.emit(_REQ, peer, INT32.encode_array(ids))
-                if peer != me:
-                    net_msgs += len(ids)
-        if has_agg:
-            comb = program.aggregator_combiner
-            partial = worker._agg_partial if worker._agg_partial is not None else comb.identity
-            worker.emit(_AGG_UP, _MASTER, comb.codec.encode_one(partial))
-            if me != _MASTER:
-                net_msgs += 1
-            worker._agg_partial = None
-        if net_msgs:
-            self.metrics.count_messages(net_msgs)
-
-    def _deserialize_round1(self, worker: _PregelWorker) -> bool:
-        """Deliver messages; prepare responses.  Returns True if this
-        worker needs the second exchange round."""
-        program = worker.program
-        codec = program.message_codec
-        routed = worker.route_inbox()
-        worker._inbox_lists = {}
-        worker._inbox_combined = {}
-        combiner = program.combiner
-
-        structured = codec.dtype.names is not None
-
-        def deliver(local: np.ndarray, vals: np.ndarray) -> None:
-            # the monolithic receive path: per-message appends/combines
-            if combiner is None:
-                lists = worker._inbox_lists
-                if structured:
-                    for i, val in zip(local.tolist(), vals):
-                        lists.setdefault(i, []).append(tuple(val))
-                else:
-                    for i, val in zip(local.tolist(), vals.tolist()):
-                        lists.setdefault(i, []).append(val)
-            else:
-                slots = worker._inbox_combined
-                fn = combiner.fn
-                for i, val in zip(local.tolist(), vals.tolist()):
-                    if i in slots:
-                        slots[i] = fn(slots[i], val)
-                    else:
-                        slots[i] = val
-            worker.woken[local] = True
-
-        for _src, payload in routed.get(_MSG, []):
-            count = len(payload) // (INT32.itemsize + codec.itemsize)
-            dst = INT32.decode_array(payload[: count * INT32.itemsize]).astype(np.int64)
-            vals = codec.decode_array(payload[count * INT32.itemsize :], count)
-            deliver(worker._local_index[dst], vals)
-
-        for _src, payload in routed.get(_GHOST, []):
-            count = len(payload) // (INT32.itemsize + codec.itemsize)
-            ids = INT32.decode_array(payload[: count * INT32.itemsize]).astype(np.int64)
-            vals = codec.decode_array(payload[count * INT32.itemsize :], count)
-            mirrors = self.mirror_adj[worker.worker_id]
-            for vid, val in zip(ids.tolist(), vals if structured else vals.tolist()):
-                local = mirrors[vid]
-                deliver(local, np.repeat(np.asarray([val], dtype=codec.dtype), local.size))
-
-        need_second = False
-        for src, payload in routed.get(_REQ, []):
-            ids = INT32.decode_array(payload).astype(np.int64)
-            local = worker._local_index[ids]
-            pairs = worker._resp_out[src]
-            for vid, li in zip(ids.tolist(), local.tolist()):
-                pairs.append((vid, program.respond_value(li)))
-            need_second = True
-
-        if worker.worker_id == _MASTER and _AGG_UP in routed:
-            comb = program.aggregator_combiner
-            acc = comb.identity
-            for _src, payload in routed[_AGG_UP]:
-                acc = comb.combine(acc, comb.codec.decode_one(payload))
-            worker._agg_global = acc
-        return need_second
-
-    # -- round 2 ---------------------------------------------------------------
-    def _serialize_round2(self, worker: _PregelWorker, has_agg: bool) -> None:
-        program = worker.program
-        me = worker.worker_id
-        net_msgs = 0
-        resp_codec = program.message_codec
-        for peer in range(self.num_workers):
-            pairs = worker._resp_out[peer]
-            if pairs:
-                # Pregel+ echoes (id, value) pairs
-                ids = INT32.encode_array([p[0] for p in pairs])
-                vals = resp_codec.encode_array([p[1] for p in pairs])
-                worker.emit(_RESP, peer, ids + vals)
-                if peer != me:
-                    net_msgs += len(pairs)
-                worker._resp_out[peer] = []
-        if has_agg and me == _MASTER:
-            comb = program.aggregator_combiner
-            payload = comb.codec.encode_one(getattr(worker, "_agg_global", comb.identity))
-            for peer in range(self.num_workers):
-                worker.emit(_AGG_DOWN, peer, payload)
-            net_msgs += self.num_workers - 1
-        if net_msgs:
-            self.metrics.count_messages(net_msgs)
-
-    def _deserialize_round2(self, worker: _PregelWorker) -> None:
-        program = worker.program
-        codec = program.message_codec
-        routed = worker.route_inbox()
-        worker._resp = {}
-        structured = codec.dtype.names is not None
-        for _src, payload in routed.get(_RESP, []):
-            count = len(payload) // (INT32.itemsize + codec.itemsize)
-            ids = INT32.decode_array(payload[: count * INT32.itemsize])
-            vals = codec.decode_array(payload[count * INT32.itemsize :], count)
-            if structured:
-                for vid, val in zip(ids.tolist(), vals):
-                    worker._resp[vid] = tuple(val)
-            else:
-                for vid, val in zip(ids.tolist(), vals.tolist()):
-                    worker._resp[vid] = val
-        if worker._resp and worker._requesters:
-            worker.woken[np.asarray(worker._requesters, dtype=np.int64)] = True
-        for _src, payload in routed.get(_AGG_DOWN, []):
-            comb = program.aggregator_combiner
-            for w in (worker,):
-                w.agg_result = comb.codec.decode_one(payload)
+        layer = partial(
+            PregelLayer, program_factory=program_factory, mode=mode, ghost_threshold=ghost_threshold
+        )
+        super().__init__(
+            graph, layer, partition=partition, num_workers=num_workers, network=network, **options
+        )

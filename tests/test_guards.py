@@ -186,22 +186,23 @@ if [ -n "$files" ]; then
 fi
 '''),
     # a host keeps one int32 position table (OwnerTable) that every
-    # worker's local_index reads; the paper's baselines under pregel/ and
-    # blogel/ keep their own per-worker index
+    # worker's local_index reads, the Pregel+ baseline's workers too; the
+    # Blogel baseline under blogel/ keeps its own per-worker index
     ("No V-sized table per worker", r'''
-if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" src/repro/core src/repro/runtime; then
-  echo "'_local_index' and 'np.full(self.graph.num_vertices' must not appear under src/repro/core or src/repro/runtime"
+if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" src/repro/core src/repro/runtime src/repro/pregel; then
+  echo "'_local_index' and 'np.full(self.graph.num_vertices' must not appear under src/repro/core, src/repro/runtime or src/repro/pregel"
   exit 1
 fi
 '''),
     # one superstep body: Worker.superstep is the Fig. 4 loop, and sim,
-    # a process child and confined replay only drive it; the Pregel+ and
-    # Blogel baselines keep their own loops
+    # a process child and confined replay only drive it; the Pregel+
+    # baseline's message layer is channels that loop drives, and the
+    # Blogel baseline keeps its own loop
     ("One superstep body", r'''
 for pattern in 'serialize_round(' '.run_compute(' '.begin_superstep(' '.before_superstep()' '.record_round('; do
-  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core src/repro/runtime || true)
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core src/repro/runtime src/repro/pregel || true)
   if [ "$files" != "src/repro/core/worker.py" ]; then
-    echo "'$pattern' must appear only in src/repro/core/worker.py under src/repro/core and src/repro/runtime, found:"
+    echo "'$pattern' must appear only in src/repro/core/worker.py under src/repro/core, src/repro/runtime and src/repro/pregel, found:"
     echo "$files"
     exit 1
   fi

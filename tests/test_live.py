@@ -18,7 +18,6 @@ The contract under test, in order of importance:
    client, and ``repro top --once`` renders a snapshot table.
 """
 
-import gc
 import re
 import struct
 import threading
@@ -31,6 +30,7 @@ import pytest
 from helpers import line_graph
 from repro.algorithms.wcc import WCCBasic, run_wcc
 from repro.core import ChannelEngine
+from repro.core import worker as worker_module
 from repro.obs import (
     LIVE_COUNTERS,
     LIVE_GAUGES,
@@ -314,24 +314,40 @@ class TestBackendParity:
 # online anomaly scoring
 # ---------------------------------------------------------------------------
 class SleepyWCC(WCCBasic):
-    """WCCBasic with worker 1 planted as a straggler."""
+    """WCCBasic with worker 1 planted as a straggler: 2 ms a vertex."""
+
+    sleep = staticmethod(time.sleep)
 
     def compute(self, v):
         if self.worker.worker_id == 1:
-            time.sleep(0.002)
+            self.sleep(0.002)
         super().compute(v)
 
 
+class _StillClock:
+    """A clock that moves only when slept on."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
 class TestLiveMonitor:
-    def test_planted_straggler_raises_alerts(self, tmp_path):
+    def test_planted_straggler_raises_alerts(self, tmp_path, monkeypatch):
+        # the workers charge compute and serialize from a clock this test
+        # moves, so the planted 2 ms are the only busy time: a pause of the
+        # machine (a collection, a preemption) cannot make worker 0 slow
+        clock = _StillClock()
+        monkeypatch.setattr(worker_module, "time", clock)
+        monkeypatch.setattr(SleepyWCC, "sleep", staticmethod(clock.sleep))
         path = tmp_path / "trace.jsonl"
         graph = line_graph(16)
         live = LiveMetrics.create(2)
-        # a full collection landing in worker 0's superstep is a >1 ms
-        # pause the monitor rightly reports as an anomaly; late in a long
-        # test session that happens, so keep the collector out of the run
-        gc.collect()
-        gc.disable()
         try:
             with TraceRecorder(path) as rec:
                 result = ChannelEngine(
@@ -347,7 +363,6 @@ class TestLiveMonitor:
             assert live.alert_counts()[1] == len(result.live_alerts)
             assert live.alert_counts()[0] == 0
         finally:
-            gc.enable()
             live.close(unlink=True)
         # ...and so did the trace, as "alert" instants under the run span
         events = load_trace(path)
