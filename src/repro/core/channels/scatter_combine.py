@@ -54,6 +54,8 @@ move.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.adjacency import build_local_csr
@@ -62,15 +64,16 @@ from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import Pattern, StaticPattern
 from repro.core.channels._records import as_int32, check_ascending, local_ids
 from repro.core.combiner import Combiner
+from repro.core.lanes import lane_scratch, run_lanes
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
 from repro.util import cut_blocks, expand_ranges, group_by_key
 
 __all__ = ["ScatterCombine"]
 
-#: edges one step of the per-superstep scan gathers: the scratch they land
-#: in is reused, so the scan allocates no per-edge temporary (0.5 MB of
-#: float64; a scan in 1 Mi-edge steps measured no faster)
+#: edges one step of the per-superstep scan gathers: the lane scratch they
+#: land in is reused, so the scan allocates no per-edge temporary (0.5 MB
+#: of float64; a scan in 1 Mi-edge steps measured no faster)
 _BLOCK_EDGES = 1 << 16
 
 
@@ -85,34 +88,79 @@ class _Scan:
 
     A call takes ``size`` values: the first ``head`` pass through as they
     are (a receiver's values the sender combined), and ``edge_src``
-    indexes the rest; ``starts`` are the segments' first edges."""
+    indexes the rest; ``starts`` are the segments' first edges.
+
+    The blocks are cut once into up to ``lanes`` runs of whole blocks,
+    about equal in edges, that fold at once (:func:`run_lanes`), each into
+    its own slice of the output from its lane's scratch: the segments, the
+    blocks and each fold's order are those of one lane, so every bit is
+    too.  A scan takes no more lanes than half its blocks, and a combiner
+    that folds in Python (no ufunc, or a ``reduceat`` of its own) keeps
+    one lane, where more would only trade the GIL."""
 
     def __init__(
-        self, combiner: Combiner, edge_src: np.ndarray, starts: np.ndarray, size: int, head: int = 0
+        self,
+        combiner: Combiner,
+        edge_src: np.ndarray,
+        starts: np.ndarray,
+        size: int,
+        head: int = 0,
+        lanes: int = 1,
     ):
         self.combiner = combiner
         self.edge_src, self.starts, self.size, self.head = edge_src, starts, size, head
-        self.blocks = cut_blocks(np.append(starts, edge_src.size), _BLOCK_EDGES)
-        self.scratch = np.empty(
-            max((hi - lo for _, _, lo, hi in self.blocks), default=0),
-            dtype=combiner.codec.dtype,
-        )
+        blocks = cut_blocks(np.append(starts, edge_src.size), _BLOCK_EDGES)
+        native = combiner.ufunc is not None and type(combiner).reduceat is Combiner.reduceat
+        self.runs = [  # (blocks, the most edges and the most segments of one)
+            (
+                run,
+                max((hi - lo for _, _, lo, hi in run), default=0),
+                max((seg_hi - seg_lo for seg_lo, seg_hi, _, _ in run), default=0),
+            )
+            for run in _cut_runs(blocks, lanes if native else 1)
+        ]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         head = self.head
         combined = np.empty(head + self.starts.size, dtype=values.dtype)
         combined[:head] = values[:head]
         senders, folded = values[head:], combined[head:]
+        run_lanes([partial(self._fold, senders, folded, *run) for run in self.runs])
+        return combined
+
+    def _fold(
+        self, senders: np.ndarray, folded: np.ndarray, blocks: list, edges: int, segments: int
+    ) -> None:
+        """Fold ``blocks`` into their slice of ``folded`` in the calling
+        lane's scratch: a block's gathered values, then its segments'
+        starts within it — no per-block temporary."""
+        dtype = self.combiner.codec.dtype
+        split = -(-edges * dtype.itemsize // 8) * 8  # (the starts' alignment)
+        scratch = lane_scratch(split + 8 * segments)
+        gathered = scratch[: edges * dtype.itemsize].view(dtype)
+        relative = scratch[split : split + 8 * segments].view(np.int64)
         # mode="clip" only skips the bounds check the build did (with an
         # ``out``, "raise" gathers into a copy first)
-        for seg_lo, seg_hi, lo, hi in self.blocks:
+        for seg_lo, seg_hi, lo, hi in blocks:
             per_edge = np.take(
-                senders, self.edge_src[lo:hi], out=self.scratch[: hi - lo], mode="clip"
+                senders, self.edge_src[lo:hi], out=gathered[: hi - lo], mode="clip"
             )
-            self.combiner.reduceat(
-                per_edge, self.starts[seg_lo:seg_hi] - lo, out=folded[seg_lo:seg_hi]
-            )
-        return combined
+            starts = np.subtract(self.starts[seg_lo:seg_hi], lo, out=relative[: seg_hi - seg_lo])
+            self.combiner.reduceat(per_edge, starts, out=folded[seg_lo:seg_hi])
+
+
+def _cut_runs(blocks: list, lanes: int) -> list[list]:
+    """``blocks`` cut into consecutive runs about equal in edges, at most
+    ``lanes`` of them and at most half as many as blocks: a run ends
+    before the first block whose middle edge lies past its share."""
+    lanes = min(lanes, len(blocks) // 2)
+    if lanes <= 1:
+        return [blocks]
+    sizes = np.array([hi - lo for _, _, lo, hi in blocks])
+    middles = np.cumsum(sizes) - sizes / 2
+    cuts = np.searchsorted(middles, sizes.sum() * np.arange(1, lanes) / lanes)
+    cuts = np.unique(np.clip(cuts, 1, len(blocks) - 1)).tolist()
+    return [blocks[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(blocks)])]
 
 
 class ScatterCombine(ScatterEdges, StaticPattern, Channel):
@@ -182,7 +230,8 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
                 np.cumsum(lengths[:-1], out=starts[1:])
                 uniq_dst, owners = uniq_dst[keep], owners[keep]
                 select = self._select(owners)
-        self._scan = _Scan(self.combiner, edge_src, starts, self.worker.num_local)
+        lanes = self.worker.engine.scan_lanes
+        self._scan = _Scan(self.combiner, edge_src, starts, self.worker.num_local, lanes=lanes)
         self._peer_select = select
         if not self._announced:
             self._words = [
@@ -427,7 +476,15 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
                 f"the rows of its {ids.size} senders reach {uniq.size} here"
             )
         local = np.concatenate((head, worker.local_index(uniq)))
-        return local, _Scan(self.combiner, edge_src, starts, head.size + ids.size, head.size)
+        scan = _Scan(
+            self.combiner,
+            edge_src,
+            starts,
+            head.size + ids.size,
+            head.size,
+            lanes=worker.engine.scan_lanes,
+        )
+        return local, scan
 
     def _check_senders(self, src: int, ids: np.ndarray) -> None:
         bound = self.worker.graph.num_vertices

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.adjacency import LocalCSR, build_local_csr
+from repro.core.lanes import lane_count
 from repro.core.vertex import Vertex
 from repro.runtime.buffers import WorkerBuffers
 
@@ -38,10 +39,21 @@ class OwnerTable:
     worker id, and ``positions``, each vertex's position among its
     owner's vertices in ascending id order — one ``int32[V]`` table per
     host, however many workers it holds, built on first use and again
-    whenever ``owner`` is assigned.  :meth:`Worker.local_index` reads it."""
+    whenever ``owner`` is assigned.  :meth:`Worker.local_index` reads it.
+
+    A host also shares its cores among the workers it runs at once
+    (``workers_at_once``: one on sim, which advances a worker at a time):
+    :attr:`scan_lanes`."""
 
     num_workers: int
+    workers_at_once = 1
     _positions: np.ndarray | None = None
+
+    @property
+    def scan_lanes(self) -> int:
+        """The lanes each of this host's workers scans on
+        (:func:`~repro.core.lanes.lane_count`)."""
+        return lane_count(self.workers_at_once)
 
     @staticmethod
     def check_vertices(num_vertices: int) -> None:
@@ -80,8 +92,8 @@ class Worker:
     backend substitutes a per-process host
     (:class:`repro.runtime.parallel.worker_proc._WorkerHost`).  The
     contract this class and the channels rely on is the attribute set
-    ``graph``, ``owner``, ``positions`` (the host is an
-    :class:`OwnerTable`), ``num_workers`` and ``step_num``.  A worker
+    ``graph``, ``owner``, ``positions`` and ``scan_lanes`` (the host is
+    an :class:`OwnerTable`), ``num_workers`` and ``step_num``.  A worker
     counts its own superstep into :attr:`books`; the host keeps no
     counters.
     """

@@ -38,12 +38,12 @@ a core of its own, OS pipes once workers outnumber cores.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import weakref
 
 import numpy as np
 
+from repro.core.lanes import affinity_cores
 from repro.runtime.parallel.protocol import (
     WorkerProcessError,
     check_liveness,
@@ -66,11 +66,9 @@ INJECTED_EXIT_CODE = 43
 
 
 def usable_cores() -> int:
-    """The CPUs this process may run on: its affinity set where the OS
-    has one, else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on (:func:`~repro.core.lanes.affinity_cores`):
+    the frame mover's own seam, which tests patch to pick a mover."""
+    return affinity_cores()
 
 
 def frame_mover(num_workers: int) -> str:

@@ -95,6 +95,7 @@ class _WorkerHost(OwnerTable):
         self.graph = graph
         self.owner = owner
         self.num_workers = num_workers
+        self.workers_at_once = num_workers  # every worker has a process of its own
         self.step_num = 0
 
 

@@ -621,14 +621,17 @@ class TestScatterCombineBuild:
         with mock.patch.object(scatter_combine, "_BLOCK_EDGES", 4):
             ch, sent, expected = self._scan(worker, combiner, src, dst, values)
         assert sent == expected
-        # blocks tile the segments, whole, and the scratch holds the longest
+        # blocks tile the segments, whole, and each run's scratch is sized
+        # by its longest block and its block of most segments
         bounds = ch._scan.starts.tolist() + [len(edges)]
-        cuts = [block[0] for block in ch._scan.blocks] + [ch._scan.starts.size]
-        assert cuts[0] == 0 and [block[1] for block in ch._scan.blocks] == cuts[1:]
-        for seg_lo, seg_hi, lo, hi in ch._scan.blocks:
-            assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
-            assert hi - lo <= 4 or seg_hi == seg_lo + 1
-            assert hi - lo <= ch._scan.scratch.size
+        blocks = [block for run, *_ in ch._scan.runs for block in run]
+        cuts = [block[0] for block in blocks] + [ch._scan.starts.size]
+        assert cuts[0] == 0 and [block[1] for block in blocks] == cuts[1:]
+        for run, most_edges, most_segments in ch._scan.runs:
+            for seg_lo, seg_hi, lo, hi in run:
+                assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
+                assert hi - lo <= 4 or seg_hi == seg_lo + 1
+                assert hi - lo <= most_edges and seg_hi - seg_lo <= most_segments
 
     @STATIC_EDGE_CHANNELS
     def test_out_of_range_scalar_edge_fails_on_first_serialize(self, channel):

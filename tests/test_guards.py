@@ -227,6 +227,30 @@ if [ -z "$signature" ] || echo "$signature" | grep -qE "\b(transport|ctx|ring_ca
   exit 1
 fi
 '''),
+    # the lanes a worker's scan folds on are a rule on the cores
+    # (lanes.lane_count), never an option: no RunConfig field, no CLI
+    # flag, no environment variable read in the core, and no channel
+    # constructor takes a lane or thread count
+    ("Scan lanes are a rule on the cores", r'''
+if grep -nE "^ +[a-z_]*(lanes|threads)[a-z_]* *:" src/repro/core/config.py; then
+  echo "src/repro/core/config.py must not declare a lanes or threads field"
+  exit 1
+fi
+if grep -nE -e "--[a-z-]*(lanes|threads)" src/repro/__main__.py; then
+  echo "src/repro/__main__.py must not declare a lanes or threads flag"
+  exit 1
+fi
+if grep -rnE --include="*.py" "os\.environ|getenv" src/repro/core; then
+  echo "'os.environ' and 'getenv' must not appear under src/repro/core"
+  exit 1
+fi
+signatures=$(awk '/^class / {cls = $2} /def __init__\(/ && cls !~ /^_Scan[:(]/ {p = 1}
+  p {print FILENAME ": " $0} p && /\)( *->[^:]*)? *:$/ {p = 0}' src/repro/core/channel.py src/repro/core/channels/*.py)
+if echo "$signatures" | grep -E "\b(lanes|threads)\b"; then
+  echo "a channel constructor must take no lanes or threads"
+  exit 1
+fi
+'''),
     # one worker lifecycle: what is done to a worker between supersteps
     # (start a run, capture, restore, remap, finalize) is written once,
     # in WorkerLifecycle, which sim calls and a worker process's serve
