@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
-from repro.blogel.system import BlockProgram, BlogelEngine
+from repro.algorithms._common import gather, run_engine
+from repro.blogel.system import BlockProgram
+from repro.core.worker import Worker
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
 from repro.util import expand_ranges, group_starts
@@ -21,45 +22,33 @@ from repro.util import expand_ranges, group_starts
 __all__ = ["BlogelWCC", "run_wcc_blogel"]
 
 
+def _fold_min(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct keys, the least value of each)``."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = group_starts(keys[order])
+    return uniq, np.minimum.reduceat(values[order], starts)
+
+
 class BlogelWCC(BlockProgram):
     """Hash-min WCC as a block program."""
 
     value_codec = INT32
 
-    def __init__(self, engine: BlogelEngine, block_id: int, local_ids: np.ndarray):
-        super().__init__(engine, block_id, local_ids)
-        graph = engine.graph
-        n = self.num_local
+    def __init__(self, worker: Worker) -> None:
+        super().__init__(worker)
         self.labels = self.local_ids.copy()  # init: own id
-
-        # build the block-local CSR over undirected adjacency
-        local_index = np.full(graph.num_vertices, -1, dtype=np.int64)
-        local_index[local_ids] = np.arange(n)
-        srcs, dsts = [], []
-        for i, vid in enumerate(local_ids):
-            nbrs = graph.neighbors(int(vid))
-            if graph.directed:
-                nbrs = np.concatenate([nbrs, graph.in_neighbors(int(vid))])
-            srcs.append(np.full(nbrs.size, i, dtype=np.int64))
-            dsts.append(nbrs.astype(np.int64))
-        src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
-        dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.edst_global = dst
-        self.edst_local = local_index[dst]  # -1 for boundary edges
-        self._local_index = local_index
-        self._first = True
+        # the block-local CSR over undirected adjacency: out-edges, then in-edges
+        adj = worker.local_adjacency("both")
+        self.indptr = adj.indptr
+        self.edst_global = adj.indices
+        self.edst_local = worker.local_index(adj.indices)  # -1 for boundary edges
 
     # -- the hand-written block fixpoint ------------------------------------
-    def _propagate(self, frontier: np.ndarray) -> dict[int, int]:
-        """Push labels to a local fixpoint; collect boundary updates."""
+    def _propagate(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Push labels to a local fixpoint; return the boundary updates."""
         labels = self.labels
         indptr = self.indptr
-        boundary: dict[int, int] = {}
+        rdsts, rlabs = [self.edst_global[:0]], [labels[:0]]
         while frontier.size:
             counts = indptr[frontier + 1] - indptr[frontier]
             eidx = expand_ranges(indptr[frontier], counts)
@@ -68,55 +57,44 @@ class BlogelWCC(BlockProgram):
             lab = labels[np.repeat(frontier, counts)]
             tgt_local = self.edst_local[eidx]
             remote = tgt_local < 0
-            if remote.any():
-                rdst = self.edst_global[eidx[remote]]
-                rlab = lab[remote]
-                for d, l in zip(rdst.tolist(), rlab.tolist()):
-                    old = boundary.get(d)
-                    if old is None or l < old:
-                        boundary[d] = l
+            rdsts.append(self.edst_global[eidx[remote]])
+            rlabs.append(lab[remote])
             mask = ~remote
             if not mask.any():
                 break
-            tgt, l = tgt_local[mask], lab[mask]
-            order = np.argsort(tgt, kind="stable")
-            tgt_s, l_s = tgt[order], l[order]
-            uniq, starts = group_starts(tgt_s)
-            folded = np.minimum.reduceat(l_s, starts)
+            uniq, folded = _fold_min(tgt_local[mask], lab[mask])
             new = np.minimum(labels[uniq], folded)
             changed = new != labels[uniq]
             upd = uniq[changed]
             labels[upd] = new[changed]
             frontier = upd
-        return boundary
+        return _fold_min(np.concatenate(rdsts), np.concatenate(rlabs))
 
-    def block_compute(self, incoming) -> list[tuple[int, object]]:
-        dsts, vals = incoming
-        if self._first:
-            self._first = False
+    def block_compute(self, incoming):
+        if self.step_num == 1:
             frontier = np.arange(self.num_local)
         else:
-            local = self._local_index[dsts]
-            vals = np.asarray(vals, dtype=np.int64)
-            # combine duplicates, then apply improvements
-            order = np.argsort(local, kind="stable")
-            ls, vs = local[order], vals[order]
-            uniq, starts = group_starts(ls)
-            folded = np.minimum.reduceat(vs, starts)
-            new = np.minimum(self.labels[uniq], folded)
-            changed = new != self.labels[uniq]
-            frontier = uniq[changed]
+            # fold each receiver's labels, then apply improvements
+            indptr, vals = incoming
+            rows = np.flatnonzero(np.diff(indptr))
+            folded = np.minimum.reduceat(vals, indptr[rows])
+            new = np.minimum(self.labels[rows], folded)
+            changed = new != self.labels[rows]
+            frontier = rows[changed]
             self.labels[frontier] = new[changed]
-        if frontier.size == 0:
-            return []
-        boundary = self._propagate(frontier)
-        return [(d, int(l)) for d, l in boundary.items()]
+        return self._propagate(frontier)
 
-    def finalize(self) -> dict:
-        return {int(g): int(l) for g, l in zip(self.local_ids, self.labels)}
+    def state_dict(self) -> dict:
+        # the block CSR is the worker's adjacency, rebuilt with the worker
+        return {"labels": self.labels.copy()}
+
+    def finalize(self):
+        return self.vertex_results(self.labels)
 
 
-def run_wcc_blogel(graph: Graph, **engine_kwargs):
-    """Run Blogel WCC; returns ``(labels, EngineResult)``."""
-    result = BlogelEngine(graph, BlogelWCC, **engine_kwargs).run()
+def run_wcc_blogel(graph: Graph, **options):
+    """Run Blogel WCC; returns ``(labels, EngineResult)``.  ``options`` are
+    :class:`~repro.core.engine.ChannelEngine`'s (``num_workers``,
+    ``partition``, ``executor``, ``checkpoint_every``, ...)."""
+    result = run_engine(graph, BlogelWCC, **options)
     return gather(result, graph.num_vertices), result

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.blogel import BlogelEngine, BlockProgram, run_wcc_blogel
+from repro.blogel import BlockProgram, run_wcc_blogel
+from repro.core.engine import ChannelEngine
 from repro.graph import grid_road, rmat
 from repro.graph.partition import metis_like_partition
 from helpers import line_graph, nx_components
@@ -19,20 +20,20 @@ class PingPong(BlockProgram):
 
     rounds = 3
 
-    def __init__(self, engine, block_id, local_ids):
-        super().__init__(engine, block_id, local_ids)
+    def __init__(self, worker):
+        super().__init__(worker)
         self.received = 0
 
     def block_compute(self, incoming):
         dsts, vals = incoming
         self.received += int(np.sum(vals)) if vals.size else 0
-        step = self.engine.step_num
+        step = self.step_num
         if step <= self.rounds:
             self.halted = False
             # send to some vertex of the other block
             other = 1 - self.block_id
-            target = int(self.engine.blocks[other].local_ids[0])
-            return [(target, 1)]
+            target = int(np.flatnonzero(self.worker.owner == other)[0])
+            return [target], [1]
         return []
 
     def finalize(self):
@@ -42,13 +43,13 @@ class PingPong(BlockProgram):
 class TestEngine:
     def test_halts_immediately_when_idle(self):
         g = line_graph(4)
-        res = BlogelEngine(g, Nothing, num_workers=2).run()
+        res = ChannelEngine(g, Nothing, num_workers=2).run()
         assert res.supersteps == 1
 
     def test_message_delivery_and_halting(self):
         g = line_graph(4)
         part = np.array([0, 0, 1, 1])
-        res = BlogelEngine(g, PingPong, num_workers=2, partition=part).run()
+        res = ChannelEngine(g, PingPong, num_workers=2, partition=part).run()
         # each block receives one token per round after the first
         assert res.data["b0"] == PingPong.rounds
         assert res.data["b1"] == PingPong.rounds
@@ -56,9 +57,9 @@ class TestEngine:
     def test_byte_accounting(self):
         g = line_graph(4)
         part = np.array([0, 0, 1, 1])
-        res = BlogelEngine(g, PingPong, num_workers=2, partition=part).run()
-        # each crossing message: 4B id + 4B value
-        assert res.metrics.total_net_bytes == res.metrics.total_messages * 8
+        res = ChannelEngine(g, PingPong, num_workers=2, partition=part).run()
+        # each token crosses alone in a frame: 4B id + 4B value + 8B header
+        assert res.metrics.total_net_bytes == res.metrics.total_messages * 16
 
     def test_max_supersteps_guard(self):
         class Forever(BlockProgram):
@@ -67,7 +68,7 @@ class TestEngine:
                 return []
 
         with pytest.raises(RuntimeError):
-            BlogelEngine(line_graph(2), Forever, num_workers=1).run(max_supersteps=4)
+            ChannelEngine(line_graph(2), Forever, num_workers=1).run(max_supersteps=4)
 
 
 class TestBlogelWCC:

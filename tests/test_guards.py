@@ -186,23 +186,33 @@ if [ -n "$files" ]; then
 fi
 '''),
     # a host keeps one int32 position table (OwnerTable) that every
-    # worker's local_index reads, the Pregel+ baseline's workers too; the
-    # Blogel baseline under blogel/ keeps its own per-worker index
+    # worker's local_index reads, the Pregel+ and Blogel baselines' too
     ("No V-sized table per worker", r'''
-if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" src/repro/core src/repro/runtime src/repro/pregel; then
-  echo "'_local_index' and 'np.full(self.graph.num_vertices' must not appear under src/repro/core, src/repro/runtime or src/repro/pregel"
+dirs="src/repro/core src/repro/runtime src/repro/pregel src/repro/blogel"
+if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" -e "np.full(graph.num_vertices" $dirs; then
+  echo "'_local_index', 'np.full(self.graph.num_vertices' and 'np.full(graph.num_vertices' must not appear under $dirs"
   exit 1
 fi
 '''),
     # one superstep body: Worker.superstep is the Fig. 4 loop, and sim,
-    # a process child and confined replay only drive it; the Pregel+
-    # baseline's message layer is channels that loop drives, and the
-    # Blogel baseline keeps its own loop
+    # a process child and confined replay only drive it; the Pregel+ and
+    # Blogel baselines are programs and channels that loop drives.  One
+    # set of books: a run's collector is opened by the engine, a
+    # superstep by the drive loop, and a replay's by confined recovery
     ("One superstep body", r'''
 for pattern in 'serialize_round(' '.run_compute(' '.begin_superstep(' '.before_superstep()' '.record_round('; do
-  files=$(grep -rlF --include="*.py" "$pattern" src/repro/core src/repro/runtime src/repro/pregel || true)
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro || true)
   if [ "$files" != "src/repro/core/worker.py" ]; then
-    echo "'$pattern' must appear only in src/repro/core/worker.py under src/repro/core, src/repro/runtime and src/repro/pregel, found:"
+    echo "'$pattern' must appear only in src/repro/core/worker.py under src/repro, found:"
+    echo "$files"
+    exit 1
+  fi
+done
+for pattern in 'MetricsCollector(' '.start_superstep('; do
+  files=$(grep -rlF --include="*.py" "$pattern" src/repro \
+    | grep -vxE "src/repro/(core/engine|runtime/executor|core/recovery)\.py" || true)
+  if [ -n "$files" ]; then
+    echo "'$pattern' must appear under src/repro only in core/engine.py, runtime/executor.py and core/recovery.py, found:"
     echo "$files"
     exit 1
   fi

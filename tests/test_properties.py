@@ -10,6 +10,7 @@ from repro.algorithms.pointer_jumping import run_pointer_jumping
 from repro.algorithms.scc import run_scc
 from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
+from repro.blogel import run_wcc_blogel
 from repro.graph.graph import Graph
 from helpers import nx_components, nx_scc, pagerank_oracle
 
@@ -79,6 +80,26 @@ def test_sv_matches_union_find(g, workers):
 def test_wcc_matches_oracle(g, variant):
     labels, _ = run_wcc(g, variant=variant, num_workers=3)
     np.testing.assert_array_equal(labels, nx_components(g))
+
+
+@slow
+@given(
+    data=st.data(),
+    directed=st.booleans(),
+    workers=st.integers(min_value=1, max_value=8),
+)
+def test_blogel_wcc_matches_oracle_and_prop(data, directed, workers):
+    """A wrong baseline silently invalidates a Table V row: Blogel's block
+    fixpoint gives the components on any partition, empty blocks too."""
+    g = data.draw(directed_graphs() if directed else undirected_graphs())
+    n = g.num_vertices
+    partition = np.array(
+        data.draw(st.lists(st.integers(0, workers - 1), min_size=n, max_size=n)), dtype=np.int64
+    )
+    labels, _ = run_wcc_blogel(g, num_workers=workers, partition=partition)
+    np.testing.assert_array_equal(labels, nx_components(g))
+    prop, _ = run_wcc(g, variant="prop", num_workers=workers, partition=partition)
+    np.testing.assert_array_equal(labels, prop)
 
 
 @slow
