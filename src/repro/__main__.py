@@ -38,12 +38,7 @@ import numpy as np
 
 from repro.bench.datasets import DATASETS, EXTRA_DATASETS, load_dataset, table3_rows
 from repro.bench.runner import CELLS
-from repro.core.config import (
-    EXECUTORS,
-    REBALANCE_MODES,
-    RECOVERY_MODES,
-    RunConfig,
-)
+from repro.core.config import EXECUTORS, RECOVERY_MODES, RunConfig
 from repro.graph.io import load_graph
 from repro.graph.partition import (
     degree_range_partition,
@@ -110,31 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "results and traffic totals are bit-identical",
     )
     common.add_argument(
-        "--rebalance",
-        choices=REBALANCE_MODES,
-        default=argparse.SUPPRESS,
-        help="adaptive load rebalancing (ARCHITECTURE.md §13): `superstep` "
-        "pauses at a barrier every --rebalance-every supersteps and "
-        "migrates vertex ranges off straggling workers when the policy's "
-        "estimated win clears its hysteresis gates; `epoch` (stream only) "
-        "re-partitions between epochs from the previous epoch's phase "
-        "times; results stay bit-identical",
-    )
-    common.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="supersteps between rebalance checks (with --rebalance "
-        "superstep)",
-    )
-    common.add_argument(
         "--trace",
         metavar="FILE",
         default=None,
         help="write a structured JSON-lines trace (span events: [stream > "
         "epoch >] run, superstep, per-worker phase, exchange round, "
-        "checkpoint, failure, recovery, rebalance); inspect with "
+        "checkpoint, failure, recovery); inspect with "
         "`repro report FILE`",
     )
     common.add_argument(

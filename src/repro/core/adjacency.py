@@ -41,7 +41,7 @@ __all__ = ["LocalCSR", "build_local_csr"]
 class _Rows:
     """Some rows of one global CSR, in local order: ``rows[i]`` is the
     global row of local row ``i``.  One contiguous run of rows (``range`` /
-    ``degree`` partitions, every rebalancer output) is read by slicing the
+    ``degree`` partitions) is read by slicing the
     edge arrays — over an mmap store, read-only views of the page cache;
     any other row set (``hash`` partitions, a peer's senders) is copied:
     ascending rows that hold a quarter of the entries between their first
@@ -171,7 +171,7 @@ class LocalCSR:
         """``(rows with edges, their degrees, rows without)``, ascending —
         what a program whose every vertex is active would otherwise
         recompute from ``degrees`` each superstep.  Static like the
-        adjacency itself, so it lives (and dies, on migration) with it."""
+        adjacency itself, so it lives as long as the adjacency does."""
         has_edges = self.degrees > 0
         rows = np.flatnonzero(has_edges)
         return rows, self.degrees[rows], np.flatnonzero(~has_edges)

@@ -96,23 +96,6 @@ class Channel:
             f"{type(self).__name__} does not implement restore()"
         )
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        """Re-key every worker's :meth:`snapshot` dict across an ownership
-        change (adaptive rebalancing).
-
-        ``states[w]`` is worker ``w``'s snapshot under the old partition;
-        the result must be loadable via :meth:`restore` by workers rebuilt
-        under ``ctx.new_owner`` (a
-        :class:`~repro.runtime.rebalance.MigrationContext`), such that the
-        run continues bit-identically.  Called on an engine's parent-side
-        channel instances, which may be uninitialized — implementations
-        must use only ``states`` and ``ctx``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support live migration; "
-            "override migrate_states() to remap its snapshot state"
-        )
-
     # -- helpers for subclasses ---------------------------------------------
     def emit(self, peer: int, payload: bytes) -> None:
         """Send ``payload`` to this channel's instance on worker ``peer``."""

@@ -8,8 +8,8 @@ bulk calls delivered them; ids are **checked at build, by name** (a
 negative id would otherwise wrap through ``owner[...]`` to a wrong
 answer); registered chunks are **never written, so never copied** — one
 bulk chunk, possibly a read-only view of an mmap store, *is* the edge set.
-The columns' keys are the snapshot keys, so the checkpoint and migration
-format of an edge set is decided here too.
+The columns' keys are the snapshot keys, so the checkpoint format of an
+edge set is decided here too.
 
 :class:`ScatterEdges` has a second registration *form* beside the
 per-edge one: :meth:`~ScatterEdges.add_adjacency` names the worker's own
@@ -18,8 +18,8 @@ kept then — ``_build`` streams the rows through in blocks
 (:meth:`~ScatterEdges._edge_blocks`: senders numbered per block, rows
 sliced or gathered a block at a time, a mapped store's pages handed back
 block by block), a snapshot holds the
-direction, and a restored or migrated channel reads its edges from the
-adjacency of the worker it finds itself on.
+direction, and a restored channel reads its edges from the adjacency of
+the worker it finds itself on.
 """
 
 from __future__ import annotations
@@ -69,19 +69,6 @@ class StaticEdges:
         self._init_edges()
         self._edges.add_chunk(*(state[key].copy() for key in self._EDGE_COLUMNS))
 
-    def _edges_migrate(self, states: list[dict], ctx) -> list[dict]:
-        # globalize each sender through its old worker's local ids, route
-        # every row by the sender's new owner, re-localize
-        keys = list(self._EDGE_COLUMNS)[1:]
-        src_g = np.concatenate(
-            [ctx.old_locals[w][s["edge_src"]] for w, s in enumerate(states)]
-        )
-        rest = [np.concatenate([s[key] for s in states]) for key in keys]
-        return [
-            {"edge_src": ctx.localize(w, gids), **dict(zip(keys, columns))}
-            for w, gids, columns in ctx.route(src_g, *rest)
-        ]
-
 
 class ScatterEdges(StaticEdges):
     """The registration API of the channels that scatter one value per
@@ -109,10 +96,10 @@ class ScatterEdges(StaticEdges):
         the adjacency's rows are streamed through when the dispatch
         structure is built (:meth:`~repro.core.adjacency.LocalCSR.blocks`),
         a snapshot holds one short string, and
-        after a restore or a migration the edge set is the adjacency of
-        the worker the channel then belongs to.  Declare it where the
-        channel is constructed, so that a worker with nothing to do in
-        superstep 1 snapshots and migrates like its peers.
+        after a restore the edge set is the adjacency of the worker the
+        channel then belongs to.  Declare it where the channel is
+        constructed, so that a worker with nothing to do in superstep 1
+        snapshots like its peers.
 
         A per-vertex listing that calls ``add_edges(v, v.edges)`` in its
         first superstep registers only the vertices active then; the two
@@ -200,39 +187,6 @@ class ScatterEdges(StaticEdges):
             super()._edges_restore(state)
         else:  # _build() reads the adjacency of the worker restored into
             self._init_edges()
-
-    def _edges_migrate(self, states: list[dict], ctx) -> list[dict]:
-        named = {s.get(self._ADJACENCY_KEY) for s in states}
-        if named == {None}:
-            return super()._edges_migrate(states, ctx)
-        if len(named) > 1:
-            raise ValueError(
-                f"{self!r}: workers registered different edge sets "
-                f"({sorted(map(str, named))}); an adjacency registration "
-                "must be declared on every worker"
-            )
-        # every new owner reads its own rows: nothing to route
-        direction = named.pop()
-        return [{self._ADJACENCY_KEY: direction} for _ in range(ctx.num_workers)]
-
-    def _scatter_migrate(
-        self, states: list[dict], ctx, vertex_keys: tuple[str, ...]
-    ) -> list[dict]:
-        """``migrate_states`` of a scatter channel: the per-vertex
-        ``vertex_keys`` follow their vertices, the edge set its senders,
-        and every sender announces again
-        (:meth:`~repro.core.channels._pattern.StaticPattern._pattern_migrate`)
-        — ``_build()`` then re-derives the dispatch structure under the new
-        ownership."""
-        edges = self._edges_migrate(states, ctx)
-        sending = ctx.remap_keys(states, vertex_keys)
-        inbox = self._pattern_migrate(states, ctx)
-        # (serialize round 0 clears _dirty: nobody is mid-scatter at a boundary)
-        dirty = any(s["dirty"] for s in states)
-        return [
-            {**edges[w], **sending[w], "dirty": dirty, **inbox[w]}
-            for w in range(ctx.num_workers)
-        ]
 
     def add_edge(self, v: Vertex, dst: int) -> None:
         """Register a static edge from ``v`` to global vertex ``dst``."""

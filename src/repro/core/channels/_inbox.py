@@ -7,7 +7,7 @@ thing: one slot per local
 vertex holding the combiner's fold of what arrived, and a mask of who
 received anything.  :class:`CombinedInbox` is that half — slots, read API,
 the receive (reset to identity, fold each payload in arrival order, wake
-the receivers) and its share of snapshot / restore / migrate.  A mixin,
+the receivers) and its share of snapshot / restore.  A mixin,
 not a member object, so ``get_message`` stays one array index on the
 channel: scalar programs call it per vertex.
 """
@@ -76,7 +76,3 @@ class CombinedInbox:
     def _inbox_restore(self, state: dict) -> None:
         self._slots[...] = state["slots"]
         self._has_msg[...] = state["has_msg"]
-
-    def _inbox_migrate(self, states: list[dict], ctx) -> list[dict]:
-        # pure per-vertex state: slots and flags follow their vertices
-        return ctx.remap_keys(states, ("slots", "has_msg"))

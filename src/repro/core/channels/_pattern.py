@@ -45,9 +45,7 @@ byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
   announced senders, from the sender ids, count and combined ids it
   held; the ``_build`` that follows a restore re-derives the dispatch
   structure and announces nothing a peer already knows (confined replay
-  reads logged frames that are dense or delta);
-* **migration** hands every new owner ``announced=False``, no patterns
-  and no kept values: ownership moved, every sender announces once more.
+  reads logged frames that are dense or delta).
 """
 
 from __future__ import annotations
@@ -239,9 +237,3 @@ class StaticPattern(CombinedInbox):
                 self._patterns[src] = entry[0].astype(np.intp), None
         self._sent = {peer: v.copy() for peer, v in state["sent"].items()}
         self._received = {src: v.copy() for src, v in state["received"].items()}
-
-    def _pattern_migrate(self, states: list[dict], ctx) -> list[dict]:
-        return [
-            {**inbox, "announced": False, "patterns": {}, "sent": {}, "received": {}}
-            for inbox in self._inbox_migrate(states, ctx)
-        ]

@@ -95,12 +95,6 @@ class Aggregator(Channel):
         self._result = None if state["result"] is None else cast(state["result"])
         self._global = cast(state["global"])
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # worker-keyed scalars, not vertex-keyed: at a superstep boundary
-        # the partial is already folded into the broadcast result, and the
-        # worker count never changes — every worker keeps its own scalars
-        return [dict(s) for s in states]
-
     # -- round protocol ----------------------------------------------------
     def serialize(self) -> None:
         me = self.worker.worker_id

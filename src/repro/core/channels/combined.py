@@ -40,4 +40,3 @@ class CombinedMessage(CombinedInbox, RecordChannel):
 
     snapshot = CombinedInbox._inbox_snapshot
     restore = CombinedInbox._inbox_restore
-    migrate_states = CombinedInbox._inbox_migrate

@@ -70,24 +70,6 @@ class DirectMessage(RecordChannel):
         self._recv_indptr = state["recv_indptr"].copy()
         self._recv_vals = state["recv_vals"].copy()
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # expand each CSR inbox to (global vertex, value) rows, route by
-        # the new owner, regroup per receiver (one stable sort); every
-        # vertex's inbox lived on exactly one old worker, so its per-vertex
-        # value order (the only order get_iterator exposes) is preserved
-        gids = np.concatenate(
-            [
-                np.repeat(ctx.old_locals[w], np.diff(s["recv_indptr"]))
-                for w, s in enumerate(states)
-            ]
-        )
-        vals = np.concatenate([s["recv_vals"] for s in states])
-        out = []
-        for w, gids_w, (vals_w,) in ctx.route(gids, vals):
-            indptr, order = csr_group(ctx.localize(w, gids_w), ctx.new_locals[w].size)
-            out.append({"recv_indptr": indptr, "recv_vals": vals_w[order]})
-        return out
-
     # -- round protocol (serialize inherited from RecordChannel) ------------
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1

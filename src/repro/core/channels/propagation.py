@@ -145,25 +145,6 @@ class Propagation(StaticEdges, Channel):
         self._dirty = list(state["dirty"])
         self._pending_np = [(d, v) for d, v in state["pending"]]
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # only quiescent channels migrate: at a superstep boundary the
-        # exchange loop has driven propagation to its global fixpoint
-        # (again() was False everywhere), so dirty and pending are both
-        # empty — anything else means a mid-propagation capture
-        for w, s in enumerate(states):
-            if s["dirty"] or s["pending"]:
-                raise RuntimeError(
-                    f"Propagation on worker {w} has in-flight propagation "
-                    "state; migration is only defined at a quiescent "
-                    "superstep boundary"
-                )
-        edges = self._edges_migrate(states, ctx)
-        values = ctx.remap_keys(states, ("values",))
-        return [
-            {**edges[w], **values[w], "dirty": [], "pending": []}
-            for w in range(ctx.num_workers)
-        ]
-
     # -- structure -----------------------------------------------------------
     def _build(self) -> None:
         src, dst, w = self._checked_edges()

@@ -165,22 +165,6 @@ class RequestRespond(Channel):
         self._responses_out = [None] * self.num_workers
         self._have_responses = False
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        # the response cache is requester-side, keyed only by the global
-        # id that was asked about — there is no per-requester attribution
-        # to re-key, so migration is defined only when every worker is
-        # fully quiescent (no cached responses, no outstanding asks);
-        # that is the state between supersteps whenever the program
-        # consumed its responses, which it must to make progress
-        for w, s in enumerate(states):
-            if s["resp_keys"].size or any(a.size for a in s["asked"]):
-                raise RuntimeError(
-                    f"RequestRespond on worker {w} holds cached responses "
-                    "or outstanding requests; migration is only defined "
-                    "when the channel is quiescent"
-                )
-        return [dict(s) for s in states]
-
     # -- round protocol ----------------------------------------------------
     def serialize(self) -> None:
         if self.round == 0:

@@ -408,9 +408,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         self._dirty = state["dirty"]
         self._pattern_restore(state)
 
-    def migrate_states(self, states: list[dict], ctx) -> list[dict]:
-        return self._scatter_migrate(states, ctx, ("values",))
-
     # -- round protocol (deserialize is CombinedInbox's, over pattern payloads) --
     def serialize(self) -> None:
         if self.round != 0 or not self._dirty:

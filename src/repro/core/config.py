@@ -12,7 +12,7 @@ is handed on by keyword expansion::
     ChannelEngine(graph, Program, partition=owner, **vars(config))
 
 Resources — a partition array, a seed set, a worker pool, a trace
-recorder, a live segment, a rebalance policy — are not options: they
+recorder, a live segment — are not options: they
 stay plain keywords of the engine that uses them.
 """
 
@@ -25,7 +25,6 @@ from repro.runtime.costmodel import DEFAULT_NETWORK, NetworkModel
 
 __all__ = [
     "EXECUTORS",
-    "REBALANCE_MODES",
     "RECOVERY_MODES",
     "RunConfig",
 ]
@@ -35,9 +34,6 @@ EXECUTORS = ("sim", "process")
 
 #: recovery modes (:mod:`repro.core.recovery`)
 RECOVERY_MODES = ("rollback", "confined")
-
-#: adaptive-rebalancing triggers (:mod:`repro.runtime.rebalance`)
-REBALANCE_MODES = ("off", "epoch", "superstep")
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class RunConfig:
     #: (:mod:`repro.runtime.parallel`).  Result data, per-channel
     #: traffic and byte/message totals are bit-identical, and every
     #: feature — checkpoints, injected failures, both recovery modes,
-    #: rebalancing, streaming — runs on both
+    #: streaming — runs on both
     executor: str = "sim"
     #: cost model for the simulated interconnect
     network: NetworkModel = DEFAULT_NETWORK
@@ -76,13 +72,6 @@ class RunConfig:
     #: re-executes) or ``"confined"`` (only the failed worker reloads and
     #: replays from the survivors' logged frames)
     recovery: str = "rollback"
-    #: adaptive rebalancing (ARCHITECTURE.md §13): ``"superstep"``
-    #: migrates vertex ownership mid-run at a superstep barrier;
-    #: ``"epoch"`` re-partitions between streaming epochs (EpochEngine
-    #: only); ``"off"`` disables both
-    rebalance: str = "off"
-    #: superstep cadence of the ``"superstep"`` trigger
-    rebalance_every: int = 16
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -95,12 +84,6 @@ class RunConfig:
             )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.rebalance not in REBALANCE_MODES:
-            raise ValueError(
-                f"rebalance must be one of {REBALANCE_MODES}, got {self.rebalance!r}"
-            )
-        if self.rebalance_every < 1:
-            raise ValueError("rebalance_every must be >= 1")
         failures = FailureSchedule.coerce(self.failures)
         if failures is not None:
             failures.validate(self.num_workers)

@@ -30,14 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.channel import Channel
 from repro.core.config import RunConfig
 from repro.core.recovery import FrameLog
 from repro.core.worker import OwnerTable, Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.rebalance import RebalancePolicy
 
 __all__ = ["ChannelEngine", "EngineResult"]
 
@@ -107,10 +105,11 @@ class ChannelEngine(OwnerTable):
         Callable ``(worker) -> VertexProgram``; typically the program class
         itself.  On ``executor="process"`` the worker processes call it;
         this process calls it only when it needs a worker of its own
-        (confined recovery, migration).
+        (confined recovery).
     partition:
         Optional vertex->worker array; defaults to hash partitioning, the
         Pregel default ("vertices are randomly assigned to workers").
+        Ownership is fixed for the run: no vertex changes worker.
     initial_active:
         Global vertex ids active in superstep 1 (``None`` = all vertices,
         the Pregel default).  The streaming layer seeds refresh runs from
@@ -121,7 +120,7 @@ class ChannelEngine(OwnerTable):
         :class:`~repro.runtime.parallel.pool.WorkerPool` (with this run's
         worker count) to run on instead of an engine-owned
         one.  The pool's persistent worker processes are *reconfigured*
-        for this engine (delta/remap control messages), never respawned —
+        for this engine (``configure`` control messages), never respawned —
         this is how the streaming
         :class:`~repro.streaming.epoch.EpochEngine` amortizes process
         startup across epochs.  The caller keeps ownership: the engine
@@ -143,16 +142,10 @@ class ChannelEngine(OwnerTable):
         ``EngineResult.live_alerts``.  Both executors publish the same
         slot schema; see ARCHITECTURE.md §11.  The caller owns the
         segment (the engine never closes or unlinks it).
-    rebalance_policy:
-        Optional pre-built :class:`~repro.runtime.rebalance.RebalancePolicy`
-        for ``rebalance="superstep"`` (to tune thresholds or share
-        hysteresis state); one with default thresholds is created when
-        the trigger is armed without it.
     **options:
         The run's value options, validated into :attr:`config`: the
         fields of :class:`~repro.core.config.RunConfig`, see its field
-        docs.  ``rebalance="epoch"`` is refused: it acts between
-        streaming epochs, which a single engine run does not have.
+        docs.
     """
 
     def __init__(
@@ -165,16 +158,10 @@ class ChannelEngine(OwnerTable):
         pool=None,
         trace=None,
         live=None,
-        rebalance_policy: RebalancePolicy | None = None,
         **options,
     ) -> None:
         self.config = config = RunConfig(**options)
         num_workers = config.num_workers
-        if config.rebalance == "epoch":
-            raise ValueError(
-                "rebalance='epoch' acts between streaming epochs; use "
-                "EpochEngine (`repro stream`), or rebalance='superstep'"
-            )
         if pool is not None:
             if config.executor != "process":
                 raise ValueError("pool= only applies to executor='process'")
@@ -215,11 +202,6 @@ class ChannelEngine(OwnerTable):
             from repro.obs.live import LiveMonitor
 
             self.monitor = LiveMonitor(live, self.metrics)
-        #: the in-run migration trigger (ARCHITECTURE.md §13): armed, with
-        #: a policy, exactly when rebalance="superstep"
-        self.rebalancer = None
-        if config.rebalance == "superstep":
-            self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=num_workers)
         self.step_num = 0
 
         self.initial_active: np.ndarray | None = None
@@ -243,15 +225,6 @@ class ChannelEngine(OwnerTable):
                 raise RuntimeError(
                     "programs must construct the same channels on every worker"
                 )
-        if self.rebalancer is not None:
-            # fail here, not supersteps later when the first migration fires
-            probe = self.workers[0] if self.workers else Worker.build(self, 0, program_factory)
-            for channel in probe.channels:
-                if type(channel).migrate_states is Channel.migrate_states:
-                    raise ValueError(
-                        f"rebalance='superstep' needs channels that can migrate; "
-                        f"{type(channel).__name__} does not implement migrate_states()"
-                    )
 
     # -- backend resolution --------------------------------------------------
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import time
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,16 +39,17 @@ class OwnerTable:
     child's host on the process backend): ``owner``, global vertex id ->
     worker id, and ``positions``, each vertex's position among its
     owner's vertices in ascending id order — one ``int32[V]`` table per
-    host, however many workers it holds, built on first use and again
-    whenever ``owner`` is assigned.  :meth:`Worker.local_index` reads it.
+    host, however many workers it holds, built on first use.  Ownership
+    is fixed for a run, so the table never goes stale.
+    :meth:`Worker.local_index` reads it.
 
     A host also shares its cores among the workers it runs at once
     (``workers_at_once``: one on sim, which advances a worker at a time):
     :attr:`scan_lanes`."""
 
     num_workers: int
+    owner: np.ndarray
     workers_at_once = 1
-    _positions: np.ndarray | None = None
 
     @property
     def scan_lanes(self) -> int:
@@ -64,24 +66,13 @@ class OwnerTable:
                 f"{MAX_VERTICES} (2**31, int32 positions)"
             )
 
-    @property
-    def owner(self) -> np.ndarray:
-        return self._owner
-
-    @owner.setter
-    def owner(self, owner: np.ndarray) -> None:
-        self._owner = owner
-        self._positions = None
-
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        if self._positions is None:
-            positions = np.empty(self._owner.size, dtype=np.int32)
-            for w in range(self.num_workers):
-                ids = np.flatnonzero(self._owner == w)
-                positions[ids] = np.arange(ids.size, dtype=np.int32)
-            self._positions = positions
-        return self._positions
+        positions = np.empty(self.owner.size, dtype=np.int32)
+        for w in range(self.num_workers):
+            ids = np.flatnonzero(self.owner == w)
+            positions[ids] = np.arange(ids.size, dtype=np.int32)
+        return positions
 
 
 class Worker:

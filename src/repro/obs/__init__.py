@@ -10,9 +10,8 @@ and a multiprocess run emit schema-identical traces (ARCHITECTURE.md
   checkpoint / failure / recovery) with parent/child span ids;
   :func:`load_trace` reads them back.
 * :mod:`repro.obs.stats` — streaming statistics over per-superstep
-  timing series: EWMA baselines, drift detection, z-score outliers, and
-  per-worker straggler/skew scores (the signal adaptive repartitioning
-  will consume).
+  timing series: EWMA baselines, drift detection and per-worker
+  straggler/skew scores.
 * :mod:`repro.obs.report` — turns a trace file into phase breakdowns,
   straggler reports, and flagged anomalies (the ``repro report``
   subcommand); :mod:`repro.obs.chrome` exports the same trace as a
@@ -43,12 +42,9 @@ from repro.obs.live import (
 from repro.obs.report import TraceReport, validate_trace
 from repro.obs.stats import (
     EwmaBaseline,
-    anomaly_score,
     detect_drift,
     ewma,
-    moving_average,
     straggler_scores,
-    zscore_outliers,
 )
 from repro.obs.trace import SPAN_KINDS, TraceRecorder, load_trace
 
@@ -61,10 +57,7 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "ewma",
-    "moving_average",
-    "anomaly_score",
     "detect_drift",
-    "zscore_outliers",
     "straggler_scores",
     "EwmaBaseline",
     "LIVE_COUNTERS",

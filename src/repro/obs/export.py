@@ -41,8 +41,6 @@ _FAMILIES = (
     ("repro_phase_seconds_total", "counter", "Cumulative seconds per engine phase."),
     ("repro_cpu_seconds_total", "counter", "Worker process CPU seconds (/proc)."),
     ("repro_alerts_total", "counter", "Live-monitor alerts raised for this worker."),
-    ("repro_rebalances_total", "counter",
-     "Live migrations that moved vertices onto or off this worker."),
     ("repro_active_vertices", "gauge", "Active vertices in the current superstep."),
     ("repro_rss_bytes", "gauge", "Worker process resident set size (/proc)."),
     ("repro_last_update_timestamp_seconds", "gauge",
@@ -78,7 +76,6 @@ def prometheus_text(live: LiveMetrics, labels: dict | None = None) -> str:
     rows = live.snapshot()
     header = live.header()
     alerts = live.alert_counts()
-    migrations = live.rebalance_counts()
 
     samples: dict[str, list[tuple[dict, object]]] = {name: [] for name, _, _ in _FAMILIES}
     for row in rows:
@@ -94,7 +91,6 @@ def prometheus_text(live: LiveMetrics, labels: dict | None = None) -> str:
             )
         samples["repro_cpu_seconds_total"].append((wl, row["cpu_seconds"]))
         samples["repro_alerts_total"].append((wl, alerts[row["worker"]]))
-        samples["repro_rebalances_total"].append((wl, migrations[row["worker"]]))
         samples["repro_active_vertices"].append((wl, row["active"]))
         samples["repro_rss_bytes"].append((wl, row["rss_bytes"]))
         samples["repro_last_update_timestamp_seconds"].append((wl, row["updated_at"]))
@@ -239,7 +235,6 @@ def format_top(
         rows = live.snapshot()
     header = live.header()
     alerts = live.alert_counts()
-    migrations = live.rebalance_counts()
     now = time.time()
     age = max(now - header["created_at"], 1e-9)
 
@@ -247,7 +242,7 @@ def format_top(
         f"segment {live.name}  epoch {header['epoch']}  "
         f"workers {header['num_workers']}  age {age:.1f}s",
         "  W     STEP    ACTIVE   STEP/S    NET MB  NET MB/S       MSG"
-        "  PHASE barrier/compute/serialize/exchange     RSS MB    CPU S  ALERT    MIG",
+        "  PHASE barrier/compute/serialize/exchange     RSS MB    CPU S  ALERT",
     ]
     for row in rows:
         w = row["worker"]
@@ -269,6 +264,6 @@ def format_top(
             f"{w:3d} {row['superstep']:8d} {row['active']:9d} {step_rate:8.2f} "
             f"{_mb(row['net_bytes'])} {byte_rate / 1e6:9.3f} {row['messages']:9d}"
             f"  {split:>41s} {_mb(row['rss_bytes'])} {row['cpu_seconds']:8.2f} "
-            f"{alerts[w]:6d} {migrations[w]:6d}{flag}"
+            f"{alerts[w]:6d}{flag}"
         )
     return "\n".join(lines)

@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 _MAGIC = 0x5245504C49564531  # "REPLIVE1"
-# v2 appends a parent-owned per-worker migration counter region (8 bytes
-# per worker) after the alert region; attach rejects other versions, so
-# readers never misparse a foreign layout
-_VERSION = 2
+# v3: header, worker slots, alert counters (v2 had a migration counter
+# region after the alerts); attach rejects other versions, so readers
+# never misparse a foreign layout
+_VERSION = 3
 
 #: u64 slot fields, in payload order (cumulative unless noted; ``active``
 #: is the *current* superstep's active-vertex count, not a running sum)
@@ -84,6 +84,12 @@ _SEQ = struct.Struct("<Q")
 _PAYLOAD = struct.Struct("<6Q7d")
 _SLOT_SIZE = 128
 assert _SEQ.size + _PAYLOAD.size <= _SLOT_SIZE
+
+
+def _segment_size(num_workers: int) -> int:
+    # header, the slots, then one u64 alert counter per worker
+    return _HEADER_SIZE + (_SLOT_SIZE + _SEQ.size) * num_workers
+
 
 try:  # non-Linux fallbacks only matter for the (0, 0) /proc path below
     _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
@@ -130,8 +136,7 @@ class LiveMetrics:
     def create(cls, num_workers: int, name: str | None = None) -> "LiveMetrics":
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        # header, worker slots, alert counters, migration counters
-        size = _HEADER_SIZE + _SLOT_SIZE * num_workers + 8 * num_workers + 8 * num_workers
+        size = _segment_size(num_workers)
         if name is not None:
             seg = shared_memory.SharedMemory(name=name, create=True, size=size)
         else:
@@ -151,15 +156,33 @@ class LiveMetrics:
         ``False`` only from forked children, where "unregistering"
         would erase the parent's own claim (same rule as
         :func:`repro.runtime.parallel.shm.attach_array`).
+
+        Raises ``ValueError`` naming the segment when it is not one this
+        reader can read: no live metrics header, a foreign layout
+        version, a worker count below one, or fewer bytes than the
+        header's worker count needs.
         """
         name = name_or_spec["name"] if isinstance(name_or_spec, dict) else str(name_or_spec)
         seg = shared_memory.SharedMemory(name=name)
         if unregister:
             untrack_segment(seg)
-        magic, version, num_workers, _, _, _ = _HEADER.unpack_from(seg.buf, 0)
-        if magic != _MAGIC or version != _VERSION:
+        problem = None
+        if seg.size < _HEADER_SIZE or _HEADER.unpack_from(seg.buf, 0)[0] != _MAGIC:
+            problem = "is not a live metrics segment"
+        else:
+            _, version, num_workers, _, _, _ = _HEADER.unpack_from(seg.buf, 0)
+            if version != _VERSION:
+                problem = f"has layout version {version}; this reader reads version {_VERSION}"
+            elif num_workers < 1:
+                problem = f"claims {num_workers} workers; a segment has at least 1"
+            elif seg.size < _segment_size(num_workers):
+                problem = (
+                    f"holds {seg.size} bytes; its {num_workers} workers need "
+                    f"{_segment_size(num_workers)}"
+                )
+        if problem is not None:
             seg.close()
-            raise ValueError(f"{name!r} is not a live metrics segment")
+            raise ValueError(f"segment {name!r} {problem}")
         return cls(seg, num_workers, owns=False)
 
     @property
@@ -250,7 +273,7 @@ class LiveMetrics:
     # -- alerts (parent-owned; separate from the single-writer slots) ----
 
     def _alert_off(self, worker: int) -> int:
-        return _HEADER_SIZE + _SLOT_SIZE * self.num_workers + 8 * worker
+        return _HEADER_SIZE + _SLOT_SIZE * self.num_workers + _SEQ.size * worker
 
     def alert_counts(self) -> list[int]:
         return [
@@ -260,24 +283,6 @@ class LiveMetrics:
 
     def bump_alert(self, worker: int) -> None:
         off = self._alert_off(int(worker))
-        _SEQ.pack_into(self._buf, off, _SEQ.unpack_from(self._buf, off)[0] + 1)
-
-    # -- migrations (parent-owned, like the alert counters) ---------------
-
-    def _mig_off(self, worker: int) -> int:
-        return _HEADER_SIZE + (_SLOT_SIZE + 8) * self.num_workers + 8 * worker
-
-    def rebalance_counts(self) -> list[int]:
-        """Per-worker count of live migrations that touched the worker
-        (as source or destination of a moved range); the MIG column of
-        ``repro top``."""
-        return [
-            _SEQ.unpack_from(self._buf, self._mig_off(w))[0]
-            for w in range(self.num_workers)
-        ]
-
-    def bump_rebalance(self, worker: int) -> None:
-        off = self._mig_off(int(worker))
         _SEQ.pack_into(self._buf, off, _SEQ.unpack_from(self._buf, off)[0] + 1)
 
 

@@ -264,55 +264,6 @@ class TraceReport:
             if ev["span"] in ("checkpoint", "failure", "recovery")
         ]
 
-    def rebalance_events(self, run_id: int) -> list[dict]:
-        """"rebalance" instants affecting one run, each with a post-hoc
-        ``realized_win_seconds`` next to the policy's estimate.
-
-        Superstep-triggered instants are children of the run span; an
-        epoch-triggered migration fires *before* the run starts and is
-        parented to the wrapping epoch span, so both parents are
-        scanned.  The realized win compares the per-superstep
-        max-over-workers busy time (compute + serialize) before and
-        after the migration — from this run's own supersteps for a
-        superstep trigger, or the previous epoch's run versus this one
-        for an epoch trigger.
-        """
-        events = list(self.children(run_id, "rebalance"))
-        parent = self._begin[run_id].get("parent")
-        pev = self._begin.get(parent) if parent is not None else None
-        if pev is not None and pev.get("span") == "epoch":
-            events = list(self.children(parent, "rebalance")) + events
-        if not events:
-            return []
-        matrix, _ = self.worker_matrix(run_id)
-        per_step = matrix.max(axis=1) if matrix.size else np.zeros(0)
-        prev_steps = None  # previous run's per-step maxima, lazily found
-        out = []
-        for ev in events:
-            attrs = dict(ev.get("attrs") or {})
-            realized = None
-            if attrs.get("trigger") == "epoch":
-                if prev_steps is None:
-                    ids = self.run_ids
-                    at = ids.index(run_id)
-                    if at > 0:
-                        pm, _ = self.worker_matrix(ids[at - 1])
-                        prev_steps = pm.max(axis=1) if pm.size else np.zeros(0)
-                    else:
-                        prev_steps = np.zeros(0)
-                before, after = prev_steps, per_step
-            else:
-                cut = int(attrs.get("superstep", 0))
-                before, after = per_step[:cut], per_step[cut:]
-            if len(before) and len(after):
-                realized = round(
-                    float(before.mean() - after.mean()) * max(len(after), 1), 9
-                )
-            out.append(
-                {"t": ev["t"], **attrs, "realized_win_seconds": realized}
-            )
-        return out
-
     def live_alerts(self, run_id: int) -> list[dict]:
         """"alert" instants the live monitor raised during one run."""
         return [
@@ -364,7 +315,6 @@ class TraceReport:
                         if k != "durations"
                     },
                     "fault_events": self.fault_events(rid),
-                    "rebalance_events": self.rebalance_events(rid),
                 }
             )
         return {"problems": self.problems, "runs": runs}
@@ -430,14 +380,4 @@ class TraceReport:
                     f"{k}={v}" for k, v in ev.items() if k not in ("span", "t")
                 )
                 lines.append(f"  {ev['span']} @ t={ev['t']:.4f}s  {detail}".rstrip())
-            for ev in run["rebalance_events"]:
-                realized = ev.get("realized_win_seconds")
-                lines.append(
-                    f"  REBALANCE ({ev.get('trigger')}) at superstep "
-                    f"{ev.get('superstep')}: moved {ev.get('moved_vertices')} "
-                    f"vertices / {ev.get('moved_arcs')} arcs, "
-                    f"gain {ev.get('gain_ratio')}x, estimated win "
-                    f"{ev.get('est_win_seconds')}s, realized "
-                    f"{'n/a' if realized is None else f'{realized}s'}"
-                )
         return "\n".join(lines)

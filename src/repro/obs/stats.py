@@ -1,18 +1,16 @@
 """Streaming statistics over per-superstep timing series.
 
 Small, dependency-free primitives in the ``aetherops.telemetry`` idiom
-(``ewma`` / ``anomaly_score`` / ``detect_drift`` / ``zscore_outliers``),
-plus two pieces the engine's own telemetry needs:
+(``ewma`` / ``detect_drift``), plus two pieces the engine's own
+telemetry needs:
 
 * :class:`EwmaBaseline` — an *online* EWMA mean/variance tracker that
   scores each new observation as it arrives (the per-superstep anomaly
-  flags in ``repro report`` come from here, and a future adaptive
-  repartitioner can feed per-epoch worker timings through it between
-  epochs);
+  flags in ``repro report`` and the live monitor's alerts come from
+  here);
 * :func:`straggler_scores` — per-worker skew over a supersteps×workers
   timing matrix: how much slower each worker runs than its peers on the
-  barrier-synchronized phases, which is exactly the signal that decides
-  whether moving vertices would shorten the critical path.
+  barrier-synchronized phases (``repro report``'s straggler table).
 
 Everything operates on plain sequences/ndarrays so the report tool can
 run on a trace file alone, with no engine in the process.
@@ -25,30 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "moving_average",
     "ewma",
-    "anomaly_score",
-    "zscore_outliers",
     "detect_drift",
     "straggler_scores",
     "EwmaBaseline",
 ]
-
-
-def moving_average(values, window: int) -> list[float]:
-    """Trailing mean over the last ``window`` observations (shorter at
-    the head; empty input -> empty output)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out = []
-    acc = 0.0
-    vals = [float(v) for v in values]
-    for i, v in enumerate(vals):
-        acc += v
-        if i >= window:
-            acc -= vals[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
 
 
 def ewma(values, alpha: float = 0.3) -> list[float]:
@@ -62,26 +41,6 @@ def ewma(values, alpha: float = 0.3) -> list[float]:
         level = v if level is None else alpha * v + (1.0 - alpha) * level
         out.append(level)
     return out
-
-
-def anomaly_score(value: float, mean: float, std: float) -> float:
-    """|z|-score of ``value`` against a baseline; 0 while the baseline
-    has no spread (a flat series can't be anomalous against itself)."""
-    if std <= 0.0:
-        return 0.0
-    return abs(float(value) - float(mean)) / float(std)
-
-
-def zscore_outliers(values, threshold: float = 3.0) -> list[int]:
-    """Indices whose global z-score exceeds ``threshold`` (two-sided)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        return []
-    std = float(arr.std())
-    if std == 0.0:
-        return []
-    z = np.abs(arr - arr.mean()) / std
-    return [int(i) for i in np.flatnonzero(z > threshold)]
 
 
 def detect_drift(
@@ -146,8 +105,10 @@ class EwmaBaseline:
     def update(self, value: float) -> float:
         value = float(value)
         score = 0.0
-        if self.n >= self.warmup:
-            score = anomaly_score(value, self.mean, self.std)
+        std = self.std
+        if self.n >= self.warmup and std > 0.0:
+            # |z|-score; a flat baseline has no spread to be anomalous against
+            score = abs(value - self.mean) / std
         if self.n == 0:
             self.mean = value
         else:

@@ -59,7 +59,6 @@ SPAN_KINDS = (
     "alert",
     "failure",
     "recovery",
-    "rebalance",
 )
 
 

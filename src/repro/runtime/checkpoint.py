@@ -205,8 +205,8 @@ def capture_worker_state(worker) -> dict:
     """One worker's complete restartable state at a superstep boundary:
     program state dict, halt/wake flags, and every channel's
     ``snapshot()``.  This is *the* capture format — checkpoints,
-    migration, cross-process recovery and the streaming warm state all
-    ship exactly this dict through :func:`encode_state`."""
+    cross-process recovery and the streaming warm state all ship exactly
+    this dict through :func:`encode_state`."""
     return {
         "program": worker.program.state_dict(),
         "flags": worker.snapshot_flags(),

@@ -4,7 +4,7 @@ The paper's channel engine is *one* abstraction with many possible
 execution strategies; this module makes that literal.
 :class:`ExecutorBackend` owns the superstep drive loop of Fig. 4 —
 barrier votes, compute dispatch, exchange rounds, checkpoint cadence,
-failure injection, recovery, migration, result collection — as a
+failure injection, recovery, result collection — as a
 template method (:meth:`ExecutorBackend.run`).  A backend implements two
 kinds of primitive:
 
@@ -17,13 +17,13 @@ the superstep driver, ``barrier_vote`` / ``compute_phase`` / ``exchange_phase``
     record (:attr:`Worker.books`) and publishes its live slot from it;
     :meth:`ExecutorBackend.account` is the one route from the records to
     the collector and the sender-side frame log.
-``call`` / ``replace`` / ``place``
+``call`` / ``replace``
     Run a :class:`~repro.runtime.lifecycle.WorkerLifecycle` operation on
-    chosen workers, put a fresh worker where a dead one was, and rewrite
-    the ownership.  Over these three, ``begin_run``, checkpoint capture,
-    both recovery modes, migration and ``collect_results`` are written
-    once, here: every fault-tolerance and streaming feature composes with
-    every backend by construction, and cannot drift between them.
+    chosen workers, and put a fresh worker where a dead one was.  Over
+    these two, ``begin_run``, checkpoint capture, both recovery modes and
+    ``collect_results`` are written once, here: every fault-tolerance and
+    streaming feature composes with every backend by construction, and
+    cannot drift between them.
 
 Two implementations exist: :class:`SimBackend` here (the in-process
 simulated cluster, one lifecycle per worker) and
@@ -40,19 +40,12 @@ import warnings
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.program import VertexResults
 from repro.core.recovery import FrameLog, confined_recovery, rollback_recovery
 from repro.core.worker import Worker
 from repro.runtime.buffers import BufferExchange
-from repro.runtime.checkpoint import capture_snapshot, decode_state, encode_state
+from repro.runtime.checkpoint import capture_snapshot
 from repro.runtime.lifecycle import WorkerLifecycle
-from repro.runtime.rebalance import (
-    MigrationContext,
-    phase_matrix,
-    remap_worker_states,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import ChannelEngine, EngineResult
@@ -126,24 +119,9 @@ class ExecutorBackend:
             if engine.monitor is not None:
                 engine.monitor.observe(engine.step_num)
 
-            # superstep boundary: rebalance first (a migration changes
-            # what any checkpoint taken below must capture)
-            migrated = False
-            if (
-                engine.rebalancer is not None
-                and engine.step_num % config.rebalance_every == 0
-            ):
-                migrated = self.maybe_rebalance()
-
-            # then checkpoint, then inject failures
+            # superstep boundary: checkpoint, then inject failures
             if fault_tolerant:
-                if migrated or (
-                    checkpoint_every is not None
-                    and engine.step_num % checkpoint_every == 0
-                ):
-                    # after a migration the recapture is mandatory: the
-                    # previous snapshot (and any logged frames, truncated
-                    # by take_checkpoint) reference the old ownership
+                if checkpoint_every is not None and engine.step_num % checkpoint_every == 0:
                     self.take_checkpoint()
                 doomed = failures.pop(engine.step_num) if failures else []
                 if doomed:
@@ -248,47 +226,6 @@ class ExecutorBackend:
             },
         )
 
-    # -- shared rebalancing choreography -------------------------------------
-    def maybe_rebalance(self) -> bool:
-        """Ask the engine's policy for a migration plan over the phase
-        timings observed so far and execute it at this barrier; returns
-        whether a migration happened.  The plan is a pure function of
-        (owner, indptr, matrix), so every backend migrates identically."""
-        engine = self.engine
-        policy = engine.rebalancer
-        plan = policy.propose(
-            engine.owner,
-            engine.graph.indptr,
-            phase_matrix(engine.metrics, window=policy.window),
-        )
-        if plan is None:
-            return False
-        t0 = time.perf_counter()
-        self.migrate(plan)
-        seconds = time.perf_counter() - t0
-        engine.metrics.record_rebalance(plan, trigger="superstep", seconds=seconds)
-        if engine.live is not None:
-            touched = sorted({w for move in plan.moves for w in move[2:]})
-            for w in touched:
-                engine.live.bump_rebalance(w)
-        return True
-
-    def migrate(self, plan) -> None:
-        """Move vertex ownership (and all per-vertex state) per ``plan``
-        at the current quiescent superstep boundary: capture under the old
-        ownership, re-key, rewrite the ownership, and have every worker
-        rebuild under it and load its share.  The channels'
-        ``migrate_states`` re-key the state, so one worker is built for
-        its channel set, and dropped.  The active sets refresh at the next
-        barrier vote from the remapped halted/woken flags."""
-        engine = self.engine
-        states = [decode_state(blob) for blob in self.capture_state_blobs()]
-        ctx = MigrationContext(engine.owner, plan.new_owner, engine.num_workers)
-        channels = Worker.build(engine, 0, engine.program_factory).channels
-        new_states = remap_worker_states(states, ctx, channels)
-        self.place(np.asarray(plan.new_owner, dtype=np.int64))
-        self.call("remap", {w: {"blob": encode_state(state)} for w, state in enumerate(new_states)})
-
     def collect_results(self) -> Mapping:
         """Merge every worker's ``finalize()`` output."""
         return VertexResults.merged(
@@ -307,10 +244,6 @@ class ExecutorBackend:
     def replace(self, w: int) -> None:
         """Put a fresh worker ``w`` (channels initialized, live slot from
         zero) where the dead one was; a ``restore`` follows."""
-        raise NotImplementedError
-
-    def place(self, owner: np.ndarray) -> None:
-        """Make ``owner`` the ownership the engine and the workers read."""
         raise NotImplementedError
 
     def barrier_vote(self) -> int:
@@ -351,19 +284,13 @@ class SimBackend(ExecutorBackend):
 
     # -- primitives ----------------------------------------------------------
     def call(self, op: str, args: Mapping[int, dict]) -> list:
-        results = [getattr(self.lives[w], op)(**kwargs) for w, kwargs in args.items()]
-        for w in args:  # a remap rebuilt the worker
-            self.engine.workers[w] = self.lives[w].worker
-        return results
+        return [getattr(self.lives[w], op)(**kwargs) for w, kwargs in args.items()]
 
     def replace(self, w: int) -> None:
         engine = self.engine
         worker = Worker.build(engine, w, engine.program_factory, initialize=True)
         self.lives[w] = self._life(w, worker)
         engine.workers[w] = worker
-
-    def place(self, owner: np.ndarray) -> None:
-        self.engine.owner = owner
 
     def barrier_vote(self) -> int:
         t0 = time.perf_counter()

@@ -4,11 +4,13 @@ A :class:`WorkerLifecycle` holds one worker, the host it runs against
 (the engine on sim, a worker process's host on the process backend), the
 program factory that built it and its live slot writer.  Its methods are
 the worker-side operations of ARCHITECTURE.md §8 — ``start_run``,
-``capture``, ``restore``, ``remap`` and ``finalize`` — the same on both
-backends: the simulator calls them directly, one instance per worker,
-and a worker process's ``serve`` dispatches the commands of the same
-names to its one instance.  After each superstep the worker publishes
-its record to its live slot through :meth:`WorkerLifecycle.publish`.
+``capture``, ``restore`` and ``finalize`` — the same on both backends:
+the simulator calls them directly, one instance per worker, and a worker
+process's ``serve`` dispatches the commands of the same names to its one
+instance.  :meth:`WorkerLifecycle.remap` builds a worker from a state
+blob: confined recovery builds its replaying workers so.  After each
+superstep the worker publishes its record to its live slot through
+:meth:`WorkerLifecycle.publish`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class WorkerLifecycle:
             self.live_writer.rewind(live)
 
     def remap(self, blob: bytes) -> None:
-        """Rebuild the worker against ``host.owner`` and load ``blob``.
+        """Build the worker against ``host.owner`` and load ``blob``.
         The host, its superstep counter and the live writer stay."""
         self.worker = Worker.build(self.host, self.worker_id, self.factory, initialize=True)
         load_worker_state(self.worker, decode_state(blob))

@@ -96,15 +96,6 @@ class MetricsCollector:
     recovery_time: float = 0.0
     num_failures: int = 0
 
-    # -- adaptive rebalancing (like the fault counters: migrations already
-    # performed stay counted through snapshot/restore) ----------------------
-    num_rebalances: int = 0
-    #: vertices / arcs moved across all migrations this run
-    rebalanced_vertices: int = 0
-    rebalanced_arcs: int = 0
-    #: modeled state-transfer time across all migrations
-    rebalance_time: float = 0.0
-
     # -- streaming (set by the epoch engine; None outside streaming runs) ---
     #: which epoch of a streaming run this collector measured
     epoch: int | None = None
@@ -287,32 +278,6 @@ class MetricsCollector:
                 model_seconds=round(float(seconds), 9),
             )
 
-    # -- adaptive rebalancing ------------------------------------------------
-    def record_rebalance(self, plan, trigger: str, seconds: float) -> None:
-        """Account one applied :class:`~repro.runtime.rebalance.OwnershipPlan`
-        as a "rebalance" instant under the run span.  ``trigger`` is
-        ``"epoch"`` or ``"superstep"``; ``seconds`` is the modeled state
-        transfer time (already included in the plan, passed explicitly so
-        callers can substitute a measured value)."""
-        self.num_rebalances += 1
-        self.rebalanced_vertices += int(plan.moved_vertices)
-        self.rebalanced_arcs += int(plan.moved_arcs)
-        self.rebalance_time += float(seconds)
-        if self.trace is not None:
-            # epoch-triggered migrations are recorded before start_run():
-            # nest their instant under the epoch span instead
-            self.trace.instant(
-                "rebalance",
-                parent=self._run_span if self._run_span is not None else self.trace_parent,
-                superstep=len(self.records),
-                trigger=str(trigger),
-                moved_vertices=int(plan.moved_vertices),
-                moved_arcs=int(plan.moved_arcs),
-                gain_ratio=round(float(plan.gain_ratio), 4),
-                est_win_seconds=round(float(plan.est_win_seconds), 9),
-                migrate_seconds=round(float(seconds), 9),
-            )
-
     # -- streaming ----------------------------------------------------------
     def record_stream_epoch(self, epoch: int, affected: int, mode: str) -> None:
         """Tag this run as one epoch of a streaming job (the per-epoch
@@ -477,12 +442,5 @@ class MetricsCollector:
                 failures=self.num_failures,
                 recovery_bytes=self.recovery_bytes,
                 recovery_time=self.recovery_time,
-            )
-        if self.num_rebalances:
-            out.update(
-                rebalances=self.num_rebalances,
-                rebalanced_vertices=self.rebalanced_vertices,
-                rebalanced_arcs=self.rebalanced_arcs,
-                rebalance_time=self.rebalance_time,
             )
         return out

@@ -17,7 +17,7 @@ while reproducing the simulated superstep / exchange-round loop exactly:
   byte counts, so the byte/message accounting is bit-identical to a
   simulated run (:mod:`repro.runtime.parallel.worker_proc`);
 * worker processes are **persistent**: a :class:`WorkerPool` spawns them
-  once and reconfigures them for new engines (new graph views, remapped
+  once and reconfigures them for new engines (new graph views and
   partitions, next-epoch programs) through control messages, so
   streaming epochs and repeated runs never pay process startup again
   (:mod:`repro.runtime.parallel.pool`);

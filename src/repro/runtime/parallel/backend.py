@@ -25,18 +25,18 @@ worker processes drawn from a persistent
   (byte counts, not bytes) and accounts it through the same
   :meth:`~repro.runtime.executor.ExecutorBackend.account` the simulator
   uses;
-* **the worker lifecycle** — the three primitives the shared template
-  runs capture, recovery, migration and finalize over: ``call`` sends a
+* **the worker lifecycle** — the two primitives the shared template
+  runs capture, recovery and finalize over: ``call`` sends a
   lifecycle command to the named children, which run the
   :class:`~repro.runtime.lifecycle.WorkerLifecycle` method the simulator
   calls, state crossing as checkpoint-codec bytes; ``replace`` kills the
   worker's OS process outright (its death surfaces through the
   supervision that catches genuine crashes) and respawns it onto the
-  surviving frame links; ``place`` rewrites the shared ownership array.
+  surviving frame links.
 
 The parent holds no worker: per-vertex state lives in the children.  It
 builds one only for the moment it needs one — the doomed workers of a
-confined replay, and the channel set a migration re-keys state with.
+confined replay.
 
 Because compute, serialization, and byte accounting all run the same
 code on the same inputs, a process run's ``result.data``, per-channel
@@ -52,8 +52,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.runtime.executor import ExecutorBackend
 from repro.runtime.parallel.pool import WorkerPool
@@ -155,12 +153,6 @@ class ProcessBackend(ExecutorBackend):
         except WorkerProcessError:
             pass
         self.pool.respawn(w)
-
-    def place(self, owner: np.ndarray) -> None:
-        # the children are quiescent at this barrier: rewrite the shared
-        # ownership array in place; each sees it at its next remap
-        self.pool.update_owner(owner)
-        self.engine.owner = owner
 
     def shutdown(self) -> None:
         if self.owns_pool:

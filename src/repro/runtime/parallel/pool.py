@@ -10,7 +10,7 @@ A :class:`WorkerPool` keeps the worker processes alive instead:
   defined classes: under the ``fork`` start method they reach the child
   by inheritance, never crossing a pipe);
 * **reconfigure, don't respawn** — a *different* engine (a new streaming
-  epoch's graph view, remapped ownership, new refresh program) is loaded
+  epoch's graph view and ownership, new refresh program) is loaded
   into the live children via ``configure`` control messages carrying the
   new shared-memory specs and the program factory as pickle bytes
   (:class:`~repro.core.program.ProgramSpec` makes the streaming
@@ -199,7 +199,6 @@ class WorkerPool:
         self._finalizer: weakref.finalize | None = None
         self._cfg: dict | None = None  # current configuration (live objects)
         self._child_cfg: dict | None = None  # its shared-memory spec form
-        self._owner_view: np.ndarray | None = None  # parent view of shared owner
         self.generation: int | None = None  # engine generation currently loaded
         self._evicted: set[int] = set()  # generations replaced by a later one
         self.num_channels: int | None = None
@@ -282,20 +281,12 @@ class WorkerPool:
                 "indices": export.share(csr["indices"]),
                 "weights": export.share(csr["weights"]) if "weights" in csr else None,
             }
-        # the owner segment stays parent-writable: adaptive rebalancing
-        # rewrites the partition in place at a quiescent barrier and every
-        # child (and any later respawn, which attaches the same segment)
-        # observes the migrated ownership
-        owner_spec, owner_view = export.share_writable(
-            np.asarray(cfg["owner"], dtype=np.int64)
-        )
-        self._owner_view = owner_view
         child_cfg = {
             "num_vertices": graph.num_vertices,
             "directed": graph.directed,
             "num_workers": self.num_workers,
             "graph": graph_desc,
-            "owner": owner_spec,
+            "owner": export.share(np.asarray(cfg["owner"], dtype=np.int64)),
             "seeds": cfg["seeds"],
             # see attach_array: spawned children must drop their private
             # resource tracker's claim on the parent's segments
@@ -400,8 +391,8 @@ class WorkerPool:
 
     def _reconfigure(self, cfg: dict) -> None:
         """Load a new engine configuration into the live children — the
-        delta/remap path that replaces respawning between streaming
-        epochs.  The factory must be picklable here (use
+        path that replaces respawning between streaming epochs.  The
+        factory must be picklable here (use
         :class:`~repro.core.program.ProgramSpec` for dynamically
         parameterized programs)."""
         try:
@@ -435,23 +426,6 @@ class WorkerPool:
             # pool memory flat across arbitrarily many epochs
             if old_export is not None:
                 old_export.close()
-
-    def update_owner(self, new_owner: np.ndarray) -> None:
-        """Rewrite the shared ownership array in place (adaptive
-        rebalancing).  Children are quiescent — blocked on their control
-        pipes at a superstep barrier — when this runs, so there are no
-        concurrent readers; they observe the migrated partition when the
-        following ``remap`` command rebuilds their workers, and any later
-        respawn attaches the same (updated) segment."""
-        new_owner = np.asarray(new_owner, dtype=np.int64)
-        view = self._owner_view
-        if view is None or view.shape != new_owner.shape:
-            raise WorkerProcessError(
-                "pool has no live shared ownership array matching the plan"
-            )
-        view[...] = new_owner
-        if self._cfg is not None:
-            self._cfg = dict(self._cfg, owner=new_owner)
 
     # -- failure injection -------------------------------------------------
     def kill(self, w: int) -> None:

@@ -57,22 +57,16 @@ class SharedArrayExport:
         self._segments: list[shared_memory.SharedMemory] = []
 
     def share(self, arr: np.ndarray) -> dict:
-        return self.share_writable(arr)[0]
-
-    def share_writable(self, arr: np.ndarray) -> tuple[dict, np.ndarray]:
-        """Like :meth:`share`, but also return the parent's live view of
-        the segment, so the parent can rewrite the shared contents in
-        place later (children attach the same buffer and observe the
-        update — used for ownership migration at quiescent barriers)."""
+        """Copy ``arr`` into a new segment; return the spec children
+        attach it by (:func:`attach_array`, read-only)."""
         arr = np.ascontiguousarray(arr)
         # zero-size segments are rejected by the OS; keep 1 byte and let
         # the spec's shape reconstruct the empty view
         seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
         self._segments.append(seg)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
         if arr.nbytes:
-            view[...] = arr
-        return _spec(seg.name, arr), view
+            np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)[...] = arr
+        return _spec(seg.name, arr)
 
     def close(self, unlink: bool = True) -> None:
         for seg in self._segments:

@@ -26,7 +26,7 @@ dispatches the commands:
     control-pipe message each way per worker; the *same bytes* the
     simulator's :class:`~repro.runtime.buffers.BufferExchange` would move
     cross real process boundaries.  See ARCHITECTURE.md §9.
-``start_run`` / ``capture`` / ``restore`` / ``remap`` / ``finalize``
+``start_run`` / ``capture`` / ``restore`` / ``finalize``
     The worker lifecycle: each runs the
     :class:`~repro.runtime.lifecycle.WorkerLifecycle` method of the same
     name — the code the simulator calls directly — with the message's
@@ -36,13 +36,13 @@ dispatches the commands:
     does; only ``configure`` and ``restore`` reset it.
 ``configure``
     Tear the current worker down and rebuild it for a *new* engine
-    configuration: attach the new shared-memory graph segments, apply
-    the remapped ownership array and seed set, and construct the new
-    program from the factory that rode along as pickle bytes (see
-    :class:`~repro.core.program.ProgramSpec`).  This is the delta/remap
-    message that replaces respawning — streaming epochs reuse the same
-    OS processes for the whole run.  A ``remap`` keeps the attachments:
-    the parent has rewritten the shared ownership array in place.
+    configuration: attach the new shared-memory graph segments, the
+    ownership array and seed set, and construct the new program from the
+    factory that rode along as pickle bytes (see
+    :class:`~repro.core.program.ProgramSpec`).  This is the message that
+    replaces respawning — streaming epochs reuse the same OS processes
+    for the whole run.  Within a configuration the ownership never
+    changes.
 ``die`` / ``stop``
     ``die`` is ``os._exit`` at once — deterministic failure injection
     through the *real* worker-death path (the parent observes a dead
@@ -83,7 +83,7 @@ __all__ = ["worker_main"]
 _U64 = struct.Struct("<Q")
 
 #: the commands ``serve`` hands to the worker's lifecycle, one method each
-LIFECYCLE = ("start_run", "capture", "restore", "remap", "finalize")
+LIFECYCLE = ("start_run", "capture", "restore", "finalize")
 
 
 class _WorkerHost(OwnerTable):
@@ -542,10 +542,6 @@ class _WorkerProcess:
             if cmd == "stop":
                 return
             if cmd in LIFECYCLE:
-                if cmd == "remap":
-                    # the parent rewrote the shared ownership array in
-                    # place: drop the host's stale position table
-                    self.life.host.owner = self.life.host.owner
                 value = getattr(self.life, cmd)(**msg)
                 if isinstance(value, VertexResults):
                     # two codec arrays, never one tagged value per element

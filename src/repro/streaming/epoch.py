@@ -21,7 +21,7 @@ incremental path *did*, never how close it got.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.core.config import RunConfig
 from repro.core.engine import ChannelEngine, EngineResult
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition
-from repro.runtime.rebalance import RebalancePolicy, phase_matrix
 from repro.streaming.batch import MutationBatch
 from repro.streaming.delta import DeltaGraph
 from repro.streaming.plan import REFRESH_MODES, StreamAlgorithm
@@ -98,21 +97,13 @@ class EpochEngine:
         header epoch advances and the per-worker slots restart from zero
         (each epoch gets a fresh collector too, so live/collector parity
         holds within every epoch).  The caller owns the segment.
-    rebalance_policy:
-        Optional pre-configured
-        :class:`~repro.runtime.rebalance.RebalancePolicy`; one instance
-        serves every epoch, so its cooldown spans the stream.
     **options:
         The value options of :class:`~repro.core.config.RunConfig` (see
         its field docs), validated into :attr:`config` and handed to
-        every epoch's engine.  Two of them act across epochs here:
-        ``executor="process"`` runs every epoch on **one persistent
-        pool**, spawned once and then handed each epoch's graph view,
-        ownership, seeds and program as control messages; and
-        ``rebalance="epoch"`` re-partitions between epochs from the
-        previous epoch's phase times (``"superstep"`` migrates inside
-        each epoch's engine; either way the improved partition carries
-        forward, see ARCHITECTURE.md §13).  The fault-tolerance options
+        every epoch's engine.  ``executor="process"`` acts across epochs
+        here: every epoch runs on **one persistent pool**, spawned once
+        and then handed each epoch's graph view, ownership, seeds and
+        program as control messages.  The fault-tolerance options
         (``checkpoint_every``, ``failures``, ``recovery``) are refused.
     """
 
@@ -126,7 +117,6 @@ class EpochEngine:
         compact_threshold: float = 0.25,
         trace=None,
         live=None,
-        rebalance_policy: RebalancePolicy | None = None,
         **options,
     ) -> None:
         if refresh not in REFRESH_MODES:
@@ -137,11 +127,6 @@ class EpochEngine:
                 "EpochEngine takes no fault-tolerance options "
                 "(checkpoint_every, failures, recovery)"
             )
-        # every epoch's engine gets the same options; the epoch trigger
-        # is acted on here, between engines, never inside one
-        self._engine_config = (
-            replace(config, rebalance="off") if config.rebalance == "epoch" else config
-        )
         self.num_workers = config.num_workers
         self.delta = DeltaGraph(graph, compact_threshold=compact_threshold)
         self.algorithm = algorithm
@@ -149,9 +134,6 @@ class EpochEngine:
         self.pool = None  # created on the first epoch for executor="process"
         self.trace = trace
         self.live = live
-        self.rebalancer = None
-        if config.rebalance != "off":
-            self.rebalancer = rebalance_policy or RebalancePolicy(num_workers=self.num_workers)
         self._stream_span: int | None = None
         if partition is None:
             partition = hash_partition(graph.num_vertices, self.num_workers, seed=PARTITION_SEED)
@@ -204,21 +186,6 @@ class EpochEngine:
         new_graph = self.delta.view()
 
         plan = self.algorithm.plan(old_graph, new_graph, stats, self.state, refresh)
-        reb_plan = None
-        if self.config.rebalance == "epoch" and self.history:
-            # between epochs no worker holds state (warm state lives in
-            # ``self.state`` and is re-seeded through the plan), so an
-            # epoch-boundary migration is just a new ownership array for
-            # the next engine — judged on the previous epoch's phase times
-            reb_plan = self.rebalancer.propose(
-                self.owner,
-                new_graph.indptr,
-                phase_matrix(
-                    self.history[-1].result.metrics, window=self.rebalancer.window
-                ),
-            )
-            if reb_plan is not None:
-                self.owner = np.asarray(reb_plan.new_owner, dtype=np.int64)
         epoch_span = None
         if self.trace is not None:
             if self._stream_span is None:
@@ -254,25 +221,13 @@ class EpochEngine:
             pool=self.pool,
             trace=self.trace,
             live=self.live,
-            rebalance_policy=self.rebalancer,
-            **vars(self._engine_config),
+            **vars(self.config),
         )
         if epoch_span is not None:
             engine.metrics.trace_parent = epoch_span
-        if reb_plan is not None:
-            engine.metrics.record_rebalance(
-                reb_plan, trigger="epoch", seconds=reb_plan.migrate_seconds
-            )
-            if self.live is not None:
-                for w in sorted({w for move in reb_plan.moves for w in move[2:]}):
-                    self.live.bump_rebalance(w)
         self.epoch_num += 1
         engine.metrics.record_stream_epoch(self.epoch_num, plan.affected, plan.mode)
         result = engine.run()
-        if engine.owner is not self.owner:
-            # a superstep-triggered migration rebound the engine's owner
-            # array; adopt it so later epochs keep the improved partition
-            self.owner = engine.owner
         self.state = self.algorithm.collect(engine, result)
         if epoch_span is not None:
             self.trace.end(epoch_span)

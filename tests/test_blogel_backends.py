@@ -3,19 +3,16 @@
 A block program is a bulk program over one ``DirectMessage``, so the
 baseline runs wherever a channel program runs: Blogel WCC gives the
 simulator's data and counters on the process backend, over both frame
-movers; a run that loses a worker and recovers ends where the
-failure-free run does; and a superstep-trigger migration keeps its
-labels.
+movers; and a run that loses a worker and recovers ends where the
+failure-free run does.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.blogel import run_wcc_blogel
 from repro.graph import rmat
-from repro.runtime.rebalance import RebalancePolicy
 
 _DIRECTED = rmat(7, edge_factor=4, seed=5, directed=True)
 
@@ -69,22 +66,3 @@ def test_recovery_ends_where_the_failure_free_run_does(executor, recovery):
     )[-1]
     assert result.metrics.num_failures == 1
     assert _counters(result) == _sim_run()
-
-
-def test_a_migration_keeps_the_labels():
-    """``rebalance="superstep"`` moves the labels and the labels in
-    flight to their new owners, whose block CSR is built under the new
-    partition; the components do not change."""
-    owner = (np.arange(_DIRECTED.num_vertices) >= 8).astype(np.int64)  # worker 1 holds most
-    policy = RebalancePolicy(num_workers=2, min_supersteps=1, skew_threshold=0.0)
-    labels, result = run_wcc_blogel(
-        _DIRECTED,
-        num_workers=2,
-        partition=owner,
-        rebalance="superstep",
-        rebalance_every=1,
-        rebalance_policy=policy,
-    )
-    assert result.metrics.num_rebalances > 0
-    reference, _ = run_wcc_blogel(_DIRECTED, num_workers=2, partition=owner)
-    np.testing.assert_array_equal(labels, reference)

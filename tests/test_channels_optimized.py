@@ -37,7 +37,6 @@ from repro.graph import Graph, rmat, star
 from repro.graph.partition import hash_partition, range_partition
 from repro.graph.store import MmapStore
 from repro.runtime.checkpoint import decode_state, encode_state
-from repro.runtime.rebalance import MigrationContext
 from repro.runtime.serialization import INT32, INT64
 from helpers import line_graph, two_triangles
 from test_static_pattern import split
@@ -955,24 +954,6 @@ class TestAdjacencyRegistration:
         with pytest.raises(ValueError, match="direction must be"):
             self._named(TestScatterCombineBuild._worker(), "sideways")._build()
 
-    def test_migration_hands_every_new_worker_the_direction(self):
-        workers = ChannelEngine(rmat(6, edge_factor=4, seed=5), _Idle, num_workers=2).workers
-        named = [self._named(w, "both") for w in workers]
-        for ch in named:
-            ch.set_messages(np.arange(ch.worker.num_local), 1.0 + ch.worker.local_ids)
-        owner = workers[0].owner
-        ctx = MigrationContext(owner, 1 - owner, 2)  # the two workers swap
-        migrated = named[0].migrate_states([ch.snapshot() for ch in named], ctx)
-        for w, state in enumerate(migrated):
-            assert list(state)[0] == "edge_adjacency" and state["edge_adjacency"] == "both"
-            assert not {"edge_src", "edge_dst"} & set(state)
-            np.testing.assert_array_equal(state["values"], 1.0 + workers[1 - w].local_ids)
-        # a worker that registered per edge among workers that named an
-        # adjacency has no defined edge set to migrate
-        states = [named[0].snapshot(), self._explicit(workers[1], "both").snapshot()]
-        with pytest.raises(ValueError, match="ScatterCombine.*different edge sets"):
-            named[0].migrate_states(states, ctx)
-
 
 class TestRequestRespond:
     def _program(self):
@@ -1305,25 +1286,6 @@ class TestPropagation:
 
         with pytest.raises(ValueError, match=r"Propagation\(.*1 weights for 2 edges of vertex 0"):
             run(graph, P, workers=1)
-
-    def test_migration_refuses_in_flight_state(self):
-        """Only a quiescent channel migrates: a seeded but unpropagated
-        value (``dirty``) or a remote contribution not yet sent
-        (``pending``) is refused, naming the worker."""
-        workers = ChannelEngine(rmat(6, edge_factor=4, seed=5), _Idle, num_workers=2).workers
-        chans = [Propagation(w, MIN_I64) for w in workers]
-        owner = workers[0].owner
-        ctx = MigrationContext(owner, 1 - owner, 2)
-        quiescent = [ch.snapshot() for ch in chans]
-        assert len(chans[0].migrate_states(quiescent, ctx)) == 2
-        in_flight = {
-            "dirty": [0],
-            "pending": [(np.array([3], dtype=np.int64), np.array([0], dtype=np.int64))],
-        }
-        for key, value in in_flight.items():
-            states = [quiescent[0], {**quiescent[1], key: value}]
-            with pytest.raises(RuntimeError, match="Propagation on worker 1 has in-flight"):
-                chans[0].migrate_states(states, ctx)
 
     def test_reset_allows_reuse(self):
         class P(VertexProgram):

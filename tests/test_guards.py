@@ -109,7 +109,7 @@ fi
     # run options are declared and validated once: RunConfig checks the
     # option domains, and `run` / `stream` share one set of flags
     ("Run options are declared once", r'''
-files=$(grep -rlE --include="*.py" "not in (EXECUTORS|TRANSPORTS|RECOVERY_MODES|REBALANCE_MODES)" src)
+files=$(grep -rlE --include="*.py" "not in (EXECUTORS|TRANSPORTS|RECOVERY_MODES)" src)
 if [ "$files" != "src/repro/core/config.py" ]; then
   echo "option-domain checks must appear only in src/repro/core/config.py, found:"
   echo "$files"
@@ -157,7 +157,7 @@ done
     # channel-specific words
     ("One static scatter", r'''
 file=src/repro/core/channels/mirrored_scatter.py
-if grep -nE "def (serialize|snapshot|restore|migrate_states|set_message|set_messages)\(" "$file"; then
+if grep -nE "def (serialize|snapshot|restore|set_message|set_messages)\(" "$file"; then
   echo "$file must not define these: ScatterCombine's serve both channels"
   exit 1
 fi
@@ -262,7 +262,7 @@ if echo "$signatures" | grep -E "\b(lanes|threads)\b"; then
 fi
 '''),
     # one worker lifecycle: what is done to a worker between supersteps
-    # (start a run, capture, restore, remap, finalize) is written once,
+    # (start a run, capture, restore, finalize) is written once,
     # in WorkerLifecycle, which sim calls and a worker process's serve
     # dispatches to; and each worker publishes its own live slot
     ("One worker lifecycle", r'''
@@ -277,6 +277,27 @@ for pattern in 'load_worker_state(' 'encode_state(capture_worker_state('; do
 done
 if grep -rnF --include="*.py" "live_writers" src; then
   echo "'live_writers' must not appear under src"
+  exit 1
+fi
+'''),
+    # ownership is fixed for a run: the partition is the one placement,
+    # so no option, flag, channel hook or shared-memory rewrite moves a
+    # vertex to another worker mid-run
+    ("Ownership is fixed for a run", r'''
+if grep -nE "^ +rebalance[a-z_]* *:" src/repro/core/config.py; then
+  echo "src/repro/core/config.py must not declare a rebalance field"
+  exit 1
+fi
+if grep -nF -e "--rebalance" src/repro/__main__.py; then
+  echo "'--rebalance' must not appear in src/repro/__main__.py"
+  exit 1
+fi
+if grep -rnF --include="*.py" -e "migrate_states(" -e "update_owner" -e "share_writable" src; then
+  echo "'migrate_states(', 'update_owner' and 'share_writable' must not appear under src"
+  exit 1
+fi
+if [ -e src/repro/runtime/rebalance.py ]; then
+  echo "src/repro/runtime/rebalance.py must not exist"
   exit 1
 fi
 '''),

@@ -18,6 +18,7 @@ The contract under test, in order of importance:
    client, and ``repro top --once`` renders a snapshot table.
 """
 
+import contextlib
 import re
 import struct
 import threading
@@ -42,7 +43,7 @@ from repro.obs import (
     load_trace,
     prometheus_text,
 )
-from repro.obs.live import _HEADER_SIZE, _PAYLOAD, _SEQ, _SLOT_SIZE
+from repro.obs.live import _HEADER, _HEADER_SIZE, _MAGIC, _PAYLOAD, _SEQ, _SLOT_SIZE, _VERSION
 from repro.streaming import EpochEngine, WCCStream, synthesize_stream
 
 
@@ -95,6 +96,67 @@ class TestSegment:
         try:
             with pytest.raises(ValueError, match="not a live metrics segment"):
                 LiveMetrics.attach(seg.name)
+        finally:
+            seg.close()
+            seg.unlink()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _raw_segment(slots, version=_VERSION, num_workers=None):
+        """A segment of ``slots`` slots and alert words whose header says
+        ``version`` and ``num_workers`` (``slots`` when not given).  This
+        process made it, so attaching keeps its tracker claim
+        (``unregister=False``)."""
+        from multiprocessing import shared_memory
+
+        size = _HEADER_SIZE + (_SLOT_SIZE + 8) * slots
+        seg = shared_memory.SharedMemory(create=True, size=size)
+        try:
+            seg.buf[:size] = bytes(size)
+            workers = slots if num_workers is None else num_workers
+            _HEADER.pack_into(seg.buf, 0, _MAGIC, version, workers, 0, time.time(), 0)
+            yield seg.name
+        finally:
+            seg.close()
+            seg.unlink()
+
+    def test_attach_reads_a_well_formed_raw_segment(self):
+        with self._raw_segment(2) as name:
+            live = LiveMetrics.attach(name, unregister=False)
+            try:
+                assert live.num_workers == 2
+                assert [row["superstep"] for row in live.snapshot()] == [0, 0]
+                assert live.alert_counts() == [0, 0]
+            finally:
+                live.close()
+
+    def test_attach_rejects_a_foreign_version_naming_both(self):
+        with self._raw_segment(1, version=_VERSION + 1) as name:
+            with pytest.raises(
+                ValueError,
+                match=rf"{re.escape(repr(name))}.*version {_VERSION + 1}.*version {_VERSION}",
+            ):
+                LiveMetrics.attach(name, unregister=False)
+
+    def test_attach_rejects_a_segment_smaller_than_its_workers(self):
+        """One slot whose header claims 1000 workers: refused at attach,
+        not a ``struct.error`` in a later ``snapshot()``."""
+        with self._raw_segment(1, num_workers=1000) as name:
+            with pytest.raises(ValueError, match=rf"{re.escape(repr(name))}.*1000 workers"):
+                LiveMetrics.attach(name, unregister=False)
+
+    def test_attach_rejects_no_workers(self):
+        with self._raw_segment(1, num_workers=0) as name:
+            with pytest.raises(ValueError, match=rf"{re.escape(repr(name))}.*0 workers"):
+                LiveMetrics.attach(name, unregister=False)
+
+    def test_attach_rejects_a_segment_shorter_than_the_header(self):
+        from multiprocessing import shared_memory
+
+        seg = shared_memory.SharedMemory(create=True, size=16)
+        try:
+            with pytest.raises(ValueError, match="not a live metrics segment"):
+                LiveMetrics.attach(seg.name, unregister=False)
         finally:
             seg.close()
             seg.unlink()

@@ -33,16 +33,13 @@ from repro.obs import (
     EwmaBaseline,
     TraceRecorder,
     TraceReport,
-    anomaly_score,
     chrome_trace_events,
     detect_drift,
     ewma,
     export_chrome_trace,
     load_trace,
-    moving_average,
     straggler_scores,
     validate_trace,
-    zscore_outliers,
 )
 from repro.streaming import EpochEngine, PageRankStream
 from repro.streaming.updates import synthesize_stream
@@ -134,23 +131,10 @@ class TestTraceRecorder:
 # streaming statistics
 # ---------------------------------------------------------------------------
 class TestStats:
-    def test_moving_average(self):
-        assert moving_average([1, 2, 3, 4], 2) == [1.0, 1.5, 2.5, 3.5]
-        assert moving_average([], 3) == []
-
     def test_ewma_seeds_on_first_value(self):
         out = ewma([10, 10, 10], alpha=0.3)
         assert out == [10.0, 10.0, 10.0]
         assert ewma([0, 10], alpha=0.5) == [0.0, 5.0]
-
-    def test_anomaly_score(self):
-        assert anomaly_score(5.0, 1.0, 2.0) == 2.0
-        assert anomaly_score(5.0, 1.0, 0.0) == 0.0  # flat baseline
-
-    def test_zscore_outliers(self):
-        values = [1.0] * 20 + [100.0]
-        assert zscore_outliers(values) == [20]
-        assert zscore_outliers([1.0, 1.0, 1.0]) == []
 
     def test_detect_drift_on_level_shift_only(self):
         flat = [1.0] * 30
@@ -167,8 +151,8 @@ class TestStats:
         assert scores[-1] > 3.0
 
     def test_ewma_baseline_flat_series_never_flags(self):
-        # zero spread means no z-score, by the same rule as anomaly_score;
-        # real timing series always jitter, so this only bites synthetic data
+        # zero spread means no z-score (a flat series can't be anomalous
+        # against itself); real timing series always jitter, so this only bites synthetic data
         base = EwmaBaseline()
         assert [base.update(1.0) for _ in range(6)] == [0.0] * 6
         assert base.update(50.0) == 0.0
@@ -180,6 +164,22 @@ class TestStats:
         assert scores[1] > 1.4 > scores[0]
         # no timing signal at all -> no skew claimed
         assert straggler_scores(np.zeros((4, 3))).tolist() == [1.0, 1.0, 1.0]
+
+    def test_straggler_scores_all_zero_is_ones(self):
+        np.testing.assert_array_equal(straggler_scores(np.zeros((5, 4))), np.ones(4))
+
+    def test_straggler_scores_single_worker_is_one(self):
+        scores = straggler_scores(np.array([[3.0], [5.0]]))
+        np.testing.assert_allclose(scores, [1.0])
+
+    def test_straggler_scores_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            straggler_scores(np.ones(4))
+
+    def test_straggler_scores_skips_silent_supersteps(self):
+        # the all-zero row carries no signal and must not dilute the skew
+        m = np.array([[0.0, 0.0], [3.0, 1.0]])
+        np.testing.assert_allclose(straggler_scores(m), [1.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,21 @@ class TestPartitionQuality:
         q = partition_quality(g, np.array([0, 1]))
         assert q["edge_cut"] == 2  # both stored arc directions cross
 
+    def test_partition_quality_single_worker(self):
+        g = rmat(5, edge_factor=4, seed=1, directed=True)
+        q = partition_quality(g, np.zeros(g.num_vertices, dtype=np.int64))
+        assert q["internal_fraction"] == 1.0
+        assert q["edge_cut"] == 0
+        assert q["imbalance"] == 1.0
+
+    def test_partition_quality_zero_edge_graph(self):
+        from repro.graph.graph import Graph
+
+        g = Graph(4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        q = partition_quality(g, np.array([0, 0, 1, 1], dtype=np.int64))
+        assert q["internal_fraction"] == 1.0
+        assert q["edge_cut"] == 0
+
 
 @settings(max_examples=25)
 @given(

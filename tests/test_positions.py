@@ -5,9 +5,10 @@ backend — keeps one ``int32[V]`` table of each vertex's position within
 its owner, and every worker answers ``local_index`` from it, checked
 against ``owner``.  Pinned here: the lookup equals the dense per-worker
 table it replaced, for any placement; received ids are refused by name
-as before; the table follows ``owner`` through a migration on both
-backends and into a confined replay; and a graph whose positions an
-int32 cannot hold is refused when the engine or the child's host is made.
+as before; every worker on either backend, a confined replay's included,
+reads the table of the run's one ownership; and a graph whose positions
+an int32 cannot hold is refused when the engine or the child's host is
+made.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from repro.core.worker import MAX_VERTICES, OwnerTable
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import degree_range_partition, hash_partition, range_partition
-from repro.obs.live import LIVE_COUNTERS, LiveMetrics
 from repro.runtime.parallel.worker_proc import _WorkerHost
-from repro.runtime.rebalance import RebalancePolicy
 
 
 def dense_table(owner: np.ndarray, worker_id: int) -> np.ndarray:
@@ -113,7 +112,7 @@ def test_received_ids_are_refused_by_name(placement, data):
             local_ids(channel, 0, np.append(mine, bad))
 
 
-# -- the table follows owner ------------------------------------------------------
+# -- every worker reads the table of the run's ownership -------------------------
 
 STEPS = 6
 GRAPH = rmat(7, edge_factor=8, seed=5)
@@ -137,13 +136,12 @@ class Lookup(VertexProgram):
         }
 
 
-def _migrating_run(monkeypatch, **options):
-    """A run whose planted skew migrates at superstep 2, with every
-    confined replay's workers checked against the ownership of the
-    moment; returns ``(engine, result, replay checks, after)``, where
-    ``after`` holds the state blobs captured once the run is over and
-    the live slots' counters."""
+@pytest.mark.parametrize("backend", ["sim", *MOVERS])
+def test_every_worker_and_a_confined_replay_read_the_table_of_the_owner(monkeypatch, backend):
+    """A skewed range placement; worker 1 dies at superstep 4 and replays
+    from the superstep-0 checkpoint, built on the engine's ``owner``."""
     replays = []
+
     def spy(engine, doomed):
         lives = confined_recovery(engine, doomed)
         replays.extend(
@@ -155,83 +153,24 @@ def _migrating_run(monkeypatch, **options):
     monkeypatch.setattr(repro.runtime.executor, "confined_recovery", spy)
     skew = range_partition(GRAPH.num_vertices, 2)
     skew[: GRAPH.num_vertices // 4] = 0  # worker 0 holds the RMAT hubs and more
-    live = LiveMetrics.create(2)
-    engine = ChannelEngine(
-        GRAPH,
-        Lookup,
-        num_workers=2,
-        partition=skew,
-        rebalance="superstep",
-        rebalance_every=2,
-        rebalance_policy=RebalancePolicy(num_workers=2, min_supersteps=2, skew_threshold=0.0),
-        live=live,
-        **options,
-    )
-    try:
-        result = engine.run()
-        after = {
-            "blobs": engine.backend.capture_state_blobs(),
-            "live": [{k: row[k] for k in LIVE_COUNTERS} for row in live.snapshot()],
-        }
-    finally:
-        engine.close()
-        live.close(unlink=True)
-    assert result.metrics.num_rebalances > 0, "the planted skew must migrate"
-    assert not np.array_equal(engine.owner, skew)
-    return engine, result, replays, after
-
-
-def _expected(owner: np.ndarray) -> dict:
-    return {
-        g: int(dense_table(owner, int(owner[g]))[g]) for g in range(owner.size)
-    }
-
-
-@pytest.mark.parametrize("backend", ["sim", *MOVERS])
-def test_a_migration_rebuilds_the_table_from_the_new_owner(monkeypatch, backend):
+    options = dict(failures=[(1, 4)], recovery="confined")
     if backend == "sim":
-        engine, result, _, _ = _migrating_run(monkeypatch)
+        engine = ChannelEngine(GRAPH, Lookup, num_workers=2, partition=skew, **options)
+        result = engine.run()
     else:
         with mover(backend):
-            engine, result, _, _ = _migrating_run(monkeypatch, executor="process")
-    assert dict(result.data) == _expected(engine.owner)
-
-
-@pytest.mark.parametrize(
-    "executor", [dict(), dict(executor="process")], ids=["sim", "process"]
-)
-def test_a_confined_replay_after_a_migration_reads_the_new_table(monkeypatch, executor):
-    """The migration forces a checkpoint; worker 1 then dies and replays
-    from it, built on the engine after ``owner`` was reassigned."""
-    engine, result, replays, _ = _migrating_run(
-        monkeypatch, failures=[(1, 4)], recovery="confined", **executor
-    )
+            engine = ChannelEngine(
+                GRAPH, Lookup, num_workers=2, partition=skew, executor="process", **options
+            )
+            try:
+                result = engine.run()
+            finally:
+                engine.close()
     assert result.metrics.num_failures == 1
     assert replays == [True]
-    assert dict(result.data) == _expected(engine.owner)
-
-
-def test_a_confined_replay_after_a_migration_agrees_across_backends(monkeypatch):
-    """Sim recovers as the process backend does: after the migration and
-    the replay, every worker's state bytes, the recovery's byte count and
-    the live slots' counters are the same on sim, shm and pipe."""
-    runs = {"sim": _migrating_run(monkeypatch, failures=[(1, 4)], recovery="confined")}
-    for name in MOVERS:
-        with mover(name):
-            runs[name] = _migrating_run(
-                monkeypatch, failures=[(1, 4)], recovery="confined", executor="process"
-            )
-    engine, result, replays, after = runs["sim"]
-    assert result.metrics.recovery_bytes > 0
-    assert after["live"][0]["superstep"] == result.metrics.supersteps
-    for name in MOVERS:
-        other_engine, other, other_replays, other_after = runs[name]
-        assert other_replays == replays == [True], name
-        assert np.array_equal(other_engine.owner, engine.owner), name
-        assert dict(other.data) == dict(result.data), name
-        assert other_after["blobs"] == after["blobs"], name
-        assert other.metrics.recovery_bytes == result.metrics.recovery_bytes, name
-        assert other_after["live"] == after["live"], name
+    assert dict(result.data) == {
+        g: int(dense_table(skew, int(skew[g]))[g]) for g in range(skew.size)
+    }
 
 
 # -- the configure-time limit -----------------------------------------------------

@@ -49,20 +49,6 @@ INVALID = [
         id="checkpoint-every",
     ),
     pytest.param(
-        dict(rebalance="sideways"),
-        "rebalance must be one of",
-        ["--rebalance", "sideways"],
-        "invalid choice",
-        id="rebalance",
-    ),
-    pytest.param(
-        dict(rebalance_every=0),
-        "rebalance_every must be >= 1",
-        ["--rebalance-every", "0"],
-        "rebalance_every must be >= 1",
-        id="rebalance-every",
-    ),
-    pytest.param(
         dict(num_workers=2, failures=["7:3"]),
         "kills worker 7 at superstep 3, but the engine has only 2 workers",
         ["--workers", "2", "--fail", "7:3"],
@@ -140,8 +126,6 @@ def test_one_config_round_trips_through_both_engines():
         num_workers=2,
         executor="process",
         network=NetworkModel(latency=2e-3),
-        rebalance="superstep",
-        rebalance_every=4,
     )
     assert RunConfig(**vars(config)) == config
     # neither engine spawns a worker process before it runs
@@ -175,17 +159,32 @@ def test_the_byte_mover_is_not_a_flag(command, updates, capsys):
     assert "unrecognized arguments: --transport pipe" in err
 
 
-def test_channel_engine_refuses_the_epoch_trigger(capsys):
-    """``rebalance="epoch"`` acts between streaming epochs; a single
-    engine run has none, so the engine refuses it instead of arming a
-    policy that can never fire.  The EpochEngine takes it."""
-    assert RunConfig(rebalance="epoch").rebalance == "epoch"
-    with pytest.raises(ValueError, match="rebalance='epoch'.*EpochEngine"):
-        ChannelEngine(line_graph(4), WCCBasicBulk, num_workers=2, rebalance="epoch")
-    assert EpochEngine(line_graph(4), WCCStream(), rebalance="epoch").config.rebalance == "epoch"
-    code, err = _cli(["run", "wcc", "--dataset", "tree", "--rebalance", "epoch"], capsys)
+@pytest.mark.parametrize(
+    "surface",
+    [
+        RunConfig,
+        lambda **kw: ChannelEngine(line_graph(4), WCCBasicBulk, **kw),
+        lambda **kw: EpochEngine(line_graph(4), WCCStream(), **kw),
+    ],
+    ids=["run-config", "channel-engine", "epoch-engine"],
+)
+def test_placement_is_not_an_option(surface):
+    """Ownership is fixed for a run: the partition is the only placement,
+    and no config field or engine keyword moves a vertex mid-run."""
+    for name, value in (("rebalance", "superstep"), ("rebalance_every", 2),
+                        ("rebalance_policy", object())):
+        with pytest.raises(TypeError, match=name):
+            surface(num_workers=2, **{name: value})
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_placement_is_not_a_flag(command, updates, capsys):
+    argv = [command, "wcc", "--dataset", "tree"]
+    if command == "stream":
+        argv += ["--updates", updates]
+    code, err = _cli([*argv, "--rebalance", "superstep"], capsys)
     assert code == 2
-    assert "bad run options" in err and "EpochEngine" in err
+    assert "unrecognized arguments: --rebalance superstep" in err
 
 
 @pytest.mark.parametrize(

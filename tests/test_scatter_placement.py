@@ -40,7 +40,7 @@ from repro.graph.partition import degree_range_partition, hash_partition, range_
 from repro.runtime.serialization import INT32
 
 from test_bulk_parity import _assert_parity, engines  # noqa: F401 - a fixture
-from test_static_pattern import MoveOnce, announced_ids_nbytes, received_forms, split_nbytes
+from test_static_pattern import announced_ids_nbytes, received_forms, split_nbytes
 
 SCATTERS = (1, 2, 3)  # supersteps that scatter; the slots are read one later
 FORMS = ["adjacency-out", "adjacency-in", "rows", "partial"]
@@ -423,7 +423,7 @@ def test_a_truncated_or_malformed_combined_set(receiver, word, tail, match):
     assert 0 not in receiver._patterns
 
 
-# -- the new form on pr-scatter: every backend, every recovery, a migration ---------
+# -- the new form on pr-scatter: every backend, every recovery ---------------------
 
 _PR_GRAPH = rmat(8, edge_factor=6, seed=11, directed=True)
 
@@ -465,48 +465,6 @@ def test_backends_and_recoveries_count_the_simulator_bytes(workers, recovery):
         assert (a.checkpoint_bytes, a.log_bytes, a.recovery_bytes) == (
             b.checkpoint_bytes, b.log_bytes, b.recovery_bytes,
         )  # fmt: skip
-
-
-def test_a_migration_re_announces_once_and_the_receivers_derive_again():
-    """Every sender announces once under each ownership, and every
-    receiver derives each of its peers' senders once under each; the ranks
-    are those of the same migration with every peer's edges combined at
-    the sender."""
-    workers = 3
-    kw = dict(
-        variant="scatter", mode="bulk", iterations=6, num_workers=workers,
-        partition=range_partition(_PR_GRAPH.num_vertices, workers),
-    )  # fmt: skip
-
-    def migrated():
-        policy = MoveOnce(num_workers=workers)
-        policy.target = hash_partition(_PR_GRAPH.num_vertices, workers)
-        return run_pagerank(
-            _PR_GRAPH, rebalance="superstep", rebalance_every=3, rebalance_policy=policy, **kw
-        )
-
-    announcing = []
-    real_scatter = ScatterCombine._scatter
-
-    def scatter(self, payloads):
-        if self._words is not None:
-            announcing.append(self.worker.worker_id)
-        real_scatter(self, payloads)
-
-    with mock.patch.object(ScatterCombine, "_scatter", scatter), learnt() as calls:
-        ranks, result = migrated()
-    assert result.metrics.num_rebalances == 1
-    assert announcing == [0, 1, 2] * 2
-    steps = sorted({step for step, *_ in calls})
-    assert len(steps) == 2
-    for step in steps:
-        pairs = [pair for at, *pair in calls if at == step]
-        assert pairs and len(set(map(tuple, pairs))) == len(pairs)
-    with mock.patch.object(ScatterCombine, "_expandable", lambda self: False):
-        combined_ranks, combined = migrated()
-    np.testing.assert_array_equal(ranks, combined_ranks)
-    assert result.metrics.total_messages == combined.metrics.total_messages
-    assert result.metrics.total_net_bytes < combined.metrics.total_net_bytes
 
 
 # -- memory pins: each derived edge is held once ----------------------------------

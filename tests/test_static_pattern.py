@@ -11,8 +11,8 @@ positions][their values]``, the positions as a list or a bitmap.  The
 format they replaced — ids beside the values in every scatter — lives on
 here, as :class:`IdsEveryRound`, the oracle of the property below: any
 graph, partition, worker count, combiner, scatter and value-change
-schedule, checkpoint cadence, failure, migration and second registration
-must deliver, bit for bit, what the oracle delivers, in exactly the bytes
+schedule, checkpoint cadence, failure and second registration must
+deliver, bit for bit, what the oracle delivers, in exactly the bytes
 of the closed form.
 """
 
@@ -45,7 +45,6 @@ from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition, range_partition
 from repro.runtime.checkpoint import decode_state, encode_state
-from repro.runtime.rebalance import OwnershipPlan, RebalancePolicy
 
 STEPS = 7  # supersteps of the test program; the last one only reads
 THRESHOLD = 3  # MirroredScatter: edges into one peer that make a sender heavy
@@ -94,8 +93,7 @@ def make_program(channel, scatter_steps, register_again_at, exact, changes=None,
     """Every vertex registers its out-edges in superstep 1 (and its
     in-neighbours as well in ``register_again_at``), scatters a value in
     each of ``scatter_steps`` (:func:`scattered`) and records what it
-    reads in every superstep, in per-vertex arrays a migration carries
-    along."""
+    reads in every superstep, in per-vertex arrays."""
     changes = changes or {}
 
     class P(VertexProgram):
@@ -124,22 +122,6 @@ def make_program(channel, scatter_steps, register_again_at, exact, changes=None,
             return {i: (g.tobytes(), h.tobytes()) for i, g, h in zip(ids, self.got, self.had)}
 
     return P
-
-
-class MoveOnce(RebalancePolicy):
-    """Migrates to ``target`` the first time the engine asks."""
-
-    target = None
-
-    def propose(self, owner, indptr, matrix):
-        if self.target is None or np.array_equal(owner, self.target):
-            return None
-        target, self.target = self.target, None
-        return OwnershipPlan(
-            new_owner=target, moves=(), moved_vertices=int((owner != target).sum()),
-            moved_arcs=0, max_load_before=1, max_load_after=1, gain_ratio=1.0,
-            scores=np.ones(self.num_workers), est_win_seconds=0.0, migrate_seconds=0.0,
-        )  # fmt: skip
 
 
 def announced_ids_nbytes(ids):
@@ -185,22 +167,16 @@ def split_nbytes(src, dst, crossing=None):
     return combined.size + crossing.size, words
 
 
-def whole_rows(graph, owners, register_again_at):
+def whole_rows(graph, owner, register_again_at):
     """Per superstep and sender worker, whether its registered columns are
     whole out-rows in ascending sender order, which lets a peer combine
     them.  Every vertex registers its out-edges in superstep 1 and its
-    in-edges in ``register_again_at``, in vertex order; a migration routes
-    each worker's columns to the senders' new owners in old-worker order
-    (``StaticEdges._edges_migrate``)."""
+    in-edges in ``register_again_at``, in vertex order."""
     src, dst = graph.edge_array()
-    workers = int(max(o.max() for o in owners)) + 1
-    columns = [(src[owners[1][src] == w], dst[owners[1][src] == w]) for w in range(workers)]
+    workers = int(owner.max()) + 1
+    columns = [(src[owner[src] == w], dst[owner[src] == w]) for w in range(workers)]
     whole = {}
     for step in range(1, STEPS + 1):
-        owner = owners[step]
-        if not np.array_equal(owner, owners[step - 1]):
-            flat = [np.concatenate(c) for c in zip(*columns)]
-            columns = [tuple(c[owner[flat[0]] == w] for c in flat) for w in range(workers)]
         if step == register_again_at:
             for w in range(workers):
                 again = [(v, u) for v in np.flatnonzero(owner == w) for u in graph.in_neighbors(v)]
@@ -214,32 +190,31 @@ def whole_rows(graph, owners, register_again_at):
 
 
 def closed_form(
-    graph, mirrored, itemsize, owners, scatter_steps, register_again_at, sent, selection=True
+    graph, mirrored, itemsize, owner, scatter_steps, register_again_at, sent, selection=True
 ):
     """``(net, local)`` bytes of the channel: per scatter, sender and peer
     with ``n`` values to send, a 4-byte tag and the smallest of the dense
     ``n * itemsize``, the list delta ``k * (4 + itemsize)`` and the bitmap
     delta ``ceil(n / 8) + k * itemsize``, where ``k`` values differ, bit
     for bit, from those the sender sent that peer last — but, in the
-    sender's first scatter after a registration or a migration, the
-    pattern's ids (:func:`announced_ids_nbytes`) and all ``n`` values.
+    sender's first scatter after a registration, the pattern's ids
+    (:func:`announced_ids_nbytes`) and all ``n`` values.
     ``n`` is one value per destination, except where a combiner that is
     not a ``selection`` lets the channel send another worker senders'
     values — where its columns are :func:`whole_rows` — and then ``n`` and
     the words are :func:`split_nbytes`': over ``ScatterCombine``'s split,
     or, ``mirrored``, with the senders of at least ``THRESHOLD`` edges
     into that worker crossing.
-    ``owners[step]`` is the partition in force during ``step``;
-    ``sent[step, w][p]`` the values worker ``w`` handed ``p`` then."""
+    ``owner`` is the partition; ``sent[step, w][p]`` the values worker
+    ``w`` handed ``p`` in ``step``."""
     out_src, out_dst = graph.edge_array()
-    whole = whole_rows(graph, owners, register_again_at)
+    whole = whole_rows(graph, owner, register_again_at)
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     announced = set()
     last = {}  # (sender, peer) -> the values it sent last
     bits = f"u{itemsize}"
     for step in range(1, STEPS + 1):
-        owner = owners[step]
-        if step == register_again_at or not np.array_equal(owner, owners[step - 1]):
+        if step == register_again_at:
             announced.clear()
             last.clear()
         if step not in scatter_steps:
@@ -323,9 +298,6 @@ def cases(draw, workers, mirrored, recovery):
     if recovery is not None:
         populated = np.unique(owner).tolist()  # a worker with no vertex has nothing to lose
         fail = (draw(st.sampled_from(populated)), draw(st.integers(1, STEPS - 1)))
-    migrate_at = None  # one worker has nowhere to go
-    if workers > 1:
-        migrate_at = draw(st.none() | st.integers(1, STEPS - 1))
     combiner = draw(st.sampled_from([SUM_F64, MIN_I64]))
     # per step, the share of vertices whose value changes: none, all, and
     # around the crossovers of the forms: list and bitmap delta (1/32),
@@ -343,8 +315,6 @@ def cases(draw, workers, mirrored, recovery):
         register_again_at=draw(st.none() | st.integers(2, STEPS - 1)),
         checkpoint_every=draw(st.none() | st.integers(1, 3)),
         fail=fail,
-        migrate_at=migrate_at,
-        target=drawn[draw(partition)](),
     )
 
 
@@ -364,15 +334,6 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
     schedule = (case["scatter_steps"], case["register_again_at"], mirrored)
     values = dict(changes=case["changes"], specials=case["specials"])
 
-    def migration():
-        if case["migrate_at"] is None:
-            return {}
-        policy = MoveOnce(num_workers=workers)
-        policy.target = case["target"]
-        return dict(
-            rebalance="superstep", rebalance_every=case["migrate_at"], rebalance_policy=policy
-        )
-
     if mirrored:
         subject = lambda w: MirroredScatter(w, combiner, threshold=THRESHOLD)  # noqa: E731
     else:
@@ -383,25 +344,18 @@ def test_any_run_delivers_the_oracle_data_in_the_closed_form_bytes(
             checkpoint_every=case["checkpoint_every"],
             failures=[case["fail"]] if case["fail"] else None,
             recovery=recovery or "rollback",
-            **migration(),
         )  # fmt: skip
-    # the oracle takes the same migration (a float sum groups by sender
-    # worker) and no failure: recovery must leave no trace
+    # the oracle takes no failure: recovery must leave no trace
     oracle = run(
-        graph, lambda w: IdsEveryRound(w, combiner), workers, case["owner"], *schedule,
-        **values, **migration(),
-    )  # fmt: skip
+        graph, lambda w: IdsEveryRound(w, combiner), workers, case["owner"], *schedule, **values
+    )
     assert got.data == oracle.data
     assert got.metrics.num_failures == (case["fail"] is not None)
     # one message per unique destination, id or no id, mirrored or not
     assert got.metrics.total_messages == oracle.metrics.total_messages
 
-    migrated = got.metrics.num_rebalances
-    assert migrated == oracle.metrics.num_rebalances <= 1
-    fired_at = case["migrate_at"] if migrated else STEPS
-    owners = [case["owner"] if step <= fired_at else case["target"] for step in range(STEPS + 1)]
     net, local = closed_form(
-        graph, mirrored, combiner.codec.itemsize, owners,
+        graph, mirrored, combiner.codec.itemsize, case["owner"],
         case["scatter_steps"], case["register_again_at"], sent, combiner.is_selection,
     )  # fmt: skip
     (counted,) = got.metrics.channel_breakdown().values() or [{"net_bytes": 0, "local_bytes": 0}]
@@ -578,16 +532,6 @@ def test_one_announcement_per_sender():
 
 def test_a_second_registration_re_announces_exactly_once():
     senders = _announcements(scatter_steps={1, 2, 4, 6}, register_again_at=3)
-    assert senders == [0, 1, 2] * 2
-
-
-def test_a_migration_re_announces_exactly_once():
-    policy = MoveOnce(num_workers=3)
-    policy.target = hash_partition(_GRAPH.num_vertices, 3)
-    senders = _announcements(
-        scatter_steps={1, 2, 4, 6}, register_again_at=None,
-        rebalance="superstep", rebalance_every=2, rebalance_policy=policy,
-    )  # fmt: skip
     assert senders == [0, 1, 2] * 2
 
 

@@ -130,9 +130,8 @@ class TestLocalAdjacency:
 
     def test_degree_split_is_the_per_superstep_split_of_all_rows(self, graph):
         """What PageRank computed from ``degrees[active]`` every superstep,
-        cached on the adjacency (so a migration, which rebuilds workers and
-        their adjacency, cannot leave it stale) and off the program (so it
-        never enters a checkpoint)."""
+        cached on the adjacency (so it lives as long as the adjacency does)
+        and off the program (so it never enters a checkpoint)."""
         from repro.algorithms.pagerank import PageRankScatterBulk
 
         engine = ChannelEngine(graph, PageRankScatterBulk, num_workers=2)
@@ -156,8 +155,8 @@ class TestLocalAdjacency:
 
 
 class TestContiguousRunsAreViews:
-    """A contiguous run of local ids (range/degree partitions, rebalancer
-    output) gets slices of the global CSR; anything else is gathered.
+    """A contiguous run of local ids (range/degree partitions) gets
+    slices of the global CSR; anything else is gathered.
     Both must describe the same adjacency."""
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
