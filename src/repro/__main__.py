@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="graph file or mmap store directory (edge list, .npz, or a "
         "directory written by `repro generate` / load_edgelist_chunked; "
         "stores are attached in place, nothing is loaded into RAM, and a "
-        "stream's delta overlay composes over any of them)",
+        "stream never writes to them)",
     )
     common.add_argument("--workers", dest="num_workers", type=int, default=argparse.SUPPRESS)
     common.add_argument(
@@ -207,12 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=10, help="PageRank iterations"
     )
     stream.add_argument("--source", type=int, default=0, help="SSSP source")
-    stream.add_argument(
-        "--compact-threshold",
-        type=float,
-        default=0.25,
-        help="overlay/base ratio that triggers delta-graph compaction",
-    )
 
     report = sub.add_parser(
         "report",
@@ -486,9 +480,6 @@ def _cmd_stream(args) -> int:
     if args.epoch_size is not None and args.epoch_size < 1:
         print("--epoch-size must be >= 1", file=sys.stderr)
         return 2
-    if args.compact_threshold <= 0:
-        print("--compact-threshold must be positive", file=sys.stderr)
-        return 2
     try:
         config = _run_config(args)
     except ValueError as exc:
@@ -530,7 +521,6 @@ def _cmd_stream(args) -> int:
             graph,
             algo,
             refresh=args.refresh,
-            compact_threshold=args.compact_threshold,
             trace=recorder,
             live=live,
             **vars(config),

@@ -19,6 +19,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.util import check_vertex
 
 __all__ = ["BFSBasic", "BFSBasicBulk", "BFSPropagation", "run_bfs"]
 
@@ -132,10 +133,11 @@ def run_bfs(
 ):
     """Run BFS; returns ``(levels, EngineResult)``.
 
-    ``levels[v]`` is the hop distance from ``source``
-    (``np.iinfo(int64).max`` when unreachable).  ``mode="bulk"`` selects
-    the columnar compute path (``"basic"`` only).
+    ``levels[v]`` is the hop distance from ``source``, an int in
+    ``[0, V)`` (``np.iinfo(int64).max`` when unreachable).
+    ``mode="bulk"`` selects the columnar compute path (``"basic"`` only).
     """
+    source = check_vertex("source", source, graph.num_vertices)
     base = resolve_mode(_VARIANTS, variant, mode)
     program = type(base.__name__, (base,), {"source": source})
     result = run_engine(graph, program, **engine_kwargs)

@@ -24,6 +24,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.util import check_vertex
 
 __all__ = [
     "SSSPBasic",
@@ -73,37 +74,52 @@ class SSSPBasic(VertexProgram):
 
 class SSSPBasicBulk(BulkVertexProgram):
     """Bulk port of :class:`SSSPBasic`: Bellman-Ford relaxation with whole
-    -frontier edge gathers (weights come from the local CSR view)."""
+    -frontier edge gathers (weights come from the local CSR view).
+
+    Superstep 1 announces ``dist + w`` from every active vertex with a
+    finite distance.  ``warm_dist`` (indexed by global id) warm-starts
+    the distances, as a streaming refresh does from the previous epoch's
+    (KickStarter); ``None`` means 0 at ``source`` and ``inf`` elsewhere,
+    the cold kick-off.  ``announce_targets`` (a boolean mask by global
+    id) restricts superstep 1's announcements to those destinations;
+    ``None`` sends to every destination.
+    """
 
     source = 0
+    warm_dist: np.ndarray | None = None
+    announce_targets: np.ndarray | None = None
 
     def __init__(self, worker):
         super().__init__(worker)
         self.msg = CombinedMessage(worker, MIN_F64)
-        self.dist = np.full(worker.num_local, np.inf)
+        if self.warm_dist is None:
+            self.dist = np.full(worker.num_local, np.inf)
+            li = worker.local_index(self.source)
+            if li >= 0:
+                self.dist[li] = 0.0
+        else:
+            self.dist = self.warm_dist[worker.local_ids]
 
     def compute_bulk(self, active: np.ndarray) -> None:
         worker = self.worker
         adj = worker.local_adjacency()
         if self.step_num == 1:
-            li = worker.local_index(self.source)
-            settled = (
-                np.asarray([li], dtype=np.int64) if li >= 0 else np.empty(0, np.int64)
-            )
-            dists = np.zeros(settled.size)
+            settled = active[np.isfinite(self.dist[active])]
+            dists = self.dist[settled]
         else:
             inbox, _ = self.msg.get_messages()
             m = inbox[active]
             improved = m < self.dist[active]
             settled = active[improved]
             dists = m[improved]
-        if settled.size:
             self.dist[settled] = dists
+        if settled.size:
             dsts = adj.gather(settled)
-            w = adj.gather_weights(settled)
-            self.msg.send_messages(
-                dsts, np.repeat(dists, adj.degrees[settled]) + w
-            )
+            vals = np.repeat(dists, adj.degrees[settled]) + adj.gather_weights(settled)
+            if self.step_num == 1 and self.announce_targets is not None:
+                keep = self.announce_targets[dsts]
+                dsts, vals = dsts[keep], vals[keep]
+            self.msg.send_messages(dsts, vals)
         worker.halt_bulk(active)
 
     def finalize(self) -> dict:
@@ -154,8 +170,10 @@ def run_sssp(
 ):
     """Run SSSP; returns ``(dists, EngineResult)`` (inf = unreachable).
 
-    ``mode="bulk"`` selects the columnar compute path (``"basic"`` only).
+    ``source`` must be an int in ``[0, V)``; ``mode="bulk"`` selects the
+    columnar compute path (``"basic"`` only).
     """
+    source = check_vertex("source", source, graph.num_vertices)
     program = make_sssp_program(variant, source, mode)
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

@@ -73,20 +73,27 @@ class WCCBasicBulk(BulkVertexProgram):
     Uses the worker's ``"both"``-direction local CSR, whose per-row order
     (out-edges then in-edges) matches ``_undirected_neighbors`` — so the
     wire traffic is record-for-record identical to the scalar program.
+
+    Superstep 1 broadcasts every active vertex's label.  ``warm_labels``
+    (indexed by global id) warm-starts the labels, as a streaming refresh
+    does from the previous epoch's (KickStarter); ``None`` starts each
+    vertex from its own id.
     """
+
+    warm_labels: np.ndarray | None = None
 
     def __init__(self, worker):
         super().__init__(worker)
         self.msg = CombinedMessage(worker, MIN_I64)
-        self.label = np.zeros(worker.num_local, dtype=np.int64)
+        ids = worker.local_ids
+        self.label = ids.copy() if self.warm_labels is None else self.warm_labels[ids]
 
     def compute_bulk(self, active: np.ndarray) -> None:
         worker = self.worker
         adj = worker.local_adjacency("both")
         if self.step_num == 1:
-            new = worker.local_ids[active]
-            self.label[active] = new
             senders = active
+            new = self.label[active]
         else:
             inbox, _ = self.msg.get_messages()
             m = inbox[active]

@@ -152,8 +152,9 @@ class MmapStore(GraphStore):
 
     The files are opened read-only (``mmap_mode="r"``); the store never
     writes to an existing directory after :meth:`save`/``build`` finish,
-    which is what lets :class:`~repro.streaming.delta.DeltaGraph` overlay
-    mutations on top of an mmap base without ever touching the files.
+    which is what lets a :class:`~repro.streaming.delta.DeltaGraph` start
+    from an mmap-backed graph: each batch builds the next graph in memory
+    and the files are never touched.
     """
 
     kind = "mmap"

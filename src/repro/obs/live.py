@@ -152,10 +152,11 @@ class LiveMetrics:
         """Attach to an existing segment by name or by :attr:`spec`.
 
         ``unregister`` keeps this process's resource tracker from
-        double-unlinking a segment it does not own (bpo-39959) — pass
-        ``False`` only from forked children, where "unregistering"
-        would erase the parent's own claim (same rule as
-        :func:`repro.runtime.parallel.shm.attach_array`).
+        double-unlinking a segment it does not own (bpo-39959).  The
+        process the header names as the creator keeps its claim: it owns
+        the segment and will unlink it.  Pass ``False`` from forked
+        children, where "unregistering" would erase the parent's own
+        claim (same rule as :func:`repro.runtime.parallel.shm.attach_array`).
 
         Raises ``ValueError`` naming the segment when it is not one this
         reader can read: no live metrics header, a foreign layout
@@ -164,13 +165,11 @@ class LiveMetrics:
         """
         name = name_or_spec["name"] if isinstance(name_or_spec, dict) else str(name_or_spec)
         seg = shared_memory.SharedMemory(name=name)
-        if unregister:
-            untrack_segment(seg)
-        problem = None
+        problem = creator = None
         if seg.size < _HEADER_SIZE or _HEADER.unpack_from(seg.buf, 0)[0] != _MAGIC:
             problem = "is not a live metrics segment"
         else:
-            _, version, num_workers, _, _, _ = _HEADER.unpack_from(seg.buf, 0)
+            _, version, num_workers, _, _, creator = _HEADER.unpack_from(seg.buf, 0)
             if version != _VERSION:
                 problem = f"has layout version {version}; this reader reads version {_VERSION}"
             elif num_workers < 1:
@@ -180,6 +179,8 @@ class LiveMetrics:
                     f"holds {seg.size} bytes; its {num_workers} workers need "
                     f"{_segment_size(num_workers)}"
                 )
+        if unregister and creator != os.getpid():
+            untrack_segment(seg)
         if problem is not None:
             seg.close()
             raise ValueError(f"segment {name!r} {problem}")

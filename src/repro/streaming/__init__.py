@@ -6,13 +6,15 @@ stack computes over an immutable CSR; this layer makes the graph a
 *moving target*:
 
 * :class:`MutationBatch` — validated edge/vertex insertions & deletions.
-* :class:`DeltaGraph` — overlay above the immutable CSR, with LSM-style
-  compaction back to a fresh base.
+* :class:`DeltaGraph` — the stream's one CSR graph; each applied batch
+  builds the next one from the surviving arcs and the batch's.
 * :class:`EpochEngine` — repeated ``apply(batch) -> refresh`` cycles on
   top of :class:`~repro.core.engine.ChannelEngine`, seeding each refresh
   from the delta-affected region.
-* Incremental PageRank / WCC / SSSP — refresh programs whose output is
-  **bit-identical** to a cold full run on the mutated graph.
+* Incremental PageRank / WCC / SSSP — refresh plans whose output is
+  **bit-identical** to a cold full run on the mutated graph.  WCC and
+  SSSP warm-start the library's own bulk programs; PageRank keeps a
+  refresh program of its own, which replays a per-iteration history.
 
 Quick start::
 
@@ -35,8 +37,8 @@ from repro.streaming.incremental_pagerank import (
     PageRankStream,
     build_pagerank_schedule,
 )
-from repro.streaming.incremental_sssp import SSSPIncrementalBulk, SSSPStream
-from repro.streaming.incremental_wcc import WCCIncrementalBulk, WCCStream
+from repro.streaming.incremental_sssp import SSSPStream
+from repro.streaming.incremental_wcc import WCCStream
 from repro.streaming.plan import RefreshPlan, StreamAlgorithm
 from repro.streaming.updates import synthesize_batch, synthesize_stream
 
@@ -61,9 +63,7 @@ __all__ = [
     "PageRankSchedule",
     "build_pagerank_schedule",
     "WCCStream",
-    "WCCIncrementalBulk",
     "SSSPStream",
-    "SSSPIncrementalBulk",
     "synthesize_batch",
     "synthesize_stream",
     "STREAM_ALGORITHMS",

@@ -6,10 +6,9 @@ a partition (ownership never moves — new vertices are appended via
 warm state.  Every epoch it
 
 1. plans the refresh from the previous state and the incoming batch,
-2. applies the batch to the overlay (compacting when it outgrows the
-   policy threshold),
-3. runs a fresh :class:`~repro.core.engine.ChannelEngine` over the new
-   view, seeding the active set from the plan instead of all vertices,
+2. applies the batch, which builds the next CSR graph,
+3. runs a fresh :class:`~repro.core.engine.ChannelEngine` over that
+   graph, seeding the active set from the plan instead of all vertices,
 4. collects the warm state for the next epoch.
 
 ``refresh="full"`` replans every epoch from scratch (the cold baseline
@@ -49,7 +48,6 @@ class EpochResult:
     batch_size: int
     affected: int
     seeds: int
-    compacted: bool
     meta: dict = field(default_factory=dict)
 
     @property
@@ -62,7 +60,6 @@ class EpochResult:
         return {
             "batch_size": self.batch_size,
             "seeds": self.seeds,
-            "compacted": self.compacted,
             **self.result.metrics.summary(),
         }
 
@@ -84,8 +81,6 @@ class EpochEngine:
         Optional initial vertex->worker array (a hash partition seeded
         with :data:`PARTITION_SEED` otherwise); extended deterministically,
         with the same seed, when batches add vertices.
-    compact_threshold:
-        Overlay-to-base ratio beyond which the delta graph compacts.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the stream
         emits one ``stream`` root span with one ``epoch`` span per
@@ -102,7 +97,7 @@ class EpochEngine:
         its field docs), validated into :attr:`config` and handed to
         every epoch's engine.  ``executor="process"`` acts across epochs
         here: every epoch runs on **one persistent pool**, spawned once
-        and then handed each epoch's graph view, ownership, seeds and
+        and then handed each epoch's graph, ownership, seeds and
         program as control messages.  The fault-tolerance options
         (``checkpoint_every``, ``failures``, ``recovery``) are refused.
     """
@@ -114,7 +109,6 @@ class EpochEngine:
         *,
         refresh: str = "incremental",
         partition: np.ndarray | None = None,
-        compact_threshold: float = 0.25,
         trace=None,
         live=None,
         **options,
@@ -128,7 +122,7 @@ class EpochEngine:
                 "(checkpoint_every, failures, recovery)"
             )
         self.num_workers = config.num_workers
-        self.delta = DeltaGraph(graph, compact_threshold=compact_threshold)
+        self.delta = DeltaGraph(graph)
         self.algorithm = algorithm
         self.refresh = refresh
         self.pool = None  # created on the first epoch for executor="process"
@@ -169,12 +163,10 @@ class EpochEngine:
         if refresh not in REFRESH_MODES:
             raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
         old_graph = self.delta.view()
-        compacted = False
         if batch is None:
             stats, batch_size = None, 0
         else:
             stats = self.delta.apply(batch)
-            compacted = self.delta.maybe_compact()
             batch_size = batch.size
             if stats.added_vertices:
                 self.owner = extend_partition(
@@ -202,7 +194,6 @@ class EpochEngine:
                 batch_size=batch_size,
                 refresh=plan.mode,
                 affected=plan.affected,
-                compacted=compacted,
             )
         if self.live is not None:
             # live rollover: observers see the header epoch advance; the
@@ -241,7 +232,6 @@ class EpochEngine:
             seeds=(
                 new_graph.num_vertices if plan.seeds is None else int(plan.seeds.size)
             ),
-            compacted=compacted,
             meta=dict(plan.meta),
         )
         self.history.append(epoch_result)
@@ -264,7 +254,7 @@ class EpochEngine:
     # -- convenience -------------------------------------------------------
     @property
     def graph(self) -> Graph:
-        """Current logical graph (materialized view)."""
+        """The current graph."""
         return self.delta.view()
 
     @property

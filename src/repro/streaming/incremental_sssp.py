@@ -13,6 +13,16 @@ halves of a delta need different treatment:
   and invalidates the closure back to ``inf``.  Surviving in-neighbors of
   the invalidated region are seeded to re-relax it.
 
+The refresh program is the library's
+:class:`~repro.algorithms.sssp.SSSPBasicBulk`, warm-started from the
+planned distances (KickStarter's warm start).  Its superstep-1
+announcements go only to destinations that can use them: the
+invalidated region plus inserted arcs' heads.  Dropping the rest is
+sound — for a surviving arc ``(u, v)`` between surviving vertices, the
+old fixed point already guarantees ``dist(v) <= dist(u) + w`` — and
+spares the flood of no-op messages a large boundary would otherwise
+send.
+
 Because relaxation's fixed point on the mutated graph is unique — path
 lengths are folded left-to-right along each path in both runs and MIN is
 exact — the refreshed distances are bit-identical to a cold full run.
@@ -22,68 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.sssp import run_sssp
-from repro.core import BulkVertexProgram, CombinedMessage, MIN_F64, ProgramSpec
+from repro.algorithms.sssp import SSSPBasicBulk, run_sssp
+from repro.core import ProgramSpec
 from repro.graph.graph import Graph
 from repro.streaming.delta import ApplyStats
 from repro.streaming.plan import RefreshPlan, StreamAlgorithm, in_neighbor_mask
-from repro.util import expand_ranges
+from repro.util import check_vertex, expand_ranges
 
-__all__ = ["SSSPIncrementalBulk", "SSSPStream", "invalidated_by_deletions"]
-
-
-class SSSPIncrementalBulk(BulkVertexProgram):
-    """Warm-started Bellman-Ford relaxation.
-
-    Superstep 1 re-announces ``dist + w`` from every seeded vertex with a
-    finite warm distance (invalidated vertices hold ``inf`` and stay
-    silent); later supersteps are exactly the cold
-    :class:`~repro.algorithms.sssp.SSSPBasicBulk` relax-on-improvement
-    loop.  With ``warm_dist = [0 at source, inf elsewhere]`` and all
-    vertices seeded, superstep 1 degenerates to the cold program's
-    source-only kick-off.
-
-    ``announce_targets`` restricts superstep 1 to destinations that can
-    actually use a re-announcement: the invalidated region plus inserted
-    arcs' heads.  Dropping the rest is sound — for a surviving arc
-    ``(u, v)`` between surviving vertices, the old fixed point already
-    guarantees ``dist(v) <= dist(u) + w`` — and spares the flood of
-    no-op messages a large boundary would otherwise send.
-    """
-
-    warm_dist: np.ndarray  # (n,) float64, set by the planner
-    announce_targets: np.ndarray | None = None  # (n,) bool, None = all
-
-    def __init__(self, worker):
-        super().__init__(worker)
-        self.msg = CombinedMessage(worker, MIN_F64)
-        self.dist = self.warm_dist[worker.local_ids].copy()
-
-    def compute_bulk(self, active: np.ndarray) -> None:
-        worker = self.worker
-        adj = worker.local_adjacency()
-        if self.step_num == 1:
-            settled = active[np.isfinite(self.dist[active])]
-            dists = self.dist[settled]
-        else:
-            inbox, _ = self.msg.get_messages()
-            m = inbox[active]
-            improved = m < self.dist[active]
-            settled = active[improved]
-            dists = m[improved]
-            self.dist[settled] = dists
-        if settled.size:
-            dsts = adj.gather(settled)
-            w = adj.gather_weights(settled)
-            vals = np.repeat(dists, adj.degrees[settled]) + w
-            if self.step_num == 1 and self.announce_targets is not None:
-                keep = self.announce_targets[dsts]
-                dsts, vals = dsts[keep], vals[keep]
-            self.msg.send_messages(dsts, vals)
-        worker.halt_bulk(active)
-
-    def finalize(self) -> dict:
-        return self.vertex_results(self.dist)
+__all__ = ["SSSPStream", "invalidated_by_deletions"]
 
 
 def invalidated_by_deletions(
@@ -122,6 +78,9 @@ def invalidated_by_deletions(
 
 
 class SSSPStream(StreamAlgorithm):
+    """``source`` must be an int vertex id of the stream's graph; each
+    plan checks it."""
+
     name = "sssp"
 
     def __init__(self, source: int = 0):
@@ -136,14 +95,14 @@ class SSSPStream(StreamAlgorithm):
         refresh: str,
     ) -> RefreshPlan:
         n_new = new_graph.num_vertices
+        source = check_vertex("source", self.source, n_new)
         if refresh == "full" or state is None or stats is None:
-            warm = np.full(n_new, np.inf)
-            warm[self.source] = 0.0
-            plan_seeds, affected, mode, targets = None, n_new, "full", None
+            warm = targets = None
+            plan_seeds, affected, mode = None, n_new, "full"
         else:
             dist = state["dist"]
             n_old = dist.size
-            inval = invalidated_by_deletions(old_graph, dist, stats, self.source)
+            inval = invalidated_by_deletions(old_graph, dist, stats, source)
             warm = np.concatenate([dist, np.full(n_new - n_old, np.inf)])
             warm[:n_old][inval] = np.inf
             seed = np.zeros(n_new, dtype=bool)
@@ -166,8 +125,8 @@ class SSSPStream(StreamAlgorithm):
         # a ProgramSpec (rather than an anonymous type(...)) so the plan
         # can cross into a persistent worker pool's live processes
         program = ProgramSpec(
-            SSSPIncrementalBulk,
-            {"warm_dist": warm, "announce_targets": targets},
+            SSSPBasicBulk,
+            {"source": source, "warm_dist": warm, "announce_targets": targets},
         )
         return RefreshPlan(
             program_factory=program, seeds=plan_seeds, affected=affected, mode=mode

@@ -16,62 +16,25 @@ deletion story cheap to plan centrally:
   is needed.  An exhausted probe is treated (conservatively) as a split.
   Untouched components are never activated.
 
-The refresh program is the cold :class:`~repro.algorithms.wcc.WCCBasicBulk`
-with one change: in superstep 1 it broadcasts its *warm* label instead of
-its own id.  Since labels are exact ints under a MIN combine, the final
-labels are bit-identical to a cold full run on the mutated graph.
+The refresh program is the library's
+:class:`~repro.algorithms.wcc.WCCBasicBulk`, warm-started from the planned
+labels (KickStarter's warm start): in superstep 1 each seeded vertex
+broadcasts its *warm* label instead of its own id.  Since labels are
+exact ints under a MIN combine, the final labels are bit-identical to a
+cold full run on the mutated graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.wcc import run_wcc
-from repro.core import BulkVertexProgram, CombinedMessage, MIN_I64, ProgramSpec
+from repro.algorithms.wcc import WCCBasicBulk, run_wcc
+from repro.core import ProgramSpec
 from repro.graph.graph import Graph
 from repro.streaming.delta import ApplyStats
 from repro.streaming.plan import RefreshPlan, StreamAlgorithm
 
-__all__ = ["WCCIncrementalBulk", "WCCStream"]
-
-
-class WCCIncrementalBulk(BulkVertexProgram):
-    """Warm-started hash-min over the ``"both"``-direction adjacency.
-
-    ``warm_labels`` (class attribute, baked in by the planner) holds the
-    label each vertex starts from: previous-epoch labels, with reset
-    components set back to ``label[v] = v``.  With ``warm_labels =
-    arange(n)`` and all vertices seeded this is exactly the cold
-    :class:`~repro.algorithms.wcc.WCCBasicBulk`.
-    """
-
-    warm_labels: np.ndarray  # (n,) int64, set by the planner
-
-    def __init__(self, worker):
-        super().__init__(worker)
-        self.msg = CombinedMessage(worker, MIN_I64)
-        self.label = self.warm_labels[worker.local_ids].copy()
-
-    def compute_bulk(self, active: np.ndarray) -> None:
-        worker = self.worker
-        adj = worker.local_adjacency("both")
-        if self.step_num == 1:
-            senders = active
-            new = self.label[active]
-        else:
-            inbox, _ = self.msg.get_messages()
-            m = inbox[active]
-            improved = m < self.label[active]
-            senders = active[improved]
-            new = m[improved]
-            self.label[senders] = new
-        if senders.size:
-            dsts = adj.gather(senders)
-            self.msg.send_messages(dsts, np.repeat(new, adj.degrees[senders]))
-        worker.halt_bulk(active)
-
-    def finalize(self) -> dict:
-        return self.vertex_results(self.label)
+__all__ = ["WCCStream"]
 
 
 def still_connected(graph: Graph, u: int, v: int, cap: int) -> bool:
@@ -121,7 +84,7 @@ class WCCStream(StreamAlgorithm):
     ) -> RefreshPlan:
         n_new = new_graph.num_vertices
         if refresh == "full" or state is None or stats is None:
-            warm = np.arange(n_new, dtype=np.int64)
+            warm = None
             plan_seeds, affected, mode = None, n_new, "full"
         else:
             labels = state["labels"]
@@ -157,7 +120,7 @@ class WCCStream(StreamAlgorithm):
 
         # a ProgramSpec (rather than an anonymous type(...)) so the plan
         # can cross into a persistent worker pool's live processes
-        program = ProgramSpec(WCCIncrementalBulk, {"warm_labels": warm})
+        program = ProgramSpec(WCCBasicBulk, {"warm_labels": warm})
         return RefreshPlan(
             program_factory=program, seeds=plan_seeds, affected=affected, mode=mode
         )

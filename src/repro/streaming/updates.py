@@ -119,8 +119,9 @@ def synthesize_stream(
     protect_degrees: bool = True,
 ) -> list[MutationBatch]:
     """A stream of batches, each sampled against the graph as the
-    *previous* batches left it (mutations are applied to a scratch
-    overlay so later batches never delete already-deleted edges)."""
+    *previous* batches left it (each batch is applied to a scratch
+    :class:`~repro.streaming.delta.DeltaGraph`, so later batches never
+    delete already-deleted edges)."""
     from repro.streaming.delta import DeltaGraph
 
     scratch = DeltaGraph(graph)

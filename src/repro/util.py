@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "check_vertex",
     "csr_group",
     "cut_blocks",
     "expand_ranges",
@@ -14,6 +15,18 @@ __all__ = [
     "group_starts",
     "stable_order",
 ]
+
+
+def check_vertex(name: str, vid, num_vertices: int) -> int:
+    """``vid`` as an ``int`` when it names a vertex of a graph with
+    ``num_vertices`` vertices; otherwise a ``ValueError`` that names the
+    argument.  A public argument that names a vertex is checked here
+    once, so no negative id reaches NumPy indexing from the end."""
+    if isinstance(vid, bool) or not isinstance(vid, (int, np.integer)):
+        raise ValueError(f"{name} must be an int vertex id, got {vid!r}")
+    if not 0 <= vid < num_vertices:
+        raise ValueError(f"{name} must be a vertex id in [0, {num_vertices}), got {vid}")
+    return int(vid)
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -29,10 +29,11 @@ from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import SV_VARIANTS, run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import BulkVertexProgram, ChannelEngine, LocalCSR, RequestRespond
-from repro.graph import Graph, chain, random_tree, rmat
+from repro.graph import Graph, chain, grid_road, random_tree, rmat
 from repro.graph.partition import hash_partition, range_partition
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
+from repro.streaming import EpochEngine, SSSPStream
 
 WORKERS = [1, 2, 8]
 
@@ -372,3 +373,17 @@ class TestModeValidation:
     def test_prop_variant_has_no_bulk_port(self, directed_graph):
         with pytest.raises(ValueError, match="no 'bulk' port"):
             run_wcc(directed_graph, variant="prop", mode="bulk")
+
+    @pytest.mark.parametrize("mode", ["scalar", "bulk"])
+    @pytest.mark.parametrize("run", [run_sssp, run_bfs], ids=["sssp", "bfs"])
+    @pytest.mark.parametrize("source", [-1, 100, None, 1.0, True], ids=repr)
+    def test_source_outside_the_graph_rejected(self, run, mode, source):
+        """One ValueError naming ``source`` on both paths, before any
+        worker sees it: not a run from the last vertex, nor NumPy's
+        IndexError, nor an all-unreached result."""
+        with pytest.raises(ValueError, match="source"):
+            run(grid_road(10, 10), source=source, mode=mode, num_workers=2)
+
+    def test_stream_source_outside_the_graph_rejected(self):
+        with pytest.raises(ValueError, match="source"):
+            EpochEngine(grid_road(10, 10), SSSPStream(source=100), num_workers=2).bootstrap()

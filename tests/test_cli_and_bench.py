@@ -238,17 +238,6 @@ class TestStreamCLI:
         assert out["executor"] == "process"
         assert out["failures"] == 1 and out["checkpoint_bytes"] > 0
 
-    def test_stream_bad_compact_threshold(self, stream_file, capsys):
-        gpath, upath = stream_file
-        rc = cli_main(
-            [
-                "stream", "wcc", "--graph", gpath, "--updates", upath,
-                "--compact-threshold", "0",
-            ]
-        )
-        assert rc == 2
-        assert "compact-threshold" in capsys.readouterr().err
-
     def test_stream_bad_updates_file(self, stream_file, tmp_path, capsys):
         gpath, _ = stream_file
         bad = tmp_path / "bad.txt"

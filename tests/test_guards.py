@@ -301,6 +301,26 @@ if [ -e src/repro/runtime/rebalance.py ]; then
   exit 1
 fi
 '''),
+    # a stream keeps one CSR graph, rebuilt by each batch (no overlay,
+    # so nothing to compact and no knob for when), and refreshes WCC and
+    # SSSP by warm-starting the library's own bulk programs; PageRank's
+    # refresh program, which replays a per-iteration history, is the one
+    # a stream keeps of its own
+    ("Streaming keeps one graph and the library's programs", r'''
+if grep -rnE --include="*.py" "compact_threshold|_deleted|_extra_" src/repro/streaming; then
+  echo "'compact_threshold', '_deleted' and '_extra_' must not appear under src/repro/streaming"
+  exit 1
+fi
+if grep -nF -e "--compact-threshold" src/repro/__main__.py; then
+  echo "'--compact-threshold' must not appear in src/repro/__main__.py"
+  exit 1
+fi
+if grep -rnE --include="*.py" "^class +[A-Za-z0-9_]*IncrementalBulk\b" src/repro/streaming \
+    | grep -vE ":class +PageRankIncrementalBulk\b"; then
+  echo "src/repro/streaming may define no *IncrementalBulk class but PageRankIncrementalBulk"
+  exit 1
+fi
+'''),
 ]
 
 

@@ -43,6 +43,7 @@ from repro.obs import (
     load_trace,
     prometheus_text,
 )
+from repro.obs import live as live_mod
 from repro.obs.live import _HEADER, _HEADER_SIZE, _MAGIC, _PAYLOAD, _SEQ, _SLOT_SIZE, _VERSION
 from repro.streaming import EpochEngine, WCCStream, synthesize_stream
 
@@ -95,7 +96,7 @@ class TestSegment:
         seg = shared_memory.SharedMemory(create=True, size=256)
         try:
             with pytest.raises(ValueError, match="not a live metrics segment"):
-                LiveMetrics.attach(seg.name)
+                LiveMetrics.attach(seg.name, unregister=False)
         finally:
             seg.close()
             seg.unlink()
@@ -119,6 +120,22 @@ class TestSegment:
         finally:
             seg.close()
             seg.unlink()
+
+    def test_attach_untracks_only_another_creators_segment(self, monkeypatch):
+        """The creating process keeps its resource-tracker claim when it
+        attaches, since it unlinks the segment itself; a segment whose
+        header names another pid is untracked once."""
+        calls = []
+        monkeypatch.setattr(live_mod, "untrack_segment", lambda seg: calls.append(seg.name))
+        live = LiveMetrics.create(1)
+        try:
+            LiveMetrics.attach(live.name).close()
+            assert calls == []
+        finally:
+            live.close(unlink=True)
+        with self._raw_segment(1) as name:  # its header names pid 0
+            LiveMetrics.attach(name).close()
+        assert calls == [name]
 
     def test_attach_reads_a_well_formed_raw_segment(self):
         with self._raw_segment(2) as name:

@@ -187,6 +187,20 @@ def test_placement_is_not_a_flag(command, updates, capsys):
     assert "unrecognized arguments: --rebalance superstep" in err
 
 
+def test_compaction_is_not_an_option():
+    """A stream keeps one CSR graph, rebuilt by every batch: no overlay
+    is left to compact, so no engine keyword sets when."""
+    with pytest.raises(TypeError, match="compact_threshold"):
+        EpochEngine(line_graph(4), WCCStream(), num_workers=2, compact_threshold=0.25)
+
+
+def test_compaction_is_not_a_flag(updates, capsys):
+    argv = ["stream", "wcc", "--dataset", "tree", "--updates", updates]
+    code, err = _cli([*argv, "--compact-threshold", "0.5"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --compact-threshold 0.5" in err
+
+
 @pytest.mark.parametrize(
     "options", [dict(checkpoint_every=2), dict(failures=[(1, 3)]), dict(recovery="confined")]
 )

@@ -19,8 +19,8 @@ in a worker process.  This file pins that contract from every side:
   resident set by less than the edge list, and on a hash partition keep
   no gathered copy of their rows;
 * composition — DeltaGraph / EpochEngine run over an mmap base without
-  ever writing to it (overlay appends only; the store files stay
-  byte-identical);
+  ever writing to it (each batch builds the next graph in memory; the
+  store files stay byte-identical);
 * the builders — two-pass chunked CSR construction, disk generators,
   loaders, the degree partitioner, the lazy update stream, and the
   ``repro info`` / ``repro generate`` CLI over store directories.
@@ -639,7 +639,7 @@ class TestStreamingOverMmap:
             assert mm.total_net_bytes == sm.total_net_bytes
             assert mm.total_messages == sm.total_messages
 
-        # mutations live in the DeltaGraph overlay; the base store on
+        # each batch builds the next graph in memory; the base store on
         # disk is immutable
         after = {
             p.name: p.read_bytes() for p in store_dir.iterdir() if p.is_file()

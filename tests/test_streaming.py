@@ -95,16 +95,15 @@ class TestDeltaGraph:
             directed=True,
         )
         assert _arc_multiset(view) == _arc_multiset(expect)
-        assert delta.num_arcs == view.num_edges
 
     def test_undirected_symmetrization(self):
         g = line_graph(5)
         delta = DeltaGraph(g)
         delta.apply(MutationBatch.from_edges(insertions=[(0, 4)]))
-        assert delta.has_edge(0, 4) and delta.has_edge(4, 0)
+        assert 4 in delta.view().neighbors(0) and 0 in delta.view().neighbors(4)
         # deleting by the reversed endpoint order removes both arcs
         delta.apply(MutationBatch.from_edges(deletions=[(4, 0)]))
-        assert not delta.has_edge(0, 4) and not delta.has_edge(4, 0)
+        assert 4 not in delta.view().neighbors(0) and 0 not in delta.view().neighbors(4)
 
     def test_deleting_missing_edge_raises(self):
         delta = DeltaGraph(line_graph(4))
@@ -141,51 +140,95 @@ class TestDeltaGraph:
         g = Graph(3, np.array([0, 0]), np.array([1, 1]), directed=True)
         delta = DeltaGraph(g)
         delta.apply(MutationBatch.from_edges(deletions=[(0, 1)]))
-        assert delta.num_arcs == 0
+        assert delta.view().num_edges == 0
 
     def test_vertex_tombstone(self):
         g = line_graph(5)
         delta = DeltaGraph(g)
         stats = delta.apply(MutationBatch(delete_vertices=np.array([2])))
-        assert delta.num_vertices == 5  # id survives
-        assert delta.out_degree(2) == 0
+        assert delta.view().num_vertices == 5  # id survives
+        assert delta.view().out_degree(2) == 0
         assert stats.del_src.size == 4  # both arcs of both incident edges
         # edges elsewhere survive
-        assert delta.has_edge(0, 1) and delta.has_edge(3, 4)
+        assert 1 in delta.view().neighbors(0) and 4 in delta.view().neighbors(3)
 
     def test_add_vertices_and_reference_them(self):
         delta = DeltaGraph(line_graph(3))
         delta.apply(
             MutationBatch.from_edges(insertions=[(2, 4)], add_vertices=2)
         )
-        assert delta.num_vertices == 5
-        assert delta.has_edge(2, 4)
+        assert delta.view().num_vertices == 5
+        assert 4 in delta.view().neighbors(2)
 
-    def test_compaction_preserves_view(self):
-        g = erdos_renyi(60, 3.0, seed=2, directed=True)
-        delta = DeltaGraph(g)
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_view_is_the_from_scratch_csr(self, directed, weighted):
+        """Each row lists its surviving arcs in insertion order: after a
+        sequence of batches the view's CSR equals, bit for bit, a
+        from-scratch build of the surviving arcs in insertion order."""
+        rng = np.random.default_rng(4)
+        w0 = rng.uniform(1, 9, 40) if weighted else None
+        g = Graph(20, rng.integers(0, 20, 40), rng.integers(0, 20, 40), w0, directed)
         src, dst = g.edge_array()
-        delta.apply(
+        arcs = list(zip(src.tolist(), dst.tolist(), (g.weights if weighted else 0 * src).tolist()))
+        degrees = g.out_degrees
+        degrees[2] = -1
+        busy = int(np.argmax(degrees))  # a tombstone with arcs to drop
+        batches = [
+            # inserts, parallel copies, and arcs to two new vertices
+            dict(insertions=[(0, 21), (5, 7), (5, 7), (20, 3)], add_vertices=2),
+            # delete an arc an earlier batch inserted; one more copy
+            dict(insertions=[(5, 7), (21, 20)], deletions=[(0, 21)]),
+            # every parallel copy goes with one deletion; a tombstone
+            dict(insertions=[(2, 21)], deletions=[(5, 7)], delete_vertices=[busy]),
+        ]
+        delta, n = DeltaGraph(g), 20
+        for spec in batches:
+            ins = spec.get("insertions", [])
+            w = rng.uniform(1, 9, len(ins)) if weighted else None
+            delta.apply(MutationBatch.from_edges(weights=w, **spec))
+            gone = set(spec.get("deletions", []))
+            gone |= set() if directed else {(v, u) for u, v in gone}
+            dead = set(spec.get("delete_vertices", []))
+            arcs = [
+                a for a in arcs
+                if (a[0], a[1]) not in gone and not dead & {a[0], a[1]}
+            ]
+            new = [(u, v, x) for (u, v), x in zip(ins, w if weighted else [0.0] * len(ins))]
+            arcs += new + ([] if directed else [(v, u, x) for u, v, x in new if u != v])
+            n += spec.get("add_vertices", 0)
+        s, d, w = (np.array(col) for col in zip(*arcs))
+        expect = Graph(n, s, d, weights=w if weighted else None, directed=True)
+        view = delta.view()
+        assert view.num_vertices == n and view.directed == directed
+        for name in ("indptr", "indices", "weights"):
+            got, want = getattr(view, name), getattr(expect, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_apply_never_writes_the_graph_an_epoch_started_from(self):
+        g = grid_road(6, 6, seed=3)
+        eng = EpochEngine(g, SSSPStream(source=0), num_workers=2)
+        eng.bootstrap()
+        start = eng.graph
+        arrays = (start.indptr, start.indices, start.weights)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # a write would raise
+        src, dst = start.edge_array()
+        eng.run_epoch(
             MutationBatch.from_edges(
-                insertions=[(1, 2), (5, 9)],
-                deletions=[(int(src[3]), int(dst[3]))],
+                insertions=[(0, 36)],
+                deletions=[(int(src[0]), int(dst[0]))],
+                weights=[1.5],
+                add_vertices=1,
+                delete_vertices=[int(src[-1])],
             )
         )
-        before = _arc_multiset(delta.view())
-        assert delta.overlay_arcs == 3
-        delta.compact()
-        assert delta.overlay_arcs == 0
-        assert delta.num_compactions == 1
-        assert _arc_multiset(delta.view()) == before
-
-    def test_maybe_compact_threshold(self):
-        delta = DeltaGraph(line_graph(10), compact_threshold=0.2)
-        assert not delta.maybe_compact()
-        delta.apply(
-            MutationBatch.from_edges(insertions=[(0, 5), (1, 7), (2, 9)])
-        )
-        assert delta.maybe_compact()  # 6 overlay arcs > 0.2 * 18
-        assert delta.overlay_arcs == 0
+        assert eng.graph is not start and start.num_vertices == 36
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +514,11 @@ class TestInitialActive:
     def test_seeded_engine_restricts_first_superstep(self):
         g = erdos_renyi(40, 3.0, seed=17, directed=True)
         # a WCC run seeded at one vertex floods out from it only
-        from repro.streaming.incremental_wcc import WCCIncrementalBulk
+        from repro.algorithms.wcc import WCCBasicBulk
 
-        warm = np.arange(40, dtype=np.int64)
-        prog = type("W", (WCCIncrementalBulk,), {"warm_labels": warm})
-        full = ChannelEngine(g, prog, num_workers=2).run()
+        full = ChannelEngine(g, WCCBasicBulk, num_workers=2).run()
         seeded = ChannelEngine(
-            g, prog, num_workers=2, initial_active=np.array([0])
+            g, WCCBasicBulk, num_workers=2, initial_active=np.array([0])
         ).run()
         assert seeded.metrics.records[0].active_vertices == 1
         assert full.metrics.records[0].active_vertices == 40
