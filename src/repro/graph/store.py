@@ -152,8 +152,8 @@ class MmapStore(GraphStore):
 
     The files are opened read-only (``mmap_mode="r"``); the store never
     writes to an existing directory after :meth:`save`/``build`` finish,
-    which is what lets a :class:`~repro.streaming.delta.DeltaGraph` start
-    from an mmap-backed graph: each batch builds the next graph in memory
+    which is what lets a stream (:func:`~repro.streaming.delta.apply_batch`)
+    start from an mmap-backed graph: each batch builds the next graph in memory
     and the files are never touched.
     """
 

@@ -6,8 +6,8 @@ stack computes over an immutable CSR; this layer makes the graph a
 *moving target*:
 
 * :class:`MutationBatch` — validated edge/vertex insertions & deletions.
-* :class:`DeltaGraph` — the stream's one CSR graph; each applied batch
-  builds the next one from the surviving arcs and the batch's.
+* :func:`apply_batch` — a stream's graph is one CSR graph; each applied
+  batch builds the next one from the surviving arcs and the batch's.
 * :class:`EpochEngine` — repeated ``apply(batch) -> refresh`` cycles on
   top of :class:`~repro.core.engine.ChannelEngine`, seeding each refresh
   from the delta-affected region.
@@ -29,7 +29,7 @@ Quick start::
 """
 
 from repro.streaming.batch import MutationBatch
-from repro.streaming.delta import ApplyStats, DeltaGraph
+from repro.streaming.delta import ApplyStats, apply_batch
 from repro.streaming.epoch import EpochEngine, EpochResult
 from repro.streaming.incremental_pagerank import (
     PageRankIncrementalBulk,
@@ -53,7 +53,7 @@ STREAM_ALGORITHMS = {
 __all__ = [
     "MutationBatch",
     "ApplyStats",
-    "DeltaGraph",
+    "apply_batch",
     "EpochEngine",
     "EpochResult",
     "RefreshPlan",

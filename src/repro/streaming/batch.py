@@ -4,8 +4,8 @@ A batch collects edge insertions/deletions and vertex insertions/deletions
 that are applied together at an epoch boundary.  Batches validate their own
 shape eagerly (array lengths, weight presence, id sanity); validation
 *against a concrete graph* (does the deleted edge exist? is the endpoint in
-range?) happens in :meth:`repro.streaming.delta.DeltaGraph.apply`, which
-knows the current logical graph.
+range?) happens in :func:`repro.streaming.delta.apply_batch`, which is
+handed the current graph.
 
 Conventions
 -----------

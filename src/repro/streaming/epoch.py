@@ -1,6 +1,6 @@
 """The epoch engine: repeated ``apply(batch) -> refresh`` cycles.
 
-One :class:`EpochEngine` owns a :class:`~repro.streaming.delta.DeltaGraph`,
+One :class:`EpochEngine` owns the stream's current graph,
 a partition (ownership never moves — new vertices are appended via
 :func:`~repro.graph.partition.extend_partition`), and the per-algorithm
 warm state.  Every epoch it
@@ -29,7 +29,7 @@ from repro.core.engine import ChannelEngine, EngineResult
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition
 from repro.streaming.batch import MutationBatch
-from repro.streaming.delta import DeltaGraph
+from repro.streaming.delta import apply_batch
 from repro.streaming.plan import REFRESH_MODES, StreamAlgorithm
 
 __all__ = ["EpochEngine", "EpochResult"]
@@ -122,7 +122,7 @@ class EpochEngine:
                 "(checkpoint_every, failures, recovery)"
             )
         self.num_workers = config.num_workers
-        self.delta = DeltaGraph(graph)
+        self.graph = graph  # the current graph; each epoch replaces it
         self.algorithm = algorithm
         self.refresh = refresh
         self.pool = None  # created on the first epoch for executor="process"
@@ -162,11 +162,12 @@ class EpochEngine:
     def _run_epoch(self, batch: MutationBatch | None, refresh: str) -> EpochResult:
         if refresh not in REFRESH_MODES:
             raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
-        old_graph = self.delta.view()
+        old_graph = new_graph = self.graph
         if batch is None:
             stats, batch_size = None, 0
         else:
-            stats = self.delta.apply(batch)
+            new_graph, stats = apply_batch(old_graph, batch)
+            self.graph = new_graph
             batch_size = batch.size
             if stats.added_vertices:
                 self.owner = extend_partition(
@@ -175,7 +176,6 @@ class EpochEngine:
                     self.num_workers,
                     seed=PARTITION_SEED,
                 )
-        new_graph = self.delta.view()
 
         plan = self.algorithm.plan(old_graph, new_graph, stats, self.state, refresh)
         epoch_span = None
@@ -252,11 +252,6 @@ class EpochEngine:
             self._stream_span = None
 
     # -- convenience -------------------------------------------------------
-    @property
-    def graph(self) -> Graph:
-        """The current graph."""
-        return self.delta.view()
-
     @property
     def latest(self) -> EpochResult:
         if not self.history:

@@ -119,22 +119,21 @@ def synthesize_stream(
     protect_degrees: bool = True,
 ) -> list[MutationBatch]:
     """A stream of batches, each sampled against the graph as the
-    *previous* batches left it (each batch is applied to a scratch
-    :class:`~repro.streaming.delta.DeltaGraph`, so later batches never
+    *previous* batches left it (each batch is applied with
+    :func:`~repro.streaming.delta.apply_batch`, so later batches never
     delete already-deleted edges)."""
-    from repro.streaming.delta import DeltaGraph
+    from repro.streaming.delta import apply_batch
 
-    scratch = DeltaGraph(graph)
     batches = []
     for t in range(num_epochs):
         batch = synthesize_batch(
-            scratch.view(),
+            graph,
             insertions_per_epoch,
             deletions_per_epoch,
             seed=seed + t,
             protect_degrees=protect_degrees,
             timestamp=t,
         )
-        scratch.apply(batch)
+        graph, _ = apply_batch(graph, batch)
         batches.append(batch)
     return batches

@@ -225,6 +225,32 @@ class TestStreamCLI:
                         "messages", "epoch", "refresh", "batch_size", "seeds"):
                 assert proc_row[key] == sim_row[key], key
 
+    def test_stream_sssp_weighted_deletion_only_timestamp(self, tmp_path, capsys):
+        # timestamp 1 holds only '-' lines, so its batch has no weights;
+        # the weighted stream-road graph must take it
+        from repro.graph.io import load_update_stream
+
+        g = load_dataset("stream-road")
+        src, dst = g.edge_array()
+        src, dst = src[src < dst], dst[src < dst]  # one arc per edge
+        upath = tmp_path / "u.txt"
+        upath.write_text(
+            f"0 + 0 {g.num_vertices - 1} 2.5\n"
+            f"1 - {src[7]} {dst[7]}\n"
+            f"1 - {src[90]} {dst[90]}\n"
+        )
+        batches = load_update_stream(upath)
+        assert [b.insert_weights is None for b in batches] == [False, True]
+        rc = cli_main(
+            [
+                "stream", "sssp", "--dataset", "stream-road", "--updates",
+                str(upath), "--workers", "2", "--json",
+            ]
+        )
+        assert rc == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["batch_size"] for r in rows] == [0, 1, 2]
+
     def test_run_process_executor_with_recovery(self, capsys):
         rc = cli_main(
             [

@@ -18,7 +18,7 @@ in a worker process.  This file pins that contract from every side:
 * bounded memory — process workers over a mapped store grow their
   resident set by less than the edge list, and on a hash partition keep
   no gathered copy of their rows;
-* composition — DeltaGraph / EpochEngine run over an mmap base without
+* composition — apply_batch / EpochEngine run over an mmap base without
   ever writing to it (each batch builds the next graph in memory; the
   store files stay byte-identical);
 * the builders — two-pass chunked CSR construction, disk generators,

@@ -17,13 +17,13 @@ from repro.graph.generators import erdos_renyi, grid_road
 from repro.graph.graph import Graph
 from repro.graph.partition import extend_partition, hash_partition, range_partition
 from repro.streaming import (
-    DeltaGraph,
     EpochEngine,
     MutationBatch,
     PageRankStream,
     SSSPStream,
     STREAM_ALGORITHMS,
     WCCStream,
+    apply_batch,
     build_pagerank_schedule,
     synthesize_batch,
     synthesize_stream,
@@ -69,7 +69,7 @@ class TestMutationBatch:
 
 
 # ---------------------------------------------------------------------------
-# DeltaGraph
+# apply_batch
 # ---------------------------------------------------------------------------
 def _arc_multiset(g: Graph):
     src, dst = g.edge_array()
@@ -78,15 +78,15 @@ def _arc_multiset(g: Graph):
 
 
 class TestDeltaGraph:
+    """The graph after each delta, as :func:`apply_batch` builds it."""
+
     def test_apply_matches_from_scratch_build(self):
         g = erdos_renyi(50, 3.0, seed=1, directed=True)
-        delta = DeltaGraph(g)
         src, dst = g.edge_array()
         batch = MutationBatch.from_edges(
             insertions=[(0, 49), (7, 3)], deletions=[(int(src[0]), int(dst[0]))]
         )
-        delta.apply(batch)
-        view = delta.view()
+        after, _ = apply_batch(g, batch)
         keep = ~((src == src[0]) & (dst == dst[0]))
         expect = Graph(
             50,
@@ -94,77 +94,91 @@ class TestDeltaGraph:
             np.concatenate([dst[keep], [49, 3]]),
             directed=True,
         )
-        assert _arc_multiset(view) == _arc_multiset(expect)
+        assert _arc_multiset(after) == _arc_multiset(expect)
 
     def test_undirected_symmetrization(self):
-        g = line_graph(5)
-        delta = DeltaGraph(g)
-        delta.apply(MutationBatch.from_edges(insertions=[(0, 4)]))
-        assert 4 in delta.view().neighbors(0) and 0 in delta.view().neighbors(4)
+        g, _ = apply_batch(line_graph(5), MutationBatch.from_edges(insertions=[(0, 4)]))
+        assert 4 in g.neighbors(0) and 0 in g.neighbors(4)
         # deleting by the reversed endpoint order removes both arcs
-        delta.apply(MutationBatch.from_edges(deletions=[(4, 0)]))
-        assert 4 not in delta.view().neighbors(0) and 0 not in delta.view().neighbors(4)
+        g, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(4, 0)]))
+        assert 4 not in g.neighbors(0) and 0 not in g.neighbors(4)
 
     def test_deleting_missing_edge_raises(self):
-        delta = DeltaGraph(line_graph(4))
         with pytest.raises(ValueError, match="non-existent"):
-            delta.apply(MutationBatch.from_edges(deletions=[(0, 3)]))
+            apply_batch(line_graph(4), MutationBatch.from_edges(deletions=[(0, 3)]))
 
     def test_undirected_reversed_insert_delete_rejected(self):
         # (2,1) insert vs (1,2) delete name the same undirected edge; the
         # batch-level ordered check misses it, apply must not
-        delta = DeltaGraph(line_graph(4))
         with pytest.raises(ValueError, match="both insertions and deletions"):
-            delta.apply(
-                MutationBatch.from_edges(insertions=[(2, 1)], deletions=[(1, 2)])
+            apply_batch(
+                line_graph(4),
+                MutationBatch.from_edges(insertions=[(2, 1)], deletions=[(1, 2)]),
             )
 
     def test_out_of_range_raises(self):
-        delta = DeltaGraph(line_graph(4))
+        g = line_graph(4)
         with pytest.raises(ValueError, match="out of range"):
-            delta.apply(MutationBatch.from_edges(insertions=[(0, 9)]))
+            apply_batch(g, MutationBatch.from_edges(insertions=[(0, 9)]))
         with pytest.raises(ValueError, match="unknown vertex"):
-            delta.apply(MutationBatch(delete_vertices=np.array([9])))
+            apply_batch(g, MutationBatch(delete_vertices=np.array([9])))
 
     def test_weight_policy(self):
-        unweighted = DeltaGraph(line_graph(4))
         with pytest.raises(ValueError, match="must not carry weights"):
-            unweighted.apply(
-                MutationBatch.from_edges(insertions=[(0, 2)], weights=[1.0])
+            apply_batch(
+                line_graph(4),
+                MutationBatch.from_edges(insertions=[(0, 2)], weights=[1.0]),
             )
-        weighted = DeltaGraph(line_graph(4, weighted=True))
         with pytest.raises(ValueError, match="need insert_weights"):
-            weighted.apply(MutationBatch.from_edges(insertions=[(0, 2)]))
+            apply_batch(
+                line_graph(4, weighted=True),
+                MutationBatch.from_edges(insertions=[(0, 2)]),
+            )
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            MutationBatch.from_edges(deletions=[(1, 2)]),
+            MutationBatch(delete_vertices=np.array([2])),
+            MutationBatch(),
+        ],
+        ids=["edge-deletions", "vertex-deletions", "empty"],
+    )
+    def test_weighted_batch_without_insertions_needs_no_weights(self, batch):
+        g = line_graph(5, weighted=True)
+        after, stats = apply_batch(g, batch)
+        gone = set(zip(stats.del_src.tolist(), stats.del_dst.tolist()))
+        src, dst = g.edge_array()
+        kept = [(s, d) not in gone for s, d in zip(src.tolist(), dst.tolist())]
+        assert after.weights.tobytes() == g.weights[kept].tobytes()
+        assert stats.ins_src.size == 0
 
     def test_parallel_copies_all_deleted(self):
         g = Graph(3, np.array([0, 0]), np.array([1, 1]), directed=True)
-        delta = DeltaGraph(g)
-        delta.apply(MutationBatch.from_edges(deletions=[(0, 1)]))
-        assert delta.view().num_edges == 0
+        after, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(0, 1)]))
+        assert after.num_edges == 0
 
     def test_vertex_tombstone(self):
-        g = line_graph(5)
-        delta = DeltaGraph(g)
-        stats = delta.apply(MutationBatch(delete_vertices=np.array([2])))
-        assert delta.view().num_vertices == 5  # id survives
-        assert delta.view().out_degree(2) == 0
+        g, stats = apply_batch(line_graph(5), MutationBatch(delete_vertices=np.array([2])))
+        assert g.num_vertices == 5  # id survives
+        assert g.out_degree(2) == 0
         assert stats.del_src.size == 4  # both arcs of both incident edges
         # edges elsewhere survive
-        assert 1 in delta.view().neighbors(0) and 4 in delta.view().neighbors(3)
+        assert 1 in g.neighbors(0) and 4 in g.neighbors(3)
 
     def test_add_vertices_and_reference_them(self):
-        delta = DeltaGraph(line_graph(3))
-        delta.apply(
-            MutationBatch.from_edges(insertions=[(2, 4)], add_vertices=2)
+        g, _ = apply_batch(
+            line_graph(3),
+            MutationBatch.from_edges(insertions=[(2, 4)], add_vertices=2),
         )
-        assert delta.view().num_vertices == 5
-        assert 4 in delta.view().neighbors(2)
+        assert g.num_vertices == 5
+        assert 4 in g.neighbors(2)
 
     @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
-    def test_view_is_the_from_scratch_csr(self, directed, weighted):
+    def test_next_graph_is_the_from_scratch_csr(self, directed, weighted):
         """Each row lists its surviving arcs in insertion order: after a
-        sequence of batches the view's CSR equals, bit for bit, a
+        sequence of batches the graph's CSR equals, bit for bit, a
         from-scratch build of the surviving arcs in insertion order."""
         rng = np.random.default_rng(4)
         w0 = rng.uniform(1, 9, 40) if weighted else None
@@ -182,11 +196,11 @@ class TestDeltaGraph:
             # every parallel copy goes with one deletion; a tombstone
             dict(insertions=[(2, 21)], deletions=[(5, 7)], delete_vertices=[busy]),
         ]
-        delta, n = DeltaGraph(g), 20
+        cur, n = g, 20
         for spec in batches:
             ins = spec.get("insertions", [])
             w = rng.uniform(1, 9, len(ins)) if weighted else None
-            delta.apply(MutationBatch.from_edges(weights=w, **spec))
+            cur, _ = apply_batch(cur, MutationBatch.from_edges(weights=w, **spec))
             gone = set(spec.get("deletions", []))
             gone |= set() if directed else {(v, u) for u, v in gone}
             dead = set(spec.get("delete_vertices", []))
@@ -199,10 +213,9 @@ class TestDeltaGraph:
             n += spec.get("add_vertices", 0)
         s, d, w = (np.array(col) for col in zip(*arcs))
         expect = Graph(n, s, d, weights=w if weighted else None, directed=True)
-        view = delta.view()
-        assert view.num_vertices == n and view.directed == directed
+        assert cur.num_vertices == n and cur.directed == directed
         for name in ("indptr", "indices", "weights"):
-            got, want = getattr(view, name), getattr(expect, name)
+            got, want = getattr(cur, name), getattr(expect, name)
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -406,13 +419,12 @@ class TestPageRankSchedule:
 
     def test_incremental_dirty_grows_monotonically(self):
         g = erdos_renyi(60, 3.0, seed=9, directed=True)
-        delta = DeltaGraph(g)
         src, dst = g.edge_array()
-        stats = delta.apply(
-            MutationBatch.from_edges(deletions=[(int(src[0]), int(dst[0]))])
+        after, stats = apply_batch(
+            g, MutationBatch.from_edges(deletions=[(int(src[0]), int(dst[0]))])
         )
         sched = build_pagerank_schedule(
-            delta.view(), stats, g.out_degrees == 0, 6, full=False
+            after, stats, g.out_degrees == 0, 6, full=False
         )
         assert not sched.full
         for k in range(2, 7):
@@ -422,7 +434,7 @@ class TestPageRankSchedule:
 
     def test_empty_delta_schedules_nothing(self):
         g = erdos_renyi(30, 3.0, seed=10, directed=True)
-        stats = DeltaGraph(g).apply(MutationBatch())
+        _, stats = apply_batch(g, MutationBatch())
         sched = build_pagerank_schedule(g, stats, g.out_degrees == 0, 5, full=False)
         assert sched.affected == 0
         assert not sched.active.any()
@@ -434,15 +446,13 @@ class TestWCCProbe:
         n = 8
         src = np.arange(n, dtype=np.int64)
         g = Graph(n, src, (src + 1) % n, directed=False)
-        delta = DeltaGraph(g)
-        delta.apply(MutationBatch.from_edges(deletions=[(0, 1)]))
-        assert still_connected(delta.view(), 0, 1, cap=64)
+        g, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(0, 1)]))
+        assert still_connected(g, 0, 1, cap=64)
 
     def test_bridge_edge_fails_probe(self):
         g = line_graph(6)
-        delta = DeltaGraph(g)
-        delta.apply(MutationBatch.from_edges(deletions=[(2, 3)]))
-        assert not still_connected(delta.view(), 2, 3, cap=64)
+        g, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(2, 3)]))
+        assert not still_connected(g, 2, 3, cap=64)
 
     def test_split_produces_correct_labels(self):
         g = line_graph(6)
@@ -503,6 +513,23 @@ class TestEpochEngine:
         one_step = extend_partition(owner, 5, 4, seed=7)
         two_step = extend_partition(extend_partition(owner, 2, 4, seed=7), 3, 4, seed=7)
         assert np.array_equal(one_step, two_step)
+
+    @pytest.mark.parametrize("refresh", ["incremental", "full"])
+    def test_weighted_epochs_without_insertions(self, refresh):
+        # a deletion-only batch and a tombstone-only batch carry no
+        # weights; a weighted stream must still apply and refresh them
+        graph = grid_road(8, 8, seed=5)
+        src, dst = graph.edge_array()
+        eng = EpochEngine(graph, SSSPStream(source=0), num_workers=2, refresh=refresh)
+        for batch in (
+            MutationBatch.from_edges(deletions=[(int(src[3]), int(dst[3]))]),
+            MutationBatch(delete_vertices=np.array([int(dst[-1])])),
+        ):
+            epoch = eng.run_epoch(batch)
+            final = eng.graph
+            dist = np.array([epoch.data[v] for v in range(final.num_vertices)])
+            assert np.allclose(dist, nx_sssp(final, 0), rtol=0, atol=1e-9)
+        assert final.num_edges < graph.num_edges
 
     def test_bad_refresh_mode(self):
         g = erdos_renyi(20, 2.0, seed=16, directed=True)
