@@ -12,9 +12,11 @@ stack computes over an immutable CSR; this layer makes the graph a
   top of :class:`~repro.core.engine.ChannelEngine`, seeding each refresh
   from the delta-affected region.
 * Incremental PageRank / WCC / SSSP — refresh plans whose output is
-  **bit-identical** to a cold full run on the mutated graph.  WCC and
-  SSSP warm-start the library's own bulk programs; PageRank keeps a
-  refresh program of its own, which replays a per-iteration history.
+  **bit-identical** to a cold full run on the mutated graph.  SSSP
+  warm-starts the library's own bulk program; WCC warm-starts it only
+  from a batch that deletes nothing, and runs it cold otherwise;
+  PageRank keeps a refresh program of its own, which replays a
+  per-iteration history.
 
 Quick start::
 

@@ -5,22 +5,24 @@ a partition (ownership never moves — new vertices are appended via
 :func:`~repro.graph.partition.extend_partition`), and the per-algorithm
 warm state.  Every epoch it
 
-1. plans the refresh from the previous state and the incoming batch,
-2. applies the batch, which builds the next CSR graph,
+1. applies the batch, which builds the next CSR graph,
+2. plans the refresh from the previous state and the applied batch,
 3. runs a fresh :class:`~repro.core.engine.ChannelEngine` over that
    graph, seeding the active set from the plan instead of all vertices,
 4. collects the warm state for the next epoch.
 
 ``refresh="full"`` replans every epoch from scratch (the cold baseline
-the benchmark compares against); ``refresh="incremental"`` replays only
-the delta-affected region.  Both must produce bit-identical
+the benchmark compares against); ``refresh="incremental"`` lets the
+algorithm's planner replay only the delta-affected region where it can
+do so exactly, and plan a cold run where it cannot (WCC: any batch that
+deletes an arc).  Both must produce bit-identical
 ``result.data`` — the per-epoch counters measure how much less the
 incremental path *did*, never how close it got.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +50,6 @@ class EpochResult:
     batch_size: int
     affected: int
     seeds: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def data(self) -> dict:
@@ -75,8 +76,8 @@ class EpochEngine:
         A :class:`~repro.streaming.plan.StreamAlgorithm` instance (see
         :data:`repro.streaming.STREAM_ALGORITHMS` for the registry).
     refresh:
-        ``"incremental"`` or ``"full"`` — the default per-epoch policy;
-        :meth:`run_epoch` can override it per call.
+        ``"incremental"`` lets the algorithm's planner pick each epoch's
+        plan; ``"full"`` forces a cold refresh every epoch (the baseline).
     partition:
         Optional initial vertex->worker array (a hash partition seeded
         with :data:`PARTITION_SEED` otherwise); extended deterministically,
@@ -143,25 +144,23 @@ class EpochEngine:
         """Epoch 0: full run on the initial graph, building warm state."""
         if self.state is not None:
             raise RuntimeError("already bootstrapped")
-        return self._run_epoch(batch=None, refresh="full")
+        return self._run_epoch(None)
 
-    def run_epoch(self, batch: MutationBatch, refresh: str | None = None) -> EpochResult:
+    def run_epoch(self, batch: MutationBatch) -> EpochResult:
         """Apply one batch and refresh (bootstrapping first if needed)."""
         if self.state is None:
             self.bootstrap()
-        return self._run_epoch(batch, refresh or self.refresh)
+        return self._run_epoch(batch)
 
-    def run(self, batches, refresh: str | None = None) -> list[EpochResult]:
+    def run(self, batches) -> list[EpochResult]:
         """Run a whole update stream; returns every epoch's result
         (including the bootstrap's, when it ran here)."""
         start = len(self.history)
         for batch in batches:
-            self.run_epoch(batch, refresh=refresh)
+            self.run_epoch(batch)
         return self.history[start:]
 
-    def _run_epoch(self, batch: MutationBatch | None, refresh: str) -> EpochResult:
-        if refresh not in REFRESH_MODES:
-            raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
+    def _run_epoch(self, batch: MutationBatch | None) -> EpochResult:
         old_graph = new_graph = self.graph
         if batch is None:
             stats, batch_size = None, 0
@@ -177,7 +176,7 @@ class EpochEngine:
                     seed=PARTITION_SEED,
                 )
 
-        plan = self.algorithm.plan(old_graph, new_graph, stats, self.state, refresh)
+        plan = self.algorithm.plan(old_graph, new_graph, stats, self.state, self.refresh)
         epoch_span = None
         if self.trace is not None:
             if self._stream_span is None:
@@ -232,7 +231,6 @@ class EpochEngine:
             seeds=(
                 new_graph.num_vertices if plan.seeds is None else int(plan.seeds.size)
             ),
-            meta=dict(plan.meta),
         )
         self.history.append(epoch_result)
         return epoch_result

@@ -232,8 +232,6 @@ class PageRankIncrementalBulk(BulkVertexProgram):
 
 
 class PageRankStream(StreamAlgorithm):
-    name = "pagerank"
-
     def __init__(self, iterations: int = 10):
         self.iterations = iterations
 
@@ -265,7 +263,6 @@ class PageRankStream(StreamAlgorithm):
             seeds=seeds,
             affected=sched.affected,
             mode="full" if sched.full else "incremental",
-            meta={"degraded_to_full_at": _first_full_step(sched)},
         )
 
     def collect(self, engine, result) -> dict:
@@ -292,10 +289,3 @@ class PageRankStream(StreamAlgorithm):
             partition=partition,
         )
 
-
-def _first_full_step(sched: PageRankSchedule) -> int | None:
-    """First superstep whose dirty set is everyone (None if never)."""
-    for k in range(1, sched.iterations + 2):
-        if sched.dirty[k].all():
-            return k
-    return None

@@ -81,8 +81,6 @@ class SSSPStream(StreamAlgorithm):
     """``source`` must be an int vertex id of the stream's graph; each
     plan checks it."""
 
-    name = "sssp"
-
     def __init__(self, source: int = 0):
         self.source = source
 

@@ -12,7 +12,7 @@ approximately-equal results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ class RefreshPlan:
     seeds: np.ndarray | None
     affected: int
     mode: str  # "incremental" | "full"
-    meta: dict = field(default_factory=dict)
 
 
 class StreamAlgorithm:
@@ -49,8 +48,6 @@ class StreamAlgorithm:
     opaque per-algorithm dict handed back to the next epoch's ``plan``.
     ``state is None`` or ``refresh == "full"`` must yield a cold plan.
     """
-
-    name: str = "?"
 
     def plan(
         self,

@@ -189,7 +189,8 @@ class TestStreamCLI:
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(rows) == 3  # bootstrap + 2 epochs
         assert rows[0]["refresh"] == "full" and rows[0]["epoch"] == 0
-        assert rows[1]["refresh"] == "incremental"
+        # every batch of this stream deletes, so WCC refreshes cold
+        assert all(r["refresh"] == "full" for r in rows)
         assert all("affected_vertices" in r for r in rows)
 
     def test_stream_epoch_size_rechunks(self, stream_file, capsys):

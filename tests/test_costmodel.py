@@ -82,14 +82,18 @@ class TestAgreementWithEngine:
         for rec in m.records:
             assert rec.exchange_time >= rec.rounds * m.network.latency
 
-    def test_lower_bandwidth_costs_more_simulated_time(self, graph):
+    def test_lower_bandwidth_costs_more_exchange_time(self, graph):
         fast = NetworkModel(bandwidth=1e9)
         slow = NetworkModel(bandwidth=1e6)
         _, r_fast = run_pagerank(graph, iterations=5, num_workers=4, network=fast)
         _, r_slow = run_pagerank(graph, iterations=5, num_workers=4, network=slow)
-        # identical traffic, different modeled time
+        # identical traffic, different modeled time; only the modeled
+        # exchange part is compared (simulated_time adds measured compute)
         assert r_fast.total_net_bytes == r_slow.total_net_bytes
-        assert r_slow.simulated_time > r_fast.simulated_time
+        modeled = [
+            sum(rec.exchange_time for rec in r.metrics.records) for r in (r_fast, r_slow)
+        ]
+        assert modeled[1] > modeled[0]
 
     def test_zero_latency_zero_traffic_costs_nothing(self):
         m = NetworkModel(latency=0.0)

@@ -305,7 +305,9 @@ fi
     # so nothing to compact and no knob for when), and refreshes WCC and
     # SSSP by warm-starting the library's own bulk programs; PageRank's
     # refresh program, which replays a per-iteration history, is the one
-    # a stream keeps of its own
+    # a stream keeps of its own.  WCC picks its plan by a rule on the
+    # batch (any deleted arc runs cold), so it needs no split probe and no
+    # knob for one; the refresh policy is the engine's, not per call
     ("Streaming keeps one graph and the library's programs", r'''
 if grep -rnE --include="*.py" "compact_threshold|_deleted|_extra_" src/repro/streaming; then
   echo "'compact_threshold', '_deleted' and '_extra_' must not appear under src/repro/streaming"
@@ -318,6 +320,14 @@ fi
 if grep -rnE --include="*.py" "^class +[A-Za-z0-9_]*IncrementalBulk\b" src/repro/streaming \
     | grep -vE ":class +PageRankIncrementalBulk\b"; then
   echo "src/repro/streaming may define no *IncrementalBulk class but PageRankIncrementalBulk"
+  exit 1
+fi
+if grep -rnE --include="*.py" "still_connected|probe_cap" src/repro/streaming; then
+  echo "'still_connected' and 'probe_cap' must not appear under src/repro/streaming"
+  exit 1
+fi
+if grep -Pzo "def (run_epoch|run)\([^)]*\brefresh\b" src/repro/streaming/epoch.py | tr '\0' '\n'; then
+  echo "run_epoch and run in src/repro/streaming/epoch.py take no refresh parameter"
   exit 1
 fi
 '''),

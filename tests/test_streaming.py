@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import line_graph, nx_components, nx_sssp
+from repro.algorithms.wcc import run_wcc
 from repro.core import ChannelEngine
 from repro.graph.generators import erdos_renyi, grid_road
 from repro.graph.graph import Graph
@@ -28,7 +29,6 @@ from repro.streaming import (
     synthesize_batch,
     synthesize_stream,
 )
-from repro.streaming.incremental_wcc import still_connected
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +440,40 @@ class TestPageRankSchedule:
         assert not sched.active.any()
 
 
-class TestWCCProbe:
-    def test_cycle_edge_survives_probe(self):
-        # deleting one edge of a cycle leaves the endpoints connected
+class TestWCCPlan:
+    """WCC warm-starts only from a batch that deletes nothing: hash-min
+    cannot raise a label, so any deleted arc plans a cold run."""
+
+    def test_deleting_batch_runs_cold(self):
+        # deleting one edge of a cycle splits nothing, yet the epoch is
+        # the cold run itself: same labels, bytes and messages
         n = 8
         src = np.arange(n, dtype=np.int64)
         g = Graph(n, src, (src + 1) % n, directed=False)
-        g, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(0, 1)]))
-        assert still_connected(g, 0, 1, cap=64)
+        eng = EpochEngine(g, WCCStream(), num_workers=2)
+        epoch = eng.run_epoch(MutationBatch.from_edges(deletions=[(0, 1)]))
+        assert epoch.refresh == "full" and epoch.seeds == n
+        labels, cold = run_wcc(
+            eng.graph, mode="bulk", num_workers=2, partition=eng.owner
+        )
+        assert np.array_equal(np.array([epoch.data[v] for v in range(n)]), labels)
+        assert epoch.result.total_net_bytes == cold.total_net_bytes
+        assert epoch.result.total_messages == cold.total_messages
 
-    def test_bridge_edge_fails_probe(self):
-        g = line_graph(6)
-        g, _ = apply_batch(g, MutationBatch.from_edges(deletions=[(2, 3)]))
-        assert not still_connected(g, 2, 3, cap=64)
+    def test_insert_only_batch_seeds_its_endpoints(self):
+        g = erdos_renyi(60, 1.0, seed=19, directed=False)
+        eng = EpochEngine(g, WCCStream(), num_workers=2)
+        insertions = [(0, 59), (7, 60), (60, 61)]
+        epoch = eng.run_epoch(
+            MutationBatch.from_edges(insertions=insertions, add_vertices=2)
+        )
+        endpoints = {v for edge in insertions for v in edge}
+        assert epoch.refresh == "incremental"
+        assert epoch.seeds == len(endpoints)
+        assert epoch.result.metrics.records[0].active_vertices == len(endpoints)
+        assert np.array_equal(
+            np.array([epoch.data[v] for v in range(62)]), nx_components(eng.graph)
+        )
 
     def test_split_produces_correct_labels(self):
         g = line_graph(6)
@@ -535,6 +556,17 @@ class TestEpochEngine:
         g = erdos_renyi(20, 2.0, seed=16, directed=True)
         with pytest.raises(ValueError, match="refresh must be"):
             EpochEngine(g, WCCStream(), refresh="lazy")
+
+    def test_refresh_is_a_constructor_option_only(self):
+        g = erdos_renyi(20, 2.0, seed=16, directed=True)
+        eng = EpochEngine(g, WCCStream(), num_workers=2)
+        batch = MutationBatch.from_edges(insertions=[(0, 19)])
+        with pytest.raises(TypeError):
+            eng.run_epoch(batch, refresh="full")
+        with pytest.raises(TypeError):
+            eng.run([batch], refresh="full")
+        with pytest.raises(TypeError):
+            WCCStream(probe_cap=8)
 
 
 class TestInitialActive:
