@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 
 from repro.core.engine import ChannelEngine, EngineResult
@@ -49,14 +47,16 @@ def run_engine(graph, program, **engine_kwargs) -> EngineResult:
     """Run ``program`` on a fresh :class:`ChannelEngine` (``engine_kwargs``
     are its options) and free the engine before returning its result.
 
-    Workers, programs and channels point back at one another, so the
-    dropped engine is a reference cycle: its per-worker arrays would stay
-    resident until the cycle collector next runs, which may be after the
-    caller has built its own working set on top of them.  One collection
-    here costs about 5 ms after a 2-worker scale-19 PageRank; without it
-    the caller's peak resident size depends on where the collector's
-    schedule happens to fall.
+    Workers, programs and channels point back at one another, so a dropped
+    engine left to the cycle collector keeps its per-worker arrays
+    resident until the collector's schedule happens to fall — possibly
+    after the caller has built its own working set on top of them.
+    :meth:`ChannelEngine.close` makes the release deterministic: the
+    engine and everything it built are freed by refcount as this function
+    returns, without a full collection.
     """
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
-    gc.collect()
-    return result
+    engine = ChannelEngine(graph, program, **engine_kwargs)
+    try:
+        return engine.run()
+    finally:
+        engine.close()

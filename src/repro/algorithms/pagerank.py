@@ -36,6 +36,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.util import check_count
 
 __all__ = [
     "PageRankBasic",
@@ -266,6 +267,7 @@ def run_pagerank(
     worker's first scatter wakes everything its rows point at.  ``basic``
     has no static edge set and agrees in both modes.
     """
+    iterations = check_count("iterations", iterations)
     base = resolve_mode(_VARIANTS, variant, mode)
     program = type(base.__name__, (base,), {"iterations": iterations})
     result = run_engine(graph, program, **engine_kwargs)

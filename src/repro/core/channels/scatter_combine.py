@@ -159,7 +159,9 @@ def _cut_runs(blocks: list, lanes: int) -> list[list]:
     sizes = np.array([hi - lo for _, _, lo, hi in blocks])
     middles = np.cumsum(sizes) - sizes / 2
     cuts = np.searchsorted(middles, sizes.sum() * np.arange(1, lanes) / lanes)
-    cuts = np.unique(np.clip(cuts, 1, len(blocks) - 1)).tolist()
+    # the cuts never decrease: a set dedupes them (np.unique would import
+    # numpy.ma, a one-off 14 ms no run otherwise needs)
+    cuts = sorted(set(np.clip(cuts, 1, len(blocks) - 1).tolist()))
     return [blocks[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(blocks)])]
 
 

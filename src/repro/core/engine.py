@@ -24,6 +24,7 @@ network time are accumulated into the run's
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
@@ -173,6 +174,7 @@ class ChannelEngine(OwnerTable):
         self.pool = pool
         self.generation = next(_GENERATIONS)
         self._backend = None
+        self._teardown: weakref.finalize | None = None  # set by close() on sim
         self.check_vertices(graph.num_vertices)
         self.graph = graph
         self.num_workers = num_workers
@@ -248,16 +250,39 @@ class ChannelEngine(OwnerTable):
         return self.backend.run(max_supersteps=max_supersteps)
 
     def close(self) -> None:
-        """Release backend resources now.
+        """Release what the engine holds without waiting for the cycle
+        collector.  Idempotent.
 
-        Only meaningful for ``executor="process"`` with an engine-owned
-        pool: the worker processes, pipes, and shared-memory segments are
-        shut down immediately instead of waiting for the engine to be
-        garbage collected (the engine↔backend reference cycle means
-        cleanup otherwise happens at the next *cyclic* GC pass, not on
-        the last ``del``) or for interpreter exit.  Idempotent; a closed
-        engine can no longer ``run()``.  Externally provided pools are
-        the caller's to shut down and are left alone.
+        ``executor="process"`` with an engine-owned pool: the worker
+        processes, pipes and shared-memory segments are shut down now; a
+        closed engine can no longer ``run()``.  Externally provided pools
+        are the caller's to shut down and are left alone.
+
+        ``executor="sim"``: workers, programs and channels point at one
+        another and at the engine, so a dropped engine — every per-worker
+        array with it — would stay resident until the next cyclic
+        collection, whenever that falls.  Closing drops the drive loop's
+        generators and turns every pointer back at the engine weak, so
+        the engine is freed by refcount when its last holder lets go, and
+        its workers' cycles are broken then (:func:`_tear_down`).  Until
+        then a closed engine still captures and restores its workers.
         """
         if self._backend is not None:
             self._backend.shutdown()
+        if self.workers and self._teardown is None:
+            host = weakref.proxy(self)
+            for worker in self.workers:
+                worker.engine = host
+            self._teardown = weakref.finalize(self, _tear_down, self.workers)
+            self._teardown.atexit = False
+
+
+def _tear_down(workers: list[Worker]) -> None:
+    """Break every cycle among a dead engine's workers: a program and its
+    channels point back at their worker, and may hold one another's bound
+    methods and closures, so emptying each one's attributes is what frees
+    them — and the arrays they hold — by refcount."""
+    for worker in workers:
+        for part in (*worker.channels, worker.program, worker):
+            if part is not None:
+                vars(part).clear()

@@ -7,23 +7,24 @@ a worker gets is a rule on the cores (:func:`lane_count`), never an
 option: the cores of this process's affinity set, shared among the
 workers that run on it at once.
 
-The threads are one pool per process, made on first use.  A forked
-child inherits the pool object but none of its threads — work handed to
-it would wait forever — so the child forgets it at fork and makes its
-own.  Each thread, the calling one included, folds in a scratch of its
-own (:func:`lane_scratch`).
+The lane threads are this process's own, started on first use and kept
+for its life: each waits on an inbox (a ``queue.SimpleQueue``) for the
+next run to fold and answers on its outbox — nothing heavier, so the
+first two-lane scan costs one thread start, not an executor's imports.
+A forked child inherits the list of lanes but none of their threads —
+work handed to them would wait forever — so the child forgets them at
+fork and starts its own.  Each thread, the calling one included, folds
+in a scratch of its own (:func:`lane_scratch`).
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["affinity_cores", "lane_count", "lane_scratch", "run_lanes"]
 
@@ -42,28 +43,45 @@ def lane_count(workers_at_once: int) -> int:
     return max(1, affinity_cores() // workers_at_once)
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_threads = 0
+#: this process's lane threads, each an ``(inbox, outbox)`` pair; ``None``
+#: until the first scan folds on two lanes
+_pool: list[tuple[queue.SimpleQueue, queue.SimpleQueue]] | None = None
+#: one scan hands its runs to the lanes at a time
+_dispatch = threading.Lock()
 
 
-def _threads(count: int) -> ThreadPoolExecutor:
-    """This process's lane threads, at least ``count`` of them."""
-    global _pool, _pool_threads
-    if _pool is None or _pool_threads < count:
-        # imported here: it imports logging, which a process that never
-        # folds on two lanes need not pay for
-        from concurrent.futures import ThreadPoolExecutor
+def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+    """A lane thread's life: run each call its inbox hands it and answer
+    ``None`` or the error it raised.  The call is dropped before the
+    answer goes out, since the caller may then free what the call holds."""
+    while True:
+        outbox.put(_answer(inbox.get()))
 
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(max_workers=count, thread_name_prefix="scan-lane")
-        _pool_threads = count
-    return _pool
+
+def _answer(call: Callable[[], None]) -> BaseException | None:
+    try:
+        call()
+    except BaseException as error:  # the caller re-raises it
+        return error
+    return None
+
+
+def _threads(count: int) -> list[tuple[queue.SimpleQueue, queue.SimpleQueue]]:
+    """This process's first ``count`` lane threads, started as needed."""
+    global _pool
+    if _pool is None:
+        _pool = []
+    while len(_pool) < count:
+        lane = (queue.SimpleQueue(), queue.SimpleQueue())
+        name = f"scan-lane-{len(_pool) + 1}"
+        threading.Thread(target=_serve, args=lane, name=name, daemon=True).start()
+        _pool.append(lane)
+    return _pool[:count]
 
 
 def _forget_threads() -> None:
-    global _pool, _pool_threads
-    _pool, _pool_threads = None, 0
+    global _pool, _dispatch
+    _pool, _dispatch = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -78,11 +96,14 @@ def run_lanes(calls: Sequence[Callable[[], None]]) -> None:
     if not rest:
         first()
         return
-    futures = [_threads(len(rest)).submit(call) for call in rest]
-    try:
-        first()
-    finally:
-        errors = [future.exception() for future in futures]  # (waits for each)
+    with _dispatch:
+        lanes = _threads(len(rest))
+        for (inbox, _), call in zip(lanes, rest):
+            inbox.put(call)
+        try:
+            first()
+        finally:
+            errors = [outbox.get() for _, outbox in lanes]  # (waits for each)
     for error in errors:
         if error is not None:
             raise error

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms._common import run_engine
 from repro.core import (
     Aggregator,
-    ChannelEngine,
     CombinedMessage,
     DirectMessage,
     RequestRespond,
@@ -400,7 +400,7 @@ def run_palgol(
 ):
     """Compile and run a spec; returns ``({field: array}, EngineResult)``."""
     program = compile_palgol(spec, optimize=optimize, codecs=codecs)
-    result = ChannelEngine(graph, program, **engine_kwargs).run()
+    result = run_engine(graph, program, **engine_kwargs)
     fields = {
         name: np.zeros(graph.num_vertices, dtype=(codecs or {}).get(name, INT64).dtype)
         for name in spec.fields

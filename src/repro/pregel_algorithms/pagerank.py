@@ -9,6 +9,7 @@ from repro.core.combiner import SUM_F64
 from repro.graph.graph import Graph
 from repro.pregel import PregelPlusEngine, PregelProgram
 from repro.runtime.serialization import FLOAT64
+from repro.util import check_count
 
 __all__ = ["PageRankPregel", "run_pagerank_pregel"]
 
@@ -57,6 +58,7 @@ def run_pagerank_pregel(
 ):
     """Run Pregel+ PageRank; ``mode`` is ``"basic"`` or ``"ghost"``.
     Returns ``(ranks, EngineResult)``."""
+    iterations = check_count("iterations", iterations)
     program = type("PageRankPregel", (PageRankPregel,), {"iterations": iterations})
     engine = PregelPlusEngine(
         graph, program, mode=mode, ghost_threshold=ghost_threshold, **engine_kwargs

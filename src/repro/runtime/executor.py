@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 import warnings
+import weakref
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
@@ -256,7 +257,8 @@ class ExecutorBackend:
         raise NotImplementedError
 
     def shutdown(self) -> None:
-        """Release backend resources (idempotent; a no-op for sim)."""
+        """Release backend resources (idempotent); :meth:`ChannelEngine.close`
+        calls it."""
 
 
 class SimBackend(ExecutorBackend):
@@ -281,6 +283,16 @@ class SimBackend(ExecutorBackend):
         engine = self.engine
         writer = engine.live.writer(w) if engine.live is not None else None
         return WorkerLifecycle(engine, w, engine.program_factory, worker, writer)
+
+    def shutdown(self) -> None:
+        """Drop the superstep generators (each holds its worker) and hold
+        the engine weakly from here on, here and in the lifecycles: a
+        closed engine is freed by refcount (:meth:`ChannelEngine.close`)."""
+        self._steps = []
+        if not isinstance(self.engine, weakref.ProxyType):
+            self.engine = weakref.proxy(self.engine)
+            for life in self.lives:
+                life.host = self.engine
 
     # -- primitives ----------------------------------------------------------
     def call(self, op: str, args: Mapping[int, dict]) -> list:

@@ -9,7 +9,9 @@ warm state.  Every epoch it
 2. plans the refresh from the previous state and the applied batch,
 3. runs a fresh :class:`~repro.core.engine.ChannelEngine` over that
    graph, seeding the active set from the plan instead of all vertices,
-4. collects the warm state for the next epoch.
+4. collects the warm state for the next epoch and closes the engine
+   (:meth:`~repro.core.engine.ChannelEngine.close`): its workers are
+   freed before the next epoch builds its own.
 
 ``refresh="full"`` replans every epoch from scratch (the cold baseline
 the benchmark compares against); ``refresh="incremental"`` lets the
@@ -217,8 +219,12 @@ class EpochEngine:
             engine.metrics.trace_parent = epoch_span
         self.epoch_num += 1
         engine.metrics.record_stream_epoch(self.epoch_num, plan.affected, plan.mode)
-        result = engine.run()
-        self.state = self.algorithm.collect(engine, result)
+        try:
+            result = engine.run()
+            self.state = self.algorithm.collect(engine, result)
+        finally:
+            # the epoch's workers go now, not at the next cyclic collection
+            engine.close()
         if epoch_span is not None:
             self.trace.end(epoch_span)
 

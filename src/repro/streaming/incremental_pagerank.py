@@ -44,6 +44,7 @@ from repro.graph.graph import Graph
 from repro.runtime.checkpoint import decode_state
 from repro.streaming.delta import ApplyStats
 from repro.streaming.plan import RefreshPlan, StreamAlgorithm, out_neighbor_mask, in_neighbor_mask
+from repro.util import check_count
 
 __all__ = [
     "PageRankSchedule",
@@ -233,7 +234,7 @@ class PageRankIncrementalBulk(BulkVertexProgram):
 
 class PageRankStream(StreamAlgorithm):
     def __init__(self, iterations: int = 10):
-        self.iterations = iterations
+        self.iterations = check_count("iterations", iterations)
 
     def plan(
         self,

@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "check_count",
     "check_vertex",
     "csr_group",
     "cut_blocks",
@@ -27,6 +28,16 @@ def check_vertex(name: str, vid, num_vertices: int) -> int:
     if not 0 <= vid < num_vertices:
         raise ValueError(f"{name} must be a vertex id in [0, {num_vertices}), got {vid}")
     return int(vid)
+
+
+def check_count(name: str, count) -> int:
+    """``count`` as an ``int`` when it is a non-negative integer (a
+    ``bool`` is not one); otherwise a ``ValueError`` that names the
+    argument.  A public count — iterations, rounds — is checked here
+    once, so no ``-1`` runs as zero and no ``2.5`` as two."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {count!r}")
+    return int(count)
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

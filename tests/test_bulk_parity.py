@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import _common
 from repro.algorithms.bfs import run_bfs
+from repro.algorithms.lpa import run_lpa
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
 from repro.algorithms.sssp import run_sssp
@@ -31,9 +32,10 @@ from repro.algorithms.wcc import run_wcc
 from repro.core import BulkVertexProgram, ChannelEngine, LocalCSR, RequestRespond
 from repro.graph import Graph, chain, grid_road, random_tree, rmat
 from repro.graph.partition import hash_partition, range_partition
+from repro.pregel_algorithms.pagerank import run_pagerank_pregel
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
-from repro.streaming import EpochEngine, SSSPStream
+from repro.streaming import EpochEngine, PageRankStream, SSSPStream
 
 WORKERS = [1, 2, 8]
 
@@ -387,3 +389,28 @@ class TestModeValidation:
     def test_stream_source_outside_the_graph_rejected(self):
         with pytest.raises(ValueError, match="source"):
             EpochEngine(grid_road(10, 10), SSSPStream(source=100), num_workers=2).bootstrap()
+
+    @pytest.mark.parametrize("mode", ["scalar", "bulk"])
+    @pytest.mark.parametrize("iterations", [-1, 2.5, True, None, "3"], ids=repr)
+    def test_iterations_not_a_count_rejected(self, directed_graph, mode, iterations):
+        """One ValueError naming ``iterations`` on both paths: not uniform
+        ranks for ``-1``, two iterations for ``2.5``, one for ``True``."""
+        with pytest.raises(ValueError, match="iterations"):
+            run_pagerank(directed_graph, iterations=iterations, mode=mode, num_workers=2)
+
+    @pytest.mark.parametrize("rounds", [-1, 2.5, True], ids=repr)
+    def test_rounds_not_a_count_rejected(self, undirected_graph, rounds):
+        """Not each vertex's own id for ``-1``: a ValueError naming ``rounds``."""
+        with pytest.raises(ValueError, match="rounds"):
+            run_lpa(undirected_graph, rounds=rounds, num_workers=2)
+
+    def test_baseline_and_stream_iterations_checked(self, directed_graph):
+        with pytest.raises(ValueError, match="iterations"):
+            run_pagerank_pregel(directed_graph, iterations=-1, num_workers=2)
+        with pytest.raises(ValueError, match="iterations"):
+            PageRankStream(iterations=2.5)
+
+    def test_a_numpy_count_is_a_count(self, directed_graph):
+        ranks, _ = run_pagerank(directed_graph, iterations=np.int64(3), num_workers=2)
+        three, _ = run_pagerank(directed_graph, iterations=3, num_workers=2)
+        assert ranks.tobytes() == three.tobytes()
