@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "wcc": ("run_wcc", "WCCBasic", "WCCBasicBulk", "WCCPropagation"),
     "sssp": ("run_sssp", "SSSPBasic", "SSSPBasicBulk", "SSSPPropagation"),
-    "sv": ("run_sv", "make_sv_program"),
+    "sv": ("run_sv",),
     "scc": ("run_scc", "SCCBasic", "SCCPropagation"),
     "msf": ("run_msf", "MSFBasic"),
     "bfs": ("run_bfs", "BFSBasic", "BFSBasicBulk", "BFSPropagation"),

@@ -14,6 +14,7 @@ from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
     MIN_I64,
+    ProgramSpec,
     Propagation,
     Vertex,
     VertexProgram,
@@ -139,6 +140,6 @@ def run_bfs(
     """
     source = check_vertex("source", source, graph.num_vertices)
     base = resolve_mode(_VARIANTS, variant, mode)
-    program = type(base.__name__, (base,), {"source": source})
+    program = ProgramSpec(base, {"source": source})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from repro.algorithms._common import gather, run_engine
-from repro.core import DirectMessage, Vertex, VertexProgram
+from repro.core import DirectMessage, ProgramSpec, Vertex, VertexProgram
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
 from repro.util import check_count
@@ -60,6 +60,6 @@ class LabelPropagation(VertexProgram):
 def run_lpa(graph: Graph, rounds: int = 10, **engine_kwargs):
     """Run synchronous LPA; returns ``(labels, EngineResult)``."""
     rounds = check_count("rounds", rounds)
-    program = type("LabelPropagation", (LabelPropagation,), {"rounds": rounds})
+    program = ProgramSpec(LabelPropagation, {"rounds": rounds})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -19,6 +19,7 @@ from repro.core import (
     CombinedMessage,
     MAX_I32,
     MIN_I64,
+    ProgramSpec,
     Vertex,
     VertexProgram,
 )
@@ -92,7 +93,7 @@ def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):
     where ``in_set`` is a boolean array."""
     if graph.directed:
         raise ValueError("MIS expects an undirected graph")
-    program = type("LubyMIS", (LubyMIS,), {"seed": seed})
+    program = ProgramSpec(LubyMIS, {"seed": seed})
     result = run_engine(graph, program, **engine_kwargs)
     states = gather(result, graph.num_vertices)
     return states == IN_SET, result

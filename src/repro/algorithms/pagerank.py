@@ -30,6 +30,7 @@ from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
     MirroredScatter,
+    ProgramSpec,
     ScatterCombine,
     SUM_F64,
     Vertex,
@@ -269,6 +270,6 @@ def run_pagerank(
     """
     iterations = check_count("iterations", iterations)
     base = resolve_mode(_VARIANTS, variant, mode)
-    program = type(base.__name__, (base,), {"iterations": iterations})
+    program = ProgramSpec(base, {"iterations": iterations})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

@@ -38,6 +38,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.util import check_choice
 
 __all__ = ["SCCBasic", "SCCPropagation", "run_scc"]
 
@@ -226,6 +227,6 @@ def run_scc(graph: Graph, variant: str = "basic", **engine_kwargs):
     """
     if not graph.directed:
         raise ValueError("SCC needs a directed graph")
-    program = {"basic": SCCBasic, "prop": SCCPropagation}[variant]
+    program = check_choice("variant", variant, {"basic": SCCBasic, "prop": SCCPropagation})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

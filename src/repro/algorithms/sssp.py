@@ -19,6 +19,7 @@ from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
     MIN_F64,
+    ProgramSpec,
     Propagation,
     Vertex,
     VertexProgram,
@@ -26,13 +27,7 @@ from repro.core import (
 from repro.graph.graph import Graph
 from repro.util import check_vertex
 
-__all__ = [
-    "SSSPBasic",
-    "SSSPBasicBulk",
-    "SSSPPropagation",
-    "run_sssp",
-    "make_sssp_program",
-]
+__all__ = ["SSSPBasic", "SSSPBasicBulk", "SSSPPropagation", "run_sssp"]
 
 
 def _weights(v: Vertex) -> np.ndarray:
@@ -155,12 +150,6 @@ _VARIANTS = {
 }
 
 
-def make_sssp_program(variant: str, source: int, mode: str = "scalar"):
-    """A program class with the source baked in."""
-    base = resolve_mode(_VARIANTS, variant, mode)
-    return type(base.__name__, (base,), {"source": source})
-
-
 def run_sssp(
     graph: Graph,
     source: int = 0,
@@ -174,6 +163,6 @@ def run_sssp(
     columnar compute path (``"basic"`` only).
     """
     source = check_vertex("source", source, graph.num_vertices)
-    program = make_sssp_program(variant, source, mode)
+    program = ProgramSpec(resolve_mode(_VARIANTS, variant, mode), {"source": source})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

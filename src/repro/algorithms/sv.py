@@ -20,9 +20,10 @@ neighbor minimum    CombinedMessage(MIN)        ScatterCombine(MIN)
 root update         CombinedMessage(MIN)        (already optimal)
 ==================  ==========================  ==========================
 
-``make_sv_program(use_reqresp, use_scatter)`` yields the four Table VI
-variants.  A round costs 4 supersteps with the request/reply emulation
-and 3 with the RequestRespond channel.
+The four Table VI variants are the flags ``use_reqresp`` and
+``use_scatter`` bound on one program by a :class:`~repro.core.ProgramSpec`.
+A round costs 4 supersteps with the request/reply emulation and 3 with
+the RequestRespond channel.
 
 Each variant exists twice: the per-vertex listing (``mode="scalar"``, the
 paper's program text) and its columnar port (``mode="bulk"``), which runs
@@ -44,6 +45,7 @@ from repro.core import (
     CombinedMessage,
     DirectMessage,
     MIN_I32,
+    ProgramSpec,
     RequestRespond,
     ScatterCombine,
     SUM_I64,
@@ -54,7 +56,7 @@ from repro.graph.graph import Graph
 from repro.runtime.serialization import INT32
 from repro.util import expand_ranges
 
-__all__ = ["make_sv_program", "run_sv", "SV_VARIANTS"]
+__all__ = ["run_sv", "SV_VARIANTS"]
 
 #: variant -> (use_reqresp, use_scatter)
 _FLAGS = {
@@ -269,20 +271,16 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
             self._merge_or_jump(active, replies[indptr[active]], self.tmin[active])
 
 
-def make_sv_program(use_reqresp: bool = False, use_scatter: bool = False, base=_SVBase):
-    """Build the S-V program class for one of the four channel combos
-    (``base`` is the per-vertex :class:`_SVBase` or the columnar
-    :class:`_SVBulk`)."""
-    name = f"SV_{'rr' if use_reqresp else 'msg'}_{'sc' if use_scatter else 'cm'}"
-    return type(name, (base,), {"use_reqresp": use_reqresp, "use_scatter": use_scatter})
-
-
 _VARIANTS = {
     variant: {
-        "scalar": make_sv_program(*flags),
-        "bulk": make_sv_program(*flags, base=_SVBulk),
+        mode: ProgramSpec(
+            base,
+            {"use_reqresp": rr, "use_scatter": sc},
+            f"SV_{'rr' if rr else 'msg'}_{'sc' if sc else 'cm'}",
+        )
+        for mode, base in (("scalar", _SVBase), ("bulk", _SVBulk))
     }
-    for variant, flags in _FLAGS.items()
+    for variant, (rr, sc) in _FLAGS.items()
 }
 
 

@@ -107,35 +107,41 @@ class VertexResults(Mapping):
 
 
 class ProgramSpec:
-    """A program factory as *data*: an importable base class plus the
-    class attributes to bake onto a dynamically created subclass.
+    """A parametrized program factory as *data*: an importable base class
+    and the class attributes its programs carry.
 
-    ``ProgramSpec(Base, {"warm": arr})(worker)`` behaves exactly like
-    ``type("Base", (Base,), {"warm": arr})(worker)`` — the streaming
-    planners used the latter to parameterize refresh programs with
-    per-epoch schedules — but unlike an anonymous ``type(...)`` product,
-    a spec survives ``pickle``: the base travels by reference (it must
-    be importable) and the attributes by value.  That is what lets a
-    persistent worker pool receive *next epoch's program* over a control
-    pipe instead of being respawned around a new in-memory class
-    (:meth:`repro.runtime.parallel.pool.WorkerPool.reconfigure`).
+    ``ProgramSpec(PageRankBasic, {"iterations": 10})(worker)`` builds
+    that worker's program from a subclass of ``PageRankBasic`` whose
+    ``iterations`` is 10.  The subclass is built once, on the spec's
+    first call, and serves every worker after it, so the workers of one
+    run share one program class.  Parameters stay class attributes: the
+    generic :meth:`VertexProgram.state_dict` captures instance state
+    only, so no checkpoint holds them.
 
-    The attribute dict is deliberately shared, not copied: every worker's
-    subclass sees the same array objects, exactly as class attributes on
-    one shared dynamic class would (each *process* still gets its own
-    copy through pickling, as with any cross-process state).
+    A spec pickles as ``(base, attrs, name)`` — the base by reference (it
+    must be importable), the attributes by value — and a process that
+    unpickles it builds the subclass there, once.  That is what lets a
+    persistent worker pool load another run's program over its control
+    pipe (:meth:`repro.runtime.parallel.pool.WorkerPool.ensure`).
+    Every worker of a process sees the same attribute objects (each
+    process its own copy, as with any cross-process state).
     """
 
-    __slots__ = ("base", "attrs", "name")
+    __slots__ = ("base", "attrs", "name", "_cls")
 
     def __init__(self, base: type, attrs: dict | None = None, name: str | None = None):
         self.base = base
         self.attrs = dict(attrs) if attrs else {}
         self.name = name or base.__name__
+        self._cls: type | None = None
 
     def __call__(self, worker: "Worker"):
-        cls = type(self.name, (self.base,), self.attrs)
-        return cls(worker)
+        if self._cls is None:
+            self._cls = type(self.name, (self.base,), self.attrs)
+        return self._cls(worker)
+
+    def __reduce__(self):
+        return ProgramSpec, (self.base, self.attrs, self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

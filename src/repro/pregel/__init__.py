@@ -15,6 +15,6 @@ Pregel+'s design decisions on purpose:
 """
 
 from repro.pregel.program import PregelProgram, PregelVertex
-from repro.pregel.system import PregelPlusEngine
+from repro.pregel.system import pregel_plus
 
-__all__ = ["PregelProgram", "PregelVertex", "PregelPlusEngine"]
+__all__ = ["PregelProgram", "PregelVertex", "pregel_plus"]

@@ -22,6 +22,9 @@ Pregel+'s per-vertex Python lists (or per-message scalar combining), the
 
 :class:`PregelLayer` is the program every worker runs: it registers the
 channels and hosts the user's :class:`~repro.pregel.program.PregelProgram`.
+:func:`pregel_plus` binds it to a program and a mode as a program
+factory, so a Pregel+ run is a :class:`~repro.core.engine.ChannelEngine`
+run like any other.
 """
 
 from __future__ import annotations
@@ -35,15 +38,12 @@ from repro.core.channel import Channel
 from repro.core.channels import Aggregator
 from repro.core.channels._records import decode_records
 from repro.core.combiner import Combiner
-from repro.core.engine import ChannelEngine
 from repro.core.program import BulkVertexProgram
 from repro.core.worker import Worker
-from repro.graph.graph import Graph
 from repro.pregel.program import PregelProgram, PregelVertex
-from repro.runtime.costmodel import DEFAULT_NETWORK, NetworkModel
 from repro.runtime.serialization import INT32, Codec
 
-__all__ = ["PregelLayer", "PregelPlusEngine"]
+__all__ = ["PregelLayer", "pregel_plus"]
 
 
 def _listed(codec: Codec, values: np.ndarray) -> list:
@@ -282,28 +282,17 @@ class PregelLayer(BulkVertexProgram):
         return None if self.aggregator is None else self.aggregator.result()
 
 
-class PregelPlusEngine(ChannelEngine):
-    """A :class:`ChannelEngine` whose workers run a :class:`PregelProgram`
-    on the Pregel+ message layer of ``mode`` (basic / reqresp / ghost).
-    ``options`` are :class:`ChannelEngine`'s, e.g. ``executor="process"``
-    or ``checkpoint_every=``."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        program_factory: Callable[[Worker], PregelProgram],
-        num_workers: int = 8,
-        partition: np.ndarray | None = None,
-        network: NetworkModel = DEFAULT_NETWORK,
-        mode: str = "basic",
-        ghost_threshold: int = 16,
-        **options,
-    ) -> None:
-        if mode not in ("basic", "reqresp", "ghost"):
-            raise ValueError(f"unknown mode {mode!r}")
-        layer = partial(
-            PregelLayer, program_factory=program_factory, mode=mode, ghost_threshold=ghost_threshold
-        )
-        super().__init__(
-            graph, layer, partition=partition, num_workers=num_workers, network=network, **options
-        )
+def pregel_plus(
+    program: Callable[[Worker], PregelProgram], mode: str = "basic", ghost_threshold: int = 16
+) -> Callable[[Worker], PregelLayer]:
+    """The program factory that runs ``program`` (a
+    :class:`PregelProgram` class or a :class:`~repro.core.ProgramSpec`)
+    on the Pregel+ message layer of ``mode`` (basic / reqresp / ghost):
+    hand it to :class:`~repro.core.engine.ChannelEngine` or
+    :func:`~repro.algorithms._common.run_engine` like any other factory.
+    It pickles whenever ``program`` does."""
+    if mode not in ("basic", "reqresp", "ghost"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return partial(
+        PregelLayer, program_factory=program, mode=mode, ghost_threshold=ghost_threshold
+    )

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import SUM_F64
+from repro.core.program import ProgramSpec
 from repro.graph.graph import Graph
-from repro.pregel import PregelPlusEngine, PregelProgram
+from repro.pregel import PregelProgram, pregel_plus
 from repro.runtime.serialization import FLOAT64
 from repro.util import check_count
 
@@ -59,9 +60,6 @@ def run_pagerank_pregel(
     """Run Pregel+ PageRank; ``mode`` is ``"basic"`` or ``"ghost"``.
     Returns ``(ranks, EngineResult)``."""
     iterations = check_count("iterations", iterations)
-    program = type("PageRankPregel", (PageRankPregel,), {"iterations": iterations})
-    engine = PregelPlusEngine(
-        graph, program, mode=mode, ghost_threshold=ghost_threshold, **engine_kwargs
-    )
-    result = engine.run()
+    program = ProgramSpec(PageRankPregel, {"iterations": iterations})
+    result = run_engine(graph, pregel_plus(program, mode, ghost_threshold), **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

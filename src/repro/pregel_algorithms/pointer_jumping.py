@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.graph.graph import Graph
-from repro.pregel import PregelPlusEngine, PregelProgram
+from repro.pregel import PregelProgram, pregel_plus
 from repro.runtime.serialization import INT32
+from repro.util import check_choice
 
 __all__ = ["PJPregelBasic", "PJPregelReqResp", "run_pointer_jumping_pregel"]
 
@@ -109,7 +110,6 @@ class PJPregelReqResp(PregelProgram):
 def run_pointer_jumping_pregel(graph: Graph, mode: str = "basic", **engine_kwargs):
     """Run Pregel+ pointer jumping; ``mode`` is ``"basic"`` or
     ``"reqresp"``.  Returns ``(roots, EngineResult)``."""
-    program = {"basic": PJPregelBasic, "reqresp": PJPregelReqResp}[mode]
-    engine = PregelPlusEngine(graph, program, mode=mode, **engine_kwargs)
-    result = engine.run()
+    program = check_choice("mode", mode, {"basic": PJPregelBasic, "reqresp": PJPregelReqResp})
+    result = run_engine(graph, pregel_plus(program, mode), **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import MIN_F64
+from repro.core.program import ProgramSpec
 from repro.graph.graph import Graph
-from repro.pregel import PregelPlusEngine, PregelProgram
+from repro.pregel import PregelProgram, pregel_plus
 from repro.runtime.serialization import FLOAT64
+from repro.util import check_vertex
 
 __all__ = ["SSSPPregel", "run_sssp_pregel"]
 
@@ -43,7 +45,9 @@ class SSSPPregel(PregelProgram):
 
 
 def run_sssp_pregel(graph: Graph, source: int = 0, **engine_kwargs):
-    """Run Pregel+ SSSP; returns ``(dists, EngineResult)``."""
-    program = type("SSSPPregel", (SSSPPregel,), {"source": source})
-    result = PregelPlusEngine(graph, program, mode="basic", **engine_kwargs).run()
+    """Run Pregel+ SSSP; returns ``(dists, EngineResult)``.  ``source``
+    must be an int in ``[0, V)``."""
+    source = check_vertex("source", source, graph.num_vertices)
+    program = ProgramSpec(SSSPPregel, {"source": source})
+    result = run_engine(graph, pregel_plus(program), **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather
+from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import SUM_I64
 from repro.graph.graph import Graph
-from repro.pregel import PregelPlusEngine, PregelProgram
+from repro.pregel import PregelProgram, pregel_plus
 from repro.runtime.serialization import INT32, struct_codec
+from repro.util import check_choice
 
 __all__ = ["SVPregelBasic", "SVPregelReqResp", "run_sv_pregel"]
 
@@ -142,7 +143,6 @@ class SVPregelReqResp(_SVPregelBase):
 def run_sv_pregel(graph: Graph, mode: str = "basic", **engine_kwargs):
     """Run Pregel+ S-V; ``mode`` is ``"basic"`` or ``"reqresp"``.
     Returns ``(labels, EngineResult)``."""
-    program = {"basic": SVPregelBasic, "reqresp": SVPregelReqResp}[mode]
-    engine = PregelPlusEngine(graph, program, mode=mode, **engine_kwargs)
-    result = engine.run()
+    program = check_choice("mode", mode, {"basic": SVPregelBasic, "reqresp": SVPregelReqResp})
+    result = run_engine(graph, pregel_plus(program, mode), **engine_kwargs)
     return gather(result, graph.num_vertices), result

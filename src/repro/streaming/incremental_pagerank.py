@@ -255,8 +255,6 @@ class PageRankStream(StreamAlgorithm):
             "hist": None if sched.full else state["hist"],
             "hist_s": None if sched.full else state["hist_s"],
         }
-        # a ProgramSpec (rather than an anonymous type(...)) so the plan
-        # can cross into a persistent worker pool's live processes
         program = ProgramSpec(PageRankIncrementalBulk, attrs)
         seeds = None if sched.full else np.flatnonzero(sched.active[1])
         return RefreshPlan(

@@ -120,8 +120,6 @@ class SSSPStream(StreamAlgorithm):
             targets[:n_old] = inval
             targets[stats.ins_dst] = True
 
-        # a ProgramSpec (rather than an anonymous type(...)) so the plan
-        # can cross into a persistent worker pool's live processes
         program = ProgramSpec(
             SSSPBasicBulk,
             {"source": source, "warm_dist": warm, "announce_targets": targets},

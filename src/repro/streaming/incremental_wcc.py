@@ -60,8 +60,6 @@ class WCCStream(StreamAlgorithm):
             plan_seeds = np.flatnonzero(seed)
             affected, mode = int(plan_seeds.size), "incremental"
 
-        # a ProgramSpec (rather than an anonymous type(...)) so the plan
-        # can cross into a persistent worker pool's live processes
         program = ProgramSpec(WCCBasicBulk, {"warm_labels": warm})
         return RefreshPlan(
             program_factory=program, seeds=plan_seeds, affected=affected, mode=mode

@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "check_choice",
     "check_count",
     "check_vertex",
     "csr_group",
@@ -38,6 +39,16 @@ def check_count(name: str, count) -> int:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"{name} must be a non-negative int, got {count!r}")
     return int(count)
+
+
+def check_choice(name: str, value, choices: dict):
+    """``choices[value]`` when ``value`` is one of its keys; otherwise a
+    ``ValueError`` that names the argument and the keys, not a bare
+    ``KeyError``."""
+    try:
+        return choices[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {name} {value!r}; have {sorted(choices)}") from None
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ def test_importing_one_algorithm_imports_one_module():
 
 
 def test_every_public_name_resolves_to_its_module():
-    assert len(repro.algorithms.__all__) == len(set(repro.algorithms.__all__)) == 36
+    assert len(repro.algorithms.__all__) == len(set(repro.algorithms.__all__)) == 35
     assert set(repro.algorithms.__all__) <= set(dir(repro.algorithms))
     for name in repro.algorithms.__all__:
         value = getattr(repro.algorithms, name)

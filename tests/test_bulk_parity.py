@@ -26,13 +26,19 @@ from repro.algorithms.bfs import run_bfs
 from repro.algorithms.lpa import run_lpa
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
+from repro.algorithms.scc import run_scc
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.sv import SV_VARIANTS, run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import BulkVertexProgram, ChannelEngine, LocalCSR, RequestRespond
 from repro.graph import Graph, chain, grid_road, random_tree, rmat
 from repro.graph.partition import hash_partition, range_partition
-from repro.pregel_algorithms.pagerank import run_pagerank_pregel
+from repro.pregel_algorithms import (
+    run_pagerank_pregel,
+    run_pointer_jumping_pregel,
+    run_sssp_pregel,
+    run_sv_pregel,
+)
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
 from repro.streaming import EpochEngine, PageRankStream, SSSPStream
@@ -385,6 +391,26 @@ class TestModeValidation:
         IndexError, nor an all-unreached result."""
         with pytest.raises(ValueError, match="source"):
             run(grid_road(10, 10), source=source, mode=mode, num_workers=2)
+
+    @pytest.mark.parametrize("source", [-1, 100, None, 2.5, True], ids=repr)
+    def test_baseline_source_outside_the_graph_rejected(self, source):
+        """Not an all-``inf`` result: one ValueError naming ``source``."""
+        with pytest.raises(ValueError, match="source"):
+            run_sssp_pregel(grid_road(10, 10), source=source, num_workers=2)
+
+    @pytest.mark.parametrize(
+        "run, name",
+        [
+            (lambda g: run_scc(g, variant="bogus", num_workers=2), "variant"),
+            (lambda g: run_sv_pregel(g, mode="bogus", num_workers=2), "mode"),
+            (lambda g: run_pointer_jumping_pregel(g, mode="bogus", num_workers=2), "mode"),
+        ],
+        ids=["scc-variant", "sv-pregel-mode", "pj-pregel-mode"],
+    )
+    def test_unknown_choice_names_its_argument(self, directed_graph, run, name):
+        """Not a bare ``KeyError``: one ValueError naming the argument."""
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+            run(directed_graph)
 
     def test_stream_source_outside_the_graph_rejected(self):
         with pytest.raises(ValueError, match="source"):

@@ -331,6 +331,19 @@ if grep -Pzo "def (run_epoch|run)\([^)]*\brefresh\b" src/repro/streaming/epoch.p
   exit 1
 fi
 '''),
+    # a parametrized program is bound one way, as data that pickles, and
+    # the Pregel+ baseline is a factory run by the one engine, not an
+    # engine class of its own
+    ("A program factory is a class or a ProgramSpec", r'''
+if grep -rnE --include="*.py" "\btype\([^()]+," src/repro | grep -v "^src/repro/core/program.py:"; then
+  echo "a three-argument type( may appear under src/repro only in core/program.py"
+  exit 1
+fi
+if grep -rnE --include="*.py" "PregelPlusEngine|make_sv_program|make_sssp_program" src; then
+  echo "'PregelPlusEngine', 'make_sv_program' and 'make_sssp_program' must not appear under src"
+  exit 1
+fi
+'''),
 ]
 
 

@@ -1,11 +1,13 @@
-"""Unit tests for the Pregel+ baseline engine itself."""
+"""Unit tests for the Pregel+ baseline: its message layer, run through
+``pregel_plus`` on the one engine."""
 
 import numpy as np
 import pytest
 
 from repro.core.combiner import MIN_I64, SUM_I64
 from repro.graph.graph import Graph
-from repro.pregel import PregelPlusEngine, PregelProgram
+from repro.core import ChannelEngine
+from repro.pregel import PregelProgram, pregel_plus
 from repro.runtime.serialization import INT64, struct_codec, INT32
 from helpers import line_graph
 
@@ -32,7 +34,7 @@ class Echo(PregelProgram):
 
 class TestBasicMode:
     def test_message_lists_without_combiner(self):
-        res = PregelPlusEngine(line_graph(4), Echo, num_workers=2).run()
+        res = ChannelEngine(line_graph(4), pregel_plus(Echo), num_workers=2).run()
         assert res.data[0] == [0, 1, 2, 3]
 
     def test_combined_delivery(self):
@@ -46,7 +48,7 @@ class TestBasicMode:
                     self.got[v.id] = messages  # scalar, already combined
                 v.vote_to_halt()
 
-        res = PregelPlusEngine(line_graph(4), P, num_workers=2).run()
+        res = ChannelEngine(line_graph(4), pregel_plus(P), num_workers=2).run()
         assert res.data[0] == 10
 
     def test_no_message_is_none_with_combiner(self):
@@ -65,7 +67,7 @@ class TestBasicMode:
             def finalize(self):
                 return self.seen
 
-        res = PregelPlusEngine(line_graph(3), P, num_workers=2).run()
+        res = ChannelEngine(line_graph(3), pregel_plus(P), num_workers=2).run()
         assert all(v is None for v in res.data.values())
 
     def test_structured_monolithic_type(self):
@@ -88,12 +90,12 @@ class TestBasicMode:
             def finalize(self):
                 return self.got
 
-        res = PregelPlusEngine(line_graph(3), P, num_workers=2).run()
+        res = ChannelEngine(line_graph(3), pregel_plus(P), num_workers=2).run()
         assert res.data[0] == [(7, 0), (7, 1), (7, 2)]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            PregelPlusEngine(line_graph(2), Echo, mode="turbo")
+            pregel_plus(Echo, mode="turbo")
 
     def test_request_outside_reqresp_mode_rejected(self):
         class P(PregelProgram):
@@ -101,7 +103,7 @@ class TestBasicMode:
                 v.request(0)
 
         with pytest.raises(RuntimeError, match="reqresp"):
-            PregelPlusEngine(line_graph(2), P, mode="basic", num_workers=1).run()
+            ChannelEngine(line_graph(2), pregel_plus(P, mode="basic"), num_workers=1).run()
 
     def test_aggregate_without_declaration_rejected(self):
         class P(PregelProgram):
@@ -109,7 +111,7 @@ class TestBasicMode:
                 self.aggregate(1)
 
         with pytest.raises(RuntimeError, match="aggregator"):
-            PregelPlusEngine(line_graph(2), P, num_workers=1).run()
+            ChannelEngine(line_graph(2), pregel_plus(P), num_workers=1).run()
 
 
 class TestAggregator:
@@ -132,7 +134,7 @@ class TestAggregator:
             def finalize(self):
                 return {"seen": self.seen} if self.seen else {}
 
-        res = PregelPlusEngine(line_graph(5), P, num_workers=2).run()
+        res = ChannelEngine(line_graph(5), pregel_plus(P), num_workers=2).run()
         assert res.data["seen"] == [None, 5]
 
 
@@ -157,8 +159,8 @@ class TestReqRespMode:
                 v.vote_to_halt()
 
         part = np.array([0, 1, 1, 1])
-        engine = PregelPlusEngine(
-            line_graph(4), P, num_workers=2, partition=part, mode="reqresp"
+        engine = ChannelEngine(
+            line_graph(4), pregel_plus(P, mode="reqresp"), num_workers=2, partition=part
         )
         res = engine.run()
         # all of worker 1's requests for vertex 0 dedup to one wire id;
@@ -186,11 +188,10 @@ class TestReqRespMode:
             def finalize(self):
                 return {f"w{self.worker.worker_id}": self.computed}
 
-        res = PregelPlusEngine(
+        res = ChannelEngine(
             line_graph(3),
-            P,
+            pregel_plus(P, mode="reqresp"),
             num_workers=1,
-            mode="reqresp",
         ).run()
         computed = res.data["w0"]
         # step 1: everyone; step 2: only vertex 0 (the requester) —
@@ -224,9 +225,9 @@ class TestGhostMode:
         g = star(10, center=0)
         part = np.zeros(10, dtype=np.int64)
         part[5:] = 1
-        basic = PregelPlusEngine(g, P, num_workers=2, partition=part, mode="basic").run()
-        ghost = PregelPlusEngine(
-            g, P, num_workers=2, partition=part, mode="ghost", ghost_threshold=3
+        basic = ChannelEngine(g, pregel_plus(P, mode="basic"), num_workers=2, partition=part).run()
+        ghost = ChannelEngine(
+            g, pregel_plus(P, mode="ghost", ghost_threshold=3), num_workers=2, partition=part
         ).run()
         assert basic.data == ghost.data
         assert ghost.metrics.total_net_bytes < basic.metrics.total_net_bytes
@@ -250,5 +251,5 @@ class TestGhostMode:
                 return self.got
 
         g = line_graph(4)  # max degree 2 < threshold
-        res = PregelPlusEngine(g, P, num_workers=2, mode="ghost", ghost_threshold=16).run()
+        res = ChannelEngine(g, pregel_plus(P, mode="ghost", ghost_threshold=16), num_workers=2).run()
         assert res.data[1] == [5, 5]

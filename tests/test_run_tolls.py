@@ -26,6 +26,7 @@ from repro.algorithms.wcc import run_wcc
 from repro.core import ChannelEngine, lanes
 from repro.graph import rmat
 from repro.graph.generators import erdos_renyi
+from repro.pregel_algorithms import run_wcc_pregel
 from repro.streaming import EpochEngine, WCCStream, synthesize_stream
 from repro.streaming import epoch
 
@@ -111,7 +112,15 @@ def no_collection():
             gc.enable()
 
 
-def test_a_sim_run_frees_its_workers_by_refcount(monkeypatch, no_collection):
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: run_pagerank(g, variant="scatter", mode="bulk", num_workers=2)[0],
+        lambda g: run_wcc_pregel(g, num_workers=2)[0],
+    ],
+    ids=["pagerank", "wcc-pregel"],
+)
+def test_a_sim_run_frees_its_workers_by_refcount(run, monkeypatch, no_collection):
     refs = []
 
     class Watched(ChannelEngine):
@@ -120,9 +129,8 @@ def test_a_sim_run_frees_its_workers_by_refcount(monkeypatch, no_collection):
             refs.extend(weakref.ref(x) for x in (self.workers[0], self.workers[0].channels[0]))
 
     monkeypatch.setattr(_common, "ChannelEngine", Watched)
-    ranks, _ = run_pagerank(rmat(8, edge_factor=6, seed=5), variant="scatter", mode="bulk",
-                            num_workers=2)
-    assert ranks.size and len(refs) == 2
+    values = run(rmat(8, edge_factor=6, seed=5))
+    assert values.size and len(refs) == 2
     assert [ref() for ref in refs] == [None, None]
 
 
