@@ -73,30 +73,51 @@ __all__ = ["ScatterCombine"]
 
 #: edges one step of the per-superstep scan gathers: the lane scratch they
 #: land in is reused, so the scan allocates no per-edge temporary (0.5 MB
-#: of float64; a scan in 1 Mi-edge steps measured no faster)
+#: of float64 and as much of widened indices; a scan in 1 Mi-edge steps
+#: measured no faster)
 _BLOCK_EDGES = 1 << 16
+
+#: the longest segment the scan folds by its length class, not by
+#: ``reduceat``.  NumPy reduces a segment as its first value combined with
+#: the rest, and sums a rest of fewer than 8 values one by one, left to
+#: right; so up to here ``a ⊕ ((b ⊕ c) ⊕ …)`` is ``reduceat``'s bits for
+#: every ufunc, and past it a float sum is pairwise.  Not a knob: the
+#: number is NumPy's.
+_SHORT_SEGMENT = 8
 
 
 class _Scan:
-    """Fig. 5's linear pass over edges grouped by destination: per block
-    of whole segments, ``take`` each edge's sender value into a reused
-    scratch and ``reduceat`` the segments, one combined value each.  A
-    segment never spans two blocks, so the blocks change no bit.  The
-    sender scans the edges it combines with one; a receiver that folds
-    destinations along a peer's senders' rows scans them with another, and
-    folds the same values.
+    """Fig. 5's linear pass over edges grouped by destination, one
+    combined value per segment.  The sender scans the edges it combines
+    with one; a receiver that folds destinations along a peer's senders'
+    rows scans them with another, and folds the same values.
 
     A call takes ``size`` values: the first ``head`` pass through as they
-    are (a receiver's values the sender combined), and ``edge_src``
-    indexes the rest; ``starts`` are the segments' first edges.
+    are (a receiver's values the sender combined), and ``edge_src`` — the
+    senders' indices, ``uint32`` — indexes the rest; ``starts`` are the
+    segments' first edges.  A ``uint32`` ``edge_src`` is the scan's from
+    then on: it is rearranged where it lies.
 
-    The blocks are cut once into up to ``lanes`` runs of whole blocks,
-    about equal in edges, that fold at once (:func:`run_lanes`), each into
-    its own slice of the output from its lane's scratch: the segments, the
-    blocks and each fold's order are those of one lane, so every bit is
-    too.  A scan takes no more lanes than half its blocks, and a combiner
-    that folds in Python (no ufunc, or a ``reduceat`` of its own) keeps
-    one lane, where more would only trade the GIL."""
+    A segment of at most :data:`_SHORT_SEGMENT` edges folds with the
+    others of its length ``L`` (CSR-Adaptive's binning of rows by length):
+    its edges are a column of an ``(L, n)`` block, and the class folds as
+    ``L`` gathers of a row each and ``L - 1`` calls of the ufunc, with no
+    per-segment call — ``reduceat`` pays some 30 ns a segment, and most
+    segments are short.  The longer segments fold as blocks of whole
+    segments, each a ``take`` of the block's sender values into a reused
+    scratch and a ``reduceat``.  ``edge_src`` holds the long segments'
+    edges first, in segment order, then the classes' blocks, cut into
+    chunks of at most about :data:`_BLOCK_EDGES` edges; ``positions`` is
+    where each folded value goes (``None`` where the long segments are all
+    there is, in order).  A combiner that folds in Python (no ufunc, or a
+    ``reduceat`` of its own) folds every segment by ``reduceat``.
+
+    The blocks and chunks are dealt once into up to ``lanes`` runs about
+    equal in edges that fold at once (:func:`run_lanes`), each from its
+    lane's scratch: the segments and each one's fold are those of one
+    lane, so every bit is too.  A scan takes no more lanes than half its
+    blocks and chunks, and a Python fold keeps one lane, where more would
+    only trade the GIL."""
 
     def __init__(
         self,
@@ -108,61 +129,162 @@ class _Scan:
         lanes: int = 1,
     ):
         self.combiner = combiner
-        self.edge_src, self.starts, self.size, self.head = edge_src, starts, size, head
-        blocks = cut_blocks(np.append(starts, edge_src.size), _BLOCK_EDGES)
+        self.size, self.head, self.segments = size, head, starts.size
+        edge_src = edge_src.astype(np.uint32, copy=False)
+        bounds = np.append(starts, edge_src.size)
+        lengths = np.diff(bounds)
         native = combiner.ufunc is not None and type(combiner).reduceat is Combiner.reduceat
-        self.runs = [  # (blocks, the most edges and the most segments of one)
+        short = lengths <= _SHORT_SEGMENT
+        if native and short.any():
+            self.starts, self.positions, items = _bin(edge_src, bounds, lengths, short)
+        else:
+            self.starts, self.positions = starts, None
+            items = [(0, *block) for block in cut_blocks(bounds, _BLOCK_EDGES)]
+        self.edge_src = edge_src
+        self.runs = [  # (items, the most edges and the most segments of one)
             (
                 run,
-                max((hi - lo for _, _, lo, hi in run), default=0),
-                max((seg_hi - seg_lo for seg_lo, seg_hi, _, _ in run), default=0),
+                max((hi - lo for *_, lo, hi in run), default=0),
+                max((seg_hi - seg_lo for _, seg_lo, seg_hi, _, _ in run), default=0),
             )
-            for run in _cut_runs(blocks, lanes if native else 1)
+            for run in _cut_runs(items, lanes if native else 1)
         ]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         head = self.head
-        combined = np.empty(head + self.starts.size, dtype=values.dtype)
+        combined = np.empty(head + self.segments, dtype=values.dtype)
         combined[:head] = values[:head]
         senders, folded = values[head:], combined[head:]
         run_lanes([partial(self._fold, senders, folded, *run) for run in self.runs])
         return combined
 
     def _fold(
-        self, senders: np.ndarray, folded: np.ndarray, blocks: list, edges: int, segments: int
+        self, senders: np.ndarray, folded: np.ndarray, items: list, edges: int, segments: int
     ) -> None:
-        """Fold ``blocks`` into their slice of ``folded`` in the calling
-        lane's scratch: a block's gathered values, then its segments'
-        starts within it — no per-block temporary."""
+        """Fold ``items`` into ``folded`` in the calling lane's scratch: an
+        item's indices widened to ``intp`` (NumPy would widen a ``uint32``
+        index into a fresh temporary on every call), its gathered values,
+        a block's starts within it and, where ``positions`` spreads them,
+        its folded values — no per-item temporary."""
         dtype = self.combiner.codec.dtype
-        split = -(-edges * dtype.itemsize // 8) * 8  # (the starts' alignment)
-        scratch = lane_scratch(split + 8 * segments)
-        gathered = scratch[: edges * dtype.itemsize].view(dtype)
-        relative = scratch[split : split + 8 * segments].view(np.int64)
-        # mode="clip" only skips the bounds check the build did (with an
-        # ``out``, "raise" gathers into a copy first)
-        for seg_lo, seg_hi, lo, hi in blocks:
-            per_edge = np.take(
-                senders, self.edge_src[lo:hi], out=gathered[: hi - lo], mode="clip"
-            )
-            starts = np.subtract(self.starts[seg_lo:seg_hi], lo, out=relative[: seg_hi - seg_lo])
-            self.combiner.reduceat(per_edge, starts, out=folded[seg_lo:seg_hi])
+        width = -(-edges * dtype.itemsize // 8) * 8  # (keeps the starts aligned)
+        scratch = lane_scratch(8 * edges + width + (8 + dtype.itemsize) * segments)
+        index = scratch[: 8 * edges].view(np.intp)
+        gathered = scratch[8 * edges :][: edges * dtype.itemsize].view(dtype)
+        relative = scratch[8 * edges + width :][: 8 * segments].view(np.int64)
+        result = scratch[8 * edges + width + 8 * segments :][: segments * dtype.itemsize].view(dtype)
+
+        def take(indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+            wide = index[: indices.size]
+            np.copyto(wide, indices)
+            # mode="clip" only skips the bounds check the build did (with an
+            # ``out``, "raise" gathers into a copy first)
+            return np.take(senders, wide, out=out, mode="clip")
+
+        positions = self.positions
+        for rows, seg_lo, seg_hi, lo, hi in items:
+            n = seg_hi - seg_lo
+            if rows:
+                out = self._fold_class(take, self.edge_src[lo:hi], rows, gathered[:n], result[:n])
+            else:
+                per_edge = take(self.edge_src[lo:hi], gathered[: hi - lo])
+                starts = np.subtract(self.starts[seg_lo:seg_hi], lo, out=relative[:n])
+                if positions is None:
+                    self.combiner.reduceat(per_edge, starts, out=folded[seg_lo:seg_hi])
+                    continue
+                out = self.combiner.reduceat(per_edge, starts, out=result[:n])
+            wide = index[:n]
+            np.copyto(wide, positions[seg_lo:seg_hi])
+            folded[wide] = out
+
+    def _fold_class(
+        self, take, block: np.ndarray, rows: int, acc: np.ndarray, tmp: np.ndarray
+    ) -> np.ndarray:
+        """A chunk of ``rows``-edge segments, ``block`` its edges row by row
+        and ``take`` its gather: ``a ⊕ ((b ⊕ c) ⊕ …)`` over its columns,
+        into ``acc``."""
+        ufunc, n = self.combiner.ufunc, acc.size
+        row = [block[j * n : (j + 1) * n] for j in range(rows)]
+        if rows == 1:
+            return take(row[0], acc)
+        take(row[1], acc)
+        for j in range(2, rows):
+            ufunc(acc, take(row[j], tmp), out=acc)
+        return ufunc(take(row[0], tmp), acc, out=acc)
 
 
-def _cut_runs(blocks: list, lanes: int) -> list[list]:
-    """``blocks`` cut into consecutive runs about equal in edges, at most
-    ``lanes`` of them and at most half as many as blocks: a run ends
-    before the first block whose middle edge lies past its share."""
-    lanes = min(lanes, len(blocks) // 2)
+def _bin(
+    edge_src: np.ndarray, bounds: np.ndarray, lengths: np.ndarray, short: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int, int, int]]]:
+    """:class:`_Scan`'s layout of the segments ``bounds`` cuts, whose
+    ``short`` ones fold by class: ``edge_src`` rearranged where it lies into
+    the long segments' edges, then the classes' chunks (the short
+    segments' edges are held twice only while they move), and ``(the long
+    segments' starts, positions, fold items)``.  An item is ``(rows,
+    first, end, lo, hi)``: ``rows`` is a chunk's ``L``, 0 for a block of
+    long segments, ``first:end`` a range of ``positions`` and ``lo:hi``
+    of ``edge_src``."""
+    # the segments by class, each class in segment order: the long ones
+    # (class 0) first (a stable sort of byte keys is a radix sort)
+    classes = np.where(short, lengths, 0).astype(np.uint8)
+    positions = np.argsort(classes, kind="stable").astype(np.uint32)
+    ends = np.cumsum(np.bincount(classes, minlength=_SHORT_SEGMENT + 1)).tolist()
+    chunks = []
+    binned = np.empty(int(lengths[short].sum()), dtype=np.uint32)
+    at = 0
+    for rows in range(1, _SHORT_SEGMENT + 1):
+        step = max(1, _BLOCK_EDGES // rows)
+        for first in range(ends[rows - 1], ends[rows], step):
+            last = min(first + step, ends[rows])
+            block = binned[at : at + rows * (last - first)].reshape(rows, last - first)
+            block[...] = edge_src[bounds[positions[first:last]] + np.arange(rows)[:, None]]
+            chunks.append((rows, first, last, at, at + block.size))
+            at += block.size
+    end = _keep_segments(edge_src, bounds, lengths, ~short)
+    edge_src[end:] = binned
+    starts = np.zeros(ends[0], dtype=np.int64)
+    np.cumsum(lengths[~short][:-1], out=starts[1:])
+    blocks = cut_blocks(np.append(starts, end), _BLOCK_EDGES)
+    return starts, positions, [(0, *block) for block in blocks] + [
+        (rows, first, last, end + lo, end + hi) for rows, first, last, lo, hi in chunks
+    ]
+
+
+def _cut_runs(items: list, lanes: int) -> list[list]:
+    """``items`` dealt into runs about equal in edges, at most ``lanes``
+    of them and at most half as many as items: each item in turn goes to
+    the run with the fewest edges so far.  Consecutive items land in
+    different runs, so each run gets a share of the long segments' blocks
+    and of the classes' chunks, which cost unlike amounts an edge."""
+    lanes = min(lanes, len(items) // 2)
     if lanes <= 1:
-        return [blocks]
-    sizes = np.array([hi - lo for _, _, lo, hi in blocks])
-    middles = np.cumsum(sizes) - sizes / 2
-    cuts = np.searchsorted(middles, sizes.sum() * np.arange(1, lanes) / lanes)
-    # the cuts never decrease: a set dedupes them (np.unique would import
-    # numpy.ma, a one-off 14 ms no run otherwise needs)
-    cuts = sorted(set(np.clip(cuts, 1, len(blocks) - 1).tolist()))
-    return [blocks[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(blocks)])]
+        return [items]
+    runs, loads = [[] for _ in range(lanes)], [0] * lanes
+    for item in items:
+        lane = loads.index(min(loads))
+        runs[lane].append(item)
+        loads[lane] += item[4] - item[3]
+    return runs
+
+
+def _keep_segments(
+    edge_src: np.ndarray, bounds: np.ndarray, lengths: np.ndarray, keep: np.ndarray
+) -> int:
+    """Move the edges of the segments ``keep`` keeps down inside
+    ``edge_src``, a block of segments at a time, and return how many there
+    are: no mask over all the edges and no second edge array."""
+    end = 0
+    for seg_lo, seg_hi, lo, hi in cut_blocks(bounds, _BLOCK_EDGES):
+        kept = keep[seg_lo:seg_hi]
+        if kept.all():
+            if end != lo:  # a forward copy within one array: NumPy moves it as memmove
+                edge_src[end : end + hi - lo] = edge_src[lo:hi]
+            end += hi - lo
+        elif kept.any():
+            moved = edge_src[lo:hi][np.repeat(kept, lengths[seg_lo:seg_hi])]
+            edge_src[end : end + moved.size] = moved
+            end += moved.size
+    return end
 
 
 class ScatterCombine(ScatterEdges, StaticPattern, Channel):
@@ -226,7 +348,8 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             lengths = np.diff(bounds)
             keep = self._cover(select, bounds, lengths, edge_src)
             if not keep.all():  # the segments the peers fold
-                edge_src = self._drop(edge_src, bounds, lengths, keep)
+                # the kept edges, and edge_src shrunk to them where it lies
+                edge_src.resize(_keep_segments(edge_src, bounds, lengths, keep), refcheck=False)
                 lengths = lengths[keep]
                 starts = np.zeros(lengths.size, dtype=starts.dtype)
                 np.cumsum(lengths[:-1], out=starts[1:])
@@ -345,28 +468,6 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             blocked = seg_lengths[seg_lo:seg_hi]
             edges = expand_ranges(bounds[sel[seg_lo:seg_hi]], blocked)
             yield seg_lo, seg_hi, edge_src[edges], blocked, offsets[seg_lo:seg_hi] - lo
-
-    @staticmethod
-    def _drop(
-        edge_src: np.ndarray, bounds: np.ndarray, lengths: np.ndarray, keep: np.ndarray
-    ) -> np.ndarray:
-        """``edge_src`` without the edges of the segments ``keep`` drops.
-        A block of segments at a time, the kept edges move down inside
-        ``edge_src``, which then shrinks where it lies: no mask over all
-        the edges and no second edge array."""
-        end = 0
-        for seg_lo, seg_hi, lo, hi in cut_blocks(bounds, _BLOCK_EDGES):
-            kept = keep[seg_lo:seg_hi]
-            if kept.all():
-                if end != lo:  # a forward copy within one array: NumPy moves it as memmove
-                    edge_src[end : end + hi - lo] = edge_src[lo:hi]
-                end += hi - lo
-            elif kept.any():
-                moved = edge_src[lo:hi][np.repeat(kept, lengths[seg_lo:seg_hi])]
-                edge_src[end : end + moved.size] = moved
-                end += moved.size
-        edge_src.resize(end, refcheck=False)
-        return edge_src
 
     def _select(self, owners: np.ndarray) -> list[slice | np.ndarray]:
         """Per peer, the positions of its destinations among the sorted

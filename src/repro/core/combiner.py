@@ -12,6 +12,7 @@ tests assert them for all built-ins.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,9 +130,11 @@ _I64_MIN = np.iinfo(np.int64).min
 _I32_MAX = int(np.iinfo(np.int32).max)
 _I32_MIN = int(np.iinfo(np.int32).min)
 
-SUM_F64 = Combiner(lambda a, b: a + b, 0.0, FLOAT64, np.add, "sum_f64")
-SUM_I64 = Combiner(lambda a, b: a + b, 0, INT64, np.add, "sum_i64")
-SUM_I32 = Combiner(lambda a, b: a + b, 0, INT32, np.add, "sum_i32")
+# (named functions, not lambdas: a built-in pickles, so a program that
+# holds one — a compiled Palgol spec — ships to a worker process)
+SUM_F64 = Combiner(operator.add, 0.0, FLOAT64, np.add, "sum_f64")
+SUM_I64 = Combiner(operator.add, 0, INT64, np.add, "sum_i64")
+SUM_I32 = Combiner(operator.add, 0, INT32, np.add, "sum_i32")
 MIN_F64 = Combiner(min, float("inf"), FLOAT64, np.minimum, "min_f64")
 MIN_I64 = Combiner(min, _I64_MAX, INT64, np.minimum, "min_i64")
 MIN_I32 = Combiner(min, _I32_MAX, INT32, np.minimum, "min_i32")

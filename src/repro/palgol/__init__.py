@@ -4,10 +4,11 @@ The paper's conclusion names its future work: *"we are going to study
 the compilation from a high-level declarative domain-specific language
 Palgol [34] to our system."*  This package is a working miniature of that
 pipeline: algorithm specifications written as a small expression AST
-(:mod:`repro.palgol.ast`) are compiled into
-:class:`~repro.core.program.VertexProgram` subclasses
-(:mod:`repro.palgol.compiler`), with the compiler choosing channels the
-way Section III-C describes a human would:
+(:mod:`repro.palgol.ast`) are compiled into program factories — a
+:class:`~repro.core.program.ProgramSpec` of the one
+:class:`~repro.palgol.compiler.PalgolProgram`, which pickles to a worker
+process (:mod:`repro.palgol.compiler`) — with the compiler choosing
+channels the way Section III-C describes a human would:
 
 ====================================  =================================
 pattern in the spec                    channel chosen (optimize=True)

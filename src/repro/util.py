@@ -156,21 +156,29 @@ def group_by_key(
     resident); otherwise a different count is a ``ValueError``.  When the
     values are non-decreasing throughout (the rows of a CSR, numbered),
     one in-place sort of that buffer is the order: the sorted buffer's high
-    words are the keys, and the buffer itself, masked to its low words, is
-    the grouped values — no permutation is built or applied.  Within a key
+    words are the keys and its low words the grouped values — no
+    permutation is built or applied.  Within a key
     the stable order keeps the values non-decreasing, which is the order
     of the sorted pairs, and equal pairs are interchangeable.  Any other
     input, and bounds too wide for a 32-bit word each, go through
     :func:`stable_order`.
 
     ``values`` may be a narrower integer column (a ``uint32`` row numbering
-    is folded into the pairs as it is); the grouped values are ``int64`` on
-    either route, the index width ``np.take`` wants.
+    is folded into the pairs as it is).  Where the bounds fit the packed
+    pairs, the grouped values are ``uint32``, 4 B a pair: on the sorted
+    route they are the buffer's low words, moved to its front and the
+    buffer shrunk to them where it lies, so no second edge-length column
+    is ever held.  Bounds too wide for that give ``int64``.
     """
     packable = key_bound <= 1 << 31 and value_bound <= 1 << 32
-    # explicitly little-endian, so the odd 32-bit words of a pair are its key
-    keys = np.empty(num_pairs, dtype="<i8")
-    values = None if packable else np.empty(num_pairs, dtype=np.int64)
+    # one buffer of 32-bit words, owned as such so that it can shrink to
+    # the grouped values where it lies; its pairs, explicitly
+    # little-endian, have their key in the odd word
+    if packable:
+        words = np.empty(2 * num_pairs, dtype="<u4")
+        keys, values = words.view("<i8"), None
+    else:
+        keys, values = np.empty(num_pairs, dtype=np.int64), np.empty(num_pairs, dtype=np.int64)
     ordered, last, end = True, 0, 0
     for block_keys, block_values in blocks:
         start, end = end, end + len(block_keys)
@@ -189,20 +197,38 @@ def group_by_key(
         if exact:
             raise ValueError(f"blocks held {end} pairs, not the {num_pairs} announced")
         # nothing else references the buffers: shrink them where they lie
-        keys.resize(end, refcheck=False)
-        if values is not None:
+        if packable:
+            del keys
+            words.resize(2 * end, refcheck=False)
+            keys = words.view("<i8")
+        else:
+            keys.resize(end, refcheck=False)
             values.resize(end, refcheck=False)
     if packable and ordered:
         keys.sort()
-        uniq, starts = group_starts(keys.view("<u4")[1::2])
-        keys &= 0xFFFFFFFF
-        return uniq.astype(np.int64), starts, keys
+        del keys
+        uniq, starts = group_starts(words[1::2])
+        return uniq.astype(np.int64), starts, _low_words(words, end)
     if packable:
-        values = keys & 0xFFFFFFFF
+        values = words[0::2].copy()
         keys >>= 32
     order, sorted_keys = stable_order(keys, key_bound)
     uniq, starts = group_starts(sorted_keys)
     return uniq, starts, values[order]
+
+
+def _low_words(words: np.ndarray, count: int) -> np.ndarray:
+    """The even words of the first ``count`` pairs in ``words``, moved to
+    its front a block at a time, and ``words`` shrunk to them where it
+    lies.  Only the first block overlaps its source (NumPy copies that
+    one through a temporary); after it a block's words lie wholly past
+    the front they move to."""
+    step = 1 << 16
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        words[lo:hi] = words[2 * lo : 2 * hi : 2]
+    words.resize(count, refcheck=False)
+    return words
 
 
 def csr_group(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

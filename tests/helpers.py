@@ -1,6 +1,6 @@
 """Shared test utilities: serial oracles, tiny graph fixtures, the
-resident-set probe of process-backend workers, and the seam that picks
-the process backend's frame mover."""
+resident-set probe of process-backend workers, the seam that picks the
+process backend's frame mover, and a scatter scan's segments in order."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ __all__ = [
     "rss_growth",
     "MOVERS",
     "mover",
+    "scan_segments",
 ]
 
 #: the process backend's two frame movers
@@ -168,3 +169,25 @@ def rss_growth(workers: int, run) -> dict[int, float]:
     assert not sampler.is_alive()
     assert sorted(peak) == list(range(workers))
     return {w: peak[w] - first[w] for w in peak}
+
+
+def scan_segments(scan) -> tuple[np.ndarray, np.ndarray]:
+    """``(senders, starts)`` of a scatter ``_Scan`` in segment order — the
+    grouped edges it was built from — read back from its layout: its long
+    segments' blocks and its length classes' ``(L, n)`` chunks."""
+    segments: list = [None] * scan.segments
+    positions = np.arange(scan.segments) if scan.positions is None else scan.positions
+    for run, *_ in scan.runs:
+        for rows, seg_lo, seg_hi, lo, hi in run:
+            edges = scan.edge_src[lo:hi].astype(np.int64)
+            if rows:
+                columns = edges.reshape(rows, seg_hi - seg_lo).T
+            else:
+                bounds = [*scan.starts[seg_lo:seg_hi].tolist(), hi]
+                columns = [edges[a - lo : b - lo] for a, b in zip(bounds, bounds[1:])]
+            for position, column in zip(positions[seg_lo:seg_hi].tolist(), columns):
+                segments[position] = column
+    lengths = np.array([column.size for column in segments], dtype=np.int64)
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return np.concatenate([*segments, np.empty(0, np.int64)]), starts

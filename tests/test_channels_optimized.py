@@ -29,6 +29,7 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.core import combiner as combiner_module
 from repro.core.adjacency import build_local_csr
 from repro.core.combiner import make_combiner
 from repro.core.channels import _edges, scatter_combine
@@ -38,7 +39,7 @@ from repro.graph.partition import hash_partition, range_partition
 from repro.graph.store import MmapStore
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32, INT64
-from helpers import line_graph, two_triangles
+from helpers import line_graph, scan_segments, two_triangles
 from test_static_pattern import split
 
 
@@ -266,10 +267,11 @@ class TestScatterCombineBuild:
         arguments) and the positions of its values in destination order (a
         slice or an index array)."""
         ch._build()
-        positions = np.arange(ch._scan.starts.size)
+        senders, starts = scan_segments(ch._scan)
+        positions = np.arange(starts.size)
         return (
-            ch._scan.edge_src.tolist(),
-            ch._scan.starts.tolist(),
+            senders.tolist(),
+            starts.tolist(),
             [{form: np.asarray(part).tolist() for form, part in w.items()} for w in ch._words],
             [positions[sel].tolist() for sel in ch._peer_select],
         )
@@ -584,8 +586,9 @@ class TestScatterCombineBuild:
         ):
             ch.serialize()
         expected = {}
-        if ch._scan.edge_src.size:
-            whole = combiner.ufunc.reduceat(ch._values[ch._scan.edge_src], ch._scan.starts)
+        senders, starts = scan_segments(ch._scan)
+        if senders.size:
+            whole = combiner.ufunc.reduceat(ch._values[senders], starts)
             uniq = np.unique(np.asarray(dst, dtype=np.int64))
             owners = worker.owner[uniq]
             for peer in range(worker.num_workers):
@@ -620,17 +623,114 @@ class TestScatterCombineBuild:
         with mock.patch.object(scatter_combine, "_BLOCK_EDGES", 4):
             ch, sent, expected = self._scan(worker, combiner, src, dst, values)
         assert sent == expected
-        # blocks tile the segments, whole, and each run's scratch is sized
-        # by its longest block and its block of most segments
-        bounds = ch._scan.starts.tolist() + [len(edges)]
-        blocks = [block for run, *_ in ch._scan.runs for block in run]
-        cuts = [block[0] for block in blocks] + [ch._scan.starts.size]
-        assert cuts[0] == 0 and [block[1] for block in blocks] == cuts[1:]
-        for run, most_edges, most_segments in ch._scan.runs:
-            for seg_lo, seg_hi, lo, hi in run:
-                assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
+        # the long segments' blocks, then the length classes' chunks, tile
+        # the segments and the edges, whole; each run's scratch is sized by
+        # its item of most edges and its item of most segments
+        scan = ch._scan
+        items = sorted((item for run, *_ in scan.runs for item in run), key=lambda item: item[1])
+        assert [item[1] for item in items] + [scan.segments] == [0] + [item[2] for item in items]
+        assert [item[3] for item in items] + [len(edges)] == [0] + [item[4] for item in items]
+        short = scatter_combine._SHORT_SEGMENT
+        long_end = min([lo for rows, _, _, lo, _ in items if rows], default=len(edges))
+        bounds = scan.starts.tolist() + [long_end]
+        if scan.positions is not None:  # (else no segment is short)
+            assert (np.diff(bounds) > short).all()
+        for run, most_edges, most_segments in scan.runs:
+            for rows, seg_lo, seg_hi, lo, hi in run:
+                if rows:  # a class chunk: seg_hi - seg_lo segments of `rows` edges
+                    assert 1 <= rows <= short and hi - lo == rows * (seg_hi - seg_lo)
+                else:
+                    assert (lo, hi) == (bounds[seg_lo], bounds[seg_hi])
                 assert hi - lo <= 4 or seg_hi == seg_lo + 1
                 assert hi - lo <= most_edges and seg_hi - seg_lo <= most_segments
+
+    # -- the fold by length class, against reduceat ----------------------------------
+    #: every built-in combiner, each over the dtype its codec takes
+    BUILTINS = [
+        getattr(combiner_module, f"{op}_{kind}")
+        for op in ("SUM", "MIN", "MAX")
+        for kind in ("F64", "I64", "I32")
+    ]
+    #: floats where a fold's order shows: signed zeros, infinities,
+    #: subnormals, and magnitudes far apart
+    SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, 1e16, -1e16]
+
+    @staticmethod
+    @st.composite
+    def _fold_cases(draw, dtype, nan=False):
+        """``(edge_src, starts, values, head)``: segments of 1–40 edges — none
+        at all, or all singletons, among them — over a few senders, and
+        the per-call values, ``head`` of them passed through."""
+        lengths = draw(
+            st.one_of(
+                st.just([]),
+                st.lists(st.just(1), min_size=1, max_size=20),
+                st.lists(st.integers(1, 40), min_size=1, max_size=12),
+            )
+        )
+        head, senders = draw(st.integers(0, 3)), draw(st.integers(1, 12))
+        edge_src = np.array(
+            draw(st.lists(st.integers(0, senders - 1), min_size=sum(lengths), max_size=sum(lengths))),
+            dtype=np.int64,
+        )
+        starts = np.zeros(len(lengths), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        if dtype.kind == "f":
+            pool = TestScatterCombineBuild.SPECIAL_FLOATS + ([np.nan, -np.nan] if nan else [])
+            value = st.one_of(st.sampled_from(pool), st.floats(allow_nan=nan, width=64))
+        else:
+            info = np.iinfo(dtype)
+            value = st.one_of(st.sampled_from([0, 1, -1, info.min, info.max]), st.integers(info.min, info.max))
+        values = np.array(draw(st.lists(value, min_size=head + senders, max_size=head + senders)), dtype=dtype)
+        return edge_src, starts, values, head
+
+    @staticmethod
+    def _folds(combiner, edge_src, starts, values, head):
+        """The scan's output at one and at two lanes (4-edge blocks, so
+        two lanes have items to share), and ``reduceat`` over ``int64``
+        indices with ``head`` passed through."""
+        expected = values[:head].copy()
+        with np.errstate(all="ignore"), mock.patch.object(scatter_combine, "_BLOCK_EDGES", 4):
+            if starts.size:
+                out = np.empty(starts.size, dtype=values.dtype)  # (as the scan's output)
+                whole = combiner.reduceat(values[head:][edge_src], starts, out=out)
+                expected = np.concatenate((expected, whole))
+            got = [
+                scatter_combine._Scan(combiner, edge_src.astype(np.uint32), starts, values.size, head, lanes=k)(values)
+                for k in (1, 2)
+            ]
+        return got, expected
+
+    # (overflow and inf - inf warn from the lane thread, which does not
+    # share the caller's np.errstate)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("combiner", BUILTINS, ids=repr)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    # a left fold ((a ⊕ b) ⊕ c) sums this to 0.0; reduceat's a ⊕ (b ⊕ c) to 1.0
+    @example(data=None)
+    def test_the_class_fold_is_reduceat_bit_for_bit(self, combiner, data):
+        dtype = combiner.codec.dtype
+        if data is None:
+            values = [1.0, 1e16, -1e16] if dtype.kind == "f" else [1, 2, 3]
+            case = (np.array([0, 1, 2]), np.array([0]), np.array(values, dtype=dtype), 0)
+        else:
+            case = data.draw(self._fold_cases(dtype))
+        got, expected = self._folds(combiner, *case)
+        for folded in got:
+            assert folded.dtype == expected.dtype and folded.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("combiner", [c for c in BUILTINS if c.codec.dtype.kind == "f"], ids=repr)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_nan_inputs_fold_to_nan_where_reduceat_does(self, combiner, data):
+        """Where a NaN takes part only its sign or payload may differ."""
+        got, expected = self._folds(combiner, *data.draw(self._fold_cases(combiner.codec.dtype, nan=True)))
+        nan = np.isnan(expected)
+        for folded in got:
+            np.testing.assert_array_equal(np.isnan(folded), nan)
+            assert folded[~nan].tobytes() == expected[~nan].tobytes()
 
     @STATIC_EDGE_CHANNELS
     def test_out_of_range_scalar_edge_fails_on_first_serialize(self, channel):
@@ -713,7 +813,7 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 named = self._named(worker, direction)
                 assert self._tables(named) == expected
-                assert named._scan.edge_src.dtype == np.int64
+                assert named._scan.edge_src.dtype == np.uint32
                 # ... and again from its snapshot, through the checkpoint codec
                 restored = ScatterCombine(worker, _table_combiner(direction))
                 restored.restore(decode_state(encode_state(named.snapshot())))
@@ -821,7 +921,7 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 assert self._mirror_tables(named) == expected
             assert any(e is not None for e in named._expanded) == (direction == "out")
-            assert named._scan.edge_src.dtype == np.int64  # indexes _values every superstep
+            assert named._scan.edge_src.dtype == np.uint32  # indexes _values every superstep
 
     @classmethod
     def _mirror_tables(cls, ch):
@@ -832,11 +932,14 @@ class TestAdjacencyRegistration:
     @SCATTER_EDGE_CHANNELS
     def test_build_holds_a_few_bytes_per_local_edge(self, channel):
         """tracemalloc's peak over an adjacency build on a hash partition,
-        per local edge: the 8 B of ``_scan.edge_src`` it keeps, a share of
-        the mirrored words, and one block at a time — never a full-length
-        copy of the edges (``MirroredScatter`` peaked at ≈ 55 B when it
-        copied the blocks into two columns to sort them per peer).  The
-        blocks are small, so that one block is not what is measured."""
+        per local edge: the 8 B packed pair each edge is sorted as, which
+        shrinks in place to the 4 B of ``_scan.edge_src`` it keeps, the
+        group boundaries' byte mask, and one block at a time — never a
+        full-length copy of the edges (``MirroredScatter`` peaked at ≈ 55 B
+        when it copied the blocks into two columns to sort them per peer;
+        both peaked at 14 B while the kept column was ``int64``, 10.1 B
+        since).  The blocks are small, so that one block is not what is
+        measured."""
         g = rmat(16, edge_factor=16, seed=7)
         engine = ChannelEngine(g, _Idle, num_workers=2, partition=hash_partition(g.num_vertices, 2))
         worker = engine.workers[0]
@@ -849,7 +952,7 @@ class TestAdjacencyRegistration:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 16 * num_edges
+        assert peak < 11 * num_edges
 
     @SCATTER_EDGE_CHANNELS
     def test_snapshot_size_does_not_depend_on_the_edge_count(self, channel):

@@ -331,9 +331,9 @@ if grep -Pzo "def (run_epoch|run)\([^)]*\brefresh\b" src/repro/streaming/epoch.p
   exit 1
 fi
 '''),
-    # a parametrized program is bound one way, as data that pickles, and
-    # the Pregel+ baseline is a factory run by the one engine, not an
-    # engine class of its own
+    # a parametrized program is bound one way, as data that pickles (a
+    # compiled Palgol spec included), and the Pregel+ baseline is a
+    # factory run by the one engine, not an engine class of its own
     ("A program factory is a class or a ProgramSpec", r'''
 if grep -rnE --include="*.py" "\btype\([^()]+," src/repro | grep -v "^src/repro/core/program.py:"; then
   echo "a three-argument type( may appear under src/repro only in core/program.py"
@@ -341,6 +341,10 @@ if grep -rnE --include="*.py" "\btype\([^()]+," src/repro | grep -v "^src/repro/
 fi
 if grep -rnE --include="*.py" "PregelPlusEngine|make_sv_program|make_sssp_program" src; then
   echo "'PregelPlusEngine', 'make_sv_program' and 'make_sssp_program' must not appear under src"
+  exit 1
+fi
+if grep -rnE --include="*.py" "^\s+class \w+\(\w*VertexProgram\)" src/repro; then
+  echo "a program class is defined at module level: one built inside a function does not pickle"
   exit 1
 fi
 '''),

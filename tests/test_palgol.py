@@ -2,6 +2,8 @@
 pipeline: declarative specs -> channel programs with automatic channel
 selection)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,12 @@ from repro.palgol import (
     If,
     Let,
     Lt,
+    Mul,
     NeighborReduce,
     PalgolSpec,
     RemoteRead,
     RemoteUpdate,
+    Sub,
     Var,
     VertexId,
     compile_palgol,
@@ -35,6 +39,8 @@ from repro.palgol import (
     sv_spec,
     wcc_spec,
 )
+from repro.palgol.compiler import PalgolProgram
+from repro.runtime.parallel import WorkerPool
 from repro.runtime.serialization import FLOAT64
 from helpers import nx_components, line_graph
 
@@ -111,14 +117,9 @@ class TestOtherSpecs:
         assert res.supersteps <= 2 * 9
 
     def test_pagerank_matches_sink_free_reference(self):
+        """No ``codecs=``: ``rank`` is inferred ``float64``."""
         g = rmat(7, edge_factor=6, seed=3)
-        fields, _ = run_palgol(
-            pagerank_spec(iterations=8),
-            g,
-            optimize=True,
-            num_workers=4,
-            codecs={"rank": FLOAT64},
-        )
+        fields, _ = run_palgol(pagerank_spec(iterations=8), g, optimize=True, num_workers=4)
         n = g.num_vertices
         deg = g.out_degrees
         M = np.zeros((n, n))
@@ -140,6 +141,80 @@ class TestOtherSpecs:
         )
         # 2 supersteps per round (send, body) x 5 rounds + terminating step
         assert res.supersteps == 11
+
+
+class TestFieldTypes:
+    """A field's codec follows the values it is given; nothing defaults a
+    float field to ``int64`` (PageRank's ``1/N`` truncated to 0 when one did)."""
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (pagerank_spec(5), {"rank": np.float64}),
+            (sv_spec(), {"D": np.int64}),
+            (wcc_spec(), {"label": np.int64}),
+            (pointer_jumping_spec(), {"D": np.int64}),
+        ],
+        ids=["pagerank", "sv", "wcc", "pj"],
+    )
+    def test_library_specs(self, spec, expected):
+        codecs = compile_palgol(spec).attrs["codecs"]
+        assert {name: codec.dtype.type for name, codec in codecs.items()} == expected
+
+    def test_pagerank_without_codecs_is_not_all_zeros(self):
+        fields, _ = run_palgol(pagerank_spec(5), rmat(10, edge_factor=8, seed=7), num_workers=2)
+        assert fields["rank"].dtype == np.float64 and (fields["rank"] > 0).all()
+
+    def test_a_float_reaches_a_field_through_a_variable_and_another_field(self):
+        spec = PalgolSpec(
+            fields={"a": Const(0.5), "b": VertexId(), "c": Const(0)},
+            body=[
+                Let("t", Mul(Field("a"), Const(2))),
+                Assign("b", Add(Var("t"), Field("b"))),
+                Assign("c", Sub(Field("c"), Const(1))),
+            ],
+        )
+        with pytest.raises(CompileError, match="field 'b'"):
+            compile_palgol(spec)
+        spec = PalgolSpec(
+            fields={"a": Const(0.5), "b": Field("a"), "c": Const(0)},
+            body=[Assign("b", Mul(Field("b"), Const(2)))],
+        )
+        codecs = compile_palgol(spec).attrs["codecs"]
+        assert [codecs[name].dtype.type for name in "abc"] == [np.float64, np.float64, np.int64]
+
+    def test_int_and_float_values_of_one_field_are_a_compile_error(self):
+        spec = PalgolSpec(fields={"x": VertexId()}, body=[Assign("x", Div(Field("x"), Const(2)))])
+        with pytest.raises(CompileError, match="field 'x' is given both int and float"):
+            compile_palgol(spec)
+        # ... unless the caller names its codec
+        codecs = compile_palgol(spec, codecs={"x": FLOAT64}).attrs["codecs"]
+        assert codecs["x"] is FLOAT64
+
+
+class TestCompiledProgramIsAValue:
+    def test_it_pickles_with_its_spec_and_analysis(self):
+        program = compile_palgol(sv_spec())
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.base is PalgolProgram and clone.name == "Palgol_sv"
+        analysis = clone.attrs["analysis"]
+        assert analysis.spec is clone.attrs["spec"]
+        # the node lookup is redone against the unpickled nodes
+        assert analysis.index == {id(node): k for k, node in enumerate(analysis.reduces)} | {
+            id(node): k for k, node in enumerate(analysis.reads)
+        }
+
+    def test_twice_on_one_pool_matches_sim(self):
+        graph = rmat(8, edge_factor=4, seed=2, directed=False)
+        sim = run_palgol(sv_spec(), graph, num_workers=2)[0]["D"]
+        pool = WorkerPool(2)
+        try:
+            for _ in range(2):
+                got = run_palgol(sv_spec(), graph, num_workers=2, executor="process", pool=pool)
+                assert got[0]["D"].tobytes() == sim.tobytes()
+            assert pool.spawn_count == 2
+        finally:
+            pool.shutdown()
 
 
 class TestCompileErrors:

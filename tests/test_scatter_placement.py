@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MOVERS, mover
+from helpers import MOVERS, mover, scan_segments
 from repro.algorithms.pagerank import run_pagerank
 from repro.core import (
     ChannelEngine,
@@ -211,7 +211,8 @@ def test_each_peer_gets_at_most_the_fewer_of_its_destinations_and_senders(worker
         # blocks of a few edges: a peer's segments span many of them
         with mock.patch.object(scatter_combine, "_BLOCK_EDGES", data.draw(st.sampled_from([4, 1 << 16]))):
             channel._build()
-        lengths = np.diff(np.append(channel._scan.starts, channel._scan.edge_src.size))
+        senders, starts = scan_segments(channel._scan)
+        lengths = np.diff(np.append(starts, senders.size))
         for p in range(workers):
             into = (owner[src_all] == w) & (owner[dst_all] == p)
             if p == w or not into.any():

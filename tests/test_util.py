@@ -134,7 +134,10 @@ class TestGroupByKey:
         cuts = sorted(min(cut, keys.size) for cut in cuts)
         blocks = zip(np.split(keys, cuts), np.split(values, cuts), strict=True)
         uniq, starts, grouped = group_by_key(blocks, keys.size, key_bound, value_bound)
-        assert uniq.dtype == starts.dtype == grouped.dtype == np.int64
+        assert uniq.dtype == starts.dtype == np.int64
+        # the packed route's grouped values are its buffer's low words
+        packed = key_bound <= 2**31 and value_bound <= 2**32
+        assert grouped.dtype == (np.uint32 if packed else np.int64)
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
         assert grouped.tolist() == values[order].tolist()
@@ -208,7 +211,7 @@ class TestGroupByKey:
         narrow = group_by_key([(keys, values)], 400, 50, 2**32)
         assert len(routes) == (0 if sort_values else 2)
         for got, expected in zip(narrow, wide, strict=True):
-            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
 
     def test_uint32_values_are_never_widened_to_a_full_column(self):
         """The packed route holds one 8-byte word per pair (plus byte
