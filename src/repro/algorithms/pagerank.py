@@ -159,8 +159,10 @@ class _PageRankBulkBase(BulkVertexProgram):
     def _incoming_bulk(self) -> np.ndarray:
         raise NotImplementedError
 
-    # subclasses: scatter shares[i] along senders[i]'s out-edges
-    def _outgoing_bulk(self, adj, senders: np.ndarray, shares: np.ndarray) -> None:
+    # subclasses: scatter shares[i] along senders[i]'s degrees[i] out-edges
+    def _outgoing_bulk(
+        self, adj, senders: np.ndarray, degrees: np.ndarray, shares: np.ndarray
+    ) -> None:
         raise NotImplementedError
 
     def compute_bulk(self, active: np.ndarray) -> None:
@@ -181,13 +183,16 @@ class _PageRankBulkBase(BulkVertexProgram):
             self.rank[rows] = (1.0 - DAMPING) / n + DAMPING * (incoming[rows] + s)
         if self.step_num <= self.iterations:
             if everyone:
-                senders, degrees, dead = adj.degree_split
+                # (the split holds a mask of the rows with edges; indexing
+                # by a mask is several times slower than by its indices)
+                has_edges, degrees = adj.degree_split
+                senders, dead = np.flatnonzero(has_edges), np.flatnonzero(~has_edges)
             else:
                 deg = adj.degrees[active]
                 has_out = deg > 0
                 senders, degrees, dead = active[has_out], deg[has_out], active[~has_out]
             if senders.size:
-                self._outgoing_bulk(adj, senders, self.rank[senders] / degrees)
+                self._outgoing_bulk(adj, senders, degrees, self.rank[senders] / degrees)
             if dead.size:
                 self.agg.add_bulk(self.rank[dead])
         else:
@@ -207,9 +212,8 @@ class PageRankBasicBulk(_PageRankBulkBase):
     def _incoming_bulk(self) -> np.ndarray:
         return self.msg.get_messages()[0]
 
-    def _outgoing_bulk(self, adj, senders, shares) -> None:
-        dsts = adj.gather(senders)
-        self.msg.send_messages(dsts, np.repeat(shares, adj.degrees[senders]))
+    def _outgoing_bulk(self, adj, senders, degrees, shares) -> None:
+        self.msg.send_messages(adj.gather(senders), np.repeat(shares, degrees))
 
 
 class PageRankScatterBulk(_PageRankBulkBase):
@@ -223,7 +227,7 @@ class PageRankScatterBulk(_PageRankBulkBase):
     def _incoming_bulk(self) -> np.ndarray:
         return self.msg.get_messages()[0]
 
-    def _outgoing_bulk(self, adj, senders, shares) -> None:
+    def _outgoing_bulk(self, adj, senders, degrees, shares) -> None:
         self.msg.set_messages(senders, shares)
 
 

@@ -18,10 +18,13 @@ Directions:
 
 On undirected graphs all three directions coincide with ``"out"``.
 
-Only the row structure (``indptr``, ``degrees``) is built eagerly.  The
-edge columns are read from the global CSR when first asked for: a channel
-that streams the rows (:meth:`LocalCSR.blocks`) never makes a full-length
-copy of them, and neither does a program that reads only degrees.
+Only the row structure, ``indptr``, is built eagerly; every other
+per-row fact is derived from it.  The degrees are a column of their own
+only once a program indexes them (:attr:`LocalCSR.degrees`), and the
+edge columns are read from the global CSR when first asked for: a
+channel that streams the rows (:meth:`LocalCSR.blocks`) never makes a
+full-length copy of them, and neither does a program that reads only
+degrees.
 """
 
 from __future__ import annotations
@@ -101,14 +104,13 @@ class LocalCSR:
     weights:
         Optional per-edge weights aligned with ``indices``, read likewise.
     degrees:
-        ``(num_local,)`` row lengths (``np.diff(indptr)``).
+        ``(num_local,)`` row lengths (``np.diff(indptr)``), made on first
+        access and cached — for a program that indexes them every
+        superstep.
     """
 
-    def __init__(
-        self, store: GraphStore, indptr: np.ndarray, degrees: np.ndarray, parts: list[_Rows]
-    ) -> None:
+    def __init__(self, store: GraphStore, indptr: np.ndarray, parts: list[_Rows]) -> None:
         self.indptr = indptr
-        self.degrees = degrees
         self._store = store
         # one part, or ("both") the out-rows then the in-rows of every row
         self._parts = parts
@@ -118,6 +120,10 @@ class LocalCSR:
     @property
     def num_edges(self) -> int:
         return int(self.indptr[-1])
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     @cached_property
     def indices(self) -> np.ndarray:
@@ -146,7 +152,8 @@ class LocalCSR:
         starts = self.indptr[first:end] - self.indptr[first]
         values = np.empty(out.size + rev.size, dtype=out.dtype)
         values[expand_ranges(starts, deg_out)] = out
-        values[expand_ranges(starts + deg_out, self.degrees[first:end] - deg_out)] = rev
+        deg_in = np.diff(self.indptr[first : end + 1]) - deg_out
+        values[expand_ranges(starts + deg_out, deg_in)] = rev
         return values, [out_span, rev_span]
 
     def blocks(self, max_edges: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -167,32 +174,39 @@ class LocalCSR:
                 self._store.release(span)
 
     @cached_property
-    def degree_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows with edges, their degrees, rows without)``, ascending —
-        what a program whose every vertex is active would otherwise
-        recompute from ``degrees`` each superstep.  Static like the
-        adjacency itself, so it lives as long as the adjacency does."""
-        has_edges = self.degrees > 0
-        rows = np.flatnonzero(has_edges)
-        return rows, self.degrees[rows], np.flatnonzero(~has_edges)
+    def degree_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(mask of the rows with edges, their degrees)`` — what a
+        program whose every vertex is active would otherwise recompute
+        from ``degrees`` each superstep, in a byte a row and 8 B an edged
+        one (the rows without are ``~mask``).  Static like the adjacency
+        itself, so it lives as long as the adjacency does."""
+        degrees = np.diff(self.indptr)
+        has_edges = degrees > 0
+        return has_edges, degrees[has_edges]
 
     def row(self, local_idx: int) -> np.ndarray:
         """Destinations of one local vertex (a view)."""
         return self.indices[self.indptr[local_idx] : self.indptr[local_idx + 1]]
 
+    def _row_spans(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(first edge, degree)`` of ``rows``: local indices, or a
+        boolean mask over all rows."""
+        starts = self.indptr[:-1][rows]
+        return starts, self.indptr[1:][rows] - starts
+
     def _edge_positions(self, rows: np.ndarray) -> np.ndarray:
-        starts = self.indptr[rows]
-        return expand_ranges(starts, self.degrees[rows])
+        return expand_ranges(*self._row_spans(rows))
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
-        """Destinations of every edge of ``rows``, concatenated in row
-        order — the bulk analogue of looping ``v.edges`` over a frontier."""
+        """Destinations of every edge of ``rows`` (local indices or a mask
+        over all rows), concatenated in row order — the bulk analogue of
+        looping ``v.edges`` over a frontier."""
         return self.indices[self._edge_positions(rows)]
 
     def gather_weights(self, rows: np.ndarray) -> np.ndarray:
         """Edge weights aligned with :meth:`gather` (ones if unweighted)."""
         if self.weights is None:
-            return np.ones(int(self.degrees[rows].sum()))
+            return np.ones(int(self._row_spans(rows)[1].sum()))
         return self.weights[self._edge_positions(rows)]
 
 
@@ -217,4 +231,4 @@ def build_local_csr(graph: Graph, local_ids: np.ndarray, direction: str = "out")
         degrees = degrees + parts[1].degrees(0, local_ids.size)
     indptr = np.zeros(local_ids.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    return LocalCSR(graph.store, indptr, degrees, parts)
+    return LocalCSR(graph.store, indptr, parts)

@@ -146,7 +146,7 @@ class ScatterEdges(StaticEdges):
         num_vertices = self.worker.graph.num_vertices
         for row, row_end, dsts in adj.blocks(_BLOCK_EDGES):
             check_ids(self, "edge destination", dsts, num_vertices)
-            degrees = adj.degrees[row:row_end]
+            degrees = np.diff(adj.indptr[row : row_end + 1])
             yield np.repeat(np.arange(row, row_end, dtype=np.uint32), degrees), dsts
 
     def _whole_rows(self) -> bool:
@@ -164,7 +164,7 @@ class ScatterEdges(StaticEdges):
         adj = self.worker.local_adjacency("out")
         counts = np.bincount(src, minlength=self.worker.num_local)
         registered = counts > 0
-        if (counts[registered] != adj.degrees[registered]).any():
+        if (counts[registered] != np.diff(adj.indptr)[registered]).any():
             return False
         done = 0
         for senders, dsts in self._adjacency_blocks(adj):

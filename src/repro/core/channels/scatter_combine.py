@@ -67,7 +67,7 @@ from repro.core.combiner import Combiner
 from repro.core.lanes import lane_scratch, run_lanes
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.util import cut_blocks, expand_ranges, group_by_key
+from repro.util import cut_blocks, expand_ranges, group_by_key, index_dtype
 
 __all__ = ["ScatterCombine"]
 
@@ -94,9 +94,14 @@ class _Scan:
 
     A call takes ``size`` values: the first ``head`` pass through as they
     are (a receiver's values the sender combined), and ``edge_src`` — the
-    senders' indices, ``uint32`` — indexes the rest; ``starts`` are the
-    segments' first edges.  A ``uint32`` ``edge_src`` is the scan's from
-    then on: it is rearranged where it lies.
+    senders' indices, as wide as their bound ``size - head`` needs
+    (:func:`~repro.util.index_dtype`: ``uint16`` up to 2¹⁶ senders,
+    ``uint32`` past it) — indexes the rest; ``starts`` are the segments'
+    first edges.  An ``edge_src`` of that width is the scan's from then on:
+    it is rearranged where it lies.  Where ``keep`` is given, the scan is
+    over the segments it keeps only, and the one pass that lays them out
+    also drops the others' edges; ``edge_src`` then shrinks to the kept
+    edges where it lies, so it must own its data.
 
     A segment of at most :data:`_SHORT_SEGMENT` edges folds with the
     others of its length ``L`` (CSR-Adaptive's binning of rows by length):
@@ -127,19 +132,19 @@ class _Scan:
         size: int,
         head: int = 0,
         lanes: int = 1,
+        keep: np.ndarray | None = None,
     ):
         self.combiner = combiner
-        self.size, self.head, self.segments = size, head, starts.size
-        edge_src = edge_src.astype(np.uint32, copy=False)
+        edge_src = edge_src.astype(index_dtype(size - head), copy=False)
         bounds = np.append(starts, edge_src.size)
         lengths = np.diff(bounds)
         native = combiner.ufunc is not None and type(combiner).reduceat is Combiner.reduceat
-        short = lengths <= _SHORT_SEGMENT
-        if native and short.any():
-            self.starts, self.positions, items = _bin(edge_src, bounds, lengths, short)
-        else:
-            self.starts, self.positions = starts, None
-            items = [(0, *block) for block in cut_blocks(bounds, _BLOCK_EDGES)]
+        short = lengths <= _SHORT_SEGMENT if native else np.zeros(lengths.size, dtype=bool)
+        kept = lengths.size if keep is None else int(np.count_nonzero(keep))
+        self.size, self.head, self.segments = size, head, kept
+        self.starts, self.positions, items, end = _layout(edge_src, bounds, lengths, short, keep)
+        if end < edge_src.size:  # nothing else references it: shrink it where it lies
+            edge_src.resize(end, refcheck=False)
         self.edge_src = edge_src
         self.runs = [  # (items, the most edges and the most segments of one)
             (
@@ -162,7 +167,7 @@ class _Scan:
         self, senders: np.ndarray, folded: np.ndarray, items: list, edges: int, segments: int
     ) -> None:
         """Fold ``items`` into ``folded`` in the calling lane's scratch: an
-        item's indices widened to ``intp`` (NumPy would widen a ``uint32``
+        item's indices widened to ``intp`` (NumPy would widen a narrower
         index into a fresh temporary on every call), its gathered values,
         a block's starts within it and, where ``positions`` spreads them,
         its folded values — no per-item temporary."""
@@ -213,41 +218,69 @@ class _Scan:
         return ufunc(take(row[0], tmp), acc, out=acc)
 
 
-def _bin(
-    edge_src: np.ndarray, bounds: np.ndarray, lengths: np.ndarray, short: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int, int, int]]]:
-    """:class:`_Scan`'s layout of the segments ``bounds`` cuts, whose
-    ``short`` ones fold by class: ``edge_src`` rearranged where it lies into
-    the long segments' edges, then the classes' chunks (the short
-    segments' edges are held twice only while they move), and ``(the long
-    segments' starts, positions, fold items)``.  An item is ``(rows,
-    first, end, lo, hi)``: ``rows`` is a chunk's ``L``, 0 for a block of
-    long segments, ``first:end`` a range of ``positions`` and ``lo:hi``
-    of ``edge_src``."""
-    # the segments by class, each class in segment order: the long ones
-    # (class 0) first (a stable sort of byte keys is a radix sort)
+def _layout(
+    edge_src: np.ndarray,
+    bounds: np.ndarray,
+    lengths: np.ndarray,
+    short: np.ndarray,
+    keep: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None, list[tuple[int, int, int, int, int]], int]:
+    """:class:`_Scan`'s layout of the segments ``bounds`` cuts that
+    ``keep`` keeps (``None``: all), whose ``short`` ones fold by class, in
+    one pass over ``edge_src``: rearranged where it lies into the kept long
+    segments' edges, then the classes' chunks (the kept short segments'
+    edges are held twice only while they move), and ``(the long segments'
+    starts, positions, fold items, the edges kept)``.  An item is ``(rows, first,
+    end, lo, hi)``: ``rows`` is a chunk's ``L``, 0 for a block of long
+    segments, ``first:end`` a range of ``positions`` (of the kept
+    segments; ``None`` where the long segments are all there is, in
+    order) and ``lo:hi`` of ``edge_src``."""
+    long = ~short
+    if keep is not None:  # the kept segments of each kind
+        long &= keep
+        short = short & keep
+    if not short.any():
+        if long.all():  # nothing to move
+            starts, end = bounds[:-1], edge_src.size
+        else:
+            end = _keep_segments(edge_src, bounds, lengths, long)
+            starts = _starts(lengths[long])
+        blocks = cut_blocks(np.append(starts, end), _BLOCK_EDGES)
+        return starts, None, [(0, *block) for block in blocks], end
+    # the kept segments by class, each class in segment order: the long
+    # ones (class 0) first (a stable sort of byte keys is a radix sort),
+    # and where each one's edges start
     classes = np.where(short, lengths, 0).astype(np.uint8)
-    positions = np.argsort(classes, kind="stable").astype(np.uint32)
+    firsts = bounds
+    if keep is not None:
+        classes, firsts = classes[keep], bounds[:-1][keep]
+    positions = np.argsort(classes, kind="stable").astype(index_dtype(classes.size))
     ends = np.cumsum(np.bincount(classes, minlength=_SHORT_SEGMENT + 1)).tolist()
     chunks = []
-    binned = np.empty(int(lengths[short].sum()), dtype=np.uint32)
+    binned = np.empty(int(lengths[short].sum()), dtype=edge_src.dtype)
     at = 0
     for rows in range(1, _SHORT_SEGMENT + 1):
         step = max(1, _BLOCK_EDGES // rows)
         for first in range(ends[rows - 1], ends[rows], step):
             last = min(first + step, ends[rows])
             block = binned[at : at + rows * (last - first)].reshape(rows, last - first)
-            block[...] = edge_src[bounds[positions[first:last]] + np.arange(rows)[:, None]]
+            block[...] = edge_src[firsts[positions[first:last]] + np.arange(rows)[:, None]]
             chunks.append((rows, first, last, at, at + block.size))
             at += block.size
-    end = _keep_segments(edge_src, bounds, lengths, ~short)
-    edge_src[end:] = binned
-    starts = np.zeros(ends[0], dtype=np.int64)
-    np.cumsum(lengths[~short][:-1], out=starts[1:])
+    end = _keep_segments(edge_src, bounds, lengths, long)
+    edge_src[end : end + binned.size] = binned
+    starts = _starts(lengths[long])
     blocks = cut_blocks(np.append(starts, end), _BLOCK_EDGES)
     return starts, positions, [(0, *block) for block in blocks] + [
         (rows, first, last, end + lo, end + hi) for rows, first, last, lo, hi in chunks
-    ]
+    ], end + binned.size
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """The first edge of each of consecutive segments ``lengths`` long."""
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
 def _cut_runs(items: list, lanes: int) -> list[list]:
@@ -343,20 +376,20 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         owners = self.worker.owner[uniq_dst]
         select = self._select(owners)
         self._expanded = [None] * self.num_workers
+        keep = None
         if expandable:
             bounds = np.append(starts, self._num_edges)
-            lengths = np.diff(bounds)
-            keep = self._cover(select, bounds, lengths, edge_src)
-            if not keep.all():  # the segments the peers fold
-                # the kept edges, and edge_src shrunk to them where it lies
-                edge_src.resize(_keep_segments(edge_src, bounds, lengths, keep), refcheck=False)
-                lengths = lengths[keep]
-                starts = np.zeros(lengths.size, dtype=starts.dtype)
-                np.cumsum(lengths[:-1], out=starts[1:])
+            keep = self._cover(select, bounds, np.diff(bounds), edge_src)
+            if keep.all():
+                keep = None
+            else:  # the segments the peers fold
                 uniq_dst, owners = uniq_dst[keep], owners[keep]
                 select = self._select(owners)
         lanes = self.worker.engine.scan_lanes
-        self._scan = _Scan(self.combiner, edge_src, starts, self.worker.num_local, lanes=lanes)
+        # (one pass lays out the kept segments and drops the others' edges)
+        self._scan = _Scan(
+            self.combiner, edge_src, starts, self.worker.num_local, lanes=lanes, keep=keep
+        )
         self._peer_select = select
         if not self._announced:
             self._words = [

@@ -51,16 +51,18 @@ _dispatch = threading.Lock()
 
 
 def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
-    """A lane thread's life: run each call its inbox hands it and answer
-    ``None`` or the error it raised.  The call is dropped before the
-    answer goes out, since the caller may then free what the call holds."""
+    """A lane thread's life: run each call its inbox hands it, under the
+    floating-point error handling it came with, and answer ``None`` or the
+    error it raised.  The call is dropped before the answer goes out,
+    since the caller may then free what the call holds."""
     while True:
-        outbox.put(_answer(inbox.get()))
+        outbox.put(_answer(*inbox.get()))
 
 
-def _answer(call: Callable[[], None]) -> BaseException | None:
+def _answer(call: Callable[[], None], errstate: dict) -> BaseException | None:
     try:
-        call()
+        with np.errstate(**errstate):
+            call()
     except BaseException as error:  # the caller re-raises it
         return error
     return None
@@ -90,16 +92,18 @@ if hasattr(os, "register_at_fork"):
 
 def run_lanes(calls: Sequence[Callable[[], None]]) -> None:
     """Run ``calls`` at once — the first on the calling thread, the rest on
-    this process's lane threads — and return when all have; an error any
-    raised is raised here, the calling thread's first."""
+    this process's lane threads, each under the caller's ``np.geterr()``
+    as the first runs — and return when all have; an error any raised is
+    raised here, the calling thread's first."""
     first, *rest = calls
     if not rest:
         first()
         return
+    errstate = np.geterr()
     with _dispatch:
         lanes = _threads(len(rest))
         for (inbox, _), call in zip(lanes, rest):
-            inbox.put(call)
+            inbox.put((call, errstate))
         try:
             first()
         finally:

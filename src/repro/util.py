@@ -15,6 +15,7 @@ __all__ = [
     "expand_ranges",
     "group_by_key",
     "group_starts",
+    "index_dtype",
     "stable_order",
 ]
 
@@ -75,16 +76,43 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
+#: keys :func:`group_starts` compares at a time
+_STARTS_BLOCK = 1 << 16
+
+
 def group_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a sorted key array, return (unique keys, start index of each
-    group) — the inputs ``ufunc.reduceat`` wants."""
-    if sorted_keys.size == 0:
+    group) — the inputs ``ufunc.reduceat`` wants.  The unique keys keep the
+    keys' dtype.  The starts are found :data:`_STARTS_BLOCK` keys at a time
+    into one reused mask, so no boolean column as long as the keys is
+    ever held."""
+    n = sorted_keys.size
+    if n == 0:
         return sorted_keys[:0], np.empty(0, dtype=np.int64)
-    boundary = np.empty(sorted_keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
+    boundary = np.empty(min(n, _STARTS_BLOCK), dtype=bool)
+    found = []
+    for lo in range(0, n, _STARTS_BLOCK):
+        hi = min(lo + _STARTS_BLOCK, n)
+        mask = boundary[: hi - lo]
+        # each key against the one before it; the very first starts a group
+        if lo:
+            np.not_equal(sorted_keys[lo:hi], sorted_keys[lo - 1 : hi - 1], out=mask)
+        else:
+            mask[0] = True
+            np.not_equal(sorted_keys[1:hi], sorted_keys[: hi - 1], out=mask[1:])
+        starts = np.flatnonzero(mask)
+        starts += lo
+        found.append(starts)
+    starts = np.concatenate(found) if len(found) > 1 else found[0]
     return sorted_keys[starts], starts
+
+
+def index_dtype(bound: int) -> np.dtype:
+    """The narrowest of ``uint16`` and ``uint32`` that holds every index
+    in ``[0, bound)``; ``int64`` past both."""
+    if bound <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32 if bound <= 1 << 32 else np.int64)
 
 
 def cut_blocks(bounds: np.ndarray, block: int) -> list[tuple[int, int, int, int]]:
@@ -165,17 +193,22 @@ def group_by_key(
 
     ``values`` may be a narrower integer column (a ``uint32`` row numbering
     is folded into the pairs as it is).  Where the bounds fit the packed
-    pairs, the grouped values are ``uint32``, 4 B a pair: on the sorted
-    route they are the buffer's low words, moved to its front and the
-    buffer shrunk to them where it lies, so no second edge-length column
-    is ever held.  Bounds too wide for that give ``int64``.
+    pairs, the grouped values are the narrowest of ``uint16`` and
+    ``uint32`` that holds ``value_bound`` (:func:`index_dtype`): 2 or 4 B
+    a pair.  On the sorted route they are the buffer's low words, moved
+    to its front and the buffer shrunk to them where it lies, so no second
+    edge-length column is ever held, and the groups' starts are found a
+    block at a time (:func:`group_starts`).  Bounds too wide for that give
+    ``int64``.
     """
     packable = key_bound <= 1 << 31 and value_bound <= 1 << 32
-    # one buffer of 32-bit words, owned as such so that it can shrink to
-    # the grouped values where it lies; its pairs, explicitly
-    # little-endian, have their key in the odd word
+    # one buffer of words as wide as the grouped values, owned as such so
+    # that it can shrink to them where it lies; its pairs, explicitly
+    # little-endian, have their key in the high 32 bits
     if packable:
-        words = np.empty(2 * num_pairs, dtype="<u4")
+        width = index_dtype(value_bound).newbyteorder("<")
+        per = 8 // width.itemsize  # words a pair
+        words = np.empty(per * num_pairs, dtype=width)
         keys, values = words.view("<i8"), None
     else:
         keys, values = np.empty(num_pairs, dtype=np.int64), np.empty(num_pairs, dtype=np.int64)
@@ -199,7 +232,7 @@ def group_by_key(
         # nothing else references the buffers: shrink them where they lie
         if packable:
             del keys
-            words.resize(2 * end, refcheck=False)
+            words.resize(per * end, refcheck=False)
             keys = words.view("<i8")
         else:
             keys.resize(end, refcheck=False)
@@ -207,10 +240,10 @@ def group_by_key(
     if packable and ordered:
         keys.sort()
         del keys
-        uniq, starts = group_starts(words[1::2])
+        uniq, starts = group_starts(words.view("<u4")[1::2])
         return uniq.astype(np.int64), starts, _low_words(words, end)
     if packable:
-        values = words[0::2].copy()
+        values = words[0::per].copy()
         keys >>= 32
     order, sorted_keys = stable_order(keys, key_bound)
     uniq, starts = group_starts(sorted_keys)
@@ -218,15 +251,16 @@ def group_by_key(
 
 
 def _low_words(words: np.ndarray, count: int) -> np.ndarray:
-    """The even words of the first ``count`` pairs in ``words``, moved to
-    its front a block at a time, and ``words`` shrunk to them where it
-    lies.  Only the first block overlaps its source (NumPy copies that
-    one through a temporary); after it a block's words lie wholly past
-    the front they move to."""
+    """The low words of the first ``count`` 8-byte pairs in ``words`` (the
+    first word of each), moved to its front a block at a time, and
+    ``words`` shrunk to them where it lies.  Only the first block overlaps
+    its source (NumPy copies that one through a temporary); after it a
+    block's words lie wholly past the front they move to."""
+    per = 8 // words.itemsize
     step = 1 << 16
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        words[lo:hi] = words[2 * lo : 2 * hi : 2]
+        words[lo:hi] = words[per * lo : per * hi : per]
     words.resize(count, refcheck=False)
     return words
 

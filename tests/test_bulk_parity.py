@@ -130,6 +130,43 @@ def test_pagerank_parity(directed_graph, variant, workers, engines):
     )
 
 
+#: directed graphs whose dead ends (rows without out-edges) the bulk
+#: programs read off the degree split's mask: every vertex one, every odd
+#: one (so some of the 8 workers own dead ends alone under a range
+#: partition), and a hub that takes everything in and sends nothing
+DEAD_END_GRAPHS = {
+    "edgeless": Graph.from_edges(24, [], directed=True),
+    "odd-rows-empty": Graph.from_edges(
+        64, [(v, (v * 7 + k) % 64) for v in range(0, 64, 2) for k in (1, 2, 5)], directed=True
+    ),
+    "sink-hub": Graph.from_edges(
+        40, [(v, 0) for v in range(1, 40)] + [(v, v + 1) for v in range(1, 39, 3)], directed=True
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["basic", "scatter", "mirror"])
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("graph", DEAD_END_GRAPHS)
+def test_pagerank_parity_with_dead_ends(graph, variant, workers, engines):
+    graph = DEAD_END_GRAPHS[graph]
+    assert (np.diff(graph.indptr) == 0).any()
+    kw = dict(
+        variant=variant,
+        iterations=6,
+        num_workers=workers,
+        partition=range_partition(graph.num_vertices, workers),
+        checkpoint_every=2,
+    )
+    scalar = run_pagerank(graph, mode="scalar", **kw)
+    assert np.isclose(scalar[0].sum(), 1.0)  # the dead ends' mass is handed back
+    _assert_parity(
+        scalar,
+        run_pagerank(graph, mode="bulk", **kw),
+        by_adjacency=engines if variant != "basic" else None,
+    )
+
+
 def test_pagerank_parity_under_partial_activity(directed_graph):
     """A third of the vertices start active and some are never woken, so
     every superstep runs the lines indexed by ``active`` — the ones

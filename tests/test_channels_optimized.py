@@ -43,6 +43,11 @@ from helpers import line_graph, scan_segments, two_triangles
 from test_static_pattern import split
 
 
+def _narrowest(bound: int) -> type:
+    """The narrowest of uint16/uint32 that indexes ``[0, bound)``."""
+    return np.uint16 if bound <= 2**16 else np.uint32
+
+
 def run(graph, program_cls, workers=2, **kw):
     return ChannelEngine(graph, program_cls, num_workers=workers, **kw).run()
 
@@ -701,9 +706,6 @@ class TestScatterCombineBuild:
             ]
         return got, expected
 
-    # (overflow and inf - inf warn from the lane thread, which does not
-    # share the caller's np.errstate)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("combiner", BUILTINS, ids=repr)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -813,7 +815,7 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 named = self._named(worker, direction)
                 assert self._tables(named) == expected
-                assert named._scan.edge_src.dtype == np.uint32
+                assert named._scan.edge_src.dtype == _narrowest(worker.num_local)
                 # ... and again from its snapshot, through the checkpoint codec
                 restored = ScatterCombine(worker, _table_combiner(direction))
                 restored.restore(decode_state(encode_state(named.snapshot())))
@@ -921,7 +923,8 @@ class TestAdjacencyRegistration:
             with mock.patch.object(_edges, "_BLOCK_EDGES", block):
                 assert self._mirror_tables(named) == expected
             assert any(e is not None for e in named._expanded) == (direction == "out")
-            assert named._scan.edge_src.dtype == np.uint32  # indexes _values every superstep
+            # indexes _values every superstep: the narrowest of uint16/uint32 for it
+            assert named._scan.edge_src.dtype == _narrowest(worker.num_local)
 
     @classmethod
     def _mirror_tables(cls, ch):
@@ -933,8 +936,10 @@ class TestAdjacencyRegistration:
     def test_build_holds_a_few_bytes_per_local_edge(self, channel):
         """tracemalloc's peak over an adjacency build on a hash partition,
         per local edge: the 8 B packed pair each edge is sorted as, which
-        shrinks in place to the 4 B of ``_scan.edge_src`` it keeps, the
-        group boundaries' byte mask, and one block at a time — never a
+        shrinks in place to the 4 B of ``_scan.edge_src`` it keeps (2 B
+        at or under 2¹⁶ local vertices), the group boundaries (found a
+        block of keys at a time since they took a byte per edge), and one
+        block at a time — never a
         full-length copy of the edges (``MirroredScatter`` peaked at ≈ 55 B
         when it copied the blocks into two columns to sort them per peer;
         both peaked at 14 B while the kept column was ``int64``, 10.1 B

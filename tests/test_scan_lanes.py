@@ -14,13 +14,14 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from helpers import mover
+from helpers import mover, scan_segments
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sv import run_sv
 from repro.core import MIN_I64, SUM_F64, ChannelEngine, lanes
@@ -84,6 +85,33 @@ def test_every_lane_count_folds_the_one_lane_bits(shape, head, combiner):
         assert [len(scans[k].runs) for k in LANES] == LANES
 
 
+@pytest.mark.parametrize("combiner", [SUM_F64, MIN_I64, make_combiner(min, 0)], ids=repr)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_kept_subset_lays_out_as_the_compacted_segments(seed, shape, combiner):
+    """A scan told to keep some segments is, table for table and bit for
+    bit, the scan of those segments alone, moved together beforehand (the
+    edges the others held are dropped in the same pass, and its index
+    shrinks to the kept edges where it lies)."""
+    lengths, block = SHAPES[shape]
+    size, head = 60 + 4, 4
+    edge_src, starts = _scan_input(lengths, size, head)
+    keep = np.random.default_rng(seed).random(len(lengths)) < 0.6
+    kept = [edge_src[a : a + n] for a, n, k in zip(starts, lengths, keep) if k]
+    compact = np.concatenate([*kept, np.empty(0, np.int64)])
+    compact_starts = np.cumsum([0, *(np.asarray(lengths)[keep][:-1])]).astype(np.int64)
+    values = _values(SUM_F64 if combiner is SUM_F64 else MIN_I64, size)
+    values = values.astype(combiner.codec.dtype)
+    with mock.patch.object(scatter_combine, "_BLOCK_EDGES", block):
+        dropped = _Scan(combiner, edge_src.astype(np.uint16), starts, size, head, keep=keep)
+        expected = _Scan(combiner, compact, compact_starts[: keep.sum()], size, head)
+    assert dropped.segments == expected.segments == keep.sum()
+    assert dropped.edge_src.size == compact.size and dropped.edge_src.dtype == np.uint16
+    for got, want in zip(scan_segments(dropped), scan_segments(expected)):
+        assert got.tolist() == want.tolist()
+    assert dropped(values).tobytes() == expected(values).tobytes()
+
+
 def test_a_hub_longer_than_the_real_block_keeps_its_bits():
     """At the real block size: a hub segment of more edges than a block
     is a block of its own, in one lane's run."""
@@ -101,6 +129,25 @@ def test_runs_are_about_equal_in_edges():
         scan = _Scan(SUM_F64, edge_src, starts, 30, lanes=4)
     assert [sum(hi - lo for *_, lo, hi in run) for run, *_ in scan.runs] == [40] * 4
     assert [(edges, segments) for _, edges, segments in scan.runs] == [(8, 2)] * 4
+
+
+def test_lane_threads_fold_under_the_callers_errstate():
+    """Each run folds under the caller's ``np.geterr()``, whichever thread
+    runs it: sums of 1e308 overflow in both lanes' runs, and inside
+    ``np.errstate(all="ignore")`` neither warns, as one lane does not."""
+    edge_src, starts = _scan_input([4] * 40, 30)
+    values = np.full(30, 1e308)
+    with mock.patch.object(scatter_combine, "_BLOCK_EDGES", 8):
+        scans = {k: _Scan(SUM_F64, edge_src, starts, 30, lanes=k) for k in (1, 2)}
+    assert len(scans[2].runs) == 2
+    for k, scan in scans.items():
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            folded = scan(values)
+        assert np.isinf(folded).all(), k
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == [], k
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the default still warns
+            scan(values)
 
 
 def test_each_thread_folds_in_a_scratch_of_its_own():

@@ -474,7 +474,9 @@ def test_backends_and_recoveries_count_the_simulator_bytes(workers, recovery):
 def test_the_derivation_holds_one_word_per_kept_pair():
     """tracemalloc's peak over ``_learn_senders``: the one 8-byte word per
     kept (destination, sender) pair that ``group_by_key`` sorts and the scan
-    keeps, ``group_starts``' 1-byte mask per pair, and what is fixed or
+    keeps (2 B of it once sorted: 1024 senders index in ``uint16``), the
+    group starts (found a block of pairs at a time, where they took a
+    1-byte mask per pair), and what is fixed or
     per destination — one ``_edges._BLOCK_EDGES`` block at a time, the
     scan's per-block buffer.  A list of packed blocks beside the buffer,
     as before, held 16 B per pair.  Every row here lies on the receiver:

@@ -1,13 +1,20 @@
 """Unit tests for the NumPy helpers."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import repro.util
-from repro.util import expand_ranges, group_by_key, group_starts, stable_order
+from repro.util import (
+    expand_ranges,
+    group_by_key,
+    group_starts,
+    index_dtype,
+    stable_order,
+)
 
 
 class TestExpandRanges:
@@ -64,6 +71,31 @@ class TestGroupStarts:
         keys = np.sort(np.asarray(values, dtype=np.int64))
         uniq, starts = group_starts(keys)
         exp_uniq, exp_starts = np.unique(keys, return_index=True)
+        assert uniq.tolist() == exp_uniq.tolist()
+        assert starts.tolist() == exp_starts.tolist()
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @given(values=st.lists(st.integers(min_value=0, max_value=9), max_size=40))
+    def test_blocked_starts_equal_the_one_block_starts(self, block, values):
+        """Found a few keys at a time — groups that straddle a block's
+        edge, blocks of one key, a first block of one — the starts and
+        unique keys are those of one block over all the keys, the keys'
+        dtype kept."""
+        keys = np.sort(np.asarray(values, dtype=np.uint32))
+        exp_uniq, exp_starts = group_starts(keys)
+        with mock.patch.object(repro.util, "_STARTS_BLOCK", block):
+            uniq, starts = group_starts(keys)
+        assert uniq.dtype == np.uint32 and starts.dtype == np.int64
+        assert uniq.tolist() == exp_uniq.tolist()
+        assert starts.tolist() == exp_starts.tolist()
+
+    def test_starts_over_a_strided_view_of_many_blocks(self):
+        rng = np.random.default_rng(4)
+        keys = np.sort(rng.integers(0, 3000, 5 * (1 << 16) + 7))
+        pairs = np.zeros(2 * keys.size, dtype=np.uint32)
+        pairs[1::2] = keys  # (as group_by_key reads the sorted buffer's high words)
+        exp_uniq, exp_starts = np.unique(keys, return_index=True)
+        uniq, starts = group_starts(pairs[1::2])
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
 
@@ -135,9 +167,11 @@ class TestGroupByKey:
         blocks = zip(np.split(keys, cuts), np.split(values, cuts), strict=True)
         uniq, starts, grouped = group_by_key(blocks, keys.size, key_bound, value_bound)
         assert uniq.dtype == starts.dtype == np.int64
-        # the packed route's grouped values are its buffer's low words
+        # the packed route's grouped values are its buffer's low words, the
+        # narrowest of uint16/uint32 for the bound
         packed = key_bound <= 2**31 and value_bound <= 2**32
-        assert grouped.dtype == (np.uint32 if packed else np.int64)
+        narrowest = np.uint16 if value_bound <= 2**16 else np.uint32
+        assert grouped.dtype == (narrowest if packed else np.int64)
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
         assert grouped.tolist() == values[order].tolist()
@@ -227,6 +261,62 @@ class TestGroupByKey:
         finally:
             tracemalloc.stop()
         assert peak < 12 * n
+
+    @pytest.mark.parametrize("cuts", [(), (1, 3)], ids=["one-block", "three-blocks"])
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2**16 - 1)), max_size=60),
+        sort_values=st.booleans(),
+        bound=st.sampled_from([1, 7, 2**16]),
+    )
+    @example(pairs=[], sort_values=True, bound=1)
+    @example(pairs=[(3, 2)], sort_values=False, bound=7)
+    @example(pairs=[(5, v) for v in (4, 0, 9, 9, 1)], sort_values=False, bound=2**16)
+    @example(pairs=[(5, v) for v in (4, 0, 9, 9, 1)], sort_values=True, bound=2**16)
+    def test_the_uint16_route_is_the_uint32_route_as_integers(self, pairs, sort_values, bound, cuts):
+        """Values that fit 16 bits group to the same integers whichever
+        width their bound picks, on both routes (the empty input, a single
+        pair and all-equal keys pinned as examples)."""
+        if sort_values:
+            pairs = sorted(pairs, key=lambda p: p[1])
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        values = np.array([v for _, v in pairs], dtype=np.int64) % bound
+        blocks = lambda: zip(np.split(keys, cuts), np.split(values, cuts))  # noqa: E731
+        cuts = [min(c, keys.size) for c in cuts]
+        narrow = group_by_key(blocks(), keys.size, 7, bound)
+        wide = group_by_key(blocks(), keys.size, 7, 2**16 + 1)
+        assert narrow[2].dtype == np.uint16 and wide[2].dtype == np.uint32
+        for got, expected in zip(narrow, wide, strict=True):
+            assert got.astype(np.int64).tolist() == expected.astype(np.int64).tolist()
+        self.check(keys, values, 7, bound, cuts)
+
+    @pytest.mark.parametrize(
+        "keys, values",
+        [([], []), ([3], [2]), ([5] * 6, [4, 0, 9, 9, 1, 2]), ([5] * 6, [0, 1, 1, 2, 8, 9])],
+        ids=["empty", "single-pair", "all-equal-keys-unsorted", "all-equal-keys-sorted"],
+    )
+    def test_the_width_flips_between_2_to_16_and_one_more(self, keys, values):
+        for bound, width in ((2**16, np.uint16), (2**16 + 1, np.uint32)):
+            assert index_dtype(bound) == width
+            self.check(keys, values, 6, bound)  # (checks the dtype and the groups)
+            pairs = [(np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64))]
+            grouped = group_by_key(pairs, len(keys), 6, bound)[2]
+            assert grouped.dtype == width and grouped.flags.owndata
+
+    def test_the_narrow_route_owns_what_it_returns_and_can_shrink(self):
+        """The grouped values are a buffer of their own width, not a view
+        of a wider one: a caller may ``resize`` them in place (``_Scan``
+        does, dropping the segments a peer folds)."""
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 40, 3000)
+        for bound, sort_values in ((300, True), (300, False), (70_000, True)):
+            values = rng.integers(0, bound, 3000)
+            if sort_values:
+                values.sort()
+            grouped = group_by_key([(keys, values)], 3000, 40, bound)[2]
+            assert grouped.flags.owndata and grouped.base is None
+            head = grouped[:100].copy()
+            grouped.resize(100, refcheck=False)
+            assert grouped.tolist() == head.tolist()
 
     def test_does_not_modify_inputs(self):
         keys = np.array([4, 1, 4, 0], dtype=np.int64)

@@ -130,20 +130,24 @@ class TestLocalAdjacency:
 
     def test_degree_split_is_the_per_superstep_split_of_all_rows(self, graph):
         """What PageRank computed from ``degrees[active]`` every superstep,
-        cached on the adjacency (so it lives as long as the adjacency does)
-        and off the program (so it never enters a checkpoint)."""
+        as a mask of the rows with edges and their degrees, cached on the
+        adjacency (so it lives as long as the adjacency does) and off the
+        program (so it never enters a checkpoint); making it leaves
+        ``degrees`` unmade."""
         from repro.algorithms.pagerank import PageRankScatterBulk
 
         engine = ChannelEngine(graph, PageRankScatterBulk, num_workers=2)
         for w in engine.workers:
             adj = w.local_adjacency()
-            active = np.arange(w.num_local)
-            deg = adj.degrees[active]
-            senders, degrees, dead = adj.degree_split
-            np.testing.assert_array_equal(senders, active[deg > 0])
+            has_edges, degrees = adj.degree_split
+            assert "degrees" not in vars(adj)
+            deg = np.diff(adj.indptr)
+            np.testing.assert_array_equal(has_edges, deg > 0)
             np.testing.assert_array_equal(degrees, deg[deg > 0])
-            np.testing.assert_array_equal(dead, active[~(deg > 0)])
-            assert adj.degree_split[0] is senders  # computed once
+            assert adj.degree_split[0] is has_edges  # computed once
+            # a mask gathers as its indices do
+            senders = np.flatnonzero(has_edges)
+            assert adj.gather(has_edges).tolist() == adj.gather(senders).tolist()
         engine.run()
         for w in engine.workers:
             assert set(w.program.state_dict()) == {"rank"}
