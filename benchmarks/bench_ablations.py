@@ -173,7 +173,7 @@ def test_ablation_costmodel_table6_ordering(benchmark, network):
     def run():
         # per-vertex program against per-vertex program, as in Table VI
         _, best = run_sv(graph, variant="both", mode="scalar", num_workers=8, network=nm)
-        _, prior = run_sv_pregel(graph, mode="reqresp", num_workers=8, network=nm)
+        _, prior = run_sv_pregel(graph, variant="reqresp", num_workers=8, network=nm)
         return best, prior
 
     best, prior = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
@@ -199,6 +199,6 @@ def test_ablation_mirror_channel(cell, program):
     workload.  The channel's ranks and messages are ScatterCombine's; only
     the bytes differ."""
     kwargs = {"ghost_threshold": 16} if program == "pregel-ghost" else {}
-    row = cell("pr", program, "webuk", **kwargs)
+    row = cell("pagerank", program, "webuk", **kwargs)
     assert row["supersteps"] == 31
 

@@ -9,8 +9,8 @@ and 23–82% smaller for S-V/MSF/SCC (per-channel message types).
 import pytest
 
 CELLS = [
-    ("pr", "webuk"),
-    ("pr", "wikipedia"),
+    ("pagerank", "webuk"),
+    ("pagerank", "wikipedia"),
     ("wcc", "wikipedia"),
     ("pj", "chain"),
     ("pj", "tree"),

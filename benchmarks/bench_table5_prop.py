@@ -12,7 +12,7 @@ import pytest
 
 @pytest.mark.parametrize("partitioned", [False, True], ids=["raw", "metis"])
 @pytest.mark.parametrize(
-    "program", ["pregel-basic", "blogel", "channel-basic", "channel-prop"]
+    "program", ["pregel-basic", "blogel-basic", "channel-basic", "channel-prop"]
 )
 def test_table5_prop(cell, program, partitioned):
     row = cell("wcc", program, "wikipedia", partitioned=partitioned)

@@ -23,5 +23,5 @@ import pytest
 )
 def test_table5_scatter(cell, dataset, program):
     kwargs = {"ghost_threshold": 16} if program == "pregel-ghost" else {}
-    row = cell("pr", program, dataset, **kwargs)
+    row = cell("pagerank", program, dataset, **kwargs)
     assert row["supersteps"] == 31  # 30 iterations + final halt step

@@ -52,7 +52,7 @@ def test_both_beats_pregel_reqresp_in_simulated_time():
             graph, variant="both", mode="scalar", num_workers=4, partition=part
         ),
         "pregel-reqresp": lambda: run_sv_pregel(
-            graph, mode="reqresp", num_workers=4, partition=part
+            graph, variant="reqresp", num_workers=4, partition=part
         ),
     }
     times = {name: [] for name in runs}

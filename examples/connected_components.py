@@ -26,7 +26,7 @@ def main():
     rows = []
     labels_ref = None
     for name, run in [
-        ("pregel+ (reqresp)", lambda: run_sv_pregel(graph, mode="reqresp", num_workers=8)),
+        ("pregel+ (reqresp)", lambda: run_sv_pregel(graph, variant="reqresp", num_workers=8)),
         ("channel (basic)", lambda: run_sv(graph, variant="basic", mode="scalar", num_workers=8)),
         ("channel (request-respond)", lambda: run_sv(graph, variant="reqresp", mode="scalar", num_workers=8)),
         ("channel (scatter-combine)", lambda: run_sv(graph, variant="scatter", mode="scalar", num_workers=8)),

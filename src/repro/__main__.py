@@ -37,7 +37,6 @@ from dataclasses import fields
 import numpy as np
 
 from repro.bench.datasets import DATASETS, EXTRA_DATASETS, load_dataset, table3_rows
-from repro.bench.runner import CELLS
 from repro.core.config import EXECUTORS, RECOVERY_MODES, RunConfig
 from repro.graph.io import load_graph
 from repro.graph.partition import (
@@ -45,29 +44,9 @@ from repro.graph.partition import (
     metis_like_partition,
     range_partition,
 )
+from repro.programs import PATHS, PROGRAMS, runner
 
 __all__ = ["main"]
-
-#: algorithm -> its channel-system variants exposed on the CLI
-VARIANTS = {
-    "pagerank": {
-        "basic": ("pr", "channel-basic"),
-        "scatter": ("pr", "channel-scatter"),
-        "mirror": ("pr", "channel-mirror"),
-    },
-    "pj": {"basic": ("pj", "channel-basic"), "reqresp": ("pj", "channel-reqresp")},
-    "wcc": {"basic": ("wcc", "channel-basic"), "prop": ("wcc", "channel-prop")},
-    "sv": {
-        "basic": ("sv", "channel-basic"),
-        "reqresp": ("sv", "channel-reqresp"),
-        "scatter": ("sv", "channel-scatter"),
-        "both": ("sv", "channel-both"),
-    },
-    "scc": {"basic": ("scc", "channel-basic"), "prop": ("scc", "channel-prop")},
-    "msf": {"basic": ("msf", "channel-basic")},
-    "sssp": {"basic": ("sssp", "channel-basic"), "prop": ("sssp", "channel-prop")},
-    "bfs": {"basic": ("bfs", "channel-basic")},
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", parents=[common], help="run one algorithm and print metrics"
     )
-    run.add_argument("algorithm", choices=sorted(VARIANTS))
+    run.add_argument("algorithm", choices=sorted(PROGRAMS))
     run.add_argument("--variant", default="basic")
     run.add_argument(
         "--mode",
-        choices=["scalar", "bulk"],
+        choices=PATHS,
         default="scalar",
         help="compute path: per-vertex (scalar) or columnar (bulk)",
     )
@@ -387,24 +366,11 @@ def _start_live(args, num_workers: int):
 
 
 def _cmd_run(args) -> int:
-    variants = VARIANTS[args.algorithm]
-    if args.variant not in variants:
-        print(
-            f"unknown variant {args.variant!r} for {args.algorithm}; "
-            f"choose from {sorted(variants)}",
-            file=sys.stderr,
-        )
+    try:
+        run = runner(args.algorithm, "channel", args.variant, args.mode)
+    except ValueError as exc:
+        print(f"{args.algorithm}: {exc}", file=sys.stderr)
         return 2
-    algo, program = variants[args.variant]
-    if args.mode == "bulk":
-        if (algo, program + "-bulk") not in CELLS:
-            print(
-                f"{args.algorithm} variant {args.variant!r} has no bulk port",
-                file=sys.stderr,
-            )
-            return 2
-        program += "-bulk"
-    runner = CELLS[(algo, program)]
     try:
         config = _run_config(args)
     except ValueError as exc:
@@ -433,7 +399,7 @@ def _cmd_run(args) -> int:
             recorder.close()
         return code
     try:
-        out = runner(graph, partition=partition, trace=recorder, live=live, **vars(config))
+        out = run(graph, partition=partition, trace=recorder, live=live, **vars(config))
     except ValueError as exc:  # options only the built engine can check
         print(f"bad run options: {exc}", file=sys.stderr)
         return 2

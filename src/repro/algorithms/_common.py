@@ -6,28 +6,8 @@ import numpy as np
 
 from repro.core.engine import ChannelEngine, EngineResult
 from repro.core.program import VertexResults
-from repro.util import check_choice
 
-__all__ = ["gather", "run_engine", "resolve_mode"]
-
-
-def resolve_mode(variants: dict, variant: str, mode: str):
-    """Pick the program factory for ``(variant, mode)`` from a table of
-    ``{variant: {"scalar": factory, "bulk": factory}}`` entries (a class
-    or a :class:`~repro.core.ProgramSpec`).
-
-    Raises ``ValueError`` for unknown variants/modes and for variants
-    that have no bulk port (e.g. the Propagation-channel versions, whose
-    compute is already trivial — see ARCHITECTURE.md).
-    """
-    modes = check_choice("variant", variant, variants)
-    if mode not in ("scalar", "bulk"):
-        raise ValueError(f"mode must be 'scalar' or 'bulk', got {mode!r}")
-    if mode not in modes:
-        raise ValueError(
-            f"variant {variant!r} has no {mode!r} port; available: {sorted(modes)}"
-        )
-    return modes[mode]
+__all__ = ["gather", "run_engine"]
 
 
 def gather(result: EngineResult, n: int, dtype=np.int64) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
@@ -20,6 +20,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.util import check_vertex
 
 __all__ = ["BFSBasic", "BFSBasicBulk", "BFSPropagation", "run_bfs"]
@@ -119,12 +120,6 @@ class BFSPropagation(VertexProgram):
         return self.vertex_results(self.level)
 
 
-_VARIANTS = {
-    "basic": {"scalar": BFSBasic, "bulk": BFSBasicBulk},
-    "prop": {"scalar": BFSPropagation},
-}
-
-
 def run_bfs(
     graph: Graph,
     source: int = 0,
@@ -139,7 +134,6 @@ def run_bfs(
     ``mode="bulk"`` selects the columnar compute path (``"basic"`` only).
     """
     source = check_vertex("source", source, graph.num_vertices)
-    base = resolve_mode(_VARIANTS, variant, mode)
-    program = ProgramSpec(base, {"source": source})
+    program = ProgramSpec(factory("bfs", "channel", variant, mode), {"source": source})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -19,6 +19,7 @@ import numpy as np
 from repro.algorithms._common import gather, run_engine
 from repro.core import DirectMessage, Vertex, VertexProgram
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32, pair_codec
 
 __all__ = ["KCore", "run_kcore", "h_index"]
@@ -78,5 +79,5 @@ def run_kcore(graph: Graph, **engine_kwargs):
     """Compute coreness; returns ``(core_numbers, EngineResult)``."""
     if graph.directed:
         raise ValueError("k-core expects an undirected graph")
-    result = run_engine(graph, KCore, **engine_kwargs)
+    result = run_engine(graph, factory("kcore"), **engine_kwargs)
     return gather(result, graph.num_vertices), result

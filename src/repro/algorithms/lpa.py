@@ -18,6 +18,7 @@ import numpy as np
 from repro.algorithms._common import gather, run_engine
 from repro.core import DirectMessage, ProgramSpec, Vertex, VertexProgram
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32
 from repro.util import check_count
 
@@ -60,6 +61,6 @@ class LabelPropagation(VertexProgram):
 def run_lpa(graph: Graph, rounds: int = 10, **engine_kwargs):
     """Run synchronous LPA; returns ``(labels, EngineResult)``."""
     rounds = check_count("rounds", rounds)
-    program = ProgramSpec(LabelPropagation, {"rounds": rounds})
+    program = ProgramSpec(factory("lpa"), {"rounds": rounds})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

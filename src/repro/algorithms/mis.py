@@ -24,6 +24,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 
 __all__ = ["LubyMIS", "run_mis"]
 
@@ -93,7 +94,7 @@ def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):
     where ``in_set`` is a boolean array."""
     if graph.directed:
         raise ValueError("MIS expects an undirected graph")
-    program = ProgramSpec(LubyMIS, {"seed": seed})
+    program = ProgramSpec(factory("mis"), {"seed": seed})
     result = run_engine(graph, program, **engine_kwargs)
     states = gather(result, graph.num_vertices)
     return states == IN_SET, result

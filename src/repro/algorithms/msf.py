@@ -38,6 +38,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32, pair_codec, struct_codec, FLOAT32
 
 __all__ = ["MSFBasic", "run_msf", "EDGE_CODEC"]
@@ -263,7 +264,7 @@ def run_msf(graph: Graph, **engine_kwargs):
     """
     if graph.directed:
         raise ValueError("MSF needs an undirected graph")
-    result = run_engine(graph, MSFBasic, **engine_kwargs)
+    result = run_engine(graph, factory("msf"), **engine_kwargs)
     forest: list[tuple] = []
     weight = 0.0
     for key, val in result.data.items():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     Aggregator,
     BulkVertexProgram,
@@ -37,6 +37,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.util import check_count
 
 __all__ = [
@@ -240,13 +241,6 @@ class PageRankMirroredBulk(PageRankScatterBulk):
         self.msg.add_adjacency("out")
 
 
-_VARIANTS = {
-    "basic": {"scalar": PageRankBasic, "bulk": PageRankBasicBulk},
-    "scatter": {"scalar": PageRankScatter, "bulk": PageRankScatterBulk},
-    "mirror": {"scalar": PageRankMirrored, "bulk": PageRankMirroredBulk},
-}
-
-
 def run_pagerank(
     graph: Graph,
     variant: str = "basic",
@@ -273,7 +267,7 @@ def run_pagerank(
     has no static edge set and agrees in both modes.
     """
     iterations = check_count("iterations", iterations)
-    base = resolve_mode(_VARIANTS, variant, mode)
+    base = factory("pagerank", "channel", variant, mode)
     program = ProgramSpec(base, {"iterations": iterations})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

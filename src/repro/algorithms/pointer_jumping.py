@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     DirectMessage,
@@ -28,6 +28,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32
 
 __all__ = [
@@ -146,12 +147,6 @@ class PointerJumpingReqRespBulk(BulkVertexProgram, PointerJumpingReqResp):
         self.rr.add_requests(active[~done], gp[~done])
 
 
-_VARIANTS = {
-    "basic": {"scalar": PointerJumpingBasic},
-    "reqresp": {"scalar": PointerJumpingReqResp, "bulk": PointerJumpingReqRespBulk},
-}
-
-
 def run_pointer_jumping(
     graph: Graph, variant: str = "basic", mode: str = "scalar", **engine_kwargs
 ):
@@ -160,6 +155,6 @@ def run_pointer_jumping(
     ``variant`` is ``"basic"`` or ``"reqresp"``; ``mode="bulk"`` selects
     the columnar compute path (``"reqresp"`` only).
     """
-    program = resolve_mode(_VARIANTS, variant, mode)
+    program = factory("pj", "channel", variant, mode)
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -38,7 +38,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
-from repro.util import check_choice
+from repro.programs import factory
 
 __all__ = ["SCCBasic", "SCCPropagation", "run_scc"]
 
@@ -227,6 +227,5 @@ def run_scc(graph: Graph, variant: str = "basic", **engine_kwargs):
     """
     if not graph.directed:
         raise ValueError("SCC needs a directed graph")
-    program = check_choice("variant", variant, {"basic": SCCBasic, "prop": SCCPropagation})
-    result = run_engine(graph, program, **engine_kwargs)
+    result = run_engine(graph, factory("scc", "channel", variant), **engine_kwargs)
     return gather(result, graph.num_vertices), result

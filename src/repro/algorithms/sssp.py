@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
@@ -25,6 +25,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.util import check_vertex
 
 __all__ = ["SSSPBasic", "SSSPBasicBulk", "SSSPPropagation", "run_sssp"]
@@ -144,12 +145,6 @@ class SSSPPropagation(VertexProgram):
         return self.vertex_results(self.dist)
 
 
-_VARIANTS = {
-    "basic": {"scalar": SSSPBasic, "bulk": SSSPBasicBulk},
-    "prop": {"scalar": SSSPPropagation},
-}
-
-
 def run_sssp(
     graph: Graph,
     source: int = 0,
@@ -163,6 +158,6 @@ def run_sssp(
     columnar compute path (``"basic"`` only).
     """
     source = check_vertex("source", source, graph.num_vertices)
-    program = ProgramSpec(resolve_mode(_VARIANTS, variant, mode), {"source": source})
+    program = ProgramSpec(factory("sssp", "channel", variant, mode), {"source": source})
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

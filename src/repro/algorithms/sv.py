@@ -21,7 +21,8 @@ root update         CombinedMessage(MIN)        (already optimal)
 ==================  ==========================  ==========================
 
 The four Table VI variants are the flags ``use_reqresp`` and
-``use_scatter`` bound on one program by a :class:`~repro.core.ProgramSpec`.
+``use_scatter`` bound on one program by a :class:`~repro.core.ProgramSpec`
+(the rows of :data:`repro.programs.PROGRAMS`).
 A round costs 4 supersteps with the request/reply emulation and 3 with
 the RequestRespond channel.
 
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     Aggregator,
     BulkVertexProgram,
     CombinedMessage,
     DirectMessage,
     MIN_I32,
-    ProgramSpec,
     RequestRespond,
     ScatterCombine,
     SUM_I64,
@@ -53,19 +53,11 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32
 from repro.util import expand_ranges
 
-__all__ = ["run_sv", "SV_VARIANTS"]
-
-#: variant -> (use_reqresp, use_scatter)
-_FLAGS = {
-    "basic": (False, False),
-    "reqresp": (True, False),
-    "scatter": (False, True),
-    "both": (True, True),
-}
-SV_VARIANTS = tuple(_FLAGS)
+__all__ = ["run_sv"]
 
 
 class _SVChannels(VertexProgram):
@@ -271,19 +263,6 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
             self._merge_or_jump(active, replies[indptr[active]], self.tmin[active])
 
 
-_VARIANTS = {
-    variant: {
-        mode: ProgramSpec(
-            base,
-            {"use_reqresp": rr, "use_scatter": sc},
-            f"SV_{'rr' if rr else 'msg'}_{'sc' if sc else 'cm'}",
-        )
-        for mode, base in (("scalar", _SVBase), ("bulk", _SVBulk))
-    }
-    for variant, (rr, sc) in _FLAGS.items()
-}
-
-
 def run_sv(graph: Graph, variant: str = "basic", mode: str = "bulk", **engine_kwargs):
     """Run S-V connected components; returns ``(labels, EngineResult)``.
 
@@ -300,6 +279,6 @@ def run_sv(graph: Graph, variant: str = "basic", mode: str = "bulk", **engine_kw
     active), so a vertex first woken later broadcasts to its neighbors in
     bulk mode and to nobody in scalar mode.
     """
-    program = resolve_mode(_VARIANTS, variant, mode)
+    program = factory("sv", "channel", variant, mode)
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -25,6 +25,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32
 
 __all__ = ["TriangleCounting", "run_triangles"]
@@ -75,7 +76,7 @@ def run_triangles(graph: Graph, **engine_kwargs):
     """Count triangles; returns ``(count, EngineResult)``."""
     if graph.directed:
         raise ValueError("triangle counting expects an undirected graph")
-    result = run_engine(graph, TriangleCounting, **engine_kwargs)
+    result = run_engine(graph, factory("triangles"), **engine_kwargs)
     counts = {v for k, v in result.data.items() if str(k).startswith("triangles_")}
     assert len(counts) == 1, "aggregator must broadcast one global count"
     return counts.pop(), result

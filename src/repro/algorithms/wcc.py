@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._common import gather, resolve_mode, run_engine
+from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
@@ -26,6 +26,7 @@ from repro.core import (
     VertexProgram,
 )
 from repro.graph.graph import Graph
+from repro.programs import factory
 
 __all__ = ["WCCBasic", "WCCBasicBulk", "WCCPropagation", "run_wcc"]
 
@@ -131,12 +132,6 @@ class WCCPropagation(VertexProgram):
         return self.vertex_results(self.label)
 
 
-_VARIANTS = {
-    "basic": {"scalar": WCCBasic, "bulk": WCCBasicBulk},
-    "prop": {"scalar": WCCPropagation},
-}
-
-
 def run_wcc(graph: Graph, variant: str = "basic", mode: str = "scalar", **engine_kwargs):
     """Run WCC; returns ``(labels, EngineResult)`` where ``labels[v]`` is
     the minimum vertex id of v's weak component.
@@ -144,6 +139,6 @@ def run_wcc(graph: Graph, variant: str = "basic", mode: str = "scalar", **engine
     ``variant`` is ``"basic"`` or ``"prop"``; ``mode="bulk"`` selects the
     columnar compute path (``"basic"`` only).
     """
-    program = resolve_mode(_VARIANTS, variant, mode)
+    program = factory("wcc", "channel", variant, mode)
     result = run_engine(graph, program, **engine_kwargs)
     return gather(result, graph.num_vertices), result

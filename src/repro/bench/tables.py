@@ -26,10 +26,10 @@ __all__ = [
 def table4(num_workers: int = 8) -> list[dict]:
     """Table IV: basic implementations, Pregel+ vs channel system."""
     cells = [
-        ("pr", "pregel-basic", "webuk", False),
-        ("pr", "channel-basic", "webuk", False),
-        ("pr", "pregel-basic", "wikipedia", False),
-        ("pr", "channel-basic", "wikipedia", False),
+        ("pagerank", "pregel-basic", "webuk", False),
+        ("pagerank", "channel-basic", "webuk", False),
+        ("pagerank", "pregel-basic", "wikipedia", False),
+        ("pagerank", "channel-basic", "wikipedia", False),
         ("wcc", "pregel-basic", "wikipedia", False),
         ("wcc", "channel-basic", "wikipedia", False),
         ("wcc", "pregel-basic", "wikipedia", True),
@@ -68,7 +68,7 @@ def table5_scatter(num_workers: int = 8) -> list[dict]:
             "channel-scatter",
         ):
             kwargs = {"ghost_threshold": 16} if program == "pregel-ghost" else {}
-            rows.append(run_cell("pr", program, dataset, False, num_workers, **kwargs))
+            rows.append(run_cell("pagerank", program, dataset, False, num_workers, **kwargs))
     return rows
 
 
@@ -99,7 +99,7 @@ def table5_prop(num_workers: int = 8) -> list[dict]:
     partitioned inputs, including Blogel."""
     rows = []
     for partitioned in (False, True):
-        for program in ("pregel-basic", "blogel", "channel-basic", "channel-prop"):
+        for program in ("pregel-basic", "blogel-basic", "channel-basic", "channel-prop"):
             rows.append(run_cell("wcc", program, "wikipedia", partitioned, num_workers))
     return rows
 

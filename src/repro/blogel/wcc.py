@@ -16,6 +16,7 @@ from repro.algorithms._common import gather, run_engine
 from repro.blogel.system import BlockProgram
 from repro.core.worker import Worker
 from repro.graph.graph import Graph
+from repro.programs import factory
 from repro.runtime.serialization import INT32
 from repro.util import expand_ranges, group_starts
 
@@ -96,5 +97,5 @@ def run_wcc_blogel(graph: Graph, **options):
     """Run Blogel WCC; returns ``(labels, EngineResult)``.  ``options`` are
     :class:`~repro.core.engine.ChannelEngine`'s (``num_workers``,
     ``partition``, ``executor``, ``checkpoint_every``, ...)."""
-    result = run_engine(graph, BlogelWCC, **options)
+    result = run_engine(graph, factory("wcc", "blogel"), **options)
     return gather(result, graph.num_vertices), result

@@ -1,7 +1,8 @@
 """The Pregel+ baseline as a message layer on the channel runtime.
 
 Pregel+ gives a program one message type (``message_codec``), at most one
-global combiner, and three modes that exclude one another: ``"basic"``
+global combiner, and three modes (a run's ``variant``) that exclude one
+another: ``"basic"``
 point-to-point messages; ``"reqresp"``, whose requests are deduplicated
 per worker in a hash set and whose responses echo ``(id, value)`` pairs
 (the costs the paper's request-respond channel removes); and ``"ghost"``,
@@ -22,7 +23,7 @@ Pregel+'s per-vertex Python lists (or per-message scalar combining), the
 
 :class:`PregelLayer` is the program every worker runs: it registers the
 channels and hosts the user's :class:`~repro.pregel.program.PregelProgram`.
-:func:`pregel_plus` binds it to a program and a mode as a program
+:func:`pregel_plus` binds it to a program and a variant as a program
 factory, so a Pregel+ run is a :class:`~repro.core.engine.ChannelEngine`
 run like any other.
 """
@@ -42,6 +43,7 @@ from repro.core.program import BulkVertexProgram
 from repro.core.worker import Worker
 from repro.pregel.program import PregelProgram, PregelVertex
 from repro.runtime.serialization import INT32, Codec
+from repro.util import check_count
 
 __all__ = ["PregelLayer", "pregel_plus"]
 
@@ -229,7 +231,7 @@ class _Aggregator(Aggregator):
 
 
 class PregelLayer(BulkVertexProgram):
-    """What each worker runs: the message layer of one engine's ``mode``
+    """What each worker runs: the message layer of one engine's ``variant``
     as channels, and the user's program (``pregel``), whose ``compute``
     it calls per active vertex with that vertex's messages."""
 
@@ -237,14 +239,15 @@ class PregelLayer(BulkVertexProgram):
         self,
         worker: Worker,
         program_factory: Callable[[Worker], PregelProgram],
-        mode: str,
+        variant: str,
         ghost_threshold: int,
     ) -> None:
         super().__init__(worker)
         self.pregel = program = program_factory(worker)
         self.messages = _Messages(worker, program.message_codec, program.combiner)
-        self.ghosts = _Ghosts(worker, self.messages, ghost_threshold) if mode == "ghost" else None
-        self.requests = _Requests(worker, program) if mode == "reqresp" else None
+        ghost = variant == "ghost"
+        self.ghosts = _Ghosts(worker, self.messages, ghost_threshold) if ghost else None
+        self.requests = _Requests(worker, program) if variant == "reqresp" else None
         comb = program.aggregator_combiner
         self.aggregator = _Aggregator(worker, comb) if comb is not None else None
         # the program's phase hook, state and results are this worker's
@@ -269,7 +272,7 @@ class PregelLayer(BulkVertexProgram):
 
     def request(self, dst: int, local: int) -> None:
         if self.requests is None:
-            raise RuntimeError("request() needs mode='reqresp'")
+            raise RuntimeError("request() needs variant='reqresp'")
         self.requests.request(dst, local)
 
     def aggregate(self, value) -> None:
@@ -283,16 +286,18 @@ class PregelLayer(BulkVertexProgram):
 
 
 def pregel_plus(
-    program: Callable[[Worker], PregelProgram], mode: str = "basic", ghost_threshold: int = 16
+    program: Callable[[Worker], PregelProgram], variant: str = "basic", ghost_threshold: int = 16
 ) -> Callable[[Worker], PregelLayer]:
     """The program factory that runs ``program`` (a
     :class:`PregelProgram` class or a :class:`~repro.core.ProgramSpec`)
-    on the Pregel+ message layer of ``mode`` (basic / reqresp / ghost):
+    on the Pregel+ message layer of ``variant`` (basic / reqresp / ghost):
     hand it to :class:`~repro.core.engine.ChannelEngine` or
     :func:`~repro.algorithms._common.run_engine` like any other factory.
-    It pickles whenever ``program`` does."""
-    if mode not in ("basic", "reqresp", "ghost"):
-        raise ValueError(f"unknown mode {mode!r}")
+    It pickles whenever ``program`` does.  ``ghost_threshold`` is a
+    count, checked here, before any worker is built."""
+    if variant not in ("basic", "reqresp", "ghost"):
+        raise ValueError(f"unknown variant {variant!r}")
+    ghost_threshold = check_count("ghost_threshold", ghost_threshold)
     return partial(
-        PregelLayer, program_factory=program, mode=mode, ghost_threshold=ghost_threshold
+        PregelLayer, program_factory=program, variant=variant, ghost_threshold=ghost_threshold
     )

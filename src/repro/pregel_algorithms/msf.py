@@ -18,6 +18,7 @@ from repro.algorithms._common import run_engine
 from repro.core.combiner import SUM_I64
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import FLOAT32, INT32, struct_codec
 
 __all__ = ["MSFPregel", "run_msf_pregel"]
@@ -214,7 +215,7 @@ def run_msf_pregel(graph: Graph, **engine_kwargs):
     ``(forest_edges, total_weight, EngineResult)``."""
     if graph.directed:
         raise ValueError("MSF needs an undirected graph")
-    result = run_engine(graph, pregel_plus(MSFPregel), **engine_kwargs)
+    result = run_engine(graph, pregel_plus(factory("msf", "pregel")), **engine_kwargs)
     forest: list[tuple] = []
     weight = 0.0
     for key, val in result.data.items():

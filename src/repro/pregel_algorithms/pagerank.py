@@ -9,6 +9,7 @@ from repro.core.combiner import SUM_F64
 from repro.core.program import ProgramSpec
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import FLOAT64
 from repro.util import check_count
 
@@ -52,14 +53,14 @@ class PageRankPregel(PregelProgram):
 
 def run_pagerank_pregel(
     graph: Graph,
-    mode: str = "basic",
+    variant: str = "basic",
     iterations: int = 30,
     ghost_threshold: int = 16,
     **engine_kwargs,
 ):
-    """Run Pregel+ PageRank; ``mode`` is ``"basic"`` or ``"ghost"``.
+    """Run Pregel+ PageRank; ``variant`` is ``"basic"`` or ``"ghost"``.
     Returns ``(ranks, EngineResult)``."""
     iterations = check_count("iterations", iterations)
-    program = ProgramSpec(PageRankPregel, {"iterations": iterations})
-    result = run_engine(graph, pregel_plus(program, mode, ghost_threshold), **engine_kwargs)
+    program = ProgramSpec(factory("pagerank", "pregel", variant), {"iterations": iterations})
+    result = run_engine(graph, pregel_plus(program, variant, ghost_threshold), **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

@@ -7,8 +7,8 @@ import numpy as np
 from repro.algorithms._common import gather, run_engine
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import INT32
-from repro.util import check_choice
 
 __all__ = ["PJPregelBasic", "PJPregelReqResp", "run_pointer_jumping_pregel"]
 
@@ -107,9 +107,9 @@ class PJPregelReqResp(PregelProgram):
         return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
 
 
-def run_pointer_jumping_pregel(graph: Graph, mode: str = "basic", **engine_kwargs):
-    """Run Pregel+ pointer jumping; ``mode`` is ``"basic"`` or
+def run_pointer_jumping_pregel(graph: Graph, variant: str = "basic", **engine_kwargs):
+    """Run Pregel+ pointer jumping; ``variant`` is ``"basic"`` or
     ``"reqresp"``.  Returns ``(roots, EngineResult)``."""
-    program = check_choice("mode", mode, {"basic": PJPregelBasic, "reqresp": PJPregelReqResp})
-    result = run_engine(graph, pregel_plus(program, mode), **engine_kwargs)
+    program = factory("pj", "pregel", variant)
+    result = run_engine(graph, pregel_plus(program, variant), **engine_kwargs)
     return gather(result, graph.num_vertices), result

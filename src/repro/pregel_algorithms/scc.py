@@ -19,6 +19,7 @@ from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import Combiner
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import INT32, INT64, struct_codec
 
 __all__ = ["SCCPregel", "run_scc_pregel"]
@@ -140,5 +141,5 @@ def run_scc_pregel(graph: Graph, **engine_kwargs):
     """Run Pregel+ Min-Label SCC; returns ``(labels, EngineResult)``."""
     if not graph.directed:
         raise ValueError("SCC needs a directed graph")
-    result = run_engine(graph, pregel_plus(SCCPregel), **engine_kwargs)
+    result = run_engine(graph, pregel_plus(factory("scc", "pregel")), **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -10,6 +10,7 @@ from repro.core.combiner import MIN_F64
 from repro.core.program import ProgramSpec
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import FLOAT64
 from repro.util import check_vertex
 
@@ -48,6 +49,6 @@ def run_sssp_pregel(graph: Graph, source: int = 0, **engine_kwargs):
     """Run Pregel+ SSSP; returns ``(dists, EngineResult)``.  ``source``
     must be an int in ``[0, V)``."""
     source = check_vertex("source", source, graph.num_vertices)
-    program = ProgramSpec(SSSPPregel, {"source": source})
+    program = ProgramSpec(factory("sssp", "pregel"), {"source": source})
     result = run_engine(graph, pregel_plus(program), **engine_kwargs)
     return gather(result, graph.num_vertices, dtype=np.float64), result

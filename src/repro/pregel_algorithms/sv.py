@@ -6,7 +6,7 @@ must carry a tag — ``(tag:int32, value:int32)`` — and no global combiner
 is legal (min-combining the broadcast would corrupt the requests).  This
 is exactly the Section II-B problem: wider messages *and* no combining.
 
-``mode="basic"`` runs the 4-superstep round; ``mode="reqresp"`` uses
+``variant="basic"`` runs the 4-superstep round; ``variant="reqresp"`` uses
 Pregel+'s request-respond paradigm for the grandparent read (3-superstep
 round, ``(id, tagged-value)`` response echoes).
 """
@@ -19,8 +19,8 @@ from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import SUM_I64
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import INT32, struct_codec
-from repro.util import check_choice
 
 __all__ = ["SVPregelBasic", "SVPregelReqResp", "run_sv_pregel"]
 
@@ -140,9 +140,9 @@ class SVPregelReqResp(_SVPregelBase):
             self._apply_updates(v, msgs)
 
 
-def run_sv_pregel(graph: Graph, mode: str = "basic", **engine_kwargs):
-    """Run Pregel+ S-V; ``mode`` is ``"basic"`` or ``"reqresp"``.
+def run_sv_pregel(graph: Graph, variant: str = "basic", **engine_kwargs):
+    """Run Pregel+ S-V; ``variant`` is ``"basic"`` or ``"reqresp"``.
     Returns ``(labels, EngineResult)``."""
-    program = check_choice("mode", mode, {"basic": SVPregelBasic, "reqresp": SVPregelReqResp})
-    result = run_engine(graph, pregel_plus(program, mode), **engine_kwargs)
+    program = factory("sv", "pregel", variant)
+    result = run_engine(graph, pregel_plus(program, variant), **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -13,6 +13,7 @@ from repro.algorithms._common import gather, run_engine
 from repro.core.combiner import MIN_I64
 from repro.graph.graph import Graph
 from repro.pregel import PregelProgram, pregel_plus
+from repro.programs import factory
 from repro.runtime.serialization import INT64
 
 __all__ = ["WCCPregel", "run_wcc_pregel"]
@@ -54,5 +55,5 @@ class WCCPregel(PregelProgram):
 
 def run_wcc_pregel(graph: Graph, **engine_kwargs):
     """Run Pregel+ WCC; returns ``(labels, EngineResult)``."""
-    result = run_engine(graph, pregel_plus(WCCPregel), **engine_kwargs)
+    result = run_engine(graph, pregel_plus(factory("wcc", "pregel")), **engine_kwargs)
     return gather(result, graph.num_vertices), result

@@ -28,7 +28,7 @@ from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
 from repro.algorithms.scc import run_scc
 from repro.algorithms.sssp import run_sssp
-from repro.algorithms.sv import SV_VARIANTS, run_sv
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.core import BulkVertexProgram, ChannelEngine, LocalCSR, RequestRespond
 from repro.graph import Graph, chain, grid_road, random_tree, rmat
@@ -38,7 +38,9 @@ from repro.pregel_algorithms import (
     run_pointer_jumping_pregel,
     run_sssp_pregel,
     run_sv_pregel,
+    run_wcc_pregel,
 )
+from repro.programs import PROGRAMS
 from repro.runtime.checkpoint import decode_state, encode_state
 from repro.runtime.serialization import INT32
 from repro.streaming import EpochEngine, PageRankStream, SSSPStream
@@ -233,7 +235,7 @@ def test_sssp_parity(weighted_graph, workers):
     )
 
 
-@pytest.mark.parametrize("variant", SV_VARIANTS)
+@pytest.mark.parametrize("variant", tuple(PROGRAMS["sv"]["channel"].variants))
 @pytest.mark.parametrize("workers", WORKERS)
 def test_sv_parity(undirected_graph, variant, workers, engines):
     kw = dict(variant=variant, num_workers=workers, checkpoint_every=2)
@@ -439,15 +441,44 @@ class TestModeValidation:
         "run, name",
         [
             (lambda g: run_scc(g, variant="bogus", num_workers=2), "variant"),
-            (lambda g: run_sv_pregel(g, mode="bogus", num_workers=2), "mode"),
-            (lambda g: run_pointer_jumping_pregel(g, mode="bogus", num_workers=2), "mode"),
+            (lambda g: run_sv_pregel(g, variant="bogus", num_workers=2), "variant"),
+            (lambda g: run_pointer_jumping_pregel(g, variant="bogus", num_workers=2), "variant"),
+            (lambda g: run_pagerank_pregel(g, variant="bogus", num_workers=2), "variant"),
         ],
-        ids=["scc-variant", "sv-pregel-mode", "pj-pregel-mode"],
+        ids=["scc-variant", "sv-pregel-variant", "pj-pregel-variant", "pr-pregel-variant"],
     )
     def test_unknown_choice_names_its_argument(self, directed_graph, run, name):
         """Not a bare ``KeyError``: one ValueError naming the argument."""
         with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
             run(directed_graph)
+
+    @pytest.mark.parametrize(
+        "run",
+        [run_sv_pregel, run_pointer_jumping_pregel, run_pagerank_pregel, run_wcc_pregel],
+        ids=["sv", "pj", "pagerank", "wcc"],
+    )
+    def test_a_baseline_takes_no_mode(self, directed_graph, run):
+        """A Pregel+ runner names its message layer ``variant=``, as a
+        channel runner names its composition; ``mode=`` is a channel
+        runner's compute path, so on a baseline it is an unknown keyword."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+            run(directed_graph, mode="reqresp", num_workers=2)
+
+    @pytest.mark.parametrize("threshold", [-1, 2.5, None, "x", True], ids=repr)
+    def test_ghost_threshold_not_a_count_rejected(self, directed_graph, threshold):
+        """Not a silent run at ``-1`` or ``2.5``, nor a ``TypeError`` from
+        inside the ghost layer: one ValueError naming ``ghost_threshold``."""
+        with pytest.raises(ValueError, match="ghost_threshold"):
+            run_pagerank_pregel(
+                directed_graph, variant="ghost", ghost_threshold=threshold, num_workers=2
+            )
+
+    def test_a_zero_ghost_threshold_mirrors_every_sender(self, directed_graph):
+        ghost, _ = run_pagerank_pregel(
+            directed_graph, variant="ghost", ghost_threshold=0, iterations=4, num_workers=2
+        )
+        basic, _ = run_pagerank_pregel(directed_graph, iterations=4, num_workers=2)
+        np.testing.assert_allclose(ghost, basic, atol=1e-12)
 
     def test_stream_source_outside_the_graph_rejected(self):
         with pytest.raises(ValueError, match="source"):

@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import repro.algorithms
+import repro.blogel
+import repro.pregel_algorithms
 from repro.__main__ import main as cli_main
+from repro.bench import tables
 from repro.bench.datasets import DATASETS, load_dataset, table3_rows
-from repro.bench.runner import CELLS, run_cell
+from repro.bench.runner import run_cell
 from repro.bench.tables import render_rows
 from repro.graph.io import save_edgelist
+from repro.programs import PROGRAMS, cells
 from helpers import two_triangles
 
 
@@ -52,21 +57,66 @@ class TestDatasets:
 
 
 class TestRunner:
-    def test_cells_cover_all_table_programs(self):
-        algos = {a for a, _ in CELLS}
-        # bfs has no paper-table cell; `repro run bfs` resolves through its cells
-        assert algos == {"pr", "pj", "wcc", "sv", "scc", "msf", "sssp", "bfs"}
+    def test_every_public_runner_is_a_row(self):
+        """The program table lists every public ``run_*`` of the three
+        systems, so every runner is a cell and (for the channel system) a
+        ``repro run`` choice."""
+        listed = {
+            entry.runner.partition(":")[2]
+            for systems in PROGRAMS.values()
+            for entry in systems.values()
+        }
+        public = {
+            *(name for name in repro.algorithms.__all__ if name.startswith("run_")),
+            *repro.pregel_algorithms.__all__,
+            repro.blogel.run_wcc_blogel.__name__,
+        }
+        assert listed == public
 
-    def test_sv_and_pj_ports_are_registered_beside_pinned_scalar_cells(self):
-        for variant in ("basic", "reqresp", "scatter", "both"):
-            assert ("sv", f"channel-{variant}-bulk") in CELLS
-        assert ("pj", "channel-reqresp-bulk") in CELLS
+    def test_sv_and_pj_ports_are_rows_beside_pinned_scalar_cells(self):
+        for variant in PROGRAMS["sv"]["channel"].variants:
+            assert cells("sv")[f"channel-{variant}-bulk"] == ("channel", variant, "bulk")
+            assert cells("sv")[f"channel-{variant}"] == ("channel", variant, "scalar")
+        assert cells("pj")["channel-reqresp-bulk"] == ("channel", "reqresp", "bulk")
         # the Table VI cells (pinned to the per-vertex listing) and the
         # ports report the same counters
         counters = ("message_mb", "messages", "supersteps", "rounds")
         scalar = run_cell("sv", "channel-both", "facebook", num_workers=4)
         bulk = run_cell("sv", "channel-both-bulk", "facebook", num_workers=4)
         assert [scalar[k] for k in counters] == [bulk[k] for k in counters]
+
+    def test_the_tables_name_only_rows(self, monkeypatch):
+        """Every cell ``table4()``–``table7()`` runs is a row of the table:
+        a misspelt cell fails here, not in the full ``repro tables``."""
+        named = []
+        monkeypatch.setattr(tables, "run_cell", lambda a, p, *args, **kw: named.append((a, p)))
+        for table in (
+            tables.table4,
+            tables.table5_scatter,
+            tables.table5_reqresp,
+            tables.table5_prop,
+            tables.table6,
+            tables.table7,
+        ):
+            table()
+        assert len(named) == 24 + 8 + 8 + 8 + 10 + 6
+        assert [(a, p) for a, p in named if a not in PROGRAMS or p not in cells(a)] == []
+
+    @pytest.mark.parametrize(
+        "algorithm, program, refused",
+        [
+            ("pr", "channel-basic", "algorithm 'pr'"),
+            ("bogus", "channel-basic", "algorithm 'bogus'"),
+            ("pagerank", "channel-bogus", "program 'channel-bogus'"),
+            ("msf", "channel-basic-bulk", "program 'channel-basic-bulk'"),
+        ],
+        ids=["pr", "bogus", "channel-bogus", "msf-bulk"],
+    )
+    def test_run_cell_refuses_an_unknown_cell_by_name(self, algorithm, program, refused):
+        """Not a bare ``KeyError`` of the tuple: one ValueError naming the
+        argument, before any dataset is loaded."""
+        with pytest.raises(ValueError, match=f"unknown {refused}"):
+            run_cell(algorithm, program, "no-such-dataset")
 
     def test_run_cell_row_schema(self):
         row = run_cell("wcc", "channel-prop", "facebook", num_workers=4)
@@ -146,7 +196,7 @@ class TestCLI:
     def test_mode_bulk_without_a_port_exits_2(self, capsys):
         rc = cli_main(["run", "msf", "--dataset", "usa-road", "--mode", "bulk"])
         assert rc == 2
-        assert "no bulk port" in capsys.readouterr().err
+        assert "no 'bulk' port" in capsys.readouterr().err
 
     def test_bad_variant(self, capsys):
         rc = cli_main(["run", "msf", "--dataset", "usa-road", "--variant", "prop"])

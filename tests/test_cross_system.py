@@ -55,7 +55,7 @@ def test_components_five_ways(name, make):
         run_sv(g, variant="both", num_workers=3)[0],
         run_wcc(g, variant="basic", num_workers=3)[0],
         run_wcc(g, variant="prop", num_workers=3)[0],
-        run_sv_pregel(g, mode="reqresp", num_workers=3)[0],
+        run_sv_pregel(g, variant="reqresp", num_workers=3)[0],
         run_wcc_pregel(g, num_workers=3)[0],
         run_wcc_blogel(g, num_workers=3)[0],
         run_palgol(sv_spec(), g, optimize=True, num_workers=3)[0]["D"],
@@ -82,8 +82,8 @@ def test_pointer_jumping_four_ways(make):
     ref, _ = run_pointer_jumping(g, variant="basic", num_workers=3)
     for result in [
         run_pointer_jumping(g, variant="reqresp", num_workers=3)[0],
-        run_pointer_jumping_pregel(g, mode="basic", num_workers=3)[0],
-        run_pointer_jumping_pregel(g, mode="reqresp", num_workers=3)[0],
+        run_pointer_jumping_pregel(g, variant="basic", num_workers=3)[0],
+        run_pointer_jumping_pregel(g, variant="reqresp", num_workers=3)[0],
     ]:
         np.testing.assert_array_equal(result, ref)
 
@@ -94,8 +94,8 @@ def test_pagerank_four_ways():
     for result in [
         run_pagerank(g, variant="scatter", iterations=8, num_workers=3)[0],
         run_pagerank(g, variant="mirror", iterations=8, num_workers=3)[0],
-        run_pagerank_pregel(g, mode="basic", iterations=8, num_workers=3)[0],
-        run_pagerank_pregel(g, mode="ghost", iterations=8, num_workers=3)[0],
+        run_pagerank_pregel(g, variant="basic", iterations=8, num_workers=3)[0],
+        run_pagerank_pregel(g, variant="ghost", iterations=8, num_workers=3)[0],
     ]:
         np.testing.assert_allclose(result, ref, atol=1e-13)
 

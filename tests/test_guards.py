@@ -348,6 +348,29 @@ if grep -rnE --include="*.py" "^\s+class \w+\(\w*VertexProgram\)" src/repro; the
   exit 1
 fi
 '''),
+    # which (algorithm, system, variant, compute path) programs exist is
+    # one fact, written once in src/repro/programs.py: no algorithm module
+    # keeps a variant table, no runner picks from a dict of its own, and
+    # run_cell's cells and the CLI's choices are derived from the table
+    ("One program table", r'''
+if grep -rnE --include="*.py" "_VARIANTS|resolve_mode" src; then
+  echo "'_VARIANTS', 'SV_VARIANTS' and 'resolve_mode' must not appear under src: programs are rows of src/repro/programs.py"
+  exit 1
+fi
+if grep -nF "lambda g, **kw" src/repro/bench/runner.py; then
+  echo "src/repro/bench/runner.py must not write a cell by hand: cells are rows of src/repro/programs.py"
+  exit 1
+fi
+if grep -nE "^VARIANTS = \{" src/repro/__main__.py; then
+  echo "src/repro/__main__.py must not list variants: its choices are rows of src/repro/programs.py"
+  exit 1
+fi
+if grep -rnE --include="*.py" "check_choice\(\"(variant|mode)\", [^,]+, \{" src/repro \
+    | grep -v "^src/repro/programs.py:"; then
+  echo "a variant or mode is chosen from a dict only in src/repro/programs.py"
+  exit 1
+fi
+'''),
 ]
 
 

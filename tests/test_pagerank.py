@@ -56,9 +56,9 @@ class TestChannelVariants:
 
 
 class TestPregelVariants:
-    @pytest.mark.parametrize("mode", ["basic", "ghost"])
-    def test_matches_oracle(self, web, mode):
-        ranks, _ = run_pagerank_pregel(web, mode=mode, iterations=12, num_workers=4)
+    @pytest.mark.parametrize("variant", ["basic", "ghost"])
+    def test_matches_oracle(self, web, variant):
+        ranks, _ = run_pagerank_pregel(web, variant=variant, iterations=12, num_workers=4)
         np.testing.assert_allclose(ranks, pagerank_oracle(web, 12), atol=1e-12)
 
     def test_basic_bytes_match_channel_basic(self, web):
@@ -69,7 +69,7 @@ class TestPregelVariants:
             web, variant="basic", iterations=10, num_workers=4, partition=part
         )
         _, rp = run_pagerank_pregel(
-            web, mode="basic", iterations=10, num_workers=4, partition=part
+            web, variant="basic", iterations=10, num_workers=4, partition=part
         )
         assert rc.metrics.total_messages == rp.metrics.total_messages
         # byte counts differ only by frame headers (< 1%)
@@ -79,11 +79,11 @@ class TestPregelVariants:
     def test_ghost_reduces_bytes(self, web):
         part = np.arange(web.num_vertices) % 4
         _, rb = run_pagerank_pregel(
-            web, mode="basic", iterations=10, num_workers=4, partition=part
+            web, variant="basic", iterations=10, num_workers=4, partition=part
         )
         _, rg = run_pagerank_pregel(
             web,
-            mode="ghost",
+            variant="ghost",
             iterations=10,
             num_workers=4,
             ghost_threshold=8,
@@ -95,11 +95,11 @@ class TestPregelVariants:
     def test_ghost_with_huge_threshold_equals_basic(self, web):
         part = np.arange(web.num_vertices) % 4
         _, rb = run_pagerank_pregel(
-            web, mode="basic", iterations=5, num_workers=4, partition=part
+            web, variant="basic", iterations=5, num_workers=4, partition=part
         )
         _, rg = run_pagerank_pregel(
             web,
-            mode="ghost",
+            variant="ghost",
             iterations=5,
             num_workers=4,
             ghost_threshold=10**9,

@@ -33,8 +33,8 @@ def chain_graph():
 ALL_RUNNERS = [
     ("channel-basic", lambda g, **kw: run_pointer_jumping(g, variant="basic", **kw)),
     ("channel-reqresp", lambda g, **kw: run_pointer_jumping(g, variant="reqresp", **kw)),
-    ("pregel-basic", lambda g, **kw: run_pointer_jumping_pregel(g, mode="basic", **kw)),
-    ("pregel-reqresp", lambda g, **kw: run_pointer_jumping_pregel(g, mode="reqresp", **kw)),
+    ("pregel-basic", lambda g, **kw: run_pointer_jumping_pregel(g, variant="basic", **kw)),
+    ("pregel-reqresp", lambda g, **kw: run_pointer_jumping_pregel(g, variant="reqresp", **kw)),
 ]
 
 
@@ -83,12 +83,12 @@ class TestConvergenceAndTraffic:
         """Positional responses vs (id, value) echoes: constant savings."""
         part = np.arange(tree.num_vertices) % 4
         _, rc = run_pointer_jumping(tree, variant="reqresp", num_workers=4, partition=part)
-        _, rp = run_pointer_jumping_pregel(tree, mode="reqresp", num_workers=4, partition=part)
+        _, rp = run_pointer_jumping_pregel(tree, variant="reqresp", num_workers=4, partition=part)
         assert rc.metrics.total_net_bytes < rp.metrics.total_net_bytes
 
     def test_basic_bytes_equal_between_systems(self, tree):
         """Table IV PJ row: identical bytes for the two basic versions."""
         part = np.arange(tree.num_vertices) % 4
         _, rc = run_pointer_jumping(tree, variant="basic", num_workers=4, partition=part)
-        _, rp = run_pointer_jumping_pregel(tree, mode="basic", num_workers=4, partition=part)
+        _, rp = run_pointer_jumping_pregel(tree, variant="basic", num_workers=4, partition=part)
         assert rc.metrics.total_messages == rp.metrics.total_messages

@@ -25,14 +25,14 @@ _TREE = random_tree(120, seed=3)
 
 #: every mode each runner offers; ghost mode with hubs on both workers
 CASES = {
-    "pr-basic": lambda **kw: run_pagerank_pregel(_DIRECTED, mode="basic", iterations=6, **kw),
+    "pr-basic": lambda **kw: run_pagerank_pregel(_DIRECTED, variant="basic", iterations=6, **kw),
     "pr-ghost": lambda **kw: run_pagerank_pregel(
-        _DIRECTED, mode="ghost", iterations=6, ghost_threshold=8, **kw
+        _DIRECTED, variant="ghost", iterations=6, ghost_threshold=8, **kw
     ),
-    "pj-basic": lambda **kw: run_pointer_jumping_pregel(_TREE, mode="basic", **kw),
-    "pj-reqresp": lambda **kw: run_pointer_jumping_pregel(_TREE, mode="reqresp", **kw),
-    "sv-basic": lambda **kw: run_sv_pregel(_UNDIRECTED, mode="basic", **kw),
-    "sv-reqresp": lambda **kw: run_sv_pregel(_UNDIRECTED, mode="reqresp", **kw),
+    "pj-basic": lambda **kw: run_pointer_jumping_pregel(_TREE, variant="basic", **kw),
+    "pj-reqresp": lambda **kw: run_pointer_jumping_pregel(_TREE, variant="reqresp", **kw),
+    "sv-basic": lambda **kw: run_sv_pregel(_UNDIRECTED, variant="basic", **kw),
+    "sv-reqresp": lambda **kw: run_sv_pregel(_UNDIRECTED, variant="reqresp", **kw),
     "wcc-basic": lambda **kw: run_wcc_pregel(_UNDIRECTED, **kw),
 }
 

@@ -93,9 +93,9 @@ class TestBasicMode:
         res = ChannelEngine(line_graph(3), pregel_plus(P), num_workers=2).run()
         assert res.data[0] == [(7, 0), (7, 1), (7, 2)]
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            pregel_plus(Echo, mode="turbo")
+    def test_invalid_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'turbo'"):
+            pregel_plus(Echo, variant="turbo")
 
     def test_request_outside_reqresp_mode_rejected(self):
         class P(PregelProgram):
@@ -103,7 +103,7 @@ class TestBasicMode:
                 v.request(0)
 
         with pytest.raises(RuntimeError, match="reqresp"):
-            ChannelEngine(line_graph(2), pregel_plus(P, mode="basic"), num_workers=1).run()
+            ChannelEngine(line_graph(2), pregel_plus(P, variant="basic"), num_workers=1).run()
 
     def test_aggregate_without_declaration_rejected(self):
         class P(PregelProgram):
@@ -160,7 +160,7 @@ class TestReqRespMode:
 
         part = np.array([0, 1, 1, 1])
         engine = ChannelEngine(
-            line_graph(4), pregel_plus(P, mode="reqresp"), num_workers=2, partition=part
+            line_graph(4), pregel_plus(P, variant="reqresp"), num_workers=2, partition=part
         )
         res = engine.run()
         # all of worker 1's requests for vertex 0 dedup to one wire id;
@@ -190,7 +190,7 @@ class TestReqRespMode:
 
         res = ChannelEngine(
             line_graph(3),
-            pregel_plus(P, mode="reqresp"),
+            pregel_plus(P, variant="reqresp"),
             num_workers=1,
         ).run()
         computed = res.data["w0"]
@@ -225,9 +225,9 @@ class TestGhostMode:
         g = star(10, center=0)
         part = np.zeros(10, dtype=np.int64)
         part[5:] = 1
-        basic = ChannelEngine(g, pregel_plus(P, mode="basic"), num_workers=2, partition=part).run()
+        basic = ChannelEngine(g, pregel_plus(P, variant="basic"), num_workers=2, partition=part).run()
         ghost = ChannelEngine(
-            g, pregel_plus(P, mode="ghost", ghost_threshold=3), num_workers=2, partition=part
+            g, pregel_plus(P, variant="ghost", ghost_threshold=3), num_workers=2, partition=part
         ).run()
         assert basic.data == ghost.data
         assert ghost.metrics.total_net_bytes < basic.metrics.total_net_bytes
@@ -251,5 +251,5 @@ class TestGhostMode:
                 return self.got
 
         g = line_graph(4)  # max degree 2 < threshold
-        res = ChannelEngine(g, pregel_plus(P, mode="ghost", ghost_threshold=16), num_workers=2).run()
+        res = ChannelEngine(g, pregel_plus(P, variant="ghost", ghost_threshold=16), num_workers=2).run()
         assert res.data[1] == [5, 5]

@@ -16,23 +16,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms._common import run_engine
-from repro.algorithms.bfs import run_bfs
-from repro.algorithms.lpa import run_lpa
-from repro.algorithms.mis import run_mis
-from repro.algorithms.pagerank import PageRankScatterBulk, run_pagerank
-from repro.algorithms.sssp import run_sssp
-from repro.algorithms.sv import SV_VARIANTS, run_sv
+from repro.algorithms.pagerank import PageRankScatterBulk
 from repro.core import ChannelEngine, ProgramSpec
 from repro.graph import random_tree, rmat
-from repro.pregel_algorithms import (
-    run_msf_pregel,
-    run_pagerank_pregel,
-    run_pointer_jumping_pregel,
-    run_scc_pregel,
-    run_sssp_pregel,
-    run_sv_pregel,
-    run_wcc_pregel,
-)
+from repro.programs import PROGRAMS, cells, factory, runner
 from repro.runtime.checkpoint import capture_snapshot
 from repro.runtime.parallel import WorkerPool
 
@@ -41,28 +28,25 @@ _UNDIRECTED = rmat(7, edge_factor=3, seed=42, directed=False)
 _WEIGHTED = rmat(7, edge_factor=3, seed=43, directed=False, weighted=True)
 _TREE = random_tree(128, seed=44)  # pointer jumping needs a forest
 
+#: (algorithm, cell) -> (graph, the run parameters the row's runner takes)
 CASES = {
-    "pagerank": lambda **kw: run_pagerank(_DIRECTED, iterations=5, **kw),
-    "pagerank-scatter-bulk": lambda **kw: run_pagerank(
-        _DIRECTED, variant="scatter", mode="bulk", iterations=5, **kw
-    ),
+    ("pagerank", "channel-basic"): (_DIRECTED, {"iterations": 5}),
+    ("pagerank", "channel-scatter-bulk"): (_DIRECTED, {"iterations": 5}),
     **{
-        f"sv-{variant}": lambda variant=variant, **kw: run_sv(_UNDIRECTED, variant=variant, **kw)
-        for variant in SV_VARIANTS
+        ("sv", f"channel-{variant}-bulk"): (_UNDIRECTED, {})
+        for variant in PROGRAMS["sv"]["channel"].variants
     },
-    "sssp": lambda **kw: run_sssp(_DIRECTED, source=3, **kw),
-    "bfs": lambda **kw: run_bfs(_DIRECTED, source=3, mode="bulk", **kw),
-    "lpa": lambda **kw: run_lpa(_UNDIRECTED, rounds=3, **kw),
-    "mis": lambda **kw: run_mis(_UNDIRECTED, seed=7, **kw),
-    "sssp-pregel": lambda **kw: run_sssp_pregel(_DIRECTED, source=3, **kw),
-    "pagerank-pregel": lambda **kw: run_pagerank_pregel(
-        _DIRECTED, mode="ghost", iterations=5, ghost_threshold=8, **kw
-    ),
-    "wcc-pregel": lambda **kw: run_wcc_pregel(_UNDIRECTED, **kw),
-    "scc-pregel": lambda **kw: run_scc_pregel(_DIRECTED, **kw),
-    "msf-pregel": lambda **kw: run_msf_pregel(_WEIGHTED, **kw),
-    "pj-pregel": lambda **kw: run_pointer_jumping_pregel(_TREE, mode="reqresp", **kw),
-    "sv-pregel": lambda **kw: run_sv_pregel(_UNDIRECTED, mode="reqresp", **kw),
+    ("sssp", "channel-basic"): (_DIRECTED, {"source": 3}),
+    ("bfs", "channel-basic-bulk"): (_DIRECTED, {"source": 3}),
+    ("lpa", "channel-basic"): (_UNDIRECTED, {"rounds": 3}),
+    ("mis", "channel-basic"): (_UNDIRECTED, {"seed": 7}),
+    ("sssp", "pregel-basic"): (_DIRECTED, {"source": 3}),
+    ("pagerank", "pregel-ghost"): (_DIRECTED, {"iterations": 5, "ghost_threshold": 8}),
+    ("wcc", "pregel-basic"): (_UNDIRECTED, {}),
+    ("scc", "pregel-basic"): (_DIRECTED, {}),
+    ("msf", "pregel-basic"): (_WEIGHTED, {}),
+    ("pj", "pregel-reqresp"): (_TREE, {}),
+    ("sv", "pregel-reqresp"): (_UNDIRECTED, {}),
 }
 
 
@@ -78,21 +62,37 @@ def _fingerprint(out) -> tuple:
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_second_run_on_one_pool_matches_sim(name):
-    run = CASES[name]
+@pytest.mark.parametrize("algorithm, cell", sorted(CASES), ids=[f"{a}-{c}" for a, c in sorted(CASES)])
+def test_second_run_on_one_pool_matches_sim(algorithm, cell):
+    graph, params = CASES[algorithm, cell]
+    run = runner(algorithm, *cells(algorithm)[cell])
     pool = WorkerPool(2)
     try:
-        run(num_workers=2, executor="process", pool=pool)
-        second = run(num_workers=2, executor="process", pool=pool)
+        run(graph, num_workers=2, executor="process", pool=pool, **params)
+        second = run(graph, num_workers=2, executor="process", pool=pool, **params)
         assert pool.spawn_count == 2  # reconfigured, not respawned
     finally:
         pool.shutdown()
-    assert _fingerprint(second) == _fingerprint(run(num_workers=2))
+    assert _fingerprint(second) == _fingerprint(run(graph, num_workers=2, **params))
 
 
-def _sim(factory):
-    result = run_engine(_DIRECTED, factory, num_workers=2, checkpoint_every=2)
+@pytest.mark.parametrize("algorithm", sorted(PROGRAMS))
+def test_every_row_resolves_and_its_factory_pickles(algorithm):
+    """Each lazy name of the table names a runner and a factory, and each
+    factory crosses to a worker process as pickle bytes."""
+    for system, variant, path in cells(algorithm).values():
+        assert callable(runner(algorithm, system, variant, path))
+        made = factory(algorithm, system, variant, path)
+        assert factory(algorithm, system, variant, path) is made  # resolved once
+        clone = pickle.loads(pickle.dumps(made))
+        if isinstance(made, ProgramSpec):
+            assert (clone.base, clone.attrs) == (made.base, made.attrs)
+        else:
+            assert clone is made
+
+
+def _sim(program):
+    result = run_engine(_DIRECTED, program, num_workers=2, checkpoint_every=2)
     m = result.metrics
     return result.data.array.tobytes(), m.total_net_bytes, m.total_messages, m.checkpoint_bytes
 

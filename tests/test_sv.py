@@ -4,10 +4,11 @@ modes agree with the union-find oracle; composition helps."""
 import numpy as np
 import pytest
 
-from repro.algorithms.sv import SV_VARIANTS, run_sv
+from repro.algorithms.sv import run_sv
 from repro.graph import complete, erdos_renyi, rmat, star
 from repro.graph.graph import Graph
 from repro.pregel_algorithms.sv import run_sv_pregel
+from repro.programs import PROGRAMS
 from helpers import line_graph, nx_components, two_triangles
 
 
@@ -21,7 +22,9 @@ def dense():
     return erdos_renyi(150, avg_degree=12, seed=3, directed=False)
 
 
-ALL = [(f"channel-{v}", v) for v in SV_VARIANTS]
+#: the four Table VI compositions, as the program table lists them
+COMPOSITIONS = tuple(PROGRAMS["sv"]["channel"].variants)
+ALL = [(f"channel-{v}", v) for v in COMPOSITIONS]
 
 
 @pytest.mark.parametrize("name,variant", ALL, ids=[a[0] for a in ALL])
@@ -64,14 +67,14 @@ class TestScalarChannelVariants(TestChannelVariants):
     mode = "scalar"
 
 
-@pytest.mark.parametrize("mode", ["basic", "reqresp"])
+@pytest.mark.parametrize("variant", ["basic", "reqresp"])
 class TestPregelVariants:
-    def test_power_law(self, social, mode):
-        labels, _ = run_sv_pregel(social, mode=mode, num_workers=4)
+    def test_power_law(self, social, variant):
+        labels, _ = run_sv_pregel(social, variant=variant, num_workers=4)
         np.testing.assert_array_equal(labels, nx_components(social))
 
-    def test_dense(self, dense, mode):
-        labels, _ = run_sv_pregel(dense, mode=mode, num_workers=4)
+    def test_dense(self, dense, variant):
+        labels, _ = run_sv_pregel(dense, variant=variant, num_workers=4)
         np.testing.assert_array_equal(labels, nx_components(dense))
 
 
@@ -84,7 +87,7 @@ class TestComposition:
 
     def test_both_minimizes_bytes(self, social):
         part = np.arange(social.num_vertices) % 4
-        b = {v: self._bytes(social, v, part) for v in SV_VARIANTS}
+        b = {v: self._bytes(social, v, part) for v in COMPOSITIONS}
         assert b["both"] < b["reqresp"]
         assert b["both"] < b["scatter"]
         assert b["scatter"] < b["basic"]
@@ -94,7 +97,7 @@ class TestComposition:
         """Twitter-analogue: neighborhood traffic dominates, so the
         scatter-combine channel saves more than request-respond."""
         part = np.arange(dense.num_vertices) % 4
-        b = {v: self._bytes(dense, v, part) for v in SV_VARIANTS}
+        b = {v: self._bytes(dense, v, part) for v in COMPOSITIONS}
         assert b["scatter"] < b["reqresp"]
 
     def test_reqresp_shortens_rounds(self, social):
@@ -108,7 +111,7 @@ class TestComposition:
         tagged union."""
         part = np.arange(social.num_vertices) % 4
         _, rc = run_sv(social, variant="basic", num_workers=4, partition=part)
-        _, rp = run_sv_pregel(social, mode="basic", num_workers=4, partition=part)
+        _, rp = run_sv_pregel(social, variant="basic", num_workers=4, partition=part)
         assert rc.metrics.total_net_bytes < rp.metrics.total_net_bytes
 
     def test_both_beats_pregel_reqresp(self, social):
@@ -117,5 +120,5 @@ class TestComposition:
         benchmarks/bench_table6.py: it includes measured compute."""
         part = np.arange(social.num_vertices) % 4
         _, rc = run_sv(social, variant="both", mode="scalar", num_workers=4, partition=part)
-        _, rp = run_sv_pregel(social, mode="reqresp", num_workers=4, partition=part)
+        _, rp = run_sv_pregel(social, variant="reqresp", num_workers=4, partition=part)
         assert rc.metrics.total_net_bytes < rp.metrics.total_net_bytes
