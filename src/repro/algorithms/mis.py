@@ -91,10 +91,12 @@ class LubyMIS(VertexProgram):
 
 def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):
     """Compute a maximal independent set; returns ``(in_set, EngineResult)``
-    where ``in_set`` is a boolean array."""
+    where ``in_set`` is a boolean array; ``seed`` is any int but a bool."""
     if graph.directed:
         raise ValueError("MIS expects an undirected graph")
-    program = ProgramSpec(factory("mis"), {"seed": seed})
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    program = ProgramSpec(factory("mis"), {"seed": int(seed)})
     result = run_engine(graph, program, **engine_kwargs)
     states = gather(result, graph.num_vertices)
     return states == IN_SET, result

@@ -150,6 +150,15 @@ class ProgramSpec:
         )
 
 
+def _holds_channels(value) -> bool:
+    """A channel, or a non-empty list/tuple of them (nested)."""
+    from repro.core.channel import Channel
+
+    if isinstance(value, (list, tuple)):
+        return bool(value) and all(map(_holds_channels, value))
+    return isinstance(value, Channel)
+
+
 def _capturable(value) -> bool:
     if value is None or isinstance(value, (np.ndarray,) + _SCALAR_STATE):
         return True
@@ -212,17 +221,16 @@ class VertexProgram:
         scalar and bulk alike, since per-vertex state lives in
         program-owned arrays.  Channels checkpoint themselves (the engine
         calls each channel's ``snapshot()`` separately) and the worker
-        handle is re-bound on restore, so both are skipped here.
+        handle is re-bound on restore, so both are skipped here, as is a
+        list or tuple of channels.
 
         Raises ``TypeError`` on any other attribute type rather than
         silently dropping state — programs holding exotic state must
         override this (and :meth:`load_state_dict`).
         """
-        from repro.core.channel import Channel
-
         state = {}
         for name, value in vars(self).items():
-            if name == "worker" or isinstance(value, Channel):
+            if name == "worker" or _holds_channels(value):
                 continue
             if not _capturable(value):
                 raise TypeError(

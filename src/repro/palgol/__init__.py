@@ -8,7 +8,10 @@ pipeline: algorithm specifications written as a small expression AST
 :class:`~repro.core.program.ProgramSpec` of the one
 :class:`~repro.palgol.compiler.PalgolProgram`, which pickles to a worker
 process (:mod:`repro.palgol.compiler`) — with the compiler choosing
-channels the way Section III-C describes a human would:
+channels the way Section III-C describes a human would.  The compiled
+program is a bulk program: each phase evaluates every expression once,
+over the worker's active vertices as NumPy arrays, and ``run_palgol``
+returns one array per field.
 
 ====================================  =================================
 pattern in the spec                    channel chosen (optimize=True)

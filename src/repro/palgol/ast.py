@@ -18,10 +18,10 @@ The mirror of the paper's S-V listing (Section III-C) in this AST is in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.combiner import Combiner
+from repro.util import check_count
 
 __all__ = [
     "Expr",
@@ -221,8 +221,8 @@ class PalgolSpec:
     body:
         The loop body (a tuple of statements).
     iterate:
-        ``"fixpoint"`` (the paper's ``until fix[...]``) or an int for a
-        fixed number of rounds.
+        ``"fixpoint"`` (the paper's ``until fix[...]``) or a non-negative
+        int (NumPy's too) for a fixed number of rounds.
     name:
         Used for the generated program class.
     """
@@ -235,7 +235,7 @@ class PalgolSpec:
     def __init__(self, fields, body, iterate="fixpoint", name="palgol"):
         object.__setattr__(self, "fields", dict(fields))
         object.__setattr__(self, "body", tuple(body))
+        if iterate != "fixpoint":
+            iterate = check_count("iterate", iterate)
         object.__setattr__(self, "iterate", iterate)
         object.__setattr__(self, "name", name)
-        if iterate != "fixpoint" and not isinstance(iterate, int):
-            raise ValueError("iterate must be 'fixpoint' or an int")

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import _common
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.lpa import run_lpa
+from repro.algorithms.mis import run_mis
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.pointer_jumping import PointerJumpingReqRespBulk, run_pointer_jumping
 from repro.algorithms.scc import run_scc
@@ -503,6 +504,19 @@ class TestModeValidation:
             run_pagerank_pregel(directed_graph, iterations=-1, num_workers=2)
         with pytest.raises(ValueError, match="iterations"):
             PageRankStream(iterations=2.5)
+
+    @pytest.mark.parametrize("seed", [2.5, None, "x", True], ids=repr)
+    def test_mis_seed_not_an_int_rejected(self, undirected_graph, seed):
+        """Not a ``TypeError`` or ``OverflowError`` from inside the
+        priority hash: one ValueError naming ``seed``."""
+        with pytest.raises(ValueError, match="seed"):
+            run_mis(undirected_graph, seed=seed, num_workers=2)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)], ids=repr)
+    def test_a_numpy_seed_is_a_seed(self, undirected_graph, seed):
+        got, _ = run_mis(undirected_graph, seed=seed, num_workers=2)
+        assert got.tobytes() == run_mis(undirected_graph, seed=3, num_workers=2)[0].tobytes()
+        run_mis(undirected_graph, seed=-5, num_workers=2)  # negatives stay seeds
 
     def test_a_numpy_count_is_a_count(self, directed_graph):
         ranks, _ = run_pagerank(directed_graph, iterations=np.int64(3), num_workers=2)

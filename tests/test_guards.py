@@ -348,6 +348,18 @@ if grep -rnE --include="*.py" "^\s+class \w+\(\w*VertexProgram\)" src/repro; the
   exit 1
 fi
 '''),
+    # a compiled Palgol spec runs over arrays: one bulk evaluator, no
+    # per-vertex interpreter beside it
+    ("Palgol evaluates over arrays", r'''
+if ! grep -qE "^class PalgolProgram\(BulkVertexProgram\)" src/repro/palgol/compiler.py; then
+  echo "PalgolProgram in src/repro/palgol/compiler.py must be a BulkVertexProgram"
+  exit 1
+fi
+if grep -rnE --include="*.py" "def compute\(self, v" src/repro/palgol; then
+  echo "nothing under src/repro/palgol may define compute(self, v"
+  exit 1
+fi
+'''),
     # which (algorithm, system, variant, compute path) programs exist is
     # one fact, written once in src/repro/programs.py: no algorithm module
     # keeps a variant table, no runner picks from a dict of its own, and
