@@ -40,6 +40,11 @@ from repro.util import cut_blocks, expand_ranges
 
 __all__ = ["LocalCSR", "build_local_csr"]
 
+#: store entries one read of scattered rows may span (1 MiB of an int64
+#: store): a block's row mask and what it keeps of the span stay within
+#: that, whatever share of the span the rows keep
+_SPAN = 1 << 17
+
 
 class _Rows:
     """Some rows of one global CSR, in local order: ``rows[i]`` is the
@@ -49,7 +54,10 @@ class _Rows:
     any other row set (``hash`` partitions, a peer's senders) is copied:
     ascending rows that hold a quarter of the entries between their first
     and last or more by masking that span, others by gathering an index
-    per entry."""
+    per entry.  Either way a read touches the store between its first
+    and last row, so :class:`LocalCSR` cuts ascending rows by that span
+    (:meth:`store_bounds`, at most :data:`_SPAN` entries a read), not by
+    the entries it keeps."""
 
     __slots__ = ("indptr", "indices", "weights", "rows", "run", "ascending")
 
@@ -59,6 +67,14 @@ class _Rows:
         steps = rows[1:] - rows[:-1]
         self.run = bool(rows.size) and bool(np.all(steps == 1))
         self.ascending = bool(np.all(steps > 0))
+
+    def store_bounds(self) -> np.ndarray:
+        """Where each local row starts in the store, then where the last
+        one ends: on ascending rows, local rows ``first:end`` are read
+        from within ``bounds[first]:bounds[end]``."""
+        if not self.rows.size:
+            return np.zeros(1, dtype=np.int64)
+        return np.append(self.indptr[self.rows], self.indptr[self.rows[-1] + 1])
 
     def degrees(self, first: int, end: int) -> np.ndarray:
         """Lengths of local rows ``first:end``."""
@@ -134,11 +150,33 @@ class LocalCSR:
         return None if self._parts[0].weights is None else self._column("weights")
 
     def _column(self, name: str) -> np.ndarray:
-        values, spans = self._read(name, 0, self.indptr.size - 1)
-        if not self._views:  # copied: hand back what was read of the store
+        if self._views:
+            return self._read(name, 0, self.indptr.size - 1)[0]
+        # copied a block at a time, each block's span of the store handed back
+        values = np.empty(self.num_edges, dtype=getattr(self._parts[0], name).dtype)
+        for first, end in self._cuts(_SPAN):
+            block, spans = self._read(name, first, end)
+            values[self.indptr[first] : self.indptr[end]] = block
             for span in spans:
                 self._store.release(span)
         return values
+
+    def _cuts(self, max_edges: int) -> Iterator[tuple[int, int]]:
+        """Consecutive whole-row blocks ``(first row, end row)``: of at
+        most ``max_edges`` edges on a contiguous run of rows, and on other
+        ascending rows of at most ``min(max_edges, _SPAN)`` entries of the
+        store from the block's first row to the start of the next block's
+        — what a read of the block touches, kept entries and skipped ones
+        alike.  A longer row is a block of its own."""
+        if self._views or not all(part.ascending for part in self._parts):
+            bounds = self.indptr  # a slice reads what it keeps; a gather likewise
+        else:
+            bounds = self._parts[0].store_bounds()
+            for part in self._parts[1:]:  # ("both": the two spans add up)
+                bounds += part.store_bounds()
+            max_edges = min(max_edges, _SPAN)
+        for first, end, _, _ in cut_blocks(bounds, max_edges):
+            yield first, end
 
     def _read(self, name: str, first: int, end: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """Column ``name`` of local rows ``first:end`` in row order, and the
@@ -166,8 +204,14 @@ class LocalCSR:
         the next one, and the span of the store the block was read from is
         then handed back (:meth:`~repro.graph.store.GraphStore.release`).
         So a consumer that copies what it keeps holds one block of the
-        graph at a time, and nothing of it afterwards."""
-        for first, end, _, _ in cut_blocks(self.indptr, max_edges):
+        graph at a time, and nothing of it afterwards.
+
+        Gathered blocks are cut by the store span they read, at most
+        :data:`_SPAN` entries (:meth:`_cuts`): the rows of a ``hash``
+        partition at W workers keep about one entry in W of the span
+        between them, so a block cut by the edges it keeps would mask and
+        touch about W times as much of the store."""
+        for first, end in self._cuts(max_edges):
             dsts, spans = self._read("indices", first, end)
             yield first, end, dsts
             for span in spans:

@@ -34,7 +34,11 @@ from repro.core.vertex import Vertex
 __all__ = ["ScatterEdges", "StaticEdges"]
 
 #: edges in one block of an adjacency's rows: all a build holds of the graph
-#: at a time (2 MiB of destinations, 1 MiB of sender numbers)
+#: at a time (2 MiB of destinations, 1 MiB of sender numbers).  Scattered
+#: rows (a hash partition, a peer's senders) are cut at the store span a
+#: block reads, ``adjacency._SPAN`` = 2**17 entries, so their blocks keep
+#: fewer: 1 MiB of destinations at most, with a 128 KiB row mask over the
+#: span (LocalCSR.blocks)
 _BLOCK_EDGES = 1 << 18
 
 

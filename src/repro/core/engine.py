@@ -37,6 +37,7 @@ from repro.core.worker import OwnerTable, Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
 from repro.runtime.metrics import MetricsCollector
+from repro.util import check_partition
 
 __all__ = ["ChannelEngine", "EngineResult"]
 
@@ -183,12 +184,7 @@ class ChannelEngine(OwnerTable):
         self.frame_log: FrameLog | None = None
         if partition is None:
             partition = hash_partition(graph.num_vertices, num_workers)
-        partition = np.asarray(partition, dtype=np.int64)
-        if partition.shape != (graph.num_vertices,):
-            raise ValueError("partition must assign every vertex")
-        if partition.size and (partition.min() < 0 or partition.max() >= num_workers):
-            raise ValueError("partition assigns vertices to unknown workers")
-        self.owner = partition
+        self.owner = check_partition(partition, graph.num_vertices, num_workers)
         self.metrics = MetricsCollector(num_workers=num_workers, network=config.network)
         if trace is not None:
             self.metrics.trace = trace

@@ -6,6 +6,10 @@ stand-in for METIS: a multi-source BFS growth that produces balanced,
 locality-preserving blocks.  The paper only needs the partitioner to cut
 few edges; any reasonable locality partitioner exhibits the same
 "partitioned graph → propagation channel wins big" effect.
+
+Every partitioner returns its ``owner`` array as narrow as the worker
+count allows (:func:`owner_dtype`: one byte a vertex up to 256 workers),
+and the engines keep an integer partition as given.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.util import index_dtype
 
 __all__ = [
     "hash_partition",
@@ -23,7 +28,15 @@ __all__ = [
     "metis_like_partition",
     "extend_partition",
     "partition_quality",
+    "owner_dtype",
 ]
+
+
+def owner_dtype(num_workers: int) -> np.dtype:
+    """The narrowest type that numbers ``num_workers`` workers: ``uint8``
+    up to 256, ``uint16`` up to 2¹⁶ (:func:`~repro.util.index_dtype`
+    past that)."""
+    return np.dtype(np.uint8) if num_workers <= 1 << 8 else index_dtype(num_workers)
 
 
 def hash_partition(num_vertices: int, num_workers: int, seed: int = 0) -> np.ndarray:
@@ -32,7 +45,9 @@ def hash_partition(num_vertices: int, num_workers: int, seed: int = 0) -> np.nda
     Deterministic given the seed; statistically balanced.
     """
     rng = np.random.default_rng(seed)
-    return rng.integers(0, num_workers, size=num_vertices, dtype=np.int64)
+    # drawn as int64 (the draws depend on the dtype), then narrowed
+    owner = rng.integers(0, num_workers, size=num_vertices, dtype=np.int64)
+    return owner.astype(owner_dtype(num_workers))
 
 
 def extend_partition(
@@ -45,7 +60,7 @@ def extend_partition(
     New ids get hash-partition assignments whose seed folds in the old
     size, so growing in two steps or one yields the same final array.
     """
-    owner = np.asarray(owner, dtype=np.int64)
+    owner = np.asarray(owner)
     if num_new < 0:
         raise ValueError("num_new must be >= 0")
     if num_new == 0:
@@ -54,14 +69,13 @@ def extend_partition(
     # one id at a time keeps the result invariant to batch grouping
     for i in range(num_new):
         parts.append(hash_partition(1, num_workers, seed=seed + owner.size + i))
-    return np.concatenate(parts)
+    return np.concatenate(parts).astype(owner_dtype(num_workers), copy=False)
 
 
 def range_partition(num_vertices: int, num_workers: int) -> np.ndarray:
     """Contiguous ID ranges of (nearly) equal size."""
-    return (
-        np.arange(num_vertices, dtype=np.int64) * num_workers // max(num_vertices, 1)
-    )
+    owner = np.arange(num_vertices, dtype=np.int64) * num_workers // max(num_vertices, 1)
+    return owner.astype(owner_dtype(num_workers))
 
 
 def degree_range_partition(graph: Graph, num_workers: int) -> np.ndarray:
@@ -84,8 +98,8 @@ def degree_range_partition(graph: Graph, num_workers: int) -> np.ndarray:
     # midpoint of each vertex's arc span decides its bucket, so a vertex
     # straddling a boundary goes to the side holding most of its arcs
     mid = (indptr[:-1] + indptr[1:]) // 2
-    owner = (mid * num_workers // total).astype(np.int64)
-    return np.minimum(owner, num_workers - 1)
+    owner = np.minimum(mid * num_workers // total, num_workers - 1)
+    return owner.astype(owner_dtype(num_workers))
 
 
 def metis_like_partition(graph: Graph, num_workers: int, seed: int = 0) -> np.ndarray:
@@ -98,7 +112,7 @@ def metis_like_partition(graph: Graph, num_workers: int, seed: int = 0) -> np.nd
     """
     n = graph.num_vertices
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=owner_dtype(num_workers))
     rng = np.random.default_rng(seed)
     owner = np.full(n, -1, dtype=np.int64)
     capacity = (n + num_workers - 1) // num_workers
@@ -159,7 +173,7 @@ def metis_like_partition(graph: Graph, num_workers: int, seed: int = 0) -> np.nd
         b = int(np.argmin(sizes))
         owner[v] = b
         sizes[b] += 1
-    return owner
+    return owner.astype(owner_dtype(num_workers))
 
 
 def partition_quality(graph: Graph, owner: np.ndarray) -> dict:

@@ -41,8 +41,6 @@ import multiprocessing as mp
 import pickle
 import weakref
 
-import numpy as np
-
 from repro.core.lanes import affinity_cores
 from repro.runtime.parallel.protocol import (
     WorkerProcessError,
@@ -286,7 +284,7 @@ class WorkerPool:
             "directed": graph.directed,
             "num_workers": self.num_workers,
             "graph": graph_desc,
-            "owner": export.share(np.asarray(cfg["owner"], dtype=np.int64)),
+            "owner": export.share(cfg["owner"]),
             "seeds": cfg["seeds"],
             # see attach_array: spawned children must drop their private
             # resource tracker's claim on the parent's segments

@@ -35,6 +35,7 @@ from repro.graph.partition import extend_partition, hash_partition
 from repro.streaming.batch import MutationBatch
 from repro.streaming.delta import apply_batch
 from repro.streaming.plan import REFRESH_MODES, StreamAlgorithm
+from repro.util import check_partition
 
 __all__ = ["EpochEngine", "EpochResult"]
 
@@ -134,9 +135,7 @@ class EpochEngine:
         self._stream_span: int | None = None
         if partition is None:
             partition = hash_partition(graph.num_vertices, self.num_workers, seed=PARTITION_SEED)
-        self.owner = np.asarray(partition, dtype=np.int64)
-        if self.owner.shape != (graph.num_vertices,):
-            raise ValueError("partition must assign every vertex")
+        self.owner = check_partition(partition, graph.num_vertices, self.num_workers)
         self.state: dict | None = None
         self.epoch_num = -1  # bootstrap is epoch 0
         self.history: list[EpochResult] = []

@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "check_choice",
     "check_count",
+    "check_partition",
     "check_vertex",
     "csr_group",
     "cut_blocks",
@@ -50,6 +51,28 @@ def check_choice(name: str, value, choices: dict):
         return choices[value]
     except (KeyError, TypeError):
         raise ValueError(f"unknown {name} {value!r}; have {sorted(choices)}") from None
+
+
+def check_partition(partition, num_vertices: int, num_workers: int) -> np.ndarray:
+    """``partition`` as an integer array that assigns each of
+    ``num_vertices`` vertices one of ``num_workers`` workers, kept as
+    given — the same memory, as narrow as the caller made it; otherwise a
+    ``ValueError`` that names the argument.  A float or ``bool`` array is
+    refused, not truncated to worker numbers."""
+    owner = np.asarray(partition)
+    if not np.issubdtype(owner.dtype, np.integer):
+        raise ValueError(f"partition must be an integer array, got dtype {owner.dtype}")
+    if owner.shape != (num_vertices,):
+        raise ValueError(
+            f"partition must assign every vertex: shape {owner.shape}, "
+            f"want ({num_vertices},)"
+        )
+    if owner.size and (int(owner.min()) < 0 or int(owner.max()) >= num_workers):
+        raise ValueError(
+            f"partition assigns vertices to unknown workers: values in "
+            f"[{owner.min()}, {owner.max()}], want [0, {num_workers})"
+        )
+    return owner
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

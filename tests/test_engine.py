@@ -76,7 +76,7 @@ class TestValidation:
     def test_rejects_bad_partition_shape(self):
         with pytest.raises(ValueError):
             ChannelEngine(
-                line_graph(4), HaltImmediately, num_workers=2, partition=np.zeros(3)
+                line_graph(4), HaltImmediately, num_workers=2, partition=np.zeros(3, dtype=int)
             )
 
     def test_rejects_out_of_range_partition(self):
@@ -87,6 +87,50 @@ class TestValidation:
                 num_workers=2,
                 partition=np.array([0, 1, 2, 0]),
             )
+
+    @pytest.mark.parametrize("engine", ["channel", "epoch"])
+    @pytest.mark.parametrize(
+        "partition, match",
+        [
+            (np.full(4, 0.9), "integer array, got dtype float64"),  # would run on worker 0
+            (np.full(4, 1.7), "integer array, got dtype float64"),  # would run on worker 1
+            (np.array([True, False, True, False]), "integer array, got dtype bool"),
+            ([0.0, 1.0, 0.0, 1.0], "integer array, got dtype float64"),
+            (np.array([0, 1, 0], dtype=np.uint8), r"assign every vertex: shape \(3,\)"),
+            (np.zeros((4, 1), dtype=np.int64), r"assign every vertex: shape \(4, 1\)"),
+            (np.array([0, 1, 2, 0], dtype=np.uint8), "unknown workers"),
+            (np.array([0, -1, 1, 0]), "unknown workers"),
+        ],
+    )
+    def test_refuses_a_partition_that_is_not_an_integer_array_of_workers(
+        self, engine, partition, match
+    ):
+        """One check on both engines: a non-integer dtype is a
+        ``ValueError`` naming ``partition``, not a truncation to worker
+        numbers; so are a wrong shape and a worker out of range."""
+        from repro.streaming import EpochEngine, WCCStream
+
+        with pytest.raises(ValueError, match=f"partition .*{match}"):
+            if engine == "channel":
+                ChannelEngine(line_graph(4), HaltImmediately, num_workers=2, partition=partition)
+            else:
+                EpochEngine(line_graph(4), WCCStream(), num_workers=2, partition=partition)
+
+    @pytest.mark.parametrize("engine", ["channel", "epoch"])
+    def test_keeps_an_integer_partition_as_given(self, engine):
+        from repro.streaming import EpochEngine, WCCStream
+
+        for dtype in (np.uint8, np.int16, np.int64, np.uint64):
+            partition = np.array([0, 1, 1, 0], dtype=dtype)
+            if engine == "channel":
+                owner = ChannelEngine(
+                    line_graph(4), HaltImmediately, num_workers=2, partition=partition
+                ).owner
+            else:
+                owner = EpochEngine(
+                    line_graph(4), WCCStream(), num_workers=2, partition=partition
+                ).owner
+            assert owner.dtype == dtype and np.shares_memory(owner, partition)
 
     def test_rejects_mismatched_channel_counts(self):
         from repro.runtime.parallel import WorkerProcessError
