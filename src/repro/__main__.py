@@ -273,14 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--weighted", action="store_true", help="rmat only: uniform [1,100) weights"
     )
     gen.add_argument(
-        "--index-dtype",
-        choices=["int64", "uint32"],
-        default="int64",
-        help="on-disk dtype for indices.npy; uint32 halves the dominant "
-        "array for graphs under 2**32 vertices (readers widen to int64 "
-        "on attach)",
-    )
-    gen.add_argument(
         "--chunk-edges",
         type=int,
         default=1 << 20,
@@ -652,7 +644,6 @@ def _cmd_generate(args) -> int:
             directed=not args.undirected,
             weighted=args.weighted,
             chunk_edges=args.chunk_edges,
-            index_dtype=args.index_dtype,
         )
     else:
         if args.weighted:
@@ -665,7 +656,6 @@ def _cmd_generate(args) -> int:
             seed=args.seed,
             directed=not args.undirected,
             chunk_edges=args.chunk_edges,
-            index_dtype=args.index_dtype,
         )
     row = _graph_info(args.out, graph)
     print(format_table([{"property": k, "value": v} for k, v in row.items()]))

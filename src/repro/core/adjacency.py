@@ -40,8 +40,8 @@ from repro.util import cut_blocks, expand_ranges
 
 __all__ = ["LocalCSR", "build_local_csr"]
 
-#: store entries one read of scattered rows may span (1 MiB of an int64
-#: store): a block's row mask and what it keeps of the span stay within
+#: store entries one read of scattered rows may span (512 KiB of int32
+#: ids): a block's row mask and what it keeps of the span stay within
 #: that, whatever share of the span the rows keep
 _SPAN = 1 << 17
 

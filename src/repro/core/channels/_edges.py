@@ -7,7 +7,8 @@ one: edges stay in **call order** whatever mix of scalar, per-vertex and
 bulk calls delivered them; ids are **checked at build, by name** (a
 negative id would otherwise wrap through ``owner[...]`` to a wrong
 answer); registered chunks are **never written, so never copied** — one
-bulk chunk, possibly a read-only view of an mmap store, *is* the edge set.
+bulk chunk of the columns' dtypes, possibly a read-only view, *is* the
+edge set (narrower ids, such as a store's ``int32``, are widened once).
 The columns' keys are the snapshot keys, so the checkpoint format of an
 edge set is decided here too.
 
@@ -34,11 +35,11 @@ from repro.core.vertex import Vertex
 __all__ = ["ScatterEdges", "StaticEdges"]
 
 #: edges in one block of an adjacency's rows: all a build holds of the graph
-#: at a time (2 MiB of destinations, 1 MiB of sender numbers).  Scattered
-#: rows (a hash partition, a peer's senders) are cut at the store span a
-#: block reads, ``adjacency._SPAN`` = 2**17 entries, so their blocks keep
-#: fewer: 1 MiB of destinations at most, with a 128 KiB row mask over the
-#: span (LocalCSR.blocks)
+#: at a time (1 MiB of int32 destinations, 1 MiB of sender numbers).
+#: Scattered rows (a hash partition, a peer's senders) are cut at the store
+#: span a block reads, ``adjacency._SPAN`` = 2**17 entries, so their blocks
+#: keep fewer: 512 KiB of destinations at most, with a 128 KiB row mask
+#: over the span (LocalCSR.blocks)
 _BLOCK_EDGES = 1 << 18
 
 

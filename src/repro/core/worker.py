@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.adjacency import LocalCSR, build_local_csr
 from repro.core.lanes import lane_count
 from repro.core.vertex import Vertex
+from repro.graph.graph import MAX_VERTICES
 from repro.runtime.buffers import WorkerBuffers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,8 +31,6 @@ __all__ = ["MAX_VERTICES", "OwnerTable", "Worker"]
 _FRAME = struct.Struct("<ii")  # channel_id, payload nbytes
 #: the largest payload a frame's int32 length can carry
 _MAX_PAYLOAD = 2**31 - 1
-#: the most vertices a host places: a position is an int32
-MAX_VERTICES = 2**31
 
 
 class OwnerTable:

@@ -132,7 +132,6 @@ def rmat_to_disk(
     directed: bool = True,
     weighted: bool = False,
     chunk_edges: int = 1 << 20,
-    index_dtype: str = "int64",
 ) -> Graph:
     """:func:`rmat` that writes straight to an mmap store at ``out``.
 
@@ -166,12 +165,7 @@ def rmat_to_disk(
             yield src, dst, w
 
     store = build_mmap_store(
-        out,
-        chunks,
-        num_vertices=n,
-        directed=directed,
-        weighted=weighted,
-        index_dtype=index_dtype,
+        out, chunks, num_vertices=n, directed=directed, weighted=weighted
     )
     return Graph.from_store(store)
 
@@ -193,7 +187,6 @@ def erdos_renyi_to_disk(
     seed: int = 0,
     directed: bool = True,
     chunk_edges: int = 1 << 20,
-    index_dtype: str = "int64",
 ) -> Graph:
     """:func:`erdos_renyi` that writes straight to an mmap store at ``out``
     (chunked like :func:`rmat_to_disk`: per-chunk rng streams, O(V + chunk)
@@ -209,9 +202,7 @@ def erdos_renyi_to_disk(
             loops = src == dst
             yield src[~loops], dst[~loops], None
 
-    store = build_mmap_store(
-        out, chunks, num_vertices=n, directed=directed, index_dtype=index_dtype
-    )
+    store = build_mmap_store(out, chunks, num_vertices=n, directed=directed)
     return Graph.from_store(store)
 
 

@@ -14,7 +14,21 @@ import numpy as np
 
 from repro.graph.store import GraphStore, MemoryStore
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "MAX_VERTICES", "VERTEX_ID"]
+
+#: the dtype of every vertex id the tree makes or writes: CSR ``indices``
+#: in memory and on disk, edge lists, the reverse CSR.  Signed 32 bits: a
+#: graph holds at most :data:`MAX_VERTICES` = 2**31 vertices, so every id
+#: fits; the wire already carries ids as ``int32``
+#: (``core.channels._records.as_int32``); and the difference of two ids
+#: cannot wrap, as it would in ``uint32``.  ``indptr`` counts arcs, not
+#: vertices, and stays ``int64``.  Arrays written by an older tree
+#: (``int64``, ``uint32``) are read as they are: every consumer indexes
+#: with them, and NumPy indexes with any integer dtype.
+VERTEX_ID = np.dtype(np.int32)
+#: the most vertices a graph holds (and a host places, whose positions
+#: are ``int32`` too): ids are ``0..n-1`` in :data:`VERTEX_ID`
+MAX_VERTICES = int(np.iinfo(VERTEX_ID).max) + 1
 
 
 class Graph:
@@ -66,6 +80,7 @@ class Graph:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != src.shape:
                 raise ValueError("weights must match the edge list length")
+        _check_num_vertices(num_vertices)
         if src.size and (src.min() < 0 or max(src.max(), dst.max()) >= num_vertices):
             raise ValueError("edge endpoints out of range")
 
@@ -84,8 +99,6 @@ class Graph:
         self.indptr, self.indices, self.weights = _build_csr(
             num_vertices, src, dst, weights
         )
-        _check_index_dtype("indptr", self.indptr)
-        _check_index_dtype("indices", self.indices)
         self.store: GraphStore = MemoryStore(
             self.num_vertices, self.directed, self.indptr, self.indices, self.weights
         )
@@ -137,8 +150,8 @@ class Graph:
         """
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)
-        _check_index_dtype("indptr", indptr)
-        _check_index_dtype("indices", indices)
+        _check_csr_dtypes(indptr, indices)
+        _check_num_vertices(num_vertices)
         if indptr.shape != (num_vertices + 1,):
             raise ValueError(
                 f"indptr must have num_vertices+1 entries, got {indptr.shape}"
@@ -239,8 +252,8 @@ class Graph:
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays of all stored arcs."""
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.out_degrees)
-        return src, self.indices.copy()
+        src = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_ID), self.out_degrees)
+        return src, self.indices.astype(VERTEX_ID)
 
     # -- reverse adjacency (for in-neighbors) -----------------------------
     def _ensure_reverse(self) -> None:
@@ -318,20 +331,28 @@ class Graph:
         )
 
 
-def _check_index_dtype(name: str, arr: np.ndarray) -> None:
-    """Assert a CSR index array is ``int64``.
-
-    Every generator and transform is expected to emit 64-bit indices so
-    that synthetic graphs past 2^31 edges survive concatenation with
-    streaming deltas (NumPy would silently upcast-or-wrap mixed-width
-    concatenations depending on platform).  Catch a narrower dtype at
-    construction instead.
-    """
-    if arr.dtype != np.int64:
+def _check_csr_dtypes(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """``indptr`` must be ``int64`` (a graph may hold 2**31 arcs or more);
+    ``indices`` holds vertex ids, so any integer dtype that holds them
+    serves: :data:`VERTEX_ID` as this tree writes them, ``int64`` or
+    ``uint32`` as an older store holds them."""
+    if indptr.dtype != np.int64:
         raise TypeError(
-            f"graph {name} must be int64, got {arr.dtype}; narrow index "
-            "arrays overflow on >=2^31-edge graphs and break concatenation "
-            "with streaming deltas"
+            f"graph indptr must be int64, got {indptr.dtype}; it counts "
+            "arcs, and a graph may hold 2**31 of them or more"
+        )
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise TypeError(
+            f"graph indices must be an integer dtype ({VERTEX_ID} as this "
+            f"tree writes them), got {indices.dtype}; they are vertex ids"
+        )
+
+
+def _check_num_vertices(num_vertices: int) -> None:
+    if not 0 <= num_vertices <= MAX_VERTICES:
+        raise ValueError(
+            f"num_vertices must lie in [0, 2**31] (ids are {VERTEX_ID}), "
+            f"got {num_vertices}"
         )
 
 
@@ -340,7 +361,7 @@ def _build_csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     order = np.argsort(src, kind="stable")
     src_sorted = src[order]
-    indices = dst[order]
+    indices = dst.astype(VERTEX_ID)[order]
     w = None if weights is None else weights[order]
     counts = np.bincount(src_sorted, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

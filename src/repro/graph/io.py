@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.graph.store import MmapStore, build_mmap_store, is_mmap_store
 
 __all__ = [
@@ -334,7 +334,7 @@ def save_npz(graph: Graph, path: str | os.PathLike) -> None:
         "num_vertices": np.int64(graph.num_vertices),
         "directed": np.int64(graph.directed),
         "indptr": graph.indptr,
-        "indices": graph.indices,
+        "indices": graph.indices.astype(VERTEX_ID, copy=False),
     }
     if graph.weights is not None:
         payload["weights"] = graph.weights
@@ -348,9 +348,6 @@ def load_npz(path: str | os.PathLike) -> Graph:
         indptr = data["indptr"]
         indices = data["indices"]
         weights = data["weights"] if "weights" in data else None
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    # CSR already contains both arc directions for undirected graphs, so
-    # rebuild as a directed arc list and restore the flag afterwards.
-    g = Graph(n, src, indices, weights=weights, directed=True)
-    g.directed = directed
-    return g
+    return Graph.from_csr(
+        n, indptr, indices.astype(VERTEX_ID, copy=False), weights, directed
+    )

@@ -30,6 +30,7 @@ object takes it duck-typed.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 from pathlib import Path
@@ -45,19 +46,12 @@ __all__ = [
     "attach_store",
     "build_mmap_store",
     "is_mmap_store",
-    "INDEX_DTYPES",
     "META_NAME",
 ]
 
 META_NAME = "meta.json"
 _FORMAT = "repro-csr"
 _VERSION = 1
-
-#: on-disk dtypes accepted for ``indices.npy`` (``meta.json``'s
-#: ``index_dtype`` field; absent means ``int64``).  ``uint32`` halves the
-#: dominant on-disk array for graphs under 2**32 vertices; readers widen
-#: back to int64 on attach so everything downstream sees one dtype.
-INDEX_DTYPES = {"int64": np.int64, "uint32": np.uint32}
 
 # (src, dst, weights-or-None) int64/int64/float64 arrays of equal length
 EdgeChunk = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
@@ -147,8 +141,14 @@ class MmapStore(GraphStore):
 
         <path>/meta.json      format/version/num_vertices/num_arcs/...
         <path>/indptr.npy     int64[V+1]
-        <path>/indices.npy    int64[A]
+        <path>/indices.npy    int32[A]       (graph.VERTEX_ID)
         <path>/weights.npy    float64[A]     (weighted graphs only)
+
+    A store written by an older tree holds ``int64`` or ``uint32``
+    ``indices`` (``meta.json``'s ``index_dtype``, which is ignored: the
+    ``.npy`` header names the dtype).  It is read as it is on disk, mapped
+    like any other: every consumer indexes with the ids, and NumPy
+    indexes with any integer dtype.
 
     The files are opened read-only (``mmap_mode="r"``); the store never
     writes to an existing directory after :meth:`save`/``build`` finish,
@@ -165,7 +165,6 @@ class MmapStore(GraphStore):
         self.num_vertices = int(meta["num_vertices"])
         self.directed = bool(meta["directed"])
         self._arrays = arrays
-        self._widened: np.ndarray | None = None  # int64 copy of narrow indices
 
     # -- open / save ---------------------------------------------------
     @classmethod
@@ -182,60 +181,40 @@ class MmapStore(GraphStore):
                 f"{path}: store version {meta['version']} is newer than "
                 f"this reader (max {_VERSION})"
             )
-        index_dtype = meta.get("index_dtype", "int64")
-        if index_dtype not in INDEX_DTYPES:
-            raise ValueError(
-                f"{path}: unknown index_dtype {index_dtype!r}; "
-                f"expected one of {sorted(INDEX_DTYPES)}"
-            )
         names = ["indptr", "indices"] + (["weights"] if meta["weighted"] else [])
         arrays = {name: _load_mapped(path / f"{name}.npy") for name in names}
-        if arrays["indices"].dtype != INDEX_DTYPES[index_dtype]:
-            raise ValueError(
-                f"{path}: indices.npy dtype {arrays['indices'].dtype} does "
-                f"not match meta index_dtype {index_dtype!r}"
-            )
+        _check_arrays(path, meta, arrays)
         return cls(path, meta, arrays)
 
     @classmethod
-    def save(
-        cls, graph, path: str | os.PathLike, *, index_dtype: str = "int64"
-    ) -> "MmapStore":
+    def save(cls, graph, path: str | os.PathLike) -> "MmapStore":
         """Write ``graph``'s CSR arrays to ``path`` and open the result.
 
         ``graph`` is duck-typed: anything with ``num_vertices``,
-        ``directed`` and ``csr_arrays()`` works.  ``index_dtype="uint32"``
-        stores ``indices.npy`` narrow (half the disk for the dominant
-        array); see :data:`INDEX_DTYPES`.
+        ``directed`` and ``csr_arrays()`` works.  ``indices.npy`` is
+        written as :data:`~repro.graph.graph.VERTEX_ID`, whatever the
+        graph holds.
         """
+        from repro.graph.graph import VERTEX_ID
+
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        dtype = _check_index_dtype(index_dtype, graph.num_vertices)
         csr = graph.csr_arrays()
+        csr["indices"] = csr["indices"].astype(VERTEX_ID, copy=False)
         for name, arr in csr.items():
-            np.save(path / f"{name}.npy", arr.astype(dtype) if name == "indices" else arr)
+            np.save(path / f"{name}.npy", arr)
         _write_meta(
             path,
             num_vertices=graph.num_vertices,
             num_arcs=int(csr["indices"].size),
             directed=bool(graph.directed),
             weighted="weights" in csr,
-            index_dtype=index_dtype,
         )
         return cls.open(path)
 
     # -- GraphStore API ------------------------------------------------
     def arrays(self) -> dict[str, np.ndarray]:
-        out = dict(self._arrays)
-        idx = out["indices"]
-        if idx.dtype != np.int64:
-            # widen narrow on-disk indices exactly once; every consumer
-            # (engine kernels, partitioners, exports) assumes int64
-            if self._widened is None:
-                self._widened = np.ascontiguousarray(idx, dtype=np.int64)
-                self.release(idx)
-            out["indices"] = self._widened
-        return out
+        return dict(self._arrays)
 
     def describe(self) -> dict:
         return {"kind": "mmap", "path": str(self.path)}
@@ -244,16 +223,14 @@ class MmapStore(GraphStore):
         on_disk = sum(
             (self.path / f"{name}.npy").stat().st_size for name in self._arrays
         )
-        # the mapped arrays are file-backed pages, not heap; only a
-        # widened copy of narrow indices (when one was made) is resident
-        resident = self._widened.nbytes if self._widened is not None else 0
-        return {"resident_bytes": int(resident), "on_disk_bytes": int(on_disk)}
+        # the mapped arrays are file-backed pages, not heap
+        return {"resident_bytes": 0, "on_disk_bytes": int(on_disk)}
 
     def release(self, view: np.ndarray) -> None:
         """Advise away the whole pages inside ``view`` (``MADV_DONTNEED``;
         they re-fault from the page cache).  A no-op where the platform
         has no ``madvise``, and for a ``view`` that is not a contiguous
-        part of a mapped array — a heap copy, the widened indices."""
+        part of a mapped array, such as a heap copy."""
         if not (hasattr(mmap, "MADV_DONTNEED") and view.flags.c_contiguous):
             return
         first = view.__array_interface__["data"][0]
@@ -275,7 +252,6 @@ class MmapStore(GraphStore):
         # drop the mmap views so the underlying maps can be unmapped; the
         # files themselves are left in place
         self._arrays = {}
-        self._widened = None
 
 
 class SharedMemoryStore(GraphStore):
@@ -365,7 +341,6 @@ def build_mmap_store(
     num_vertices: int | None = None,
     directed: bool = True,
     weighted: bool = False,
-    index_dtype: str = "int64",
 ) -> MmapStore:
     """Build an on-disk CSR store from a re-playable stream of edge chunks.
 
@@ -381,18 +356,15 @@ def build_mmap_store(
     vertex keep input order, and undirected graphs store all forward arcs
     (file order, self-loops included) followed by all backward arcs (file
     order, self-loops dropped) — which is exactly what the forward-then-
-    backward scatter passes produce.
-
-    ``index_dtype="uint32"`` writes ``indices.npy`` narrow (half the
-    disk/page-cache footprint of the dominant array); the store widens
-    back to int64 when attached.
+    backward scatter passes produce.  ``indices.npy`` is written as
+    :data:`~repro.graph.graph.VERTEX_ID`.
     """
+    from repro.graph.graph import MAX_VERTICES, VERTEX_ID
+
+    if num_vertices is not None and num_vertices > MAX_VERTICES:
+        raise ValueError(f"{num_vertices} vertices: a graph holds at most {MAX_VERTICES}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    if index_dtype not in INDEX_DTYPES:
-        raise ValueError(
-            f"index_dtype must be one of {sorted(INDEX_DTYPES)}, got {index_dtype!r}"
-        )
 
     # -- pass 1: count out-degrees (and find V when not given) ---------
     counts = np.zeros((num_vertices or 0) + 1, dtype=np.int64)
@@ -405,7 +377,7 @@ def build_mmap_store(
         if min(src.min(), dst.min()) < 0:
             raise ValueError("edge endpoints out of range")
         hi = int(max(src.max(), dst.max()))
-        if num_vertices is not None and hi >= num_vertices:
+        if hi >= (MAX_VERTICES if num_vertices is None else num_vertices):
             raise ValueError("edge endpoints out of range")
         max_id = max(max_id, hi)
         if hi >= counts.size:
@@ -422,12 +394,11 @@ def build_mmap_store(
                 num_arcs += int(back.sum())
 
     n = num_vertices if num_vertices is not None else max_id + 1
-    idx_np_dtype = _check_index_dtype(index_dtype, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts[:n], out=indptr[1:])
     np.save(path / "indptr.npy", indptr)
 
-    indices_mm = _create_mapped(path / "indices.npy", idx_np_dtype, num_arcs)
+    indices_mm = _create_mapped(path / "indices.npy", VERTEX_ID, num_arcs)
     weights_mm = (
         _create_mapped(path / "weights.npy", np.float64, num_arcs) if weighted else None
     )
@@ -480,25 +451,8 @@ def build_mmap_store(
         num_arcs=int(num_arcs),
         directed=bool(directed),
         weighted=bool(weighted),
-        index_dtype=index_dtype,
     )
     return MmapStore.open(path)
-
-
-def _check_index_dtype(index_dtype: str, num_vertices: int) -> np.dtype:
-    """The numpy dtype for ``index_dtype``, after checking every vertex
-    id actually fits in it."""
-    if index_dtype not in INDEX_DTYPES:
-        raise ValueError(
-            f"index_dtype must be one of {sorted(INDEX_DTYPES)}, got {index_dtype!r}"
-        )
-    dtype = np.dtype(INDEX_DTYPES[index_dtype])
-    if num_vertices > 0 and num_vertices - 1 > np.iinfo(dtype).max:
-        raise ValueError(
-            f"index_dtype {index_dtype!r} cannot hold vertex ids up to "
-            f"{num_vertices - 1}"
-        )
-    return dtype
 
 
 def _check_chunk(src, dst, w, weighted: bool) -> EdgeChunk:
@@ -538,9 +492,48 @@ def _flush_mapped(arr: np.ndarray) -> None:
 
 
 def _load_mapped(path: Path) -> np.ndarray:
-    """np.load with mmap, falling back to a plain load for zero-length
-    arrays (an empty file cannot be mapped)."""
+    """``path``'s array, memory-mapped (a zero-length one, which cannot be
+    mapped, loaded plainly).  Only the header is read first: a file that
+    is not an ``.npy`` array, or holds fewer bytes than its header
+    announces, is a ``ValueError`` naming ``path``."""
     try:
-        return np.load(path, mmap_mode="r")
-    except ValueError:
-        return np.load(path)
+        with open(path, "rb") as f:
+            version = np.lib.format.read_magic(f)
+            if version == (1, 0):
+                shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+            else:
+                shape, _, dtype = np.lib.format.read_array_header_2_0(f)
+            need = dtype.itemsize * math.prod(shape)
+            have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < need:
+            raise ValueError(f"{need} bytes of data announced, {have} present")
+        return np.load(path, mmap_mode="r" if need else None)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npy array ({exc})") from exc
+
+
+def _check_arrays(path: Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Refuse a store whose arrays disagree with ``meta.json`` or with
+    each other — by sizes, dtypes and the last ``indptr`` entry, without
+    reading their content."""
+    indptr, indices = arrays["indptr"], arrays["indices"]
+    problems = []
+    if not np.issubdtype(indices.dtype, np.integer):
+        problems.append(f"indices.npy holds {indices.dtype}, not vertex ids")
+    if indices.size != int(meta["num_arcs"]):
+        problems.append(
+            f"indices.npy holds {indices.size} arcs, meta.json num_arcs "
+            f"says {meta['num_arcs']}"
+        )
+    if indptr.shape != (int(meta["num_vertices"]) + 1,):
+        problems.append(
+            f"indptr.npy has shape {indptr.shape}, not num_vertices + 1 = "
+            f"{int(meta['num_vertices']) + 1}"
+        )
+    elif int(indptr[-1]) != indices.size:
+        problems.append(
+            f"indptr.npy ends at {int(indptr[-1])}, not at the "
+            f"{indices.size} arcs of indices.npy"
+        )
+    if problems:
+        raise ValueError(f"{path}: malformed store: " + "; ".join(problems))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.streaming.batch import MutationBatch
 from repro.util import expand_ranges
 
@@ -146,7 +146,7 @@ def apply_batch(g: Graph, batch: MutationBatch) -> tuple[Graph, ApplyStats]:
     graph = Graph.from_csr(
         n_new,
         new_indptr,
-        np.insert(indices[keep], at, ins_d[order]),
+        np.insert(indices[keep].astype(VERTEX_ID, copy=False), at, ins_d[order]),
         weights=new_weights,
         directed=g.directed,
         validate=False,

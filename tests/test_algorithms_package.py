@@ -1,5 +1,6 @@
 """``repro.algorithms`` resolves its public names on first use."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ def test_importing_one_algorithm_imports_one_module():
         "assert 'repro.algorithms.msf' not in sys.modules\n"
         "assert PageRankScatterBulk is repro.algorithms.pagerank.PageRankScatterBulk\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": SRC}, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 def test_every_public_name_resolves_to_its_module():

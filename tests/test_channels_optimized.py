@@ -35,6 +35,7 @@ from repro.core.combiner import make_combiner
 from repro.core.channels import _edges, scatter_combine
 from repro.core.channels._records import decode_pattern
 from repro.graph import Graph, rmat, star
+from repro.graph.graph import VERTEX_ID
 from repro.graph.partition import hash_partition, range_partition
 from repro.graph.store import MmapStore
 from repro.runtime.checkpoint import decode_state, encode_state
@@ -263,7 +264,7 @@ class TestScatterCombineBuild:
     def _edges(worker):
         adj = worker.local_adjacency()
         src = np.repeat(np.arange(worker.num_local, dtype=np.int64), adj.degrees)
-        return src, np.asarray(adj.indices)
+        return src, adj.indices.astype(np.int64)  # the edge columns' dtype
 
     @staticmethod
     def _tables(ch):
@@ -851,7 +852,7 @@ class TestAdjacencyRegistration:
         would fault in again).  The reverse CSR is heap: offered, never
         advised."""
         # every row spans two pages, so every block's span holds a whole one
-        n, degree = 64, 2 * mmap.PAGESIZE // 8
+        n, degree = 64, 2 * mmap.PAGESIZE // VERTEX_ID.itemsize
         src = np.repeat(np.arange(n), degree)
         dst = np.random.default_rng(3).integers(0, n, src.size)
         graph = Graph.from_store(MmapStore.save(Graph(n, src, dst), tmp_path))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import chain, complete, erdos_renyi, grid_road, random_tree, rmat, star
+from repro.graph.graph import VERTEX_ID
 
 
 class TestChain:
@@ -132,9 +133,9 @@ class TestOthers:
 
 
 class TestIndexDtypes:
-    """Every generator must emit int64 CSR arrays: narrower indices
-    overflow past 2^31 edges and break concatenation with streaming
-    deltas (enforced at construction by ``Graph.__init__``)."""
+    """Every generator emits ``int64`` row pointers (a graph may hold
+    2**31 arcs or more) and ``int32`` vertex ids (it holds at most 2**31
+    vertices): ``Graph.__init__`` writes :data:`VERTEX_ID` ids."""
 
     GENERATORS = [
         lambda: chain(10),
@@ -148,9 +149,9 @@ class TestIndexDtypes:
     ]
 
     @pytest.mark.parametrize("make", GENERATORS)
-    def test_int64_csr(self, make):
+    def test_int64_indptr_int32_indices(self, make):
         g = make()
         assert g.indptr.dtype == np.int64
-        assert g.indices.dtype == np.int64
+        assert g.indices.dtype == VERTEX_ID == np.int32
         if g.weighted:
             assert g.weights.dtype == np.float64

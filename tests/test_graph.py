@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.graph import Graph
+from repro.graph.graph import MAX_VERTICES, VERTEX_ID, Graph
 from helpers import line_graph, two_triangles
 
 
@@ -149,16 +149,26 @@ class TestCsrExportAttach:
             Graph.from_csr(3, bad, indices)
 
     def test_index_dtype_enforced(self):
+        """``indptr`` counts arcs (int64); ``indices`` are vertex ids,
+        written as int32 and read in any integer width."""
+        assert VERTEX_ID == np.int32
+        built = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert built.indptr.dtype == np.int64 and built.indices.dtype == np.int32
         indptr = np.array([0, 1, 2], dtype=np.int32)
-        indices = np.array([1, 0], dtype=np.int64)
-        with pytest.raises(TypeError, match="int64"):
+        indices = np.array([1, 0], dtype=np.int32)
+        with pytest.raises(TypeError, match="indptr must be int64"):
             Graph.from_csr(2, indptr, indices)
-        with pytest.raises(TypeError, match="int64"):
-            Graph.from_csr(
-                2,
-                indptr.astype(np.int64),
-                indices.astype(np.int32),
-            )
+        indptr = indptr.astype(np.int64)
+        with pytest.raises(TypeError, match="must be an integer dtype"):
+            Graph.from_csr(2, indptr, indices.astype(np.float64))
+        for dtype in (np.int32, np.int64, np.uint32):  # an older store's widths
+            g = Graph.from_csr(2, indptr, indices.astype(dtype))
+            assert g.indices.dtype == dtype
+            assert g.reverse().indices.dtype == np.int32
+
+    def test_more_vertices_than_int32_ids_refused(self):
+        with pytest.raises(ValueError, match=r"num_vertices must lie in \[0, 2\*\*31\]"):
+            Graph(MAX_VERTICES + 1, np.empty(0), np.empty(0))
 
     def test_from_csr_weight_dtype_enforced(self):
         indptr = np.array([0, 1, 2], dtype=np.int64)

@@ -32,6 +32,7 @@ import json
 import mmap
 import os
 import platform
+import re
 import sys
 from unittest import mock
 
@@ -41,12 +42,13 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sv import run_sv
 from repro.algorithms.wcc import run_wcc
 from repro.bench.datasets import DATASETS, EXTRA_DATASETS, load_dataset
 from repro.core.channels import _edges
 from repro.graph import rmat
 from repro.graph.generators import erdos_renyi_to_disk, rmat_to_disk
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.graph.io import (
     iter_update_stream,
     load_edgelist,
@@ -82,7 +84,7 @@ def _assert_same_csr(a: Graph, b: Graph):
     for name in ca:
         np.testing.assert_array_equal(np.asarray(ca[name]), np.asarray(cb[name]))
     assert np.asarray(cb["indptr"]).dtype == np.int64
-    assert np.asarray(cb["indices"]).dtype == np.int64
+    assert np.asarray(cb["indices"]).dtype == VERTEX_ID
 
 
 def _assert_identical_runs(a, b):
@@ -190,7 +192,7 @@ class TestRelease:
     @needs_madvise
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_released_pages_leave_the_resident_set_and_read_back_equal(self, tmp_path):
-        store = self._store(tmp_path, num_arcs=1 << 21)  # 16 MiB of indices
+        store = self._store(tmp_path, num_arcs=1 << 21)  # 8 MiB of int32 indices
         indices = store.arrays()["indices"]
         checksum = int(indices.sum())  # touches every page
         touched = _resident_bytes()
@@ -205,13 +207,14 @@ class TestRelease:
         spy, head = self._spy_on(store)
         assert head % mmap.PAGESIZE  # the .npy header: no element starts a page
         indices, page = store.arrays()["indices"], mmap.PAGESIZE
-        per_page = page // 8
+        size = indices.itemsize
+        per_page = page // size
         view = indices[3 : 3 + 3 * per_page]  # three pages' worth, straddling four
         store.release(view)
         [(option, start, length)] = spy.calls
         assert option == mmap.MADV_DONTNEED
         assert start % page == 0 and length == 2 * page
-        lo = head + 3 * 8
+        lo = head + 3 * size
         assert lo <= start < lo + page and start + length <= lo + view.nbytes
         # nothing when no whole page fits, or the view is not one stretch of bytes
         store.release(indices[3 : 3 + per_page])
@@ -237,18 +240,6 @@ class TestRelease:
         store.release(indices)
         assert [spy.calls for spy in spies] == [[], []]
         assert indices[1] == 1  # the caller's view outlives the closed store
-
-    @needs_madvise
-    def test_widening_releases_the_narrow_pages_it_copied(self, tmp_path):
-        g = rmat(11, edge_factor=8, seed=2)
-        store = MmapStore.save(g, tmp_path, index_dtype="uint32")
-        spy, _ = self._spy_on(store)
-        widened = store.arrays()["indices"]
-        assert len(spy.calls) == 1 and spy.calls[0][2] >= g.num_edges * 4 - 2 * mmap.PAGESIZE
-        store.arrays()
-        store.release(widened)  # a heap copy: nothing more to hand back
-        assert len(spy.calls) == 1
-        np.testing.assert_array_equal(widened, g.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -351,68 +342,140 @@ class TestDiskGenerators:
         assert 0.8 * 8.0 * n < g.num_edges < 1.2 * 8.0 * n
 
 
-class TestIndexDtype:
-    """``index_dtype="uint32"`` halves ``indices.npy`` on disk; readers
-    must widen back to int64 so everything downstream sees one dtype."""
+def _legacy_store(graph, path, dtype):
+    """``graph`` saved as an older tree saved it: ``indices.npy`` in
+    ``dtype``, and ``meta.json`` naming it in ``index_dtype``."""
+    path.mkdir(parents=True)
+    for name, arr in graph.csr_arrays().items():
+        np.save(path / f"{name}.npy", arr.astype(dtype) if name == "indices" else arr)
+    meta = {
+        "format": "repro-csr", "version": 1, "num_vertices": graph.num_vertices,
+        "num_arcs": graph.num_edges, "directed": graph.directed,
+        "weighted": graph.weighted, "index_dtype": np.dtype(dtype).name,
+    }  # fmt: skip
+    (path / "meta.json").write_text(json.dumps(meta))
+    return path
 
-    def test_uint32_store_matches_int64_store(self, tmp_path):
+
+_LEGACY_RUNS = {
+    "pagerank": (
+        lambda g, **kw: run_pagerank(g, variant="scatter", iterations=6, mode="bulk", **kw),
+        dict(directed=True),
+    ),
+    "sv": (lambda g, **kw: run_sv(g, variant="both", **kw), dict(directed=False)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_LEGACY_RUNS))
+def legacy_stores(request, tmp_path_factory):
+    """(run, {dtype name: graph over a store of that width}) for one
+    algorithm: today's int32 store and the int64 and uint32 stores an
+    older tree wrote, of one graph."""
+    run, shape = _LEGACY_RUNS[request.param]
+    graph = rmat(10, edge_factor=6, seed=41, **shape)
+    root = tmp_path_factory.mktemp(f"legacy-{request.param}")
+    graphs = {"int32": load_graph(MmapStore.save(graph, root / "int32").path)}
+    for dtype in (np.int64, np.uint32):
+        name = np.dtype(dtype).name
+        graphs[name] = load_graph(_legacy_store(graph, root / name, dtype))
+    return run, graphs
+
+
+class TestVertexIdWidth:
+    """Every store this tree writes holds ``int32`` ids; a store an older
+    tree wrote (``int64``, or ``uint32`` with its ``index_dtype`` meta)
+    is mapped as it is on disk and runs bit-identically."""
+
+    def test_written_stores_hold_int32_ids_and_no_index_dtype(self, tmp_path):
         g = rmat(9, edge_factor=6, seed=3)
-        wide = MmapStore.save(g, tmp_path / "wide")
-        narrow = MmapStore.save(g, tmp_path / "narrow", index_dtype="uint32")
-        assert json.loads((tmp_path / "narrow" / "meta.json").read_text())[
-            "index_dtype"
-        ] == "uint32"
-        # on disk: half the bytes for the dominant array
-        raw = np.load(tmp_path / "narrow" / "indices.npy", mmap_mode="r")
-        assert raw.dtype == np.uint32
-        assert (
-            raw.nbytes * 2
-            == np.load(tmp_path / "wide" / "indices.npy", mmap_mode="r").nbytes
-        )
-        # attached: widened back to one dtype, bit-identical content
-        _assert_same_csr(Graph.from_store(wide), Graph.from_store(narrow))
+        saved = MmapStore.save(g, tmp_path / "saved")
+        built = rmat_to_disk(tmp_path / "built", scale=9, edge_factor=6, seed=3)
+        for store in (saved, built.store):
+            assert np.load(store.path / "indices.npy", mmap_mode="r").dtype == VERTEX_ID
+            assert "index_dtype" not in json.loads((store.path / "meta.json").read_text())
+        assert saved.footprint()["on_disk_bytes"] < (
+            g.indptr.nbytes + g.indices.size * 8
+        )  # fmt: skip
 
-    def test_uint32_disk_generator_round_trip(self, tmp_path):
-        a = rmat_to_disk(tmp_path / "a", scale=9, edge_factor=6, seed=3)
-        b = rmat_to_disk(
-            tmp_path / "b", scale=9, edge_factor=6, seed=3, index_dtype="uint32"
-        )
-        _assert_same_csr(Graph.from_store(a.store), Graph.from_store(b.store))
-        assert run_wcc(a, variant="basic", mode="bulk", num_workers=2)[
-            -1
-        ].data == run_wcc(b, variant="basic", mode="bulk", num_workers=2)[-1].data
+    def test_legacy_stores_are_read_in_place(self, legacy_stores):
+        _, graphs = legacy_stores
+        for name, graph in graphs.items():
+            assert graph.indices.dtype == name
+            mapped = graph.store.arrays()["indices"]
+            assert isinstance(mapped, np.memmap) and np.shares_memory(graph.indices, mapped)
+            assert graph.store.footprint()["resident_bytes"] == 0
+            np.testing.assert_array_equal(graph.indices, graphs["int32"].indices)
 
-    def test_widened_indices_counted_in_footprint_and_freed(self, tmp_path):
-        g = rmat(8, edge_factor=4, seed=2)
-        store = MmapStore.save(g, tmp_path / "s", index_dtype="uint32")
-        before = store.footprint()["resident_bytes"]
-        arrays = store.arrays()
-        assert arrays["indices"].dtype == np.int64
-        after = store.footprint()["resident_bytes"]
-        assert after - before >= arrays["indices"].nbytes
-        assert store.arrays()["indices"] is arrays["indices"]  # widened once
-        store.close()
-        assert store._widened is None
+    @pytest.mark.parametrize("legacy", ["int64", "uint32"])
+    def test_legacy_stores_run_bit_identically(self, legacy_stores, legacy):
+        run, graphs = legacy_stores
+        new = run(graphs["int32"], num_workers=2)
+        _assert_identical_runs(new, run(graphs[legacy], num_workers=2))
+        for m in MOVERS:
+            with mover(m):
+                proc = run(graphs[legacy], num_workers=2, executor="process")
+            _assert_identical_runs(new, proc)
 
-    def test_unknown_and_overflowing_dtypes_rejected(self, tmp_path):
-        g = rmat(6, edge_factor=4, seed=1)
-        with pytest.raises(ValueError, match="index_dtype"):
-            MmapStore.save(g, tmp_path / "bad", index_dtype="int32")
-        from repro.graph.store import _check_index_dtype
+    def test_more_vertices_than_int32_ids_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="at most 2147483648"):
+            build_mmap_store(tmp_path / "s", lambda: iter(()), num_vertices=(1 << 31) + 1)
 
-        with pytest.raises(ValueError, match="cannot hold"):
-            _check_index_dtype("uint32", (1 << 32) + 1)
-        assert _check_index_dtype("uint32", 1 << 32) == np.uint32
 
-    def test_open_rejects_mismatched_index_dtype(self, tmp_path):
-        g = rmat(6, edge_factor=4, seed=1)
-        MmapStore.save(g, tmp_path / "s", index_dtype="uint32")
-        meta_path = tmp_path / "s" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["index_dtype"] = "int64"
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="does not match"):
-            MmapStore.open(tmp_path / "s")
+class TestMalformedStore:
+    """``MmapStore.open`` refuses a store whose files disagree with their
+    headers, with ``meta.json`` or with each other, naming its path; no
+    check reads the arrays' content."""
+
+    @staticmethod
+    def _store(tmp_path):
+        return MmapStore.save(rmat(6, edge_factor=4, seed=1), tmp_path / "s").path
+
+    @staticmethod
+    def _edit_meta(path, **fields):
+        meta = json.loads((path / "meta.json").read_text())
+        meta.update(fields)
+        (path / "meta.json").write_text(json.dumps(meta))
+
+    def test_truncated_npy(self, tmp_path):
+        path = self._store(tmp_path)
+        data = (path / "indices.npy").read_bytes()
+        (path / "indices.npy").write_bytes(data[: len(data) - 12])
+        with pytest.raises(ValueError, match=re.escape(f"{path / 'indices.npy'}: ") + ".*announced"):
+            MmapStore.open(path)
+
+    def test_not_an_npy_file(self, tmp_path):
+        path = self._store(tmp_path)
+        (path / "indptr.npy").write_bytes(b"not an array")
+        with pytest.raises(ValueError, match=re.escape(f"{path / 'indptr.npy'}: not a readable")):
+            MmapStore.open(path)
+
+    def test_num_arcs_disagrees_with_indices(self, tmp_path):
+        path = self._store(tmp_path)
+        arcs = json.loads((path / "meta.json").read_text())["num_arcs"]
+        self._edit_meta(path, num_arcs=arcs + 5)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*num_arcs says {arcs + 5}"):
+            MmapStore.open(path)
+
+    def test_indptr_length_disagrees_with_num_vertices(self, tmp_path):
+        path = self._store(tmp_path)
+        self._edit_meta(path, num_vertices=65)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r".*not num_vertices \+ 1 = 66"):
+            MmapStore.open(path)
+
+    def test_indptr_end_disagrees_with_indices(self, tmp_path):
+        path = self._store(tmp_path)
+        indptr = np.load(path / "indptr.npy")
+        indptr[-1] -= 1
+        np.save(path / "indptr.npy", indptr)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*indptr.npy ends at"):
+            MmapStore.open(path)
+
+    def test_indices_that_are_not_integers(self, tmp_path):
+        path = self._store(tmp_path)
+        indices = np.load(path / "indices.npy")
+        np.save(path / "indices.npy", indices.astype(np.float64))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*holds float64, not vertex ids"):
+            MmapStore.open(path)
 
 
 class TestDegreePartition:

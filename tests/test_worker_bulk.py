@@ -178,7 +178,7 @@ class TestContiguousRunsAreViews:
         np.testing.assert_array_equal(sliced.indptr, gathered.indptr[: n + 1])
         np.testing.assert_array_equal(sliced.degrees, gathered.degrees[:n])
         np.testing.assert_array_equal(sliced.indices, gathered.indices[:e])
-        assert sliced.indices.dtype == gathered.indices.dtype == np.int64
+        assert sliced.indices.dtype == gathered.indices.dtype == np.int32
         if weighted:
             np.testing.assert_array_equal(sliced.weights, gathered.weights[:e])
         else:
