@@ -134,7 +134,7 @@ class PointerJumpingReqRespBulk(BulkVertexProgram, PointerJumpingReqResp):
         if self.step_num == 1:
             adj = worker.local_adjacency("out")
             # the parent is the first out-edge; a vertex without one is a root
-            p = worker.local_ids[active]
+            p = worker.local_ids.take(active)
             gp = p.copy()
             has_parent = adj.degrees[active] > 0
             gp[has_parent] = adj.indices[adj.indptr[active[has_parent]]]

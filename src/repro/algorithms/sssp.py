@@ -94,7 +94,7 @@ class SSSPBasicBulk(BulkVertexProgram):
             if li >= 0:
                 self.dist[li] = 0.0
         else:
-            self.dist = self.warm_dist[worker.local_ids]
+            self.dist = self.warm_dist.take(worker.local_ids)
 
     def compute_bulk(self, active: np.ndarray) -> None:
         worker = self.worker

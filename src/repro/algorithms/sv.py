@@ -52,7 +52,7 @@ from repro.core import (
     Vertex,
     VertexProgram,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.programs import factory
 from repro.runtime.serialization import INT32
 from repro.util import expand_ranges
@@ -86,8 +86,8 @@ class _SVChannels(VertexProgram):
         self.upd = CombinedMessage(worker, MIN_I32)
         self.agg = Aggregator(worker, SUM_I64)
 
-        self.D = np.zeros(worker.num_local, dtype=np.int64)
-        self.tmin = np.zeros(worker.num_local, dtype=np.int64)
+        self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)
+        self.tmin = np.zeros(worker.num_local, dtype=VERTEX_ID)
         self.changed = np.zeros(worker.num_local, dtype=np.int8)
 
     # -- phase plumbing ------------------------------------------------------
@@ -198,7 +198,7 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
     def _start_round(self, active: np.ndarray) -> None:
         """Phase 1: ask for the grandparent, broadcast D to neighbors."""
         if self.step_num == 1:
-            self.D[active] = self.worker.local_ids[active]
+            self.D[active] = self.worker.local_ids.take(active)
         elif self.agg.result() == 0:
             self.worker.halt_bulk(active)
             return
@@ -206,7 +206,7 @@ class _SVBulk(BulkVertexProgram, _SVChannels):
         if self.use_reqresp:
             self.rr.add_requests(active, d)
         else:
-            self.req.send_messages(d, self.worker.local_ids[active])
+            self.req.send_messages(d, self.worker.local_ids.take(active))
         if self.use_scatter:
             self.bcast.set_messages(active, d)
         else:

@@ -87,7 +87,7 @@ class WCCBasicBulk(BulkVertexProgram):
         super().__init__(worker)
         self.msg = CombinedMessage(worker, MIN_I64)
         ids = worker.local_ids
-        self.label = ids.copy() if self.warm_labels is None else self.warm_labels[ids]
+        self.label = ids.copy() if self.warm_labels is None else self.warm_labels.take(ids)
 
     def compute_bulk(self, active: np.ndarray) -> None:
         worker = self.worker

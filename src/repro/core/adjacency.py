@@ -74,15 +74,15 @@ class _Rows:
         from within ``bounds[first]:bounds[end]``."""
         if not self.rows.size:
             return np.zeros(1, dtype=np.int64)
-        return np.append(self.indptr[self.rows], self.indptr[self.rows[-1] + 1])
+        return np.append(self.indptr.take(self.rows), self.indptr[int(self.rows[-1]) + 1])
 
     def degrees(self, first: int, end: int) -> np.ndarray:
         """Lengths of local rows ``first:end``."""
         if self.run:
             a = int(self.rows[0])
             return np.diff(self.indptr[a + first : a + end + 1])
-        ids = self.rows[first:end]
-        return self.indptr[ids + 1] - self.indptr[ids]
+        ids = self.rows[first:end]  # (ids: VERTEX_ID, so take, and no ids + 1)
+        return self.indptr[1:].take(ids) - self.indptr.take(ids)
 
     def take(self, column: np.ndarray, first: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """``column``'s entries of local rows ``first:end`` in row order (a
@@ -93,8 +93,8 @@ class _Rows:
             span = column[int(self.indptr[a + first]) : int(self.indptr[a + end])]
             return span, span
         ids = self.rows[first:end]
-        starts = self.indptr[ids]
-        counts = self.indptr[ids + 1] - starts
+        starts = self.indptr.take(ids)
+        counts = self.indptr[1:].take(ids) - starts
         lo, hi = (int(starts.min()), int((starts + counts).max())) if ids.size else (0, 0)
         span = column[lo:hi]
         if ids.size and self.ascending and 4 * int(counts.sum()) >= hi - lo:

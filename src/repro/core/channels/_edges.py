@@ -3,14 +3,13 @@
 ``ScatterCombine``, ``MirroredScatter`` and ``Propagation`` dispatch along
 edges the program registers up front.  :class:`StaticEdges` is that edge
 set, and its rules (ARCHITECTURE.md §2) hold for every channel that has
-one: edges stay in **call order** whatever mix of scalar, per-vertex and
-bulk calls delivered them; ids are **checked at build, by name** (a
+one: edges stay in **call order** whatever mix of per-edge and
+per-vertex calls delivered them; ids are **checked at build, by name** (a
 negative id would otherwise wrap through ``owner[...]`` to a wrong
-answer); registered chunks are **never written, so never copied** — one
-bulk chunk of the columns' dtypes, possibly a read-only view, *is* the
-edge set (narrower ids, such as a store's ``int32``, are widened once).
-The columns' keys are the snapshot keys, so the checkpoint format of an
-edge set is decided here too.
+answer); a destination is held as a :data:`~repro.graph.graph.VERTEX_ID`,
+the width of every id a run holds, and a local sender index as an
+``intp``.  The columns' keys are the snapshot keys, so the checkpoint
+format of an edge set is decided here too.
 
 :class:`ScatterEdges` has a second registration *form* beside the
 per-edge one: :meth:`~ScatterEdges.add_adjacency` names the worker's own
@@ -31,6 +30,7 @@ import numpy as np
 
 from repro.core.channels._records import RecordBuffer, check_ids
 from repro.core.vertex import Vertex
+from repro.graph.graph import VERTEX_ID
 
 __all__ = ["ScatterEdges", "StaticEdges"]
 
@@ -49,7 +49,7 @@ class StaticEdges:
     derived its dispatch structure from :meth:`_checked_edges`."""
 
     #: snapshot key -> dtype: local sender index, global destination id, ...
-    _EDGE_COLUMNS = {"edge_src": np.int64, "edge_dst": np.int64}
+    _EDGE_COLUMNS = {"edge_src": np.intp, "edge_dst": VERTEX_ID}
 
     def _init_edges(self) -> None:
         self._edges = RecordBuffer(*self._EDGE_COLUMNS.values())
@@ -77,7 +77,7 @@ class StaticEdges:
 
 class ScatterEdges(StaticEdges):
     """The registration API of the channels that scatter one value per
-    vertex along unweighted static edges: per edge (``add_edge[s][_bulk]``,
+    vertex along unweighted static edges: per edge (``add_edge[s]``,
     kept as columns) or by naming the local adjacency
     (:meth:`add_adjacency`, kept as a direction).  One channel takes one
     form.  Either clears ``_announced`` with ``_built``: the peers have not
@@ -95,9 +95,9 @@ class ScatterEdges(StaticEdges):
         whoever is active: local vertex ``i`` scatters to every entry of
         row ``i``, in CSR order.
 
-        The tables built from it equal those of ``add_edges_bulk(repeat(
-        arange(num_local), adj.degrees), adj.gather(arange(num_local)))``,
-        but the channel keeps the direction, not the edges:
+        The tables built from it equal those of ``add_edges(v, row)`` over
+        every local vertex ``v`` in ascending order, ``row`` its row of the
+        adjacency, but the channel keeps the direction, not the edges:
         the adjacency's rows are streamed through when the dispatch
         structure is built (:meth:`~repro.core.adjacency.LocalCSR.blocks`),
         a snapshot holds one short string, and
@@ -126,7 +126,7 @@ class ScatterEdges(StaticEdges):
         if self._edges.chunks or self._edges.rows[0]:
             raise ValueError(
                 f"{self!r}: add_adjacency() and per-edge registration "
-                "(add_edge / add_edges / add_edges_bulk) on one channel"
+                "(add_edge / add_edges) on one channel"
             )
         return True
 
@@ -205,15 +205,4 @@ class ScatterEdges(StaticEdges):
         src, dst = self._edges.rows
         src.extend([v.local] * len(dsts))
         dst.extend(np.asarray(dsts).tolist())
-        self._built = self._announced = False
-
-    def add_edges_bulk(self, local_src: np.ndarray, dsts: np.ndarray) -> None:
-        """Register many edges in one call: ``local_src[i]`` (a *local*
-        sender index) scatters to global vertex ``dsts[i]``.  The bulk
-        analogue of calling :meth:`add_edges` over a whole frontier."""
-        local_src = np.asarray(local_src, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if local_src.shape != dsts.shape:
-            raise ValueError("local_src and dsts must have equal length")
-        self._edges.add_chunk(local_src, dsts)
         self._built = self._announced = False

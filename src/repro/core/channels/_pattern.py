@@ -37,7 +37,7 @@ The wire after that announcement is the same dense or delta values.
 Both ends' memory is checkpoint state, so that a recovered run leaves the
 byte counters where a failure-free run leaves them (ARCHITECTURE.md §2):
 
-* **registration** (``add_edge[s][_bulk]``, ``add_adjacency``) clears
+* **registration** (``add_edge[s]``, ``add_adjacency``) clears
   ``_announced``: the next scatter announces the new edge set, and the
   values it sends replace what either end kept;
 * **restore** loads the flag, the patterns and the kept values the
@@ -116,8 +116,8 @@ class StaticPattern(CombinedInbox):
         # receive half: source worker -> pattern, and the values it last
         # sent (patched in place by a delta); for a source that announced
         # senders, the pattern is derived from what it announced: the
-        # sender ids, the destination count and the combined ids (int32
-        # ids), kept in _senders
+        # sender ids, the destination count and the combined ids (copied
+        # out of the payload), kept in _senders
         self._patterns: dict[int, Pattern] = {}
         self._received: dict[int, np.ndarray] = {}
         self._senders: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
@@ -180,9 +180,7 @@ class StaticPattern(CombinedInbox):
                     self._senders.pop(src, None)
                 else:
                     destinations, combined = senders
-                    self._senders[src] = (
-                        ids.astype(np.int32), int(destinations), combined.astype(np.int32)
-                    )
+                    self._senders[src] = ids.copy(), int(destinations), combined.copy()
             kept = self._received[src]
             kept[...] = values
         else:

@@ -1,9 +1,10 @@
 """The record wire format and the send half built on it.
 
 A *record payload* is what every data channel puts on the wire for one
-peer and round: an ``int32`` id array followed by a value array of the
-same length (payload length and the two fixed item sizes recover the
-count, so there is no header).  It is written here once —
+peer and round: an id array of ``graph.VERTEX_ID`` (``int32``), as a run
+holds ids, followed by a value array of the same length (payload length
+and the two fixed item sizes recover the count, so there is no header).
+It is written here once —
 :func:`encode_records` / :func:`decode_records` — next to the one per-peer
 "emit, count what leaves this worker" loop (:func:`emit_payloads`;
 :func:`emit_records` for whole record payloads).
@@ -63,6 +64,7 @@ import numpy as np
 
 from repro.core.channel import Channel
 from repro.core.worker import Worker
+from repro.graph.graph import VERTEX_ID
 from repro.runtime.serialization import Codec, INT32
 
 
@@ -74,19 +76,19 @@ def encode_records(channel: Channel, ids: np.ndarray, values: np.ndarray) -> byt
 
 
 def decode_records(payload: memoryview, codec: Codec) -> tuple[np.ndarray, np.ndarray]:
-    """``(int64 ids, values)`` of a payload written by :func:`encode_records`.
+    """``(ids, values)`` of a payload written by :func:`encode_records`,
+    the ids a read-only ``VERTEX_ID`` view of the payload.
 
     On the wire the values start wherever the ids end, which for an odd
     count of 8-byte values is not a multiple of their size; they are
     returned aligned (copied when they are not), because ``ufunc.at`` over
     unaligned values leaves its fast path and runs some 20x slower.  A
     length that is not a whole number of records raises a ``ValueError``."""
-    count, ragged = divmod(len(payload), INT32.itemsize + codec.itemsize)
+    count, ragged = divmod(len(payload), VERTEX_ID.itemsize + codec.itemsize)
     if ragged:
         raise ValueError(f"a record payload of {len(payload)} bytes, {ragged} past its {count} records")
-    split = count * INT32.itemsize
-    values = _aligned(codec.decode_array(payload[split:], count))
-    return INT32.decode_array(payload[:split]).astype(np.int64), values
+    values = _aligned(codec.decode_array(payload[count * VERTEX_ID.itemsize :], count))
+    return np.frombuffer(payload, dtype=VERTEX_ID, count=count), values
 
 
 def _aligned(values: np.ndarray) -> np.ndarray:
@@ -105,7 +107,8 @@ def set_nbytes(count: int, span: int) -> tuple[int, int]:
 
 
 def as_int32(channel: Channel, what: str, values: np.ndarray) -> np.ndarray:
-    """``values`` as int32 words, the wire's one narrowing cast.  A value
+    """``values`` as int32 words, the one narrowing cast of ids as they
+    enter a channel (an int32 array is handed back as it is).  A value
     int32 cannot hold is a ``ValueError`` naming the channel, where
     ``astype`` would wrap it, silently, into another id."""
     values = np.asarray(values)
@@ -279,7 +282,7 @@ def decode_pattern(
         return None, None, INT32.decode_array(body[:split]), values
     if tag > 0:
         lo, span = _id_range(body[:head], bound)
-        return lo + _set_bits(body[head:split], span, count), senders, None, values
+        return _set_bits(body[head:split], span, count).astype(VERTEX_ID) + lo, senders, None, values
     return None, None, _set_bits(body[:split], size, count), values
 
 
@@ -321,7 +324,7 @@ def _combined_set(
     end = _RANGE_NBYTES + -(-span // 8)
     if end > len(body):
         raise ValueError(f"a combined set of {count} ids in {nbytes} bytes")
-    return lo + _set_bits(body[_RANGE_NBYTES:end], span, count), body[end:]
+    return _set_bits(body[_RANGE_NBYTES:end], span, count).astype(VERTEX_ID) + lo, body[end:]
 
 
 def check_ids(channel: Channel, what: str, ids: np.ndarray, bound: int) -> None:
@@ -404,7 +407,8 @@ def emit_records(
 
 class RecordBuffer:
     """Parallel columns that grow by scalar rows and by array chunks and
-    read back flat, in call order."""
+    read back flat, in call order (a scalar row a column's dtype cannot
+    hold is NumPy's ``OverflowError`` then, never a wrapped value)."""
 
     __slots__ = ("dtypes", "rows", "chunks")
 
@@ -446,7 +450,7 @@ class RecordChannel(Channel):
         super().__init__(worker)
         self.value_codec = value_codec
         self._out = [
-            RecordBuffer(np.int64, value_codec.dtype) for _ in range(worker.num_workers)
+            RecordBuffer(VERTEX_ID, value_codec.dtype) for _ in range(worker.num_workers)
         ]
 
     # -- sending (during compute) -----------------------------------------
@@ -459,9 +463,9 @@ class RecordChannel(Channel):
         """Vectorized send of many ``(dst, value)`` records, preserving
         their order within each destination worker (so a bulk program's
         wire bytes match the scalar loop it replaces record-for-record)."""
-        dsts = np.asarray(dsts, dtype=np.int64)
+        dsts = as_int32(self, "destination id", dsts)
         values = np.asarray(values, dtype=self.value_codec.dtype)
-        owners = self.worker.owner[dsts]
+        owners = self.worker.owner.take(dsts)
         for peer in range(self.num_workers):
             sel = owners == peer
             if sel.any():

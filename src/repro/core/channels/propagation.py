@@ -28,6 +28,7 @@ from repro.core.channels._records import emit_records, receive_records
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
+from repro.graph.graph import VERTEX_ID
 from repro.util import csr_group, expand_ranges, group_starts
 
 __all__ = ["Propagation"]
@@ -78,8 +79,8 @@ class Propagation(StaticEdges, Channel):
         self._dirty: list[int] = []
         # local CSR, built lazily from the edge set
         self._indptr = np.zeros(n + 1, dtype=np.int64)
-        self._edst_global = np.empty(0, dtype=np.int64)
-        self._edst_local = np.empty(0, dtype=np.int64)  # -1 when remote
+        self._edst_global = np.empty(0, dtype=VERTEX_ID)
+        self._edst_local = np.empty(0, dtype=np.intp)  # -1 when remote
         self._eweight = np.empty(0, dtype=np.float64)
         # pending remote contributions (flat, combined lazily per peer)
         self._pending_np: list[tuple[np.ndarray, np.ndarray]] = []
@@ -215,7 +216,7 @@ class Propagation(StaticEdges, Channel):
             np.concatenate([v for _, v in self._pending_np]),
         )
         self._pending_np = []
-        owners = self.worker.owner[uniq]
+        owners = self.worker.owner.take(uniq)
         emit_records(
             self,
             (

@@ -31,7 +31,8 @@ from repro.core.channels._records import (
 )
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
-from repro.runtime.serialization import Codec, INT32, INT64
+from repro.graph.graph import VERTEX_ID
+from repro.runtime.serialization import Codec, INT64
 
 __all__ = ["RequestRespond"]
 
@@ -50,7 +51,7 @@ class RequestRespond(Channel):
     codec:
         Wire codec of response values.
     respond_fn_bulk:
-        Optional vectorized override: ``(local_indices: int64 array) ->
+        Optional vectorized override: ``(local_indices: intp array) ->
         value array``.  When the requested attribute lives in a NumPy state
         array, answering a whole batch is one fancy-indexing expression.
     """
@@ -68,21 +69,21 @@ class RequestRespond(Channel):
         self.value_codec = codec
         self._vertex = Vertex(worker)  # responder-side handle
         #: this superstep's (requester local index, requested id) rows
-        self._pending = RecordBuffer(np.int64, np.int64)
+        self._pending = RecordBuffer(np.intp, VERTEX_ID)
         # who to wake when the answers arrive
-        self._requesters = np.empty(0, dtype=np.int64)
+        self._requesters = np.empty(0, dtype=np.intp)
         # round-0 bookkeeping: what we asked each peer for (sorted unique)
         self._asked: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(worker.num_workers)
+            np.empty(0, dtype=VERTEX_ID) for _ in range(worker.num_workers)
         ]
         # round-1 queued responses, per peer
         self._responses_out: list[np.ndarray | None] = [None] * worker.num_workers
         self._have_responses = False
         # results readable next superstep
-        self._resp_keys = np.empty(0, dtype=np.int64)
+        self._resp_keys = np.empty(0, dtype=VERTEX_ID)
         self._resp_vals = np.empty(0, dtype=codec.dtype)
         self._resp_map: dict | None = None  # scalar lookup, built on first use
-        self._resp_pos: np.ndarray | None = None  # id -> position, likewise
+        self._resp_pos: tuple[int, np.ndarray] | None = None  # likewise
 
     # -- requesting (during compute) ------------------------------------
     def add_request(self, v: Vertex, dst: int) -> None:
@@ -94,8 +95,8 @@ class RequestRespond(Channel):
     def add_requests(self, local_idx: np.ndarray, dsts: np.ndarray) -> None:
         """Array form of :meth:`add_request`: local vertex ``local_idx[i]``
         requests the attribute of global vertex ``dsts[i]``."""
-        local_idx = np.asarray(local_idx, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
+        local_idx = np.asarray(local_idx, dtype=np.intp)
+        dsts = as_int32(self, "request id", dsts)
         if local_idx.shape != dsts.shape:
             raise ValueError("local_idx and dsts must have equal length")
         self._pending.add_chunk(local_idx, dsts)
@@ -111,17 +112,17 @@ class RequestRespond(Channel):
     def get_responds(self, dsts: np.ndarray) -> np.ndarray:
         """Array form of :meth:`get_respond`: the responders' values for
         ``dsts``, each of which must have been requested last superstep."""
-        dsts = np.asarray(dsts, dtype=np.int64)
+        dsts = np.asarray(dsts)
         if dsts.size == 0:
             return self._resp_vals[:0]
-        at = self._positions()
-        if dsts.min() >= 0 and dsts.max() < at.size:
-            pos = at[dsts]
+        lo, at = self._positions()
+        if dsts.min() >= lo and dsts.max() < lo + at.size:
+            pos = at.take(dsts - lo)
             if (pos >= 0).all():
-                return self._resp_vals[pos]
-        # name the first id outside [0, V) or not asked for
-        missing = (dsts < 0) | (dsts >= at.size)
-        missing[~missing] = at[dsts[~missing]] < 0
+                return self._resp_vals.take(pos)
+        # name the first id outside the answered span or not asked for
+        missing = (dsts < lo) | (dsts >= lo + at.size)
+        missing[~missing] = at.take(dsts[~missing] - lo) < 0
         raise self._not_requested(int(dsts[missing.argmax()]))
 
     def _lookup(self) -> dict:
@@ -133,11 +134,16 @@ class RequestRespond(Channel):
             )
         return self._resp_map
 
-    def _positions(self) -> np.ndarray:
+    def _positions(self) -> tuple[int, np.ndarray]:
+        """``(lo, table)``: ``table[i - lo]`` is answered id ``i``'s position,
+        -1 where ``i`` was not requested, over the answered span only (10x
+        faster than ``searchsorted``; tests/test_guards.py names it)."""
         if self._resp_pos is None:
-            # mark each answered id with its position; -1: not requested
-            self._resp_pos = np.full(self.worker.graph.num_vertices, -1, dtype=np.intp)
-            self._resp_pos[self._resp_keys] = np.arange(self._resp_keys.size)
+            keys = self._resp_keys
+            lo = int(keys[0]) if keys.size else 0
+            table = np.full(int(keys[-1]) - lo + 1 if keys.size else 0, -1, dtype=np.int32)
+            table[keys - lo] = np.arange(keys.size, dtype=np.int32)
+            self._resp_pos = lo, table
         return self._resp_pos
 
     @staticmethod
@@ -181,15 +187,11 @@ class RequestRespond(Channel):
         lo, hi = (int(dsts.min()), int(dsts.max())) if dsts.size else (0, -1)
         mark = np.zeros(hi - lo + 1, dtype=bool)
         mark[dsts - lo] = True
-        uniq = lo + np.flatnonzero(mark)
-        owners = self.worker.owner[uniq]
+        uniq = np.flatnonzero(mark).astype(VERTEX_ID) + lo
+        owners = self.worker.owner.take(uniq)
         self._asked = [uniq[owners == peer] for peer in range(self.num_workers)]
         emit_payloads(
-            self,
-            (
-                (peer, as_int32(self, "request id", mine).tobytes(), mine.size)
-                for peer, mine in enumerate(self._asked)
-            ),
+            self, ((peer, mine.tobytes(), mine.size) for peer, mine in enumerate(self._asked))
         )
 
     def _serialize_responses(self) -> None:
@@ -213,12 +215,9 @@ class RequestRespond(Channel):
 
     def _deserialize_requests(self, payloads: list[tuple[int, memoryview]]) -> None:
         for src, payload in payloads:
-            if len(payload) % INT32.itemsize:
-                raise RuntimeError(
-                    f"{self!r}: worker {src} sent {len(payload)} bytes of int32 request ids"
-                )
-            ids = INT32.decode_array(payload).astype(np.int64)
-            local = local_ids(self, src, ids)
+            if len(payload) % VERTEX_ID.itemsize:
+                raise RuntimeError(f"{self!r}: worker {src} sent {len(payload)} bytes of int32 request ids")
+            local = local_ids(self, src, np.frombuffer(payload, dtype=VERTEX_ID))
             if self.respond_fn_bulk is not None:
                 vals = np.asarray(
                     self.respond_fn_bulk(local), dtype=self.value_codec.dtype

@@ -62,11 +62,12 @@ from repro.core.adjacency import build_local_csr
 from repro.core.channel import Channel
 from repro.core.channels._edges import ScatterEdges
 from repro.core.channels._pattern import Pattern, StaticPattern
-from repro.core.channels._records import as_int32, check_ascending, local_ids
+from repro.core.channels._records import check_ascending, local_ids
 from repro.core.combiner import Combiner
 from repro.core.lanes import lane_scratch, run_lanes
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
+from repro.graph.graph import VERTEX_ID
 from repro.util import cut_blocks, expand_ranges, group_by_key, index_dtype
 
 __all__ = ["ScatterCombine"]
@@ -323,7 +324,7 @@ def _keep_segments(
 class ScatterCombine(ScatterEdges, StaticPattern, Channel):
     """Scatter one value per vertex along static edges, combine per receiver.
 
-    Static structure: :class:`ScatterEdges` (``add_edge[s][_bulk]`` or
+    Static structure: :class:`ScatterEdges` (``add_edge[s]`` or
     ``add_adjacency``);
     receive half and wire: :class:`StaticPattern` (``get_message[s]``,
     ``has_message``; ids in the first scatter, values after); the
@@ -373,7 +374,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             self.worker.graph.num_vertices,
             self.worker.num_local,
         )
-        owners = self.worker.owner[uniq_dst]
+        owners = self.worker.owner.take(uniq_dst)
         select = self._select(owners)
         self._expanded = [None] * self.num_workers
         keep = None
@@ -413,15 +414,11 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         of its destinations combined here, or — where it folds others along
         senders' rows — those senders' ids, how many destinations it folds
         and the combined ids."""
-        ids = as_int32(self, "destination id", ids)
         if expanded is None:
             return {"ids": ids}
         senders, destinations = expanded
-        return {
-            "ids": as_int32(self, "sender id", self.worker.local_ids[senders]),
-            "destinations": destinations - ids.size,
-            "combined": ids,
-        }
+        ids, combined = self.worker.local_ids.take(senders), ids
+        return {"ids": ids, "destinations": destinations - combined.size, "combined": combined}
 
     def _cover(
         self, select: list, bounds: np.ndarray, lengths: np.ndarray, edge_src: np.ndarray
@@ -586,8 +583,8 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
         that reach other than ``destinations`` vertices here, are a
         ``RuntimeError`` naming the channel and ``src``."""
         worker = self.worker
-        ids = np.asarray(ids, dtype=np.int64)
-        combined = np.asarray(() if combined is None else combined, dtype=np.int64)
+        ids = np.asarray(ids, dtype=VERTEX_ID)
+        combined = np.asarray(() if combined is None else combined, dtype=VERTEX_ID)
         self._check_senders(src, ids)
         check_ascending(self, src, "combined ids", combined)
         head = local_ids(self, src, combined)
@@ -597,7 +594,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
 
         def here():  # a block's arcs into this worker, packed as they come
             for senders, dsts in self._adjacency_blocks(adj):
-                at = np.flatnonzero(mine[dsts])
+                at = np.flatnonzero(mine.take(dsts))
                 yield dsts.take(at), senders.take(at)
 
         uniq, starts, edge_src = group_by_key(
@@ -627,7 +624,7 @@ class ScatterCombine(ScatterEdges, StaticPattern, Channel):
             raise RuntimeError(
                 f"{self!r}: worker {src} announced sender {bad} outside [0, {bound})"
             )
-        foreign = self.worker.owner[ids] != src
+        foreign = self.worker.owner.take(ids) != src
         if foreign.any():
             raise RuntimeError(
                 f"{self!r}: worker {src} announced sender {ids[foreign][0]}, "

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.config import RunConfig
 from repro.core.recovery import FrameLog
 from repro.core.worker import OwnerTable, Worker
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.graph.partition import hash_partition
 from repro.runtime.metrics import MetricsCollector
 from repro.util import check_partition
@@ -204,12 +204,10 @@ class ChannelEngine(OwnerTable):
 
         self.initial_active: np.ndarray | None = None
         if initial_active is not None:
-            seeds = np.asarray(initial_active, dtype=np.int64)
-            if seeds.size and (
-                seeds.min() < 0 or seeds.max() >= graph.num_vertices
-            ):
+            seeds = np.asarray(initial_active)
+            if seeds.size and (seeds.min() < 0 or seeds.max() >= graph.num_vertices):
                 raise ValueError("initial_active contains out-of-range vertex ids")
-            self.initial_active = seeds.copy()  # worker processes re-seed from this
+            self.initial_active = seeds.astype(VERTEX_ID)  # worker processes re-seed from this
 
         #: one worker per partition block on sim; none on the process
         #: executor, whose workers (and channel check) live in the children

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.adjacency import LocalCSR, build_local_csr
 from repro.core.lanes import lane_count
 from repro.core.vertex import Vertex
-from repro.graph.graph import MAX_VERTICES
+from repro.graph.graph import MAX_VERTICES, VERTEX_ID
 from repro.runtime.buffers import WorkerBuffers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +100,8 @@ class Worker:
         self.owner = engine.owner  # global vertex id -> worker id
         self._positions = engine.positions  # global id -> position within its owner
         self.num_workers = engine.num_workers
-        self.local_ids = np.asarray(local_ids, dtype=np.int64)
+        #: the global ids of this worker's vertices, ascending
+        self.local_ids = np.asarray(local_ids, dtype=VERTEX_ID)
         self.num_local = int(self.local_ids.size)
 
         # vote-to-halt state
@@ -124,7 +125,7 @@ class Worker:
         worker = cls(host, worker_id, np.flatnonzero(host.owner == worker_id))
         worker.program = factory(worker)
         if seeds is not None:
-            worker.seed_active(np.asarray(seeds, dtype=np.int64))
+            worker.seed_active(seeds)
         if initialize:
             for channel in worker.channels:
                 channel.initialize()
@@ -140,9 +141,9 @@ class Worker:
     def local_index(self, vid):
         """Local index of an owned vertex, ``-1`` where another worker owns
         it; ``vid`` is one global id (an ``int`` back) or an array of them
-        (an ``int64`` array back).  An id past the last vertex is an
+        (an ``intp`` array back).  An id past the last vertex is an
         ``IndexError``; a negative one counts from the end, as an index."""
-        local = np.where(self.owner[vid] == self.worker_id, self._positions[vid], np.int64(-1))
+        local = np.where(self.owner.take(vid) == self.worker_id, self._positions.take(vid), np.intp(-1))
         return int(local) if local.ndim == 0 else local
 
     def owner_of(self, vid: int) -> int:

@@ -65,6 +65,7 @@ from repro.palgol.ast import (
     Var,
     VertexId,
 )
+from repro.graph.graph import VERTEX_ID
 from repro.runtime.serialization import Codec, FLOAT64, INT32, INT64
 from repro.util import expand_ranges
 
@@ -72,6 +73,7 @@ __all__ = ["compile_palgol", "run_palgol", "CompileError"]
 
 #: the binary nodes, each one ufunc over the rows
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.true_divide, Eq: np.equal, Lt: np.less}
+_ARITHMETIC = (np.add, np.subtract, np.multiply)  #: what they make of ids is an int
 
 
 class CompileError(ValueError):
@@ -167,61 +169,78 @@ class _Analysis:
         return _Analysis, (self.spec,)
 
 
+#: a value's type, each wider than the one before; an id is an int held as
+#: ``graph.VERTEX_ID``, and a field's codec is its type's
+ID, INT, FLOAT = range(3)
+_CODECS = (INT32, INT64, FLOAT64)
+
+
 def _field_codecs(spec: PalgolSpec) -> dict[str, Codec]:
-    """Each field's codec, inferred from its initial value and every value
-    assigned to it.  A ``Div``, a float ``Const`` or a float reduction
-    makes a value ``float64``; arithmetic with one float operand is float;
-    ids, degrees, counts and comparisons are ``int64``.  A field given
-    both is a ``CompileError`` naming it; one nothing decides is
-    ``int64``."""
+    """Each field's codec, inferred from every value it is given.  A
+    ``Div``, a float ``Const`` or reduction, or arithmetic on a float is a
+    float; an ``Id``, a ``FirstNeighbor``, a field of ids and a MIN/MAX
+    over ids in a ``VERTEX_ID``-wide combiner (``MIN_I32``) are ids; any
+    other value is an int.  A field of ids alone is ``INT32``, one of
+    floats ``FLOAT64``, any other ``INT64``; floats and ints in one field
+    are a ``CompileError`` naming it."""
     lets: dict[str, list[Expr]] = {}
     sources = {name: [init] for name, init in spec.fields.items()}
     for stmt in _walk_stmts(spec.body):
         if isinstance(stmt, Let):
             lets.setdefault(stmt.name, []).append(stmt.value)
-        elif isinstance(stmt, (Assign, RemoteUpdate)):
+        elif isinstance(stmt, Assign):
             sources[stmt.field].append(stmt.value)
-    kinds: dict[str, bool] = {}
+        elif isinstance(stmt, RemoteUpdate):  # its combiner folds the value in, as a reduce's does
+            sources[stmt.field].append(NeighborReduce(stmt.combiner, stmt.value))
+    kinds: dict[str, int] = {}
 
-    def is_float(expr: Expr, binding: frozenset = frozenset()) -> bool | None:
-        """Whether ``expr`` is a float, or ``None`` while that waits on a
-        field not yet decided (``binding``: the variables being read)."""
+    def kind(expr: Expr, binding: frozenset = frozenset()) -> int | None:
+        """The type of ``expr``, or ``None`` while that waits on a field
+        not yet decided (``binding``: the variables being read)."""
         if isinstance(expr, Const):
-            return isinstance(expr.value, float)
+            return FLOAT if isinstance(expr.value, float) else INT
         if isinstance(expr, Div):
-            return True
+            return FLOAT
+        if isinstance(expr, (VertexId, FirstNeighbor)):
+            return ID
         if isinstance(expr, (Field, RemoteRead)):
             return kinds.get(expr.name if isinstance(expr, Field) else expr.field)
         if isinstance(expr, NeighborReduce):
-            return expr.combiner.codec.dtype.kind == "f"
+            combiner, value = expr.combiner, kind(expr.value, binding)
+            if combiner.codec.dtype.kind == "f":
+                return FLOAT
+            keeps_ids = combiner.codec.dtype == VERTEX_ID and combiner.is_selection
+            return value if keeps_ids and value in (ID, None) else INT
         if isinstance(expr, Var):
             if expr.name in binding:
                 return None
-            return _promote(is_float(e, binding | {expr.name}) for e in lets.get(expr.name, ()))
+            return _join(kind(e, binding | {expr.name}) for e in lets.get(expr.name, ()))
         if isinstance(expr, (Add, Sub, Mul)):
-            return _promote(is_float(e, binding) for e in (expr.left, expr.right))
-        return False  # ids, degrees, |V|, comparisons
+            joined = _join(kind(e, binding) for e in (expr.left, expr.right))
+            return None if joined is None else max(joined, INT)
+        return INT  # degrees, |V|, comparisons
 
     changed = True
-    while changed:  # a field's type may wait on another's
+    while changed:  # a field's type may wait on another's, and widen as it does
         changed = False
         for name, exprs in sources.items():
-            found = {is_float(e) for e in exprs} - {None}
-            if len(found) > 1:
+            found = {kind(e) for e in exprs} - {None}
+            if FLOAT in found and len(found) > 1:
                 raise CompileError(f"field {name!r} is given both int and float values")
-            if found and kinds.get(name) is None:
-                kinds[name] = found.pop()
+            decided = _join(found)
+            if decided is not None and kinds.get(name) != decided:
+                kinds[name] = decided
                 changed = True
-    return {name: FLOAT64 if kinds.get(name) else INT64 for name in spec.fields}
+    return {name: _CODECS[kinds.get(name, INT)] for name in spec.fields}
 
 
-def _promote(kinds) -> bool | None:
-    """Arithmetic's type: float where any operand is, int where all are
-    ints, ``None`` while an operand waits."""
-    kinds = list(kinds)
-    if True in kinds:
-        return True
-    return None if None in kinds or not kinds else False
+def _join(kinds) -> int | None:
+    """The type of a value that is one of ``kinds``: a float where one
+    is, an id where all are, else an int; ``None`` while one waits."""
+    kinds = set(kinds)
+    if FLOAT in kinds:
+        return FLOAT
+    return None if None in kinds or not kinds else max(kinds)
 
 
 def compile_palgol(spec: PalgolSpec, optimize: bool = True) -> ProgramSpec:
@@ -315,7 +334,11 @@ class PalgolProgram(BulkVertexProgram):
         variables by name and the hoisted results by node identity."""
         ufunc = _BINARY.get(type(expr))
         if ufunc is not None:
-            return ufunc(self._eval(expr.left, rows, env), self._eval(expr.right, rows, env))
+            left, right = self._eval(expr.left, rows, env), self._eval(expr.right, rows, env)
+            if ufunc in _ARITHMETIC and np.result_type(left, right) == VERTEX_ID:
+                # ids are int32; what arithmetic makes of them is an int64
+                return ufunc(left, right, dtype=np.int64)
+            return ufunc(left, right)
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Var):
@@ -323,14 +346,14 @@ class PalgolProgram(BulkVertexProgram):
         if isinstance(expr, Field):
             return self.fields[expr.name][rows]
         if isinstance(expr, VertexId):
-            return self.worker.local_ids[rows]
+            return self.worker.local_ids.take(rows)
         if isinstance(expr, NumVertices):
             return self.num_vertices
         adj = self.worker.local_adjacency("out")
         if isinstance(expr, Deg):
             return adj.degrees[rows]
         if isinstance(expr, FirstNeighbor):  # its own id when it has none
-            first = self.worker.local_ids[rows]
+            first = self.worker.local_ids.take(rows)
             has = adj.degrees[rows] > 0
             first[has] = adj.indices[adj.indptr[rows[has]]]
             return first
@@ -377,7 +400,7 @@ class PalgolProgram(BulkVertexProgram):
             if self.optimize:
                 ch.add_requests(active, at)
             else:
-                ch[0].send_messages(at, self.worker.local_ids[active])
+                ch[0].send_messages(at, self.worker.local_ids.take(active))
 
     def _reply(self, active: np.ndarray) -> None:
         """Basic mode: serve the read requests; stash the reduce arrivals."""

@@ -122,7 +122,7 @@ class _Ghosts(_Messages):
         self.messages = messages
         graph, owner = worker.graph, worker.owner
         degrees = graph.out_degrees
-        hubs = worker.local_ids[degrees[worker.local_ids] >= threshold]
+        hubs = worker.local_ids[degrees.take(worker.local_ids) >= threshold]
         self.peers = {vid: np.unique(owner[graph.neighbors(vid)]) for vid in hubs.tolist()}
         adj = worker.local_adjacency("in")
         srcs = adj.indices

@@ -165,7 +165,7 @@ class PageRankIncrementalBulk(BulkVertexProgram):
         li = worker.local_ids
         T = self.iterations
         if self.hist is not None:
-            self.new_hist = self.hist[:, li].copy()
+            self.new_hist = self.hist.take(li, axis=1)
             self.new_hist_s = self.hist_s.copy()
             self.rank = self.new_hist[T + 1].copy()
         else:
@@ -177,7 +177,7 @@ class PageRankIncrementalBulk(BulkVertexProgram):
     def before_superstep(self) -> None:
         nk = self.worker.step_num + 1
         if nk <= self.iterations + 1:
-            wake = np.flatnonzero(self.schedule.active[nk][self.worker.local_ids])
+            wake = np.flatnonzero(self.schedule.active[nk].take(self.worker.local_ids))
             if wake.size:
                 self.worker.activate_local_bulk(wake)
 
@@ -196,8 +196,8 @@ class PageRankIncrementalBulk(BulkVertexProgram):
             s_raw = self.agg.result() if sched.agg[k - 1] else self.hist_s[k]
             s = s_raw / n
             if not sched.full:
-                self.rank[:] = self.hist[k][li]  # clean baseline
-            idx = np.flatnonzero(sched.dirty[k][li])
+                self.rank[:] = self.hist[k].take(li)  # clean baseline
+            idx = np.flatnonzero(sched.dirty[k].take(li))
             if idx.size:
                 incoming, _ = self.msg.get_messages()
                 self.rank[idx] = (1.0 - DAMPING) / n + DAMPING * (incoming[idx] + s)
@@ -205,7 +205,7 @@ class PageRankIncrementalBulk(BulkVertexProgram):
         self.new_hist_s[k] = s_raw
 
         if k <= T:
-            snd = np.flatnonzero(sched.senders[k][li])
+            snd = np.flatnonzero(sched.senders[k].take(li))
             deg = adj.degrees[snd]
             has_out = deg > 0
             snd, deg = snd[has_out], deg[has_out]

@@ -196,7 +196,10 @@ def group_by_key(
     ``(unique keys ascending, start of each group, values in stable key
     order)``, i.e. ``group_starts(keys[o])`` and ``values[o]`` for ``o =
     argsort(keys, kind="stable")``.  The caller has checked the keys
-    against ``[0, key_bound)`` and the values against ``[0, value_bound)``.
+    against ``[0, key_bound)`` and the values against ``[0, value_bound)``;
+    the bounds are those of vertex ids and local indices, at most 2**31
+    and 2**32 (a wider one is a ``ValueError`` naming it), so the unique
+    keys come back as ``int32``, the width of a vertex id.
 
     Each block is read once, while it is packed as ``(key << 32) | value``
     into its slice of the one buffer this function allocates, and is not
@@ -211,39 +214,30 @@ def group_by_key(
     permutation is built or applied.  Within a key
     the stable order keeps the values non-decreasing, which is the order
     of the sorted pairs, and equal pairs are interchangeable.  Any other
-    input, and bounds too wide for a 32-bit word each, go through
-    :func:`stable_order`.
+    input goes through :func:`stable_order`.
 
     ``values`` may be a narrower integer column (a ``uint32`` row numbering
-    is folded into the pairs as it is).  Where the bounds fit the packed
-    pairs, the grouped values are the narrowest of ``uint16`` and
-    ``uint32`` that holds ``value_bound`` (:func:`index_dtype`): 2 or 4 B
-    a pair.  On the sorted route they are the buffer's low words, moved
-    to its front and the buffer shrunk to them where it lies, so no second
-    edge-length column is ever held, and the groups' starts are found a
-    block at a time (:func:`group_starts`).  Bounds too wide for that give
-    ``int64``.
+    is folded into the pairs as it is).  The grouped values are the
+    narrowest of ``uint16`` and ``uint32`` that holds ``value_bound``
+    (:func:`index_dtype`): 2 or 4 B a pair.  On the sorted route they are
+    the buffer's low words, moved to its front and the buffer shrunk to
+    them where it lies, so no second edge-length column is ever held, and
+    the groups' starts are found a block at a time (:func:`group_starts`).
     """
-    packable = key_bound <= 1 << 31 and value_bound <= 1 << 32
+    if key_bound > 1 << 31 or value_bound > 1 << 32:
+        raise ValueError(f"bounds {key_bound} (keys), {value_bound} (values) past 2**31, 2**32")
     # one buffer of words as wide as the grouped values, owned as such so
     # that it can shrink to them where it lies; its pairs, explicitly
     # little-endian, have their key in the high 32 bits
-    if packable:
-        width = index_dtype(value_bound).newbyteorder("<")
-        per = 8 // width.itemsize  # words a pair
-        words = np.empty(per * num_pairs, dtype=width)
-        keys, values = words.view("<i8"), None
-    else:
-        keys, values = np.empty(num_pairs, dtype=np.int64), np.empty(num_pairs, dtype=np.int64)
+    width = index_dtype(value_bound).newbyteorder("<")
+    per = 8 // width.itemsize  # words a pair
+    words = np.empty(per * num_pairs, dtype=width)
+    keys = words.view("<i8")
     ordered, last, end = True, 0, 0
     for block_keys, block_values in blocks:
         start, end = end, end + len(block_keys)
-        if packable:
-            np.left_shift(block_keys, 32, out=keys[start:end], dtype=np.int64)
-            keys[start:end] |= block_values
-        else:
-            keys[start:end] = block_keys
-            values[start:end] = block_values
+        np.left_shift(block_keys, 32, out=keys[start:end], dtype=np.int64)
+        keys[start:end] |= block_values
         if ordered and start < end:
             ordered = bool(
                 last <= block_values[0] and np.all(block_values[1:] >= block_values[:-1])
@@ -252,25 +246,20 @@ def group_by_key(
     if end != num_pairs:
         if exact:
             raise ValueError(f"blocks held {end} pairs, not the {num_pairs} announced")
-        # nothing else references the buffers: shrink them where they lie
-        if packable:
-            del keys
-            words.resize(per * end, refcheck=False)
-            keys = words.view("<i8")
-        else:
-            keys.resize(end, refcheck=False)
-            values.resize(end, refcheck=False)
-    if packable and ordered:
+        # nothing else references the buffer: shrink it where it lies
+        del keys
+        words.resize(per * end, refcheck=False)
+        keys = words.view("<i8")
+    if ordered:
         keys.sort()
         del keys
         uniq, starts = group_starts(words.view("<u4")[1::2])
-        return uniq.astype(np.int64), starts, _low_words(words, end)
-    if packable:
-        values = words[0::per].copy()
-        keys >>= 32
+        return uniq.astype(np.int32), starts, _low_words(words, end)
+    values = words[0::per].copy()
+    keys >>= 32
     order, sorted_keys = stable_order(keys, key_bound)
     uniq, starts = group_starts(sorted_keys)
-    return uniq, starts, values[order]
+    return uniq.astype(np.int32), starts, values[order]
 
 
 def _low_words(words: np.ndarray, count: int) -> np.ndarray:

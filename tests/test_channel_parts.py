@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.core.channels._records import decode_records, encode_pattern, encode_records
 from repro.graph import rmat
+from repro.graph.graph import VERTEX_ID
 from repro.graph.partition import range_partition
 from repro.runtime.serialization import FLOAT64, INT32, INT64
 from helpers import line_graph
@@ -122,7 +123,7 @@ def test_decode_records_returns_aligned_values_at_any_payload_offset():
         raw_alignment.append(np.frombuffer(view[ids.nbytes :], np.float64).flags.aligned)
         got_ids, got_values = decode_records(view, FLOAT64)
         assert got_values.flags.aligned and got_values.dtype == np.float64
-        assert got_ids.dtype == np.int64 and got_ids.tolist() == ids.tolist()
+        assert got_ids.dtype == VERTEX_ID and got_ids.tolist() == ids.tolist()
         assert got_values.tobytes() == values.tobytes()
     # the offsets differ by 4, so the wire view itself was unaligned somewhere
     assert not all(raw_alignment)
@@ -216,7 +217,7 @@ SNAPSHOT_FORMAT = {
     Aggregator: {"partial": float, "contributed": bool, "result": float, "global": float},
     ScatterCombine: {
         "edge_src": "int64",
-        "edge_dst": "int64",
+        "edge_dst": "int32",
         "values": "float64",
         "dirty": bool,
         "slots": "float64",
@@ -226,10 +227,10 @@ SNAPSHOT_FORMAT = {
         "sent": dict,
         "received": dict,
     },
-    RequestRespond: {"resp_keys": "int64", "resp_vals": "int64", "asked": list},
+    RequestRespond: {"resp_keys": "int32", "resp_vals": "int64", "asked": list},
     Propagation: {
         "edge_src": "int64",
-        "edge_dst": "int64",
+        "edge_dst": "int32",
         "edge_w": "float64",
         "values": "int64",
         "dirty": list,
@@ -237,7 +238,7 @@ SNAPSHOT_FORMAT = {
     },
     MirroredScatter: {
         "edge_src": "int64",
-        "edge_dst": "int64",
+        "edge_dst": "int32",
         "values": "float64",
         "dirty": bool,
         "slots": "float64",
@@ -413,14 +414,9 @@ def test_a_record_id_past_int32_is_refused():
         encode_records(channel, np.array([9, 2**31]), _ones(2))
 
 
-def test_a_request_id_past_int32_is_refused(monkeypatch):
-    """A request id is checked against the graph first, so reaching the
-    cast takes a graph past 2**31 vertices: a stub one (an engine refuses
-    such a graph at construction), owned wholly by worker 0."""
+def test_a_request_id_past_int32_is_refused():
+    """Request ids are narrowed to ``VERTEX_ID`` as they enter, so one
+    that does not fit is refused by the request itself, by name."""
     channel, _ = _receiver(RequestRespond)
-    big = 2**31 + 1
-    monkeypatch.setattr(channel.worker, "graph", SimpleNamespace(num_vertices=big))
-    monkeypatch.setattr(channel.worker, "owner", np.broadcast_to(np.int64(0), (big,)))
-    channel.add_requests([0, 1], [9, 2**31])
     with pytest.raises(ValueError, match=r"RequestRespond.*request id 2147483648 does not fit"):
-        channel.serialize()
+        channel.add_requests([0, 1], [9, 2**31])

@@ -251,6 +251,15 @@ STATIC_EDGE_CHANNELS = pytest.mark.parametrize(
 )
 
 
+def _add_edges(ch, src, dst):
+    """Register ``src[i] -> dst[i]`` one edge at a time, in that order;
+    ``src`` are local sender indices, bound unchecked as a listing binds
+    its vertex."""
+    v = ch.worker._vertex
+    for v.local, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
+        ch.add_edge(v, d)
+
+
 class TestScatterCombineBuild:
     """The one-off routing build: independent of how the edges arrived,
     reproducible from a snapshot, and loud about ids it cannot route."""
@@ -264,7 +273,7 @@ class TestScatterCombineBuild:
     def _edges(worker):
         adj = worker.local_adjacency()
         src = np.repeat(np.arange(worker.num_local, dtype=np.int64), adj.degrees)
-        return src, adj.indices.astype(np.int64)  # the edge columns' dtype
+        return src, adj.indices
 
     @staticmethod
     def _tables(ch):
@@ -287,21 +296,15 @@ class TestScatterCombineBuild:
         ch = ScatterCombine(worker, SUM_F64)
         v = worker._vertex
         if how == "scalar":
-            for s_, d_ in zip(src.tolist(), dst.tolist()):
-                ch.add_edge(v._bind(s_), d_)
+            _add_edges(ch, src, dst)
         elif how == "per-vertex":
             for i in range(worker.num_local):
                 ch.add_edges(v._bind(i), dst[src == i])
-        elif how == "one-chunk":
-            ch.add_edges_bulk(src, dst)
-        elif how == "three-chunks":
-            for part in np.array_split(np.arange(src.size), 3):
-                ch.add_edges_bulk(src[part], dst[part])
-        elif how == "scalar-then-chunk":
+        elif how == "scalar-then-per-vertex":
             half = src.size // 2
-            for s_, d_ in zip(src[:half].tolist(), dst[:half].tolist()):
-                ch.add_edge(v._bind(s_), d_)
-            ch.add_edges_bulk(src[half:], dst[half:])
+            _add_edges(ch, src[:half], dst[:half])
+            for i in range(worker.num_local):
+                ch.add_edges(v._bind(i), dst[half:][src[half:] == i])
         return ch
 
     def test_tables_match_a_stable_argsort_reference(self):
@@ -322,7 +325,7 @@ class TestScatterCombineBuild:
         order = np.argsort(dst, kind="stable")
         uniq, starts = np.unique(dst[order], return_index=True)
         seg_src, seg_starts, wire, positions = self._tables(
-            self._register(worker, "one-chunk")
+            self._register(worker, "per-vertex")
         )
         assert seg_src == src[order].tolist()
         assert seg_starts == starts.tolist()
@@ -337,29 +340,16 @@ class TestScatterCombineBuild:
                 assert wire[peer] == {"ids": ids}
             assert positions[peer] == np.flatnonzero(owners == peer).tolist()
 
-    @pytest.mark.parametrize(
-        "how", ["scalar", "per-vertex", "three-chunks", "scalar-then-chunk"]
-    )
+    @pytest.mark.parametrize("how", ["scalar", "scalar-then-per-vertex"])
     def test_tables_do_not_depend_on_the_registration_path(self, how):
         worker = self._worker()
         assert self._tables(self._register(worker, how)) == self._tables(
-            self._register(worker, "one-chunk")
+            self._register(worker, "per-vertex")
         )
-
-    def test_single_chunk_is_aliased_and_never_written(self):
-        worker = self._worker()
-        src, dst = self._edges(worker)
-        src.setflags(write=False)
-        dst.setflags(write=False)  # a store view is read-only too
-        ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(src, dst)
-        got_src, got_dst = ch._edges.flat()
-        assert got_src is src and got_dst is dst
-        self._tables(ch)  # the build only reads them
 
     def test_snapshot_restore_rebuilds_the_same_tables(self):
         worker = self._worker()
-        ch = self._register(worker, "scalar-then-chunk")
+        ch = self._register(worker, "scalar-then-per-vertex")
         expected = self._tables(ch)
         restored = ScatterCombine(worker, SUM_F64)
         restored.restore(ch.snapshot())
@@ -407,12 +397,13 @@ class TestScatterCombineBuild:
         return taken.values()
 
     def test_snapshot_taken_before_supersteps_is_unchanged_after(self):
-        """The snapshot aliases the registered chunk; nothing the channel
+        """The snapshot aliases the registered columns; nothing the channel
         does in later supersteps may write through that alias."""
 
         def explicit(channel, adj):
-            src = np.repeat(np.arange(adj.degrees.size, dtype=np.int64), adj.degrees)
-            channel.add_edges_bulk(src, adj.indices)
+            v = channel.worker._vertex
+            for i in range(adj.degrees.size):
+                channel.add_edges(v._bind(i), adj.row(i))
 
         for channel, snap, indices in self._run_snapshotting(explicit):
             indptr = channel.worker.local_adjacency().indptr
@@ -484,7 +475,7 @@ class TestScatterCombineBuild:
         either sort."""
         worker = self._worker()
         ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(np.array(src), np.array(dst))
+        _add_edges(ch, src, dst)
         with pytest.raises(ValueError) as err:
             ch._build()
         msg = str(err.value)
@@ -538,7 +529,7 @@ class TestScatterCombineBuild:
         edges.sort(key=lambda e: e[0])
         src, dst = [e[0] for e in edges], [e[1] for e in edges]
         ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        _add_edges(ch, src, dst)
         with mock.patch.object(
             repro.util, "stable_order", side_effect=AssertionError("built an order")
         ):
@@ -553,7 +544,7 @@ class TestScatterCombineBuild:
         src = [s_ % worker.num_local for s_, _ in edges]
         dst = [d_ for _, d_ in edges]
         ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        _add_edges(ch, src, dst)
         assert self._tables(ch) == self._reference_tables(worker, src, dst)
 
     def test_shuffled_registration_takes_the_stable_order_build(self, stable_order_calls):
@@ -562,11 +553,11 @@ class TestScatterCombineBuild:
         shuffle = np.random.default_rng(3).permutation(src.size)
         assert (np.diff(src[shuffle]) < 0).any()
         ch = ScatterCombine(worker, SUM_F64)
-        ch.add_edges_bulk(src[shuffle], dst[shuffle])
+        _add_edges(ch, src[shuffle], dst[shuffle])
         assert self._tables(ch) == self._reference_tables(worker, src[shuffle], dst[shuffle])
         assert stable_order_calls == [src.size]
         # the CSR order of the same edges does not
-        self._tables(self._register(worker, "one-chunk"))
+        self._tables(self._register(worker, "per-vertex"))
         assert stable_order_calls == [src.size]
 
     # -- the per-superstep scan ----------------------------------------------------
@@ -576,7 +567,7 @@ class TestScatterCombineBuild:
         value bytes it announced, and those of a whole-array ``reduceat``
         over the same tables."""
         ch = ScatterCombine(worker, combiner)
-        ch.add_edges_bulk(np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+        _add_edges(ch, src, dst)
         ch.set_messages(np.arange(worker.num_local), values)
         sent = {}
 
@@ -796,7 +787,9 @@ class TestAdjacencyRegistration:
     def _explicit(worker, direction, make=None):
         adj = worker.local_adjacency(direction)
         ch = (make or (lambda w: ScatterCombine(w, _table_combiner(direction))))(worker)
-        ch.add_edges_bulk(np.repeat(np.arange(worker.num_local), adj.degrees), adj.indices)
+        v = worker._vertex
+        for i in range(worker.num_local):
+            ch.add_edges(v._bind(i), adj.row(i))
         return ch
 
     @staticmethod
@@ -1040,7 +1033,6 @@ class TestAdjacencyRegistration:
         for register in (
             lambda ch: ch.add_edge(v, 5),
             lambda ch: ch.add_edges(v, np.array([5, 6])),
-            lambda ch: ch.add_edges_bulk(np.array([0]), np.array([5])),
         ):
             ch = channel(worker)
             register(ch)

@@ -186,11 +186,40 @@ if [ -n "$files" ]; then
 fi
 '''),
     # a host keeps one int32 position table (OwnerTable) that every
-    # worker's local_index reads, the Pregel+ and Blogel baselines' too
+    # worker's local_index reads, the Pregel+ and Blogel baselines' too:
+    # no array sized by the graph's vertex count is made under these
+    # directories.  The one exception, by name: RequestRespond._positions
+    # keeps an int32 table over the span of the ids it answered, which can
+    # reach V, because searchsorted over the answered ids took 9.7 ms
+    # against the table's 0.97 ms (65 536 lookups over 14 000 keys at
+    # V = 2**17, some 0.1 s a run of sv-rmat17-sim2)
     ("No V-sized table per worker", r'''
 dirs="src/repro/core src/repro/runtime src/repro/pregel src/repro/blogel"
-if grep -rnF --include="*.py" -e "_local_index" -e "np.full(self.graph.num_vertices" -e "np.full(graph.num_vertices" $dirs; then
-  echo "'_local_index', 'np.full(self.graph.num_vertices' and 'np.full(graph.num_vertices' must not appear under $dirs"
+if grep -rnE --include="*.py" -e "_local_index" -e "np\.(full|zeros|empty)\([^,]*num_vertices" $dirs; then
+  echo "'_local_index' and an np.full / np.zeros / np.empty of num_vertices must not appear under $dirs"
+  exit 1
+fi
+'''),
+    # a vertex id is as wide as graph.VERTEX_ID wherever a run holds or
+    # sends one: the record payload's ids decode as VERTEX_ID, the send
+    # buffers of RecordChannel and RequestRespond and the static edge
+    # set's destinations hold it, and no channel widens ids to int64
+    ("Ids are VERTEX_ID", r'''
+dir=src/repro/core/channels
+decode=$(awk '/^def decode_records\(/ {p = 1; next} p && /^def / {exit} p' $dir/_records.py)
+if ! echo "$decode" | grep -qF "dtype=VERTEX_ID"; then
+  echo "decode_records in $dir/_records.py must read its ids as dtype=VERTEX_ID"
+  exit 1
+fi
+for rule in "_records.py:RecordBuffer(VERTEX_ID, " "request_respond.py:RecordBuffer(np.intp, VERTEX_ID)" \
+    '_edges.py:"edge_dst": VERTEX_ID'; do
+  if ! grep -qF "${rule#*:}" "$dir/${rule%%:*}"; then
+    echo "$dir/${rule%%:*} must hold its ids as '${rule#*:}'"
+    exit 1
+  fi
+done
+if grep -rnF --include="*.py" "astype(np.int64)" $dir; then
+  echo "'astype(np.int64)' must not appear under $dir"
   exit 1
 fi
 '''),

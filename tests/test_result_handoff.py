@@ -23,6 +23,7 @@ from repro.algorithms.wcc import run_wcc
 from repro.core import ChannelEngine, VertexProgram
 from repro.core.program import VertexResults
 from repro.graph import rmat
+from repro.graph.graph import VERTEX_ID
 from repro.graph.partition import hash_partition
 from repro.runtime.parallel.pool import WorkerPool
 
@@ -151,7 +152,8 @@ def test_process_finalize_reply_is_two_arrays_per_worker(graph, transport, monke
         ids, values = reply["data"]
         assert isinstance(ids, np.ndarray) and isinstance(values, np.ndarray)
         assert ids.tolist() == np.flatnonzero(owner == w).tolist()
-        assert values.shape == ids.shape and values.dtype == np.int64
+        # WCC's labels are vertex ids, held as wide as one
+        assert values.shape == ids.shape and values.dtype == VERTEX_ID
 
 
 def test_merged_falls_back_to_a_dict_for_mixed_parts():

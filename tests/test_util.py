@@ -166,12 +166,10 @@ class TestGroupByKey:
         cuts = sorted(min(cut, keys.size) for cut in cuts)
         blocks = zip(np.split(keys, cuts), np.split(values, cuts), strict=True)
         uniq, starts, grouped = group_by_key(blocks, keys.size, key_bound, value_bound)
-        assert uniq.dtype == starts.dtype == np.int64
-        # the packed route's grouped values are its buffer's low words, the
+        assert uniq.dtype == np.int32 and starts.dtype == np.int64
+        # the grouped values are the packed buffer's low words, the
         # narrowest of uint16/uint32 for the bound
-        packed = key_bound <= 2**31 and value_bound <= 2**32
-        narrowest = np.uint16 if value_bound <= 2**16 else np.uint32
-        assert grouped.dtype == (narrowest if packed else np.int64)
+        assert grouped.dtype == (np.uint16 if value_bound <= 2**16 else np.uint32)
         assert uniq.tolist() == exp_uniq.tolist()
         assert starts.tolist() == exp_starts.tolist()
         assert grouped.tolist() == values[order].tolist()
@@ -211,9 +209,8 @@ class TestGroupByKey:
         assert routes == [2]
 
     def test_no_block_at_all_is_the_empty_grouping(self):
-        for bounds in ((6, 10), (2**31 + 1, 10)):
-            uniq, starts, grouped = group_by_key(iter(()), 0, *bounds)
-            assert uniq.size == starts.size == grouped.size == 0
+        uniq, starts, grouped = group_by_key(iter(()), 0, 6, 10)
+        assert uniq.size == starts.size == grouped.size == 0
 
     def test_blocks_short_of_the_announced_count_raise(self):
         with pytest.raises(ValueError, match="3 pairs, not the 4 announced"):
@@ -229,10 +226,13 @@ class TestGroupByKey:
         self.check([5, 1, 5, 1, 0], [3, 0, 2, 2, 9], 6, 10)
         assert routes == [6]
 
-    def test_bounds_wider_than_a_word_take_the_stable_order_route(self, routes):
-        self.check([2**31, 0, 7], [0, 1, 2], 2**31 + 1, 10, cuts=[1])
-        self.check([4, 0, 7], [0, 1, 2**32], 8, 2**32 + 1)
-        assert routes == [2**31 + 1, 8]
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [((2**31 + 1, 10), r"bounds 2147483649 \(keys\)"), ((8, 2**32 + 1), r"4294967297 \(values\)")],
+    )
+    def test_bounds_wider_than_a_word_are_refused_by_name(self, bounds, named):
+        with pytest.raises(ValueError, match=named):
+            group_by_key(iter(()), 0, *bounds)
 
     @pytest.mark.parametrize("sort_values", [True, False], ids=["packed", "stable-order"])
     def test_uint32_values_group_like_int64_ones(self, routes, sort_values):
