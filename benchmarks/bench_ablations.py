@@ -5,7 +5,8 @@ everything else fixed.  An ablation lives here, with its one caller, and
 never as a switch in the channel library:
 
 * **D1 — positional vs id-echo responses** (a closed form over the
-  positional run's counters: the echo adds 4 bytes per response)
+  positional run's counters: the echo adds one id per response, as wide
+  as the graph's ids cross)
 * **D2 — sorted linear-scan vs hash combining** (HashScatterCombine, below)
 * **D3 — per-channel message types** (exercised by Table IV S-V/SCC/MSF)
 * **D4 — propagation vs partition quality**
@@ -21,6 +22,7 @@ from repro.algorithms.wcc import run_wcc
 from repro.algorithms.sv import run_sv
 from repro.bench.datasets import load_dataset
 from repro.core import ChannelEngine, Combiner, ScatterCombine, SUM_F64
+from repro.core.channels._records import id_width
 from repro.graph.partition import hash_partition, metis_like_partition
 from repro.pregel_algorithms.sv import run_sv_pregel
 from repro.runtime.costmodel import NetworkModel
@@ -44,30 +46,32 @@ def _run(graph, program_cls, benchmark, **kw):
 
 
 # -- D1: response format --------------------------------------------------
-def _respond(metrics) -> tuple[dict, int]:
+def _respond(metrics, graph) -> tuple[dict, int]:
     """The PJ run's RequestRespond traffic and the bytes Pregel+-style
-    ``(id, value)`` responses would add to it: one int32 id per response,
-    and requests and responses cross the network in equal numbers, so 4
-    bytes per two of the channel's messages."""
+    ``(id, value)`` responses would add to it: one id per response, as
+    wide as the run's ids cross (``id_width(V)`` bytes), and requests and
+    responses cross the network in equal numbers, so one id per two of
+    the channel's messages."""
     channel = metrics.channel_breakdown()["0:RequestRespond"]
-    return channel, 2 * channel["messages"]
+    return channel, id_width(graph.num_vertices) * channel["messages"] // 2
 
 
 def test_ablation_respond_format(benchmark):
-    res = _run(load_dataset("tree"), PointerJumpingReqResp, benchmark)
-    _, echo = _respond(res.metrics)
+    graph = load_dataset("tree")
+    res = _run(graph, PointerJumpingReqResp, benchmark)
+    _, echo = _respond(res.metrics, graph)
     benchmark.extra_info["echoed_message_mb"] = round((res.metrics.total_net_bytes + echo) / 1e6, 3)
     assert res.supersteps > 2
 
 
 def test_ablation_respond_format_saves_bytes():
     """The paper's constant ~33% respond-size saving, isolated."""
-    engine = ChannelEngine(load_dataset("tree"), PointerJumpingReqResp, num_workers=8)
-    metrics = engine.run().metrics
-    channel, echo = _respond(metrics)
+    graph = load_dataset("tree")
+    metrics = ChannelEngine(graph, PointerJumpingReqResp, num_workers=8).run().metrics
+    channel, echo = _respond(metrics, graph)
     echoed = channel["net_bytes"] + echo
     # what the id-echo wire format measured on this run, total and channel
-    assert (metrics.total_net_bytes + echo, echoed) == (1_391_460, 1_387_044)
+    assert (metrics.total_net_bytes + echo, echoed) == (1_044_699, 1_040_283)
     assert 1 - channel["net_bytes"] / echoed == pytest.approx(1 / 3, abs=1e-3)
 
 

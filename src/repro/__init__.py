@@ -28,6 +28,8 @@ from repro.core import (
     MAX_F64,
     MAX_I64,
     MAX_I32,
+    ID,
+    MIN_ID,
     DirectMessage,
     CombinedMessage,
     Aggregator,
@@ -59,6 +61,8 @@ __all__ = [
     "MAX_F64",
     "MAX_I64",
     "MAX_I32",
+    "ID",
+    "MIN_ID",
     "DirectMessage",
     "CombinedMessage",
     "Aggregator",

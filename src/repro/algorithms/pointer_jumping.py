@@ -23,13 +23,13 @@ from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     DirectMessage,
+    ID,
     RequestRespond,
     Vertex,
     VertexProgram,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.programs import factory
-from repro.runtime.serialization import INT32
 
 __all__ = [
     "PointerJumpingBasic",
@@ -54,9 +54,9 @@ class PointerJumpingBasic(VertexProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.req = DirectMessage(worker, value_codec=INT32)
-        self.reply = DirectMessage(worker, value_codec=INT32)
-        self.D = np.zeros(worker.num_local, dtype=np.int64)
+        self.req = DirectMessage(worker, value_codec=ID)
+        self.reply = DirectMessage(worker, value_codec=ID)
+        self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)
         self.done = np.zeros(worker.num_local, dtype=bool)
 
     def compute(self, v: Vertex) -> None:
@@ -96,11 +96,11 @@ class PointerJumpingReqResp(VertexProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.D = np.zeros(worker.num_local, dtype=np.int64)
+        self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)
         self.rr = RequestRespond(
             worker,
             respond_fn=lambda v: int(self.D[v.local]),
-            codec=INT32,
+            codec=ID,
             respond_fn_bulk=lambda idx: self.D[idx],
         )
 

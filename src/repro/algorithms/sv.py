@@ -45,7 +45,8 @@ from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
     DirectMessage,
-    MIN_I32,
+    ID,
+    MIN_ID,
     RequestRespond,
     ScatterCombine,
     SUM_I64,
@@ -54,7 +55,6 @@ from repro.core import (
 )
 from repro.graph.graph import VERTEX_ID, Graph
 from repro.programs import factory
-from repro.runtime.serialization import INT32
 from repro.util import expand_ranges
 
 __all__ = ["run_sv"]
@@ -73,17 +73,17 @@ class _SVChannels(VertexProgram):
             self.rr = RequestRespond(
                 worker,
                 respond_fn=lambda v: int(self.D[v.local]),
-                codec=INT32,
+                codec=ID,
                 respond_fn_bulk=lambda idx: self.D[idx],
             )
         else:
-            self.req = DirectMessage(worker, value_codec=INT32)
-            self.reply = DirectMessage(worker, value_codec=INT32)
+            self.req = DirectMessage(worker, value_codec=ID)
+            self.reply = DirectMessage(worker, value_codec=ID)
         if self.use_scatter:
-            self.bcast = ScatterCombine(worker, MIN_I32)
+            self.bcast = ScatterCombine(worker, MIN_ID)
         else:
-            self.bcast = CombinedMessage(worker, MIN_I32)
-        self.upd = CombinedMessage(worker, MIN_I32)
+            self.bcast = CombinedMessage(worker, MIN_ID)
+        self.upd = CombinedMessage(worker, MIN_ID)
         self.agg = Aggregator(worker, SUM_I64)
 
         self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)

@@ -20,12 +20,12 @@ from repro.algorithms._common import gather, run_engine
 from repro.core import (
     BulkVertexProgram,
     CombinedMessage,
-    MIN_I64,
+    MIN_ID,
     Propagation,
     Vertex,
     VertexProgram,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.programs import factory
 
 __all__ = ["WCCBasic", "WCCBasicBulk", "WCCPropagation", "run_wcc"]
@@ -44,8 +44,8 @@ class WCCBasic(VertexProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.msg = CombinedMessage(worker, MIN_I64)
-        self.label = np.zeros(worker.num_local, dtype=np.int64)
+        self.msg = CombinedMessage(worker, MIN_ID)
+        self.label = np.zeros(worker.num_local, dtype=VERTEX_ID)
 
     def compute(self, v: Vertex) -> None:
         i = v.local
@@ -85,9 +85,12 @@ class WCCBasicBulk(BulkVertexProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.msg = CombinedMessage(worker, MIN_I64)
+        self.msg = CombinedMessage(worker, MIN_ID)
         ids = worker.local_ids
-        self.label = ids.copy() if self.warm_labels is None else self.warm_labels.take(ids)
+        if self.warm_labels is None:
+            self.label = ids.copy()
+        else:
+            self.label = self.warm_labels.take(ids).astype(VERTEX_ID)
 
     def compute_bulk(self, active: np.ndarray) -> None:
         worker = self.worker
@@ -117,8 +120,8 @@ class WCCPropagation(VertexProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.prop = Propagation(worker, MIN_I64)
-        self.label = np.zeros(worker.num_local, dtype=np.int64)
+        self.prop = Propagation(worker, MIN_ID)
+        self.label = np.zeros(worker.num_local, dtype=VERTEX_ID)
 
     def compute(self, v: Vertex) -> None:
         if self.step_num == 1:

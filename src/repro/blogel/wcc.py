@@ -4,8 +4,8 @@ This is the >100-line block-level program the paper contrasts with the
 10-line Propagation-channel version: the user must hand-write the
 in-block fixpoint (a frontier relaxation over the block's subgraph),
 boundary-message generation, and incremental re-propagation on message
-arrival.  Labels travel as ``int32`` — Blogel's partition-aware message
-format — which is why its message volume undercuts the generic channel.
+arrival.  Labels travel as vertex ids (``ID``), as the channel version's
+do.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.algorithms._common import gather, run_engine
 from repro.blogel.system import BlockProgram
+from repro.core import ID
 from repro.core.worker import Worker
 from repro.graph.graph import Graph
 from repro.programs import factory
-from repro.runtime.serialization import INT32
 from repro.util import expand_ranges, group_starts
 
 __all__ = ["BlogelWCC", "run_wcc_blogel"]
@@ -33,7 +33,7 @@ def _fold_min(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
 class BlogelWCC(BlockProgram):
     """Hash-min WCC as a block program."""
 
-    value_codec = INT32
+    value_codec = ID
 
     def __init__(self, worker: Worker) -> None:
         super().__init__(worker)

@@ -44,6 +44,7 @@ from repro.core.channels.scatter_combine import ScatterCombine
 from repro.core.channels.request_respond import RequestRespond
 from repro.core.channels.propagation import Propagation
 from repro.core.channels.mirrored_scatter import MirroredScatter
+from repro.core.channels._records import ID, MIN_ID
 
 __all__ = [
     "Combiner",
@@ -57,6 +58,8 @@ __all__ = [
     "MAX_F64",
     "MAX_I64",
     "MAX_I32",
+    "ID",
+    "MIN_ID",
     "Vertex",
     "Channel",
     "VertexProgram",

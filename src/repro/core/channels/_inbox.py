@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels._records import receive_records
+from repro.core.channels._records import receive_records, wire_codec
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 
@@ -29,7 +29,7 @@ class CombinedInbox:
 
     def _init_inbox(self, combiner: Combiner) -> None:
         self.combiner = combiner
-        self.value_codec = combiner.codec
+        self.value_codec = wire_codec(self, combiner.codec)
         n = self.worker.num_local
         self._slots = np.full(n, combiner.identity, dtype=combiner.codec.dtype)
         self._has_msg = np.zeros(n, dtype=bool)

@@ -15,7 +15,8 @@ After the announcement both ends also keep the last values that crossed
 between them, per peer.  A later scatter compares each value with the kept
 one bit for bit and sends a peer whichever payload is smallest: the
 *dense* ``n`` values, or a *delta* — the ``k`` changed values behind their
-positions, as an int32 list or a bitmap over ``[0, n)``.  The ids of an
+positions, as a list of the bytes a position into ``n`` values needs or
+as a bitmap over ``[0, n)``.  The ids of an
 announcement cross the same way, as a list or a bitmap over their range
 (``_records.encode_pattern`` holds the rule and the seven forms).  The form
 is a function of the values alone, so every backend sends the same bytes.
@@ -184,25 +185,9 @@ class StaticPattern(CombinedInbox):
             kept = self._received[src]
             kept[...] = values
         else:
-            self._check_positions(src, positions, expected)
             kept = self._received[src]
             kept[positions] = values
         self._fold(pattern[0], _expand(pattern, kept))
-
-    def _check_positions(self, src: int, positions: np.ndarray, size: int) -> None:
-        """A delta's positions must ascend strictly inside the pattern:
-        anything else would patch the wrong value, silently."""
-        if (np.diff(positions) <= 0).any():
-            raise RuntimeError(
-                f"{self!r}: worker {src} sent delta positions that do not "
-                "strictly ascend"
-            )
-        if positions.size and (positions[0] < 0 or positions[-1] >= size):
-            bad = positions[0] if positions[0] < 0 else positions[-1]
-            raise RuntimeError(
-                f"{self!r}: worker {src} sent delta position {bad} outside "
-                f"its pattern of {size}"
-            )
 
     # -- checkpointing (inbox keys, then the wire's) -------------------------------
     def _pattern_snapshot(self) -> dict:

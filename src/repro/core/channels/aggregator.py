@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.channel import Channel
+from repro.core.channels._records import wire_codec
 from repro.core.combiner import Combiner
 from repro.core.worker import Worker
 
@@ -34,7 +35,7 @@ class Aggregator(Channel):
     def __init__(self, worker: Worker, combiner: Combiner) -> None:
         super().__init__(worker)
         self.combiner = combiner
-        self.value_codec = combiner.codec
+        self.value_codec = wire_codec(self, combiner.codec)
         self._partial = combiner.identity
         self._contributed = False
         self._result = combiner.identity

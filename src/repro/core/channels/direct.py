@@ -1,8 +1,9 @@
 """``DirectMessage``: plain point-to-point message passing (Table I).
 
-Wire format per peer and round: an ``int32`` destination array followed by
-a value array (the payload length plus the fixed codec sizes recover the
-count, so no explicit header is needed).  The receiver groups messages by
+Wire format per peer and round: a destination id array, as wide as the
+graph's ``V`` needs (``_records``' id codec), followed by a value array
+(the payload length plus the two item sizes recover the count, so no
+explicit header is needed).  The receiver groups messages by
 destination vertex with one stable sort — this is the "message iterator"
 the paper credits for DirectMessage being faster than Pregel+'s nested
 vectors.
@@ -71,6 +72,10 @@ class DirectMessage(RecordChannel):
         self._recv_vals = state["recv_vals"].copy()
 
     # -- round protocol (serialize inherited from RecordChannel) ------------
+    def _records_from(self, src: int, payload: memoryview) -> tuple[np.ndarray, np.ndarray]:
+        """``(local indices, values)`` of worker ``src``'s payload."""
+        return receive_records(self, src, payload)
+
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
         worker = self.worker
@@ -78,7 +83,7 @@ class DirectMessage(RecordChannel):
             self._recv_indptr[:] = 0
             self._recv_vals = self._recv_vals[:0]
             return
-        local, vals = zip(*(receive_records(self, src, p) for src, p in payloads))
+        local, vals = zip(*(self._records_from(src, p) for src, p in payloads))
         self._recv_indptr, order = csr_group(np.concatenate(local), worker.num_local)
         self._recv_vals = np.concatenate(vals)[order]
         worker.activate_local_bulk(np.flatnonzero(np.diff(self._recv_indptr)))

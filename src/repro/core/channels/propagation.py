@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.channel import Channel
 from repro.core.channels._edges import StaticEdges
-from repro.core.channels._records import emit_records, receive_records
+from repro.core.channels._records import emit_records, receive_records, wire_codec
 from repro.core.combiner import Combiner
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -73,7 +73,7 @@ class Propagation(StaticEdges, Channel):
             )
         self.combiner = combiner
         self.edge_fn = edge_fn
-        self.value_codec = combiner.codec
+        self.value_codec = wire_codec(self, combiner.codec)
         n = worker.num_local
         self._values = np.full(n, combiner.identity, dtype=combiner.codec.dtype)
         self._dirty: list[int] = []

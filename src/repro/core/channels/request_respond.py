@@ -11,8 +11,15 @@ use).  Two optimizations over naive messaging, both from the paper:
 * **positional responses** — the responder returns a bare value array in
   exactly the order of the (sorted, unique) request ids it received, so
   responses carry no vertex identifiers.  Pregel+'s reqresp mode echoes
-  ``(id, value)`` pairs; dropping the echo is the paper's constant ~33%
-  respond-size saving.
+  ``(id, value)`` pairs; dropping the echo saves one id per answer.  Where
+  the answers are ids themselves (pointer jumping, S-V) a request, an
+  answer and the echo are one id each at the graph's id width, so the
+  saving is the paper's constant third of the conversation's bytes, at
+  every width.
+
+Request ids and id-typed answers cross through the id codec
+(:mod:`~repro.core.channels._records`), as wide as the graph's ``V``
+needs.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from repro.core.channels._records import (
     as_int32,
     check_ids,
     emit_payloads,
+    id_codec,
     local_ids,
+    wire_codec,
 )
 from repro.core.vertex import Vertex
 from repro.core.worker import Worker
@@ -49,7 +58,7 @@ class RequestRespond(Channel):
         vertex that received a request (the paper's
         ``function<RespT(VertexT)> f``).
     codec:
-        Wire codec of response values.
+        Wire codec of response values (``ID`` for vertex ids).
     respond_fn_bulk:
         Optional vectorized override: ``(local_indices: intp array) ->
         value array``.  When the requested attribute lives in a NumPy state
@@ -66,7 +75,8 @@ class RequestRespond(Channel):
         super().__init__(worker)
         self.respond_fn = respond_fn
         self.respond_fn_bulk = respond_fn_bulk
-        self.value_codec = codec
+        self.value_codec = wire_codec(self, codec)
+        self._ids = id_codec(self)
         self._vertex = Vertex(worker)  # responder-side handle
         #: this superstep's (requester local index, requested id) rows
         self._pending = RecordBuffer(np.intp, VERTEX_ID)
@@ -191,7 +201,8 @@ class RequestRespond(Channel):
         owners = self.worker.owner.take(uniq)
         self._asked = [uniq[owners == peer] for peer in range(self.num_workers)]
         emit_payloads(
-            self, ((peer, mine.tobytes(), mine.size) for peer, mine in enumerate(self._asked))
+            self,
+            ((peer, self._ids.encode_array(mine), mine.size) for peer, mine in enumerate(self._asked)),
         )
 
     def _serialize_responses(self) -> None:
@@ -215,9 +226,11 @@ class RequestRespond(Channel):
 
     def _deserialize_requests(self, payloads: list[tuple[int, memoryview]]) -> None:
         for src, payload in payloads:
-            if len(payload) % VERTEX_ID.itemsize:
-                raise RuntimeError(f"{self!r}: worker {src} sent {len(payload)} bytes of int32 request ids")
-            local = local_ids(self, src, np.frombuffer(payload, dtype=VERTEX_ID))
+            try:
+                ids = self._ids.decode_array(payload)
+            except ValueError as exc:
+                raise RuntimeError(f"{self!r}: worker {src} sent request ids: {exc}") from None
+            local = local_ids(self, src, ids)
             if self.respond_fn_bulk is not None:
                 vals = np.asarray(
                     self.respond_fn_bulk(local), dtype=self.value_codec.dtype
@@ -237,18 +250,29 @@ class RequestRespond(Channel):
         got: dict[int, np.ndarray] = {src: payload for src, payload in payloads}
         keys: list[np.ndarray] = []
         vals: list[np.ndarray] = []
+        codec = self.value_codec
         for peer in range(self.num_workers):
             asked = self._asked[peer]
             if asked.size == 0:
                 continue
-            payload = got.get(peer)
+            payload = got.pop(peer, None)
             if payload is None:
                 raise RuntimeError(
                     f"worker {worker.worker_id} asked {peer} for {asked.size} "
                     "values but received no response"
                 )
+            if len(payload) != asked.size * codec.itemsize:
+                raise RuntimeError(
+                    f"{self!r}: worker {peer} sent {len(payload)} bytes for "
+                    f"{asked.size} responses of {codec.itemsize} bytes"
+                )
+            try:
+                vals.append(codec.decode_array(payload, asked.size))
+            except ValueError as exc:
+                raise RuntimeError(f"{self!r}: worker {peer} sent responses: {exc}") from None
             keys.append(asked)
-            vals.append(self.value_codec.decode_array(payload, asked.size))
+        if got:
+            raise RuntimeError(f"{self!r}: worker {min(got)} sent responses nobody asked for")
         if keys:
             keys, vals = np.concatenate(keys), np.concatenate(vals)
             # each peer's ids are sorted; one stable sort merges the runs

@@ -19,8 +19,9 @@ __all__ = ["Graph", "MAX_VERTICES", "VERTEX_ID"]
 #: the dtype of every vertex id the tree makes or writes: CSR ``indices``
 #: in memory and on disk, edge lists, the reverse CSR.  Signed 32 bits: a
 #: graph holds at most :data:`MAX_VERTICES` = 2**31 vertices, so every id
-#: fits; the wire already carries ids as ``int32``
-#: (``core.channels._records.as_int32``); and the difference of two ids
+#: fits; the wire narrows ids to ``int32`` as they enter a channel
+#: (``core.channels._records.as_int32``) and sends them no wider than V
+#: needs (its id codec); and the difference of two ids
 #: cannot wrap, as it would in ``uint32``.  ``indptr`` counts arcs, not
 #: vertices, and stays ``int64``.  Arrays written by an older tree
 #: (``int64``, ``uint32``) are read as they are: every consumer indexes

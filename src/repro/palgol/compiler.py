@@ -41,6 +41,7 @@ from repro.core import (
     SUM_I64,
     ProgramSpec,
 )
+from repro.core.channels._records import ID as ID_CODEC, IdCodec
 from repro.palgol.ast import (
     Add,
     Assign,
@@ -66,7 +67,7 @@ from repro.palgol.ast import (
     VertexId,
 )
 from repro.graph.graph import VERTEX_ID
-from repro.runtime.serialization import Codec, FLOAT64, INT32, INT64
+from repro.runtime.serialization import Codec, FLOAT64, INT64
 from repro.util import expand_ranges
 
 __all__ = ["compile_palgol", "run_palgol", "CompileError"]
@@ -170,19 +171,22 @@ class _Analysis:
 
 
 #: a value's type, each wider than the one before; an id is an int held as
-#: ``graph.VERTEX_ID``, and a field's codec is its type's
+#: ``graph.VERTEX_ID`` and sent by the id codec, and a field's codec is its
+#: type's
 ID, INT, FLOAT = range(3)
-_CODECS = (INT32, INT64, FLOAT64)
+_CODECS = (ID_CODEC, INT64, FLOAT64)
 
 
 def _field_codecs(spec: PalgolSpec) -> dict[str, Codec]:
     """Each field's codec, inferred from every value it is given.  A
     ``Div``, a float ``Const`` or reduction, or arithmetic on a float is a
-    float; an ``Id``, a ``FirstNeighbor``, a field of ids and a MIN/MAX
-    over ids in a ``VERTEX_ID``-wide combiner (``MIN_I32``) are ids; any
-    other value is an int.  A field of ids alone is ``INT32``, one of
-    floats ``FLOAT64``, any other ``INT64``; floats and ints in one field
-    are a ``CompileError`` naming it."""
+    float; an ``Id``, a ``FirstNeighbor``, a field of ids and a fold of
+    ids in the id combiner (``MIN_ID``) are ids; any other value is an
+    int.  A field of ids alone has the id codec (``ID``: ``VERTEX_ID`` in
+    memory, as wide as the graph's ``V`` on the wire), one of floats
+    ``FLOAT64``, any other ``INT64``; floats and ints in one field, or a
+    ``MIN_ID`` fold of values that are not ids, are a ``CompileError``
+    naming them."""
     lets: dict[str, list[Expr]] = {}
     sources = {name: [init] for name, init in spec.fields.items()}
     for stmt in _walk_stmts(spec.body):
@@ -209,8 +213,11 @@ def _field_codecs(spec: PalgolSpec) -> dict[str, Codec]:
             combiner, value = expr.combiner, kind(expr.value, binding)
             if combiner.codec.dtype.kind == "f":
                 return FLOAT
-            keeps_ids = combiner.codec.dtype == VERTEX_ID and combiner.is_selection
-            return value if keeps_ids and value in (ID, None) else INT
+            if not isinstance(combiner.codec, IdCodec):
+                return INT
+            if value not in (ID, None):
+                raise CompileError(f"{combiner.name} folds ids; {expr.value!r} is not one")
+            return value
         if isinstance(expr, Var):
             if expr.name in binding:
                 return None
@@ -322,7 +329,7 @@ class PalgolProgram(BulkVertexProgram):
                 respond = lambda idx, f=node.field: self.fields[f][idx]  # noqa: E731
                 self.read_ch.append(RequestRespond(worker, None, codec, respond_fn_bulk=respond))
             else:
-                requests = DirectMessage(worker, value_codec=INT32)
+                requests = DirectMessage(worker, value_codec=ID_CODEC)
                 self.read_ch.append((requests, DirectMessage(worker, value_codec=codec)))
         self.update_ch = [CombinedMessage(worker, node.combiner) for node in analysis.updates]
         self.agg = Aggregator(worker, SUM_I64) if self.spec.iterate == "fixpoint" else None

@@ -7,7 +7,8 @@ compiler supports.
 
 from __future__ import annotations
 
-from repro.core.combiner import MIN_I32, SUM_F64
+from repro.core import MIN_ID
+from repro.core.combiner import SUM_F64
 from repro.palgol.ast import (
     Add,
     Assign,
@@ -50,7 +51,7 @@ def sv_spec() -> PalgolSpec:
     minimum, and a min-combined message channel for the remote update.
     """
     grandparent = RemoteRead("D", at=Field("D"))
-    t = NeighborReduce(MIN_I32, Field("D"))
+    t = NeighborReduce(MIN_ID, Field("D"))
     return PalgolSpec(
         name="sv",
         fields={"D": VertexId()},
@@ -65,7 +66,7 @@ def sv_spec() -> PalgolSpec:
                         Lt(Var("t"), Field("D")),
                         then=[
                             RemoteUpdate(
-                                "D", at=Field("D"), value=Var("t"), combiner=MIN_I32
+                                "D", at=Field("D"), value=Var("t"), combiner=MIN_ID
                             )
                         ],
                     )
@@ -78,7 +79,7 @@ def sv_spec() -> PalgolSpec:
 
 def wcc_spec() -> PalgolSpec:
     """Hash-min connected components: one NeighborReduce per round."""
-    t = NeighborReduce(MIN_I32, Field("label"))
+    t = NeighborReduce(MIN_ID, Field("label"))
     return PalgolSpec(
         name="wcc",
         fields={"label": VertexId()},

@@ -37,12 +37,12 @@ import numpy as np
 
 from repro.core.channel import Channel
 from repro.core.channels import Aggregator
-from repro.core.channels._records import decode_records
+from repro.core.channels._records import decode_records, id_codec, wire_codec
 from repro.core.combiner import Combiner
 from repro.core.program import BulkVertexProgram
 from repro.core.worker import Worker
 from repro.pregel.program import PregelProgram, PregelVertex
-from repro.runtime.serialization import INT32, Codec
+from repro.runtime.serialization import Codec
 from repro.util import check_count
 
 __all__ = ["PregelLayer", "pregel_plus"]
@@ -55,14 +55,16 @@ def _listed(codec: Codec, values: np.ndarray) -> list:
 
 
 class _Messages(Channel):
-    """``_MSG``: ``[int32 ids][values]`` to each peer, in send order.  The
+    """``_MSG``: ``[ids][values]`` to each peer, in send order, the ids as
+    wide as the graph's ``V`` needs (the channels' id codec).  The
     receiver keeps a list of values per vertex, or their fold when the
     program declares a combiner; :class:`_Ghosts` delivers into the same
     inbox, after this channel."""
 
     def __init__(self, worker: Worker, codec: Codec, combiner: Combiner | None) -> None:
         super().__init__(worker)
-        self.value_codec = codec
+        self.value_codec = wire_codec(self, codec)
+        self._ids = id_codec(self)
         self.combiner = combiner
         self._dsts: list[list[int]] = [[] for _ in range(worker.num_workers)]
         self._vals: list[list] = [[] for _ in range(worker.num_workers)]
@@ -90,7 +92,7 @@ class _Messages(Channel):
         me = self.worker.worker_id
         for peer, (dsts, vals) in enumerate(zip(self._dsts, self._vals)):
             if dsts:
-                self.emit(peer, INT32.encode_array(dsts) + self.value_codec.encode_array(vals))
+                self.emit(peer, self._ids.encode_array(dsts) + self.value_codec.encode_array(vals))
                 if peer != me:
                     self.count_net_messages(len(dsts))
                 self._dsts[peer], self._vals[peer] = [], []
@@ -99,7 +101,7 @@ class _Messages(Channel):
         self.round += 1
         self.inbox = {}
         for _src, payload in payloads:
-            ids, values = decode_records(payload, self.value_codec)
+            ids, values = decode_records(payload, self.value_codec, self._ids)
             self.deliver(self.worker.local_index(ids), values)
 
     def snapshot(self) -> dict:
@@ -148,7 +150,7 @@ class _Ghosts(_Messages):
     def deserialize(self, payloads: list[tuple[int, memoryview]]) -> None:
         self.round += 1
         for _src, payload in payloads:
-            ids, values = decode_records(payload, self.value_codec)
+            ids, values = decode_records(payload, self.value_codec, self._ids)
             for k, vid in enumerate(ids.tolist()):
                 local = self.mirrors[vid]
                 self.messages.deliver(local, np.repeat(values[k : k + 1], local.size))
@@ -162,7 +164,8 @@ class _Requests(Channel):
     def __init__(self, worker: Worker, program: PregelProgram) -> None:
         super().__init__(worker)
         self.program = program
-        self.value_codec = program.message_codec
+        self.value_codec = wire_codec(self, program.message_codec)
+        self._ids = id_codec(self)
         self._asked: set[int] = set()
         self._requesters: list[int] = []
         self._answers: list[list] = [[] for _ in range(worker.num_workers)]
@@ -182,13 +185,13 @@ class _Requests(Channel):
             self._asked = set()
             for peer, ids in by_peer.items():
                 ids.sort()
-                self.emit(peer, INT32.encode_array(ids))
+                self.emit(peer, self._ids.encode_array(ids))
                 if peer != me:
                     self.count_net_messages(len(ids))
             return
         for peer, pairs in enumerate(self._answers):
             if pairs:
-                ids = INT32.encode_array([p[0] for p in pairs])
+                ids = self._ids.encode_array([p[0] for p in pairs])
                 self.emit(peer, ids + self.value_codec.encode_array([p[1] for p in pairs]))
                 if peer != me:
                     self.count_net_messages(len(pairs))
@@ -198,13 +201,13 @@ class _Requests(Channel):
         if self.round == 0:
             respond = self.program.respond_value
             for src, payload in payloads:
-                ids = INT32.decode_array(payload).astype(np.int64)
+                ids = self._ids.decode_array(payload)
                 local = self.worker.local_index(ids)
                 self._answers[src] += zip(ids.tolist(), map(respond, local.tolist()))
         else:
             self.responses = {}
             for _src, payload in payloads:
-                ids, values = decode_records(payload, self.value_codec)
+                ids, values = decode_records(payload, self.value_codec, self._ids)
                 self.responses.update(zip(ids.tolist(), _listed(self.value_codec, values)))
             if self.responses and self._requesters:
                 self.worker.activate_local_bulk(np.asarray(self._requesters, dtype=np.int64))

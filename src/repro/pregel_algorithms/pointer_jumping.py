@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms._common import gather, run_engine
-from repro.graph.graph import Graph
+from repro.core import ID
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.pregel import PregelProgram, pregel_plus
 from repro.programs import factory
-from repro.runtime.serialization import INT32
 
 __all__ = ["PJPregelBasic", "PJPregelReqResp", "run_pointer_jumping_pregel"]
 
@@ -21,18 +21,18 @@ def _init_parent(v) -> int:
 class PJPregelBasic(PregelProgram):
     """Parity-scheduled basic pointer jumping.
 
-    With one monolithic int32 message type, requester ids and pointer
+    With one monolithic id message type, requester ids and pointer
     replies are indistinguishable by content, so the conversation is
     scheduled by superstep parity: odd supersteps send/receive replies
     (jump), even supersteps deliver requests (answer them).  One jump
     therefore costs two supersteps — the cost the reqresp pattern halves.
     """
 
-    message_codec = INT32
+    message_codec = ID
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.D = np.zeros(worker.num_local, dtype=np.int64)
+        self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)
         self.done = np.zeros(worker.num_local, dtype=bool)
 
     def compute(self, v, messages) -> None:
@@ -77,11 +77,11 @@ class PJPregelReqResp(PregelProgram):
     is *slower* than basic despite fewer bytes, due to per-request hash
     bookkeeping and (id, value) response echoes)."""
 
-    message_codec = INT32
+    message_codec = ID
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.D = np.zeros(worker.num_local, dtype=np.int64)
+        self.D = np.zeros(worker.num_local, dtype=VERTEX_ID)
 
     def respond_value(self, local_idx: int):
         return int(self.D[local_idx])

@@ -1,6 +1,6 @@
 """HCC hash-min WCC on the Pregel+ baseline.
 
-WCC is single-message-type (an int64 label), so Pregel's global combiner
+WCC is single-message-type (a label, typed as a vertex id), so Pregel's global combiner
 *is* applicable here — message bytes match the channel version exactly
 (Table IV/V show identical sizes); only the receive-path costs differ.
 """
@@ -10,22 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms._common import gather, run_engine
-from repro.core.combiner import MIN_I64
-from repro.graph.graph import Graph
+from repro.core import ID, MIN_ID
+from repro.graph.graph import VERTEX_ID, Graph
 from repro.pregel import PregelProgram, pregel_plus
 from repro.programs import factory
-from repro.runtime.serialization import INT64
 
 __all__ = ["WCCPregel", "run_wcc_pregel"]
 
 
 class WCCPregel(PregelProgram):
-    message_codec = INT64
-    combiner = MIN_I64
+    message_codec = ID
+    combiner = MIN_ID
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.label = np.zeros(worker.num_local, dtype=np.int64)
+        self.label = np.zeros(worker.num_local, dtype=VERTEX_ID)
 
     def _neighbors(self, v) -> np.ndarray:
         g = self.worker.graph

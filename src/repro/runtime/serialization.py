@@ -10,6 +10,15 @@ A :class:`Codec` is backed by a NumPy dtype so that bulk encode/decode is a
 single ``tobytes``/``frombuffer`` call; this is the Python idiom closest to
 the paper's C++ memcpy-style (de)serialization and keeps the simulator's
 constant factors low enough for the benchmark tables to be meaningful.
+
+Vertex ids are not written here.  A channel's ids — record keys, request
+ids, announced id lists, delta positions — and every value a program
+types as an id (``repro.core.ID`` / ``MIN_ID``) cross through the id
+codec of :mod:`repro.core.channels._records`, the one place an id is
+written to the wire and read back: as wide as its graph's vertex count
+needs (1, 2, 3 or 4 bytes), as byte planes, so encode and decode stay
+whole-array casts.  The fixed-width integer codecs below are for values
+that are not ids.
 """
 
 from __future__ import annotations

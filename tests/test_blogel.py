@@ -58,8 +58,9 @@ class TestEngine:
         g = line_graph(4)
         part = np.array([0, 0, 1, 1])
         res = ChannelEngine(g, PingPong, num_workers=2, partition=part).run()
-        # each token crosses alone in a frame: 4B id + 4B value + 8B header
-        assert res.metrics.total_net_bytes == res.metrics.total_messages * 16
+        # each token crosses alone in a frame: the 1B form, a 1B position in
+        # a block of 2 vertices, a 1B value (an id of 4) and the 8B header
+        assert res.metrics.total_net_bytes == res.metrics.total_messages * 11
 
     def test_max_supersteps_guard(self):
         class Forever(BlockProgram):

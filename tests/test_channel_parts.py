@@ -20,6 +20,7 @@ from repro.core import (
     CombinedMessage,
     DirectMessage,
     MIN_I64,
+    MIN_ID,
     MirroredScatter,
     Propagation,
     RequestRespond,
@@ -28,7 +29,8 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
-from repro.core.channels._records import decode_records, encode_pattern, encode_records
+from repro.core.channels import _records
+from repro.core.channels._records import IdCodec, decode_records, encode_records
 from repro.graph import rmat
 from repro.graph.graph import VERTEX_ID
 from repro.graph.partition import range_partition
@@ -115,17 +117,17 @@ def test_decode_records_returns_aligned_values_at_any_payload_offset():
     ids = np.arange(5, dtype=np.int32) * 3
     values = np.array([0.1, -2.5, np.inf, 1e-300, 7.0])
     payload = encode_records(_receiver(CombinedMessage)[0], ids, values)
-    assert len(payload) == 5 * (4 + 8)
+    assert len(payload) == 5 * (2 + 8)  # 2-byte ids: V = 300
     raw_alignment = []
     for offset in (0, 4, 8):
         buffer = bytearray(offset) + payload
         view = memoryview(buffer)[offset:]
-        raw_alignment.append(np.frombuffer(view[ids.nbytes :], np.float64).flags.aligned)
-        got_ids, got_values = decode_records(view, FLOAT64)
+        raw_alignment.append(np.frombuffer(view[5 * 2 :], np.float64).flags.aligned)
+        got_ids, got_values = decode_records(view, FLOAT64, IdCodec(_V))
         assert got_values.flags.aligned and got_values.dtype == np.float64
         assert got_ids.dtype == VERTEX_ID and got_ids.tolist() == ids.tolist()
         assert got_values.tobytes() == values.tobytes()
-    # the offsets differ by 4, so the wire view itself was unaligned somewhere
+    # 10 bytes of ids: the wire view itself was unaligned somewhere
     assert not all(raw_alignment)
 
 
@@ -339,36 +341,47 @@ def _ones(n, dtype=np.float64):
     return np.ones(n, dtype=dtype)
 
 
+#: the receivers' graph: 300 vertices, whose ids cross in 2 bytes
+_V = 300
+
+
+def _raw(ids) -> bytes:
+    """``ids`` as 2-byte codes, written past the encoders' checks."""
+    return _records._pack(np.asarray(ids), 2)
+
+
 #: per receiving channel: how it is built, and the payload that sends ``ids``
 RECEIVERS = {
     CombinedMessage: (
         lambda w: CombinedMessage(w, SUM_F64),
-        lambda ch, ids: encode_records(ch, ids, _ones(len(ids))),
+        lambda ch, ids: _raw(ids) + _ones(len(ids)).tobytes(),
     ),
     DirectMessage: (
         DirectMessage,
-        lambda ch, ids: encode_records(ch, ids, _ones(len(ids), np.int64)),
+        lambda ch, ids: _raw(ids) + _ones(len(ids), np.int64).tobytes(),
     ),
     Propagation: (
         lambda w: Propagation(w, MIN_I64),
-        lambda ch, ids: encode_records(ch, ids, _ones(len(ids), np.int64)),
+        lambda ch, ids: _raw(ids) + _ones(len(ids), np.int64).tobytes(),
     ),
     RequestRespond: (
         lambda w: RequestRespond(w, respond_fn=lambda v: v.id),
-        lambda ch, ids: INT32.encode_array(ids),
+        lambda ch, ids: _raw(ids),
     ),
     # an announcement of the ids, which ascend as an announced set does
     ScatterCombine: (
         lambda w: ScatterCombine(w, SUM_F64),
-        lambda ch, ids: encode_pattern(ch, _ones(len(ids)), ids=np.sort(ids)),
+        lambda ch, ids: INT32.encode_one(4 * len(ids) + 1) + _raw(np.sort(ids)) + _ones(len(ids)).tobytes(),
     ),
 }
 
-#: on worker 1 of a 16-vertex range partition, which owns 8..15
+#: on worker 1 of a 300-vertex range partition, which owns 150..299; a
+#: negative id has no code below 4 bytes, and the all-ones one is the
+#: identity of a MIN over ids, which no receiver owns
 BAD_IDS = {
-    "negative": ([9, -1], r"id -1 outside \[0, 16\)"),
-    "past the last": ([9, 16], r"id 16 outside \[0, 16\)"),
-    "owned elsewhere": ([9, 3], r"id 3, which worker 1 does not own"),
+    "the identity": ([151, MIN_ID.identity], r"id 2147483647 outside \[0, 300\)"),
+    "past the last": ([151, 300], r".*id code 300 outside \[0, 300\)"),
+    "owned elsewhere": ([151, 3], r"id 3, which worker 1 does not own"),
 }
 
 
@@ -377,7 +390,7 @@ def _receiver(cls):
         def compute(self, v):
             v.vote_to_halt()
 
-    engine = ChannelEngine(line_graph(16), Idle, num_workers=2, partition=range_partition(16, 2))
+    engine = ChannelEngine(line_graph(_V), Idle, num_workers=2, partition=range_partition(_V, 2))
     make, payload = RECEIVERS[cls]
     return make(engine.workers[1]), payload
 
@@ -400,7 +413,7 @@ def test_a_ragged_payload_is_refused(cls):
     never dropped silently."""
     channel, payload = _receiver(cls)
     with pytest.raises(RuntimeError, match=rf"{cls.__name__}.*worker 0 sent"):
-        channel.deserialize([(0, memoryview(payload(channel, [9, 10])[:-1]))])
+        channel.deserialize([(0, memoryview(payload(channel, [151, 152])[:-1]))])
 
 
 # -- the send: an id int32 cannot hold is refused by name, never wrapped ----------
@@ -411,7 +424,7 @@ def test_a_record_id_past_int32_is_refused():
     ``Propagation``; a plain int32 cast would send 2**31 as -2**31."""
     channel, _ = _receiver(CombinedMessage)
     with pytest.raises(ValueError, match=r"CombinedMessage.*record id 2147483648 does not fit"):
-        encode_records(channel, np.array([9, 2**31]), _ones(2))
+        encode_records(channel, np.array([151, 2**31]), _ones(2))
 
 
 def test_a_request_id_past_int32_is_refused():

@@ -164,6 +164,7 @@ class TestWireBehaviour:
         # header, then the 4-byte tag): the hub as a mirrored sender, behind
         # the destination count and an empty combined set, and its value;
         # back, the hub's id as the one destination, and its combined value
-        assert data_steps[0] == (8 + 4 + 4 + 4 + 4 + 8) + (8 + 4 + 4 + 8)
+        # (an id of the 30-vertex star is one byte)
+        assert data_steps[0] == (8 + 4 + 4 + 4 + 1 + 8) + (8 + 4 + 1 + 8)
         # later ones send the 4-byte tags of empty deltas alone
         assert data_steps[1:] == [2 * (8 + 4)] * 4

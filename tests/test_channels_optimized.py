@@ -1241,9 +1241,10 @@ class TestRequestRespond:
         part = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         res = ChannelEngine(g, P, num_workers=2, partition=part).run()
         # 8 requests cross (4 each way), 8 responses cross back;
-        # payload bytes = 8*4 (ids) + 8*4 (values) = 64
+        # payload bytes = 8*1 (ids: a byte each, of 8 vertices) + 8*4
+        # (int32 values) = 40
         frame_overhead = 8 * 4  # 4 frames (2 per direction) x 8B header
-        assert res.metrics.total_net_bytes == 64 + frame_overhead
+        assert res.metrics.total_net_bytes == 40 + frame_overhead
 
     def test_bulk_respond_fn(self):
         class P(VertexProgram):

@@ -200,15 +200,15 @@ if grep -rnE --include="*.py" -e "_local_index" -e "np\.(full|zeros|empty)\([^,]
   exit 1
 fi
 '''),
-    # a vertex id is as wide as graph.VERTEX_ID wherever a run holds or
-    # sends one: the record payload's ids decode as VERTEX_ID, the send
-    # buffers of RecordChannel and RequestRespond and the static edge
-    # set's destinations hold it, and no channel widens ids to int64
+    # a vertex id is as wide as graph.VERTEX_ID wherever a run holds one:
+    # the id codec decodes every id column as VERTEX_ID, the send buffers
+    # of RecordChannel and RequestRespond and the static edge set's
+    # destinations hold it, and no channel widens ids to int64
     ("Ids are VERTEX_ID", r'''
 dir=src/repro/core/channels
-decode=$(awk '/^def decode_records\(/ {p = 1; next} p && /^def / {exit} p' $dir/_records.py)
-if ! echo "$decode" | grep -qF "dtype=VERTEX_ID"; then
-  echo "decode_records in $dir/_records.py must read its ids as dtype=VERTEX_ID"
+decode=$(awk '/^def _unpack\(/ {p = 1; next} p && /^def / {exit} p' $dir/_records.py)
+if ! echo "$decode" | grep -qF "dtype=VERTEX_ID" || ! echo "$decode" | grep -qF "astype(VERTEX_ID)"; then
+  echo "_unpack in $dir/_records.py must read its codes as VERTEX_ID"
   exit 1
 fi
 for rule in "_records.py:RecordBuffer(VERTEX_ID, " "request_respond.py:RecordBuffer(np.intp, VERTEX_ID)" \
@@ -220,6 +220,30 @@ for rule in "_records.py:RecordBuffer(VERTEX_ID, " "request_respond.py:RecordBuf
 done
 if grep -rnF --include="*.py" "astype(np.int64)" $dir; then
   echo "'astype(np.int64)' must not appear under $dir"
+  exit 1
+fi
+'''),
+    # ids cross the wire at one width, the one the graph's V needs: under
+    # the channels and both baselines, an id column is written and read,
+    # and priced, by _records.py's id codec alone (the lines between its
+    # "the id codec" and "end of the id codec" markers) — no tobytes() or
+    # frombuffer, no VERTEX_ID.itemsize or INT32 pricing elsewhere
+    ("Ids cross the wire at one width", r'''
+records=src/repro/core/channels/_records.py
+for marker in "^# -- the id codec" "^# -- end of the id codec"; do
+  if [ "$(grep -cE "$marker" $records)" -ne 1 ]; then
+    echo "$records must hold its id codec between one '# -- the id codec' and one '# -- end of the id codec' line"
+    exit 1
+  fi
+done
+wire='\.tobytes\(\)|frombuffer|VERTEX_ID\.itemsize|INT32\.(itemsize|encode_array|decode_array)'
+found=$( (awk '/^# -- the id codec/ {skip = 1} /^# -- end of the id codec/ {skip = 0; next}
+              !skip {print FILENAME ":" FNR ": " $0}' $records
+          grep -rnE --include="*.py" "$wire" src/repro/core/channels src/repro/pregel src/repro/blogel \
+            | grep -v "^$records:") | grep -E "$wire" || true)
+if [ -n "$found" ]; then
+  echo "an id column is written, read or priced outside $records's id codec:"
+  echo "$found"
   exit 1
 fi
 '''),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.sv import run_sv
+from repro.core import MIN_ID
 from repro.core.combiner import MIN_I64, SUM_F64, SUM_I64
 from repro.graph import chain, random_tree, rmat
 from repro.graph.graph import Graph
@@ -223,6 +224,15 @@ class TestFieldTypes:
         fields, _ = run_palgol(spec, graph, num_workers=2)
         assert fields["sq"][69_999] == 69_999**2
 
+    def test_a_min_id_fold_of_values_that_are_not_ids_is_a_compile_error(self):
+        """``MIN_ID`` sends its values at the graph's id width: a degree
+        past V would cross as another id."""
+        spec = PalgolSpec(
+            fields={"x": Deg()}, iterate=1, body=[Assign("x", NeighborReduce(MIN_ID, Field("x")))]
+        )
+        with pytest.raises(CompileError, match="min_id folds ids; Field.* is not one"):
+            compile_palgol(spec)
+
     def test_int_and_float_values_of_one_field_are_a_compile_error(self):
         spec = PalgolSpec(fields={"x": VertexId()}, body=[Assign("x", Div(Field("x"), Const(2)))])
         with pytest.raises(CompileError, match="field 'x' is given both int and float"):
@@ -424,14 +434,14 @@ class TestSmallPrograms:
 # bytes of the id-valued specs (S-V, WCC, pointer jumping) are those of
 # their ids as ids, int32 on the wire
 PINNED = {
-    ("sv", True): [(0, 0, 13, 26), (3436, 1338, 13, 26), (21649, 5311, 13, 26)],
-    ("sv", False): [(0, 0, 17, 34), (58752, 7292, 17, 34), (110640, 13199, 17, 34)],
-    ("wcc", True): [(0, 0, 9, 18), (2788, 1222, 9, 18), (18005, 4918, 9, 18)],
-    ("wcc", False): [(0, 0, 9, 18), (50336, 6266, 9, 18), (92384, 11198, 9, 18)],
-    ("pj", True): [(0, 0, 11, 22), (1928, 384, 11, 22), (9312, 1194, 11, 22)],
-    ("pj", False): [(0, 0, 16, 32), (12096, 1464, 16, 32), (26928, 2806, 16, 32)],
-    ("pagerank", True): [(0, 0, 11, 11), (3915, 635, 11, 11), (17439, 2095, 11, 11)],
-    ("pagerank", False): [(0, 0, 11, 11), (25160, 2090, 11, 11), (46580, 3695, 11, 11)],
+    ('sv', True): [(0, 0, 13, 26), (2093, 1338, 13, 26), (15064, 5311, 13, 26)],
+    ('sv', False): [(0, 0, 17, 34), (29720, 7292, 17, 34), (58796, 13199, 17, 34)],
+    ('wcc', True): [(0, 0, 9, 18), (1666, 1222, 9, 18), (12121, 4918, 9, 18)],
+    ('wcc', False): [(0, 0, 9, 18), (25344, 6266, 9, 18), (48096, 11198, 9, 18)],
+    ('pj', True): [(0, 0, 11, 22), (1204, 384, 11, 22), (7232, 1194, 11, 22)],
+    ('pj', False): [(0, 0, 16, 32), (6368, 1464, 16, 32), (16600, 2806, 16, 32)],
+    ('pagerank', True): [(0, 0, 11, 11), (3910, 635, 11, 11), (16834, 2095, 11, 11)],
+    ('pagerank', False): [(0, 0, 11, 11), (20980, 2090, 11, 11), (39190, 3695, 11, 11)],
 }
 
 

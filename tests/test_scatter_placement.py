@@ -15,6 +15,7 @@ closed form that prices that choice per peer by brute force
 """
 
 import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -33,14 +34,15 @@ from repro.core import (
     VertexProgram,
 )
 from repro.core.channels import _edges, scatter_combine
-from repro.core.channels._records import encode_pattern
+from repro.core.channels import _records
+from repro.core.channels._records import encode_pattern, set_nbytes
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.graph.partition import degree_range_partition, hash_partition, range_partition
 from repro.runtime.serialization import INT32
 
 from test_bulk_parity import _assert_parity, engines  # noqa: F401 - a fixture
-from test_static_pattern import announced_ids_nbytes, received_forms, split_nbytes
+from test_static_pattern import announced_ids_nbytes, nbytes_for, received_forms, split_nbytes
 
 SCATTERS = (1, 2, 3)  # supersteps that scatter; the slots are read one later
 FORMS = ["adjacency-out", "adjacency-in", "rows", "partial"]
@@ -108,6 +110,7 @@ def oracle(graph, owner, form, combiner):
     workers = int(owner.max()) + 1
     dtype = combiner.codec.dtype
     item = combiner.codec.itemsize
+    width = nbytes_for(graph.num_vertices + 1)  # an id's bytes
     slots, has = {}, np.zeros(graph.num_vertices, dtype=bool)
     net = local = 0
     edges = {w: registered(graph, form, np.flatnonzero(owner == w)) for w in range(workers)}
@@ -128,9 +131,9 @@ def oracle(graph, owner, form, combiner):
             for p in np.unique(owner[dst]).tolist():
                 into = owner[dst] == p
                 ids = np.unique(dst[into])
-                n, words = ids.size, announced_ids_nbytes(ids)
+                n, words = ids.size, announced_ids_nbytes(ids, width)
                 if w != p and whole and not combiner.is_selection:
-                    n, words = split_nbytes(src[into], dst[into])
+                    n, words = split_nbytes(src[into], dst[into], width)
                 cost = 4 + n * item + (words if step == SCATTERS[0] else 0)
                 if w == p:
                     local += cost
@@ -222,7 +225,7 @@ def test_each_peer_gets_at_most_the_fewer_of_its_destinations_and_senders(worker
             scanned = lengths[channel._peer_select[p]]
             expanded = channel._expanded[p]
             values = scanned.size + (0 if expanded is None else expanded[0].size)
-            assert values == split_nbytes(src, dst)[0] <= min(destinations, senders)
+            assert values == split_nbytes(src, dst, 4)[0] <= min(destinations, senders)
             assert expanded is None or expanded[1] == destinations
             moved = dst.size - int(scanned.sum())
             assert (moved > 0) == (values < destinations) == (expanded is not None)
@@ -253,12 +256,12 @@ def test_a_selection_keeps_the_combined_form(combiner):
     scatters = len(SCATTERS)
     if combiner is SUM_F64:
         assert "announce senders, list" in forms and calls == [(1, 1, 0)]
-        values, words = split_nbytes(np.zeros(12, dtype=np.int64), np.arange(1, 13))
-        assert (values, words) == (1, 4 + 4 + 4)
+        values, words = split_nbytes(np.zeros(12, dtype=np.int64), np.arange(1, 13), 1)
+        assert (values, words) == (1, 4 + 4 + 1)  # [d][c word][one 1-byte sender id]
         assert net == 4 + words + values * 8 + (scatters - 1) * (4 + values * 8)
     else:
         assert not any(form.startswith("announce senders") for form in forms) and not calls
-        ids = announced_ids_nbytes(np.arange(1, 13))
+        ids = announced_ids_nbytes(np.arange(1, 13), 1)
         assert net == 4 + ids + 12 * 8 + (scatters - 1) * (4 + 12 * 8)
     # one logical message per destination, whichever end combines
     assert result.metrics.total_messages == scatters * 12
@@ -288,12 +291,17 @@ BOTH_RECEIVERS = pytest.mark.parametrize(
 )
 
 
+def _codes(ids) -> bytes:
+    """Ids of the 8-vertex graph as they cross: a byte each."""
+    return np.asarray(ids, dtype=np.int64).astype(np.uint8).tobytes()
+
+
 def _senders(tag_count, destinations, ids, values, combined=()):
     """A senders announcement by hand, with its combined ids as a list:
     ``[4m + 3][d][2c][c combined ids][m sender ids][values]``."""
     parts = [INT32.encode_one(4 * tag_count + 3), INT32.encode_one(destinations)]
-    parts += [INT32.encode_one(2 * len(combined)), np.int32(combined).tobytes()]
-    parts += [np.int32(ids).tobytes(), np.float64(values).tobytes()]
+    parts += [INT32.encode_one(2 * len(combined)), _codes(combined)]
+    parts += [_codes(ids), np.float64(values).tobytes()]
     return memoryview(b"".join(parts))
 
 
@@ -311,19 +319,20 @@ def test_the_senders_form_round_trips(receiver):
     assert restored.get_messages()[0].tolist() == [2.0, 1.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize(
-    "combined, form",
-    [([5], "list"), ([4, 5, 6], "bitmap")],  # 4 bytes as a list; 8 + 1 as a bitmap, not 12
-)
+@pytest.mark.parametrize("combined, form", [([5], "list"), ([4, 5, 6], "bitmap")])
 def test_combined_ids_fold_as_they_are_and_leave_the_derivation(receiver, combined, form):
     """Worker 0 combines ``combined`` itself: their values come first and
     fold as they are, and the senders' rows fold into the rest of what
-    they reach here — 4, unless it is combined — also after a snapshot."""
+    they reach here — 4, unless it is combined — also after a snapshot.
+    (At a byte an id no set of this graph is smaller as a bitmap, so the
+    bitmap case prices the lists out.)"""
     folded = sorted({4, 5} - set(combined))
     sent = np.arange(1.0, len(combined) + 3)  # the combined values, then 0's and 1's
-    payload = encode_pattern(
-        receiver, sent, ids=np.array([0, 1]), destinations=len(folded), combined=np.array(combined)
-    )
+    lists = (lambda count, span, width: (math.inf, -(-span // 8))) if form == "bitmap" else set_nbytes
+    with mock.patch.object(_records, "set_nbytes", lists):
+        payload = encode_pattern(
+            receiver, sent, ids=np.array([0, 1]), destinations=len(folded), combined=np.array(combined)
+        )
     word = INT32.decode_one(memoryview(payload)[8:])
     assert word == 2 * len(combined) + (form == "bitmap")
     expected = np.zeros(4)
@@ -342,7 +351,7 @@ def test_combined_ids_fold_as_they_are_and_leave_the_derivation(receiver, combin
     "ids, destinations, values, match",
     [
         ([0, 5], 2, [1.0, 2.0], "worker 0 announced sender 5, which it does not own"),
-        ([0, 9], 2, [1.0, 2.0], r"worker 0 announced sender 9 outside \[0, 8\)"),
+        ([0, 9], 2, [1.0, 2.0], r"worker 0 sent id code 9 outside \[0, 8\)"),
         ([1, 0], 2, [1.0, 2.0], "worker 0 announced senders that do not strictly ascend"),
         ([0, 1], 3, [1.0, 2.0], "worker 0 announced 3 destinations; the rows of its 2 senders reach 2 here"),
         ([0], 1, [1.0], "worker 0 announced 1 destinations; the rows of its 1 senders reach 2 here"),
@@ -365,8 +374,9 @@ def test_a_malformed_senders_announcement(receiver, ids, destinations, values, m
     [
         ([5, 4], 0, [1.0] * 4, "worker 0 announced combined ids that do not strictly ascend"),
         ([4, 4], 1, [1.0] * 4, "worker 0 announced combined ids that do not strictly ascend"),
-        ([9], 2, [1.0] * 3, r"worker 0 sent id 9 outside \[0, 8\)"),
-        ([-1], 2, [1.0] * 3, r"worker 0 sent id -1 outside \[0, 8\)"),
+        ([9], 2, [1.0] * 3, r"worker 0 sent id code 9 outside \[0, 8\)"),
+        # the all-ones code: the identity of a MIN over ids, no vertex
+        ([255], 2, [1.0] * 3, r"worker 0 sent id 2147483647 outside \[0, 8\)"),
         ([3], 2, [1.0] * 3, "worker 0 sent id 3, which worker 1 does not own"),
         # 5 is combined: the senders' rows reach 4 alone
         ([5], 2, [1.0] * 3, "worker 0 announced 2 destinations; the rows of its 2 senders reach 1 here"),
@@ -392,7 +402,7 @@ def test_a_truncated_senders_announcement(receiver):
     with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 senders in 8 bytes"):
         receiver.deserialize([(0, memoryview(INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)))])
     head = INT32.encode_one(4 * 2 + 3) + INT32.encode_one(2)
-    with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 words in 12 bytes"):
+    with pytest.raises(RuntimeError, match=rf"{name}.*worker 0 sent an announcement of 2 ids in 12 bytes"):
         receiver.deserialize([(0, memoryview(head + INT32.encode_one(0)))])
 
 
@@ -400,7 +410,7 @@ def test_a_truncated_senders_announcement(receiver):
     "word, tail, match",
     [
         # two combined ids as a list, one of them there
-        (2 * 2, np.int32([4]), "a combined set of 2 ids in 16 bytes"),
+        (2 * 2, np.uint8([4]), "a combined set of 2 ids in 13 bytes"),
         # a bitmap's [lo][span] cut short, then its bitmap missing
         (2 * 3 + 1, np.int32([4]), "a combined set of 3 ids in 16 bytes"),
         (2 * 3 + 1, np.int32([4, 3]), "a combined set of 3 ids in 20 bytes"),

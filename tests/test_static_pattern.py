@@ -124,12 +124,21 @@ def make_program(channel, scatter_steps, register_again_at, exact, changes=None,
     return P
 
 
-def announced_ids_nbytes(ids):
-    """An ascending id set on the wire: the smaller of its int32 list and
-    ``[lo][span]`` plus a bitmap over ``[ids[0], ids[-1]]``."""
+def nbytes_for(codes):
+    """Whole bytes of one of ``codes`` codes on the wire: 1, 2, 3 up to
+    2**8, 2**16, 2**24 codes, else 4.  An id of a graph of V vertices is
+    one of ``V + 1`` (the last, the identity of a MIN over ids), a
+    position into ``n`` values one of ``n``."""
+    return next(b for b in (1, 2, 3, 4) if b == 4 or codes <= 1 << 8 * b)
+
+
+def announced_ids_nbytes(ids, width):
+    """An ascending id set on the wire: the smaller of its list of
+    ``width``-byte ids and ``[lo][span]`` plus a bitmap over ``[ids[0],
+    ids[-1]]``."""
     if not ids.size:
         return 0
-    return min(4 * ids.size, 8 + -(-(int(ids[-1]) - int(ids[0]) + 1) // 8))
+    return min(width * ids.size, 8 + -(-(int(ids[-1]) - int(ids[0]) + 1) // 8))
 
 
 def split(src, dst):
@@ -151,7 +160,7 @@ def split(src, dst):
     return np.unique(dst[~np.isin(src, crossing)]), crossing
 
 
-def split_nbytes(src, dst, crossing=None):
+def split_nbytes(src, dst, width, crossing=None):
     """``(values, words)`` of the edges ``src -> dst`` into another worker
     under :func:`split` — or with the ``crossing`` senders given, and the
     destinations any other sender reaches combined: the combined values,
@@ -162,8 +171,8 @@ def split_nbytes(src, dst, crossing=None):
         crossing = split(src, dst)[1]
     combined = np.unique(dst[~np.isin(src, crossing)])
     if not crossing.size:
-        return combined.size, announced_ids_nbytes(combined)
-    words = 4 + 4 + announced_ids_nbytes(combined) + announced_ids_nbytes(crossing)
+        return combined.size, announced_ids_nbytes(combined, width)
+    words = 4 + 4 + announced_ids_nbytes(combined, width) + announced_ids_nbytes(crossing, width)
     return combined.size + crossing.size, words
 
 
@@ -194,11 +203,13 @@ def closed_form(
 ):
     """``(net, local)`` bytes of the channel: per scatter, sender and peer
     with ``n`` values to send, a 4-byte tag and the smallest of the dense
-    ``n * itemsize``, the list delta ``k * (4 + itemsize)`` and the bitmap
+    ``n * itemsize``, the list delta ``k * (p + itemsize)`` (``p`` the
+    bytes of a position into ``n`` values) and the bitmap
     delta ``ceil(n / 8) + k * itemsize``, where ``k`` values differ, bit
     for bit, from those the sender sent that peer last — but, in the
     sender's first scatter after a registration, the pattern's ids
-    (:func:`announced_ids_nbytes`) and all ``n`` values.
+    (:func:`announced_ids_nbytes`, at the bytes of an id of the graph) and
+    all ``n`` values.
     ``n`` is one value per destination, except where a combiner that is
     not a ``selection`` lets the channel send another worker senders'
     values — where its columns are :func:`whole_rows` — and then ``n`` and
@@ -208,6 +219,7 @@ def closed_form(
     ``owner`` is the partition; ``sent[step, w][p]`` the values worker
     ``w`` handed ``p`` in ``step``."""
     out_src, out_dst = graph.edge_array()
+    width = nbytes_for(graph.num_vertices + 1)
     whole = whole_rows(graph, owner, register_again_at)
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     announced = set()
@@ -226,19 +238,21 @@ def closed_form(
             for p in np.unique(owner[dst[owner[src] == w]]).tolist():
                 here = (owner[src] == w) & (owner[dst] == p)
                 ids = np.unique(dst[here])  # one per unique destination
-                values, words = ids.size, announced_ids_nbytes(ids)
+                values, words = ids.size, announced_ids_nbytes(ids, width)
                 if not selection and w != p and whole[step, w]:
                     crossing = None
                     if mirrored:
                         senders, degree = np.unique(src[here], return_counts=True)
                         crossing = senders[degree >= THRESHOLD]
-                    values, words = split_nbytes(src[here], dst[here], crossing)
+                    values, words = split_nbytes(src[here], dst[here], width, crossing)
                 got = sent[step, w][p]
                 assert got.size == values
                 if w in announced:
                     k = np.count_nonzero(got.view(bits) != last[w, p].view(bits))
                     body = min(
-                        values * itemsize, k * (4 + itemsize), -(-values // 8) + k * itemsize
+                        values * itemsize,
+                        k * (nbytes_for(values) + itemsize),
+                        -(-values // 8) + k * itemsize,
                     )
                 else:
                     body = words + values * itemsize
@@ -445,8 +459,14 @@ def _dense_wire():
 
 def _list_wire():
     """The wire before the bitmap forms: announced ids and delta positions
-    always cross as int32 lists."""
-    return mock.patch.object(_records, "set_nbytes", lambda count, span: (4 * count, math.inf))
+    always cross as lists."""
+    return mock.patch.object(_records, "set_nbytes", lambda count, span, width: (width * count, math.inf))
+
+
+def _bitmap_wire():
+    """Announced ids and delta positions cross as bitmaps: the lists are
+    priced out."""
+    return mock.patch.object(_records, "set_nbytes", lambda count, span, width: (math.inf, -(-span // 8)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -488,14 +508,15 @@ def test_pagerank_keeps_the_dense_wire():
         num_workers=workers, partition=owner,
     )  # fmt: skip
     src, dst = graph.edge_array()
+    width = nbytes_for(graph.num_vertices + 1)
     total = {True: 0, False: 0}  # keyed by "crosses the network"
     for w in range(workers):
         for p in range(workers):
             here = (owner[src] == w) & (owner[dst] == p)
             ids = np.unique(dst[here])
-            values, words = ids.size, announced_ids_nbytes(ids)
+            values, words = ids.size, announced_ids_nbytes(ids, width)
             if w != p and values:
-                values, words = split_nbytes(src[here], dst[here])
+                values, words = split_nbytes(src[here], dst[here], width)
             if values:
                 total[w != p] += iterations * (4 + values * 8) + words
     counted = result.metrics.channel_breakdown()["1:ScatterCombine"]
@@ -610,13 +631,14 @@ def _wire(tag, *parts):
 def _payload(ids, values, positions=None):
     """The list announcement of ``ids`` before ``values``, the list delta
     of ``values[positions]``, or (neither given) the dense ``values`` — by
-    hand, so that they may be malformed."""
+    hand, so that they may be malformed.  An id of the 8-vertex graph, and
+    a position into fewer than 257 values, cross as one byte."""
     values = np.asarray(values, dtype=np.float64)
     if ids is not None:
-        return _wire(4 * len(ids) + 1, np.asarray(ids, dtype=np.int32), values)
+        return _wire(4 * len(ids) + 1, np.asarray(ids).astype(np.uint8), values)
     if positions is not None:
-        positions = np.asarray(positions, dtype=np.int32)
-        return _wire(-(2 * positions.size + 1), positions, values[positions])
+        positions = np.asarray(positions, dtype=np.int64)
+        return _wire(-(2 * positions.size + 1), positions.astype(np.uint8), values[positions])
     return _wire(0, values)
 
 
@@ -641,30 +663,35 @@ def test_a_delta_patches_the_kept_values_and_folds_them_all(receiver):
 
 
 def test_bitmap_forms_announce_and_patch_as_the_lists_do(receiver):
-    """Three ids in a range of four: 8 + 1 bytes as a bitmap, 12 as a
-    list; one changed value of three: 1 + 8 bytes, 12 as a list."""
-    announce = _encoded(receiver, [1.0, 2.0, 3.0], ids=[4, 5, 7])
+    """Three ids in a range of four: 8 + 1 bytes as a bitmap (at a byte
+    an id, a list of them is smaller, so it is priced out here); two
+    changed values of three: 1 + 16 bytes, 18 as a list."""
+    with _bitmap_wire():
+        announce = _encoded(receiver, [1.0, 2.0, 3.0], ids=[4, 5, 7])
     assert (_form(INT32.decode_one(announce)), len(announce)) == ("announce, bitmap", 4 + 9 + 24)
     receiver.deserialize([(0, announce)])
     assert receiver.get_messages()[0].tolist() == [1.0, 2.0, 0.0, 3.0]
-    delta = _encoded(receiver, [1.0, 9.0, 3.0], changed=[False, True, False])
-    assert (_form(INT32.decode_one(delta)), len(delta)) == ("delta, bitmap", 4 + 1 + 8)
+    delta = _encoded(receiver, [1.0, 9.0, 8.0], changed=[False, True, True])
+    assert (_form(INT32.decode_one(delta)), len(delta)) == ("delta, bitmap", 4 + 1 + 16)
     receiver.deserialize([(0, delta)])
     slots, has_msg = receiver.get_messages()
-    assert (slots.tolist(), has_msg.tolist()) == ([1.0, 9.0, 0.0, 3.0], [True, True, False, True])
+    assert (slots.tolist(), has_msg.tolist()) == ([1.0, 9.0, 0.0, 8.0], [True, True, False, True])
     # every value changed: dense, not a bitmap of three set bits
     dense = _encoded(receiver, [1.0, 2.0, 3.0], changed=[True, True, True])
     assert (_form(INT32.decode_one(dense)), len(dense)) == ("dense", 4 + 24)
 
 
-def test_a_tie_goes_to_the_earlier_form(receiver):
+def test_a_tie_goes_to_the_earlier_form():
     """Equal sizes go to dense before a list, and to a list before a
     bitmap: the form is a function of the values, ties included."""
+    graph = Graph.from_edges(64, [], directed=True)  # a byte an id
+    worker = ChannelEngine(graph, _Idle, num_workers=2, partition=range_partition(64, 2)).workers[1]
+    receiver = ScatterCombine(worker, SUM_F64)
     ties = [
-        # three ids in a range of 32: 12 bytes either way
-        (dict(ids=[0, 9, 31]), 3, "announce, list"),
-        # one change in 32 values: 12 bytes either way (dense: 256)
-        (dict(changed=np.arange(32) == 5), 32, "delta, list"),
+        # twelve ids in a range of 32: 12 bytes either way
+        (dict(ids=[0, *range(21, 32)]), 12, "announce, list"),
+        # four changes in 32 values: 4 * (1 + 8) = 4 + 4 * 8 bytes (dense: 256)
+        (dict(changed=np.isin(np.arange(32), [5, 6, 7, 8])), 32, "delta, list"),
         # 63 changes in 64 values: 8 + 63 * 8 = 64 * 8 bytes
         (dict(changed=np.arange(64) != 5), 64, "dense"),
     ]
@@ -688,9 +715,10 @@ def test_delta_from_a_source_that_never_announced(receiver):
 
 def test_delta_position_outside_the_pattern(receiver):
     receiver.deserialize([(0, _payload([4, 6], [1.0, 2.0]))])
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position 2 outside .* of 2"):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position code 2 outside \[0, 2\)"):
         receiver.deserialize([(0, _payload(None, [1.0, 2.0, 3.0], positions=[0, 2]))])
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position -1 outside"):
+    # a byte's last code is no position either
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 .*position code 255 outside"):
         receiver.deserialize([(0, _payload(None, [1.0, 2.0], positions=[-1]))])
 
 
@@ -722,7 +750,7 @@ def test_announced_id_the_receiver_does_not_own(receiver):
     with pytest.raises(RuntimeError, match=r"worker 0 sent id 3, which worker 1 does not own"):
         receiver.deserialize([(0, _payload([4, 3], [1.0, 2.0]))])
     assert 0 not in receiver._patterns
-    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent id 8 outside \[0, 8\)"):
+    with pytest.raises(RuntimeError, match=r"ScatterCombine.*worker 0 sent id code 8 outside \[0, 8\)"):
         receiver.deserialize([(0, _payload([8], [1.0]))])
 
 

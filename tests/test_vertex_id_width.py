@@ -4,7 +4,9 @@
 The pins below were measured on the tree whose channels, workers and S-V
 state widened ids to ``int64``: each row's output digest (SHA-256 of its
 arrays' bytes, first 16 hex digits) and its ``(net_bytes, messages,
-supersteps, rounds)``.  The scale-16 rows run with ``RuntimeWarning``
+supersteps, rounds)`` — the ``net_bytes`` since re-measured where ids
+cross the wire as wide as the graph's V needs (digests, messages,
+supersteps and rounds unchanged).  The scale-16 rows run with ``RuntimeWarning``
 raised as an error: ids there pass 2**16, where a product of two ids no
 longer fits an ``int32``.
 """
@@ -44,60 +46,60 @@ INPUTS = {
 
 #: every row of repro.programs at 2 workers
 ROWS = {
-    ('pagerank', 'channel-basic'): ('a2828653741f5677', 13532, 1117, 6, 12),
-    ('pagerank', 'channel-basic-bulk'): ('a2828653741f5677', 13532, 1117, 6, 12),
-    ('pagerank', 'channel-scatter'): ('820e57c65665d0c4', 2688, 372, 6, 12),
-    ('pagerank', 'channel-scatter-bulk'): ('820e57c65665d0c4', 2688, 372, 6, 12),
-    ('pagerank', 'channel-mirror'): ('820e57c65665d0c4', 3169, 372, 6, 12),
-    ('pagerank', 'channel-mirror-bulk'): ('820e57c65665d0c4', 3169, 372, 6, 12),
-    ('pagerank', 'pregel-basic'): ('a2828653741f5677', 13532, 1117, 6, 12),
-    ('pagerank', 'pregel-ghost'): ('b6d6d6976d2cc56b', 10312, 842, 6, 12),
-    ('pj', 'channel-basic'): ('5f70bf18a0860070', 3248, 392, 11, 11),
-    ('pj', 'channel-reqresp'): ('5f70bf18a0860070', 696, 146, 6, 11),
-    ('pj', 'channel-reqresp-bulk'): ('5f70bf18a0860070', 696, 146, 6, 11),
-    ('pj', 'pregel-basic'): ('5f70bf18a0860070', 3248, 392, 11, 11),
-    ('pj', 'pregel-reqresp'): ('5f70bf18a0860070', 988, 146, 6, 11),
-    ('wcc', 'channel-basic'): ('0fe108103805a2ff', 6172, 509, 5, 5),
-    ('wcc', 'channel-basic-bulk'): ('0fe108103805a2ff', 6172, 509, 5, 5),
-    ('wcc', 'channel-prop'): ('0fe108103805a2ff', 1432, 116, 2, 4),
-    ('wcc', 'pregel-basic'): ('0fe108103805a2ff', 6172, 509, 5, 5),
-    ('wcc', 'blogel-basic'): ('0fe108103805a2ff', 968, 116, 4, 4),
-    ('sv', 'channel-basic'): ('0fe108103805a2ff', 10448, 1254, 17, 34),
-    ('sv', 'channel-basic-bulk'): ('0fe108103805a2ff', 10448, 1254, 17, 34),
-    ('sv', 'channel-reqresp'): ('0fe108103805a2ff', 8432, 1026, 13, 26),
-    ('sv', 'channel-reqresp-bulk'): ('0fe108103805a2ff', 8432, 1026, 13, 26),
-    ('sv', 'channel-scatter'): ('0fe108103805a2ff', 3313, 574, 17, 34),
-    ('sv', 'channel-scatter-bulk'): ('0fe108103805a2ff', 3313, 574, 17, 34),
-    ('sv', 'channel-both'): ('0fe108103805a2ff', 1297, 346, 13, 26),
-    ('sv', 'channel-both-bulk'): ('0fe108103805a2ff', 1297, 346, 13, 26),
-    ('sv', 'pregel-basic'): ('0fe108103805a2ff', 15288, 1254, 17, 34),
-    ('sv', 'pregel-reqresp'): ('0fe108103805a2ff', 12432, 1026, 13, 26),
-    ('scc', 'channel-basic'): ('7503c2bbe13051d0', 11448, 1381, 8, 16),
-    ('scc', 'channel-prop'): ('7503c2bbe13051d0', 5528, 671, 3, 7),
-    ('scc', 'pregel-basic'): ('7503c2bbe13051d0', 16652, 1365, 8, 16),
-    ('msf', 'channel-basic'): ('3ca118021b7d9a8a', 13656, 1292, 28, 56),
-    ('msf', 'pregel-basic'): ('3ca118021b7d9a8a', 30896, 1292, 28, 56),
-    ('sssp', 'channel-basic'): ('09985c4c2aef020a', 2572, 209, 6, 6),
-    ('sssp', 'channel-basic-bulk'): ('09985c4c2aef020a', 2572, 209, 6, 6),
-    ('sssp', 'channel-prop'): ('09985c4c2aef020a', 1100, 89, 2, 5),
-    ('sssp', 'pregel-basic'): ('09985c4c2aef020a', 2572, 209, 6, 6),
-    ('bfs', 'channel-basic'): ('5cd726a831d4b312', 2572, 209, 6, 6),
-    ('bfs', 'channel-basic-bulk'): ('5cd726a831d4b312', 2572, 209, 6, 6),
-    ('bfs', 'channel-prop'): ('5cd726a831d4b312', 1100, 89, 2, 5),
-    ('kcore', 'channel-basic'): ('5cf46ed1a5685899', 9576, 788, 9, 9),
-    ('lpa', 'channel-basic'): ('6da24dec94aba9db', 5856, 726, 4, 4),
-    ('mis', 'channel-basic'): ('73f301700ecc06ce', 4132, 358, 7, 7),
-    ('triangles', 'channel-basic'): ('bba58959c32abe68', 9088, 1128, 3, 6),
+    ('pagerank', 'channel-basic'): ('a2828653741f5677', 10217, 1117, 6, 12),
+    ('pagerank', 'channel-basic-bulk'): ('a2828653741f5677', 10217, 1117, 6, 12),
+    ('pagerank', 'channel-scatter'): ('820e57c65665d0c4', 2664, 372, 6, 12),
+    ('pagerank', 'channel-scatter-bulk'): ('820e57c65665d0c4', 2664, 372, 6, 12),
+    ('pagerank', 'channel-mirror'): ('820e57c65665d0c4', 3166, 372, 6, 12),
+    ('pagerank', 'channel-mirror-bulk'): ('820e57c65665d0c4', 3166, 372, 6, 12),
+    ('pagerank', 'pregel-basic'): ('a2828653741f5677', 10217, 1117, 6, 12),
+    ('pagerank', 'pregel-ghost'): ('b6d6d6976d2cc56b', 7822, 842, 6, 12),
+    ('pj', 'channel-basic'): ('5f70bf18a0860070', 896, 392, 11, 11),
+    ('pj', 'channel-reqresp'): ('5f70bf18a0860070', 258, 146, 6, 11),
+    ('pj', 'channel-reqresp-bulk'): ('5f70bf18a0860070', 258, 146, 6, 11),
+    ('pj', 'pregel-basic'): ('5f70bf18a0860070', 896, 392, 11, 11),
+    ('pj', 'pregel-reqresp'): ('5f70bf18a0860070', 331, 146, 6, 11),
+    ('wcc', 'channel-basic'): ('0fe108103805a2ff', 1082, 509, 5, 5),
+    ('wcc', 'channel-basic-bulk'): ('0fe108103805a2ff', 1082, 509, 5, 5),
+    ('wcc', 'channel-prop'): ('0fe108103805a2ff', 272, 116, 2, 4),
+    ('wcc', 'pregel-basic'): ('0fe108103805a2ff', 1082, 509, 5, 5),
+    ('wcc', 'blogel-basic'): ('0fe108103805a2ff', 197, 116, 4, 4),
+    ('sv', 'channel-basic'): ('0fe108103805a2ff', 3128, 1254, 17, 34),
+    ('sv', 'channel-basic-bulk'): ('0fe108103805a2ff', 3128, 1254, 17, 34),
+    ('sv', 'channel-reqresp'): ('0fe108103805a2ff', 2528, 1026, 13, 26),
+    ('sv', 'channel-reqresp-bulk'): ('0fe108103805a2ff', 2528, 1026, 13, 26),
+    ('sv', 'channel-scatter'): ('0fe108103805a2ff', 1409, 574, 17, 34),
+    ('sv', 'channel-scatter-bulk'): ('0fe108103805a2ff', 1409, 574, 17, 34),
+    ('sv', 'channel-both'): ('0fe108103805a2ff', 809, 346, 13, 26),
+    ('sv', 'channel-both-bulk'): ('0fe108103805a2ff', 809, 346, 13, 26),
+    ('sv', 'pregel-basic'): ('0fe108103805a2ff', 11628, 1254, 17, 34),
+    ('sv', 'pregel-reqresp'): ('0fe108103805a2ff', 9432, 1026, 13, 26),
+    ('scc', 'channel-basic'): ('7503c2bbe13051d0', 7401, 1381, 8, 16),
+    ('scc', 'channel-prop'): ('7503c2bbe13051d0', 3533, 671, 3, 7),
+    ('scc', 'pregel-basic'): ('7503c2bbe13051d0', 12605, 1365, 8, 16),
+    ('msf', 'channel-basic'): ('3ca118021b7d9a8a', 9948, 1292, 28, 56),
+    ('msf', 'pregel-basic'): ('3ca118021b7d9a8a', 27188, 1292, 28, 56),
+    ('sssp', 'channel-basic'): ('09985c4c2aef020a', 1945, 209, 6, 6),
+    ('sssp', 'channel-basic-bulk'): ('09985c4c2aef020a', 1945, 209, 6, 6),
+    ('sssp', 'channel-prop'): ('09985c4c2aef020a', 833, 89, 2, 5),
+    ('sssp', 'pregel-basic'): ('09985c4c2aef020a', 1945, 209, 6, 6),
+    ('bfs', 'channel-basic'): ('5cd726a831d4b312', 1945, 209, 6, 6),
+    ('bfs', 'channel-basic-bulk'): ('5cd726a831d4b312', 1945, 209, 6, 6),
+    ('bfs', 'channel-prop'): ('5cd726a831d4b312', 833, 89, 2, 5),
+    ('kcore', 'channel-basic'): ('5cf46ed1a5685899', 7212, 788, 9, 9),
+    ('lpa', 'channel-basic'): ('6da24dec94aba9db', 3678, 726, 4, 4),
+    ('mis', 'channel-basic'): ('73f301700ecc06ce', 3058, 358, 7, 7),
+    ('triangles', 'channel-basic'): ('bba58959c32abe68', 5722, 1128, 3, 6),
 }
 
 #: bulk rows on a scale-16 graph (and a 2**16-vertex forest) at 2 workers
 BIG = {
-    ('sv', 'channel-both-bulk'): ('8e22c110dcea0fd2', 283328, 142467, 16, 32),
-    ('sv', 'channel-basic-bulk'): ('8e22c110dcea0fd2', 10940040, 1367435, 21, 42),
-    ('sv', 'channel-reqresp-bulk'): ('8e22c110dcea0fd2', 9923408, 1244357, 16, 32),
-    ('bfs', 'channel-basic-bulk'): ('8953ae016a56c5d8', 2966336, 247188, 7, 7),
-    ('wcc', 'channel-basic-bulk'): ('8e22c110dcea0fd2', 7188548, 599039, 7, 7),
-    ('pj', 'channel-reqresp-bulk'): ('07854d2fef297a06', 334760, 83646, 7, 13),
+    ('sv', 'channel-both-bulk'): ('8e22c110dcea0fd2', 217651, 142467, 16, 32),
+    ('sv', 'channel-basic-bulk'): ('8e22c110dcea0fd2', 8205254, 1367435, 21, 42),
+    ('sv', 'channel-reqresp-bulk'): ('8e22c110dcea0fd2', 7442740, 1244357, 16, 32),
+    ('bfs', 'channel-basic-bulk'): ('8953ae016a56c5d8', 2719148, 247188, 7, 7),
+    ('wcc', 'channel-basic-bulk'): ('8e22c110dcea0fd2', 3594314, 599039, 7, 7),
+    ('pj', 'channel-reqresp-bulk'): ('07854d2fef297a06', 251114, 83646, 7, 13),
     ('pagerank', 'channel-scatter-bulk'): ('0518f18cfa3a6ce3', 448997, 80612, 4, 8),
 }
 
